@@ -20,11 +20,12 @@
 //!   the bench, not just slow it down);
 //! * **ssd** — GB/s of the SSD tier per route: per-blob random writes vs
 //!   one coalesced `put_batch` segment write, and the read-back path;
-//! * **executor** — steps/s of the schedule-driven resource-pool
-//!   executor vs both legacy stage loops on a route-throttled engine
-//!   (so transfer overlap, not raw compute, decides the ranking), plus
-//!   the executor's speedup over each and its per-pool utilisation.
-//!   Speedups and utilisations use the `ratio` metric, which the
+//! * **executor** — steps/s of the engine under its two offload
+//!   schedules (optimized active vs separate stage — the Fig. 7
+//!   ablation as two DAGs over one executor) on a route-throttled
+//!   engine (so transfer overlap, not raw compute, decides the
+//!   ranking), plus the active schedule's speedup and its SSD-pool
+//!   utilisation. Speedups and utilisations use the `ratio` metric, which the
 //!   regression check compares *without* calibration scaling: a ratio
 //!   of two wall-clocks on the same box is already machine-free.
 //!
@@ -728,13 +729,15 @@ fn run_executor(smoke: bool) -> Result<PerfSuite, String> {
     use ratel::engine::{
         ActDecision, EngineConfig, ExecutionOptions, ExecutorOptions, RatelEngine,
     };
+    use ratel::GradOffloadMode;
     use ratel_sim::ResourceClass;
     use ratel_storage::Route;
     use ratel_tensor::GptConfig;
 
     // Small enough that compute is cheap, routes throttled hard enough
-    // that state I/O takes real time: whichever mode overlaps transfers
-    // with compute best wins, which is exactly what this suite tracks.
+    // that state I/O takes real time: whichever schedule overlaps
+    // transfers with compute best wins, which is exactly what this suite
+    // tracks.
     let model = GptConfig {
         vocab: 128,
         seq: 32,
@@ -744,7 +747,7 @@ fn run_executor(smoke: bool) -> Result<PerfSuite, String> {
         batch: 4,
     };
     let steps = if smoke { 3u64 } else { 6 };
-    let mk = |execution: ExecutionOptions| -> Result<RatelEngine, String> {
+    let mk = |offload: GradOffloadMode| -> Result<RatelEngine, String> {
         let engine = RatelEngine::new(EngineConfig {
             model,
             seed: 55,
@@ -752,7 +755,10 @@ fn run_executor(smoke: bool) -> Result<PerfSuite, String> {
             act_decisions: vec![ActDecision::SwapToHost; model.layers],
             gpu_capacity: None,
             host_capacity: None,
-            execution,
+            execution: ExecutionOptions::Executor(ExecutorOptions {
+                offload,
+                ..ExecutorOptions::default()
+            }),
             loss_scale: ScalePolicy::None,
             grad_clip: None,
             lr_schedule: LrSchedule::Constant,
@@ -765,70 +771,49 @@ fn run_executor(smoke: bool) -> Result<PerfSuite, String> {
         Ok(engine)
     };
     let (tokens, targets) = random_batch(&model, 9);
-    let time_mode =
-        |execution: ExecutionOptions| -> Result<(f64, f32, Option<TaskBreakdown>), String> {
-            let mut engine = mk(execution)?;
-            // Warm-up step: first-touch staging and file creation.
-            engine
+    let time_mode = |offload: GradOffloadMode| -> Result<(f64, f32, TaskBreakdown), String> {
+        let mut engine = mk(offload)?;
+        // Warm-up step: first-touch staging and file creation.
+        let mut stats = engine
+            .train_step(&tokens, &targets)
+            .map_err(|e| e.to_string())?;
+        let t0 = Instant::now();
+        for _ in 0..steps {
+            stats = engine
                 .train_step(&tokens, &targets)
                 .map_err(|e| e.to_string())?;
-            let t0 = Instant::now();
-            let mut loss = 0.0;
-            let mut tasks = None;
-            for _ in 0..steps {
-                let stats = engine
-                    .train_step(&tokens, &targets)
-                    .map_err(|e| e.to_string())?;
-                loss = stats.loss;
-                tasks = stats.tasks;
-            }
-            Ok((steps as f64 / t0.elapsed().as_secs_f64(), loss, tasks))
-        };
+        }
+        let sps = steps as f64 / t0.elapsed().as_secs_f64();
+        let tasks = stats.tasks.ok_or("step reported no task breakdown")?;
+        Ok((sps, stats.loss, tasks))
+    };
 
-    let (exec_sps, exec_loss, exec_tasks) =
-        time_mode(ExecutionOptions::Executor(ExecutorOptions::default()))?;
-    let (overlap_sps, overlap_loss, _) = time_mode(ExecutionOptions::LegacyOverlapped {
-        prefetch_params: false,
-    })?;
-    let (separate_sps, separate_loss, _) = time_mode(ExecutionOptions::LegacySeparateStage {
-        prefetch_params: false,
-    })?;
+    let (active_sps, active_loss, tasks) = time_mode(GradOffloadMode::OptimizedActive)?;
+    let (separate_sps, separate_loss, _) = time_mode(GradOffloadMode::SeparateStage)?;
 
-    // The ranking is only meaningful if every mode computed the same
+    // The ranking is only meaningful if both schedules computed the same
     // step; a numeric divergence here is a bug, not a perf result.
-    if exec_loss != overlap_loss || exec_loss != separate_loss {
+    if active_loss != separate_loss {
         return Err(format!(
-            "modes diverged: executor {exec_loss} vs overlapped {overlap_loss} \
-             vs separate {separate_loss}"
+            "schedules diverged: optimized active {active_loss} vs separate stage {separate_loss}"
         ));
     }
-    let tasks = exec_tasks.ok_or("executor mode reported no task breakdown")?;
 
     let mut entries = vec![
         PerfEntry {
-            name: "engine_steps_executor".into(),
+            name: "engine_steps_optimized_active".into(),
             metric: "elems_per_s".into(),
-            value: exec_sps,
+            value: active_sps,
         },
         PerfEntry {
-            name: "engine_steps_legacy_overlapped".into(),
-            metric: "elems_per_s".into(),
-            value: overlap_sps,
-        },
-        PerfEntry {
-            name: "engine_steps_legacy_separate".into(),
+            name: "engine_steps_separate_stage".into(),
             metric: "elems_per_s".into(),
             value: separate_sps,
         },
         PerfEntry {
-            name: "executor_over_legacy_overlapped".into(),
+            name: "active_over_separate_stage".into(),
             metric: "ratio".into(),
-            value: exec_sps / overlap_sps,
-        },
-        PerfEntry {
-            name: "executor_over_legacy_separate".into(),
-            metric: "ratio".into(),
-            value: exec_sps / separate_sps,
+            value: active_sps / separate_sps,
         },
     ];
     // Per-worker utilisation of the bottleneck pool: busy seconds over

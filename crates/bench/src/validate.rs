@@ -173,9 +173,8 @@ pub fn route_caps(server: &ServerConfig, factor: f64) -> [(Route, f64); 4] {
 }
 
 /// The engine configuration a validation run executes: everything
-/// swapped to host, running the schedule-driven executor on the paper's
-/// optimized schedule — which is also what the spec models. Both the
-/// `validate` and `obs` smokes therefore audit executor-mode steps.
+/// swapped to host, on the paper's optimized schedule — which is also
+/// what the spec models. Shared by the `validate` and `obs` smokes.
 pub fn validate_engine_config(model: GptConfig) -> EngineConfig {
     EngineConfig {
         model,

@@ -4,8 +4,8 @@
 //! personalities, selected automatically:
 //!
 //! * **Normal builds** — passthrough to `std::sync` (lock methods never
-//!   return poison errors: a poisoned lock is recovered, matching the
-//!   vendored `parking_lot` semantics the storage layer already uses).
+//!   return poison errors: a poisoned lock is recovered, `parking_lot`
+//!   style).
 //! * **Debug builds, named primitives** — every acquisition feeds the
 //!   process-global lock-order tracker ([`crate::lockorder`]): cycles in
 //!   the acquisition graph and blocking ops under a tracked lock fail

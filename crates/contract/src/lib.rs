@@ -213,6 +213,138 @@ impl OpClass {
     }
 }
 
+/// What a schedule task *is* — the typed identity the schedule builder
+/// stamps on every task it emits and the engine dispatches on. The
+/// display label of a task is derived from this (`fwd-read L3`); nothing
+/// reads the label back.
+///
+/// The first fourteen kinds are the ones a real engine step is made of
+/// ([`TaskKind::is_executable`]); the rest model baseline systems and
+/// multi-GPU servers in the simulator only.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum TaskKind {
+    /// Stage a layer's P16 from SSD into host memory for forward.
+    FwdRead,
+    /// Move the forward-staged P16 from host into the GPU arena.
+    FwdFetch,
+    /// The layer's forward kernels.
+    Fwd,
+    /// Offload the layer's checkpoint and saved activations to host.
+    ActOff,
+    /// Spill the layer's saved activations from host to the SSD tier.
+    ActSpill,
+    /// Stage a layer's P16 from SSD into host memory for backward.
+    BwdRead,
+    /// Move the backward-staged P16 from host into the GPU arena.
+    BwdFetch,
+    /// Load the layer's spilled activations from SSD back to host.
+    ActLoad,
+    /// Fetch the layer's checkpoint and activations back to the GPU.
+    ActUp,
+    /// The layer's backward kernels.
+    Bwd,
+    /// Offload the layer's G16 gradient to host memory.
+    GradOff,
+    /// Stage the layer's master + moments from SSD into host memory.
+    OptRead,
+    /// The layer's f32 Adam update on the CPU.
+    OptCpu,
+    /// Write the updated P32/OS32/P16 back to the SSD tier.
+    OptWrite,
+    /// Framework hook stall before a forward kernel (simulation only).
+    FwdHook,
+    /// Framework hook stall before a backward kernel (simulation only).
+    BwdHook,
+    /// CPU reduction of the per-GPU gradients (simulation only).
+    Reduce,
+    /// Spill the offloaded gradient host -> SSD (simulation only).
+    GradSpill,
+    /// Stage optimizer state host -> GPU for an in-GPU update
+    /// (simulation only).
+    OptUp,
+    /// In-GPU optimizer kernel (simulation only).
+    OptKernel,
+    /// Return updated optimizer state GPU -> host (simulation only).
+    OptDown,
+}
+
+impl TaskKind {
+    /// The stable display name task labels are built from.
+    pub fn name(self) -> &'static str {
+        match self {
+            TaskKind::FwdRead => "fwd-read",
+            TaskKind::FwdFetch => "fwd-fetch",
+            TaskKind::Fwd => "fwd",
+            TaskKind::ActOff => "act-off",
+            TaskKind::ActSpill => "act-spill",
+            TaskKind::BwdRead => "bwd-read",
+            TaskKind::BwdFetch => "bwd-fetch",
+            TaskKind::ActLoad => "act-load",
+            TaskKind::ActUp => "act-up",
+            TaskKind::Bwd => "bwd",
+            TaskKind::GradOff => "grad-off",
+            TaskKind::OptRead => "opt-read",
+            TaskKind::OptCpu => "opt-cpu",
+            TaskKind::OptWrite => "opt-write",
+            TaskKind::FwdHook => "fwd-hook",
+            TaskKind::BwdHook => "bwd-hook",
+            TaskKind::Reduce => "reduce",
+            TaskKind::GradSpill => "grad-spill",
+            TaskKind::OptUp => "opt-up",
+            TaskKind::OptKernel => "opt-kernel",
+            TaskKind::OptDown => "opt-down",
+        }
+    }
+
+    /// Whether the engine has an action for this kind; the rest exist
+    /// only in simulated schedules.
+    pub fn is_executable(self) -> bool {
+        !matches!(
+            self,
+            TaskKind::FwdHook
+                | TaskKind::BwdHook
+                | TaskKind::Reduce
+                | TaskKind::GradSpill
+                | TaskKind::OptUp
+                | TaskKind::OptKernel
+                | TaskKind::OptDown
+        )
+    }
+}
+
+/// A task's typed identity: its kind, the layer it serves, and — for
+/// tasks replicated per data-parallel GPU — which replica.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct TaskIdentity {
+    /// What the task does.
+    pub kind: TaskKind,
+    /// The schedule layer it serves.
+    pub layer: usize,
+    /// GPU replica for per-GPU tasks; `None` for tasks shared by all
+    /// GPUs (SSD staging reads, reductions, optimizer handlers).
+    pub gpu: Option<usize>,
+}
+
+impl TaskIdentity {
+    /// A task shared by all GPUs.
+    pub fn shared(kind: TaskKind, layer: usize) -> Self {
+        TaskIdentity {
+            kind,
+            layer,
+            gpu: None,
+        }
+    }
+
+    /// A per-GPU task.
+    pub fn on_gpu(kind: TaskKind, layer: usize, gpu: usize) -> Self {
+        TaskIdentity {
+            kind,
+            layer,
+            gpu: Some(gpu),
+        }
+    }
+}
+
 /// The class of a registered resource, declared by the schedule builder
 /// so the verifier can check task-to-resource legality — and so the
 /// executor knows which worker pool serves the task.
@@ -293,6 +425,9 @@ pub struct TaskMeta {
     pub op: OpClass,
     /// 0-based training iteration the task belongs to.
     pub iteration: usize,
+    /// The task's typed identity; `None` on hand-built graphs that only
+    /// exercise the static passes.
+    pub identity: Option<TaskIdentity>,
     /// Versioned blobs this task consumes.
     pub reads: Vec<VersionedBlob>,
     /// Versioned blobs this task produces.
@@ -310,6 +445,7 @@ impl TaskMeta {
         TaskMeta {
             op,
             iteration,
+            identity: None,
             reads: Vec::new(),
             writes: Vec::new(),
             allocs: Vec::new(),

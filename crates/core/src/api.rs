@@ -160,28 +160,10 @@ impl Ratel {
         self
     }
 
-    /// Selects how steps run: the schedule-driven executor (default) or
-    /// one of the legacy hand-coded stage loops. See
-    /// [`ExecutionOptions`].
+    /// Sets the executor's worker count and gradient-offloading
+    /// schedule. See [`ExecutionOptions`].
     pub fn execution(mut self, execution: ExecutionOptions) -> Self {
         self.execution = execution;
-        self
-    }
-
-    /// Disables the parameter-prefetch pipeline (on by default).
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `execution(ExecutionOptions::LegacyOverlapped { prefetch_params: false })`"
-    )]
-    pub fn without_param_prefetch(mut self) -> Self {
-        self.execution = match self.execution {
-            ExecutionOptions::LegacySeparateStage { .. } => ExecutionOptions::LegacySeparateStage {
-                prefetch_params: false,
-            },
-            _ => ExecutionOptions::LegacyOverlapped {
-                prefetch_params: false,
-            },
-        };
         self
     }
 
@@ -203,25 +185,6 @@ impl Ratel {
     /// Bypasses the planner with explicit per-block decisions.
     pub fn activation_decisions(mut self, decisions: Vec<ActDecision>) -> Self {
         self.act_override = Some(decisions);
-        self
-    }
-
-    /// Disables overlap (the Ratel+ZeRO ablation).
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `execution(ExecutionOptions::LegacySeparateStage { prefetch_params: true })` \
-                or the executor's `GradOffloadMode::SeparateStage`"
-    )]
-    pub fn separate_optimizer_stage(mut self) -> Self {
-        self.execution = match self.execution {
-            ExecutionOptions::LegacyOverlapped { prefetch_params }
-            | ExecutionOptions::LegacySeparateStage { prefetch_params } => {
-                ExecutionOptions::LegacySeparateStage { prefetch_params }
-            }
-            ExecutionOptions::Executor(_) => ExecutionOptions::LegacySeparateStage {
-                prefetch_params: true,
-            },
-        };
         self
     }
 
@@ -628,43 +591,7 @@ mod tests {
         let (t, y) = learnable_batch(&model, 2);
         let stats = trainer.step(Batch::new(&model, &t, &y).unwrap()).unwrap();
         assert!(stats.loss.is_finite());
-        assert!(stats.tasks.is_some(), "default execution is the executor");
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_knobs_map_onto_legacy_execution() {
-        use crate::engine::ExecutionOptions;
-        let b = Ratel::init(GptConfig::tiny()).without_param_prefetch();
-        assert_eq!(
-            b.execution,
-            ExecutionOptions::LegacyOverlapped {
-                prefetch_params: false
-            }
-        );
-        let b = Ratel::init(GptConfig::tiny()).separate_optimizer_stage();
-        assert_eq!(
-            b.execution,
-            ExecutionOptions::LegacySeparateStage {
-                prefetch_params: true
-            }
-        );
-        // Order-independent composition, like the old boolean pair.
-        for b in [
-            Ratel::init(GptConfig::tiny())
-                .without_param_prefetch()
-                .separate_optimizer_stage(),
-            Ratel::init(GptConfig::tiny())
-                .separate_optimizer_stage()
-                .without_param_prefetch(),
-        ] {
-            assert_eq!(
-                b.execution,
-                ExecutionOptions::LegacySeparateStage {
-                    prefetch_params: false
-                }
-            );
-        }
+        assert!(stats.tasks.is_some());
     }
 
     #[test]

@@ -2,136 +2,79 @@
 //!
 //! [`StepDag::lower`] takes the engine's schedule twin (the
 //! [`IterationSpec`] from [`super::RatelEngine::movement_spec`]), builds
-//! the statically verified task graph, parses every task label back into
-//! an [`EngineAction`], and adds *pacing* edges that window read-ahead
-//! tasks behind compute — the same two-layer windows the legacy
-//! prefetcher threads enforced, now explicit edges in the graph instead
-//! of bounded channels in the code.
+//! the statically verified task graph, reads every task's typed
+//! [`TaskKind`] and layer off its metadata, and adds *pacing* edges that
+//! window read-ahead tasks two layers behind compute, so staging never
+//! runs further ahead than the tiers have room for.
 //!
-//! [`StepCtx`] then maps each task onto exactly the tiered-store
-//! transfers and tensor kernels the hand-coded stage loop performed.
-//! The mapping is byte-for-byte: the same blobs cross the same routes,
-//! the same f16 rounding happens at the same points, so an executor step
-//! is bitwise identical to a legacy step and to the in-memory reference
-//! trainer — whatever worker count each pool runs.
+//! [`StepCtx`] then maps each task onto tiered-store transfers and
+//! tensor kernels. f16 rounding happens at the same points as in the
+//! in-memory reference trainer, so a step is bitwise identical to it —
+//! whatever worker count each pool runs.
 
 use std::sync::Arc;
 
 use ratel_check::sync::Mutex;
 
-use ratel_sim::{TaskGraph, TaskId};
+use ratel_sim::{TaskGraph, TaskId, TaskKind};
 use ratel_storage::telemetry::SpanCategory;
 use ratel_storage::{StorageError, Tier, TieredStore};
-use ratel_tensor::dtype::{decode_f16, decode_f32, encode_f16, encode_f32};
-use ratel_tensor::{
-    block_dropout_spec, Adam, AdamParams, BlockSaved, GptModel, HeadSaved, ParamLayer, Tensor,
-};
+use ratel_tensor::dtype::{decode_f16, decode_f32, encode_f16, encode_f32, round_to_f16};
+use ratel_tensor::{block_dropout_spec, Adam, AdamParams, BlockSaved, GptModel, HeadSaved, Tensor};
 
 use super::executor::TaskAction;
 use super::scaler::prepare_gradient;
 use super::{
-    act_key, ckpt_key, grad_key, master_key, moments_key, p16_key, ActDecision, EngineConfig,
+    accum_key, act_key, ckpt_key, fetch_f16, grad_key, master_key, moments_key, offload_f16,
+    p16_key, set_layer_params, ActDecision, EngineConfig,
 };
 use crate::error::RatelError;
 use crate::schedule::IterationSpec;
 
-/// What one task of the lowered step graph does, parsed from the
-/// schedule's stable task labels (`fwd-read L3`, `opt-cpu L0`, …). The
-/// payload is the engine layer id (0 = embedding, 1..=L = blocks,
-/// L+1 = head).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(super) enum EngineAction {
-    /// Stage a layer's P16 from SSD into host memory for forward.
-    FwdRead(usize),
-    /// Move the forward-staged P16 from host into the GPU arena.
-    FwdFetch(usize),
-    /// Decode the staged P16 and run the layer's forward kernels.
-    Fwd(usize),
-    /// Offload the block's checkpoint (and saved activations) to host.
-    ActOff(usize),
-    /// Spill the block's saved activations from host to the SSD tier.
-    ActSpill(usize),
-    /// Stage a layer's P16 from SSD into host memory for backward.
-    BwdRead(usize),
-    /// Move the backward-staged P16 from host into the GPU arena.
-    BwdFetch(usize),
-    /// Load the block's spilled activations from SSD back to host.
-    ActLoad(usize),
-    /// Fetch the block's checkpoint (and activations) back to the GPU.
-    ActUp(usize),
-    /// Run the layer's backward kernels.
-    Bwd(usize),
-    /// Offload the layer's G16 gradient to host memory.
-    GradOff(usize),
-    /// Stage the layer's master + moments from SSD into host memory.
-    OptRead(usize),
-    /// Decode the gradient and run the f32 Adam update on the CPU.
-    OptCpu(usize),
-    /// Write the updated P32/OS32/P16 back to the SSD tier.
-    OptWrite(usize),
-}
-
-fn parse_action(label: &str) -> Option<EngineAction> {
-    let (kind, layer) = label.rsplit_once(" L")?;
-    let layer: usize = layer.parse().ok()?;
-    Some(match kind {
-        "fwd-read" => EngineAction::FwdRead(layer),
-        "fwd-fetch" => EngineAction::FwdFetch(layer),
-        "fwd" => EngineAction::Fwd(layer),
-        "act-off" => EngineAction::ActOff(layer),
-        "act-spill" => EngineAction::ActSpill(layer),
-        "bwd-read" => EngineAction::BwdRead(layer),
-        "bwd-fetch" => EngineAction::BwdFetch(layer),
-        "act-load" => EngineAction::ActLoad(layer),
-        "act-up" => EngineAction::ActUp(layer),
-        "bwd" => EngineAction::Bwd(layer),
-        "grad-off" => EngineAction::GradOff(layer),
-        "opt-read" => EngineAction::OptRead(layer),
-        "opt-cpu" => EngineAction::OptCpu(layer),
-        "opt-write" => EngineAction::OptWrite(layer),
-        _ => return None,
-    })
-}
-
-/// A lowered, verified, paced step graph plus the action each task maps
-/// to (indexed by `TaskId.0`). Built once per engine (the plan depends
-/// only on the config) and reused every step.
+/// A lowered, verified, paced step graph plus what each task does
+/// (indexed by `TaskId.0`). Built once per engine (the plan depends only
+/// on the config) and reused every step.
 #[derive(Debug)]
 pub(super) struct StepDag {
     /// The executable task graph.
     pub(super) graph: TaskGraph,
-    /// `actions[t]` is what task `t` does.
-    pub(super) actions: Vec<EngineAction>,
+    /// `actions[t]` is task `t`'s kind and engine layer id (0 =
+    /// embedding, 1..=L = blocks, L+1 = head).
+    pub(super) actions: Vec<(TaskKind, usize)>,
 }
 
 /// How many GPU-compute tasks ahead of the consuming kernel a staging
-/// read may start — the executor twin of the legacy prefetcher windows
-/// (`prefetch::WINDOW` and `optimizer::PREFETCH_WINDOW`, both 2).
+/// read may start.
 const PACE_WINDOW: usize = 2;
 
 impl StepDag {
     /// Lowers a movement plan into an executable DAG: builds the spec's
-    /// (self-verified) graph, parses every label into an
-    /// [`EngineAction`], and adds pacing edges. Debug builds re-verify
-    /// the paced graph before it can reach the executor.
+    /// (self-verified) graph, reads every task's typed identity, and
+    /// adds pacing edges. Debug builds re-verify the paced graph before
+    /// it can reach the executor.
     ///
     /// # Errors
-    /// [`RatelError::InvalidConfig`] if any task label does not parse to
-    /// an executable action — multi-GPU or multi-iteration plans and
-    /// hook/reduce tasks are simulation-only shapes.
+    /// [`RatelError::InvalidConfig`] if any task has no engine action —
+    /// multi-GPU or multi-iteration plans and hook/reduce tasks are
+    /// simulation-only shapes.
     pub(super) fn lower(spec: &IterationSpec) -> Result<StepDag, RatelError> {
         let (mut graph, _resources, _flops) = spec.build();
         let tasks: Vec<TaskId> = graph.task_ids().collect();
         let mut actions = Vec::with_capacity(tasks.len());
         let mut bad = Vec::new();
         for &t in &tasks {
-            let label = graph.label(t).unwrap_or("");
-            match parse_action(label) {
+            let executable = graph.meta(t).and_then(|m| {
+                let id = m.identity?;
+                let single = m.iteration == 0 && (spec.gpus == 1 || id.gpu.is_none());
+                (id.kind.is_executable() && single).then_some((id.kind, id.layer))
+            });
+            match executable {
                 Some(a) => actions.push(a),
                 None => bad.push(format!(
-                    "plan task {} is not executable: label {label:?} has no engine action \
+                    "plan task {} is not executable: label {:?} has no engine action \
                      (multi-GPU, multi-iteration, and hook tasks are simulation-only)",
-                    t.0
+                    t.0,
+                    graph.label(t).unwrap_or("")
                 )),
             }
         }
@@ -144,17 +87,17 @@ impl StepDag {
         // before the kernel at `p - PACE_WINDOW` finished.
         let n = spec.layers.len();
         let mut gpu_seq: Vec<Option<TaskId>> = vec![None; 2 * n];
-        for (&t, a) in tasks.iter().zip(&actions) {
-            match *a {
-                EngineAction::Fwd(li) => gpu_seq[li] = Some(t),
-                EngineAction::Bwd(li) => gpu_seq[n + (n - 1 - li)] = Some(t),
+        for (&t, &(kind, li)) in tasks.iter().zip(&actions) {
+            match kind {
+                TaskKind::Fwd => gpu_seq[li] = Some(t),
+                TaskKind::Bwd => gpu_seq[n + (n - 1 - li)] = Some(t),
                 _ => {}
             }
         }
-        for (&t, a) in tasks.iter().zip(&actions) {
-            let gate = match *a {
-                EngineAction::FwdRead(li) => li.checked_sub(PACE_WINDOW),
-                EngineAction::BwdRead(li) | EngineAction::ActLoad(li) | EngineAction::ActUp(li) => {
+        for (&t, &(kind, li)) in tasks.iter().zip(&actions) {
+            let gate = match kind {
+                TaskKind::FwdRead => li.checked_sub(PACE_WINDOW),
+                TaskKind::BwdRead | TaskKind::ActLoad | TaskKind::ActUp => {
                     Some(n + (n - 1 - li) - PACE_WINDOW)
                 }
                 _ => None,
@@ -172,14 +115,13 @@ impl StepDag {
         }
         // Optimizer handlers in gradient-arrival order: handler h's
         // state read waits for handler h-2's CPU compute, bounding the
-        // staged-state window exactly like the legacy prefetcher's
-        // bounded channel.
+        // host memory held by staged states.
         let mut opt_reads = Vec::new();
         let mut opt_cpus = Vec::new();
-        for (&t, a) in tasks.iter().zip(&actions) {
-            match a {
-                EngineAction::OptRead(_) => opt_reads.push(t),
-                EngineAction::OptCpu(_) => opt_cpus.push(t),
+        for (&t, &(kind, _)) in tasks.iter().zip(&actions) {
+            match kind {
+                TaskKind::OptRead => opt_reads.push(t),
+                TaskKind::OptCpu => opt_cpus.push(t),
                 _ => {}
             }
         }
@@ -213,21 +155,26 @@ struct OptUpdate {
     applied: bool,
 }
 
-/// Stores an f16 blob in the GPU tier and swaps it to `target` —
-/// identical to the legacy engine's offload helper.
-fn offload_f16(
-    store: &TieredStore,
-    key: &str,
-    bytes: Vec<u8>,
-    target: Tier,
-) -> Result<(), StorageError> {
-    store.put(key, Tier::Gpu, bytes)?;
-    store.move_to(key, target)?;
-    Ok(())
+/// What `grad-off` does with a layer's gradient once backward produced
+/// it. Gradient accumulation is the same step DAG run per micro-batch
+/// with a different sink.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(super) enum GradSink {
+    /// A plain step: the G16 lands in host memory for its optimizer
+    /// handler.
+    Optimizer,
+    /// A non-final micro-batch: the G16 crosses to host memory and is
+    /// summed into the layer's host f32 accumulator; no handler runs.
+    Accumulate,
+    /// The final of `1 / inv_n` micro-batches: merge the accumulator,
+    /// average, and hand `f16(mean_i(f16(g_i)))` to the optimizer
+    /// handler.
+    MergeAccumulated {
+        /// Reciprocal of the micro-batch count.
+        inv_n: f32,
+    },
 }
 
-/// Fetches an f16 blob back to the GPU tier and removes it, returning
-/// the bytes — identical to the legacy engine's fetch helper.
 /// A step-DAG slot protocol violation: a task ran before the dependency
 /// that fills the slot it consumes. The verifier proves the plan's edges
 /// make this unreachable, so hitting it means executor or lowering bug —
@@ -239,13 +186,6 @@ fn slot_violation(what: &str) -> StorageError {
     )))
 }
 
-fn fetch_f16(store: &TieredStore, key: &str) -> Result<Vec<u8>, StorageError> {
-    store.move_to(key, Tier::Gpu)?;
-    let bytes = store.read(key)?;
-    store.remove(key)?;
-    Ok(bytes)
-}
-
 /// The staged-copy key a layer's P16 uses for one pass. Forward and
 /// backward stage separately (the head is staged once, in forward).
 fn staged_key(layer: usize, pass: char) -> String {
@@ -253,7 +193,7 @@ fn staged_key(layer: usize, pass: char) -> String {
 }
 
 /// Shared state of one executing step: the [`TaskAction`] behind
-/// [`super::RatelEngine::train_step`] in executor mode.
+/// [`super::RatelEngine::train_step`].
 ///
 /// Worker threads of different pools run disjoint actions concurrently;
 /// every hand-off slot (activation bytes, gradients, Adam updates) is a
@@ -264,7 +204,7 @@ fn staged_key(layer: usize, pass: char) -> String {
 pub(super) struct StepCtx<'a> {
     store: &'a Arc<TieredStore>,
     config: &'a EngineConfig,
-    actions: &'a [EngineAction],
+    actions: &'a [(TaskKind, usize)],
     model: Mutex<&'a mut GptModel>,
     tokens: &'a [usize],
     targets: &'a [usize],
@@ -272,6 +212,7 @@ pub(super) struct StepCtx<'a> {
     step_seed: u64,
     adam: AdamParams,
     layer_steps: &'a [u64],
+    grad_sink: GradSink,
     /// The activation flowing forward between layers.
     flow: Mutex<Option<Tensor>>,
     /// The gradient flowing backward between layers.
@@ -303,7 +244,7 @@ impl<'a> StepCtx<'a> {
     pub(super) fn new(
         store: &'a Arc<TieredStore>,
         config: &'a EngineConfig,
-        actions: &'a [EngineAction],
+        actions: &'a [(TaskKind, usize)],
         model: &'a mut GptModel,
         tokens: &'a [usize],
         targets: &'a [usize],
@@ -311,6 +252,7 @@ impl<'a> StepCtx<'a> {
         step_seed: u64,
         adam: AdamParams,
         layer_steps: &'a [u64],
+        grad_sink: GradSink,
     ) -> Self {
         let blocks = config.model.layers;
         let layers = blocks + 2;
@@ -328,6 +270,7 @@ impl<'a> StepCtx<'a> {
             step_seed,
             adam,
             layer_steps,
+            grad_sink,
             flow: Mutex::new(None),
             dflow: Mutex::new(None),
             head: Mutex::new(None),
@@ -366,8 +309,8 @@ impl<'a> StepCtx<'a> {
             .copy_to(&p16_key(layer), &staged_key(layer, pass), Tier::Host)
     }
 
-    /// Move a staged P16 into the GPU arena, spanning the prefetch track
-    /// like the legacy prefetcher thread did.
+    /// Move a staged P16 into the GPU arena, spanned on the prefetch
+    /// track.
     fn param_fetch(&self, layer: usize, pass: char) -> Result<(), StorageError> {
         let rec = self.store.telemetry();
         let t = rec.enabled().then(|| rec.now());
@@ -394,21 +337,13 @@ impl<'a> StepCtx<'a> {
     ) -> Result<(), StorageError> {
         let staged = staged_key(layer, pass);
         let flat = decode_f16(&self.store.read(&staged)?);
-        let l = self.config.model.layers;
-        if layer == 0 {
-            model.embedding.set_params_flat(&flat);
-        } else if layer <= l {
-            model.blocks[layer - 1].set_params_flat(&flat);
-        } else {
-            model.head.set_params_flat(&flat);
-        }
+        set_layer_params(model, layer, &flat);
         self.store.remove(&staged)?;
         Ok(())
     }
 
     /// The layer's forward kernels. The span starts after the staged
-    /// P16 decode so GPU spans stay compute-only, exactly like the
-    /// legacy stage loop's.
+    /// P16 decode so GPU spans stay compute-only.
     fn forward(&self, layer: usize) -> Result<(), StorageError> {
         let c = self.config.model;
         let l = c.layers;
@@ -504,7 +439,7 @@ impl<'a> StepCtx<'a> {
 
     /// The layer's backward kernels. Recompute decisions rerun the
     /// block's forward inside this task (same step-seeded dropout
-    /// masks), exactly like the legacy loop.
+    /// masks).
     fn backward(&self, layer: usize) -> Result<(), StorageError> {
         let c = self.config.model;
         let l = c.layers;
@@ -600,15 +535,28 @@ impl<'a> StepCtx<'a> {
     }
 
     /// Quantize the layer's gradient to G16 and land it in host memory —
-    /// the active offload's GPU->host leg.
+    /// the active offload's GPU->host leg — routed per [`GradSink`].
     fn grad_off(&self, layer: usize) -> Result<(), StorageError> {
-        let grads = self.grads[layer]
+        let mut grads = self.grads[layer]
             .lock()
             .take()
             .ok_or_else(|| slot_violation("backward produced this layer's gradient"))?;
         let rec = self.store.telemetry();
         let t = rec.enabled().then(|| rec.now());
-        offload_f16(self.store, &grad_key(layer), encode_f16(&grads), Tier::Host)?;
+        match self.grad_sink {
+            GradSink::Accumulate => self.accumulate(layer, &grads)?,
+            sink => {
+                if let GradSink::MergeAccumulated { inv_n } = sink {
+                    let akey = accum_key(layer);
+                    let acc = decode_f32(&self.store.read(&akey)?);
+                    self.store.remove(&akey)?;
+                    for (g, a) in grads.iter_mut().zip(&acc) {
+                        *g = (round_to_f16(*g) + a) * inv_n;
+                    }
+                }
+                offload_f16(self.store, &grad_key(layer), encode_f16(&grads), Tier::Host)?;
+            }
+        }
         if let Some(t) = t {
             rec.record_span(
                 "grad-offload",
@@ -621,8 +569,29 @@ impl<'a> StepCtx<'a> {
         Ok(())
     }
 
+    /// Sums a micro-batch's f16-rounded gradient into the layer's host
+    /// f32 accumulator (creating it on first use). The f16 blob still
+    /// crosses the GPU->host link like any G16 offload.
+    fn accumulate(&self, layer: usize, grads: &[f32]) -> Result<(), StorageError> {
+        let gkey = format!("layer{layer}/grad-micro");
+        offload_f16(self.store, &gkey, encode_f16(grads), Tier::Host)?;
+        let g16 = decode_f16(&self.store.read(&gkey)?);
+        self.store.remove(&gkey)?;
+        let akey = accum_key(layer);
+        if self.store.contains(&akey) {
+            let mut acc = decode_f32(&self.store.read(&akey)?);
+            for (a, g) in acc.iter_mut().zip(&g16) {
+                *a += g;
+            }
+            self.store.overwrite(&akey, encode_f32(&acc))?;
+        } else {
+            self.store.put(&akey, Tier::Host, encode_f32(&g16))?;
+        }
+        Ok(())
+    }
+
     /// Stage the layer's master + moments from SSD into host memory —
-    /// the optimizer prefetcher's SSD->Main leg.
+    /// the handler's SSD->Main leg.
     fn opt_read(&self, layer: usize) -> Result<(), StorageError> {
         let rec = self.store.telemetry();
         let t = rec.enabled().then(|| rec.now());
@@ -641,8 +610,7 @@ impl<'a> StepCtx<'a> {
     }
 
     /// Decode the G16 gradient and run the f32 Adam step over the
-    /// staged states — span-for-span the legacy updater's read + cpu
-    /// phases.
+    /// staged states.
     fn opt_cpu(&self, layer: usize) -> Result<(), StorageError> {
         let rec = self.store.telemetry();
         let t_read = rec.enabled().then(|| rec.now());
@@ -702,8 +670,8 @@ impl<'a> StepCtx<'a> {
     }
 
     /// Write the updated P32 + OS32 back and publish the fresh P16 —
-    /// the legacy updater's Main->SSD leg (or, on a skipped update,
-    /// just return the untouched states).
+    /// the handler's Main->SSD leg (or, on a skipped update, just return
+    /// the untouched states).
     fn opt_write(&self, layer: usize) -> Result<(), StorageError> {
         let update = self.updates[layer]
             .lock()
@@ -742,21 +710,37 @@ impl<'a> StepCtx<'a> {
 
 impl TaskAction for StepCtx<'_> {
     fn run(&self, task: TaskId) -> Result<(), RatelError> {
-        let result = match self.actions[task.0] {
-            EngineAction::FwdRead(li) => self.param_read(li, 'f'),
-            EngineAction::FwdFetch(li) => self.param_fetch(li, 'f'),
-            EngineAction::Fwd(li) => self.forward(li),
-            EngineAction::ActOff(li) => self.act_off(li),
-            EngineAction::ActSpill(li) => self.store.move_to(&act_key(li - 1), Tier::Ssd),
-            EngineAction::BwdRead(li) => self.param_read(li, 'b'),
-            EngineAction::BwdFetch(li) => self.param_fetch(li, 'b'),
-            EngineAction::ActLoad(li) => self.store.move_to(&act_key(li - 1), Tier::Host),
-            EngineAction::ActUp(li) => self.act_up(li),
-            EngineAction::Bwd(li) => self.backward(li),
-            EngineAction::GradOff(li) => self.grad_off(li),
-            EngineAction::OptRead(li) => self.opt_read(li),
-            EngineAction::OptCpu(li) => self.opt_cpu(li),
-            EngineAction::OptWrite(li) => self.opt_write(li),
+        let (kind, li) = self.actions[task.0];
+        let result = match kind {
+            TaskKind::FwdRead => self.param_read(li, 'f'),
+            TaskKind::FwdFetch => self.param_fetch(li, 'f'),
+            TaskKind::Fwd => self.forward(li),
+            TaskKind::ActOff => self.act_off(li),
+            TaskKind::ActSpill => self.store.move_to(&act_key(li - 1), Tier::Ssd),
+            TaskKind::BwdRead => self.param_read(li, 'b'),
+            TaskKind::BwdFetch => self.param_fetch(li, 'b'),
+            TaskKind::ActLoad => self.store.move_to(&act_key(li - 1), Tier::Host),
+            TaskKind::ActUp => self.act_up(li),
+            TaskKind::Bwd => self.backward(li),
+            TaskKind::GradOff => self.grad_off(li),
+            TaskKind::OptRead => self.opt_read(li),
+            TaskKind::OptCpu => self.opt_cpu(li),
+            TaskKind::OptWrite => self.opt_write(li),
+            TaskKind::FwdHook
+            | TaskKind::BwdHook
+            | TaskKind::Reduce
+            | TaskKind::GradSpill
+            | TaskKind::OptUp
+            | TaskKind::OptKernel
+            | TaskKind::OptDown => {
+                // `StepDag::lower` rejects these; reaching one is a
+                // lowering bug, reported instead of panicking a worker.
+                return Err(RatelError::Runtime(format!(
+                    "task {} ({} L{li}) has no engine action",
+                    task.0,
+                    kind.name()
+                )));
+            }
         };
         result.map_err(RatelError::from)
     }
@@ -814,7 +798,7 @@ mod tests {
     }
 
     #[test]
-    fn lower_parses_every_task_and_adds_pacing_edges() {
+    fn lower_types_every_task_and_adds_pacing_edges() {
         for mode in [
             GradOffloadMode::OptimizedActive,
             GradOffloadMode::SeparateStage,
@@ -823,34 +807,25 @@ mod tests {
             let dag = StepDag::lower(&spec).unwrap();
             assert_eq!(dag.actions.len(), dag.graph.len());
             // Every layer's compute is present.
-            let fwds = dag
-                .actions
-                .iter()
-                .filter(|a| matches!(a, EngineAction::Fwd(_)))
-                .count();
-            let bwds = dag
-                .actions
-                .iter()
-                .filter(|a| matches!(a, EngineAction::Bwd(_)))
-                .count();
-            assert_eq!(fwds, 5);
-            assert_eq!(bwds, 5);
+            let count = |kind| dag.actions.iter().filter(|a| a.0 == kind).count();
+            assert_eq!(count(TaskKind::Fwd), 5);
+            assert_eq!(count(TaskKind::Bwd), 5);
             // Pacing: fwd-read L2 gained a dep on the fwd L0 kernel.
-            let find = |want: EngineAction| {
+            let find = |want: (TaskKind, usize)| {
                 dag.graph
                     .task_ids()
                     .find(|t| dag.actions[t.0] == want)
                     .unwrap()
             };
-            let read2 = find(EngineAction::FwdRead(2));
-            let fwd0 = find(EngineAction::Fwd(0));
+            let read2 = find((TaskKind::FwdRead, 2));
+            let fwd0 = find((TaskKind::Fwd, 0));
             assert!(
                 dag.graph.deps(read2).contains(&fwd0),
                 "fwd-read L2 is paced behind fwd L0"
             );
             // The spilled block round-trips through act-spill/act-load.
-            assert!(dag.actions.contains(&EngineAction::ActSpill(1)));
-            assert!(dag.actions.contains(&EngineAction::ActLoad(1)));
+            assert!(dag.actions.contains(&(TaskKind::ActSpill, 1)));
+            assert!(dag.actions.contains(&(TaskKind::ActLoad, 1)));
         }
     }
 
@@ -861,12 +836,12 @@ mod tests {
         let reads: Vec<TaskId> = dag
             .graph
             .task_ids()
-            .filter(|t| matches!(dag.actions[t.0], EngineAction::OptRead(_)))
+            .filter(|t| dag.actions[t.0].0 == TaskKind::OptRead)
             .collect();
         let cpus: Vec<TaskId> = dag
             .graph
             .task_ids()
-            .filter(|t| matches!(dag.actions[t.0], EngineAction::OptCpu(_)))
+            .filter(|t| dag.actions[t.0].0 == TaskKind::OptCpu)
             .collect();
         assert_eq!(reads.len(), 5);
         for h in 2..reads.len() {
@@ -880,7 +855,7 @@ mod tests {
 
     #[test]
     fn simulation_only_shapes_are_rejected() {
-        // Multi-GPU plans carry `gN`-suffixed and `reduce` labels that
+        // Multi-GPU plans carry per-GPU replicas and `reduce` tasks that
         // have no engine action.
         let mut spec = engine_like_spec(2, GradOffloadMode::OptimizedActive);
         spec.gpus = 2;

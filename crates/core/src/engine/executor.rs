@@ -1,13 +1,11 @@
 //! The resource-pool executor: runs a verified task graph for real.
 //!
-//! The simulator's [`TaskGraph`] used to be a *prediction* — the engine
-//! re-derived the same schedule by hand with a stage loop and ad-hoc
-//! prefetch threads. This module closes that gap: one worker pool per
-//! [`ResourceClass`] (GPU kernels, CPU optimizer math, each PCIe
-//! direction, the SSD array) pulls *ready* tasks — dependency count
-//! zero — from the graph, runs them through a [`TaskAction`], and
-//! decrements its dependents' counters, unlocking downstream work the
-//! moment its last input lands. Ordering is exactly the verified DAG's:
+//! The simulator's [`TaskGraph`] is not only a prediction — it is what
+//! the engine runs: one worker pool per [`ResourceClass`] (GPU kernels,
+//! CPU optimizer math, each PCIe direction, the SSD array) pulls *ready*
+//! tasks — dependency count zero — from the graph, runs them through a
+//! [`TaskAction`], and decrements its dependents' counters, unlocking
+//! downstream work the moment its last input lands. Ordering is exactly the verified DAG's:
 //! the executor adds no scheduling policy of its own beyond FIFO within
 //! a pool, so whatever `ratel-verify` proved about the plan (no
 //! read-before-write, no overwrite-under-reader, residency within
@@ -67,7 +65,7 @@ pub struct PoolStats {
 }
 
 /// Per-task breakdown of one executed graph, attached to
-/// [`crate::engine::StepStats`] when a step ran through the executor.
+/// [`crate::engine::StepStats`].
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct TaskBreakdown {
     /// Stats per worker pool, in [`POOL_CLASSES`] order; pools with no
@@ -97,6 +95,30 @@ impl TaskBreakdown {
     /// Busy seconds summed over every pool.
     pub fn busy_seconds_total(&self) -> f64 {
         self.pools.iter().map(|p| p.busy_seconds).sum()
+    }
+
+    /// Folds in the breakdown of another DAG run of the same step (its
+    /// micro-batches run back to back): task counts, busy time, critical
+    /// path and wall time add up.
+    pub(crate) fn absorb(&mut self, other: TaskBreakdown) {
+        if self.tasks_total == 0 {
+            *self = other;
+            return;
+        }
+        for p in other.pools {
+            match self.pools.iter_mut().find(|q| q.class == p.class) {
+                Some(q) => {
+                    q.workers = q.workers.max(p.workers);
+                    q.tasks += p.tasks;
+                    q.busy_seconds += p.busy_seconds;
+                }
+                None => self.pools.push(p),
+            }
+        }
+        self.pools.sort_by_key(|p| pool_index(p.class));
+        self.critical_path_seconds += other.critical_path_seconds;
+        self.wall_seconds += other.wall_seconds;
+        self.tasks_total += other.tasks_total;
     }
 }
 

@@ -10,6 +10,12 @@
 //! every parameter read by iteration *k+1* reflects every gradient of
 //! iteration *k*, with no staleness.
 //!
+//! A step runs exactly one way: the engine's movement plan
+//! ([`movement_spec_for`]) is lowered to a verified task DAG
+//! (`dag_step`) and dispatched on one worker pool per resource class
+//! ([`executor`]). Gradient accumulation and the separate-stage ablation
+//! are other DAGs over the same executor, not other code paths.
+//!
 //! Mixed precision is emulated faithfully: the master parameters and Adam
 //! moments are f32 blobs (P32/OS32), the compute copies, activations, and
 //! gradients move as IEEE-754 binary16 bytes (P16/A16/G16). Because both
@@ -25,10 +31,9 @@ pub mod conformance;
 mod dag_step;
 pub mod data;
 pub mod executor;
+mod generate;
 pub mod lr;
 pub mod obs;
-pub mod optimizer;
-pub(crate) mod prefetch;
 pub mod profiler;
 pub mod reference;
 pub mod scaler;
@@ -39,47 +44,31 @@ use std::sync::Arc;
 use ratel_obs::EventKind;
 use ratel_storage::telemetry::{FaultStats, SpanCategory, TelemetryRecorder};
 use ratel_storage::{Route, StorageError, Tier, TierConfig, TieredStore, TrafficSnapshot};
-use ratel_tensor::dtype::{decode_f16, decode_f32, encode_f16, encode_f32, round_to_f16};
-use ratel_tensor::{
-    block_dropout_spec, Adam, AdamParams, BlockSaved, GptConfig, GptModel, KvCache, ParamLayer,
-    Tensor,
-};
+use ratel_tensor::dtype::{decode_f16, decode_f32, encode_f16, encode_f32};
+use ratel_tensor::{Adam, AdamParams, BlockSaved, GptConfig, GptModel, ParamLayer};
 
 use crate::error::RatelError;
+use dag_step::{GradSink, StepDag};
 use lr::LrSchedule;
-use optimizer::{ActiveOptimizer, GradMessage};
 use scaler::{LossScaler, ScalePolicy};
 use telemetry::StepTelemetry;
 
-/// How a training step executes: through the schedule-driven executor
-/// (the default) or one of the legacy hand-coded stage loops.
-///
-/// The executor lowers the engine's movement plan into a task DAG
-/// (statically verified in debug builds), then dispatches it onto one
-/// worker pool per resource class — see [`executor`]. The legacy
-/// variants keep the original stage loop with its ad-hoc prefetch
-/// threads; they remain as an A/B reference and for workloads that want
-/// the old span shapes. All variants are bitwise identical in what they
-/// compute.
+/// How a training step executes: the engine lowers its movement plan
+/// into a task DAG (statically verified in debug builds) and dispatches
+/// it onto one worker pool per resource class — see [`executor`]. The
+/// single-variant enum is the shape `benchmark/` compiles against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecutionOptions {
     /// Schedule-driven: `train_step` executes the verified movement DAG
     /// on per-resource worker pools.
     Executor(ExecutorOptions),
-    /// Legacy stage loop with active gradient offloading (§IV-C): the
-    /// optimizer consumes gradients concurrently with backward.
-    LegacyOverlapped {
-        /// Stage each layer's P16 a window ahead on a dedicated
-        /// prefetcher thread (the Fig. 4 `Ratel_hook` pipelining).
-        prefetch_params: bool,
-    },
-    /// Legacy stage loop with the optimizer as a separate stage after
-    /// backward — the "Ratel+ZeRO" ablation.
-    LegacySeparateStage {
-        /// Stage each layer's P16 a window ahead on a dedicated
-        /// prefetcher thread.
-        prefetch_params: bool,
-    },
+}
+
+impl ExecutionOptions {
+    fn executor(self) -> ExecutorOptions {
+        let ExecutionOptions::Executor(opts) = self;
+        opts
+    }
 }
 
 impl Default for ExecutionOptions {
@@ -140,9 +129,7 @@ pub struct EngineConfig {
     pub gpu_capacity: Option<u64>,
     /// Host pool capacity in bytes (`None` = unbounded).
     pub host_capacity: Option<u64>,
-    /// How steps execute: the schedule-driven executor (default) or a
-    /// legacy stage loop. Replaces the old `active_offload` +
-    /// `prefetch_params` boolean knobs.
+    /// Executor worker count and gradient-offloading schedule.
     pub execution: ExecutionOptions,
     /// Mixed-precision loss scaling policy (see [`scaler`]).
     pub loss_scale: ScalePolicy,
@@ -208,10 +195,8 @@ impl EngineConfig {
                 ));
             }
         }
-        if let ExecutionOptions::Executor(opts) = self.execution {
-            if opts.workers_per_pool == 0 {
-                v.push("executor needs at least one worker per resource pool".to_string());
-            }
+        if self.execution.executor().workers_per_pool == 0 {
+            v.push("executor needs at least one worker per resource pool".to_string());
         }
         // Capacity floors only make sense once the shape itself is sane.
         if v.is_empty() {
@@ -256,31 +241,6 @@ impl EngineConfig {
             frozen_layers: Vec::new(),
         }
     }
-
-    /// Whether the legacy stage loop should run its parameter-prefetch
-    /// thread (executor mode encodes prefetch as graph edges instead).
-    fn legacy_prefetch(&self) -> bool {
-        matches!(
-            self.execution,
-            ExecutionOptions::LegacyOverlapped {
-                prefetch_params: true
-            } | ExecutionOptions::LegacySeparateStage {
-                prefetch_params: true
-            }
-        )
-    }
-
-    /// Whether the optimizer overlaps backward (active gradient
-    /// offloading) under this execution mode.
-    fn active_offload(&self) -> bool {
-        match self.execution {
-            ExecutionOptions::Executor(opts) => {
-                opts.offload != crate::offload::GradOffloadMode::SeparateStage
-            }
-            ExecutionOptions::LegacyOverlapped { .. } => true,
-            ExecutionOptions::LegacySeparateStage { .. } => false,
-        }
-    }
 }
 
 /// Statistics of one engine training step.
@@ -301,8 +261,9 @@ pub struct StepStats {
     /// host-pressure spills) — always collected, telemetry on or off.
     pub fault_stats: FaultStats,
     /// Per-task execution breakdown — tasks and busy time per resource
-    /// pool plus the measured critical path — when the step ran through
-    /// the schedule-driven executor; `None` on the legacy paths.
+    /// pool plus the measured critical path, summed over the micro-batch
+    /// DAG runs of an accumulated step. Always `Some`; the `Option` is
+    /// kept for source compatibility.
     pub tasks: Option<executor::TaskBreakdown>,
 }
 
@@ -386,15 +347,7 @@ pub fn movement_spec_for(config: &EngineConfig) -> crate::schedule::IterationSpe
         .collect();
     IterationSpec {
         layers,
-        mode: match config.execution {
-            ExecutionOptions::Executor(opts) => opts.offload,
-            ExecutionOptions::LegacyOverlapped { .. } => {
-                crate::offload::GradOffloadMode::OptimizedActive
-            }
-            ExecutionOptions::LegacySeparateStage { .. } => {
-                crate::offload::GradOffloadMode::SeparateStage
-            }
-        },
+        mode: config.execution.executor().offload,
         rates: LinkRates {
             thp_gpu: 1.0,
             bw_g2m: 1.0,
@@ -433,49 +386,12 @@ pub struct RatelEngine {
     last_findings: Vec<conformance::Finding>,
     /// Cumulative conformance findings across all checked steps.
     total_findings: u64,
-    /// The lowered, paced, verified step DAG (executor mode only). The
-    /// plan depends only on the config, so it is built once and reused
-    /// every step.
-    step_dag: Option<Arc<dag_step::StepDag>>,
-}
-
-/// Picks a token from `logits` with temperature + top-k filtering;
-/// greedy when `temperature <= 0` or `top_k <= 1`.
-fn sample_from_logits(
-    logits: &[f32],
-    temperature: f32,
-    top_k: usize,
-    rng: &mut impl rand::Rng,
-) -> usize {
-    let argmax = || {
-        logits
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.total_cmp(b.1))
-            .map(|(i, _)| i)
-            .expect("non-empty vocabulary")
-    };
-    if temperature <= 0.0 || top_k <= 1 {
-        return argmax();
-    }
-    // Keep the top-k logits, softmax at the given temperature, sample.
-    let mut indexed: Vec<(usize, f32)> = logits.iter().copied().enumerate().collect();
-    indexed.sort_by(|a, b| b.1.total_cmp(&a.1));
-    indexed.truncate(top_k.min(indexed.len()));
-    let max = indexed[0].1;
-    let weights: Vec<f32> = indexed
-        .iter()
-        .map(|(_, v)| ((v - max) / temperature).exp())
-        .collect();
-    let total: f32 = weights.iter().sum();
-    let mut draw = rng.gen::<f32>() * total;
-    for ((idx, _), w) in indexed.iter().zip(&weights) {
-        draw -= w;
-        if draw <= 0.0 {
-            return *idx;
-        }
-    }
-    indexed.last().map(|(i, _)| *i).unwrap_or_else(argmax)
+    /// The lowered, paced, verified step DAG. The plan depends only on
+    /// the config, so it is built once and reused every step.
+    step_dag: Arc<StepDag>,
+    /// The DAG non-final micro-batches of an accumulated step run (see
+    /// [`RatelEngine::accumulation_dag`]); lowered on first use.
+    accum_dag: Option<Arc<StepDag>>,
 }
 
 /// Storage keys for a layer's blobs. Layer ids: 0 = embedding, 1..=L =
@@ -502,6 +418,40 @@ fn accum_key(layer: usize) -> String {
     format!("layer{layer}/grad-accum")
 }
 
+/// Loads flat parameters into layer `layer` of the model skeleton
+/// (0 = embedding, 1..=L = blocks, L+1 = head).
+fn set_layer_params(model: &mut GptModel, layer: usize, flat: &[f32]) {
+    let l = model.blocks.len();
+    if layer == 0 {
+        model.embedding.set_params_flat(flat);
+    } else if layer <= l {
+        model.blocks[layer - 1].set_params_flat(flat);
+    } else {
+        model.head.set_params_flat(flat);
+    }
+}
+
+/// Stores an f16 blob in the GPU tier and swaps it to `target`.
+fn offload_f16(
+    store: &TieredStore,
+    key: &str,
+    bytes: Vec<u8>,
+    target: Tier,
+) -> Result<(), StorageError> {
+    store.put(key, Tier::Gpu, bytes)?;
+    store.move_to(key, target)?;
+    Ok(())
+}
+
+/// Fetches an f16 blob back to the GPU tier and removes it, returning
+/// the bytes.
+fn fetch_f16(store: &TieredStore, key: &str) -> Result<Vec<u8>, StorageError> {
+    store.move_to(key, Tier::Gpu)?;
+    let bytes = store.read(key)?;
+    store.remove(key)?;
+    Ok(bytes)
+}
+
 impl RatelEngine {
     /// Initializes the engine: builds the model, then *moves every model
     /// state to the SSD tier* (P32, OS32, P16 blobs per layer).
@@ -526,7 +476,12 @@ impl RatelEngine {
 
         let scaler = LossScaler::new(config.loss_scale);
         let layer_steps = vec![0u64; config.model.layers + 2];
-        let mut engine = RatelEngine {
+        // The movement plan is lowered once here: the builder
+        // self-verifies the schedule in debug builds, and the lowering
+        // re-verifies it after pacing edges are added — the DAG
+        // `train_step` dispatches is the DAG that passed.
+        let step_dag = Arc::new(StepDag::lower(&movement_spec_for(&config))?);
+        let engine = RatelEngine {
             config,
             store,
             model,
@@ -537,25 +492,15 @@ impl RatelEngine {
             conformance: None,
             last_findings: Vec::new(),
             total_findings: 0,
-            step_dag: None,
+            step_dag,
+            accum_dag: None,
         };
+        debug_assert!(
+            (0..engine.layer_count()).all(|id| analytic_layer_params(&engine.config.model, id)
+                == engine.layer_param_count(id)),
+            "analytic layer param counts diverged from the live model"
+        );
         engine.init_states()?;
-        if matches!(engine.config.execution, ExecutionOptions::Executor(_)) {
-            // Executor mode lowers the movement plan once here: the
-            // builder self-verifies the schedule in debug builds, and
-            // the lowering re-verifies it after pacing edges are added —
-            // the DAG `train_step` dispatches is the DAG that passed.
-            engine.step_dag = Some(Arc::new(dag_step::StepDag::lower(&engine.movement_spec())?));
-        } else {
-            // Debug builds statically verify the engine's movement plan
-            // at construction: the schedule twin of one step is lowered
-            // and built, and the builder's self-check panics on any
-            // staleness, use-before-fetch, WAR, or residency violation.
-            #[cfg(debug_assertions)]
-            {
-                let _ = engine.movement_spec().build();
-            }
-        }
         Ok(engine)
     }
 
@@ -567,12 +512,6 @@ impl RatelEngine {
     /// for dataflow/residency structure, which `ratel-verify` checks
     /// statically; see [`IterationSpec::verify`].
     pub fn movement_spec(&self) -> crate::schedule::IterationSpec {
-        debug_assert!(
-            (0..self.layer_count())
-                .all(|id| analytic_layer_params(&self.config.model, id)
-                    == self.layer_param_count(id)),
-            "analytic layer param counts diverged from the live model"
-        );
         movement_spec_for(&self.config)
     }
 
@@ -627,63 +566,10 @@ impl RatelEngine {
         let key = p16_key(layer);
         let staged = format!("{key}#staged");
         self.store.copy_to(&key, &staged, Tier::Gpu)?;
-        self.load_staged(layer, &staged)
-    }
-
-    /// Decodes a staged P16 blob into the layer skeleton and frees it.
-    fn load_staged(&mut self, layer: usize, staged: &str) -> Result<(), StorageError> {
-        let flat = decode_f16(&self.store.read(staged)?);
-        let l = self.config.model.layers;
-        if layer == 0 {
-            self.model.embedding.set_params_flat(&flat);
-        } else if layer <= l {
-            self.model.blocks[layer - 1].set_params_flat(&flat);
-        } else {
-            self.model.head.set_params_flat(&flat);
-        }
-        self.store.remove(staged)?;
+        let flat = decode_f16(&self.store.read(&staged)?);
+        set_layer_params(&mut self.model, layer, &flat);
+        self.store.remove(&staged)?;
         Ok(())
-    }
-
-    /// Stages a layer either serially or from the prefetch pipeline.
-    fn stage_via(
-        &mut self,
-        layer: usize,
-        pf: &mut Option<prefetch::ParamPrefetcher>,
-    ) -> Result<(), StorageError> {
-        match pf {
-            Some(pf) => {
-                let staged = pf.next()?;
-                self.load_staged(layer, &staged)
-            }
-            None => self.stage_params(layer),
-        }
-    }
-
-    /// The layer touch order of one training step: forward 0..=L+1, then
-    /// backward L..=1 and the embedding.
-    fn stage_order(&self) -> Vec<usize> {
-        let l = self.config.model.layers;
-        let mut order: Vec<usize> = (0..=l + 1).collect();
-        order.extend((1..=l).rev());
-        order.push(0);
-        order
-    }
-
-    /// Stores an f16 blob in the GPU tier and swaps it to `target`.
-    fn offload_f16(&self, key: &str, bytes: Vec<u8>, target: Tier) -> Result<(), StorageError> {
-        self.store.put(key, Tier::Gpu, bytes)?;
-        self.store.move_to(key, target)?;
-        Ok(())
-    }
-
-    /// Fetches an f16 blob back to the GPU tier and removes it, returning
-    /// the bytes.
-    fn fetch_f16(&self, key: &str) -> Result<Vec<u8>, StorageError> {
-        self.store.move_to(key, Tier::Gpu)?;
-        let bytes = self.store.read(key)?;
-        self.store.remove(key)?;
-        Ok(bytes)
     }
 
     /// Runs one full training step (forward, backward with swapped or
@@ -695,14 +581,44 @@ impl RatelEngine {
         tokens: &[usize],
         targets: &[usize],
     ) -> Result<StepStats, RatelError> {
-        let result = self.train_step_inner(tokens, targets);
+        let result = self.run_step(&[], (tokens, targets));
         self.seal_step(result)
     }
 
-    fn train_step_inner(
+    /// Runs one training step over several micro-batches with gradient
+    /// accumulation: each micro-batch's G16 gradients land in host memory
+    /// and are summed into f32 accumulators there; only after the final
+    /// micro-batch does the (averaged, re-rounded) gradient reach the
+    /// optimizer, whose handlers then overlap the final backward's tail.
+    ///
+    /// Semantics (mirrored exactly by
+    /// [`reference::ReferenceTrainer::train_step_accumulated`]): per-layer
+    /// gradient = `f16( mean_i( f16(g_i) ) )`; the reported loss is the
+    /// mean micro-batch loss.
+    ///
+    /// # Errors
+    /// [`RatelError::InvalidBatch`] when `micro_batches` is empty.
+    pub fn train_step_accumulated(
         &mut self,
-        tokens: &[usize],
-        targets: &[usize],
+        micro_batches: &[(Vec<usize>, Vec<usize>)],
+    ) -> Result<StepStats, RatelError> {
+        let Some(((tokens, targets), accumulated)) = micro_batches.split_last() else {
+            return Err(RatelError::InvalidBatch(
+                "need at least one micro-batch".into(),
+            ));
+        };
+        let result = self.run_step(accumulated, (tokens, targets));
+        self.seal_step(result)
+    }
+
+    /// One synchronous step: every micro-batch in `accumulated` runs the
+    /// accumulation DAG, then `last` runs the step DAG, whose optimizer
+    /// handlers consume the merged gradient. A plain step is the case
+    /// `accumulated == []`.
+    fn run_step(
+        &mut self,
+        accumulated: &[(Vec<usize>, Vec<usize>)],
+        last: (&[usize], &[usize]),
     ) -> Result<StepStats, RatelError> {
         let t0 = std::time::Instant::now();
         let traffic_before = self.store.traffic();
@@ -710,35 +626,33 @@ impl RatelEngine {
         let step_start = self.begin_step_telemetry();
         self.step += 1;
         ratel_obs::flight().record(EventKind::StepBegin, 0, "step", 0, self.step);
-
         let scale = self.scaler.current();
-        let (loss, skipped, tasks) = if let ExecutionOptions::Executor(opts) = self.config.execution
-        {
-            // Schedule-driven: dispatch the lowered, verified DAG onto
-            // the per-resource worker pools.
-            let (loss, skipped, breakdown) = self.run_dag_step(tokens, targets, scale, opts)?;
-            (loss, skipped, Some(breakdown))
+        let inv_n = 1.0 / (accumulated.len() + 1) as f32;
+
+        let mut loss_sum = 0.0f32;
+        let mut tasks = executor::TaskBreakdown::default();
+        if !accumulated.is_empty() {
+            let dag = self.accumulation_dag()?;
+            for (tokens, targets) in accumulated {
+                let (loss, _, breakdown) =
+                    self.run_dag(&dag, tokens, targets, scale, GradSink::Accumulate)?;
+                loss_sum += loss;
+                tasks.absorb(breakdown);
+            }
+        }
+        let sink = if accumulated.is_empty() {
+            GradSink::Optimizer
         } else {
-            // Legacy stage loop: start the optimizer threads (state
-            // prefetcher + updater), which consume gradient blobs as
-            // they land in host memory.
-            let optimizer = self.start_optimizer(scale)?;
-            let loss = self.forward_backward(tokens, targets, scale, |eng, layer, grads| {
-                if eng.is_frozen(layer) {
-                    return Ok(());
-                }
-                eng.emit_gradient(layer, grads, &optimizer)
-            })?;
-            // Synchronous semantics: the step is not done until every
-            // layer's update has been written back to the SSD tier.
-            let skipped = optimizer.finish()?;
-            (loss, skipped, None)
+            GradSink::MergeAccumulated { inv_n }
         };
+        let dag = Arc::clone(&self.step_dag);
+        let (loss, skipped, breakdown) = self.run_dag(&dag, last.0, last.1, scale, sink)?;
+        tasks.absorb(breakdown);
         self.finish_step(
             skipped,
             tasks,
             t0,
-            loss,
+            (loss_sum + loss) * inv_n,
             scale,
             traffic_before,
             faults_before,
@@ -746,21 +660,32 @@ impl RatelEngine {
         )
     }
 
-    /// Runs one step through the schedule-driven executor: builds the
-    /// step context over the engine's state and dispatches the lowered
-    /// DAG. Returns `(loss, overflow-skipped layers, task breakdown)`.
-    fn run_dag_step(
+    /// The DAG a non-final micro-batch runs: the step's own movement
+    /// plan with the optimizer handlers off, so gradients stop in host
+    /// memory. Lowered on first use.
+    fn accumulation_dag(&mut self) -> Result<Arc<StepDag>, RatelError> {
+        if let Some(dag) = &self.accum_dag {
+            return Ok(Arc::clone(dag));
+        }
+        let mut spec = self.movement_spec();
+        for layer in &mut spec.layers {
+            layer.optimizer = crate::schedule::OptimizerKind::None;
+        }
+        let dag = Arc::new(StepDag::lower(&spec)?);
+        self.accum_dag = Some(Arc::clone(&dag));
+        Ok(dag)
+    }
+
+    /// Dispatches one lowered DAG over the engine's state. Returns
+    /// `(loss, overflow-skipped layers, task breakdown)`.
+    fn run_dag(
         &mut self,
+        dag: &StepDag,
         tokens: &[usize],
         targets: &[usize],
         scale: f32,
-        opts: ExecutorOptions,
+        grad_sink: GradSink,
     ) -> Result<(f32, Vec<usize>, executor::TaskBreakdown), RatelError> {
-        let dag = Arc::clone(self.step_dag.as_ref().ok_or_else(|| {
-            RatelError::Runtime(
-                "executor step requested but no step DAG was lowered at construction".into(),
-            )
-        })?);
         let step_seed = self.dropout_step_seed();
         // The LR schedule runs on the wall-step clock (0-based).
         let mut adam = self.config.adam;
@@ -776,8 +701,10 @@ impl RatelEngine {
             step_seed,
             adam,
             &self.layer_steps,
+            grad_sink,
         );
-        let breakdown = executor::Executor::new(opts.workers_per_pool).run(&dag.graph, &ctx)?;
+        let workers = self.config.execution.executor().workers_per_pool;
+        let breakdown = executor::Executor::new(workers).run(&dag.graph, &ctx)?;
         let (loss, skipped) = ctx.into_outcome();
         Ok((loss, skipped, breakdown))
     }
@@ -791,121 +718,6 @@ impl RatelEngine {
             ratel_obs::dump_postmortem("train step failed");
         }
         result
-    }
-
-    /// Runs one training step over several micro-batches with gradient
-    /// accumulation: each micro-batch's G16 gradients land in host memory
-    /// and are summed into f32 accumulators there; only after the final
-    /// micro-batch does the (averaged, re-rounded) gradient reach the
-    /// optimizer, whose handlers then overlap the final backward's tail.
-    ///
-    /// Semantics (mirrored exactly by
-    /// [`reference::ReferenceTrainer::train_step_accumulated`]): per-layer
-    /// gradient = `f16( mean_i( f16(g_i) ) )`; the reported loss is the
-    /// mean micro-batch loss.
-    pub fn train_step_accumulated(
-        &mut self,
-        micro_batches: &[(Vec<usize>, Vec<usize>)],
-    ) -> Result<StepStats, RatelError> {
-        let result = self.train_step_accumulated_inner(micro_batches);
-        self.seal_step(result)
-    }
-
-    fn train_step_accumulated_inner(
-        &mut self,
-        micro_batches: &[(Vec<usize>, Vec<usize>)],
-    ) -> Result<StepStats, RatelError> {
-        assert!(!micro_batches.is_empty(), "need at least one micro-batch");
-        let t0 = std::time::Instant::now();
-        let traffic_before = self.store.traffic();
-        let faults_before = self.store.telemetry().fault_stats();
-        let step_start = self.begin_step_telemetry();
-        self.step += 1;
-        ratel_obs::flight().record(EventKind::StepBegin, 0, "step", 0, self.step);
-        let scale = self.scaler.current();
-        let n = micro_batches.len();
-        let inv_n = 1.0 / n as f32;
-
-        // Accumulation passes: gradients stay in host f32 accumulators.
-        let mut loss_sum = 0.0f32;
-        for (tokens, targets) in &micro_batches[..n - 1] {
-            loss_sum += self.forward_backward(tokens, targets, scale, |eng, layer, grads| {
-                if eng.is_frozen(layer) {
-                    return Ok(());
-                }
-                eng.accumulate_gradient(layer, grads)
-            })?;
-        }
-
-        // Final pass: merge with the accumulators, average, and stream to
-        // the active optimizer.
-        let optimizer = self.start_optimizer(scale)?;
-        let (tokens, targets) = &micro_batches[n - 1];
-        loss_sum += self.forward_backward(tokens, targets, scale, |eng, layer, mut grads| {
-            if eng.is_frozen(layer) {
-                return Ok(());
-            }
-            let akey = accum_key(layer);
-            if eng.store.contains(&akey) {
-                let acc = decode_f32(&eng.store.read(&akey)?);
-                eng.store.remove(&akey)?;
-                for (g, a) in grads.iter_mut().zip(&acc) {
-                    *g = (round_to_f16(*g) + a) * inv_n;
-                }
-            } else if n > 1 {
-                for g in grads.iter_mut() {
-                    *g = round_to_f16(*g) * inv_n;
-                }
-            }
-            eng.emit_gradient(layer, grads, &optimizer)
-        })?;
-        let skipped = optimizer.finish()?;
-        self.finish_step(
-            skipped,
-            None,
-            t0,
-            loss_sum * inv_n,
-            scale,
-            traffic_before,
-            faults_before,
-            step_start,
-        )
-    }
-
-    /// Sums a micro-batch's f16-rounded gradient into the layer's host
-    /// f32 accumulator (creating it on first use). The f16 blob still
-    /// crosses the GPU->host link like any G16 offload.
-    fn accumulate_gradient(&self, layer: usize, grads: Vec<f32>) -> Result<(), StorageError> {
-        let gkey = format!("layer{layer}/grad-micro");
-        self.offload_f16(&gkey, encode_f16(&grads), Tier::Host)?;
-        let g16 = decode_f16(&self.store.read(&gkey)?);
-        self.store.remove(&gkey)?;
-        let akey = accum_key(layer);
-        if self.store.contains(&akey) {
-            let mut acc = decode_f32(&self.store.read(&akey)?);
-            for (a, g) in acc.iter_mut().zip(&g16) {
-                *a += g;
-            }
-            self.store.overwrite(&akey, encode_f32(&acc))?;
-        } else {
-            self.store.put(&akey, Tier::Host, encode_f32(&g16))?;
-        }
-        Ok(())
-    }
-
-    fn start_optimizer(&self, scale: f32) -> Result<ActiveOptimizer, RatelError> {
-        // The LR schedule runs on the wall-step clock (0-based).
-        let mut adam = self.config.adam;
-        adam.lr *= self.config.lr_schedule.factor(self.step - 1);
-        ActiveOptimizer::start(
-            Arc::clone(&self.store),
-            self.backward_layer_order(),
-            adam,
-            self.layer_steps.clone(),
-            self.config.active_offload(),
-            scale,
-            self.config.grad_clip,
-        )
     }
 
     /// Marks the start of an instrumented step: discards spans left over
@@ -925,12 +737,12 @@ impl RatelEngine {
     /// advances the scaler and per-layer clocks, records the scaler
     /// span, collects telemetry/conformance, and assembles the stats.
     /// `skipped` is the optimizer's overflow-skip list; `tasks` the
-    /// executor breakdown (None on the legacy paths).
+    /// executor breakdown.
     #[allow(clippy::too_many_arguments)]
     fn finish_step(
         &mut self,
         skipped: Vec<usize>,
-        tasks: Option<executor::TaskBreakdown>,
+        tasks: executor::TaskBreakdown,
         t0: std::time::Instant,
         loss: f32,
         scale: f32,
@@ -993,7 +805,7 @@ impl RatelEngine {
             loss_scale: scale,
             skipped_layers: skipped.len(),
             fault_stats,
-            tasks,
+            tasks: Some(tasks),
         })
     }
 
@@ -1002,195 +814,9 @@ impl RatelEngine {
         self.config.seed ^ self.step.wrapping_mul(0x517C_C1B7_2722_0A95)
     }
 
-    /// One forward+backward pass; each layer's raw (scaled) f32 gradient
-    /// is handed to `on_grad` in backward order. Returns the loss.
-    fn forward_backward(
-        &mut self,
-        tokens: &[usize],
-        targets: &[usize],
-        scale: f32,
-        mut on_grad: impl FnMut(&RatelEngine, usize, Vec<f32>) -> Result<(), StorageError>,
-    ) -> Result<f32, StorageError> {
-        let c = self.config.model;
-        let l = c.layers;
-        let rec = Arc::clone(self.store.telemetry());
-        let mut pf = if self.config.legacy_prefetch() {
-            Some(prefetch::ParamPrefetcher::start(
-                Arc::clone(&self.store),
-                self.stage_order(),
-            )?)
-        } else {
-            None
-        };
-
-        // ---------------- Forward ----------------
-        self.stage_via(0, &mut pf)?;
-        let t = rec.enabled().then(|| rec.now());
-        let mut x = self
-            .model
-            .embedding
-            .forward(tokens, c.batch, c.seq)
-            .quantize_f16();
-        if let Some(t) = t {
-            rec.record_span("gpu", SpanCategory::Forward, "fwd L0", t, rec.now());
-        }
-        for b in 0..l {
-            // Each block's *input* is its checkpoint (the inter-block A16
-            // of the paper), always swapped so backward can run
-            // layer-at-a-time without holding the whole graph.
-            self.offload_f16(&ckpt_key(b + 1), x.to_f16_bytes(), Tier::Host)?;
-            self.stage_via(b + 1, &mut pf)?;
-            let spec = self
-                .config
-                .dropout
-                .map(|p| block_dropout_spec(p, self.dropout_step_seed(), b));
-            let t = rec.enabled().then(|| rec.now());
-            let (y, mut saved) = self.model.blocks[b].forward_with(&x, spec);
-            if let Some(t) = t {
-                rec.record_span(
-                    "gpu",
-                    SpanCategory::Forward,
-                    format!("fwd L{}", b + 1),
-                    t,
-                    rec.now(),
-                );
-            }
-            saved.quantize_f16();
-            match self.config.act_decisions[b] {
-                ActDecision::SwapToHost => {
-                    self.offload_f16(&act_key(b), saved.to_f16_bytes(), Tier::Host)?;
-                }
-                ActDecision::SwapToSsd => {
-                    self.offload_f16(&act_key(b), saved.to_f16_bytes(), Tier::Ssd)?;
-                }
-                ActDecision::Recompute => drop(saved),
-            }
-            x = y.quantize_f16();
-        }
-
-        // ---------------- Loss + head backward ----------------
-        self.stage_via(l + 1, &mut pf)?;
-        let t = rec.enabled().then(|| rec.now());
-        let (loss, head_saved) = self.model.head.forward(&x, targets);
-        if let Some(t) = t {
-            rec.record_span(
-                "gpu",
-                SpanCategory::Forward,
-                format!("fwd L{}", l + 1),
-                t,
-                rec.now(),
-            );
-        }
-        let t = rec.enabled().then(|| rec.now());
-        let (mut dx, head_grads) = self
-            .model
-            .head
-            .backward_scaled(&x, &head_saved, targets, scale);
-        drop(head_saved);
-        on_grad(self, l + 1, head_grads)?;
-        if let Some(t) = t {
-            rec.record_span(
-                "gpu",
-                SpanCategory::Backward,
-                format!("bwd L{}", l + 1),
-                t,
-                rec.now(),
-            );
-        }
-
-        // ---------------- Block backward ----------------
-        // The per-layer backward spans cover the whole layer turnaround
-        // (checkpoint fetch, staging, activation fetch or recompute,
-        // backward kernels, gradient hand-off): this is the window the
-        // active optimizer gets to hide behind, so the overlap ratio is
-        // measured against it.
-        for b in (0..l).rev() {
-            let t = rec.enabled().then(|| rec.now());
-            let rows = c.batch * c.seq;
-            let ckpt = self.fetch_f16(&ckpt_key(b + 1))?;
-            let input = Tensor::from_f16_bytes(&[rows, c.hidden], &ckpt);
-            self.stage_via(b + 1, &mut pf)?;
-            let spec = self
-                .config
-                .dropout
-                .map(|p| block_dropout_spec(p, self.dropout_step_seed(), b));
-            let saved = match self.config.act_decisions[b] {
-                ActDecision::SwapToHost | ActDecision::SwapToSsd => {
-                    let bytes = self.fetch_f16(&act_key(b))?;
-                    BlockSaved::from_f16_bytes(&bytes, c.batch, c.seq, c.hidden, c.heads)
-                }
-                ActDecision::Recompute => {
-                    // Rematerialization regenerates the *same* dropout
-                    // masks from the step/layer-derived seed.
-                    let (_, mut s) = self.model.blocks[b].forward_with(&input, spec);
-                    s.quantize_f16();
-                    s
-                }
-            };
-            let (dprev, grads) = self.model.blocks[b].backward_with(&input, &saved, &dx, spec);
-            dx = dprev;
-            on_grad(self, b + 1, grads)?;
-            if let Some(t) = t {
-                rec.record_span(
-                    "gpu",
-                    SpanCategory::Backward,
-                    format!("bwd L{}", b + 1),
-                    t,
-                    rec.now(),
-                );
-            }
-        }
-
-        // ---------------- Embedding backward ----------------
-        let t = rec.enabled().then(|| rec.now());
-        self.stage_via(0, &mut pf)?;
-        let emb_grads = self.model.embedding.backward(tokens, c.batch, c.seq, &dx);
-        on_grad(self, 0, emb_grads)?;
-        if let Some(t) = t {
-            rec.record_span("gpu", SpanCategory::Backward, "bwd L0", t, rec.now());
-        }
-        Ok(loss)
-    }
-
-    /// The order gradients arrive at the optimizer: head, blocks in
-    /// reverse, embedding — minus the frozen layers.
-    fn backward_layer_order(&self) -> Vec<usize> {
-        let l = self.config.model.layers;
-        let mut order = vec![l + 1];
-        order.extend((1..=l).rev());
-        order.push(0);
-        order.retain(|layer| !self.config.frozen_layers.contains(layer));
-        order
-    }
-
     /// Whether a layer's parameters are frozen.
     fn is_frozen(&self, layer: usize) -> bool {
         self.config.frozen_layers.contains(&layer)
-    }
-
-    /// Quantizes a layer gradient to G16, lands it in host memory (the
-    /// active offload), and notifies the optimizer.
-    fn emit_gradient(
-        &self,
-        layer: usize,
-        grads: Vec<f32>,
-        optimizer: &ActiveOptimizer,
-    ) -> Result<(), StorageError> {
-        let rec = self.store.telemetry();
-        let t = rec.enabled().then(|| rec.now());
-        let key = grad_key(layer);
-        self.offload_f16(&key, encode_f16(&grads), Tier::Host)?;
-        optimizer.submit(GradMessage { layer, key });
-        if let Some(t) = t {
-            rec.record_span(
-                "grad-offload",
-                SpanCategory::Other,
-                format!("grad L{layer}"),
-                t,
-                rec.now(),
-            );
-        }
-        Ok(())
     }
 
     /// Reads the current master (f32) parameters of a layer — for tests
@@ -1226,198 +852,6 @@ impl RatelEngine {
         self.stage_params(c.layers + 1)?;
         let (loss, _) = self.model.head.forward(&x, targets);
         Ok(loss)
-    }
-
-    /// Greedy autoregressive generation through the tiered engine: the
-    /// prompt is extended one token at a time, each step streaming every
-    /// layer's P16 from the SSD tier exactly like a training forward.
-    ///
-    /// The model has a fixed context of `seq` tokens; the window holds
-    /// the most recent `seq` tokens (causal attention makes trailing
-    /// padding harmless for the positions before it). Returns the
-    /// `max_new_tokens` generated ids.
-    ///
-    /// # Panics
-    /// If the prompt is empty or contains out-of-vocabulary ids.
-    pub fn generate(
-        &mut self,
-        prompt: &[usize],
-        max_new_tokens: usize,
-    ) -> Result<Vec<usize>, RatelError> {
-        assert!(!prompt.is_empty(), "prompt must not be empty");
-        let c = self.config.model;
-        assert!(
-            prompt.iter().all(|&t| t < c.vocab),
-            "prompt token out of vocabulary"
-        );
-        let mut context: Vec<usize> = prompt.to_vec();
-        let mut out = Vec::with_capacity(max_new_tokens);
-        for _ in 0..max_new_tokens {
-            // Window of the last `seq` tokens, zero-padded at the tail.
-            let start = context.len().saturating_sub(c.seq);
-            let window = &context[start..];
-            let last_pos = window.len() - 1;
-            let mut ids = vec![0usize; c.seq];
-            ids[..window.len()].copy_from_slice(window);
-            // The model runs at its configured micro-batch; replicate the
-            // window and read row 0.
-            let batch_ids: Vec<usize> = (0..c.batch).flat_map(|_| ids.iter().copied()).collect();
-
-            self.stage_params(0)?;
-            let mut x = self
-                .model
-                .embedding
-                .forward(&batch_ids, c.batch, c.seq)
-                .quantize_f16();
-            for b in 0..c.layers {
-                self.stage_params(b + 1)?;
-                let (y, _) = self.model.blocks[b].forward(&x);
-                x = y.quantize_f16();
-            }
-            self.stage_params(c.layers + 1)?;
-            let logits = self.model.head.logits(&x);
-            let row = &logits.data()[last_pos * c.vocab..(last_pos + 1) * c.vocab];
-            let next = row
-                .iter()
-                .enumerate()
-                .max_by(|a, b| a.1.total_cmp(b.1))
-                .map(|(i, _)| i)
-                .expect("non-empty vocabulary");
-            context.push(next);
-            out.push(next);
-        }
-        Ok(out)
-    }
-
-    /// KV-cached greedy generation: like [`RatelEngine::generate`], but
-    /// each block keeps a key/value cache that is *offloaded to the host
-    /// tier between tokens* and fetched back per layer — the
-    /// inference-side analogue of activation swapping, with every byte
-    /// metered. The total context (prompt + generated) must fit the
-    /// model's `seq` positions.
-    ///
-    /// # Panics
-    /// If the prompt is empty, contains out-of-vocabulary ids, or the
-    /// total context would exceed `seq`.
-    pub fn generate_cached(
-        &mut self,
-        prompt: &[usize],
-        max_new_tokens: usize,
-    ) -> Result<Vec<usize>, RatelError> {
-        assert!(!prompt.is_empty(), "prompt must not be empty");
-        let c = self.config.model;
-        assert!(
-            prompt.len() + max_new_tokens <= c.seq,
-            "context {} exceeds the model's {} positions",
-            prompt.len() + max_new_tokens,
-            c.seq
-        );
-        let d = c.hidden / c.heads;
-        let kv_key = |b: usize| format!("block{b}/kv");
-
-        let mut out = Vec::with_capacity(max_new_tokens);
-        let mut next_token: Option<usize> = None;
-        for pos in 0..prompt.len() + max_new_tokens {
-            let token = match next_token {
-                Some(t) => t,
-                None => prompt[pos],
-            };
-            self.stage_params(0)?;
-            let mut x_t = self.model.embedding.forward_at(token, pos).quantize_f16();
-            for b in 0..c.layers {
-                self.stage_params(b + 1)?;
-                let mut cache = if pos == 0 {
-                    KvCache::new(c.heads, d)
-                } else {
-                    let bytes = self.fetch_f16(&kv_key(b))?;
-                    KvCache::from_f16_bytes(&bytes, c.heads, d, pos)
-                };
-                let y = self.model.blocks[b].forward_cached(&x_t, &mut cache);
-                self.offload_f16(&kv_key(b), cache.to_f16_bytes(), Tier::Host)?;
-                x_t = y.quantize_f16();
-            }
-            if pos + 1 >= prompt.len() && out.len() < max_new_tokens {
-                self.stage_params(c.layers + 1)?;
-                let logits = self.model.head.logits(&x_t);
-                let next = logits
-                    .data()
-                    .iter()
-                    .enumerate()
-                    .max_by(|a, b| a.1.total_cmp(b.1))
-                    .map(|(i, _)| i)
-                    .expect("non-empty vocabulary");
-                assert!(next < c.vocab);
-                out.push(next);
-                next_token = Some(next);
-            }
-        }
-        // Drop the caches so the tiers drain.
-        for b in 0..c.layers {
-            self.store.remove(&kv_key(b))?;
-        }
-        Ok(out)
-    }
-
-    /// Samples a continuation with temperature and top-k filtering
-    /// (KV-cached path). `temperature <= 0` or `top_k == 1` degenerate to
-    /// greedy decoding; sampling is deterministic in `sample_seed`.
-    ///
-    /// # Panics
-    /// Same conditions as [`RatelEngine::generate_cached`].
-    pub fn generate_sampled(
-        &mut self,
-        prompt: &[usize],
-        max_new_tokens: usize,
-        temperature: f32,
-        top_k: usize,
-        sample_seed: u64,
-    ) -> Result<Vec<usize>, RatelError> {
-        use rand::rngs::StdRng;
-        use rand::SeedableRng;
-        assert!(!prompt.is_empty(), "prompt must not be empty");
-        let c = self.config.model;
-        assert!(
-            prompt.len() + max_new_tokens <= c.seq,
-            "context {} exceeds the model's {} positions",
-            prompt.len() + max_new_tokens,
-            c.seq
-        );
-        let mut rng = StdRng::seed_from_u64(sample_seed);
-        let d = c.hidden / c.heads;
-        let kv_key = |b: usize| format!("block{b}/kv-sample");
-        let mut out = Vec::with_capacity(max_new_tokens);
-        let mut next_token: Option<usize> = None;
-        for pos in 0..prompt.len() + max_new_tokens {
-            let token = match next_token {
-                Some(t) => t,
-                None => prompt[pos],
-            };
-            self.stage_params(0)?;
-            let mut x_t = self.model.embedding.forward_at(token, pos).quantize_f16();
-            for b in 0..c.layers {
-                self.stage_params(b + 1)?;
-                let mut cache = if pos == 0 {
-                    KvCache::new(c.heads, d)
-                } else {
-                    let bytes = self.fetch_f16(&kv_key(b))?;
-                    KvCache::from_f16_bytes(&bytes, c.heads, d, pos)
-                };
-                let y = self.model.blocks[b].forward_cached(&x_t, &mut cache);
-                self.offload_f16(&kv_key(b), cache.to_f16_bytes(), Tier::Host)?;
-                x_t = y.quantize_f16();
-            }
-            if pos + 1 >= prompt.len() && out.len() < max_new_tokens {
-                self.stage_params(c.layers + 1)?;
-                let logits = self.model.head.logits(&x_t);
-                let next = sample_from_logits(logits.data(), temperature, top_k, &mut rng);
-                out.push(next);
-                next_token = Some(next);
-            }
-        }
-        for b in 0..c.layers {
-            self.store.remove(&kv_key(b))?;
-        }
-        Ok(out)
     }
 
     /// Total SSD-tier bytes currently holding model states.
@@ -1573,18 +1007,8 @@ mod tests {
     #[test]
     fn offloaded_training_is_bitwise_identical_to_in_memory() {
         // The headline correctness claim: active gradient offloading with
-        // everything swapped keeps training fully synchronous. The
-        // default config runs the schedule-driven executor.
+        // everything swapped keeps training fully synchronous.
         run_equivalence(EngineConfig::tiny(), 3);
-    }
-
-    #[test]
-    fn legacy_stage_loop_is_bitwise_identical_too() {
-        let mut config = EngineConfig::tiny();
-        config.execution = ExecutionOptions::LegacyOverlapped {
-            prefetch_params: false,
-        };
-        run_equivalence(config, 3);
     }
 
     #[test]
@@ -1600,14 +1024,6 @@ mod tests {
 
     #[test]
     fn separate_stage_optimizer_gives_the_same_result() {
-        // Both the legacy separate-stage loop and the executor running
-        // the SeparateStage plan shape.
-        let mut config = EngineConfig::tiny();
-        config.execution = ExecutionOptions::LegacySeparateStage {
-            prefetch_params: false,
-        };
-        run_equivalence(config, 2);
-
         let mut config = EngineConfig::tiny();
         config.execution = ExecutionOptions::Executor(ExecutorOptions {
             offload: crate::offload::GradOffloadMode::SeparateStage,
@@ -1625,10 +1041,7 @@ mod tests {
         let (tokens, targets) = random_batch(&model, 21);
         let stats = engine.train_step(&tokens, &targets).unwrap();
         let tasks = stats.tasks.as_ref().expect("executor attaches breakdown");
-        assert_eq!(
-            tasks.tasks_total,
-            engine.step_dag.as_ref().unwrap().graph.len() as u64
-        );
+        assert_eq!(tasks.tasks_total, engine.step_dag.graph.len() as u64);
         // Every resource class of the plan ran work.
         for class in [
             ResourceClass::GpuCompute,
@@ -1644,15 +1057,36 @@ mod tests {
         }
         assert!(tasks.busy_seconds_total() > 0.0);
         assert!(tasks.critical_path_seconds <= tasks.busy_seconds_total() + 1e-9);
+    }
 
-        // Legacy steps carry no breakdown.
-        let mut legacy = EngineConfig::tiny();
-        legacy.execution = ExecutionOptions::LegacyOverlapped {
-            prefetch_params: false,
-        };
-        let mut engine = RatelEngine::new(legacy).unwrap();
-        let stats = engine.train_step(&tokens, &targets).unwrap();
-        assert!(stats.tasks.is_none());
+    #[test]
+    fn accumulated_steps_run_through_the_executor_and_drain_the_tiers() {
+        // A frozen layer has no gradient, so no accumulator either.
+        let mut config = EngineConfig::tiny();
+        config.frozen_layers = vec![1];
+        let model = config.model;
+        let mut engine = RatelEngine::new(config).unwrap();
+        let micro: Vec<_> = (0..3).map(|s| random_batch(&model, 30 + s)).collect();
+        let stats = engine.train_step_accumulated(&micro).unwrap();
+        let tasks = stats
+            .tasks
+            .as_ref()
+            .expect("accumulated steps report tasks");
+        let accum_tasks = engine.accum_dag.as_ref().unwrap().graph.len() as u64;
+        assert_eq!(
+            tasks.tasks_total,
+            2 * accum_tasks + engine.step_dag.graph.len() as u64
+        );
+        assert_eq!(engine.store().used(Tier::Gpu), 0);
+        assert_eq!(engine.store().used(Tier::Host), 0);
+    }
+
+    #[test]
+    fn an_empty_accumulated_step_is_rejected_not_panicked() {
+        let mut engine = RatelEngine::new(EngineConfig::tiny()).unwrap();
+        let err = engine.train_step_accumulated(&[]).unwrap_err();
+        assert!(matches!(err, RatelError::InvalidBatch(_)), "{err}");
+        assert_eq!(engine.steps_run(), 0, "a rejected call is not a step");
     }
 
     #[test]
@@ -1764,12 +1198,7 @@ mod tests {
 
     #[test]
     fn telemetry_captures_spans_and_optimizer_overlap() {
-        // The overlap assertion is only reliable on the legacy stage loop,
-        // where backward spans cover the whole per-layer stage.
-        let mut config = EngineConfig::tiny();
-        config.execution = ExecutionOptions::LegacyOverlapped {
-            prefetch_params: false,
-        };
+        let config = EngineConfig::tiny();
         let model = config.model;
         let mut engine = RatelEngine::new(config).unwrap();
         engine.enable_telemetry();
@@ -1789,15 +1218,11 @@ mod tests {
         let b = t.stage_breakdown();
         assert!(b.forward > 0.0 && b.backward > 0.0 && b.optimizer > 0.0);
         assert!(b.transfer > 0.0, "store transfers must be spanned");
-        // With active offloading on, some optimizer work must hide behind
-        // backward (§IV-C). The tiny model still overlaps reliably because
-        // each layer's update starts while later layers run backward.
+        // Whether optimizer work actually hides behind backward is a
+        // timing property, asserted under throttled links in
+        // tests/overlap_timing.rs; here the ratio only has to be sane.
         let overlap = t.optimizer_overlap_ratio();
-        assert!(
-            overlap > 0.0,
-            "active offload should overlap optimizer with backward"
-        );
-        assert!(overlap <= 1.0 + 1e-9);
+        assert!((0.0..=1.0 + 1e-9).contains(&overlap), "{overlap}");
         // The timeline view carries every span, rebased to step start.
         let tl = t.timeline("measured");
         assert_eq!(tl.spans.len(), t.spans.len());
@@ -1976,71 +1401,5 @@ mod checkpoint_tests {
         assert!(matches!(err, RatelError::CheckpointCorrupt(_)), "{err}");
         assert!(err.to_string().contains("generation 2"), "{err}");
         let _ = std::fs::remove_dir_all(&dir);
-    }
-}
-
-#[cfg(test)]
-mod sampling_tests {
-    use super::*;
-
-    #[test]
-    fn greedy_degenerate_cases_pick_the_argmax() {
-        use rand::SeedableRng;
-        let logits = [0.1f32, 2.0, -1.0, 1.9];
-        let mut rng = rand::rngs::StdRng::seed_from_u64(1);
-        assert_eq!(sample_from_logits(&logits, 0.0, 5, &mut rng), 1);
-        assert_eq!(sample_from_logits(&logits, 1.0, 1, &mut rng), 1);
-    }
-
-    #[test]
-    fn sampling_is_seeded_and_respects_top_k() {
-        use rand::SeedableRng;
-        let logits = [0.0f32, 0.1, 5.0, 4.9, -3.0];
-        // top_k = 2 can only ever return 2 or 3.
-        for seed in 0..20u64 {
-            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-            let pick = sample_from_logits(&logits, 1.0, 2, &mut rng);
-            assert!(pick == 2 || pick == 3, "{pick}");
-        }
-        // Deterministic per seed.
-        let mut a = rand::rngs::StdRng::seed_from_u64(7);
-        let mut b = rand::rngs::StdRng::seed_from_u64(7);
-        assert_eq!(
-            sample_from_logits(&logits, 0.8, 3, &mut a),
-            sample_from_logits(&logits, 0.8, 3, &mut b)
-        );
-    }
-
-    #[test]
-    fn low_temperature_concentrates_on_the_mode() {
-        use rand::SeedableRng;
-        let logits = [1.0f32, 1.2, 1.1];
-        let mut hits = 0;
-        for seed in 0..50u64 {
-            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-            if sample_from_logits(&logits, 0.02, 3, &mut rng) == 1 {
-                hits += 1;
-            }
-        }
-        assert!(hits >= 48, "{hits}/50");
-    }
-
-    #[test]
-    fn engine_sampled_generation_runs_and_is_deterministic() {
-        use super::data::random_batch;
-        let mut engine = RatelEngine::new(EngineConfig::tiny()).unwrap();
-        let c = GptConfig::tiny();
-        let (tokens, targets) = random_batch(&c, 1);
-        engine.train_step(&tokens, &targets).unwrap();
-        let prompt = &tokens[..4];
-        let a = engine.generate_sampled(prompt, 5, 0.9, 8, 42).unwrap();
-        let b = engine.generate_sampled(prompt, 5, 0.9, 8, 42).unwrap();
-        let c2 = engine.generate_sampled(prompt, 5, 0.9, 8, 43).unwrap();
-        assert_eq!(a, b);
-        assert!(a.iter().all(|&t| t < c.vocab));
-        let greedy_like = engine.generate_sampled(prompt, 5, 0.0, 8, 1).unwrap();
-        let cached = engine.generate_cached(prompt, 5).unwrap();
-        assert_eq!(greedy_like, cached);
-        let _ = c2;
     }
 }

@@ -14,9 +14,10 @@
 //! * **Real execution** — [`engine`] actually fine-tunes a small GPT
 //!   through `ratel-storage` tiers: parameters and optimizer states live as
 //!   blobs in the SSD tier, activations are swapped or recomputed per the
-//!   planner's decisions, and a concurrent CPU-optimizer thread consumes
-//!   gradients the moment backward produces them (active gradient
-//!   offloading) while keeping updates fully synchronous.
+//!   planner's decisions, and CPU optimizer tasks consume gradients the
+//!   moment backward produces them (active gradient offloading) while
+//!   keeping updates fully synchronous — one verified task DAG per step,
+//!   run on per-resource worker pools.
 
 pub mod api;
 pub mod batch;

@@ -14,7 +14,7 @@
 use ratel_model::{ModelKind, ModelProfile};
 use ratel_sim::{
     simulate, BlobKey, BlobKind, MemTier, OpClass, ResourceClass, ResourceId, Stage, TaskGraph,
-    TaskId, TaskMeta, VersionedBlob,
+    TaskId, TaskIdentity, TaskKind, TaskMeta, VersionedBlob,
 };
 
 use crate::offload::GradOffloadMode;
@@ -43,6 +43,47 @@ impl Annot {
         let v = self.vers.entry(key).or_insert(0);
         *v += 1;
         VersionedBlob { key, version: *v }
+    }
+}
+
+/// The one place a task enters the graph. The display label is derived
+/// here from the task's typed identity — `fwd L12`, `opt-read L7`, …
+/// with an `iN ` prefix when the DAG spans several iterations and a
+/// ` gN` suffix on per-GPU tasks when it spans several GPUs — so
+/// consumers dispatch on [`TaskMeta::identity`] and the label stays
+/// display-only.
+struct Emitter {
+    g: TaskGraph,
+    multi_iteration: bool,
+    multi_gpu: bool,
+}
+
+impl Emitter {
+    fn task(
+        &mut self,
+        id: TaskIdentity,
+        resource: ResourceId,
+        seconds: f64,
+        stage: Stage,
+        deps: &[TaskId],
+        mut meta: TaskMeta,
+    ) -> TaskId {
+        let iter = if self.multi_iteration {
+            format!("i{} ", meta.iteration)
+        } else {
+            String::new()
+        };
+        let gpu = match id.gpu {
+            Some(gi) if self.multi_gpu => format!(" g{gi}"),
+            _ => String::new(),
+        };
+        let label = format!("{iter}{} L{}{gpu}", id.kind.name(), id.layer);
+        meta.identity = Some(id);
+        let t = self
+            .g
+            .add_task_labeled(resource, seconds, stage, deps, label);
+        self.g.set_meta(t, meta);
+        t
     }
 }
 
@@ -286,6 +327,11 @@ impl IterationSpec {
         for &res in &stall {
             g.set_resource_class(res, ResourceClass::Overhead);
         }
+        let mut em = Emitter {
+            g,
+            multi_iteration: iterations > 1,
+            multi_gpu: self.gpus > 1,
+        };
         // Blob/version annotations for the static analyzer.
         let mut an = Annot::default();
 
@@ -296,21 +342,6 @@ impl IterationSpec {
         let mut prev_updates: Vec<Option<TaskId>> = vec![None; n];
 
         for iter in 0..iterations {
-            // Timeline labels: `fwd L12`, `opt-read L7`, … with an `iN `
-            // prefix when the DAG spans several iterations and a ` gN`
-            // suffix when it spans several GPUs.
-            let pfx = if iterations > 1 {
-                format!("i{iter} ")
-            } else {
-                String::new()
-            };
-            let gsfx = |gi: usize| {
-                if self.gpus > 1 {
-                    format!(" g{gi}")
-                } else {
-                    String::new()
-                }
-            };
             let mut this_updates: Vec<Option<TaskId>> = vec![None; n];
             // ----- Forward -----
             // fwd[gpu][layer]
@@ -327,56 +358,49 @@ impl IterationSpec {
                 let p16_key = BlobKey::shared(BlobKind::Param16, li);
                 let stage_key = BlobKey::shared(BlobKind::Stage, li);
                 let host_ready: Option<TaskId> = match layer.param_source {
-                    ParamSource::Ssd if layer.p16_bytes > 0.0 => {
-                        let t = g.add_task_labeled(
+                    ParamSource::Ssd if layer.p16_bytes > 0.0 => Some(
+                        em.task(
+                            TaskIdentity::shared(TaskKind::FwdRead, li),
                             ssd,
                             layer.p16_bytes / r.ssd_read,
                             Stage::Forward,
                             &updated,
-                            format!("{pfx}fwd-read L{li}"),
-                        );
-                        g.set_meta(
-                            t,
                             TaskMeta::new(OpClass::SsdRead, iter)
                                 .read(an.cur(p16_key))
                                 .write(an.bump(stage_key)),
-                        );
-                        Some(t)
-                    }
+                        ),
+                    ),
                     _ => None,
                 };
                 for gi in 0..self.gpus {
-                    let fetch: Option<TaskId> = match layer.param_source {
-                        ParamSource::Gpu => None,
-                        ParamSource::Ssd | ParamSource::Host if layer.p16_bytes > 0.0 => {
-                            let deps: Vec<TaskId> = host_ready
-                                .into_iter()
-                                .chain(updated.iter().copied())
-                                .collect();
-                            let t = g.add_task_labeled(
-                                m2g[gi],
-                                layer.p16_bytes / r.bw_m2g,
-                                Stage::Forward,
-                                &deps,
-                                format!("{pfx}fwd-fetch L{li}{}", gsfx(gi)),
-                            );
-                            // SSD-sourced fetches copy from the staging
-                            // buffer the shared read filled; host-sourced
-                            // fetches read the persistent host copy.
-                            let src = match layer.param_source {
-                                ParamSource::Ssd => an.cur(stage_key),
-                                _ => an.cur(p16_key),
-                            };
-                            g.set_meta(
-                                t,
-                                TaskMeta::new(OpClass::TransferM2G, iter)
-                                    .read(src)
-                                    .write(an.bump(BlobKey::on_gpu(BlobKind::ParamGpu, li, gi))),
-                            );
-                            Some(t)
-                        }
-                        _ => None,
-                    };
+                    let fetch: Option<TaskId> =
+                        match layer.param_source {
+                            ParamSource::Gpu => None,
+                            ParamSource::Ssd | ParamSource::Host if layer.p16_bytes > 0.0 => {
+                                let deps: Vec<TaskId> = host_ready
+                                    .into_iter()
+                                    .chain(updated.iter().copied())
+                                    .collect();
+                                // SSD-sourced fetches copy from the staging
+                                // buffer the shared read filled; host-sourced
+                                // fetches read the persistent host copy.
+                                let src = match layer.param_source {
+                                    ParamSource::Ssd => an.cur(stage_key),
+                                    _ => an.cur(p16_key),
+                                };
+                                Some(em.task(
+                                    TaskIdentity::on_gpu(TaskKind::FwdFetch, li, gi),
+                                    m2g[gi],
+                                    layer.p16_bytes / r.bw_m2g,
+                                    Stage::Forward,
+                                    &deps,
+                                    TaskMeta::new(OpClass::TransferM2G, iter).read(src).write(
+                                        an.bump(BlobKey::on_gpu(BlobKind::ParamGpu, li, gi)),
+                                    ),
+                                ))
+                            }
+                            _ => None,
+                        };
                     let mut deps: Vec<TaskId> = fetch.into_iter().collect();
                     if fetch.is_none() {
                         // GPU-resident parameters: compute still waits for the
@@ -387,62 +411,55 @@ impl IterationSpec {
                         deps.push(fwd[gi][li - 1]);
                     }
                     let deps = if self.per_layer_overhead_seconds > 0.0 {
-                        let hook = g.add_task_labeled(
+                        vec![em.task(
+                            TaskIdentity::on_gpu(TaskKind::FwdHook, li, gi),
                             stall[gi],
                             self.per_layer_overhead_seconds,
                             Stage::Forward,
                             &deps,
-                            format!("{pfx}fwd-hook L{li}{}", gsfx(gi)),
-                        );
-                        g.set_meta(hook, TaskMeta::new(OpClass::Hook, iter));
-                        vec![hook]
+                            TaskMeta::new(OpClass::Hook, iter),
+                        )]
                     } else {
                         deps
                     };
-                    let f = g.add_task_labeled(
+                    let act_bytes = layer.act_to_host_bytes + layer.act_to_ssd_bytes;
+                    let act_key = BlobKey::on_gpu(BlobKind::Act, li, gi);
+                    let mut meta = TaskMeta::new(OpClass::GpuCompute, iter);
+                    match layer.param_source {
+                        // GPU-resident parameters are read in place.
+                        ParamSource::Gpu => meta = meta.read(an.cur(p16_key)),
+                        _ if fetch.is_some() => {
+                            meta = meta.read(an.cur(BlobKey::on_gpu(BlobKind::ParamGpu, li, gi)))
+                        }
+                        _ => {}
+                    }
+                    if li > 0 {
+                        meta = meta.read(an.cur(BlobKey::on_gpu(BlobKind::Flow, li - 1, gi)));
+                    }
+                    meta = meta.write(an.bump(BlobKey::on_gpu(BlobKind::Flow, li, gi)));
+                    if act_bytes > 0.0 {
+                        meta = meta.write(an.bump(act_key));
+                    }
+                    let f = em.task(
+                        TaskIdentity::on_gpu(TaskKind::Fwd, li, gi),
                         gpu[gi],
                         layer.fwd_flops / r.thp_gpu,
                         Stage::Forward,
                         &deps,
-                        format!("{pfx}fwd L{li}{}", gsfx(gi)),
+                        meta,
                     );
-                    let act_bytes = layer.act_to_host_bytes + layer.act_to_ssd_bytes;
-                    let act_key = BlobKey::on_gpu(BlobKind::Act, li, gi);
-                    {
-                        let mut meta = TaskMeta::new(OpClass::GpuCompute, iter);
-                        match layer.param_source {
-                            // GPU-resident parameters are read in place.
-                            ParamSource::Gpu => meta = meta.read(an.cur(p16_key)),
-                            _ if fetch.is_some() => {
-                                meta =
-                                    meta.read(an.cur(BlobKey::on_gpu(BlobKind::ParamGpu, li, gi)))
-                            }
-                            _ => {}
-                        }
-                        if li > 0 {
-                            meta = meta.read(an.cur(BlobKey::on_gpu(BlobKind::Flow, li - 1, gi)));
-                        }
-                        meta = meta.write(an.bump(BlobKey::on_gpu(BlobKind::Flow, li, gi)));
-                        if act_bytes > 0.0 {
-                            meta = meta.write(an.bump(act_key));
-                        }
-                        g.set_meta(f, meta);
-                    }
                     total_gpu_flops += layer.fwd_flops;
                     fwd[gi].push(f);
 
                     // Activation offload (host-resident + SSD-spilled share the
                     // same G2M hop; the spill continues to the SSDs).
                     if act_bytes > 0.0 {
-                        let off = g.add_task_labeled(
+                        let off = em.task(
+                            TaskIdentity::on_gpu(TaskKind::ActOff, li, gi),
                             g2m[gi],
                             act_bytes / r.bw_g2m,
                             Stage::Forward,
                             &[f],
-                            format!("{pfx}act-off L{li}{}", gsfx(gi)),
-                        );
-                        g.set_meta(
-                            off,
                             TaskMeta::new(OpClass::TransferG2M, iter)
                                 .read(an.cur(act_key))
                                 .write(an.bump(act_key))
@@ -450,15 +467,12 @@ impl IterationSpec {
                         );
                         act_offloaded[gi][li] = Some(off);
                         if layer.act_to_ssd_bytes > 0.0 {
-                            let spill = g.add_task_labeled(
+                            let spill = em.task(
+                                TaskIdentity::on_gpu(TaskKind::ActSpill, li, gi),
                                 ssd,
                                 layer.act_to_ssd_bytes / r.ssd_write,
                                 Stage::Forward,
                                 &[off],
-                                format!("{pfx}act-spill L{li}{}", gsfx(gi)),
-                            );
-                            g.set_meta(
-                                spill,
                                 TaskMeta::new(OpClass::SsdWrite, iter)
                                     .read(an.cur(act_key))
                                     .write(an.bump(act_key))
@@ -493,53 +507,46 @@ impl IterationSpec {
                 let p16_key = BlobKey::shared(BlobKind::Param16, li);
                 let stage_key = BlobKey::shared(BlobKind::Stage, li);
                 let host_ready: Option<TaskId> = match layer.param_source {
-                    ParamSource::Ssd if layer.p16_bytes > 0.0 && layer.refetch_in_backward => {
-                        let t = g.add_task_labeled(
+                    ParamSource::Ssd if layer.p16_bytes > 0.0 && layer.refetch_in_backward => Some(
+                        em.task(
+                            TaskIdentity::shared(TaskKind::BwdRead, li),
                             ssd,
                             layer.p16_bytes / r.ssd_read,
                             Stage::Backward,
                             &updated,
-                            format!("{pfx}bwd-read L{li}"),
-                        );
-                        g.set_meta(
-                            t,
                             TaskMeta::new(OpClass::SsdRead, iter)
                                 .read(an.cur(p16_key))
                                 .write(an.bump(stage_key)),
-                        );
-                        Some(t)
-                    }
+                        ),
+                    ),
                     _ => None,
                 };
                 for gi in 0..self.gpus {
-                    let fetch_p: Option<TaskId> = match layer.param_source {
-                        ParamSource::Gpu => None,
-                        _ if layer.p16_bytes > 0.0 && layer.refetch_in_backward => {
-                            let deps: Vec<TaskId> = host_ready
-                                .into_iter()
-                                .chain(updated.iter().copied())
-                                .collect();
-                            let t = g.add_task_labeled(
-                                m2g[gi],
-                                layer.p16_bytes / r.bw_m2g,
-                                Stage::Backward,
-                                &deps,
-                                format!("{pfx}bwd-fetch L{li}{}", gsfx(gi)),
-                            );
-                            let src = match layer.param_source {
-                                ParamSource::Ssd => an.cur(stage_key),
-                                _ => an.cur(p16_key),
-                            };
-                            g.set_meta(
-                                t,
-                                TaskMeta::new(OpClass::TransferM2G, iter)
-                                    .read(src)
-                                    .write(an.bump(BlobKey::on_gpu(BlobKind::ParamGpu, li, gi))),
-                            );
-                            Some(t)
-                        }
-                        _ => None,
-                    };
+                    let fetch_p: Option<TaskId> =
+                        match layer.param_source {
+                            ParamSource::Gpu => None,
+                            _ if layer.p16_bytes > 0.0 && layer.refetch_in_backward => {
+                                let deps: Vec<TaskId> = host_ready
+                                    .into_iter()
+                                    .chain(updated.iter().copied())
+                                    .collect();
+                                let src = match layer.param_source {
+                                    ParamSource::Ssd => an.cur(stage_key),
+                                    _ => an.cur(p16_key),
+                                };
+                                Some(em.task(
+                                    TaskIdentity::on_gpu(TaskKind::BwdFetch, li, gi),
+                                    m2g[gi],
+                                    layer.p16_bytes / r.bw_m2g,
+                                    Stage::Backward,
+                                    &deps,
+                                    TaskMeta::new(OpClass::TransferM2G, iter).read(src).write(
+                                        an.bump(BlobKey::on_gpu(BlobKind::ParamGpu, li, gi)),
+                                    ),
+                                ))
+                            }
+                            _ => None,
+                        };
                     // Fetch swapped activations back (SSD spill first).
                     let act_key = BlobKey::on_gpu(BlobKind::Act, li, gi);
                     let mut act_dep: Option<TaskId> = None;
@@ -549,41 +556,38 @@ impl IterationSpec {
                             // The spill must have been written before it can be
                             // read back.
                             let deps: Vec<TaskId> = act_spilled[gi][li].into_iter().collect();
-                            let t = g.add_task_labeled(
-                                ssd,
-                                layer.act_to_ssd_bytes / r.ssd_read,
-                                Stage::Backward,
-                                &deps,
-                                format!("{pfx}act-load L{li}{}", gsfx(gi)),
-                            );
-                            g.set_meta(
-                                t,
-                                TaskMeta::new(OpClass::SsdRead, iter)
-                                    .read(an.cur(act_key))
-                                    .write(an.bump(act_key))
-                                    .free(MemTier::Ssd, act_key),
-                            );
-                            Some(t)
+                            Some(
+                                em.task(
+                                    TaskIdentity::on_gpu(TaskKind::ActLoad, li, gi),
+                                    ssd,
+                                    layer.act_to_ssd_bytes / r.ssd_read,
+                                    Stage::Backward,
+                                    &deps,
+                                    TaskMeta::new(OpClass::SsdRead, iter)
+                                        .read(an.cur(act_key))
+                                        .write(an.bump(act_key))
+                                        .free(MemTier::Ssd, act_key),
+                                ),
+                            )
                         } else {
                             None
                         };
                         let mut deps: Vec<TaskId> = ssd_read.into_iter().collect();
                         deps.extend(act_offloaded[gi][li]);
-                        let up = g.add_task_labeled(
-                            m2g[gi],
-                            act_bytes / r.bw_m2g,
-                            Stage::Backward,
-                            &deps,
-                            format!("{pfx}act-up L{li}{}", gsfx(gi)),
-                        );
                         let mut meta = TaskMeta::new(OpClass::TransferM2G, iter)
                             .read(an.cur(act_key))
                             .write(an.bump(act_key));
                         if layer.act_to_host_bytes > 0.0 {
                             meta = meta.free(MemTier::Host, act_key);
                         }
-                        g.set_meta(up, meta);
-                        act_dep = Some(up);
+                        act_dep = Some(em.task(
+                            TaskIdentity::on_gpu(TaskKind::ActUp, li, gi),
+                            m2g[gi],
+                            act_bytes / r.bw_m2g,
+                            Stage::Backward,
+                            &deps,
+                            meta,
+                        ));
                     }
 
                     let mut deps: Vec<TaskId> = Vec::new();
@@ -591,88 +595,77 @@ impl IterationSpec {
                     deps.extend(act_dep);
                     deps.extend(prev_bwd[gi]);
                     let deps = if self.per_layer_overhead_seconds > 0.0 {
-                        let hook = g.add_task_labeled(
+                        vec![em.task(
+                            TaskIdentity::on_gpu(TaskKind::BwdHook, li, gi),
                             stall[gi],
                             self.per_layer_overhead_seconds,
                             Stage::Backward,
                             &deps,
-                            format!("{pfx}bwd-hook L{li}{}", gsfx(gi)),
-                        );
-                        g.set_meta(hook, TaskMeta::new(OpClass::Hook, iter));
-                        vec![hook]
+                            TaskMeta::new(OpClass::Hook, iter),
+                        )]
                     } else {
                         deps
                     };
-                    let b = g.add_task_labeled(
+                    let mut meta = TaskMeta::new(OpClass::GpuCompute, iter);
+                    match layer.param_source {
+                        ParamSource::Gpu => meta = meta.read(an.cur(p16_key)),
+                        // Refetched layers read the backward copy; the
+                        // head (staged once) reuses the forward copy.
+                        _ if layer.p16_bytes > 0.0 => {
+                            meta = meta.read(an.cur(BlobKey::on_gpu(BlobKind::ParamGpu, li, gi)))
+                        }
+                        _ => {}
+                    }
+                    if act_bytes > 0.0 {
+                        meta = meta.read(an.cur(act_key));
+                    }
+                    meta = if li + 1 < n {
+                        meta.read(an.cur(BlobKey::on_gpu(BlobKind::FlowGrad, li + 1, gi)))
+                    } else {
+                        // The loss gradient descends from the last
+                        // forward hidden state.
+                        meta.read(an.cur(BlobKey::on_gpu(BlobKind::Flow, li, gi)))
+                    };
+                    meta = meta.write(an.bump(BlobKey::on_gpu(BlobKind::FlowGrad, li, gi)));
+                    if layer.grad_bytes > 0.0 {
+                        meta = meta.write(an.bump(BlobKey::on_gpu(BlobKind::Grad, li, gi)));
+                    }
+                    let b = em.task(
+                        TaskIdentity::on_gpu(TaskKind::Bwd, li, gi),
                         gpu[gi],
                         layer.bwd_flops / r.thp_gpu,
                         Stage::Backward,
                         &deps,
-                        format!("{pfx}bwd L{li}{}", gsfx(gi)),
+                        meta,
                     );
-                    {
-                        let mut meta = TaskMeta::new(OpClass::GpuCompute, iter);
-                        match layer.param_source {
-                            ParamSource::Gpu => meta = meta.read(an.cur(p16_key)),
-                            // Refetched layers read the backward copy; the
-                            // head (staged once) reuses the forward copy.
-                            _ if layer.p16_bytes > 0.0 => {
-                                meta =
-                                    meta.read(an.cur(BlobKey::on_gpu(BlobKind::ParamGpu, li, gi)))
-                            }
-                            _ => {}
-                        }
-                        if act_bytes > 0.0 {
-                            meta = meta.read(an.cur(act_key));
-                        }
-                        meta = if li + 1 < n {
-                            meta.read(an.cur(BlobKey::on_gpu(BlobKind::FlowGrad, li + 1, gi)))
-                        } else {
-                            // The loss gradient descends from the last
-                            // forward hidden state.
-                            meta.read(an.cur(BlobKey::on_gpu(BlobKind::Flow, li, gi)))
-                        };
-                        meta = meta.write(an.bump(BlobKey::on_gpu(BlobKind::FlowGrad, li, gi)));
-                        if layer.grad_bytes > 0.0 {
-                            meta = meta.write(an.bump(BlobKey::on_gpu(BlobKind::Grad, li, gi)));
-                        }
-                        g.set_meta(b, meta);
-                    }
                     total_gpu_flops += layer.bwd_flops;
                     prev_bwd[gi] = Some(b);
 
                     // Gradient offload GPU->host.
                     if layer.grad_bytes > 0.0 {
                         let grad_key = BlobKey::on_gpu(BlobKind::Grad, li, gi);
-                        let go = g.add_task_labeled(
+                        let go = em.task(
+                            TaskIdentity::on_gpu(TaskKind::GradOff, li, gi),
                             g2m[gi],
                             layer.grad_bytes / r.bw_g2m,
                             Stage::Backward,
                             &[b],
-                            format!("{pfx}grad-off L{li}{}", gsfx(gi)),
-                        );
-                        g.set_meta(
-                            go,
                             TaskMeta::new(OpClass::TransferG2M, iter)
                                 .read(an.cur(grad_key))
                                 .write(an.bump(grad_key)),
                         );
                         let landed = if layer.grad_spill_to_ssd {
-                            let spill = g.add_task_labeled(
+                            em.task(
+                                TaskIdentity::on_gpu(TaskKind::GradSpill, li, gi),
                                 ssd,
                                 layer.grad_bytes / r.ssd_write,
                                 Stage::Backward,
                                 &[go],
-                                format!("{pfx}grad-spill L{li}{}", gsfx(gi)),
-                            );
-                            g.set_meta(
-                                spill,
                                 TaskMeta::new(OpClass::SsdWrite, iter)
                                     .read(an.cur(grad_key))
                                     .write(an.bump(grad_key))
                                     .alloc(MemTier::Ssd, grad_key, layer.grad_bytes),
-                            );
-                            spill
+                            )
                         } else {
                             go
                         };
@@ -687,20 +680,19 @@ impl IterationSpec {
                 // Multi-GPU gradient reduction on the CPU before the handler.
                 let handler_input: Vec<TaskId> = if self.gpus > 1 && layer.grad_bytes > 0.0 {
                     let reduce_params = layer.grad_bytes / 2.0 * (self.gpus as f64 - 1.0);
-                    let t = g.add_task_labeled(
-                        cpu,
-                        reduce_params / (4.0 * r.cpu_params_per_sec),
-                        Stage::Backward,
-                        &grad_ready_all,
-                        format!("{pfx}reduce L{li}"),
-                    );
                     let mut meta = TaskMeta::new(OpClass::CpuCompute, iter);
                     for gi in 0..self.gpus {
                         meta = meta.read(an.cur(BlobKey::on_gpu(BlobKind::Grad, li, gi)));
                     }
                     meta = meta.write(an.bump(BlobKey::shared(BlobKind::GradReduced, li)));
-                    g.set_meta(t, meta);
-                    vec![t]
+                    vec![em.task(
+                        TaskIdentity::shared(TaskKind::Reduce, li),
+                        cpu,
+                        reduce_params / (4.0 * r.cpu_params_per_sec),
+                        Stage::Backward,
+                        &grad_ready_all,
+                        meta,
+                    )]
                 } else {
                     grad_ready_all.clone()
                 };
@@ -711,7 +703,7 @@ impl IterationSpec {
                     }
                     GradOffloadMode::NaiveActive | GradOffloadMode::OptimizedActive => {
                         let (read, write) = self.add_handler(
-                            &mut g,
+                            &mut em,
                             ssd,
                             cpu,
                             gpu[0],
@@ -722,7 +714,6 @@ impl IterationSpec {
                             prev_handler_write,
                             prev_handler_read,
                             Stage::Backward,
-                            &pfx,
                             iter,
                             &mut an,
                         );
@@ -741,7 +732,7 @@ impl IterationSpec {
                 for (li, mut inputs) in deferred {
                     inputs.extend(barrier.iter().copied());
                     let (read, write) = self.add_handler(
-                        &mut g,
+                        &mut em,
                         ssd,
                         cpu,
                         gpu[0],
@@ -752,7 +743,6 @@ impl IterationSpec {
                         prev_write,
                         prev_read,
                         Stage::Optimizer,
-                        &pfx,
                         iter,
                         &mut an,
                     );
@@ -768,6 +758,7 @@ impl IterationSpec {
             prev_updates = this_updates;
         } // per-iteration loop
         let _ = prev_updates;
+        let g = em.g;
 
         // Debug builds statically verify every schedule they emit: any
         // staleness, use-before-fetch, WAR, residency-bookkeeping, or
@@ -834,7 +825,7 @@ impl IterationSpec {
     #[allow(clippy::too_many_arguments)]
     fn add_handler(
         &self,
-        g: &mut TaskGraph,
+        em: &mut Emitter,
         ssd: ResourceId,
         cpu: ResourceId,
         gpu0: ResourceId,
@@ -845,7 +836,6 @@ impl IterationSpec {
         prev_write: Option<TaskId>,
         prev_read: Option<TaskId>,
         stage: Stage,
-        pfx: &str,
         iter: usize,
         an: &mut Annot,
     ) -> (Option<TaskId>, Option<TaskId>) {
@@ -869,15 +859,12 @@ impl IterationSpec {
                     read_deps.extend(prev_write);
                 }
                 let eff = r.state_io_efficiency;
-                let read = g.add_task_labeled(
+                let read = em.task(
+                    TaskIdentity::shared(TaskKind::OptRead, li),
                     ssd,
                     read_bytes / (eff * r.ssd_read),
                     stage,
                     &read_deps,
-                    format!("{pfx}opt-read L{li}"),
-                );
-                g.set_meta(
-                    read,
                     self.handler_grad_meta(
                         TaskMeta::new(OpClass::SsdRead, iter)
                             .read(an.cur(master_key))
@@ -886,15 +873,12 @@ impl IterationSpec {
                         an,
                     ),
                 );
-                let compute = g.add_task_labeled(
+                let compute = em.task(
+                    TaskIdentity::shared(TaskKind::OptCpu, li),
                     cpu,
                     cpu_params / r.cpu_params_per_sec,
                     stage,
                     &[read],
-                    format!("{pfx}opt-cpu L{li}"),
-                );
-                g.set_meta(
-                    compute,
                     TaskMeta::new(OpClass::CpuCompute, iter)
                         .read(an.cur(sopt_key))
                         .write(an.bump(sopt_key)),
@@ -906,15 +890,12 @@ impl IterationSpec {
                 if self.mode == GradOffloadMode::OptimizedActive {
                     write_deps.extend(prev_read);
                 }
-                let write = g.add_task_labeled(
+                let write = em.task(
+                    TaskIdentity::shared(TaskKind::OptWrite, li),
                     ssd,
                     write_bytes / (eff * r.ssd_write),
                     stage,
                     &write_deps,
-                    format!("{pfx}opt-write L{li}"),
-                );
-                g.set_meta(
-                    write,
                     TaskMeta::new(OpClass::SsdWrite, iter)
                         .read(an.cur(sopt_key))
                         .write(an.bump(master_key))
@@ -927,15 +908,12 @@ impl IterationSpec {
                 if self.mode == GradOffloadMode::NaiveActive || stage == Stage::Optimizer {
                     deps.extend(prev_write);
                 }
-                let compute = g.add_task_labeled(
+                let compute = em.task(
+                    TaskIdentity::shared(TaskKind::OptCpu, li),
                     cpu,
                     cpu_params / r.cpu_params_per_sec,
                     stage,
                     &deps,
-                    format!("{pfx}opt-cpu L{li}"),
-                );
-                g.set_meta(
-                    compute,
                     self.handler_grad_meta(
                         TaskMeta::new(OpClass::CpuCompute, iter)
                             .read(an.cur(master_key))
@@ -952,15 +930,12 @@ impl IterationSpec {
                 writeback_bytes,
                 gpu_flops,
             } => {
-                let read = g.add_task_labeled(
+                let read = em.task(
+                    TaskIdentity::shared(TaskKind::OptRead, li),
                     ssd,
                     fetch_bytes / r.ssd_read,
                     stage,
                     inputs,
-                    format!("{pfx}opt-read L{li}"),
-                );
-                g.set_meta(
-                    read,
                     self.handler_grad_meta(
                         TaskMeta::new(OpClass::SsdRead, iter)
                             .read(an.cur(master_key))
@@ -969,54 +944,42 @@ impl IterationSpec {
                         an,
                     ),
                 );
-                let up = g.add_task_labeled(
+                let up = em.task(
+                    TaskIdentity::shared(TaskKind::OptUp, li),
                     *m2g0,
                     fetch_bytes / r.bw_m2g,
                     stage,
                     &[read],
-                    format!("{pfx}opt-up L{li}"),
-                );
-                g.set_meta(
-                    up,
                     TaskMeta::new(OpClass::TransferM2G, iter)
                         .read(an.cur(sopt_key))
                         .write(an.bump(sopt_key)),
                 );
-                let kernel = g.add_task_labeled(
+                let kernel = em.task(
+                    TaskIdentity::shared(TaskKind::OptKernel, li),
                     gpu0,
                     gpu_flops / r.thp_gpu,
                     stage,
                     &[up],
-                    format!("{pfx}opt-kernel L{li}"),
-                );
-                g.set_meta(
-                    kernel,
                     TaskMeta::new(OpClass::GpuCompute, iter)
                         .read(an.cur(sopt_key))
                         .write(an.bump(sopt_key)),
                 );
-                let down = g.add_task_labeled(
+                let down = em.task(
+                    TaskIdentity::shared(TaskKind::OptDown, li),
                     *g2m0,
                     writeback_bytes / r.bw_g2m,
                     stage,
                     &[kernel],
-                    format!("{pfx}opt-down L{li}"),
-                );
-                g.set_meta(
-                    down,
                     TaskMeta::new(OpClass::TransferG2M, iter)
                         .read(an.cur(sopt_key))
                         .write(an.bump(sopt_key)),
                 );
-                let write = g.add_task_labeled(
+                let write = em.task(
+                    TaskIdentity::shared(TaskKind::OptWrite, li),
                     ssd,
                     writeback_bytes / r.ssd_write,
                     stage,
                     &[down],
-                    format!("{pfx}opt-write L{li}"),
-                );
-                g.set_meta(
-                    write,
                     TaskMeta::new(OpClass::SsdWrite, iter)
                         .read(an.cur(sopt_key))
                         .write(an.bump(master_key))
@@ -1025,15 +988,12 @@ impl IterationSpec {
                 (Some(read), Some(write))
             }
             OptimizerKind::GpuResident { gpu_flops } => {
-                let kernel = g.add_task_labeled(
+                let kernel = em.task(
+                    TaskIdentity::shared(TaskKind::OptKernel, li),
                     gpu0,
                     gpu_flops / r.thp_gpu,
                     stage,
                     inputs,
-                    format!("{pfx}opt-kernel L{li}"),
-                );
-                g.set_meta(
-                    kernel,
                     self.handler_grad_meta(
                         TaskMeta::new(OpClass::GpuCompute, iter)
                             .read(an.cur(master_key))

@@ -26,8 +26,8 @@ pub mod trace;
 pub use engine::simulate;
 pub use graph::{ResourceId, Stage, TaskGraph, TaskId};
 pub use meta::{
-    BlobKey, BlobKind, Edge, MemTier, OpClass, ResidencyAlloc, ResourceClass, TaskMeta,
-    VersionedBlob,
+    BlobKey, BlobKind, Edge, MemTier, OpClass, ResidencyAlloc, ResourceClass, TaskIdentity,
+    TaskKind, TaskMeta, VersionedBlob,
 };
 pub use report::{ResourceUsage, SimReport, StageReport, TimelineEntry};
 pub use trace::{

@@ -14,6 +14,6 @@
 //! before and are simply invisible to the static passes.
 
 pub use ratel_contract::{
-    BlobKey, BlobKind, Edge, MemTier, OpClass, ResidencyAlloc, ResourceClass, TaskMeta,
-    VersionedBlob,
+    BlobKey, BlobKind, Edge, MemTier, OpClass, ResidencyAlloc, ResourceClass, TaskIdentity,
+    TaskKind, TaskMeta, VersionedBlob,
 };

@@ -1,10 +1,10 @@
 //! The schedule-driven executor's two contracts, end to end:
 //!
 //! 1. **Numerics are schedule-independent.** Executing the verified DAG
-//!    on resource pools — at any worker count per pool — produces
-//!    bitwise-identical losses and master weights to the legacy serial
-//!    stage loop and to plain in-memory training, across a small zoo of
-//!    model shapes.
+//!    on resource pools — at any worker count per pool, under either
+//!    offload schedule — produces bitwise-identical losses and master
+//!    weights to plain in-memory training, across a small zoo of model
+//!    shapes.
 //! 2. **The static verifier guards dispatch.** Mutating the lowered
 //!    plan by dropping a dependency edge is caught by the same
 //!    `ratel-verify` pass that debug builds run before the executor
@@ -87,29 +87,23 @@ fn run(config: EngineConfig, steps: u64) -> (Vec<f32>, Vec<Vec<f32>>) {
     (losses, masters)
 }
 
-/// Pool-parallel DAG execution is bitwise-equal to the serial legacy
-/// engine and the in-memory reference, for 1/2/4 workers per pool and
-/// both offload schedules, across the model zoo.
+/// Pool-parallel DAG execution is bitwise-equal to the in-memory
+/// reference, for 1/2/4 workers per pool and both offload schedules,
+/// across the model zoo.
 #[test]
-fn executor_matches_serial_engine_across_the_zoo() {
+fn executor_matches_the_reference_across_the_zoo() {
     for model in zoo() {
-        // The serial baseline: legacy stage loop, no prefetch threads.
-        let (legacy_losses, legacy_masters) = run(
-            config_with(
-                model,
-                ExecutionOptions::LegacyOverlapped {
-                    prefetch_params: false,
-                },
-            ),
-            2,
-        );
-        // And the ground truth: everything in memory.
+        // The ground truth: everything in memory.
         let mut reference = ReferenceTrainer::new(model, 1234, AdamParams::default());
-        for s in 0..2 {
-            let (t, y) = random_batch(&model, 7 + s);
-            let ref_loss = reference.train_step(&t, &y);
-            assert_eq!(legacy_losses[s as usize], ref_loss, "{model:?} step {s}");
-        }
+        let ref_losses: Vec<f32> = (0..2)
+            .map(|s| {
+                let (t, y) = random_batch(&model, 7 + s);
+                reference.train_step(&t, &y)
+            })
+            .collect();
+        let ref_masters: Vec<Vec<f32>> = (0..model.layers + 2)
+            .map(|l| reference.master_params(l).to_vec())
+            .collect();
 
         for workers in [1usize, 2, 4] {
             for offload in [
@@ -127,11 +121,11 @@ fn executor_matches_serial_engine_across_the_zoo() {
                     2,
                 );
                 assert_eq!(
-                    losses, legacy_losses,
+                    losses, ref_losses,
                     "{model:?} with {workers} workers, {offload:?}"
                 );
                 assert_eq!(
-                    masters, legacy_masters,
+                    masters, ref_masters,
                     "{model:?} with {workers} workers, {offload:?}"
                 );
             }
@@ -145,6 +139,7 @@ fn executor_matches_serial_engine_across_the_zoo() {
 fn dropped_dependency_edges_are_caught_before_dispatch() {
     use ratel_repro::core::engine::movement_spec_for;
     use ratel_repro::core::verify::Limits;
+    use ratel_repro::sim::TaskKind;
 
     let model = zoo()[0];
     let spec = movement_spec_for(&config_with(model, ExecutionOptions::default()));
@@ -156,12 +151,18 @@ fn dropped_dependency_edges_are_caught_before_dispatch() {
     // that consumes it — must be load-bearing: drop it and the verifier
     // reports a violation.
     let staged_pairs = [
-        ("fwd-fetch", "fwd "),
-        ("bwd-fetch", "bwd "),
-        ("act-up", "bwd "),
-        ("opt-read", "opt-cpu"),
-        ("opt-cpu", "opt-write"),
+        (TaskKind::FwdFetch, TaskKind::Fwd),
+        (TaskKind::BwdFetch, TaskKind::Bwd),
+        (TaskKind::ActUp, TaskKind::Bwd),
+        (TaskKind::OptRead, TaskKind::OptCpu),
+        (TaskKind::OptCpu, TaskKind::OptWrite),
     ];
+    let kind_of = |g: &ratel_repro::sim::TaskGraph, t| {
+        g.meta(t)
+            .and_then(|m| m.identity)
+            .map(|id| id.kind)
+            .expect("every plan task carries a typed identity")
+    };
     let edges: Vec<_> = graph
         .edges()
         .map(|e| {
@@ -174,9 +175,7 @@ fn dropped_dependency_edges_are_caught_before_dispatch() {
     for &(dep, task) in &edges {
         let dep_label = graph.label(dep).unwrap_or("").to_string();
         let task_label = graph.label(task).unwrap_or("").to_string();
-        let staging = staged_pairs
-            .iter()
-            .any(|(a, b)| dep_label.starts_with(a) && task_label.starts_with(b));
+        let staging = staged_pairs.contains(&(kind_of(&graph, dep), kind_of(&graph, task)));
         if !staging {
             continue;
         }

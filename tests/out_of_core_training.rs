@@ -446,12 +446,6 @@ fn engine_movement_plan_passes_static_verification() {
             offload: GradOffloadMode::SeparateStage,
             ..ExecutorOptions::default()
         }),
-        ExecutionOptions::LegacyOverlapped {
-            prefetch_params: false,
-        },
-        ExecutionOptions::LegacySeparateStage {
-            prefetch_params: false,
-        },
     ] {
         let engine = RatelEngine::new(EngineConfig {
             model,
