@@ -5,9 +5,10 @@
 //! This module closes the loop: it runs an instrumented
 //! [`RatelEngine::train_step`] with per-route throttles derived from a
 //! [`ServerConfig`] (scaled down so a test-sized model produces
-//! measurable transfers), builds the *matching* spec, simulates it with
-//! the same link rates plus compute rates calibrated from a warm-up
-//! step, and reports per-stage predicted-vs-measured deltas.
+//! measurable transfers), takes the engine's own movement plan,
+//! simulates it with the same link rates plus compute rates calibrated
+//! from a warm-up step, and reports per-stage predicted-vs-measured
+//! deltas.
 //!
 //! Two classes of agreement are checked:
 //!
@@ -23,16 +24,13 @@
 //!   loosely.
 
 use ratel::engine::data::random_batch;
-use ratel::engine::lr::LrSchedule;
-use ratel::engine::scaler::ScalePolicy;
 use ratel::engine::telemetry::StepTelemetry;
 use ratel::engine::{ActDecision, EngineConfig, RatelEngine};
-use ratel::schedule::{IterationSpec, LayerTask, LinkRates, OptimizerKind, ParamSource};
-use ratel::GradOffloadMode;
+use ratel::schedule::{IterationSpec, LinkRates, OptimizerKind};
 use ratel_hw::ServerConfig;
-use ratel_sim::{simulate, SimReport, Stage, Timeline};
-use ratel_storage::{Route, SpanCategory, TrafficSnapshot};
-use ratel_tensor::{AdamParams, BlockSaved, GptConfig};
+use ratel_sim::{simulate, SimReport, SpanKind, Stage, TaskKind, Timeline};
+use ratel_storage::{Route, TrafficSnapshot};
+use ratel_tensor::GptConfig;
 
 /// What to validate: one engine configuration and a throttle level.
 #[derive(Debug, Clone)]
@@ -178,88 +176,9 @@ pub fn route_caps(server: &ServerConfig, factor: f64) -> [(Route, f64); 4] {
 pub fn validate_engine_config(model: GptConfig) -> EngineConfig {
     EngineConfig {
         model,
-        seed: 42,
-        adam: AdamParams::default(),
         act_decisions: vec![ActDecision::SwapToHost; model.layers],
-        gpu_capacity: None,
-        host_capacity: None,
-        execution: ratel::engine::ExecutionOptions::default(),
-        loss_scale: ScalePolicy::None,
-        grad_clip: None,
-        lr_schedule: LrSchedule::Constant,
-        dropout: None,
-        frozen_layers: Vec::new(),
+        ..EngineConfig::tiny()
     }
-}
-
-/// Builds the [`IterationSpec`] matching one engine step byte-for-byte.
-///
-/// Layer ids follow the engine: 0 = embedding, 1..=L = blocks, L+1 =
-/// head. Per layer the spec plans exactly what the engine moves: a 2P
-/// fp16 stage per touch (the head is staged once — `refetch_in_backward`
-/// is false there), the block checkpoint plus saved activations to host,
-/// a 2P gradient hand-off, and the 12P/14P optimizer state I/O.
-pub fn engine_spec(engine: &RatelEngine, model: GptConfig, rates: LinkRates) -> IterationSpec {
-    let rows = (model.batch * model.seq) as f64;
-    let ckpt_bytes = 2.0 * rows * model.hidden as f64;
-    let act_bytes = 2.0
-        * BlockSaved::element_count_for(model.batch, model.seq, model.hidden, model.heads) as f64;
-    let layer_count = engine.layer_count();
-    let layers = (0..layer_count)
-        .map(|id| {
-            let params = engine.layer_param_count(id) as f64;
-            let is_block = id >= 1 && id <= model.layers;
-            let is_head = id == layer_count - 1;
-            LayerTask {
-                label: if id == 0 {
-                    "embedding".into()
-                } else if is_head {
-                    "head".into()
-                } else {
-                    format!("block{}", id - 1)
-                },
-                p16_bytes: 2.0 * params,
-                param_source: ParamSource::Ssd,
-                // Placeholder compute; the caller rescales to calibrated
-                // per-layer seconds via `rates.thp_gpu = 1.0`.
-                fwd_flops: 0.0,
-                bwd_flops: 0.0,
-                act_to_host_bytes: if is_block {
-                    ckpt_bytes + act_bytes
-                } else {
-                    0.0
-                },
-                act_to_ssd_bytes: 0.0,
-                refetch_in_backward: !is_head,
-                grad_bytes: 2.0 * params,
-                grad_spill_to_ssd: false,
-                optimizer: OptimizerKind::CpuOutOfCore {
-                    read_bytes: 12.0 * params,
-                    write_bytes: 14.0 * params,
-                    cpu_params: params,
-                },
-            }
-        })
-        .collect();
-    IterationSpec {
-        layers,
-        mode: GradOffloadMode::OptimizedActive,
-        rates,
-        gpus: 1,
-        items_per_iteration: model.batch as f64,
-        per_layer_overhead_seconds: 0.0,
-    }
-}
-
-/// Per-route planned bytes of a spec, indexed like [`Route::ALL`].
-///
-/// Fp16 parameters stage SSD→host→GPU (one count on each hop, twice for
-/// refetched layers); activations round-trip GPU→host→GPU (plus the SSD
-/// spill when planned); gradients land GPU→host; optimizer state I/O is
-/// SSD-only.
-pub fn planned_route_bytes(spec: &IterationSpec) -> [u64; 4] {
-    // Route::ALL order: GpuToHost, HostToGpu, HostToSsd, SsdToHost.
-    spec.planned_route_bytes()
 }
 
 /// Calibrated compute rates from a warm-up step's telemetry: per-layer
@@ -269,19 +188,12 @@ fn calibrate(spec: &mut IterationSpec, warmup: &StepTelemetry) {
     let mut fwd = vec![0.0f64; spec.layers.len()];
     let mut bwd = vec![0.0f64; spec.layers.len()];
     let mut opt_cpu = 0.0f64;
-    for s in &warmup.spans {
-        let layer = s
-            .label
-            .rsplit_once('L')
-            .and_then(|(_, n)| n.parse::<usize>().ok());
-        if let Some(l) = layer.filter(|l| *l < spec.layers.len()) {
-            if s.label.starts_with("fwd ") {
-                fwd[l] += s.seconds();
-            } else if s.label.starts_with("bwd ") {
-                bwd[l] += s.seconds();
-            } else if s.label.starts_with("opt-cpu ") {
-                opt_cpu += s.seconds();
-            }
+    for (s, t) in warmup.spans.iter().filter_map(|s| Some((s, s.task?))) {
+        match t.kind {
+            TaskKind::Fwd => fwd[t.layer] += s.seconds(),
+            TaskKind::Bwd => bwd[t.layer] += s.seconds(),
+            TaskKind::OptCpu => opt_cpu += s.seconds(),
+            _ => {}
         }
     }
     let total_params: f64 = spec
@@ -298,10 +210,9 @@ fn calibrate(spec: &mut IterationSpec, warmup: &StepTelemetry) {
     }
     for (task, (f, b)) in spec.layers.iter_mut().zip(fwd.iter().zip(&bwd)) {
         task.fwd_flops = *f;
-        // The measured backward span covers the whole layer turnaround
-        // (checkpoint + activation fetches included), which the sim
-        // schedules as separate transfer tasks — keep only a compute
-        // floor so transfer time is not double-counted.
+        // The measured backward task also decodes the fetched checkpoint
+        // and activations; keep only a compute floor so that glue is not
+        // charged to the kernels.
         task.bwd_flops = (b - f).max(*f);
     }
 }
@@ -365,7 +276,7 @@ pub fn run(cfg: &ValidateConfig) -> Result<ValidateReport, String> {
         let fwd_end = t
             .spans
             .iter()
-            .filter(|s| s.category == SpanCategory::Forward)
+            .filter(|s| s.kind == SpanKind::Forward)
             .map(|s| s.end)
             .fold(t.step_start, f64::max);
         let fwd_window = fwd_end - t.step_start;
@@ -381,14 +292,14 @@ pub fn run(cfg: &ValidateConfig) -> Result<ValidateReport, String> {
         let bwd_window = t
             .spans
             .iter()
-            .filter(|s| s.category == SpanCategory::Backward)
+            .filter(|s| s.kind == SpanKind::Backward)
             .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), s| {
                 (lo.min(s.start), hi.max(s.end))
             });
         let opt: Vec<(f64, f64)> = t
             .spans
             .iter()
-            .filter(|s| s.category == SpanCategory::Optimizer)
+            .filter(|s| s.kind == SpanKind::Optimizer)
             .map(|s| (s.start, s.end))
             .collect();
         let opt_total: f64 = opt.iter().map(|(s, e)| e - s).sum();
@@ -407,7 +318,7 @@ pub fn run(cfg: &ValidateConfig) -> Result<ValidateReport, String> {
         .clone();
     let n = steps as f64;
 
-    // The matching spec: same bytes, throttled link rates, calibrated
+    // The engine's own plan with throttled link rates and calibrated
     // compute.
     let rates = LinkRates {
         thp_gpu: 1.0,
@@ -418,9 +329,12 @@ pub fn run(cfg: &ValidateConfig) -> Result<ValidateReport, String> {
         cpu_params_per_sec: 1.0,
         state_io_efficiency: 1.0,
     };
-    let mut spec = engine_spec(&engine, model, rates);
+    let mut spec = IterationSpec {
+        rates,
+        ..engine.movement_spec()
+    };
     calibrate(&mut spec, &warmup);
-    let planned = planned_route_bytes(&spec);
+    let planned = spec.planned_route_bytes();
     let (graph, _, _) = spec.build();
     let sim = simulate(&graph);
 
@@ -549,22 +463,13 @@ pub fn render(cfg: &ValidateConfig, report: &ValidateReport) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ratel_tensor::BlockSaved;
 
     #[test]
     fn planned_bytes_match_the_closed_form() {
         let model = GptConfig::tiny();
         let engine = RatelEngine::new(validate_engine_config(model)).unwrap();
-        let rates = LinkRates {
-            thp_gpu: 1.0,
-            bw_g2m: 1.0,
-            bw_m2g: 1.0,
-            ssd_read: 1.0,
-            ssd_write: 1.0,
-            cpu_params_per_sec: 1.0,
-            state_io_efficiency: 1.0,
-        };
-        let spec = engine_spec(&engine, model, rates);
-        let planned = planned_route_bytes(&spec);
+        let planned = engine.movement_spec().planned_route_bytes();
         let params = engine.total_params() as u64;
         let head = engine.layer_param_count(engine.layer_count() - 1) as u64;
         let rows = (model.batch * model.seq) as u64;

@@ -9,7 +9,9 @@
 //! training [`Stage`] attribution, and the semantic [`TaskMeta`] layer
 //! (which logical blob each task reads or writes and at which version,
 //! which [`OpClass`] it performs, which memory-tier residency it opens
-//! or closes).
+//! or closes). The measurement side speaks the same vocabulary: a
+//! recorded span names the task it measured ([`TaskRef`]) and is
+//! classified by one [`SpanKind`].
 //!
 //! All metadata is optional at the graph level: tasks without it
 //! simulate exactly as before and are simply invisible to the static
@@ -56,6 +58,77 @@ impl Stage {
             Stage::Forward => 0,
             Stage::Backward => 1,
             Stage::Optimizer => 2,
+        }
+    }
+}
+
+/// What a timeline span shows — the one span vocabulary shared by the
+/// simulator's timelines, the engine's telemetry recorder and the flight
+/// recorder's `Span` events (whose `code` is [`SpanKind::index`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum SpanKind {
+    /// Forward compute for one layer.
+    Forward,
+    /// Backward compute for one layer.
+    Backward,
+    /// Optimizer work (Adam update, state write-back).
+    Optimizer,
+    /// An inter-tier blob transfer, recorded by the store itself.
+    Transfer,
+    /// Parameter, activation or optimizer-state staging ahead of its
+    /// consumer.
+    Prefetch,
+    /// Everything else (offloads, scaler decisions, bookkeeping).
+    Other,
+}
+
+impl SpanKind {
+    /// All kinds, in [`SpanKind::index`] order.
+    pub const ALL: [SpanKind; 6] = [
+        SpanKind::Forward,
+        SpanKind::Backward,
+        SpanKind::Optimizer,
+        SpanKind::Transfer,
+        SpanKind::Prefetch,
+        SpanKind::Other,
+    ];
+
+    /// Short stable name, used in exports and flight-recorder dumps.
+    pub fn name(self) -> &'static str {
+        match self {
+            SpanKind::Forward => "forward",
+            SpanKind::Backward => "backward",
+            SpanKind::Optimizer => "optimizer",
+            SpanKind::Transfer => "transfer",
+            SpanKind::Prefetch => "prefetch",
+            SpanKind::Other => "other",
+        }
+    }
+
+    /// Single-character Gantt glyph.
+    pub fn glyph(self) -> char {
+        match self {
+            SpanKind::Forward => 'F',
+            SpanKind::Backward => 'B',
+            SpanKind::Optimizer => 'O',
+            SpanKind::Transfer => 'T',
+            SpanKind::Prefetch => 'P',
+            SpanKind::Other => '#',
+        }
+    }
+
+    /// This kind's position in [`SpanKind::ALL`].
+    pub fn index(self) -> usize {
+        self as usize
+    }
+}
+
+impl From<Stage> for SpanKind {
+    fn from(s: Stage) -> Self {
+        match s {
+            Stage::Forward => SpanKind::Forward,
+            Stage::Backward => SpanKind::Backward,
+            Stage::Optimizer => SpanKind::Optimizer,
         }
     }
 }
@@ -310,6 +383,35 @@ impl TaskKind {
                 | TaskKind::OptDown
         )
     }
+
+    /// How a measured span of this task is classified: compute kernels
+    /// by pass, the optimizer's update and write-back as optimizer work,
+    /// everything staged ahead of its consumer as prefetch, offloads as
+    /// other.
+    pub fn span_kind(self) -> SpanKind {
+        match self {
+            TaskKind::Fwd => SpanKind::Forward,
+            TaskKind::Bwd => SpanKind::Backward,
+            TaskKind::OptCpu | TaskKind::OptWrite | TaskKind::OptKernel | TaskKind::Reduce => {
+                SpanKind::Optimizer
+            }
+            TaskKind::FwdRead
+            | TaskKind::FwdFetch
+            | TaskKind::BwdRead
+            | TaskKind::BwdFetch
+            | TaskKind::ActLoad
+            | TaskKind::ActUp
+            | TaskKind::OptRead
+            | TaskKind::OptUp => SpanKind::Prefetch,
+            TaskKind::ActOff
+            | TaskKind::ActSpill
+            | TaskKind::GradOff
+            | TaskKind::GradSpill
+            | TaskKind::OptDown
+            | TaskKind::FwdHook
+            | TaskKind::BwdHook => SpanKind::Other,
+        }
+    }
 }
 
 /// A task's typed identity: its kind, the layer it serves, and — for
@@ -343,6 +445,23 @@ impl TaskIdentity {
             gpu: Some(gpu),
         }
     }
+}
+
+/// Which executed task a measured span belongs to: the task's id and
+/// typed identity, plus which DAG run of the step executed it. Task ids
+/// are unique within a run only — the accumulation DAG of a non-final
+/// micro-batch numbers its tasks independently of the step DAG.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct TaskRef {
+    /// DAG run within the step: 0 for a plain step, the micro-batch
+    /// number for an accumulated one.
+    pub run: usize,
+    /// The task's id in the graph that run executed.
+    pub task: TaskId,
+    /// What the task does.
+    pub kind: TaskKind,
+    /// The schedule layer it serves.
+    pub layer: usize,
 }
 
 /// The class of a registered resource, declared by the schedule builder
@@ -531,6 +650,16 @@ mod tests {
         assert_eq!(meta.reads.len(), 1);
         assert_eq!(meta.allocs.len(), 1);
         assert_eq!(meta.frees.len(), 1);
+    }
+
+    #[test]
+    fn span_kind_indices_follow_all() {
+        for (i, kind) in SpanKind::ALL.iter().enumerate() {
+            assert_eq!(kind.index(), i, "{}", kind.name());
+        }
+        assert_eq!(SpanKind::from(Stage::Backward), SpanKind::Backward);
+        assert_eq!(TaskKind::BwdFetch.span_kind(), SpanKind::Prefetch);
+        assert_eq!(TaskKind::OptWrite.span_kind(), SpanKind::Optimizer);
     }
 
     #[test]

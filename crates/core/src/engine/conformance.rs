@@ -12,10 +12,11 @@
 //! * **unplanned transfers** — a blob key outside the engine's
 //!   `layer{N}/…` / `block{N}/…` inventory crossed a tier link;
 //! * **byte mismatches** — a route's measured step traffic differs from
-//!   the planned total (exact, same contract as `ratel-bench validate`);
-//! * **stage inversions** — forward layers ran out of ascending order,
-//!   backward out of descending order, or a layer's backward began
-//!   before its forward;
+//!   the planned total (exact, same contract as `ratel-bench validate`;
+//!   an accumulated step of *k* micro-batches plans *k − 1* runs of the
+//!   accumulation plan plus one of the step plan);
+//! * **stage inversions** — within one DAG run, a task's span started
+//!   before the span of one of its plan dependencies ended;
 //! * **stalls** — a route with a configured bandwidth target achieved
 //!   less than the configured fraction of it.
 //!
@@ -23,9 +24,12 @@
 //! integration suite seeds each drift class into recorded telemetry and
 //! asserts the monitor names it.
 
+use std::collections::HashMap;
 use std::fmt;
+use std::sync::OnceLock;
 
-use ratel_storage::telemetry::SpanCategory;
+use ratel_sim::{SpanKind, TaskGraph, TaskId};
+use ratel_storage::telemetry::SpanRecord;
 use ratel_storage::Route;
 
 use super::telemetry::StepTelemetry;
@@ -40,7 +44,7 @@ pub enum DriftKind {
     UnplannedTransfer,
     /// A route's measured bytes differ from the planned total.
     ByteMismatch,
-    /// Forward/backward layer spans ran out of planned stage order.
+    /// A task's span started before a plan dependency's span ended.
     StageInversion,
     /// A route underran its configured bandwidth target.
     Stall,
@@ -98,7 +102,7 @@ impl fmt::Display for Finding {
 }
 
 /// Monitor configuration. The default checks bytes, transfer inventory,
-/// and stage order; bandwidth stall detection stays off until a route
+/// and dependency order; bandwidth stall detection stays off until a route
 /// target is set (an unthrottled in-memory run has no meaningful
 /// bandwidth floor).
 #[derive(Debug, Clone)]
@@ -120,22 +124,35 @@ impl Default for ConformanceConfig {
     }
 }
 
-/// Checks instrumented steps against a frozen plan.
-///
-/// Built once from the engine's movement spec (whose per-route byte
-/// totals it caches) and applied to every [`StepTelemetry`] the engine
-/// collects. Stateless across steps: each check sees one step.
+/// One DAG the step may run: its task graph and per-route byte ledger.
 #[derive(Debug, Clone)]
-pub struct ConformanceMonitor {
-    planned_bytes: [u64; 4],
-    config: ConformanceConfig,
+struct RunPlan {
+    graph: TaskGraph,
+    bytes: [u64; 4],
 }
 
-/// Parses the layer id out of a `fwd L{n}` / `bwd L{n}` compute label.
-fn layer_of(label: &str) -> Option<usize> {
-    label
-        .rsplit_once('L')
-        .and_then(|(_, n)| n.parse::<usize>().ok())
+impl RunPlan {
+    fn new(spec: &IterationSpec) -> Self {
+        RunPlan {
+            graph: spec.build().0,
+            bytes: spec.planned_route_bytes(),
+        }
+    }
+}
+
+/// Checks instrumented steps against a frozen plan.
+///
+/// Built once from the engine's movement spec — whose task graph and
+/// per-route byte totals it keeps, for the step DAG and (built on the
+/// first accumulated step) for the accumulation DAG non-final
+/// micro-batches run — and applied to every [`StepTelemetry`] the engine
+/// collects. Each check sees one step.
+#[derive(Debug, Clone)]
+pub struct ConformanceMonitor {
+    spec: IterationSpec,
+    step: RunPlan,
+    accumulation: OnceLock<RunPlan>,
+    config: ConformanceConfig,
 }
 
 /// Whether a transfer's blob key belongs to the engine's planned
@@ -155,17 +172,31 @@ fn planned_key(key: &str) -> bool {
 }
 
 impl ConformanceMonitor {
-    /// Builds a monitor holding the plan's per-route byte ledger.
+    /// Builds a monitor holding the plan's task graph and byte ledger.
     pub fn new(spec: &IterationSpec, config: ConformanceConfig) -> Self {
         ConformanceMonitor {
-            planned_bytes: spec.planned_route_bytes(),
+            spec: spec.clone(),
+            step: RunPlan::new(spec),
+            accumulation: OnceLock::new(),
             config,
         }
     }
 
-    /// The plan's per-route byte totals, indexed like [`Route::ALL`].
+    /// The plan DAG run `run` of `step` executed (which runs accumulate
+    /// is [`StepTelemetry::accumulates`]'s call).
+    fn plan_of(&self, step: &StepTelemetry, run: usize) -> &RunPlan {
+        if step.accumulates(run) {
+            self.accumulation
+                .get_or_init(|| RunPlan::new(&self.spec.accumulation_spec()))
+        } else {
+            &self.step
+        }
+    }
+
+    /// The plan's per-route byte totals for a plain step, indexed like
+    /// [`Route::ALL`].
     pub fn planned_bytes(&self) -> [u64; 4] {
-        self.planned_bytes
+        self.step.bytes
     }
 
     /// Matches one step's telemetry against the plan. Returns every
@@ -174,7 +205,7 @@ impl ConformanceMonitor {
         let mut findings = Vec::new();
         self.check_transfers(step, &mut findings);
         self.check_bytes(step, &mut findings);
-        self.check_stage_order(step, &mut findings);
+        self.check_dependencies(step, &mut findings);
         self.check_stalls(step, &mut findings);
         findings
     }
@@ -183,7 +214,7 @@ impl ConformanceMonitor {
     fn check_transfers(&self, step: &StepTelemetry, findings: &mut Vec<Finding>) {
         let mut flagged: Vec<&str> = Vec::new();
         for s in &step.spans {
-            if s.category != SpanCategory::Transfer {
+            if s.kind != SpanKind::Transfer {
                 continue;
             }
             if !planned_key(&s.label) && !flagged.contains(&s.label.as_str()) {
@@ -199,71 +230,53 @@ impl ConformanceMonitor {
         }
     }
 
-    /// Measured route traffic must equal the plan's ledger to the byte.
+    /// Measured route traffic must equal, to the byte, the ledgers of
+    /// the plans the step's runs executed.
     fn check_bytes(&self, step: &StepTelemetry, findings: &mut Vec<Finding>) {
         for (i, route) in Route::ALL.iter().enumerate() {
+            let planned: u64 = (0..step.runs.max(1))
+                .map(|run| self.plan_of(step, run).bytes[i])
+                .sum();
             let measured = step.traffic.bytes(*route);
-            if measured != self.planned_bytes[i] {
+            if measured != planned {
                 findings.push(Finding {
                     kind: DriftKind::ByteMismatch,
                     route: Some(*route),
                     detail: "route traffic diverged from the plan".into(),
-                    planned: Some(self.planned_bytes[i]),
+                    planned: Some(planned),
                     measured: Some(measured),
                 });
             }
         }
     }
 
-    /// Forward layers must start in ascending id order, backward in
-    /// descending order (with the embedding's backward last), and no
-    /// layer's backward may begin before its forward.
-    fn check_stage_order(&self, step: &StepTelemetry, findings: &mut Vec<Finding>) {
-        let mut fwd: Vec<(f64, usize, &str)> = Vec::new();
-        let mut bwd: Vec<(f64, usize, &str)> = Vec::new();
+    /// Within one DAG run, no task's span may start before the span of
+    /// any of its dependencies in that run's graph ended. Task ids mean
+    /// something only inside their run, so spans are matched per run.
+    fn check_dependencies(&self, step: &StepTelemetry, findings: &mut Vec<Finding>) {
+        let by_task: HashMap<(usize, TaskId), &SpanRecord> = step
+            .spans
+            .iter()
+            .filter_map(|s| s.task.map(|t| ((t.run, t.task), s)))
+            .collect();
         for s in &step.spans {
-            let bucket = match s.category {
-                SpanCategory::Forward => &mut fwd,
-                SpanCategory::Backward => &mut bwd,
-                _ => continue,
-            };
-            if let Some(layer) = layer_of(&s.label) {
-                bucket.push((s.start, layer, &s.label));
+            let Some(t) = s.task else { continue };
+            let graph = &self.plan_of(step, t.run).graph;
+            if t.task.0 >= graph.len() {
+                continue; // not a task of this plan
             }
-        }
-        fwd.sort_by(|a, b| a.0.total_cmp(&b.0));
-        bwd.sort_by(|a, b| a.0.total_cmp(&b.0));
-        for w in fwd.windows(2) {
-            if w[1].1 <= w[0].1 {
-                findings.push(Finding {
-                    kind: DriftKind::StageInversion,
-                    route: None,
-                    detail: format!("{:?} started after {:?} in forward", w[1].2, w[0].2),
-                    planned: None,
-                    measured: None,
-                });
-            }
-        }
-        // Backward runs head, blocks in reverse, then the embedding —
-        // layer ids strictly descending (0 last keeps the order strict).
-        for w in bwd.windows(2) {
-            if w[1].1 >= w[0].1 {
-                findings.push(Finding {
-                    kind: DriftKind::StageInversion,
-                    route: None,
-                    detail: format!("{:?} started after {:?} in backward", w[1].2, w[0].2),
-                    planned: None,
-                    measured: None,
-                });
-            }
-        }
-        for &(bstart, layer, blabel) in &bwd {
-            if let Some(&(fstart, _, flabel)) = fwd.iter().find(|(_, l, _)| *l == layer) {
-                if bstart < fstart {
+            for dep in graph.deps(t.task) {
+                let Some(d) = by_task.get(&(t.run, *dep)) else {
+                    continue;
+                };
+                if s.start < d.end {
                     findings.push(Finding {
                         kind: DriftKind::StageInversion,
                         route: None,
-                        detail: format!("{blabel:?} began before {flabel:?}"),
+                        detail: format!(
+                            "{:?} started before its dependency {:?} ended (run {})",
+                            s.label, d.label, t.run
+                        ),
                         planned: None,
                         measured: None,
                     });
@@ -316,13 +329,6 @@ mod tests {
         for bad in ["rogue/blob", "layer/p16", "blockx/acts", "layers0/p16", ""] {
             assert!(!planned_key(bad), "{bad} should be unplanned");
         }
-    }
-
-    #[test]
-    fn layer_label_parsing() {
-        assert_eq!(layer_of("fwd L12"), Some(12));
-        assert_eq!(layer_of("bwd L0"), Some(0));
-        assert_eq!(layer_of("scaler ok"), None);
     }
 
     #[test]

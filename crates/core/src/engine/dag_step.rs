@@ -13,11 +13,11 @@
 //! whatever worker count each pool runs.
 
 use std::sync::Arc;
+use std::time::Instant;
 
 use ratel_check::sync::Mutex;
 
-use ratel_sim::{TaskGraph, TaskId, TaskKind};
-use ratel_storage::telemetry::SpanCategory;
+use ratel_sim::{TaskGraph, TaskId, TaskKind, TaskRef};
 use ratel_storage::{StorageError, Tier, TieredStore};
 use ratel_tensor::dtype::{decode_f16, decode_f32, encode_f16, encode_f32, round_to_f16};
 use ratel_tensor::{block_dropout_spec, Adam, AdamParams, BlockSaved, GptModel, HeadSaved, Tensor};
@@ -204,7 +204,9 @@ fn staged_key(layer: usize, pass: char) -> String {
 pub(super) struct StepCtx<'a> {
     store: &'a Arc<TieredStore>,
     config: &'a EngineConfig,
-    actions: &'a [(TaskKind, usize)],
+    dag: &'a StepDag,
+    /// Which DAG run of the step this is (micro-batch number).
+    run: usize,
     model: Mutex<&'a mut GptModel>,
     tokens: &'a [usize],
     targets: &'a [usize],
@@ -244,7 +246,8 @@ impl<'a> StepCtx<'a> {
     pub(super) fn new(
         store: &'a Arc<TieredStore>,
         config: &'a EngineConfig,
-        actions: &'a [(TaskKind, usize)],
+        dag: &'a StepDag,
+        run: usize,
         model: &'a mut GptModel,
         tokens: &'a [usize],
         targets: &'a [usize],
@@ -262,7 +265,8 @@ impl<'a> StepCtx<'a> {
         StepCtx {
             store,
             config,
-            actions,
+            dag,
+            run,
             model: Mutex::new(model),
             tokens,
             targets,
@@ -309,22 +313,9 @@ impl<'a> StepCtx<'a> {
             .copy_to(&p16_key(layer), &staged_key(layer, pass), Tier::Host)
     }
 
-    /// Move a staged P16 into the GPU arena, spanned on the prefetch
-    /// track.
+    /// Move a staged P16 into the GPU arena.
     fn param_fetch(&self, layer: usize, pass: char) -> Result<(), StorageError> {
-        let rec = self.store.telemetry();
-        let t = rec.enabled().then(|| rec.now());
-        self.store.move_to(&staged_key(layer, pass), Tier::Gpu)?;
-        if let Some(t) = t {
-            rec.record_span(
-                "param-prefetch",
-                SpanCategory::Prefetch,
-                format!("pf L{layer}"),
-                t,
-                rec.now(),
-            );
-        }
-        Ok(())
+        self.store.move_to(&staged_key(layer, pass), Tier::Gpu)
     }
 
     /// Decode a staged P16 into the layer skeleton and free the copy.
@@ -342,23 +333,17 @@ impl<'a> StepCtx<'a> {
         Ok(())
     }
 
-    /// The layer's forward kernels. The span starts after the staged
-    /// P16 decode so GPU spans stay compute-only.
+    /// The layer's forward kernels, after decoding its staged P16.
     fn forward(&self, layer: usize) -> Result<(), StorageError> {
         let c = self.config.model;
         let l = c.layers;
         let mut model = self.model.lock();
         self.load_params(&mut model, layer, 'f')?;
-        let rec = self.store.telemetry();
         if layer == 0 {
-            let t = rec.enabled().then(|| rec.now());
             let x = model
                 .embedding
                 .forward(self.tokens, c.batch, c.seq)
                 .quantize_f16();
-            if let Some(t) = t {
-                rec.record_span("gpu", SpanCategory::Forward, "fwd L0", t, rec.now());
-            }
             *self.flow.lock() = Some(x);
         } else if layer <= l {
             let b = layer - 1;
@@ -371,17 +356,7 @@ impl<'a> StepCtx<'a> {
             // the act-off task offloads these bytes after this kernel.
             *self.pending_ckpt[b].lock() = Some(x.to_f16_bytes());
             let spec = self.dropout_spec(b);
-            let t = rec.enabled().then(|| rec.now());
             let (y, mut saved) = model.blocks[b].forward_with(&x, spec);
-            if let Some(t) = t {
-                rec.record_span(
-                    "gpu",
-                    SpanCategory::Forward,
-                    format!("fwd L{layer}"),
-                    t,
-                    rec.now(),
-                );
-            }
             saved.quantize_f16();
             if self.config.act_decisions[b] != ActDecision::Recompute {
                 *self.pending_act[b].lock() = Some(saved.to_f16_bytes());
@@ -393,17 +368,7 @@ impl<'a> StepCtx<'a> {
                 .lock()
                 .take()
                 .ok_or_else(|| slot_violation("forward flow reaches the head"))?;
-            let t = rec.enabled().then(|| rec.now());
             let (loss, head_saved) = model.head.forward(&x, self.targets);
-            if let Some(t) = t {
-                rec.record_span(
-                    "gpu",
-                    SpanCategory::Forward,
-                    format!("fwd L{layer}"),
-                    t,
-                    rec.now(),
-                );
-            }
             *self.loss.lock() = loss;
             *self.head.lock() = Some((x, head_saved));
         }
@@ -445,7 +410,6 @@ impl<'a> StepCtx<'a> {
         let l = c.layers;
         let frozen = self.config.frozen_layers.contains(&layer);
         let mut model = self.model.lock();
-        let rec = self.store.telemetry();
         if layer == l + 1 {
             // Head: parameters are still resident from forward (the plan
             // stages the head once), its input was parked at the loss.
@@ -454,20 +418,10 @@ impl<'a> StepCtx<'a> {
                 .lock()
                 .take()
                 .ok_or_else(|| slot_violation("head forward parked its input"))?;
-            let t = rec.enabled().then(|| rec.now());
             let (dx, head_grads) =
                 model
                     .head
                     .backward_scaled(&x, &head_saved, self.targets, self.scale);
-            if let Some(t) = t {
-                rec.record_span(
-                    "gpu",
-                    SpanCategory::Backward,
-                    format!("bwd L{layer}"),
-                    t,
-                    rec.now(),
-                );
-            }
             *self.dflow.lock() = Some(dx);
             if !frozen {
                 *self.grads[layer].lock() = Some(head_grads);
@@ -488,7 +442,6 @@ impl<'a> StepCtx<'a> {
                 .lock()
                 .take()
                 .ok_or_else(|| slot_violation("backward flow from the layer above"))?;
-            let t = rec.enabled().then(|| rec.now());
             let saved = match fetched {
                 Some(bytes) => {
                     BlockSaved::from_f16_bytes(&bytes, c.batch, c.seq, c.hidden, c.heads)
@@ -502,15 +455,6 @@ impl<'a> StepCtx<'a> {
                 }
             };
             let (dprev, grads) = model.blocks[b].backward_with(&input, &saved, &dx, spec);
-            if let Some(t) = t {
-                rec.record_span(
-                    "gpu",
-                    SpanCategory::Backward,
-                    format!("bwd L{layer}"),
-                    t,
-                    rec.now(),
-                );
-            }
             *self.dflow.lock() = Some(dprev);
             if !frozen {
                 *self.grads[layer].lock() = Some(grads);
@@ -522,11 +466,7 @@ impl<'a> StepCtx<'a> {
                 .lock()
                 .take()
                 .ok_or_else(|| slot_violation("backward flow reaches the embedding"))?;
-            let t = rec.enabled().then(|| rec.now());
             let emb_grads = model.embedding.backward(self.tokens, c.batch, c.seq, &dx);
-            if let Some(t) = t {
-                rec.record_span("gpu", SpanCategory::Backward, "bwd L0", t, rec.now());
-            }
             if !frozen {
                 *self.grads[0].lock() = Some(emb_grads);
             }
@@ -541,8 +481,6 @@ impl<'a> StepCtx<'a> {
             .lock()
             .take()
             .ok_or_else(|| slot_violation("backward produced this layer's gradient"))?;
-        let rec = self.store.telemetry();
-        let t = rec.enabled().then(|| rec.now());
         match self.grad_sink {
             GradSink::Accumulate => self.accumulate(layer, &grads)?,
             sink => {
@@ -556,15 +494,6 @@ impl<'a> StepCtx<'a> {
                 }
                 offload_f16(self.store, &grad_key(layer), encode_f16(&grads), Tier::Host)?;
             }
-        }
-        if let Some(t) = t {
-            rec.record_span(
-                "grad-offload",
-                SpanCategory::Other,
-                format!("grad L{layer}"),
-                t,
-                rec.now(),
-            );
         }
         Ok(())
     }
@@ -593,55 +522,23 @@ impl<'a> StepCtx<'a> {
     /// Stage the layer's master + moments from SSD into host memory —
     /// the handler's SSD->Main leg.
     fn opt_read(&self, layer: usize) -> Result<(), StorageError> {
-        let rec = self.store.telemetry();
-        let t = rec.enabled().then(|| rec.now());
         self.store.move_to(&master_key(layer), Tier::Host)?;
         self.store.move_to(&moments_key(layer), Tier::Host)?;
-        if let Some(t) = t {
-            rec.record_span(
-                "opt-prefetch",
-                SpanCategory::Prefetch,
-                format!("opt-pf L{layer}"),
-                t,
-                rec.now(),
-            );
-        }
         Ok(())
     }
 
     /// Decode the G16 gradient and run the f32 Adam step over the
     /// staged states.
     fn opt_cpu(&self, layer: usize) -> Result<(), StorageError> {
-        let rec = self.store.telemetry();
-        let t_read = rec.enabled().then(|| rec.now());
         let key = grad_key(layer);
         let mut grads = decode_f16(&self.store.read(&key)?);
         self.store.remove(&key)?;
-        if let Some(t) = t_read {
-            rec.record_span(
-                "cpu-opt",
-                SpanCategory::Optimizer,
-                format!("opt-read L{layer}"),
-                t,
-                rec.now(),
-            );
-        }
-        let t_cpu = rec.enabled().then(|| rec.now());
         if prepare_gradient(&mut grads, self.scale, self.config.grad_clip).is_some() {
             let mut master = decode_f32(&self.store.read(&master_key(layer))?);
             let moments = decode_f32(&self.store.read(&moments_key(layer))?);
             let mut state = Adam::new(0);
             state.load_flat(&moments, self.layer_steps[layer]);
             state.step(&mut master, &grads, &self.adam);
-            if let Some(t) = t_cpu {
-                rec.record_span(
-                    "cpu-opt",
-                    SpanCategory::Optimizer,
-                    format!("opt-cpu L{layer}"),
-                    t,
-                    rec.now(),
-                );
-            }
             let mut flat = Vec::new();
             state.write_flat_into(&mut flat);
             *self.updates[layer].lock() = Some(OptUpdate {
@@ -650,15 +547,6 @@ impl<'a> StepCtx<'a> {
                 applied: true,
             });
         } else {
-            if let Some(t) = t_cpu {
-                rec.record_span(
-                    "cpu-opt",
-                    SpanCategory::Other,
-                    format!("skip L{layer}"),
-                    t,
-                    rec.now(),
-                );
-            }
             self.skipped.lock().push(layer);
             *self.updates[layer].lock() = Some(OptUpdate {
                 master: Vec::new(),
@@ -678,8 +566,6 @@ impl<'a> StepCtx<'a> {
             .take()
             .ok_or_else(|| slot_violation("opt-cpu parked this layer's update"))?;
         if update.applied {
-            let rec = self.store.telemetry();
-            let t = rec.enabled().then(|| rec.now());
             self.store
                 .overwrite(&master_key(layer), encode_f32(&update.master))?;
             self.store
@@ -689,28 +575,15 @@ impl<'a> StepCtx<'a> {
             self.store
                 .put(&p16, Tier::Host, encode_f16(&update.master))?;
             self.store.move_to(&p16, Tier::Ssd)?;
-            self.store.move_to(&master_key(layer), Tier::Ssd)?;
-            self.store.move_to(&moments_key(layer), Tier::Ssd)?;
-            if let Some(t) = t {
-                rec.record_span(
-                    "cpu-opt",
-                    SpanCategory::Optimizer,
-                    format!("opt-write L{layer}"),
-                    t,
-                    rec.now(),
-                );
-            }
-        } else {
-            self.store.move_to(&master_key(layer), Tier::Ssd)?;
-            self.store.move_to(&moments_key(layer), Tier::Ssd)?;
         }
-        Ok(())
+        self.store.move_to(&master_key(layer), Tier::Ssd)?;
+        self.store.move_to(&moments_key(layer), Tier::Ssd)
     }
 }
 
 impl TaskAction for StepCtx<'_> {
     fn run(&self, task: TaskId) -> Result<(), RatelError> {
-        let (kind, li) = self.actions[task.0];
+        let (kind, li) = self.dag.actions[task.0];
         let result = match kind {
             TaskKind::FwdRead => self.param_read(li, 'f'),
             TaskKind::FwdFetch => self.param_fetch(li, 'f'),
@@ -744,57 +617,52 @@ impl TaskAction for StepCtx<'_> {
         };
         result.map_err(RatelError::from)
     }
+
+    /// The one place the engine measures a task: its span is the interval
+    /// the executor charged to it, on the recorder clock. Track and label
+    /// are the graph's own resource name and task label, so a measured
+    /// timeline lines up with the simulated one of the same plan.
+    /// Telemetry off costs one relaxed load.
+    fn completed(&self, task: TaskId, start: Instant, end: Instant) {
+        let rec = self.store.telemetry();
+        if !rec.enabled() {
+            return;
+        }
+        let (kind, layer) = self.dag.actions[task.0];
+        let graph = &self.dag.graph;
+        let task_ref = TaskRef {
+            run: self.run,
+            task,
+            kind,
+            layer,
+        };
+        rec.record_span(
+            graph.resource_name(graph.resource(task)),
+            kind.span_kind(),
+            Some(task_ref),
+            graph.label(task).unwrap_or_default(),
+            rec.at(start),
+            rec.at(end),
+        );
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::{movement_spec_for, ExecutionOptions, ExecutorOptions};
     use crate::offload::GradOffloadMode;
-    use crate::schedule::{LayerTask, LinkRates, OptimizerKind, ParamSource};
 
-    /// An engine-shaped spec: 1 iteration, 1 GPU, no overhead, CPU
-    /// out-of-core optimizer — the shape `movement_spec` emits.
-    fn engine_like_spec(blocks: usize, mode: GradOffloadMode) -> IterationSpec {
-        let n = blocks + 2;
-        let layers = (0..n)
-            .map(|id| {
-                let is_block = id >= 1 && id <= blocks;
-                let is_head = id == n - 1;
-                LayerTask {
-                    label: format!("layer{id}"),
-                    p16_bytes: 64.0,
-                    param_source: ParamSource::Ssd,
-                    fwd_flops: 0.0,
-                    bwd_flops: 0.0,
-                    act_to_host_bytes: if is_block { 32.0 } else { 0.0 },
-                    act_to_ssd_bytes: if is_block && id == 1 { 16.0 } else { 0.0 },
-                    refetch_in_backward: !is_head,
-                    grad_bytes: 64.0,
-                    grad_spill_to_ssd: false,
-                    optimizer: OptimizerKind::CpuOutOfCore {
-                        read_bytes: 384.0,
-                        write_bytes: 448.0,
-                        cpu_params: 32.0,
-                    },
-                }
-            })
-            .collect();
-        IterationSpec {
-            layers,
-            mode,
-            rates: LinkRates {
-                thp_gpu: 1.0,
-                bw_g2m: 1.0,
-                bw_m2g: 1.0,
-                ssd_read: 1.0,
-                ssd_write: 1.0,
-                cpu_params_per_sec: 1.0,
-                state_io_efficiency: 1.0,
-            },
-            gpus: 1,
-            items_per_iteration: 1.0,
-            per_layer_overhead_seconds: 0.0,
-        }
+    /// The tiny engine's own movement plan (3 blocks), block 1 spilling
+    /// its activations to SSD.
+    fn tiny_spec(offload: GradOffloadMode) -> IterationSpec {
+        let mut config = EngineConfig::tiny();
+        config.act_decisions[0] = ActDecision::SwapToSsd;
+        config.execution = ExecutionOptions::Executor(ExecutorOptions {
+            offload,
+            ..ExecutorOptions::default()
+        });
+        movement_spec_for(&config)
     }
 
     #[test]
@@ -803,7 +671,7 @@ mod tests {
             GradOffloadMode::OptimizedActive,
             GradOffloadMode::SeparateStage,
         ] {
-            let spec = engine_like_spec(3, mode);
+            let spec = tiny_spec(mode);
             let dag = StepDag::lower(&spec).unwrap();
             assert_eq!(dag.actions.len(), dag.graph.len());
             // Every layer's compute is present.
@@ -831,7 +699,7 @@ mod tests {
 
     #[test]
     fn optimizer_reads_are_windowed_behind_compute() {
-        let spec = engine_like_spec(3, GradOffloadMode::OptimizedActive);
+        let spec = tiny_spec(GradOffloadMode::OptimizedActive);
         let dag = StepDag::lower(&spec).unwrap();
         let reads: Vec<TaskId> = dag
             .graph
@@ -857,13 +725,13 @@ mod tests {
     fn simulation_only_shapes_are_rejected() {
         // Multi-GPU plans carry per-GPU replicas and `reduce` tasks that
         // have no engine action.
-        let mut spec = engine_like_spec(2, GradOffloadMode::OptimizedActive);
+        let mut spec = tiny_spec(GradOffloadMode::OptimizedActive);
         spec.gpus = 2;
         let err = StepDag::lower(&spec).unwrap_err();
         assert!(matches!(err, RatelError::InvalidConfig(_)), "{err}");
 
         // Hook tasks (per-layer overhead) are simulation-only too.
-        let mut spec = engine_like_spec(2, GradOffloadMode::OptimizedActive);
+        let mut spec = tiny_spec(GradOffloadMode::OptimizedActive);
         spec.per_layer_overhead_seconds = 0.5;
         let err = StepDag::lower(&spec).unwrap_err();
         assert!(matches!(err, RatelError::InvalidConfig(_)), "{err}");

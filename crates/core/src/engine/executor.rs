@@ -39,6 +39,13 @@ pub trait TaskAction: Sync {
     /// Executes one task. An error aborts the whole run: no new tasks
     /// are dispatched and [`Executor::run`] returns the first error.
     fn run(&self, task: TaskId) -> Result<(), RatelError>;
+
+    /// Told, once `run(task)` returned `Ok`, the interval the executor
+    /// charged to the task — the very instants
+    /// [`PoolStats::busy_seconds`] adds up, so an action that records its
+    /// spans from them agrees with the breakdown by construction. Does
+    /// nothing by default.
+    fn completed(&self, _task: TaskId, _start: Instant, _end: Instant) {}
 }
 
 impl<F> TaskAction for F
@@ -255,7 +262,11 @@ fn worker(shared: &Shared, pool_idx: usize, action: &dyn TaskAction) {
         };
         let start = Instant::now();
         match action.run(TaskId(task)) {
-            Ok(()) => shared.complete(task, start.elapsed().as_secs_f64()),
+            Ok(()) => {
+                let end = Instant::now();
+                shared.complete(task, (end - start).as_secs_f64());
+                action.completed(TaskId(task), start, end);
+            }
             Err(e) => {
                 shared.fail(e);
                 return;

@@ -42,7 +42,8 @@ pub mod telemetry;
 use std::sync::Arc;
 
 use ratel_obs::EventKind;
-use ratel_storage::telemetry::{FaultStats, SpanCategory, TelemetryRecorder};
+use ratel_sim::SpanKind;
+use ratel_storage::telemetry::{FaultStats, TelemetryRecorder};
 use ratel_storage::{Route, StorageError, Tier, TierConfig, TieredStore, TrafficSnapshot};
 use ratel_tensor::dtype::{decode_f16, decode_f32, encode_f16, encode_f32};
 use ratel_tensor::{Adam, AdamParams, BlockSaved, GptConfig, GptModel, ParamLayer};
@@ -633,9 +634,9 @@ impl RatelEngine {
         let mut tasks = executor::TaskBreakdown::default();
         if !accumulated.is_empty() {
             let dag = self.accumulation_dag()?;
-            for (tokens, targets) in accumulated {
+            for (run, (tokens, targets)) in accumulated.iter().enumerate() {
                 let (loss, _, breakdown) =
-                    self.run_dag(&dag, tokens, targets, scale, GradSink::Accumulate)?;
+                    self.run_dag(&dag, run, tokens, targets, scale, GradSink::Accumulate)?;
                 loss_sum += loss;
                 tasks.absorb(breakdown);
             }
@@ -646,11 +647,13 @@ impl RatelEngine {
             GradSink::MergeAccumulated { inv_n }
         };
         let dag = Arc::clone(&self.step_dag);
-        let (loss, skipped, breakdown) = self.run_dag(&dag, last.0, last.1, scale, sink)?;
+        let (loss, skipped, breakdown) =
+            self.run_dag(&dag, accumulated.len(), last.0, last.1, scale, sink)?;
         tasks.absorb(breakdown);
         self.finish_step(
             skipped,
             tasks,
+            accumulated.len() + 1,
             t0,
             (loss_sum + loss) * inv_n,
             scale,
@@ -660,27 +663,25 @@ impl RatelEngine {
         )
     }
 
-    /// The DAG a non-final micro-batch runs: the step's own movement
-    /// plan with the optimizer handlers off, so gradients stop in host
-    /// memory. Lowered on first use.
+    /// The DAG a non-final micro-batch runs (the movement plan's
+    /// [`accumulation_spec`](crate::schedule::IterationSpec::accumulation_spec)),
+    /// lowered on first use.
     fn accumulation_dag(&mut self) -> Result<Arc<StepDag>, RatelError> {
         if let Some(dag) = &self.accum_dag {
             return Ok(Arc::clone(dag));
         }
-        let mut spec = self.movement_spec();
-        for layer in &mut spec.layers {
-            layer.optimizer = crate::schedule::OptimizerKind::None;
-        }
-        let dag = Arc::new(StepDag::lower(&spec)?);
+        let dag = Arc::new(StepDag::lower(&self.movement_spec().accumulation_spec())?);
         self.accum_dag = Some(Arc::clone(&dag));
         Ok(dag)
     }
 
-    /// Dispatches one lowered DAG over the engine's state. Returns
-    /// `(loss, overflow-skipped layers, task breakdown)`.
+    /// Dispatches one lowered DAG over the engine's state as DAG run
+    /// `run` of the current step. Returns `(loss, overflow-skipped
+    /// layers, task breakdown)`.
     fn run_dag(
         &mut self,
         dag: &StepDag,
+        run: usize,
         tokens: &[usize],
         targets: &[usize],
         scale: f32,
@@ -693,7 +694,8 @@ impl RatelEngine {
         let ctx = dag_step::StepCtx::new(
             &self.store,
             &self.config,
-            &dag.actions,
+            dag,
+            run,
             &mut self.model,
             tokens,
             targets,
@@ -737,12 +739,13 @@ impl RatelEngine {
     /// advances the scaler and per-layer clocks, records the scaler
     /// span, collects telemetry/conformance, and assembles the stats.
     /// `skipped` is the optimizer's overflow-skip list; `tasks` the
-    /// executor breakdown.
+    /// executor breakdown summed over the step's `runs` DAG runs.
     #[allow(clippy::too_many_arguments)]
     fn finish_step(
         &mut self,
         skipped: Vec<usize>,
         tasks: executor::TaskBreakdown,
+        runs: usize,
         t0: std::time::Instant,
         loss: f32,
         scale: f32,
@@ -764,26 +767,28 @@ impl RatelEngine {
             } else {
                 format!("scaler overflow ({} skipped)", skipped.len())
             };
-            rec.record_span("engine", SpanCategory::Other, label, t, rec.now());
+            rec.record_span("engine", SpanKind::Other, None, label, t, rec.now());
         }
         let traffic = self.store.traffic().since(&traffic_before);
         let fault_stats = rec.fault_stats().since(&faults_before);
         let wall_seconds = t0.elapsed().as_secs_f64();
-        if let Some((step_start, metrics_before)) = step_start {
-            self.last_telemetry = Some(StepTelemetry::collect(
+        let collected = step_start.map(|(step_start, metrics_before)| {
+            StepTelemetry::collect(
                 &rec,
                 traffic,
+                runs,
                 step_start,
                 wall_seconds,
                 &metrics_before,
                 fault_stats,
-            ));
-        }
-        // Conformance: hold the instrumented step against the movement
-        // plan; every divergence becomes a structured finding plus a
-        // flight-recorder Drift event.
+            )
+        });
+        // Conformance: hold what *this* step recorded against the
+        // movement plan; every divergence becomes a structured finding
+        // plus a flight-recorder Drift event. A step that recorded
+        // nothing is not checked.
         self.last_findings.clear();
-        if let (Some(monitor), Some(t)) = (&self.conformance, self.last_telemetry.as_ref()) {
+        if let (Some(monitor), Some(t)) = (&self.conformance, &collected) {
             let findings = monitor.check(t);
             for f in &findings {
                 ratel_obs::flight().record(
@@ -796,6 +801,9 @@ impl RatelEngine {
             }
             self.total_findings += findings.len() as u64;
             self.last_findings = findings;
+        }
+        if collected.is_some() {
+            self.last_telemetry = collected;
         }
         ratel_obs::flight().record(EventKind::StepEnd, 0, "step", traffic.total(), self.step);
         Ok(StepStats {
@@ -913,8 +921,8 @@ impl RatelEngine {
         ));
     }
 
-    /// Findings of the most recent conformance-checked step (empty when
-    /// the step conformed, or monitoring is off).
+    /// Findings of the most recent step (empty when it conformed, when
+    /// it recorded no telemetry to check, or monitoring is off).
     pub fn conformance_findings(&self) -> &[conformance::Finding] {
         &self.last_findings
     }
@@ -1206,11 +1214,22 @@ mod tests {
         let stats = engine.train_step(&tokens, &targets).unwrap();
         let t = engine.last_step_telemetry().expect("telemetry collected");
         assert!(!t.spans.is_empty());
-        let tracks: std::collections::HashSet<&str> =
-            t.spans.iter().map(|s| s.track.as_str()).collect();
-        for track in ["gpu", "cpu-opt", "opt-prefetch", "grad-offload", "engine"] {
-            assert!(tracks.contains(track), "missing track {track}");
-        }
+        // Task spans sit on the graph's own resource rows, the scaler
+        // on "engine", transfers on their route.
+        let graph = &engine.step_dag.graph;
+        let task_tracks: std::collections::BTreeSet<&str> = t
+            .spans
+            .iter()
+            .filter(|s| s.task.is_some())
+            .map(|s| s.track.as_str())
+            .collect();
+        let resources: std::collections::BTreeSet<&str> = graph
+            .task_ids()
+            .map(|id| graph.resource_name(graph.resource(id)))
+            .collect();
+        assert_eq!(task_tracks, resources);
+        assert!(resources.contains("gpu0") && resources.contains("ssd"));
+        assert!(t.spans.iter().any(|s| s.track == "engine"));
         // Telemetry's traffic snapshot is the same delta StepStats got.
         for route in Route::ALL {
             assert_eq!(t.traffic.bytes(route), stats.traffic.bytes(route));
@@ -1227,6 +1246,8 @@ mod tests {
         let tl = t.timeline("measured");
         assert_eq!(tl.spans.len(), t.spans.len());
         assert!(tl.spans.iter().all(|s| s.start >= -1e-9));
+        let with_task = tl.spans.iter().filter(|s| s.task.is_some()).count();
+        assert_eq!(with_task, graph.len());
     }
 
     #[test]

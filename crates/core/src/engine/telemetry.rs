@@ -3,36 +3,35 @@
 //! The raw substrate lives in `ratel_storage::telemetry` (the store owns
 //! the [`TelemetryRecorder`] so its transfer instrumentation sits below
 //! the engine). This module interprets one training step's drained spans:
-//! per-stage wall-time breakdown, the optimizer-overlap ratio of §IV-C
+//! per-kind wall-time breakdown, the optimizer-overlap ratio of §IV-C
 //! (how much of the active optimizer's work was hidden behind backward),
 //! achieved-vs-profiled bandwidth per route, and conversion into a
 //! [`ratel_sim::Timeline`] so a *measured* step renders through the same
 //! Chrome-trace/ASCII writers as a simulated one.
 
-use ratel_sim::{FlowEvent, SpanKind, Timeline, TimelineSpan};
-use ratel_storage::telemetry::{
-    FaultStats, RouteMetrics, SpanCategory, SpanRecord, TelemetryRecorder,
-};
+use ratel_sim::{FlowEvent, SpanKind, TaskKind, Timeline, TimelineSpan};
+use ratel_storage::telemetry::{FaultStats, RouteMetrics, SpanRecord, TelemetryRecorder};
 use ratel_storage::{Route, TrafficSnapshot};
 
 use crate::profile::HardwareProfile;
 
-/// Wall-time totals per span category for one step, in seconds. These are
+/// Wall-time totals per span kind for one step, in seconds. These are
 /// *span sums*, not disjoint wall-clock partitions: concurrent spans (an
 /// optimizer update under a backward layer) both count in full.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct StageBreakdown {
-    /// Per-layer forward compute.
+    /// `fwd` tasks (P16 decode + kernels).
     pub forward: f64,
-    /// Per-layer backward compute (includes activation fetch/recompute).
+    /// `bwd` tasks (P16/activation decode, recompute, kernels).
     pub backward: f64,
-    /// Active-optimizer handler time (state wait + Adam + write-back).
+    /// Optimizer handlers' `opt-cpu` and `opt-write` tasks.
     pub optimizer: f64,
     /// Inter-tier transfer time (sum over all routes).
     pub transfer: f64,
-    /// Prefetcher thread time (parameter and optimizer-state staging).
+    /// Staging tasks: parameter reads/fetches, activation reloads,
+    /// optimizer-state reads.
     pub prefetch: f64,
-    /// Everything else (gradient hand-off, scaler, skips).
+    /// Everything else (activation/gradient offload tasks, scaler).
     pub other: f64,
 }
 
@@ -51,18 +50,22 @@ pub struct RouteBandwidth {
 /// Everything the recorder captured for one `train_step`.
 #[derive(Debug, Clone)]
 pub struct StepTelemetry {
-    /// All spans recorded during the step, timestamps on the recorder
-    /// clock (seconds since store creation).
+    /// All spans recorded during the step — one per executed task, plus
+    /// store transfers and the scaler — timestamps on the recorder clock
+    /// (seconds since store creation).
     pub spans: Vec<SpanRecord>,
     /// Per-route byte deltas for the step.
     pub traffic: TrafficSnapshot,
+    /// DAG runs the step executed: 1 for a plain step, the micro-batch
+    /// count for an accumulated one (task spans carry their run index).
+    pub runs: usize,
     /// Recorder-clock time at which the step began.
     pub step_start: f64,
     /// Wall-clock duration of the step.
     pub wall_seconds: f64,
     /// Per-route transfer metrics for this step (ops/bytes/seconds +
     /// latency histograms, deltas of the recorder's cumulative counters),
-    /// indexed like [`Route::ALL`].
+    /// indexed like [`ratel_storage::Route::ALL`].
     pub route_metrics: [RouteMetrics; 4],
     /// Robustness-counter deltas for this step: SSD retries and
     /// give-ups, host-pressure spills. Always collected (the underlying
@@ -104,29 +107,35 @@ fn intersection_seconds(a: &[(f64, f64)], b: &[(f64, f64)]) -> f64 {
 }
 
 impl StepTelemetry {
-    /// Sums span durations per category.
+    /// Whether DAG run `run` of this step ran the accumulation plan
+    /// rather than the step plan: every run but the last does.
+    pub fn accumulates(&self, run: usize) -> bool {
+        run + 1 < self.runs
+    }
+
+    /// Sums span durations per kind.
     pub fn stage_breakdown(&self) -> StageBreakdown {
         let mut b = StageBreakdown::default();
         for s in &self.spans {
-            let slot = match s.category {
-                SpanCategory::Forward => &mut b.forward,
-                SpanCategory::Backward => &mut b.backward,
-                SpanCategory::Optimizer => &mut b.optimizer,
-                SpanCategory::Transfer => &mut b.transfer,
-                SpanCategory::Prefetch => &mut b.prefetch,
-                SpanCategory::Other => &mut b.other,
+            let slot = match s.kind {
+                SpanKind::Forward => &mut b.forward,
+                SpanKind::Backward => &mut b.backward,
+                SpanKind::Optimizer => &mut b.optimizer,
+                SpanKind::Transfer => &mut b.transfer,
+                SpanKind::Prefetch => &mut b.prefetch,
+                SpanKind::Other => &mut b.other,
             };
             *slot += s.seconds();
         }
         b
     }
 
-    /// Merged, disjoint intervals of all spans in `category`.
-    fn category_intervals(&self, category: SpanCategory) -> Vec<(f64, f64)> {
+    /// Merged, disjoint intervals of all spans of `kind`.
+    fn kind_intervals(&self, kind: SpanKind) -> Vec<(f64, f64)> {
         merge_intervals(
             self.spans
                 .iter()
-                .filter(|s| s.category == category)
+                .filter(|s| s.kind == kind)
                 .map(|s| (s.start, s.end))
                 .collect(),
         )
@@ -135,10 +144,12 @@ impl StepTelemetry {
     /// The fraction of optimizer span time that ran *while backward was
     /// running* — the paper's active-offloading claim (§IV-C) that the
     /// optimizer hides behind backward. 0 when no optimizer span was
-    /// recorded (e.g. every layer frozen).
+    /// recorded (e.g. every layer frozen). A span's kind follows its
+    /// task, not the outcome: the `opt-cpu`/`opt-write` tasks of a
+    /// handler skipped on gradient overflow count as optimizer time too.
     pub fn optimizer_overlap_ratio(&self) -> f64 {
-        let opt = self.category_intervals(SpanCategory::Optimizer);
-        let bwd = self.category_intervals(SpanCategory::Backward);
+        let opt = self.kind_intervals(SpanKind::Optimizer);
+        let bwd = self.kind_intervals(SpanKind::Backward);
         let opt_total: f64 = opt.iter().map(|(s, e)| e - s).sum();
         if opt_total == 0.0 {
             return 0.0;
@@ -162,10 +173,11 @@ impl StepTelemetry {
 
     /// Converts the step's spans into a substrate-neutral timeline named
     /// `name`, timestamps rebased so the step starts at t=0. Tracks
-    /// appear in first-span order; route tracks carry the transfers.
-    /// Each `pf L{n}` prefetch span links to the compute span that
-    /// consumes its staged blob via a [`FlowEvent`] arrow, so the Chrome
-    /// trace shows *which* forward/backward each prefetch fed.
+    /// appear in first-span order: the graph's resource names carry the
+    /// task spans (each with its task id), route tracks the transfers.
+    /// Each parameter-fetch span links to the compute span that consumes
+    /// its staged blob via a [`FlowEvent`] arrow, so the Chrome trace
+    /// shows *which* forward/backward each fetch fed.
     pub fn timeline(&self, name: &str) -> Timeline {
         let mut tl = Timeline::new(name);
         for s in &self.spans {
@@ -173,17 +185,10 @@ impl StepTelemetry {
             tl.spans.push(TimelineSpan {
                 track,
                 label: s.label.clone(),
-                kind: match s.category {
-                    SpanCategory::Forward => SpanKind::Forward,
-                    SpanCategory::Backward => SpanKind::Backward,
-                    SpanCategory::Optimizer => SpanKind::Optimizer,
-                    SpanCategory::Transfer => SpanKind::Transfer,
-                    SpanCategory::Prefetch => SpanKind::Prefetch,
-                    SpanCategory::Other => SpanKind::Other,
-                },
+                kind: s.kind,
                 start: s.start - self.step_start,
                 end: s.end - self.step_start,
-                task: None,
+                task: s.task.map(|t| t.task.0),
                 bytes: s.bytes,
             });
         }
@@ -191,46 +196,33 @@ impl StepTelemetry {
         tl
     }
 
-    /// Matches every prefetch span on the timeline to its consumer: the
-    /// earliest not-yet-claimed `fwd L{n}` / `bwd L{n}` compute span of
-    /// the same layer. The same layer is prefetched once for forward and
-    /// once for backward, so greedy earliest-first matching on the
-    /// already-rebased timeline pairs them correctly. Arrow endpoints sit
-    /// at span midpoints so Perfetto binds each to its enclosing slice.
+    /// One arrow per parameter fetch: the `fwd-fetch`/`bwd-fetch` span
+    /// of layer *l* in run *r* feeds the `fwd`/`bwd` span of the same
+    /// *l* and *r*. `tl.spans` is index-aligned with `self.spans`. Arrow
+    /// endpoints sit at span midpoints so Perfetto binds each to its
+    /// enclosing slice.
     fn prefetch_flows(&self, tl: &Timeline) -> Vec<FlowEvent> {
-        let layer_of = |label: &str| -> Option<usize> {
-            label
-                .rsplit_once('L')
-                .and_then(|(_, n)| n.parse::<usize>().ok())
-        };
-        let mut claimed = vec![false; tl.spans.len()];
+        let mid = |i: usize| 0.5 * (tl.spans[i].start + tl.spans[i].end);
         let mut flows = Vec::new();
-        for pf in tl.spans.iter() {
-            if pf.kind != SpanKind::Prefetch {
-                continue;
-            }
-            let Some(layer) = layer_of(&pf.label) else {
-                continue;
+        for (i, fetch) in self.spans.iter().enumerate() {
+            let Some(f) = fetch.task else { continue };
+            let consumer_kind = match f.kind {
+                TaskKind::FwdFetch => TaskKind::Fwd,
+                TaskKind::BwdFetch => TaskKind::Bwd,
+                _ => continue,
             };
-            let consumer = tl
-                .spans
-                .iter()
-                .enumerate()
-                .filter(|(i, s)| {
-                    !claimed[*i]
-                        && matches!(s.kind, SpanKind::Forward | SpanKind::Backward)
-                        && layer_of(&s.label) == Some(layer)
-                        && s.end >= pf.start
+            let consumer = self.spans.iter().position(|s| {
+                s.task.is_some_and(|c| {
+                    c.kind == consumer_kind && c.layer == f.layer && c.run == f.run
                 })
-                .min_by(|a, b| a.1.start.total_cmp(&b.1.start));
-            if let Some((i, c)) = consumer {
-                claimed[i] = true;
+            });
+            if let Some(c) = consumer {
                 flows.push(FlowEvent {
-                    name: pf.label.clone(),
-                    from_track: pf.track,
-                    from_ts: 0.5 * (pf.start + pf.end),
-                    to_track: c.track,
-                    to_ts: 0.5 * (c.start + c.end),
+                    name: fetch.label.clone(),
+                    from_track: tl.spans[i].track,
+                    from_ts: mid(i),
+                    to_track: tl.spans[c].track,
+                    to_ts: mid(c),
                 });
             }
         }
@@ -244,6 +236,7 @@ impl StepTelemetry {
     pub(crate) fn collect(
         recorder: &TelemetryRecorder,
         traffic: TrafficSnapshot,
+        runs: usize,
         step_start: f64,
         wall_seconds: f64,
         metrics_before: &[RouteMetrics; 4],
@@ -259,6 +252,7 @@ impl StepTelemetry {
         StepTelemetry {
             spans: recorder.drain_spans(),
             traffic,
+            runs,
             step_start,
             wall_seconds,
             route_metrics,
@@ -270,12 +264,32 @@ impl StepTelemetry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ratel_sim::{TaskId, TaskRef};
 
-    fn span(track: &str, category: SpanCategory, start: f64, end: f64) -> SpanRecord {
+    /// The span of task `id` (`kind`, `layer`) of DAG run `run`, shaped
+    /// like the engine's one recording site emits it.
+    fn task_span(
+        run: usize,
+        id: usize,
+        kind: TaskKind,
+        layer: usize,
+        start: f64,
+        end: f64,
+    ) -> SpanRecord {
         SpanRecord {
-            track: track.to_string(),
-            category,
-            label: format!("{track} {start}"),
+            track: if matches!(kind, TaskKind::Fwd | TaskKind::Bwd) {
+                "gpu0".into()
+            } else {
+                "pcie-m2g0".into()
+            },
+            kind: kind.span_kind(),
+            task: Some(TaskRef {
+                run,
+                task: TaskId(id),
+                kind,
+                layer,
+            }),
+            label: format!("{} L{layer}", kind.name()),
             start,
             end,
             bytes: None,
@@ -287,6 +301,7 @@ mod tests {
         StepTelemetry {
             spans,
             traffic: TrafficSnapshot::default(),
+            runs: 1,
             step_start: 0.0,
             wall_seconds: 1.0,
             route_metrics: Default::default(),
@@ -306,9 +321,9 @@ mod tests {
     #[test]
     fn overlap_ratio_counts_optimizer_time_under_backward() {
         let t = telemetry(vec![
-            span("gpu", SpanCategory::Backward, 0.0, 4.0),
-            span("cpu-opt", SpanCategory::Optimizer, 1.0, 3.0), // fully inside
-            span("cpu-opt", SpanCategory::Optimizer, 4.0, 6.0), // fully outside
+            task_span(0, 0, TaskKind::Bwd, 2, 0.0, 4.0),
+            task_span(0, 1, TaskKind::OptCpu, 2, 1.0, 3.0), // fully inside
+            task_span(0, 2, TaskKind::OptWrite, 2, 4.0, 6.0), // fully outside
         ]);
         // 2s of 4s optimizer time overlapped.
         assert!((t.optimizer_overlap_ratio() - 0.5).abs() < 1e-12);
@@ -316,59 +331,78 @@ mod tests {
 
     #[test]
     fn overlap_ratio_is_zero_without_optimizer_spans() {
-        let t = telemetry(vec![span("gpu", SpanCategory::Backward, 0.0, 1.0)]);
+        let t = telemetry(vec![task_span(0, 0, TaskKind::Bwd, 0, 0.0, 1.0)]);
         assert_eq!(t.optimizer_overlap_ratio(), 0.0);
     }
 
     #[test]
-    fn breakdown_sums_per_category() {
+    fn breakdown_sums_per_kind() {
+        let transfer = SpanRecord {
+            track: "ssd->host".into(),
+            kind: SpanKind::Transfer,
+            task: None,
+            label: "layer0/p16".into(),
+            start: 0.0,
+            end: 0.25,
+            bytes: Some(64),
+            route: Some(Route::SsdToHost),
+        };
         let t = telemetry(vec![
-            span("gpu", SpanCategory::Forward, 0.0, 1.0),
-            span("gpu", SpanCategory::Forward, 1.0, 1.5),
-            span("gpu", SpanCategory::Backward, 2.0, 3.0),
-            span("ssd->host", SpanCategory::Transfer, 0.0, 0.25),
+            task_span(0, 0, TaskKind::Fwd, 0, 0.0, 1.0),
+            task_span(0, 1, TaskKind::Fwd, 1, 1.0, 1.5),
+            task_span(0, 2, TaskKind::Bwd, 1, 2.0, 3.0),
+            task_span(0, 3, TaskKind::OptRead, 1, 2.0, 2.5),
+            transfer,
         ]);
         let b = t.stage_breakdown();
         assert!((b.forward - 1.5).abs() < 1e-12);
         assert!((b.backward - 1.0).abs() < 1e-12);
         assert!((b.transfer - 0.25).abs() < 1e-12);
+        assert!((b.prefetch - 0.5).abs() < 1e-12);
         assert_eq!(b.optimizer, 0.0);
     }
 
     #[test]
-    fn prefetch_flows_link_each_staging_to_its_consumer() {
-        // Layer 1 is prefetched twice (forward then backward); each pf
-        // span must link to its own consumer, earliest-first.
-        let mut t = telemetry(vec![
-            span("param-prefetch", SpanCategory::Prefetch, 0.0, 0.5),
-            span("gpu", SpanCategory::Forward, 1.0, 2.0),
-            span("param-prefetch", SpanCategory::Prefetch, 2.0, 2.5),
-            span("gpu", SpanCategory::Backward, 3.0, 4.0),
+    fn prefetch_flows_link_each_fetch_to_its_own_consumer() {
+        // Layer 1 is fetched once for forward and once for backward, in
+        // both runs of an accumulated step. The spans arrive backward
+        // first and later run first: links follow (kind, layer, run),
+        // not recording or start order.
+        let t = telemetry(vec![
+            task_span(1, 7, TaskKind::BwdFetch, 1, 12.0, 12.5),
+            task_span(1, 8, TaskKind::Bwd, 1, 13.0, 14.0),
+            task_span(1, 2, TaskKind::FwdFetch, 1, 10.0, 10.5),
+            task_span(1, 3, TaskKind::Fwd, 1, 11.0, 12.0),
+            task_span(0, 7, TaskKind::BwdFetch, 1, 2.0, 2.5),
+            task_span(0, 8, TaskKind::Bwd, 1, 3.0, 4.0),
+            task_span(0, 2, TaskKind::FwdFetch, 1, 0.0, 0.5),
+            task_span(0, 3, TaskKind::Fwd, 1, 1.0, 2.0),
+            // Another layer's compute never attracts layer 1's arrows.
+            task_span(0, 4, TaskKind::Fwd, 2, 0.0, 0.1),
         ]);
-        t.spans[0].label = "pf L1".into();
-        t.spans[1].label = "fwd L1".into();
-        t.spans[2].label = "pf L1".into();
-        t.spans[3].label = "bwd L1".into();
         let tl = t.timeline("measured");
-        assert_eq!(tl.flows.len(), 2);
-        // First pf -> fwd (midpoints 0.25 -> 1.5).
-        assert!((tl.flows[0].from_ts - 0.25).abs() < 1e-12);
-        assert!((tl.flows[0].to_ts - 1.5).abs() < 1e-12);
-        // Second pf -> bwd, since fwd is already claimed.
-        assert!((tl.flows[1].to_ts - 3.5).abs() < 1e-12);
-        // Arrows cross from the prefetch track to the gpu track.
-        assert_ne!(tl.flows[0].from_track, tl.flows[0].to_track);
+        let mut ends: Vec<(f64, f64)> = tl.flows.iter().map(|f| (f.from_ts, f.to_ts)).collect();
+        ends.sort_by(|a, b| a.0.total_cmp(&b.0));
+        // Midpoints: fwd-fetch -> fwd, bwd-fetch -> bwd, per run.
+        assert_eq!(
+            ends,
+            vec![(0.25, 1.5), (2.25, 3.5), (10.25, 11.5), (12.25, 13.5)]
+        );
+        assert_eq!(tl.flows[0].name, "bwd-fetch L1");
+        // Arrows cross from the PCIe track to the GPU track.
+        assert!(tl.flows.iter().all(|f| f.from_track != f.to_track));
     }
 
     #[test]
-    fn timeline_rebases_to_step_start() {
-        let mut t = telemetry(vec![span("gpu", SpanCategory::Forward, 10.0, 11.0)]);
+    fn timeline_rebases_to_step_start_and_keeps_task_ids() {
+        let mut t = telemetry(vec![task_span(0, 5, TaskKind::Fwd, 0, 10.0, 11.0)]);
         t.step_start = 10.0;
         let tl = t.timeline("measured");
         assert_eq!(tl.name, "measured");
-        assert_eq!(tl.tracks, vec!["gpu"]);
+        assert_eq!(tl.tracks, vec!["gpu0"]);
         assert_eq!(tl.spans[0].start, 0.0);
         assert_eq!(tl.spans[0].end, 1.0);
         assert_eq!(tl.spans[0].kind, SpanKind::Forward);
+        assert_eq!(tl.spans[0].task, Some(5));
     }
 }

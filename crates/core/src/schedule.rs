@@ -277,6 +277,18 @@ impl IterationSpec {
         [g2h as u64, h2g as u64, h2s as u64, s2h as u64]
     }
 
+    /// The plan a non-final micro-batch of an accumulated step runs:
+    /// this spec with every optimizer handler off, so gradients stop in
+    /// host memory. The engine lowers it and the conformance monitor
+    /// checks against it.
+    pub fn accumulation_spec(&self) -> IterationSpec {
+        let mut spec = self.clone();
+        for layer in &mut spec.layers {
+            layer.optimizer = OptimizerKind::None;
+        }
+        spec
+    }
+
     /// Builds the task DAG for one iteration. Returns the graph, its
     /// resources, and the total GPU FLOPs scheduled (for TFLOPS
     /// reporting).

@@ -14,7 +14,7 @@
 //! The event schema (see `DESIGN.md` "Observability plane"): `seq` is the
 //! global event index, `t` seconds since recorder creation, `kind` one of
 //! [`EventKind`], `code` a kind-specific discriminant (route index for
-//! transfers, fault op for retries, span category for spans), `bytes` the
+//! transfers, fault op for retries, span kind for spans), `bytes` the
 //! payload size, `aux` a kind-specific value (attempt number, step
 //! number, checkpoint generation, span duration in µs), and `label` the
 //! first 24 bytes of the blob key or span label.
@@ -22,6 +22,10 @@
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::OnceLock;
 use std::time::Instant;
+
+use ratel_contract::SpanKind;
+
+use crate::metrics::json_escape;
 
 /// Words per ring slot: stamp, meta, bytes, aux, label ×3, reserved.
 const SLOT_WORDS: usize = 8;
@@ -36,7 +40,7 @@ pub const DEFAULT_CAPACITY: usize = 4096;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
 pub enum EventKind {
-    /// A completed telemetry span (`code` = span category, `aux` =
+    /// A completed telemetry span (`code` = span kind index, `aux` =
     /// duration in µs). Only recorded while span telemetry is enabled.
     Span = 1,
     /// An inter-tier blob transfer (`code` = route index, always on).
@@ -101,20 +105,12 @@ impl EventKind {
     }
 
     /// Human-readable name for this kind's `code` discriminant, if the
-    /// kind defines one. Route indices follow `Route::ALL` order and span
-    /// categories `SpanCategory` order in `ratel-storage` (a stable,
+    /// kind defines one. Span codes are [`SpanKind::index`]; route
+    /// indices follow `Route::ALL` order in `ratel-storage` (a stable,
     /// documented contract — this crate sits below storage).
     pub fn code_name(self, code: u8) -> Option<&'static str> {
         const ROUTES: [&str; 4] = ["gpu->host", "host->gpu", "host->ssd", "ssd->host"];
         const FAULT_OPS: [&str; 3] = ["read", "write", "remove"];
-        const SPAN_CATEGORIES: [&str; 6] = [
-            "forward",
-            "backward",
-            "optimizer",
-            "transfer",
-            "prefetch",
-            "other",
-        ];
         const DRIFT: [&str; 4] = [
             "unplanned_transfer",
             "byte_mismatch",
@@ -124,7 +120,7 @@ impl EventKind {
         let table: &[&str] = match self {
             EventKind::Transfer | EventKind::Spill => &ROUTES,
             EventKind::Retry | EventKind::GiveUp => &FAULT_OPS,
-            EventKind::Span => &SPAN_CATEGORIES,
+            EventKind::Span => return SpanKind::ALL.get(code as usize).map(|k| k.name()),
             EventKind::Drift => &DRIFT,
             _ => return None,
         };
@@ -142,7 +138,7 @@ pub struct FlightEvent {
     pub t: f64,
     /// Event kind.
     pub kind: EventKind,
-    /// Kind-specific discriminant (route, fault op, span category, …).
+    /// Kind-specific discriminant (route, fault op, span kind, …).
     pub code: u8,
     /// Payload bytes (transfers, step traffic), 0 otherwise.
     pub bytes: u64,
@@ -280,7 +276,7 @@ impl FlightRecorder {
             out,
             "{{\"reason\":\"{}\",\"recorded\":{recorded},\"capacity\":{},\
              \"overwritten\":{},\"events\":[",
-            esc(reason),
+            json_escape(reason),
             self.capacity,
             recorded.saturating_sub(events.len() as u64),
         );
@@ -304,31 +300,12 @@ impl FlightRecorder {
                 "\"bytes\":{},\"aux\":{},\"label\":\"{}\"}}",
                 e.bytes,
                 e.aux,
-                esc(&e.label)
+                json_escape(&e.label)
             );
         }
         out.push_str("\n]}\n");
         out
     }
-}
-
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                use std::fmt::Write as _;
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// The process-global flight recorder ([`DEFAULT_CAPACITY`] events).
@@ -356,6 +333,21 @@ mod tests {
         assert_eq!(events[2].kind, EventKind::GiveUp);
         assert_eq!(events[2].aux, 4);
         assert!(events.windows(2).all(|w| w[0].seq < w[1].seq));
+    }
+
+    #[test]
+    fn span_codes_decode_to_the_dump_format_names() {
+        let names: Vec<_> = (0..7).map(|c| EventKind::Span.code_name(c)).collect();
+        let expected = [
+            Some("forward"),
+            Some("backward"),
+            Some("optimizer"),
+            Some("transfer"),
+            Some("prefetch"),
+            Some("other"),
+            None,
+        ];
+        assert_eq!(names, expected);
     }
 
     #[test]

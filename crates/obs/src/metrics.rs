@@ -8,10 +8,10 @@
 //! * [`Counter`] — monotonically increasing `u64`. Bridges mirroring an
 //!   externally-maintained cumulative count use [`Counter::set_total`].
 //! * [`Gauge`] — an `f64` that can go up and down.
-//! * [`Histogram`] — power-of-two latency buckets matching the storage
-//!   layer's `LatencyHistogram` layout (base 1 µs, 32 buckets), with
-//!   percentile helpers ([`Histogram::quantile_upper_bound`], built on
-//!   [`pow2_quantile_upper_bound`]).
+//! * [`Histogram`] — power-of-two latency buckets (base 1 µs, 32
+//!   buckets) with percentile helpers. The layout — constants,
+//!   [`pow2_bucket_index`], [`pow2_quantile_upper_bound`] — is defined
+//!   here once; the storage layer's `LatencyHistogram` is built on it.
 //!
 //! The export formats are hand-rolled (the workspace vendors no serde);
 //! [`validate_prometheus`] is a self-check parser strict enough for CI to
@@ -24,8 +24,7 @@ use std::sync::Arc;
 
 use ratel_check::sync::Mutex;
 
-/// Number of histogram buckets (mirrors
-/// `ratel_storage::telemetry::HISTOGRAM_BUCKETS`).
+/// Number of histogram buckets.
 pub const HISTOGRAM_BUCKETS: usize = 32;
 
 /// Lower bound of histogram bucket 0, in seconds (1 µs). Bucket `i`
@@ -33,13 +32,21 @@ pub const HISTOGRAM_BUCKETS: usize = 32;
 /// anything below/above the covered range.
 pub const HISTOGRAM_BASE_SECONDS: f64 = 1e-6;
 
+/// Bucket index for a latency, clamped into the covered range.
+pub fn pow2_bucket_index(seconds: f64) -> usize {
+    if seconds <= HISTOGRAM_BASE_SECONDS {
+        return 0;
+    }
+    let idx = (seconds / HISTOGRAM_BASE_SECONDS).log2().floor() as i64;
+    idx.clamp(0, HISTOGRAM_BUCKETS as i64 - 1) as usize
+}
+
 /// Upper bound of the smallest power-of-two bucket such that at least
 /// `q` (0..=1) of the observations in `buckets` fall at or below it.
 /// Bucket `i` is `[base·2^i, base·2^(i+1))`. Returns 0 when empty.
 ///
-/// This is the shared percentile helper: it works over this module's
-/// [`Histogram`] and over snapshots of the storage layer's power-of-two
-/// `LatencyHistogram` alike.
+/// Shared by this module's [`Histogram`] and the storage layer's
+/// `LatencyHistogram`.
 pub fn pow2_quantile_upper_bound(buckets: &[u64], base_seconds: f64, q: f64) -> f64 {
     let count: u64 = buckets.iter().sum();
     if count == 0 {
@@ -115,13 +122,7 @@ impl Histogram {
     /// Records one observation, in seconds.
     pub fn record(&self, seconds: f64) {
         let seconds = seconds.max(0.0);
-        let idx = if seconds <= HISTOGRAM_BASE_SECONDS {
-            0
-        } else {
-            let i = (seconds / HISTOGRAM_BASE_SECONDS).log2().floor() as i64;
-            i.clamp(0, HISTOGRAM_BUCKETS as i64 - 1) as usize
-        };
-        self.0.buckets[idx].fetch_add(1, Ordering::Relaxed);
+        self.0.buckets[pow2_bucket_index(seconds)].fetch_add(1, Ordering::Relaxed);
         self.0.count.fetch_add(1, Ordering::Relaxed);
         self.0
             .sum_nanos
@@ -216,7 +217,7 @@ fn prom_escape(v: &str) -> String {
         .replace('\n', "\\n")
 }
 
-fn json_escape(s: &str) -> String {
+pub(crate) fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {

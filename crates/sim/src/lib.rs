@@ -27,7 +27,7 @@ pub use engine::simulate;
 pub use graph::{ResourceId, Stage, TaskGraph, TaskId};
 pub use meta::{
     BlobKey, BlobKind, Edge, MemTier, OpClass, ResidencyAlloc, ResourceClass, TaskIdentity,
-    TaskKind, TaskMeta, VersionedBlob,
+    TaskKind, TaskMeta, TaskRef, VersionedBlob,
 };
 pub use report::{ResourceUsage, SimReport, StageReport, TimelineEntry};
 pub use trace::{

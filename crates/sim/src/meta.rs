@@ -15,5 +15,5 @@
 
 pub use ratel_contract::{
     BlobKey, BlobKind, Edge, MemTier, OpClass, ResidencyAlloc, ResourceClass, TaskIdentity,
-    TaskKind, TaskMeta, VersionedBlob,
+    TaskKind, TaskMeta, TaskRef, VersionedBlob,
 };

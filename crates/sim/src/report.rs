@@ -149,48 +149,7 @@ impl SimReport {
     /// character cells across the makespan. Cell glyphs encode the busy
     /// stage: `F` forward, `B` backward, `O` optimizer, `.` idle.
     pub fn render_gantt(&self, width: usize) -> String {
-        use std::fmt::Write as _;
-        let width = width.max(10);
-        let mut out = String::new();
-        let name_w = self
-            .resources
-            .iter()
-            .map(|r| r.name.len())
-            .max()
-            .unwrap_or(0);
-        let _ = writeln!(
-            out,
-            "{:>name_w$}  0s{}{:.1}s",
-            "",
-            " ".repeat(width.saturating_sub(8)),
-            self.makespan
-        );
-        for (ri, res) in self.resources.iter().enumerate() {
-            let mut row = vec!['.'; width];
-            for e in &self.timeline {
-                if e.resource != res.name || self.makespan == 0.0 {
-                    continue;
-                }
-                let a = ((e.start / self.makespan) * width as f64).floor() as usize;
-                let b = ((e.finish / self.makespan) * width as f64).ceil() as usize;
-                let glyph = match e.stage {
-                    Stage::Forward => 'F',
-                    Stage::Backward => 'B',
-                    Stage::Optimizer => 'O',
-                };
-                for cell in row.iter_mut().take(b.min(width)).skip(a.min(width)) {
-                    *cell = glyph;
-                }
-            }
-            let _ = writeln!(
-                out,
-                "{:>name_w$}  {}",
-                res.name,
-                row.iter().collect::<String>()
-            );
-            let _ = ri;
-        }
-        out
+        crate::trace::Timeline::from_sim(self).gantt(width)
     }
 
     /// Start time of a task.

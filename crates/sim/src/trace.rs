@@ -12,78 +12,27 @@
 
 use std::fmt::Write as _;
 
-use crate::graph::{ResourceId, Stage};
+use crate::graph::ResourceId;
 use crate::report::{SimReport, TimelineEntry};
 
 /// Microseconds per simulated second in the Chrome trace. Trace-event
 /// timestamps are integers in microseconds; simulated seconds map 1:1.
 const US_PER_SEC: f64 = 1e6;
 
-/// Substrate-neutral span classification — a superset of the simulator's
-/// three-stage [`Stage`] enum, so *measured* engine spans (transfers,
-/// prefetches, bookkeeping) render through the same writers as simulated
-/// tasks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum SpanKind {
-    /// Forward compute.
-    Forward,
-    /// Backward compute.
-    Backward,
-    /// Optimizer work.
-    Optimizer,
-    /// An inter-tier data transfer (measured timelines only).
-    Transfer,
-    /// Parameter/state prefetch (measured timelines only).
-    Prefetch,
-    /// Anything else (scaler decisions, skips, bookkeeping).
-    Other,
-}
+// One span vocabulary for simulated tasks and *measured* engine spans
+// (transfers, prefetches, bookkeeping), so both render through the same
+// writers.
+pub use ratel_contract::SpanKind;
 
-impl SpanKind {
-    /// Short stable name used as the trace-event category.
-    pub fn name(self) -> &'static str {
-        match self {
-            SpanKind::Forward => "forward",
-            SpanKind::Backward => "backward",
-            SpanKind::Optimizer => "optimizer",
-            SpanKind::Transfer => "transfer",
-            SpanKind::Prefetch => "prefetch",
-            SpanKind::Other => "other",
-        }
-    }
-
-    /// Single-character Gantt glyph.
-    pub fn glyph(self) -> char {
-        match self {
-            SpanKind::Forward => 'F',
-            SpanKind::Backward => 'B',
-            SpanKind::Optimizer => 'O',
-            SpanKind::Transfer => 'T',
-            SpanKind::Prefetch => 'P',
-            SpanKind::Other => '#',
-        }
-    }
-
-    /// Chrome trace-event reserved color name (cname).
-    fn color(self) -> &'static str {
-        match self {
-            SpanKind::Forward => "thread_state_running",
-            SpanKind::Backward => "thread_state_iowait",
-            SpanKind::Optimizer => "thread_state_uninterruptible",
-            SpanKind::Transfer => "thread_state_runnable",
-            SpanKind::Prefetch => "thread_state_sleeping",
-            SpanKind::Other => "thread_state_unknown",
-        }
-    }
-}
-
-impl From<Stage> for SpanKind {
-    fn from(s: Stage) -> Self {
-        match s {
-            Stage::Forward => SpanKind::Forward,
-            Stage::Backward => SpanKind::Backward,
-            Stage::Optimizer => SpanKind::Optimizer,
-        }
+/// Chrome trace-event reserved color name (cname) of a span kind.
+fn color(kind: SpanKind) -> &'static str {
+    match kind {
+        SpanKind::Forward => "thread_state_running",
+        SpanKind::Backward => "thread_state_iowait",
+        SpanKind::Optimizer => "thread_state_uninterruptible",
+        SpanKind::Transfer => "thread_state_runnable",
+        SpanKind::Prefetch => "thread_state_sleeping",
+        SpanKind::Other => "thread_state_unknown",
     }
 }
 
@@ -100,7 +49,8 @@ pub struct TimelineSpan {
     pub start: f64,
     /// End time in seconds.
     pub end: f64,
-    /// Simulator task id, if the span came from a [`SimReport`].
+    /// Id of the task the span shows, in the graph that was simulated
+    /// or executed; `None` for transfers and bookkeeping.
     pub task: Option<usize>,
     /// Payload size, if the span is a data transfer.
     pub bytes: Option<u64>,
@@ -338,7 +288,7 @@ pub fn chrome_trace_json_timelines(timelines: &[Timeline]) -> String {
                     tid = s.track,
                     name = json_escape(&s.label),
                     cat = s.kind.name(),
-                    cname = s.kind.color(),
+                    cname = color(s.kind),
                 ),
                 &mut out,
                 &mut first,
@@ -652,10 +602,10 @@ mod tests {
     #[test]
     fn chrome_trace_emits_flow_arrow_pairs() {
         let mut tl = Timeline::new("measured");
-        let pf = tl.track("param-prefetch");
-        let gpu = tl.track("gpu");
+        let pf = tl.track("pcie-m2g0");
+        let gpu = tl.track("gpu0");
         tl.flows.push(FlowEvent {
-            name: "pf L1".into(),
+            name: "fwd-fetch L1".into(),
             from_track: pf,
             from_ts: 0.5,
             to_track: gpu,
@@ -665,7 +615,10 @@ mod tests {
         assert_eq!(json.matches("\"ph\":\"s\"").count(), 1);
         assert_eq!(json.matches("\"ph\":\"f\",\"bp\":\"e\"").count(), 1);
         // Both endpoints share the arrow's id and name.
-        assert_eq!(json.matches("\"id\":1,\"name\":\"pf L1\"").count(), 2);
+        assert_eq!(
+            json.matches("\"id\":1,\"name\":\"fwd-fetch L1\"").count(),
+            2
+        );
         assert!(json.contains("\"ts\":500000.000"));
         assert!(json.contains("\"ts\":1250000.000"));
         assert_eq!(json.matches('{').count(), json.matches('}').count());

@@ -30,7 +30,5 @@ pub mod traffic;
 pub use error::StorageError;
 pub use fault::{FaultEvent, FaultKind, FaultOp, FaultPlan, RetryPolicy};
 pub use store::{Tier, TierConfig, TieredStore};
-pub use telemetry::{
-    FaultStats, LatencyHistogram, RouteMetrics, SpanCategory, SpanRecord, TelemetryRecorder,
-};
+pub use telemetry::{FaultStats, LatencyHistogram, RouteMetrics, SpanRecord, TelemetryRecorder};
 pub use traffic::{Route, TrafficSnapshot};

@@ -1594,7 +1594,7 @@ mod throttle_tests {
         assert!(m.seconds >= 0.1, "span shorter than the throttle sleep");
         assert_eq!(m.histogram.count(), 1);
         // The observation sits in a bucket whose bounds contain it.
-        let bucket = (0..crate::telemetry::HISTOGRAM_BUCKETS)
+        let bucket = (0..ratel_obs::metrics::HISTOGRAM_BUCKETS)
             .find(|&i| m.histogram.bucket_count(i) == 1)
             .expect("one bucket holds the observation");
         let (lo, hi) = crate::telemetry::LatencyHistogram::bucket_bounds(bucket);

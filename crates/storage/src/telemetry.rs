@@ -6,10 +6,11 @@
 //! path is a single relaxed atomic load, so un-instrumented training pays
 //! essentially nothing. When enabled it collects
 //!
-//! * **spans** — `(track, category, label, start, end)` intervals recorded
-//!   by the engine for every stage (per-layer forward/backward, optimizer
-//!   read/update/write-back, prefetch, scaler decisions) and by the store
-//!   for every inter-tier transfer (tagged with route, blob key, bytes);
+//! * **spans** — `(track, kind, label, start, end)` intervals: one per
+//!   executed task of the engine's step DAG (carrying the task's
+//!   [`TaskRef`]), one for the scaler decision, and one recorded by the
+//!   store for every inter-tier transfer (tagged with route, blob key,
+//!   bytes);
 //! * **per-route metrics** — op/byte counters, busy seconds, and a
 //!   power-of-two latency histogram per transfer route, from which the
 //!   achieved bandwidth on each link can be compared against the profiled
@@ -24,66 +25,28 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::time::Instant;
 
 use ratel_check::sync::Mutex;
+use ratel_contract::{SpanKind, TaskRef};
+use ratel_obs::metrics::{
+    pow2_bucket_index, pow2_quantile_upper_bound, HISTOGRAM_BASE_SECONDS, HISTOGRAM_BUCKETS,
+};
 use ratel_obs::EventKind;
 
 use crate::traffic::Route;
 
-/// Coarse classification of a span, used to group tracks and color slices
-/// when exporting. Deliberately independent of the simulator's `Stage`
-/// enum: storage sits below `ratel-sim` in the dependency order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum SpanCategory {
-    /// Forward compute for one layer.
-    Forward,
-    /// Backward compute for one layer.
-    Backward,
-    /// Active-optimizer work (state read, Adam update, write-back).
-    Optimizer,
-    /// An inter-tier blob transfer (recorded by the store itself).
-    Transfer,
-    /// Parameter or optimizer-state prefetch.
-    Prefetch,
-    /// Everything else (scaler decisions, skips, bookkeeping).
-    Other,
-}
-
-impl SpanCategory {
-    /// Short stable name, used in exports.
-    pub fn name(self) -> &'static str {
-        match self {
-            SpanCategory::Forward => "forward",
-            SpanCategory::Backward => "backward",
-            SpanCategory::Optimizer => "optimizer",
-            SpanCategory::Transfer => "transfer",
-            SpanCategory::Prefetch => "prefetch",
-            SpanCategory::Other => "other",
-        }
-    }
-
-    /// Stable index, matching the flight recorder's span `code` contract
-    /// (`ratel_obs::EventKind::code_name` resolves it back to a name).
-    pub fn index(self) -> usize {
-        match self {
-            SpanCategory::Forward => 0,
-            SpanCategory::Backward => 1,
-            SpanCategory::Optimizer => 2,
-            SpanCategory::Transfer => 3,
-            SpanCategory::Prefetch => 4,
-            SpanCategory::Other => 5,
-        }
-    }
-}
-
 /// One recorded interval.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SpanRecord {
-    /// Logical lane the span belongs to (e.g. `"gpu"`, `"cpu-opt"`, or a
-    /// route name like `"ssd->host"`). Spans on one track are expected not
-    /// to overlap; tracks map to timeline rows on export.
+    /// Lane the span belongs to: the task's resource name in the step
+    /// graph (`"gpu0"`, `"ssd"`), a route name like `"ssd->host"`, or
+    /// `"engine"`. Tracks map to timeline rows on export.
     pub track: String,
-    /// Coarse classification (stage or transfer).
-    pub category: SpanCategory,
-    /// Human-readable label, e.g. `"fwd L3"` or a blob key.
+    /// Classification for grouping and coloring.
+    pub kind: SpanKind,
+    /// The executed task this span measures; `None` for transfers and
+    /// the scaler span.
+    pub task: Option<TaskRef>,
+    /// Display label: the task's label in the graph (`"fwd L3"`) or a
+    /// blob key. Nothing reads it back.
     pub label: String,
     /// Start, in seconds since the recorder epoch.
     pub start: f64,
@@ -102,16 +65,10 @@ impl SpanRecord {
     }
 }
 
-/// Number of latency histogram buckets.
-pub const HISTOGRAM_BUCKETS: usize = 32;
-
-/// Lower bound of bucket 0, in seconds (1 µs). Bucket `i` covers
-/// `[1µs·2^i, 1µs·2^(i+1))`; the first and last buckets also absorb
-/// anything below/above the covered range (up to ~4295 s).
-pub const HISTOGRAM_BASE_SECONDS: f64 = 1e-6;
-
-/// A power-of-two latency histogram: bucket `i` counts transfers whose
-/// wall time fell in `[1µs·2^i, 1µs·2^(i+1))`.
+/// A power-of-two latency histogram over the bucket layout of
+/// [`ratel_obs::metrics`]: bucket `i` counts transfers whose wall time
+/// fell in `[1µs·2^i, 1µs·2^(i+1))`, the first and last buckets absorbing
+/// anything below/above the covered range.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LatencyHistogram {
     buckets: [u64; HISTOGRAM_BUCKETS],
@@ -131,20 +88,11 @@ impl Default for LatencyHistogram {
     }
 }
 
-/// Bucket index for a latency, clamped into the covered range.
-fn bucket_index(seconds: f64) -> usize {
-    if seconds <= HISTOGRAM_BASE_SECONDS {
-        return 0;
-    }
-    let idx = (seconds / HISTOGRAM_BASE_SECONDS).log2().floor() as i64;
-    idx.clamp(0, HISTOGRAM_BUCKETS as i64 - 1) as usize
-}
-
 impl LatencyHistogram {
     /// Adds one observation.
     pub fn record(&mut self, seconds: f64) {
         let seconds = seconds.max(0.0);
-        self.buckets[bucket_index(seconds)] += 1;
+        self.buckets[pow2_bucket_index(seconds)] += 1;
         self.count += 1;
         self.total_seconds += seconds;
         if seconds > self.max_seconds {
@@ -205,18 +153,7 @@ impl LatencyHistogram {
     /// Upper bound of the smallest bucket such that at least `q` (0..=1)
     /// of observations fall at or below it. 0 when empty.
     pub fn quantile_upper_bound(&self, q: f64) -> f64 {
-        if self.count == 0 {
-            return 0.0;
-        }
-        let target = (q.clamp(0.0, 1.0) * self.count as f64).ceil() as u64;
-        let mut seen = 0u64;
-        for (i, b) in self.buckets.iter().enumerate() {
-            seen += b;
-            if seen >= target {
-                return Self::bucket_bounds(i).1;
-            }
-        }
-        Self::bucket_bounds(HISTOGRAM_BUCKETS - 1).1
+        pow2_quantile_upper_bound(&self.buckets, HISTOGRAM_BASE_SECONDS, q)
     }
 }
 
@@ -356,7 +293,12 @@ impl TelemetryRecorder {
 
     /// Seconds since the recorder epoch (monotonic, shared by threads).
     pub fn now(&self) -> f64 {
-        self.epoch.elapsed().as_secs_f64()
+        self.at(Instant::now())
+    }
+
+    /// `instant` on the recorder clock: seconds since the epoch.
+    pub fn at(&self, instant: Instant) -> f64 {
+        instant.saturating_duration_since(self.epoch).as_secs_f64()
     }
 
     /// Caps the buffered span store at `cap` (≥ 1): once full, the
@@ -389,11 +331,13 @@ impl TelemetryRecorder {
         shared.spans.push_back(span);
     }
 
-    /// Records a compute/stage span. No-op while disabled.
+    /// Records the span of one executed task (`task` set) or of
+    /// un-tasked engine work. No-op while disabled.
     pub fn record_span(
         &self,
         track: &str,
-        category: SpanCategory,
+        kind: SpanKind,
+        task: Option<TaskRef>,
         label: impl Into<String>,
         start: f64,
         end: f64,
@@ -404,7 +348,7 @@ impl TelemetryRecorder {
         let label = label.into();
         ratel_obs::flight().record(
             EventKind::Span,
-            category.index() as u8,
+            kind.index() as u8,
             &label,
             0,
             ((end - start).max(0.0) * 1e6) as u64,
@@ -414,7 +358,8 @@ impl TelemetryRecorder {
             &mut shared,
             SpanRecord {
                 track: track.to_string(),
-                category,
+                kind,
+                task,
                 label,
                 start,
                 end,
@@ -424,7 +369,7 @@ impl TelemetryRecorder {
         );
     }
 
-    /// Records a transfer span (route track, `Transfer` category) and
+    /// Records a transfer span (route track, `Transfer` kind) and
     /// folds it into the route's metrics. No-op while disabled.
     pub fn record_transfer(&self, route: Route, key: &str, bytes: u64, start: f64, end: f64) {
         if !self.enabled() {
@@ -441,7 +386,8 @@ impl TelemetryRecorder {
             &mut shared,
             SpanRecord {
                 track: route.name().to_string(),
-                category: SpanCategory::Transfer,
+                kind: SpanKind::Transfer,
+                task: None,
                 label: key.to_string(),
                 start,
                 end,
@@ -508,7 +454,7 @@ mod tests {
     #[test]
     fn disabled_recorder_records_nothing() {
         let rec = TelemetryRecorder::new();
-        rec.record_span("gpu", SpanCategory::Forward, "fwd L0", 0.0, 1.0);
+        rec.record_span("gpu0", SpanKind::Forward, None, "fwd L0", 0.0, 1.0);
         rec.record_transfer(Route::SsdToHost, "k", 100, 0.0, 0.5);
         assert!(rec.drain_spans().is_empty());
         assert_eq!(rec.route_metrics()[Route::SsdToHost.index()].ops, 0);
@@ -518,7 +464,7 @@ mod tests {
     fn spans_and_metrics_accumulate_when_enabled() {
         let rec = TelemetryRecorder::new();
         rec.set_enabled(true);
-        rec.record_span("gpu", SpanCategory::Forward, "fwd L0", 0.0, 1.0);
+        rec.record_span("gpu0", SpanKind::Forward, None, "fwd L0", 0.0, 1.0);
         rec.record_transfer(Route::SsdToHost, "blob", 1000, 1.0, 1.5);
         rec.record_transfer(Route::SsdToHost, "blob2", 500, 1.5, 2.0);
         let spans = rec.drain_spans();
@@ -546,8 +492,8 @@ mod tests {
         assert_eq!(h.count(), 3);
         assert_eq!(h.bucket_count(0), 1);
         assert_eq!(h.bucket_count(1), 1);
-        assert_eq!(h.bucket_count(bucket_index(1.0)), 1);
-        let (lo, hi) = LatencyHistogram::bucket_bounds(bucket_index(1.0));
+        assert_eq!(h.bucket_count(pow2_bucket_index(1.0)), 1);
+        let (lo, hi) = LatencyHistogram::bucket_bounds(pow2_bucket_index(1.0));
         assert!(lo <= 1.0 && 1.0 < hi, "1s not in [{lo}, {hi})");
         assert!(h.max_seconds() == 1.0);
         // All observations are at or below the top bucket's bound.
@@ -571,8 +517,8 @@ mod tests {
         assert!((m.seconds - 1.0).abs() < 1e-9);
         assert_eq!(m.histogram.count(), 1);
         // The warm-up's 1 ms observation is subtracted out of its bucket.
-        assert_eq!(m.histogram.bucket_count(bucket_index(0.001)), 0);
-        assert_eq!(m.histogram.bucket_count(bucket_index(1.0)), 1);
+        assert_eq!(m.histogram.bucket_count(pow2_bucket_index(0.001)), 0);
+        assert_eq!(m.histogram.bucket_count(pow2_bucket_index(1.0)), 1);
         // Only the step's slow transfer remains -> bandwidth 500 B/s.
         assert!((m.achieved_bandwidth().unwrap() - 500.0).abs() < 1e-6);
     }
@@ -602,7 +548,14 @@ mod tests {
         rec.set_enabled(true);
         rec.set_span_capacity(8);
         for i in 0..20 {
-            rec.record_span("gpu", SpanCategory::Forward, format!("fwd L{i}"), 0.0, 1.0);
+            rec.record_span(
+                "gpu0",
+                SpanKind::Forward,
+                None,
+                format!("fwd L{i}"),
+                0.0,
+                1.0,
+            );
         }
         assert_eq!(rec.dropped_spans(), 12);
         let spans = rec.drain_spans();

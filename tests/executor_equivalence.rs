@@ -10,67 +10,10 @@
 //!    `ratel-verify` pass that debug builds run before the executor
 //!    ever sees the graph.
 
+mod common;
+
+use common::{config_with, zoo};
 use ratel_repro::prelude::*;
-
-fn zoo() -> Vec<GptConfig> {
-    vec![
-        // Wide-ish and shallow.
-        GptConfig {
-            vocab: 96,
-            seq: 12,
-            hidden: 32,
-            heads: 4,
-            layers: 2,
-            batch: 2,
-        },
-        // Deeper, mixed activation policies exercise spill + recompute.
-        GptConfig {
-            vocab: 64,
-            seq: 8,
-            hidden: 16,
-            heads: 2,
-            layers: 4,
-            batch: 2,
-        },
-        // Single block: the shortest pipeline the lowering supports.
-        GptConfig {
-            vocab: 48,
-            seq: 8,
-            hidden: 16,
-            heads: 2,
-            layers: 1,
-            batch: 1,
-        },
-    ]
-}
-
-fn decisions_for(model: &GptConfig) -> Vec<ActDecision> {
-    // Rotate through all three policies so every DAG shape appears.
-    (0..model.layers)
-        .map(|b| match b % 3 {
-            0 => ActDecision::SwapToHost,
-            1 => ActDecision::SwapToSsd,
-            _ => ActDecision::Recompute,
-        })
-        .collect()
-}
-
-fn config_with(model: GptConfig, execution: ExecutionOptions) -> EngineConfig {
-    EngineConfig {
-        model,
-        seed: 1234,
-        adam: AdamParams::default(),
-        act_decisions: decisions_for(&model),
-        gpu_capacity: None,
-        host_capacity: None,
-        execution,
-        loss_scale: ScalePolicy::None,
-        grad_clip: None,
-        lr_schedule: ratel_repro::core::engine::lr::LrSchedule::Constant,
-        dropout: None,
-        frozen_layers: Vec::new(),
-    }
-}
 
 /// Run `steps` training steps, returning the losses and final masters.
 fn run(config: EngineConfig, steps: u64) -> (Vec<f32>, Vec<Vec<f32>>) {

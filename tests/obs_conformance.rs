@@ -8,36 +8,17 @@
 use ratel_repro::core::engine::conformance::{ConformanceConfig, ConformanceMonitor, DriftKind};
 use ratel_repro::core::engine::telemetry::StepTelemetry;
 use ratel_repro::prelude::*;
-use ratel_repro::storage::telemetry::{SpanCategory, SpanRecord};
+use ratel_repro::sim::SpanKind;
+use ratel_repro::storage::telemetry::SpanRecord;
 use ratel_repro::storage::{FaultKind, FaultPlan, Route};
 
-fn tiny_config() -> GptConfig {
-    GptConfig {
-        vocab: 64,
-        seq: 16,
-        hidden: 32,
-        heads: 4,
-        layers: 3,
-        batch: 2,
-    }
-}
-
-/// The paper's optimized schedule, same shape the `obs` smoke runs:
-/// everything swapped to host, active offload and prefetch on.
-fn build(model: GptConfig) -> RatelEngine {
+/// The paper's optimized schedule on the tiny model, the shape the `obs`
+/// smoke runs: everything swapped to host, active offload and prefetch
+/// on.
+fn build(frozen_layers: Vec<usize>) -> RatelEngine {
     RatelEngine::new(EngineConfig {
-        model,
-        seed: 42,
-        adam: AdamParams::default(),
-        act_decisions: vec![ActDecision::SwapToHost; model.layers],
-        gpu_capacity: None,
-        host_capacity: None,
-        execution: ExecutionOptions::default(),
-        loss_scale: ScalePolicy::None,
-        grad_clip: None,
-        lr_schedule: LrSchedule::Constant,
-        dropout: None,
-        frozen_layers: Vec::new(),
+        frozen_layers,
+        ..EngineConfig::tiny()
     })
     .unwrap()
 }
@@ -45,8 +26,8 @@ fn build(model: GptConfig) -> RatelEngine {
 /// One instrumented step's telemetry plus the monitor built from the
 /// same engine's movement spec — the seed every mutation perturbs.
 fn instrumented_step(config: ConformanceConfig) -> (StepTelemetry, ConformanceMonitor) {
-    let model = tiny_config();
-    let mut engine = build(model);
+    let model = GptConfig::tiny();
+    let mut engine = build(Vec::new());
     engine.enable_telemetry();
     let monitor = ConformanceMonitor::new(&engine.movement_spec(), config);
     let (tokens, targets) = random_batch(&model, 1234);
@@ -65,8 +46,8 @@ fn kinds(findings: &[ratel_repro::core::engine::conformance::Finding]) -> Vec<Dr
 /// own verified plan on every step — zero findings, live in the engine.
 #[test]
 fn clean_runs_produce_zero_findings() {
-    let model = tiny_config();
-    let mut engine = build(model);
+    let model = GptConfig::tiny();
+    let mut engine = build(Vec::new());
     engine.enable_conformance(ConformanceConfig::default());
     let (tokens, targets) = random_batch(&model, 7);
     for step in 0..3 {
@@ -90,7 +71,8 @@ fn unplanned_transfer_is_flagged() {
     let mut mutated = clean.clone();
     mutated.spans.push(SpanRecord {
         track: "host->gpu".into(),
-        category: SpanCategory::Transfer,
+        kind: SpanKind::Transfer,
+        task: None,
         label: "rogue/blob".into(),
         start: mutated.step_start,
         end: mutated.step_start + 1e-4,
@@ -125,7 +107,8 @@ fn byte_mismatch_is_flagged_per_route() {
     }
 }
 
-/// Drift class 3: two forward layers started out of plan order.
+/// Drift class 3: two forward layers started out of plan order, so the
+/// later one began before its dependency — the earlier one — ended.
 #[test]
 fn stage_inversion_is_flagged() {
     let (clean, monitor) = instrumented_step(ConformanceConfig::default());
@@ -134,7 +117,7 @@ fn stage_inversion_is_flagged() {
         .spans
         .iter()
         .enumerate()
-        .filter(|(_, s)| s.category == SpanCategory::Forward)
+        .filter(|(_, s)| s.kind == SpanKind::Forward)
         .map(|(i, _)| i)
         .take(2)
         .collect();
@@ -145,10 +128,68 @@ fn stage_inversion_is_flagged() {
     mutated.spans[b].start = sa;
     let findings = monitor.check(&mutated);
     assert_eq!(kinds(&findings), vec![DriftKind::StageInversion]);
+    let (first, second) = (&clean.spans[a].label, &clean.spans[b].label);
     assert!(
-        findings.iter().any(|f| f.detail.contains("in forward")),
-        "{findings:?}"
+        findings
+            .iter()
+            .any(|f| f.detail.contains(first.as_str()) && f.detail.contains(second.as_str())),
+        "no finding names both {first:?} and {second:?}: {findings:?}"
     );
+}
+
+/// An accumulated step conforms: its k − 1 accumulation runs and final
+/// step run are held against their own plans (a frozen layer makes the
+/// two DAGs differ in more than the optimizer handlers), and task ids
+/// are matched within a run only.
+#[test]
+fn accumulated_steps_conform_and_runs_do_not_collide() {
+    let model = GptConfig::tiny();
+    let mut engine = build(vec![1]);
+    engine.enable_conformance(ConformanceConfig::default());
+    let micro: Vec<_> = (0..3).map(|s| random_batch(&model, 40 + s)).collect();
+    engine.train_step_accumulated(&micro).unwrap();
+    assert!(
+        engine.conformance_findings().is_empty(),
+        "accumulated step drifted: {:?}",
+        engine.conformance_findings()
+    );
+    let clean = engine.last_step_telemetry().unwrap().clone();
+    assert_eq!(clean.runs, 3);
+
+    // Seed a cross-run id collision: run 0 replayed after everything
+    // else. Its task ids recur in runs 1 and 2 with earlier timestamps;
+    // only a checker matching ids across runs would see inversions.
+    let monitor = ConformanceMonitor::new(&engine.movement_spec(), ConformanceConfig::default());
+    let mut mutated = clean.clone();
+    for s in &mut mutated.spans {
+        if s.task.is_some_and(|t| t.run == 0) {
+            s.start += clean.wall_seconds;
+            s.end += clean.wall_seconds;
+        }
+    }
+    assert!(monitor.check(&mutated).is_empty());
+}
+
+/// Conformance checks what a step recorded, nothing older: with
+/// recording switched off, a finding from an earlier step is neither
+/// re-counted nor re-emitted.
+#[test]
+fn steps_that_record_nothing_are_not_rechecked() {
+    let model = GptConfig::tiny();
+    let mut engine = build(Vec::new());
+    let mut config = ConformanceConfig::default();
+    config.bandwidth_targets[Route::SsdToHost.index()] = Some(1e18);
+    engine.enable_conformance(config);
+    let (tokens, targets) = random_batch(&model, 7);
+    engine.train_step(&tokens, &targets).unwrap();
+    assert_eq!(engine.total_findings(), 1, "the armed stall is the seed");
+
+    engine.telemetry().set_enabled(false);
+    for _ in 0..2 {
+        engine.train_step(&tokens, &targets).unwrap();
+        assert!(engine.conformance_findings().is_empty());
+    }
+    assert_eq!(engine.total_findings(), 1);
 }
 
 /// Drift class 4: a route with an armed bandwidth target achieving less
@@ -167,7 +208,7 @@ fn bandwidth_stall_is_flagged_when_a_target_is_armed() {
     // The same telemetry with no target armed is clean: the stall check
     // never invents a floor on its own.
     let quiet = ConformanceMonitor::new(
-        &build(tiny_config()).movement_spec(),
+        &build(Vec::new()).movement_spec(),
         ConformanceConfig::default(),
     );
     assert!(quiet.check(&clean).is_empty());
@@ -182,8 +223,8 @@ fn permanent_fault_leaves_a_postmortem_naming_the_failing_transfer() {
     let _ = std::fs::remove_dir_all(&dir);
     ratel_repro::obs::set_postmortem_dir(&dir);
 
-    let model = tiny_config();
-    let mut engine = build(model);
+    let model = GptConfig::tiny();
+    let mut engine = build(Vec::new());
     let (tokens, targets) = random_batch(&model, 7);
     engine.train_step(&tokens, &targets).unwrap();
 
