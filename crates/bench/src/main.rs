@@ -15,7 +15,8 @@ const TRACE_USAGE: &str = "usage: ratel-bench trace [--model 13B] [--batch 32] \
 [--mode optimized|naive|separate] [--gpus 1] [--iters 1] [--width 100] [--out trace.json]";
 
 const VALIDATE_USAGE: &str = "usage: ratel-bench validate [--model tiny|small] [--steps 1] \
-[--throttle 1e-4] [--tolerance 0.5] [--out validate.json]";
+[--throttle 1e-4] [--tolerance 0.5] [--decisions ssd,host,recompute] [--gpu-capacity BYTES] \
+[--out validate.json]";
 
 const FAULTS_USAGE: &str = "usage: ratel-bench faults [--model tiny|small] [--steps 10] \
 [--faults 5] [--seed 7]";
@@ -27,7 +28,30 @@ const BENCH_USAGE: &str = "usage: ratel-bench bench [--smoke] [--write] [--check
 [--suite attention|kernels|adam|ssd|executor]";
 
 const OBS_USAGE: &str = "usage: ratel-bench obs [--model tiny|small] [--steps 5] \
-[--throttle 1e-4] [--metrics-out metrics.prom] [--jsonl-out metrics.jsonl] [--trace-out trace.json]";
+[--throttle 1e-4] [--decisions ssd,host,recompute] [--gpu-capacity BYTES] \
+[--metrics-out metrics.prom] [--jsonl-out metrics.jsonl] [--trace-out trace.json]";
+
+/// Applies `--decisions` (cycled over the blocks) or `--gpu-capacity` to
+/// the engine `validate` and `obs` build; `Ok(false)` for any other flag.
+fn engine_shape_flag(
+    shape: &mut ratel_bench::validate::EngineShape,
+    flag: &str,
+    v: &str,
+) -> Result<bool, String> {
+    match flag {
+        "--decisions" => {
+            shape.decisions = ratel_bench::validate::EngineShape::parse_decisions(v)?;
+        }
+        "--gpu-capacity" => {
+            shape.gpu_capacity = Some(
+                v.parse::<u64>()
+                    .map_err(|_| format!("--gpu-capacity expects a size in bytes, got {v:?}"))?,
+            );
+        }
+        _ => return Ok(false),
+    }
+    Ok(true)
+}
 
 fn obs_cmd(args: &[String]) -> Result<(), String> {
     let mut cfg = ratel_bench::obs::ObsConfig::default();
@@ -62,6 +86,7 @@ fn obs_cmd(args: &[String]) -> Result<(), String> {
             "--metrics-out" => cfg.metrics_out = Some(v.clone()),
             "--jsonl-out" => cfg.jsonl_out = Some(v.clone()),
             "--trace-out" => cfg.trace_out = Some(v.clone()),
+            _ if engine_shape_flag(&mut cfg.shape, flag, v)? => {}
             _ => return Err(format!("unknown flag {flag:?}\n{OBS_USAGE}")),
         }
         i += 2;
@@ -318,6 +343,7 @@ fn validate_cmd(args: &[String]) -> Result<(), String> {
                     })?
             }
             "--out" => cfg.out = Some(v.clone()),
+            _ if engine_shape_flag(&mut cfg.shape, flag, v)? => {}
             _ => return Err(format!("unknown flag {flag:?}\n{VALIDATE_USAGE}")),
         }
         i += 2;

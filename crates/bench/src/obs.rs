@@ -13,12 +13,11 @@
 use ratel::engine::conformance::ConformanceConfig;
 use ratel::engine::data::random_batch;
 use ratel::engine::obs::publish_engine_metrics;
-use ratel::engine::RatelEngine;
 use ratel_obs::metrics::validate_prometheus;
 use ratel_storage::telemetry::FaultStats;
 use ratel_storage::Route;
 
-use crate::validate::{route_caps, validate_engine_config, validate_model};
+use crate::validate::{route_caps, validate_engine, validate_model, EngineShape};
 
 /// What to run: one engine configuration plus export destinations.
 #[derive(Debug, Clone)]
@@ -37,6 +36,8 @@ pub struct ObsConfig {
     pub jsonl_out: Option<String>,
     /// Chrome-trace output path (last step, with prefetch flow arrows).
     pub trace_out: Option<String>,
+    /// Activation decisions and arena size of the engine under test.
+    pub shape: EngineShape,
 }
 
 impl Default for ObsConfig {
@@ -48,6 +49,7 @@ impl Default for ObsConfig {
             metrics_out: None,
             jsonl_out: None,
             trace_out: None,
+            shape: EngineShape::default(),
         }
     }
 }
@@ -102,8 +104,7 @@ impl ObsReport {
 pub fn run(cfg: &ObsConfig) -> Result<ObsReport, String> {
     let model =
         validate_model(&cfg.model).ok_or_else(|| format!("unknown model {:?}", cfg.model))?;
-    let mut engine =
-        RatelEngine::new(validate_engine_config(model)).map_err(|e| format!("engine: {e}"))?;
+    let mut engine = validate_engine(model, &cfg.shape)?;
 
     let mut conformance = ConformanceConfig::default();
     if let Some(factor) = cfg.throttle {

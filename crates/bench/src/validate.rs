@@ -47,6 +47,8 @@ pub struct ValidateConfig {
     pub tolerance: f64,
     /// Chrome-trace output path (simulated + measured timelines).
     pub out: Option<String>,
+    /// Activation decisions and arena size of the engine under test.
+    pub shape: EngineShape,
 }
 
 impl Default for ValidateConfig {
@@ -57,7 +59,45 @@ impl Default for ValidateConfig {
             throttle: 1e-4,
             tolerance: 0.5,
             out: None,
+            shape: EngineShape::default(),
         }
+    }
+}
+
+/// What `validate` and `obs` vary about the engine they build besides
+/// the model: `--decisions` and `--gpu-capacity`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct EngineShape {
+    /// Activation decisions, cycled over the blocks.
+    pub decisions: Vec<ActDecision>,
+    /// GPU arena capacity in bytes (`None` = unbounded).
+    pub gpu_capacity: Option<u64>,
+}
+
+impl Default for EngineShape {
+    /// Everything swapped to host, no arena bound.
+    fn default() -> Self {
+        EngineShape {
+            decisions: vec![ActDecision::SwapToHost],
+            gpu_capacity: None,
+        }
+    }
+}
+
+impl EngineShape {
+    /// Parses a `--decisions` list: `ssd`, `host` and `recompute`,
+    /// comma-separated.
+    pub fn parse_decisions(list: &str) -> Result<Vec<ActDecision>, String> {
+        list.split(',')
+            .map(|d| match d {
+                "ssd" => Ok(ActDecision::SwapToSsd),
+                "host" => Ok(ActDecision::SwapToHost),
+                "recompute" => Ok(ActDecision::Recompute),
+                other => Err(format!(
+                    "unknown activation decision {other:?} (ssd|host|recompute)"
+                )),
+            })
+            .collect()
     }
 }
 
@@ -170,15 +210,31 @@ pub fn route_caps(server: &ServerConfig, factor: f64) -> [(Route, f64); 4] {
     ]
 }
 
-/// The engine configuration a validation run executes: everything
-/// swapped to host, on the paper's optimized schedule — which is also
-/// what the spec models. Shared by the `validate` and `obs` smokes.
-pub fn validate_engine_config(model: GptConfig) -> EngineConfig {
-    EngineConfig {
+/// Builds the engine a validation run executes: `shape`'s decisions and
+/// arena on the paper's optimized schedule — which is also what the spec
+/// models. Shared by the `validate` and `obs` smokes.
+///
+/// # Errors
+/// Every violation [`EngineConfig::validate`] finds (an arena below the
+/// floor the decisions need), or the engine's own construction error.
+pub fn validate_engine(model: GptConfig, shape: &EngineShape) -> Result<RatelEngine, String> {
+    let config = EngineConfig {
         model,
-        act_decisions: vec![ActDecision::SwapToHost; model.layers],
+        act_decisions: shape
+            .decisions
+            .iter()
+            .copied()
+            .cycle()
+            .take(model.layers)
+            .collect(),
+        gpu_capacity: shape.gpu_capacity,
         ..EngineConfig::tiny()
+    };
+    let violations = config.validate();
+    if !violations.is_empty() {
+        return Err(format!("engine config: {}", violations.join("; ")));
     }
+    RatelEngine::new(config).map_err(|e| format!("engine: {e}"))
 }
 
 /// Calibrated compute rates from a warm-up step's telemetry: per-layer
@@ -226,8 +282,7 @@ pub fn run(cfg: &ValidateConfig) -> Result<ValidateReport, String> {
     let caps = route_caps(&server, cfg.throttle);
     let steps = cfg.steps.max(1);
 
-    let mut engine =
-        RatelEngine::new(validate_engine_config(model)).map_err(|e| format!("engine: {e}"))?;
+    let mut engine = validate_engine(model, &cfg.shape)?;
     engine.enable_telemetry();
     let (tokens, targets) = random_batch(&model, 1234);
 
@@ -468,7 +523,7 @@ mod tests {
     #[test]
     fn planned_bytes_match_the_closed_form() {
         let model = GptConfig::tiny();
-        let engine = RatelEngine::new(validate_engine_config(model)).unwrap();
+        let engine = validate_engine(model, &EngineShape::default()).unwrap();
         let planned = engine.movement_spec().planned_route_bytes();
         let params = engine.total_params() as u64;
         let head = engine.layer_param_count(engine.layer_count() - 1) as u64;
@@ -483,6 +538,40 @@ mod tests {
         assert_eq!(planned[1], 2 * (2 * params - head) + l * (ckpt + acts));
         assert_eq!(planned[2], 14 * params);
         assert_eq!(planned[3], 12 * params + 2 * (2 * params - head));
+    }
+
+    #[test]
+    fn decisions_cycle_over_the_blocks_and_a_starved_arena_is_refused() {
+        let decisions = EngineShape::parse_decisions("ssd,host,recompute").unwrap();
+        assert_eq!(
+            decisions,
+            [
+                ActDecision::SwapToSsd,
+                ActDecision::SwapToHost,
+                ActDecision::Recompute
+            ]
+        );
+        assert!(EngineShape::parse_decisions("ssd,disk").is_err());
+        let model = validate_model("small").unwrap();
+        let shape = EngineShape {
+            decisions,
+            gpu_capacity: Some(1 << 20),
+        };
+        let engine = validate_engine(model, &shape).unwrap();
+        // Four blocks: the SSD decision comes round again, and its blob
+        // plans both SSD hops.
+        let planned = engine.movement_spec().planned_route_bytes();
+        let acts =
+            2 * BlockSaved::element_count_for(model.batch, model.seq, model.hidden, model.heads)
+                as u64;
+        let params = engine.total_params() as u64;
+        assert_eq!(planned[2], 14 * params + 2 * acts);
+        let starved = EngineShape {
+            gpu_capacity: Some(4096),
+            ..shape
+        };
+        let err = validate_engine(model, &starved).err().unwrap();
+        assert!(err.contains("gpu capacity"), "{err}");
     }
 
     #[test]

@@ -3,11 +3,25 @@
 //! configuration (bytes exactly, times loosely — see
 //! `ratel_bench::validate`).
 
-use ratel_bench::validate::{run, ValidateConfig};
+use ratel_bench::validate::{run, EngineShape, ValidateConfig};
 use ratel_sim::chrome_trace_json_timelines;
 
 #[test]
 fn measured_step_agrees_with_the_simulated_schedule() {
+    agrees_with_the_simulated_schedule(EngineShape::default());
+}
+
+/// The same agreement over the chunked two-hop SSD swap chains, with
+/// read-ahead paced by the bytes a 128 KiB arena has room for.
+#[test]
+fn ssd_swaps_under_a_bounded_arena_agree_with_the_simulated_schedule() {
+    agrees_with_the_simulated_schedule(EngineShape {
+        decisions: EngineShape::parse_decisions("ssd,host,recompute").unwrap(),
+        gpu_capacity: Some(128 << 10),
+    });
+}
+
+fn agrees_with_the_simulated_schedule(shape: EngineShape) {
     let cfg = ValidateConfig {
         model: "tiny".into(),
         steps: 2,
@@ -16,6 +30,7 @@ fn measured_step_agrees_with_the_simulated_schedule() {
         throttle: 2e-4,
         tolerance: 1.5,
         out: None,
+        shape,
     };
     let report = run(&cfg).expect("validation run");
 

@@ -193,8 +193,9 @@ impl BlobKind {
     }
 }
 
-/// Identifies one logical blob: a kind, its owning layer, and (for
-/// per-GPU data) the GPU replica.
+/// Identifies one logical blob: a kind, its owning layer, (for per-GPU
+/// data) the GPU replica, and (for a blob that moves in chunks) which
+/// chunk of it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct BlobKey {
     /// What the blob is.
@@ -203,6 +204,9 @@ pub struct BlobKey {
     pub layer: usize,
     /// GPU replica for per-GPU blobs; `None` for shared blobs.
     pub gpu: Option<usize>,
+    /// Which chunk of a blob that moves in chunks; `None` for the whole
+    /// blob.
+    pub chunk: Option<usize>,
 }
 
 impl BlobKey {
@@ -212,6 +216,7 @@ impl BlobKey {
             kind,
             layer,
             gpu: None,
+            chunk: None,
         }
     }
 
@@ -221,15 +226,25 @@ impl BlobKey {
             kind,
             layer,
             gpu: Some(gpu),
+            chunk: None,
         }
+    }
+
+    /// Chunk `chunk` of this blob (`None` is the whole blob).
+    pub fn chunk(self, chunk: Option<usize>) -> Self {
+        BlobKey { chunk, ..self }
     }
 }
 
 impl std::fmt::Display for BlobKey {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{}[L{}", self.kind.name(), self.layer)?;
+        if let Some(c) = self.chunk {
+            write!(f, "#{c}")?;
+        }
         match self.gpu {
-            Some(g) => write!(f, "{}[L{} g{}]", self.kind.name(), self.layer, g),
-            None => write!(f, "{}[L{}]", self.kind.name(), self.layer),
+            Some(g) => write!(f, " g{g}]"),
+            None => write!(f, "]"),
         }
     }
 }
@@ -414,8 +429,9 @@ impl TaskKind {
     }
 }
 
-/// A task's typed identity: its kind, the layer it serves, and — for
-/// tasks replicated per data-parallel GPU — which replica.
+/// A task's typed identity: its kind, the layer it serves, — for tasks
+/// replicated per data-parallel GPU — which replica, and — for a
+/// transfer of one chunk of a blob — which chunk.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TaskIdentity {
     /// What the task does.
@@ -425,6 +441,9 @@ pub struct TaskIdentity {
     /// GPU replica for per-GPU tasks; `None` for tasks shared by all
     /// GPUs (SSD staging reads, reductions, optimizer handlers).
     pub gpu: Option<usize>,
+    /// Which chunk of the layer's blob the task moves; `None` when it
+    /// moves the blob whole.
+    pub chunk: Option<usize>,
 }
 
 impl TaskIdentity {
@@ -434,6 +453,7 @@ impl TaskIdentity {
             kind,
             layer,
             gpu: None,
+            chunk: None,
         }
     }
 
@@ -443,7 +463,14 @@ impl TaskIdentity {
             kind,
             layer,
             gpu: Some(gpu),
+            chunk: None,
         }
+    }
+
+    /// The same task moving chunk `chunk` of the blob (`None` moves it
+    /// whole).
+    pub fn chunk(self, chunk: Option<usize>) -> Self {
+        TaskIdentity { chunk, ..self }
     }
 }
 
@@ -668,6 +695,8 @@ mod tests {
         let per_gpu = BlobKey::on_gpu(BlobKind::Flow, 1, 0);
         assert_eq!(shared.to_string(), "p16[L2]");
         assert_eq!(per_gpu.to_string(), "flow[L1 g0]");
+        let chunk = BlobKey::on_gpu(BlobKind::Act, 4, 0).chunk(Some(2));
+        assert_eq!(chunk.to_string(), "act[L4#2 g0]");
         let v = VersionedBlob {
             key: shared,
             version: 4,

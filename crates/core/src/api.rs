@@ -286,6 +286,13 @@ impl Ratel {
             act_decisions: decisions.clone(),
             ..provisional
         };
+        // The arena floor depends on what the decisions swap through it.
+        if measured.is_some() {
+            let violations = config.validate();
+            if !violations.is_empty() {
+                return Err(RatelError::InvalidConfig(violations));
+            }
+        }
         Ok(TrainingPlan {
             builder: self,
             config,

@@ -3,9 +3,10 @@
 //! [`StepDag::lower`] takes the engine's schedule twin (the
 //! [`IterationSpec`] from [`super::RatelEngine::movement_spec`]), builds
 //! the statically verified task graph, reads every task's typed
-//! [`TaskKind`] and layer off its metadata, and adds *pacing* edges that
-//! window read-ahead tasks two layers behind compute, so staging never
-//! runs further ahead than the tiers have room for.
+//! identity off its metadata, and adds *pacing* edges that hold each
+//! staging task back until the bytes staged ahead of compute fit its
+//! destination tier's budget ([`staging_gates`]), so read-ahead runs as
+//! far ahead as the tiers have room for and no further.
 //!
 //! [`StepCtx`] then maps each task onto tiered-store transfers and
 //! tensor kernels. f16 rounding happens at the same points as in the
@@ -17,7 +18,7 @@ use std::time::Instant;
 
 use ratel_check::sync::Mutex;
 
-use ratel_sim::{TaskGraph, TaskId, TaskKind, TaskRef};
+use ratel_sim::{TaskGraph, TaskId, TaskIdentity, TaskKind, TaskRef};
 use ratel_storage::{StorageError, Tier, TieredStore};
 use ratel_tensor::dtype::{decode_f16, decode_f32, encode_f16, encode_f32, round_to_f16};
 use ratel_tensor::{block_dropout_spec, Adam, AdamParams, BlockSaved, GptModel, HeadSaved, Tensor};
@@ -25,11 +26,11 @@ use ratel_tensor::{block_dropout_spec, Adam, AdamParams, BlockSaved, GptModel, H
 use super::executor::TaskAction;
 use super::scaler::prepare_gradient;
 use super::{
-    accum_key, act_key, ckpt_key, fetch_f16, grad_key, master_key, moments_key, offload_f16,
-    p16_key, set_layer_params, ActDecision, EngineConfig,
+    accum_key, act_key, ckpt_key, grad_key, master_key, moments_key, offload_f16, p16_key,
+    set_layer_params, ActDecision, EngineConfig,
 };
 use crate::error::RatelError;
-use crate::schedule::IterationSpec;
+use crate::schedule::{IterationSpec, OptimizerKind, ParamSource, ACT_SPILL_CHUNKS};
 
 /// A lowered, verified, paced step graph plus what each task does
 /// (indexed by `TaskId.0`). Built once per engine (the plan depends only
@@ -38,26 +39,65 @@ use crate::schedule::IterationSpec;
 pub(super) struct StepDag {
     /// The executable task graph.
     pub(super) graph: TaskGraph,
-    /// `actions[t]` is task `t`'s kind and engine layer id (0 =
-    /// embedding, 1..=L = blocks, L+1 = head).
-    pub(super) actions: Vec<(TaskKind, usize)>,
+    /// `actions[t]` is task `t`'s typed identity: its kind, engine layer
+    /// id (0 = embedding, 1..=L = blocks, L+1 = head) and, for a chunked
+    /// activation transfer, the chunk it moves.
+    pub(super) actions: Vec<TaskIdentity>,
 }
 
-/// How many GPU-compute tasks ahead of the consuming kernel a staging
-/// read may start.
-const PACE_WINDOW: usize = 2;
+/// How many consumers ahead of the running kernel staging may run toward
+/// a tier that has no configured capacity to budget bytes against.
+const UNBUDGETED_DEPTH: usize = 2;
+
+/// The pacing rule. `staged[p]` is the bytes staged into one tier for
+/// the kernel at position `p` of the GPU's compute order; the result's
+/// entry `p` is the position of the kernel whose completion lets that
+/// staging start (`None`: it may start with the step).
+///
+/// With a byte `budget`, that is the earliest kernel after which
+/// everything staged and not yet consumed — the inputs of the kernels
+/// from the next one through `p` — fits the budget; a kernel whose
+/// inputs alone exceed it is still admitted once its predecessor is
+/// done. Without one there is nothing to count bytes against, and
+/// staging runs [`UNBUDGETED_DEPTH`] kernels ahead.
+fn staging_gates(staged: &[f64], budget: Option<f64>) -> Vec<Option<usize>> {
+    let Some(budget) = budget else {
+        return (0..staged.len())
+            .map(|p| p.checked_sub(UNBUDGETED_DEPTH))
+            .collect();
+    };
+    (0..staged.len())
+        .map(|p| {
+            // Widen the window (first, p] backwards while it still fits.
+            let mut first = p;
+            let mut held = staged[p];
+            while first > 0 && held + staged[first - 1] <= budget {
+                first -= 1;
+                held += staged[first];
+            }
+            first.checked_sub(1)
+        })
+        .collect()
+}
 
 impl StepDag {
     /// Lowers a movement plan into an executable DAG: builds the spec's
     /// (self-verified) graph, reads every task's typed identity, and
-    /// adds pacing edges. Debug builds re-verify the paced graph before
-    /// it can reach the executor.
+    /// adds pacing edges. `tiers` holds the configured tier capacities:
+    /// half of each is the budget staging toward it may fill — the other
+    /// half is left to the running kernel's working set and the offloads
+    /// in flight. Debug builds re-verify the paced graph before it can
+    /// reach the executor, against `tiers` when `hold_to_tiers` is set.
     ///
     /// # Errors
     /// [`RatelError::InvalidConfig`] if any task has no engine action —
     /// multi-GPU or multi-iteration plans and hook/reduce tasks are
     /// simulation-only shapes.
-    pub(super) fn lower(spec: &IterationSpec) -> Result<StepDag, RatelError> {
+    pub(super) fn lower(
+        spec: &IterationSpec,
+        tiers: &ratel_verify::Limits,
+        hold_to_tiers: bool,
+    ) -> Result<StepDag, RatelError> {
         let (mut graph, _resources, _flops) = spec.build();
         let tasks: Vec<TaskId> = graph.task_ids().collect();
         let mut actions = Vec::with_capacity(tasks.len());
@@ -66,7 +106,7 @@ impl StepDag {
             let executable = graph.meta(t).and_then(|m| {
                 let id = m.identity?;
                 let single = m.iteration == 0 && (spec.gpus == 1 || id.gpu.is_none());
-                (id.kind.is_executable() && single).then_some((id.kind, id.layer))
+                (id.kind.is_executable() && single).then_some(id)
             });
             match executable {
                 Some(a) => actions.push(a),
@@ -82,24 +122,63 @@ impl StepDag {
             return Err(RatelError::InvalidConfig(bad));
         }
 
-        // GPU compute order: fwd L0..L{n-1} then bwd L{n-1}..L0. A
-        // staging read for the kernel at position `p` may not start
-        // before the kernel at `p - PACE_WINDOW` finished.
+        // GPU compute order: fwd L0..L{n-1} then bwd L{n-1}..L0.
         let n = spec.layers.len();
+        let fwd_pos = |li: usize| li;
+        let bwd_pos = |li: usize| n + (n - 1 - li);
         let mut gpu_seq: Vec<Option<TaskId>> = vec![None; 2 * n];
-        for (&t, &(kind, li)) in tasks.iter().zip(&actions) {
-            match kind {
-                TaskKind::Fwd => gpu_seq[li] = Some(t),
-                TaskKind::Bwd => gpu_seq[n + (n - 1 - li)] = Some(t),
+        for (&t, id) in tasks.iter().zip(&actions) {
+            match id.kind {
+                TaskKind::Fwd => gpu_seq[fwd_pos(id.layer)] = Some(t),
+                TaskKind::Bwd => gpu_seq[bwd_pos(id.layer)] = Some(t),
                 _ => {}
             }
         }
-        for (&t, &(kind, li)) in tasks.iter().zip(&actions) {
-            let gate = match kind {
-                TaskKind::FwdRead => li.checked_sub(PACE_WINDOW),
-                TaskKind::BwdRead | TaskKind::ActLoad | TaskKind::ActUp => {
-                    Some(n + (n - 1 - li) - PACE_WINDOW)
+        // Bytes staged per kernel: into the arena (fetched P16, swapped
+        // activations coming back), and into host memory on the way there
+        // (the SSD hop of the P16 and of SSD-spilled activations).
+        let mut to_gpu = vec![0.0f64; 2 * n];
+        let mut to_host = vec![0.0f64; 2 * n];
+        for (li, layer) in spec.layers.iter().enumerate() {
+            let from_ssd = layer.param_source == ParamSource::Ssd;
+            if layer.param_source != ParamSource::Gpu {
+                to_gpu[fwd_pos(li)] += layer.p16_bytes;
+                if layer.refetch_in_backward {
+                    to_gpu[bwd_pos(li)] += layer.p16_bytes;
                 }
+            }
+            if from_ssd {
+                to_host[fwd_pos(li)] += layer.p16_bytes;
+                if layer.refetch_in_backward {
+                    to_host[bwd_pos(li)] += layer.p16_bytes;
+                }
+            }
+            to_gpu[bwd_pos(li)] += layer.act_to_host_bytes + layer.act_to_ssd_bytes;
+            to_host[bwd_pos(li)] += layer.act_to_ssd_bytes;
+        }
+        let budget = |capacity: Option<f64>| capacity.map(|c| c / 2.0);
+        let gpu_gates = staging_gates(&to_gpu, budget(tiers.gpu));
+        let host_gates = match (tiers.host, tiers.gpu) {
+            // Unbounded host memory under a bounded arena: the first hop
+            // of an SSD→host→GPU chain is paced by the arena too, one
+            // kernel ahead of its second hop, so the blob is in host
+            // memory by the time the arena admits it.
+            (None, Some(_)) => gpu_gates
+                .iter()
+                .map(|gate| gate.and_then(|q| q.checked_sub(1)))
+                .collect(),
+            _ => staging_gates(&to_host, budget(tiers.host)),
+        };
+        for (&t, id) in tasks.iter().zip(&actions) {
+            let gate = match id.kind {
+                TaskKind::FwdRead => host_gates[fwd_pos(id.layer)],
+                TaskKind::BwdRead | TaskKind::ActLoad => host_gates[bwd_pos(id.layer)],
+                TaskKind::ActUp => gpu_gates[bwd_pos(id.layer)],
+                // At the unbudgeted depth a fetch just follows its read,
+                // which is gated; under an arena budget it is admitted by
+                // bytes like every other transfer into the arena.
+                TaskKind::FwdFetch if tiers.gpu.is_some() => gpu_gates[fwd_pos(id.layer)],
+                TaskKind::BwdFetch if tiers.gpu.is_some() => gpu_gates[bwd_pos(id.layer)],
                 _ => None,
             };
             if let Some(pos) = gate {
@@ -113,27 +192,37 @@ impl StepDag {
                 graph.add_dep(t, dep);
             }
         }
-        // Optimizer handlers in gradient-arrival order: handler h's
-        // state read waits for handler h-2's CPU compute, bounding the
-        // host memory held by staged states.
+        // Optimizer handlers in gradient-arrival order, paced by the same
+        // rule over the states each stages into host memory: handler h's
+        // state read waits for the CPU compute of the handler its gate
+        // names.
         let mut opt_reads = Vec::new();
-        let mut opt_cpus = Vec::new();
-        for (&t, &(kind, _)) in tasks.iter().zip(&actions) {
-            match kind {
-                TaskKind::OptRead => opt_reads.push(t),
-                TaskKind::OptCpu => opt_cpus.push(t),
+        let mut opt_bytes = Vec::new();
+        let mut opt_cpu_of = vec![None; n];
+        for (&t, id) in tasks.iter().zip(&actions) {
+            match (id.kind, spec.layers[id.layer].optimizer) {
+                (TaskKind::OptRead, OptimizerKind::CpuOutOfCore { read_bytes, .. }) => {
+                    opt_reads.push((t, id.layer));
+                    opt_bytes.push(read_bytes);
+                }
+                (TaskKind::OptCpu, _) => opt_cpu_of[id.layer] = Some(t),
                 _ => {}
             }
         }
-        for h in PACE_WINDOW..opt_reads.len() {
-            graph.add_dep(opt_reads[h], opt_cpus[h - PACE_WINDOW]);
+        let opt_gates = staging_gates(&opt_bytes, budget(tiers.host));
+        for (&(read, _), gate) in opt_reads.iter().zip(opt_gates) {
+            if let Some(cpu) = gate.and_then(|h| opt_cpu_of[opt_reads[h].1]) {
+                graph.add_dep(read, cpu);
+            }
         }
 
         // The builder self-verified the plan; re-verify after pacing so
-        // no added edge can smuggle in a defect.
-        #[cfg(debug_assertions)]
-        {
-            let report = ratel_verify::verify(&graph, &ratel_verify::Limits::none());
+        // no added edge can smuggle in a defect, and so what pacing
+        // admits into the tiers stays within what they hold.
+        if cfg!(debug_assertions) {
+            let unlimited = ratel_verify::Limits::none();
+            let limits = if hold_to_tiers { tiers } else { &unlimited };
+            let report = ratel_verify::verify(&graph, limits);
             assert!(
                 report.is_clean(),
                 "paced step DAG fails static verification:\n{}",
@@ -173,6 +262,18 @@ pub(super) enum GradSink {
         /// Reciprocal of the micro-batch count.
         inv_n: f32,
     },
+}
+
+/// The chunks a block's saved activations move in under `decision`, as
+/// the plan's tasks name them: none when recomputed, the whole blob
+/// (`None`) when it stays in host memory, [`ACT_SPILL_CHUNKS`] equal
+/// chunks when it spills to SSD.
+fn act_chunks(decision: ActDecision) -> Vec<Option<usize>> {
+    match decision {
+        ActDecision::Recompute => Vec::new(),
+        ActDecision::SwapToHost => vec![None],
+        ActDecision::SwapToSsd => (0..ACT_SPILL_CHUNKS).map(Some).collect(),
+    }
 }
 
 /// A step-DAG slot protocol violation: a task ran before the dependency
@@ -224,12 +325,9 @@ pub(super) struct StepCtx<'a> {
     head: Mutex<Option<(Tensor, HeadSaved)>>,
     /// Per block: checkpoint bytes between forward and act-off.
     pending_ckpt: Vec<Mutex<Option<Vec<u8>>>>,
-    /// Per block: saved-activation bytes between forward and act-off.
-    pending_act: Vec<Mutex<Option<Vec<u8>>>>,
-    /// Per block: checkpoint bytes between act-up and backward.
-    fetched_ckpt: Vec<Mutex<Option<Vec<u8>>>>,
-    /// Per block: saved-activation bytes between act-up and backward.
-    fetched_act: Vec<Mutex<Option<Vec<u8>>>>,
+    /// Per block: saved-activation bytes between forward and act-off, one
+    /// slot per chunk the blob moves in (see [`act_chunks`]).
+    pending_act: Vec<Vec<Mutex<Option<Vec<u8>>>>>,
     /// Per layer: raw (scaled) f32 gradient between backward and
     /// grad-off.
     grads: Vec<Mutex<Option<Vec<f32>>>>,
@@ -279,9 +377,11 @@ impl<'a> StepCtx<'a> {
             dflow: Mutex::new(None),
             head: Mutex::new(None),
             pending_ckpt: slots(blocks),
-            pending_act: slots(blocks),
-            fetched_ckpt: slots(blocks),
-            fetched_act: slots(blocks),
+            pending_act: config
+                .act_decisions
+                .iter()
+                .map(|&d| slots(act_chunks(d).len()))
+                .collect(),
             grads: slots(layers),
             updates: slots(layers),
             skipped: Mutex::new(Vec::new()),
@@ -326,10 +426,8 @@ impl<'a> StepCtx<'a> {
         layer: usize,
         pass: char,
     ) -> Result<(), StorageError> {
-        let staged = staged_key(layer, pass);
-        let flat = decode_f16(&self.store.read(&staged)?);
+        let flat = decode_f16(&self.store.take(&staged_key(layer, pass))?);
         set_layer_params(model, layer, &flat);
-        self.store.remove(&staged)?;
         Ok(())
     }
 
@@ -358,8 +456,18 @@ impl<'a> StepCtx<'a> {
             let spec = self.dropout_spec(b);
             let (y, mut saved) = model.blocks[b].forward_with(&x, spec);
             saved.quantize_f16();
-            if self.config.act_decisions[b] != ActDecision::Recompute {
-                *self.pending_act[b].lock() = Some(saved.to_f16_bytes());
+            // The act-off task of each chunk offloads its share of the
+            // blob: split it here, back to front, so no byte is copied
+            // more than once.
+            let slots = &self.pending_act[b];
+            if !slots.is_empty() {
+                let mut bytes = saved.to_f16_bytes();
+                let elems = bytes.len() / 2;
+                for (i, slot) in slots.iter().enumerate().skip(1).rev() {
+                    *slot.lock() = Some(bytes.split_off(2 * (elems * i / slots.len())));
+                }
+                bytes.shrink_to_fit();
+                *slots[0].lock() = Some(bytes);
             }
             *self.flow.lock() = Some(y.quantize_f16());
         } else {
@@ -375,29 +483,40 @@ impl<'a> StepCtx<'a> {
         Ok(())
     }
 
-    /// Offload the block's checkpoint (and saved activations) to host
-    /// memory. Both swap decisions stop at host here; the spill task
-    /// carries SSD-bound activations onward.
-    fn act_off(&self, layer: usize) -> Result<(), StorageError> {
+    /// Offload one chunk of the block's saved activations to host
+    /// memory — and, with the first (or only) chunk, its checkpoint.
+    /// Both swap decisions stop at host here; the spill task carries
+    /// SSD-bound chunks onward.
+    fn act_off(&self, layer: usize, chunk: Option<usize>) -> Result<(), StorageError> {
         let b = layer - 1;
-        let ckpt = self.pending_ckpt[b]
-            .lock()
-            .take()
-            .ok_or_else(|| slot_violation("checkpoint pending after block forward"))?;
-        offload_f16(self.store, &ckpt_key(layer), ckpt, Tier::Host)?;
-        if let Some(act) = self.pending_act[b].lock().take() {
-            offload_f16(self.store, &act_key(b), act, Tier::Host)?;
+        let c = chunk.unwrap_or(0);
+        if c == 0 {
+            let ckpt = self.pending_ckpt[b]
+                .lock()
+                .take()
+                .ok_or_else(|| slot_violation("checkpoint pending after block forward"))?;
+            offload_f16(self.store, &ckpt_key(layer), ckpt, Tier::Host)?;
+        }
+        if let Some(slot) = self.pending_act[b].get(c) {
+            let act = slot
+                .lock()
+                .take()
+                .ok_or_else(|| slot_violation("activations pending after block forward"))?;
+            offload_f16(self.store, &act_key(b, chunk), act, Tier::Host)?;
         }
         Ok(())
     }
 
-    /// Fetch the block's checkpoint (and activations) back into the GPU
-    /// arena for backward.
-    fn act_up(&self, layer: usize) -> Result<(), StorageError> {
+    /// Move one chunk of the block's activations — and, with the first
+    /// (or only) chunk, its checkpoint — back into the GPU arena, where
+    /// backward takes them.
+    fn act_up(&self, layer: usize, chunk: Option<usize>) -> Result<(), StorageError> {
         let b = layer - 1;
-        *self.fetched_ckpt[b].lock() = Some(fetch_f16(self.store, &ckpt_key(layer))?);
+        if chunk.unwrap_or(0) == 0 {
+            self.store.move_to(&ckpt_key(layer), Tier::Gpu)?;
+        }
         if self.config.act_decisions[b] != ActDecision::Recompute {
-            *self.fetched_act[b].lock() = Some(fetch_f16(self.store, &act_key(b))?);
+            self.store.move_to(&act_key(b, chunk), Tier::Gpu)?;
         }
         Ok(())
     }
@@ -430,13 +549,25 @@ impl<'a> StepCtx<'a> {
             let b = layer - 1;
             self.load_params(&mut model, layer, 'b')?;
             let rows = c.batch * c.seq;
-            let ckpt = self.fetched_ckpt[b]
-                .lock()
-                .take()
-                .ok_or_else(|| slot_violation("checkpoint fetched before block backward"))?;
-            let input = Tensor::from_f16_bytes(&[rows, c.hidden], &ckpt);
+            let input =
+                Tensor::from_f16_bytes(&[rows, c.hidden], &self.store.take(&ckpt_key(layer))?);
             let spec = self.dropout_spec(b);
-            let fetched = self.fetched_act[b].lock().take();
+            // Chunks leave the arena one at a time into the one buffer
+            // the decoder reads.
+            let chunks = act_chunks(self.config.act_decisions[b]);
+            let mut fetched: Option<Vec<u8>> = None;
+            for &chunk in &chunks {
+                let mut bytes = self.store.take(&act_key(b, chunk))?;
+                match &mut fetched {
+                    Some(blob) => blob.extend_from_slice(&bytes),
+                    None => {
+                        // Room for the rest (equal chunks, give or take an
+                        // element), so the buffer grows once.
+                        bytes.reserve((chunks.len() - 1) * (bytes.len() + 2));
+                        fetched = Some(bytes);
+                    }
+                }
+            }
             let dx = self
                 .dflow
                 .lock()
@@ -486,8 +617,7 @@ impl<'a> StepCtx<'a> {
             sink => {
                 if let GradSink::MergeAccumulated { inv_n } = sink {
                     let akey = accum_key(layer);
-                    let acc = decode_f32(&self.store.read(&akey)?);
-                    self.store.remove(&akey)?;
+                    let acc = decode_f32(&self.store.take(&akey)?);
                     for (g, a) in grads.iter_mut().zip(&acc) {
                         *g = (round_to_f16(*g) + a) * inv_n;
                     }
@@ -504,8 +634,7 @@ impl<'a> StepCtx<'a> {
     fn accumulate(&self, layer: usize, grads: &[f32]) -> Result<(), StorageError> {
         let gkey = format!("layer{layer}/grad-micro");
         offload_f16(self.store, &gkey, encode_f16(grads), Tier::Host)?;
-        let g16 = decode_f16(&self.store.read(&gkey)?);
-        self.store.remove(&gkey)?;
+        let g16 = decode_f16(&self.store.take(&gkey)?);
         let akey = accum_key(layer);
         if self.store.contains(&akey) {
             let mut acc = decode_f32(&self.store.read(&akey)?);
@@ -530,9 +659,7 @@ impl<'a> StepCtx<'a> {
     /// Decode the G16 gradient and run the f32 Adam step over the
     /// staged states.
     fn opt_cpu(&self, layer: usize) -> Result<(), StorageError> {
-        let key = grad_key(layer);
-        let mut grads = decode_f16(&self.store.read(&key)?);
-        self.store.remove(&key)?;
+        let mut grads = decode_f16(&self.store.take(&grad_key(layer))?);
         if prepare_gradient(&mut grads, self.scale, self.config.grad_clip).is_some() {
             let mut master = decode_f32(&self.store.read(&master_key(layer))?);
             let moments = decode_f32(&self.store.read(&moments_key(layer))?);
@@ -583,17 +710,22 @@ impl<'a> StepCtx<'a> {
 
 impl TaskAction for StepCtx<'_> {
     fn run(&self, task: TaskId) -> Result<(), RatelError> {
-        let (kind, li) = self.dag.actions[task.0];
+        let TaskIdentity {
+            kind,
+            layer: li,
+            chunk,
+            ..
+        } = self.dag.actions[task.0];
         let result = match kind {
             TaskKind::FwdRead => self.param_read(li, 'f'),
             TaskKind::FwdFetch => self.param_fetch(li, 'f'),
             TaskKind::Fwd => self.forward(li),
-            TaskKind::ActOff => self.act_off(li),
-            TaskKind::ActSpill => self.store.move_to(&act_key(li - 1), Tier::Ssd),
+            TaskKind::ActOff => self.act_off(li, chunk),
+            TaskKind::ActSpill => self.store.move_to(&act_key(li - 1, chunk), Tier::Ssd),
             TaskKind::BwdRead => self.param_read(li, 'b'),
             TaskKind::BwdFetch => self.param_fetch(li, 'b'),
-            TaskKind::ActLoad => self.store.move_to(&act_key(li - 1), Tier::Host),
-            TaskKind::ActUp => self.act_up(li),
+            TaskKind::ActLoad => self.store.move_to(&act_key(li - 1, chunk), Tier::Host),
+            TaskKind::ActUp => self.act_up(li, chunk),
             TaskKind::Bwd => self.backward(li),
             TaskKind::GradOff => self.grad_off(li),
             TaskKind::OptRead => self.opt_read(li),
@@ -628,7 +760,7 @@ impl TaskAction for StepCtx<'_> {
         if !rec.enabled() {
             return;
         }
-        let (kind, layer) = self.dag.actions[task.0];
+        let TaskIdentity { kind, layer, .. } = self.dag.actions[task.0];
         let graph = &self.dag.graph;
         let task_ref = TaskRef {
             run: self.run,
@@ -649,9 +781,13 @@ impl TaskAction for StepCtx<'_> {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeSet;
+
     use super::*;
     use crate::engine::{movement_spec_for, ExecutionOptions, ExecutorOptions};
     use crate::offload::GradOffloadMode;
+    use crate::schedule::{LayerTask, LinkRates};
+    use ratel_verify::Limits;
 
     /// The tiny engine's own movement plan (3 blocks), block 1 spilling
     /// its activations to SSD.
@@ -665,6 +801,124 @@ mod tests {
         movement_spec_for(&config)
     }
 
+    /// Bytes of the miniature's blobs: a P16, a block's checkpoint, its
+    /// saved activations.
+    const P16: f64 = 2.0;
+    const CKPT: f64 = 4.0;
+    const ACTS: f64 = 40.0;
+    /// Seconds (at unit rates) of every forward kernel: long enough that
+    /// no two blocks' swaps meet on a link.
+    const FWD: f64 = 100.0;
+
+    /// Embedding, six blocks deciding `SwapToSsd, SwapToHost, Recompute`
+    /// in turn, head — at unit rates, so a task's seconds are its bytes.
+    fn miniature() -> IterationSpec {
+        let layer = |label: &str, to_host: f64, to_ssd: f64, refetch: bool| LayerTask {
+            label: label.into(),
+            p16_bytes: P16,
+            param_source: ParamSource::Ssd,
+            fwd_flops: FWD,
+            bwd_flops: 1.0,
+            act_to_host_bytes: to_host,
+            act_to_ssd_bytes: to_ssd,
+            refetch_in_backward: refetch,
+            grad_bytes: P16,
+            grad_spill_to_ssd: false,
+            optimizer: OptimizerKind::CpuOutOfCore {
+                read_bytes: 6.0 * P16,
+                write_bytes: 7.0 * P16,
+                cpu_params: 1.0,
+            },
+        };
+        let mut layers = vec![layer("embedding", 0.0, 0.0, true)];
+        for b in 0..6 {
+            layers.push(match b % 3 {
+                0 => layer("ssd", CKPT, ACTS, true),
+                1 => layer("host", CKPT + ACTS, 0.0, true),
+                _ => layer("recompute", CKPT, 0.0, true),
+            });
+        }
+        layers.push(layer("head", 0.0, 0.0, false));
+        IterationSpec {
+            layers,
+            mode: GradOffloadMode::OptimizedActive,
+            rates: LinkRates {
+                thp_gpu: 1.0,
+                bw_g2m: 1.0,
+                bw_m2g: 1.0,
+                ssd_read: 1.0,
+                ssd_write: 1.0,
+                cpu_params_per_sec: 1.0,
+                state_io_efficiency: 1.0,
+            },
+            gpus: 1,
+            items_per_iteration: 1.0,
+            per_layer_overhead_seconds: 0.0,
+        }
+    }
+
+    fn label(graph: &TaskGraph, t: TaskId) -> String {
+        graph.label(t).unwrap_or_default().to_string()
+    }
+
+    /// The `(task, gate)` edges lowering added to the plan's own.
+    fn pacing_edges(
+        spec: &IterationSpec,
+        tiers: &Limits,
+        hold_to_tiers: bool,
+    ) -> BTreeSet<(String, String)> {
+        let dag = StepDag::lower(spec, tiers, hold_to_tiers).unwrap();
+        let (plan, _, _) = spec.build();
+        dag.graph
+            .task_ids()
+            .flat_map(|t| {
+                let added: Vec<TaskId> = dag
+                    .graph
+                    .deps(t)
+                    .iter()
+                    .filter(|d| !plan.deps(t).contains(d))
+                    .copied()
+                    .collect();
+                added
+                    .into_iter()
+                    .map(|d| (label(&dag.graph, t), label(&dag.graph, d)))
+                    .collect::<Vec<_>>()
+            })
+            .collect()
+    }
+
+    fn edges(pairs: &[(&str, &str)]) -> BTreeSet<(String, String)> {
+        pairs
+            .iter()
+            .map(|(t, d)| (t.to_string(), d.to_string()))
+            .collect()
+    }
+
+    #[test]
+    fn the_window_function_counts_bytes_or_falls_back_to_depth_two() {
+        assert!(staging_gates(&[], Some(8.0)).is_empty());
+        assert!(staging_gates(&[], None).is_empty());
+        // No budget to count against: two kernels ahead.
+        assert_eq!(
+            staging_gates(&[1.0; 4], None),
+            vec![None, None, Some(0), Some(1)]
+        );
+        // Everything fits: nothing is held back.
+        assert_eq!(staging_gates(&[1.0; 4], Some(8.0)), vec![None; 4]);
+        // An exact fit is a fit: kernels 1..=3 hold 2+3+3 = 8.
+        assert_eq!(
+            staging_gates(&[5.0, 2.0, 3.0, 3.0], Some(8.0)),
+            vec![None, None, Some(0), Some(0)]
+        );
+        // One oversized blob is admitted once its predecessor is done,
+        // and the kernels after it no longer count it.
+        assert_eq!(
+            staging_gates(&[1.0, 20.0, 1.0, 1.0], Some(8.0)),
+            vec![None, Some(0), Some(1), Some(1)]
+        );
+        assert_eq!(staging_gates(&[20.0], Some(8.0)), vec![None]);
+    }
+
     #[test]
     fn lower_types_every_task_and_adds_pacing_edges() {
         for mode in [
@@ -672,53 +926,221 @@ mod tests {
             GradOffloadMode::SeparateStage,
         ] {
             let spec = tiny_spec(mode);
-            let dag = StepDag::lower(&spec).unwrap();
+            let dag = StepDag::lower(&spec, &Limits::none(), true).unwrap();
             assert_eq!(dag.actions.len(), dag.graph.len());
             // Every layer's compute is present.
-            let count = |kind| dag.actions.iter().filter(|a| a.0 == kind).count();
+            let count = |kind| dag.actions.iter().filter(|a| a.kind == kind).count();
             assert_eq!(count(TaskKind::Fwd), 5);
             assert_eq!(count(TaskKind::Bwd), 5);
             // Pacing: fwd-read L2 gained a dep on the fwd L0 kernel.
-            let find = |want: (TaskKind, usize)| {
+            let find = |kind, layer| {
                 dag.graph
                     .task_ids()
-                    .find(|t| dag.actions[t.0] == want)
+                    .find(|t| (dag.actions[t.0].kind, dag.actions[t.0].layer) == (kind, layer))
                     .unwrap()
             };
-            let read2 = find((TaskKind::FwdRead, 2));
-            let fwd0 = find((TaskKind::Fwd, 0));
+            let read2 = find(TaskKind::FwdRead, 2);
+            let fwd0 = find(TaskKind::Fwd, 0);
             assert!(
                 dag.graph.deps(read2).contains(&fwd0),
                 "fwd-read L2 is paced behind fwd L0"
             );
-            // The spilled block round-trips through act-spill/act-load.
-            assert!(dag.actions.contains(&(TaskKind::ActSpill, 1)));
-            assert!(dag.actions.contains(&(TaskKind::ActLoad, 1)));
+            // The spilled block round-trips through act-spill/act-load,
+            // chunk by chunk; the others move whole.
+            for kind in [
+                TaskKind::ActOff,
+                TaskKind::ActSpill,
+                TaskKind::ActLoad,
+                TaskKind::ActUp,
+            ] {
+                let chunks: Vec<Option<usize>> = dag
+                    .actions
+                    .iter()
+                    .filter(|a| (a.kind, a.layer) == (kind, 1))
+                    .map(|a| a.chunk)
+                    .collect();
+                let expected: Vec<_> = (0..ACT_SPILL_CHUNKS).map(Some).collect();
+                assert_eq!(chunks, expected, "{}", kind.name());
+            }
+            assert_eq!(count(TaskKind::ActSpill), ACT_SPILL_CHUNKS);
+            assert_eq!(count(TaskKind::ActUp), ACT_SPILL_CHUNKS + 2);
         }
     }
 
     #[test]
-    fn optimizer_reads_are_windowed_behind_compute() {
-        let spec = tiny_spec(GradOffloadMode::OptimizedActive);
-        let dag = StepDag::lower(&spec).unwrap();
-        let reads: Vec<TaskId> = dag
-            .graph
-            .task_ids()
-            .filter(|t| dag.actions[t.0].0 == TaskKind::OptRead)
-            .collect();
-        let cpus: Vec<TaskId> = dag
-            .graph
-            .task_ids()
-            .filter(|t| dag.actions[t.0].0 == TaskKind::OptCpu)
-            .collect();
-        assert_eq!(reads.len(), 5);
-        for h in 2..reads.len() {
+    fn without_capacities_pacing_is_two_kernels_deep() {
+        let expected = edges(&[
+            ("fwd-read L2", "fwd L0"),
+            ("fwd-read L3", "fwd L1"),
+            ("fwd-read L4", "fwd L2"),
+            ("fwd-read L5", "fwd L3"),
+            ("fwd-read L6", "fwd L4"),
+            ("fwd-read L7", "fwd L5"),
+            ("bwd-read L6", "fwd L7"),
+            ("act-up L6", "fwd L7"),
+            ("bwd-read L5", "bwd L7"),
+            ("act-up L5", "bwd L7"),
+            ("bwd-read L4", "bwd L6"),
+            ("act-load L4#0", "bwd L6"),
+            ("act-load L4#1", "bwd L6"),
+            ("act-load L4#2", "bwd L6"),
+            ("act-load L4#3", "bwd L6"),
+            ("act-up L4#0", "bwd L6"),
+            ("act-up L4#1", "bwd L6"),
+            ("act-up L4#2", "bwd L6"),
+            ("act-up L4#3", "bwd L6"),
+            ("bwd-read L3", "bwd L5"),
+            ("act-up L3", "bwd L5"),
+            ("bwd-read L2", "bwd L4"),
+            ("act-up L2", "bwd L4"),
+            ("bwd-read L1", "bwd L3"),
+            ("act-load L1#0", "bwd L3"),
+            ("act-load L1#1", "bwd L3"),
+            ("act-load L1#2", "bwd L3"),
+            ("act-load L1#3", "bwd L3"),
+            ("act-up L1#0", "bwd L3"),
+            ("act-up L1#1", "bwd L3"),
+            ("act-up L1#2", "bwd L3"),
+            ("act-up L1#3", "bwd L3"),
+            ("bwd-read L0", "bwd L2"),
+            // Optimizer handlers, in gradient-arrival order.
+            ("opt-read L5", "opt-cpu L7"),
+            ("opt-read L4", "opt-cpu L6"),
+            ("opt-read L3", "opt-cpu L5"),
+            ("opt-read L2", "opt-cpu L4"),
+            ("opt-read L1", "opt-cpu L3"),
+            ("opt-read L0", "opt-cpu L2"),
+        ]);
+        assert_eq!(pacing_edges(&miniature(), &Limits::none(), true), expected);
+    }
+
+    #[test]
+    fn under_an_arena_pacing_deepens_as_the_byte_rule_says() {
+        // Half of 240 B is the staging budget. Walking back from the
+        // head's backward: blocks 6..=3 need 6 + 46 + 46 + 6 B in the
+        // arena, which with every forward P16 comes to exactly 120 B —
+        // nothing up to `bwd L3` is held back. `bwd L2`'s 46 B fit once
+        // `bwd L5` has consumed its own (46 + 6 + 46 = 98 B staged),
+        // `bwd L1`'s and `bwd L0`'s once `bwd L4` has.
+        let tiers = Limits {
+            gpu: Some(240.0),
+            ..Limits::none()
+        };
+        let expected = edges(&[
+            ("bwd-fetch L2", "bwd L5"),
+            ("act-up L2", "bwd L5"),
+            ("bwd-fetch L1", "bwd L4"),
+            ("act-up L1#0", "bwd L4"),
+            ("act-up L1#1", "bwd L4"),
+            ("act-up L1#2", "bwd L4"),
+            ("act-up L1#3", "bwd L4"),
+            ("bwd-fetch L0", "bwd L4"),
+            // First hops open one kernel before their second hop.
+            ("bwd-read L2", "bwd L6"),
+            ("bwd-read L1", "bwd L5"),
+            ("act-load L1#0", "bwd L5"),
+            ("act-load L1#1", "bwd L5"),
+            ("act-load L1#2", "bwd L5"),
+            ("act-load L1#3", "bwd L5"),
+            ("bwd-read L0", "bwd L5"),
+            // Host memory is unbounded: optimizer reads stay two deep.
+            ("opt-read L5", "opt-cpu L7"),
+            ("opt-read L4", "opt-cpu L6"),
+            ("opt-read L3", "opt-cpu L5"),
+            ("opt-read L2", "opt-cpu L4"),
+            ("opt-read L1", "opt-cpu L3"),
+            ("opt-read L0", "opt-cpu L2"),
+        ]);
+        assert_eq!(pacing_edges(&miniature(), &tiers, true), expected);
+    }
+
+    #[test]
+    fn a_chunk_moves_on_as_soon_as_it_lands() {
+        let spec = miniature();
+        let tiers = Limits {
+            gpu: Some(240.0),
+            ..Limits::none()
+        };
+        let dag = StepDag::lower(&spec, &tiers, true).unwrap();
+        let graph = &dag.graph;
+        let task = |name: &str| {
+            graph
+                .task_ids()
+                .find(|t| graph.label(*t) == Some(name))
+                .unwrap_or_else(|| panic!("no task `{name}`"))
+        };
+        let deps = |name: &str| -> BTreeSet<String> {
+            graph
+                .deps(task(name))
+                .iter()
+                .map(|d| label(graph, *d))
+                .collect()
+        };
+        for c in 0..ACT_SPILL_CHUNKS {
+            let only = |dep: String| BTreeSet::from([dep]);
+            assert_eq!(deps(&format!("act-off L4#{c}")), only("fwd L4".into()));
+            assert_eq!(
+                deps(&format!("act-spill L4#{c}")),
+                only(format!("act-off L4#{c}"))
+            );
+            assert_eq!(
+                deps(&format!("act-load L4#{c}")),
+                only(format!("act-spill L4#{c}"))
+            );
+            assert_eq!(
+                deps(&format!("act-up L4#{c}")),
+                BTreeSet::from([format!("act-off L4#{c}"), format!("act-load L4#{c}")])
+            );
+            assert!(deps("bwd L4").contains(&format!("act-up L4#{c}")));
+        }
+
+        // Cut-through: the last chunk is back in the arena well under the
+        // 3.8 blob times the four hops take store-and-forward
+        // (2 x 44 B over PCIe + 2 x 40 B over the SSD, for a 44 B blob).
+        let sim = ratel_sim::simulate(graph);
+        let produced = sim.task_finish(task("fwd L4"));
+        let back = (0..ACT_SPILL_CHUNKS)
+            .map(|c| sim.task_finish(task(&format!("act-up L4#{c}"))))
+            .fold(0.0, f64::max);
+        let blob_time = CKPT + ACTS;
+        assert!(
+            back - produced < 2.5 * blob_time,
+            "block 3's swap took {:.2} blob times",
+            (back - produced) / blob_time
+        );
+    }
+
+    #[test]
+    fn a_host_budget_paces_first_hops_and_optimizer_reads_by_bytes() {
+        // 40 B of host memory: half of it takes one handler's 12 B of
+        // optimizer state (depth one), or a chunked blob's SSD hop plus
+        // its P16 (42 B is over, so those are depth one too). (It could
+        // not hold the 104 B of activations this plan parks there, so the
+        // verifier is not asked.)
+        let tiers = Limits {
+            host: Some(40.0),
+            ..Limits::none()
+        };
+        let paced = pacing_edges(&miniature(), &tiers, false);
+        for edge in [
+            ("opt-read L6", "opt-cpu L7"),
+            ("opt-read L0", "opt-cpu L1"),
+            ("act-load L4#0", "bwd L5"),
+            ("bwd-read L4", "bwd L5"),
+            ("bwd-read L2", "bwd L4"),
+        ] {
+            let (t, d) = edge;
             assert!(
-                dag.graph.deps(reads[h]).contains(&cpus[h - 2]),
-                "handler {h}'s state read waits for handler {}'s compute",
-                h - 2
+                paced.contains(&(t.to_string(), d.to_string())),
+                "{t} should wait for {d}: {paced:?}"
             );
         }
+        // 2 B of P16 per kernel: the ten up to `bwd L5` fit in 20 B.
+        assert!(!paced.iter().any(|(t, _)| t == "bwd-read L5"));
+        // The arena is unbounded: its transfers stay two deep, fetches
+        // following their reads.
+        assert!(paced.contains(&("act-up L4#0".to_string(), "bwd L6".to_string())));
+        assert!(!paced.iter().any(|(t, _)| t.contains("fetch")));
     }
 
     #[test]
@@ -727,13 +1149,13 @@ mod tests {
         // have no engine action.
         let mut spec = tiny_spec(GradOffloadMode::OptimizedActive);
         spec.gpus = 2;
-        let err = StepDag::lower(&spec).unwrap_err();
+        let err = StepDag::lower(&spec, &Limits::none(), true).unwrap_err();
         assert!(matches!(err, RatelError::InvalidConfig(_)), "{err}");
 
         // Hook tasks (per-layer overhead) are simulation-only too.
         let mut spec = tiny_spec(GradOffloadMode::OptimizedActive);
         spec.per_layer_overhead_seconds = 0.5;
-        let err = StepDag::lower(&spec).unwrap_err();
+        let err = StepDag::lower(&spec, &Limits::none(), true).unwrap_err();
         assert!(matches!(err, RatelError::InvalidConfig(_)), "{err}");
     }
 }

@@ -203,11 +203,17 @@ impl EngineConfig {
         if v.is_empty() {
             let max_p = m.max_layer_params() as u64;
             if let Some(cap) = self.gpu_capacity {
-                let need = 2 * max_p; // one resident layer's P16
+                let (in_flight, staged) = self.arena_demand();
+                // Staging fills half the arena, or one kernel's inputs
+                // when those are larger; the offloads pass through beside
+                // it.
+                let need = in_flight + in_flight.max(staged);
                 if cap < need {
                     v.push(format!(
-                        "gpu capacity {cap} B cannot stage the largest layer's \
-                         P16 ({need} B)"
+                        "gpu capacity {cap} B cannot hold the offloads in flight \
+                         ({in_flight} B, one blob or chunk per G2M worker) beside the \
+                         staging window (half the arena, at least the {staged} B one \
+                         kernel consumes): needs {need} B"
                     ));
                 }
             }
@@ -222,6 +228,53 @@ impl EngineConfig {
             }
         }
         v
+    }
+
+    /// Lowers `spec` — this config's movement plan or its accumulation
+    /// variant — into the DAG a step dispatches, paced against the
+    /// configured tier capacities. The builder self-verifies the schedule
+    /// in debug builds and the lowering re-verifies it after pacing,
+    /// holding it to those capacities when the config clears
+    /// [`EngineConfig::validate`]'s floors (below them a step is expected
+    /// to fail with a typed out-of-memory error, which is not a lowering
+    /// defect) — so the DAG `train_step` dispatches is the DAG that
+    /// passed.
+    fn lower(&self, spec: &crate::schedule::IterationSpec) -> Result<Arc<StepDag>, RatelError> {
+        let tiers = ratel_verify::Limits {
+            gpu: self.gpu_capacity.map(|c| c as f64),
+            host: self.host_capacity.map(|c| c as f64),
+            ssd: None,
+        };
+        StepDag::lower(spec, &tiers, self.validate().is_empty()).map(Arc::new)
+    }
+
+    /// What a step puts into the GPU arena, every blob in transit counted
+    /// (`offload_f16` and the staged copies all live in `Tier::Gpu`):
+    /// `(in_flight, staged)`, where `in_flight` is the largest blob or
+    /// chunk a G2M worker offloads — a checkpoint, a saved-activation
+    /// blob or one chunk of an SSD-bound one, a G16 — times the G2M
+    /// workers, and `staged` is the most one kernel consumes from the
+    /// arena: its P16 and, for a block's backward, the checkpoint and
+    /// swapped activations.
+    fn arena_demand(&self) -> (u64, u64) {
+        let m = &self.model;
+        let p16 = 2 * m.max_layer_params() as u64;
+        let ckpt = 2 * (m.batch * m.seq * m.hidden) as u64;
+        let act_elems = BlockSaved::element_count_for(m.batch, m.seq, m.hidden, m.heads) as u64;
+        let chunks = crate::schedule::ACT_SPILL_CHUNKS as u64;
+        let mut blob = p16; // a G16 is as large as its layer's P16
+        let mut staged = p16;
+        for decision in &self.act_decisions {
+            let (offloaded, swapped) = match decision {
+                ActDecision::Recompute => (ckpt, 0),
+                ActDecision::SwapToHost => (ckpt.max(2 * act_elems), 2 * act_elems),
+                ActDecision::SwapToSsd => (ckpt.max(2 * act_elems.div_ceil(chunks)), 2 * act_elems),
+            };
+            blob = blob.max(offloaded);
+            staged = staged.max(2 * m.block_params() as u64 + ckpt + swapped);
+        }
+        let workers = self.execution.executor().workers_per_pool as u64;
+        (workers * blob, staged)
     }
 
     /// A reasonable default: tiny model, everything swapped to host.
@@ -409,8 +462,13 @@ pub(crate) fn p16_key(layer: usize) -> String {
 fn grad_key(layer: usize) -> String {
     format!("layer{layer}/grad")
 }
-fn act_key(block: usize) -> String {
-    format!("block{block}/acts")
+/// A block's saved activations: the whole blob, or — for a blob that
+/// moves in chunks — chunk `c` of it (`block{b}/acts#c`).
+fn act_key(block: usize, chunk: Option<usize>) -> String {
+    match chunk {
+        Some(c) => format!("block{block}/acts#{c}"),
+        None => format!("block{block}/acts"),
+    }
 }
 fn ckpt_key(layer: usize) -> String {
     format!("layer{layer}/ckpt")
@@ -444,13 +502,11 @@ fn offload_f16(
     Ok(())
 }
 
-/// Fetches an f16 blob back to the GPU tier and removes it, returning
-/// the bytes.
+/// Fetches an f16 blob back to the GPU tier and takes it out of the
+/// store, returning the bytes.
 fn fetch_f16(store: &TieredStore, key: &str) -> Result<Vec<u8>, StorageError> {
     store.move_to(key, Tier::Gpu)?;
-    let bytes = store.read(key)?;
-    store.remove(key)?;
-    Ok(bytes)
+    store.take(key)
 }
 
 impl RatelEngine {
@@ -477,11 +533,8 @@ impl RatelEngine {
 
         let scaler = LossScaler::new(config.loss_scale);
         let layer_steps = vec![0u64; config.model.layers + 2];
-        // The movement plan is lowered once here: the builder
-        // self-verifies the schedule in debug builds, and the lowering
-        // re-verifies it after pacing edges are added — the DAG
-        // `train_step` dispatches is the DAG that passed.
-        let step_dag = Arc::new(StepDag::lower(&movement_spec_for(&config))?);
+        // The movement plan is lowered once here.
+        let step_dag = config.lower(&movement_spec_for(&config))?;
         let engine = RatelEngine {
             config,
             store,
@@ -567,9 +620,8 @@ impl RatelEngine {
         let key = p16_key(layer);
         let staged = format!("{key}#staged");
         self.store.copy_to(&key, &staged, Tier::Gpu)?;
-        let flat = decode_f16(&self.store.read(&staged)?);
+        let flat = decode_f16(&self.store.take(&staged)?);
         set_layer_params(&mut self.model, layer, &flat);
-        self.store.remove(&staged)?;
         Ok(())
     }
 
@@ -670,7 +722,9 @@ impl RatelEngine {
         if let Some(dag) = &self.accum_dag {
             return Ok(Arc::clone(dag));
         }
-        let dag = Arc::new(StepDag::lower(&self.movement_spec().accumulation_spec())?);
+        let dag = self
+            .config
+            .lower(&self.movement_spec().accumulation_spec())?;
         self.accum_dag = Some(Arc::clone(&dag));
         Ok(dag)
     }
@@ -1290,6 +1344,52 @@ mod tests {
             ),
             "expected GPU OOM, got {err}"
         );
+    }
+
+    #[test]
+    fn the_arena_floor_counts_what_the_decisions_move_through_it() {
+        let mut config = EngineConfig::tiny();
+        config.act_decisions = vec![
+            ActDecision::SwapToSsd,
+            ActDecision::SwapToHost,
+            ActDecision::Recompute,
+        ];
+        let model = config.model;
+        let (in_flight, staged) = config.arena_demand();
+        let floor = in_flight + in_flight.max(staged);
+        let p16 = 2 * model.max_layer_params() as u64;
+        assert!(p16 < floor, "swapped activations transit the arena too");
+
+        // One byte short: reported up front, with the other violations.
+        config.gpu_capacity = Some(floor - 1);
+        config.host_capacity = Some(64);
+        let violations = config.validate().join("\n");
+        assert!(violations.contains("gpu capacity"), "{violations}");
+        assert!(violations.contains("host capacity"), "{violations}");
+        // An arena that only stages the largest P16 used to pass and then
+        // ran out of memory mid-step.
+        config.host_capacity = None;
+        config.gpu_capacity = Some(p16);
+        assert!(!config.validate().is_empty());
+        let (tokens, targets) = random_batch(&model, 4);
+        let err = RatelEngine::new(config.clone())
+            .unwrap()
+            .train_step(&tokens, &targets)
+            .unwrap_err();
+        assert!(matches!(
+            err,
+            RatelError::Storage(StorageError::OutOfMemory {
+                tier: Tier::Gpu,
+                ..
+            })
+        ));
+
+        // At the floor the config is valid and a step fits.
+        config.gpu_capacity = Some(floor);
+        assert_eq!(config.validate(), Vec::<String>::new());
+        let mut engine = RatelEngine::new(config).unwrap();
+        engine.train_step(&tokens, &targets).unwrap();
+        assert!(engine.store().peak_used(Tier::Gpu) <= floor);
     }
 
     #[test]

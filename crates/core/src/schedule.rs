@@ -47,9 +47,10 @@ impl Annot {
 }
 
 /// The one place a task enters the graph. The display label is derived
-/// here from the task's typed identity — `fwd L12`, `opt-read L7`, …
-/// with an `iN ` prefix when the DAG spans several iterations and a
-/// ` gN` suffix on per-GPU tasks when it spans several GPUs — so
+/// here from the task's typed identity — `fwd L12`, `opt-read L7`,
+/// `act-spill L4#2` for a chunk, … with an `iN ` prefix when the DAG
+/// spans several iterations and a ` gN` suffix on per-GPU tasks when it
+/// spans several GPUs — so
 /// consumers dispatch on [`TaskMeta::identity`] and the label stays
 /// display-only.
 struct Emitter {
@@ -77,7 +78,8 @@ impl Emitter {
             Some(gi) if self.multi_gpu => format!(" g{gi}"),
             _ => String::new(),
         };
-        let label = format!("{iter}{} L{}{gpu}", id.kind.name(), id.layer);
+        let chunk = id.chunk.map(|c| format!("#{c}")).unwrap_or_default();
+        let label = format!("{iter}{} L{}{chunk}{gpu}", id.kind.name(), id.layer);
         meta.identity = Some(id);
         let t = self
             .g
@@ -86,6 +88,16 @@ impl Emitter {
         t
     }
 }
+
+/// Equal chunks an SSD-bound activation blob moves in. Its swap is two
+/// hops each way (GPU→host→SSD, then back); moved whole, each hop waits
+/// for the previous one to finish the blob (store-and-forward, four blob
+/// times from forward to backward). In chunks, hop *n+1* moves chunk *c*
+/// while hop *n* moves chunk *c+1* (cut-through), and the chain fills in
+/// `(hops − 1) / chunks` of a blob time — past four chunks the gain is
+/// smaller than the per-task cost. Host-bound blobs make one hop each way
+/// and move whole.
+pub const ACT_SPILL_CHUNKS: usize = 4;
 
 /// Where a layer's fp16 parameters live between iterations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -165,6 +177,42 @@ pub struct LayerTask {
     pub grad_spill_to_ssd: bool,
     /// The optimizer handler for this layer.
     pub optimizer: OptimizerKind,
+}
+
+impl LayerTask {
+    /// The chunks this layer's swapped activations move in, one task per
+    /// chunk and hop: [`ACT_SPILL_CHUNKS`] of them when SSD-bound, the
+    /// whole blob (`None`) when host-bound, none when nothing is swapped.
+    pub fn act_chunks(&self) -> Vec<Option<usize>> {
+        if self.act_to_ssd_bytes > 0.0 {
+            (0..ACT_SPILL_CHUNKS).map(Some).collect()
+        } else if self.act_to_host_bytes > 0.0 {
+            vec![None]
+        } else {
+            Vec::new()
+        }
+    }
+
+    /// Bytes chunk `chunk` leaves in host memory: the host-resident
+    /// bytes ride with the first (or only) chunk.
+    fn act_chunk_host_bytes(&self, chunk: Option<usize>) -> f64 {
+        if chunk.unwrap_or(0) == 0 {
+            self.act_to_host_bytes
+        } else {
+            0.0
+        }
+    }
+
+    /// Bytes of one chunk on the SSD hops: an equal share of the
+    /// SSD-bound bytes.
+    fn act_chunk_ssd_bytes(&self) -> f64 {
+        self.act_to_ssd_bytes / ACT_SPILL_CHUNKS as f64
+    }
+
+    /// Bytes of chunk `chunk` on the PCIe hops.
+    fn act_chunk_pcie_bytes(&self, chunk: Option<usize>) -> f64 {
+        self.act_chunk_host_bytes(chunk) + self.act_chunk_ssd_bytes()
+    }
 }
 
 /// Resource rates of the simulated server (from the profiling stage).
@@ -359,10 +407,10 @@ impl IterationSpec {
             // fwd[gpu][layer]
             let mut fwd: Vec<Vec<TaskId>> = vec![Vec::with_capacity(n); self.gpus];
             // Activation offload tasks, for backward-fetch dependencies:
-            // act_offloaded[gpu][layer] = G2M offload; act_spilled[layer] = SSD
-            // write (one per layer per GPU, flattened in insertion order).
-            let mut act_offloaded: Vec<Vec<Option<TaskId>>> = vec![vec![None; n]; self.gpus];
-            let mut act_spilled: Vec<Vec<Option<TaskId>>> = vec![vec![None; n]; self.gpus];
+            // act_offloaded[gpu][layer] = G2M offloads, act_spilled[gpu][layer]
+            // = SSD writes, one per chunk in `LayerTask::act_chunks` order.
+            let mut act_offloaded: Vec<Vec<Vec<TaskId>>> = vec![vec![Vec::new(); n]; self.gpus];
+            let mut act_spilled: Vec<Vec<Vec<TaskId>>> = vec![vec![Vec::new(); n]; self.gpus];
             for (li, layer) in self.layers.iter().enumerate() {
                 // Parameter fetch: one SSD read staged to host, then a per-GPU
                 // host->GPU copy.
@@ -385,34 +433,37 @@ impl IterationSpec {
                     _ => None,
                 };
                 for gi in 0..self.gpus {
-                    let fetch: Option<TaskId> =
-                        match layer.param_source {
-                            ParamSource::Gpu => None,
-                            ParamSource::Ssd | ParamSource::Host if layer.p16_bytes > 0.0 => {
-                                let deps: Vec<TaskId> = host_ready
-                                    .into_iter()
-                                    .chain(updated.iter().copied())
-                                    .collect();
-                                // SSD-sourced fetches copy from the staging
-                                // buffer the shared read filled; host-sourced
-                                // fetches read the persistent host copy.
-                                let src = match layer.param_source {
-                                    ParamSource::Ssd => an.cur(stage_key),
-                                    _ => an.cur(p16_key),
-                                };
-                                Some(em.task(
+                    let param_gpu_key = BlobKey::on_gpu(BlobKind::ParamGpu, li, gi);
+                    let fetch: Option<TaskId> = match layer.param_source {
+                        ParamSource::Gpu => None,
+                        ParamSource::Ssd | ParamSource::Host if layer.p16_bytes > 0.0 => {
+                            let deps: Vec<TaskId> = host_ready
+                                .into_iter()
+                                .chain(updated.iter().copied())
+                                .collect();
+                            // SSD-sourced fetches copy from the staging
+                            // buffer the shared read filled; host-sourced
+                            // fetches read the persistent host copy.
+                            let src = match layer.param_source {
+                                ParamSource::Ssd => an.cur(stage_key),
+                                _ => an.cur(p16_key),
+                            };
+                            Some(
+                                em.task(
                                     TaskIdentity::on_gpu(TaskKind::FwdFetch, li, gi),
                                     m2g[gi],
                                     layer.p16_bytes / r.bw_m2g,
                                     Stage::Forward,
                                     &deps,
-                                    TaskMeta::new(OpClass::TransferM2G, iter).read(src).write(
-                                        an.bump(BlobKey::on_gpu(BlobKind::ParamGpu, li, gi)),
-                                    ),
-                                ))
-                            }
-                            _ => None,
-                        };
+                                    TaskMeta::new(OpClass::TransferM2G, iter)
+                                        .read(src)
+                                        .write(an.bump(param_gpu_key))
+                                        .alloc(MemTier::Gpu, param_gpu_key, layer.p16_bytes),
+                                ),
+                            )
+                        }
+                        _ => None,
+                    };
                     let mut deps: Vec<TaskId> = fetch.into_iter().collect();
                     if fetch.is_none() {
                         // GPU-resident parameters: compute still waits for the
@@ -440,8 +491,12 @@ impl IterationSpec {
                     match layer.param_source {
                         // GPU-resident parameters are read in place.
                         ParamSource::Gpu => meta = meta.read(an.cur(p16_key)),
+                        // The kernel consumes the fetched copy: its arena
+                        // residency ends here.
                         _ if fetch.is_some() => {
-                            meta = meta.read(an.cur(BlobKey::on_gpu(BlobKind::ParamGpu, li, gi)))
+                            meta = meta
+                                .read(an.cur(param_gpu_key))
+                                .free(MemTier::Gpu, param_gpu_key)
                         }
                         _ => {}
                     }
@@ -464,33 +519,37 @@ impl IterationSpec {
                     fwd[gi].push(f);
 
                     // Activation offload (host-resident + SSD-spilled share the
-                    // same G2M hop; the spill continues to the SSDs).
-                    if act_bytes > 0.0 {
+                    // same G2M hop; the spill continues to the SSDs), one
+                    // independent chain per chunk: a chunk's spill waits
+                    // for that chunk's offload only.
+                    let produced = an.cur(act_key);
+                    for chunk in layer.act_chunks() {
+                        let key = act_key.chunk(chunk);
                         let off = em.task(
-                            TaskIdentity::on_gpu(TaskKind::ActOff, li, gi),
+                            TaskIdentity::on_gpu(TaskKind::ActOff, li, gi).chunk(chunk),
                             g2m[gi],
-                            act_bytes / r.bw_g2m,
+                            layer.act_chunk_pcie_bytes(chunk) / r.bw_g2m,
                             Stage::Forward,
                             &[f],
                             TaskMeta::new(OpClass::TransferG2M, iter)
-                                .read(an.cur(act_key))
-                                .write(an.bump(act_key))
-                                .alloc(MemTier::Host, act_key, layer.act_to_host_bytes),
+                                .read(produced)
+                                .write(an.bump(key))
+                                .alloc(MemTier::Host, key, layer.act_chunk_host_bytes(chunk)),
                         );
-                        act_offloaded[gi][li] = Some(off);
+                        act_offloaded[gi][li].push(off);
                         if layer.act_to_ssd_bytes > 0.0 {
                             let spill = em.task(
-                                TaskIdentity::on_gpu(TaskKind::ActSpill, li, gi),
+                                TaskIdentity::on_gpu(TaskKind::ActSpill, li, gi).chunk(chunk),
                                 ssd,
-                                layer.act_to_ssd_bytes / r.ssd_write,
+                                layer.act_chunk_ssd_bytes() / r.ssd_write,
                                 Stage::Forward,
                                 &[off],
                                 TaskMeta::new(OpClass::SsdWrite, iter)
-                                    .read(an.cur(act_key))
-                                    .write(an.bump(act_key))
-                                    .alloc(MemTier::Ssd, act_key, layer.act_to_ssd_bytes),
+                                    .read(an.cur(key))
+                                    .write(an.bump(key))
+                                    .alloc(MemTier::Ssd, key, layer.act_chunk_ssd_bytes()),
                             );
-                            act_spilled[gi][li] = Some(spill);
+                            act_spilled[gi][li].push(spill);
                         }
                     }
                 }
@@ -534,68 +593,71 @@ impl IterationSpec {
                     _ => None,
                 };
                 for gi in 0..self.gpus {
-                    let fetch_p: Option<TaskId> =
-                        match layer.param_source {
-                            ParamSource::Gpu => None,
-                            _ if layer.p16_bytes > 0.0 && layer.refetch_in_backward => {
-                                let deps: Vec<TaskId> = host_ready
-                                    .into_iter()
-                                    .chain(updated.iter().copied())
-                                    .collect();
-                                let src = match layer.param_source {
-                                    ParamSource::Ssd => an.cur(stage_key),
-                                    _ => an.cur(p16_key),
-                                };
-                                Some(em.task(
+                    let param_gpu_key = BlobKey::on_gpu(BlobKind::ParamGpu, li, gi);
+                    let fetch_p: Option<TaskId> = match layer.param_source {
+                        ParamSource::Gpu => None,
+                        _ if layer.p16_bytes > 0.0 && layer.refetch_in_backward => {
+                            let deps: Vec<TaskId> = host_ready
+                                .into_iter()
+                                .chain(updated.iter().copied())
+                                .collect();
+                            let src = match layer.param_source {
+                                ParamSource::Ssd => an.cur(stage_key),
+                                _ => an.cur(p16_key),
+                            };
+                            Some(
+                                em.task(
                                     TaskIdentity::on_gpu(TaskKind::BwdFetch, li, gi),
                                     m2g[gi],
                                     layer.p16_bytes / r.bw_m2g,
                                     Stage::Backward,
                                     &deps,
-                                    TaskMeta::new(OpClass::TransferM2G, iter).read(src).write(
-                                        an.bump(BlobKey::on_gpu(BlobKind::ParamGpu, li, gi)),
-                                    ),
-                                ))
-                            }
-                            _ => None,
-                        };
-                    // Fetch swapped activations back (SSD spill first).
-                    let act_key = BlobKey::on_gpu(BlobKind::Act, li, gi);
-                    let mut act_dep: Option<TaskId> = None;
-                    let act_bytes = layer.act_to_host_bytes + layer.act_to_ssd_bytes;
-                    if act_bytes > 0.0 {
-                        let ssd_read: Option<TaskId> = if layer.act_to_ssd_bytes > 0.0 {
-                            // The spill must have been written before it can be
-                            // read back.
-                            let deps: Vec<TaskId> = act_spilled[gi][li].into_iter().collect();
-                            Some(
-                                em.task(
-                                    TaskIdentity::on_gpu(TaskKind::ActLoad, li, gi),
-                                    ssd,
-                                    layer.act_to_ssd_bytes / r.ssd_read,
-                                    Stage::Backward,
-                                    &deps,
-                                    TaskMeta::new(OpClass::SsdRead, iter)
-                                        .read(an.cur(act_key))
-                                        .write(an.bump(act_key))
-                                        .free(MemTier::Ssd, act_key),
+                                    TaskMeta::new(OpClass::TransferM2G, iter)
+                                        .read(src)
+                                        .write(an.bump(param_gpu_key))
+                                        .alloc(MemTier::Gpu, param_gpu_key, layer.p16_bytes),
                                 ),
                             )
-                        } else {
-                            None
-                        };
-                        let mut deps: Vec<TaskId> = ssd_read.into_iter().collect();
-                        deps.extend(act_offloaded[gi][li]);
-                        let mut meta = TaskMeta::new(OpClass::TransferM2G, iter)
-                            .read(an.cur(act_key))
-                            .write(an.bump(act_key));
-                        if layer.act_to_host_bytes > 0.0 {
-                            meta = meta.free(MemTier::Host, act_key);
                         }
-                        act_dep = Some(em.task(
-                            TaskIdentity::on_gpu(TaskKind::ActUp, li, gi),
+                        _ => None,
+                    };
+                    // Fetch swapped activations back (SSD spill first).
+                    // Each chunk comes back along its own chain (SSD read,
+                    // then the M2G hop into the arena, where it stays
+                    // until the backward kernel consumes it).
+                    let act_key = BlobKey::on_gpu(BlobKind::Act, li, gi);
+                    let mut act_ups: Vec<TaskId> = Vec::new();
+                    let act_chunks = layer.act_chunks();
+                    for (c, &chunk) in act_chunks.iter().enumerate() {
+                        let key = act_key.chunk(chunk);
+                        // The spill must have been written before it can be
+                        // read back.
+                        let ssd_read = act_spilled[gi][li].get(c).map(|&spill| {
+                            em.task(
+                                TaskIdentity::on_gpu(TaskKind::ActLoad, li, gi).chunk(chunk),
+                                ssd,
+                                layer.act_chunk_ssd_bytes() / r.ssd_read,
+                                Stage::Backward,
+                                &[spill],
+                                TaskMeta::new(OpClass::SsdRead, iter)
+                                    .read(an.cur(key))
+                                    .write(an.bump(key))
+                                    .free(MemTier::Ssd, key),
+                            )
+                        });
+                        let mut deps: Vec<TaskId> = ssd_read.into_iter().collect();
+                        deps.push(act_offloaded[gi][li][c]);
+                        let mut meta = TaskMeta::new(OpClass::TransferM2G, iter)
+                            .read(an.cur(key))
+                            .write(an.bump(key))
+                            .alloc(MemTier::Gpu, key, layer.act_chunk_pcie_bytes(chunk));
+                        if layer.act_chunk_host_bytes(chunk) > 0.0 {
+                            meta = meta.free(MemTier::Host, key);
+                        }
+                        act_ups.push(em.task(
+                            TaskIdentity::on_gpu(TaskKind::ActUp, li, gi).chunk(chunk),
                             m2g[gi],
-                            act_bytes / r.bw_m2g,
+                            layer.act_chunk_pcie_bytes(chunk) / r.bw_m2g,
                             Stage::Backward,
                             &deps,
                             meta,
@@ -604,7 +666,7 @@ impl IterationSpec {
 
                     let mut deps: Vec<TaskId> = Vec::new();
                     deps.extend(fetch_p);
-                    deps.extend(act_dep);
+                    deps.extend(act_ups);
                     deps.extend(prev_bwd[gi]);
                     let deps = if self.per_layer_overhead_seconds > 0.0 {
                         vec![em.task(
@@ -621,15 +683,20 @@ impl IterationSpec {
                     let mut meta = TaskMeta::new(OpClass::GpuCompute, iter);
                     match layer.param_source {
                         ParamSource::Gpu => meta = meta.read(an.cur(p16_key)),
-                        // Refetched layers read the backward copy; the
-                        // head (staged once) reuses the forward copy.
+                        // Refetched layers read (and release) the backward
+                        // copy; the head (staged once) reuses the forward
+                        // copy.
                         _ if layer.p16_bytes > 0.0 => {
-                            meta = meta.read(an.cur(BlobKey::on_gpu(BlobKind::ParamGpu, li, gi)))
+                            meta = meta.read(an.cur(param_gpu_key));
+                            if fetch_p.is_some() {
+                                meta = meta.free(MemTier::Gpu, param_gpu_key);
+                            }
                         }
                         _ => {}
                     }
-                    if act_bytes > 0.0 {
-                        meta = meta.read(an.cur(act_key));
+                    for &chunk in &act_chunks {
+                        let key = act_key.chunk(chunk);
+                        meta = meta.read(an.cur(key)).free(MemTier::Gpu, key);
                     }
                     meta = if li + 1 < n {
                         meta.read(an.cur(BlobKey::on_gpu(BlobKind::FlowGrad, li + 1, gi)))

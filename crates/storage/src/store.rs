@@ -130,6 +130,9 @@ struct Inner {
     gpu_used: u64,
     host_used: u64,
     ssd_used: u64,
+    /// High-water marks of the three `*_used` counters since the last
+    /// [`TieredStore::reset_traffic`], indexed by `Tier as usize`.
+    peak_used: [u64; 3],
 }
 
 /// A thread-safe three-tier blob store with traffic metering.
@@ -179,6 +182,7 @@ impl TieredStore {
                     gpu_used: 0,
                     host_used: 0,
                     ssd_used: 0,
+                    peak_used: [0; 3],
                 },
             ),
             pending_cv: Condvar::named("store.pending_cv"),
@@ -477,6 +481,8 @@ impl TieredStore {
             Tier::Ssd => &mut inner.ssd_used,
         };
         *slot = (*slot as i64 + bytes).max(0) as u64;
+        let peak = &mut inner.peak_used[tier as usize];
+        *peak = (*peak).max(*slot);
     }
 
     fn blob_path(&self, key: &str) -> PathBuf {
@@ -660,6 +666,21 @@ impl TieredStore {
         res
     }
 
+    /// Removes a blob and returns its bytes: [`TieredStore::read`] then
+    /// [`TieredStore::remove`], but a memory-resident blob is handed
+    /// over, not copied.
+    pub fn take(&self, key: &str) -> Result<Vec<u8>, StorageError> {
+        let mut inner = self.lock_key(key);
+        if let Some((tier, data)) = inner.mem.remove(key) {
+            Self::add_used(&mut inner, tier, -(data.len() as i64));
+            return Ok(data);
+        }
+        drop(inner);
+        let bytes = self.read(key)?;
+        self.remove(key)?;
+        Ok(bytes)
+    }
+
     /// Removes a blob, freeing its tier space.
     pub fn remove(&self, key: &str) -> Result<(), StorageError> {
         let mut inner = self.lock_key(key);
@@ -825,16 +846,18 @@ impl TieredStore {
         // released and the key marked pending.
         let len = match (current, target) {
             (Tier::Gpu, Tier::Host) | (Tier::Host, Tier::Gpu) => {
-                // Pure in-memory hop: no file I/O, finish under the lock.
-                let bytes = match inner.mem.get(key) {
-                    Some((_, b)) => b.clone(),
-                    None => return Err(StorageError::NotFound(key.to_string())),
+                // Pure in-memory hop: no file I/O, the entry is retagged
+                // in place under the lock.
+                let Some(entry) = inner.mem.get(key) else {
+                    return Err(StorageError::NotFound(key.to_string()));
                 };
-                let len = bytes.len() as u64;
+                let len = entry.1.len() as u64;
                 // The source still holds the blob while we check the
                 // target, which is how double-buffered transfers behave.
                 self.check_fits(&inner, target, len)?;
-                inner.mem.insert(key.to_string(), (target, bytes));
+                if let Some(entry) = inner.mem.get_mut(key) {
+                    entry.0 = target;
+                }
                 Self::add_used(&mut inner, target, len as i64);
                 Self::add_used(&mut inner, current, -(len as i64));
                 drop(inner);
@@ -1029,14 +1052,23 @@ impl TieredStore {
         Self::used_locked(&self.inner.lock(), tier)
     }
 
+    /// The most bytes `tier` held at once since the store was opened or
+    /// [`TieredStore::reset_traffic`] was last called.
+    pub fn peak_used(&self, tier: Tier) -> u64 {
+        self.inner.lock().peak_used[tier as usize]
+    }
+
     /// Current traffic counters.
     pub fn traffic(&self) -> TrafficSnapshot {
         self.traffic.snapshot()
     }
 
-    /// Resets the traffic counters (e.g. between iterations).
+    /// Resets the traffic counters and restarts the tiers' high-water
+    /// marks from what they hold now (e.g. between iterations).
     pub fn reset_traffic(&self) {
         self.traffic.reset();
+        let mut inner = self.inner.lock();
+        inner.peak_used = [inner.gpu_used, inner.host_used, inner.ssd_used];
     }
 }
 
@@ -1130,6 +1162,46 @@ mod tests {
         ));
         // Blob is still intact on the GPU tier.
         assert_eq!(store.tier_of("big").unwrap(), Tier::Gpu);
+    }
+
+    #[test]
+    fn memory_hops_and_take_hand_the_buffer_over_without_copying() {
+        let store = TieredStore::new(TierConfig::unbounded_temp()).unwrap();
+        let bytes = vec![7u8; 4096];
+        let buffer = bytes.as_ptr();
+        store.put("a", Tier::Gpu, bytes).unwrap();
+        store.move_to("a", Tier::Host).unwrap();
+        assert_eq!(store.tier_of("a").unwrap(), Tier::Host);
+        assert_eq!((store.used(Tier::Gpu), store.used(Tier::Host)), (0, 4096));
+        store.move_to("a", Tier::Gpu).unwrap();
+        let taken = store.take("a").unwrap();
+        assert_eq!(taken.as_ptr(), buffer, "a hop or the take copied the blob");
+        assert_eq!(taken, vec![7u8; 4096]);
+        assert!(!store.contains("a"));
+        assert_eq!(store.used(Tier::Gpu), 0);
+        let s = store.traffic();
+        assert_eq!(s.bytes(Route::GpuToHost), 4096);
+        assert_eq!(s.bytes(Route::HostToGpu), 4096);
+        // An SSD-resident blob is read, then removed.
+        store.put("s", Tier::Ssd, vec![3u8; 16]).unwrap();
+        assert_eq!(store.take("s").unwrap(), vec![3u8; 16]);
+        assert_eq!(store.used(Tier::Ssd), 0);
+        assert!(matches!(store.take("s"), Err(StorageError::NotFound(_))));
+    }
+
+    #[test]
+    fn peak_used_is_a_high_water_mark_reset_with_the_traffic_counters() {
+        let store = TieredStore::new(TierConfig::unbounded_temp()).unwrap();
+        store.put("a", Tier::Gpu, vec![0u8; 100]).unwrap();
+        store.put("b", Tier::Gpu, vec![0u8; 50]).unwrap();
+        store.remove("a").unwrap();
+        assert_eq!(store.used(Tier::Gpu), 50);
+        assert_eq!(store.peak_used(Tier::Gpu), 150);
+        assert_eq!(store.peak_used(Tier::Host), 0);
+        store.reset_traffic();
+        assert_eq!(store.peak_used(Tier::Gpu), 50, "restarts from what is held");
+        store.move_to("b", Tier::Host).unwrap();
+        assert_eq!(store.peak_used(Tier::Host), 50);
     }
 
     #[test]

@@ -4,54 +4,86 @@
 
 use ratel_repro::prelude::*;
 
-pub fn zoo() -> Vec<GptConfig> {
+/// One zoo entry: a model shape, the activation decisions its blocks
+/// take in turn, and the GPU arena it runs under.
+pub struct Shape {
+    pub model: GptConfig,
+    pub decisions: [ActDecision; 3],
+    pub gpu_capacity: Option<u64>,
+}
+
+/// Rotate through all three policies so every DAG shape appears.
+const HOST_SSD_RECOMPUTE: [ActDecision; 3] = [
+    ActDecision::SwapToHost,
+    ActDecision::SwapToSsd,
+    ActDecision::Recompute,
+];
+
+pub fn zoo() -> Vec<Shape> {
+    let unbounded = |model| Shape {
+        model,
+        decisions: HOST_SSD_RECOMPUTE,
+        gpu_capacity: None,
+    };
     vec![
         // Wide-ish and shallow.
-        GptConfig {
+        unbounded(GptConfig {
             vocab: 96,
             seq: 12,
             hidden: 32,
             heads: 4,
             layers: 2,
             batch: 2,
-        },
+        }),
         // Deeper, mixed activation policies exercise spill + recompute.
-        GptConfig {
+        unbounded(GptConfig {
             vocab: 64,
             seq: 8,
             hidden: 16,
             heads: 2,
             layers: 4,
             batch: 2,
-        },
+        }),
         // Single block: the shortest pipeline the lowering supports.
-        GptConfig {
+        unbounded(GptConfig {
             vocab: 48,
             seq: 8,
             hidden: 16,
             heads: 2,
             layers: 1,
             batch: 1,
+        }),
+        // The benchmark's `train-actswap` in miniature: two SSD-bound
+        // blobs moving in chunks, and an arena whose byte budget (half of
+        // 64 KiB, a little over two blocks' 15 KB of backward inputs)
+        // paces what is read ahead — the floor for four workers per pool
+        // is 62 KiB.
+        Shape {
+            model: GptConfig {
+                vocab: 64,
+                seq: 8,
+                hidden: 16,
+                heads: 2,
+                layers: 6,
+                batch: 2,
+            },
+            decisions: [
+                ActDecision::SwapToSsd,
+                ActDecision::SwapToHost,
+                ActDecision::Recompute,
+            ],
+            gpu_capacity: Some(64 << 10),
         },
     ]
 }
 
-fn decisions_for(model: &GptConfig) -> Vec<ActDecision> {
-    // Rotate through all three policies so every DAG shape appears.
-    (0..model.layers)
-        .map(|b| match b % 3 {
-            0 => ActDecision::SwapToHost,
-            1 => ActDecision::SwapToSsd,
-            _ => ActDecision::Recompute,
-        })
-        .collect()
-}
-
-pub fn config_with(model: GptConfig, execution: ExecutionOptions) -> EngineConfig {
+pub fn config_with(shape: &Shape, execution: ExecutionOptions) -> EngineConfig {
+    let decisions = shape.decisions.iter().copied().cycle();
     EngineConfig {
-        model,
+        model: shape.model,
         seed: 1234,
-        act_decisions: decisions_for(&model),
+        act_decisions: decisions.take(shape.model.layers).collect(),
+        gpu_capacity: shape.gpu_capacity,
         execution,
         ..EngineConfig::tiny()
     }

@@ -14,15 +14,41 @@ mod common;
 
 use common::{config_with, zoo};
 use ratel_repro::prelude::*;
+use ratel_repro::storage::{Route, Tier};
 
-/// Run `steps` training steps, returning the losses and final masters.
-fn run(config: EngineConfig, steps: u64) -> (Vec<f32>, Vec<Vec<f32>>) {
+/// The micro-batches of the accumulated step every run ends with.
+fn micro_batches(model: &GptConfig) -> Vec<(Vec<usize>, Vec<usize>)> {
+    (0..3).map(|s| random_batch(model, 20 + s)).collect()
+}
+
+/// Run two plain training steps and a three-micro-batch accumulated one,
+/// returning the losses and final masters. Every step must move exactly
+/// the plan's bytes and stay inside the arena.
+fn run(config: EngineConfig) -> (Vec<f32>, Vec<Vec<f32>>) {
     let model = config.model;
+    let gpu_capacity = config.gpu_capacity;
     let mut engine = RatelEngine::new(config).unwrap();
+    let spec = engine.movement_spec();
+    let step_bytes = spec.planned_route_bytes();
+    let accumulation_bytes = spec.accumulation_spec().planned_route_bytes();
     let mut losses = Vec::new();
-    for s in 0..steps {
+    for s in 0..2 {
         let (t, y) = random_batch(&model, 7 + s);
-        losses.push(engine.train_step(&t, &y).unwrap().loss);
+        let stats = engine.train_step(&t, &y).unwrap();
+        assert_eq!(Route::ALL.map(|r| stats.traffic.bytes(r)), step_bytes);
+        losses.push(stats.loss);
+    }
+    let stats = engine
+        .train_step_accumulated(&micro_batches(&model))
+        .unwrap();
+    for (i, route) in Route::ALL.into_iter().enumerate() {
+        let planned = 2 * accumulation_bytes[i] + step_bytes[i];
+        assert_eq!(stats.traffic.bytes(route), planned, "{route:?}");
+    }
+    losses.push(stats.loss);
+    if let Some(capacity) = gpu_capacity {
+        let peak = engine.store().peak_used(Tier::Gpu);
+        assert!(0 < peak && peak <= capacity, "arena peaked at {peak} B");
     }
     let masters = (0..engine.layer_count())
         .map(|l| engine.master_params(l).unwrap())
@@ -35,15 +61,17 @@ fn run(config: EngineConfig, steps: u64) -> (Vec<f32>, Vec<Vec<f32>>) {
 /// across the model zoo.
 #[test]
 fn executor_matches_the_reference_across_the_zoo() {
-    for model in zoo() {
+    for shape in zoo() {
+        let model = shape.model;
         // The ground truth: everything in memory.
         let mut reference = ReferenceTrainer::new(model, 1234, AdamParams::default());
-        let ref_losses: Vec<f32> = (0..2)
+        let mut ref_losses: Vec<f32> = (0..2)
             .map(|s| {
                 let (t, y) = random_batch(&model, 7 + s);
                 reference.train_step(&t, &y)
             })
             .collect();
+        ref_losses.push(reference.train_step_accumulated(&micro_batches(&model)));
         let ref_masters: Vec<Vec<f32>> = (0..model.layers + 2)
             .map(|l| reference.master_params(l).to_vec())
             .collect();
@@ -53,16 +81,13 @@ fn executor_matches_the_reference_across_the_zoo() {
                 GradOffloadMode::OptimizedActive,
                 GradOffloadMode::SeparateStage,
             ] {
-                let (losses, masters) = run(
-                    config_with(
-                        model,
-                        ExecutionOptions::Executor(ExecutorOptions {
-                            workers_per_pool: workers,
-                            offload,
-                        }),
-                    ),
-                    2,
-                );
+                let (losses, masters) = run(config_with(
+                    &shape,
+                    ExecutionOptions::Executor(ExecutorOptions {
+                        workers_per_pool: workers,
+                        offload,
+                    }),
+                ));
                 assert_eq!(
                     losses, ref_losses,
                     "{model:?} with {workers} workers, {offload:?}"
@@ -84,8 +109,9 @@ fn dropped_dependency_edges_are_caught_before_dispatch() {
     use ratel_repro::core::verify::Limits;
     use ratel_repro::sim::TaskKind;
 
-    let model = zoo()[0];
-    let spec = movement_spec_for(&config_with(model, ExecutionOptions::default()));
+    let shape = &zoo()[0];
+    let model = shape.model;
+    let spec = movement_spec_for(&config_with(shape, ExecutionOptions::default()));
     let (mut graph, _, _) = spec.build();
     let base = ratel_repro::core::verify::verify(&graph, &Limits::none());
     assert!(base.is_clean(), "{}", base.render());

@@ -81,7 +81,8 @@ fn check_step(
 
 #[test]
 fn every_executed_task_has_one_typed_span_that_agrees_with_the_executor() {
-    for model in zoo() {
+    for shape in zoo() {
+        let model = shape.model;
         for workers in [1usize, 2, 4] {
             for offload in [
                 GradOffloadMode::OptimizedActive,
@@ -89,7 +90,7 @@ fn every_executed_task_has_one_typed_span_that_agrees_with_the_executor() {
             ] {
                 let what = format!("{model:?}, {workers} workers, {offload:?}");
                 let mut config = config_with(
-                    model,
+                    &shape,
                     ExecutionOptions::Executor(ExecutorOptions {
                         workers_per_pool: workers,
                         offload,
@@ -98,6 +99,7 @@ fn every_executed_task_has_one_typed_span_that_agrees_with_the_executor() {
                 // A frozen block: the accumulation DAG then differs from
                 // the step DAG in more than its optimizer handlers.
                 config.frozen_layers = vec![1];
+                let gpu_capacity = config.gpu_capacity;
                 let mut engine = RatelEngine::new(config).unwrap();
                 engine.enable_conformance(ConformanceConfig::default());
                 let spec = engine.movement_spec();
@@ -114,6 +116,10 @@ fn every_executed_task_has_one_typed_span_that_agrees_with_the_executor() {
                 let what = format!("{what}, accumulated");
                 check_step(&engine, &stats, &step_graph, &accumulation_graph, &what);
                 assert_eq!(engine.total_findings(), 0, "{what}");
+                if let Some(capacity) = gpu_capacity {
+                    let peak = engine.store().peak_used(ratel_repro::storage::Tier::Gpu);
+                    assert!(peak <= capacity, "{what}: arena peaked at {peak} B");
+                }
             }
         }
     }
