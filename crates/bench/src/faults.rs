@@ -4,11 +4,15 @@
 //! trainer: once fault-free (with an empty [`FaultPlan`] installed purely
 //! as an SSD op-counter), then again with a seeded plan that injects
 //! transient SSD I/O faults scattered across the observed op window. The
+//! job is the training steps followed by a read-only tail — one eval and
+//! one KV-cached generation — so the window also covers the parameter
+//! reads outside a step, streamed (eval) and pinned (generation). The
 //! store's bounded retry-with-backoff must absorb every injected fault,
-//! so the chaos run's loss history has to be **bitwise identical** to the
-//! baseline — faults may cost time, never correctness. The command exits
-//! nonzero if any loss diverges, if fewer faults were injected than
-//! requested, or if the retry telemetry does not account for them.
+//! so the chaos run's loss history, eval loss and generated tokens have
+//! to be **bitwise identical** to the baseline — faults may cost time,
+//! never correctness. The command exits nonzero if any loss or token
+//! diverges, if fewer faults were injected than requested, or if the
+//! retry telemetry does not account for them.
 
 use std::sync::Arc;
 
@@ -43,15 +47,26 @@ impl Default for FaultsConfig {
     }
 }
 
+/// What one run of the job computed.
+#[derive(Debug, Clone)]
+pub struct JobOutcome {
+    /// Per-step training losses.
+    pub losses: Vec<f32>,
+    /// Eval loss after the last step.
+    pub eval_loss: f32,
+    /// Tokens of the cached generation after the eval.
+    pub tokens: Vec<usize>,
+}
+
 /// Everything one chaos run produced.
 #[derive(Debug, Clone)]
 pub struct FaultsReport {
     /// SSD ops the fault-free baseline issued (the injection window).
     pub baseline_ops: u64,
-    /// Per-step losses of the fault-free run.
-    pub baseline_losses: Vec<f32>,
-    /// Per-step losses of the chaos run.
-    pub chaos_losses: Vec<f32>,
+    /// What the fault-free run computed.
+    pub baseline: JobOutcome,
+    /// What the chaos run computed.
+    pub chaos: JobOutcome,
     /// Faults actually injected (ops may repeat an index post-retry).
     pub injected: usize,
     /// The chaos store's retry/give-up/spill counters.
@@ -61,23 +76,31 @@ pub struct FaultsReport {
 impl FaultsReport {
     /// Steps whose loss bits differ between the two runs.
     pub fn diverged_steps(&self) -> Vec<usize> {
-        self.baseline_losses
+        self.baseline
+            .losses
             .iter()
-            .zip(&self.chaos_losses)
+            .zip(&self.chaos.losses)
             .enumerate()
             .filter(|(_, (a, b))| a.to_bits() != b.to_bits())
             .map(|(i, _)| i)
             .collect()
     }
 
+    /// Whether the read-only tail (eval loss bits, generated tokens)
+    /// differs between the two runs.
+    pub fn tail_diverged(&self) -> bool {
+        self.baseline.eval_loss.to_bits() != self.chaos.eval_loss.to_bits()
+            || self.baseline.tokens != self.chaos.tokens
+    }
+
     /// Human-readable reasons this run fails the smoke test.
     pub fn failures(&self, cfg: &FaultsConfig) -> Vec<String> {
         let mut out = Vec::new();
-        if self.baseline_losses.len() != self.chaos_losses.len() {
+        if self.baseline.losses.len() != self.chaos.losses.len() {
             out.push(format!(
                 "step counts differ: baseline {} vs chaos {}",
-                self.baseline_losses.len(),
-                self.chaos_losses.len()
+                self.baseline.losses.len(),
+                self.chaos.losses.len()
             ));
         }
         let diverged = self.diverged_steps();
@@ -86,6 +109,11 @@ impl FaultsReport {
                 "loss diverged at step(s) {:?} — faults must not change results",
                 diverged
             ));
+        }
+        if self.tail_diverged() {
+            out.push(
+                "eval loss or generated tokens diverged — faults must not change results".into(),
+            );
         }
         if self.injected < cfg.faults {
             out.push(format!(
@@ -124,8 +152,13 @@ fn build_trainer(model: GptConfig, plan: Arc<FaultPlan>) -> Result<RatelTrainer,
         .map_err(|e| format!("trainer build: {e}"))
 }
 
-/// Trains `steps` deterministic steps, returning per-step losses.
-fn train(trainer: &mut RatelTrainer, model: &GptConfig, steps: usize) -> Result<Vec<f32>, String> {
+/// Runs the job: `steps` deterministic training steps, then one eval and
+/// one cached generation on the batch a further step would have seen.
+fn run_job(
+    trainer: &mut RatelTrainer,
+    model: &GptConfig,
+    steps: usize,
+) -> Result<JobOutcome, String> {
     let mut losses = Vec::with_capacity(steps);
     for step in 0..steps {
         let (tokens, targets) = learnable_batch(model, step as u64);
@@ -135,7 +168,18 @@ fn train(trainer: &mut RatelTrainer, model: &GptConfig, steps: usize) -> Result<
             .map_err(|e| format!("step {step}: {e}"))?;
         losses.push(stats.loss);
     }
-    Ok(losses)
+    let (tokens, targets) = learnable_batch(model, steps as u64);
+    let batch = Batch::new(model, &tokens, &targets).map_err(|e| format!("batch: {e}"))?;
+    let eval_loss = trainer.eval(batch).map_err(|e| format!("eval: {e}"))?;
+    let prompt = &tokens[..(model.seq / 4).max(1)];
+    let tokens = trainer
+        .generate_cached(prompt, model.seq / 2)
+        .map_err(|e| format!("generate: {e}"))?;
+    Ok(JobOutcome {
+        losses,
+        eval_loss,
+        tokens,
+    })
 }
 
 /// Runs the full chaos smoke: baseline, seeded chaos run, comparison.
@@ -147,7 +191,7 @@ pub fn run(cfg: &FaultsConfig) -> Result<FaultsReport, String> {
     // giving the exact op window the seeded plan scatters faults over.
     let counter = Arc::new(FaultPlan::new());
     let mut baseline = build_trainer(model, Arc::clone(&counter))?;
-    let baseline_losses = train(&mut baseline, &model, steps)?;
+    let baseline_job = run_job(&mut baseline, &model, steps)?;
     let baseline_ops = counter.ops_seen();
     if baseline_ops == 0 {
         return Err("baseline issued no SSD ops — nothing to fault".into());
@@ -160,13 +204,13 @@ pub fn run(cfg: &FaultsConfig) -> Result<FaultsReport, String> {
         baseline_ops,
     ));
     let mut chaos = build_trainer(model, Arc::clone(&plan))?;
-    let chaos_losses = train(&mut chaos, &model, steps)?;
+    let chaos_job = run_job(&mut chaos, &model, steps)?;
     let stats = chaos.engine().store().telemetry().fault_stats();
 
     Ok(FaultsReport {
         baseline_ops,
-        baseline_losses,
-        chaos_losses,
+        baseline: baseline_job,
+        chaos: chaos_job,
         injected: plan.injected_count(),
         stats,
     })
@@ -182,29 +226,44 @@ pub fn render(cfg: &FaultsConfig, report: &FaultsReport) -> String {
     out.push_str(&format!(
         "baseline: {} SSD ops, final loss {:.6}\n",
         report.baseline_ops,
-        report.baseline_losses.last().copied().unwrap_or(f32::NAN)
+        report.baseline.losses.last().copied().unwrap_or(f32::NAN)
     ));
     out.push_str(&format!(
         "chaos:    {} transient fault(s) injected, {} retried, {} gave up, final loss {:.6}\n",
         report.injected,
         report.stats.retries,
         report.stats.give_ups,
-        report.chaos_losses.last().copied().unwrap_or(f32::NAN)
+        report.chaos.losses.last().copied().unwrap_or(f32::NAN)
     ));
     let diverged = report.diverged_steps();
     if diverged.is_empty() {
         out.push_str(&format!(
             "loss history: bitwise identical across all {} steps\n",
-            report.baseline_losses.len()
+            report.baseline.losses.len()
         ));
     } else {
         out.push_str(&format!("loss history: DIVERGED at steps {diverged:?}\n"));
         for i in &diverged {
             out.push_str(&format!(
                 "  step {i}: baseline {:.9} vs chaos {:.9}\n",
-                report.baseline_losses[*i], report.chaos_losses[*i]
+                report.baseline.losses[*i], report.chaos.losses[*i]
             ));
         }
+    }
+    if report.tail_diverged() {
+        out.push_str(&format!(
+            "eval + generation: DIVERGED (loss {:.9} vs {:.9}, tokens {:?} vs {:?})\n",
+            report.baseline.eval_loss,
+            report.chaos.eval_loss,
+            report.baseline.tokens,
+            report.chaos.tokens
+        ));
+    } else {
+        out.push_str(&format!(
+            "eval + generation: eval loss {:.6} and all {} generated tokens identical\n",
+            report.baseline.eval_loss,
+            report.baseline.tokens.len()
+        ));
     }
     out
 }
@@ -235,5 +294,16 @@ mod tests {
         assert!(failures.is_empty(), "{failures:?}");
         assert!(report.injected >= 4, "{report:?}");
         assert!(report.stats.retries >= report.injected as u64);
+        assert_eq!(
+            report.baseline.tokens.len(),
+            faults_model("tiny").unwrap().seq / 2
+        );
+        // One differing token or eval-loss bit fails the smoke.
+        let mut bad = report.clone();
+        bad.chaos.tokens[0] ^= 1;
+        assert_eq!(bad.failures(&cfg).len(), 1, "{:?}", bad.failures(&cfg));
+        let mut bad = report;
+        bad.chaos.eval_loss = f32::from_bits(bad.chaos.eval_loss.to_bits() ^ 1);
+        assert_eq!(bad.failures(&cfg).len(), 1);
     }
 }

@@ -459,6 +459,11 @@ pub(crate) fn moments_key(layer: usize) -> String {
 pub(crate) fn p16_key(layer: usize) -> String {
     format!("layer{layer}/p16")
 }
+/// A layer's P16 held in the host tier for one decode call (see
+/// `generate.rs`).
+fn pinned_key(layer: usize) -> String {
+    format!("layer{layer}/p16#pinned")
+}
 fn grad_key(layer: usize) -> String {
     format!("layer{layer}/grad")
 }
@@ -616,9 +621,16 @@ impl RatelEngine {
 
     /// Loads a layer's P16 blob into the GPU arena, decodes it into the
     /// layer skeleton, and removes the staged copy (read-only streaming).
+    /// The bytes come from the layer's pinned host copy while a decode
+    /// call holds one, from the SSD tier otherwise.
     fn stage_params(&mut self, layer: usize) -> Result<(), StorageError> {
-        let key = p16_key(layer);
-        let staged = format!("{key}#staged");
+        let pinned = pinned_key(layer);
+        let key = if self.store.contains(&pinned) {
+            pinned
+        } else {
+            p16_key(layer)
+        };
+        let staged = format!("{}#staged", p16_key(layer));
         self.store.copy_to(&key, &staged, Tier::Gpu)?;
         let flat = decode_f16(&self.store.take(&staged)?);
         set_layer_params(&mut self.model, layer, &flat);

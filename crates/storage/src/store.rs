@@ -954,7 +954,9 @@ impl TieredStore {
     /// hops from the source tier (via host if GPU<->SSD). This models a
     /// read-only fetch — e.g. streaming a layer's P16 from SSD to the GPU
     /// for compute — where the source copy stays put and the staged copy
-    /// is discarded (via [`TieredStore::remove`]) after use.
+    /// is discarded (via [`TieredStore::remove`]) after use. Like
+    /// [`TieredStore::move_to`], a GPU<->SSD copy needs transient host
+    /// space for the blob and is refused when the host pool has none.
     pub fn copy_to(&self, key: &str, new_key: &str, tier: Tier) -> Result<(), StorageError> {
         let src_tier = self.tier_of(key)?;
         let bytes = self.read(key)?;
@@ -969,6 +971,9 @@ impl TieredStore {
             (Tier::Ssd, Tier::Gpu) => &[Route::SsdToHost, Route::HostToGpu],
             _ => unreachable!(),
         };
+        if hops.len() == 2 {
+            self.check_fits(&self.inner.lock(), Tier::Host, len)?;
+        }
         self.put(new_key, tier, bytes)?;
         for &h in hops {
             let t0 = self.telemetry.enabled().then(|| self.telemetry.now());
@@ -1162,6 +1167,38 @@ mod tests {
         ));
         // Blob is still intact on the GPU tier.
         assert_eq!(store.tier_of("big").unwrap(), Tier::Gpu);
+    }
+
+    #[test]
+    fn a_two_hop_copy_requires_transient_host_space_too() {
+        let store = TieredStore::new(TierConfig::bounded_temp(1000, 150)).unwrap();
+        store.put("p16", Tier::Ssd, vec![3u8; 100]).unwrap();
+        // 50 B held: the 100 B transit copy fits exactly.
+        store.put("held", Tier::Host, vec![0u8; 50]).unwrap();
+        store.copy_to("p16", "staged", Tier::Gpu).unwrap();
+        assert_eq!(store.take("staged").unwrap(), vec![3u8; 100]);
+        assert_eq!(store.traffic().bytes(Route::SsdToHost), 100);
+        assert_eq!(store.traffic().bytes(Route::HostToGpu), 100);
+        // One byte more held and it is refused, as `move_to` would be —
+        // spilling degrades a destination, never the data path.
+        store.put("one", Tier::Host, vec![0u8; 1]).unwrap();
+        store.set_spill_on_host_pressure(true);
+        let before = store.traffic();
+        let err = store.copy_to("p16", "staged", Tier::Gpu).unwrap_err();
+        assert!(matches!(
+            err,
+            StorageError::OutOfMemory {
+                tier: Tier::Host,
+                requested: 100,
+                available: 99,
+            }
+        ));
+        assert!(!store.contains("staged"));
+        assert_eq!(store.traffic().since(&before).total(), 0);
+        assert_eq!(store.telemetry().fault_stats().host_spills, 0);
+        // A one-hop copy into the GPU arena needs no transit space.
+        store.copy_to("held", "staged", Tier::Gpu).unwrap();
+        assert_eq!(store.used(Tier::Gpu), 50);
     }
 
     #[test]

@@ -1470,6 +1470,15 @@ impl KvCache {
         }
     }
 
+    /// Rounds every cached key and value to half precision in place:
+    /// the cache a [`KvCache::to_f16_bytes`] /
+    /// [`KvCache::from_f16_bytes`] round trip returns, without the bytes.
+    pub fn round_to_f16(&mut self) {
+        for v in self.k.iter_mut().chain(&mut self.v) {
+            *v = crate::dtype::round_to_f16(*v);
+        }
+    }
+
     fn head_k(&self, head: usize) -> &[f32] {
         let per_head = self.tokens * self.head_dim;
         &self.k[head * per_head..(head + 1) * per_head]
@@ -1623,5 +1632,9 @@ mod kv_cache_tests {
         let restored = KvCache::from_f16_bytes(&bytes, heads, h / heads, cache.len());
         assert_eq!(restored.to_f16_bytes(), bytes);
         assert_eq!(restored.len(), 4);
+        // Rounding in place is that round trip without the bytes.
+        assert_ne!(cache, restored);
+        cache.round_to_f16();
+        assert_eq!(cache, restored);
     }
 }
