@@ -24,8 +24,8 @@ const FAULTS_USAGE: &str = "usage: ratel-bench faults [--model tiny|small] [--st
 const VERIFY_PLANS_USAGE: &str = "usage: ratel-bench verify-plans [--model 13B] [--iters 2] \
 [--out verify.json]";
 
-const BENCH_USAGE: &str = "usage: ratel-bench bench [--smoke] [--write] [--check] [--dir .] \
-[--suite attention|kernels|adam|ssd|executor]";
+const BENCH_USAGE: &str =
+    "usage: ratel-bench bench [--smoke] [--check] [--suite attention|kernels|adam|ssd]";
 
 const OBS_USAGE: &str = "usage: ratel-bench obs [--model tiny|small] [--steps 5] \
 [--throttle 1e-4] [--decisions ssd,host,recompute] [--gpu-capacity BYTES] \
@@ -113,10 +113,10 @@ fn obs_cmd(args: &[String]) -> Result<(), String> {
 }
 
 fn bench_cmd(args: &[String]) -> Result<(), String> {
+    use ratel_bench::perf;
+
     let mut smoke = false;
-    let mut write = false;
     let mut check = false;
-    let mut dir = String::from(".");
     let mut suites: Vec<String> = Vec::new();
     let mut i = 0;
     while i < args.len() {
@@ -126,30 +126,16 @@ fn bench_cmd(args: &[String]) -> Result<(), String> {
                 smoke = true;
                 i += 1;
             }
-            "--write" => {
-                write = true;
-                i += 1;
-            }
             "--check" => {
                 check = true;
                 i += 1;
-            }
-            "--dir" => {
-                dir = args
-                    .get(i + 1)
-                    .ok_or_else(|| format!("--dir needs a value\n{BENCH_USAGE}"))?
-                    .clone();
-                i += 2;
             }
             "--suite" => {
                 let v = args
                     .get(i + 1)
                     .ok_or_else(|| format!("--suite needs a value\n{BENCH_USAGE}"))?;
-                if !ratel_bench::perf::SUITES.contains(&v.as_str()) {
-                    return Err(format!(
-                        "unknown suite {v:?} ({})",
-                        ratel_bench::perf::SUITES.join("|")
-                    ));
+                if !perf::SUITES.contains(&v.as_str()) {
+                    return Err(format!("unknown suite {v:?} ({})", perf::SUITES.join("|")));
                 }
                 suites.push(v.clone());
                 i += 2;
@@ -158,62 +144,30 @@ fn bench_cmd(args: &[String]) -> Result<(), String> {
         }
     }
     if suites.is_empty() {
-        suites = ratel_bench::perf::SUITES
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
+        suites = perf::SUITES.iter().map(|s| s.to_string()).collect();
     }
     let mut failures = Vec::new();
     for suite in &suites {
-        let result = ratel_bench::perf::run_suite(suite, smoke)?;
-        print!("{}", ratel_bench::perf::render(&result));
-        let path = Path::new(&dir).join(format!("BENCH_{suite}.json"));
+        let result = perf::run_suite(suite, smoke)?;
+        print!("{}", perf::render(&result));
         if check {
-            let text = std::fs::read_to_string(&path)
-                .map_err(|e| format!("could not read baseline {}: {e}", path.display()))?;
-            let baseline = ratel_bench::perf::parse_suite(&text)
-                .map_err(|e| format!("{}: {e}", path.display()))?;
-            if baseline.suite != *suite {
-                return Err(format!(
-                    "{}: holds suite {:?}, expected {:?}",
-                    path.display(),
-                    baseline.suite,
-                    suite
-                ));
-            }
-            let mut suite_failures = ratel_bench::perf::check_regressions(&result, &baseline);
-            if !suite_failures.is_empty() {
-                // A regression must reproduce on a second independent
-                // run of the suite to fail the gate; a one-off stall on
-                // a shared box is noise, a real code regression repeats.
+            failures.extend(perf::check_confirmed(&result, || {
                 println!("suite {suite}: possible regression, re-running to confirm");
-                let retry = ratel_bench::perf::run_suite(suite, smoke)?;
-                print!("{}", ratel_bench::perf::render(&retry));
-                let confirmed = ratel_bench::perf::check_regressions(&retry, &baseline);
-                suite_failures.retain(|f| {
-                    let name = f.split(':').next().unwrap_or("");
-                    confirmed.iter().any(|c| c.starts_with(name))
-                });
-            }
-            failures.extend(suite_failures);
-        }
-        if write {
-            std::fs::write(&path, ratel_bench::perf::to_json(&result))
-                .map_err(|e| format!("could not write {}: {e}", path.display()))?;
-            println!("wrote {}", path.display());
+                let retry = perf::run_suite(suite, smoke)?;
+                print!("{}", perf::render(&retry));
+                Ok(retry)
+            })?);
         }
     }
     if !failures.is_empty() {
+        let lines: Vec<String> = failures.into_iter().map(|(_, message)| message).collect();
         return Err(format!(
-            "perf regression vs committed baseline:\n  {}",
-            failures.join("\n  ")
+            "perf gate failed twice in a row:\n  {}",
+            lines.join("\n  ")
         ));
     }
     if check {
-        println!(
-            "perf check ok: no regression beyond {:.0}%",
-            ratel_bench::perf::REGRESSION_THRESHOLD * 100.0
-        );
+        println!("perf check ok: hot paths allocate nothing, every gated ratio is over its floor");
     }
     Ok(())
 }

@@ -19,24 +19,22 @@
 //! so a steady-state single-threaded attention step performs zero heap
 //! allocations in these kernels (asserted by the perf suite).
 //!
-//! The previous materialized path is kept as a selectable oracle backend
-//! ([`AttnBackend::NaiveOracle`], `RATEL_ATTN_BACKEND=naive`): it builds the
-//! full score matrix per unit exactly as before and is the reference the
-//! streaming path is property-tested against. Both backends produce the same
-//! shrunken saved set — the oracle, too, recomputes probabilities in
-//! backward from the row statistics.
+//! The previous materialized path is kept as the oracle
+//! ([`attn_forward_naive_into`] / [`attn_backward_naive_into`]): it builds
+//! the full score matrix per unit exactly as before and is the reference the
+//! streaming path is property-tested against and the bench ratio is taken
+//! over; no layer calls it. Both produce the same shrunken saved set — the
+//! oracle, too, recomputes probabilities in backward from the row statistics.
 //!
 //! Causality works at two granularities in the streaming path: columns at
 //! or beyond a row block's bound (`j >= t0 + tm`) are never computed at
 //! all, while in-block future columns (`t < j < t0 + tm`) are assigned an
 //! exact `0.0` probability before the tile-level `P~ @ V` GEMM — the same
 //! zero the oracle's `exp(-inf)` mask produces, so IEEE poisoning
-//! (`0 * inf = 0 * NaN = NaN`) behaves identically in both backends.
+//! (`0 * inf = 0 * NaN = NaN`) behaves identically in both kernels.
 //! All-finite rows take a vectorized polynomial exp ([`exp_nonpos`],
 //! AVX2+FMA when available); any row holding a non-finite score falls
 //! back to libm `exp` so NaN propagation and `exp(-inf) = 0` stay exact.
-
-use std::sync::atomic::{AtomicU8, Ordering};
 
 use crate::gemm::{
     gemm_serial, gemm_serial_packed, pack_b_full, packed_b_len, LayoutA, LayoutB, NR,
@@ -50,47 +48,6 @@ use crate::tensor::Tensor;
 pub const ATTN_TM: usize = 64;
 /// K/V columns per streaming tile.
 pub const ATTN_TC: usize = 256;
-
-/// Which attention implementation [`crate::layers::MultiHeadAttention`]
-/// dispatches to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AttnBackend {
-    /// Online-softmax tiled kernels; never materializes `[s, s]`.
-    Streaming,
-    /// The original materialized-score path, kept as a correctness oracle.
-    NaiveOracle,
-}
-
-/// 0 = unset (consult `RATEL_ATTN_BACKEND`), 1 = streaming, 2 = naive.
-static BACKEND: AtomicU8 = AtomicU8::new(0);
-
-/// Returns the process-wide attention backend.
-///
-/// Resolution order: [`set_attn_backend`] value if set, else the
-/// `RATEL_ATTN_BACKEND` environment variable (`naive` selects the oracle),
-/// else [`AttnBackend::Streaming`]. The resolved value is cached.
-pub fn attn_backend() -> AttnBackend {
-    match BACKEND.load(Ordering::Relaxed) {
-        1 => return AttnBackend::Streaming,
-        2 => return AttnBackend::NaiveOracle,
-        _ => {}
-    }
-    let resolved = match std::env::var("RATEL_ATTN_BACKEND").ok().as_deref() {
-        Some("naive") | Some("oracle") => AttnBackend::NaiveOracle,
-        _ => AttnBackend::Streaming,
-    };
-    set_attn_backend(resolved);
-    resolved
-}
-
-/// Overrides the attention backend for subsequent forward/backward calls.
-pub fn set_attn_backend(backend: AttnBackend) {
-    let code = match backend {
-        AttnBackend::Streaming => 1,
-        AttnBackend::NaiveOracle => 2,
-    };
-    BACKEND.store(code, Ordering::Relaxed);
-}
 
 /// Branch-free polynomial `exp` for non-positive finite arguments.
 ///
@@ -773,13 +730,13 @@ fn gather_ctx_head(
 }
 
 // ---------------------------------------------------------------------------
-// Naive oracle backend
+// Naive oracle
 // ---------------------------------------------------------------------------
 
 /// The materialized-score oracle forward: per unit, builds the full `[s, s]`
 /// score matrix, masks, softmaxes, and multiplies — exactly the original
 /// implementation — while also emitting the `(row_max, row_lse)` statistics
-/// so both backends share one saved-set layout.
+/// so both kernels share one saved-set layout.
 #[allow(clippy::too_many_arguments)]
 pub fn attn_forward_naive_into(
     qkv: &[f32],

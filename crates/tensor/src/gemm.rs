@@ -232,62 +232,6 @@ pub(crate) fn gemm_serial_packed(
     run_band(0, m, k, n, a, la, bpack, out);
 }
 
-/// `out[m,n] = A[m,k] @ B16[k,n]` where the right operand is IEEE binary16
-/// bit patterns: the pack step decodes f16 panels directly into the
-/// `[k][NR]` strips (chunked AVX2 decode from `dtype.rs` on contiguous
-/// rows), so staged half-precision blobs feed the microkernel without a
-/// full-f32 materialization buffer. Bitwise identical to decoding all of
-/// `b` up front and calling [`gemm`] on the result.
-#[allow(clippy::too_many_arguments)]
-pub fn gemm_f16b(
-    m: usize,
-    k: usize,
-    n: usize,
-    a: &[f32],
-    la: LayoutA,
-    b: &[u16],
-    lb: LayoutB,
-    out: &mut [f32],
-) {
-    assert_eq!(a.len(), m * k, "gemm lhs size");
-    assert_eq!(b.len(), k * n, "gemm rhs size");
-    assert_eq!(out.len(), m * n, "gemm out size");
-    if m == 0 || n == 0 {
-        return;
-    }
-    if k == 0 {
-        out.iter_mut().for_each(|o| *o = 0.0);
-        return;
-    }
-    let nstrips = n.div_ceil(NR);
-    let mut bpack = scratch_f32(nstrips * k * NR);
-    for (s, strip) in bpack.chunks_exact_mut(k * NR).enumerate() {
-        pack_b_f16(k, n, b, lb, s * NR, strip);
-    }
-    let bpack = &bpack[..];
-
-    let panels = m.div_ceil(MR);
-    let threads = num_threads().min(panels);
-    if threads <= 1 {
-        run_band(0, m, k, n, a, la, bpack, out);
-        return;
-    }
-    let band_rows = panels.div_ceil(threads) * MR;
-    crossbeam::thread::scope(|s| {
-        let mut rest = out;
-        let mut i0 = 0usize;
-        while !rest.is_empty() {
-            let rows = band_rows.min(rest.len() / n);
-            let (band, tail) = rest.split_at_mut(rows * n);
-            rest = tail;
-            let start = i0;
-            s.spawn(move |_| run_band(start, rows, k, n, a, la, bpack, band));
-            i0 += rows;
-        }
-    })
-    .expect("gemm worker panicked");
-}
-
 /// The tiled, multi-threaded path, exposed separately so tests can force
 /// it below [`NAIVE_THRESHOLD`].
 #[allow(clippy::too_many_arguments)]
@@ -420,35 +364,6 @@ fn pack_b(k: usize, n: usize, b: &[f32], lb: LayoutB, j0: usize, out: &mut [f32]
             for (p, dst) in out.chunks_exact_mut(NR).enumerate().take(k) {
                 for (c, d) in dst.iter_mut().enumerate() {
                     *d = if c < w { b[(j0 + c) * k + p] } else { 0.0 };
-                }
-            }
-        }
-    }
-}
-
-/// Packs the column strip of logical B starting at column `j0` into
-/// `out[k][NR]`, decoding binary16 bits on the fly. The decode is the
-/// same `f16_bits_to_f32` everywhere (chunked/AVX2 on contiguous rows),
-/// so the packed strip is bitwise identical to packing a pre-decoded `b`.
-fn pack_b_f16(k: usize, n: usize, b: &[u16], lb: LayoutB, j0: usize, out: &mut [f32]) {
-    let w = NR.min(n - j0);
-    match lb {
-        LayoutB::Normal => {
-            for (p, dst) in out.chunks_exact_mut(NR).enumerate().take(k) {
-                let src = &b[p * n + j0..p * n + j0 + w];
-                crate::dtype::f16_bits_to_f32_slice(src, &mut dst[..w]);
-                dst[w..].iter_mut().for_each(|d| *d = 0.0);
-            }
-        }
-        LayoutB::Transposed => {
-            // b is [n, k]: gather column p of each of the w rows.
-            for (p, dst) in out.chunks_exact_mut(NR).enumerate().take(k) {
-                for (c, d) in dst.iter_mut().enumerate() {
-                    *d = if c < w {
-                        crate::dtype::f16_bits_to_f32(b[(j0 + c) * k + p])
-                    } else {
-                        0.0
-                    };
                 }
             }
         }
@@ -653,77 +568,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn fused_f16_pack_matches_decode_then_gemm_bitwise() {
-        use crate::dtype::{f16_bits_to_f32, f32_to_f16_bits};
-        for &(m, k, n) in &[
-            (1usize, 3usize, 1usize),
-            (7, 5, 17),
-            (13, 33, 31),
-            (48, 64, 40),
-        ] {
-            for lb in [LayoutB::Normal, LayoutB::Transposed] {
-                let a = fill(m * k, 3 + m as u64);
-                let bf: Vec<f32> = fill(k * n, 5 + n as u64);
-                let bits: Vec<u16> = bf.iter().map(|&v| f32_to_f16_bits(v)).collect();
-                let decoded: Vec<f32> = bits.iter().map(|&b| f16_bits_to_f32(b)).collect();
-                let mut want = vec![0.0f32; m * n];
-                let mut got = vec![0.0f32; m * n];
-                // Same code path on both sides (always-tiled), so the
-                // comparison is bitwise even under FMA.
-                gemm_tiled(m, k, n, &a, LayoutA::Normal, &decoded, lb, &mut want);
-                gemm_f16b(m, k, n, &a, LayoutA::Normal, &bits, lb, &mut got);
-                for (i, (w, g)) in want.iter().zip(&got).enumerate() {
-                    assert_eq!(w.to_bits(), g.to_bits(), "({m},{k},{n}) {lb:?} elem {i}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn fused_f16_pack_propagates_specials() {
-        let (m, k, n) = (4usize, 6usize, 9usize);
-        let a = fill(m * k, 17);
-        let mut bf = fill(k * n, 19);
-        bf[0] = f32::NAN;
-        bf[7] = f32::INFINITY;
-        bf[13] = f32::NEG_INFINITY;
-        let bits: Vec<u16> = bf
-            .iter()
-            .map(|&v| crate::dtype::f32_to_f16_bits(v))
-            .collect();
-        let decoded: Vec<f32> = bits
-            .iter()
-            .map(|&b| crate::dtype::f16_bits_to_f32(b))
-            .collect();
-        let mut want = vec![0.0f32; m * n];
-        let mut got = vec![0.0f32; m * n];
-        gemm_tiled(
-            m,
-            k,
-            n,
-            &a,
-            LayoutA::Normal,
-            &decoded,
-            LayoutB::Normal,
-            &mut want,
-        );
-        gemm_f16b(
-            m,
-            k,
-            n,
-            &a,
-            LayoutA::Normal,
-            &bits,
-            LayoutB::Normal,
-            &mut got,
-        );
-        for (w, g) in want.iter().zip(&got) {
-            assert_eq!(w.to_bits(), g.to_bits());
-        }
-        assert!(got.iter().any(|v| v.is_nan()));
     }
 
     #[test]

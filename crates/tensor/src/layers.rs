@@ -7,10 +7,7 @@
 //! activations are separate structs with half-precision (de)serialization
 //! so they can be offloaded byte-for-byte like the paper's A16 tensors.
 
-use crate::attention::{
-    attn_backend, attn_backward_into, attn_backward_naive_into, attn_forward_into,
-    attn_forward_naive_into, AttnBackend,
-};
+use crate::attention::{attn_backward_into, attn_forward_into};
 use crate::ops::{
     add_bias, apply_mask, bias_grad, cross_entropy, cross_entropy_backward, dropout_mask,
     embedding_gather, embedding_scatter_add, gelu, gelu_backward, layernorm, layernorm_backward,
@@ -221,10 +218,8 @@ impl MultiHeadAttention {
         (h, h / self.heads)
     }
 
-    /// Causal attention forward over `x: [b*s, h]`, dispatched to the
-    /// process-wide backend ([`crate::attention::attn_backend`]): the
-    /// streaming tiled kernel by default, the materialized-score oracle
-    /// when selected. Both produce the same shrunken saved set.
+    /// Causal attention forward over `x: [b*s, h]` through the streaming
+    /// tiled kernel.
     pub fn forward(&self, x: &Tensor, batch: usize, seq: usize) -> (Tensor, AttnSaved) {
         let (h, _d) = self.dims(x, batch, seq);
         let qkv = self.wqkv.forward(x);
@@ -232,28 +227,16 @@ impl MultiHeadAttention {
         let mut ctx = vec![0.0f32; batch * seq * h];
         let mut row_max = vec![0.0f32; batch * self.heads * seq];
         let mut row_lse = vec![0.0f32; batch * self.heads * seq];
-        match attn_backend() {
-            AttnBackend::Streaming => attn_forward_into(
-                qkv.data(),
-                batch,
-                seq,
-                h,
-                self.heads,
-                &mut ctx,
-                &mut row_max,
-                &mut row_lse,
-            ),
-            AttnBackend::NaiveOracle => attn_forward_naive_into(
-                qkv.data(),
-                batch,
-                seq,
-                h,
-                self.heads,
-                &mut ctx,
-                &mut row_max,
-                &mut row_lse,
-            ),
-        }
+        attn_forward_into(
+            qkv.data(),
+            batch,
+            seq,
+            h,
+            self.heads,
+            &mut ctx,
+            &mut row_max,
+            &mut row_lse,
+        );
 
         let ctx = Tensor::from_vec(&[batch * seq, h], ctx);
         let out = self.wo.forward(&ctx);
@@ -284,32 +267,18 @@ impl MultiHeadAttention {
         let (dctx, dwo) = self.wo.backward(&saved.ctx, dy);
 
         let mut dqkv = vec![0.0f32; batch * seq * 3 * h];
-        match attn_backend() {
-            AttnBackend::Streaming => attn_backward_into(
-                saved.qkv.data(),
-                saved.ctx.data(),
-                &saved.row_max,
-                &saved.row_lse,
-                dctx.data(),
-                batch,
-                seq,
-                h,
-                self.heads,
-                &mut dqkv,
-            ),
-            AttnBackend::NaiveOracle => attn_backward_naive_into(
-                saved.qkv.data(),
-                saved.ctx.data(),
-                &saved.row_max,
-                &saved.row_lse,
-                dctx.data(),
-                batch,
-                seq,
-                h,
-                self.heads,
-                &mut dqkv,
-            ),
-        }
+        attn_backward_into(
+            saved.qkv.data(),
+            saved.ctx.data(),
+            &saved.row_max,
+            &saved.row_lse,
+            dctx.data(),
+            batch,
+            seq,
+            h,
+            self.heads,
+            &mut dqkv,
+        );
 
         let dqkv = Tensor::from_vec(&[batch * seq, 3 * h], dqkv);
         let (dx, dwqkv) = self.wqkv.backward(x, &dqkv);

@@ -32,8 +32,7 @@ pub mod tensor;
 
 pub use adam::{Adam, AdamParams};
 pub use attention::{
-    attn_backend, attn_backward_into, attn_backward_naive_into, attn_forward_into,
-    attn_forward_naive_into, set_attn_backend, AttnBackend,
+    attn_backward_into, attn_backward_naive_into, attn_forward_into, attn_forward_naive_into,
 };
 pub use dtype::{f16_bits_to_f32, f32_to_f16_bits, DType};
 pub use layers::{

@@ -499,6 +499,12 @@ fn streaming_attention_shrinks_saved_activation_blob() {
         assert!(at_seq(s) < old, "s={s}: {} !< {old}", at_seq(s));
         assert_eq!(old - at_seq(s), batch * heads * s * (s - 2));
     }
+    // The A16 bytes one block's swap moves at the bench suite's shape
+    // (batch 1, hidden 512, 8 heads), pinned: any growth is a code change
+    // (e.g. something re-materializing the `[s, s]` probabilities).
+    for (s, bytes) in [(128, 1_971_200), (512, 7_884_800), (1024, 15_769_600)] {
+        assert_eq!(2 * BlockSaved::element_count_for(1, s, 512, 8), bytes);
+    }
     // Analytic agreement at the paper's 13B shape (h=5120, 40 heads,
     // batch 32, seq 1024): ~30 A16 bytes per token-channel per block.
     let (b13, s13, h13, heads13) = (32usize, 1024usize, 5120usize, 40usize);
