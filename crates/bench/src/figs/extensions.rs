@@ -153,10 +153,10 @@ fn lora_spec(
     model: &ModelProfile,
     trainable_fraction: f64,
 ) -> ratel::schedule::IterationSpec {
-    use ratel::schedule::{IterationSpec, LayerTask, LinkRates, OptimizerKind};
+    use ratel::schedule::LayerTask;
 
     let plan = ActivationPlanner::new(hw, model).plan();
-    let base = RatelSchedule {
+    let mut spec = RatelSchedule {
         profile: hw,
         model,
         plan: &plan,
@@ -164,35 +164,13 @@ fn lora_spec(
         gpus: 1,
     }
     .to_spec();
-    let layers = base
-        .layers
-        .iter()
-        .zip(&model.layers)
-        .map(|(task, layer)| {
-            let pt = layer.params * trainable_fraction;
-            LayerTask {
-                grad_bytes: 2.0 * pt,
-                optimizer: if pt > 0.0 {
-                    OptimizerKind::CpuOutOfCore {
-                        read_bytes: 12.0 * pt,
-                        write_bytes: 14.0 * pt,
-                        cpu_params: pt,
-                    }
-                } else {
-                    OptimizerKind::None
-                },
-                ..task.clone()
-            }
-        })
-        .collect();
-    IterationSpec {
-        layers,
-        mode: base.mode,
-        rates: LinkRates::from_profile(hw),
-        gpus: 1,
-        items_per_iteration: base.items_per_iteration,
-        per_layer_overhead_seconds: 0.0,
+    for (task, layer) in spec.layers.iter_mut().zip(&model.layers) {
+        let adapters = layer.params * trainable_fraction;
+        let trained = LayerTask::ratel(task.label.as_str(), layer.params, adapters);
+        task.grad_bytes = trained.grad_bytes;
+        task.optimizer = trained.optimizer;
     }
+    spec
 }
 
 /// `ext-lora`: full fine-tuning vs LoRA-style parameter-efficient

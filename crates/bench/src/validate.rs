@@ -376,17 +376,15 @@ pub fn run(cfg: &ValidateConfig) -> Result<ValidateReport, String> {
     // The engine's own plan with throttled link rates and calibrated
     // compute.
     let rates = LinkRates {
-        thp_gpu: 1.0,
         bw_g2m: caps[0].1,
         bw_m2g: caps[1].1,
         ssd_write: caps[2].1,
         ssd_read: caps[3].1,
-        cpu_params_per_sec: 1.0,
-        state_io_efficiency: 1.0,
+        ..LinkRates::UNIT
     };
     let mut spec = IterationSpec {
         rates,
-        ..engine.movement_spec()
+        ..engine.movement_spec().clone()
     };
     calibrate(&mut spec, &warmup);
     let planned = spec.planned_route_bytes();

@@ -41,7 +41,8 @@
 //! [`decisions`](TrainingPlan::decisions), its per-route
 //! [`planned_route_bytes`](TrainingPlan::planned_route_bytes), or run
 //! the full static [`verify`](TrainingPlan::verify) pass — all before
-//! any tensor is allocated. The engine then executes exactly this plan.
+//! any tensor is allocated. The plan is lowered once, here; the engine
+//! built from it dispatches the very DAG that was inspected.
 
 use std::sync::Arc;
 
@@ -53,7 +54,7 @@ use crate::engine::lr::LrSchedule;
 use crate::engine::profiler::{plan_decisions, MeasuredProfile};
 use crate::engine::scaler::ScalePolicy;
 use crate::engine::{
-    movement_spec_for, ActDecision, EngineConfig, ExecutionOptions, RatelEngine, StepStats,
+    ActDecision, EngineConfig, ExecutionOptions, RatelEngine, StepPlan, StepStats,
 };
 use crate::error::RatelError;
 use crate::schedule::IterationSpec;
@@ -283,7 +284,7 @@ impl Ratel {
         };
 
         let config = EngineConfig {
-            act_decisions: decisions.clone(),
+            act_decisions: decisions,
             ..provisional
         };
         // The arena floor depends on what the decisions swap through it.
@@ -293,11 +294,12 @@ impl Ratel {
                 return Err(RatelError::InvalidConfig(violations));
             }
         }
+        let plan = Arc::new(StepPlan::lower(&config)?);
         Ok(TrainingPlan {
             builder: self,
             config,
-            decisions,
             measured,
+            plan,
         })
     }
 
@@ -317,18 +319,21 @@ impl Ratel {
 /// [`TrainingPlan::build`].
 ///
 /// The plan owns the fully resolved [`EngineConfig`] (profiled
-/// activation decisions included) and can lower it to the schedule twin
-/// — the same [`IterationSpec`] the engine executes and `ratel-bench
-/// validate` audits — before any model parameter exists. That makes
-/// "what will move where, and is it sound?" answerable up front:
-/// [`TrainingPlan::planned_route_bytes`] for the traffic contract,
-/// [`TrainingPlan::verify`] for the full static pass inventory.
+/// activation decisions included) and its lowering, done once by
+/// [`Ratel::plan`]: the schedule twin — the same [`IterationSpec`] the
+/// engine executes and `ratel-bench validate` audits — and the paced
+/// task DAG the executor will dispatch, before any model parameter
+/// exists. That makes "what will move where, and is it sound?"
+/// answerable up front: [`TrainingPlan::planned_route_bytes`] for the
+/// traffic contract, and [`TrainingPlan::verify`], which checks that
+/// paced DAG — the one [`TrainingPlan::build`] hands to the trainer, not
+/// a rebuilt copy of it — against the configured capacities.
 #[derive(Debug, Clone)]
 pub struct TrainingPlan {
     builder: Ratel,
     config: EngineConfig,
-    decisions: Vec<ActDecision>,
     measured: Option<MeasuredProfile>,
+    plan: Arc<StepPlan>,
 }
 
 impl TrainingPlan {
@@ -339,7 +344,7 @@ impl TrainingPlan {
 
     /// The activation decisions in effect (planned or overridden).
     pub fn decisions(&self) -> &[ActDecision] {
-        &self.decisions
+        &self.config.act_decisions
     }
 
     /// The profiling stage's measurements (None when decisions were
@@ -348,11 +353,11 @@ impl TrainingPlan {
         self.measured.as_ref()
     }
 
-    /// Lowers the plan to its schedule twin: the [`IterationSpec`] whose
-    /// task DAG the executor runs (see
+    /// The plan's schedule twin: the [`IterationSpec`] whose task DAG
+    /// the executor runs (see
     /// [`movement_spec_for`](crate::engine::movement_spec_for)).
-    pub fn spec(&self) -> IterationSpec {
-        movement_spec_for(&self.config)
+    pub fn spec(&self) -> &IterationSpec {
+        &self.plan.step.spec
     }
 
     /// Per-route byte totals one step is planned to move, indexed like
@@ -362,14 +367,16 @@ impl TrainingPlan {
         self.spec().planned_route_bytes()
     }
 
-    /// Statically verifies the plan's task DAG (staleness,
-    /// use-before-fetch, WAR hazards, residency) with `ratel-verify`.
+    /// Statically verifies the task DAG the trainer will dispatch —
+    /// pacing edges included — with `ratel-verify` (staleness,
+    /// use-before-fetch, WAR hazards, residency within the configured
+    /// capacities).
     ///
     /// # Errors
     /// [`RatelError::InvalidConfig`] carrying the rendered report when
     /// any pass fails.
     pub fn verify(&self) -> Result<(), RatelError> {
-        let report = self.spec().verify(1, &ratel_verify::Limits::none());
+        let report = self.plan.verify();
         if report.is_clean() {
             Ok(())
         } else {
@@ -381,7 +388,6 @@ impl TrainingPlan {
     pub fn summary(&self) -> String {
         let m = self.config.model;
         let [g2h, h2g, h2s, s2h] = self.planned_route_bytes();
-        let (graph, _, _) = self.spec().build();
         format!(
             "{} layers ({} blocks), hidden {}, {:?}: {} tasks/step; \
              planned bytes g2h {g2h}, h2g {h2g}, h2s {h2s}, s2h {s2h}",
@@ -389,7 +395,7 @@ impl TrainingPlan {
             m.layers,
             m.hidden,
             self.config.execution,
-            graph.len(),
+            self.plan.step.graph.len(),
         )
     }
 
@@ -403,10 +409,10 @@ impl TrainingPlan {
         let TrainingPlan {
             builder,
             config,
-            decisions,
             measured,
+            plan,
         } = self;
-        let engine = RatelEngine::new(config)?;
+        let engine = RatelEngine::with_plan(config, plan)?;
         for &(route, rate) in &builder.throttles {
             engine.set_route_throttle(route, Some(rate));
         }
@@ -423,7 +429,6 @@ impl TrainingPlan {
         }
         let mut trainer = RatelTrainer {
             engine,
-            decisions,
             measured,
             loss_history: Vec::new(),
         };
@@ -438,7 +443,6 @@ impl TrainingPlan {
 /// `optimizer.step()` call exists because updates happen inside.
 pub struct RatelTrainer {
     engine: RatelEngine,
-    decisions: Vec<ActDecision>,
     measured: Option<MeasuredProfile>,
     loss_history: Vec<f32>,
 }
@@ -446,7 +450,7 @@ pub struct RatelTrainer {
 impl std::fmt::Debug for RatelTrainer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("RatelTrainer")
-            .field("decisions", &self.decisions)
+            .field("decisions", &self.decisions())
             .field("steps_recorded", &self.loss_history.len())
             .finish_non_exhaustive()
     }
@@ -532,7 +536,7 @@ impl RatelTrainer {
 
     /// The activation decisions in effect (planned or overridden).
     pub fn decisions(&self) -> &[ActDecision] {
-        &self.decisions
+        self.engine.act_decisions()
     }
 
     /// The profiling stage's measurements (None when decisions were

@@ -40,7 +40,8 @@ use ratel_tensor::dtype::{decode_f32, encode_f16};
 
 use crate::error::RatelError;
 
-use super::{master_key, moments_key, p16_key, RatelEngine};
+use super::blobs::{master_key, moments_key, p16_key};
+use super::RatelEngine;
 
 /// FNV-1a 64-bit — tiny, dependency-free, and plenty to catch torn
 /// writes and bit rot (this is corruption *detection*, not security).
@@ -337,5 +338,128 @@ mod tests {
         fs::write(dir.join("notes.txt"), "x").unwrap();
         assert_eq!(generations(&dir), vec![2, 10]);
         let _ = fs::remove_dir_all(&dir);
+    }
+}
+
+#[cfg(test)]
+mod engine_tests {
+    use super::*;
+    use crate::engine::data::random_batch;
+    use crate::engine::EngineConfig;
+    use ratel_tensor::GptConfig;
+
+    fn temp_dir(tag: &str) -> std::path::PathBuf {
+        let d = std::env::temp_dir().join(format!("ratel-ckpt-{}-{tag}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&d);
+        d
+    }
+
+    #[test]
+    fn checkpoint_resume_equals_uninterrupted_run() {
+        let model = GptConfig::tiny();
+        let mk = || RatelEngine::new(EngineConfig::tiny()).unwrap();
+        let batches: Vec<_> = (0..6).map(|s| random_batch(&model, 400 + s)).collect();
+
+        // Uninterrupted run.
+        let mut straight = mk();
+        for (t, y) in &batches {
+            straight.train_step(t, y).unwrap();
+        }
+
+        // Run 3 steps, checkpoint, resume in a fresh engine.
+        let dir = temp_dir("resume");
+        let mut first = mk();
+        for (t, y) in &batches[..3] {
+            first.train_step(t, y).unwrap();
+        }
+        first.save_checkpoint(&dir).unwrap();
+        drop(first);
+        let mut resumed = mk();
+        resumed.load_checkpoint(&dir).unwrap();
+        for (t, y) in &batches[3..] {
+            resumed.train_step(t, y).unwrap();
+        }
+
+        for l in 0..straight.layer_count() {
+            assert_eq!(
+                straight.master_params(l).unwrap(),
+                resumed.master_params(l).unwrap(),
+                "layer {l} diverged after resume"
+            );
+            assert_eq!(
+                straight.p16_params(l).unwrap(),
+                resumed.p16_params(l).unwrap()
+            );
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn checkpoint_files_are_complete() {
+        let engine = RatelEngine::new(EngineConfig::tiny()).unwrap();
+        let dir = temp_dir("files");
+        engine.save_checkpoint(&dir).unwrap();
+        assert!(dir.join("manifest-g1.txt").exists());
+        for l in 0..engine.layer_count() {
+            assert!(dir.join(format!("g1-layer{l}.master")).exists());
+            assert!(dir.join(format!("g1-layer{l}.moments")).exists());
+        }
+        // No temp droppings survive a successful save.
+        let leftovers: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .flatten()
+            .filter(|e| e.file_name().to_string_lossy().ends_with(".tmp"))
+            .collect();
+        assert!(leftovers.is_empty(), "{leftovers:?}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn generations_accumulate_and_prune_to_two() {
+        let engine = RatelEngine::new(EngineConfig::tiny()).unwrap();
+        let dir = temp_dir("gens");
+        for _ in 0..4 {
+            engine.save_checkpoint(&dir).unwrap();
+        }
+        assert_eq!(generations(&dir), vec![3, 4]);
+        // Pruned generations leave no blob files behind.
+        assert!(!dir.join("g1-layer0.master").exists());
+        assert!(!dir.join("manifest-g2.txt").exists());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn torn_latest_generation_falls_back_to_previous() {
+        let model = GptConfig::tiny();
+        let mk = || RatelEngine::new(EngineConfig::tiny()).unwrap();
+        let dir = temp_dir("fallback");
+        let mut engine = mk();
+        let (t, y) = random_batch(&model, 900);
+        engine.train_step(&t, &y).unwrap();
+        engine.save_checkpoint(&dir).unwrap(); // generation 1 (good)
+        engine.train_step(&t, &y).unwrap();
+        engine.save_checkpoint(&dir).unwrap(); // generation 2
+        let good_master = engine.master_params(0).unwrap();
+
+        // "Kill mid-checkpoint": generation 2's blob is torn after the
+        // manifest committed — truncate it behind the manifest's back.
+        let victim = dir.join("g2-layer0.master");
+        let bytes = std::fs::read(&victim).unwrap();
+        std::fs::write(&victim, &bytes[..bytes.len() / 2]).unwrap();
+
+        let mut resumed = mk();
+        resumed.load_checkpoint(&dir).unwrap();
+        // Generation 2 fails verification; generation 1 loads.
+        assert_eq!(resumed.step, 1, "fell back to the step-1 generation");
+        assert_ne!(resumed.master_params(0).unwrap(), good_master);
+
+        // With generation 1 also gone, corruption is an error — never a
+        // silently wrong model.
+        std::fs::remove_file(dir.join("manifest-g1.txt")).unwrap();
+        let mut fresh = mk();
+        let err = fresh.load_checkpoint(&dir).unwrap_err();
+        assert!(matches!(err, RatelError::CheckpointCorrupt(_)), "{err}");
+        assert!(err.to_string().contains("generation 2"), "{err}");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

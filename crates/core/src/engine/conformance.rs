@@ -1,13 +1,12 @@
 //! Live plan-conformance monitoring: did the step the engine just ran
 //! *move what the plan said it would move*?
 //!
-//! The engine's schedule twin ([`crate::schedule::IterationSpec`], built
-//! by `RatelEngine::movement_spec`) plans one step's data movement down
-//! to the byte; `ratel-verify` checks that plan statically at
-//! construction. This module closes the remaining gap — plan vs
-//! *execution* — by matching each instrumented step's drained telemetry
-//! against the plan and emitting structured [`Finding`]s for every
-//! divergence:
+//! The engine's plan (`engine::plan`) fixes one step's data movement
+//! down to the byte and its task order down to the edge; `ratel-verify`
+//! checks that plan statically when it is lowered. This module closes
+//! the remaining gap — plan vs *execution* — by matching each
+//! instrumented step's drained telemetry against the DAGs the engine
+//! dispatched and emitting structured [`Finding`]s for every divergence:
 //!
 //! * **unplanned transfers** — a blob key outside the engine's
 //!   `layer{N}/…` / `block{N}/…` inventory crossed a tier link;
@@ -16,7 +15,9 @@
 //!   an accumulated step of *k* micro-batches plans *k − 1* runs of the
 //!   accumulation plan plus one of the step plan);
 //! * **stage inversions** — within one DAG run, a task's span started
-//!   before the span of one of its plan dependencies ended;
+//!   before the span of one of its dependencies in the dispatched DAG
+//!   ended — the spec's dataflow edges and the pacing edges the lowering
+//!   added to bound tier residency alike;
 //! * **stalls** — a route with a configured bandwidth target achieved
 //!   less than the configured fraction of it.
 //!
@@ -26,14 +27,15 @@
 
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::OnceLock;
+use std::sync::Arc;
 
-use ratel_sim::{SpanKind, TaskGraph, TaskId};
+use ratel_sim::{SpanKind, TaskId};
 use ratel_storage::telemetry::SpanRecord;
 use ratel_storage::Route;
 
+use super::dag_step::StepDag;
 use super::telemetry::StepTelemetry;
-use crate::schedule::IterationSpec;
+use super::StepPlan;
 
 /// Drift classes the monitor can report. The discriminants mirror the
 /// flight recorder's drift code table (`ratel_obs::EventKind::Drift`
@@ -124,34 +126,16 @@ impl Default for ConformanceConfig {
     }
 }
 
-/// One DAG the step may run: its task graph and per-route byte ledger.
-#[derive(Debug, Clone)]
-struct RunPlan {
-    graph: TaskGraph,
-    bytes: [u64; 4],
-}
-
-impl RunPlan {
-    fn new(spec: &IterationSpec) -> Self {
-        RunPlan {
-            graph: spec.build().0,
-            bytes: spec.planned_route_bytes(),
-        }
-    }
-}
-
-/// Checks instrumented steps against a frozen plan.
+/// Checks instrumented steps against the engine's plan.
 ///
-/// Built once from the engine's movement spec — whose task graph and
-/// per-route byte totals it keeps, for the step DAG and (built on the
-/// first accumulated step) for the accumulation DAG non-final
-/// micro-batches run — and applied to every [`StepTelemetry`] the engine
-/// collects. Each check sees one step.
+/// Built by [`super::RatelEngine::conformance_monitor`] over the plan
+/// the engine holds — the step DAG and the accumulation DAG non-final
+/// micro-batches run, each with its per-route byte ledger — and applied
+/// to every [`StepTelemetry`] the engine collects. Each check sees one
+/// step.
 #[derive(Debug, Clone)]
 pub struct ConformanceMonitor {
-    spec: IterationSpec,
-    step: RunPlan,
-    accumulation: OnceLock<RunPlan>,
+    plan: Arc<StepPlan>,
     config: ConformanceConfig,
 }
 
@@ -172,31 +156,26 @@ fn planned_key(key: &str) -> bool {
 }
 
 impl ConformanceMonitor {
-    /// Builds a monitor holding the plan's task graph and byte ledger.
-    pub fn new(spec: &IterationSpec, config: ConformanceConfig) -> Self {
-        ConformanceMonitor {
-            spec: spec.clone(),
-            step: RunPlan::new(spec),
-            accumulation: OnceLock::new(),
-            config,
-        }
+    pub(super) fn new(plan: Arc<StepPlan>, config: ConformanceConfig) -> Self {
+        ConformanceMonitor { plan, config }
     }
 
-    /// The plan DAG run `run` of `step` executed (which runs accumulate
-    /// is [`StepTelemetry::accumulates`]'s call).
-    fn plan_of(&self, step: &StepTelemetry, run: usize) -> &RunPlan {
+    /// The DAG run `run` of `step` executed (which runs accumulate is
+    /// [`StepTelemetry::accumulates`]'s call). `None` only if the
+    /// accumulation DAG cannot be lowered, which the engine would have
+    /// refused to run: such a run then plans no bytes and no order.
+    fn dag_of(&self, step: &StepTelemetry, run: usize) -> Option<&StepDag> {
         if step.accumulates(run) {
-            self.accumulation
-                .get_or_init(|| RunPlan::new(&self.spec.accumulation_spec()))
+            self.plan.accumulation().ok()
         } else {
-            &self.step
+            Some(&self.plan.step)
         }
     }
 
     /// The plan's per-route byte totals for a plain step, indexed like
     /// [`Route::ALL`].
     pub fn planned_bytes(&self) -> [u64; 4] {
-        self.step.bytes
+        self.plan.step.spec.planned_route_bytes()
     }
 
     /// Matches one step's telemetry against the plan. Returns every
@@ -233,15 +212,18 @@ impl ConformanceMonitor {
     /// Measured route traffic must equal, to the byte, the ledgers of
     /// the plans the step's runs executed.
     fn check_bytes(&self, step: &StepTelemetry, findings: &mut Vec<Finding>) {
-        for (i, route) in Route::ALL.iter().enumerate() {
-            let planned: u64 = (0..step.runs.max(1))
-                .map(|run| self.plan_of(step, run).bytes[i])
-                .sum();
-            let measured = step.traffic.bytes(*route);
+        let mut ledger = [0u64; 4];
+        for dag in (0..step.runs.max(1)).filter_map(|run| self.dag_of(step, run)) {
+            for (total, bytes) in ledger.iter_mut().zip(dag.spec.planned_route_bytes()) {
+                *total += bytes;
+            }
+        }
+        for (route, planned) in Route::ALL.into_iter().zip(ledger) {
+            let measured = step.traffic.bytes(route);
             if measured != planned {
                 findings.push(Finding {
                     kind: DriftKind::ByteMismatch,
-                    route: Some(*route),
+                    route: Some(route),
                     detail: "route traffic diverged from the plan".into(),
                     planned: Some(planned),
                     measured: Some(measured),
@@ -251,7 +233,8 @@ impl ConformanceMonitor {
     }
 
     /// Within one DAG run, no task's span may start before the span of
-    /// any of its dependencies in that run's graph ended. Task ids mean
+    /// any of its dependencies in that run's graph ended — the graph
+    /// that was dispatched, pacing edges included. Task ids mean
     /// something only inside their run, so spans are matched per run.
     fn check_dependencies(&self, step: &StepTelemetry, findings: &mut Vec<Finding>) {
         let by_task: HashMap<(usize, TaskId), &SpanRecord> = step
@@ -261,7 +244,9 @@ impl ConformanceMonitor {
             .collect();
         for s in &step.spans {
             let Some(t) = s.task else { continue };
-            let graph = &self.plan_of(step, t.run).graph;
+            let Some(graph) = self.dag_of(step, t.run).map(|dag| &dag.graph) else {
+                continue;
+            };
             if t.task.0 >= graph.len() {
                 continue; // not a task of this plan
             }

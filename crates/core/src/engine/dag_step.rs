@@ -1,17 +1,18 @@
 //! Lowering the engine's movement plan into an executable step DAG.
 //!
 //! [`StepDag::lower`] takes the engine's schedule twin (the
-//! [`IterationSpec`] from [`super::RatelEngine::movement_spec`]), builds
-//! the statically verified task graph, reads every task's typed
-//! identity off its metadata, and adds *pacing* edges that hold each
-//! staging task back until the bytes staged ahead of compute fit its
-//! destination tier's budget ([`staging_gates`]), so read-ahead runs as
-//! far ahead as the tiers have room for and no further.
+//! [`IterationSpec`] from [`super::movement_spec_for`]), builds the
+//! statically verified task graph, reads every task's typed identity off
+//! its metadata, and adds *pacing* edges that hold each staging task
+//! back until the bytes staged ahead of compute fit its destination
+//! tier's budget ([`staging_gates`]), so read-ahead runs as far ahead as
+//! the tiers have room for and no further.
 //!
 //! [`StepCtx`] then maps each task onto tiered-store transfers and
-//! tensor kernels. f16 rounding happens at the same points as in the
-//! in-memory reference trainer, so a step is bitwise identical to it —
-//! whatever worker count each pool runs.
+//! tensor kernels, as the lowered plan's own [`LayerTask`]s say. f16
+//! rounding happens at the same points as in the in-memory reference
+//! trainer, so a step is bitwise identical to it — whatever worker count
+//! each pool runs.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -23,22 +24,27 @@ use ratel_storage::{StorageError, Tier, TieredStore};
 use ratel_tensor::dtype::{decode_f16, decode_f32, encode_f16, encode_f32, round_to_f16};
 use ratel_tensor::{block_dropout_spec, Adam, AdamParams, BlockSaved, GptModel, HeadSaved, Tensor};
 
+use super::blobs::{
+    accum_key, act_key, ckpt_key, grad_key, master_key, moments_key, offload_f16, p16_key,
+    set_layer_params,
+};
 use super::executor::TaskAction;
 use super::scaler::prepare_gradient;
-use super::{
-    accum_key, act_key, ckpt_key, grad_key, master_key, moments_key, offload_f16, p16_key,
-    set_layer_params, ActDecision, EngineConfig,
-};
+use super::EngineConfig;
 use crate::error::RatelError;
-use crate::schedule::{IterationSpec, OptimizerKind, ParamSource, ACT_SPILL_CHUNKS};
+use crate::schedule::{IterationSpec, LayerBlobs, LayerTask, OptimizerKind, ParamSource};
 
 /// A lowered, verified, paced step graph plus what each task does
-/// (indexed by `TaskId.0`). Built once per engine (the plan depends only
-/// on the config) and reused every step.
+/// (indexed by `TaskId.0`) and the spec it was lowered from. Built once
+/// per plan (it depends only on the config) and reused every step.
 #[derive(Debug)]
-pub(super) struct StepDag {
-    /// The executable task graph.
-    pub(super) graph: TaskGraph,
+pub(crate) struct StepDag {
+    /// The movement plan this DAG executes: what the handlers read, and
+    /// the byte ledger ([`IterationSpec::planned_route_bytes`]) a run of
+    /// it is held to.
+    pub(crate) spec: IterationSpec,
+    /// The executable task graph, pacing edges included.
+    pub(crate) graph: TaskGraph,
     /// `actions[t]` is task `t`'s typed identity: its kind, engine layer
     /// id (0 = embedding, 1..=L = blocks, L+1 = head) and, for a chunked
     /// activation transfer, the chunk it moves.
@@ -230,7 +236,11 @@ impl StepDag {
             );
         }
 
-        Ok(StepDag { graph, actions })
+        Ok(StepDag {
+            spec: spec.clone(),
+            graph,
+            actions,
+        })
     }
 }
 
@@ -264,15 +274,15 @@ pub(super) enum GradSink {
     },
 }
 
-/// The chunks a block's saved activations move in under `decision`, as
-/// the plan's tasks name them: none when recomputed, the whole blob
-/// (`None`) when it stays in host memory, [`ACT_SPILL_CHUNKS`] equal
-/// chunks when it spills to SSD.
-fn act_chunks(decision: ActDecision) -> Vec<Option<usize>> {
-    match decision {
-        ActDecision::Recompute => Vec::new(),
-        ActDecision::SwapToHost => vec![None],
-        ActDecision::SwapToSsd => (0..ACT_SPILL_CHUNKS).map(Some).collect(),
+/// The chunks a block's *saved activations* move in, as the plan's tasks
+/// name them: the layer's [`LayerTask::act_chunks`] when it swaps more
+/// than its `ckpt_bytes` checkpoint, none when the checkpoint is all it
+/// moves — the block then recomputes.
+fn saved_act_chunks(task: &LayerTask, ckpt_bytes: u64) -> Vec<Option<usize>> {
+    if task.act_to_host_bytes + task.act_to_ssd_bytes > ckpt_bytes as f64 {
+        task.act_chunks()
+    } else {
+        Vec::new()
     }
 }
 
@@ -325,8 +335,10 @@ pub(super) struct StepCtx<'a> {
     head: Mutex<Option<(Tensor, HeadSaved)>>,
     /// Per block: checkpoint bytes between forward and act-off.
     pending_ckpt: Vec<Mutex<Option<Vec<u8>>>>,
+    /// Per block: its [`saved_act_chunks`].
+    act_chunks: Vec<Vec<Option<usize>>>,
     /// Per block: saved-activation bytes between forward and act-off, one
-    /// slot per chunk the blob moves in (see [`act_chunks`]).
+    /// slot per chunk.
     pending_act: Vec<Vec<Mutex<Option<Vec<u8>>>>>,
     /// Per layer: raw (scaled) f32 gradient between backward and
     /// grad-off.
@@ -360,6 +372,12 @@ impl<'a> StepCtx<'a> {
         fn slots<T>(n: usize) -> Vec<Mutex<Option<T>>> {
             (0..n).map(|_| Mutex::new(None)).collect()
         }
+        let act_chunks: Vec<_> = (1..=blocks)
+            .map(|id| {
+                let ckpt_bytes = LayerBlobs::of(&config.model, id).ckpt;
+                saved_act_chunks(&dag.spec.layers[id], ckpt_bytes)
+            })
+            .collect();
         StepCtx {
             store,
             config,
@@ -377,11 +395,8 @@ impl<'a> StepCtx<'a> {
             dflow: Mutex::new(None),
             head: Mutex::new(None),
             pending_ckpt: slots(blocks),
-            pending_act: config
-                .act_decisions
-                .iter()
-                .map(|&d| slots(act_chunks(d).len()))
-                .collect(),
+            pending_act: act_chunks.iter().map(|c| slots(c.len())).collect(),
+            act_chunks,
             grads: slots(layers),
             updates: slots(layers),
             skipped: Mutex::new(Vec::new()),
@@ -515,7 +530,7 @@ impl<'a> StepCtx<'a> {
         if chunk.unwrap_or(0) == 0 {
             self.store.move_to(&ckpt_key(layer), Tier::Gpu)?;
         }
-        if self.config.act_decisions[b] != ActDecision::Recompute {
+        if !self.act_chunks[b].is_empty() {
             self.store.move_to(&act_key(b, chunk), Tier::Gpu)?;
         }
         Ok(())
@@ -527,7 +542,8 @@ impl<'a> StepCtx<'a> {
     fn backward(&self, layer: usize) -> Result<(), StorageError> {
         let c = self.config.model;
         let l = c.layers;
-        let frozen = self.config.frozen_layers.contains(&layer);
+        // A layer the plan moves no gradient for is frozen.
+        let frozen = self.dag.spec.layers[layer].grad_bytes == 0.0;
         let mut model = self.model.lock();
         if layer == l + 1 {
             // Head: parameters are still resident from forward (the plan
@@ -554,9 +570,9 @@ impl<'a> StepCtx<'a> {
             let spec = self.dropout_spec(b);
             // Chunks leave the arena one at a time into the one buffer
             // the decoder reads.
-            let chunks = act_chunks(self.config.act_decisions[b]);
+            let chunks = &self.act_chunks[b];
             let mut fetched: Option<Vec<u8>> = None;
-            for &chunk in &chunks {
+            for &chunk in chunks {
                 let mut bytes = self.store.take(&act_key(b, chunk))?;
                 match &mut fetched {
                     Some(blob) => blob.extend_from_slice(&bytes),
@@ -784,9 +800,9 @@ mod tests {
     use std::collections::BTreeSet;
 
     use super::*;
-    use crate::engine::{movement_spec_for, ExecutionOptions, ExecutorOptions};
+    use crate::engine::{movement_spec_for, ActDecision, ExecutionOptions, ExecutorOptions};
     use crate::offload::GradOffloadMode;
-    use crate::schedule::{LayerTask, LinkRates};
+    use crate::schedule::{LinkRates, ACT_SPILL_CHUNKS};
     use ratel_verify::Limits;
 
     /// The tiny engine's own movement plan (3 blocks), block 1 spilling
@@ -811,24 +827,16 @@ mod tests {
     const FWD: f64 = 100.0;
 
     /// Embedding, six blocks deciding `SwapToSsd, SwapToHost, Recompute`
-    /// in turn, head — at unit rates, so a task's seconds are its bytes.
+    /// in turn, head — one parameter a layer (a 2 B P16, 12 B of
+    /// optimizer state) at unit rates, so a task's seconds are its bytes.
     fn miniature() -> IterationSpec {
         let layer = |label: &str, to_host: f64, to_ssd: f64, refetch: bool| LayerTask {
-            label: label.into(),
-            p16_bytes: P16,
-            param_source: ParamSource::Ssd,
             fwd_flops: FWD,
             bwd_flops: 1.0,
             act_to_host_bytes: to_host,
             act_to_ssd_bytes: to_ssd,
             refetch_in_backward: refetch,
-            grad_bytes: P16,
-            grad_spill_to_ssd: false,
-            optimizer: OptimizerKind::CpuOutOfCore {
-                read_bytes: 6.0 * P16,
-                write_bytes: 7.0 * P16,
-                cpu_params: 1.0,
-            },
+            ..LayerTask::ratel(label, P16 / 2.0, P16 / 2.0)
         };
         let mut layers = vec![layer("embedding", 0.0, 0.0, true)];
         for b in 0..6 {
@@ -842,15 +850,7 @@ mod tests {
         IterationSpec {
             layers,
             mode: GradOffloadMode::OptimizedActive,
-            rates: LinkRates {
-                thp_gpu: 1.0,
-                bw_g2m: 1.0,
-                bw_m2g: 1.0,
-                ssd_read: 1.0,
-                ssd_write: 1.0,
-                cpu_params_per_sec: 1.0,
-                state_io_efficiency: 1.0,
-            },
+            rates: LinkRates::UNIT,
             gpus: 1,
             items_per_iteration: 1.0,
             per_layer_overhead_seconds: 0.0,

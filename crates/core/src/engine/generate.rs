@@ -12,8 +12,10 @@ use std::sync::Arc;
 use ratel_storage::{StorageError, Tier, TieredStore};
 use ratel_tensor::{GptConfig, KvCache};
 
-use super::{analytic_layer_params, fetch_f16, offload_f16, p16_key, pinned_key, RatelEngine};
+use super::blobs::{fetch_f16, offload_f16, p16_key, pinned_key};
+use super::RatelEngine;
 use crate::error::RatelError;
+use crate::schedule::LayerBlobs;
 
 /// Index of the largest logit.
 fn argmax(logits: &[f32]) -> usize {
@@ -131,7 +133,7 @@ impl RatelEngine {
             layers: c.layers,
         };
         let p16_bytes: Vec<u64> = (0..self.layer_count())
-            .map(|layer| 2 * analytic_layer_params(&c, layer) as u64)
+            .map(|layer| LayerBlobs::of(&c, layer).p16)
             .collect();
         let host_free = self
             .config
@@ -486,7 +488,7 @@ mod decode_tests {
 
     fn p16_bytes(model: &GptConfig) -> Vec<u64> {
         (0..model.layers + 2)
-            .map(|layer| 2 * analytic_layer_params(model, layer) as u64)
+            .map(|layer| LayerBlobs::of(model, layer).p16)
             .collect()
     }
 

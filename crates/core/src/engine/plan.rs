@@ -1,0 +1,144 @@
+//! The plan of one engine step: built once per configuration, held by
+//! whoever needs it, and the only thing a step reads.
+//!
+//! [`movement_spec_for`] maps an [`EngineConfig`] onto Ratel's per-layer
+//! movement table ([`LayerTask::ratel`]); [`StepPlan::lower`] lowers that
+//! spec into the paced, verified DAG the executor dispatches. A
+//! [`crate::api::TrainingPlan`] inspects and verifies the plan before an
+//! engine exists and hands it over; the engine runs it; the conformance
+//! monitor checks each step's telemetry against it.
+
+use std::sync::OnceLock;
+
+use super::dag_step::StepDag;
+use super::{ActDecision, EngineConfig};
+use crate::error::RatelError;
+use crate::schedule::{IterationSpec, LayerBlobs, LayerTask, LinkRates};
+
+/// Lowers one engine step of `config` into its schedule twin: an
+/// [`IterationSpec`] planning exactly what the engine moves (the same
+/// shape `ratel-bench validate` compares telemetry against). Layer ids
+/// follow the engine: 0 = embedding, 1..=L = blocks, L+1 = head. Compute
+/// durations are placeholders — the twin exists for dataflow/residency
+/// structure, which `ratel-verify` checks statically.
+///
+/// What this function decides is the per-layer mapping: a frozen layer
+/// trains no parameter, a block's decision splits its checkpoint and
+/// saved activations between host memory and the SSDs, and the head —
+/// whose forward and backward are adjacent at the loss — is staged once.
+/// The bytes each of those moves are [`LayerTask::ratel`]'s.
+///
+/// # Panics
+/// If `config.act_decisions` is shorter than the model is deep;
+/// [`EngineConfig::validate`] reports that as a violation.
+pub fn movement_spec_for(config: &EngineConfig) -> IterationSpec {
+    let model = config.model;
+    let head = model.layers + 1;
+    let layers = (0..=head)
+        .map(|id| {
+            let label = match id {
+                0 => "embedding".to_string(),
+                _ if id == head => "head".to_string(),
+                _ => format!("block{}", id - 1),
+            };
+            let params = model.layer_params(id) as f64;
+            // Frozen layers move no gradient and run no optimizer
+            // handler; backward still flows through them.
+            let trainable = if config.frozen_layers.contains(&id) {
+                0.0
+            } else {
+                params
+            };
+            let blobs = LayerBlobs::of(&model, id);
+            let (to_host, to_ssd) = if (1..head).contains(&id) {
+                match config.act_decisions[id - 1] {
+                    ActDecision::SwapToHost => (blobs.ckpt + blobs.acts, 0),
+                    ActDecision::SwapToSsd => (blobs.ckpt, blobs.acts),
+                    ActDecision::Recompute => (blobs.ckpt, 0),
+                }
+            } else {
+                (0, 0)
+            };
+            LayerTask {
+                act_to_host_bytes: to_host as f64,
+                act_to_ssd_bytes: to_ssd as f64,
+                refetch_in_backward: id != head,
+                ..LayerTask::ratel(label, params, trainable)
+            }
+        })
+        .collect();
+    IterationSpec {
+        layers,
+        mode: config.execution.executor().offload,
+        rates: LinkRates::UNIT,
+        gpus: 1,
+        items_per_iteration: model.batch as f64,
+        per_layer_overhead_seconds: 0.0,
+    }
+}
+
+/// Everything one configuration's steps execute, lowered once. Shared
+/// (`Arc`) between the [`crate::api::TrainingPlan`] that inspects it, the
+/// engine that dispatches it and the conformance monitor that checks
+/// against it, so all three hold the same graphs and specs.
+#[derive(Debug)]
+pub(crate) struct StepPlan {
+    /// The DAG a plain step — and the final micro-batch of an
+    /// accumulated one — runs.
+    pub(crate) step: StepDag,
+    /// The DAG a non-final micro-batch runs; see [`StepPlan::accumulation`].
+    accumulation: OnceLock<StepDag>,
+    /// The configured tier capacities pacing budgets bytes against.
+    tiers: ratel_verify::Limits,
+    /// Whether the DAGs are held to `tiers`: only when the config clears
+    /// [`EngineConfig::validate`]'s floors (below them a step is expected
+    /// to fail with a typed out-of-memory error, not the lowering).
+    hold_to_tiers: bool,
+}
+
+impl StepPlan {
+    /// Lowers `config`'s movement plan into the DAG a step dispatches,
+    /// paced against the configured tier capacities. The builder
+    /// self-verifies the schedule in debug builds and the lowering
+    /// re-verifies it after pacing — so the DAG `train_step` dispatches
+    /// is the DAG that passed.
+    pub(crate) fn lower(config: &EngineConfig) -> Result<StepPlan, RatelError> {
+        let tiers = ratel_verify::Limits {
+            gpu: config.gpu_capacity.map(|c| c as f64),
+            host: config.host_capacity.map(|c| c as f64),
+            ssd: None,
+        };
+        let hold_to_tiers = config.validate().is_empty();
+        let step = StepDag::lower(&movement_spec_for(config), &tiers, hold_to_tiers)?;
+        Ok(StepPlan {
+            step,
+            accumulation: OnceLock::new(),
+            tiers,
+            hold_to_tiers,
+        })
+    }
+
+    /// The DAG a non-final micro-batch runs (the movement plan's
+    /// [`accumulation_spec`](IterationSpec::accumulation_spec)), lowered
+    /// on first use.
+    pub(crate) fn accumulation(&self) -> Result<&StepDag, RatelError> {
+        if let Some(dag) = self.accumulation.get() {
+            return Ok(dag);
+        }
+        let spec = self.step.spec.accumulation_spec();
+        let dag = StepDag::lower(&spec, &self.tiers, self.hold_to_tiers)?;
+        Ok(self.accumulation.get_or_init(|| dag))
+    }
+
+    /// Statically verifies the step DAG as dispatched — pacing edges
+    /// included — against the capacities it is held to.
+    pub(crate) fn verify(&self) -> ratel_verify::VerifyReport {
+        let unlimited = ratel_verify::Limits::none();
+        let limits = if self.hold_to_tiers {
+            &self.tiers
+        } else {
+            &unlimited
+        };
+        ratel_verify::verify(&self.step.graph, limits)
+    }
+}

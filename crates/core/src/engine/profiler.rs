@@ -15,10 +15,11 @@ use std::time::Instant;
 
 use ratel_model::{ModelConfig, ModelProfile, UnitKind};
 use ratel_storage::{StorageError, Tier, TieredStore};
-use ratel_tensor::{BlockSaved, GptConfig, Tensor, TransformerBlock};
+use ratel_tensor::{GptConfig, Tensor, TransformerBlock};
 
 use crate::planner::ActivationPlanner;
 use crate::profile::HardwareProfile;
+use crate::schedule::LayerBlobs;
 
 use super::ActDecision;
 
@@ -109,26 +110,30 @@ impl MeasuredProfile {
     }
 }
 
+/// The analytic description of the executable model Algorithm 1 plans
+/// over: same depth, width, sequence and vocabulary, as a decoder LM
+/// (whose head is tied to the embedding).
+pub(crate) fn analytic_twin(config: &GptConfig) -> ModelConfig {
+    ModelConfig {
+        seq_len: config.seq,
+        vocab: config.vocab,
+        ..ModelConfig::decoder_lm("engine-model", config.layers, config.heads, config.hidden)
+    }
+}
+
 /// Runs the measured profile through Algorithm 1 on the executable
 /// model's analytic twin and lowers the plan to per-block decisions:
 /// blocks whose activation units the planner swaps are swapped (to host
 /// while the budget lasts, then SSD), the rest recompute.
 pub fn plan_decisions(config: GptConfig, hw: &HardwareProfile) -> Vec<ActDecision> {
-    let analytic = ModelConfig {
-        seq_len: config.seq,
-        vocab: config.vocab,
-        ..ModelConfig::decoder_lm("engine-model", config.layers, config.heads, config.hidden)
-    };
-    let profile = ModelProfile::new(&analytic, config.batch);
+    let profile = ModelProfile::new(&analytic_twin(&config), config.batch);
     let plan = ActivationPlanner::new(hw, &profile).plan();
 
-    // Actual A16 blob size of one executable block (elements * 2 bytes):
-    // x1 + qkv(3h) + ctx + x2 + x3 + mlp pre/act(8h) + LN stats + the
-    // streaming-attention row statistics (max + logsumexp per row per
-    // head; no materialized probabilities).
-    let block_blob_bytes = 2.0
-        * BlockSaved::element_count_for(config.batch, config.seq, config.hidden, config.heads)
-            as f64;
+    // Actual A16 blob size of one executable block: x1 + qkv(3h) + ctx +
+    // x2 + x3 + mlp pre/act(8h) + LN stats + the streaming-attention row
+    // statistics (max + logsumexp per row per head; no materialized
+    // probabilities).
+    let block_blob_bytes = LayerBlobs::of(&config, 1).acts as f64;
 
     let mut host_left = hw.mem_avail;
     (0..config.layers)

@@ -11,7 +11,7 @@
 //! the server's five resource classes (GPU compute, PCIe G2M, PCIe M2G,
 //! the simplex SSD array, CPU compute).
 
-use ratel_model::{ModelKind, ModelProfile};
+use ratel_model::{ModelKind, ModelProfile, ModelStates};
 use ratel_sim::{
     simulate, BlobKey, BlobKind, MemTier, OpClass, ResourceClass, ResourceId, Stage, TaskGraph,
     TaskId, TaskIdentity, TaskKind, TaskMeta, VersionedBlob,
@@ -21,6 +21,7 @@ use crate::offload::GradOffloadMode;
 use crate::planner::{SwapPlan, SwapTarget};
 use crate::profile::HardwareProfile;
 use crate::report::IterationReport;
+use ratel_tensor::{BlockSaved, GptConfig};
 
 /// Per-blob version counters for the builder's `ratel-verify`
 /// annotations: a write bumps the counter, a read references the current
@@ -180,6 +181,44 @@ pub struct LayerTask {
 }
 
 impl LayerTask {
+    /// The one emitter of Ratel's per-layer movement table: a layer of
+    /// `params` parameters, `trainable_params` of which are fine-tuned
+    /// (all of them for full fine-tuning, a fraction for LoRA-style
+    /// adapters, 0 for a frozen layer), under Ratel's placement. The
+    /// whole P16 streams from the SSDs for forward and again for
+    /// backward; the trainable subset's G16 lands in host memory and
+    /// its out-of-core CPU handler reads P32 + OS32 and writes them
+    /// back with a fresh P16. Every bytes-per-parameter figure is Table
+    /// II's ([`ModelStates::of_params`]).
+    ///
+    /// What the parameter counts do not decide — activation bytes,
+    /// FLOPs, a layer staged only once — starts at zero (refetching on)
+    /// and is set by the caller with struct-update syntax.
+    pub fn ratel(label: impl Into<String>, params: f64, trainable_params: f64) -> LayerTask {
+        let trained = ModelStates::of_params(trainable_params);
+        LayerTask {
+            label: label.into(),
+            p16_bytes: ModelStates::of_params(params).p16,
+            param_source: ParamSource::Ssd,
+            fwd_flops: 0.0,
+            bwd_flops: 0.0,
+            act_to_host_bytes: 0.0,
+            act_to_ssd_bytes: 0.0,
+            refetch_in_backward: true,
+            grad_bytes: trained.g16,
+            grad_spill_to_ssd: false,
+            optimizer: if trainable_params > 0.0 {
+                OptimizerKind::CpuOutOfCore {
+                    read_bytes: trained.optimizer_read(),
+                    write_bytes: trained.optimizer_write(),
+                    cpu_params: trainable_params,
+                }
+            } else {
+                OptimizerKind::None
+            },
+        }
+    }
+
     /// The chunks this layer's swapped activations move in, one task per
     /// chunk and hop: [`ACT_SPILL_CHUNKS`] of them when SSD-bound, the
     /// whole blob (`None`) when host-bound, none when nothing is swapped.
@@ -215,6 +254,45 @@ impl LayerTask {
     }
 }
 
+/// Bytes of the blobs one layer of the executable model moves through
+/// the tiers — the sizes the engine's plan, its capacity floors, the
+/// profiler and the decode path all reason about.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct LayerBlobs {
+    /// The P16 compute copy (a G16 is as large).
+    pub(crate) p16: u64,
+    /// P32 + OS32 + G16: what the layer's optimizer handler holds in
+    /// host memory.
+    pub(crate) optimizer_working_set: u64,
+    /// A block's input checkpoint, the inter-block A16 (0 off-block).
+    pub(crate) ckpt: u64,
+    /// A block's saved intra-layer activations (0 off-block).
+    pub(crate) acts: u64,
+}
+
+impl LayerBlobs {
+    /// The blobs of engine layer `id` of `model` (0 = embedding,
+    /// 1..=L = blocks, L+1 = head).
+    pub(crate) fn of(model: &GptConfig, id: usize) -> LayerBlobs {
+        let states = ModelStates::of_params(model.layer_params(id) as f64);
+        let a16 = |elements: usize| 2 * elements as u64;
+        let is_block = (1..=model.layers).contains(&id);
+        let (ckpt, acts) = if is_block {
+            let saved =
+                BlockSaved::element_count_for(model.batch, model.seq, model.hidden, model.heads);
+            (a16(model.batch * model.seq * model.hidden), a16(saved))
+        } else {
+            (0, 0)
+        };
+        LayerBlobs {
+            p16: states.p16 as u64,
+            optimizer_working_set: (states.optimizer_read() + states.g16) as u64,
+            ckpt,
+            acts,
+        }
+    }
+}
+
 /// Resource rates of the simulated server (from the profiling stage).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkRates {
@@ -236,6 +314,18 @@ pub struct LinkRates {
 }
 
 impl LinkRates {
+    /// Every rate 1: a task's seconds are its bytes, FLOPs or parameters
+    /// — for plans read for structure, not time.
+    pub const UNIT: LinkRates = LinkRates {
+        thp_gpu: 1.0,
+        bw_g2m: 1.0,
+        bw_m2g: 1.0,
+        ssd_read: 1.0,
+        ssd_write: 1.0,
+        cpu_params_per_sec: 1.0,
+        state_io_efficiency: 1.0,
+    };
+
     /// Rates from a hardware profile.
     pub fn from_profile(p: &HardwareProfile) -> Self {
         LinkRates {
@@ -1168,27 +1258,12 @@ impl<'a> RatelSchedule<'a> {
                     recompute += unit.recompute_flops;
                 }
             }
-            let params = layer.params;
             layers.push(LayerTask {
-                label: layer.label.clone(),
-                p16_bytes: 2.0 * params,
-                param_source: ParamSource::Ssd,
                 fwd_flops: layer.forward_flops,
                 bwd_flops: 2.0 * layer.forward_flops + recompute,
                 act_to_host_bytes: host,
                 act_to_ssd_bytes: ssd,
-                refetch_in_backward: true,
-                grad_bytes: 2.0 * params,
-                grad_spill_to_ssd: false,
-                optimizer: if params > 0.0 {
-                    OptimizerKind::CpuOutOfCore {
-                        read_bytes: 12.0 * params,
-                        write_bytes: 14.0 * params,
-                        cpu_params: params,
-                    }
-                } else {
-                    OptimizerKind::None
-                },
+                ..LayerTask::ratel(layer.label.as_str(), layer.params, layer.params)
             });
         }
         let items = match self.model.config.kind {
@@ -1456,48 +1531,25 @@ mod scheduling_correctness_tests {
     use super::*;
     use ratel_sim::simulate;
 
-    /// Unit rates make every task's service time equal to its byte/flop
-    /// count, so timeline positions are easy to reason about.
-    fn unit_rates() -> LinkRates {
-        LinkRates {
-            thp_gpu: 1.0,
-            bw_g2m: 1.0,
-            bw_m2g: 1.0,
-            ssd_read: 1.0,
-            ssd_write: 1.0,
-            cpu_params_per_sec: 1.0,
-            state_io_efficiency: 1.0,
-        }
-    }
-
+    /// One parameter per layer and no SSD activation spill: the
+    /// remaining SSD traffic (parameter staging, optimizer state) must
+    /// not scale with the GPU count.
     fn layer() -> LayerTask {
         LayerTask {
-            label: "blk".into(),
-            p16_bytes: 2.0,
-            param_source: ParamSource::Ssd,
             fwd_flops: 1.0,
             bwd_flops: 2.0,
             act_to_host_bytes: 1.0,
-            // Zero SSD activation spill: the remaining SSD traffic
-            // (parameter staging, optimizer state) must not scale with
-            // the GPU count.
-            act_to_ssd_bytes: 0.0,
-            refetch_in_backward: true,
-            grad_bytes: 2.0,
-            grad_spill_to_ssd: false,
-            optimizer: OptimizerKind::CpuOutOfCore {
-                read_bytes: 12.0,
-                write_bytes: 14.0,
-                cpu_params: 1.0,
-            },
+            ..LayerTask::ratel("blk", 1.0, 1.0)
         }
     }
 
+    /// Unit rates make every task's service time equal to its byte/flop
+    /// count, so timeline positions are easy to reason about.
     fn spec(gpus: usize, layers: usize, mode: GradOffloadMode) -> IterationSpec {
         IterationSpec {
             layers: (0..layers).map(|_| layer()).collect(),
             mode,
-            rates: unit_rates(),
+            rates: LinkRates::UNIT,
             gpus,
             items_per_iteration: 1.0,
             per_layer_overhead_seconds: 0.0,
@@ -1582,5 +1634,82 @@ mod scheduling_correctness_tests {
                 .count();
             assert_eq!(copies, 3);
         }
+    }
+}
+
+#[cfg(test)]
+mod emitter_tests {
+    use super::*;
+    use crate::engine::profiler::analytic_twin;
+    use crate::engine::{movement_spec_for, EngineConfig};
+    use crate::planner::ActivationPlanner;
+    use ratel_hw::ServerConfig;
+    use ratel_model::TensorKind::{Os32, G16, P16, P32};
+
+    #[test]
+    fn table_ii_is_the_byte_table() {
+        let p = 1e6;
+        let state = P32.bytes_per_param() + Os32.bytes_per_param();
+        for t in [p, p / 100.0, 0.0] {
+            let task = LayerTask::ratel("layer", p, t);
+            assert_eq!(task.p16_bytes, p * P16.bytes_per_param());
+            assert_eq!(task.grad_bytes, t * G16.bytes_per_param());
+            assert_eq!(task.param_source, ParamSource::Ssd);
+            assert!(!task.grad_spill_to_ssd && task.refetch_in_backward);
+            let expected = if t > 0.0 {
+                OptimizerKind::CpuOutOfCore {
+                    read_bytes: t * state,
+                    write_bytes: t * (state + P16.bytes_per_param()),
+                    cpu_params: t,
+                }
+            } else {
+                OptimizerKind::None
+            };
+            assert_eq!(task.optimizer, expected, "trainable {t}");
+        }
+    }
+
+    #[test]
+    fn the_engine_and_the_planner_lower_through_the_same_table() {
+        // Where the executable model and its analytic twin agree on a
+        // layer's parameters (`vocab·h + seq·h`, `12h² + 13h`), the two
+        // lowerings must agree on what it moves.
+        let config = EngineConfig::tiny();
+        let engine = movement_spec_for(&config);
+        let twin = ModelProfile::new(&analytic_twin(&config.model), config.model.batch);
+        let profile =
+            HardwareProfile::measure(&ServerConfig::paper_default(), &twin, config.model.batch);
+        let plan = ActivationPlanner::new(&profile, &twin).plan();
+        let planner = RatelSchedule {
+            profile: &profile,
+            model: &twin,
+            plan: &plan,
+            mode: engine.mode,
+            gpus: 1,
+        }
+        .to_spec();
+        let parameter_side =
+            |l: &LayerTask| (l.p16_bytes, l.grad_bytes, l.param_source, l.optimizer);
+        let head = config.model.layers + 1;
+        assert_eq!(engine.layers.len(), head + 1);
+        assert_eq!(planner.layers.len(), head + 1);
+        for id in 0..head {
+            assert_eq!(
+                parameter_side(&engine.layers[id]),
+                parameter_side(&planner.layers[id]),
+                "layer {id}"
+            );
+        }
+        // The head differs the way it is meant to: the analytic decoder
+        // ties it to the embedding, the executable model trains its own.
+        assert_eq!(
+            parameter_side(&planner.layers[head]),
+            parameter_side(&LayerTask::ratel("head", 0.0, 0.0))
+        );
+        let untied = config.model.head_params() as f64;
+        assert_eq!(
+            parameter_side(&engine.layers[head]),
+            parameter_side(&LayerTask::ratel("head", untied, untied))
+        );
     }
 }

@@ -76,12 +76,19 @@ pub struct ModelStates {
 impl ModelStates {
     /// Computes the Table II model-state inventory for `model`.
     pub fn of(model: &ModelConfig) -> Self {
-        let p = model.total_params();
+        ModelStates::of_params(model.total_params())
+    }
+
+    /// The Table II inventory of `params` parameters — one layer's, or
+    /// the trainable subset of one. Every per-parameter byte figure a
+    /// schedule uses comes from here.
+    pub fn of_params(params: f64) -> Self {
+        let bytes = |kind: TensorKind| kind.bytes_per_param() * params;
         ModelStates {
-            p32: 4.0 * p,
-            os32: 8.0 * p,
-            g16: 2.0 * p,
-            p16: 2.0 * p,
+            p32: bytes(TensorKind::P32),
+            os32: bytes(TensorKind::Os32),
+            g16: bytes(TensorKind::G16),
+            p16: bytes(TensorKind::P16),
         }
     }
 

@@ -978,6 +978,19 @@ impl GptConfig {
         2 * self.hidden + self.hidden * self.vocab
     }
 
+    /// Scalar parameters of schedulable layer `id` (0 = embedding,
+    /// 1..=L = blocks, L+1 = head), from the shape alone, so movement
+    /// plans can be drawn up before any model is materialized.
+    pub fn layer_params(&self, id: usize) -> usize {
+        if id == 0 {
+            self.embedding_params()
+        } else if id <= self.layers {
+            self.block_params()
+        } else {
+            self.head_params()
+        }
+    }
+
     /// Scalar parameters of the largest schedulable layer — what sizes
     /// the per-layer working set capacity checks reason about.
     pub fn max_layer_params(&self) -> usize {

@@ -23,13 +23,13 @@ fn build(frozen_layers: Vec<usize>) -> RatelEngine {
     .unwrap()
 }
 
-/// One instrumented step's telemetry plus the monitor built from the
-/// same engine's movement spec — the seed every mutation perturbs.
+/// One instrumented step's telemetry plus a monitor over the same
+/// engine's plan — the DAG that ran — the seed every mutation perturbs.
 fn instrumented_step(config: ConformanceConfig) -> (StepTelemetry, ConformanceMonitor) {
     let model = GptConfig::tiny();
     let mut engine = build(Vec::new());
     engine.enable_telemetry();
-    let monitor = ConformanceMonitor::new(&engine.movement_spec(), config);
+    let monitor = engine.conformance_monitor(config);
     let (tokens, targets) = random_batch(&model, 1234);
     engine.train_step(&tokens, &targets).unwrap();
     let telemetry = engine.last_step_telemetry().unwrap().clone();
@@ -137,6 +137,94 @@ fn stage_inversion_is_flagged() {
     );
 }
 
+/// Drift class 3 on the edges only the dispatched DAG has: under a
+/// bounded arena the lowering gates read-ahead on backward kernels the
+/// spec's dataflow does not order it after, to bound what sits in the
+/// arena. A transfer that jumps its gate — while still following every
+/// dependency of the un-paced spec graph — is an inversion; a monitor
+/// holding its own copy of the spec's graph could not see it.
+#[test]
+fn a_transfer_that_jumps_its_pacing_gate_is_flagged() {
+    // The `executor_equivalence` zoo's arena shape: SSD, host and
+    // recompute decisions in turn under a 64 KiB arena.
+    let model = GptConfig {
+        vocab: 64,
+        seq: 8,
+        hidden: 16,
+        heads: 2,
+        layers: 6,
+        batch: 2,
+    };
+    let decisions = [
+        ActDecision::SwapToSsd,
+        ActDecision::SwapToHost,
+        ActDecision::Recompute,
+    ];
+    let mut engine = RatelEngine::new(EngineConfig {
+        model,
+        act_decisions: decisions.iter().copied().cycle().take(6).collect(),
+        gpu_capacity: Some(64 << 10),
+        ..EngineConfig::tiny()
+    })
+    .unwrap();
+    engine.enable_telemetry();
+    let monitor = engine.conformance_monitor(ConformanceConfig::default());
+    let (tokens, targets) = random_batch(&model, 1234);
+    engine.train_step(&tokens, &targets).unwrap();
+    let clean = engine.last_step_telemetry().unwrap().clone();
+    assert!(monitor.check(&clean).is_empty(), "seed telemetry drifted");
+
+    // Transfers the arena's byte budget gates on a kernel (the rule
+    // `dag_step`'s pacing tests pin edge for edge), and that kernel.
+    let gated = [
+        ("bwd-fetch L3", "bwd L5"),
+        ("bwd-fetch L2", "bwd L4"),
+        ("act-up L2", "bwd L4"),
+        ("bwd-fetch L1", "bwd L3"),
+        ("act-up L1#0", "bwd L3"),
+        ("bwd-fetch L0", "bwd L3"),
+    ];
+    let (unpaced, _, _) = engine.movement_spec().build();
+    let span_of = |label: &str| {
+        let found = clean
+            .spans
+            .iter()
+            .position(|s| s.task.is_some() && s.label == label);
+        found.unwrap_or_else(|| panic!("no task span {label:?}"))
+    };
+    // When the un-paced graph would have let span `i` start: the moment
+    // the last of its dependencies there ended.
+    let ready = |i: usize| {
+        let task = clean.spans[i].task.unwrap().task;
+        let ends = unpaced.deps(task).iter().map(|dep| {
+            let span = clean
+                .spans
+                .iter()
+                .find(|s| s.task.is_some_and(|t| t.task == *dep));
+            span.unwrap().end
+        });
+        ends.fold(clean.step_start, f64::max)
+    };
+    let (moved, gate) = gated
+        .iter()
+        .map(|(transfer, kernel)| (span_of(transfer), span_of(kernel)))
+        .find(|&(i, g)| ready(i) < clean.spans[g].end)
+        .expect("some gated transfer's inputs were ready before its gate kernel ended");
+
+    let mut mutated = clean.clone();
+    mutated.spans[moved].start = ready(moved);
+    let findings = monitor.check(&mutated);
+    assert_eq!(kinds(&findings), vec![DriftKind::StageInversion]);
+    let (moved, gate) = (&clean.spans[moved].label, &clean.spans[gate].label);
+    assert!(
+        findings
+            .iter()
+            .any(|f| f.detail.contains(&format!("{moved:?}"))
+                && f.detail.contains(&format!("{gate:?}"))),
+        "no finding names {moved:?} and its gate {gate:?}: {findings:?}"
+    );
+}
+
 /// An accumulated step conforms: its k − 1 accumulation runs and final
 /// step run are held against their own plans (a frozen layer makes the
 /// two DAGs differ in more than the optimizer handlers), and task ids
@@ -159,7 +247,7 @@ fn accumulated_steps_conform_and_runs_do_not_collide() {
     // Seed a cross-run id collision: run 0 replayed after everything
     // else. Its task ids recur in runs 1 and 2 with earlier timestamps;
     // only a checker matching ids across runs would see inversions.
-    let monitor = ConformanceMonitor::new(&engine.movement_spec(), ConformanceConfig::default());
+    let monitor = engine.conformance_monitor(ConformanceConfig::default());
     let mut mutated = clean.clone();
     for s in &mut mutated.spans {
         if s.task.is_some_and(|t| t.run == 0) {
@@ -207,10 +295,7 @@ fn bandwidth_stall_is_flagged_when_a_target_is_armed() {
 
     // The same telemetry with no target armed is clean: the stall check
     // never invents a floor on its own.
-    let quiet = ConformanceMonitor::new(
-        &build(Vec::new()).movement_spec(),
-        ConformanceConfig::default(),
-    );
+    let quiet = build(Vec::new()).conformance_monitor(ConformanceConfig::default());
     assert!(quiet.check(&clean).is_empty());
 }
 

@@ -8,9 +8,7 @@
 
 use proptest::prelude::*;
 
-use ratel_repro::core::schedule::{
-    IterationSpec, LayerTask, LinkRates, OptimizerKind, ParamSource,
-};
+use ratel_repro::core::schedule::{IterationSpec, LayerTask, LinkRates};
 use ratel_repro::core::verify::{verify, Limits, Reachability, Rule};
 use ratel_repro::core::GradOffloadMode;
 use ratel_repro::sim::{MemTier, ResourceClass, TaskGraph, TaskId};
@@ -31,21 +29,12 @@ fn rates() -> LinkRates {
 /// activation traffic, gradients, and out-of-core optimizer handlers.
 fn spec(mode: GradOffloadMode) -> IterationSpec {
     let layer = |label: &str, p: f64, host: f64, ssd: f64| LayerTask {
-        label: label.into(),
-        p16_bytes: 2.0 * p,
-        param_source: ParamSource::Ssd,
         fwd_flops: 1e9,
         bwd_flops: 2e9,
         act_to_host_bytes: host,
         act_to_ssd_bytes: ssd,
-        refetch_in_backward: true,
-        grad_bytes: 2.0 * p,
         grad_spill_to_ssd: mode == GradOffloadMode::SeparateStage,
-        optimizer: OptimizerKind::CpuOutOfCore {
-            read_bytes: 12.0 * p,
-            write_bytes: 14.0 * p,
-            cpu_params: p,
-        },
+        ..LayerTask::ratel(label, p, p)
     };
     IterationSpec {
         layers: vec![
