@@ -9,6 +9,12 @@
 //! reader eventually observes the installed value — the lost-notify
 //! mutant turns a rare unlucky interleaving into a reader that sleeps
 //! forever, which the explorer reports as a deadlock.
+//!
+//! The pristine protocol is also explored on the store that ships
+//! (`tests/check_mutations.rs` drives a real `TieredStore`: a put
+//! against two readers, two moves racing to one tier). This miniature
+//! stays for its `LostNotify` mutant, which is what shows the explorer
+//! catches that class of bug.
 
 use std::sync::Arc;
 

@@ -118,33 +118,95 @@ struct Inner {
     ssd: HashMap<String, SsdLoc>,
     /// Live-blob count per segment file; a segment is unlinked when its
     /// count reaches zero. Blobs removed earlier leave dead bytes in the
-    /// file until then (accounted per blob, so `ssd_used` can undercount
-    /// disk footprint while a segment is partially dead).
+    /// file until then (accounted per blob, so the SSD tier's `used` can
+    /// undercount disk footprint while a segment is partially dead).
     segments: HashMap<u64, u32>,
-    next_seg: u64,
     /// Keys with SSD file I/O in flight *outside* the lock. Any operation
     /// touching one of these keys waits on the store's condvar, which
     /// preserves per-key atomicity while letting unrelated keys' I/O —
     /// and its injected latency spikes and retry backoff — overlap.
+    /// Written only by [`TieredStore::with_pending`].
     pending: HashSet<String>,
-    gpu_used: u64,
-    host_used: u64,
-    ssd_used: u64,
-    /// High-water marks of the three `*_used` counters since the last
-    /// [`TieredStore::reset_traffic`], indexed by `Tier as usize`.
+    /// Bytes resident per tier, indexed by `Tier as usize`.
+    used: [u64; 3],
+    /// High-water marks of `used` since the last
+    /// [`TieredStore::reset_traffic`], indexed the same way.
     peak_used: [u64; 3],
+}
+
+impl Inner {
+    fn exists(&self, key: &str) -> bool {
+        self.mem.contains_key(key) || self.ssd.contains_key(key)
+    }
+
+    /// The tier holding `key` and the blob's length.
+    fn locate(&self, key: &str) -> Result<(Tier, u64), StorageError> {
+        match self.mem.get(key) {
+            Some((tier, data)) => Ok((*tier, data.len() as u64)),
+            None => self.ssd_loc(key).map(|loc| (Tier::Ssd, loc.len())),
+        }
+    }
+
+    fn ssd_loc(&self, key: &str) -> Result<SsdLoc, StorageError> {
+        let loc = self.ssd.get(key).copied();
+        loc.ok_or_else(|| StorageError::NotFound(key.to_string()))
+    }
+
+    fn add_used(&mut self, tier: Tier, bytes: i64) {
+        let slot = &mut self.used[tier as usize];
+        *slot = (*slot as i64 + bytes).max(0) as u64;
+        let peak = &mut self.peak_used[tier as usize];
+        *peak = (*peak).max(*slot);
+    }
+
+    /// Drops SSD-resident `key` from the index. Returns the segment file
+    /// to unlink if this was its last live blob; the caller unlinks
+    /// best-effort *after* releasing the lock.
+    fn forget_ssd(&mut self, key: &str, loc: SsdLoc) -> Option<u64> {
+        self.ssd.remove(key);
+        self.add_used(Tier::Ssd, -(loc.len() as i64));
+        match loc {
+            SsdLoc::File { .. } => None,
+            SsdLoc::Segment { seg, .. } => self.release_segment(seg),
+        }
+    }
+
+    /// Drops one reference to a segment (a blob left it); `Some(seg)`
+    /// when that was the last one.
+    fn release_segment(&mut self, seg: u64) -> Option<u64> {
+        // A missing refcount would mean the index already forgot this
+        // segment; nothing to release, and unlinking now could race a
+        // concurrent reuse — leave the file for store-drop cleanup.
+        let live = self.segments.get_mut(&seg)?;
+        *live -= 1;
+        if *live == 0 {
+            self.segments.remove(&seg);
+            Some(seg)
+        } else {
+            None
+        }
+    }
 }
 
 /// A thread-safe three-tier blob store with traffic metering.
 ///
 /// Blobs are identified by string keys (e.g. `"block3/p16"`); each key
 /// lives in exactly one tier. Dropping the store removes its SSD directory.
+///
+/// Every operation is a composition of four private pieces, each the
+/// only place its decision is made: `Route::hops` (which hops a
+/// `from → to` transfer crosses), `with_pending` (the pending-key
+/// handshake around unlocked SSD I/O), `ssd_write` (reserve → write →
+/// commit or roll back) and `meter` (bytes, flight event, throttle,
+/// span).
 #[derive(Debug)]
 pub struct TieredStore {
     config: TierConfig,
     inner: Mutex<Inner>,
     /// Signalled whenever a key's in-flight SSD I/O completes.
     pending_cv: Condvar,
+    /// Id of the next segment file [`TieredStore::put_batch`] writes.
+    next_seg: AtomicU64,
     traffic: TrafficCounters,
     /// Optional per-route bandwidth caps (bytes/second). A transfer over a
     /// throttled route sleeps for `bytes / rate` *outside* the store lock,
@@ -177,15 +239,13 @@ impl TieredStore {
                     mem: HashMap::new(),
                     ssd: HashMap::new(),
                     segments: HashMap::new(),
-                    next_seg: 0,
                     pending: HashSet::new(),
-                    gpu_used: 0,
-                    host_used: 0,
-                    ssd_used: 0,
+                    used: [0; 3],
                     peak_used: [0; 3],
                 },
             ),
             pending_cv: Condvar::named("store.pending_cv"),
+            next_seg: AtomicU64::new(0),
             traffic: TrafficCounters::default(),
             throttle: Mutex::named("store.throttle", [None; 4]),
             telemetry: Arc::new(TelemetryRecorder::new()),
@@ -232,6 +292,19 @@ impl TieredStore {
         self.host_spill.load(Ordering::Relaxed)
     }
 
+    /// Counts one host-pressure spill of `key` (`len` bytes headed for
+    /// the host pool land on, or stay on, the SSD tier instead).
+    fn note_spill(&self, key: &str, len: u64) {
+        self.telemetry.count_host_spill();
+        ratel_obs::flight().record(
+            ratel_obs::EventKind::Spill,
+            Route::HostToSsd.index() as u8,
+            key,
+            len,
+            0,
+        );
+    }
+
     /// Runs one SSD file operation under the fault plan and retry policy:
     /// consults the plan (advancing its op counter — retries present new
     /// indices, which is how transient faults clear), then retries
@@ -242,9 +315,8 @@ impl TieredStore {
     /// Callers must NOT hold the store lock: backoff sleeps and injected
     /// latency spikes block for up to seconds, and holding the lock
     /// through them would serialize every unrelated transfer (the bug
-    /// this protocol replaced). Instead, call sites mark their keys
-    /// in [`Inner::pending`], drop the lock via
-    /// [`TieredStore::run_unlocked`], and finalize after re-acquiring it.
+    /// this protocol replaced). Call sites run it as the slow part of
+    /// [`TieredStore::with_pending`].
     fn ssd_io<T>(
         &self,
         op: FaultOp,
@@ -321,51 +393,109 @@ impl TieredStore {
         }
     }
 
-    /// Locks the store and blocks until `key` has no SSD I/O in flight.
-    /// Every operation that examines or mutates a key's state must enter
-    /// through this (or [`TieredStore::lock_keys`]) so it never observes
-    /// the transient mid-I/O state.
-    fn lock_key(&self, key: &str) -> MutexGuard<'_, Inner> {
+    /// Locks the store and blocks until none of `keys` has SSD I/O in
+    /// flight. Every operation that examines or mutates a key's state
+    /// enters through this (or [`TieredStore::lock_key`]) so it never
+    /// observes the transient mid-I/O state.
+    fn lock_keys(&self, keys: &[&str]) -> MutexGuard<'_, Inner> {
         let mut inner = self.inner.lock();
-        while inner.pending.contains(key) {
+        while keys.iter().any(|k| inner.pending.contains(*k)) {
             self.pending_cv.wait(&mut inner);
         }
         inner
     }
 
-    /// Locks the store and blocks until none of `keys` has I/O in flight.
-    fn lock_keys(&self, keys: &[&str]) -> MutexGuard<'_, Inner> {
-        let mut inner = self.inner.lock();
-        loop {
-            if keys.iter().any(|k| inner.pending.contains(*k)) {
-                self.pending_cv.wait(&mut inner);
-            } else {
-                return inner;
-            }
-        }
+    fn lock_key(&self, key: &str) -> MutexGuard<'_, Inner> {
+        self.lock_keys(&[key])
     }
 
-    /// Releases the lock, runs `f` (the slow part: file I/O, injected
-    /// spikes, retry backoff), and re-acquires the lock. The caller must
-    /// have marked the affected keys pending first and must clear them
-    /// (via [`TieredStore::unpend`]) after finalizing.
-    fn run_unlocked<'a, T>(
+    /// The pending-key handshake: marks `keys` in flight, releases the
+    /// lock, runs `slow` (file I/O, injected spikes, retry backoff),
+    /// re-acquires the lock, clears the marks and wakes the waiters.
+    /// The caller commits or rolls back under the returned guard, so no
+    /// other thread sees the keys between the I/O and its outcome — and
+    /// no call site has an error path on which they could stay pending.
+    fn with_pending<'a, T>(
         &'a self,
-        inner: MutexGuard<'a, Inner>,
-        f: impl FnOnce() -> T,
+        mut inner: MutexGuard<'a, Inner>,
+        keys: &[&str],
+        slow: impl FnOnce() -> T,
     ) -> (MutexGuard<'a, Inner>, T) {
+        for k in keys {
+            inner.pending.insert(k.to_string());
+        }
         drop(inner);
-        lockorder::assert_blocking_ok("run_unlocked slow path");
-        let result = f();
-        (self.inner.lock(), result)
-    }
-
-    /// Clears pending marks and wakes waiters.
-    fn unpend(&self, inner: &mut Inner, keys: &[&str]) {
+        lockorder::assert_blocking_ok("with_pending slow path");
+        let out = slow();
+        let mut inner = self.inner.lock();
         for k in keys {
             inner.pending.remove(*k);
         }
         self.pending_cv.notify_all();
+        (inner, out)
+    }
+
+    /// The SSD write transaction: reserves `reserve` bytes of the SSD
+    /// tier (so concurrent writers can't both pass the capacity check),
+    /// runs `write` under the handshake, and rolls the reservation back
+    /// if it fails. On `Ok` the caller registers what was written under
+    /// the returned guard.
+    fn ssd_write<'a, T>(
+        &'a self,
+        mut inner: MutexGuard<'a, Inner>,
+        keys: &[&str],
+        reserve: u64,
+        write: impl FnOnce() -> Result<T, StorageError>,
+    ) -> (MutexGuard<'a, Inner>, Result<T, StorageError>) {
+        if let Err(e) = self.check_fits(&inner, Tier::Ssd, reserve) {
+            return (inner, Err(e));
+        }
+        inner.add_used(Tier::Ssd, reserve as i64);
+        let (mut inner, res) = self.with_pending(inner, keys, write);
+        if res.is_err() {
+            inner.add_used(Tier::Ssd, -(reserve as i64));
+        }
+        (inner, res)
+    }
+
+    /// [`TieredStore::ssd_write`] of one blob into its own file: a new
+    /// key, a blob leaving memory tier `from` (the caller has taken
+    /// `bytes` out of `mem`; they go back if the write fails, so the
+    /// transaction owns the buffer while the key is pending and nothing
+    /// is cloned), or new contents for an SSD-resident key, whose growth
+    /// is reserved up front and shrinkage credited after success. A
+    /// segment-resident blob migrates out of its segment.
+    fn write_blob(
+        &self,
+        inner: MutexGuard<'_, Inner>,
+        key: &str,
+        from: Option<Tier>,
+        bytes: Vec<u8>,
+    ) -> Result<(), StorageError> {
+        let len = bytes.len() as u64;
+        let old_len = inner.ssd.get(key).map_or(0, |loc| loc.len());
+        let (mut inner, res) = self.ssd_write(inner, &[key], len.saturating_sub(old_len), || {
+            self.ssd_io(FaultOp::Write, key, || {
+                fs::write(self.blob_path(key), &bytes)
+            })
+        });
+        if let Err(e) = res {
+            if let Some(tier) = from {
+                inner.mem.insert(key.to_string(), (tier, bytes));
+            }
+            return Err(e);
+        }
+        inner.add_used(Tier::Ssd, -(old_len.saturating_sub(len) as i64));
+        if let Some(tier) = from {
+            inner.add_used(tier, -(len as i64));
+        }
+        let dead_seg = match inner.ssd.insert(key.to_string(), SsdLoc::File { len }) {
+            Some(SsdLoc::Segment { seg, .. }) => inner.release_segment(seg),
+            _ => None,
+        };
+        drop(inner);
+        self.unlink_segment(dead_seg);
+        Ok(())
     }
 
     /// Reads an SSD blob's bytes given its location. No lock held.
@@ -388,20 +518,15 @@ impl TieredStore {
         }
     }
 
-    /// Drops one reference to a segment (a blob left it). Returns the
-    /// segment file to unlink if this was the last live blob; the caller
-    /// unlinks best-effort *after* releasing the lock.
-    fn release_segment(inner: &mut Inner, seg: u64) -> Option<u64> {
-        // A missing refcount would mean the index already forgot this
-        // segment; nothing to release, and unlinking now could race a
-        // concurrent reuse — leave the file for store-drop cleanup.
-        let live = inner.segments.get_mut(&seg)?;
-        *live -= 1;
-        if *live == 0 {
-            inner.segments.remove(&seg);
-            Some(seg)
-        } else {
-            None
+    /// Unlinks an SSD blob's own file. No lock held. A segment-resident
+    /// blob has no per-blob file op: its bytes just go dead inside the
+    /// segment, which is unlinked when its last live blob leaves.
+    fn unlink_blob(&self, key: &str, loc: SsdLoc) -> Result<(), StorageError> {
+        match loc {
+            SsdLoc::File { .. } => self.ssd_io(FaultOp::Remove, key, || {
+                fs::remove_file(self.blob_path(key))
+            }),
+            SsdLoc::Segment { .. } => Ok(()),
         }
     }
 
@@ -416,6 +541,11 @@ impl TieredStore {
 
     fn segment_path(&self, seg: u64) -> PathBuf {
         self.config.ssd_dir.join(format!("seg-{seg}"))
+    }
+
+    fn blob_path(&self, key: &str) -> PathBuf {
+        // Keys may contain '/', which we flatten to keep one flat dir.
+        self.config.ssd_dir.join(key.replace('/', "_"))
     }
 
     /// The store's telemetry recorder (disabled until
@@ -444,6 +574,37 @@ impl TieredStore {
         }
     }
 
+    /// Where a transfer's first span starts, if spans are being recorded.
+    /// Taken before the lock wait and the file I/O — what a wall-clock
+    /// bandwidth measurement should see.
+    fn span_start(&self) -> Option<f64> {
+        self.telemetry.enabled().then(|| self.telemetry.now())
+    }
+
+    /// The one metering site: for each hop `len` bytes of `key` crossed,
+    /// in order, counts the bytes, records the flight event, sleeps out
+    /// the route's throttle (no store lock held) and records the span.
+    /// The first hop's span starts at `t0` ([`TieredStore::span_start`]),
+    /// each later hop's where the one before it ended.
+    fn meter(&self, hops: &[Route], key: &str, len: u64, mut t0: Option<f64>) {
+        for &route in hops {
+            self.traffic.record(route, len);
+            ratel_obs::flight().record(
+                ratel_obs::EventKind::Transfer,
+                route.index() as u8,
+                key,
+                len,
+                0,
+            );
+            self.apply_throttle(route, len);
+            if let Some(start) = t0 {
+                let end = self.telemetry.now();
+                self.telemetry.record_transfer(route, key, len, start, end);
+                t0 = Some(end);
+            }
+        }
+    }
+
     fn capacity(&self, tier: Tier) -> Option<u64> {
         match tier {
             Tier::Gpu => self.config.gpu_capacity,
@@ -452,17 +613,9 @@ impl TieredStore {
         }
     }
 
-    fn used_locked(inner: &Inner, tier: Tier) -> u64 {
-        match tier {
-            Tier::Gpu => inner.gpu_used,
-            Tier::Host => inner.host_used,
-            Tier::Ssd => inner.ssd_used,
-        }
-    }
-
     fn check_fits(&self, inner: &Inner, tier: Tier, bytes: u64) -> Result<(), StorageError> {
         if let Some(cap) = self.capacity(tier) {
-            let used = Self::used_locked(inner, tier);
+            let used = inner.used[tier as usize];
             if used + bytes > cap {
                 return Err(StorageError::OutOfMemory {
                     tier,
@@ -474,87 +627,46 @@ impl TieredStore {
         Ok(())
     }
 
-    fn add_used(inner: &mut Inner, tier: Tier, bytes: i64) {
-        let slot = match tier {
-            Tier::Gpu => &mut inner.gpu_used,
-            Tier::Host => &mut inner.host_used,
-            Tier::Ssd => &mut inner.ssd_used,
-        };
-        *slot = (*slot as i64 + bytes).max(0) as u64;
-        let peak = &mut inner.peak_used[tier as usize];
-        *peak = (*peak).max(*slot);
-    }
-
-    fn blob_path(&self, key: &str) -> PathBuf {
-        // Keys may contain '/', which we flatten to keep one flat dir.
-        self.config.ssd_dir.join(key.replace('/', "_"))
-    }
-
     /// Stores a new blob in `tier`.
     ///
     /// With [`TieredStore::set_spill_on_host_pressure`] enabled, a put
-    /// into a full host pool degrades to an SSD put (metered as a
-    /// `Host -> SSD` transfer and counted as a spill) instead of erroring.
+    /// into a full host pool degrades to an SSD put (counted as a spill)
+    /// instead of erroring.
     ///
     /// # Errors
     /// [`StorageError::AlreadyExists`] on duplicate keys,
     /// [`StorageError::OutOfMemory`] if the tier is full.
     pub fn put(&self, key: &str, tier: Tier, bytes: Vec<u8>) -> Result<(), StorageError> {
+        self.put_locked(self.lock_key(key), key, tier, bytes)
+    }
+
+    fn put_locked(
+        &self,
+        mut inner: MutexGuard<'_, Inner>,
+        key: &str,
+        mut tier: Tier,
+        bytes: Vec<u8>,
+    ) -> Result<(), StorageError> {
         let len = bytes.len() as u64;
-        let mut inner = self.lock_key(key);
-        if inner.mem.contains_key(key) || inner.ssd.contains_key(key) {
+        if inner.exists(key) {
             return Err(StorageError::AlreadyExists(key.to_string()));
         }
-        let mut tier = tier;
         if let Err(e) = self.check_fits(&inner, tier, len) {
-            let spillable = tier == Tier::Host && self.spill_on_host_pressure();
-            if !spillable {
+            if tier != Tier::Host || !self.spill_on_host_pressure() {
                 return Err(e);
             }
-            // Degrade: the blob lands on the SSD tier instead. The extra
-            // hop is metered so traffic accounting stays honest.
+            // Degrade: the blob lands on the SSD tier instead — unless
+            // that is full too, which is an honest error and no spill.
             self.check_fits(&inner, Tier::Ssd, len)?;
-            self.telemetry.count_host_spill();
-            ratel_obs::flight().record(
-                ratel_obs::EventKind::Spill,
-                Route::HostToSsd.index() as u8,
-                key,
-                len,
-                0,
-            );
+            self.note_spill(key, len);
             tier = Tier::Ssd;
         }
-        match tier {
-            Tier::Gpu | Tier::Host => {
-                inner.mem.insert(key.to_string(), (tier, bytes));
-                Self::add_used(&mut inner, tier, len as i64);
-                Ok(())
-            }
-            Tier::Ssd => {
-                // Reserve space and mark the key in flight, then write
-                // with the lock released so injected spikes and backoff
-                // never stall unrelated keys.
-                Self::add_used(&mut inner, Tier::Ssd, len as i64);
-                inner.pending.insert(key.to_string());
-                let (mut inner, res) = self.run_unlocked(inner, || {
-                    self.ssd_io(FaultOp::Write, key, || {
-                        fs::write(self.blob_path(key), &bytes)
-                    })
-                });
-                match &res {
-                    Ok(_) => {
-                        inner.ssd.insert(key.to_string(), SsdLoc::File { len });
-                    }
-                    Err(_) => {
-                        // Roll back the reservation; the key was never
-                        // registered.
-                        Self::add_used(&mut inner, Tier::Ssd, -(len as i64));
-                    }
-                }
-                self.unpend(&mut inner, &[key]);
-                res.map(|_| ())
-            }
+        if tier == Tier::Ssd {
+            return self.write_blob(inner, key, None, bytes);
         }
+        inner.mem.insert(key.to_string(), (tier, bytes));
+        inner.add_used(tier, len as i64);
+        Ok(())
     }
 
     /// Stores many new blobs at once. For the SSD tier the blobs are
@@ -585,139 +697,101 @@ impl TieredStore {
         }
         let keys: Vec<&str> = entries.iter().map(|(k, _)| k.as_str()).collect();
         let total: u64 = entries.iter().map(|(_, b)| b.len() as u64).sum();
-        let mut inner = self.lock_keys(&keys);
-        for key in &keys {
-            if inner.mem.contains_key(*key) || inner.ssd.contains_key(*key) {
-                return Err(StorageError::AlreadyExists(key.to_string()));
-            }
+        let inner = self.lock_keys(&keys);
+        if let Some(key) = keys.iter().find(|k| inner.exists(k)) {
+            return Err(StorageError::AlreadyExists(key.to_string()));
         }
-        self.check_fits(&inner, Tier::Ssd, total)?;
-        Self::add_used(&mut inner, Tier::Ssd, total as i64);
-        let seg = inner.next_seg;
-        inner.next_seg += 1;
-        for key in &keys {
-            inner.pending.insert(key.to_string());
-        }
-        let seg_name = format!("seg-{seg}");
-        let path = self.segment_path(seg);
-        let (mut inner, res) = self.run_unlocked(inner, || {
+        let (mut inner, res) = self.ssd_write(inner, &keys, total, || {
+            let seg = self.next_seg.fetch_add(1, Ordering::Relaxed);
+            let path = self.segment_path(seg);
             // One sequential stream into the segment file — no staging
             // copy. `File::create` truncates, so a retried attempt
             // restarts the segment from scratch.
-            self.ssd_io(FaultOp::Write, &seg_name, || {
+            self.ssd_io(FaultOp::Write, &format!("seg-{seg}"), || {
                 use std::io::Write;
                 let mut f = fs::File::create(&path)?;
                 for (_, bytes) in &entries {
                     f.write_all(bytes)?;
                 }
                 Ok(())
-            })
+            })?;
+            Ok(seg)
         });
-        match &res {
-            Ok(_) => {
-                let mut offset = 0u64;
-                for (key, bytes) in &entries {
-                    let len = bytes.len() as u64;
-                    inner
-                        .ssd
-                        .insert(key.clone(), SsdLoc::Segment { seg, offset, len });
-                    offset += len;
-                }
-                inner.segments.insert(seg, entries.len() as u32);
-            }
-            Err(_) => {
-                Self::add_used(&mut inner, Tier::Ssd, -(total as i64));
-            }
+        let seg = res?;
+        let mut offset = 0u64;
+        for (key, bytes) in &entries {
+            let len = bytes.len() as u64;
+            inner
+                .ssd
+                .insert(key.clone(), SsdLoc::Segment { seg, offset, len });
+            offset += len;
         }
-        self.unpend(&mut inner, &keys);
-        res.map(|_| ())
+        inner.segments.insert(seg, entries.len() as u32);
+        Ok(())
     }
 
     /// Which tier currently holds `key`.
     pub fn tier_of(&self, key: &str) -> Result<Tier, StorageError> {
-        let inner = self.lock_key(key);
-        if let Some((tier, _)) = inner.mem.get(key) {
-            Ok(*tier)
-        } else if inner.ssd.contains_key(key) {
-            Ok(Tier::Ssd)
-        } else {
-            Err(StorageError::NotFound(key.to_string()))
-        }
+        self.lock_key(key).locate(key).map(|(tier, _)| tier)
     }
 
     /// Whether `key` exists in any tier.
     pub fn contains(&self, key: &str) -> bool {
-        let inner = self.lock_key(key);
-        inner.mem.contains_key(key) || inner.ssd.contains_key(key)
+        self.lock_key(key).exists(key)
     }
 
     /// Reads a copy of the blob without moving it.
     pub fn read(&self, key: &str) -> Result<Vec<u8>, StorageError> {
-        let mut inner = self.lock_key(key);
-        if let Some((_, data)) = inner.mem.get(key) {
-            return Ok(data.clone());
+        self.fetch(key).map(|(_, bytes)| bytes)
+    }
+
+    /// A copy of the blob and the tier it was found in, from one lock
+    /// acquisition.
+    fn fetch(&self, key: &str) -> Result<(Tier, Vec<u8>), StorageError> {
+        let inner = self.lock_key(key);
+        if let Some((tier, data)) = inner.mem.get(key) {
+            return Ok((*tier, data.clone()));
         }
-        let Some(&loc) = inner.ssd.get(key) else {
-            return Err(StorageError::NotFound(key.to_string()));
-        };
-        inner.pending.insert(key.to_string());
-        let (mut inner, res) = self.run_unlocked(inner, || self.read_ssd_blob(key, loc));
-        self.unpend(&mut inner, &[key]);
-        res
+        let loc = inner.ssd_loc(key)?;
+        let (_, res) = self.with_pending(inner, &[key], || self.read_ssd_blob(key, loc));
+        Ok((Tier::Ssd, res?))
     }
 
     /// Removes a blob and returns its bytes: [`TieredStore::read`] then
     /// [`TieredStore::remove`], but a memory-resident blob is handed
     /// over, not copied.
     pub fn take(&self, key: &str) -> Result<Vec<u8>, StorageError> {
-        let mut inner = self.lock_key(key);
-        if let Some((tier, data)) = inner.mem.remove(key) {
-            Self::add_used(&mut inner, tier, -(data.len() as i64));
-            return Ok(data);
-        }
-        drop(inner);
-        let bytes = self.read(key)?;
-        self.remove(key)?;
-        Ok(bytes)
+        self.detach(key, |loc| self.read_ssd_blob(key, loc))
     }
 
     /// Removes a blob, freeing its tier space.
     pub fn remove(&self, key: &str) -> Result<(), StorageError> {
+        self.detach(key, |_| Ok(Vec::new())).map(drop)
+    }
+
+    /// Unregisters `key` and hands its buffer over. An SSD-resident blob
+    /// is `read` and then unlinked in one pending window, and stays
+    /// registered if either fails.
+    fn detach(
+        &self,
+        key: &str,
+        read: impl FnOnce(SsdLoc) -> Result<Vec<u8>, StorageError>,
+    ) -> Result<Vec<u8>, StorageError> {
         let mut inner = self.lock_key(key);
         if let Some((tier, data)) = inner.mem.remove(key) {
-            let len = data.len() as i64;
-            Self::add_used(&mut inner, tier, -len);
-            return Ok(());
+            inner.add_used(tier, -(data.len() as i64));
+            return Ok(data);
         }
-        let Some(&loc) = inner.ssd.get(key) else {
-            return Err(StorageError::NotFound(key.to_string()));
-        };
-        match loc {
-            SsdLoc::File { len } => {
-                inner.pending.insert(key.to_string());
-                let (mut inner, res) = self.run_unlocked(inner, || {
-                    self.ssd_io(FaultOp::Remove, key, || {
-                        fs::remove_file(self.blob_path(key))
-                    })
-                });
-                if res.is_ok() {
-                    inner.ssd.remove(key);
-                    Self::add_used(&mut inner, Tier::Ssd, -(len as i64));
-                }
-                self.unpend(&mut inner, &[key]);
-                res
-            }
-            SsdLoc::Segment { seg, len, .. } => {
-                // No per-blob file op: the bytes just go dead inside the
-                // segment, which is unlinked when its last live blob leaves.
-                inner.ssd.remove(key);
-                Self::add_used(&mut inner, Tier::Ssd, -(len as i64));
-                let dead = Self::release_segment(&mut inner, seg);
-                drop(inner);
-                self.unlink_segment(dead);
-                Ok(())
-            }
-        }
+        let loc = inner.ssd_loc(key)?;
+        let (mut inner, res) = self.with_pending(inner, &[key], || {
+            let bytes = read(loc)?;
+            self.unlink_blob(key, loc).map(|()| bytes)
+        });
+        let bytes = res?;
+        let dead_seg = inner.forget_ssd(key, loc);
+        drop(inner);
+        self.unlink_segment(dead_seg);
+        Ok(bytes)
     }
 
     /// Moves a blob to `target`, metering every hop. GPU↔SSD moves are
@@ -731,222 +805,87 @@ impl TieredStore {
     /// residency). Transit host space for GPU↔SSD moves is still required
     /// — only the destination degrades, not the data path.
     pub fn move_to(&self, key: &str, target: Tier) -> Result<(), StorageError> {
-        let current = self.tier_of(key)?;
-        if current == target {
+        // One hop per turn, re-planned from wherever the key is found
+        // under the lock that then moves it: a concurrent mover can only
+        // shorten the way left, never invalidate it.
+        loop {
+            let t0 = self.span_start();
+            let inner = self.lock_key(key);
+            let (current, len) = inner.locate(key)?;
+            let plan = Route::hops(current, target);
+            let Some(first) = plan.first() else {
+                return Ok(());
+            };
+            let spill = target == Tier::Host
+                && self.spill_on_host_pressure()
+                && self.check_fits(&inner, Tier::Host, len).is_err();
+            let (to, hops) = if spill {
+                self.note_spill(key, len);
+                if current == Tier::Ssd {
+                    // Already on the slow tier: degrading means staying put.
+                    return Ok(());
+                }
+                // One write straight to an SSD file, metered as the two
+                // logical hops it stands for (a bounce buffer too small
+                // to count as host residency).
+                (Tier::Ssd, Route::hops(current, Tier::Ssd))
+            } else {
+                (first.dest(), &plan[..1])
+            };
+            self.hop(inner, key, current, to, len)?;
+            self.meter(hops, key, len, t0);
+            if spill || plan.len() == 1 {
+                return Ok(());
+            }
+        }
+    }
+
+    /// Moves `key` (`len` bytes, found in `from` under `inner`) into `to`.
+    ///
+    /// Target-first: the source copy is given up only once the new one
+    /// exists, so a fault on the way can at worst orphan a stale source
+    /// file — never lose the blob.
+    fn hop(
+        &self,
+        mut inner: MutexGuard<'_, Inner>,
+        key: &str,
+        from: Tier,
+        to: Tier,
+        len: u64,
+    ) -> Result<(), StorageError> {
+        if to == Tier::Ssd {
+            let Some((_, bytes)) = inner.mem.remove(key) else {
+                return Err(StorageError::NotFound(key.to_string()));
+            };
+            return self.write_blob(inner, key, Some(from), bytes);
+        }
+        // The source still holds the blob while we check the target,
+        // which is how double-buffered transfers behave.
+        self.check_fits(&inner, to, len)?;
+        if from != Tier::Ssd {
+            // Pure in-memory hop: no file I/O, the entry is retagged in
+            // place under the lock.
+            if let Some(entry) = inner.mem.get_mut(key) {
+                entry.0 = to;
+            }
+            inner.add_used(to, len as i64);
+            inner.add_used(from, -(len as i64));
             return Ok(());
         }
-        let result = match (current, target) {
-            (Tier::Gpu, Tier::Ssd) => self
-                .move_one_hop(key, Tier::Host)
-                .and_then(|_| self.move_one_hop(key, Tier::Ssd)),
-            (Tier::Ssd, Tier::Gpu) => self
-                .move_one_hop(key, Tier::Host)
-                .and_then(|_| self.move_one_hop(key, Tier::Gpu)),
-            _ => self.move_one_hop(key, target),
-        };
-        match result {
-            Err(StorageError::OutOfMemory {
-                tier: Tier::Host, ..
-            }) if target == Tier::Host && self.spill_on_host_pressure() => {
-                self.telemetry.count_host_spill();
-                ratel_obs::flight().record(
-                    ratel_obs::EventKind::Spill,
-                    Route::HostToSsd.index() as u8,
-                    key,
-                    0,
-                    0,
-                );
-                match current {
-                    // Already on the slow tier: degrading means staying put.
-                    Tier::Ssd => Ok(()),
-                    // Stream GPU -> SSD without host residency.
-                    Tier::Gpu => self.spill_gpu_to_ssd(key),
-                    Tier::Host => unreachable!("current == target handled above"),
-                }
-            }
-            other => other,
-        }
-    }
-
-    /// Degraded GPU→SSD path used when the host pool is full: the blob is
-    /// written straight to an SSD file and both logical hops are metered,
-    /// but no host-tier residency is consumed (modeling a bounce buffer
-    /// too small to count).
-    fn spill_gpu_to_ssd(&self, key: &str) -> Result<(), StorageError> {
-        let mut inner = self.lock_key(key);
-        let bytes = match inner.mem.get(key) {
-            Some((Tier::Gpu, data)) => data.clone(),
-            _ => return Err(StorageError::NotFound(key.to_string())),
-        };
-        let len = bytes.len() as u64;
-        self.check_fits(&inner, Tier::Ssd, len)?;
-        Self::add_used(&mut inner, Tier::Ssd, len as i64);
-        inner.pending.insert(key.to_string());
-        let (mut inner, res) = self.run_unlocked(inner, || {
-            self.ssd_io(FaultOp::Write, key, || {
-                fs::write(self.blob_path(key), &bytes)
-            })
+        let loc = inner.ssd_loc(key)?;
+        let (mut inner, res) = self.with_pending(inner, &[key], || {
+            let bytes = self.read_ssd_blob(key, loc)?;
+            // Drop the stale on-disk copy, best-effort (the blob is safe
+            // in memory), in the same pending window so a concurrent
+            // re-put can't race with the unlink.
+            let _ = self.unlink_blob(key, loc);
+            Ok::<_, StorageError>(bytes)
         });
-        match &res {
-            Ok(_) => {
-                inner.mem.remove(key);
-                Self::add_used(&mut inner, Tier::Gpu, -(len as i64));
-                inner.ssd.insert(key.to_string(), SsdLoc::File { len });
-            }
-            Err(_) => Self::add_used(&mut inner, Tier::Ssd, -(len as i64)),
-        }
-        self.unpend(&mut inner, &[key]);
+        inner.mem.insert(key.to_string(), (to, res?));
+        inner.add_used(to, len as i64);
+        let dead_seg = inner.forget_ssd(key, loc);
         drop(inner);
-        res?;
-        for route in [Route::GpuToHost, Route::HostToSsd] {
-            let t0 = self.telemetry.enabled().then(|| self.telemetry.now());
-            self.traffic.record(route, len);
-            ratel_obs::flight().record(
-                ratel_obs::EventKind::Transfer,
-                route.index() as u8,
-                key,
-                len,
-                0,
-            );
-            self.apply_throttle(route, len);
-            if let Some(t0) = t0 {
-                self.telemetry
-                    .record_transfer(route, key, len, t0, self.telemetry.now());
-            }
-        }
-        Ok(())
-    }
-
-    fn move_one_hop(&self, key: &str, target: Tier) -> Result<(), StorageError> {
-        // Span covers the whole hop — lock wait, file I/O, throttle sleep —
-        // which is what a wall-clock bandwidth measurement should see.
-        let t0 = self.telemetry.enabled().then(|| self.telemetry.now());
-        let mut inner = self.lock_key(key);
-        let current = if let Some((tier, _)) = inner.mem.get(key) {
-            *tier
-        } else if inner.ssd.contains_key(key) {
-            Tier::Ssd
-        } else {
-            return Err(StorageError::NotFound(key.to_string()));
-        };
-        debug_assert_ne!(current, target);
-
-        let route = match (current, target) {
-            (Tier::Gpu, Tier::Host) => Route::GpuToHost,
-            (Tier::Host, Tier::Gpu) => Route::HostToGpu,
-            (Tier::Host, Tier::Ssd) => Route::HostToSsd,
-            (Tier::Ssd, Tier::Host) => Route::SsdToHost,
-            (a, b) => unreachable!("single hop {a:?}->{b:?}"),
-        };
-
-        // Commit target-first: the new copy exists before the old one goes
-        // away, so a fault between the two steps can at worst orphan a
-        // stale source copy — never lose the blob. All file I/O (and its
-        // injected faults, spikes, and retry backoff) runs with the lock
-        // released and the key marked pending.
-        let len = match (current, target) {
-            (Tier::Gpu, Tier::Host) | (Tier::Host, Tier::Gpu) => {
-                // Pure in-memory hop: no file I/O, the entry is retagged
-                // in place under the lock.
-                let Some(entry) = inner.mem.get(key) else {
-                    return Err(StorageError::NotFound(key.to_string()));
-                };
-                let len = entry.1.len() as u64;
-                // The source still holds the blob while we check the
-                // target, which is how double-buffered transfers behave.
-                self.check_fits(&inner, target, len)?;
-                if let Some(entry) = inner.mem.get_mut(key) {
-                    entry.0 = target;
-                }
-                Self::add_used(&mut inner, target, len as i64);
-                Self::add_used(&mut inner, current, -(len as i64));
-                drop(inner);
-                len
-            }
-            (_, Tier::Ssd) => {
-                let bytes = match inner.mem.get(key) {
-                    Some((_, b)) => b.clone(),
-                    None => return Err(StorageError::NotFound(key.to_string())),
-                };
-                let len = bytes.len() as u64;
-                self.check_fits(&inner, Tier::Ssd, len)?;
-                Self::add_used(&mut inner, Tier::Ssd, len as i64);
-                inner.pending.insert(key.to_string());
-                let (mut inner, res) = self.run_unlocked(inner, || {
-                    self.ssd_io(FaultOp::Write, key, || {
-                        fs::write(self.blob_path(key), &bytes)
-                    })
-                });
-                match &res {
-                    Ok(_) => {
-                        inner.ssd.insert(key.to_string(), SsdLoc::File { len });
-                        inner.mem.remove(key);
-                        Self::add_used(&mut inner, current, -(len as i64));
-                    }
-                    Err(_) => Self::add_used(&mut inner, Tier::Ssd, -(len as i64)),
-                }
-                self.unpend(&mut inner, &[key]);
-                drop(inner);
-                res?;
-                len
-            }
-            (Tier::Ssd, _) => {
-                let loc = match inner.ssd.get(key) {
-                    Some(loc) => *loc,
-                    None => return Err(StorageError::NotFound(key.to_string())),
-                };
-                let len = loc.len();
-                self.check_fits(&inner, target, len)?;
-                inner.pending.insert(key.to_string());
-                let (mut inner, res) = self.run_unlocked(inner, || self.read_ssd_blob(key, loc));
-                let bytes = match res {
-                    Ok(b) => b,
-                    Err(e) => {
-                        self.unpend(&mut inner, &[key]);
-                        return Err(e);
-                    }
-                };
-                inner.mem.insert(key.to_string(), (target, bytes));
-                Self::add_used(&mut inner, target, len as i64);
-                inner.ssd.remove(key);
-                Self::add_used(&mut inner, Tier::Ssd, -(len as i64));
-                // Drop the stale on-disk copy, best-effort (the blob is
-                // safe in its target tier). The key stays pending through
-                // the unlink so a concurrent re-put can't race with it.
-                let dead_seg = match loc {
-                    SsdLoc::File { .. } => {
-                        inner = self
-                            .run_unlocked(inner, || {
-                                let _ = self.ssd_io(FaultOp::Remove, key, || {
-                                    fs::remove_file(self.blob_path(key))
-                                });
-                            })
-                            .0;
-                        None
-                    }
-                    SsdLoc::Segment { seg, .. } => Self::release_segment(&mut inner, seg),
-                };
-                self.unpend(&mut inner, &[key]);
-                drop(inner);
-                self.unlink_segment(dead_seg);
-                len
-            }
-            (a, b) => unreachable!("single hop {a:?}->{b:?}"),
-        };
-
-        self.traffic.record(route, len);
-        ratel_obs::flight().record(
-            ratel_obs::EventKind::Transfer,
-            route.index() as u8,
-            key,
-            len,
-            0,
-        );
-        self.apply_throttle(route, len);
-        if let Some(t0) = t0 {
-            self.telemetry
-                .record_transfer(route, key, len, t0, self.telemetry.now());
-        }
+        self.unlink_segment(dead_seg);
         Ok(())
     }
 
@@ -958,39 +897,16 @@ impl TieredStore {
     /// [`TieredStore::move_to`], a GPU<->SSD copy needs transient host
     /// space for the blob and is refused when the host pool has none.
     pub fn copy_to(&self, key: &str, new_key: &str, tier: Tier) -> Result<(), StorageError> {
-        let src_tier = self.tier_of(key)?;
-        let bytes = self.read(key)?;
+        let t0 = self.span_start();
+        let (src_tier, bytes) = self.fetch(key)?;
         let len = bytes.len() as u64;
-        let hops: &[Route] = match (src_tier, tier) {
-            (a, b) if a == b => &[],
-            (Tier::Gpu, Tier::Host) => &[Route::GpuToHost],
-            (Tier::Host, Tier::Gpu) => &[Route::HostToGpu],
-            (Tier::Host, Tier::Ssd) => &[Route::HostToSsd],
-            (Tier::Ssd, Tier::Host) => &[Route::SsdToHost],
-            (Tier::Gpu, Tier::Ssd) => &[Route::GpuToHost, Route::HostToSsd],
-            (Tier::Ssd, Tier::Gpu) => &[Route::SsdToHost, Route::HostToGpu],
-            _ => unreachable!(),
-        };
+        let hops = Route::hops(src_tier, tier);
+        let inner = self.lock_key(new_key);
         if hops.len() == 2 {
-            self.check_fits(&self.inner.lock(), Tier::Host, len)?;
+            self.check_fits(&inner, Tier::Host, len)?;
         }
-        self.put(new_key, tier, bytes)?;
-        for &h in hops {
-            let t0 = self.telemetry.enabled().then(|| self.telemetry.now());
-            self.traffic.record(h, len);
-            ratel_obs::flight().record(
-                ratel_obs::EventKind::Transfer,
-                h.index() as u8,
-                key,
-                len,
-                0,
-            );
-            self.apply_throttle(h, len);
-            if let Some(t0) = t0 {
-                self.telemetry
-                    .record_transfer(h, key, len, t0, self.telemetry.now());
-            }
-        }
+        self.put_locked(inner, new_key, tier, bytes)?;
+        self.meter(hops, key, len, t0);
         Ok(())
     }
 
@@ -1007,54 +923,16 @@ impl TieredStore {
                 self.check_fits(&inner, tier, new_len - old_len)?;
             }
             inner.mem.insert(key.to_string(), (tier, bytes));
-            Self::add_used(&mut inner, tier, new_len as i64 - old_len as i64);
+            inner.add_used(tier, new_len as i64 - old_len as i64);
             return Ok(());
         }
-        let Some(&loc) = inner.ssd.get(key) else {
-            return Err(StorageError::NotFound(key.to_string()));
-        };
-        let old_len = loc.len();
-        // Reserve any growth up front so concurrent writers can't both
-        // pass the capacity check; shrinkage is credited after success.
-        if new_len > old_len {
-            self.check_fits(&inner, Tier::Ssd, new_len - old_len)?;
-            Self::add_used(&mut inner, Tier::Ssd, (new_len - old_len) as i64);
-        }
-        inner.pending.insert(key.to_string());
-        let (mut inner, res) = self.run_unlocked(inner, || {
-            self.ssd_io(FaultOp::Write, key, || {
-                fs::write(self.blob_path(key), &bytes)
-            })
-        });
-        let dead_seg = match &res {
-            Ok(_) => {
-                if new_len < old_len {
-                    Self::add_used(&mut inner, Tier::Ssd, -((old_len - new_len) as i64));
-                }
-                let old = inner
-                    .ssd
-                    .insert(key.to_string(), SsdLoc::File { len: new_len });
-                match old {
-                    Some(SsdLoc::Segment { seg, .. }) => Self::release_segment(&mut inner, seg),
-                    _ => None,
-                }
-            }
-            Err(_) => {
-                if new_len > old_len {
-                    Self::add_used(&mut inner, Tier::Ssd, -((new_len - old_len) as i64));
-                }
-                None
-            }
-        };
-        self.unpend(&mut inner, &[key]);
-        drop(inner);
-        self.unlink_segment(dead_seg);
-        res.map(|_| ())
+        inner.ssd_loc(key)?;
+        self.write_blob(inner, key, None, bytes)
     }
 
     /// Bytes currently resident in `tier`.
     pub fn used(&self, tier: Tier) -> u64 {
-        Self::used_locked(&self.inner.lock(), tier)
+        self.inner.lock().used[tier as usize]
     }
 
     /// The most bytes `tier` held at once since the store was opened or
@@ -1073,7 +951,7 @@ impl TieredStore {
     pub fn reset_traffic(&self) {
         self.traffic.reset();
         let mut inner = self.inner.lock();
-        inner.peak_used = [inner.gpu_used, inner.host_used, inner.ssd_used];
+        inner.peak_used = inner.used;
     }
 }
 
@@ -1656,6 +1534,130 @@ mod fault_tests {
         assert!(store.contains("k"));
         assert_eq!(store.read("k").unwrap(), vec![5u8; 16]);
         writer.join().unwrap();
+    }
+
+    #[test]
+    fn copy_from_ssd_span_covers_the_source_read() {
+        // The first hop's span starts before the source is read, as a
+        // move's does: a slow read is a slow SSD -> Main transfer.
+        let store = TieredStore::new(TierConfig::unbounded_temp()).unwrap();
+        store.telemetry().set_enabled(true);
+        store.put("k", Tier::Ssd, vec![6u8; 64]).unwrap();
+        let plan = Arc::new(FaultPlan::new());
+        plan.fault_on_key_op("k", FaultOp::Read, FaultKind::LatencySpike(0.05));
+        store.set_fault_plan(Some(plan));
+        store.copy_to("k", "k2", Tier::Host).unwrap();
+        let m = &store.telemetry().route_metrics()[Route::SsdToHost.index()];
+        assert_eq!((m.ops, m.bytes), (1, 64));
+        assert!(m.seconds >= 0.05, "span of {}s misses the spike", m.seconds);
+        assert_eq!(m.histogram.count(), 1);
+        assert!(m.histogram.max_seconds() >= 0.05);
+    }
+
+    #[test]
+    fn spill_event_carries_the_blob_length_from_put_and_move() {
+        let store = TieredStore::new(TierConfig::bounded_temp(1000, 10)).unwrap();
+        store.set_spill_on_host_pressure(true);
+        store
+            .put("spill-len/put", Tier::Host, vec![0u8; 48])
+            .unwrap();
+        store
+            .put("spill-len/move", Tier::Gpu, vec![0u8; 72])
+            .unwrap();
+        store.move_to("spill-len/move", Tier::Host).unwrap();
+        // The ring is process-global: look the two events up by label.
+        let events = ratel_obs::flight().events();
+        for (label, len) in [("spill-len/put", 48), ("spill-len/move", 72)] {
+            let spill = events
+                .iter()
+                .find(|e| e.kind == ratel_obs::EventKind::Spill && e.label == label)
+                .unwrap_or_else(|| panic!("no Spill event for {label}"));
+            assert_eq!(spill.bytes, len, "{label}");
+        }
+    }
+
+    /// What must not move when the store's internals do: one script over
+    /// all six tier pairs and every operation, with its ledger — traffic,
+    /// residency, fault counters and the SSD op sequence the seeded fault
+    /// suites index into — recorded from the code before the operations
+    /// were rewritten as compositions (PR 20).
+    #[test]
+    fn scripted_ledger_over_all_six_tier_pairs_is_pinned() {
+        let store = TieredStore::new(TierConfig::bounded_temp(4096, 300)).unwrap();
+        store.set_retry_policy(fast_retry());
+        // One transient fault (the first rule to match wins), and a
+        // zero-second spike at every other index, which records each SSD
+        // op's (index, op, key) without changing what it does.
+        let plan = Arc::new(FaultPlan::new());
+        plan.fault_at(3, FaultKind::Transient);
+        for at_op in 0..32 {
+            plan.fault_at(at_op, FaultKind::LatencySpike(0.0));
+        }
+        store.set_fault_plan(Some(plan.clone()));
+
+        store.put("g", Tier::Gpu, vec![1; 100]).unwrap();
+        store.put("h", Tier::Host, vec![2; 60]).unwrap();
+        store.put("s", Tier::Ssd, vec![3; 40]).unwrap();
+        let batch = vec![
+            ("b0".to_string(), vec![4; 16]),
+            ("b1".to_string(), vec![5; 24]),
+        ];
+        store.put_batch(Tier::Ssd, batch).unwrap();
+        // All six tier pairs as moves; the Ssd -> Host read is retried.
+        store.move_to("g", Tier::Host).unwrap();
+        store.move_to("g", Tier::Gpu).unwrap();
+        store.move_to("h", Tier::Ssd).unwrap();
+        store.move_to("h", Tier::Host).unwrap();
+        store.move_to("g", Tier::Ssd).unwrap();
+        store.move_to("g", Tier::Gpu).unwrap();
+        // Copies: two-hop both ways, one hop from memory, one from a segment.
+        store.copy_to("s", "s2g", Tier::Gpu).unwrap();
+        store.copy_to("g", "g2s", Tier::Ssd).unwrap();
+        store.copy_to("h", "h2g", Tier::Gpu).unwrap();
+        store.copy_to("b1", "b2h", Tier::Host).unwrap();
+        // Overwrites: SSD growth, a shrinking segment migration, memory.
+        store.overwrite("s", vec![6; 70]).unwrap();
+        store.overwrite("b0", vec![7; 8]).unwrap();
+        store.overwrite("h", vec![8; 50]).unwrap();
+        assert_eq!(store.take("s2g").unwrap(), vec![3; 40]);
+        assert_eq!(store.take("g2s").unwrap(), vec![1; 100]);
+        assert_eq!(store.take("b1").unwrap(), vec![5; 24]);
+        store.remove("h2g").unwrap();
+        store.remove("s").unwrap();
+        // Host pressure: a put, a GPU blob and an SSD blob all degrade.
+        store.set_spill_on_host_pressure(true);
+        store.put("fill", Tier::Host, vec![9; 200]).unwrap();
+        store.put("big", Tier::Host, vec![10; 250]).unwrap();
+        store.move_to("g", Tier::Host).unwrap();
+        store.move_to("big", Tier::Host).unwrap();
+        assert_eq!(store.tier_of("g").unwrap(), Tier::Ssd);
+        assert_eq!(store.read("g").unwrap(), vec![1; 100]);
+
+        let traffic = store.traffic();
+        assert_eq!(Route::ALL.map(|r| traffic.bytes(r)), [400, 300, 360, 224]);
+        let tiers = [Tier::Gpu, Tier::Host, Tier::Ssd];
+        assert_eq!(tiers.map(|t| store.used(t)), [0, 274, 358]);
+        assert_eq!(tiers.map(|t| store.peak_used(t)), [200, 274, 358]);
+        let stats = store.telemetry().fault_stats();
+        assert_eq!(
+            (stats.retries, stats.give_ups, stats.host_spills),
+            (1, 0, 3)
+        );
+        // Every op fired a rule, so `injected()` is the whole sequence:
+        // index 3 is the transient fault, index 4 its retry.
+        let ops = plan.injected();
+        assert!(ops.iter().enumerate().all(|(i, e)| e.op_index == i as u64));
+        assert_eq!(plan.ops_seen(), ops.len() as u64);
+        let ops: Vec<String> = ops
+            .iter()
+            .map(|e| format!("{} {}", e.op.name(), e.key))
+            .collect();
+        assert_eq!(
+            ops.join(", "),
+            "write s, write seg-0, write h, read h, read h, remove h, write g, read g, \
+             remove g, read s, write g2s, read b1, write s, write b0, read g2s, remove g2s, \
+             read b1, remove s, write big, write g, read g"
+        );
     }
 }
 

@@ -2,6 +2,8 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use crate::store::Tier;
+
 /// A directed inter-tier transfer route. The GPU↔host routes correspond to
 /// the paper's duplex PCIe directions (`PCIe_G2M` / `PCIe_M2G`); the
 /// host↔SSD routes to `BW_M2S` / `BW_S2M`.
@@ -34,6 +36,32 @@ impl Route {
             Route::HostToGpu => 1,
             Route::HostToSsd => 2,
             Route::SsdToHost => 3,
+        }
+    }
+
+    /// The hops a `from → to` transfer crosses, in order: none within a
+    /// tier, one between neighbours, two through the host tier between
+    /// GPU and SSD (no GPUDirect on a consumer GPU, §III-C). The store's
+    /// only `(Tier, Tier)` table.
+    pub(crate) fn hops(from: Tier, to: Tier) -> &'static [Route] {
+        use Route::*;
+        match (from, to) {
+            (Tier::Gpu, Tier::Gpu) | (Tier::Host, Tier::Host) | (Tier::Ssd, Tier::Ssd) => &[],
+            (Tier::Gpu, Tier::Host) => &[GpuToHost],
+            (Tier::Host, Tier::Gpu) => &[HostToGpu],
+            (Tier::Host, Tier::Ssd) => &[HostToSsd],
+            (Tier::Ssd, Tier::Host) => &[SsdToHost],
+            (Tier::Gpu, Tier::Ssd) => &[GpuToHost, HostToSsd],
+            (Tier::Ssd, Tier::Gpu) => &[SsdToHost, HostToGpu],
+        }
+    }
+
+    /// The tier this route delivers into.
+    pub(crate) fn dest(self) -> Tier {
+        match self {
+            Route::HostToGpu => Tier::Gpu,
+            Route::GpuToHost | Route::SsdToHost => Tier::Host,
+            Route::HostToSsd => Tier::Ssd,
         }
     }
 
@@ -137,6 +165,23 @@ mod tests {
             let s = c.snapshot();
             for (j, &q) in Route::ALL.iter().enumerate() {
                 assert_eq!(s.bytes(q), if i == j { 7 } else { 0 });
+            }
+        }
+    }
+
+    #[test]
+    fn hops_chain_from_source_to_target_through_host() {
+        let tiers = [Tier::Gpu, Tier::Host, Tier::Ssd];
+        for from in tiers {
+            for to in tiers {
+                let hops = Route::hops(from, to);
+                assert_eq!(hops.len(), (from as usize).abs_diff(to as usize));
+                let mut at = from;
+                for hop in hops {
+                    assert_eq!(Route::hops(at, hop.dest()), &[*hop]);
+                    at = hop.dest();
+                }
+                assert_eq!(at, to, "{from:?} -> {to:?} ends elsewhere");
             }
         }
     }

@@ -76,7 +76,7 @@ impl Adam {
             return;
         }
         let per = n.div_ceil(threads);
-        crossbeam::thread::scope(|s| {
+        std::thread::scope(|s| {
             let mut p_rest = &mut params[..];
             let mut m_rest = &mut self.m[..];
             let mut v_rest = &mut self.v[..];
@@ -90,11 +90,10 @@ impl Adam {
                 m_rest = mt;
                 v_rest = vt;
                 let gb = &grads[off..off + take];
-                s.spawn(move |_| step_band(pb, gb, mb, vb, hp, bc1, bc2));
+                s.spawn(move || step_band(pb, gb, mb, vb, hp, bc1, bc2));
                 off += take;
             }
-        })
-        .expect("adam worker panicked");
+        });
     }
 
     /// Serializes the moments as one flat `[m..., v...]` f32 buffer — the

@@ -230,7 +230,7 @@ pub fn attn_forward_into(
             // exactly one worker with unit-local loop order, so any split
             // is bitwise equivalent.
             let per = units.div_ceil(threads);
-            crossbeam::thread::scope(|s| {
+            std::thread::scope(|s| {
                 let mut cu = &mut ctx_units[..];
                 let mut mu = &mut row_max[..];
                 let mut lu = &mut row_lse[..];
@@ -244,7 +244,7 @@ pub fn attn_forward_into(
                     let (lb, lt) = lu.split_at_mut(take * seq);
                     lu = lt;
                     let start = u0;
-                    s.spawn(move |_| {
+                    s.spawn(move || {
                         for i in 0..take {
                             let u = start + i;
                             unit_forward(
@@ -263,8 +263,7 @@ pub fn attn_forward_into(
                     });
                     u0 += take;
                 }
-            })
-            .expect("attention worker panicked");
+            });
         }
     }
     // Interleave the unit-major context back into [b*s, h] rows.
@@ -477,7 +476,7 @@ pub fn attn_backward_into(
             }
         } else {
             let per = units.div_ceil(threads);
-            crossbeam::thread::scope(|s| {
+            std::thread::scope(|s| {
                 let mut du = &mut dunits[..];
                 let mut u0 = 0usize;
                 while !du.is_empty() {
@@ -485,7 +484,7 @@ pub fn attn_backward_into(
                     let (band, tail) = du.split_at_mut(take * 3 * seq * d);
                     du = tail;
                     let start = u0;
-                    s.spawn(move |_| {
+                    s.spawn(move || {
                         for (i, chunk) in band.chunks_exact_mut(3 * seq * d).enumerate() {
                             let u = start + i;
                             unit_backward(
@@ -506,8 +505,7 @@ pub fn attn_backward_into(
                     });
                     u0 += take;
                 }
-            })
-            .expect("attention worker panicked");
+            });
         }
     }
     // Interleave [unit][dq|dk|dv] back into [b*s, 3h] rows.

@@ -269,7 +269,7 @@ pub fn gemm_tiled(
     // Bands are whole MR-row panels; per-element reduction order is
     // unaffected by the banding, so any split is bitwise equivalent.
     let band_rows = panels.div_ceil(threads) * MR;
-    crossbeam::thread::scope(|s| {
+    std::thread::scope(|s| {
         let mut rest = out;
         let mut i0 = 0usize;
         while !rest.is_empty() {
@@ -277,11 +277,10 @@ pub fn gemm_tiled(
             let (band, tail) = rest.split_at_mut(rows * n);
             rest = tail;
             let start = i0;
-            s.spawn(move |_| run_band(start, rows, k, n, a, la, bpack, band));
+            s.spawn(move || run_band(start, rows, k, n, a, la, bpack, band));
             i0 += rows;
         }
-    })
-    .expect("gemm worker panicked");
+    });
 }
 
 /// Computes `rows` output rows starting at global row `i0` into `band`

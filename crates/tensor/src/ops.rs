@@ -339,7 +339,7 @@ fn layernorm_rows(
         return;
     }
     let per = rows.div_ceil(threads);
-    crossbeam::thread::scope(|s| {
+    std::thread::scope(|s| {
         let mut out_rest = out;
         let mut mean_rest = mean;
         let mut rstd_rest = rstd;
@@ -354,11 +354,10 @@ fn layernorm_rows(
             mean_rest = mtail;
             rstd_rest = rtail;
             let start = row0;
-            s.spawn(move |_| serial(start, oband, mband, rband));
+            s.spawn(move || serial(start, oband, mband, rband));
             row0 += take;
         }
-    })
-    .expect("layernorm worker panicked");
+    });
 }
 
 /// Backward of [`layernorm`]: returns `(dx, dgamma, dbeta)`.

@@ -87,7 +87,7 @@ where
     }
     SPAWNED_DISPATCHES.fetch_add(1, Ordering::Relaxed);
     let per = rows.div_ceil(threads);
-    crossbeam::thread::scope(|s| {
+    std::thread::scope(|s| {
         let mut rest = out;
         let mut row0 = 0usize;
         let f = &f;
@@ -96,11 +96,10 @@ where
             let (band, tail) = rest.split_at_mut(take * row_len);
             rest = tail;
             let start = row0;
-            s.spawn(move |_| f(start, band));
+            s.spawn(move || f(start, band));
             row0 += take;
         }
-    })
-    .expect("kernel worker panicked");
+    });
 }
 
 /// Minimum elements per worker before an elementwise op bothers
@@ -125,7 +124,7 @@ where
     }
     SPAWNED_DISPATCHES.fetch_add(1, Ordering::Relaxed);
     let per = len.div_ceil(threads);
-    crossbeam::thread::scope(|s| {
+    std::thread::scope(|s| {
         let mut rest = out;
         let mut off = 0usize;
         let f = &f;
@@ -134,11 +133,10 @@ where
             let (block, tail) = rest.split_at_mut(take);
             rest = tail;
             let start = off;
-            s.spawn(move |_| f(start, block));
+            s.spawn(move || f(start, block));
             off += take;
         }
-    })
-    .expect("kernel worker panicked");
+    });
 }
 
 /// Runs `f(chunk_index)` for `chunks` independent chunks, spread over the
@@ -158,11 +156,11 @@ where
     }
     SPAWNED_DISPATCHES.fetch_add(1, Ordering::Relaxed);
     let next = AtomicUsize::new(0);
-    crossbeam::thread::scope(|s| {
+    std::thread::scope(|s| {
         let f = &f;
         let next = &next;
         for _ in 0..threads {
-            s.spawn(move |_| loop {
+            s.spawn(move || loop {
                 let c = next.fetch_add(1, Ordering::Relaxed);
                 if c >= chunks {
                     break;
@@ -170,8 +168,7 @@ where
                 f(c);
             });
         }
-    })
-    .expect("kernel worker panicked");
+    });
 }
 
 #[cfg(test)]

@@ -4,10 +4,15 @@
 //! protocol must pass full bounded exploration, and a seeded-bug mutant
 //! — lost-notify condvar, lock-order-inverted two-lock, torn-read
 //! seqlock — must be caught with a finding that names the lock/atomic
-//! and carries an interleaving witness.
+//! and carries an interleaving witness. The pending-key handshake is
+//! also explored on the real `TieredStore`, not only on its model.
+
+use std::sync::Arc;
 
 use ratel_check::models::{exec, locks, pending, seqlock};
+use ratel_check::sync::thread::spawn_named;
 use ratel_check::{lockorder, CheckFailure, Explorer, FailureKind, Report};
+use ratel_storage::{StorageError, Tier, TierConfig, TieredStore};
 
 fn explore_model<F>(model: F) -> Result<Report, CheckFailure>
 where
@@ -70,6 +75,65 @@ fn lost_notify_mutant_is_caught() {
             .any(|line| line.contains("store.inner")),
         "witness must show the interleaving:\n{failure}"
     );
+}
+
+// ---- the same handshake on the store that ships ----
+
+fn store() -> Arc<TieredStore> {
+    Arc::new(TieredStore::new(TierConfig::unbounded_temp()).expect("open store"))
+}
+
+#[test]
+fn real_store_put_against_two_readers_passes_bounded_exploration() {
+    let report = explore_model(|| {
+        let store = store();
+        let readers: Vec<_> = ["reader-0", "reader-1"]
+            .into_iter()
+            .map(|name| {
+                let store = Arc::clone(&store);
+                spawn_named(name, move || match store.read("k") {
+                    Ok(bytes) => ratel_check::check(
+                        bytes == [7u8; 16],
+                        format!("reader saw a half-written blob: {bytes:?} [store.inner]"),
+                    ),
+                    Err(StorageError::NotFound(_)) => {}
+                    Err(e) => ratel_check::fail(format!("read failed: {e}")),
+                })
+            })
+            .collect();
+        store.put("k", Tier::Ssd, vec![7u8; 16]).expect("put");
+        for r in readers {
+            r.join();
+        }
+        assert_eq!(store.read("k").expect("read after put"), [7u8; 16]);
+    })
+    .unwrap_or_else(|f| panic!("put vs. readers on the real store failed:\n{f}"));
+    assert!(report.complete, "schedule tree not fully enumerated");
+    assert!(report.schedules > 1);
+}
+
+#[test]
+fn real_store_racing_moves_to_one_tier_both_succeed() {
+    let report = explore_model(|| {
+        let store = store();
+        store.put("k", Tier::Gpu, vec![1u8; 8]).expect("put");
+        let other = {
+            let store = Arc::clone(&store);
+            spawn_named("mover", move || store.move_to("k", Tier::Host))
+        };
+        let mine = store.move_to("k", Tier::Host);
+        let theirs = other.join();
+        ratel_check::check(
+            mine.is_ok() && theirs.is_ok(),
+            format!("a racing move failed: {mine:?} / {theirs:?} [store.inner]"),
+        );
+        assert_eq!(store.tier_of("k").expect("tier"), Tier::Host);
+        let traffic = store.traffic();
+        assert_eq!(traffic.total(), 8, "exactly one hop is metered");
+    })
+    .unwrap_or_else(|f| panic!("racing moves on the real store failed:\n{f}"));
+    assert!(report.complete, "schedule tree not fully enumerated");
+    assert!(report.schedules > 1);
 }
 
 // ---- dependency-counted ready queues (core::engine::executor) ----
