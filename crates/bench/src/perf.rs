@@ -29,7 +29,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use ratel_storage::{Tier, TierConfig, TieredStore};
-use ratel_tensor::{num_threads, ops, set_num_threads, Adam, AdamParams, Tensor};
+use ratel_tensor::dtype::{decode_f32, encode_f32};
+use ratel_tensor::{adam, num_threads, ops, set_num_threads, Adam, AdamParams, Tensor};
 
 /// The suite names, in emission order.
 pub const SUITES: [&str; 4] = ["attention", "kernels", "adam", "ssd"];
@@ -523,15 +524,43 @@ fn run_adam(smoke: bool, ladder: &[usize]) -> Vec<PerfEntry> {
         min_allocs_per_call(10, || ops::add_bias(&mut x, &bias)),
     ));
 
-    // A flat state round-trip through a reused buffer is also free.
-    let mut flat = Vec::new();
-    let t = adam.t;
+    // The optimizer handler's kernel: Adam over the staged blobs where
+    // they lie. It allocates nothing (same serial size as above) ...
+    let mut master = encode_f32(&params);
+    let mut moments = vec![0u8; 8 * m];
     entries.push(PerfEntry::allocs(
-        "adam_flat_roundtrip_allocs_per_call",
+        "adam_step_le_bytes_allocs_per_call",
         min_allocs_per_call(10, || {
-            adam.write_flat_into(&mut flat);
-            adam.load_flat(&flat, t);
+            adam::step_le_bytes(&mut master, &mut moments, &grads_s, 0, &hp)
         }),
+    ));
+
+    // ... and is faster than the handler body it replaced, which decoded
+    // both blobs into vectors, ran `Adam::step` and encoded them back.
+    let n = sizes[0];
+    let grads = fill(n, 11);
+    let mut master = encode_f32(&fill(n, 12));
+    let mut moments = vec![0u8; 8 * n];
+    let in_place = time_min_for(0.3, || {
+        adam::step_le_bytes(&mut master, &mut moments, &grads, 0, &hp)
+    });
+    let through_vectors = time_min_for(0.3, || {
+        let mut p = decode_f32(&master);
+        let flat = decode_f32(&moments);
+        let mut state = Adam {
+            m: flat[..n].to_vec(),
+            v: flat[n..].to_vec(),
+            t: 0,
+        };
+        state.step(&mut p, &grads, &hp);
+        master = encode_f32(&p);
+        moments = encode_f32(&[state.m, state.v].concat());
+    });
+    // Twenty runs on the bench box read 2.87-3.28.
+    entries.push(PerfEntry::ratio(
+        "adam_le_bytes_over_f32_step".into(),
+        through_vectors / in_place,
+        Some(2.2),
     ));
     entries
 }
@@ -819,7 +848,7 @@ mod tests {
         for name in [
             "adam_step_serial_allocs_per_call",
             "add_bias_allocs_per_call",
-            "adam_flat_roundtrip_allocs_per_call",
+            "adam_step_le_bytes_allocs_per_call",
         ] {
             let e = adam_suite
                 .entries

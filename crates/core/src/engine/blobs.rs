@@ -2,8 +2,8 @@
 //! store, and the helpers that move them in and out of it.
 
 use ratel_storage::{StorageError, Tier, TieredStore};
-use ratel_tensor::dtype::{decode_f16, decode_f32, encode_f16, encode_f32};
-use ratel_tensor::{Adam, GptModel, ParamLayer};
+use ratel_tensor::dtype::{decode_f16, decode_f32, f32_le_to_f16_le};
+use ratel_tensor::{GptModel, ParamLayer};
 
 use super::RatelEngine;
 use crate::error::RatelError;
@@ -42,17 +42,36 @@ pub(super) fn accum_key(layer: usize) -> String {
     format!("layer{layer}/grad-accum")
 }
 
-/// Loads flat parameters into layer `layer` of the model skeleton
-/// (0 = embedding, 1..=L = blocks, L+1 = head).
-pub(super) fn set_layer_params(model: &mut GptModel, layer: usize, flat: &[f32]) {
-    let l = model.blocks.len();
-    if layer == 0 {
-        model.embedding.set_params_flat(flat);
-    } else if layer <= l {
-        model.blocks[layer - 1].set_params_flat(flat);
-    } else {
-        model.head.set_params_flat(flat);
+/// Layer `layer` of the model skeleton (0 = embedding, 1..=L = blocks,
+/// L+1 = head).
+pub(super) fn layer_of(model: &GptModel, layer: usize) -> &dyn ParamLayer {
+    match layer.checked_sub(1) {
+        None => &model.embedding,
+        Some(b) if b < model.blocks.len() => &model.blocks[b],
+        Some(_) => &model.head,
     }
+}
+
+fn layer_of_mut(model: &mut GptModel, layer: usize) -> &mut dyn ParamLayer {
+    match layer.checked_sub(1) {
+        None => &mut model.embedding,
+        Some(b) if b < model.blocks.len() => &mut model.blocks[b],
+        Some(_) => &mut model.head,
+    }
+}
+
+/// Takes the staged P16 copy `staged` out of the store and decodes it
+/// straight into layer `layer` of the skeleton — the one way parameters
+/// reach the compute kernels, in a step and in eval/decode alike.
+pub(super) fn load_staged_params(
+    store: &TieredStore,
+    model: &mut GptModel,
+    layer: usize,
+    staged: &str,
+) -> Result<(), StorageError> {
+    let p16 = store.take(staged)?;
+    layer_of_mut(model, layer).set_params_f16_le(&p16);
+    Ok(())
 }
 
 /// Stores an f16 blob in the GPU tier and swaps it to `target`.
@@ -75,45 +94,34 @@ pub(super) fn fetch_f16(store: &TieredStore, key: &str) -> Result<Vec<u8>, Stora
 }
 
 impl RatelEngine {
-    pub(super) fn layer_params_flat(&self, layer: usize) -> Vec<f32> {
-        let l = self.config.model.layers;
-        if layer == 0 {
-            self.model.embedding.params_flat()
-        } else if layer <= l {
-            self.model.blocks[layer - 1].params_flat()
-        } else {
-            self.model.head.params_flat()
-        }
-    }
-
+    /// Places every layer's states on the SSD tier, one layer at a time:
+    /// the build holds one layer's 14 B/param beside the skeleton, never
+    /// the whole model's, and each layer's three blobs stream out as one
+    /// sequential segment write.
     pub(super) fn init_states(&self) -> Result<(), StorageError> {
-        // All initial states stream to the SSD tier in one coalesced
-        // batch per layer kind: three sequential segment writes instead of
-        // 3 * layer_count random blob writes.
-        let mut masters = Vec::new();
-        let mut moments = Vec::new();
-        let mut p16s = Vec::new();
         for layer in 0..self.layer_count() {
-            let master = self.layer_params_flat(layer);
+            let master = layer_of(&self.model, layer).params_f32_le();
             // P16 is what the GPU computes with: the f16 rounding of the
             // master, exactly what the optimizer will emit after steps.
-            p16s.push((p16_key(layer), encode_f16(&master)));
-            moments.push((
-                moments_key(layer),
-                encode_f32(&Adam::new(master.len()).to_flat()),
-            ));
-            masters.push((master_key(layer), encode_f32(&master)));
+            let p16 = f32_le_to_f16_le(&master);
+            // Fresh Adam moments: `[m..., v...]`, all zero.
+            let moments = vec![0u8; master.len() * 2];
+            self.store.put_batch(
+                Tier::Ssd,
+                vec![
+                    (master_key(layer), master),
+                    (moments_key(layer), moments),
+                    (p16_key(layer), p16),
+                ],
+            )?;
         }
-        self.store.put_batch(Tier::Ssd, masters)?;
-        self.store.put_batch(Tier::Ssd, moments)?;
-        self.store.put_batch(Tier::Ssd, p16s)?;
         Ok(())
     }
 
-    /// Loads a layer's P16 blob into the GPU arena, decodes it into the
-    /// layer skeleton, and removes the staged copy (read-only streaming).
-    /// The bytes come from the layer's pinned host copy while a decode
-    /// call holds one, from the SSD tier otherwise.
+    /// Copies a layer's P16 blob into the GPU arena and loads it into the
+    /// layer skeleton (read-only streaming). The bytes come from the
+    /// layer's pinned host copy while a decode call holds one, from the
+    /// SSD tier otherwise.
     pub(super) fn stage_params(&mut self, layer: usize) -> Result<(), StorageError> {
         let pinned = pinned_key(layer);
         let key = if self.store.contains(&pinned) {
@@ -123,9 +131,7 @@ impl RatelEngine {
         };
         let staged = format!("{}#staged", p16_key(layer));
         self.store.copy_to(&key, &staged, Tier::Gpu)?;
-        let flat = decode_f16(&self.store.take(&staged)?);
-        set_layer_params(&mut self.model, layer, &flat);
-        Ok(())
+        load_staged_params(&self.store, &mut self.model, layer, &staged)
     }
 
     /// Reads the current master (f32) parameters of a layer — for tests

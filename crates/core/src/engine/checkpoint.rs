@@ -36,7 +36,7 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 
 use ratel_storage::Tier;
-use ratel_tensor::dtype::{decode_f32, encode_f16};
+use ratel_tensor::dtype::f32_le_to_f16_le;
 
 use crate::error::RatelError;
 
@@ -171,8 +171,14 @@ pub(crate) fn save(engine: &RatelEngine, dir: &Path) -> Result<(), RatelError> {
     Ok(())
 }
 
-/// Parses and fully verifies one generation, returning the blobs.
-fn read_generation(dir: &Path, generation: u64, layer_count: usize) -> Result<Manifest, String> {
+/// Parses and fully verifies one generation — against its own manifest
+/// and against the engine's shape, `layer_params` parameters a layer —
+/// returning the blobs.
+fn read_generation(
+    dir: &Path,
+    generation: u64,
+    layer_params: &[usize],
+) -> Result<Manifest, String> {
     let path = manifest_path(dir, generation);
     let text = fs::read_to_string(&path).map_err(|e| format!("manifest unreadable: {e}"))?;
 
@@ -244,11 +250,24 @@ fn read_generation(dir: &Path, generation: u64, layer_count: usize) -> Result<Ma
         let moments = parse_blob(fields[5], fields[6], "moments")?;
         layers.push((steps, master, moments));
     }
-    if layers.len() != layer_count {
+    if layers.len() != layer_params.len() {
         return Err(format!(
-            "checkpoint has {} layers, engine has {layer_count}",
-            layers.len()
+            "checkpoint has {} layers, engine has {}",
+            layers.len(),
+            layer_params.len()
         ));
+    }
+    // The optimizer steps these blobs where the store holds them, so a
+    // checkpoint of another shape is refused here, not found there.
+    for (layer, ((_, master, moments), &n)) in layers.iter().zip(layer_params).enumerate() {
+        if (master.len(), moments.len()) != (4 * n, 8 * n) {
+            return Err(format!(
+                "layer {layer} has {} B of master and {} B of moments, \
+                 the engine's layer has {n} parameters",
+                master.len(),
+                moments.len()
+            ));
+        }
     }
     Ok(Manifest { step, layers })
 }
@@ -263,15 +282,18 @@ pub(crate) fn load(engine: &mut RatelEngine, dir: &Path) -> Result<(), RatelErro
             dir.display()
         )));
     }
+    let layer_params: Vec<usize> = (0..engine.layer_count())
+        .map(|layer| engine.layer_param_count(layer))
+        .collect();
     let mut failures = Vec::new();
     for &generation in gens.iter().rev() {
-        match read_generation(dir, generation, engine.layer_count()) {
+        match read_generation(dir, generation, &layer_params) {
             Ok(manifest) => {
                 // All blobs verified — only now touch engine state.
                 engine.step = manifest.step;
                 for (layer, (steps, master, moments)) in manifest.layers.into_iter().enumerate() {
                     engine.layer_steps[layer] = steps;
-                    let p16 = encode_f16(&decode_f32(&master));
+                    let p16 = f32_le_to_f16_le(&master);
                     engine.store.overwrite(&master_key(layer), master)?;
                     engine.store.overwrite(&moments_key(layer), moments)?;
                     engine.store.remove(&p16_key(layer))?;
@@ -391,6 +413,31 @@ mod engine_tests {
                 resumed.p16_params(l).unwrap()
             );
         }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn checkpoint_of_another_shape_is_refused_untouched() {
+        // Same layer count, wider layers: every blob verifies against
+        // its manifest, none fits the engine.
+        let dir = temp_dir("shape");
+        let mut wide = EngineConfig::tiny();
+        wide.model.hidden *= 2;
+        RatelEngine::new(wide)
+            .unwrap()
+            .save_checkpoint(&dir)
+            .unwrap();
+        let mut engine = RatelEngine::new(EngineConfig::tiny()).unwrap();
+        let before = engine.master_params(1).unwrap();
+        match engine.load_checkpoint(&dir) {
+            Err(RatelError::CheckpointCorrupt(why)) => {
+                assert!(why.contains("the engine's layer has"), "{why}")
+            }
+            other => panic!("expected CheckpointCorrupt, got {other:?}"),
+        }
+        assert_eq!(engine.master_params(1).unwrap(), before);
+        let (t, y) = random_batch(&GptConfig::tiny(), 1);
+        engine.train_step(&t, &y).unwrap();
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -21,12 +21,14 @@ use ratel_check::sync::Mutex;
 
 use ratel_sim::{TaskGraph, TaskId, TaskIdentity, TaskKind, TaskRef};
 use ratel_storage::{StorageError, Tier, TieredStore};
-use ratel_tensor::dtype::{decode_f16, decode_f32, encode_f16, encode_f32, round_to_f16};
-use ratel_tensor::{block_dropout_spec, Adam, AdamParams, BlockSaved, GptModel, HeadSaved, Tensor};
+use ratel_tensor::dtype::{
+    add_f16_le_to_f32_le, decode_f16, encode_f16, encode_f32, f32_le_to_f16_le, round_to_f16,
+};
+use ratel_tensor::{adam, block_dropout_spec, AdamParams, BlockSaved, GptModel, HeadSaved, Tensor};
 
 use super::blobs::{
-    accum_key, act_key, ckpt_key, grad_key, master_key, moments_key, offload_f16, p16_key,
-    set_layer_params,
+    accum_key, act_key, ckpt_key, grad_key, load_staged_params, master_key, moments_key,
+    offload_f16, p16_key,
 };
 use super::executor::TaskAction;
 use super::scaler::prepare_gradient;
@@ -244,11 +246,10 @@ impl StepDag {
     }
 }
 
-/// One layer's computed Adam update, parked between the CPU compute
-/// task and the SSD write-back task.
+/// What `opt-cpu` leaves for `opt-write`. The update itself is already
+/// in the staged P32 + OS32 blobs: a model state has one copy in the
+/// process, the tier's.
 struct OptUpdate {
-    master: Vec<f32>,
-    moments: Vec<f32>,
     /// False when the unscaled gradient overflowed and the update was
     /// skipped — write-back then only returns the untouched states.
     applied: bool,
@@ -441,9 +442,7 @@ impl<'a> StepCtx<'a> {
         layer: usize,
         pass: char,
     ) -> Result<(), StorageError> {
-        let flat = decode_f16(&self.store.take(&staged_key(layer, pass))?);
-        set_layer_params(model, layer, &flat);
-        Ok(())
+        load_staged_params(self.store, model, layer, &staged_key(layer, pass))
     }
 
     /// The layer's forward kernels, after decoding its staged P16.
@@ -632,9 +631,10 @@ impl<'a> StepCtx<'a> {
             GradSink::Accumulate => self.accumulate(layer, &grads)?,
             sink => {
                 if let GradSink::MergeAccumulated { inv_n } = sink {
-                    let akey = accum_key(layer);
-                    let acc = decode_f32(&self.store.take(&akey)?);
-                    for (g, a) in grads.iter_mut().zip(&acc) {
+                    // The accumulator ends here: read where it lay.
+                    let acc = self.store.take(&accum_key(layer))?;
+                    for (g, a) in grads.iter_mut().zip(acc.chunks_exact(4)) {
+                        let a = f32::from_le_bytes([a[0], a[1], a[2], a[3]]);
                         *g = (round_to_f16(*g) + a) * inv_n;
                     }
                 }
@@ -650,16 +650,14 @@ impl<'a> StepCtx<'a> {
     fn accumulate(&self, layer: usize, grads: &[f32]) -> Result<(), StorageError> {
         let gkey = format!("layer{layer}/grad-micro");
         offload_f16(self.store, &gkey, encode_f16(grads), Tier::Host)?;
-        let g16 = decode_f16(&self.store.take(&gkey)?);
+        let g16 = self.store.take(&gkey)?;
         let akey = accum_key(layer);
         if self.store.contains(&akey) {
-            let mut acc = decode_f32(&self.store.read(&akey)?);
-            for (a, g) in acc.iter_mut().zip(&g16) {
-                *a += g;
-            }
-            self.store.overwrite(&akey, encode_f32(&acc))?;
+            self.store
+                .modify([&akey], |[acc]| add_f16_le_to_f32_le(acc, &g16))?;
         } else {
-            self.store.put(&akey, Tier::Host, encode_f32(&g16))?;
+            self.store
+                .put(&akey, Tier::Host, encode_f32(&decode_f16(&g16)))?;
         }
         Ok(())
     }
@@ -673,50 +671,45 @@ impl<'a> StepCtx<'a> {
     }
 
     /// Decode the G16 gradient and run the f32 Adam step over the
-    /// staged states.
+    /// staged states, where the store holds them.
     fn opt_cpu(&self, layer: usize) -> Result<(), StorageError> {
         let mut grads = decode_f16(&self.store.take(&grad_key(layer))?);
-        if prepare_gradient(&mut grads, self.scale, self.config.grad_clip).is_some() {
-            let mut master = decode_f32(&self.store.read(&master_key(layer))?);
-            let moments = decode_f32(&self.store.read(&moments_key(layer))?);
-            let mut state = Adam::new(0);
-            state.load_flat(&moments, self.layer_steps[layer]);
-            state.step(&mut master, &grads, &self.adam);
-            let mut flat = Vec::new();
-            state.write_flat_into(&mut flat);
-            *self.updates[layer].lock() = Some(OptUpdate {
-                master,
-                moments: flat,
-                applied: true,
-            });
+        let applied = prepare_gradient(&mut grads, self.scale, self.config.grad_clip).is_some();
+        if applied {
+            self.store.modify(
+                [&master_key(layer), &moments_key(layer)],
+                |[master, moments]| {
+                    adam::step_le_bytes(
+                        master,
+                        moments,
+                        &grads,
+                        self.layer_steps[layer],
+                        &self.adam,
+                    )
+                },
+            )?;
         } else {
             self.skipped.lock().push(layer);
-            *self.updates[layer].lock() = Some(OptUpdate {
-                master: Vec::new(),
-                moments: Vec::new(),
-                applied: false,
-            });
         }
+        *self.updates[layer].lock() = Some(OptUpdate { applied });
         Ok(())
     }
 
-    /// Write the updated P32 + OS32 back and publish the fresh P16 —
-    /// the handler's Main->SSD leg (or, on a skipped update, just return
-    /// the untouched states).
+    /// Publish the fresh P16 — rounded from the updated master where it
+    /// is staged — and write P32 + OS32 back: the handler's Main->SSD
+    /// leg (on a skipped update, just return the untouched states).
     fn opt_write(&self, layer: usize) -> Result<(), StorageError> {
         let update = self.updates[layer]
             .lock()
             .take()
             .ok_or_else(|| slot_violation("opt-cpu parked this layer's update"))?;
         if update.applied {
-            self.store
-                .overwrite(&master_key(layer), encode_f32(&update.master))?;
-            self.store
-                .overwrite(&moments_key(layer), encode_f32(&update.moments))?;
+            let fresh = self
+                .store
+                .modify([&master_key(layer)], |[master]| f32_le_to_f16_le(master))?;
             let p16 = p16_key(layer);
             self.store.remove(&p16)?;
-            self.store
-                .put(&p16, Tier::Host, encode_f16(&update.master))?;
+            self.store.put(&p16, Tier::Host, fresh)?;
             self.store.move_to(&p16, Tier::Ssd)?;
         }
         self.store.move_to(&master_key(layer), Tier::Ssd)?;

@@ -196,15 +196,13 @@ impl RatelEngine {
 
     /// Total scalar parameters across all layers.
     pub fn total_params(&self) -> usize {
-        (0..self.layer_count())
-            .map(|l| self.layer_params_flat(l).len())
-            .sum()
+        self.model.param_count()
     }
 
     /// Scalar parameters of one layer (0 = embedding, 1..=L = blocks,
     /// L+1 = head).
     pub fn layer_param_count(&self, layer: usize) -> usize {
-        self.layer_params_flat(layer).len()
+        blobs::layer_of(&self.model, layer).param_count()
     }
 
     /// Route-level traffic helper: *cumulative* bytes that crossed

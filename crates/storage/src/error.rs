@@ -22,6 +22,9 @@ pub enum StorageError {
     NotFound(String),
     /// The key already exists (put of a duplicate).
     AlreadyExists(String),
+    /// The key was named twice in one [`crate::TieredStore::modify`],
+    /// which hands out each blob's bytes exclusively.
+    DuplicateKey(String),
     /// Underlying filesystem failure in the SSD tier.
     Io(std::io::Error),
     /// An SSD-tier fault (injected by a [`crate::FaultPlan`], or a real
@@ -49,6 +52,9 @@ impl fmt::Display for StorageError {
             ),
             StorageError::NotFound(k) => write!(f, "blob {k:?} not found"),
             StorageError::AlreadyExists(k) => write!(f, "blob {k:?} already exists"),
+            StorageError::DuplicateKey(k) => {
+                write!(f, "blob {k:?} named twice in one in-place modify")
+            }
             StorageError::Io(e) => write!(f, "ssd tier I/O error: {e}"),
             StorageError::Faulted { op, key, attempts } => write!(
                 f,

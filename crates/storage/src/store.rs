@@ -171,6 +171,16 @@ impl Inner {
         }
     }
 
+    /// Points SSD-resident `key` at its own, freshly written file of
+    /// `len` bytes. A blob that lived in a segment leaves it; returns
+    /// the segment to unlink as [`Inner::forget_ssd`] does.
+    fn register_file(&mut self, key: &str, len: u64) -> Option<u64> {
+        match self.ssd.insert(key.to_string(), SsdLoc::File { len }) {
+            Some(SsdLoc::Segment { seg, .. }) => self.release_segment(seg),
+            _ => None,
+        }
+    }
+
     /// Drops one reference to a segment (a blob left it); `Some(seg)`
     /// when that was the last one.
     fn release_segment(&mut self, seg: u64) -> Option<u64> {
@@ -475,9 +485,7 @@ impl TieredStore {
         let len = bytes.len() as u64;
         let old_len = inner.ssd.get(key).map_or(0, |loc| loc.len());
         let (mut inner, res) = self.ssd_write(inner, &[key], len.saturating_sub(old_len), || {
-            self.ssd_io(FaultOp::Write, key, || {
-                fs::write(self.blob_path(key), &bytes)
-            })
+            self.write_file(key, &bytes)
         });
         if let Err(e) = res {
             if let Some(tier) = from {
@@ -489,13 +497,18 @@ impl TieredStore {
         if let Some(tier) = from {
             inner.add_used(tier, -(len as i64));
         }
-        let dead_seg = match inner.ssd.insert(key.to_string(), SsdLoc::File { len }) {
-            Some(SsdLoc::Segment { seg, .. }) => inner.release_segment(seg),
-            _ => None,
-        };
+        let dead_seg = inner.register_file(key, len);
         drop(inner);
         self.unlink_segment(dead_seg);
         Ok(())
+    }
+
+    /// The store's one `fs::write`: `bytes` into `key`'s own file, under
+    /// the retry policy. No lock held.
+    fn write_file(&self, key: &str, bytes: &[u8]) -> Result<(), StorageError> {
+        self.ssd_io(FaultOp::Write, key, || {
+            fs::write(self.blob_path(key), bytes)
+        })
     }
 
     /// Reads an SSD blob's bytes given its location. No lock held.
@@ -930,6 +943,72 @@ impl TieredStore {
         self.write_blob(inner, key, None, bytes)
     }
 
+    /// Hands `f` the blobs' bytes to update where they lie — what the
+    /// optimizer does to the states it staged into host memory, without
+    /// a `read` copy out and an `overwrite` back in. A memory-resident
+    /// blob's own buffer leaves the index for the duration of
+    /// [`TieredStore::with_pending`]'s handshake: `f` runs with no store
+    /// lock held, and another operation on one of the keys waits for the
+    /// blobs to be whole again. Like `read` and `overwrite`, it finds a
+    /// blob in whatever tier holds it: one on the SSD tier (where a
+    /// host-pressure spill leaves a blob its handler meant to stage) is
+    /// read into a buffer, handed to `f` and written back to its own
+    /// file inside the same window. A blob keeps its tier and, being a
+    /// slice, its length, so nothing is metered and `used`/`peak_used`
+    /// do not move. `f` must not panic: its buffers would be lost with it.
+    ///
+    /// # Errors
+    /// [`StorageError::NotFound`] for a key in no tier,
+    /// [`StorageError::DuplicateKey`] for one named twice, an SSD read
+    /// fault that outlasted its retries: the store is untouched and `f`
+    /// has not run. An SSD write fault after `f` ran: every blob is
+    /// whole and the memory-resident ones carry `f`'s update; which of
+    /// the SSD-resident ones do is unspecified.
+    pub fn modify<const N: usize, T>(
+        &self,
+        keys: [&str; N],
+        f: impl FnOnce([&mut [u8]; N]) -> T,
+    ) -> Result<T, StorageError> {
+        let mut inner = self.lock_keys(&keys);
+        let mut on_ssd = [None; N];
+        for (i, key) in keys.iter().enumerate() {
+            if keys[..i].contains(key) {
+                return Err(StorageError::DuplicateKey(key.to_string()));
+            }
+            if !inner.mem.contains_key(*key) {
+                on_ssd[i] = Some(inner.ssd_loc(key)?);
+            }
+        }
+        let mut blobs = keys.map(|key| inner.mem.remove(key).unwrap_or((Tier::Ssd, Vec::new())));
+        let (mut inner, res) = self.with_pending(inner, &keys, || {
+            for ((key, loc), (_, bytes)) in keys.iter().zip(on_ssd).zip(&mut blobs) {
+                if let Some(loc) = loc {
+                    *bytes = self.read_ssd_blob(key, loc)?;
+                }
+            }
+            let out = f(blobs.each_mut().map(|(_, bytes)| bytes.as_mut_slice()));
+            for ((key, loc), (_, bytes)) in keys.iter().zip(on_ssd).zip(&blobs) {
+                if loc.is_some() {
+                    self.write_file(key, bytes)?;
+                }
+            }
+            Ok(out)
+        });
+        let mut dead_segs = [None; N];
+        for ((key, (tier, bytes)), dead) in keys.iter().zip(blobs).zip(&mut dead_segs) {
+            if tier != Tier::Ssd {
+                inner.mem.insert(key.to_string(), (tier, bytes));
+            } else if res.is_ok() {
+                *dead = inner.register_file(key, bytes.len() as u64);
+            }
+        }
+        drop(inner);
+        dead_segs
+            .into_iter()
+            .for_each(|seg| self.unlink_segment(seg));
+        res
+    }
+
     /// Bytes currently resident in `tier`.
     pub fn used(&self, tier: Tier) -> u64 {
         self.inner.lock().used[tier as usize]
@@ -1136,6 +1215,85 @@ mod tests {
         assert_eq!(store.read("s").unwrap(), vec![1u8; 30]);
         store.overwrite("s", vec![2u8; 5]).unwrap();
         assert_eq!(store.used(Tier::Ssd), 5);
+    }
+
+    #[test]
+    fn modify_updates_memory_blobs_where_they_lie() {
+        let store = TieredStore::new(TierConfig::unbounded_temp()).unwrap();
+        let host = vec![1u8; 64];
+        let buffer = host.as_ptr();
+        store.put("h", Tier::Host, host).unwrap();
+        store.put("g", Tier::Gpu, vec![2u8; 8]).unwrap();
+        store.put("s", Tier::Ssd, vec![3u8; 8]).unwrap();
+        store.reset_traffic();
+        let sum = store
+            .modify(["h", "g"], |[h, g]| {
+                h.fill(9);
+                g[0] = 7;
+                h.len() + g.len()
+            })
+            .unwrap();
+        assert_eq!(sum, 72);
+        assert_eq!(store.tier_of("h").unwrap(), Tier::Host);
+        assert_eq!(store.tier_of("g").unwrap(), Tier::Gpu);
+        assert_eq!(store.read("g").unwrap(), [7, 2, 2, 2, 2, 2, 2, 2]);
+        assert_eq!(store.traffic().total(), 0, "nothing is metered");
+        assert_eq!(
+            (store.used(Tier::Host), store.peak_used(Tier::Host)),
+            (64, 64)
+        );
+        assert_eq!((store.used(Tier::Gpu), store.peak_used(Tier::Gpu)), (8, 8));
+        let taken = store.take("h").unwrap();
+        assert_eq!(taken.as_ptr(), buffer, "modify copied the blob");
+        assert_eq!(taken, vec![9u8; 64]);
+
+        // Typed refusals, before `f` runs and with the store untouched.
+        let untouched = |_: [&mut [u8]; 2]| panic!("f ran");
+        assert!(matches!(
+            store.modify(["g", "nope"], untouched),
+            Err(StorageError::NotFound(k)) if k == "nope"
+        ));
+        assert!(matches!(
+            store.modify(["g", "g"], untouched),
+            Err(StorageError::DuplicateKey(k)) if k == "g"
+        ));
+        assert_eq!(store.read("g").unwrap()[0], 7);
+        assert_eq!(store.read("s").unwrap(), vec![3u8; 8]);
+    }
+
+    #[test]
+    fn modify_finds_a_blob_on_the_ssd_tier() {
+        // Where a host-pressure spill leaves a state its handler meant
+        // to stage: `modify` works on it like `read` + `overwrite` did.
+        let store = TieredStore::new(TierConfig::unbounded_temp()).unwrap();
+        store.put("h", Tier::Host, vec![1u8; 4]).unwrap();
+        store.put("file", Tier::Ssd, vec![2u8; 6]).unwrap();
+        let batch = ["seg-a", "seg-b"].map(|k| (k.to_string(), vec![3u8; 5]));
+        store.put_batch(Tier::Ssd, batch.to_vec()).unwrap();
+        store.reset_traffic();
+        store
+            .modify(["file", "h", "seg-a"], |[file, h, seg]| {
+                assert_eq!((file.len(), h.len(), seg.len()), (6, 4, 5));
+                file[0] = 7;
+                h[0] = 8;
+                seg[0] = 9;
+            })
+            .unwrap();
+        assert_eq!(store.read("file").unwrap(), [7, 2, 2, 2, 2, 2]);
+        assert_eq!(store.read("h").unwrap(), [8, 1, 1, 1]);
+        assert_eq!(store.read("seg-a").unwrap(), [9, 3, 3, 3, 3]);
+        assert_eq!(store.read("seg-b").unwrap(), vec![3u8; 5]);
+        for key in ["file", "seg-a", "seg-b"] {
+            assert_eq!(store.tier_of(key).unwrap(), Tier::Ssd);
+        }
+        assert_eq!(store.traffic().total(), 0, "nothing is metered");
+        assert_eq!((store.used(Tier::Ssd), store.used(Tier::Host)), (16, 4));
+        // The segment lives on for its other blob and goes with it.
+        store.remove("seg-b").unwrap();
+        store.remove("seg-a").unwrap();
+        store.remove("file").unwrap();
+        assert_eq!(store.used(Tier::Ssd), 0);
+        assert_eq!(fs::read_dir(&store.config.ssd_dir).unwrap().count(), 0);
     }
 
     #[test]
@@ -1396,6 +1554,53 @@ mod fault_tests {
         assert_eq!(store.tier_of("k").unwrap(), Tier::Host);
         assert_eq!(store.read("k").unwrap(), vec![3u8; 16]);
         assert_eq!(store.used(Tier::Ssd), 0);
+    }
+
+    #[test]
+    fn faulted_modify_keeps_every_blob_whole_and_none_pending() {
+        let store = TieredStore::new(TierConfig::unbounded_temp()).unwrap();
+        store.set_retry_policy(RetryPolicy::none());
+        store.put("h", Tier::Host, vec![1u8; 4]).unwrap();
+        store.put("s", Tier::Ssd, vec![2u8; 4]).unwrap();
+        let bump = |[h, s]: [&mut [u8]; 2]| {
+            h[0] += 1;
+            s[0] += 1;
+        };
+        // A dead read: `f` never runs.
+        let plan = Arc::new(FaultPlan::new());
+        plan.fault_at_op(0, FaultOp::Read, FaultKind::Permanent);
+        store.set_fault_plan(Some(plan));
+        let err = store.modify(["h", "s"], bump).unwrap_err();
+        assert!(matches!(
+            err,
+            StorageError::Faulted {
+                op: FaultOp::Read,
+                ..
+            }
+        ));
+        store.set_fault_plan(None);
+        assert_eq!(store.read("h").unwrap(), vec![1u8; 4]);
+        assert_eq!(store.read("s").unwrap(), vec![2u8; 4]);
+        // A dead write-back: the host blob carries the update, the SSD
+        // blob is whole, and neither key is left pending (a `read`
+        // would block on one that was).
+        let plan = Arc::new(FaultPlan::new());
+        plan.fault_at_op(0, FaultOp::Write, FaultKind::Permanent);
+        store.set_fault_plan(Some(plan));
+        let err = store.modify(["h", "s"], bump).unwrap_err();
+        assert!(matches!(
+            err,
+            StorageError::Faulted {
+                op: FaultOp::Write,
+                ..
+            }
+        ));
+        store.set_fault_plan(None);
+        assert_eq!(store.read("h").unwrap(), [2, 1, 1, 1]);
+        assert_eq!(store.read("s").unwrap(), vec![2u8; 4]);
+        assert_eq!((store.used(Tier::Host), store.used(Tier::Ssd)), (4, 4));
+        store.modify(["h", "s"], bump).unwrap();
+        assert_eq!(store.read("s").unwrap(), [3, 2, 2, 2]);
     }
 
     #[test]

@@ -1,10 +1,14 @@
 //! The Adam optimizer, executed on the CPU in full precision.
 //!
-//! This is the "out-of-core CPU Adam" of the paper: it owns the fp32 first
-//! and second moments (`OS32` of Table II), consumes fp16 gradients, updates
-//! fp32 master parameters, and its state is a flat `[m..., v...]` buffer so
-//! the whole thing can be spilled to and restored from the SSD tier as one
-//! blob.
+//! This is the "out-of-core CPU Adam" of the paper: it consumes fp16
+//! gradients and updates fp32 master parameters and fp32 first and second
+//! moments (`OS32` of Table II). The engine's optimizer handler runs it
+//! over the states where the store staged them — [`step_le_bytes`], on
+//! the little-endian P32 blob and the flat `[m..., v...]` OS32 blob;
+//! [`Adam::step`] is the same arithmetic over `f32` vectors, the
+//! reference trainer's kernel and the byte kernel's oracle.
+
+use crate::dtype::{decode_f32_into, encode_f32_into, CODEC_CHUNK};
 
 /// Adam hyperparameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -66,89 +70,109 @@ impl Adam {
         assert_eq!(params.len(), self.m.len(), "param/state length");
         assert_eq!(grads.len(), self.m.len(), "grad/state length");
         self.t += 1;
-        let t = self.t as i32;
-        let bc1 = 1.0 - hp.beta1.powi(t);
-        let bc2 = 1.0 - hp.beta2.powi(t);
-        let n = params.len();
-        let threads = crate::parallel::num_threads();
-        if threads <= 1 || n < 2 * crate::parallel::MIN_BLOCK {
+        let (bc1, bc2) = bias_corrections(self.t, hp);
+        let per = band_len(params.len());
+        if per >= params.len() {
             step_band(params, grads, &mut self.m, &mut self.v, hp, bc1, bc2);
             return;
         }
-        let per = n.div_ceil(threads);
         std::thread::scope(|s| {
-            let mut p_rest = &mut params[..];
-            let mut m_rest = &mut self.m[..];
-            let mut v_rest = &mut self.v[..];
-            let mut off = 0usize;
-            while !p_rest.is_empty() {
-                let take = per.min(p_rest.len());
-                let (pb, pt) = p_rest.split_at_mut(take);
-                let (mb, mt) = m_rest.split_at_mut(take);
-                let (vb, vt) = v_rest.split_at_mut(take);
-                p_rest = pt;
-                m_rest = mt;
-                v_rest = vt;
-                let gb = &grads[off..off + take];
+            let bands = params
+                .chunks_mut(per)
+                .zip(grads.chunks(per))
+                .zip(self.m.chunks_mut(per))
+                .zip(self.v.chunks_mut(per));
+            for (((pb, gb), mb), vb) in bands {
                 s.spawn(move || step_band(pb, gb, mb, vb, hp, bc1, bc2));
-                off += take;
             }
         });
     }
+}
 
-    /// Serializes the moments as one flat `[m..., v...]` f32 buffer — the
-    /// OS32 blob stored in the SSD tier.
-    ///
-    /// Allocates a fresh buffer; hot paths should use
-    /// [`Adam::write_flat_into`] with a reused buffer instead.
-    pub fn to_flat(&self) -> Vec<f32> {
-        let mut out = Vec::with_capacity(self.m.len() * 2);
-        out.extend_from_slice(&self.m);
-        out.extend_from_slice(&self.v);
-        out
+/// One Adam update over a layer's states as the store holds them:
+/// `master` is the little-endian f32 parameter blob (P32), `moments` the
+/// little-endian flat `[m..., v...]` blob (OS32), `t` the updates applied
+/// so far (bias correction uses `t + 1`). The blobs are updated where
+/// they lie, [`CODEC_CHUNK`] elements at a time through a stack scratch;
+/// bitwise what [`Adam::step`] computes on the decoded vectors, at every
+/// thread count — the same [`step_band`] under the same band split.
+///
+/// # Panics
+/// If `master` is not `4 * grads.len()` bytes or `moments` not
+/// `8 * grads.len()`.
+pub fn step_le_bytes(
+    master: &mut [u8],
+    moments: &mut [u8],
+    grads: &[f32],
+    t: u64,
+    hp: &AdamParams,
+) {
+    let n = grads.len();
+    assert_eq!(master.len(), 4 * n, "master/grad length");
+    assert_eq!(moments.len(), 8 * n, "moments/grad length");
+    let (bc1, bc2) = bias_corrections(t + 1, hp);
+    let (m, v) = moments.split_at_mut(4 * n);
+    let per = band_len(n);
+    if per >= n {
+        step_band_le(master, grads, m, v, hp, bc1, bc2);
+        return;
     }
+    std::thread::scope(|s| {
+        let bands = master
+            .chunks_mut(4 * per)
+            .zip(grads.chunks(per))
+            .zip(m.chunks_mut(4 * per))
+            .zip(v.chunks_mut(4 * per));
+        for (((pb, gb), mb), vb) in bands {
+            s.spawn(move || step_band_le(pb, gb, mb, vb, hp, bc1, bc2));
+        }
+    });
+}
 
-    /// Writes the flat `[m..., v...]` blob into `out`, resizing it only
-    /// on first use — the allocation-free counterpart of
-    /// [`Adam::to_flat`] for the per-step optimizer loop.
-    pub fn write_flat_into(&self, out: &mut Vec<f32>) {
-        let n = self.m.len();
-        out.resize(2 * n, 0.0);
-        out[..n].copy_from_slice(&self.m);
-        out[n..].copy_from_slice(&self.v);
+/// The bias-correction denominators of update number `t` (1-based).
+fn bias_corrections(t: u64, hp: &AdamParams) -> (f32, f32) {
+    let t = t as i32;
+    (1.0 - hp.beta1.powi(t), 1.0 - hp.beta2.powi(t))
+}
+
+/// Elements per band of an `n`-element update: all of them below the
+/// parallel threshold, one contiguous band per worker thread above it.
+fn band_len(n: usize) -> usize {
+    let threads = crate::parallel::num_threads();
+    if threads <= 1 || n < 2 * crate::parallel::MIN_BLOCK {
+        n
+    } else {
+        n.div_ceil(threads)
     }
+}
 
-    /// Restores moments from [`Adam::to_flat`] output; `t` is tracked by
-    /// the caller per layer.
-    ///
-    /// Allocates fresh moment vectors; hot paths should keep one `Adam`
-    /// alive and use [`Adam::load_flat`] instead.
-    ///
-    /// # Panics
-    /// If the buffer length is odd or disagrees with `n`.
-    pub fn from_flat(flat: &[f32], t: u64) -> Self {
-        let mut adam = Adam::new(0);
-        adam.load_flat(flat, t);
-        adam
-    }
-
-    /// Reloads moments from a flat `[m..., v...]` blob in place, reusing
-    /// the existing moment buffers when the size matches — the
-    /// allocation-free counterpart of [`Adam::from_flat`].
-    ///
-    /// # Panics
-    /// If the buffer length is odd.
-    pub fn load_flat(&mut self, flat: &[f32], t: u64) {
-        assert!(
-            flat.len().is_multiple_of(2),
-            "flat Adam state must be [m..., v...]"
-        );
-        let n = flat.len() / 2;
-        self.m.resize(n, 0.0);
-        self.v.resize(n, 0.0);
-        self.m.copy_from_slice(&flat[..n]);
-        self.v.copy_from_slice(&flat[n..]);
-        self.t = t;
+/// [`step_band`] over one band of little-endian f32 blobs.
+fn step_band_le(
+    params: &mut [u8],
+    grads: &[f32],
+    m: &mut [u8],
+    v: &mut [u8],
+    hp: &AdamParams,
+    bc1: f32,
+    bc2: f32,
+) {
+    let mut p = [0.0f32; CODEC_CHUNK];
+    let mut ms = [0.0f32; CODEC_CHUNK];
+    let mut vs = [0.0f32; CODEC_CHUNK];
+    let chunks = params
+        .chunks_mut(4 * CODEC_CHUNK)
+        .zip(grads.chunks(CODEC_CHUNK))
+        .zip(m.chunks_mut(4 * CODEC_CHUNK))
+        .zip(v.chunks_mut(4 * CODEC_CHUNK));
+    for (((pb, g), mb), vb) in chunks {
+        let (p, ms, vs) = (&mut p[..g.len()], &mut ms[..g.len()], &mut vs[..g.len()]);
+        decode_f32_into(pb, p);
+        decode_f32_into(mb, ms);
+        decode_f32_into(vb, vs);
+        step_band(p, g, ms, vs, hp, bc1, bc2);
+        encode_f32_into(p, pb);
+        encode_f32_into(ms, mb);
+        encode_f32_into(vs, vb);
     }
 }
 
@@ -220,16 +244,6 @@ mod tests {
     }
 
     #[test]
-    fn state_round_trips_through_flat_blob() {
-        let mut adam = Adam::new(4);
-        let mut p = vec![1.0f32; 4];
-        adam.step(&mut p, &[0.1, 0.2, 0.3, 0.4], &AdamParams::default());
-        let flat = adam.to_flat();
-        let restored = Adam::from_flat(&flat, adam.t);
-        assert_eq!(restored, adam);
-    }
-
-    #[test]
     fn sequential_updates_are_deterministic() {
         let run = || {
             let mut adam = Adam::new(3);
@@ -241,27 +255,6 @@ mod tests {
             p
         };
         assert_eq!(run(), run());
-    }
-
-    #[test]
-    fn load_flat_and_write_flat_into_match_allocating_forms() {
-        let mut adam = Adam::new(8);
-        let mut p = vec![0.5f32; 8];
-        let g: Vec<f32> = (0..8).map(|i| i as f32 * 0.1 - 0.3).collect();
-        adam.step(&mut p, &g, &AdamParams::default());
-
-        let mut blob = Vec::new();
-        adam.write_flat_into(&mut blob);
-        assert_eq!(blob, adam.to_flat());
-
-        let mut reused = Adam::new(8);
-        reused.load_flat(&blob, adam.t);
-        assert_eq!(reused, adam);
-        // Reload into the same instance: no growth needed, same result.
-        let cap_m = reused.m.capacity();
-        reused.load_flat(&blob, adam.t);
-        assert_eq!(reused, adam);
-        assert_eq!(reused.m.capacity(), cap_m);
     }
 
     #[test]
@@ -284,6 +277,74 @@ mod tests {
         let (p4, a4) = run(4);
         assert!(p1.iter().zip(&p4).all(|(x, y)| x.to_bits() == y.to_bits()));
         assert_eq!(a1, a4);
+    }
+
+    #[test]
+    fn byte_kernel_equals_the_f32_step_bit_for_bit() {
+        use crate::dtype::encode_f32;
+        use crate::parallel::MIN_BLOCK;
+        let fill = |n: usize, seed: u64| crate::Tensor::randn(&[n], 0.5, seed).into_vec();
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        // Sizes on both sides of the parallel threshold and of the stack
+        // scratch, none a multiple of either.
+        let sizes = [
+            0,
+            1,
+            CODEC_CHUNK - 1,
+            CODEC_CHUNK + 1,
+            2 * MIN_BLOCK - 1,
+            2 * MIN_BLOCK,
+            2 * MIN_BLOCK + 3,
+            5 * MIN_BLOCK + 77,
+        ];
+        for (case, &n) in sizes.iter().enumerate() {
+            for threads in 1..=cores {
+                for weight_decay in [0.0, 0.01] {
+                    for t in [0u64, 1, 1000] {
+                        let hp = AdamParams {
+                            weight_decay,
+                            ..AdamParams::default()
+                        };
+                        let seed = case as u64 * 10 + t;
+                        let grads = fill(n, seed + 1);
+                        let mut params = fill(n, seed + 2);
+                        let mut adam = Adam {
+                            m: fill(n, seed + 3),
+                            // Second moments are sums of squares.
+                            v: fill(n, seed + 4).iter().map(|x| x * x).collect(),
+                            t,
+                        };
+                        let mut master = encode_f32(&params);
+                        let mut moments = encode_f32(&[&adam.m[..], &adam.v[..]].concat());
+
+                        crate::parallel::set_num_threads(threads);
+                        adam.step(&mut params, &grads, &hp);
+                        step_le_bytes(&mut master, &mut moments, &grads, t, &hp);
+                        crate::parallel::set_num_threads(1);
+
+                        let what = format!("n {n}, {threads} threads, wd {weight_decay}, t {t}");
+                        assert_eq!(master, encode_f32(&params), "master: {what}");
+                        assert_eq!(
+                            moments,
+                            encode_f32(&[&adam.m[..], &adam.v[..]].concat()),
+                            "moments: {what}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "moments/grad length")]
+    fn a_moments_blob_of_the_wrong_length_panics() {
+        step_le_bytes(
+            &mut [0u8; 8],
+            &mut [0u8; 8],
+            &[0.0; 2],
+            0,
+            &AdamParams::default(),
+        );
     }
 
     #[test]

@@ -209,15 +209,35 @@ unsafe fn decode_f16_avx2(bits: &[u16], out: &mut [f32]) {
     decode_f16_scalar(&bits[i..], &mut out[i..]);
 }
 
+/// Elements the byte codecs move through a stack scratch at a time: the
+/// blob is converted in place or into its destination chunk by chunk, so
+/// no codec holds a second heap copy of what it converts.
+pub(crate) const CODEC_CHUNK: usize = 256;
+
 /// Encodes a slice of `f32` into little-endian binary16 bytes.
 pub fn encode_f16(values: &[f32]) -> Vec<u8> {
-    let mut bits = vec![0u16; values.len()];
-    f32_to_f16_bits_slice(values, &mut bits);
     let mut out = vec![0u8; values.len() * 2];
-    for (c, b) in out.chunks_exact_mut(2).zip(&bits) {
-        c.copy_from_slice(&b.to_le_bytes());
-    }
+    encode_f16_into(values, &mut out);
     out
+}
+
+/// Encodes `values` as little-endian binary16 bytes into `out`.
+///
+/// # Panics
+/// If `out.len() != values.len() * 2`.
+fn encode_f16_into(values: &[f32], out: &mut [u8]) {
+    assert_eq!(out.len(), values.len() * 2, "f16 byte/slot length mismatch");
+    let mut bits = [0u16; CODEC_CHUNK];
+    for (v, o) in values
+        .chunks(CODEC_CHUNK)
+        .zip(out.chunks_mut(2 * CODEC_CHUNK))
+    {
+        let bits = &mut bits[..v.len()];
+        f32_to_f16_bits_slice(v, bits);
+        for (c, b) in o.chunks_exact_mut(2).zip(bits.iter()) {
+            c.copy_from_slice(&b.to_le_bytes());
+        }
+    }
 }
 
 /// Decodes little-endian binary16 bytes into `f32`, writing into `out`.
@@ -226,11 +246,17 @@ pub fn encode_f16(values: &[f32]) -> Vec<u8> {
 /// If `bytes.len() != out.len() * 2`.
 pub fn decode_f16_into(bytes: &[u8], out: &mut [f32]) {
     assert_eq!(bytes.len(), out.len() * 2, "f16 byte/slot length mismatch");
-    let mut bits = vec![0u16; out.len()];
-    for (b, c) in bits.iter_mut().zip(bytes.chunks_exact(2)) {
-        *b = u16::from_le_bytes([c[0], c[1]]);
+    let mut bits = [0u16; CODEC_CHUNK];
+    for (b, o) in bytes
+        .chunks(2 * CODEC_CHUNK)
+        .zip(out.chunks_mut(CODEC_CHUNK))
+    {
+        let bits = &mut bits[..o.len()];
+        for (h, c) in bits.iter_mut().zip(b.chunks_exact(2)) {
+            *h = u16::from_le_bytes([c[0], c[1]]);
+        }
+        f16_bits_to_f32_slice(bits, o);
     }
-    f16_bits_to_f32_slice(&bits, out);
 }
 
 /// Decodes little-endian binary16 bytes into `f32`.
@@ -251,11 +277,20 @@ pub fn decode_f16(bytes: &[u8]) -> Vec<f32> {
 /// Encodes a slice of `f32` into little-endian f32 bytes (for master
 /// states stored at full precision).
 pub fn encode_f32(values: &[f32]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(values.len() * 4);
-    for &v in values {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
+    let mut out = vec![0u8; values.len() * 4];
+    encode_f32_into(values, &mut out);
     out
+}
+
+/// Encodes `values` as little-endian f32 bytes into `out`.
+///
+/// # Panics
+/// If `out.len() != values.len() * 4`.
+pub(crate) fn encode_f32_into(values: &[f32], out: &mut [u8]) {
+    assert_eq!(out.len(), values.len() * 4, "f32 byte/slot length mismatch");
+    for (c, v) in out.chunks_exact_mut(4).zip(values) {
+        c.copy_from_slice(&v.to_le_bytes());
+    }
 }
 
 /// Decodes little-endian f32 bytes.
@@ -268,10 +303,69 @@ pub fn decode_f32(bytes: &[u8]) -> Vec<f32> {
         "bad f32 byte length {}",
         bytes.len()
     );
-    bytes
-        .chunks_exact(4)
-        .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-        .collect()
+    let mut out = vec![0.0f32; bytes.len() / 4];
+    decode_f32_into(bytes, &mut out);
+    out
+}
+
+/// Decodes little-endian f32 bytes, writing into `out`.
+///
+/// # Panics
+/// If `bytes.len() != out.len() * 4`.
+pub(crate) fn decode_f32_into(bytes: &[u8], out: &mut [f32]) {
+    assert_eq!(bytes.len(), out.len() * 4, "f32 byte/slot length mismatch");
+    for (v, c) in out.iter_mut().zip(bytes.chunks_exact(4)) {
+        *v = f32::from_le_bytes([c[0], c[1], c[2], c[3]]);
+    }
+}
+
+/// Rounds a little-endian f32 blob (a P32 master) to little-endian
+/// binary16 bytes (its P16): bitwise `encode_f16(&decode_f32(bytes))`
+/// without the f32 vector in between.
+///
+/// # Panics
+/// If `bytes.len()` is not a multiple of 4.
+pub fn f32_le_to_f16_le(bytes: &[u8]) -> Vec<u8> {
+    assert!(
+        bytes.len().is_multiple_of(4),
+        "bad f32 byte length {}",
+        bytes.len()
+    );
+    let mut out = vec![0u8; bytes.len() / 2];
+    let mut values = [0.0f32; CODEC_CHUNK];
+    for (b, o) in bytes
+        .chunks(4 * CODEC_CHUNK)
+        .zip(out.chunks_mut(2 * CODEC_CHUNK))
+    {
+        let values = &mut values[..b.len() / 4];
+        decode_f32_into(b, values);
+        encode_f16_into(values, o);
+    }
+    out
+}
+
+/// `acc[i] += f16[i]` over blobs at rest: `acc` little-endian f32 bytes,
+/// `f16` little-endian binary16 bytes — a G16 summed into its f32
+/// accumulator where the accumulator lies.
+///
+/// # Panics
+/// If `acc.len() != f16.len() * 2`.
+pub fn add_f16_le_to_f32_le(acc: &mut [u8], f16: &[u8]) {
+    assert_eq!(acc.len(), f16.len() * 2, "f32/f16 blob length mismatch");
+    let mut sums = [0.0f32; CODEC_CHUNK];
+    let mut addends = [0.0f32; CODEC_CHUNK];
+    for (a, h) in acc
+        .chunks_mut(4 * CODEC_CHUNK)
+        .zip(f16.chunks(2 * CODEC_CHUNK))
+    {
+        let n = a.len() / 4;
+        decode_f32_into(a, &mut sums[..n]);
+        decode_f16_into(h, &mut addends[..n]);
+        for (s, g) in sums[..n].iter_mut().zip(&addends[..n]) {
+            *s += g;
+        }
+        encode_f32_into(&sums[..n], a);
+    }
 }
 
 #[cfg(test)]
@@ -376,19 +470,29 @@ mod tests {
         }
     }
 
-    #[test]
-    fn slice_encode_matches_scalar() {
-        let mut vals: Vec<f32> = (0..2000).map(|i| (i as f32 - 1000.0) * 1.37e-2).collect();
-        vals.extend([
+    /// The f16 boundary cases: NaN, infinities, signed zero, the
+    /// subnormal range's ends, overflow, and round-to-nearest-even ties.
+    fn boundary_values() -> [f32; 12] {
+        [
             f32::NAN,
             f32::INFINITY,
             f32::NEG_INFINITY,
             -0.0,
             2.0f32.powi(-24),
+            2.0f32.powi(-26),
+            1023.0 / 1024.0 * 2.0f32.powi(-14),
             65504.0,
             65536.0,
             1.0 + 2.0f32.powi(-11),
-        ]);
+            1.0 + 2.0f32.powi(-11) + 2.0f32.powi(-20),
+            -3.5,
+        ]
+    }
+
+    #[test]
+    fn slice_encode_matches_scalar() {
+        let mut vals: Vec<f32> = (0..2000).map(|i| (i as f32 - 1000.0) * 1.37e-2).collect();
+        vals.extend(boundary_values());
         let mut bits = vec![0u16; vals.len()];
         f32_to_f16_bits_slice(&vals, &mut bits);
         for (&v, &b) in vals.iter().zip(&bits) {
@@ -408,5 +512,73 @@ mod tests {
         let mut into = vec![0.0f32; vals.len()];
         decode_f16_into(&enc, &mut into);
         assert_eq!(dec, into);
+    }
+
+    /// Deterministic values spread over the f16 range and beyond it.
+    fn spread(n: usize, seed: u32) -> Vec<f32> {
+        let mut state = seed | 1;
+        (0..n)
+            .map(|_| {
+                state ^= state << 13;
+                state ^= state >> 17;
+                state ^= state << 5;
+                let unit = (state >> 8) as f32 / (1 << 24) as f32 - 0.5;
+                unit * 10f32.powi((state % 13) as i32 - 8)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn f32_le_to_f16_le_matches_decode_then_encode() {
+        // Lengths on both sides of the stack scratch, and the empty blob.
+        for n in [
+            0,
+            1,
+            CODEC_CHUNK - 1,
+            CODEC_CHUNK,
+            CODEC_CHUNK + 1,
+            3 * CODEC_CHUNK + 7,
+        ] {
+            let mut vals = spread(n, 17 + n as u32);
+            vals.extend(boundary_values());
+            let master = encode_f32(&vals);
+            assert_eq!(
+                f32_le_to_f16_le(&master),
+                encode_f16(&decode_f32(&master)),
+                "{n} values"
+            );
+        }
+    }
+
+    #[test]
+    fn f32_byte_codecs_round_trip_bit_for_bit() {
+        let mut vals = spread(2 * CODEC_CHUNK + 3, 5);
+        vals.extend(boundary_values());
+        let bytes = encode_f32(&vals);
+        assert_eq!(bytes.len(), vals.len() * 4);
+        let back = decode_f32(&bytes);
+        assert!(vals
+            .iter()
+            .zip(&back)
+            .all(|(a, b)| a.to_bits() == b.to_bits()));
+        let mut into = vec![0u8; bytes.len()];
+        encode_f32_into(&back, &mut into);
+        assert_eq!(into, bytes);
+    }
+
+    #[test]
+    fn add_f16_le_to_f32_le_matches_the_decoded_sum() {
+        for n in [0, 5, CODEC_CHUNK, 2 * CODEC_CHUNK + 9] {
+            let acc = spread(n, 3);
+            let g16 = encode_f16(&spread(n, 4));
+            let expected: Vec<f32> = acc
+                .iter()
+                .zip(decode_f16(&g16))
+                .map(|(a, g)| a + g)
+                .collect();
+            let mut blob = encode_f32(&acc);
+            add_f16_le_to_f32_le(&mut blob, &g16);
+            assert_eq!(blob, encode_f32(&expected), "{n} values");
+        }
     }
 }

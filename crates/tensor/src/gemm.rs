@@ -405,12 +405,15 @@ pub(crate) fn avx2_available() -> bool {
     // Under miri the AVX2 intrinsics are unsupported, and
     // RATEL_FORCE_SCALAR lets CI (or a bisecting human) pin the scalar
     // kernels on any machine — both force the software paths, which are
-    // bitwise-identical to the SIMD ones by construction.
-    if cfg!(miri) || std::env::var_os("RATEL_FORCE_SCALAR").is_some() {
-        return false;
-    }
+    // bitwise-identical to the SIMD ones by construction. Decided once
+    // per process: the byte codecs ask per 256-element chunk, and an
+    // environment lookup there costs more than the chunk's decode.
     static AVAILABLE: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *AVAILABLE.get_or_init(|| is_x86_feature_detected!("avx2"))
+    *AVAILABLE.get_or_init(|| {
+        !cfg!(miri)
+            && std::env::var_os("RATEL_FORCE_SCALAR").is_none()
+            && is_x86_feature_detected!("avx2")
+    })
 }
 
 #[cfg(not(target_arch = "x86_64"))]

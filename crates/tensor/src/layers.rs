@@ -1,13 +1,15 @@
 //! Transformer layers with explicit forward/backward and flat parameter
 //! access.
 //!
-//! Every layer exposes its parameters as one flat `Vec<f32>` (and accepts
-//! gradients in the same order), because that is the unit the out-of-core
-//! engine moves between tiers and the unit the CPU Adam updates. Saved
+//! Every layer exposes its parameters in one flat order (and accepts
+//! gradients in the same order), because a layer's flat parameters are
+//! the unit the out-of-core engine moves between tiers, as P32 and P16
+//! byte blobs, and the unit the CPU Adam updates. Saved
 //! activations are separate structs with half-precision (de)serialization
 //! so they can be offloaded byte-for-byte like the paper's A16 tensors.
 
 use crate::attention::{attn_backward_into, attn_forward_into};
+use crate::dtype::{decode_f16_into, encode_f32_into};
 use crate::ops::{
     add_bias, apply_mask, bias_grad, cross_entropy, cross_entropy_backward, dropout_mask,
     embedding_gather, embedding_scatter_add, gelu, gelu_backward, layernorm, layernorm_backward,
@@ -16,28 +18,76 @@ use crate::ops::{
 use crate::scratch::scratch_f32;
 use crate::tensor::Tensor;
 
-/// Common flat-parameter access for movable layers.
+/// Common parameter access for movable layers: a layer names its
+/// parameter tensors, in a fixed field order, through the two visitors;
+/// every flat form — the `f32` vector gradients are ordered by, the P32
+/// and P16 blobs the engine stores — is provided over them.
 pub trait ParamLayer {
+    /// Calls `f` on every parameter tensor, in the fixed field order.
+    fn for_each_param(&self, f: &mut dyn FnMut(&Tensor));
+    /// Calls `f` on every parameter tensor mutably, in the same order.
+    fn for_each_param_mut(&mut self, f: &mut dyn FnMut(&mut Tensor));
+
     /// Number of scalar parameters.
-    fn param_count(&self) -> usize;
-    /// Copies all parameters into one flat vector (fixed field order).
-    fn params_flat(&self) -> Vec<f32>;
+    fn param_count(&self) -> usize {
+        let mut n = 0;
+        self.for_each_param(&mut |t| n += t.len());
+        n
+    }
+
+    /// Copies all parameters into one flat vector.
+    fn params_flat(&self) -> Vec<f32> {
+        let mut out = Vec::with_capacity(self.param_count());
+        self.for_each_param(&mut |t| push_tensor(&mut out, t));
+        out
+    }
+
     /// Loads parameters from a flat vector produced by
     /// [`ParamLayer::params_flat`].
     ///
     /// # Panics
     /// If the length does not match [`ParamLayer::param_count`].
-    fn set_params_flat(&mut self, flat: &[f32]);
+    fn set_params_flat(&mut self, flat: &[f32]) {
+        assert_eq!(flat.len(), self.param_count(), "flat param length");
+        let mut rest = flat;
+        self.for_each_param_mut(&mut |t| {
+            let (head, tail) = rest.split_at(t.len());
+            t.data_mut().copy_from_slice(head);
+            rest = tail;
+        });
+    }
+
+    /// The parameters as little-endian f32 bytes, flat order: the layer's
+    /// P32 master blob.
+    fn params_f32_le(&self) -> Vec<u8> {
+        let mut out = vec![0u8; self.param_count() * 4];
+        let mut rest = &mut out[..];
+        self.for_each_param(&mut |t| {
+            let (head, tail) = std::mem::take(&mut rest).split_at_mut(t.len() * 4);
+            encode_f32_into(t.data(), head);
+            rest = tail;
+        });
+        out
+    }
+
+    /// Loads parameters from little-endian binary16 bytes in flat order —
+    /// the layer's P16 blob — decoding straight into the tensors.
+    ///
+    /// # Panics
+    /// If `bytes` is not two bytes per parameter.
+    fn set_params_f16_le(&mut self, bytes: &[u8]) {
+        assert_eq!(bytes.len(), self.param_count() * 2, "P16 blob length");
+        let mut rest = bytes;
+        self.for_each_param_mut(&mut |t| {
+            let (head, tail) = rest.split_at(t.len() * 2);
+            decode_f16_into(head, t.data_mut());
+            rest = tail;
+        });
+    }
 }
 
 fn push_tensor(out: &mut Vec<f32>, t: &Tensor) {
     out.extend_from_slice(t.data());
-}
-
-fn take_tensor(t: &mut Tensor, flat: &[f32], offset: &mut usize) {
-    let n = t.len();
-    t.data_mut().copy_from_slice(&flat[*offset..*offset + n]);
-    *offset += n;
 }
 
 // ---------------------------------------------------------------------------
@@ -88,20 +138,13 @@ impl Linear {
 }
 
 impl ParamLayer for Linear {
-    fn param_count(&self) -> usize {
-        self.w.len() + self.b.len()
+    fn for_each_param(&self, f: &mut dyn FnMut(&Tensor)) {
+        f(&self.w);
+        f(&self.b);
     }
-    fn params_flat(&self) -> Vec<f32> {
-        let mut out = Vec::with_capacity(self.param_count());
-        push_tensor(&mut out, &self.w);
-        push_tensor(&mut out, &self.b);
-        out
-    }
-    fn set_params_flat(&mut self, flat: &[f32]) {
-        assert_eq!(flat.len(), self.param_count(), "Linear param length");
-        let mut off = 0;
-        take_tensor(&mut self.w, flat, &mut off);
-        take_tensor(&mut self.b, flat, &mut off);
+    fn for_each_param_mut(&mut self, f: &mut dyn FnMut(&mut Tensor)) {
+        f(&mut self.w);
+        f(&mut self.b);
     }
 }
 
@@ -147,20 +190,13 @@ impl LayerNorm {
 }
 
 impl ParamLayer for LayerNorm {
-    fn param_count(&self) -> usize {
-        self.gamma.len() + self.beta.len()
+    fn for_each_param(&self, f: &mut dyn FnMut(&Tensor)) {
+        f(&self.gamma);
+        f(&self.beta);
     }
-    fn params_flat(&self) -> Vec<f32> {
-        let mut out = Vec::with_capacity(self.param_count());
-        push_tensor(&mut out, &self.gamma);
-        push_tensor(&mut out, &self.beta);
-        out
-    }
-    fn set_params_flat(&mut self, flat: &[f32]) {
-        assert_eq!(flat.len(), self.param_count(), "LayerNorm param length");
-        let mut off = 0;
-        take_tensor(&mut self.gamma, flat, &mut off);
-        take_tensor(&mut self.beta, flat, &mut off);
+    fn for_each_param_mut(&mut self, f: &mut dyn FnMut(&mut Tensor)) {
+        f(&mut self.gamma);
+        f(&mut self.beta);
     }
 }
 
@@ -287,19 +323,13 @@ impl MultiHeadAttention {
 }
 
 impl ParamLayer for MultiHeadAttention {
-    fn param_count(&self) -> usize {
-        self.wqkv.param_count() + self.wo.param_count()
+    fn for_each_param(&self, f: &mut dyn FnMut(&Tensor)) {
+        self.wqkv.for_each_param(f);
+        self.wo.for_each_param(f);
     }
-    fn params_flat(&self) -> Vec<f32> {
-        let mut out = self.wqkv.params_flat();
-        out.extend(self.wo.params_flat());
-        out
-    }
-    fn set_params_flat(&mut self, flat: &[f32]) {
-        assert_eq!(flat.len(), self.param_count(), "attention param length");
-        let n1 = self.wqkv.param_count();
-        self.wqkv.set_params_flat(&flat[..n1]);
-        self.wo.set_params_flat(&flat[n1..]);
+    fn for_each_param_mut(&mut self, f: &mut dyn FnMut(&mut Tensor)) {
+        self.wqkv.for_each_param_mut(f);
+        self.wo.for_each_param_mut(f);
     }
 }
 
@@ -358,19 +388,13 @@ impl Mlp {
 }
 
 impl ParamLayer for Mlp {
-    fn param_count(&self) -> usize {
-        self.fc1.param_count() + self.fc2.param_count()
+    fn for_each_param(&self, f: &mut dyn FnMut(&Tensor)) {
+        self.fc1.for_each_param(f);
+        self.fc2.for_each_param(f);
     }
-    fn params_flat(&self) -> Vec<f32> {
-        let mut out = self.fc1.params_flat();
-        out.extend(self.fc2.params_flat());
-        out
-    }
-    fn set_params_flat(&mut self, flat: &[f32]) {
-        assert_eq!(flat.len(), self.param_count(), "mlp param length");
-        let n1 = self.fc1.param_count();
-        self.fc1.set_params_flat(&flat[..n1]);
-        self.fc2.set_params_flat(&flat[n1..]);
+    fn for_each_param_mut(&mut self, f: &mut dyn FnMut(&mut Tensor)) {
+        self.fc1.for_each_param_mut(f);
+        self.fc2.for_each_param_mut(f);
     }
 }
 
@@ -558,32 +582,17 @@ impl TransformerBlock {
 }
 
 impl ParamLayer for TransformerBlock {
-    fn param_count(&self) -> usize {
-        self.ln1.param_count()
-            + self.attn.param_count()
-            + self.ln2.param_count()
-            + self.mlp.param_count()
+    fn for_each_param(&self, f: &mut dyn FnMut(&Tensor)) {
+        self.ln1.for_each_param(f);
+        self.attn.for_each_param(f);
+        self.ln2.for_each_param(f);
+        self.mlp.for_each_param(f);
     }
-    fn params_flat(&self) -> Vec<f32> {
-        let mut out = self.ln1.params_flat();
-        out.extend(self.attn.params_flat());
-        out.extend(self.ln2.params_flat());
-        out.extend(self.mlp.params_flat());
-        out
-    }
-    fn set_params_flat(&mut self, flat: &[f32]) {
-        assert_eq!(flat.len(), self.param_count(), "block param length");
-        let mut off = 0;
-        for part in [
-            &mut self.ln1 as &mut dyn ParamLayer,
-            &mut self.attn,
-            &mut self.ln2,
-            &mut self.mlp,
-        ] {
-            let n = part.param_count();
-            part.set_params_flat(&flat[off..off + n]);
-            off += n;
-        }
+    fn for_each_param_mut(&mut self, f: &mut dyn FnMut(&mut Tensor)) {
+        self.ln1.for_each_param_mut(f);
+        self.attn.for_each_param_mut(f);
+        self.ln2.for_each_param_mut(f);
+        self.mlp.for_each_param_mut(f);
     }
 }
 
@@ -807,20 +816,13 @@ impl Embedding {
 }
 
 impl ParamLayer for Embedding {
-    fn param_count(&self) -> usize {
-        self.tokens.len() + self.positions.len()
+    fn for_each_param(&self, f: &mut dyn FnMut(&Tensor)) {
+        f(&self.tokens);
+        f(&self.positions);
     }
-    fn params_flat(&self) -> Vec<f32> {
-        let mut out = Vec::with_capacity(self.param_count());
-        push_tensor(&mut out, &self.tokens);
-        push_tensor(&mut out, &self.positions);
-        out
-    }
-    fn set_params_flat(&mut self, flat: &[f32]) {
-        assert_eq!(flat.len(), self.param_count(), "embedding param length");
-        let mut off = 0;
-        take_tensor(&mut self.tokens, flat, &mut off);
-        take_tensor(&mut self.positions, flat, &mut off);
+    fn for_each_param_mut(&mut self, f: &mut dyn FnMut(&mut Tensor)) {
+        f(&mut self.tokens);
+        f(&mut self.positions);
     }
 }
 
@@ -908,20 +910,13 @@ impl CrossEntropy {
 }
 
 impl ParamLayer for CrossEntropy {
-    fn param_count(&self) -> usize {
-        self.ln_f.param_count() + self.w_out.len()
+    fn for_each_param(&self, f: &mut dyn FnMut(&Tensor)) {
+        self.ln_f.for_each_param(f);
+        f(&self.w_out);
     }
-    fn params_flat(&self) -> Vec<f32> {
-        let mut out = self.ln_f.params_flat();
-        push_tensor(&mut out, &self.w_out);
-        out
-    }
-    fn set_params_flat(&mut self, flat: &[f32]) {
-        assert_eq!(flat.len(), self.param_count(), "head param length");
-        let n = self.ln_f.param_count();
-        self.ln_f.set_params_flat(&flat[..n]);
-        let mut off = n;
-        take_tensor(&mut self.w_out, flat, &mut off);
+    fn for_each_param_mut(&mut self, f: &mut dyn FnMut(&mut Tensor)) {
+        self.ln_f.for_each_param_mut(f);
+        f(&mut self.w_out);
     }
 }
 
@@ -1287,6 +1282,11 @@ mod tests {
         let zeros = vec![0.0f32; flat.len()];
         block.set_params_flat(&zeros);
         assert_eq!(block.params_flat(), zeros);
+        // The byte forms are the flat form, encoded.
+        use crate::dtype::{decode_f16, encode_f16, encode_f32};
+        assert_eq!(clone.params_f32_le(), encode_f32(&flat));
+        block.set_params_f16_le(&encode_f16(&flat));
+        assert_eq!(block.params_flat(), decode_f16(&encode_f16(&flat)));
     }
 
     #[test]

@@ -5,7 +5,8 @@
 //! — lost-notify condvar, lock-order-inverted two-lock, torn-read
 //! seqlock — must be caught with a finding that names the lock/atomic
 //! and carries an interleaving witness. The pending-key handshake is
-//! also explored on the real `TieredStore`, not only on its model.
+//! also explored on the real `TieredStore`, not only on its model — the
+//! in-place `modify` included.
 
 use std::sync::Arc;
 
@@ -132,6 +133,47 @@ fn real_store_racing_moves_to_one_tier_both_succeed() {
         assert_eq!(traffic.total(), 8, "exactly one hop is metered");
     })
     .unwrap_or_else(|f| panic!("racing moves on the real store failed:\n{f}"));
+    assert!(report.complete, "schedule tree not fully enumerated");
+    assert!(report.schedules > 1);
+}
+
+#[test]
+fn real_store_modify_against_reader_and_mover() {
+    let report = explore_model(|| {
+        let store = store();
+        store.put("k", Tier::Host, vec![1u8; 8]).expect("put");
+        let reader = {
+            let store = Arc::clone(&store);
+            spawn_named("reader", move || match store.read("k") {
+                Ok(bytes) => ratel_check::check(
+                    bytes == [1u8; 8] || bytes == [2u8; 8],
+                    format!("reader saw a half-modified blob: {bytes:?} [store.inner]"),
+                ),
+                // The buffer leaves the index while `f` runs; a reader
+                // must wait for it, not miss it.
+                Err(e) => ratel_check::fail(format!("read during modify failed: {e}")),
+            })
+        };
+        let mover = {
+            let store = Arc::clone(&store);
+            spawn_named("mover", move || store.move_to("k", Tier::Gpu))
+        };
+        let modified = store.modify(["k"], |[k]| k.fill(2));
+        reader.join();
+        let moved = mover.join();
+        ratel_check::check(
+            modified.is_ok() && moved.is_ok(),
+            format!("modify or move failed: {modified:?} / {moved:?} [store.inner]"),
+        );
+        // Whichever went first, the move carried the modified bytes (or
+        // they were modified where it put them), and no key is left
+        // pending: these calls return.
+        assert_eq!(store.tier_of("k").expect("tier"), Tier::Gpu);
+        assert_eq!(store.read("k").expect("read after modify"), [2u8; 8]);
+        assert_eq!(store.used(Tier::Gpu), 8);
+        assert_eq!(store.used(Tier::Host), 0);
+    })
+    .unwrap_or_else(|f| panic!("modify vs. reader and mover on the real store failed:\n{f}"));
     assert!(report.complete, "schedule tree not fully enumerated");
     assert!(report.schedules > 1);
 }

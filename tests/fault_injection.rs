@@ -222,3 +222,53 @@ fn host_pressure_spills_to_ssd_instead_of_erroring() {
         }
     ));
 }
+
+/// Training itself degrades, not just a probe `put`: with a host pool
+/// too small for a layer's master, moments or f32 accumulator, the
+/// optimizer and accumulation handlers find those states on the SSD tier
+/// (where `opt-read`'s spilled move and the accumulator's spilled put
+/// left them), update them there, and the run is bitwise the unbounded
+/// one. Only the embedding — the largest layer of this shape — trains
+/// and the activations recompute, so the pool holds one blob at a time
+/// and what spills does not depend on worker timing.
+#[test]
+fn training_under_host_pressure_matches_the_unbounded_run() {
+    let model = GptConfig {
+        vocab: 1024,
+        layers: 2,
+        ..tiny_config()
+    };
+    let micro: Vec<_> = (0..3).map(|s| learnable_batch(&model, s)).collect();
+    let run = |host_capacity: Option<u64>| {
+        let mut engine = RatelEngine::new(EngineConfig {
+            model,
+            act_decisions: vec![ActDecision::Recompute; model.layers],
+            frozen_layers: (1..model.layers + 2).collect(),
+            host_capacity,
+            ..EngineConfig::tiny()
+        })
+        .unwrap();
+        engine.store().set_spill_on_host_pressure(true);
+        let mut losses = Vec::new();
+        for (tokens, targets) in &micro {
+            losses.push(engine.train_step(tokens, targets).unwrap().loss);
+        }
+        losses.push(engine.train_step_accumulated(&micro).unwrap().loss);
+        let spills = engine.store().telemetry().fault_stats().host_spills;
+        (losses, engine.master_params(0).unwrap(), spills)
+    };
+    // Room for the embedding's P16 in transit or its G16 (2 B/param),
+    // not for its master or accumulator (4) or moments (8): under the
+    // floor `EngineConfig::validate` names, so the step is not paced.
+    let embedding = model.vocab * model.hidden + model.seq * model.hidden;
+    assert_eq!(embedding, model.max_layer_params());
+    let (free_losses, free_master, free_spills) = run(None);
+    let (tight_losses, tight_master, tight_spills) = run(Some(3 * embedding as u64));
+    assert_eq!(free_spills, 0);
+    // Per update the master and the moments; in the accumulated step,
+    // the accumulator the first micro-batch creates.
+    assert_eq!(tight_spills, 4 * 2 + 1);
+    let bits = |l: &[f32]| l.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(&free_losses), bits(&tight_losses));
+    assert_eq!(free_master, tight_master);
+}

@@ -1,0 +1,167 @@
+//! What a build and a step hold in host memory, counted: a model state
+//! has one copy in the process — the tier's blob — so the heap a step
+//! adds is what the memory tiers account for plus the gradient being
+//! handed over, and a build holds the skeleton plus one layer's states in
+//! flight. Its own test binary, because the count is a
+//! `#[global_allocator]`; one `#[test]`, because the count is
+//! process-wide.
+
+mod common;
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+use common::{config_with, zoo};
+use ratel_repro::prelude::*;
+use ratel_repro::storage::Tier;
+
+/// Live heap bytes and their high-water mark since [`restart_peak`].
+struct Counting;
+
+static LIVE: AtomicUsize = AtomicUsize::new(0);
+static PEAK: AtomicUsize = AtomicUsize::new(0);
+
+fn grew(bytes: usize) {
+    let live = LIVE.fetch_add(bytes, Ordering::Relaxed) + bytes;
+    PEAK.fetch_max(live, Ordering::Relaxed);
+}
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds
+// the `GlobalAlloc` contract; the counters only observe sizes.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        grew(layout.size());
+        // SAFETY: the caller's `layout`, forwarded as is.
+        unsafe { System.alloc(layout) }
+    }
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        grew(layout.size());
+        // SAFETY: as in `alloc`.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
+        // SAFETY: `ptr` came from `System` with this `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
+        grew(new_size);
+        // SAFETY: `ptr` came from `System` with this `layout`.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// Live bytes now; the high-water mark restarts from them.
+fn restart_peak() -> usize {
+    let live = LIVE.load(Ordering::Relaxed);
+    PEAK.store(live, Ordering::Relaxed);
+    live
+}
+
+/// The most the heap grew over `base` since [`restart_peak`].
+fn peak_over(base: usize) -> usize {
+    PEAK.load(Ordering::Relaxed).saturating_sub(base)
+}
+
+/// Tensor threads the bounds are stated for: every attention call hands
+/// each of its threads a 64 KiB score tile, so the kernel scratch below
+/// scales with this, not with the machine.
+const TENSOR_THREADS: usize = 2;
+
+/// Gradients a step holds in f32 outside the tiers, each up to the
+/// largest layer's: backward's output waiting for its `grad-off`, and the
+/// G16 each of the CPU pool's two workers has decoded for its Adam step.
+const GRADS_IN_FLIGHT: usize = 3;
+
+/// What else a step may hold outside the tiers: the running block's
+/// activations and kernel scratch in f32 (score tiles, packed GEMM
+/// panels), blobs between their encoding and their `put`, worker threads
+/// and task bookkeeping. Fixed, not scaled by the model, so the step
+/// bound says something only where a second copy of a layer's 12 B/param
+/// of optimizer state does not fit in it — which is where it is asserted.
+const STEP_SLACK: usize = 512 << 10;
+
+/// What a build may hold beside the skeleton and the layer in flight:
+/// the plan, its DAG and the verifier's working set.
+const BUILD_SLACK: usize = 128 << 10;
+
+/// The zoo's blocks (3-13 K parameters) hide in [`STEP_SLACK`]; this
+/// shape's (112 K parameters, 1.3 MB of optimizer state) do not. One
+/// block per activation decision.
+fn wide() -> common::Shape {
+    common::Shape {
+        model: GptConfig {
+            vocab: 128,
+            seq: 8,
+            hidden: 96,
+            heads: 4,
+            layers: 3,
+            batch: 1,
+        },
+        decisions: [
+            ActDecision::SwapToSsd,
+            ActDecision::SwapToHost,
+            ActDecision::Recompute,
+        ],
+        gpu_capacity: None,
+    }
+}
+
+#[test]
+fn a_build_and_a_step_hold_one_copy_of_each_model_state() {
+    ratel_repro::tensor::set_num_threads(TENSOR_THREADS);
+    for (s, shape) in zoo().into_iter().chain([wide()]).enumerate() {
+        let model = shape.model;
+        let layer_params: Vec<usize> = (0..model.layers + 2)
+            .map(|layer| model.layer_params(layer))
+            .collect();
+        let largest = layer_params.iter().copied().max().unwrap_or(0);
+        let skeleton = 4 * layer_params.iter().sum::<usize>();
+        for all_host in [true, false] {
+            let mut config = config_with(&shape, ExecutionOptions::default());
+            if all_host {
+                config.act_decisions = vec![ActDecision::SwapToHost; model.layers];
+            }
+            let what = format!("shape {s}, {}", if all_host { "all-host" } else { "mixed" });
+
+            // Build: the skeleton, and one layer's P32 + OS32 + P16 on
+            // their way to the SSD tier — twice, for the write in flight.
+            let base = restart_peak();
+            let mut engine = RatelEngine::new(config).unwrap();
+            let build_peak = peak_over(base);
+            let build_bound = skeleton + 2 * 14 * largest + BUILD_SLACK;
+            assert!(
+                build_peak <= build_bound,
+                "{what}: the build peaked at {build_peak} B over a bound of {build_bound} B \
+                 (skeleton {skeleton} B, largest layer {largest} params)"
+            );
+
+            // The step's bound could not fail on this shape: a second
+            // copy of its largest layer's states hides in the slack.
+            if 12 * largest <= STEP_SLACK {
+                continue;
+            }
+            // The second step is the measured one: lazily built tables
+            // are in place by then.
+            for step in 0..2 {
+                let (tokens, targets) = random_batch(&model, 40 + step);
+                engine.store().reset_traffic();
+                let base = restart_peak();
+                engine.train_step(&tokens, &targets).unwrap();
+                let step_peak = peak_over(base);
+                let tiers = (engine.store().peak_used(Tier::Host)
+                    + engine.store().peak_used(Tier::Gpu)) as usize;
+                let step_bound = tiers + GRADS_IN_FLIGHT * 4 * largest + STEP_SLACK;
+                assert!(
+                    step == 0 || step_peak <= step_bound,
+                    "{what}: the step peaked at {step_peak} B over a bound of {step_bound} B \
+                     (tiers {tiers} B, largest layer {largest} params)"
+                );
+            }
+        }
+    }
+}

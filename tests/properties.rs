@@ -9,7 +9,8 @@ use ratel_repro::core::profile::HardwareProfile;
 use ratel_repro::model::{ModelConfig, ModelProfile};
 use ratel_repro::sim::{simulate, Stage, TaskGraph};
 use ratel_repro::storage::{Tier, TierConfig, TieredStore};
-use ratel_repro::tensor::dtype::{decode_f16, encode_f16, round_to_f16};
+use ratel_repro::tensor::adam::step_le_bytes;
+use ratel_repro::tensor::dtype::{decode_f16, encode_f16, encode_f32, round_to_f16};
 use ratel_repro::tensor::{Adam, AdamParams};
 
 proptest! {
@@ -44,20 +45,27 @@ proptest! {
         prop_assert_eq!(p, params);
     }
 
-    /// Adam state round-trips through the flat blob after arbitrary steps.
+    /// Adam state lives in its blobs across arbitrary steps: stepping the
+    /// little-endian P32 and flat `[m..., v...]` OS32 bytes in place is
+    /// stepping the decoded state.
     #[test]
     fn adam_blob_round_trip(
         grads in proptest::collection::vec(-1f32..1.0, 4..16),
         steps in 1usize..5,
     ) {
         let n = grads.len();
+        let hp = AdamParams::default();
         let mut adam = Adam::new(n);
         let mut p = vec![0.5f32; n];
-        for _ in 0..steps {
-            adam.step(&mut p, &grads, &AdamParams::default());
+        let mut master = encode_f32(&p);
+        let mut moments = vec![0u8; 8 * n];
+        for t in 0..steps {
+            adam.step(&mut p, &grads, &hp);
+            step_le_bytes(&mut master, &mut moments, &grads, t as u64, &hp);
         }
-        let restored = Adam::from_flat(&adam.to_flat(), adam.t);
-        prop_assert_eq!(restored, adam);
+        prop_assert_eq!(adam.t, steps as u64);
+        prop_assert_eq!(master, encode_f32(&p));
+        prop_assert_eq!(moments, encode_f32(&[adam.m, adam.v].concat()));
     }
 
     /// Simulator invariants for random fork-join graphs: the makespan is
