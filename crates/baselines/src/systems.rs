@@ -275,6 +275,7 @@ fn ds_spec(
             fwd_flops: layer.forward_flops,
             bwd_flops: 2.0 * layer.forward_flops + recompute,
             act_to_host_bytes: layer.inter_act_bytes,
+            act_ckpt_bytes: layer.inter_act_bytes,
             act_to_ssd_bytes: 0.0,
             refetch_in_backward: true,
             grad_bytes: 2.0 * p,
@@ -319,6 +320,7 @@ fn colossal_spec(hw: &HardwareProfile, profile: &ModelProfile, gpus: usize) -> I
             fwd_flops: layer.forward_flops,
             bwd_flops: 2.0 * layer.forward_flops + recompute,
             act_to_host_bytes: 0.0,
+            act_ckpt_bytes: 0.0,
             act_to_ssd_bytes: 0.0,
             refetch_in_backward: true,
             grad_bytes: 2.0 * p,
@@ -358,6 +360,7 @@ fn flashneuron_spec(hw: &HardwareProfile, profile: &ModelProfile) -> IterationSp
             fwd_flops: layer.forward_flops,
             bwd_flops: 2.0 * layer.forward_flops,
             act_to_host_bytes: 0.0,
+            act_ckpt_bytes: 0.0,
             act_to_ssd_bytes: acts,
             refetch_in_backward: true,
             grad_bytes: 0.0,
@@ -396,6 +399,7 @@ fn g10_spec(hw: &HardwareProfile, profile: &ModelProfile) -> IterationSpec {
             fwd_flops: layer.forward_flops,
             bwd_flops: 2.0 * layer.forward_flops,
             act_to_host_bytes: 0.0,
+            act_ckpt_bytes: 0.0,
             act_to_ssd_bytes: acts,
             refetch_in_backward: true,
             grad_bytes: 2.0 * p,

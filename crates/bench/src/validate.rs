@@ -25,11 +25,12 @@
 
 use ratel::engine::data::random_batch;
 use ratel::engine::telemetry::StepTelemetry;
-use ratel::engine::{ActDecision, EngineConfig, RatelEngine};
+use ratel::engine::{ActDecision, RatelEngine};
 use ratel::schedule::{IterationSpec, LinkRates, OptimizerKind};
+use ratel::Ratel;
 use ratel_hw::ServerConfig;
-use ratel_sim::{simulate, SimReport, SpanKind, Stage, TaskKind, Timeline};
-use ratel_storage::{Route, TrafficSnapshot};
+use ratel_sim::{simulate, MemTier, SimReport, SpanKind, Stage, TaskKind, Timeline};
+use ratel_storage::{Route, Tier, TrafficSnapshot};
 use ratel_tensor::GptConfig;
 
 /// What to validate: one engine configuration and a throttle level.
@@ -148,6 +149,9 @@ pub struct ValidateReport {
     pub planned_bytes: [u64; 4],
     /// Engine-measured per-step byte deltas (identical across steps).
     pub measured_bytes: [u64; 4],
+    /// Per memory tier: the plan's static residency peak and the most
+    /// the tier actually held over the run, `(tier, static, measured)`.
+    pub tier_peaks: [(MemTier, u64, u64); 2],
     /// Per-stage predicted-vs-measured wall times.
     pub stages: Vec<StageDelta>,
     /// Measured optimizer-overlap ratio (§IV-C), mean over steps: the
@@ -168,8 +172,9 @@ pub struct ValidateReport {
 
 impl ValidateReport {
     /// Human-readable reasons this run fails validation under
-    /// `tolerance`: any planned/measured byte mismatch (always a bug)
-    /// plus any stage whose relative error exceeds the tolerance.
+    /// `tolerance`: any planned/measured byte mismatch and any tier that
+    /// held more than the plan's static peak (always bugs) plus any
+    /// stage whose relative error exceeds the tolerance.
     pub fn failures(&self, tolerance: f64) -> Vec<String> {
         let mut out = Vec::new();
         for (i, route) in Route::ALL.iter().enumerate() {
@@ -179,6 +184,14 @@ impl ValidateReport {
                     route.name(),
                     self.planned_bytes[i],
                     self.measured_bytes[i]
+                ));
+            }
+        }
+        for (tier, bound, measured) in self.tier_peaks {
+            if measured > bound {
+                out.push(format!(
+                    "{} tier held {measured} bytes, over the plan's static peak of {bound}",
+                    tier.name()
                 ));
             }
         }
@@ -215,26 +228,16 @@ pub fn route_caps(server: &ServerConfig, factor: f64) -> [(Route, f64); 4] {
 /// models. Shared by the `validate` and `obs` smokes.
 ///
 /// # Errors
-/// Every violation [`EngineConfig::validate`] finds (an arena below the
-/// floor the decisions need), or the engine's own construction error.
+/// What [`Ratel::build`] refuses (an arena below the bytes the plan's
+/// static residency peak needs), or the engine's own construction error.
 pub fn validate_engine(model: GptConfig, shape: &EngineShape) -> Result<RatelEngine, String> {
-    let config = EngineConfig {
-        model,
-        act_decisions: shape
-            .decisions
-            .iter()
-            .copied()
-            .cycle()
-            .take(model.layers)
-            .collect(),
-        gpu_capacity: shape.gpu_capacity,
-        ..EngineConfig::tiny()
-    };
-    let violations = config.validate();
-    if !violations.is_empty() {
-        return Err(format!("engine config: {}", violations.join("; ")));
+    let decisions = shape.decisions.iter().copied().cycle().take(model.layers);
+    let mut builder = Ratel::init(model).activation_decisions(decisions.collect());
+    if let Some(bytes) = shape.gpu_capacity {
+        builder = builder.gpu_capacity(bytes);
     }
-    RatelEngine::new(config).map_err(|e| format!("engine: {e}"))
+    let trainer = builder.build().map_err(|e| format!("engine: {e}"))?;
+    Ok(trainer.into_engine())
 }
 
 /// Calibrated compute rates from a warm-up step's telemetry: per-layer
@@ -430,7 +433,17 @@ pub fn run(cfg: &ValidateConfig) -> Result<ValidateReport, String> {
     sim_timeline.name = "simulated".into();
     let measured_timeline = telemetry.timeline("measured");
 
+    let tier_peaks =
+        [(MemTier::Gpu, Tier::Gpu), (MemTier::Host, Tier::Host)].map(|(tier, held)| {
+            (
+                tier,
+                engine.static_peak(tier),
+                engine.store().peak_used(held),
+            )
+        });
+
     Ok(ValidateReport {
+        tier_peaks,
         planned_bytes: planned,
         measured_bytes: Route::ALL.map(|r| measured_traffic.bytes(r)),
         stages,
@@ -475,6 +488,14 @@ pub fn render(cfg: &ValidateConfig, report: &ValidateReport) -> String {
             report.planned_bytes[i],
             report.measured_bytes[i],
             ok
+        ));
+    }
+    out.push_str("\nper-tier residency (measured peak <= static peak required):\n");
+    for (tier, bound, measured) in report.tier_peaks {
+        let ok = if measured <= bound { "ok" } else { "OVER" };
+        out.push_str(&format!(
+            "  {:<10} static  {bound:>12} measured {measured:>12}  {ok}\n",
+            tier.name()
         ));
     }
     out.push_str("\nper-stage wall time (predicted vs measured):\n");

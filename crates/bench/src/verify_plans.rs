@@ -9,10 +9,11 @@
 use ratel::offload::GradOffloadMode;
 use ratel::planner::ActivationPlanner;
 use ratel::profile::HardwareProfile;
-use ratel::schedule::RatelSchedule;
+use ratel::schedule::{IterationSpec, RatelSchedule};
 use ratel_baselines::System;
 use ratel_model::{zoo, ModelConfig, ModelProfile};
-use ratel_verify::{Limits, VerifyReport};
+use ratel_sim::{MemTier, TaskId};
+use ratel_verify::{Finding, Limits, Rule, VerifyReport};
 
 /// Batch sizes tried per model; each plan is checked at the largest
 /// feasible one.
@@ -112,6 +113,33 @@ fn slack(budget: f64) -> f64 {
     budget * (1.0 + BUDGET_SLACK) + 1.0
 }
 
+/// Verifies `iterations` of `spec`, holding the activations it parks in
+/// host memory to `host_act` and everything it parks on the SSDs to
+/// `ssd` (each with the sweep's slack).
+fn verify_within(spec: &IterationSpec, iterations: usize, host_act: f64, ssd: f64) -> VerifyReport {
+    let limits = Limits {
+        ssd: Some(slack(ssd)),
+        ..Limits::none()
+    };
+    let mut report = spec.verify(iterations, &limits);
+    let (held, budget) = (report.peak(MemTier::Host).activations, slack(host_act));
+    if held > budget {
+        report.findings.push(Finding {
+            rule: Rule::CapacityExceeded,
+            task: TaskId(0),
+            label: "host activations".into(),
+            blob: None,
+            detail: format!(
+                "host activation footprint may reach {held:.3e} B, exceeding the \
+                 {budget:.3e} B budget"
+            ),
+            witness: Vec::new(),
+            suggestion: "swap fewer activations to host memory".into(),
+        });
+    }
+    report
+}
+
 /// Runs the sweep.
 pub fn run(cfg: &VerifyPlansConfig) -> Result<VerifyPlansReport, String> {
     let models = models(cfg);
@@ -137,7 +165,9 @@ pub fn run(cfg: &VerifyPlansConfig) -> Result<VerifyPlansReport, String> {
         // Ratel's planner output under every gradient-offloading mode,
         // verified against the §IV-D budgets the planner claims to
         // respect: host activations fit MEM_avail, SSD spill fits the
-        // plan's own spill allowance.
+        // plan's own spill allowance. (The unpaced 12 B/param of every
+        // handler's states are in the reported host peak, not held to an
+        // activation budget.)
         match System::Ratel.max_batch(&server, model, &BATCHES) {
             None => report.skipped += GradOffloadMode::ALL.len(),
             Some(batch) => {
@@ -153,17 +183,17 @@ pub fn run(cfg: &VerifyPlansConfig) -> Result<VerifyPlansReport, String> {
                         gpus: server.gpu_count,
                     }
                     .to_spec();
-                    let limits = Limits {
-                        gpu: None,
-                        host: Some(slack(hw.mem_avail)),
-                        ssd: Some(slack(plan.spill_bytes)),
-                    };
                     report.checks.push(PlanCheck {
                         system: mode.name().to_string(),
                         model: model.name.clone(),
                         batch,
                         iterations: cfg.iterations,
-                        report: spec.verify(cfg.iterations, &limits),
+                        report: verify_within(
+                            &spec,
+                            cfg.iterations,
+                            hw.mem_avail,
+                            plan.spill_bytes,
+                        ),
                     });
                 }
             }
@@ -186,17 +216,17 @@ pub fn run(cfg: &VerifyPlansConfig) -> Result<VerifyPlansReport, String> {
                     let spec = sys
                         .spec(server, model, batch)
                         .expect("max_batch returned a feasible batch");
-                    let limits = Limits {
-                        gpu: None,
-                        host: Some(slack(server.usable_main_memory() as f64)),
-                        ssd: Some(slack(server.ssds.capacity_bytes() as f64)),
-                    };
                     report.checks.push(PlanCheck {
                         system: sys.name().to_string(),
                         model: model.name.clone(),
                         batch,
                         iterations: 1,
-                        report: spec.verify(1, &limits),
+                        report: verify_within(
+                            &spec,
+                            1,
+                            server.usable_main_memory() as f64,
+                            server.ssds.capacity_bytes() as f64,
+                        ),
                     });
                 }
             }
@@ -223,13 +253,14 @@ pub fn render(cfg: &VerifyPlansConfig, report: &VerifyPlansReport) -> String {
     for c in &report.checks {
         if c.report.is_clean() {
             out.push_str(&format!(
-                "  ok    {:width$}  {:>6}  b{:<3}  {} tasks, {} versions, {} intervals\n",
+                "  ok    {:width$}  {:>6}  b{:<3}  {} tasks, {} versions, {} intervals; peak {}\n",
                 c.system,
                 c.model,
                 c.batch,
                 c.report.tasks_checked,
                 c.report.versions_seen,
                 c.report.intervals,
+                c.report.render_peaks(),
             ));
         } else {
             out.push_str(&format!(
@@ -259,4 +290,42 @@ pub fn render(cfg: &VerifyPlansConfig, report: &VerifyPlansReport) -> String {
         ));
     }
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn swapped_activations_alone_are_held_to_the_host_budget() {
+        let server = crate::paper_server();
+        let model = &models(&VerifyPlansConfig {
+            model: Some("13B".into()),
+            ..VerifyPlansConfig::default()
+        })[0];
+        let batch = System::Ratel.max_batch(&server, model, &BATCHES).unwrap();
+        let profile = ModelProfile::new(model, batch);
+        let hw = HardwareProfile::measure(&server, &profile, batch);
+        let plan = ActivationPlanner::new(&hw, &profile).plan();
+        let spec = RatelSchedule {
+            profile: &hw,
+            model: &profile,
+            plan: &plan,
+            mode: GradOffloadMode::OptimizedActive,
+            gpus: server.gpu_count,
+        }
+        .to_spec();
+        let clean = verify_within(&spec, 1, hw.mem_avail, plan.spill_bytes);
+        assert!(clean.is_clean(), "{}", clean.render());
+        // The handlers' 12 B/param pile up beside the activations in the
+        // reported peak, and are not held to the activation budget.
+        let host = clean.peak(MemTier::Host);
+        assert!(0.0 < host.activations && host.activations <= slack(hw.mem_avail));
+        assert!(host.total > 2.0 * host.activations, "{host:?}");
+        let short = verify_within(&spec, 1, host.total / 2.0, plan.spill_bytes);
+        assert!(short.is_clean(), "{}", short.render());
+        let short = verify_within(&spec, 1, host.activations / 2.0, plan.spill_bytes);
+        let rules: Vec<Rule> = short.findings.iter().map(|f| f.rule).collect();
+        assert_eq!(rules, [Rule::CapacityExceeded], "{}", short.render());
+    }
 }

@@ -151,7 +151,9 @@ pub enum BlobKind {
     Master,
     /// A layer's fp16 gradient as it moves GPU → host (→ SSD).
     Grad,
-    /// The CPU-reduced multi-GPU gradient.
+    /// The CPU-reduced gradient: summed across the GPUs of a multi-GPU
+    /// step, or across the micro-batches of an accumulated one (the host
+    /// f32 accumulator).
     GradReduced,
     /// A layer's saved activations along the offload/reload chain
     /// (GPU produce → host offload → SSD spill → reload).
@@ -160,7 +162,8 @@ pub enum BlobKind {
     Flow,
     /// Backward hidden-state gradient at a layer boundary (per GPU).
     FlowGrad,
-    /// Host staging buffer for a parameter fetch (SSD → host hop).
+    /// Host staging buffer of an SSD hop: a parameter fetch on its way
+    /// up, an SSD-bound activation chunk on its way down or back.
     Stage,
     /// The GPU-resident copy of a layer's fetched fp16 parameters.
     ParamGpu,
@@ -550,8 +553,11 @@ impl MemTier {
 }
 
 /// A residency allocation: `bytes` of `blob` occupy `tier` from the
-/// completion of the allocating task until the completion of the task
-/// that records the matching [`TaskMeta::frees`] entry (or forever).
+/// *start* of the allocating task — the bytes land while it runs — until
+/// the completion of the task that records the matching
+/// [`TaskMeta::frees`] entry (or to the end of the graph and beyond). As
+/// a [`TaskMeta::transits`] entry the bytes enter and leave the tier
+/// inside the one task: they are held only while it runs.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ResidencyAlloc {
     /// Which tier holds the bytes.
@@ -580,6 +586,9 @@ pub struct TaskMeta {
     pub writes: Vec<VersionedBlob>,
     /// Residency intervals opened by this task.
     pub allocs: Vec<ResidencyAlloc>,
+    /// Bytes that pass through a tier while this task runs (the GPU side
+    /// of an offload, a blob built and written out by one handler).
+    pub transits: Vec<ResidencyAlloc>,
     /// Residency intervals (identified by tier + blob) closed by this
     /// task's completion.
     pub frees: Vec<(MemTier, BlobKey)>,
@@ -595,6 +604,7 @@ impl TaskMeta {
             reads: Vec::new(),
             writes: Vec::new(),
             allocs: Vec::new(),
+            transits: Vec::new(),
             frees: Vec::new(),
         }
     }
@@ -615,6 +625,15 @@ impl TaskMeta {
     pub fn alloc(mut self, tier: MemTier, blob: BlobKey, bytes: f64) -> Self {
         if bytes > 0.0 {
             self.allocs.push(ResidencyAlloc { tier, blob, bytes });
+        }
+        self
+    }
+
+    /// Holds bytes in a tier for the task's own duration (skipped for
+    /// zero/negative sizes).
+    pub fn transit(mut self, tier: MemTier, blob: BlobKey, bytes: f64) -> Self {
+        if bytes > 0.0 {
+            self.transits.push(ResidencyAlloc { tier, blob, bytes });
         }
         self
     }
@@ -673,9 +692,12 @@ mod tests {
             })
             .alloc(MemTier::Host, blob, 0.0)
             .alloc(MemTier::Host, blob, 64.0)
+            .transit(MemTier::Gpu, blob, 0.0)
+            .transit(MemTier::Gpu, blob, 64.0)
             .free(MemTier::Host, blob);
         assert_eq!(meta.reads.len(), 1);
         assert_eq!(meta.allocs.len(), 1);
+        assert_eq!(meta.transits.len(), 1);
         assert_eq!(meta.frees.len(), 1);
     }
 

@@ -46,6 +46,7 @@
 
 use std::sync::Arc;
 
+use ratel_sim::MemTier;
 use ratel_storage::{FaultPlan, RetryPolicy, Route, TierConfig, TieredStore};
 use ratel_tensor::{AdamParams, GptConfig};
 
@@ -213,6 +214,8 @@ impl Ratel {
     /// Enables graceful degradation under host-pool pressure: blobs
     /// headed for a full host pool land on the SSD tier (each spill is
     /// counted in the store's fault stats) instead of failing the step.
+    /// [`Ratel::plan`] then accepts a host pool under the plan's
+    /// [`TrainingPlan::static_peak`] and only reports the need.
     pub fn spill_on_host_pressure(mut self) -> Self {
         self.spill_on_host_pressure = true;
         self
@@ -235,7 +238,7 @@ impl Ratel {
     /// violation found; [`RatelError::Storage`] if the profiling
     /// substrate fails.
     pub fn plan(self) -> Result<TrainingPlan, RatelError> {
-        // Validate everything up front on a provisional config. When the
+        // Validate the shape up front on a provisional config. When the
         // planner picks the decisions their count is correct by
         // construction, so a placeholder stands in for the shape checks.
         let provisional = EngineConfig {
@@ -271,35 +274,47 @@ impl Ratel {
                     scratch.set_throttle(route, Some(rate));
                 }
                 let measured = MeasuredProfile::measure(self.model, &scratch, self.probe_bytes)?;
-                // MEM_avail: what the host pool can devote to activations
-                // (half of it, leaving room for staging and gradients), or
+                // MEM_avail: the host pool less what a step holds there
+                // besides swapped activations — the static host peak of
+                // this very config with every block recomputing — or
                 // effectively unbounded when uncapped.
-                let budget = self
-                    .host_capacity
-                    .map(|c| c as f64 * 0.5)
-                    .unwrap_or(f64::INFINITY);
+                let budget = match self.host_capacity {
+                    Some(capacity) => {
+                        let held = StepPlan::lower(&provisional)?.static_peak(MemTier::Host);
+                        capacity.saturating_sub(held) as f64
+                    }
+                    None => f64::INFINITY,
+                };
                 let hw = measured.to_hardware_profile(budget);
                 (plan_decisions(self.model, &hw), Some(measured))
             }
         };
 
-        let config = EngineConfig {
+        let mut config = EngineConfig {
             act_decisions: decisions,
             ..provisional
         };
-        // The arena floor depends on what the decisions swap through it.
-        if measured.is_some() {
-            let violations = config.validate();
-            if !violations.is_empty() {
-                return Err(RatelError::InvalidConfig(violations));
-            }
+        // A pool that spills under pressure is not held to what a step
+        // may keep in it: the plan reports that need, and runs over less.
+        let hold_host = !self.spill_on_host_pressure;
+        let mut lowered = fit(&config, hold_host);
+        // The planner budgets the host bytes of the blobs it swaps, not
+        // the arena they come back through or the chunks an SSD-bound
+        // one stages on its way: where its choice does not fit, swap
+        // less, the last block first.
+        while lowered.is_err() && measured.is_some() {
+            let swaps = |d: &ActDecision| *d != ActDecision::Recompute;
+            let Some(last) = config.act_decisions.iter().rposition(swaps) else {
+                break;
+            };
+            config.act_decisions[last] = ActDecision::Recompute;
+            lowered = fit(&config, hold_host);
         }
-        let plan = Arc::new(StepPlan::lower(&config)?);
         Ok(TrainingPlan {
+            plan: lowered?,
             builder: self,
             config,
             measured,
-            plan,
         })
     }
 
@@ -313,6 +328,61 @@ impl Ratel {
     pub fn build(self) -> Result<RatelTrainer, RatelError> {
         self.plan()?.build()
     }
+}
+
+/// Lowers `config` and holds its arena — and with `hold_host` its host
+/// pool — to the plan's static peak there.
+///
+/// # Errors
+/// One [`RatelError::InvalidConfig`] naming every tier too small and the
+/// bytes it needs.
+fn fit(config: &EngineConfig, hold_host: bool) -> Result<Arc<StepPlan>, RatelError> {
+    let plan = Arc::new(StepPlan::lower(config)?);
+    // Pacing reads ahead as far as a tier has room, so a roomier tier is
+    // asked to hold more: the bytes a tier needs are the capacity whose
+    // own pacing fits it.
+    let mut roomy = config.clone();
+    let mut repaced = None;
+    while raise_short_capacities(&mut roomy, repaced.as_ref().unwrap_or(&*plan), hold_host) {
+        repaced = Some(StepPlan::lower(&roomy)?);
+    }
+    if repaced.is_none() {
+        return Ok(plan);
+    }
+    let workers = config.execution.executor().workers_per_pool;
+    let tiers = [
+        ("gpu", config.gpu_capacity, roomy.gpu_capacity),
+        ("host", config.host_capacity, roomy.host_capacity),
+    ];
+    let violations = tiers
+        .iter()
+        .filter(|(_, have, need)| have != need)
+        .filter_map(|(tier, have, need)| {
+            Some(format!(
+                "{tier} capacity {} B cannot hold what a step may keep there at once \
+                 ({workers} worker(s) per pool, any interleaving): needs {} B",
+                (*have)?,
+                (*need)?
+            ))
+        });
+    Err(RatelError::InvalidConfig(violations.collect()))
+}
+
+/// Raises each held capacity of `config` that is under `plan`'s static
+/// peak for its tier to that peak; whether any was.
+fn raise_short_capacities(config: &mut EngineConfig, plan: &StepPlan, hold_host: bool) -> bool {
+    let mut raised = false;
+    for (tier, capacity, held) in [
+        (MemTier::Gpu, &mut config.gpu_capacity, true),
+        (MemTier::Host, &mut config.host_capacity, hold_host),
+    ] {
+        let need = plan.static_peak(tier);
+        if held && capacity.is_some_and(|c| c < need) {
+            *capacity = Some(need);
+            raised = true;
+        }
+    }
+    raised
 }
 
 /// A validated movement plan, between [`Ratel::plan`] and
@@ -374,14 +444,31 @@ impl TrainingPlan {
     ///
     /// # Errors
     /// [`RatelError::InvalidConfig`] carrying the rendered report when
-    /// any pass fails.
+    /// any pass fails — which is where a host pool accepted only
+    /// because it may spill ([`Ratel::spill_on_host_pressure`]) has its
+    /// need reported.
     pub fn verify(&self) -> Result<(), RatelError> {
-        let report = self.plan.verify();
+        let report = &self.plan.step.report;
         if report.is_clean() {
             Ok(())
         } else {
             Err(RatelError::InvalidConfig(vec![report.render()]))
         }
+    }
+
+    /// The paced task DAG a plain step dispatches, for the mutation
+    /// tests that seed defects into it.
+    #[doc(hidden)]
+    pub fn graph(&self) -> &ratel_sim::TaskGraph {
+        &self.plan.step.graph
+    }
+
+    /// The most bytes a step of this plan — plain or accumulated — can
+    /// hold in `tier` at once under any interleaving of its tasks: the
+    /// residency pass's static peak over the DAGs the trainer
+    /// dispatches. [`Ratel::plan`] refuses a capacity below it.
+    pub fn static_peak(&self, tier: MemTier) -> u64 {
+        self.plan.static_peak(tier)
     }
 
     /// A short human-readable description of the plan.
@@ -390,12 +477,15 @@ impl TrainingPlan {
         let [g2h, h2g, h2s, s2h] = self.planned_route_bytes();
         format!(
             "{} layers ({} blocks), hidden {}, {:?}: {} tasks/step; \
-             planned bytes g2h {g2h}, h2g {h2g}, h2s {h2s}, s2h {s2h}",
+             planned bytes g2h {g2h}, h2g {h2g}, h2s {h2s}, s2h {s2h}; \
+             static peak gpu {} B, host {} B",
             m.layers + 2,
             m.layers,
             m.hidden,
             self.config.execution,
             self.plan.step.graph.len(),
+            self.static_peak(MemTier::Gpu),
+            self.static_peak(MemTier::Host),
         )
     }
 
@@ -565,6 +655,12 @@ impl RatelTrainer {
     /// Direct access to the underlying engine.
     pub fn engine(&mut self) -> &mut RatelEngine {
         &mut self.engine
+    }
+
+    /// The underlying engine alone, for callers that drive steps
+    /// themselves.
+    pub fn into_engine(self) -> RatelEngine {
+        self.engine
     }
 }
 

@@ -1,12 +1,10 @@
 //! Engine configuration: how a step executes, what each block does
-//! with its activations, and the capacity floors a configuration must
-//! clear for a step to fit the tiers.
+//! with its activations, and the capacities of the tiers it runs in.
 
 use ratel_tensor::{AdamParams, GptConfig};
 
 use super::lr::LrSchedule;
 use super::scaler::ScalePolicy;
-use crate::schedule::{LayerBlobs, ACT_SPILL_CHUNKS};
 
 /// How a training step executes: the engine lowers its movement plan
 /// into a task DAG (statically verified in debug builds) and dispatches
@@ -20,7 +18,7 @@ pub enum ExecutionOptions {
 }
 
 impl ExecutionOptions {
-    pub(super) fn executor(self) -> ExecutorOptions {
+    pub(crate) fn executor(self) -> ExecutorOptions {
         let ExecutionOptions::Executor(opts) = self;
         opts
     }
@@ -104,54 +102,16 @@ pub struct EngineConfig {
 }
 
 impl EngineConfig {
-    /// Checks the whole configuration and returns *every* violation
-    /// found (empty = valid). [`crate::Ratel::build`] calls this and
-    /// reports the full list in one [`crate::RatelError::InvalidConfig`],
-    /// so a bad config is fixed in one pass instead of one error per run.
+    /// Checks the configuration's shape and returns *every* violation
+    /// found (empty = valid): a degenerate model, a per-block or
+    /// per-layer list that does not match it, no workers. No engine is
+    /// built over one of these ([`super::RatelEngine::new`] refuses it),
+    /// and [`crate::Ratel::build`] reports the full list in one
+    /// [`crate::RatelError::InvalidConfig`], so a bad config is fixed in
+    /// one pass instead of one error per run. Whether the tiers can hold
+    /// a step is not a shape question: the plan's residency bound
+    /// answers it ([`crate::api::TrainingPlan::static_peak`]).
     pub fn validate(&self) -> Vec<String> {
-        let mut v = self.shape_violations();
-        // Capacity floors only make sense once the shape itself is sane.
-        if !v.is_empty() {
-            return v;
-        }
-        if let Some(cap) = self.gpu_capacity {
-            let (in_flight, staged) = self.arena_demand();
-            // Staging fills half the arena, or one kernel's inputs
-            // when those are larger; the offloads pass through beside
-            // it.
-            let need = in_flight + in_flight.max(staged);
-            if cap < need {
-                v.push(format!(
-                    "gpu capacity {cap} B cannot hold the offloads in flight \
-                     ({in_flight} B, one blob or chunk per G2M worker) beside the \
-                     staging window (half the arena, at least the {staged} B one \
-                     kernel consumes): needs {need} B"
-                ));
-            }
-        }
-        if let Some(cap) = self.host_capacity {
-            let need = self
-                .layer_blobs()
-                .map(|l| l.optimizer_working_set)
-                .max()
-                .unwrap_or(0);
-            if cap < need {
-                v.push(format!(
-                    "host capacity {cap} B cannot hold the largest layer's \
-                     optimizer working set ({need} B)"
-                ));
-            }
-        }
-        v
-    }
-
-    /// The violations that make the configuration meaningless whatever
-    /// the tiers hold: a degenerate model shape, a per-block or per-layer
-    /// list that does not match it, no workers. No engine is built over
-    /// one of these ([`super::RatelEngine::new`] refuses it); one below
-    /// [`EngineConfig::validate`]'s capacity floors still builds, and a
-    /// step then fails with a typed out-of-memory error.
-    pub(super) fn shape_violations(&self) -> Vec<String> {
         let m = &self.model;
         let mut v = Vec::new();
         if m.layers == 0 {
@@ -197,40 +157,6 @@ impl EngineConfig {
             v.push("executor needs at least one worker per resource pool".to_string());
         }
         v
-    }
-
-    /// The blob sizes of every schedulable layer, in layer-id order.
-    fn layer_blobs(&self) -> impl Iterator<Item = LayerBlobs> + '_ {
-        (0..self.model.layers + 2).map(|id| LayerBlobs::of(&self.model, id))
-    }
-
-    /// What a step puts into the GPU arena, every blob in transit counted
-    /// (`offload_f16` and the staged copies all live in `Tier::Gpu`):
-    /// `(in_flight, staged)`, where `in_flight` is the largest blob or
-    /// chunk a G2M worker offloads — a checkpoint, a saved-activation
-    /// blob or one chunk of an SSD-bound one, a G16 — times the G2M
-    /// workers, and `staged` is the most one kernel consumes from the
-    /// arena: its P16 and, for a block's backward, the checkpoint and
-    /// swapped activations.
-    fn arena_demand(&self) -> (u64, u64) {
-        let mut blob = 0; // a G16 is as large as its layer's P16
-        let mut staged = 0;
-        for (id, layer) in self.layer_blobs().enumerate() {
-            let decision = id.checked_sub(1).and_then(|b| self.act_decisions.get(b));
-            let (offloaded, swapped) = match decision {
-                None => (0, 0),
-                Some(ActDecision::Recompute) => (layer.ckpt, 0),
-                Some(ActDecision::SwapToHost) => (layer.ckpt.max(layer.acts), layer.acts),
-                Some(ActDecision::SwapToSsd) => {
-                    let chunk = 2 * (layer.acts / 2).div_ceil(ACT_SPILL_CHUNKS as u64);
-                    (layer.ckpt.max(chunk), layer.acts)
-                }
-            };
-            blob = blob.max(layer.p16).max(offloaded);
-            staged = staged.max(layer.p16 + layer.ckpt + swapped);
-        }
-        let workers = self.execution.executor().workers_per_pool as u64;
-        (workers * blob, staged)
     }
 
     /// A reasonable default: tiny model, everything swapped to host.
@@ -283,52 +209,6 @@ mod tests {
             ),
             "expected GPU OOM, got {err}"
         );
-    }
-
-    #[test]
-    fn the_arena_floor_counts_what_the_decisions_move_through_it() {
-        let mut config = EngineConfig::tiny();
-        config.act_decisions = vec![
-            ActDecision::SwapToSsd,
-            ActDecision::SwapToHost,
-            ActDecision::Recompute,
-        ];
-        let model = config.model;
-        let (in_flight, staged) = config.arena_demand();
-        let floor = in_flight + in_flight.max(staged);
-        let p16 = 2 * model.max_layer_params() as u64;
-        assert!(p16 < floor, "swapped activations transit the arena too");
-
-        // One byte short: reported up front, with the other violations.
-        config.gpu_capacity = Some(floor - 1);
-        config.host_capacity = Some(64);
-        let violations = config.validate().join("\n");
-        assert!(violations.contains("gpu capacity"), "{violations}");
-        assert!(violations.contains("host capacity"), "{violations}");
-        // An arena that only stages the largest P16 used to pass and then
-        // ran out of memory mid-step.
-        config.host_capacity = None;
-        config.gpu_capacity = Some(p16);
-        assert!(!config.validate().is_empty());
-        let (tokens, targets) = random_batch(&model, 4);
-        let err = RatelEngine::new(config.clone())
-            .unwrap()
-            .train_step(&tokens, &targets)
-            .unwrap_err();
-        assert!(matches!(
-            err,
-            RatelError::Storage(StorageError::OutOfMemory {
-                tier: Tier::Gpu,
-                ..
-            })
-        ));
-
-        // At the floor the config is valid and a step fits.
-        config.gpu_capacity = Some(floor);
-        assert_eq!(config.validate(), Vec::<String>::new());
-        let mut engine = RatelEngine::new(config).unwrap();
-        engine.train_step(&tokens, &targets).unwrap();
-        assert!(engine.store().peak_used(Tier::Gpu) <= floor);
     }
 
     #[test]

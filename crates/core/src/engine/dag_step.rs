@@ -19,7 +19,7 @@ use std::time::Instant;
 
 use ratel_check::sync::Mutex;
 
-use ratel_sim::{TaskGraph, TaskId, TaskIdentity, TaskKind, TaskRef};
+use ratel_sim::{MemTier, TaskGraph, TaskId, TaskIdentity, TaskKind, TaskRef};
 use ratel_storage::{StorageError, Tier, TieredStore};
 use ratel_tensor::dtype::{
     add_f16_le_to_f32_le, decode_f16, encode_f16, encode_f32, f32_le_to_f16_le, round_to_f16,
@@ -34,7 +34,7 @@ use super::executor::TaskAction;
 use super::scaler::prepare_gradient;
 use super::EngineConfig;
 use crate::error::RatelError;
-use crate::schedule::{IterationSpec, LayerBlobs, LayerTask, OptimizerKind, ParamSource};
+use crate::schedule::{IterationSpec, LayerTask};
 
 /// A lowered, verified, paced step graph plus what each task does
 /// (indexed by `TaskId.0`) and the spec it was lowered from. Built once
@@ -51,6 +51,9 @@ pub(crate) struct StepDag {
     /// id (0 = embedding, 1..=L = blocks, L+1 = head) and, for a chunked
     /// activation transfer, the chunk it moves.
     pub(super) actions: Vec<TaskIdentity>,
+    /// What the static passes say of `graph` against the tiers it was
+    /// paced for: its per-tier residency peaks and any finding.
+    pub(crate) report: ratel_verify::VerifyReport,
 }
 
 /// How many consumers ahead of the running kernel staging may run toward
@@ -91,11 +94,9 @@ fn staging_gates(staged: &[f64], budget: Option<f64>) -> Vec<Option<usize>> {
 impl StepDag {
     /// Lowers a movement plan into an executable DAG: builds the spec's
     /// (self-verified) graph, reads every task's typed identity, and
-    /// adds pacing edges. `tiers` holds the configured tier capacities:
-    /// half of each is the budget staging toward it may fill — the other
-    /// half is left to the running kernel's working set and the offloads
-    /// in flight. Debug builds re-verify the paced graph before it can
-    /// reach the executor, against `tiers` when `hold_to_tiers` is set.
+    /// adds pacing edges, against the configured capacities and executor
+    /// width in `tiers`. The paced graph is verified against the same
+    /// `tiers` and the report kept.
     ///
     /// # Errors
     /// [`RatelError::InvalidConfig`] if any task has no engine action —
@@ -104,7 +105,6 @@ impl StepDag {
     pub(super) fn lower(
         spec: &IterationSpec,
         tiers: &ratel_verify::Limits,
-        hold_to_tiers: bool,
     ) -> Result<StepDag, RatelError> {
         let (mut graph, _resources, _flops) = spec.build();
         let tasks: Vec<TaskId> = graph.task_ids().collect();
@@ -130,40 +130,55 @@ impl StepDag {
             return Err(RatelError::InvalidConfig(bad));
         }
 
-        // GPU compute order: fwd L0..L{n-1} then bwd L{n-1}..L0.
+        // GPU compute order: fwd L0..L{n-1} then bwd L{n-1}..L0. A
+        // staging task serves the kernel at the position `serves` names.
         let n = spec.layers.len();
-        let fwd_pos = |li: usize| li;
         let bwd_pos = |li: usize| n + (n - 1 - li);
-        let mut gpu_seq: Vec<Option<TaskId>> = vec![None; 2 * n];
-        for (&t, id) in tasks.iter().zip(&actions) {
-            match id.kind {
-                TaskKind::Fwd => gpu_seq[fwd_pos(id.layer)] = Some(t),
-                TaskKind::Bwd => gpu_seq[bwd_pos(id.layer)] = Some(t),
-                _ => {}
+        let serves = |id: &TaskIdentity| match id.kind {
+            TaskKind::FwdRead | TaskKind::FwdFetch => Some(id.layer),
+            TaskKind::BwdRead | TaskKind::BwdFetch | TaskKind::ActLoad | TaskKind::ActUp => {
+                Some(bwd_pos(id.layer))
             }
-        }
-        // Bytes staged per kernel: into the arena (fetched P16, swapped
-        // activations coming back), and into host memory on the way there
-        // (the SSD hop of the P16 and of SSD-spilled activations).
+            _ => None,
+        };
+        // Bytes a task's own annotations bring into `tier`: what pacing
+        // counts is what the verifier charges.
+        let staged = |t: TaskId, tier: MemTier| -> f64 {
+            let allocs = graph.meta(t).map_or(&[][..], |m| &m.allocs[..]);
+            (allocs.iter().filter(|a| a.tier == tier))
+                .map(|a| a.bytes)
+                .sum()
+        };
+        // Per kernel: bytes staged into the arena (fetched P16, swapped
+        // activations coming back) and into host memory on the way there
+        // (the SSD hop of the P16 and of SSD-spilled activations). Per
+        // optimizer handler, in gradient-arrival order: the states its
+        // read stages into host memory.
+        let mut gpu_seq: Vec<TaskId> = Vec::with_capacity(2 * n);
         let mut to_gpu = vec![0.0f64; 2 * n];
         let mut to_host = vec![0.0f64; 2 * n];
-        for (li, layer) in spec.layers.iter().enumerate() {
-            let from_ssd = layer.param_source == ParamSource::Ssd;
-            if layer.param_source != ParamSource::Gpu {
-                to_gpu[fwd_pos(li)] += layer.p16_bytes;
-                if layer.refetch_in_backward {
-                    to_gpu[bwd_pos(li)] += layer.p16_bytes;
+        let mut opt_reads = Vec::new();
+        let mut opt_bytes = Vec::new();
+        let mut opt_cpu_of = vec![None; n];
+        for (&t, id) in tasks.iter().zip(&actions) {
+            match id.kind {
+                // The plan emits its kernels in the GPU's compute order.
+                TaskKind::Fwd | TaskKind::Bwd => gpu_seq.push(t),
+                TaskKind::OptRead => {
+                    opt_reads.push((t, id.layer));
+                    opt_bytes.push(staged(t, MemTier::Host));
                 }
+                TaskKind::OptCpu => opt_cpu_of[id.layer] = Some(t),
+                _ => {}
             }
-            if from_ssd {
-                to_host[fwd_pos(li)] += layer.p16_bytes;
-                if layer.refetch_in_backward {
-                    to_host[bwd_pos(li)] += layer.p16_bytes;
-                }
+            if let Some(pos) = serves(id) {
+                to_gpu[pos] += staged(t, MemTier::Gpu);
+                to_host[pos] += staged(t, MemTier::Host);
             }
-            to_gpu[bwd_pos(li)] += layer.act_to_host_bytes + layer.act_to_ssd_bytes;
-            to_host[bwd_pos(li)] += layer.act_to_ssd_bytes;
         }
+        // Half of each tier is the budget staging toward it may fill —
+        // the other half is left to the running kernel's working set and
+        // the offloads in flight.
         let budget = |capacity: Option<f64>| capacity.map(|c| c / 2.0);
         let gpu_gates = staging_gates(&to_gpu, budget(tiers.gpu));
         let host_gates = match (tiers.host, tiers.gpu) {
@@ -178,45 +193,22 @@ impl StepDag {
             _ => staging_gates(&to_host, budget(tiers.host)),
         };
         for (&t, id) in tasks.iter().zip(&actions) {
+            let Some(pos) = serves(id) else { continue };
             let gate = match id.kind {
-                TaskKind::FwdRead => host_gates[fwd_pos(id.layer)],
-                TaskKind::BwdRead | TaskKind::ActLoad => host_gates[bwd_pos(id.layer)],
-                TaskKind::ActUp => gpu_gates[bwd_pos(id.layer)],
+                TaskKind::FwdRead | TaskKind::BwdRead | TaskKind::ActLoad => host_gates[pos],
+                TaskKind::ActUp => gpu_gates[pos],
                 // At the unbudgeted depth a fetch just follows its read,
                 // which is gated; under an arena budget it is admitted by
                 // bytes like every other transfer into the arena.
-                TaskKind::FwdFetch if tiers.gpu.is_some() => gpu_gates[fwd_pos(id.layer)],
-                TaskKind::BwdFetch if tiers.gpu.is_some() => gpu_gates[bwd_pos(id.layer)],
+                _ if tiers.gpu.is_some() => gpu_gates[pos],
                 _ => None,
             };
             if let Some(pos) = gate {
-                let dep = gpu_seq[pos].ok_or_else(|| {
-                    RatelError::InvalidConfig(vec![format!(
-                        "pacing edge for task {} gates on sequence slot {pos}, which has no \
-                         compute task — every layer must have fwd and bwd compute tasks",
-                        t.0
-                    )])
-                })?;
-                graph.add_dep(t, dep);
+                graph.add_dep(t, gpu_seq[pos]);
             }
         }
-        // Optimizer handlers in gradient-arrival order, paced by the same
-        // rule over the states each stages into host memory: handler h's
-        // state read waits for the CPU compute of the handler its gate
-        // names.
-        let mut opt_reads = Vec::new();
-        let mut opt_bytes = Vec::new();
-        let mut opt_cpu_of = vec![None; n];
-        for (&t, id) in tasks.iter().zip(&actions) {
-            match (id.kind, spec.layers[id.layer].optimizer) {
-                (TaskKind::OptRead, OptimizerKind::CpuOutOfCore { read_bytes, .. }) => {
-                    opt_reads.push((t, id.layer));
-                    opt_bytes.push(read_bytes);
-                }
-                (TaskKind::OptCpu, _) => opt_cpu_of[id.layer] = Some(t),
-                _ => {}
-            }
-        }
+        // Handler h's state read waits for the CPU compute of the handler
+        // its gate names.
         let opt_gates = staging_gates(&opt_bytes, budget(tiers.host));
         for (&(read, _), gate) in opt_reads.iter().zip(opt_gates) {
             if let Some(cpu) = gate.and_then(|h| opt_cpu_of[opt_reads[h].1]) {
@@ -225,23 +217,22 @@ impl StepDag {
         }
 
         // The builder self-verified the plan; re-verify after pacing so
-        // no added edge can smuggle in a defect, and so what pacing
-        // admits into the tiers stays within what they hold.
-        if cfg!(debug_assertions) {
-            let unlimited = ratel_verify::Limits::none();
-            let limits = if hold_to_tiers { tiers } else { &unlimited };
-            let report = ratel_verify::verify(&graph, limits);
-            assert!(
-                report.is_clean(),
-                "paced step DAG fails static verification:\n{}",
-                report.render()
-            );
-        }
+        // no added edge can smuggle in a defect. Whether the paced DAG
+        // fits `tiers` is the report's to say, not a reason to refuse
+        // the lowering: a step over it then fails with a typed
+        // out-of-memory error.
+        let report = ratel_verify::verify(&graph, tiers);
+        debug_assert!(
+            (report.findings.iter()).all(|f| f.rule == ratel_verify::Rule::CapacityExceeded),
+            "paced step DAG fails static verification:\n{}",
+            report.render()
+        );
 
         Ok(StepDag {
             spec: spec.clone(),
             graph,
             actions,
+            report,
         })
     }
 }
@@ -277,10 +268,10 @@ pub(super) enum GradSink {
 
 /// The chunks a block's *saved activations* move in, as the plan's tasks
 /// name them: the layer's [`LayerTask::act_chunks`] when it swaps more
-/// than its `ckpt_bytes` checkpoint, none when the checkpoint is all it
-/// moves — the block then recomputes.
-fn saved_act_chunks(task: &LayerTask, ckpt_bytes: u64) -> Vec<Option<usize>> {
-    if task.act_to_host_bytes + task.act_to_ssd_bytes > ckpt_bytes as f64 {
+/// than its checkpoint, none when the checkpoint is all it moves — the
+/// block then recomputes.
+fn saved_act_chunks(task: &LayerTask) -> Vec<Option<usize>> {
+    if task.act_to_host_bytes + task.act_to_ssd_bytes > task.act_ckpt_bytes {
         task.act_chunks()
     } else {
         Vec::new()
@@ -374,10 +365,7 @@ impl<'a> StepCtx<'a> {
             (0..n).map(|_| Mutex::new(None)).collect()
         }
         let act_chunks: Vec<_> = (1..=blocks)
-            .map(|id| {
-                let ckpt_bytes = LayerBlobs::of(&config.model, id).ckpt;
-                saved_act_chunks(&dag.spec.layers[id], ckpt_bytes)
-            })
+            .map(|id| saved_act_chunks(&dag.spec.layers[id]))
             .collect();
         StepCtx {
             store,
@@ -855,12 +843,8 @@ mod tests {
     }
 
     /// The `(task, gate)` edges lowering added to the plan's own.
-    fn pacing_edges(
-        spec: &IterationSpec,
-        tiers: &Limits,
-        hold_to_tiers: bool,
-    ) -> BTreeSet<(String, String)> {
-        let dag = StepDag::lower(spec, tiers, hold_to_tiers).unwrap();
+    fn pacing_edges(spec: &IterationSpec, tiers: &Limits) -> BTreeSet<(String, String)> {
+        let dag = StepDag::lower(spec, tiers).unwrap();
         let (plan, _, _) = spec.build();
         dag.graph
             .task_ids()
@@ -919,7 +903,7 @@ mod tests {
             GradOffloadMode::SeparateStage,
         ] {
             let spec = tiny_spec(mode);
-            let dag = StepDag::lower(&spec, &Limits::none(), true).unwrap();
+            let dag = StepDag::lower(&spec, &Limits::none()).unwrap();
             assert_eq!(dag.actions.len(), dag.graph.len());
             // Every layer's compute is present.
             let count = |kind| dag.actions.iter().filter(|a| a.kind == kind).count();
@@ -1004,7 +988,7 @@ mod tests {
             ("opt-read L1", "opt-cpu L3"),
             ("opt-read L0", "opt-cpu L2"),
         ]);
-        assert_eq!(pacing_edges(&miniature(), &Limits::none(), true), expected);
+        assert_eq!(pacing_edges(&miniature(), &Limits::none()), expected);
     }
 
     #[test]
@@ -1044,7 +1028,7 @@ mod tests {
             ("opt-read L1", "opt-cpu L3"),
             ("opt-read L0", "opt-cpu L2"),
         ]);
-        assert_eq!(pacing_edges(&miniature(), &tiers, true), expected);
+        assert_eq!(pacing_edges(&miniature(), &tiers), expected);
     }
 
     #[test]
@@ -1054,7 +1038,7 @@ mod tests {
             gpu: Some(240.0),
             ..Limits::none()
         };
-        let dag = StepDag::lower(&spec, &tiers, true).unwrap();
+        let dag = StepDag::lower(&spec, &tiers).unwrap();
         let graph = &dag.graph;
         let task = |name: &str| {
             graph
@@ -1108,13 +1092,13 @@ mod tests {
         // 40 B of host memory: half of it takes one handler's 12 B of
         // optimizer state (depth one), or a chunked blob's SSD hop plus
         // its P16 (42 B is over, so those are depth one too). (It could
-        // not hold the 104 B of activations this plan parks there, so the
-        // verifier is not asked.)
+        // not hold the 104 B of activations this plan parks there: that
+        // is the report's capacity finding, not a reason not to lower.)
         let tiers = Limits {
             host: Some(40.0),
             ..Limits::none()
         };
-        let paced = pacing_edges(&miniature(), &tiers, false);
+        let paced = pacing_edges(&miniature(), &tiers);
         for edge in [
             ("opt-read L6", "opt-cpu L7"),
             ("opt-read L0", "opt-cpu L1"),
@@ -1142,13 +1126,13 @@ mod tests {
         // have no engine action.
         let mut spec = tiny_spec(GradOffloadMode::OptimizedActive);
         spec.gpus = 2;
-        let err = StepDag::lower(&spec, &Limits::none(), true).unwrap_err();
+        let err = StepDag::lower(&spec, &Limits::none()).unwrap_err();
         assert!(matches!(err, RatelError::InvalidConfig(_)), "{err}");
 
         // Hook tasks (per-layer overhead) are simulation-only too.
         let mut spec = tiny_spec(GradOffloadMode::OptimizedActive);
         spec.per_layer_overhead_seconds = 0.5;
-        let err = StepDag::lower(&spec, &Limits::none(), true).unwrap_err();
+        let err = StepDag::lower(&spec, &Limits::none()).unwrap_err();
         assert!(matches!(err, RatelError::InvalidConfig(_)), "{err}");
     }
 }

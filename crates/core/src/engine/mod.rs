@@ -93,12 +93,12 @@ impl RatelEngine {
     /// # Errors
     /// [`RatelError::InvalidConfig`] carrying the configuration's shape
     /// violations — a decision list that does not match the model's
-    /// depth, an out-of-range frozen layer, a degenerate model. The
-    /// capacity floors are [`crate::Ratel::build`]'s to refuse: a config
-    /// below them builds, and a step fails with a typed out-of-memory
-    /// error.
+    /// depth, an out-of-range frozen layer, a degenerate model. Tiers
+    /// smaller than the plan's [`RatelEngine::static_peak`] are
+    /// [`crate::Ratel::build`]'s to refuse: such a config builds, and a
+    /// step fails with a typed out-of-memory error.
     pub fn new(config: EngineConfig) -> Result<Self, RatelError> {
-        let violations = config.shape_violations();
+        let violations = config.validate();
         if !violations.is_empty() {
             return Err(RatelError::InvalidConfig(violations));
         }
@@ -148,6 +148,14 @@ impl RatelEngine {
     /// statically.
     pub fn movement_spec(&self) -> &crate::schedule::IterationSpec {
         &self.plan.step.spec
+    }
+
+    /// The most bytes a step of this engine's plan — plain or
+    /// accumulated — can hold in `tier` at once under any interleaving
+    /// of its tasks: the static residency bound of the DAGs it
+    /// dispatches, which [`TieredStore::peak_used`] never exceeds.
+    pub fn static_peak(&self, tier: ratel_sim::MemTier) -> u64 {
+        self.plan.static_peak(tier)
     }
 
     /// Number of schedulable layers (embedding + blocks + head).

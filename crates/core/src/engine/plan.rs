@@ -10,6 +10,8 @@
 
 use std::sync::OnceLock;
 
+use ratel_sim::MemTier;
+
 use super::dag_step::StepDag;
 use super::{ActDecision, EngineConfig};
 use crate::error::RatelError;
@@ -61,6 +63,7 @@ pub fn movement_spec_for(config: &EngineConfig) -> IterationSpec {
             };
             LayerTask {
                 act_to_host_bytes: to_host as f64,
+                act_ckpt_bytes: blobs.ckpt as f64,
                 act_to_ssd_bytes: to_ssd as f64,
                 refetch_in_backward: id != head,
                 ..LayerTask::ratel(label, params, trainable)
@@ -88,12 +91,12 @@ pub(crate) struct StepPlan {
     pub(crate) step: StepDag,
     /// The DAG a non-final micro-batch runs; see [`StepPlan::accumulation`].
     accumulation: OnceLock<StepDag>,
-    /// The configured tier capacities pacing budgets bytes against.
+    /// That DAG's static peak per memory tier ([`MemTier::ALL`] order):
+    /// all of it a plan that may never accumulate keeps.
+    accumulation_peaks: [ratel_verify::TierPeak; 3],
+    /// The configured tier capacities and executor width the DAGs are
+    /// paced and verified against.
     tiers: ratel_verify::Limits,
-    /// Whether the DAGs are held to `tiers`: only when the config clears
-    /// [`EngineConfig::validate`]'s floors (below them a step is expected
-    /// to fail with a typed out-of-memory error, not the lowering).
-    hold_to_tiers: bool,
 }
 
 impl StepPlan {
@@ -106,15 +109,21 @@ impl StepPlan {
         let tiers = ratel_verify::Limits {
             gpu: config.gpu_capacity.map(|c| c as f64),
             host: config.host_capacity.map(|c| c as f64),
-            ssd: None,
+            width: Some(config.execution.executor().workers_per_pool),
+            ..ratel_verify::Limits::none()
         };
-        let hold_to_tiers = config.validate().is_empty();
-        let step = StepDag::lower(&movement_spec_for(config), &tiers, hold_to_tiers)?;
+        let spec = movement_spec_for(config);
+        // What fits must cover an accumulated step too, so its DAG is
+        // lowered here for its peaks alone, and dropped before the step
+        // DAG exists beside it.
+        let accumulation_peaks = StepDag::lower(&spec.accumulation_spec(), &tiers)?
+            .report
+            .peaks;
         Ok(StepPlan {
-            step,
+            step: StepDag::lower(&spec, &tiers)?,
             accumulation: OnceLock::new(),
+            accumulation_peaks,
             tiers,
-            hold_to_tiers,
         })
     }
 
@@ -125,20 +134,19 @@ impl StepPlan {
         if let Some(dag) = self.accumulation.get() {
             return Ok(dag);
         }
-        let spec = self.step.spec.accumulation_spec();
-        let dag = StepDag::lower(&spec, &self.tiers, self.hold_to_tiers)?;
+        let dag = StepDag::lower(&self.step.spec.accumulation_spec(), &self.tiers)?;
         Ok(self.accumulation.get_or_init(|| dag))
     }
 
-    /// Statically verifies the step DAG as dispatched — pacing edges
-    /// included — against the capacities it is held to.
-    pub(crate) fn verify(&self) -> ratel_verify::VerifyReport {
-        let unlimited = ratel_verify::Limits::none();
-        let limits = if self.hold_to_tiers {
-            &self.tiers
-        } else {
-            &unlimited
-        };
-        ratel_verify::verify(&self.step.graph, limits)
+    /// The most bytes a step of this plan — plain or accumulated over
+    /// any number of micro-batches — can hold in `tier` at once, under
+    /// any interleaving the executor may produce: the residency pass's
+    /// static peak over the DAGs as dispatched. An accumulated step's
+    /// runs all start with what the accumulation DAG leaves behind (the
+    /// f32 accumulators) already there.
+    pub(crate) fn static_peak(&self, tier: MemTier) -> u64 {
+        let step = self.step.report.peak(tier);
+        let accumulation = self.accumulation_peaks[tier as usize];
+        (accumulation.outliving + step.total.max(accumulation.total)).ceil() as u64
     }
 }

@@ -165,6 +165,10 @@ pub struct LayerTask {
     pub bwd_flops: f64,
     /// Activation bytes offloaded GPU->host that stay in host memory.
     pub act_to_host_bytes: f64,
+    /// Of those, the layer's input checkpoint (the inter-layer
+    /// activation): a blob of its own, offloaded ahead of the rest with
+    /// the first (or only) chunk.
+    pub act_ckpt_bytes: f64,
     /// Activation bytes offloaded GPU->host->SSD (read back in backward).
     pub act_to_ssd_bytes: f64,
     /// Whether backward re-fetches this layer's fp16 parameters (Eq. 5's
@@ -203,6 +207,7 @@ impl LayerTask {
             fwd_flops: 0.0,
             bwd_flops: 0.0,
             act_to_host_bytes: 0.0,
+            act_ckpt_bytes: 0.0,
             act_to_ssd_bytes: 0.0,
             refetch_in_backward: true,
             grad_bytes: trained.g16,
@@ -248,6 +253,15 @@ impl LayerTask {
         self.act_to_ssd_bytes / ACT_SPILL_CHUNKS as f64
     }
 
+    /// The largest blob chunk `chunk` passes through the arena on its way
+    /// down: the checkpoint, the rest of the host-resident share and the
+    /// SSD-bound share are offloaded one after the other.
+    fn act_chunk_arena_transit(&self, chunk: Option<usize>) -> f64 {
+        let to_host = self.act_chunk_host_bytes(chunk);
+        let ckpt = self.act_ckpt_bytes.min(to_host);
+        ckpt.max(to_host - ckpt).max(self.act_chunk_ssd_bytes())
+    }
+
     /// Bytes of chunk `chunk` on the PCIe hops.
     fn act_chunk_pcie_bytes(&self, chunk: Option<usize>) -> f64 {
         self.act_chunk_host_bytes(chunk) + self.act_chunk_ssd_bytes()
@@ -255,15 +269,12 @@ impl LayerTask {
 }
 
 /// Bytes of the blobs one layer of the executable model moves through
-/// the tiers — the sizes the engine's plan, its capacity floors, the
-/// profiler and the decode path all reason about.
+/// the tiers — the sizes the engine's plan, the profiler and the decode
+/// path all reason about.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct LayerBlobs {
     /// The P16 compute copy (a G16 is as large).
     pub(crate) p16: u64,
-    /// P32 + OS32 + G16: what the layer's optimizer handler holds in
-    /// host memory.
-    pub(crate) optimizer_working_set: u64,
     /// A block's input checkpoint, the inter-block A16 (0 off-block).
     pub(crate) ckpt: u64,
     /// A block's saved intra-layer activations (0 off-block).
@@ -286,7 +297,6 @@ impl LayerBlobs {
         };
         LayerBlobs {
             p16: states.p16 as u64,
-            optimizer_working_set: (states.optimizer_read() + states.g16) as u64,
             ckpt,
             acts,
         }
@@ -506,54 +516,12 @@ impl IterationSpec {
                 // host->GPU copy.
                 let updated: Vec<TaskId> = prev_updates[li].into_iter().collect();
                 let p16_key = BlobKey::shared(BlobKind::Param16, li);
-                let stage_key = BlobKey::shared(BlobKind::Stage, li);
-                let host_ready: Option<TaskId> = match layer.param_source {
-                    ParamSource::Ssd if layer.p16_bytes > 0.0 => Some(
-                        em.task(
-                            TaskIdentity::shared(TaskKind::FwdRead, li),
-                            ssd,
-                            layer.p16_bytes / r.ssd_read,
-                            Stage::Forward,
-                            &updated,
-                            TaskMeta::new(OpClass::SsdRead, iter)
-                                .read(an.cur(p16_key))
-                                .write(an.bump(stage_key)),
-                        ),
-                    ),
-                    _ => None,
-                };
+                let host_ready =
+                    self.stage_read(&mut em, &mut an, ssd, Stage::Forward, li, iter, &updated);
                 for gi in 0..self.gpus {
                     let param_gpu_key = BlobKey::on_gpu(BlobKind::ParamGpu, li, gi);
-                    let fetch: Option<TaskId> = match layer.param_source {
-                        ParamSource::Gpu => None,
-                        ParamSource::Ssd | ParamSource::Host if layer.p16_bytes > 0.0 => {
-                            let deps: Vec<TaskId> = host_ready
-                                .into_iter()
-                                .chain(updated.iter().copied())
-                                .collect();
-                            // SSD-sourced fetches copy from the staging
-                            // buffer the shared read filled; host-sourced
-                            // fetches read the persistent host copy.
-                            let src = match layer.param_source {
-                                ParamSource::Ssd => an.cur(stage_key),
-                                _ => an.cur(p16_key),
-                            };
-                            Some(
-                                em.task(
-                                    TaskIdentity::on_gpu(TaskKind::FwdFetch, li, gi),
-                                    m2g[gi],
-                                    layer.p16_bytes / r.bw_m2g,
-                                    Stage::Forward,
-                                    &deps,
-                                    TaskMeta::new(OpClass::TransferM2G, iter)
-                                        .read(src)
-                                        .write(an.bump(param_gpu_key))
-                                        .alloc(MemTier::Gpu, param_gpu_key, layer.p16_bytes),
-                                ),
-                            )
-                        }
-                        _ => None,
-                    };
+                    let staged = (Stage::Forward, host_ready, &updated[..]);
+                    let fetch = self.stage_fetch(&mut em, &mut an, m2g[gi], staged, li, gi, iter);
                     let mut deps: Vec<TaskId> = fetch.into_iter().collect();
                     if fetch.is_none() {
                         // GPU-resident parameters: compute still waits for the
@@ -615,6 +583,14 @@ impl IterationSpec {
                     let produced = an.cur(act_key);
                     for chunk in layer.act_chunks() {
                         let key = act_key.chunk(chunk);
+                        // The chunk passes through the arena on its way
+                        // down; its SSD-bound share waits in host memory
+                        // for its spill.
+                        let in_transit = BlobKey {
+                            kind: BlobKind::Stage,
+                            ..key
+                        };
+                        let to_ssd = layer.act_chunk_ssd_bytes();
                         let off = em.task(
                             TaskIdentity::on_gpu(TaskKind::ActOff, li, gi).chunk(chunk),
                             g2m[gi],
@@ -624,7 +600,9 @@ impl IterationSpec {
                             TaskMeta::new(OpClass::TransferG2M, iter)
                                 .read(produced)
                                 .write(an.bump(key))
-                                .alloc(MemTier::Host, key, layer.act_chunk_host_bytes(chunk)),
+                                .transit(MemTier::Gpu, key, layer.act_chunk_arena_transit(chunk))
+                                .alloc(MemTier::Host, key, layer.act_chunk_host_bytes(chunk))
+                                .alloc(MemTier::Host, in_transit, to_ssd),
                         );
                         act_offloaded[gi][li].push(off);
                         if layer.act_to_ssd_bytes > 0.0 {
@@ -637,7 +615,8 @@ impl IterationSpec {
                                 TaskMeta::new(OpClass::SsdWrite, iter)
                                     .read(an.cur(key))
                                     .write(an.bump(key))
-                                    .alloc(MemTier::Ssd, key, layer.act_chunk_ssd_bytes()),
+                                    .alloc(MemTier::Ssd, key, to_ssd)
+                                    .free(MemTier::Host, in_transit),
                             );
                             act_spilled[gi][li].push(spill);
                         }
@@ -666,51 +645,18 @@ impl IterationSpec {
                 // back, so it also waits on that write (no staleness).
                 let updated: Vec<TaskId> = prev_updates[li].into_iter().collect();
                 let p16_key = BlobKey::shared(BlobKind::Param16, li);
-                let stage_key = BlobKey::shared(BlobKind::Stage, li);
-                let host_ready: Option<TaskId> = match layer.param_source {
-                    ParamSource::Ssd if layer.p16_bytes > 0.0 && layer.refetch_in_backward => Some(
-                        em.task(
-                            TaskIdentity::shared(TaskKind::BwdRead, li),
-                            ssd,
-                            layer.p16_bytes / r.ssd_read,
-                            Stage::Backward,
-                            &updated,
-                            TaskMeta::new(OpClass::SsdRead, iter)
-                                .read(an.cur(p16_key))
-                                .write(an.bump(stage_key)),
-                        ),
-                    ),
-                    _ => None,
-                };
+                let refetch = layer.refetch_in_backward;
+                let host_ready = refetch
+                    .then(|| {
+                        self.stage_read(&mut em, &mut an, ssd, Stage::Backward, li, iter, &updated)
+                    })
+                    .flatten();
                 for gi in 0..self.gpus {
                     let param_gpu_key = BlobKey::on_gpu(BlobKind::ParamGpu, li, gi);
-                    let fetch_p: Option<TaskId> = match layer.param_source {
-                        ParamSource::Gpu => None,
-                        _ if layer.p16_bytes > 0.0 && layer.refetch_in_backward => {
-                            let deps: Vec<TaskId> = host_ready
-                                .into_iter()
-                                .chain(updated.iter().copied())
-                                .collect();
-                            let src = match layer.param_source {
-                                ParamSource::Ssd => an.cur(stage_key),
-                                _ => an.cur(p16_key),
-                            };
-                            Some(
-                                em.task(
-                                    TaskIdentity::on_gpu(TaskKind::BwdFetch, li, gi),
-                                    m2g[gi],
-                                    layer.p16_bytes / r.bw_m2g,
-                                    Stage::Backward,
-                                    &deps,
-                                    TaskMeta::new(OpClass::TransferM2G, iter)
-                                        .read(src)
-                                        .write(an.bump(param_gpu_key))
-                                        .alloc(MemTier::Gpu, param_gpu_key, layer.p16_bytes),
-                                ),
-                            )
-                        }
-                        _ => None,
-                    };
+                    let staged = (Stage::Backward, host_ready, &updated[..]);
+                    let fetch_p = refetch
+                        .then(|| self.stage_fetch(&mut em, &mut an, m2g[gi], staged, li, gi, iter))
+                        .flatten();
                     // Fetch swapped activations back (SSD spill first).
                     // Each chunk comes back along its own chain (SSD read,
                     // then the M2G hop into the arena, where it stays
@@ -720,6 +666,10 @@ impl IterationSpec {
                     let act_chunks = layer.act_chunks();
                     for (c, &chunk) in act_chunks.iter().enumerate() {
                         let key = act_key.chunk(chunk);
+                        let in_transit = BlobKey {
+                            kind: BlobKind::Stage,
+                            ..key
+                        };
                         // The spill must have been written before it can be
                         // read back.
                         let ssd_read = act_spilled[gi][li].get(c).map(|&spill| {
@@ -732,6 +682,7 @@ impl IterationSpec {
                                 TaskMeta::new(OpClass::SsdRead, iter)
                                     .read(an.cur(key))
                                     .write(an.bump(key))
+                                    .alloc(MemTier::Host, in_transit, layer.act_chunk_ssd_bytes())
                                     .free(MemTier::Ssd, key),
                             )
                         });
@@ -743,6 +694,9 @@ impl IterationSpec {
                             .alloc(MemTier::Gpu, key, layer.act_chunk_pcie_bytes(chunk));
                         if layer.act_chunk_host_bytes(chunk) > 0.0 {
                             meta = meta.free(MemTier::Host, key);
+                        }
+                        if ssd_read.is_some() {
+                            meta = meta.free(MemTier::Host, in_transit);
                         }
                         act_ups.push(em.task(
                             TaskIdentity::on_gpu(TaskKind::ActUp, li, gi).chunk(chunk),
@@ -813,15 +767,28 @@ impl IterationSpec {
                     // Gradient offload GPU->host.
                     if layer.grad_bytes > 0.0 {
                         let grad_key = BlobKey::on_gpu(BlobKind::Grad, li, gi);
+                        let meta = TaskMeta::new(OpClass::TransferG2M, iter)
+                            .read(an.cur(grad_key))
+                            .write(an.bump(grad_key))
+                            .transit(MemTier::Gpu, grad_key, layer.grad_bytes);
+                        let accumulates =
+                            layer.optimizer == OptimizerKind::None && !layer.grad_spill_to_ssd;
                         let go = em.task(
                             TaskIdentity::on_gpu(TaskKind::GradOff, li, gi),
                             g2m[gi],
                             layer.grad_bytes / r.bw_g2m,
                             Stage::Backward,
                             &[b],
-                            TaskMeta::new(OpClass::TransferG2M, iter)
-                                .read(an.cur(grad_key))
-                                .write(an.bump(grad_key)),
+                            if accumulates {
+                                // No handler consumes the G16: it is summed
+                                // into the host f32 accumulator (twice its
+                                // size), which outlives the graph.
+                                let sum = BlobKey::on_gpu(BlobKind::GradReduced, li, gi);
+                                meta.transit(MemTier::Host, grad_key, layer.grad_bytes)
+                                    .alloc(MemTier::Host, sum, 2.0 * layer.grad_bytes)
+                            } else {
+                                meta.alloc(MemTier::Host, grad_key, layer.grad_bytes)
+                            },
                         );
                         let landed = if layer.grad_spill_to_ssd {
                             em.task(
@@ -833,7 +800,8 @@ impl IterationSpec {
                                 TaskMeta::new(OpClass::SsdWrite, iter)
                                     .read(an.cur(grad_key))
                                     .write(an.bump(grad_key))
-                                    .alloc(MemTier::Ssd, grad_key, layer.grad_bytes),
+                                    .alloc(MemTier::Ssd, grad_key, layer.grad_bytes)
+                                    .free(MemTier::Host, grad_key),
                             )
                         } else {
                             go
@@ -854,6 +822,7 @@ impl IterationSpec {
                         meta = meta.read(an.cur(BlobKey::on_gpu(BlobKind::Grad, li, gi)));
                     }
                     meta = meta.write(an.bump(BlobKey::shared(BlobKind::GradReduced, li)));
+                    meta = self.host_grad_consumed(meta, li, true);
                     vec![em.task(
                         TaskIdentity::shared(TaskKind::Reduce, li),
                         cpu,
@@ -969,6 +938,109 @@ impl IterationSpec {
         ratel_verify::verify(&g, limits)
     }
 
+    /// One pass's SSD read of layer `li`'s P16 into the host staging
+    /// buffer every GPU then copies from — SSD-resident parameters only,
+    /// so the SSD traffic does not scale with the GPU count.
+    #[allow(clippy::too_many_arguments)]
+    fn stage_read(
+        &self,
+        em: &mut Emitter,
+        an: &mut Annot,
+        ssd: ResourceId,
+        pass: Stage,
+        li: usize,
+        iter: usize,
+        updated: &[TaskId],
+    ) -> Option<TaskId> {
+        let layer = &self.layers[li];
+        let stage_key = BlobKey::shared(BlobKind::Stage, li);
+        let kind = match pass {
+            Stage::Forward => TaskKind::FwdRead,
+            _ => TaskKind::BwdRead,
+        };
+        (layer.param_source == ParamSource::Ssd && layer.p16_bytes > 0.0).then(|| {
+            em.task(
+                TaskIdentity::shared(kind, li),
+                ssd,
+                layer.p16_bytes / self.rates.ssd_read,
+                pass,
+                updated,
+                TaskMeta::new(OpClass::SsdRead, iter)
+                    .read(an.cur(BlobKey::shared(BlobKind::Param16, li)))
+                    .write(an.bump(stage_key))
+                    .alloc(MemTier::Host, stage_key, layer.p16_bytes),
+            )
+        })
+    }
+
+    /// One GPU's copy of layer `li`'s P16 into its arena for the pass
+    /// `staged` names, after that pass's staging read (if any) and the
+    /// previous iteration's update. SSD-sourced fetches copy from the
+    /// staging buffer the shared read filled — released with the last
+    /// GPU's copy; host-sourced fetches read the persistent host copy.
+    #[allow(clippy::too_many_arguments)]
+    fn stage_fetch(
+        &self,
+        em: &mut Emitter,
+        an: &mut Annot,
+        m2g: ResourceId,
+        (pass, host_ready, updated): (Stage, Option<TaskId>, &[TaskId]),
+        li: usize,
+        gi: usize,
+        iter: usize,
+    ) -> Option<TaskId> {
+        let layer = &self.layers[li];
+        if layer.param_source == ParamSource::Gpu || layer.p16_bytes <= 0.0 {
+            return None;
+        }
+        let stage_key = BlobKey::shared(BlobKind::Stage, li);
+        let param_gpu_key = BlobKey::on_gpu(BlobKind::ParamGpu, li, gi);
+        let src = match layer.param_source {
+            ParamSource::Ssd => an.cur(stage_key),
+            _ => an.cur(BlobKey::shared(BlobKind::Param16, li)),
+        };
+        let mut meta = TaskMeta::new(OpClass::TransferM2G, iter)
+            .read(src)
+            .write(an.bump(param_gpu_key))
+            .alloc(MemTier::Gpu, param_gpu_key, layer.p16_bytes);
+        if host_ready.is_some() && gi + 1 == self.gpus {
+            meta = meta.free(MemTier::Host, stage_key);
+        }
+        let kind = match pass {
+            Stage::Forward => TaskKind::FwdFetch,
+            _ => TaskKind::BwdFetch,
+        };
+        let deps: Vec<TaskId> = host_ready
+            .into_iter()
+            .chain(updated.iter().copied())
+            .collect();
+        Some(em.task(
+            TaskIdentity::on_gpu(kind, li, gi),
+            m2g,
+            layer.p16_bytes / self.rates.bw_m2g,
+            pass,
+            &deps,
+            meta,
+        ))
+    }
+
+    /// Releases the G16s `grad-off` left in host memory, on the task
+    /// that consumes them: the reduction on a multi-GPU server, the
+    /// handler's CPU update otherwise (a spilled gradient left with its
+    /// spill).
+    fn host_grad_consumed(&self, mut meta: TaskMeta, li: usize, reduce: bool) -> TaskMeta {
+        let layer = &self.layers[li];
+        let held = layer.grad_bytes > 0.0
+            && !layer.grad_spill_to_ssd
+            && layer.optimizer != OptimizerKind::None;
+        if held && reduce == (self.gpus > 1) {
+            for gi in 0..self.gpus {
+                meta = meta.free(MemTier::Host, BlobKey::on_gpu(BlobKind::Grad, li, gi));
+            }
+        }
+        meta
+    }
+
     /// Attaches the handler's gradient inputs to its first emitted task:
     /// the reduced (or lone) gradient read, plus release of any SSD grad
     /// spill space, which is dead once the handler has consumed it.
@@ -1037,20 +1109,22 @@ impl IterationSpec {
                     self.handler_grad_meta(
                         TaskMeta::new(OpClass::SsdRead, iter)
                             .read(an.cur(master_key))
-                            .write(an.bump(sopt_key)),
+                            .write(an.bump(sopt_key))
+                            .alloc(MemTier::Host, sopt_key, read_bytes),
                         li,
                         an,
                     ),
                 );
+                let meta = TaskMeta::new(OpClass::CpuCompute, iter)
+                    .read(an.cur(sopt_key))
+                    .write(an.bump(sopt_key));
                 let compute = em.task(
                     TaskIdentity::shared(TaskKind::OptCpu, li),
                     cpu,
                     cpu_params / r.cpu_params_per_sec,
                     stage,
                     &[read],
-                    TaskMeta::new(OpClass::CpuCompute, iter)
-                        .read(an.cur(sopt_key))
-                        .write(an.bump(sopt_key)),
+                    self.host_grad_consumed(meta, li, false),
                 );
                 // Main->SSD: optimized mode issues it after the *previous*
                 // handler's SSD->Main (Fig. 3b), which lets the FIFO SSD
@@ -1065,10 +1139,14 @@ impl IterationSpec {
                     write_bytes / (eff * r.ssd_write),
                     stage,
                     &write_deps,
+                    // The states leave host memory with the fresh P16,
+                    // which this task builds there and writes out.
                     TaskMeta::new(OpClass::SsdWrite, iter)
                         .read(an.cur(sopt_key))
                         .write(an.bump(master_key))
-                        .write(an.bump(p16_key)),
+                        .write(an.bump(p16_key))
+                        .free(MemTier::Host, sopt_key)
+                        .transit(MemTier::Host, p16_key, write_bytes - read_bytes),
                 );
                 (Some(read), Some(write))
             }
@@ -1083,13 +1161,17 @@ impl IterationSpec {
                     cpu_params / r.cpu_params_per_sec,
                     stage,
                     &deps,
-                    self.handler_grad_meta(
-                        TaskMeta::new(OpClass::CpuCompute, iter)
-                            .read(an.cur(master_key))
-                            .write(an.bump(master_key))
-                            .write(an.bump(p16_key)),
+                    self.host_grad_consumed(
+                        self.handler_grad_meta(
+                            TaskMeta::new(OpClass::CpuCompute, iter)
+                                .read(an.cur(master_key))
+                                .write(an.bump(master_key))
+                                .write(an.bump(p16_key)),
+                            li,
+                            an,
+                        ),
                         li,
-                        an,
+                        false,
                     ),
                 );
                 (Some(compute), Some(compute))
@@ -1262,6 +1344,7 @@ impl<'a> RatelSchedule<'a> {
                 fwd_flops: layer.forward_flops,
                 bwd_flops: 2.0 * layer.forward_flops + recompute,
                 act_to_host_bytes: host,
+                act_ckpt_bytes: layer.inter_act_bytes,
                 act_to_ssd_bytes: ssd,
                 ..LayerTask::ratel(layer.label.as_str(), layer.params, layer.params)
             });

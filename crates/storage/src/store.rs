@@ -886,6 +886,9 @@ impl TieredStore {
             return Ok(());
         }
         let loc = inner.ssd_loc(key)?;
+        // Reserved before the lock is released for the read, so two
+        // arrivals can't both pass the capacity check above.
+        inner.add_used(to, len as i64);
         let (mut inner, res) = self.with_pending(inner, &[key], || {
             let bytes = self.read_ssd_blob(key, loc)?;
             // Drop the stale on-disk copy, best-effort (the blob is safe
@@ -894,8 +897,14 @@ impl TieredStore {
             let _ = self.unlink_blob(key, loc);
             Ok::<_, StorageError>(bytes)
         });
-        inner.mem.insert(key.to_string(), (to, res?));
-        inner.add_used(to, len as i64);
+        let bytes = match res {
+            Ok(bytes) => bytes,
+            Err(e) => {
+                inner.add_used(to, -(len as i64));
+                return Err(e);
+            }
+        };
+        inner.mem.insert(key.to_string(), (to, bytes));
         let dead_seg = inner.forget_ssd(key, loc);
         drop(inner);
         self.unlink_segment(dead_seg);
@@ -1554,6 +1563,27 @@ mod fault_tests {
         assert_eq!(store.tier_of("k").unwrap(), Tier::Host);
         assert_eq!(store.read("k").unwrap(), vec![3u8; 16]);
         assert_eq!(store.used(Tier::Ssd), 0);
+    }
+
+    #[test]
+    fn faulted_read_up_gives_back_the_room_it_reserved() {
+        // An SSD→memory hop counts its bytes in the target before it
+        // reads them (so two arrivals can't both pass the capacity
+        // check); a read that fails must not keep them.
+        let store = TieredStore::new(TierConfig::unbounded_temp()).unwrap();
+        store.set_retry_policy(RetryPolicy::none());
+        store.put("k", Tier::Ssd, vec![3u8; 16]).unwrap();
+        let plan = Arc::new(FaultPlan::new());
+        plan.fault_at_op(0, FaultOp::Read, FaultKind::Permanent);
+        store.set_fault_plan(Some(plan));
+        let err = store.move_to("k", Tier::Host).unwrap_err();
+        assert!(matches!(err, StorageError::Faulted { .. }));
+        assert_eq!(store.tier_of("k").unwrap(), Tier::Ssd);
+        assert_eq!((store.used(Tier::Host), store.used(Tier::Ssd)), (0, 16));
+        store.set_fault_plan(None);
+        store.move_to("k", Tier::Host).unwrap();
+        assert_eq!((store.used(Tier::Host), store.used(Tier::Ssd)), (16, 0));
+        assert_eq!(store.peak_used(Tier::Host), 16);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Structured diagnostics and the machine-readable report.
 
-use ratel_sim::{TaskGraph, TaskId};
+use ratel_sim::{MemTier, TaskGraph, TaskId};
 
 /// The invariant a finding violates. Each rule maps to one of the paper's
 /// correctness claims (see DESIGN.md, "Static schedule verification").
@@ -91,6 +91,19 @@ impl std::fmt::Display for Finding {
     }
 }
 
+/// The most bytes one memory tier may hold at once, under any executor
+/// interleaving of the verified graph (see [`crate::residency`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct TierPeak {
+    /// Every annotated blob.
+    pub total: f64,
+    /// Activation blobs alone — what the planner's `MEM_avail` budgets.
+    pub activations: f64,
+    /// Bytes no task frees: resident when the graph completes, so a
+    /// graph that runs after it starts with them.
+    pub outliving: f64,
+}
+
 /// The result of running the static passes over one graph.
 #[derive(Debug, Clone, Default)]
 pub struct VerifyReport {
@@ -102,6 +115,8 @@ pub struct VerifyReport {
     pub versions_seen: usize,
     /// Number of residency intervals analyzed.
     pub intervals: usize,
+    /// Static peak per memory tier, in [`MemTier::ALL`] order.
+    pub peaks: [TierPeak; 3],
 }
 
 impl VerifyReport {
@@ -110,13 +125,28 @@ impl VerifyReport {
         self.findings.is_empty()
     }
 
+    /// The static peak of one tier.
+    pub fn peak(&self, tier: MemTier) -> TierPeak {
+        self.peaks[tier as usize]
+    }
+
+    /// `gpu 9.182e6 B, host 1.410e7 B, ssd 0.000e0 B`: the per-tier
+    /// peaks on one line.
+    pub fn render_peaks(&self) -> String {
+        let peak = |tier: MemTier| format!("{} {:.3e} B", tier.name(), self.peak(tier).total);
+        MemTier::ALL.map(peak).join(", ")
+    }
+
     /// Human-readable multi-line rendering.
     pub fn render(&self) -> String {
         let mut out = String::new();
         if self.is_clean() {
             out.push_str(&format!(
-                "clean: {} annotated tasks, {} blob versions, {} residency intervals\n",
-                self.tasks_checked, self.versions_seen, self.intervals
+                "clean: {} annotated tasks, {} blob versions, {} residency intervals; peak {}\n",
+                self.tasks_checked,
+                self.versions_seen,
+                self.intervals,
+                self.render_peaks()
             ));
         } else {
             out.push_str(&format!("{} violation(s):\n", self.findings.len()));
@@ -131,11 +161,13 @@ impl VerifyReport {
     pub fn to_json(&self) -> String {
         let mut out = String::from("{");
         out.push_str(&format!(
-            "\"clean\":{},\"tasks_checked\":{},\"versions_seen\":{},\"intervals\":{},\"findings\":[",
+            "\"clean\":{},\"tasks_checked\":{},\"versions_seen\":{},\"intervals\":{},\
+             \"peak_bytes\":{:?},\"findings\":[",
             self.is_clean(),
             self.tasks_checked,
             self.versions_seen,
-            self.intervals
+            self.intervals,
+            self.peaks.map(|p| p.total)
         ));
         for (i, f) in self.findings.iter().enumerate() {
             if i > 0 {

@@ -35,7 +35,7 @@ pub mod legality;
 pub mod reach;
 pub mod residency;
 
-pub use finding::{Finding, Rule, VerifyReport};
+pub use finding::{Finding, Rule, TierPeak, VerifyReport};
 pub use reach::{witness_path, Reachability};
 pub use residency::Limits;
 
@@ -56,8 +56,9 @@ pub fn verify(graph: &TaskGraph, limits: &Limits) -> VerifyReport {
     let (df, versions) = dataflow::check(graph, &reach);
     report.versions_seen = versions;
     report.findings.extend(df);
-    let (res, intervals) = residency::check(graph, &reach, limits);
+    let (res, intervals, peaks) = residency::check(graph, &reach, limits);
     report.intervals = intervals;
+    report.peaks = peaks;
     report.findings.extend(res);
     report.findings.extend(legality::check(graph));
     report
@@ -277,6 +278,176 @@ mod tests {
             },
         );
         assert!(report.is_clean(), "{}", report.render());
+    }
+
+    /// A GPU chain of `kernels` tasks plus one resource per entry of
+    /// `pools`; returns the graph, the kernels and the pool resources.
+    fn chain_with_pools(
+        kernels: usize,
+        pools: usize,
+    ) -> (
+        TaskGraph,
+        Vec<ratel_sim::TaskId>,
+        Vec<ratel_sim::ResourceId>,
+    ) {
+        let mut g = TaskGraph::new();
+        let gpu = g.add_resource("gpu");
+        let mut chain: Vec<ratel_sim::TaskId> = Vec::new();
+        for _ in 0..kernels {
+            let deps: Vec<_> = chain.last().copied().into_iter().collect();
+            chain.push(g.add_task(gpu, 1.0, Stage::Forward, &deps));
+        }
+        let pools = (0..pools)
+            .map(|p| g.add_resource(format!("pool{p}")))
+            .collect();
+        (g, chain, pools)
+    }
+
+    fn peak_at_width(g: &TaskGraph, tier: MemTier, width: Option<usize>) -> f64 {
+        let limits = Limits {
+            width,
+            ..Limits::none()
+        };
+        let report = verify(g, &limits);
+        assert!(report.is_clean(), "{}", report.render());
+        report.peak(tier).total
+    }
+
+    #[test]
+    fn a_blob_put_and_moved_by_one_task_is_held_while_it_runs() {
+        // An offload: the task puts 8 B into the arena and moves them to
+        // host memory, where they stay until the consumer frees them;
+        // the chain's second kernel leaves 3 B there for good.
+        let (mut g, chain, pools) = chain_with_pools(2, 2);
+        let k = BlobKey::shared(BlobKind::Act, 0);
+        let sum = BlobKey::shared(BlobKind::GradReduced, 0);
+        g.set_meta(
+            chain[1],
+            TaskMeta::new(OpClass::GpuCompute, 0).alloc(MemTier::Host, sum, 3.0),
+        );
+        let off = g.add_task(pools[0], 1.0, Stage::Forward, &[chain[0]]);
+        g.set_meta(
+            off,
+            TaskMeta::new(OpClass::TransferG2M, 0)
+                .transit(MemTier::Gpu, k, 8.0)
+                .alloc(MemTier::Host, k, 8.0),
+        );
+        let back = g.add_task(pools[1], 1.0, Stage::Backward, &[off, chain[1]]);
+        g.set_meta(
+            back,
+            TaskMeta::new(OpClass::TransferM2G, 0).free(MemTier::Host, k),
+        );
+        assert_eq!(peak_at_width(&g, MemTier::Gpu, Some(1)), 8.0);
+        assert_eq!(peak_at_width(&g, MemTier::Host, Some(1)), 11.0);
+        let report = verify(&g, &Limits::none());
+        assert_eq!(report.intervals, 3);
+        assert_eq!(report.peak(MemTier::Host).activations, 8.0);
+        assert_eq!(report.peak(MemTier::Host).outliving, 3.0);
+        assert_eq!(report.peak(MemTier::Gpu).outliving, 0.0);
+    }
+
+    #[test]
+    fn a_pool_runs_only_so_many_transits_at_once() {
+        // Four unordered offloads of 1, 2, 3 and 4 B on one pool.
+        let (mut g, chain, pools) = chain_with_pools(2, 1);
+        for b in 1..=4 {
+            let t = g.add_task(pools[0], 1.0, Stage::Forward, &[chain[0]]);
+            let k = BlobKey::shared(BlobKind::Grad, b);
+            g.set_meta(
+                t,
+                TaskMeta::new(OpClass::TransferG2M, 0).transit(MemTier::Gpu, k, b as f64),
+            );
+        }
+        assert_eq!(peak_at_width(&g, MemTier::Gpu, Some(1)), 4.0);
+        assert_eq!(peak_at_width(&g, MemTier::Gpu, Some(2)), 7.0);
+        assert_eq!(peak_at_width(&g, MemTier::Gpu, Some(8)), 10.0);
+        // Any executor: nothing says they do not all run together.
+        assert_eq!(peak_at_width(&g, MemTier::Gpu, None), 10.0);
+    }
+
+    #[test]
+    fn a_transit_meets_only_what_its_phases_hold() {
+        // `fetch` stages 100 B the chain's second kernel frees; a 4 B
+        // offload gated behind the first kernel may run beside them,
+        // gated behind the second it cannot.
+        for (gate, peak) in [(0, 104.0), (1, 100.0)] {
+            let mut g = TaskGraph::new();
+            let gpu = g.add_resource("gpu");
+            let m2g = g.add_resource("m2g");
+            let g2m = g.add_resource("g2m");
+            let held = BlobKey::shared(BlobKind::ParamGpu, 0);
+            let fetch = g.add_task(m2g, 1.0, Stage::Forward, &[]);
+            g.set_meta(
+                fetch,
+                TaskMeta::new(OpClass::TransferM2G, 0).alloc(MemTier::Gpu, held, 100.0),
+            );
+            let first = g.add_task(gpu, 1.0, Stage::Forward, &[]);
+            let second = g.add_task(gpu, 1.0, Stage::Forward, &[first, fetch]);
+            g.set_meta(
+                second,
+                TaskMeta::new(OpClass::GpuCompute, 0).free(MemTier::Gpu, held),
+            );
+            let off = g.add_task(g2m, 1.0, Stage::Forward, &[[first, second][gate]]);
+            let k = BlobKey::shared(BlobKind::Grad, 0);
+            g.set_meta(
+                off,
+                TaskMeta::new(OpClass::TransferG2M, 0).transit(MemTier::Gpu, k, 4.0),
+            );
+            assert_eq!(
+                peak_at_width(&g, MemTier::Gpu, Some(1)),
+                peak,
+                "gate {gate}"
+            );
+        }
+    }
+
+    #[test]
+    fn transits_on_different_pools_are_both_counted() {
+        let (mut g, chain, pools) = chain_with_pools(2, 2);
+        for (p, bytes) in [(0, 5.0), (1, 7.0)] {
+            let t = g.add_task(pools[p], 1.0, Stage::Forward, &[chain[0]]);
+            let k = BlobKey::shared(BlobKind::Grad, p);
+            g.set_meta(
+                t,
+                TaskMeta::new(OpClass::TransferG2M, 0).transit(MemTier::Host, k, bytes),
+            );
+        }
+        assert_eq!(peak_at_width(&g, MemTier::Host, Some(1)), 12.0);
+        // Ordered after each other they would not coexist; on different
+        // pools and unordered, one worker each is enough.
+        assert_eq!(peak_at_width(&g, MemTier::Host, None), 12.0);
+    }
+
+    #[test]
+    fn an_allocation_lands_when_its_task_starts() {
+        // `b` frees what `a` allocated and allocates as much again: both
+        // are in the tier while `b` runs.
+        let mut g = TaskGraph::new();
+        let r = g.add_resource("r");
+        let (k0, k1) = (
+            BlobKey::shared(BlobKind::Act, 0),
+            BlobKey::shared(BlobKind::Act, 1),
+        );
+        let a = g.add_task(r, 1.0, Stage::Forward, &[]);
+        g.set_meta(
+            a,
+            TaskMeta::new(OpClass::CpuCompute, 0).alloc(MemTier::Host, k0, 4.0),
+        );
+        let b = g.add_task(r, 1.0, Stage::Forward, &[a]);
+        g.set_meta(
+            b,
+            TaskMeta::new(OpClass::CpuCompute, 0)
+                .free(MemTier::Host, k0)
+                .alloc(MemTier::Host, k1, 4.0),
+        );
+        let c = g.add_task(r, 1.0, Stage::Forward, &[b]);
+        g.set_meta(
+            c,
+            TaskMeta::new(OpClass::CpuCompute, 0).free(MemTier::Host, k1),
+        );
+        let report = verify(&g, &Limits::none());
+        assert_eq!(report.peak(MemTier::Host).total, 8.0);
+        assert_eq!(report.peak(MemTier::Host).activations, 8.0);
     }
 
     #[test]

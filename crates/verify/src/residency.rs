@@ -1,38 +1,55 @@
-//! Residency interval analysis.
+//! Residency interval analysis: the one answer to "does it fit".
 //!
-//! Each annotated allocation opens an interval on a memory tier that
-//! closes when the matching free task completes (or never). Two
-//! intervals *may* coexist in some linear extension of the DAG unless
-//! the free of one is a strict ancestor of the alloc of the other — so
-//! the worst-case concurrent footprint of a tier is bounded by the
-//! heaviest *may-overlap clique*. Computing the exact maximum clique is
-//! NP-hard in general; we use the sound anchor bound
-//! `max_I (bytes_I + Σ bytes_J over J may-overlapping I)`, which is
-//! exact whenever every pair in the realized worst case overlaps a
-//! common anchor — true for the builder's schedules, where all host
-//! activation intervals coexist at the forward/backward boundary.
+//! Each annotated allocation opens an interval on a memory tier at the
+//! *start* of its task — the bytes land while the task runs — and closes
+//! it when the matching free task completes (or never); a *transit* is
+//! an interval that opens and closes with one task. The pass bounds the
+//! most bytes a tier can hold at once under **any** executor
+//! interleaving, for an executor that runs at most [`Limits::width`]
+//! tasks of one resource at a time.
+//!
+//! **The phase bound.** Take a resource whose tasks form a chain (each
+//! reaches the next — the GPU's compute order). The chain cuts every
+//! execution into phases: phase `k` lasts from the completion of chain
+//! task `k-1` to the completion of chain task `k`, and a tail phase
+//! follows the last. An interval can be live in phase `k` only if its
+//! free is not at or before chain task `k-1` and chain task `k` is not
+//! a strict ancestor of its alloc — a contiguous range of phases. The
+//! bytes that may be live in a phase are summed; of the transits that
+//! may be, only the `width` largest per resource count, since no more of
+//! its tasks run at once. Every chain gives a sound bound, so the
+//! smallest is taken.
+//!
+//! A graph without a chain has no phases to tell apart: everything it
+//! annotates may coexist, and the bound is the sum.
 //!
 //! This is the static form of the paper's §IV-D capacity model: swapped
-//! activations must fit `MEM_avail`, with at most the `α·A_G2M` overflow
-//! allowed onto the SSD spill budget.
+//! activations must fit `MEM_avail` (a caller holds
+//! [`TierPeak::activations`] to it), with at most the `α·A_G2M` overflow
+//! allowed onto the SSD spill budget — and, for the engine, every other
+//! byte a step parks in a tier beside them.
 
 use std::collections::HashMap;
 
-use ratel_sim::{BlobKey, MemTier, TaskGraph, TaskId};
+use ratel_sim::{BlobKey, BlobKind, MemTier, ResidencyAlloc, ResourceId, TaskGraph, TaskId};
 
-use crate::finding::{task_label, Finding, Rule};
+use crate::finding::{task_label, Finding, Rule, TierPeak};
 use crate::reach::Reachability;
 
 /// Per-tier worst-case footprint budgets, in bytes. `None` disables the
-/// capacity check for that tier (bookkeeping checks still run).
+/// capacity check for that tier (bookkeeping checks still run and the
+/// peaks are still reported).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Limits {
     /// GPU device-memory budget.
     pub gpu: Option<f64>,
-    /// Host main-memory budget (the planner's `MEM_avail`).
+    /// Host main-memory budget.
     pub host: Option<f64>,
     /// SSD budget (capacity, or the planner's spill allowance).
     pub ssd: Option<f64>,
+    /// Tasks the executor runs on one resource at a time (its workers
+    /// per pool); `None` bounds any executor.
+    pub width: Option<usize>,
 }
 
 impl Limits {
@@ -51,6 +68,7 @@ impl Limits {
     }
 }
 
+/// One residency interval; a transit has `free == Some(alloc)`.
 #[derive(Debug)]
 struct Interval {
     tier: MemTier,
@@ -60,9 +78,13 @@ struct Interval {
     free: Option<TaskId>,
 }
 
-/// Runs the residency pass. Returns findings plus the number of
-/// intervals analyzed.
-pub fn check(graph: &TaskGraph, reach: &Reachability, limits: &Limits) -> (Vec<Finding>, usize) {
+/// Runs the residency pass. Returns findings, the number of intervals
+/// analyzed and the static peak of every tier in [`MemTier::ALL`] order.
+pub fn check(
+    graph: &TaskGraph,
+    reach: &Reachability,
+    limits: &Limits,
+) -> (Vec<Finding>, usize, [TierPeak; 3]) {
     let mut findings = Vec::new();
     let mut intervals: Vec<Interval> = Vec::new();
     // Open interval per (tier, blob); insertion order is topological, so
@@ -71,6 +93,13 @@ pub fn check(graph: &TaskGraph, reach: &Reachability, limits: &Limits) -> (Vec<F
 
     for t in graph.task_ids() {
         let Some(meta) = graph.meta(t) else { continue };
+        let interval = |a: &ResidencyAlloc, free| Interval {
+            tier: a.tier,
+            blob: a.blob,
+            bytes: a.bytes,
+            alloc: t,
+            free,
+        };
         for f in &meta.frees {
             match open.remove(f) {
                 Some(idx) => {
@@ -130,76 +159,123 @@ pub fn check(graph: &TaskGraph, reach: &Reachability, limits: &Limits) -> (Vec<F
                 });
             }
             open.insert(slot, intervals.len());
-            intervals.push(Interval {
-                tier: a.tier,
-                blob: a.blob,
-                bytes: a.bytes,
-                alloc: t,
-                free: None,
+            intervals.push(interval(a, None));
+        }
+        intervals.extend(meta.transits.iter().map(|a| interval(a, Some(t))));
+    }
+
+    let chains = chains(graph, reach);
+    let peaks = MemTier::ALL.map(|tier| {
+        let on_tier: Vec<&Interval> = intervals.iter().filter(|i| i.tier == tier).collect();
+        let acts: Vec<&Interval> = (on_tier.iter().copied())
+            .filter(|i| i.blob.kind == BlobKind::Act)
+            .collect();
+        let (total, at) = static_peak(graph, reach, &chains, &on_tier, limits.width);
+        if let (Some(budget), Some(at)) = (limits.for_tier(tier).filter(|b| total > *b), at) {
+            findings.push(Finding {
+                rule: Rule::CapacityExceeded,
+                task: at,
+                label: task_label(graph, at),
+                blob: None,
+                detail: format!(
+                    "{} footprint may reach {total:.0} B around this task, exceeding the \
+                     {budget:.0} B budget",
+                    tier.name(),
+                ),
+                witness: Vec::new(),
+                suggestion: "shrink the swap plan for this tier, free intervals earlier, or \
+                             serialize the overlapping allocations"
+                    .into(),
             });
         }
-    }
-
-    // Worst-case footprint per tier via the anchor bound.
-    for tier in MemTier::ALL {
-        let Some(budget) = limits.for_tier(tier) else {
-            continue;
-        };
-        let tier_ivs: Vec<&Interval> = intervals.iter().filter(|i| i.tier == tier).collect();
-        let mut worst: Option<(f64, &Interval, usize)> = None;
-        for (n, anchor) in tier_ivs.iter().enumerate() {
-            let mut total = anchor.bytes;
-            let mut others = 0usize;
-            for (m, j) in tier_ivs.iter().enumerate() {
-                if m == n {
-                    continue;
-                }
-                if may_overlap(reach, anchor, j) {
-                    total += j.bytes;
-                    others += 1;
-                }
-            }
-            if worst.as_ref().is_none_or(|(w, _, _)| total > *w) {
-                worst = Some((total, anchor, others));
-            }
+        TierPeak {
+            total,
+            activations: static_peak(graph, reach, &chains, &acts, limits.width).0,
+            outliving: (on_tier.iter().filter(|i| i.free.is_none()))
+                .map(|i| i.bytes)
+                .sum(),
         }
-        if let Some((total, anchor, others)) = worst {
-            if total > budget {
-                findings.push(Finding {
-                    rule: Rule::CapacityExceeded,
-                    task: anchor.alloc,
-                    label: task_label(graph, anchor.alloc),
-                    blob: Some(anchor.blob.to_string()),
-                    detail: format!(
-                        "{} footprint may reach {:.3e} B ({} concurrent interval(s) \
-                         around {}), exceeding the {:.3e} B budget",
-                        tier.name(),
-                        total,
-                        others + 1,
-                        anchor.blob,
-                        budget
-                    ),
-                    witness: Vec::new(),
-                    suggestion: "shrink the swap plan for this tier, free intervals earlier, \
-                                 or serialize the overlapping allocations"
-                        .into(),
-                });
-            }
-        }
-    }
+    });
 
     findings.sort_by_key(|f| f.task);
-    (findings, intervals.len())
+    (findings, intervals.len(), peaks)
 }
 
-/// Whether two intervals can coexist in some linear extension: neither
-/// one's free is a strict ancestor of the other's alloc.
-fn may_overlap(reach: &Reachability, a: &Interval, b: &Interval) -> bool {
-    let a_before_b = a
-        .free
-        .is_some_and(|f| reach.reaches(f, b.alloc) || f == b.alloc);
-    let b_before_a = b
-        .free
-        .is_some_and(|f| reach.reaches(f, a.alloc) || f == a.alloc);
-    !(a_before_b || b_before_a)
+/// The task lists of every resource whose two or more tasks form a
+/// chain — each is a strict ancestor of the next — and the empty chain,
+/// whose one phase is the whole execution.
+fn chains(graph: &TaskGraph, reach: &Reachability) -> Vec<Vec<TaskId>> {
+    let mut by_resource: HashMap<ResourceId, Vec<TaskId>> = HashMap::new();
+    for t in graph.task_ids() {
+        by_resource.entry(graph.resource(t)).or_default().push(t);
+    }
+    let mut chains: Vec<Vec<TaskId>> = by_resource
+        .into_values()
+        .filter(|tasks| tasks.len() > 1 && tasks.windows(2).all(|w| reach.reaches(w[0], w[1])))
+        .collect();
+    chains.sort();
+    chains.push(Vec::new());
+    chains
+}
+
+/// The most bytes `ivs` (one tier's intervals) may hold at once, and a
+/// task to report it at: the smallest phase bound over `chains`.
+fn static_peak(
+    graph: &TaskGraph,
+    reach: &Reachability,
+    chains: &[Vec<TaskId>],
+    ivs: &[&Interval],
+    width: Option<usize>,
+) -> (f64, Option<TaskId>) {
+    let bounds = chains
+        .iter()
+        .map(|chain| phase_bound(graph, reach, chain, ivs, width));
+    let least = |best: (f64, _), bound: (f64, _)| if bound.0 < best.0 { bound } else { best };
+    let (bytes, at) = bounds.fold((f64::INFINITY, None), least);
+    (bytes, at.or(ivs.first().map(|i| i.alloc)))
+}
+
+fn phase_bound(
+    graph: &TaskGraph,
+    reach: &Reachability,
+    chain: &[TaskId],
+    ivs: &[&Interval],
+    width: Option<usize>,
+) -> (f64, Option<TaskId>) {
+    let phases = chain.len() + 1;
+    // Bytes of the intervals live in each phase (as a difference array
+    // first), and the transits that may be passing through it.
+    let mut held = vec![0.0f64; phases + 1];
+    let mut passing: Vec<Vec<(ResourceId, f64)>> = vec![Vec::new(); phases];
+    for iv in ivs {
+        let first = chain.partition_point(|&c| reach.reaches(c, iv.alloc));
+        let last = iv.free.map_or(chain.len(), |f| {
+            chain.partition_point(|&c| !(f == c || reach.reaches(f, c)))
+        });
+        if iv.free == Some(iv.alloc) && width.is_some() {
+            let entry = (graph.resource(iv.alloc), iv.bytes);
+            passing[first..=last].iter_mut().for_each(|p| p.push(entry));
+        } else {
+            held[first] += iv.bytes;
+            held[last + 1] -= iv.bytes;
+        }
+    }
+    let mut peak = (0.0, None);
+    let mut live = 0.0;
+    for (k, transits) in passing.iter_mut().enumerate() {
+        live += held[k];
+        // Largest first, the `width` largest of each resource count.
+        transits.sort_by(|a, b| b.1.total_cmp(&a.1));
+        let mut running: HashMap<ResourceId, usize> = HashMap::new();
+        let counted = transits.iter().filter(|(resource, _)| {
+            let n = running.entry(*resource).or_default();
+            *n += 1;
+            Some(*n) <= width
+        });
+        let bytes = live + counted.map(|t| t.1).sum::<f64>();
+        if bytes > peak.0 {
+            peak = (bytes, chain.get(k).or(chain.last()).copied());
+        }
+    }
+    peak
 }

@@ -1,6 +1,8 @@
 //! The small model zoo and engine configuration shared by the suites
 //! that sweep worker counts and offload schedules
-//! (`executor_equivalence.rs`, `telemetry_spine.rs`).
+//! (`executor_equivalence.rs`, `telemetry_spine.rs`) or hold the tiers
+//! to the plan's residency bound (`fits.rs`). Each suite uses part of it.
+#![allow(dead_code)]
 
 use ratel_repro::prelude::*;
 
@@ -56,8 +58,8 @@ pub fn zoo() -> Vec<Shape> {
         // The benchmark's `train-actswap` in miniature: two SSD-bound
         // blobs moving in chunks, and an arena whose byte budget (half of
         // 64 KiB, a little over two blocks' 15 KB of backward inputs)
-        // paces what is read ahead — the floor for four workers per pool
-        // is 62 KiB.
+        // paces what is read ahead — the plan's static peak at four
+        // workers per pool is 59,936 B.
         Shape {
             model: GptConfig {
                 vocab: 64,

@@ -10,6 +10,7 @@ use std::sync::Arc;
 use ratel_repro::core::api::Ratel;
 use ratel_repro::core::{Batch, RatelError, RatelTrainer};
 use ratel_repro::prelude::*;
+use ratel_repro::sim::MemTier;
 use ratel_repro::storage::{FaultKind, FaultPlan, StorageError, Tier};
 
 fn tiny_config() -> GptConfig {
@@ -175,11 +176,21 @@ fn permanent_fault_surfaces_and_checkpoint_resume_recovers() {
 #[test]
 fn host_pressure_spills_to_ssd_instead_of_erroring() {
     let model = tiny_config();
-    // The smallest host pool the builder accepts: one layer's optimizer
-    // working set (master 4 + moments 8 + G16 2 bytes per param).
-    let floor = 14 * model.max_layer_params() as u64;
-    let mut trainer = Ratel::init(model)
-        .seed(17)
+    let builder = || {
+        Ratel::init(model)
+            .seed(17)
+            .activation_decisions(vec![ActDecision::Recompute; model.layers])
+    };
+    // A host pool the builder accepts: the bytes its plan reports it
+    // needs when offered a single one.
+    let floor: u64 = match builder().host_capacity(1).plan() {
+        Err(RatelError::InvalidConfig(v)) => {
+            let need = v[0].rsplit("needs ").next().unwrap();
+            need.strip_suffix(" B").unwrap().parse().unwrap()
+        }
+        other => panic!("a one-byte host pool was not refused: {other:?}"),
+    };
+    let mut trainer = builder()
         .host_capacity(floor)
         .spill_on_host_pressure()
         .build()
@@ -204,11 +215,7 @@ fn host_pressure_spills_to_ssd_instead_of_erroring() {
     );
 
     // Without the flag, the same pressure is a hard (typed) error.
-    let mut strict = Ratel::init(model)
-        .seed(17)
-        .host_capacity(floor)
-        .build()
-        .unwrap();
+    let mut strict = builder().host_capacity(floor).build().unwrap();
     let err = strict
         .engine()
         .store()
@@ -221,6 +228,46 @@ fn host_pressure_spills_to_ssd_instead_of_erroring() {
             ..
         }
     ));
+}
+
+/// The builder's route to that degradation: a host pool under what a
+/// step may keep there is refused up front — unless the builder was told
+/// to spill, when the plan reports the need and the trainer steps over
+/// less, bitwise the unbounded run. The pool is the one the pre-residency
+/// floor accepted and then ran out of mid-step.
+#[test]
+fn a_built_trainer_steps_under_host_pressure_when_told_to_spill() {
+    let model = tiny_config();
+    let builder = || {
+        Ratel::init(model)
+            .seed(17)
+            .activation_decisions(vec![ActDecision::SwapToHost; model.layers])
+    };
+    let tight = 14 * model.max_layer_params() as u64;
+    match builder().host_capacity(tight).plan() {
+        Err(RatelError::InvalidConfig(v)) => assert!(v[0].starts_with("host capacity"), "{v:?}"),
+        other => panic!("a {tight} B host pool was not refused: {other:?}"),
+    }
+
+    let plan = builder()
+        .host_capacity(tight)
+        .spill_on_host_pressure()
+        .plan()
+        .unwrap();
+    assert!(plan.static_peak(MemTier::Host) > tight);
+    let report = plan.verify().unwrap_err().to_string();
+    assert!(report.contains("capacity-exceeded"), "{report}");
+    let mut spilling = plan.build().unwrap();
+    let mut free = builder().build().unwrap();
+    let bits = |l: Vec<f32>| l.into_iter().map(f32::to_bits).collect::<Vec<_>>();
+    assert_eq!(
+        bits(train_steps(&mut spilling, &model, 3)),
+        bits(train_steps(&mut free, &model, 3))
+    );
+    let store = spilling.engine().store();
+    assert!(store.peak_used(Tier::Host) <= tight);
+    let stats = store.telemetry().fault_stats();
+    assert!(stats.host_spills >= 1, "no pressure reached: {stats:?}");
 }
 
 /// Training itself degrades, not just a probe `put`: with a host pool
@@ -258,8 +305,10 @@ fn training_under_host_pressure_matches_the_unbounded_run() {
         (losses, engine.master_params(0).unwrap(), spills)
     };
     // Room for the embedding's P16 in transit or its G16 (2 B/param),
-    // not for its master or accumulator (4) or moments (8): under the
-    // floor `EngineConfig::validate` names, so the step is not paced.
+    // not for its master or accumulator (4) or moments (8): far under
+    // the plan's static host peak, so `Ratel::plan` would refuse the
+    // pool — `RatelEngine::new` builds over it, and what a handler
+    // cannot stage spills.
     let embedding = model.vocab * model.hidden + model.seq * model.hidden;
     assert_eq!(embedding, model.max_layer_params());
     let (free_losses, free_master, free_spills) = run(None);

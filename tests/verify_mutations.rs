@@ -4,13 +4,16 @@
 //! class maps to one invariant family: dropped domination edges →
 //! staleness / use-before-fetch, swapped producer versions → staleness,
 //! inflated residency → capacity, rebinding onto the wrong resource →
-//! legality.
+//! legality. Two more are seeded into the paced DAG the engine
+//! dispatches: a dropped pacing edge → capacity, a dropped free →
+//! residency bookkeeping.
 
 use proptest::prelude::*;
 
 use ratel_repro::core::schedule::{IterationSpec, LayerTask, LinkRates};
 use ratel_repro::core::verify::{verify, Limits, Reachability, Rule};
 use ratel_repro::core::GradOffloadMode;
+use ratel_repro::prelude::{ActDecision, GptConfig, Ratel, TrainingPlan};
 use ratel_repro::sim::{MemTier, ResourceClass, TaskGraph, TaskId};
 
 fn rates() -> LinkRates {
@@ -179,9 +182,9 @@ proptest! {
     #[test]
     fn inflated_residency_is_caught(mode_ix in 0usize..3, pick in 0usize..4096) {
         let mut g = graph(MODES[mode_ix], 2);
-        // Budget = the sum of all allocations per tier: a sound upper
-        // bound on any concurrent footprint, so the unmutated graph is
-        // clean even if everything coexisted.
+        // Budget = the sum of all allocations and transits per tier: a
+        // sound upper bound on any concurrent footprint, so the
+        // unmutated graph is clean even if everything coexisted.
         let mut totals: std::collections::HashMap<MemTier, f64> =
             std::collections::HashMap::new();
         let mut allocs: Vec<(TaskId, usize)> = Vec::new();
@@ -191,6 +194,9 @@ proptest! {
                     *totals.entry(a.tier).or_default() += a.bytes;
                     allocs.push((t, i));
                 }
+                for a in &meta.transits {
+                    *totals.entry(a.tier).or_default() += a.bytes;
+                }
             }
         }
         prop_assert!(!allocs.is_empty());
@@ -198,6 +204,7 @@ proptest! {
             gpu: totals.get(&MemTier::Gpu).copied(),
             host: totals.get(&MemTier::Host).copied(),
             ssd: totals.get(&MemTier::Ssd).copied(),
+            ..Limits::none()
         };
         prop_assert!(verify(&g, &limits).is_clean());
         let (t, i) = allocs[pick % allocs.len()];
@@ -274,6 +281,95 @@ fn split_ssd_traffic_is_caught() {
             .iter()
             .any(|f| f.rule == Rule::SimplexViolation),
         "{}",
+        report.render()
+    );
+}
+
+/// The benchmark's `train-actswap` in miniature (the shared zoo's last
+/// shape) under its 64 KiB arena: the plan whose paced DAG the engine
+/// dispatches, and the limits that DAG exactly fits at two workers.
+fn paced_engine_plan() -> (TrainingPlan, Limits) {
+    let model = GptConfig {
+        vocab: 64,
+        seq: 8,
+        hidden: 16,
+        heads: 2,
+        layers: 6,
+        batch: 2,
+    };
+    let decisions = [
+        ActDecision::SwapToSsd,
+        ActDecision::SwapToHost,
+        ActDecision::Recompute,
+    ];
+    let plan = Ratel::init(model)
+        .activation_decisions(decisions.iter().copied().cycle().take(6).collect())
+        .gpu_capacity(64 << 10)
+        .plan()
+        .unwrap();
+    let width = Some(2);
+    let unlimited = Limits {
+        width,
+        ..Limits::none()
+    };
+    let peak = verify(plan.graph(), &unlimited).peak(MemTier::Gpu).total;
+    assert!(0.0 < peak && peak <= (64 << 10) as f64, "{peak}");
+    let limits = Limits {
+        gpu: Some(peak),
+        ..unlimited
+    };
+    (plan, limits)
+}
+
+fn labelled(g: &TaskGraph, label: &str) -> TaskId {
+    g.task_ids()
+        .find(|t| g.label(*t) == Some(label))
+        .unwrap_or_else(|| panic!("no task `{label}`"))
+}
+
+/// Pacing is what keeps read-ahead inside the arena: without the edge
+/// that holds block 2's swapped activations back until `bwd L4` is
+/// done, they may land beside those of the blocks above.
+#[test]
+fn dropped_pacing_edge_is_caught() {
+    let (plan, limits) = paced_engine_plan();
+    let mut g = plan.graph().clone();
+    assert!(verify(&g, &limits).is_clean());
+    let (unpaced, _, _) = plan.spec().build();
+    let held_back = labelled(&g, "act-up L2");
+    let pacing: Vec<TaskId> = (g.deps(held_back).iter().copied())
+        .filter(|d| !unpaced.deps(held_back).contains(d))
+        .collect();
+    assert_eq!(pacing, [labelled(&g, "bwd L4")]);
+    g.remove_dep(held_back, pacing[0]);
+    let report = verify(&g, &limits);
+    assert!(
+        report
+            .findings
+            .iter()
+            .any(|f| f.rule == Rule::CapacityExceeded),
+        "mutant not caught:\n{}",
+        report.render()
+    );
+}
+
+/// A staged P16 the forward kernel never releases is still in the arena
+/// when backward stages the layer again.
+#[test]
+fn dropped_free_is_caught() {
+    let (plan, limits) = paced_engine_plan();
+    let mut g = plan.graph().clone();
+    let kernel = labelled(&g, "fwd L1");
+    let frees = &mut g.meta_mut(kernel).unwrap().frees;
+    assert_eq!(frees.len(), 1, "{frees:?}");
+    frees.clear();
+    let report = verify(&g, &limits);
+    assert!(
+        report
+            .findings
+            .iter()
+            .any(|f| f.rule == Rule::ResidencyBookkeeping),
+        "mutant not caught:\n{}",
         report.render()
     );
 }
