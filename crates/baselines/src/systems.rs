@@ -272,6 +272,7 @@ fn ds_spec(
             label: layer.label.clone(),
             p16_bytes: 2.0 * p,
             param_source: params,
+            master_host_bytes: 0.0,
             fwd_flops: layer.forward_flops,
             bwd_flops: 2.0 * layer.forward_flops + recompute,
             act_to_host_bytes: layer.inter_act_bytes,
@@ -317,6 +318,7 @@ fn colossal_spec(hw: &HardwareProfile, profile: &ModelProfile, gpus: usize) -> I
             label: layer.label.clone(),
             p16_bytes: 2.0 * p,
             param_source: ParamSource::Ssd,
+            master_host_bytes: 0.0,
             fwd_flops: layer.forward_flops,
             bwd_flops: 2.0 * layer.forward_flops + recompute,
             act_to_host_bytes: 0.0,
@@ -357,6 +359,7 @@ fn flashneuron_spec(hw: &HardwareProfile, profile: &ModelProfile) -> IterationSp
             label: layer.label.clone(),
             p16_bytes: 0.0,
             param_source: ParamSource::Gpu,
+            master_host_bytes: 0.0,
             fwd_flops: layer.forward_flops,
             bwd_flops: 2.0 * layer.forward_flops,
             act_to_host_bytes: 0.0,
@@ -396,6 +399,7 @@ fn g10_spec(hw: &HardwareProfile, profile: &ModelProfile) -> IterationSpec {
             label: layer.label.clone(),
             p16_bytes: 2.0 * p,
             param_source: ParamSource::Ssd,
+            master_host_bytes: 0.0,
             fwd_flops: layer.forward_flops,
             bwd_flops: 2.0 * layer.forward_flops,
             act_to_host_bytes: 0.0,

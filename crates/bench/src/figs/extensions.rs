@@ -153,7 +153,7 @@ fn lora_spec(
     model: &ModelProfile,
     trainable_fraction: f64,
 ) -> ratel::schedule::IterationSpec {
-    use ratel::schedule::LayerTask;
+    use ratel::schedule::{LayerTask, Placement};
 
     let plan = ActivationPlanner::new(hw, model).plan();
     let mut spec = RatelSchedule {
@@ -166,7 +166,7 @@ fn lora_spec(
     .to_spec();
     for (task, layer) in spec.layers.iter_mut().zip(&model.layers) {
         let adapters = layer.params * trainable_fraction;
-        let trained = LayerTask::ratel(task.label.as_str(), layer.params, adapters);
+        let trained = LayerTask::ratel(task.label.as_str(), layer.params, adapters, Placement::Ssd);
         task.grad_bytes = trained.grad_bytes;
         task.optimizer = trained.optimizer;
     }

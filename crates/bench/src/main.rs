@@ -16,23 +16,25 @@ const TRACE_USAGE: &str = "usage: ratel-bench trace [--model 13B] [--batch 32] \
 
 const VALIDATE_USAGE: &str = "usage: ratel-bench validate [--model tiny|small] [--steps 1] \
 [--throttle 1e-4] [--tolerance 0.5] [--decisions ssd,host,recompute] [--gpu-capacity BYTES] \
-[--out validate.json]";
+[--host-capacity BYTES|min] [--out validate.json]";
 
 const FAULTS_USAGE: &str = "usage: ratel-bench faults [--model tiny|small] [--steps 10] \
 [--faults 5] [--seed 7]";
 
-const VERIFY_PLANS_USAGE: &str = "usage: ratel-bench verify-plans [--model 13B] [--iters 2] \
-[--out verify.json]";
+const VERIFY_PLANS_USAGE: &str = "usage: ratel-bench verify-plans [--model 13B|tiny|small] \
+[--iters 2] [--out verify.json]";
 
 const BENCH_USAGE: &str =
     "usage: ratel-bench bench [--smoke] [--check] [--suite attention|kernels|adam|ssd]";
 
 const OBS_USAGE: &str = "usage: ratel-bench obs [--model tiny|small] [--steps 5] \
 [--throttle 1e-4] [--decisions ssd,host,recompute] [--gpu-capacity BYTES] \
-[--metrics-out metrics.prom] [--jsonl-out metrics.jsonl] [--trace-out trace.json]";
+[--host-capacity BYTES|min] [--metrics-out metrics.prom] [--jsonl-out metrics.jsonl] \
+[--trace-out trace.json]";
 
-/// Applies `--decisions` (cycled over the blocks) or `--gpu-capacity` to
-/// the engine `validate` and `obs` build; `Ok(false)` for any other flag.
+/// Applies `--decisions` (cycled over the blocks), `--gpu-capacity` or
+/// `--host-capacity` to the engine `validate` and `obs` build;
+/// `Ok(false)` for any other flag.
 fn engine_shape_flag(
     shape: &mut ratel_bench::validate::EngineShape,
     flag: &str,
@@ -42,19 +44,34 @@ fn engine_shape_flag(
         "--decisions" => {
             shape.decisions = ratel_bench::validate::EngineShape::parse_decisions(v)?;
         }
-        "--gpu-capacity" => {
-            shape.gpu_capacity = Some(
-                v.parse::<u64>()
-                    .map_err(|_| format!("--gpu-capacity expects a size in bytes, got {v:?}"))?,
-            );
+        "--gpu-capacity" | "--host-capacity" => {
+            let bytes = v
+                .parse::<u64>()
+                .map_err(|_| format!("{flag} expects a size in bytes, got {v:?}"))?;
+            match flag {
+                "--gpu-capacity" => shape.gpu_capacity = Some(bytes),
+                _ => shape.host_capacity = Some(bytes),
+            }
         }
         _ => return Ok(false),
     }
     Ok(true)
 }
 
+/// `--host-capacity min`: `shape` under the smallest host pool the plan
+/// accepts for it on `model`.
+fn at_min_host_capacity(
+    model: &str,
+    shape: &ratel_bench::validate::EngineShape,
+) -> Result<ratel_bench::validate::EngineShape, String> {
+    let model = ratel_bench::validate::validate_model(model)
+        .ok_or_else(|| format!("unknown model {model:?} (tiny|small)"))?;
+    shape.clone().at_min_host_capacity(model)
+}
+
 fn obs_cmd(args: &[String]) -> Result<(), String> {
     let mut cfg = ratel_bench::obs::ObsConfig::default();
+    let mut host_min = false;
     let mut i = 0;
     while i < args.len() {
         let flag = args[i].as_str();
@@ -86,10 +103,14 @@ fn obs_cmd(args: &[String]) -> Result<(), String> {
             "--metrics-out" => cfg.metrics_out = Some(v.clone()),
             "--jsonl-out" => cfg.jsonl_out = Some(v.clone()),
             "--trace-out" => cfg.trace_out = Some(v.clone()),
+            "--host-capacity" if v == "min" => host_min = true,
             _ if engine_shape_flag(&mut cfg.shape, flag, v)? => {}
             _ => return Err(format!("unknown flag {flag:?}\n{OBS_USAGE}")),
         }
         i += 2;
+    }
+    if host_min {
+        cfg.shape = at_min_host_capacity(&cfg.model, &cfg.shape)?;
     }
     let report = ratel_bench::obs::run(&cfg)?;
     print!("{}", ratel_bench::obs::render(&cfg, &report));
@@ -261,6 +282,7 @@ fn faults_cmd(args: &[String]) -> Result<(), String> {
 
 fn validate_cmd(args: &[String]) -> Result<(), String> {
     let mut cfg = ratel_bench::validate::ValidateConfig::default();
+    let mut host_min = false;
     let mut i = 0;
     while i < args.len() {
         let flag = args[i].as_str();
@@ -297,10 +319,14 @@ fn validate_cmd(args: &[String]) -> Result<(), String> {
                     })?
             }
             "--out" => cfg.out = Some(v.clone()),
+            "--host-capacity" if v == "min" => host_min = true,
             _ if engine_shape_flag(&mut cfg.shape, flag, v)? => {}
             _ => return Err(format!("unknown flag {flag:?}\n{VALIDATE_USAGE}")),
         }
         i += 2;
+    }
+    if host_min {
+        cfg.shape = at_min_host_capacity(&cfg.model, &cfg.shape)?;
     }
     let report = ratel_bench::validate::run(&cfg)?;
     print!("{}", ratel_bench::validate::render(&cfg, &report));

@@ -29,7 +29,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use ratel_storage::{Tier, TierConfig, TieredStore};
-use ratel_tensor::dtype::{decode_f32, encode_f32};
+use ratel_tensor::dtype::{decode_f16, decode_f32, encode_f16, encode_f32};
 use ratel_tensor::{adam, num_threads, ops, set_num_threads, Adam, AdamParams, Tensor};
 
 /// The suite names, in emission order.
@@ -528,23 +528,26 @@ fn run_adam(smoke: bool, ladder: &[usize]) -> Vec<PerfEntry> {
     // they lie. It allocates nothing (same serial size as above) ...
     let mut master = encode_f32(&params);
     let mut moments = vec![0u8; 8 * m];
+    let g16_s = encode_f16(&grads_s);
+    let as_stored = adam::GradFactors::default();
     entries.push(PerfEntry::allocs(
         "adam_step_le_bytes_allocs_per_call",
         min_allocs_per_call(10, || {
-            adam::step_le_bytes(&mut master, &mut moments, &grads_s, 0, &hp)
+            adam::step_le_bytes(&mut master, &mut moments, &g16_s, as_stored, 0, &hp)
         }),
     ));
 
     // ... and is faster than the handler body it replaced, which decoded
-    // both blobs into vectors, ran `Adam::step` and encoded them back.
+    // all three blobs into vectors, ran `Adam::step` and encoded two back.
     let n = sizes[0];
-    let grads = fill(n, 11);
+    let g16 = encode_f16(&fill(n, 11));
     let mut master = encode_f32(&fill(n, 12));
     let mut moments = vec![0u8; 8 * n];
     let in_place = time_min_for(0.3, || {
-        adam::step_le_bytes(&mut master, &mut moments, &grads, 0, &hp)
+        adam::step_le_bytes(&mut master, &mut moments, &g16, as_stored, 0, &hp)
     });
     let through_vectors = time_min_for(0.3, || {
+        let grads = decode_f16(&g16);
         let mut p = decode_f32(&master);
         let flat = decode_f32(&moments);
         let mut state = Adam {

@@ -14,9 +14,10 @@
 //!
 //! * **bytes — exact.** The spec's planned per-route byte totals must
 //!   equal the engine's measured [`TrafficSnapshot`] to the byte; both
-//!   sides derive from the same P16/P32/OS32 inventory (12P reads, 14P
-//!   writes, 2P stages and gradients) and activation shapes, so any
-//!   drift is a modelling bug.
+//!   sides derive from the same P16/P32/OS32 inventory (per layer 12P
+//!   reads and 14P writes, or the moments' 8P each way beside a
+//!   host-resident master; 2P stages and gradients) and activation
+//!   shapes, so any drift is a modelling bug.
 //! * **times — within tolerance.** Transfer times follow bytes/rate
 //!   under throttling, but the sim serializes SSD reads and writes on
 //!   one resource while the store throttles each route independently,
@@ -26,7 +27,7 @@
 use ratel::engine::data::random_batch;
 use ratel::engine::telemetry::StepTelemetry;
 use ratel::engine::{ActDecision, RatelEngine};
-use ratel::schedule::{IterationSpec, LinkRates, OptimizerKind};
+use ratel::schedule::{IterationSpec, LinkRates, OptimizerKind, Placement};
 use ratel::Ratel;
 use ratel_hw::ServerConfig;
 use ratel_sim::{simulate, MemTier, SimReport, SpanKind, Stage, TaskKind, Timeline};
@@ -48,7 +49,7 @@ pub struct ValidateConfig {
     pub tolerance: f64,
     /// Chrome-trace output path (simulated + measured timelines).
     pub out: Option<String>,
-    /// Activation decisions and arena size of the engine under test.
+    /// Activation decisions and tier capacities of the engine under test.
     pub shape: EngineShape,
 }
 
@@ -66,26 +67,46 @@ impl Default for ValidateConfig {
 }
 
 /// What `validate` and `obs` vary about the engine they build besides
-/// the model: `--decisions` and `--gpu-capacity`.
+/// the model: `--decisions`, `--gpu-capacity` and `--host-capacity`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EngineShape {
     /// Activation decisions, cycled over the blocks.
     pub decisions: Vec<ActDecision>,
     /// GPU arena capacity in bytes (`None` = unbounded).
     pub gpu_capacity: Option<u64>,
+    /// Host pool capacity in bytes. `None` = unbounded: every master
+    /// host-resident; any capacity runs the paper's all-SSD placement.
+    pub host_capacity: Option<u64>,
 }
 
 impl Default for EngineShape {
-    /// Everything swapped to host, no arena bound.
+    /// Everything swapped to host, no arena or host-pool bound.
     fn default() -> Self {
         EngineShape {
             decisions: vec![ActDecision::SwapToHost],
             gpu_capacity: None,
+            host_capacity: None,
         }
     }
 }
 
 impl EngineShape {
+    /// This shape under the smallest host pool [`Ratel::plan`] accepts
+    /// for it on `model` ([`Ratel::min_host_capacity`]): the paper's
+    /// all-SSD placement, paced as tightly as it runs.
+    ///
+    /// # Errors
+    /// What the builder refuses about the shape.
+    pub fn at_min_host_capacity(self, model: GptConfig) -> Result<EngineShape, String> {
+        let need = validate_builder(model, &self)
+            .min_host_capacity()
+            .map_err(|e| format!("engine: {e}"))?;
+        Ok(EngineShape {
+            host_capacity: Some(need),
+            ..self
+        })
+    }
+
     /// Parses a `--decisions` list: `ssd`, `host` and `recompute`,
     /// comma-separated.
     pub fn parse_decisions(list: &str) -> Result<Vec<ActDecision>, String> {
@@ -149,6 +170,8 @@ pub struct ValidateReport {
     pub planned_bytes: [u64; 4],
     /// Engine-measured per-step byte deltas (identical across steps).
     pub measured_bytes: [u64; 4],
+    /// Where the plan rests the model states between steps.
+    pub placement: Placement,
     /// Per memory tier: the plan's static residency peak and the most
     /// the tier actually held over the run, `(tier, static, measured)`.
     pub tier_peaks: [(MemTier, u64, u64); 2],
@@ -223,20 +246,32 @@ pub fn route_caps(server: &ServerConfig, factor: f64) -> [(Route, f64); 4] {
     ]
 }
 
-/// Builds the engine a validation run executes: `shape`'s decisions and
-/// arena on the paper's optimized schedule — which is also what the spec
-/// models. Shared by the `validate` and `obs` smokes.
-///
-/// # Errors
-/// What [`Ratel::build`] refuses (an arena below the bytes the plan's
-/// static residency peak needs), or the engine's own construction error.
-pub fn validate_engine(model: GptConfig, shape: &EngineShape) -> Result<RatelEngine, String> {
+/// The builder of the engine a validation run executes: `shape`'s
+/// decisions and capacities on the paper's optimized schedule.
+pub fn validate_builder(model: GptConfig, shape: &EngineShape) -> Ratel {
     let decisions = shape.decisions.iter().copied().cycle().take(model.layers);
     let mut builder = Ratel::init(model).activation_decisions(decisions.collect());
     if let Some(bytes) = shape.gpu_capacity {
         builder = builder.gpu_capacity(bytes);
     }
-    let trainer = builder.build().map_err(|e| format!("engine: {e}"))?;
+    if let Some(bytes) = shape.host_capacity {
+        builder = builder.host_capacity(bytes);
+    }
+    builder
+}
+
+/// Builds the engine a validation run executes ([`validate_builder`]) —
+/// which is also what the spec models. Shared by the `validate` and
+/// `obs` smokes.
+///
+/// # Errors
+/// What [`Ratel::build`] refuses (an arena or host pool below the bytes
+/// the plan's static residency peak needs), or the engine's own
+/// construction error.
+pub fn validate_engine(model: GptConfig, shape: &EngineShape) -> Result<RatelEngine, String> {
+    let trainer = validate_builder(model, shape)
+        .build()
+        .map_err(|e| format!("engine: {e}"))?;
     Ok(trainer.into_engine())
 }
 
@@ -443,6 +478,7 @@ pub fn run(cfg: &ValidateConfig) -> Result<ValidateReport, String> {
         });
 
     Ok(ValidateReport {
+        placement: engine.placement(),
         tier_peaks,
         planned_bytes: planned,
         measured_bytes: Route::ALL.map(|r| measured_traffic.bytes(r)),
@@ -472,8 +508,8 @@ fn human_bytes(b: f64) -> String {
 pub fn render(cfg: &ValidateConfig, report: &ValidateReport) -> String {
     let mut out = String::new();
     out.push_str(&format!(
-        "sim-vs-real validation: model={} steps={} throttle={:.0e}\n\n",
-        cfg.model, cfg.steps, cfg.throttle
+        "sim-vs-real validation: model={} steps={} throttle={:.0e} states={:?}\n\n",
+        cfg.model, cfg.steps, cfg.throttle, report.placement
     ));
     out.push_str("per-route bytes (planned == measured required):\n");
     for (i, route) in Route::ALL.iter().enumerate() {
@@ -540,23 +576,36 @@ mod tests {
     use ratel_tensor::BlockSaved;
 
     #[test]
-    fn planned_bytes_match_the_closed_form() {
+    fn planned_bytes_match_the_closed_form_of_either_placement() {
         let model = GptConfig::tiny();
-        let engine = validate_engine(model, &EngineShape::default()).unwrap();
-        let planned = engine.movement_spec().planned_route_bytes();
-        let params = engine.total_params() as u64;
-        let head = engine.layer_param_count(engine.layer_count() - 1) as u64;
         let rows = (model.batch * model.seq) as u64;
         let ckpt = 2 * rows * model.hidden as u64;
         let acts =
             2 * BlockSaved::element_count_for(model.batch, model.seq, model.hidden, model.heads)
                 as u64;
         let l = model.layers as u64;
-        // Route::ALL order: GpuToHost, HostToGpu, HostToSsd, SsdToHost.
-        assert_eq!(planned[0], l * (ckpt + acts) + 2 * params);
-        assert_eq!(planned[1], 2 * (2 * params - head) + l * (ckpt + acts));
-        assert_eq!(planned[2], 14 * params);
-        assert_eq!(planned[3], 12 * params + 2 * (2 * params - head));
+        let uncapped = EngineShape::default();
+        let all_ssd = uncapped.clone().at_min_host_capacity(model).unwrap();
+        // Per parameter on the SSD link, down and up: the moments beside
+        // a resident master; P32 + OS32 + P16, and P32 + OS32 plus the
+        // P16 stages, under the paper's placement.
+        for (shape, resident) in [(uncapped, true), (all_ssd, false)] {
+            let engine = validate_engine(model, &shape).unwrap();
+            let held = engine.placement() == Placement::HostMaster;
+            assert_eq!(held, resident, "{shape:?}");
+            let planned = engine.movement_spec().planned_route_bytes();
+            let params = engine.total_params() as u64;
+            let head = engine.layer_param_count(engine.layer_count() - 1) as u64;
+            let stages = 2 * (2 * params - head);
+            // Route::ALL order: GpuToHost, HostToGpu, HostToSsd, SsdToHost.
+            assert_eq!(planned[0], l * (ckpt + acts) + 2 * params);
+            assert_eq!(planned[1], stages + l * (ckpt + acts));
+            if resident {
+                assert_eq!(planned[2..], [8 * params, 8 * params]);
+            } else {
+                assert_eq!(planned[2..], [14 * params, 12 * params + stages]);
+            }
+        }
     }
 
     #[test]
@@ -575,6 +624,7 @@ mod tests {
         let shape = EngineShape {
             decisions,
             gpu_capacity: Some(1 << 20),
+            host_capacity: None,
         };
         let engine = validate_engine(model, &shape).unwrap();
         // Four blocks: the SSD decision comes round again, and its blob
@@ -584,7 +634,7 @@ mod tests {
             2 * BlockSaved::element_count_for(model.batch, model.seq, model.hidden, model.heads)
                 as u64;
         let params = engine.total_params() as u64;
-        assert_eq!(planned[2], 14 * params + 2 * acts);
+        assert_eq!(planned[2], 8 * params + 2 * acts);
         let starved = EngineShape {
             gpu_capacity: Some(4096),
             ..shape

@@ -1,6 +1,8 @@
 //! `ratel-bench verify-plans`: statically verifies every schedule this
 //! repo can emit — the model zoo × every gradient-offloading mode for
-//! Ratel, plus every baseline system at its best feasible batch — using
+//! Ratel, plus every baseline system at its best feasible batch, plus
+//! the paced DAGs the engine dispatches for its executable shapes under
+//! each state placement — using
 //! the `ratel-verify` passes, without running the simulator. Exits
 //! non-zero if any plan violates a dataflow, residency, or resource
 //! invariant, which makes it a cheap CI gate for planner and schedule
@@ -140,19 +142,55 @@ fn verify_within(spec: &IterationSpec, iterations: usize, host_act: f64, ssd: f6
     report
 }
 
+/// The executable shapes whose engine plans join the sweep.
+const ENGINE_MODELS: [&str; 2] = ["tiny", "small"];
+
+/// The engine's own plans for `name`'s executable shape — the paced
+/// DAGs it dispatches, mixed activation decisions — under both state
+/// placements: every master host-resident (an unbounded host pool) and
+/// the paper's, at the smallest pool [`ratel::Ratel::plan`] accepts.
+/// Each is verified against the capacities it was planned for.
+fn engine_checks(name: &str) -> Result<Vec<PlanCheck>, String> {
+    let model = crate::validate::validate_model(name)
+        .ok_or_else(|| format!("unknown engine model {name:?}"))?;
+    let uncapped = crate::validate::EngineShape {
+        decisions: crate::validate::EngineShape::parse_decisions("ssd,host,recompute")?,
+        ..Default::default()
+    };
+    let capped = uncapped.clone().at_min_host_capacity(model)?;
+    let mut checks = Vec::new();
+    for shape in [uncapped, capped] {
+        let plan = crate::validate::validate_builder(model, &shape)
+            .plan()
+            .map_err(|e| e.to_string())?;
+        checks.push(PlanCheck {
+            system: format!("engine, states {:?}", plan.placement()),
+            model: name.to_string(),
+            batch: model.batch,
+            iterations: 1,
+            report: plan.verify_report().clone(),
+        });
+    }
+    Ok(checks)
+}
+
 /// Runs the sweep.
 pub fn run(cfg: &VerifyPlansConfig) -> Result<VerifyPlansReport, String> {
     let models = models(cfg);
-    if models.is_empty() {
+    let engine_models: Vec<&str> = (ENGINE_MODELS.into_iter())
+        .filter(|name| cfg.model.as_deref().is_none_or(|m| m == *name))
+        .collect();
+    if models.is_empty() && engine_models.is_empty() {
         return Err(format!(
-            "no zoo model matches {:?}; try one of: {}",
+            "no zoo model matches {:?}; try one of: {} {}",
             cfg.model.as_deref().unwrap_or(""),
             zoo::llm_ladder()
                 .iter()
                 .chain(zoo::dit_ladder().iter())
                 .map(|m| m.name.as_str())
                 .collect::<Vec<_>>()
-                .join(" ")
+                .join(" "),
+            ENGINE_MODELS.join(" ")
         ));
     }
     let server = crate::paper_server();
@@ -231,6 +269,9 @@ pub fn run(cfg: &VerifyPlansConfig) -> Result<VerifyPlansReport, String> {
                 }
             }
         }
+    }
+    for name in engine_models {
+        report.checks.extend(engine_checks(name)?);
     }
     Ok(report)
 }

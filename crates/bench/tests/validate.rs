@@ -3,12 +3,14 @@
 //! configuration (bytes exactly, times loosely — see
 //! `ratel_bench::validate`).
 
-use ratel_bench::validate::{run, EngineShape, ValidateConfig};
+use ratel::schedule::Placement;
+use ratel_bench::validate::{run, validate_model, EngineShape, ValidateConfig, ValidateReport};
 use ratel_sim::chrome_trace_json_timelines;
 
 #[test]
 fn measured_step_agrees_with_the_simulated_schedule() {
-    agrees_with_the_simulated_schedule(EngineShape::default());
+    let report = agrees_with_the_simulated_schedule(EngineShape::default());
+    assert_eq!(report.placement, Placement::HostMaster);
 }
 
 /// The same agreement over the chunked two-hop SSD swap chains, with
@@ -18,10 +20,21 @@ fn ssd_swaps_under_a_bounded_arena_agree_with_the_simulated_schedule() {
     agrees_with_the_simulated_schedule(EngineShape {
         decisions: EngineShape::parse_decisions("ssd,host,recompute").unwrap(),
         gpu_capacity: Some(128 << 10),
+        host_capacity: None,
     });
 }
 
-fn agrees_with_the_simulated_schedule(shape: EngineShape) {
+/// And under the smallest host pool the plan accepts: the paper's
+/// all-SSD placement.
+#[test]
+fn the_all_ssd_placement_agrees_with_the_simulated_schedule() {
+    let model = validate_model("tiny").unwrap();
+    let shape = EngineShape::default().at_min_host_capacity(model).unwrap();
+    let report = agrees_with_the_simulated_schedule(shape);
+    assert_eq!(report.placement, Placement::Ssd);
+}
+
+fn agrees_with_the_simulated_schedule(shape: EngineShape) -> ValidateReport {
     let cfg = ValidateConfig {
         model: "tiny".into(),
         steps: 2,
@@ -98,4 +111,5 @@ fn agrees_with_the_simulated_schedule(shape: EngineShape) {
     assert!(json.contains(r#""name":"measured""#));
     assert!(json.contains(r#""pid":1"#));
     assert!(json.contains(r#""stage":"optimizer""#));
+    report
 }

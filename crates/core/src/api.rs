@@ -38,7 +38,8 @@
 //! [`Ratel::build`] is a shorthand for [`Ratel::plan`] followed by
 //! [`TrainingPlan::build`]. The intermediate [`TrainingPlan`] is the
 //! profiled, validated movement plan: inspect its activation
-//! [`decisions`](TrainingPlan::decisions), its per-route
+//! [`decisions`](TrainingPlan::decisions), its state
+//! [`placement`](TrainingPlan::placement), its per-route
 //! [`planned_route_bytes`](TrainingPlan::planned_route_bytes), or run
 //! the full static [`verify`](TrainingPlan::verify) pass — all before
 //! any tensor is allocated. The plan is lowered once, here; the engine
@@ -58,7 +59,7 @@ use crate::engine::{
     ActDecision, EngineConfig, ExecutionOptions, RatelEngine, StepPlan, StepStats,
 };
 use crate::error::RatelError;
-use crate::schedule::IterationSpec;
+use crate::schedule::{IterationSpec, Placement};
 
 /// Builder for a [`RatelTrainer`] — the `Ratel_init()` of Fig. 4.
 #[derive(Debug, Clone)]
@@ -132,7 +133,12 @@ impl Ratel {
         self
     }
 
-    /// Caps the host pool (bytes).
+    /// Caps the host pool (bytes). Uncapped, every layer keeps its f32
+    /// master in host memory and only the Adam moments cross the SSD
+    /// link; under a cap every state rests on the SSDs — the paper's
+    /// placement ([`TrainingPlan::placement`]) — and the pool is the
+    /// activations'. [`Ratel::min_host_capacity`] is the least
+    /// [`Ratel::plan`] asks for.
     pub fn host_capacity(mut self, bytes: u64) -> Self {
         self.host_capacity = Some(bytes);
         self
@@ -228,19 +234,11 @@ impl Ratel {
         self
     }
 
-    /// Runs the profiling stage (unless decisions were overridden), plans
-    /// the activations, and returns the [`TrainingPlan`] — validated,
-    /// inspectable, and statically verifiable — without building any
-    /// model state yet. [`TrainingPlan::build`] turns it into a trainer.
-    ///
-    /// # Errors
-    /// [`RatelError::InvalidConfig`] listing *every* configuration
-    /// violation found; [`RatelError::Storage`] if the profiling
-    /// substrate fails.
-    pub fn plan(self) -> Result<TrainingPlan, RatelError> {
-        // Validate the shape up front on a provisional config. When the
-        // planner picks the decisions their count is correct by
-        // construction, so a placeholder stands in for the shape checks.
+    /// The configuration [`Ratel::plan`] starts from, its shape validated
+    /// up front: the overridden activation decisions, or — until the
+    /// planner picks them, their count correct by construction — every
+    /// block recomputing.
+    fn provisional(&self) -> Result<EngineConfig, RatelError> {
         let provisional = EngineConfig {
             model: self.model,
             seed: self.seed,
@@ -259,9 +257,42 @@ impl Ratel {
             frozen_layers: self.frozen_layers.clone(),
         };
         let violations = provisional.validate();
-        if !violations.is_empty() {
-            return Err(RatelError::InvalidConfig(violations));
+        if violations.is_empty() {
+            Ok(provisional)
+        } else {
+            Err(RatelError::InvalidConfig(violations))
         }
+    }
+
+    /// The [`Ratel::host_capacity`] [`Ratel::plan`] asks for when it
+    /// refuses one, whatever capacity this builder was given: the bytes a
+    /// step of the paper's placement, paced for no more, may keep in host
+    /// memory at once — under the overridden activation decisions, or
+    /// with every block recomputing when the planner is to choose.
+    /// `plan()` accepts it and refuses one byte less.
+    ///
+    /// # Errors
+    /// [`RatelError::InvalidConfig`] for a misshapen configuration.
+    pub fn min_host_capacity(&self) -> Result<u64, RatelError> {
+        let starved = EngineConfig {
+            host_capacity: Some(0),
+            ..self.provisional()?
+        };
+        let (_, fitting) = lower_fitting(&starved, true)?;
+        Ok(fitting.host_capacity.unwrap_or_default())
+    }
+
+    /// Runs the profiling stage (unless decisions were overridden), plans
+    /// the activations, and returns the [`TrainingPlan`] — validated,
+    /// inspectable, and statically verifiable — without building any
+    /// model state yet. [`TrainingPlan::build`] turns it into a trainer.
+    ///
+    /// # Errors
+    /// [`RatelError::InvalidConfig`] listing *every* configuration
+    /// violation found; [`RatelError::Storage`] if the profiling
+    /// substrate fails.
+    pub fn plan(self) -> Result<TrainingPlan, RatelError> {
+        let provisional = self.provisional()?;
 
         let (decisions, measured) = match &self.act_override {
             Some(d) => (d.clone(), None),
@@ -337,24 +368,13 @@ impl Ratel {
 /// One [`RatelError::InvalidConfig`] naming every tier too small and the
 /// bytes it needs.
 fn fit(config: &EngineConfig, hold_host: bool) -> Result<Arc<StepPlan>, RatelError> {
-    let plan = Arc::new(StepPlan::lower(config)?);
-    // Pacing reads ahead as far as a tier has room, so a roomier tier is
-    // asked to hold more: the bytes a tier needs are the capacity whose
-    // own pacing fits it.
-    let mut roomy = config.clone();
-    let mut repaced = None;
-    while raise_short_capacities(&mut roomy, repaced.as_ref().unwrap_or(&*plan), hold_host) {
-        repaced = Some(StepPlan::lower(&roomy)?);
-    }
-    if repaced.is_none() {
-        return Ok(plan);
-    }
+    let (plan, roomy) = lower_fitting(config, hold_host)?;
     let workers = config.execution.executor().workers_per_pool;
     let tiers = [
         ("gpu", config.gpu_capacity, roomy.gpu_capacity),
         ("host", config.host_capacity, roomy.host_capacity),
     ];
-    let violations = tiers
+    let violations: Vec<String> = tiers
         .iter()
         .filter(|(_, have, need)| have != need)
         .filter_map(|(tier, have, need)| {
@@ -364,8 +384,31 @@ fn fit(config: &EngineConfig, hold_host: bool) -> Result<Arc<StepPlan>, RatelErr
                 (*have)?,
                 (*need)?
             ))
-        });
-    Err(RatelError::InvalidConfig(violations.collect()))
+        })
+        .collect();
+    if violations.is_empty() {
+        Ok(Arc::new(plan))
+    } else {
+        Err(RatelError::InvalidConfig(violations))
+    }
+}
+
+/// `config`'s plan, and `config` with each held capacity that is under
+/// what a step may keep in its tier raised to the bytes that fit.
+/// Pacing reads ahead as far as a tier has room, so a roomier tier is
+/// asked to hold more: the bytes a tier needs are the capacity whose own
+/// pacing fits it.
+fn lower_fitting(
+    config: &EngineConfig,
+    hold_host: bool,
+) -> Result<(StepPlan, EngineConfig), RatelError> {
+    let plan = StepPlan::lower(config)?;
+    let mut roomy = config.clone();
+    let mut repaced = None;
+    while raise_short_capacities(&mut roomy, repaced.as_ref().unwrap_or(&plan), hold_host) {
+        repaced = Some(StepPlan::lower(&roomy)?);
+    }
+    Ok((plan, roomy))
 }
 
 /// Raises each held capacity of `config` that is under `plan`'s static
@@ -417,6 +460,13 @@ impl TrainingPlan {
         &self.config.act_decisions
     }
 
+    /// Where every layer's states rest between steps: each f32 master
+    /// host-resident when the host pool is unbounded, the paper's all-SSD
+    /// placement under a [`Ratel::host_capacity`].
+    pub fn placement(&self) -> Placement {
+        self.plan.placement
+    }
+
     /// The profiling stage's measurements (None when decisions were
     /// overridden).
     pub fn measured(&self) -> Option<&MeasuredProfile> {
@@ -448,12 +498,19 @@ impl TrainingPlan {
     /// because it may spill ([`Ratel::spill_on_host_pressure`]) has its
     /// need reported.
     pub fn verify(&self) -> Result<(), RatelError> {
-        let report = &self.plan.step.report;
+        let report = self.verify_report();
         if report.is_clean() {
             Ok(())
         } else {
             Err(RatelError::InvalidConfig(vec![report.render()]))
         }
+    }
+
+    /// What the static passes said of the paced DAG a plain step
+    /// dispatches, against the configured capacities: the report
+    /// [`TrainingPlan::verify`] summarizes, with its per-tier peaks.
+    pub fn verify_report(&self) -> &ratel_verify::VerifyReport {
+        &self.plan.step.report
     }
 
     /// The paced task DAG a plain step dispatches, for the mutation
@@ -477,6 +534,7 @@ impl TrainingPlan {
         let [g2h, h2g, h2s, s2h] = self.planned_route_bytes();
         format!(
             "{} layers ({} blocks), hidden {}, {:?}: {} tasks/step; \
+             states {:?}; \
              planned bytes g2h {g2h}, h2g {h2g}, h2s {h2s}, s2h {s2h}; \
              static peak gpu {} B, host {} B",
             m.layers + 2,
@@ -484,6 +542,7 @@ impl TrainingPlan {
             m.hidden,
             self.config.execution,
             self.plan.step.graph.len(),
+            self.placement(),
             self.static_peak(MemTier::Gpu),
             self.static_peak(MemTier::Host),
         )

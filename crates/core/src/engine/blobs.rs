@@ -3,10 +3,11 @@
 
 use ratel_storage::{StorageError, Tier, TieredStore};
 use ratel_tensor::dtype::{decode_f16, decode_f32, f32_le_to_f16_le};
-use ratel_tensor::{GptModel, ParamLayer};
+use ratel_tensor::{CrossEntropy, Embedding, GptConfig, GptModel, ParamLayer, TransformerBlock};
 
 use super::RatelEngine;
 use crate::error::RatelError;
+use crate::schedule::Placement;
 
 /// Storage keys for a layer's blobs. Layer ids: 0 = embedding, 1..=L =
 /// blocks, L+1 = head.
@@ -42,36 +43,79 @@ pub(super) fn accum_key(layer: usize) -> String {
     format!("layer{layer}/grad-accum")
 }
 
-/// Layer `layer` of the model skeleton (0 = embedding, 1..=L = blocks,
-/// L+1 = head).
-pub(super) fn layer_of(model: &GptModel, layer: usize) -> &dyn ParamLayer {
-    match layer.checked_sub(1) {
-        None => &model.embedding,
-        Some(b) if b < model.blocks.len() => &model.blocks[b],
-        Some(_) => &model.head,
+/// The f32 tensors the kernels compute on: an embedding, **one** block
+/// and a head, whatever the model's depth. They hold no state between
+/// uses — [`load_staged_params`] decodes a layer's P16 into its slot
+/// before every kernel, eval pass and decode position.
+pub(super) struct LayerScratch {
+    /// Blocks of the model the scratch serves (its layers `1..=blocks`).
+    blocks: usize,
+    pub(super) embedding: Embedding,
+    pub(super) block: TransformerBlock,
+    pub(super) head: CrossEntropy,
+}
+
+impl LayerScratch {
+    /// Scratch shaped for `config`'s layers (their initial values are
+    /// never read).
+    pub(super) fn new(config: GptConfig) -> Self {
+        LayerScratch {
+            blocks: config.layers,
+            embedding: GptModel::embedding_of(config, 0),
+            block: GptModel::block_of(config, 0, 0),
+            head: GptModel::head_of(config, 0),
+        }
+    }
+
+    /// The slot engine layer `layer` computes in (0 = embedding,
+    /// 1..=L = blocks, L+1 = head).
+    fn slot_mut(&mut self, layer: usize) -> &mut dyn ParamLayer {
+        match layer {
+            0 => &mut self.embedding,
+            _ if layer <= self.blocks => &mut self.block,
+            _ => &mut self.head,
+        }
     }
 }
 
-fn layer_of_mut(model: &mut GptModel, layer: usize) -> &mut dyn ParamLayer {
-    match layer.checked_sub(1) {
-        None => &mut model.embedding,
-        Some(b) if b < model.blocks.len() => &mut model.blocks[b],
-        Some(_) => &mut model.head,
+/// The initial f32 master of engine layer `layer`: the parameters
+/// `GptModel::new(config, seed)` gives it, built alone.
+fn initial_master(config: GptConfig, seed: u64, layer: usize) -> Vec<u8> {
+    match layer {
+        0 => GptModel::embedding_of(config, seed).params_f32_le(),
+        _ if layer <= config.layers => GptModel::block_of(config, seed, layer - 1).params_f32_le(),
+        _ => GptModel::head_of(config, seed).params_f32_le(),
     }
 }
 
 /// Takes the staged P16 copy `staged` out of the store and decodes it
-/// straight into layer `layer` of the skeleton — the one way parameters
+/// straight into layer `layer`'s scratch slot — the one way parameters
 /// reach the compute kernels, in a step and in eval/decode alike.
 pub(super) fn load_staged_params(
     store: &TieredStore,
-    model: &mut GptModel,
+    scratch: &mut LayerScratch,
     layer: usize,
     staged: &str,
 ) -> Result<(), StorageError> {
     let p16 = store.take(staged)?;
-    layer_of_mut(model, layer).set_params_f16_le(&p16);
+    scratch.slot_mut(layer).set_params_f16_le(&p16);
     Ok(())
+}
+
+/// Rounds layer `layer`'s f32 master to P16 where the store holds it and
+/// lands the copy in `tier` under `key`, through host memory: how a
+/// host-resident master reaches the arena (and a decode call's pin), and
+/// how an SSD-placed layer's handler publishes its fresh P16. The bits
+/// are the same either way, so a step does not depend on the placement.
+pub(super) fn publish_p16(
+    store: &TieredStore,
+    layer: usize,
+    key: &str,
+    tier: Tier,
+) -> Result<(), StorageError> {
+    let p16 = store.modify([&master_key(layer)], |[master]| f32_le_to_f16_le(master))?;
+    store.put(key, Tier::Host, p16)?;
+    store.move_to(key, tier)
 }
 
 /// Stores an f16 blob in the GPU tier and swaps it to `target`.
@@ -94,44 +138,58 @@ pub(super) fn fetch_f16(store: &TieredStore, key: &str) -> Result<Vec<u8>, Stora
 }
 
 impl RatelEngine {
-    /// Places every layer's states on the SSD tier, one layer at a time:
-    /// the build holds one layer's 14 B/param beside the skeleton, never
-    /// the whole model's, and each layer's three blobs stream out as one
-    /// sequential segment write.
+    /// Places every layer's states where the plan says they rest, one
+    /// layer at a time, each built alone from its own seed: the build
+    /// holds one layer's 14 B/param in flight, never the whole model's.
+    /// An SSD-placed layer's three blobs stream out as one sequential
+    /// segment write; a host-master layer's master stays in host memory
+    /// and only its moments go to the SSD tier.
     pub(super) fn init_states(&self) -> Result<(), StorageError> {
         for layer in 0..self.layer_count() {
-            let master = layer_of(&self.model, layer).params_f32_le();
-            // P16 is what the GPU computes with: the f16 rounding of the
-            // master, exactly what the optimizer will emit after steps.
-            let p16 = f32_le_to_f16_le(&master);
+            let master = initial_master(self.config.model, self.config.seed, layer);
             // Fresh Adam moments: `[m..., v...]`, all zero.
             let moments = vec![0u8; master.len() * 2];
-            self.store.put_batch(
-                Tier::Ssd,
-                vec![
-                    (master_key(layer), master),
-                    (moments_key(layer), moments),
-                    (p16_key(layer), p16),
-                ],
-            )?;
+            match self.plan.placement {
+                Placement::Ssd => {
+                    // P16 is what the GPU computes with: the f16 rounding
+                    // of the master, exactly what the optimizer will emit
+                    // after steps.
+                    let p16 = f32_le_to_f16_le(&master);
+                    self.store.put_batch(
+                        Tier::Ssd,
+                        vec![
+                            (master_key(layer), master),
+                            (moments_key(layer), moments),
+                            (p16_key(layer), p16),
+                        ],
+                    )?;
+                }
+                Placement::HostMaster => {
+                    self.store.put(&master_key(layer), Tier::Host, master)?;
+                    self.store.put(&moments_key(layer), Tier::Ssd, moments)?;
+                }
+            }
         }
         Ok(())
     }
 
-    /// Copies a layer's P16 blob into the GPU arena and loads it into the
-    /// layer skeleton (read-only streaming). The bytes come from the
-    /// layer's pinned host copy while a decode call holds one, from the
-    /// SSD tier otherwise.
+    /// Brings a layer's P16 into the GPU arena and loads it into its
+    /// scratch slot (read-only streaming). The bytes come from the
+    /// layer's pinned host copy while a decode call holds one; otherwise
+    /// from where the plan placed them — rounded from the host-resident
+    /// master, or copied from the SSD tier.
     pub(super) fn stage_params(&mut self, layer: usize) -> Result<(), StorageError> {
-        let pinned = pinned_key(layer);
-        let key = if self.store.contains(&pinned) {
-            pinned
-        } else {
-            p16_key(layer)
-        };
         let staged = format!("{}#staged", p16_key(layer));
-        self.store.copy_to(&key, &staged, Tier::Gpu)?;
-        load_staged_params(&self.store, &mut self.model, layer, &staged)
+        let pinned = pinned_key(layer);
+        if self.store.contains(&pinned) {
+            self.store.copy_to(&pinned, &staged, Tier::Gpu)?;
+        } else {
+            match self.plan.placement {
+                Placement::HostMaster => publish_p16(&self.store, layer, &staged, Tier::Gpu)?,
+                Placement::Ssd => self.store.copy_to(&p16_key(layer), &staged, Tier::Gpu)?,
+            }
+        }
+        load_staged_params(&self.store, &mut self.scratch, layer, &staged)
     }
 
     /// Reads the current master (f32) parameters of a layer — for tests
@@ -140,9 +198,15 @@ impl RatelEngine {
         Ok(decode_f32(&self.store.read(&master_key(layer))?))
     }
 
-    /// Reads the current P16 compute copy of a layer (decoded to f32).
+    /// The current P16 compute copy of a layer (decoded to f32): the
+    /// blob at rest on the SSD tier, or what a fetch rounds from the
+    /// host-resident master.
     pub fn p16_params(&self, layer: usize) -> Result<Vec<f32>, RatelError> {
-        Ok(decode_f16(&self.store.read(&p16_key(layer))?))
+        let p16 = match self.plan.placement {
+            Placement::Ssd => self.store.read(&p16_key(layer))?,
+            Placement::HostMaster => f32_le_to_f16_le(&self.store.read(&master_key(layer))?),
+        };
+        Ok(decode_f16(&p16))
     }
 }
 
@@ -152,13 +216,24 @@ mod tests {
     use crate::engine::EngineConfig;
 
     #[test]
-    fn model_states_live_on_the_ssd_tier() {
-        let config = EngineConfig::tiny();
-        let engine = RatelEngine::new(config).unwrap();
+    fn model_states_rest_where_the_plan_places_them() {
+        // Uncapped, every master is host-resident: P32 (4 B/param) in
+        // host memory, OS32 (8) on the SSD tier, no P16 at rest.
+        let engine = RatelEngine::new(EngineConfig::tiny()).unwrap();
         let params = engine.total_params() as u64;
-        // P32 (4) + OS32 (8) + P16 (2) = 14 bytes/param at rest.
-        assert_eq!(engine.ssd_state_bytes(), params * 14);
+        assert_eq!(engine.placement(), Placement::HostMaster);
+        assert_eq!(engine.ssd_state_bytes(), params * 8);
+        assert_eq!(engine.store().used(Tier::Host), params * 4);
         assert_eq!(engine.store().used(Tier::Gpu), 0);
+
+        // A capped host pool gets the paper's placement: P32 (4) + OS32
+        // (8) + P16 (2) = 14 bytes/param on the SSD tier.
+        let mut capped = EngineConfig::tiny();
+        capped.host_capacity = Some(1 << 30);
+        let engine = RatelEngine::new(capped).unwrap();
+        assert_eq!(engine.placement(), Placement::Ssd);
+        assert_eq!(engine.ssd_state_bytes(), params * 14);
         assert_eq!(engine.store().used(Tier::Host), 0);
+        assert_eq!(engine.store().used(Tier::Gpu), 0);
     }
 }

@@ -8,6 +8,14 @@
 //! never touched, a crash at *any* point leaves the directory loadable:
 //! either the new manifest exists complete (the save happened) or it
 //! doesn't (the save never happened and generation `N-1` is intact).
+//! A rename is durable only once its directory is: the directory is
+//! fsynced once per generation, right after the manifest's rename (which
+//! orders every blob's rename before it), and `save` returns after that.
+//!
+//! A checkpoint holds masters and moments, never P16 copies, so it does
+//! not depend on where the engine that saved it kept them: one saved
+//! with every master host-resident resumes in an engine that keeps all
+//! states on the SSD tier, and the reverse.
 //!
 //! The manifest carries the engine's step clock, per-layer update
 //! counts, and an FNV-1a 64 checksum + byte length for every blob, plus
@@ -35,10 +43,10 @@ use std::fs;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
-use ratel_storage::Tier;
 use ratel_tensor::dtype::f32_le_to_f16_le;
 
 use crate::error::RatelError;
+use crate::schedule::Placement;
 
 use super::blobs::{master_key, moments_key, p16_key};
 use super::RatelEngine;
@@ -134,9 +142,13 @@ pub(crate) fn save(engine: &RatelEngine, dir: &Path) -> Result<(), RatelError> {
         ));
     }
     let manifest = format!("{body}checksum {:016x}\n", fnv64(body.as_bytes()));
-    // The manifest rename is the commit point of the whole generation.
+    // The manifest rename is the commit point of the whole generation,
+    // durable once the directory that records the renames is.
     write_atomic(&manifest_path(dir, generation), manifest.as_bytes())
         .map_err(|e| io_err("manifest", e))?;
+    fs::File::open(dir)
+        .and_then(|d| d.sync_all())
+        .map_err(|e| io_err("checkpoint directory", e))?;
     ratel_obs::flight().record(
         ratel_obs::EventKind::CheckpointCommit,
         0,
@@ -293,11 +305,15 @@ pub(crate) fn load(engine: &mut RatelEngine, dir: &Path) -> Result<(), RatelErro
                 engine.step = manifest.step;
                 for (layer, (steps, master, moments)) in manifest.layers.into_iter().enumerate() {
                     engine.layer_steps[layer] = steps;
-                    let p16 = f32_le_to_f16_le(&master);
+                    // Every blob is replaced where it rests, so a write
+                    // that fails leaves the layer with all of its blobs.
+                    let p16 = (engine.plan.placement == Placement::Ssd)
+                        .then(|| f32_le_to_f16_le(&master));
                     engine.store.overwrite(&master_key(layer), master)?;
                     engine.store.overwrite(&moments_key(layer), moments)?;
-                    engine.store.remove(&p16_key(layer))?;
-                    engine.store.put(&p16_key(layer), Tier::Ssd, p16)?;
+                    if let Some(p16) = p16 {
+                        engine.store.overwrite(&p16_key(layer), p16)?;
+                    }
                 }
                 if !failures.is_empty() {
                     // Restored, but only by falling back past a torn
@@ -377,41 +393,104 @@ mod engine_tests {
     }
 
     #[test]
-    fn checkpoint_resume_equals_uninterrupted_run() {
+    fn checkpoint_resume_equals_uninterrupted_run_whatever_the_placement() {
         let model = GptConfig::tiny();
-        let mk = || RatelEngine::new(EngineConfig::tiny()).unwrap();
+        // Uncapped every master is host-resident; under a capacity the
+        // states rest on the SSD tier.
+        let mk = |host_capacity: Option<u64>| {
+            let config = EngineConfig {
+                host_capacity,
+                ..EngineConfig::tiny()
+            };
+            RatelEngine::new(config).unwrap()
+        };
+        let (resident, ssd) = (None, Some(1 << 30));
         let batches: Vec<_> = (0..6).map(|s| random_batch(&model, 400 + s)).collect();
 
         // Uninterrupted run.
-        let mut straight = mk();
+        let mut straight = mk(resident);
         for (t, y) in &batches {
             straight.train_step(t, y).unwrap();
         }
 
-        // Run 3 steps, checkpoint, resume in a fresh engine.
-        let dir = temp_dir("resume");
-        let mut first = mk();
-        for (t, y) in &batches[..3] {
-            first.train_step(t, y).unwrap();
-        }
-        first.save_checkpoint(&dir).unwrap();
-        drop(first);
-        let mut resumed = mk();
-        resumed.load_checkpoint(&dir).unwrap();
-        for (t, y) in &batches[3..] {
-            resumed.train_step(t, y).unwrap();
-        }
+        // Run 3 steps, checkpoint, resume in a fresh engine: one that
+        // places its states the same way, then saved with every master
+        // host-resident and resumed under the paper's placement, and the
+        // reverse.
+        let pairs = [(resident, resident), (resident, ssd), (ssd, resident)];
+        for (i, (saved_with, resumed_with)) in pairs.into_iter().enumerate() {
+            let dir = temp_dir(&format!("resume-{i}"));
+            let mut first = mk(saved_with);
+            for (t, y) in &batches[..3] {
+                first.train_step(t, y).unwrap();
+            }
+            first.save_checkpoint(&dir).unwrap();
+            drop(first);
+            let mut resumed = mk(resumed_with);
+            resumed.load_checkpoint(&dir).unwrap();
+            for (t, y) in &batches[3..] {
+                resumed.train_step(t, y).unwrap();
+            }
 
-        for l in 0..straight.layer_count() {
+            for l in 0..straight.layer_count() {
+                assert_eq!(
+                    straight.master_params(l).unwrap(),
+                    resumed.master_params(l).unwrap(),
+                    "layer {l} diverged, saved with {saved_with:?} resumed with {resumed_with:?}"
+                );
+                assert_eq!(
+                    straight.p16_params(l).unwrap(),
+                    resumed.p16_params(l).unwrap()
+                );
+            }
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
+    #[test]
+    fn a_load_that_fails_midway_leaves_every_blob_in_place() {
+        use ratel_storage::fault::{FaultKind, FaultOp, FaultPlan};
+        use ratel_storage::StorageError;
+        let model = GptConfig::tiny();
+        // The paper's placement: a P16 at rest to re-publish.
+        let mk = || {
+            let config = EngineConfig {
+                host_capacity: Some(1 << 30),
+                ..EngineConfig::tiny()
+            };
+            RatelEngine::new(config).unwrap()
+        };
+        let dir = temp_dir("midway");
+        let mut saved = mk();
+        let (t, y) = random_batch(&model, 77);
+        saved.train_step(&t, &y).unwrap();
+        saved.save_checkpoint(&dir).unwrap();
+
+        // The write that re-publishes layer 1's P16 gives up.
+        let mut engine = mk();
+        let plan = FaultPlan::new();
+        plan.fault_on_key_op(&p16_key(1), FaultOp::Write, FaultKind::Permanent);
+        engine.store.set_fault_plan(Some(std::sync::Arc::new(plan)));
+        let err = engine.load_checkpoint(&dir).unwrap_err();
+        assert!(
+            matches!(err, RatelError::Storage(StorageError::Faulted { .. })),
+            "{err}"
+        );
+        // Nothing went missing: every blob of every layer still reads,
+        // and the load, retried on a healthy store, completes.
+        engine.store.set_fault_plan(None);
+        for l in 0..engine.layer_count() {
+            engine.master_params(l).unwrap();
+            engine.p16_params(l).unwrap();
+            assert!(engine.store.contains(&moments_key(l)));
+        }
+        engine.load_checkpoint(&dir).unwrap();
+        for l in 0..engine.layer_count() {
             assert_eq!(
-                straight.master_params(l).unwrap(),
-                resumed.master_params(l).unwrap(),
-                "layer {l} diverged after resume"
+                engine.master_params(l).unwrap(),
+                saved.master_params(l).unwrap()
             );
-            assert_eq!(
-                straight.p16_params(l).unwrap(),
-                resumed.p16_params(l).unwrap()
-            );
+            assert_eq!(engine.p16_params(l).unwrap(), saved.p16_params(l).unwrap());
         }
         let _ = std::fs::remove_dir_all(&dir);
     }

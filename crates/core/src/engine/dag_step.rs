@@ -21,17 +21,14 @@ use ratel_check::sync::Mutex;
 
 use ratel_sim::{MemTier, TaskGraph, TaskId, TaskIdentity, TaskKind, TaskRef};
 use ratel_storage::{StorageError, Tier, TieredStore};
-use ratel_tensor::dtype::{
-    add_f16_le_to_f32_le, decode_f16, encode_f16, encode_f32, f32_le_to_f16_le, round_to_f16,
-};
-use ratel_tensor::{adam, block_dropout_spec, AdamParams, BlockSaved, GptModel, HeadSaved, Tensor};
+use ratel_tensor::dtype::{add_f16_le_to_f32_le, decode_f16, encode_f16, encode_f32, round_to_f16};
+use ratel_tensor::{adam, block_dropout_spec, AdamParams, BlockSaved, HeadSaved, Tensor};
 
 use super::blobs::{
     accum_key, act_key, ckpt_key, grad_key, load_staged_params, master_key, moments_key,
-    offload_f16, p16_key,
+    offload_f16, p16_key, publish_p16, LayerScratch,
 };
 use super::executor::TaskAction;
-use super::scaler::prepare_gradient;
 use super::EngineConfig;
 use crate::error::RatelError;
 use crate::schedule::{IterationSpec, LayerTask};
@@ -198,9 +195,12 @@ impl StepDag {
                 TaskKind::FwdRead | TaskKind::BwdRead | TaskKind::ActLoad => host_gates[pos],
                 TaskKind::ActUp => gpu_gates[pos],
                 // At the unbudgeted depth a fetch just follows its read,
-                // which is gated; under an arena budget it is admitted by
-                // bytes like every other transfer into the arena.
-                _ if tiers.gpu.is_some() => gpu_gates[pos],
+                // which is gated; under an arena budget, or with no read
+                // to follow (a host-resident master), it is admitted
+                // like every other transfer into the arena.
+                _ if tiers.gpu.is_some() || spec.layers[id.layer].master_in_host() => {
+                    gpu_gates[pos]
+                }
                 _ => None,
             };
             if let Some(pos) = gate {
@@ -238,8 +238,8 @@ impl StepDag {
 }
 
 /// What `opt-cpu` leaves for `opt-write`. The update itself is already
-/// in the staged P32 + OS32 blobs: a model state has one copy in the
-/// process, the tier's.
+/// in the P32 + OS32 blobs where the store holds them: a model state has
+/// one copy in the process, the tier's.
 struct OptUpdate {
     /// False when the unscaled gradient overflowed and the update was
     /// skipped — write-back then only returns the untouched states.
@@ -301,8 +301,8 @@ fn staged_key(layer: usize, pass: char) -> String {
 /// Worker threads of different pools run disjoint actions concurrently;
 /// every hand-off slot (activation bytes, gradients, Adam updates) is a
 /// mutex around an `Option`, filled by the producing task and taken by
-/// the consuming one. GPU tasks additionally serialize on the model
-/// skeleton's lock — the graph already orders them into a chain, so the
+/// the consuming one. GPU tasks additionally serialize on the kernel
+/// scratch's lock — the graph already orders them into a chain, so the
 /// lock is never contended, it just satisfies the borrow checker.
 pub(super) struct StepCtx<'a> {
     store: &'a Arc<TieredStore>,
@@ -310,7 +310,7 @@ pub(super) struct StepCtx<'a> {
     dag: &'a StepDag,
     /// Which DAG run of the step this is (micro-batch number).
     run: usize,
-    model: Mutex<&'a mut GptModel>,
+    scratch: Mutex<&'a mut LayerScratch>,
     tokens: &'a [usize],
     targets: &'a [usize],
     scale: f32,
@@ -350,7 +350,7 @@ impl<'a> StepCtx<'a> {
         config: &'a EngineConfig,
         dag: &'a StepDag,
         run: usize,
-        model: &'a mut GptModel,
+        scratch: &'a mut LayerScratch,
         tokens: &'a [usize],
         targets: &'a [usize],
         scale: f32,
@@ -372,7 +372,7 @@ impl<'a> StepCtx<'a> {
             config,
             dag,
             run,
-            model: Mutex::new(model),
+            scratch: Mutex::new(scratch),
             tokens,
             targets,
             scale,
@@ -417,30 +417,36 @@ impl<'a> StepCtx<'a> {
             .copy_to(&p16_key(layer), &staged_key(layer, pass), Tier::Host)
     }
 
-    /// Move a staged P16 into the GPU arena.
+    /// Bring a layer's P16 into the GPU arena: the copy its read staged,
+    /// or one rounded from the resident master.
     fn param_fetch(&self, layer: usize, pass: char) -> Result<(), StorageError> {
-        self.store.move_to(&staged_key(layer, pass), Tier::Gpu)
+        let staged = staged_key(layer, pass);
+        if self.dag.spec.layers[layer].master_in_host() {
+            publish_p16(self.store, layer, &staged, Tier::Gpu)
+        } else {
+            self.store.move_to(&staged, Tier::Gpu)
+        }
     }
 
-    /// Decode a staged P16 into the layer skeleton and free the copy.
-    /// Caller holds the model lock.
+    /// Decode a staged P16 into the layer's scratch slot and free the
+    /// copy. Caller holds the scratch lock.
     fn load_params(
         &self,
-        model: &mut GptModel,
+        scratch: &mut LayerScratch,
         layer: usize,
         pass: char,
     ) -> Result<(), StorageError> {
-        load_staged_params(self.store, model, layer, &staged_key(layer, pass))
+        load_staged_params(self.store, scratch, layer, &staged_key(layer, pass))
     }
 
     /// The layer's forward kernels, after decoding its staged P16.
     fn forward(&self, layer: usize) -> Result<(), StorageError> {
         let c = self.config.model;
         let l = c.layers;
-        let mut model = self.model.lock();
-        self.load_params(&mut model, layer, 'f')?;
+        let mut scratch = self.scratch.lock();
+        self.load_params(&mut scratch, layer, 'f')?;
         if layer == 0 {
-            let x = model
+            let x = scratch
                 .embedding
                 .forward(self.tokens, c.batch, c.seq)
                 .quantize_f16();
@@ -456,7 +462,7 @@ impl<'a> StepCtx<'a> {
             // the act-off task offloads these bytes after this kernel.
             *self.pending_ckpt[b].lock() = Some(x.to_f16_bytes());
             let spec = self.dropout_spec(b);
-            let (y, mut saved) = model.blocks[b].forward_with(&x, spec);
+            let (y, mut saved) = scratch.block.forward_with(&x, spec);
             saved.quantize_f16();
             // The act-off task of each chunk offloads its share of the
             // blob: split it here, back to front, so no byte is copied
@@ -478,7 +484,7 @@ impl<'a> StepCtx<'a> {
                 .lock()
                 .take()
                 .ok_or_else(|| slot_violation("forward flow reaches the head"))?;
-            let (loss, head_saved) = model.head.forward(&x, self.targets);
+            let (loss, head_saved) = scratch.head.forward(&x, self.targets);
             *self.loss.lock() = loss;
             *self.head.lock() = Some((x, head_saved));
         }
@@ -531,7 +537,7 @@ impl<'a> StepCtx<'a> {
         let l = c.layers;
         // A layer the plan moves no gradient for is frozen.
         let frozen = self.dag.spec.layers[layer].grad_bytes == 0.0;
-        let mut model = self.model.lock();
+        let mut scratch = self.scratch.lock();
         if layer == l + 1 {
             // Head: parameters are still resident from forward (the plan
             // stages the head once), its input was parked at the loss.
@@ -541,7 +547,7 @@ impl<'a> StepCtx<'a> {
                 .take()
                 .ok_or_else(|| slot_violation("head forward parked its input"))?;
             let (dx, head_grads) =
-                model
+                scratch
                     .head
                     .backward_scaled(&x, &head_saved, self.targets, self.scale);
             *self.dflow.lock() = Some(dx);
@@ -550,7 +556,7 @@ impl<'a> StepCtx<'a> {
             }
         } else if layer >= 1 {
             let b = layer - 1;
-            self.load_params(&mut model, layer, 'b')?;
+            self.load_params(&mut scratch, layer, 'b')?;
             let rows = c.batch * c.seq;
             let input =
                 Tensor::from_f16_bytes(&[rows, c.hidden], &self.store.take(&ckpt_key(layer))?);
@@ -583,24 +589,24 @@ impl<'a> StepCtx<'a> {
                 None => {
                     // Rematerialization regenerates the same dropout
                     // masks from the step/layer-derived seed.
-                    let (_, mut s) = model.blocks[b].forward_with(&input, spec);
+                    let (_, mut s) = scratch.block.forward_with(&input, spec);
                     s.quantize_f16();
                     s
                 }
             };
-            let (dprev, grads) = model.blocks[b].backward_with(&input, &saved, &dx, spec);
+            let (dprev, grads) = scratch.block.backward_with(&input, &saved, &dx, spec);
             *self.dflow.lock() = Some(dprev);
             if !frozen {
                 *self.grads[layer].lock() = Some(grads);
             }
         } else {
-            self.load_params(&mut model, 0, 'b')?;
+            self.load_params(&mut scratch, 0, 'b')?;
             let dx = self
                 .dflow
                 .lock()
                 .take()
                 .ok_or_else(|| slot_violation("backward flow reaches the embedding"))?;
-            let emb_grads = model.embedding.backward(self.tokens, c.batch, c.seq, &dx);
+            let emb_grads = scratch.embedding.backward(self.tokens, c.batch, c.seq, &dx);
             if !frozen {
                 *self.grads[0].lock() = Some(emb_grads);
             }
@@ -650,27 +656,31 @@ impl<'a> StepCtx<'a> {
         Ok(())
     }
 
-    /// Stage the layer's master + moments from SSD into host memory —
+    /// Stage the layer's SSD-resident optimizer states — the moments,
+    /// and the master unless host memory holds it — into host memory:
     /// the handler's SSD->Main leg.
     fn opt_read(&self, layer: usize) -> Result<(), StorageError> {
-        self.store.move_to(&master_key(layer), Tier::Host)?;
-        self.store.move_to(&moments_key(layer), Tier::Host)?;
-        Ok(())
+        if !self.dag.spec.layers[layer].master_in_host() {
+            self.store.move_to(&master_key(layer), Tier::Host)?;
+        }
+        self.store.move_to(&moments_key(layer), Tier::Host)
     }
 
-    /// Decode the G16 gradient and run the f32 Adam step over the
-    /// staged states, where the store holds them.
+    /// Run the f32 Adam step over the states where the store holds them,
+    /// reading the G16 gradient as the bytes it arrived in: one pass for
+    /// the overflow check and the clip norm, one for the update.
     fn opt_cpu(&self, layer: usize) -> Result<(), StorageError> {
-        let mut grads = decode_f16(&self.store.take(&grad_key(layer))?);
-        let applied = prepare_gradient(&mut grads, self.scale, self.config.grad_clip).is_some();
-        if applied {
+        let g16 = self.store.take(&grad_key(layer))?;
+        let factors = adam::GradFactors::measure(&g16, self.scale, self.config.grad_clip);
+        if let Some(factors) = factors {
             self.store.modify(
                 [&master_key(layer), &moments_key(layer)],
                 |[master, moments]| {
                     adam::step_le_bytes(
                         master,
                         moments,
-                        &grads,
+                        &g16,
+                        factors,
                         self.layer_steps[layer],
                         &self.adam,
                     )
@@ -679,28 +689,29 @@ impl<'a> StepCtx<'a> {
         } else {
             self.skipped.lock().push(layer);
         }
+        let applied = factors.is_some();
         *self.updates[layer].lock() = Some(OptUpdate { applied });
         Ok(())
     }
 
-    /// Publish the fresh P16 — rounded from the updated master where it
-    /// is staged — and write P32 + OS32 back: the handler's Main->SSD
-    /// leg (on a skipped update, just return the untouched states).
+    /// Write the staged states back — the handler's Main->SSD leg — and,
+    /// for a layer whose P16 rests on the SSD tier, publish the fresh one
+    /// rounded from the updated master first (on a skipped update, just
+    /// return the untouched states). A resident master was stepped where
+    /// it stays: its next fetch rounds the same bits.
     fn opt_write(&self, layer: usize) -> Result<(), StorageError> {
         let update = self.updates[layer]
             .lock()
             .take()
             .ok_or_else(|| slot_violation("opt-cpu parked this layer's update"))?;
-        if update.applied {
-            let fresh = self
-                .store
-                .modify([&master_key(layer)], |[master]| f32_le_to_f16_le(master))?;
-            let p16 = p16_key(layer);
-            self.store.remove(&p16)?;
-            self.store.put(&p16, Tier::Host, fresh)?;
-            self.store.move_to(&p16, Tier::Ssd)?;
+        if !self.dag.spec.layers[layer].master_in_host() {
+            if update.applied {
+                let p16 = p16_key(layer);
+                self.store.remove(&p16)?;
+                publish_p16(self.store, layer, &p16, Tier::Ssd)?;
+            }
+            self.store.move_to(&master_key(layer), Tier::Ssd)?;
         }
-        self.store.move_to(&master_key(layer), Tier::Ssd)?;
         self.store.move_to(&moments_key(layer), Tier::Ssd)
     }
 }
@@ -783,11 +794,11 @@ mod tests {
     use super::*;
     use crate::engine::{movement_spec_for, ActDecision, ExecutionOptions, ExecutorOptions};
     use crate::offload::GradOffloadMode;
-    use crate::schedule::{LinkRates, ACT_SPILL_CHUNKS};
+    use crate::schedule::{LinkRates, Placement, ACT_SPILL_CHUNKS};
     use ratel_verify::Limits;
 
-    /// The tiny engine's own movement plan (3 blocks), block 1 spilling
-    /// its activations to SSD.
+    /// The tiny engine's movement plan (3 blocks) under the paper's
+    /// placement, block 1 spilling its activations to SSD.
     fn tiny_spec(offload: GradOffloadMode) -> IterationSpec {
         let mut config = EngineConfig::tiny();
         config.act_decisions[0] = ActDecision::SwapToSsd;
@@ -795,7 +806,7 @@ mod tests {
             offload,
             ..ExecutorOptions::default()
         });
-        movement_spec_for(&config)
+        movement_spec_for(&config, Placement::Ssd)
     }
 
     /// Bytes of the miniature's blobs: a P16, a block's checkpoint, its
@@ -809,25 +820,31 @@ mod tests {
 
     /// Embedding, six blocks deciding `SwapToSsd, SwapToHost, Recompute`
     /// in turn, head — one parameter a layer (a 2 B P16, 12 B of
-    /// optimizer state) at unit rates, so a task's seconds are its bytes.
+    /// optimizer state) at unit rates, so a task's seconds are its bytes
+    /// — under the paper's placement.
     fn miniature() -> IterationSpec {
-        let layer = |label: &str, to_host: f64, to_ssd: f64, refetch: bool| LayerTask {
+        miniature_placed(Placement::Ssd)
+    }
+
+    /// [`miniature`] with every layer's states placed as `placement` says.
+    fn miniature_placed(placement: Placement) -> IterationSpec {
+        let layer = |id: usize, label: &str, to_host: f64, to_ssd: f64| LayerTask {
             fwd_flops: FWD,
             bwd_flops: 1.0,
             act_to_host_bytes: to_host,
             act_to_ssd_bytes: to_ssd,
-            refetch_in_backward: refetch,
-            ..LayerTask::ratel(label, P16 / 2.0, P16 / 2.0)
+            refetch_in_backward: id != 7,
+            ..LayerTask::ratel(label, P16 / 2.0, P16 / 2.0, placement)
         };
-        let mut layers = vec![layer("embedding", 0.0, 0.0, true)];
+        let mut layers = vec![layer(0, "embedding", 0.0, 0.0)];
         for b in 0..6 {
             layers.push(match b % 3 {
-                0 => layer("ssd", CKPT, ACTS, true),
-                1 => layer("host", CKPT + ACTS, 0.0, true),
-                _ => layer("recompute", CKPT, 0.0, true),
+                0 => layer(b + 1, "ssd", CKPT, ACTS),
+                1 => layer(b + 1, "host", CKPT + ACTS, 0.0),
+                _ => layer(b + 1, "recompute", CKPT, 0.0),
             });
         }
-        layers.push(layer("head", 0.0, 0.0, false));
+        layers.push(layer(7, "head", 0.0, 0.0));
         IterationSpec {
             layers,
             mode: GradOffloadMode::OptimizedActive,
@@ -989,6 +1006,27 @@ mod tests {
             ("opt-read L0", "opt-cpu L2"),
         ]);
         assert_eq!(pacing_edges(&miniature(), &Limits::none()), expected);
+    }
+
+    #[test]
+    fn a_resident_master_is_fetched_at_the_depth_its_read_was_paced_to() {
+        // A host-resident master has no read for its fetch to follow, so
+        // the fetch takes the read's gate; everything else is paced as
+        // under the paper's placement.
+        let paper = pacing_edges(&miniature(), &Limits::none());
+        let expected: BTreeSet<(String, String)> = (paper.iter().cloned())
+            .map(|(task, gate)| match task.split_once("-read ") {
+                Some((pass @ ("fwd" | "bwd"), layer)) => (format!("{pass}-fetch {layer}"), gate),
+                _ => (task, gate),
+            })
+            .collect();
+        let spec = miniature_placed(Placement::HostMaster);
+        assert_eq!(pacing_edges(&spec, &Limits::none()), expected);
+        let dag = StepDag::lower(&spec, &Limits::none()).unwrap();
+        let reads = |kind| dag.actions.iter().filter(|a| a.kind == kind).count();
+        assert_eq!(reads(TaskKind::FwdRead), 0);
+        assert_eq!(reads(TaskKind::BwdRead), 0);
+        assert_eq!(reads(TaskKind::OptRead), 8);
     }
 
     #[test]

@@ -3,8 +3,9 @@
 //! per-block caches are offloaded to the host tier between tokens.
 //!
 //! A call reads parameters it never writes, so it treats the host tier
-//! as a budgeted cache in front of the SSDs: as many layers' P16 as fit
-//! are copied there once, for the duration of the call, and every pass
+//! as a budgeted cache of P16: as many layers' as fit are pinned there
+//! once, for the duration of the call — copied from the SSD tier, or
+//! rounded from a host-resident master with no SSD hop — and every pass
 //! stages them from there. See [`pinned_layers`] for the budget.
 
 use std::sync::Arc;
@@ -12,10 +13,10 @@ use std::sync::Arc;
 use ratel_storage::{StorageError, Tier, TieredStore};
 use ratel_tensor::{GptConfig, KvCache};
 
-use super::blobs::{fetch_f16, offload_f16, p16_key, pinned_key};
+use super::blobs::{fetch_f16, offload_f16, p16_key, pinned_key, publish_p16};
 use super::RatelEngine;
 use crate::error::RatelError;
-use crate::schedule::LayerBlobs;
+use crate::schedule::{LayerBlobs, Placement};
 
 /// Index of the largest logit.
 fn argmax(logits: &[f32]) -> usize {
@@ -118,10 +119,12 @@ impl Drop for DecodeState {
 
 impl RatelEngine {
     /// Starts a decode call whose KV caches grow to `context` positions
-    /// (0 for the uncached path): copies the P16 of as many layers as
-    /// [`pinned_layers`] allows into the host tier — one metered
-    /// `SSD -> Main` hop each — where [`RatelEngine::stage_params`] finds
-    /// them for the rest of the call. The returned guard releases them.
+    /// (0 for the uncached path): pins the P16 of as many layers as
+    /// [`pinned_layers`] allows in the host tier — one metered
+    /// `SSD -> Main` hop for a layer placed there, one rounding of the
+    /// master for a host-resident one — where
+    /// [`RatelEngine::stage_params`] finds them for the rest of the
+    /// call. The returned guard releases them.
     ///
     /// The copies live only as long as the call: P16 changes on every
     /// step and checkpoint load, so a cache that outlived it would need
@@ -141,8 +144,11 @@ impl RatelEngine {
             .map(|cap| cap.saturating_sub(self.store.used(Tier::Host)));
         let kv_reserve = kv_bytes(&c, context);
         for layer in 0..pinned_layers(host_free, &p16_bytes, kv_reserve) {
-            self.store
-                .copy_to(&p16_key(layer), &pinned_key(layer), Tier::Host)?;
+            let pinned = pinned_key(layer);
+            match self.plan.placement {
+                Placement::HostMaster => publish_p16(&self.store, layer, &pinned, Tier::Host)?,
+                Placement::Ssd => self.store.copy_to(&p16_key(layer), &pinned, Tier::Host)?,
+            }
         }
         Ok(state)
     }
@@ -150,10 +156,11 @@ impl RatelEngine {
     /// Greedy autoregressive generation through the tiered engine: the
     /// prompt is extended one token at a time, each token a full forward
     /// over the window. Parameters reach the GPU arena one layer at a
-    /// time as in training, but cross the SSD link once per call, not
-    /// once per token: the call holds the P16 of every layer the host
+    /// time as in training, but cross the SSD link at most once per call,
+    /// not once per token: the call holds the P16 of every layer the host
     /// budget admits in the host tier (see `pinned_layers`) and streams
-    /// only the rest from the SSDs on each pass.
+    /// only the rest — from the SSDs, or rounded from a resident master —
+    /// on each pass.
     ///
     /// The model has a fixed context of `seq` tokens; the window holds
     /// the most recent `seq` tokens (causal attention makes trailing
@@ -192,17 +199,17 @@ impl RatelEngine {
 
             self.stage_params(0)?;
             let mut x = self
-                .model
+                .scratch
                 .embedding
                 .forward(&batch_ids, c.batch, c.seq)
                 .quantize_f16();
             for b in 0..c.layers {
                 self.stage_params(b + 1)?;
-                let (y, _) = self.model.blocks[b].forward(&x);
+                let (y, _) = self.scratch.block.forward(&x);
                 x = y.quantize_f16();
             }
             self.stage_params(c.layers + 1)?;
-            let logits = self.model.head.logits(&x);
+            let logits = self.scratch.head.logits(&x);
             let next = argmax(&logits.data()[last_pos * c.vocab..(last_pos + 1) * c.vocab]);
             context.push(next);
             out.push(next);
@@ -286,7 +293,7 @@ impl RatelEngine {
                 .iter()
                 .enumerate()
                 .map(|(i, &token)| {
-                    self.model
+                    self.scratch
                         .embedding
                         .forward_at(token, cached + i)
                         .quantize_f16()
@@ -307,7 +314,9 @@ impl RatelEngine {
                     if i > 0 {
                         cache.round_to_f16();
                     }
-                    *x_t = self.model.blocks[b]
+                    *x_t = self
+                        .scratch
+                        .block
                         .forward_cached(x_t, &mut cache)
                         .quantize_f16();
                 }
@@ -316,7 +325,7 @@ impl RatelEngine {
             cached += pending.len();
             self.stage_params(c.layers + 1)?;
             // `pending` is never empty, so neither is `xs`.
-            let next = pick(self.model.head.logits(&xs[xs.len() - 1]).data());
+            let next = pick(self.scratch.head.logits(&xs[xs.len() - 1]).data());
             out.push(next);
             pending = vec![next];
         }
@@ -419,7 +428,11 @@ mod decode_tests {
                 None => prompt[pos],
             };
             engine.stage_params(0).unwrap();
-            let mut x_t = engine.model.embedding.forward_at(token, pos).quantize_f16();
+            let mut x_t = engine
+                .scratch
+                .embedding
+                .forward_at(token, pos)
+                .quantize_f16();
             for b in 0..c.layers {
                 engine.stage_params(b + 1).unwrap();
                 let mut cache = if pos == 0 {
@@ -428,13 +441,13 @@ mod decode_tests {
                     let bytes = fetch_f16(&engine.store, &kv_key(b)).unwrap();
                     KvCache::from_f16_bytes(&bytes, c.heads, d, pos)
                 };
-                let y = engine.model.blocks[b].forward_cached(&x_t, &mut cache);
+                let y = engine.scratch.block.forward_cached(&x_t, &mut cache);
                 offload_f16(&engine.store, &kv_key(b), cache.to_f16_bytes(), Tier::Host).unwrap();
                 x_t = y.quantize_f16();
             }
             if pos + 1 >= prompt.len() && out.len() < max_new_tokens {
                 engine.stage_params(c.layers + 1).unwrap();
-                let logits = engine.model.head.logits(&x_t);
+                let logits = engine.scratch.head.logits(&x_t);
                 let next = pick(logits.data());
                 out.push(next);
                 next_token = Some(next);
@@ -475,6 +488,8 @@ mod decode_tests {
     /// `(prompt length, new tokens)`.
     const CALLS: [(usize, usize); 4] = [(1, 6), (5, 1), (4, 0), (3, 7)];
 
+    /// An engine over `model`: every master host-resident when
+    /// `host_capacity` is `None`, the paper's placement under a capacity.
     fn engine(model: GptConfig, host_capacity: Option<u64>) -> RatelEngine {
         let mut config = EngineConfig::tiny();
         config.model = model;
@@ -485,6 +500,10 @@ mod decode_tests {
         engine.store.set_spill_on_host_pressure(true);
         engine
     }
+
+    /// A host pool that bounds nothing a call holds, yet is one: the
+    /// paper's placement with room to pin every layer.
+    const ROOMY: Option<u64> = Some(1 << 30);
 
     fn p16_bytes(model: &GptConfig) -> Vec<u64> {
         (0..model.layers + 2)
@@ -508,23 +527,33 @@ mod decode_tests {
         cap
     }
 
-    /// The three capacity cases of a `(p, n)` call: `(host capacity,
-    /// layers it pins)` — everything, half the layers, nothing.
-    fn capacity_cases(model: &GptConfig, p: usize, n: usize) -> [(Option<u64>, usize); 3] {
+    /// The capacity cases of a `(p, n)` call: `(host capacity, layers it
+    /// pins)` — every master resident and everything pinned (the
+    /// uncapped default), then the paper's placement pinning everything,
+    /// half the layers, nothing.
+    fn capacity_cases(model: &GptConfig, p: usize, n: usize) -> [(Option<u64>, usize); 4] {
         let layers = model.layers + 2;
         [
             (None, layers),
+            (ROOMY, layers),
             (Some(capacity_pinning(model, layers / 2, p, n)), layers / 2),
             (Some(capacity_pinning(model, 0, p, n)), 0),
         ]
     }
 
     /// Bytes a cached `(p, n)` call moves per route, in `Route::ALL`'s
-    /// terms: every layer crosses `Main -> GPU` once per new token; the
-    /// pinned ones cross `SSD -> Main` once, the rest once per token;
-    /// each block's cache is offloaded after every pass and fetched
-    /// before every pass but the first; nothing is written to the SSDs.
-    fn expected_traffic(model: &GptConfig, pinned: usize, p: usize, n: usize) -> [(Route, u64); 4] {
+    /// terms: every layer crosses `Main -> GPU` once per new token; under
+    /// a host capacity — P16 at rest on the SSD tier — the pinned ones
+    /// cross `SSD -> Main` once, the rest once per token (a host-resident
+    /// master never does); each block's cache is offloaded after every
+    /// pass and fetched before every pass but the first; nothing is
+    /// written to the SSDs.
+    fn expected_traffic(
+        model: &GptConfig,
+        (host_capacity, pinned): (Option<u64>, usize),
+        p: usize,
+        n: usize,
+    ) -> [(Route, u64); 4] {
         let bytes = p16_bytes(model);
         let n64 = n as u64;
         let kv = |positions: std::ops::Range<usize>| -> u64 {
@@ -533,8 +562,10 @@ mod decode_tests {
         let (s2h, h2g, g2h) = if n == 0 {
             (0, 0, 0)
         } else {
+            let streamed =
+                bytes[..pinned].iter().sum::<u64>() + n64 * bytes[pinned..].iter().sum::<u64>();
             (
-                bytes[..pinned].iter().sum::<u64>() + n64 * bytes[pinned..].iter().sum::<u64>(),
+                host_capacity.map_or(0, |_| streamed),
                 n64 * bytes.iter().sum::<u64>() + kv(p..p + n - 1),
                 kv(p..p + n),
             )
@@ -547,8 +578,11 @@ mod decode_tests {
         ]
     }
 
+    /// At rest the host tier holds the resident masters and nothing
+    /// else, the arena nothing.
     fn assert_drained(engine: &RatelEngine, what: &str) {
-        assert_eq!(engine.store.used(Tier::Host), 0, "{what}: host tier");
+        let resident = engine.host_state_bytes();
+        assert_eq!(engine.store.used(Tier::Host), resident, "{what}: host tier");
         assert_eq!(engine.store.used(Tier::Gpu), 0, "{what}: gpu tier");
     }
 
@@ -594,7 +628,7 @@ mod decode_tests {
         let prompt = prompt_of(&model, p);
         let before = e.store.traffic();
         let tokens = e.generate_cached(&prompt, n).unwrap();
-        let s2h = |pinned| expected_traffic(&model, pinned, p, n)[0].1;
+        let s2h = |pinned| expected_traffic(&model, (Some(cap), pinned), p, n)[0].1;
         assert_eq!(
             e.store.traffic().since(&before).bytes(Route::SsdToHost),
             s2h(layers)
@@ -643,9 +677,9 @@ mod decode_tests {
                         })
                     })
                     .collect();
-                for (host_capacity, _) in capacity_cases(&model, p, n) {
-                    let what = format!("{model:?} P={p} N={n} host={host_capacity:?}");
-                    let mut e = engine(model, host_capacity);
+                for case in capacity_cases(&model, p, n) {
+                    let what = format!("{model:?} P={p} N={n} {case:?}");
+                    let mut e = engine(model, case.0);
                     assert_eq!(e.generate_cached(&prompt, n).unwrap(), greedy, "{what}");
                     assert_drained(&e, &what);
                     let mut logits_got: Vec<Vec<u32>> = Vec::new();
@@ -680,21 +714,22 @@ mod decode_tests {
             layers: 6,
             batch: 2,
         };
-        assert_eq!(expected_traffic(&ckpt_gen, 8, 8, 24)[2].1, 1_078_272);
+        let uncapped = capacity_cases(&ckpt_gen, 8, 24)[0];
+        assert_eq!(expected_traffic(&ckpt_gen, uncapped, 8, 24)[2].1, 1_078_272);
 
         for model in SHAPES {
             for (p, n) in CALLS {
-                for (host_capacity, pinned) in capacity_cases(&model, p, n) {
-                    let what = format!("{model:?} P={p} N={n} host={host_capacity:?}");
-                    let mut e = engine(model, host_capacity);
+                for case in capacity_cases(&model, p, n) {
+                    let what = format!("{model:?} P={p} N={n} {case:?}");
+                    let mut e = engine(model, case.0);
                     let before = e.store.traffic();
                     e.generate_cached(&prompt_of(&model, p), n).unwrap();
                     let moved = e.store.traffic().since(&before);
-                    for (route, bytes) in expected_traffic(&model, pinned, p, n) {
+                    for (route, bytes) in expected_traffic(&model, case, p, n) {
                         assert_eq!(moved.bytes(route), bytes, "{what}: {route:?}");
                     }
                     assert_eq!(e.store.telemetry().fault_stats().host_spills, 0);
-                    if let Some(cap) = host_capacity {
+                    if let Some(cap) = case.0 {
                         assert!(e.store.peak_used(Tier::Host) <= cap, "{what}");
                     }
                     assert_drained(&e, &what);
@@ -708,13 +743,22 @@ mod decode_tests {
         let model = SHAPES[0];
         let all: u64 = p16_bytes(&model).iter().sum();
         let prompt = prompt_of(&model, 4);
-        let mut unbounded = engine(model, None);
-        let before = unbounded.store.traffic();
-        let tokens = unbounded.generate(&prompt, 5).unwrap();
-        let moved = unbounded.store.traffic().since(&before);
+        // The paper's placement, room to pin: one SSD read of each layer.
+        let mut roomy = engine(model, ROOMY);
+        let before = roomy.store.traffic();
+        let tokens = roomy.generate(&prompt, 5).unwrap();
+        let moved = roomy.store.traffic().since(&before);
         assert_eq!(moved.bytes(Route::SsdToHost), all);
         assert_eq!(moved.bytes(Route::HostToGpu), 5 * all);
-        assert_drained(&unbounded, "unbounded");
+        assert_drained(&roomy, "roomy");
+        // Every master resident: the same tokens and no SSD read at all.
+        let mut resident = engine(model, None);
+        let before = resident.store.traffic();
+        assert_eq!(resident.generate(&prompt, 5).unwrap(), tokens);
+        let moved = resident.store.traffic().since(&before);
+        assert_eq!(moved.bytes(Route::SsdToHost), 0);
+        assert_eq!(moved.bytes(Route::HostToGpu), 5 * all);
+        assert_drained(&resident, "resident");
         // No room to pin: the same tokens, every pass from the SSDs.
         let floor = *p16_bytes(&model).iter().max().unwrap();
         let mut streaming = engine(model, Some(floor));
@@ -733,11 +777,11 @@ mod decode_tests {
         let prompt = prompt_of(&model, p);
         let expected = engine(model, None).generate_cached(&prompt, n).unwrap();
         let reads_per_pass = model.layers as u64 + 2;
-        // Unbounded: the read that gives up is the third pin, with two
+        // Room to pin: the read that gives up is the third pin, with two
         // pins already in the host tier. Streaming: a block's read in
         // the fourth pass, with every block's cache in the host tier.
         let cases = [
-            (None, 2),
+            (ROOMY, 2),
             (
                 Some(capacity_pinning(&model, 0, p, n)),
                 3 * reads_per_pass + 2,

@@ -1,8 +1,10 @@
 //! The real out-of-core fine-tuning engine.
 //!
 //! This module executes Ratel's algorithms *for real* on a small GPT:
-//! model states live as blobs in the SSD tier of a
-//! [`ratel_storage::TieredStore`], the "GPU" is a capacity-enforced arena
+//! model states live as blobs in a [`ratel_storage::TieredStore`] — on
+//! its SSD tier, except the f32 masters an unbounded host pool keeps
+//! resident ([`crate::schedule::Placement`]) — the "GPU" is a
+//! capacity-enforced arena
 //! that only ever holds one layer's working set, activations are swapped
 //! to host/SSD or recomputed per a planner decision, and a concurrent CPU
 //! optimizer consumes each layer's gradient the moment backward produces
@@ -46,7 +48,7 @@ pub mod telemetry;
 use std::sync::Arc;
 
 use ratel_storage::{Route, Tier, TierConfig, TieredStore};
-use ratel_tensor::{GptConfig, GptModel};
+use ratel_tensor::GptConfig;
 
 use crate::error::RatelError;
 use scaler::LossScaler;
@@ -61,8 +63,9 @@ pub use step::StepStats;
 pub struct RatelEngine {
     config: EngineConfig,
     store: Arc<TieredStore>,
-    /// Layer skeletons; weights are loaded per use from the P16 blobs.
-    model: GptModel,
+    /// The f32 tensors kernels compute on — one block's, the
+    /// embedding's and the head's — loaded per use from the layer's P16.
+    scratch: blobs::LayerScratch,
     /// Monotone step counter (wall steps, including skipped ones).
     step: u64,
     /// Per-layer count of *applied* Adam updates (the bias-correction
@@ -87,8 +90,10 @@ pub struct RatelEngine {
 }
 
 impl RatelEngine {
-    /// Initializes the engine: builds the model, then *moves every model
-    /// state to the SSD tier* (P32, OS32, P16 blobs per layer).
+    /// Initializes the engine: lowers the plan, then builds the model
+    /// one layer at a time, *placing each layer's states where the plan
+    /// says they rest* — P32, OS32 and P16 blobs on the SSD tier, or the
+    /// P32 in host memory and the OS32 on the SSD tier.
     ///
     /// # Errors
     /// [`RatelError::InvalidConfig`] carrying the configuration's shape
@@ -116,14 +121,14 @@ impl RatelEngine {
             ssd_dir: TierConfig::unbounded_temp().ssd_dir,
         };
         let store = Arc::new(TieredStore::new(tier_config)?);
-        let model = GptModel::new(config.model, config.seed);
+        let scratch = blobs::LayerScratch::new(config.model);
 
         let scaler = LossScaler::new(config.loss_scale);
         let layer_steps = vec![0u64; config.model.layers + 2];
         let engine = RatelEngine {
             config,
             store,
-            model,
+            scratch,
             step: 0,
             layer_steps,
             scaler,
@@ -133,11 +138,6 @@ impl RatelEngine {
             total_findings: 0,
             plan,
         };
-        debug_assert!(
-            (0..engine.layer_count())
-                .all(|id| engine.config.model.layer_params(id) == engine.layer_param_count(id)),
-            "analytic layer param counts diverged from the live model"
-        );
         engine.init_states()?;
         Ok(engine)
     }
@@ -173,6 +173,12 @@ impl RatelEngine {
         &self.config.act_decisions
     }
 
+    /// Where every layer's states rest between steps, as the plan chose
+    /// from the host capacity (see [`crate::api::TrainingPlan::placement`]).
+    pub fn placement(&self) -> crate::schedule::Placement {
+        self.plan.placement
+    }
+
     /// The tiered store (for inspection in tests/examples).
     pub fn store(&self) -> &TieredStore {
         &self.store
@@ -183,17 +189,17 @@ impl RatelEngine {
         let c = self.config.model;
         self.stage_params(0)?;
         let mut x = self
-            .model
+            .scratch
             .embedding
             .forward(tokens, c.batch, c.seq)
             .quantize_f16();
         for b in 0..c.layers {
             self.stage_params(b + 1)?;
-            let (y, _) = self.model.blocks[b].forward(&x);
+            let (y, _) = self.scratch.block.forward(&x);
             x = y.quantize_f16();
         }
         self.stage_params(c.layers + 1)?;
-        let (loss, _) = self.model.head.forward(&x, targets);
+        let (loss, _) = self.scratch.head.forward(&x, targets);
         Ok(loss)
     }
 
@@ -202,15 +208,24 @@ impl RatelEngine {
         self.store.used(Tier::Ssd)
     }
 
+    /// Host-tier bytes the plan keeps resident between steps: the f32
+    /// masters of the host-placed layers. All the host tier holds at
+    /// rest.
+    pub fn host_state_bytes(&self) -> u64 {
+        self.plan.step.spec.resident_host_bytes() as u64
+    }
+
     /// Total scalar parameters across all layers.
     pub fn total_params(&self) -> usize {
-        self.model.param_count()
+        (0..self.layer_count())
+            .map(|layer| self.layer_param_count(layer))
+            .sum()
     }
 
     /// Scalar parameters of one layer (0 = embedding, 1..=L = blocks,
     /// L+1 = head).
     pub fn layer_param_count(&self, layer: usize) -> usize {
-        blobs::layer_of(&self.model, layer).param_count()
+        self.config.model.layer_params(layer)
     }
 
     /// Route-level traffic helper: *cumulative* bytes that crossed
@@ -236,10 +251,11 @@ impl RatelEngine {
     /// Saves a crash-safe training checkpoint (masters, Adam moments,
     /// step clocks) as a new *generation* in `dir`: every file is written
     /// to a temp sibling, fsynced, and renamed, with a checksummed
-    /// manifest committed last — a crash at any point leaves the previous
-    /// generation loadable. The two newest generations are kept. The P16
-    /// copies are derivable and not stored. See [`checkpoint`] for the
-    /// on-disk format.
+    /// manifest committed last and the directory fsynced after it — a
+    /// crash at any point leaves the previous generation loadable. The
+    /// two newest generations are kept. The P16 copies are derivable and
+    /// not stored, so a checkpoint does not depend on the placement that
+    /// saved it. See [`checkpoint`] for the on-disk format.
     pub fn save_checkpoint(&self, dir: &std::path::Path) -> Result<(), RatelError> {
         checkpoint::save(self, dir)
     }
@@ -248,8 +264,8 @@ impl RatelEngine {
     /// into this engine (which must have the same model shape). Every
     /// blob is length- and checksum-verified before any engine state is
     /// touched; a torn or corrupted generation is skipped in favor of the
-    /// previous good one. The P16 compute copies are re-derived from the
-    /// restored masters.
+    /// previous good one. The P16 copies that rest on the SSD tier are
+    /// re-derived from the restored masters.
     ///
     /// # Errors
     /// [`RatelError::CheckpointCorrupt`] when no generation in `dir`

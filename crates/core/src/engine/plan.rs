@@ -1,12 +1,13 @@
 //! The plan of one engine step: built once per configuration, held by
 //! whoever needs it, and the only thing a step reads.
 //!
-//! [`movement_spec_for`] maps an [`EngineConfig`] onto Ratel's per-layer
-//! movement table ([`LayerTask::ratel`]); [`StepPlan::lower`] lowers that
-//! spec into the paced, verified DAG the executor dispatches. A
-//! [`crate::api::TrainingPlan`] inspects and verifies the plan before an
-//! engine exists and hands it over; the engine runs it; the conformance
-//! monitor checks each step's telemetry against it.
+//! [`movement_spec_for`] maps an [`EngineConfig`] and a [`Placement`]
+//! onto Ratel's movement table ([`LayerTask::ratel`]);
+//! [`StepPlan::lower`] picks the placement from the host capacity and
+//! lowers that spec into the paced, verified DAG the executor
+//! dispatches. A [`crate::api::TrainingPlan`] inspects and verifies the
+//! plan before an engine exists and hands it over; the engine runs it;
+//! the conformance monitor checks each step's telemetry against it.
 
 use std::sync::OnceLock;
 
@@ -15,9 +16,10 @@ use ratel_sim::MemTier;
 use super::dag_step::StepDag;
 use super::{ActDecision, EngineConfig};
 use crate::error::RatelError;
-use crate::schedule::{IterationSpec, LayerBlobs, LayerTask, LinkRates};
+use crate::schedule::{IterationSpec, LayerBlobs, LayerTask, LinkRates, Placement};
 
-/// Lowers one engine step of `config` into its schedule twin: an
+/// Lowers one engine step of `config`, every layer's states placed as
+/// `placement` says, into its schedule twin: an
 /// [`IterationSpec`] planning exactly what the engine moves (the same
 /// shape `ratel-bench validate` compares telemetry against). Layer ids
 /// follow the engine: 0 = embedding, 1..=L = blocks, L+1 = head. Compute
@@ -31,9 +33,9 @@ use crate::schedule::{IterationSpec, LayerBlobs, LayerTask, LinkRates};
 /// The bytes each of those moves are [`LayerTask::ratel`]'s.
 ///
 /// # Panics
-/// If `config.act_decisions` is shorter than the model is deep;
-/// [`EngineConfig::validate`] reports that as a violation.
-pub fn movement_spec_for(config: &EngineConfig) -> IterationSpec {
+/// If `config.act_decisions` is shorter than the model is deep
+/// ([`EngineConfig::validate`] reports that as a violation).
+pub fn movement_spec_for(config: &EngineConfig, placement: Placement) -> IterationSpec {
     let model = config.model;
     let head = model.layers + 1;
     let layers = (0..=head)
@@ -66,7 +68,7 @@ pub fn movement_spec_for(config: &EngineConfig) -> IterationSpec {
                 act_ckpt_bytes: blobs.ckpt as f64,
                 act_to_ssd_bytes: to_ssd as f64,
                 refetch_in_backward: id != head,
-                ..LayerTask::ratel(label, params, trainable)
+                ..LayerTask::ratel(label, params, trainable, placement)
             }
         })
         .collect();
@@ -89,6 +91,9 @@ pub(crate) struct StepPlan {
     /// The DAG a plain step — and the final micro-batch of an
     /// accumulated one — runs.
     pub(crate) step: StepDag,
+    /// Where every layer's states rest between steps: what `step.spec`
+    /// was lowered under.
+    pub(crate) placement: Placement,
     /// The DAG a non-final micro-batch runs; see [`StepPlan::accumulation`].
     accumulation: OnceLock<StepDag>,
     /// That DAG's static peak per memory tier ([`MemTier::ALL`] order):
@@ -101,18 +106,25 @@ pub(crate) struct StepPlan {
 
 impl StepPlan {
     /// Lowers `config`'s movement plan into the DAG a step dispatches,
-    /// paced against the configured tier capacities. The builder
+    /// paced against the configured tier capacities, under the placement
+    /// its host pool calls for: every layer's master resident when the
+    /// pool is unbounded; under any capacity the paper's — every state on
+    /// the SSDs, the host pool left to the activations. The builder
     /// self-verifies the schedule in debug builds and the lowering
     /// re-verifies it after pacing — so the DAG `train_step` dispatches
     /// is the DAG that passed.
     pub(crate) fn lower(config: &EngineConfig) -> Result<StepPlan, RatelError> {
+        let placement = match config.host_capacity {
+            None => Placement::HostMaster,
+            Some(_) => Placement::Ssd,
+        };
         let tiers = ratel_verify::Limits {
             gpu: config.gpu_capacity.map(|c| c as f64),
             host: config.host_capacity.map(|c| c as f64),
             width: Some(config.execution.executor().workers_per_pool),
             ..ratel_verify::Limits::none()
         };
-        let spec = movement_spec_for(config);
+        let spec = movement_spec_for(config, placement);
         // What fits must cover an accumulated step too, so its DAG is
         // lowered here for its peaks alone, and dropped before the step
         // DAG exists beside it.
@@ -121,6 +133,7 @@ impl StepPlan {
             .peaks;
         Ok(StepPlan {
             step: StepDag::lower(&spec, &tiers)?,
+            placement,
             accumulation: OnceLock::new(),
             accumulation_peaks,
             tiers,
@@ -142,11 +155,13 @@ impl StepPlan {
     /// any number of micro-batches — can hold in `tier` at once, under
     /// any interleaving the executor may produce: the residency pass's
     /// static peak over the DAGs as dispatched. An accumulated step's
-    /// runs all start with what the accumulation DAG leaves behind (the
-    /// f32 accumulators) already there.
+    /// runs all start with what the accumulation DAG leaves behind and a
+    /// plain step does not (the f32 accumulators; resident masters
+    /// outlive both and are in both totals) already there.
     pub(crate) fn static_peak(&self, tier: MemTier) -> u64 {
         let step = self.step.report.peak(tier);
         let accumulation = self.accumulation_peaks[tier as usize];
-        (accumulation.outliving + step.total.max(accumulation.total)).ceil() as u64
+        let carried = accumulation.outliving - step.outliving;
+        (carried + step.total.max(accumulation.total)).ceil() as u64
     }
 }

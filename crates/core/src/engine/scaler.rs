@@ -103,9 +103,11 @@ impl LossScaler {
     }
 }
 
-/// Per-layer gradient post-processing shared by the engine's optimizer
-/// thread and the in-memory reference: unscale, overflow check, optional
-/// norm clip. Returns `None` when the layer's update must be skipped.
+/// Per-layer gradient post-processing — unscale, overflow check,
+/// optional norm clip — over an f32 vector: the in-memory reference's,
+/// and the oracle of what the engine's handler computes in two passes
+/// over the G16 bytes (`ratel_tensor::adam::GradFactors`). Returns `None`
+/// when the layer's update must be skipped.
 pub fn prepare_gradient(grads: &mut [f32], scale: f32, clip: Option<f32>) -> Option<()> {
     if scale != 1.0 {
         let inv = 1.0 / scale;
@@ -203,6 +205,66 @@ mod tests {
         assert!(prepare_gradient(&mut g, 4.0, None).is_none());
         let mut g = vec![1.0f32, f32::NAN];
         assert!(prepare_gradient(&mut g, 1.0, None).is_none());
+    }
+
+    #[test]
+    fn two_passes_over_the_g16_bytes_equal_prepare_gradient_then_adam() {
+        // The handler never builds the f32 gradient: `GradFactors::measure`
+        // then `step_le_bytes` over the G16 bytes must be, bit for bit,
+        // `prepare_gradient` over the decoded vector then `Adam::step`.
+        use ratel_tensor::adam::{step_le_bytes, GradFactors};
+        use ratel_tensor::dtype::{decode_f16, encode_f16, encode_f32};
+        use ratel_tensor::{Adam, AdamParams, Tensor};
+        let hp = AdamParams::default();
+        // Sizes on both sides of the codec's 256-element chunk.
+        for (case, n) in [1usize, 255, 257, 1000].into_iter().enumerate() {
+            for scale in [1.0f32, 1024.0] {
+                let seed = case as u64 * 10;
+                let stored = Tensor::randn(&[n], 0.05 * scale, seed).into_vec();
+                let norm = {
+                    let mut g = decode_f16(&encode_f16(&stored));
+                    prepare_gradient(&mut g, scale, None).unwrap();
+                    g.iter().map(|g| g * g).sum::<f32>().sqrt()
+                };
+                // No clip, one the norm exceeds, one it does not.
+                for clip in [None, Some(norm / 2.0), Some(norm * 2.0)] {
+                    // As stored, then with an element the unscale leaves
+                    // infinite, then with a NaN.
+                    for poison in [None, Some(f32::INFINITY), Some(f32::NAN)] {
+                        let mut stored = stored.clone();
+                        if let Some(bad) = poison {
+                            stored[n / 2] = bad;
+                        }
+                        let g16 = encode_f16(&stored);
+                        let what = format!("n {n}, scale {scale}, clip {clip:?}, {poison:?}");
+
+                        let mut grads = decode_f16(&g16);
+                        let prepared = prepare_gradient(&mut grads, scale, clip);
+                        let factors = GradFactors::measure(&g16, scale, clip);
+                        assert_eq!(prepared.is_some(), factors.is_some(), "{what}");
+                        assert_eq!(prepared.is_some(), poison.is_none(), "{what}");
+                        let Some(factors) = factors else { continue };
+                        assert_eq!(factors.unscale.is_some(), scale != 1.0, "{what}");
+                        assert_eq!(factors.clip.is_some(), clip == Some(norm / 2.0), "{what}");
+
+                        let mut params = Tensor::randn(&[n], 0.5, seed + 1).into_vec();
+                        let mut adam = Adam::new(n);
+                        let mut master = encode_f32(&params);
+                        let mut moments = vec![0u8; 8 * n];
+                        for t in 0..2 {
+                            adam.step(&mut params, &grads, &hp);
+                            step_le_bytes(&mut master, &mut moments, &g16, factors, t, &hp);
+                        }
+                        assert_eq!(master, encode_f32(&params), "master: {what}");
+                        assert_eq!(
+                            moments,
+                            encode_f32(&[&adam.m[..], &adam.v[..]].concat()),
+                            "moments: {what}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -153,7 +153,7 @@ impl RatelEngine {
             &self.config,
             dag,
             run,
-            &mut self.model,
+            &mut self.scratch,
             tokens,
             targets,
             scale,
@@ -353,7 +353,24 @@ mod tests {
         }
     }
 
+    /// Under both placements — every master host-resident (no host
+    /// capacity) and the paper's (one) — the engine equals the in-memory
+    /// reference bit for bit.
     fn run_equivalence(config: EngineConfig, steps: usize) {
+        for host_capacity in [None, ROOMY] {
+            let config = EngineConfig {
+                host_capacity,
+                ..config.clone()
+            };
+            run_equivalence_placed(config, steps);
+        }
+    }
+
+    /// A host pool that bounds nothing a step holds, yet is one: the
+    /// paper's all-SSD placement.
+    const ROOMY: Option<u64> = Some(1 << 30);
+
+    fn run_equivalence_placed(config: EngineConfig, steps: usize) {
         let model = config.model;
         let seed = config.seed;
         let adam = config.adam;
@@ -451,7 +468,7 @@ mod tests {
             2 * accum_tasks + engine.plan.step.graph.len() as u64
         );
         assert_eq!(engine.store().used(Tier::Gpu), 0);
-        assert_eq!(engine.store().used(Tier::Host), 0);
+        assert_eq!(engine.store().used(Tier::Host), engine.host_state_bytes());
     }
 
     #[test]
@@ -517,31 +534,41 @@ mod tests {
     }
 
     #[test]
-    fn state_traffic_matches_the_paper_inventory() {
-        // Per step the SSD tier must serve at least: P16 forward (2
-        // bytes/param) + P16 backward (2) + P32+OS32 reads (12), and
-        // absorb P32+OS32+P16 writes (14).
+    fn state_traffic_matches_the_placement_inventory() {
         let config = EngineConfig::tiny();
         let model = config.model;
-        let mut engine = RatelEngine::new(config).unwrap();
+        let layers = model.layers + 2;
+        let (tokens, targets) = random_batch(&model, 3);
+        let step_traffic = |host_capacity: Option<u64>| {
+            let config = EngineConfig {
+                host_capacity,
+                ..config.clone()
+            };
+            let mut engine = RatelEngine::new(config).unwrap();
+            let planned = engine.movement_spec().planned_route_bytes();
+            let traffic = engine.train_step(&tokens, &targets).unwrap().traffic;
+            assert_eq!(Route::ALL.map(|r| traffic.bytes(r)), planned);
+            (traffic, engine)
+        };
+        let (paper, engine) = step_traffic(ROOMY);
         let params = engine.total_params() as u64;
         // The head is staged once (its forward and backward are adjacent
         // at the loss); every other layer is staged twice.
-        let head_params = engine.layer_param_count(engine.layer_count() - 1) as u64;
-        let (tokens, targets) = random_batch(&model, 3);
-        let stats = engine.train_step(&tokens, &targets).unwrap();
-        let s2h = stats.traffic.bytes(Route::SsdToHost);
-        let h2s = stats.traffic.bytes(Route::HostToSsd);
-        let expected_reads = params * 12 + (2 * params - head_params) * 2;
-        assert_eq!(
-            s2h, expected_reads,
-            "SSD reads must be exactly P16 stages + 12P state reads"
-        );
-        assert_eq!(
-            h2s,
-            params * 14,
-            "SSD writes must be exactly the 14P state write-back"
-        );
+        let head_params = engine.layer_param_count(layers - 1) as u64;
+        let p16_stages = (2 * params - head_params) * 2;
+        // The paper's placement: per step the SSD tier serves P16 forward
+        // (2 bytes/param) + P16 backward (2) + P32+OS32 reads (12), and
+        // absorbs P32+OS32+P16 writes (14).
+        assert_eq!(paper.bytes(Route::SsdToHost), params * 12 + p16_stages);
+        assert_eq!(paper.bytes(Route::HostToSsd), params * 14);
+        // Every master host-resident: the moments (8) each way, nothing
+        // else; the arena receives the same P16 bytes either way.
+        let (resident, _) = step_traffic(None);
+        assert_eq!(resident.bytes(Route::SsdToHost), params * 8);
+        assert_eq!(resident.bytes(Route::HostToSsd), params * 8);
+        for route in [Route::HostToGpu, Route::GpuToHost] {
+            assert_eq!(resident.bytes(route), paper.bytes(route), "{route:?}");
+        }
     }
 
     #[test]

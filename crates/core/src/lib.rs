@@ -61,5 +61,6 @@ pub mod prelude {
     };
     pub use crate::error::RatelError;
     pub use crate::offload::GradOffloadMode;
+    pub use crate::schedule::Placement;
     pub use ratel_tensor::{AdamParams, GptConfig};
 }

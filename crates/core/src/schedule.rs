@@ -100,12 +100,28 @@ impl Emitter {
 /// and move whole.
 pub const ACT_SPILL_CHUNKS: usize = 4;
 
+/// Where Ratel keeps a layer's model states between steps.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Placement {
+    /// The paper's: P32 + OS32 + P16 all on the SSDs. Per parameter and
+    /// step the SSD link carries the P16 twice up (forward, backward),
+    /// P32 + OS32 up and P32 + OS32 + a fresh P16 down — 30 bytes.
+    Ssd,
+    /// The f32 master resident in host memory, the moments on the SSDs:
+    /// each fetch rounds the master to P16 on its way into the arena (the
+    /// bits the SSD placement's write-back publishes), the handler steps
+    /// the master where it lies, and only OS32 crosses the SSD link — 16
+    /// bytes per parameter and step, for 4 held.
+    HostMaster,
+}
+
 /// Where a layer's fp16 parameters live between iterations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ParamSource {
     /// On the SSDs (Ratel, ZeRO-Infinity, G10): fetched SSD->host->GPU.
     Ssd,
-    /// In main memory (ZeRO-Offload): fetched host->GPU.
+    /// In main memory (ZeRO-Offload's P16, the f32 master of a
+    /// [`Placement::HostMaster`] layer): fetched host->GPU.
     Host,
     /// Resident in GPU memory (FlashNeuron, Megatron): no fetch.
     Gpu,
@@ -118,9 +134,11 @@ pub enum OptimizerKind {
     /// write states + fresh P16 back (the paper's handler).
     CpuOutOfCore {
         /// Bytes read from SSD (P32+OS32 = 12 bytes/param, plus spilled
-        /// gradients for ZeRO-Infinity).
+        /// gradients for ZeRO-Infinity; OS32 alone, 8, beside a
+        /// host-resident master).
         read_bytes: f64,
-        /// Bytes written to SSD (P32+OS32+P16 = 14 bytes/param).
+        /// Bytes written to SSD (P32+OS32+P16 = 14 bytes/param; OS32
+        /// alone, 8, beside a host-resident master).
         write_bytes: f64,
         /// Parameters updated (drives CPU time).
         cpu_params: f64,
@@ -159,6 +177,10 @@ pub struct LayerTask {
     pub p16_bytes: f64,
     /// Where the fp16 parameters are fetched from.
     pub param_source: ParamSource,
+    /// Bytes of the layer's f32 master held in host memory from before
+    /// the step until after it ([`Placement::HostMaster`]; 0 otherwise).
+    /// Its fetches round it to P16 through a host buffer of `p16_bytes`.
+    pub master_host_bytes: f64,
     /// Forward GPU FLOPs.
     pub fwd_flops: f64,
     /// Backward GPU FLOPs (2x forward + this layer's recomputation).
@@ -188,22 +210,40 @@ impl LayerTask {
     /// The one emitter of Ratel's per-layer movement table: a layer of
     /// `params` parameters, `trainable_params` of which are fine-tuned
     /// (all of them for full fine-tuning, a fraction for LoRA-style
-    /// adapters, 0 for a frozen layer), under Ratel's placement. The
-    /// whole P16 streams from the SSDs for forward and again for
-    /// backward; the trainable subset's G16 lands in host memory and
-    /// its out-of-core CPU handler reads P32 + OS32 and writes them
-    /// back with a fresh P16. Every bytes-per-parameter figure is Table
-    /// II's ([`ModelStates::of_params`]).
+    /// adapters, 0 for a frozen layer), its states placed as `placement`
+    /// says. The P16 reaches the arena for forward and again for
+    /// backward — streamed from the SSDs, or rounded from the
+    /// host-resident master; the trainable subset's G16 lands in host
+    /// memory and its out-of-core CPU handler reads the states the SSDs
+    /// hold and writes them back (with a fresh P16 where one rests
+    /// there). Every bytes-per-parameter figure is Table II's
+    /// ([`ModelStates::of_params`]).
     ///
     /// What the parameter counts do not decide — activation bytes,
     /// FLOPs, a layer staged only once — starts at zero (refetching on)
     /// and is set by the caller with struct-update syntax.
-    pub fn ratel(label: impl Into<String>, params: f64, trainable_params: f64) -> LayerTask {
+    pub fn ratel(
+        label: impl Into<String>,
+        params: f64,
+        trainable_params: f64,
+        placement: Placement,
+    ) -> LayerTask {
+        let all = ModelStates::of_params(params);
         let trained = ModelStates::of_params(trainable_params);
+        let (param_source, master_host_bytes, read_bytes, write_bytes) = match placement {
+            Placement::Ssd => (
+                ParamSource::Ssd,
+                0.0,
+                trained.optimizer_read(),
+                trained.optimizer_write(),
+            ),
+            Placement::HostMaster => (ParamSource::Host, all.p32, trained.os32, trained.os32),
+        };
         LayerTask {
             label: label.into(),
-            p16_bytes: ModelStates::of_params(params).p16,
-            param_source: ParamSource::Ssd,
+            p16_bytes: all.p16,
+            param_source,
+            master_host_bytes,
             fwd_flops: 0.0,
             bwd_flops: 0.0,
             act_to_host_bytes: 0.0,
@@ -214,14 +254,21 @@ impl LayerTask {
             grad_spill_to_ssd: false,
             optimizer: if trainable_params > 0.0 {
                 OptimizerKind::CpuOutOfCore {
-                    read_bytes: trained.optimizer_read(),
-                    write_bytes: trained.optimizer_write(),
+                    read_bytes,
+                    write_bytes,
                     cpu_params: trainable_params,
                 }
             } else {
                 OptimizerKind::None
             },
         }
+    }
+
+    /// Whether the layer's f32 master rests in host memory
+    /// ([`Placement::HostMaster`]): its fetches round it, with no staging
+    /// read before them, and its handler moves the moments only.
+    pub fn master_in_host(&self) -> bool {
+        self.master_host_bytes > 0.0
     }
 
     /// The chunks this layer's swapped activations move in, one task per
@@ -392,7 +439,8 @@ impl IterationSpec {
     /// SSD→host).
     ///
     /// Fp16 parameters stage SSD→host→GPU (one count on each hop, twice
-    /// for refetched layers); activations round-trip GPU→host→GPU (plus
+    /// for refetched layers; host-sourced ones skip the SSD hop,
+    /// GPU-resident ones both); activations round-trip GPU→host→GPU (plus
     /// the SSD spill when planned); gradients land GPU→host; out-of-core
     /// optimizer state I/O is SSD-only. This is the byte ledger both
     /// `ratel-bench validate` and the plan-conformance monitor hold the
@@ -405,8 +453,14 @@ impl IterationSpec {
         let mut s2h = 0.0;
         for layer in &self.layers {
             let stages = if layer.refetch_in_backward { 2.0 } else { 1.0 };
-            s2h += layer.p16_bytes * stages;
-            h2g += layer.p16_bytes * stages;
+            match layer.param_source {
+                ParamSource::Ssd => {
+                    s2h += layer.p16_bytes * stages;
+                    h2g += layer.p16_bytes * stages;
+                }
+                ParamSource::Host => h2g += layer.p16_bytes * stages,
+                ParamSource::Gpu => {}
+            }
             let act = layer.act_to_host_bytes + layer.act_to_ssd_bytes;
             g2h += act + layer.grad_bytes;
             h2g += act;
@@ -423,6 +477,12 @@ impl IterationSpec {
             }
         }
         [g2h as u64, h2g as u64, h2s as u64, s2h as u64]
+    }
+
+    /// Host bytes the plan keeps resident from before the step until
+    /// after it: the f32 masters of its [`Placement::HostMaster`] layers.
+    pub fn resident_host_bytes(&self) -> f64 {
+        self.layers.iter().map(|l| l.master_host_bytes).sum()
     }
 
     /// The plan a non-final micro-batch of an accumulated step runs:
@@ -564,6 +624,15 @@ impl IterationSpec {
                     meta = meta.write(an.bump(BlobKey::on_gpu(BlobKind::Flow, li, gi)));
                     if act_bytes > 0.0 {
                         meta = meta.write(an.bump(act_key));
+                    }
+                    if (iter, li, gi) == (0, 0, 0) {
+                        // Host-resident masters are there before the
+                        // first kernel and after the last: charged on
+                        // the head of the compute chain, never freed.
+                        for (resident, layer) in self.layers.iter().enumerate() {
+                            let master = BlobKey::shared(BlobKind::Master, resident);
+                            meta = meta.alloc(MemTier::Host, master, layer.master_host_bytes);
+                        }
                     }
                     let f = em.task(
                         TaskIdentity::on_gpu(TaskKind::Fwd, li, gi),
@@ -977,7 +1046,8 @@ impl IterationSpec {
     /// `staged` names, after that pass's staging read (if any) and the
     /// previous iteration's update. SSD-sourced fetches copy from the
     /// staging buffer the shared read filled — released with the last
-    /// GPU's copy; host-sourced fetches read the persistent host copy.
+    /// GPU's copy; host-sourced fetches read the persistent host copy
+    /// (a resident f32 master through a P16-sized host buffer).
     #[allow(clippy::too_many_arguments)]
     fn stage_fetch(
         &self,
@@ -1005,6 +1075,11 @@ impl IterationSpec {
             .alloc(MemTier::Gpu, param_gpu_key, layer.p16_bytes);
         if host_ready.is_some() && gi + 1 == self.gpus {
             meta = meta.free(MemTier::Host, stage_key);
+        }
+        if layer.master_in_host() {
+            // The P16 is rounded from the resident master into a host
+            // buffer that this copy carries into the arena.
+            meta = meta.transit(MemTier::Host, stage_key, layer.p16_bytes);
         }
         let kind = match pass {
             Stage::Forward => TaskKind::FwdFetch,
@@ -1346,7 +1421,14 @@ impl<'a> RatelSchedule<'a> {
                 act_to_host_bytes: host,
                 act_ckpt_bytes: layer.inter_act_bytes,
                 act_to_ssd_bytes: ssd,
-                ..LayerTask::ratel(layer.label.as_str(), layer.params, layer.params)
+                // The paper's placement: what `repro` regenerates is
+                // what the paper measured.
+                ..LayerTask::ratel(
+                    layer.label.as_str(),
+                    layer.params,
+                    layer.params,
+                    Placement::Ssd,
+                )
             });
         }
         let items = match self.model.config.kind {
@@ -1622,7 +1704,7 @@ mod scheduling_correctness_tests {
             fwd_flops: 1.0,
             bwd_flops: 2.0,
             act_to_host_bytes: 1.0,
-            ..LayerTask::ratel("blk", 1.0, 1.0)
+            ..LayerTask::ratel("blk", 1.0, 1.0, Placement::Ssd)
         }
     }
 
@@ -1732,24 +1814,86 @@ mod emitter_tests {
     #[test]
     fn table_ii_is_the_byte_table() {
         let p = 1e6;
-        let state = P32.bytes_per_param() + Os32.bytes_per_param();
+        let (p32, os32) = (P32.bytes_per_param(), Os32.bytes_per_param());
         for t in [p, p / 100.0, 0.0] {
-            let task = LayerTask::ratel("layer", p, t);
-            assert_eq!(task.p16_bytes, p * P16.bytes_per_param());
-            assert_eq!(task.grad_bytes, t * G16.bytes_per_param());
-            assert_eq!(task.param_source, ParamSource::Ssd);
-            assert!(!task.grad_spill_to_ssd && task.refetch_in_backward);
-            let expected = if t > 0.0 {
-                OptimizerKind::CpuOutOfCore {
-                    read_bytes: t * state,
-                    write_bytes: t * (state + P16.bytes_per_param()),
-                    cpu_params: t,
-                }
-            } else {
-                OptimizerKind::None
-            };
-            assert_eq!(task.optimizer, expected, "trainable {t}");
+            // (placement, source, master held in host, read, write) per
+            // trained parameter.
+            let placements = [
+                (
+                    Placement::Ssd,
+                    ParamSource::Ssd,
+                    0.0,
+                    p32 + os32,
+                    p32 + os32 + P16.bytes_per_param(),
+                ),
+                (
+                    Placement::HostMaster,
+                    ParamSource::Host,
+                    p * p32,
+                    os32,
+                    os32,
+                ),
+            ];
+            for (placement, source, held, read, write) in placements {
+                let task = LayerTask::ratel("layer", p, t, placement);
+                assert_eq!(task.p16_bytes, p * P16.bytes_per_param());
+                assert_eq!(task.grad_bytes, t * G16.bytes_per_param());
+                assert_eq!(task.param_source, source);
+                assert_eq!(task.master_host_bytes, held);
+                assert!(!task.grad_spill_to_ssd && task.refetch_in_backward);
+                let expected = if t > 0.0 {
+                    OptimizerKind::CpuOutOfCore {
+                        read_bytes: t * read,
+                        write_bytes: t * write,
+                        cpu_params: t,
+                    }
+                } else {
+                    OptimizerKind::None
+                };
+                assert_eq!(task.optimizer, expected, "trainable {t}, {placement:?}");
+            }
         }
+    }
+
+    /// One refetched layer of `p` parameters, all trained, alone in a
+    /// spec.
+    fn lone_layer(p: f64, placement: Placement) -> IterationSpec {
+        IterationSpec {
+            layers: vec![LayerTask::ratel("layer", p, p, placement)],
+            mode: GradOffloadMode::OptimizedActive,
+            rates: LinkRates::UNIT,
+            gpus: 1,
+            items_per_iteration: 1.0,
+            per_layer_overhead_seconds: 0.0,
+        }
+    }
+
+    #[test]
+    fn a_host_master_moves_the_moments_only_and_is_charged_for_the_whole_step() {
+        let p = 1000.0;
+        // Per parameter: G16 down; P16 up twice; on the SSD link 14 down
+        // and 2 + 2 + 12 up, or the moments' 8 each way.
+        assert_eq!(
+            lone_layer(p, Placement::Ssd).planned_route_bytes(),
+            [2000, 4000, 14000, 16000]
+        );
+        let host = lone_layer(p, Placement::HostMaster);
+        assert_eq!(host.planned_route_bytes(), [2000, 4000, 8000, 8000]);
+
+        let (graph, _, _) = host.build();
+        let kinds: Vec<TaskKind> = graph
+            .task_ids()
+            .filter_map(|t| Some(graph.meta(t)?.identity?.kind))
+            .collect();
+        assert!(!kinds.contains(&TaskKind::FwdRead) && !kinds.contains(&TaskKind::BwdRead));
+        assert!(kinds.contains(&TaskKind::OptRead) && kinds.contains(&TaskKind::OptWrite));
+        let report = ratel_verify::verify(&graph, &ratel_verify::Limits::none());
+        assert!(report.is_clean(), "{}", report.render());
+        // 4 B/param from before the first kernel to after the last, and
+        // beside it at the handler the moments (8) and the G16 (2).
+        let peak = report.peak(MemTier::Host);
+        assert_eq!(peak.outliving, 4.0 * p);
+        assert_eq!(peak.total, (4.0 + 8.0 + 2.0) * p);
     }
 
     #[test]
@@ -1758,7 +1902,7 @@ mod emitter_tests {
         // layer's parameters (`vocab·h + seq·h`, `12h² + 13h`), the two
         // lowerings must agree on what it moves.
         let config = EngineConfig::tiny();
-        let engine = movement_spec_for(&config);
+        let engine = movement_spec_for(&config, Placement::Ssd);
         let twin = ModelProfile::new(&analytic_twin(&config.model), config.model.batch);
         let profile =
             HardwareProfile::measure(&ServerConfig::paper_default(), &twin, config.model.batch);
@@ -1787,12 +1931,12 @@ mod emitter_tests {
         // ties it to the embedding, the executable model trains its own.
         assert_eq!(
             parameter_side(&planner.layers[head]),
-            parameter_side(&LayerTask::ratel("head", 0.0, 0.0))
+            parameter_side(&LayerTask::ratel("head", 0.0, 0.0, Placement::Ssd))
         );
         let untied = config.model.head_params() as f64;
         assert_eq!(
             parameter_side(&engine.layers[head]),
-            parameter_side(&LayerTask::ratel("head", untied, untied))
+            parameter_side(&LayerTask::ratel("head", untied, untied, Placement::Ssd))
         );
     }
 }

@@ -3,12 +3,14 @@
 //! This is the "out-of-core CPU Adam" of the paper: it consumes fp16
 //! gradients and updates fp32 master parameters and fp32 first and second
 //! moments (`OS32` of Table II). The engine's optimizer handler runs it
-//! over the states where the store staged them — [`step_le_bytes`], on
-//! the little-endian P32 blob and the flat `[m..., v...]` OS32 blob;
-//! [`Adam::step`] is the same arithmetic over `f32` vectors, the
-//! reference trainer's kernel and the byte kernel's oracle.
+//! over the states where the store holds them — [`step_le_bytes`], on
+//! the little-endian P32 blob, the flat `[m..., v...]` OS32 blob and
+//! the G16 blob, which it reads twice ([`GradFactors::measure`], then
+//! the step) instead of decoding into a vector; [`Adam::step`] is the
+//! same arithmetic over `f32` vectors, the reference trainer's kernel
+//! and the byte kernel's oracle.
 
-use crate::dtype::{decode_f32_into, encode_f32_into, CODEC_CHUNK};
+use crate::dtype::{decode_f16_into, decode_f32_into, encode_f32_into, CODEC_CHUNK};
 
 /// Adam hyperparameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -89,42 +91,98 @@ impl Adam {
     }
 }
 
+/// What turns a stored G16 element into the gradient Adam steps with:
+/// the decoded value times `unscale` (the reciprocal of the loss scale)
+/// times `clip` (the norm clip's factor), each applied only when present
+/// and in that order — per element what unscaling and then clipping an
+/// f32 vector of the gradient computes, rounding included.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct GradFactors {
+    /// `1 / scale` under a loss scale other than 1.
+    pub unscale: Option<f32>,
+    /// `max_norm / norm` when the unscaled gradient's norm exceeds the
+    /// clip.
+    pub clip: Option<f32>,
+}
+
+impl GradFactors {
+    /// The first pass over a layer's G16 blob: the factors its update
+    /// applies, or `None` when an unscaled element is not finite and the
+    /// update must be skipped. The norm is the f64 sum of squares in
+    /// element order, as over a vector.
+    pub fn measure(g16: &[u8], scale: f32, max_norm: Option<f32>) -> Option<GradFactors> {
+        let unclipped = GradFactors {
+            unscale: (scale != 1.0).then(|| 1.0 / scale),
+            clip: None,
+        };
+        let mut g = [0.0f32; CODEC_CHUNK];
+        let mut sum_sq = 0.0f64;
+        for bytes in g16.chunks(2 * CODEC_CHUNK) {
+            let g = &mut g[..bytes.len() / 2];
+            unclipped.load(bytes, g);
+            if g.iter().any(|g| !g.is_finite()) {
+                return None;
+            }
+            // One running sum, not a sum of chunk sums: f64 addition
+            // does not associate.
+            for g in g.iter() {
+                sum_sq += (*g as f64) * (*g as f64);
+            }
+        }
+        let norm = sum_sq.sqrt() as f32;
+        let clip = max_norm
+            .filter(|max_norm| norm > *max_norm)
+            .map(|max_norm| max_norm / norm);
+        Some(GradFactors { clip, ..unclipped })
+    }
+
+    /// Decodes one chunk of G16 bytes into `out` and applies the factors.
+    fn load(&self, g16: &[u8], out: &mut [f32]) {
+        decode_f16_into(g16, out);
+        for factor in [self.unscale, self.clip].into_iter().flatten() {
+            out.iter_mut().for_each(|g| *g *= factor);
+        }
+    }
+}
+
 /// One Adam update over a layer's states as the store holds them:
 /// `master` is the little-endian f32 parameter blob (P32), `moments` the
-/// little-endian flat `[m..., v...]` blob (OS32), `t` the updates applied
-/// so far (bias correction uses `t + 1`). The blobs are updated where
-/// they lie, [`CODEC_CHUNK`] elements at a time through a stack scratch;
-/// bitwise what [`Adam::step`] computes on the decoded vectors, at every
-/// thread count — the same [`step_band`] under the same band split.
+/// little-endian flat `[m..., v...]` blob (OS32), `g16` the little-endian
+/// binary16 gradient blob with the `factors` its first pass measured, `t`
+/// the updates applied so far (bias correction uses `t + 1`). The blobs
+/// are updated where they lie, [`CODEC_CHUNK`] elements at a time through
+/// a stack scratch; bitwise what [`Adam::step`] computes on the decoded
+/// vectors, at every thread count — the same [`step_band`] under the same
+/// band split.
 ///
 /// # Panics
-/// If `master` is not `4 * grads.len()` bytes or `moments` not
-/// `8 * grads.len()`.
+/// If `master` is not 4 bytes per gradient element or `moments` not 8.
 pub fn step_le_bytes(
     master: &mut [u8],
     moments: &mut [u8],
-    grads: &[f32],
+    g16: &[u8],
+    factors: GradFactors,
     t: u64,
     hp: &AdamParams,
 ) {
-    let n = grads.len();
+    let n = g16.len() / 2;
     assert_eq!(master.len(), 4 * n, "master/grad length");
     assert_eq!(moments.len(), 8 * n, "moments/grad length");
     let (bc1, bc2) = bias_corrections(t + 1, hp);
     let (m, v) = moments.split_at_mut(4 * n);
     let per = band_len(n);
     if per >= n {
-        step_band_le(master, grads, m, v, hp, bc1, bc2);
+        step_band_le(master, g16, factors, m, v, hp, bc1, bc2);
         return;
     }
     std::thread::scope(|s| {
         let bands = master
             .chunks_mut(4 * per)
-            .zip(grads.chunks(per))
+            .zip(g16.chunks(2 * per))
             .zip(m.chunks_mut(4 * per))
             .zip(v.chunks_mut(4 * per));
         for (((pb, gb), mb), vb) in bands {
-            s.spawn(move || step_band_le(pb, gb, mb, vb, hp, bc1, bc2));
+            s.spawn(move || step_band_le(pb, gb, factors, mb, vb, hp, bc1, bc2));
         }
     });
 }
@@ -146,10 +204,12 @@ fn band_len(n: usize) -> usize {
     }
 }
 
-/// [`step_band`] over one band of little-endian f32 blobs.
+/// [`step_band`] over one band of little-endian blobs.
+#[allow(clippy::too_many_arguments)]
 fn step_band_le(
     params: &mut [u8],
-    grads: &[f32],
+    g16: &[u8],
+    factors: GradFactors,
     m: &mut [u8],
     v: &mut [u8],
     hp: &AdamParams,
@@ -157,16 +217,19 @@ fn step_band_le(
     bc2: f32,
 ) {
     let mut p = [0.0f32; CODEC_CHUNK];
+    let mut g = [0.0f32; CODEC_CHUNK];
     let mut ms = [0.0f32; CODEC_CHUNK];
     let mut vs = [0.0f32; CODEC_CHUNK];
     let chunks = params
         .chunks_mut(4 * CODEC_CHUNK)
-        .zip(grads.chunks(CODEC_CHUNK))
+        .zip(g16.chunks(2 * CODEC_CHUNK))
         .zip(m.chunks_mut(4 * CODEC_CHUNK))
         .zip(v.chunks_mut(4 * CODEC_CHUNK));
-    for (((pb, g), mb), vb) in chunks {
-        let (p, ms, vs) = (&mut p[..g.len()], &mut ms[..g.len()], &mut vs[..g.len()]);
+    for (((pb, gb), mb), vb) in chunks {
+        let n = gb.len() / 2;
+        let (p, g, ms, vs) = (&mut p[..n], &mut g[..n], &mut ms[..n], &mut vs[..n]);
         decode_f32_into(pb, p);
+        factors.load(gb, g);
         decode_f32_into(mb, ms);
         decode_f32_into(vb, vs);
         step_band(p, g, ms, vs, hp, bc1, bc2);
@@ -306,7 +369,8 @@ mod tests {
                             ..AdamParams::default()
                         };
                         let seed = case as u64 * 10 + t;
-                        let grads = fill(n, seed + 1);
+                        let g16 = crate::dtype::encode_f16(&fill(n, seed + 1));
+                        let grads = crate::dtype::decode_f16(&g16);
                         let mut params = fill(n, seed + 2);
                         let mut adam = Adam {
                             m: fill(n, seed + 3),
@@ -319,7 +383,8 @@ mod tests {
 
                         crate::parallel::set_num_threads(threads);
                         adam.step(&mut params, &grads, &hp);
-                        step_le_bytes(&mut master, &mut moments, &grads, t, &hp);
+                        let as_stored = GradFactors::default();
+                        step_le_bytes(&mut master, &mut moments, &g16, as_stored, t, &hp);
                         crate::parallel::set_num_threads(1);
 
                         let what = format!("n {n}, {threads} threads, wd {weight_decay}, t {t}");
@@ -341,7 +406,8 @@ mod tests {
         step_le_bytes(
             &mut [0u8; 8],
             &mut [0u8; 8],
-            &[0.0; 2],
+            &[0u8; 4],
+            GradFactors::default(),
             0,
             &AdamParams::default(),
         );

@@ -1019,23 +1019,38 @@ impl GptModel {
     /// Builds a model with deterministic per-layer seeds derived from
     /// `seed`.
     pub fn new(config: GptConfig, seed: u64) -> Self {
-        let blocks = (0..config.layers)
-            .map(|i| {
-                TransformerBlock::new(
-                    config.batch,
-                    config.seq,
-                    config.hidden,
-                    config.heads,
-                    seed.wrapping_add(1000 + i as u64 * 17),
-                )
-            })
-            .collect();
         GptModel {
             config,
-            embedding: Embedding::new(config.vocab, config.seq, config.hidden, seed),
-            blocks,
-            head: CrossEntropy::new(config.hidden, config.vocab, seed.wrapping_add(7)),
+            embedding: Self::embedding_of(config, seed),
+            blocks: (0..config.layers)
+                .map(|i| Self::block_of(config, seed, i))
+                .collect(),
+            head: Self::head_of(config, seed),
         }
+    }
+
+    /// The embedding of the model [`GptModel::new`] builds from `seed`,
+    /// built alone.
+    pub fn embedding_of(config: GptConfig, seed: u64) -> Embedding {
+        Embedding::new(config.vocab, config.seq, config.hidden, seed)
+    }
+
+    /// Block `i` of the model [`GptModel::new`] builds from `seed`, built
+    /// alone.
+    pub fn block_of(config: GptConfig, seed: u64, i: usize) -> TransformerBlock {
+        TransformerBlock::new(
+            config.batch,
+            config.seq,
+            config.hidden,
+            config.heads,
+            seed.wrapping_add(1000 + i as u64 * 17),
+        )
+    }
+
+    /// The head of the model [`GptModel::new`] builds from `seed`, built
+    /// alone.
+    pub fn head_of(config: GptConfig, seed: u64) -> CrossEntropy {
+        CrossEntropy::new(config.hidden, config.vocab, seed.wrapping_add(7))
     }
 
     /// Total parameters across all movable layers.

@@ -1,8 +1,8 @@
 //! Fine-tune on real text, out of core: a character-level GPT memorizes
 //! a small corpus through the full Ratel pipeline (profiling, planned
 //! activation swapping, active gradient offloading, dynamic loss scaling)
-//! and then *generates* a continuation from a prompt — all while every
-//! master weight lives as a file in the SSD tier.
+//! and then *generates* a continuation from a prompt — all while the
+//! optimizer state lives as files in the SSD tier.
 //!
 //! Run with: `cargo run --release --example char_finetune`
 

@@ -1,7 +1,9 @@
 //! Quickstart: fine-tune a small GPT *out of core* with Ratel's engine.
 //!
-//! Model states (fp32 masters, Adam moments, fp16 copies) live as files
-//! in the SSD tier; the "GPU" arena only ever holds one layer's working
+//! Model states live in the tiered store — the Adam moments as files in
+//! the SSD tier, and with them the fp32 masters and fp16 copies when the
+//! host pool is capped (uncapped, as here, the masters stay resident in
+//! host memory); the "GPU" arena only ever holds one layer's working
 //! set; activations are swapped or recomputed; and a concurrent CPU
 //! optimizer consumes gradients the moment backward produces them —
 //! while every number stays bit-identical to ordinary in-memory training.
@@ -61,10 +63,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // turn it on to watch each step's spans and route metrics.
     engine.enable_telemetry();
     println!(
-        "model: {} parameters across {} movable layers; {} bytes of model states on the SSD tier",
+        "model: {} parameters across {} movable layers; {} bytes of model states on the SSD \
+         tier, {} (the f32 masters) resident in host memory",
         engine.total_params(),
         engine.layer_count(),
-        engine.ssd_state_bytes()
+        engine.ssd_state_bytes(),
+        engine.host_state_bytes()
     );
 
     // Train on a learnable synthetic language; the loss should collapse.

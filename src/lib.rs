@@ -47,7 +47,7 @@ pub mod prelude {
     pub use ratel::offload::GradOffloadMode;
     pub use ratel::planner::{ActivationPlanner, SwapPlan};
     pub use ratel::profile::HardwareProfile;
-    pub use ratel::schedule::RatelSchedule;
+    pub use ratel::schedule::{Placement, RatelSchedule};
     pub use ratel::{Batch, Ratel, RatelError, RatelMemoryModel, RatelTrainer, TrainingPlan};
     pub use ratel_baselines::{ActStrategy, System};
     pub use ratel_hw::{GpuSpec, ServerConfig};

@@ -90,3 +90,18 @@ pub fn config_with(shape: &Shape, execution: ExecutionOptions) -> EngineConfig {
         ..EngineConfig::tiny()
     }
 }
+
+/// The smallest host pool [`Ratel::plan`] accepts for `config`'s model,
+/// decisions, frozen layers, execution and arena
+/// ([`Ratel::min_host_capacity`]): the paper's all-SSD placement, paced
+/// as tightly as it runs.
+pub fn min_host_capacity(config: &EngineConfig) -> u64 {
+    let mut builder = Ratel::init(config.model)
+        .activation_decisions(config.act_decisions.clone())
+        .freeze_layers(config.frozen_layers.clone())
+        .execution(config.execution);
+    if let Some(bytes) = config.gpu_capacity {
+        builder = builder.gpu_capacity(bytes);
+    }
+    builder.min_host_capacity().unwrap()
+}

@@ -1,8 +1,9 @@
 //! The schedule-driven executor's two contracts, end to end:
 //!
-//! 1. **Numerics are schedule-independent.** Executing the verified DAG
-//!    on resource pools — at any worker count per pool, under either
-//!    offload schedule — produces bitwise-identical losses and master
+//! 1. **Numerics are schedule- and placement-independent.** Executing
+//!    the verified DAG on resource pools — at any worker count per pool,
+//!    under either offload schedule, wherever the host capacity has the
+//!    f32 masters rest — produces bitwise-identical losses and master
 //!    weights to plain in-memory training, across a small zoo of model
 //!    shapes.
 //! 2. **The static verifier guards dispatch.** Mutating the lowered
@@ -12,7 +13,7 @@
 
 mod common;
 
-use common::{config_with, zoo};
+use common::{config_with, min_host_capacity, zoo};
 use ratel_repro::prelude::*;
 use ratel_repro::storage::{Route, Tier};
 
@@ -21,21 +22,40 @@ fn micro_batches(model: &GptConfig) -> Vec<(Vec<usize>, Vec<usize>)> {
     (0..3).map(|s| random_batch(model, 20 + s)).collect()
 }
 
-/// Run two plain training steps and a three-micro-batch accumulated one,
-/// returning the losses and final masters. Every step must move exactly
-/// the plan's bytes and stay inside the arena.
+/// Every run trains with block 0 frozen under a loss scale that
+/// overflows on the first step (every update skipped) and backs off to
+/// one that trains.
+const FROZEN: usize = 1;
+const SCALE: ScalePolicy = ScalePolicy::Dynamic {
+    init: 1e30,
+    backoff: 1e-27,
+    growth: 2.0,
+    growth_interval: 50,
+};
+
+/// Run three plain training steps and a three-micro-batch accumulated
+/// one, returning the losses and final masters. Every step must move
+/// exactly the plan's bytes and stay inside the arena and the host pool.
 fn run(config: EngineConfig) -> (Vec<f32>, Vec<Vec<f32>>) {
     let model = config.model;
-    let gpu_capacity = config.gpu_capacity;
+    let capacities = [
+        (Tier::Gpu, config.gpu_capacity),
+        (Tier::Host, config.host_capacity),
+    ];
     let mut engine = RatelEngine::new(config).unwrap();
     let spec = engine.movement_spec();
     let step_bytes = spec.planned_route_bytes();
     let accumulation_bytes = spec.accumulation_spec().planned_route_bytes();
     let mut losses = Vec::new();
-    for s in 0..2 {
+    for s in 0..3 {
         let (t, y) = random_batch(&model, 7 + s);
         let stats = engine.train_step(&t, &y).unwrap();
-        assert_eq!(Route::ALL.map(|r| stats.traffic.bytes(r)), step_bytes);
+        let trained = engine.layer_count() - 1;
+        assert_eq!(stats.skipped_layers, if s == 0 { trained } else { 0 });
+        // (A skipped update publishes no fresh P16 to the SSD tier.)
+        if stats.skipped_layers == 0 {
+            assert_eq!(Route::ALL.map(|r| stats.traffic.bytes(r)), step_bytes);
+        }
         losses.push(stats.loss);
     }
     let stats = engine
@@ -46,9 +66,11 @@ fn run(config: EngineConfig) -> (Vec<f32>, Vec<Vec<f32>>) {
         assert_eq!(stats.traffic.bytes(route), planned, "{route:?}");
     }
     losses.push(stats.loss);
-    if let Some(capacity) = gpu_capacity {
-        let peak = engine.store().peak_used(Tier::Gpu);
-        assert!(0 < peak && peak <= capacity, "arena peaked at {peak} B");
+    for (tier, capacity) in capacities {
+        if let Some(capacity) = capacity {
+            let peak = engine.store().peak_used(tier);
+            assert!(0 < peak && peak <= capacity, "{tier:?} peaked at {peak} B");
+        }
     }
     let masters = (0..engine.layer_count())
         .map(|l| engine.master_params(l).unwrap())
@@ -56,16 +78,26 @@ fn run(config: EngineConfig) -> (Vec<f32>, Vec<Vec<f32>>) {
     (losses, masters)
 }
 
+/// The host capacities that give `config` each placement: none (every
+/// master host-resident) and the smallest the plan accepts (the paper's,
+/// every state on the SSD tier).
+fn placements(config: &EngineConfig) -> [Option<u64>; 2] {
+    [None, Some(min_host_capacity(config))]
+}
+
 /// Pool-parallel DAG execution is bitwise-equal to the in-memory
-/// reference, for 1/2/4 workers per pool and both offload schedules,
-/// across the model zoo.
+/// reference, for 1/2/4 workers per pool, both offload schedules and
+/// both placements, across the model zoo: with a frozen layer, through
+/// an overflow-skipped update, plain steps and an accumulated one.
 #[test]
 fn executor_matches_the_reference_across_the_zoo() {
     for shape in zoo() {
         let model = shape.model;
         // The ground truth: everything in memory.
-        let mut reference = ReferenceTrainer::new(model, 1234, AdamParams::default());
-        let mut ref_losses: Vec<f32> = (0..2)
+        let mut reference =
+            ReferenceTrainer::with_policy(model, 1234, AdamParams::default(), SCALE, None)
+                .with_frozen_layers(vec![FROZEN]);
+        let mut ref_losses: Vec<f32> = (0..3)
             .map(|s| {
                 let (t, y) = random_batch(&model, 7 + s);
                 reference.train_step(&t, &y)
@@ -75,27 +107,33 @@ fn executor_matches_the_reference_across_the_zoo() {
         let ref_masters: Vec<Vec<f32>> = (0..model.layers + 2)
             .map(|l| reference.master_params(l).to_vec())
             .collect();
+        let bits = |losses: &[f32]| losses.iter().map(|l| l.to_bits()).collect::<Vec<_>>();
 
         for workers in [1usize, 2, 4] {
             for offload in [
                 GradOffloadMode::OptimizedActive,
                 GradOffloadMode::SeparateStage,
             ] {
-                let (losses, masters) = run(config_with(
-                    &shape,
-                    ExecutionOptions::Executor(ExecutorOptions {
-                        workers_per_pool: workers,
-                        offload,
-                    }),
-                ));
-                assert_eq!(
-                    losses, ref_losses,
-                    "{model:?} with {workers} workers, {offload:?}"
-                );
-                assert_eq!(
-                    masters, ref_masters,
-                    "{model:?} with {workers} workers, {offload:?}"
-                );
+                let execution = ExecutionOptions::Executor(ExecutorOptions {
+                    workers_per_pool: workers,
+                    offload,
+                });
+                let config = EngineConfig {
+                    frozen_layers: vec![FROZEN],
+                    loss_scale: SCALE,
+                    ..config_with(&shape, execution)
+                };
+                for host_capacity in placements(&config) {
+                    let what = format!(
+                        "{model:?} with {workers} workers, {offload:?}, host {host_capacity:?}"
+                    );
+                    let (losses, masters) = run(EngineConfig {
+                        host_capacity,
+                        ..config.clone()
+                    });
+                    assert_eq!(bits(&losses), bits(&ref_losses), "{what}");
+                    assert_eq!(masters, ref_masters, "{what}");
+                }
             }
         }
     }
@@ -105,14 +143,13 @@ fn executor_matches_the_reference_across_the_zoo() {
 /// verifier — the check debug builds run on every plan before dispatch.
 #[test]
 fn dropped_dependency_edges_are_caught_before_dispatch() {
-    use ratel_repro::core::engine::movement_spec_for;
     use ratel_repro::core::verify::Limits;
     use ratel_repro::sim::TaskKind;
 
     let shape = &zoo()[0];
     let model = shape.model;
-    let spec = movement_spec_for(&config_with(shape, ExecutionOptions::default()));
-    let (mut graph, _, _) = spec.build();
+    let engine = RatelEngine::new(config_with(shape, ExecutionOptions::default())).unwrap();
+    let (mut graph, _, _) = engine.movement_spec().build();
     let base = ratel_repro::core::verify::verify(&graph, &Limits::none());
     assert!(base.is_clean(), "{}", base.render());
 

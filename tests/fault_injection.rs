@@ -170,6 +170,80 @@ fn permanent_fault_surfaces_and_checkpoint_resume_recovers() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A layer whose master is host-resident writes back its moments only.
+/// A transient fault on that write is retried and invisible; a permanent
+/// one fails the step with the typed error after the master was stepped
+/// where it lies — and `load_checkpoint` puts master and moments back, so
+/// the trainer goes on bitwise like a run that never faulted. The write
+/// is layer 0's, the last task of the step, so nothing else is in flight
+/// when it gives up.
+#[test]
+fn a_moments_write_beside_a_resident_master_is_retried_or_fails_and_restores() {
+    use ratel_repro::storage::FaultOp;
+    let model = tiny_config();
+    let dir = temp_dir("moments");
+    let step = |trainer: &mut RatelTrainer, step: u64| {
+        let (tokens, targets) = learnable_batch(&model, step);
+        trainer.step(Batch::new(&model, &tokens, &targets).unwrap())
+    };
+    let bits = |l: &[f32]| l.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let mut straight = build(model, None);
+    let straight_losses = train_steps(&mut straight, &model, 4);
+
+    let mut trainer = build(model, None);
+    assert_eq!(trainer.engine().placement(), Placement::HostMaster);
+    let mut losses = train_steps(&mut trainer, &model, 2);
+    trainer.save_checkpoint(&dir).unwrap();
+
+    // Retried: the step succeeds and nothing shows but the counter.
+    let flaky = Arc::new(FaultPlan::new());
+    flaky.fault_on_key_op("layer0/moments", FaultOp::Write, FaultKind::Transient);
+    trainer.engine().store().set_fault_plan(Some(flaky));
+    let stats = step(&mut trainer, 2).unwrap();
+    assert_eq!(stats.fault_stats.retries, 1);
+    assert_eq!(stats.fault_stats.give_ups, 0);
+    losses.push(stats.loss);
+
+    // Given up: the typed error names the write.
+    let dead = Arc::new(FaultPlan::new());
+    dead.fault_on_key_op("layer0/moments", FaultOp::Write, FaultKind::Permanent);
+    trainer.engine().store().set_fault_plan(Some(dead));
+    let before = trainer.engine().master_params(0).unwrap();
+    let err = step(&mut trainer, 3).unwrap_err();
+    assert!(
+        matches!(
+            err,
+            RatelError::Storage(StorageError::Faulted {
+                op: FaultOp::Write,
+                ..
+            })
+        ),
+        "{err}"
+    );
+    // The master moved before the write failed; the checkpoint restores
+    // it, and the two steps since replay bitwise.
+    assert!(trainer.engine().master_params(0).unwrap() != before);
+    trainer.engine().store().set_fault_plan(None);
+    trainer.load_checkpoint(&dir).unwrap();
+    losses.truncate(2);
+    for s in 2..4 {
+        losses.push(step(&mut trainer, s).unwrap().loss);
+    }
+    assert_eq!(bits(&losses), bits(&straight_losses));
+    for layer in 0..model.layers + 2 {
+        assert_eq!(
+            straight.engine().master_params(layer).unwrap(),
+            trainer.engine().master_params(layer).unwrap(),
+            "layer {layer} master params diverged after the restore"
+        );
+    }
+    assert_eq!(
+        trainer.engine().store().used(Tier::Host),
+        trainer.engine().host_state_bytes()
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Host-pool pressure with graceful degradation enabled lands the blob
 /// on the SSD tier (recorded as a spill) instead of erroring, and reads
 /// stay transparent.

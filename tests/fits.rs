@@ -6,10 +6,15 @@
 //! each of the four routes throttled to 2 MB/s in turn — a slow link
 //! is what makes blobs queue in the tier before it.
 //!
-//! 1. **Sound.** With unbounded tiers, `peak_used` never exceeds the
-//!    static peak.
+//! 1. **Sound.** With unbounded tiers — every master host-resident —
+//!    `peak_used` never exceeds the static peak.
 //! 2. **Sufficient.** At the smallest capacities [`Ratel::plan`]
-//!    accepts, every step succeeds under every throttle, inside them.
+//!    accepts ([`Ratel::min_host_capacity`] reports such a host pool
+//!    without the search) every step succeeds under every throttle,
+//!    inside them. Under a
+//!    host capacity the plan is the paper's all-SSD one, and for the
+//!    tiny shape its DAG and byte ledger are pinned to the ones lowered
+//!    before placements existed.
 //! 3. **Refused up front.** One byte below either, `plan()` returns
 //!    `InvalidConfig` naming the tier and the bytes it needs.
 //!
@@ -22,6 +27,7 @@ mod common;
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
+use ratel_repro::core::schedule::Placement;
 use ratel_repro::prelude::*;
 use ratel_repro::sim::MemTier;
 use ratel_repro::storage::{Route, Tier};
@@ -116,6 +122,47 @@ fn run_under_every_throttle(plan: TrainingPlan, limits: [u64; 2], what: &str) {
     }
 }
 
+/// The paced DAG of `plan` as `(tasks, edges, FNV-1a 64 of its sorted
+/// "dependency -> task" label pairs)`.
+fn dag_fingerprint(plan: &TrainingPlan) -> (usize, usize, u64) {
+    let g = plan.graph();
+    let label = |t| g.label(t).unwrap_or_default().to_string();
+    let mut edges: Vec<String> = g
+        .task_ids()
+        .flat_map(|t| g.deps(t).iter().map(move |d| (*d, t)))
+        .map(|(d, t)| format!("{} -> {}", label(d), label(t)))
+        .collect();
+    edges.sort();
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    for byte in edges.join("\n").bytes() {
+        hash = (hash ^ byte as u64).wrapping_mul(0x0000_0100_0000_01B3);
+    }
+    (g.len(), edges.len(), hash)
+}
+
+/// What the tiny shape lowered to at its boundary capacities, two
+/// workers per pool, before a layer could be placed anywhere but the SSD
+/// tier: per mix of [`MIXES`] the `[gpu, host]` boundary, the DAG's
+/// [`dag_fingerprint`] and the planned bytes per route.
+type Pinned = ([u64; 2], (usize, usize, u64), [u64; 4]);
+const TINY_AT_THE_BOUNDARY: [Pinned; 3] = [
+    (
+        [121_920, 820_928],
+        (54, 71, 10_892_070_018_568_279_295),
+        [186_176, 267_520, 598_976, 680_320],
+    ),
+    (
+        [115_840, 820_928],
+        (68, 95, 3_499_693_796_822_631_465),
+        [154_688, 236_032, 630_464, 711_808],
+    ),
+    (
+        [83_392, 820_928],
+        (54, 72, 17_224_473_505_834_213_963),
+        [91_712, 173_056, 598_976, 680_320],
+    ),
+];
+
 /// The boundary of `accepts` at or below `hint`'s first accepted
 /// doubling: the returned value is accepted and the one below it is not.
 fn smallest_accepted(hint: u64, accepts: impl Fn(u64) -> bool) -> u64 {
@@ -136,8 +183,10 @@ fn smallest_accepted(hint: u64, accepts: impl Fn(u64) -> bool) -> u64 {
 
 fn check(case: Case) {
     let what = format!("{case:?}");
-    // (i) Unbounded tiers: the static peak covers what any step holds.
+    // (i) Unbounded tiers: every master is host-resident, and the static
+    // peak covers what any step holds.
     let free = case.builder([None, None]).plan().unwrap();
+    assert_eq!(free.placement(), Placement::HostMaster);
     let peaks = TIERS.map(|(_, tier)| free.static_peak(tier));
     run_under_every_throttle(free, peaks, &format!("{what} unbounded"));
 
@@ -146,6 +195,13 @@ fn check(case: Case) {
     let accepts = |capacities| case.builder(capacities).plan().is_ok();
     let gpu = smallest_accepted(peaks[0], |c| accepts([Some(c), None]));
     let host = smallest_accepted(peaks[1], |c| accepts([Some(gpu), Some(c)]));
+    // What the builder reports without a search is such a boundary too
+    // (not always the same one: a roomier pool is paced to read further
+    // ahead, so acceptance is not monotone in the capacity).
+    let reported = case.builder([Some(gpu), None]).min_host_capacity().unwrap();
+    assert!(reported <= host, "{what}: {reported} B over {host} B");
+    assert!(accepts([Some(gpu), Some(reported)]), "{what}");
+    assert!(!accepts([Some(gpu), Some(reported - 1)]), "{what}");
 
     // (iii) One byte below either is refused, naming tier and need.
     for (capacities, tier) in [
@@ -170,9 +226,18 @@ fn check(case: Case) {
         }
     }
 
-    // (ii) At the boundary every step fits, whatever link is slow.
+    // (ii) At the boundary — under a host capacity the plan is the
+    // all-SSD one — every step fits, whatever link is slow.
     let tight = case.builder([Some(gpu), Some(host)]).plan().unwrap();
     tight.verify().unwrap();
+    assert_eq!(tight.placement(), Placement::Ssd);
+    let mix = MIXES.iter().position(|m| *m == case.mix);
+    if let (Some(mix), true, 2) = (mix, case.model == GptConfig::tiny(), case.workers) {
+        let (boundary, dag, bytes) = TINY_AT_THE_BOUNDARY[mix];
+        assert_eq!([gpu, host], boundary, "{what}");
+        assert_eq!(dag_fingerprint(&tight), dag, "{what}");
+        assert_eq!(tight.planned_route_bytes(), bytes, "{what}");
+    }
     run_under_every_throttle(
         tight,
         [gpu, host],

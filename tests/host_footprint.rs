@@ -1,9 +1,12 @@
 //! What a build and a step hold in host memory, counted: a model state
 //! has one copy in the process — the tier's blob — so the heap a step
 //! adds is what the memory tiers account for plus the gradient being
-//! handed over, and a build holds the skeleton plus one layer's states in
-//! flight. Its own test binary, because the count is a
-//! `#[global_allocator]`; one `#[test]`, because the count is
+//! handed over, and a built engine holds the masters the host tier keeps
+//! resident, one layer's worth of f32 kernel scratch (an embedding, one
+//! block, a head — whatever the depth) and, while building, one layer's
+//! states in flight. Under both placements: every master host-resident,
+//! and all states on the SSD tier. Its own test binary, because the
+//! count is a `#[global_allocator]`; one `#[test]`, because the count is
 //! process-wide.
 
 mod common;
@@ -11,7 +14,7 @@ mod common;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use common::{config_with, zoo};
+use common::{config_with, min_host_capacity, zoo};
 use ratel_repro::prelude::*;
 use ratel_repro::storage::Tier;
 
@@ -72,21 +75,24 @@ fn peak_over(base: usize) -> usize {
 /// scales with this, not with the machine.
 const TENSOR_THREADS: usize = 2;
 
-/// Gradients a step holds in f32 outside the tiers, each up to the
-/// largest layer's: backward's output waiting for its `grad-off`, and the
-/// G16 each of the CPU pool's two workers has decoded for its Adam step.
-const GRADS_IN_FLIGHT: usize = 3;
+/// What a step holds of gradients outside the tiers, per parameter of
+/// the largest layer: one backward's f32 output waiting for its
+/// `grad-off` (4 B) with the G16 that encodes it on its way into the
+/// store (2 B), and the next backward's output growing meanwhile (4 B).
+/// The optimizer reads the G16 where the store holds it, so no worker of
+/// the CPU pool holds a decoded one (12 B before: three f32 vectors).
+const GRADIENT_HANDED_OVER: usize = 4 + 2 + 4;
 
 /// What else a step may hold outside the tiers: the running block's
 /// activations and kernel scratch in f32 (score tiles, packed GEMM
 /// panels), blobs between their encoding and their `put`, worker threads
 /// and task bookkeeping. Fixed, not scaled by the model, so the step
-/// bound says something only where a second copy of a layer's 12 B/param
-/// of optimizer state does not fit in it — which is where it is asserted.
+/// bound says something only where a second copy of a layer's 8 B/param
+/// of moments does not fit in it — which is where it is asserted.
 const STEP_SLACK: usize = 512 << 10;
 
-/// What a build may hold beside the skeleton and the layer in flight:
-/// the plan, its DAG and the verifier's working set.
+/// What a build may hold beside the kernel scratch and the layer in
+/// flight: the plan, its DAG and the verifier's working set.
 const BUILD_SLACK: usize = 128 << 10;
 
 /// The zoo's blocks (3-13 K parameters) hide in [`STEP_SLACK`]; this
@@ -120,29 +126,43 @@ fn a_build_and_a_step_hold_one_copy_of_each_model_state() {
             .map(|layer| model.layer_params(layer))
             .collect();
         let largest = layer_params.iter().copied().max().unwrap_or(0);
-        let skeleton = 4 * layer_params.iter().sum::<usize>();
-        for all_host in [true, false] {
+        // The f32 tensors the kernels compute on: one of each kind.
+        let head = model.layers + 1;
+        let scratch = 4 * (layer_params[0] + layer_params[1] + layer_params[head]);
+        for (all_host, resident) in [(true, true), (false, true), (false, false)] {
             let mut config = config_with(&shape, ExecutionOptions::default());
             if all_host {
                 config.act_decisions = vec![ActDecision::SwapToHost; model.layers];
             }
-            let what = format!("shape {s}, {}", if all_host { "all-host" } else { "mixed" });
+            if !resident {
+                config.host_capacity = Some(min_host_capacity(&config));
+            }
+            let what = format!(
+                "shape {s}, {}, masters {}",
+                if all_host { "all-host" } else { "mixed" },
+                if resident { "resident" } else { "on SSD" },
+            );
 
-            // Build: the skeleton, and one layer's P32 + OS32 + P16 on
-            // their way to the SSD tier — twice, for the write in flight.
+            // Build: the masters the host tier keeps, the scratch, and one
+            // layer's P32 + OS32 + P16 on their way to the tiers — twice,
+            // for the layer being built and the write in flight.
             let base = restart_peak();
             let mut engine = RatelEngine::new(config).unwrap();
             let build_peak = peak_over(base);
-            let build_bound = skeleton + 2 * 14 * largest + BUILD_SLACK;
+            let at_rest = engine.store().used(Tier::Host) as usize;
+            assert_eq!(at_rest as u64, engine.host_state_bytes(), "{what}");
+            let masters = 4 * layer_params.iter().sum::<usize>();
+            assert_eq!(at_rest, if resident { masters } else { 0 }, "{what}");
+            let build_bound = at_rest + scratch + 2 * 14 * largest + BUILD_SLACK;
             assert!(
                 build_peak <= build_bound,
                 "{what}: the build peaked at {build_peak} B over a bound of {build_bound} B \
-                 (skeleton {skeleton} B, largest layer {largest} params)"
+                 (resident {at_rest} B, scratch {scratch} B, largest layer {largest} params)"
             );
 
             // The step's bound could not fail on this shape: a second
-            // copy of its largest layer's states hides in the slack.
-            if 12 * largest <= STEP_SLACK {
+            // copy of its largest layer's moments hides in the slack.
+            if 8 * largest <= STEP_SLACK {
                 continue;
             }
             // The second step is the measured one: lazily built tables
@@ -153,13 +173,16 @@ fn a_build_and_a_step_hold_one_copy_of_each_model_state() {
                 let base = restart_peak();
                 engine.train_step(&tokens, &targets).unwrap();
                 let step_peak = peak_over(base);
+                // What the tiers held at most, less what they hold at
+                // rest — that was on the heap before the step.
                 let tiers = (engine.store().peak_used(Tier::Host)
-                    + engine.store().peak_used(Tier::Gpu)) as usize;
-                let step_bound = tiers + GRADS_IN_FLIGHT * 4 * largest + STEP_SLACK;
+                    + engine.store().peak_used(Tier::Gpu)) as usize
+                    - at_rest;
+                let step_bound = tiers + GRADIENT_HANDED_OVER * largest + STEP_SLACK;
                 assert!(
                     step == 0 || step_peak <= step_bound,
                     "{what}: the step peaked at {step_peak} B over a bound of {step_bound} B \
-                     (tiers {tiers} B, largest layer {largest} params)"
+                     (tiers {tiers} B over {at_rest} B at rest, largest layer {largest} params)"
                 );
             }
         }

@@ -313,9 +313,9 @@ fn permanent_fault_leaves_a_postmortem_naming_the_failing_transfer() {
     let (tokens, targets) = random_batch(&model, 7);
     engine.train_step(&tokens, &targets).unwrap();
 
-    // The SSD "loses" one parameter blob for good.
+    // The SSD "loses" one optimizer-state blob for good.
     let plan = std::sync::Arc::new(FaultPlan::new());
-    plan.fault_on_key("layer0/p16", FaultKind::Permanent);
+    plan.fault_on_key("layer0/moments", FaultKind::Permanent);
     engine.store().set_fault_plan(Some(plan));
     let err = engine.train_step(&tokens, &targets).unwrap_err();
     let msg = err.to_string();
@@ -329,7 +329,7 @@ fn permanent_fault_leaves_a_postmortem_naming_the_failing_transfer() {
         "dump header lacks the failure reason"
     );
     assert!(
-        dump.contains("\"kind\":\"retry\"") && dump.contains("layer0/p16"),
+        dump.contains("\"kind\":\"retry\"") && dump.contains("layer0/moments"),
         "dump does not show the failing blob's retries"
     );
     assert!(
@@ -341,7 +341,7 @@ fn permanent_fault_leaves_a_postmortem_naming_the_failing_transfer() {
         "dump does not show the surfaced step error"
     );
     assert!(
-        msg.contains("layer0/p16"),
+        msg.contains("layer0/moments"),
         "error does not name the blob: {msg}"
     );
     let _ = std::fs::remove_dir_all(&dir);

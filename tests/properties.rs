@@ -9,7 +9,7 @@ use ratel_repro::core::profile::HardwareProfile;
 use ratel_repro::model::{ModelConfig, ModelProfile};
 use ratel_repro::sim::{simulate, Stage, TaskGraph};
 use ratel_repro::storage::{Tier, TierConfig, TieredStore};
-use ratel_repro::tensor::adam::step_le_bytes;
+use ratel_repro::tensor::adam::{step_le_bytes, GradFactors};
 use ratel_repro::tensor::dtype::{decode_f16, encode_f16, encode_f32, round_to_f16};
 use ratel_repro::tensor::{Adam, AdamParams};
 
@@ -59,9 +59,12 @@ proptest! {
         let mut p = vec![0.5f32; n];
         let mut master = encode_f32(&p);
         let mut moments = vec![0u8; 8 * n];
+        // The handler reads its gradient as the G16 bytes it was stored in.
+        let g16 = encode_f16(&grads);
+        let grads = decode_f16(&g16);
         for t in 0..steps {
             adam.step(&mut p, &grads, &hp);
-            step_le_bytes(&mut master, &mut moments, &grads, t as u64, &hp);
+            step_le_bytes(&mut master, &mut moments, &g16, GradFactors::default(), t as u64, &hp);
         }
         prop_assert_eq!(adam.t, steps as u64);
         prop_assert_eq!(master, encode_f32(&p));

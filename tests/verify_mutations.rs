@@ -10,7 +10,7 @@
 
 use proptest::prelude::*;
 
-use ratel_repro::core::schedule::{IterationSpec, LayerTask, LinkRates};
+use ratel_repro::core::schedule::{IterationSpec, LayerTask, LinkRates, Placement};
 use ratel_repro::core::verify::{verify, Limits, Reachability, Rule};
 use ratel_repro::core::GradOffloadMode;
 use ratel_repro::prelude::{ActDecision, GptConfig, Ratel, TrainingPlan};
@@ -28,23 +28,24 @@ fn rates() -> LinkRates {
     }
 }
 
-/// A small but fully-featured spec: parameter staging, host and SSD
-/// activation traffic, gradients, and out-of-core optimizer handlers.
+/// A small but fully-featured spec: parameter staging from the SSDs and
+/// from host-resident masters, host and SSD activation traffic,
+/// gradients, and out-of-core optimizer handlers.
 fn spec(mode: GradOffloadMode) -> IterationSpec {
-    let layer = |label: &str, p: f64, host: f64, ssd: f64| LayerTask {
+    let layer = |label: &str, p: f64, host: f64, ssd: f64, placement| LayerTask {
         fwd_flops: 1e9,
         bwd_flops: 2e9,
         act_to_host_bytes: host,
         act_to_ssd_bytes: ssd,
         grad_spill_to_ssd: mode == GradOffloadMode::SeparateStage,
-        ..LayerTask::ratel(label, p, p)
+        ..LayerTask::ratel(label, p, p, placement)
     };
     IterationSpec {
         layers: vec![
-            layer("embedding", 1e6, 0.0, 0.0),
-            layer("block0", 2e6, 3e6, 1e6),
-            layer("block1", 2e6, 3e6, 0.0),
-            layer("head", 1e6, 0.0, 0.0),
+            layer("embedding", 1e6, 0.0, 0.0, Placement::HostMaster),
+            layer("block0", 2e6, 3e6, 1e6, Placement::HostMaster),
+            layer("block1", 2e6, 3e6, 0.0, Placement::Ssd),
+            layer("head", 1e6, 0.0, 0.0, Placement::Ssd),
         ],
         mode,
         rates: rates(),
