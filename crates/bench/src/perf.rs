@@ -29,8 +29,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use ratel_storage::{Tier, TierConfig, TieredStore};
-use ratel_tensor::dtype::{decode_f16, decode_f32, encode_f16, encode_f32};
-use ratel_tensor::{adam, num_threads, ops, set_num_threads, Adam, AdamParams, Tensor};
+use ratel_tensor::dtype::{
+    decode_f16, decode_f32, encode_f16, encode_f32, round_to_f16, round_to_f16_in_place,
+};
+use ratel_tensor::{adam, num_threads, ops, set_num_threads, Adam, AdamParams, BlockSaved, Tensor};
 
 /// The suite names, in emission order.
 pub const SUITES: [&str; 4] = ["attention", "kernels", "adam", "ssd"];
@@ -300,6 +302,31 @@ fn run_kernels(smoke: bool, ladder: &[usize]) -> Vec<PerfEntry> {
             flops / secs / 1e9,
         ));
     }
+
+    // Rounding one block's saved set (at `train-compute`'s shape) through
+    // f16 in place, against the scalar map it replaced. It allocates
+    // nothing ...
+    let n = BlockSaved::element_count_for(2, 256, 192, 4);
+    let mut sliced = fill(n, 13);
+    let mut scalar = sliced.clone();
+    entries.push(PerfEntry::allocs(
+        "round_to_f16_in_place_allocs_per_call",
+        min_allocs_per_call(10, || round_to_f16_in_place(&mut sliced)),
+    ));
+    // ... and is faster: twelve runs on the bench box read 1.66-1.83.
+    let in_place = time_min_for(0.3, || {
+        round_to_f16_in_place(std::hint::black_box(&mut sliced));
+    });
+    let mapped = time_min_for(0.3, || {
+        for v in std::hint::black_box(&mut scalar).iter_mut() {
+            *v = round_to_f16(*v);
+        }
+    });
+    entries.push(PerfEntry::ratio(
+        format!("round_to_f16_in_place_over_scalar_map_{n}"),
+        mapped / in_place,
+        Some(1.3),
+    ));
     entries
 }
 

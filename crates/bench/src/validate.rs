@@ -7,8 +7,8 @@
 //! [`ServerConfig`] (scaled down so a test-sized model produces
 //! measurable transfers), takes the engine's own movement plan,
 //! simulates it with the same link rates plus compute rates calibrated
-//! from a warm-up step, and reports per-stage predicted-vs-measured
-//! deltas.
+//! from a warm-up step and the pacing edges the engine dispatches it
+//! under, and reports per-stage predicted-vs-measured deltas.
 //!
 //! Two classes of agreement are checked:
 //!
@@ -28,9 +28,9 @@ use ratel::engine::data::random_batch;
 use ratel::engine::telemetry::StepTelemetry;
 use ratel::engine::{ActDecision, RatelEngine};
 use ratel::schedule::{IterationSpec, LinkRates, OptimizerKind, Placement};
-use ratel::Ratel;
+use ratel::{Ratel, TrainingPlan};
 use ratel_hw::ServerConfig;
-use ratel_sim::{simulate, MemTier, SimReport, SpanKind, Stage, TaskKind, Timeline};
+use ratel_sim::{simulate, MemTier, SimReport, SpanKind, Stage, TaskId, TaskKind, Timeline};
 use ratel_storage::{Route, Tier, TrafficSnapshot};
 use ratel_tensor::GptConfig;
 
@@ -275,6 +275,24 @@ pub fn validate_engine(model: GptConfig, shape: &EngineShape) -> Result<RatelEng
     Ok(trainer.into_engine())
 }
 
+/// The edges lowering added to the plan's own graph: the pacing the
+/// engine dispatches under. The simulation carries them too, so it times
+/// the DAG that runs — without them every read the plan lets start early
+/// would start at once.
+fn pacing_edges(plan: &TrainingPlan) -> Vec<(TaskId, TaskId)> {
+    let (unpaced, _, _) = plan.spec().build();
+    let paced = plan.graph();
+    (paced.task_ids())
+        .flat_map(|t| {
+            let own = unpaced.deps(t);
+            (paced.deps(t).iter())
+                .filter(|d| !own.contains(d))
+                .map(move |&d| (t, d))
+                .collect::<Vec<_>>()
+        })
+        .collect()
+}
+
 /// Calibrated compute rates from a warm-up step's telemetry: per-layer
 /// compute *seconds* become the spec's "flops" with `thp_gpu = 1.0`, and
 /// the CPU Adam rate is total updated params over optimizer CPU time.
@@ -320,7 +338,13 @@ pub fn run(cfg: &ValidateConfig) -> Result<ValidateReport, String> {
     let caps = route_caps(&server, cfg.throttle);
     let steps = cfg.steps.max(1);
 
-    let mut engine = validate_engine(model, &cfg.shape)?;
+    let plan = validate_builder(model, &cfg.shape)
+        .plan()
+        .map_err(|e| format!("engine: {e}"))?;
+    let pacing = pacing_edges(&plan);
+    let mut engine = (plan.build())
+        .map_err(|e| format!("engine: {e}"))?
+        .into_engine();
     engine.enable_telemetry();
     let (tokens, targets) = random_batch(&model, 1234);
 
@@ -426,7 +450,10 @@ pub fn run(cfg: &ValidateConfig) -> Result<ValidateReport, String> {
     };
     calibrate(&mut spec, &warmup);
     let planned = spec.planned_route_bytes();
-    let (graph, _, _) = spec.build();
+    let (mut graph, _, _) = spec.build();
+    for &(task, gate) in &pacing {
+        graph.add_dep(task, gate);
+    }
     let sim = simulate(&graph);
 
     let sim_fwd = sim.stage(Stage::Forward).duration();

@@ -28,6 +28,10 @@ pub(super) fn pinned_key(layer: usize) -> String {
 pub(super) fn grad_key(layer: usize) -> String {
     format!("layer{layer}/grad")
 }
+/// A non-final micro-batch's G16, on its way into the accumulator.
+pub(super) fn micro_grad_key(layer: usize) -> String {
+    format!("layer{layer}/grad-micro")
+}
 /// A block's saved activations: the whole blob, or — for a blob that
 /// moves in chunks — chunk `c` of it (`block{b}/acts#c`).
 pub(super) fn act_key(block: usize, chunk: Option<usize>) -> String {

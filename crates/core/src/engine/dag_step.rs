@@ -21,17 +21,20 @@ use ratel_check::sync::Mutex;
 
 use ratel_sim::{MemTier, TaskGraph, TaskId, TaskIdentity, TaskKind, TaskRef};
 use ratel_storage::{StorageError, Tier, TieredStore};
-use ratel_tensor::dtype::{add_f16_le_to_f32_le, decode_f16, encode_f16, encode_f32, round_to_f16};
+use ratel_tensor::dtype::{
+    add_f16_le_to_f32_le, decode_f16, encode_f16, encode_f32, f32_le_to_f16_le,
+    round_to_f16_in_place,
+};
 use ratel_tensor::{adam, block_dropout_spec, AdamParams, BlockSaved, HeadSaved, Tensor};
 
 use super::blobs::{
-    accum_key, act_key, ckpt_key, grad_key, load_staged_params, master_key, moments_key,
-    offload_f16, p16_key, publish_p16, LayerScratch,
+    accum_key, act_key, ckpt_key, grad_key, load_staged_params, master_key, micro_grad_key,
+    moments_key, offload_f16, p16_key, publish_p16, LayerScratch,
 };
 use super::executor::TaskAction;
 use super::EngineConfig;
 use crate::error::RatelError;
-use crate::schedule::{IterationSpec, LayerTask};
+use crate::schedule::{IterationSpec, LayerTask, OptimizerKind};
 
 /// A lowered, verified, paced step graph plus what each task does
 /// (indexed by `TaskId.0`) and the spec it was lowered from. Built once
@@ -235,6 +238,38 @@ impl StepDag {
             report,
         })
     }
+
+    /// Undoes what a run that failed left in the store, best-effort:
+    /// every blob a run stages for itself is removed (an accumulated
+    /// step's f32 accumulators with them — the step is lost) and the
+    /// states its handlers staged go back where they rest. The tiers then
+    /// hold what they held before the step, so a retry or a
+    /// `load_checkpoint` starts from the states alone.
+    pub(super) fn release_failed_run(&self, store: &TieredStore) {
+        for (layer, task) in self.spec.layers.iter().enumerate() {
+            let mut staged = vec![
+                staged_key(layer, 'f'),
+                staged_key(layer, 'b'),
+                grad_key(layer),
+                micro_grad_key(layer),
+                accum_key(layer),
+            ];
+            if (1..self.spec.layers.len() - 1).contains(&layer) {
+                staged.push(ckpt_key(layer));
+                let chunks = saved_act_chunks(task).into_iter();
+                staged.extend(chunks.map(|chunk| act_key(layer - 1, chunk)));
+            }
+            for key in staged {
+                let _ = store.remove(&key);
+            }
+            if let OptimizerKind::CpuOutOfCore { .. } = task.optimizer {
+                let _ = store.move_to(&moments_key(layer), Tier::Ssd);
+                if !task.master_in_host() {
+                    let _ = store.move_to(&master_key(layer), Tier::Ssd);
+                }
+            }
+        }
+    }
 }
 
 /// What `opt-cpu` leaves for `opt-write`. The update itself is already
@@ -332,9 +367,8 @@ pub(super) struct StepCtx<'a> {
     /// Per block: saved-activation bytes between forward and act-off, one
     /// slot per chunk.
     pending_act: Vec<Vec<Mutex<Option<Vec<u8>>>>>,
-    /// Per layer: raw (scaled) f32 gradient between backward and
-    /// grad-off.
-    grads: Vec<Mutex<Option<Vec<f32>>>>,
+    /// Per layer: the (scaled) G16 between backward and grad-off.
+    grads: Vec<Mutex<Option<Vec<u8>>>>,
     /// Per layer: the Adam update between opt-cpu and opt-write.
     updates: Vec<Mutex<Option<OptUpdate>>>,
     /// Layers whose update was skipped on gradient overflow.
@@ -446,10 +480,8 @@ impl<'a> StepCtx<'a> {
         let mut scratch = self.scratch.lock();
         self.load_params(&mut scratch, layer, 'f')?;
         if layer == 0 {
-            let x = scratch
-                .embedding
-                .forward(self.tokens, c.batch, c.seq)
-                .quantize_f16();
+            let mut x = scratch.embedding.forward(self.tokens, c.batch, c.seq);
+            round_to_f16_in_place(x.data_mut());
             *self.flow.lock() = Some(x);
         } else if layer <= l {
             let b = layer - 1;
@@ -462,14 +494,14 @@ impl<'a> StepCtx<'a> {
             // the act-off task offloads these bytes after this kernel.
             *self.pending_ckpt[b].lock() = Some(x.to_f16_bytes());
             let spec = self.dropout_spec(b);
-            let (y, mut saved) = scratch.block.forward_with(&x, spec);
-            saved.quantize_f16();
-            // The act-off task of each chunk offloads its share of the
-            // blob: split it here, back to front, so no byte is copied
-            // more than once.
+            let (mut y, saved) = scratch.block.forward_with(&x, spec);
+            // The saved set crosses to f16 once, in its encode; a block
+            // that recomputes drops it unencoded. The act-off task of
+            // each chunk offloads its share of the blob: split it here,
+            // back to front, so no byte is copied more than once.
             let slots = &self.pending_act[b];
             if !slots.is_empty() {
-                let mut bytes = saved.to_f16_bytes();
+                let mut bytes = saved.into_f16_bytes();
                 let elems = bytes.len() / 2;
                 for (i, slot) in slots.iter().enumerate().skip(1).rev() {
                     *slot.lock() = Some(bytes.split_off(2 * (elems * i / slots.len())));
@@ -477,7 +509,8 @@ impl<'a> StepCtx<'a> {
                 bytes.shrink_to_fit();
                 *slots[0].lock() = Some(bytes);
             }
-            *self.flow.lock() = Some(y.quantize_f16());
+            round_to_f16_in_place(y.data_mut());
+            *self.flow.lock() = Some(y);
         } else {
             let x = self
                 .flow
@@ -551,9 +584,7 @@ impl<'a> StepCtx<'a> {
                     .head
                     .backward_scaled(&x, &head_saved, self.targets, self.scale);
             *self.dflow.lock() = Some(dx);
-            if !frozen {
-                *self.grads[layer].lock() = Some(head_grads);
-            }
+            self.park_gradient(layer, frozen, &head_grads);
         } else if layer >= 1 {
             let b = layer - 1;
             self.load_params(&mut scratch, layer, 'b')?;
@@ -561,44 +592,29 @@ impl<'a> StepCtx<'a> {
             let input =
                 Tensor::from_f16_bytes(&[rows, c.hidden], &self.store.take(&ckpt_key(layer))?);
             let spec = self.dropout_spec(b);
-            // Chunks leave the arena one at a time into the one buffer
-            // the decoder reads.
             let chunks = &self.act_chunks[b];
-            let mut fetched: Option<Vec<u8>> = None;
-            for &chunk in chunks {
-                let mut bytes = self.store.take(&act_key(b, chunk))?;
-                match &mut fetched {
-                    Some(blob) => blob.extend_from_slice(&bytes),
-                    None => {
-                        // Room for the rest (equal chunks, give or take an
-                        // element), so the buffer grows once.
-                        bytes.reserve((chunks.len() - 1) * (bytes.len() + 2));
-                        fetched = Some(bytes);
-                    }
-                }
-            }
+            let fetched = (chunks.iter())
+                .map(|&chunk| self.store.take(&act_key(b, chunk)))
+                .collect::<Result<Vec<_>, _>>()?;
             let dx = self
                 .dflow
                 .lock()
                 .take()
                 .ok_or_else(|| slot_violation("backward flow from the layer above"))?;
-            let saved = match fetched {
-                Some(bytes) => {
-                    BlockSaved::from_f16_bytes(&bytes, c.batch, c.seq, c.hidden, c.heads)
-                }
-                None => {
-                    // Rematerialization regenerates the same dropout
-                    // masks from the step/layer-derived seed.
-                    let (_, mut s) = scratch.block.forward_with(&input, spec);
-                    s.quantize_f16();
-                    s
-                }
+            let saved = if fetched.is_empty() {
+                // Rematerialization regenerates the same dropout masks
+                // from the step/layer-derived seed, and rounds what it
+                // saves as a swap's round trip would have.
+                let (_, mut s) = scratch.block.forward_with(&input, spec);
+                s.quantize_f16();
+                s
+            } else {
+                // Each field decodes straight from the chunks it spans.
+                BlockSaved::from_f16_bytes(fetched, c.batch, c.seq, c.hidden, c.heads)
             };
             let (dprev, grads) = scratch.block.backward_with(&input, &saved, &dx, spec);
             *self.dflow.lock() = Some(dprev);
-            if !frozen {
-                *self.grads[layer].lock() = Some(grads);
-            }
+            self.park_gradient(layer, frozen, &grads);
         } else {
             self.load_params(&mut scratch, 0, 'b')?;
             let dx = self
@@ -607,43 +623,51 @@ impl<'a> StepCtx<'a> {
                 .take()
                 .ok_or_else(|| slot_violation("backward flow reaches the embedding"))?;
             let emb_grads = scratch.embedding.backward(self.tokens, c.batch, c.seq, &dx);
-            if !frozen {
-                *self.grads[0].lock() = Some(emb_grads);
-            }
+            self.park_gradient(0, frozen, &emb_grads);
         }
         Ok(())
     }
 
-    /// Quantize the layer's gradient to G16 and land it in host memory —
-    /// the active offload's GPU->host leg — routed per [`GradSink`].
+    /// Parks a trained layer's gradient for its `grad-off` as the G16 the
+    /// GPU's mixed-precision backward emits: the f32 vector ends with the
+    /// backward task that produced it.
+    fn park_gradient(&self, layer: usize, frozen: bool, grads: &[f32]) {
+        if !frozen {
+            *self.grads[layer].lock() = Some(encode_f16(grads));
+        }
+    }
+
+    /// Land the layer's G16 in host memory — the active offload's
+    /// GPU->host leg — routed per [`GradSink`].
     fn grad_off(&self, layer: usize) -> Result<(), StorageError> {
-        let mut grads = self.grads[layer]
+        let g16 = self.grads[layer]
             .lock()
             .take()
             .ok_or_else(|| slot_violation("backward produced this layer's gradient"))?;
-        match self.grad_sink {
-            GradSink::Accumulate => self.accumulate(layer, &grads)?,
-            sink => {
-                if let GradSink::MergeAccumulated { inv_n } = sink {
-                    // The accumulator ends here: read where it lay.
-                    let acc = self.store.take(&accum_key(layer))?;
-                    for (g, a) in grads.iter_mut().zip(acc.chunks_exact(4)) {
-                        let a = f32::from_le_bytes([a[0], a[1], a[2], a[3]]);
-                        *g = (round_to_f16(*g) + a) * inv_n;
-                    }
+        let g16 = match self.grad_sink {
+            GradSink::Accumulate => return self.accumulate(layer, g16),
+            GradSink::Optimizer => g16,
+            GradSink::MergeAccumulated { inv_n } => {
+                // The accumulator ends here, where it lay: this
+                // micro-batch's G16 summed in, averaged, rounded again.
+                let mut acc = self.store.take(&accum_key(layer))?;
+                add_f16_le_to_f32_le(&mut acc, &g16);
+                for a in acc.chunks_exact_mut(4) {
+                    let mean = f32::from_le_bytes([a[0], a[1], a[2], a[3]]) * inv_n;
+                    a.copy_from_slice(&mean.to_le_bytes());
                 }
-                offload_f16(self.store, &grad_key(layer), encode_f16(&grads), Tier::Host)?;
+                f32_le_to_f16_le(&acc)
             }
-        }
-        Ok(())
+        };
+        offload_f16(self.store, &grad_key(layer), g16, Tier::Host)
     }
 
-    /// Sums a micro-batch's f16-rounded gradient into the layer's host
-    /// f32 accumulator (creating it on first use). The f16 blob still
-    /// crosses the GPU->host link like any G16 offload.
-    fn accumulate(&self, layer: usize, grads: &[f32]) -> Result<(), StorageError> {
-        let gkey = format!("layer{layer}/grad-micro");
-        offload_f16(self.store, &gkey, encode_f16(grads), Tier::Host)?;
+    /// Sums a micro-batch's G16 into the layer's host f32 accumulator
+    /// (creating it on first use). The blob still crosses the GPU->host
+    /// link like any G16 offload.
+    fn accumulate(&self, layer: usize, g16: Vec<u8>) -> Result<(), StorageError> {
+        let gkey = micro_grad_key(layer);
+        offload_f16(self.store, &gkey, g16, Tier::Host)?;
         let g16 = self.store.take(&gkey)?;
         let akey = accum_key(layer);
         if self.store.contains(&akey) {
@@ -1027,6 +1051,33 @@ mod tests {
         assert_eq!(reads(TaskKind::FwdRead), 0);
         assert_eq!(reads(TaskKind::BwdRead), 0);
         assert_eq!(reads(TaskKind::OptRead), 8);
+    }
+
+    #[test]
+    fn beside_a_resident_master_the_moments_are_read_ahead_of_the_gradient() {
+        // Host-resident master: the read waits for no gradient, the CPU
+        // step does. Paper's placement: both wait, as at the parent.
+        for (placement, read_waits) in [(Placement::HostMaster, false), (Placement::Ssd, true)] {
+            let dag = StepDag::lower(&miniature_placed(placement), &Limits::none()).unwrap();
+            let graph = &dag.graph;
+            let reach = ratel_verify::Reachability::new(graph);
+            let task = |kind, layer| {
+                let t = graph.task_ids().find(|t| {
+                    let a = dag.actions[t.0];
+                    (a.kind, a.layer) == (kind, layer)
+                });
+                t.unwrap_or_else(|| panic!("no {} L{layer}", kind.name()))
+            };
+            for layer in 0..dag.spec.layers.len() {
+                let grad = task(TaskKind::GradOff, layer);
+                assert_eq!(
+                    reach.reaches(grad, task(TaskKind::OptRead, layer)),
+                    read_waits,
+                    "{placement:?}: opt-read L{layer}"
+                );
+                assert!(reach.reaches(grad, task(TaskKind::OptCpu, layer)));
+            }
+        }
     }
 
     #[test]

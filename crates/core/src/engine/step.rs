@@ -163,7 +163,13 @@ impl RatelEngine {
             grad_sink,
         );
         let workers = self.config.execution.executor().workers_per_pool;
-        let breakdown = executor::Executor::new(workers).run(&dag.graph, &ctx)?;
+        let breakdown = match executor::Executor::new(workers).run(&dag.graph, &ctx) {
+            Ok(breakdown) => breakdown,
+            Err(e) => {
+                dag.release_failed_run(&self.store);
+                return Err(e);
+            }
+        };
         let (loss, skipped) = ctx.into_outcome();
         Ok((loss, skipped, breakdown))
     }

@@ -918,6 +918,7 @@ impl IterationSpec {
                             &m2g[0],
                             li,
                             &handler_input,
+                            prev_updates[li],
                             prev_handler_write,
                             prev_handler_read,
                             Stage::Backward,
@@ -947,6 +948,7 @@ impl IterationSpec {
                         &m2g[0],
                         li,
                         &inputs,
+                        prev_updates[li],
                         prev_write,
                         prev_read,
                         Stage::Optimizer,
@@ -1116,9 +1118,9 @@ impl IterationSpec {
         meta
     }
 
-    /// Attaches the handler's gradient inputs to its first emitted task:
-    /// the reduced (or lone) gradient read, plus release of any SSD grad
-    /// spill space, which is dead once the handler has consumed it.
+    /// Attaches the handler's gradient inputs to the task that consumes
+    /// them: the reduced (or lone) gradient read, plus release of any SSD
+    /// grad spill space, which is dead once the handler has consumed it.
     fn handler_grad_meta(&self, mut meta: TaskMeta, li: usize, an: &Annot) -> TaskMeta {
         let layer = &self.layers[li];
         if layer.grad_bytes > 0.0 {
@@ -1137,7 +1139,8 @@ impl IterationSpec {
     }
 
     /// Emits one optimizer handler (§IV-C): returns `(read, write)` task
-    /// ids for chaining.
+    /// ids for chaining. `updated` is the previous iteration's write-back
+    /// of the layer's states.
     #[allow(clippy::too_many_arguments)]
     fn add_handler(
         &self,
@@ -1149,6 +1152,7 @@ impl IterationSpec {
         m2g0: &ResourceId,
         li: usize,
         inputs: &[TaskId],
+        updated: Option<TaskId>,
         prev_write: Option<TaskId>,
         prev_read: Option<TaskId>,
         stage: Stage,
@@ -1170,7 +1174,33 @@ impl IterationSpec {
                 // handler fully finished (Fig. 3a).
                 let serialize =
                     self.mode == GradOffloadMode::NaiveActive || stage == Stage::Optimizer;
-                let mut read_deps: Vec<TaskId> = inputs.to_vec();
+                // Beside a host-resident master the read moves the
+                // moments only, which nothing in the step writes before
+                // it: during backward it reads ahead, after only the
+                // previous iteration's write-back of the same states, and
+                // the gradient edge moves to the CPU step that reads the
+                // G16 (`StepDag::lower`'s `opt_gates` pace how far ahead).
+                // Under the paper's placement the link also carries the
+                // P16 reads the GPU chain waits on, and the separate stage
+                // is a barrier by definition: both keep the trigger.
+                let read_ahead = self.layers[li].master_in_host() && stage == Stage::Backward;
+                let read_meta = TaskMeta::new(OpClass::SsdRead, iter)
+                    .read(an.cur(master_key))
+                    .write(an.bump(sopt_key))
+                    .alloc(MemTier::Host, sopt_key, read_bytes);
+                let cpu_meta = TaskMeta::new(OpClass::CpuCompute, iter)
+                    .read(an.cur(sopt_key))
+                    .write(an.bump(sopt_key));
+                let mut read_deps: Vec<TaskId> = Vec::new();
+                let mut cpu_deps: Vec<TaskId> = Vec::new();
+                let (read_meta, cpu_meta) = if read_ahead {
+                    read_deps.extend(updated);
+                    cpu_deps.extend_from_slice(inputs);
+                    (read_meta, self.handler_grad_meta(cpu_meta, li, an))
+                } else {
+                    read_deps.extend_from_slice(inputs);
+                    (self.handler_grad_meta(read_meta, li, an), cpu_meta)
+                };
                 if serialize {
                     read_deps.extend(prev_write);
                 }
@@ -1181,25 +1211,16 @@ impl IterationSpec {
                     read_bytes / (eff * r.ssd_read),
                     stage,
                     &read_deps,
-                    self.handler_grad_meta(
-                        TaskMeta::new(OpClass::SsdRead, iter)
-                            .read(an.cur(master_key))
-                            .write(an.bump(sopt_key))
-                            .alloc(MemTier::Host, sopt_key, read_bytes),
-                        li,
-                        an,
-                    ),
+                    read_meta,
                 );
-                let meta = TaskMeta::new(OpClass::CpuCompute, iter)
-                    .read(an.cur(sopt_key))
-                    .write(an.bump(sopt_key));
+                cpu_deps.push(read);
                 let compute = em.task(
                     TaskIdentity::shared(TaskKind::OptCpu, li),
                     cpu,
                     cpu_params / r.cpu_params_per_sec,
                     stage,
-                    &[read],
-                    self.host_grad_consumed(meta, li, false),
+                    &cpu_deps,
+                    self.host_grad_consumed(cpu_meta, li, false),
                 );
                 // Main->SSD: optimized mode issues it after the *previous*
                 // handler's SSD->Main (Fig. 3b), which lets the FIFO SSD
@@ -1889,11 +1910,13 @@ mod emitter_tests {
         assert!(kinds.contains(&TaskKind::OptRead) && kinds.contains(&TaskKind::OptWrite));
         let report = ratel_verify::verify(&graph, &ratel_verify::Limits::none());
         assert!(report.is_clean(), "{}", report.render());
-        // 4 B/param from before the first kernel to after the last, and
-        // beside it at the handler the moments (8) and the G16 (2).
+        // 4 B/param from before the first kernel to after the last. The
+        // moments (8) are read ahead of backward, so they are staged
+        // beside the fetches' P16 transits (2 + 2, the two fetches being
+        // unordered here) rather than beside the G16 (2) that lands later.
         let peak = report.peak(MemTier::Host);
         assert_eq!(peak.outliving, 4.0 * p);
-        assert_eq!(peak.total, (4.0 + 8.0 + 2.0) * p);
+        assert_eq!(peak.total, (4.0 + 8.0 + 2.0 + 2.0) * p);
     }
 
     #[test]

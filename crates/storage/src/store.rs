@@ -2,7 +2,7 @@
 
 use std::collections::{HashMap, HashSet};
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use ratel_check::lockorder;
@@ -265,6 +265,11 @@ impl TieredStore {
         })
     }
 
+    /// The directory the SSD tier's files live in.
+    pub fn ssd_dir(&self) -> &Path {
+        &self.config.ssd_dir
+    }
+
     /// Installs (or clears) a fault-injection plan. All subsequent SSD
     /// file operations consult the plan before touching disk.
     pub fn set_fault_plan(&self, plan: Option<Arc<FaultPlan>>) {
@@ -511,12 +516,24 @@ impl TieredStore {
         })
     }
 
-    /// Reads an SSD blob's bytes given its location. No lock held.
+    /// Reads an SSD blob's bytes given its location. No lock held. A
+    /// blob's own file that does not hold the bytes written to it is an
+    /// `InvalidData` I/O error, retried like any other.
     fn read_ssd_blob(&self, key: &str, loc: SsdLoc) -> Result<Vec<u8>, StorageError> {
         match loc {
-            SsdLoc::File { .. } => {
-                self.ssd_io(FaultOp::Read, key, || fs::read(self.blob_path(key)))
-            }
+            SsdLoc::File { len } => self.ssd_io(FaultOp::Read, key, || {
+                let bytes = fs::read(self.blob_path(key))?;
+                if bytes.len() as u64 != len {
+                    return Err(std::io::Error::new(
+                        std::io::ErrorKind::InvalidData,
+                        format!(
+                            "{key}: its file holds {} B, {len} B were written",
+                            bytes.len()
+                        ),
+                    ));
+                }
+                Ok(bytes)
+            }),
             SsdLoc::Segment { seg, offset, len } => {
                 let path = self.segment_path(seg);
                 self.ssd_io(FaultOp::Read, key, || {

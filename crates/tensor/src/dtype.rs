@@ -214,6 +214,18 @@ unsafe fn decode_f16_avx2(bits: &[u16], out: &mut [f32]) {
 /// no codec holds a second heap copy of what it converts.
 pub(crate) const CODEC_CHUNK: usize = 256;
 
+/// Rounds every value through binary16 in place: bitwise the
+/// [`round_to_f16`] map, through the slice codecs a [`CODEC_CHUNK`] at a
+/// time, with no allocation.
+pub fn round_to_f16_in_place(values: &mut [f32]) {
+    let mut bits = [0u16; CODEC_CHUNK];
+    for chunk in values.chunks_mut(CODEC_CHUNK) {
+        let bits = &mut bits[..chunk.len()];
+        f32_to_f16_bits_slice(chunk, bits);
+        f16_bits_to_f32_slice(bits, chunk);
+    }
+}
+
 /// Encodes a slice of `f32` into little-endian binary16 bytes.
 pub fn encode_f16(values: &[f32]) -> Vec<u8> {
     let mut out = vec![0u8; values.len() * 2];
@@ -225,7 +237,7 @@ pub fn encode_f16(values: &[f32]) -> Vec<u8> {
 ///
 /// # Panics
 /// If `out.len() != values.len() * 2`.
-fn encode_f16_into(values: &[f32], out: &mut [u8]) {
+pub(crate) fn encode_f16_into(values: &[f32], out: &mut [u8]) {
     assert_eq!(out.len(), values.len() * 2, "f16 byte/slot length mismatch");
     let mut bits = [0u16; CODEC_CHUNK];
     for (v, o) in values
@@ -564,6 +576,97 @@ mod tests {
         let mut into = vec![0u8; bytes.len()];
         encode_f32_into(&back, &mut into);
         assert_eq!(into, bytes);
+    }
+
+    /// The invariant the forward's single encode relies on: the bytes of
+    /// a value are the bytes of its rounding, so rounding before an
+    /// encode is dead work.
+    #[test]
+    fn encoding_a_rounded_value_is_encoding_the_value() {
+        let nans = [
+            0x7fc0_0000u32,
+            0x7f80_0001,
+            0x7fbf_ffff,
+            0xffc0_1234,
+            0xff80_0042,
+        ]
+        .map(f32::from_bits);
+        let mut vals = vec![
+            0.0f32,
+            -0.0,
+            f32::MIN_POSITIVE / 2.0, // an f32 subnormal: flushes to ±0
+            -f32::MIN_POSITIVE / 3.0,
+            2.0f32.powi(-24),                   // smallest f16 subnormal
+            3.0 * 2.0f32.powi(-25),             // tie between two f16 subnormals
+            2.0f32.powi(-25),                   // tie with zero: rounds to even (0)
+            1023.0 / 1024.0 * 2.0f32.powi(-14), // largest f16 subnormal
+            1.0 + 2.0f32.powi(-11),             // tie, rounds down to even
+            1.0 + 3.0 * 2.0f32.powi(-11),       // tie, rounds up to even
+            65504.0,
+            65519.99, // just under the overflow tie
+            65520.0,  // overflow tie: to +inf
+            -65520.0,
+            1e30,
+            -1e30,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+        ];
+        vals.extend(nans);
+        vals.extend(spread(300, 9));
+        for v in vals {
+            assert_eq!(
+                encode_f16(&[v]),
+                encode_f16(&[round_to_f16(v)]),
+                "{v:e} ({:#010x})",
+                v.to_bits()
+            );
+        }
+    }
+
+    #[test]
+    fn rounding_in_place_is_the_scalar_map() {
+        for n in [0, 1, CODEC_CHUNK - 1, CODEC_CHUNK, CODEC_CHUNK + 1, 1000] {
+            let mut vals = spread(n, 31 + n as u32);
+            if n >= boundary_values().len() {
+                vals[..boundary_values().len()].copy_from_slice(&boundary_values());
+            }
+            let expected: Vec<u32> = vals.iter().map(|&v| round_to_f16(v).to_bits()).collect();
+            round_to_f16_in_place(&mut vals);
+            let got: Vec<u32> = vals.iter().map(|v| v.to_bits()).collect();
+            assert_eq!(got, expected, "{n} values");
+        }
+    }
+
+    /// A block's saved set decoded field by field — whole, and from
+    /// chunks that cut fields anywhere — is the whole-blob decode cut
+    /// into fields, bit for bit (arbitrary bytes: NaN payloads too).
+    #[test]
+    fn a_saved_set_decodes_field_by_field_as_one_blob_does() {
+        use crate::layers::BlockSaved;
+        let (batch, seq, h, heads) = (1, 3, 4, 2);
+        let n = BlockSaved::element_count_for(batch, seq, h, heads);
+        let mut state = 0x2545_f491u32;
+        let bytes: Vec<u8> = (0..2 * n)
+            .map(|_| {
+                state ^= state << 13;
+                state ^= state >> 17;
+                state ^= state << 5;
+                (state >> 24) as u8
+            })
+            .collect();
+        let whole: Vec<u32> = decode_f16(&bytes).iter().map(|v| v.to_bits()).collect();
+        let fields = |saved: &BlockSaved| -> Vec<u32> {
+            let tensors = saved.tensors();
+            tensors
+                .iter()
+                .flat_map(|t| t.iter().map(|v| v.to_bits()))
+                .collect()
+        };
+        let one = BlockSaved::from_f16_bytes([&bytes[..]], batch, seq, h, heads);
+        assert_eq!(fields(&one), whole);
+        let chunks: Vec<Vec<u8>> = bytes.chunks(2 * 7).map(<[u8]>::to_vec).collect();
+        let chunked = BlockSaved::from_f16_bytes(chunks, batch, seq, h, heads);
+        assert_eq!(fields(&chunked), whole);
     }
 
     #[test]

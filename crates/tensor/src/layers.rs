@@ -9,7 +9,7 @@
 //! so they can be offloaded byte-for-byte like the paper's A16 tensors.
 
 use crate::attention::{attn_backward_into, attn_forward_into};
-use crate::dtype::{decode_f16_into, encode_f32_into};
+use crate::dtype::{decode_f16_into, encode_f16_into, encode_f32_into, round_to_f16_in_place};
 use crate::ops::{
     add_bias, apply_mask, bias_grad, cross_entropy, cross_entropy_backward, dropout_mask,
     embedding_gather, embedding_scatter_add, gelu, gelu_backward, layernorm, layernorm_backward,
@@ -382,6 +382,8 @@ impl Mlp {
     ) -> (Tensor, LinearGrads, LinearGrads) {
         let (dact, dfc2) = self.fc2.backward(&saved.act, dy);
         let dpre = gelu_backward(&saved.pre, &dact);
+        // Dead once the GELU consumed it: fc1's backward runs without it.
+        drop(dact);
         let (dx, dfc1) = self.fc1.backward(x, &dpre);
         (dx, dfc1, dfc2)
     }
@@ -533,35 +535,37 @@ impl TransformerBlock {
         dy: &Tensor,
         dropout: Option<DropoutSpec>,
     ) -> (Tensor, BlockGrads) {
+        // Each intermediate gradient is dropped once the next sublayer has
+        // consumed it, so the flat gradients below are assembled beside
+        // the saved set and the weight gradients only.
+        let masked = |g: &Tensor, spec: DropoutSpec| apply_mask(g, &dropout_mask(g.len(), spec));
         // y = x2 + drop(mlp(ln2(x2)))
-        let dm = match dropout {
-            Some(spec) => apply_mask(
-                dy,
-                &dropout_mask(
-                    dy.len(),
-                    DropoutSpec {
-                        p: spec.p,
-                        seed: spec.seed ^ 0x9e37_79b9,
-                    },
-                ),
-            ),
-            None => dy.clone(),
-        };
-        let (dx3, dfc1, dfc2) = self.mlp.backward(&saved.x3, &saved.mlp, &dm);
+        let dm = dropout.map(|spec| {
+            let seed = spec.seed ^ 0x9e37_79b9;
+            masked(dy, DropoutSpec { p: spec.p, seed })
+        });
+        let (dx3, dfc1, dfc2) =
+            (self.mlp).backward(&saved.x3, &saved.mlp, dm.as_ref().unwrap_or(dy));
+        drop(dm);
         let (dx2_ln, dg2, db2) = self.ln2.backward(&saved.x2, &saved.ln2_stats, &dx3);
-        let mut dx2 = dy.clone();
-        dx2.add_assign(&dx2_ln);
+        drop(dx3);
+        let mut dx = dy.clone();
+        dx.add_assign(&dx2_ln);
+        drop(dx2_ln);
         // x2 = x + drop(attn(ln1(x)))
-        let da = match dropout {
-            Some(spec) => apply_mask(&dx2, &dropout_mask(dx2.len(), spec)),
-            None => dx2.clone(),
-        };
-        let (dx1, dwqkv, dwo) =
-            self.attn
-                .backward(&saved.x1, &saved.attn, &da, self.batch, self.seq);
+        let da = dropout.map(|spec| masked(&dx, spec));
+        let (dx1, dwqkv, dwo) = self.attn.backward(
+            &saved.x1,
+            &saved.attn,
+            da.as_ref().unwrap_or(&dx),
+            self.batch,
+            self.seq,
+        );
+        drop(da);
         let (dx_ln, dg1, db1) = self.ln1.backward(x, &saved.ln1_stats, &dx1);
-        let mut dx = dx2;
+        drop(dx1);
         dx.add_assign(&dx_ln);
+        drop(dx_ln);
 
         // Flat grads in params_flat order: ln1, attn(wqkv, wo), ln2, mlp.
         let mut grads = Vec::with_capacity(self.param_count());
@@ -598,7 +602,7 @@ impl ParamLayer for TransformerBlock {
 
 impl BlockSaved {
     /// Stored activation elements for a block of the given shape — the
-    /// exact count [`BlockSaved::to_f16_bytes`] serializes (the A16 blob
+    /// exact count [`BlockSaved::into_f16_bytes`] serializes (the A16 blob
     /// is twice this many bytes), computable without running a forward.
     pub fn element_count_for(batch: usize, seq: usize, h: usize, heads: usize) -> usize {
         let rows = batch * seq;
@@ -612,112 +616,167 @@ impl BlockSaved {
 
     /// Total stored activation elements (for accounting).
     pub fn element_count(&self) -> usize {
-        self.x1.len()
-            + self.ln1_stats.mean.len()
-            + self.ln1_stats.rstd.len()
-            + self.attn.qkv.len()
-            + self.attn.row_max.len()
-            + self.attn.row_lse.len()
-            + self.attn.ctx.len()
-            + self.x2.len()
-            + self.x3.len()
-            + self.ln2_stats.mean.len()
-            + self.ln2_stats.rstd.len()
-            + self.mlp.pre.len()
-            + self.mlp.act.len()
+        self.tensors().iter().map(|t| t.len()).sum()
     }
 
     /// Serializes all saved activations as half-precision bytes — the A16
-    /// offload format.
-    pub fn to_f16_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.element_count() * 2);
-        for t in self.tensors() {
-            out.extend(crate::dtype::encode_f16(t));
+    /// offload format — consuming the set: each f32 field is freed as soon
+    /// as its bytes are written. Encoding rounds, so the set needs no
+    /// [`BlockSaved::quantize_f16`] first: the encode of a rounded value
+    /// is the encode of the value.
+    pub fn into_f16_bytes(self) -> Vec<u8> {
+        let mut out = vec![0u8; 2 * self.element_count()];
+        let mut at = 0;
+        for field in self.into_fields() {
+            let end = at + 2 * field.len();
+            encode_f16_into(&field, &mut out[at..end]);
+            at = end;
         }
         out
     }
 
-    /// Reconstructs saved activations from half-precision bytes.
+    /// Reconstructs saved activations from the A16 blob
+    /// [`BlockSaved::into_f16_bytes`] wrote, given whole or as the chunks
+    /// it was split into (at element boundaries): each field is decoded
+    /// straight from its byte range, and nothing is concatenated first.
     ///
     /// # Panics
-    /// If the byte length does not match the shapes implied by
-    /// `(batch, seq, h, heads)`.
-    pub fn from_f16_bytes(
-        bytes: &[u8],
+    /// If the bytes do not add up to the shapes implied by
+    /// `(batch, seq, h, heads)`, or a chunk boundary splits an element.
+    pub fn from_f16_bytes<B: AsRef<[u8]>>(
+        chunks: impl IntoIterator<Item = B>,
         batch: usize,
         seq: usize,
         h: usize,
         heads: usize,
     ) -> BlockSaved {
-        let rows = batch * seq;
-        let vals = crate::dtype::decode_f16(bytes);
-        let mut off = 0usize;
-        let mut take = |n: usize| {
-            let v = vals[off..off + n].to_vec();
-            off += n;
-            v
-        };
-        let x1 = Tensor::from_vec(&[rows, h], take(rows * h));
-        let ln1_stats = LayerNormStats {
-            mean: take(rows),
-            rstd: take(rows),
-        };
-        let qkv = Tensor::from_vec(&[rows, 3 * h], take(rows * 3 * h));
-        let row_max = take(batch * heads * seq);
-        let row_lse = take(batch * heads * seq);
-        let ctx = Tensor::from_vec(&[rows, h], take(rows * h));
-        let x2 = Tensor::from_vec(&[rows, h], take(rows * h));
-        let x3 = Tensor::from_vec(&[rows, h], take(rows * h));
-        let ln2_stats = LayerNormStats {
-            mean: take(rows),
-            rstd: take(rows),
-        };
-        let pre = Tensor::from_vec(&[rows, 4 * h], take(rows * 4 * h));
-        let act = Tensor::from_vec(&[rows, 4 * h], take(rows * 4 * h));
-        assert_eq!(off, vals.len(), "activation blob length mismatch");
+        let (rows, stats) = (batch * seq, batch * heads * seq);
+        let lens = [
+            rows * h,
+            rows,
+            rows,
+            rows * 3 * h,
+            stats,
+            stats,
+            rows * h,
+            rows * h,
+            rows * h,
+            rows,
+            rows,
+            rows * 4 * h,
+            rows * 4 * h,
+        ];
+        let mut chunks = chunks.into_iter();
+        let mut chunk: Option<B> = None;
+        let mut at = 0;
+        let fields = lens.map(|n| {
+            let mut field = vec![0.0f32; n];
+            let mut filled = 0;
+            while filled < n {
+                let rest = chunk.as_ref().map_or(&[][..], |c| &c.as_ref()[at..]);
+                if rest.len() < 2 {
+                    assert!(rest.is_empty(), "an A16 chunk splits an element");
+                    let Some(next) = chunks.next() else {
+                        panic!("activation blob length mismatch: too short");
+                    };
+                    chunk = Some(next);
+                    at = 0;
+                    continue;
+                }
+                let k = (n - filled).min(rest.len() / 2);
+                decode_f16_into(&rest[..2 * k], &mut field[filled..filled + k]);
+                filled += k;
+                at += 2 * k;
+            }
+            field
+        });
+        let left = chunk.map_or(0, |c| c.as_ref().len() - at)
+            + chunks.map(|c| c.as_ref().len()).sum::<usize>();
+        assert_eq!(left, 0, "activation blob length mismatch");
+        let [x1, ln1_mean, ln1_rstd, qkv, row_max, row_lse, ctx, x2, x3, ln2_mean, ln2_rstd, pre, act] =
+            fields;
         BlockSaved {
-            x1,
-            ln1_stats,
+            x1: Tensor::from_vec(&[rows, h], x1),
+            ln1_stats: LayerNormStats {
+                mean: ln1_mean,
+                rstd: ln1_rstd,
+            },
             attn: AttnSaved {
-                qkv,
+                qkv: Tensor::from_vec(&[rows, 3 * h], qkv),
                 row_max,
                 row_lse,
-                ctx,
+                ctx: Tensor::from_vec(&[rows, h], ctx),
             },
+            x2: Tensor::from_vec(&[rows, h], x2),
+            x3: Tensor::from_vec(&[rows, h], x3),
+            ln2_stats: LayerNormStats {
+                mean: ln2_mean,
+                rstd: ln2_rstd,
+            },
+            mlp: MlpSaved {
+                pre: Tensor::from_vec(&[rows, 4 * h], pre),
+                act: Tensor::from_vec(&[rows, 4 * h], act),
+            },
+        }
+    }
+
+    /// Rounds every saved value through binary16 in place — what a
+    /// recomputed set must look like to equal one that was swapped.
+    pub fn quantize_f16(&mut self) {
+        for t in [
+            &mut self.x1,
+            &mut self.attn.qkv,
+            &mut self.attn.ctx,
+            &mut self.x2,
+            &mut self.x3,
+            &mut self.mlp.pre,
+            &mut self.mlp.act,
+        ] {
+            round_to_f16_in_place(t.data_mut());
+        }
+        for v in [
+            &mut self.attn.row_max,
+            &mut self.attn.row_lse,
+            &mut self.ln1_stats.mean,
+            &mut self.ln1_stats.rstd,
+            &mut self.ln2_stats.mean,
+            &mut self.ln2_stats.rstd,
+        ] {
+            round_to_f16_in_place(v);
+        }
+    }
+
+    /// The saved fields, owned, in the A16 blob's order (the order
+    /// [`BlockSaved::from_f16_bytes`] reads them in).
+    fn into_fields(self) -> [Vec<f32>; 13] {
+        let BlockSaved {
+            x1,
+            ln1_stats,
+            attn,
             x2,
             x3,
             ln2_stats,
-            mlp: MlpSaved { pre, act },
-        }
+            mlp,
+        } = self;
+        [
+            x1.into_vec(),
+            ln1_stats.mean,
+            ln1_stats.rstd,
+            attn.qkv.into_vec(),
+            attn.row_max,
+            attn.row_lse,
+            attn.ctx.into_vec(),
+            x2.into_vec(),
+            x3.into_vec(),
+            ln2_stats.mean,
+            ln2_stats.rstd,
+            mlp.pre.into_vec(),
+            mlp.act.into_vec(),
+        ]
     }
 
-    /// Rounds every saved value through binary16 in place — applied right
-    /// after forward so that swapped and recomputed-from-f16-input paths
-    /// see identical data.
-    pub fn quantize_f16(&mut self) {
-        let q = |t: &mut Tensor| *t = t.quantize_f16();
-        q(&mut self.x1);
-        q(&mut self.attn.qkv);
-        q(&mut self.attn.ctx);
-        q(&mut self.x2);
-        q(&mut self.x3);
-        q(&mut self.mlp.pre);
-        q(&mut self.mlp.act);
-        for v in self
-            .attn
-            .row_max
-            .iter_mut()
-            .chain(self.attn.row_lse.iter_mut())
-            .chain(self.ln1_stats.mean.iter_mut())
-            .chain(self.ln1_stats.rstd.iter_mut())
-            .chain(self.ln2_stats.mean.iter_mut())
-            .chain(self.ln2_stats.rstd.iter_mut())
-        {
-            *v = crate::dtype::round_to_f16(*v);
-        }
-    }
-
-    fn tensors(&self) -> [&[f32]; 13] {
+    /// The saved fields, borrowed, in the A16 blob's order.
+    pub(crate) fn tensors(&self) -> [&[f32]; 13] {
         [
             self.x1.data(),
             &self.ln1_stats.mean,
@@ -1309,16 +1368,24 @@ mod tests {
         let (batch, seq, h, heads) = (2usize, 4usize, 16usize, 4usize);
         let block = TransformerBlock::new(batch, seq, h, heads, 71);
         let x = Tensor::randn(&[batch * seq, h], 0.5, 72);
-        let (_, mut saved) = block.forward(&x);
-        saved.quantize_f16();
-        let bytes = saved.to_f16_bytes();
-        assert_eq!(bytes.len(), saved.element_count() * 2);
+        let (_, saved) = block.forward(&x);
+        let mut rounded = saved.clone();
+        rounded.quantize_f16();
         assert_eq!(
             saved.element_count(),
             BlockSaved::element_count_for(batch, seq, h, heads)
         );
-        let restored = BlockSaved::from_f16_bytes(&bytes, batch, seq, h, heads);
-        assert_eq!(restored, saved);
+        // The encode needs no rounding first.
+        let bytes = saved.into_f16_bytes();
+        assert_eq!(bytes, rounded.clone().into_f16_bytes());
+        assert_eq!(bytes.len(), rounded.element_count() * 2);
+        let restored = BlockSaved::from_f16_bytes([&bytes], batch, seq, h, heads);
+        assert_eq!(restored, rounded);
+        // Chunks split at any element boundary decode to the same set.
+        let (head, tail) = bytes.split_at(2 * 37);
+        let (mid, tail) = tail.split_at((tail.len() / 2) & !1);
+        let chunked = BlockSaved::from_f16_bytes([head, mid, tail], batch, seq, h, heads);
+        assert_eq!(chunked, rounded);
     }
 
     #[test]
@@ -1447,20 +1514,25 @@ impl KvCache {
 
     /// Serializes to half-precision bytes (`[k..., v...]`).
     pub fn to_f16_bytes(&self) -> Vec<u8> {
-        let mut out = crate::dtype::encode_f16(&self.k);
-        out.extend(crate::dtype::encode_f16(&self.v));
+        let mut out = vec![0u8; 2 * (self.k.len() + self.v.len())];
+        let (k, v) = out.split_at_mut(2 * self.k.len());
+        encode_f16_into(&self.k, k);
+        encode_f16_into(&self.v, v);
         out
     }
 
     /// Restores a cache of `tokens` positions from
     /// [`KvCache::to_f16_bytes`] output.
     pub fn from_f16_bytes(bytes: &[u8], heads: usize, head_dim: usize, tokens: usize) -> Self {
-        let vals = crate::dtype::decode_f16(bytes);
         let n = heads * tokens * head_dim;
-        assert_eq!(vals.len(), 2 * n, "kv blob length");
+        assert_eq!(bytes.len(), 4 * n, "kv blob length");
+        let (k_bytes, v_bytes) = bytes.split_at(2 * n);
+        let (mut k, mut v) = (vec![0.0f32; n], vec![0.0f32; n]);
+        decode_f16_into(k_bytes, &mut k);
+        decode_f16_into(v_bytes, &mut v);
         KvCache {
-            k: vals[..n].to_vec(),
-            v: vals[n..].to_vec(),
+            k,
+            v,
             heads,
             head_dim,
             tokens,
@@ -1471,9 +1543,8 @@ impl KvCache {
     /// the cache a [`KvCache::to_f16_bytes`] /
     /// [`KvCache::from_f16_bytes`] round trip returns, without the bytes.
     pub fn round_to_f16(&mut self) {
-        for v in self.k.iter_mut().chain(&mut self.v) {
-            *v = crate::dtype::round_to_f16(*v);
-        }
+        round_to_f16_in_place(&mut self.k);
+        round_to_f16_in_place(&mut self.v);
     }
 
     fn head_k(&self, head: usize) -> &[f32] {

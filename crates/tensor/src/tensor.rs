@@ -3,7 +3,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::dtype::{decode_f16, encode_f16, round_to_f16};
+use crate::dtype::{decode_f16, encode_f16, round_to_f16_in_place};
 
 /// A dense row-major tensor of `f32` values.
 #[derive(Debug, Clone, PartialEq)]
@@ -135,13 +135,11 @@ impl Tensor {
         }
     }
 
-    /// Rounds every element through binary16 — what a tensor looks like
-    /// after a half-precision offload/fetch round trip.
-    pub fn quantize_f16(&self) -> Tensor {
-        Tensor {
-            shape: self.shape.clone(),
-            data: self.data.iter().map(|&v| round_to_f16(v)).collect(),
-        }
+    /// Rounds every element through binary16 in place — what a tensor
+    /// looks like after a half-precision offload/fetch round trip.
+    pub fn quantize_f16(mut self) -> Tensor {
+        round_to_f16_in_place(&mut self.data);
+        self
     }
 
     /// Serializes to half-precision bytes (A16/P16/G16 storage format).
@@ -220,8 +218,8 @@ mod tests {
     fn f16_round_trip_matches_quantize() {
         let t = Tensor::randn(&[64], 1.0, 3);
         let rt = Tensor::from_f16_bytes(t.shape(), &t.to_f16_bytes());
-        assert_eq!(rt, t.quantize_f16());
         assert_eq!(t.to_f16_bytes().len(), 128);
+        assert_eq!(rt, t.quantize_f16());
     }
 
     #[test]

@@ -244,6 +244,78 @@ fn a_moments_write_beside_a_resident_master_is_retried_or_fails_and_restores() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A blob file that no longer holds what was written to it reads as a
+/// typed error, not as bytes of the wrong length for a decoder to panic
+/// on. Truncated on disk, a layer's moments do not reach host memory —
+/// the move fails and the host tier is left as it was — the step that
+/// reads them fails with the error instead of a panic, and
+/// `load_checkpoint` writes them whole again: the trainer then goes on
+/// bitwise like a run that never lost them.
+#[test]
+fn a_truncated_blob_file_is_a_typed_error_and_a_checkpoint_restores_it() {
+    use ratel_repro::storage::RetryPolicy;
+    let model = tiny_config();
+    let dir = temp_dir("truncated");
+    let step = |trainer: &mut RatelTrainer, step: u64| {
+        let (tokens, targets) = learnable_batch(&model, step);
+        trainer.step(Batch::new(&model, &tokens, &targets).unwrap())
+    };
+    let bits = |l: &[f32]| l.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let mut straight = build(model, None);
+    let straight_losses = train_steps(&mut straight, &model, 4);
+
+    let mut trainer = build(model, None);
+    let mut losses = train_steps(&mut trainer, &model, 2);
+    trainer.save_checkpoint(&dir).unwrap();
+    let store = trainer.engine().store();
+    store.set_retry_policy(RetryPolicy::none());
+    let key = "layer0/moments";
+    let file = store.ssd_dir().join("layer0_moments");
+    let written = std::fs::metadata(&file).unwrap().len();
+    assert_eq!(written, 8 * model.layer_params(0) as u64);
+    std::fs::OpenOptions::new()
+        .write(true)
+        .open(&file)
+        .unwrap()
+        .set_len(100)
+        .unwrap();
+
+    let host = store.used(Tier::Host);
+    let err = store.move_to(key, Tier::Host).unwrap_err();
+    let names_both = |e: &StorageError| {
+        matches!(e, StorageError::Io(io) if io.kind() == std::io::ErrorKind::InvalidData
+            && io.to_string().contains(&format!("{key}: its file holds 100 B, {written} B")))
+    };
+    assert!(names_both(&err), "{err}");
+    assert_eq!(store.used(Tier::Host), host);
+    assert_eq!(store.tier_of(key).unwrap(), Tier::Ssd);
+
+    // What the rest of the step had staged by the time the read failed
+    // is released with it.
+    match step(&mut trainer, 2).unwrap_err() {
+        RatelError::Storage(e) => assert!(names_both(&e), "{e}"),
+        other => panic!("expected the typed read error, got {other}"),
+    }
+    let store = trainer.engine().store();
+    assert_eq!(store.tier_of(key).unwrap(), Tier::Ssd);
+    assert_eq!(store.used(Tier::Host), host);
+    assert_eq!(host, trainer.engine().host_state_bytes());
+
+    trainer.load_checkpoint(&dir).unwrap();
+    for s in 2..4 {
+        losses.push(step(&mut trainer, s).unwrap().loss);
+    }
+    assert_eq!(bits(&losses), bits(&straight_losses));
+    for layer in 0..model.layers + 2 {
+        assert_eq!(
+            straight.engine().master_params(layer).unwrap(),
+            trainer.engine().master_params(layer).unwrap(),
+            "layer {layer} master params diverged after the restore"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Host-pool pressure with graceful degradation enabled lands the blob
 /// on the SSD tier (recorded as a spill) instead of erroring, and reads
 /// stay transparent.

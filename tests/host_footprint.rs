@@ -76,12 +76,12 @@ fn peak_over(base: usize) -> usize {
 const TENSOR_THREADS: usize = 2;
 
 /// What a step holds of gradients outside the tiers, per parameter of
-/// the largest layer: one backward's f32 output waiting for its
-/// `grad-off` (4 B) with the G16 that encodes it on its way into the
-/// store (2 B), and the next backward's output growing meanwhile (4 B).
-/// The optimizer reads the G16 where the store holds it, so no worker of
-/// the CPU pool holds a decoded one (12 B before: three f32 vectors).
-const GRADIENT_HANDED_OVER: usize = 4 + 2 + 4;
+/// the largest layer: one backward's G16, parked for its `grad-off`
+/// (2 B), beside the next backward's f32 output (4 B) and the G16 that
+/// backward encodes it into (2 B). The f32 vector ends with the task
+/// that produced it, and the optimizer reads the G16 where the store
+/// holds it, so no other task holds a decoded one.
+const GRADIENT_HANDED_OVER: usize = 2 + 4 + 2;
 
 /// What else a step may hold outside the tiers: the running block's
 /// activations and kernel scratch in f32 (score tiles, packed GEMM
