@@ -273,6 +273,7 @@ fn ds_spec(
             p16_bytes: 2.0 * p,
             param_source: params,
             master_host_bytes: 0.0,
+            moments_host_bytes: 0.0,
             fwd_flops: layer.forward_flops,
             bwd_flops: 2.0 * layer.forward_flops + recompute,
             act_to_host_bytes: layer.inter_act_bytes,
@@ -319,6 +320,7 @@ fn colossal_spec(hw: &HardwareProfile, profile: &ModelProfile, gpus: usize) -> I
             p16_bytes: 2.0 * p,
             param_source: ParamSource::Ssd,
             master_host_bytes: 0.0,
+            moments_host_bytes: 0.0,
             fwd_flops: layer.forward_flops,
             bwd_flops: 2.0 * layer.forward_flops + recompute,
             act_to_host_bytes: 0.0,
@@ -360,6 +362,7 @@ fn flashneuron_spec(hw: &HardwareProfile, profile: &ModelProfile) -> IterationSp
             p16_bytes: 0.0,
             param_source: ParamSource::Gpu,
             master_host_bytes: 0.0,
+            moments_host_bytes: 0.0,
             fwd_flops: layer.forward_flops,
             bwd_flops: 2.0 * layer.forward_flops,
             act_to_host_bytes: 0.0,
@@ -400,6 +403,7 @@ fn g10_spec(hw: &HardwareProfile, profile: &ModelProfile) -> IterationSpec {
             p16_bytes: 2.0 * p,
             param_source: ParamSource::Ssd,
             master_host_bytes: 0.0,
+            moments_host_bytes: 0.0,
             fwd_flops: layer.forward_flops,
             bwd_flops: 2.0 * layer.forward_flops,
             act_to_host_bytes: 0.0,

@@ -30,7 +30,7 @@ use ratel::engine::{ActDecision, RatelEngine};
 use ratel::schedule::{IterationSpec, LinkRates, OptimizerKind, Placement};
 use ratel::{Ratel, TrainingPlan};
 use ratel_hw::ServerConfig;
-use ratel_sim::{simulate, MemTier, SimReport, SpanKind, Stage, TaskId, TaskKind, Timeline};
+use ratel_sim::{simulate, MemTier, SimReport, SpanKind, TaskId, TaskKind, Timeline};
 use ratel_storage::{Route, Tier, TrafficSnapshot};
 use ratel_tensor::GptConfig;
 
@@ -388,8 +388,8 @@ pub fn run(cfg: &ValidateConfig) -> Result<ValidateReport, String> {
         let t = engine.last_step_telemetry().expect("telemetry enabled");
         wall += t.wall_seconds;
         // The measured forward stage is a *wall window* (step start to
-        // the last forward span's end, transfers included), matching the
-        // sim's stage-window semantics; backward+optimizer is the rest.
+        // the last forward span's end, transfers included), predicted the
+        // same way below; backward+optimizer is the rest.
         let fwd_end = t
             .spans
             .iter()
@@ -456,7 +456,16 @@ pub fn run(cfg: &ValidateConfig) -> Result<ValidateReport, String> {
     }
     let sim = simulate(&graph);
 
-    let sim_fwd = sim.stage(Stage::Forward).duration();
+    // Up to the last forward kernel's end, as measured: not the sim's
+    // forward stage window, which also spans the offloads that drain
+    // after it (and wait behind other SSD traffic on the sim's one
+    // queue).
+    let sim_fwd = (graph.task_ids())
+        .filter(|&t| {
+            (graph.meta(t).and_then(|m| m.identity)).is_some_and(|id| id.kind == TaskKind::Fwd)
+        })
+        .map(|t| sim.task_finish(t))
+        .fold(0.0, f64::max);
     let stages = vec![
         StageDelta {
             name: "forward",

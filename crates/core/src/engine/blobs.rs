@@ -7,7 +7,7 @@ use ratel_tensor::{CrossEntropy, Embedding, GptConfig, GptModel, ParamLayer, Tra
 
 use super::RatelEngine;
 use crate::error::RatelError;
-use crate::schedule::Placement;
+use crate::schedule::{LayerTask, Placement};
 
 /// Storage keys for a layer's blobs. Layer ids: 0 = embedding, 1..=L =
 /// blocks, L+1 = head.
@@ -45,6 +45,16 @@ pub(super) fn ckpt_key(layer: usize) -> String {
 }
 pub(super) fn accum_key(layer: usize) -> String {
     format!("layer{layer}/grad-accum")
+}
+
+/// The tier a layer's moments rest in between steps: host memory where
+/// its handler rotates, the SSD tier otherwise.
+pub(super) fn moments_tier(task: &LayerTask) -> Tier {
+    if task.moments_in_host() {
+        Tier::Host
+    } else {
+        Tier::Ssd
+    }
 }
 
 /// The f32 tensors the kernels compute on: an embedding, **one** block
@@ -147,9 +157,10 @@ impl RatelEngine {
     /// holds one layer's 14 B/param in flight, never the whole model's.
     /// An SSD-placed layer's three blobs stream out as one sequential
     /// segment write; a host-master layer's master stays in host memory
-    /// and only its moments go to the SSD tier.
+    /// and its moments go to the SSD tier — or stay in host memory too,
+    /// where its handler rotates.
     pub(super) fn init_states(&self) -> Result<(), StorageError> {
-        for layer in 0..self.layer_count() {
+        for (layer, task) in self.plan.step.spec.layers.iter().enumerate() {
             let master = initial_master(self.config.model, self.config.seed, layer);
             // Fresh Adam moments: `[m..., v...]`, all zero.
             let moments = vec![0u8; master.len() * 2];
@@ -170,7 +181,8 @@ impl RatelEngine {
                 }
                 Placement::HostMaster => {
                     self.store.put(&master_key(layer), Tier::Host, master)?;
-                    self.store.put(&moments_key(layer), Tier::Ssd, moments)?;
+                    self.store
+                        .put(&moments_key(layer), moments_tier(task), moments)?;
                 }
             }
         }
@@ -222,12 +234,16 @@ mod tests {
     #[test]
     fn model_states_rest_where_the_plan_places_them() {
         // Uncapped, every master is host-resident: P32 (4 B/param) in
-        // host memory, OS32 (8) on the SSD tier, no P16 at rest.
+        // host memory, OS32 (8) on the SSD tier — but for the two layers
+        // whose gradients arrive last, whose moments rest in host memory
+        // too — and no P16 at rest.
         let engine = RatelEngine::new(EngineConfig::tiny()).unwrap();
         let params = engine.total_params() as u64;
+        let rotated = 8 * (engine.layer_param_count(0) + engine.layer_param_count(1)) as u64;
         assert_eq!(engine.placement(), Placement::HostMaster);
-        assert_eq!(engine.ssd_state_bytes(), params * 8);
-        assert_eq!(engine.store().used(Tier::Host), params * 4);
+        assert_eq!(engine.ssd_state_bytes(), params * 8 - rotated);
+        assert_eq!(engine.store().used(Tier::Host), params * 4 + rotated);
+        assert_eq!(engine.store().used(Tier::Host), engine.host_state_bytes());
         assert_eq!(engine.store().used(Tier::Gpu), 0);
 
         // A capped host pool gets the paper's placement: P32 (4) + OS32

@@ -22,8 +22,12 @@
 //! a self-checksum over its own body. Loading verifies all of them and
 //! walks backward through generations until one passes — torn or
 //! bit-flipped checkpoints are *detected*, never silently restored.
-//! After a successful save the directory is pruned to the two newest
-//! generations.
+//! While a generation is verified, each blob whose key rests on the SSD
+//! tier waits there under a shadow key, so the loader holds only the
+//! blobs bound for host memory; once all pass, each shadow is renamed
+//! over its key ([`TieredStore::rename`], no byte moved) and the rest
+//! are overwritten in place. After a successful save the directory is
+//! pruned to the two newest generations.
 //!
 //! Manifest format (text, one record per line):
 //!
@@ -43,6 +47,7 @@ use std::fs;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
+use ratel_storage::{StorageError, Tier, TieredStore};
 use ratel_tensor::dtype::f32_le_to_f16_le;
 
 use crate::error::RatelError;
@@ -105,11 +110,62 @@ pub(crate) fn generations(dir: &Path) -> Vec<u64> {
     gens
 }
 
-/// One parsed + verified manifest.
+/// One parsed manifest, checked against the engine's shape.
 struct Manifest {
     step: u64,
-    /// `(applied_steps, master_bytes, moments_bytes)` per layer id.
-    layers: Vec<(u64, Vec<u8>, Vec<u8>)>,
+    /// Per layer id: its applied-update count and the `(length,
+    /// FNV-1a 64)` its master and its moments were saved with.
+    layers: Vec<(u64, [(usize, u64); 2])>,
+}
+
+/// A verified blob on its way into the engine under `key`: its bytes
+/// when the key rests in host memory, `None` once they wait on the SSD
+/// tier under the key's [`shadow_key`].
+struct Staged {
+    key: String,
+    bytes: Option<Vec<u8>>,
+}
+
+/// Where a blob bound for an SSD-resident key waits while the rest of
+/// its generation is verified.
+fn shadow_key(key: &str) -> String {
+    format!("{key}#loading")
+}
+
+impl Staged {
+    /// Stages `bytes` for `key`: held in memory when `key` rests in host
+    /// memory, written beside it under its shadow when it rests on the
+    /// SSD tier (an unmetered put — the loader holds no SSD-bound blob).
+    fn new(store: &TieredStore, key: String, bytes: Vec<u8>) -> Result<Staged, StorageError> {
+        if store.tier_of(&key).ok() != Some(Tier::Ssd) {
+            return Ok(Staged {
+                key,
+                bytes: Some(bytes),
+            });
+        }
+        store.put(&shadow_key(&key), Tier::Ssd, bytes)?;
+        Ok(Staged { key, bytes: None })
+    }
+
+    /// Replaces `key`'s blob where it rests: overwritten in host memory,
+    /// or by its shadow, renamed over it on the SSD tier (a shadow that
+    /// could not be is removed).
+    fn commit(self, store: &TieredStore) -> Result<(), StorageError> {
+        let Some(bytes) = self.bytes else {
+            let shadow = shadow_key(&self.key);
+            return store.rename(&shadow, &self.key).inspect_err(|_| {
+                let _ = store.remove(&shadow);
+            });
+        };
+        store.overwrite(&self.key, bytes)
+    }
+}
+
+/// Removes the shadows of `staged`, best-effort.
+fn discard(store: &TieredStore, staged: &[Staged]) {
+    for blob in staged.iter().filter(|b| b.bytes.is_none()) {
+        let _ = store.remove(&shadow_key(&blob.key));
+    }
 }
 
 /// Saves a new generation. See the module docs for the on-disk layout.
@@ -183,14 +239,10 @@ pub(crate) fn save(engine: &RatelEngine, dir: &Path) -> Result<(), RatelError> {
     Ok(())
 }
 
-/// Parses and fully verifies one generation — against its own manifest
-/// and against the engine's shape, `layer_params` parameters a layer —
-/// returning the blobs.
-fn read_generation(
-    dir: &Path,
-    generation: u64,
-    layer_params: &[usize],
-) -> Result<Manifest, String> {
+/// Parses and verifies one generation's manifest — against its own
+/// checksum and against the engine's shape, `layer_params` parameters a
+/// layer.
+fn read_manifest(dir: &Path, generation: u64, layer_params: &[usize]) -> Result<Manifest, String> {
     let path = manifest_path(dir, generation);
     let text = fs::read_to_string(&path).map_err(|e| format!("manifest unreadable: {e}"))?;
 
@@ -242,25 +294,14 @@ fn read_generation(
         let steps: u64 = fields[2]
             .parse()
             .map_err(|_| "bad layer steps".to_string())?;
-        let parse_blob = |len_s: &str, sum_s: &str, kind: &str| -> Result<Vec<u8>, String> {
-            let len: usize = len_s.parse().map_err(|_| format!("bad {kind} length"))?;
-            let sum = u64::from_str_radix(sum_s, 16).map_err(|_| format!("bad {kind} checksum"))?;
-            let bytes = fs::read(blob_path(dir, generation, layer, kind))
-                .map_err(|e| format!("layer {layer} {kind} unreadable: {e}"))?;
-            if bytes.len() != len {
-                return Err(format!(
-                    "layer {layer} {kind} is {} bytes, manifest says {len} (torn write?)",
-                    bytes.len()
-                ));
-            }
-            if fnv64(&bytes) != sum {
-                return Err(format!("layer {layer} {kind} checksum mismatch"));
-            }
-            Ok(bytes)
+        let parse_blob = |kind: &str, len: &str, sum: &str| -> Result<(usize, u64), String> {
+            let len = len.parse().map_err(|_| format!("bad {kind} length"))?;
+            let sum = u64::from_str_radix(sum, 16).map_err(|_| format!("bad {kind} checksum"))?;
+            Ok((len, sum))
         };
-        let master = parse_blob(fields[3], fields[4], "master")?;
-        let moments = parse_blob(fields[5], fields[6], "moments")?;
-        layers.push((steps, master, moments));
+        let master = parse_blob("master", fields[3], fields[4])?;
+        let moments = parse_blob("moments", fields[5], fields[6])?;
+        layers.push((steps, [master, moments]));
     }
     if layers.len() != layer_params.len() {
         return Err(format!(
@@ -271,17 +312,90 @@ fn read_generation(
     }
     // The optimizer steps these blobs where the store holds them, so a
     // checkpoint of another shape is refused here, not found there.
-    for (layer, ((_, master, moments), &n)) in layers.iter().zip(layer_params).enumerate() {
-        if (master.len(), moments.len()) != (4 * n, 8 * n) {
+    for (layer, ((_, [master, moments]), &n)) in layers.iter().zip(layer_params).enumerate() {
+        if (master.0, moments.0) != (4 * n, 8 * n) {
             return Err(format!(
                 "layer {layer} has {} B of master and {} B of moments, \
                  the engine's layer has {n} parameters",
-                master.len(),
-                moments.len()
+                master.0, moments.0
             ));
         }
     }
     Ok(Manifest { step, layers })
+}
+
+/// Reads layer `layer`'s `kind` blob of `generation` and verifies it
+/// against the `(length, FNV-1a 64)` its manifest declares.
+fn read_blob(
+    dir: &Path,
+    generation: u64,
+    layer: usize,
+    kind: &str,
+    (len, sum): (usize, u64),
+) -> Result<Vec<u8>, String> {
+    let bytes = fs::read(blob_path(dir, generation, layer, kind))
+        .map_err(|e| format!("layer {layer} {kind} unreadable: {e}"))?;
+    if bytes.len() != len {
+        return Err(format!(
+            "layer {layer} {kind} is {} bytes, manifest says {len} (torn write?)",
+            bytes.len()
+        ));
+    }
+    if fnv64(&bytes) != sum {
+        return Err(format!("layer {layer} {kind} checksum mismatch"));
+    }
+    Ok(bytes)
+}
+
+/// Verifies generation `generation` blob by blob, staging each for the
+/// commit as it passes ([`Staged`]): the loader holds the blobs bound
+/// for host memory, never one bound for the SSD tier. A P16 that rests
+/// on the SSD tier is re-derived from its master on the way. A blob that
+/// fails verification is [`RatelError::CheckpointCorrupt`]; on any
+/// failure the shadows written so far are removed, so the engine is
+/// untouched.
+fn stage_generation(
+    engine: &RatelEngine,
+    dir: &Path,
+    generation: u64,
+    layer_params: &[usize],
+) -> Result<(Manifest, Vec<Staged>), RatelError> {
+    let manifest =
+        read_manifest(dir, generation, layer_params).map_err(RatelError::CheckpointCorrupt)?;
+    let mut staged = Vec::new();
+    match stage_blobs(engine, dir, generation, &manifest, &mut staged) {
+        Ok(()) => Ok((manifest, staged)),
+        Err(e) => {
+            discard(&engine.store, &staged);
+            Err(e)
+        }
+    }
+}
+
+/// [`stage_generation`]'s walk over the blobs, pushing each onto
+/// `staged` as it passes.
+fn stage_blobs(
+    engine: &RatelEngine,
+    dir: &Path,
+    generation: u64,
+    manifest: &Manifest,
+    staged: &mut Vec<Staged>,
+) -> Result<(), RatelError> {
+    let store = &engine.store;
+    let read = |layer, kind, declared| {
+        read_blob(dir, generation, layer, kind, declared).map_err(RatelError::CheckpointCorrupt)
+    };
+    for (layer, &(_, [master, moments])) in manifest.layers.iter().enumerate() {
+        let bytes = read(layer, "master", master)?;
+        let p16 = (engine.plan.placement == Placement::Ssd).then(|| f32_le_to_f16_le(&bytes));
+        staged.push(Staged::new(store, master_key(layer), bytes)?);
+        if let Some(p16) = p16 {
+            staged.push(Staged::new(store, p16_key(layer), p16)?);
+        }
+        let bytes = read(layer, "moments", moments)?;
+        staged.push(Staged::new(store, moments_key(layer), bytes)?);
+    }
+    Ok(())
 }
 
 /// Loads the newest verifiable generation into the engine, falling back
@@ -299,21 +413,20 @@ pub(crate) fn load(engine: &mut RatelEngine, dir: &Path) -> Result<(), RatelErro
         .collect();
     let mut failures = Vec::new();
     for &generation in gens.iter().rev() {
-        match read_generation(dir, generation, &layer_params) {
-            Ok(manifest) => {
+        match stage_generation(engine, dir, generation, &layer_params) {
+            Ok((manifest, staged)) => {
                 // All blobs verified — only now touch engine state.
                 engine.step = manifest.step;
-                for (layer, (steps, master, moments)) in manifest.layers.into_iter().enumerate() {
+                for (layer, (steps, _)) in manifest.layers.into_iter().enumerate() {
                     engine.layer_steps[layer] = steps;
-                    // Every blob is replaced where it rests, so a write
-                    // that fails leaves the layer with all of its blobs.
-                    let p16 = (engine.plan.placement == Placement::Ssd)
-                        .then(|| f32_le_to_f16_le(&master));
-                    engine.store.overwrite(&master_key(layer), master)?;
-                    engine.store.overwrite(&moments_key(layer), moments)?;
-                    if let Some(p16) = p16 {
-                        engine.store.overwrite(&p16_key(layer), p16)?;
-                    }
+                }
+                // Every blob is replaced where it rests, so a commit that
+                // fails leaves each key with a whole blob.
+                let mut blobs = staged.into_iter();
+                let committed = blobs.by_ref().try_for_each(|b| b.commit(&engine.store));
+                if let Err(e) = committed {
+                    discard(&engine.store, blobs.as_slice());
+                    return Err(e.into());
                 }
                 if !failures.is_empty() {
                     // Restored, but only by falling back past a torn
@@ -322,7 +435,7 @@ pub(crate) fn load(engine: &mut RatelEngine, dir: &Path) -> Result<(), RatelErro
                 }
                 return Ok(());
             }
-            Err(reason) => {
+            Err(RatelError::CheckpointCorrupt(reason)) => {
                 // Fallback: this generation failed verification and the
                 // loader walks back to its predecessor. Flight-record it
                 // (with the cumulative counter) so a restore that
@@ -342,6 +455,9 @@ pub(crate) fn load(engine: &mut RatelEngine, dir: &Path) -> Result<(), RatelErro
                     .inc();
                 failures.push(format!("generation {generation}: {reason}"));
             }
+            // The store failed, not the checkpoint: no older generation
+            // is any better.
+            Err(e) => return Err(e),
         }
     }
     ratel_obs::dump_postmortem("checkpoint fallback exhausted all generations");
@@ -493,6 +609,38 @@ mod engine_tests {
             assert_eq!(engine.p16_params(l).unwrap(), saved.p16_params(l).unwrap());
         }
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_generation_that_fails_midway_leaves_no_shadow_behind() {
+        // Both placements: under the paper's every blob is staged on the
+        // SSD tier before the last one fails to verify; uncapped the
+        // masters and rotated moments are held in memory instead.
+        for host_capacity in [Some(1 << 30), None] {
+            let config = EngineConfig {
+                host_capacity,
+                ..EngineConfig::tiny()
+            };
+            let dir = temp_dir(&format!("shadow-{}", host_capacity.is_some()));
+            let mut engine = RatelEngine::new(config).unwrap();
+            engine.save_checkpoint(&dir).unwrap();
+            let last = engine.layer_count() - 1;
+            let victim = blob_path(&dir, 1, last, "moments");
+            let bytes = fs::read(&victim).unwrap();
+            fs::write(&victim, &bytes[..bytes.len() - 1]).unwrap();
+
+            let tiers = [Tier::Gpu, Tier::Host, Tier::Ssd];
+            let used = tiers.map(|tier| engine.store.used(tier));
+            let err = engine.load_checkpoint(&dir).unwrap_err();
+            assert!(matches!(err, RatelError::CheckpointCorrupt(_)), "{err}");
+            assert_eq!(tiers.map(|tier| engine.store.used(tier)), used);
+            let files = fs::read_dir(engine.store.ssd_dir()).unwrap().flatten();
+            let shadows: Vec<_> = files
+                .filter(|f| f.file_name().to_string_lossy().ends_with("#loading"))
+                .collect();
+            assert!(shadows.is_empty(), "{shadows:?}");
+            let _ = fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]

@@ -29,7 +29,7 @@ use ratel_tensor::{adam, block_dropout_spec, AdamParams, BlockSaved, HeadSaved, 
 
 use super::blobs::{
     accum_key, act_key, ckpt_key, grad_key, load_staged_params, master_key, micro_grad_key,
-    moments_key, offload_f16, p16_key, publish_p16, LayerScratch,
+    moments_key, moments_tier, offload_f16, p16_key, publish_p16, LayerScratch,
 };
 use super::executor::TaskAction;
 use super::EngineConfig;
@@ -57,8 +57,10 @@ pub(crate) struct StepDag {
 }
 
 /// How many consumers ahead of the running kernel staging may run toward
-/// a tier that has no configured capacity to budget bytes against.
-const UNBUDGETED_DEPTH: usize = 2;
+/// a tier that has no configured capacity to budget bytes against — and
+/// how many handlers' moments rest in host memory beside resident
+/// masters ([`super::movement_spec_for`]).
+pub(super) const UNBUDGETED_DEPTH: usize = 2;
 
 /// The pacing rule. `staged[p]` is the bytes staged into one tier for
 /// the kernel at position `p` of the GPU's compute order; the result's
@@ -263,7 +265,7 @@ impl StepDag {
                 let _ = store.remove(&key);
             }
             if let OptimizerKind::CpuOutOfCore { .. } = task.optimizer {
-                let _ = store.move_to(&moments_key(layer), Tier::Ssd);
+                let _ = store.move_to(&moments_key(layer), moments_tier(task));
                 if !task.master_in_host() {
                     let _ = store.move_to(&master_key(layer), Tier::Ssd);
                 }
@@ -272,9 +274,10 @@ impl StepDag {
     }
 }
 
-/// What `opt-cpu` leaves for `opt-write`. The update itself is already
-/// in the P32 + OS32 blobs where the store holds them: a model state has
-/// one copy in the process, the tier's.
+/// What `opt-cpu` leaves for the `opt-write` of a layer whose P16 rests
+/// on the SSD tier. The update itself is already in the P32 + OS32 blobs
+/// where the store holds them: a model state has one copy in the
+/// process, the tier's.
 struct OptUpdate {
     /// False when the unscaled gradient overflowed and the update was
     /// skipped — write-back then only returns the untouched states.
@@ -369,7 +372,8 @@ pub(super) struct StepCtx<'a> {
     pending_act: Vec<Vec<Mutex<Option<Vec<u8>>>>>,
     /// Per layer: the (scaled) G16 between backward and grad-off.
     grads: Vec<Mutex<Option<Vec<u8>>>>,
-    /// Per layer: the Adam update between opt-cpu and opt-write.
+    /// Per SSD-placed layer: the Adam update between opt-cpu and
+    /// opt-write.
     updates: Vec<Mutex<Option<OptUpdate>>>,
     /// Layers whose update was skipped on gradient overflow.
     skipped: Mutex<Vec<usize>>,
@@ -713,8 +717,10 @@ impl<'a> StepCtx<'a> {
         } else {
             self.skipped.lock().push(layer);
         }
-        let applied = factors.is_some();
-        *self.updates[layer].lock() = Some(OptUpdate { applied });
+        if !self.dag.spec.layers[layer].master_in_host() {
+            let applied = factors.is_some();
+            *self.updates[layer].lock() = Some(OptUpdate { applied });
+        }
         Ok(())
     }
 
@@ -722,13 +728,15 @@ impl<'a> StepCtx<'a> {
     /// for a layer whose P16 rests on the SSD tier, publish the fresh one
     /// rounded from the updated master first (on a skipped update, just
     /// return the untouched states). A resident master was stepped where
-    /// it stays: its next fetch rounds the same bits.
+    /// it stays: its next fetch rounds the same bits, and the write moves
+    /// the moments alone — this step's, or, at the head of the step, the
+    /// ones a rotated handler left in host memory.
     fn opt_write(&self, layer: usize) -> Result<(), StorageError> {
-        let update = self.updates[layer]
-            .lock()
-            .take()
-            .ok_or_else(|| slot_violation("opt-cpu parked this layer's update"))?;
         if !self.dag.spec.layers[layer].master_in_host() {
+            let update = self.updates[layer]
+                .lock()
+                .take()
+                .ok_or_else(|| slot_violation("opt-cpu parked this layer's update"))?;
             if update.applied {
                 let p16 = p16_key(layer);
                 self.store.remove(&p16)?;
@@ -1223,5 +1231,96 @@ mod tests {
         spec.per_layer_overhead_seconds = 0.5;
         let err = StepDag::lower(&spec, &Limits::none()).unwrap_err();
         assert!(matches!(err, RatelError::InvalidConfig(_)), "{err}");
+    }
+
+    /// The DAG `config` steps dispatch, as lowered by the engine.
+    fn engine_dag(config: &EngineConfig) -> StepDag {
+        crate::engine::StepPlan::lower(config).unwrap().step
+    }
+
+    #[test]
+    fn rotated_handlers_write_back_at_the_head_of_the_step() {
+        let dag = engine_dag(&EngineConfig::tiny());
+        let graph = &dag.graph;
+        let reach = ratel_verify::Reachability::new(graph);
+        let task = |kind, layer| {
+            let t = graph.task_ids().find(|t| {
+                let a = dag.actions[t.0];
+                (a.kind, a.layer) == (kind, layer)
+            });
+            t.unwrap_or_else(|| panic!("no {} L{layer}", kind.name()))
+        };
+        // The last two handlers in gradient-arrival order: the embedding
+        // and the first block.
+        let layers = &dag.spec.layers;
+        let rotated: Vec<usize> = (0..layers.len())
+            .filter(|&l| layers[l].moments_in_host())
+            .collect();
+        assert_eq!(rotated, [0, 1]);
+        for layer in 0..layers.len() {
+            let (write, read, cpu) = (
+                task(TaskKind::OptWrite, layer),
+                task(TaskKind::OptRead, layer),
+                task(TaskKind::OptCpu, layer),
+            );
+            if rotated.contains(&layer) {
+                // Out under forward, back in before the CPU step, and
+                // nothing after that.
+                assert_eq!(graph.deps(write), [task(TaskKind::Fwd, 0)], "L{layer}");
+                assert!(reach.reaches(write, read), "L{layer}");
+                assert!(graph.task_ids().all(|t| !graph.deps(t).contains(&cpu)));
+            } else {
+                assert!(reach.reaches(cpu, write), "L{layer}");
+            }
+        }
+        // What rests in host memory is charged from before the step until
+        // after it: the masters, and the moments the rotated handlers
+        // read back.
+        let at_rest = dag.report.peak(MemTier::Host).outliving;
+        assert_eq!(at_rest, dag.spec.resident_host_bytes());
+    }
+
+    /// The DAG as text, task by task: its label and its dependencies'.
+    fn edge_hash(dag: &StepDag) -> u64 {
+        let graph = &dag.graph;
+        let text: String = (graph.task_ids())
+            .map(|t| {
+                let deps = graph.deps(t).iter().map(|&d| label(graph, d));
+                let line: Vec<String> = std::iter::once(label(graph, t)).chain(deps).collect();
+                line.join(" <- ") + "\n"
+            })
+            .collect();
+        crate::engine::checkpoint::fnv64(text.as_bytes())
+    }
+
+    #[test]
+    fn nothing_rotates_under_a_host_cap_or_in_an_ablation() {
+        // Edge for edge the DAGs lowered before handlers rotated.
+        let capped = EngineConfig {
+            host_capacity: Some(1 << 30),
+            ..EngineConfig::tiny()
+        };
+        let ablation = |offload| EngineConfig {
+            execution: ExecutionOptions::Executor(ExecutorOptions {
+                offload,
+                ..ExecutorOptions::default()
+            }),
+            ..EngineConfig::tiny()
+        };
+        for (config, hash) in [
+            (capped, 2_734_876_050_559_202_072),
+            (
+                ablation(GradOffloadMode::SeparateStage),
+                15_476_443_927_575_757_672,
+            ),
+            (
+                ablation(GradOffloadMode::NaiveActive),
+                9_900_543_148_539_599_945,
+            ),
+        ] {
+            let dag = engine_dag(&config);
+            assert!(dag.spec.layers.iter().all(|l| !l.moments_in_host()));
+            assert_eq!(edge_hash(&dag), hash, "{:?}", config.execution);
+        }
     }
 }

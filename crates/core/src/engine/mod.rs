@@ -209,8 +209,9 @@ impl RatelEngine {
     }
 
     /// Host-tier bytes the plan keeps resident between steps: the f32
-    /// masters of the host-placed layers. All the host tier holds at
-    /// rest.
+    /// masters of the host-placed layers and the Adam moments of the
+    /// handlers that rotate (the last two in gradient-arrival order,
+    /// beside resident masters). All the host tier holds at rest.
     pub fn host_state_bytes(&self) -> u64 {
         self.plan.step.spec.resident_host_bytes() as u64
     }

@@ -13,10 +13,11 @@ use std::sync::OnceLock;
 
 use ratel_sim::MemTier;
 
-use super::dag_step::StepDag;
+use super::dag_step::{StepDag, UNBUDGETED_DEPTH};
 use super::{ActDecision, EngineConfig};
 use crate::error::RatelError;
-use crate::schedule::{IterationSpec, LayerBlobs, LayerTask, LinkRates, Placement};
+use crate::offload::GradOffloadMode;
+use crate::schedule::{IterationSpec, LayerBlobs, LayerTask, LinkRates, OptimizerKind, Placement};
 
 /// Lowers one engine step of `config`, every layer's states placed as
 /// `placement` says, into its schedule twin: an
@@ -28,9 +29,18 @@ use crate::schedule::{IterationSpec, LayerBlobs, LayerTask, LinkRates, Placement
 ///
 /// What this function decides is the per-layer mapping: a frozen layer
 /// trains no parameter, a block's decision splits its checkpoint and
-/// saved activations between host memory and the SSDs, and the head —
-/// whose forward and backward are adjacent at the loss — is staged once.
-/// The bytes each of those moves are [`LayerTask::ratel`]'s.
+/// saved activations between host memory and the SSDs, the head — whose
+/// forward and backward are adjacent at the loss — is staged once, and
+/// which handlers rotate ([`LayerTask::moments_host_bytes`]). The bytes
+/// each of those moves are [`LayerTask::ratel`]'s.
+///
+/// A handler rotates when its master is host-resident, the schedule is
+/// the optimized active one and it is one of the last two handlers in
+/// gradient-arrival order: its moments then rest in host memory, and
+/// their write-back crosses the SSD link under the next step's forward
+/// instead of after this step's last backward. Two is the window the
+/// lowering's `opt_gates` read ahead without a budget, so at rest the
+/// host holds no more moments than a step already stages.
 ///
 /// # Panics
 /// If `config.act_decisions` is shorter than the model is deep
@@ -38,7 +48,8 @@ use crate::schedule::{IterationSpec, LayerBlobs, LayerTask, LinkRates, Placement
 pub fn movement_spec_for(config: &EngineConfig, placement: Placement) -> IterationSpec {
     let model = config.model;
     let head = model.layers + 1;
-    let layers = (0..=head)
+    let mode = config.execution.executor().offload;
+    let mut layers: Vec<LayerTask> = (0..=head)
         .map(|id| {
             let label = match id {
                 0 => "embedding".to_string(),
@@ -72,9 +83,20 @@ pub fn movement_spec_for(config: &EngineConfig, placement: Placement) -> Iterati
             }
         })
         .collect();
+    if placement == Placement::HostMaster && mode == GradOffloadMode::OptimizedActive {
+        // Gradients arrive from the head down: the last handlers are the
+        // first trained layers.
+        let handlers = (layers.iter_mut()).filter_map(|l| match l.optimizer {
+            OptimizerKind::CpuOutOfCore { read_bytes, .. } => Some((l, read_bytes)),
+            _ => None,
+        });
+        for (layer, moments) in handlers.take(UNBUDGETED_DEPTH) {
+            layer.moments_host_bytes = moments;
+        }
+    }
     IterationSpec {
         layers,
-        mode: config.execution.executor().offload,
+        mode,
         rates: LinkRates::UNIT,
         gpus: 1,
         items_per_iteration: model.batch as f64,

@@ -111,7 +111,8 @@ pub enum Placement {
     /// each fetch rounds the master to P16 on its way into the arena (the
     /// bits the SSD placement's write-back publishes), the handler steps
     /// the master where it lies, and only OS32 crosses the SSD link — 16
-    /// bytes per parameter and step, for 4 held.
+    /// bytes per parameter and step, for 4 held. (A rotated handler's
+    /// moments rest in host memory too: [`LayerTask::moments_host_bytes`].)
     HostMaster,
 }
 
@@ -181,6 +182,13 @@ pub struct LayerTask {
     /// the step until after it ([`Placement::HostMaster`]; 0 otherwise).
     /// Its fetches round it to P16 through a host buffer of `p16_bytes`.
     pub master_host_bytes: f64,
+    /// Bytes of the layer's Adam moments held in host memory from before
+    /// the step until after it, beside a host-resident master (0: they
+    /// rest on the SSDs). The handler then rotates: its `opt-write`
+    /// carries the moments the previous step's `opt-cpu` left in host
+    /// memory out to the SSDs under forward, and its `opt-cpu` is its last
+    /// task.
+    pub moments_host_bytes: f64,
     /// Forward GPU FLOPs.
     pub fwd_flops: f64,
     /// Backward GPU FLOPs (2x forward + this layer's recomputation).
@@ -244,6 +252,7 @@ impl LayerTask {
             p16_bytes: all.p16,
             param_source,
             master_host_bytes,
+            moments_host_bytes: 0.0,
             fwd_flops: 0.0,
             bwd_flops: 0.0,
             act_to_host_bytes: 0.0,
@@ -269,6 +278,13 @@ impl LayerTask {
     /// read before them, and its handler moves the moments only.
     pub fn master_in_host(&self) -> bool {
         self.master_host_bytes > 0.0
+    }
+
+    /// Whether the layer's moments rest in host memory between steps
+    /// (see [`LayerTask::moments_host_bytes`]): its handler writes them
+    /// back at the head of the step and steps them where they lie.
+    pub fn moments_in_host(&self) -> bool {
+        self.moments_host_bytes > 0.0
     }
 
     /// The chunks this layer's swapped activations move in, one task per
@@ -480,9 +496,12 @@ impl IterationSpec {
     }
 
     /// Host bytes the plan keeps resident from before the step until
-    /// after it: the f32 masters of its [`Placement::HostMaster`] layers.
+    /// after it: the f32 masters of its [`Placement::HostMaster`] layers
+    /// and the moments its rotated handlers step where they lie.
     pub fn resident_host_bytes(&self) -> f64 {
-        self.layers.iter().map(|l| l.master_host_bytes).sum()
+        (self.layers.iter())
+            .map(|l| l.master_host_bytes + l.moments_host_bytes)
+            .sum()
     }
 
     /// The plan a non-final micro-batch of an accumulated step runs:
@@ -629,9 +648,14 @@ impl IterationSpec {
                         // Host-resident masters are there before the
                         // first kernel and after the last: charged on
                         // the head of the compute chain, never freed.
+                        // So are moments resting in host memory, until
+                        // their handler's write-back frees them.
                         for (resident, layer) in self.layers.iter().enumerate() {
                             let master = BlobKey::shared(BlobKind::Master, resident);
-                            meta = meta.alloc(MemTier::Host, master, layer.master_host_bytes);
+                            let moments = BlobKey::shared(BlobKind::StageOpt, resident);
+                            meta = meta
+                                .alloc(MemTier::Host, master, layer.master_host_bytes)
+                                .alloc(MemTier::Host, moments, layer.moments_host_bytes);
                         }
                     }
                     let f = em.task(
@@ -916,6 +940,7 @@ impl IterationSpec {
                             gpu[0],
                             &g2m[0],
                             &m2g[0],
+                            fwd[0][0],
                             li,
                             &handler_input,
                             prev_updates[li],
@@ -946,6 +971,7 @@ impl IterationSpec {
                         gpu[0],
                         &g2m[0],
                         &m2g[0],
+                        fwd[0][0],
                         li,
                         &inputs,
                         prev_updates[li],
@@ -1139,8 +1165,9 @@ impl IterationSpec {
     }
 
     /// Emits one optimizer handler (§IV-C): returns `(read, write)` task
-    /// ids for chaining. `updated` is the previous iteration's write-back
-    /// of the layer's states.
+    /// ids for chaining — `write` being the task after which the layer's
+    /// states are updated. `updated` is the previous iteration's one;
+    /// `head` is this iteration's first forward kernel.
     #[allow(clippy::too_many_arguments)]
     fn add_handler(
         &self,
@@ -1150,6 +1177,7 @@ impl IterationSpec {
         gpu0: ResourceId,
         g2m0: &ResourceId,
         m2g0: &ResourceId,
+        head: TaskId,
         li: usize,
         inputs: &[TaskId],
         updated: Option<TaskId>,
@@ -1169,6 +1197,31 @@ impl IterationSpec {
                 write_bytes,
                 cpu_params,
             } => {
+                let layer = &self.layers[li];
+                let eff = r.state_io_efficiency;
+                let write_seconds = write_bytes / (eff * r.ssd_write);
+                // Moments resting in host memory rotate through the step:
+                // the write-back of what the previous iteration's CPU step
+                // left there is this iteration's first SSD write, after
+                // its first forward kernel — the link carries it under
+                // forward instead of behind the last gradient (it is
+                // still attributed to the handler's stage). The read that
+                // brings them back waits for it, and the CPU step is the
+                // handler's last task.
+                let head_write = layer.moments_in_host().then(|| {
+                    let deps: Vec<TaskId> = std::iter::once(head).chain(updated).collect();
+                    em.task(
+                        TaskIdentity::shared(TaskKind::OptWrite, li),
+                        ssd,
+                        write_seconds,
+                        stage,
+                        &deps,
+                        TaskMeta::new(OpClass::SsdWrite, iter)
+                            .read(an.cur(sopt_key))
+                            .write(an.bump(master_key))
+                            .free(MemTier::Host, sopt_key),
+                    )
+                });
                 // SSD->Main: in naive mode (and in the ZeRO-style separate
                 // stage) this handler may not start until the previous
                 // handler fully finished (Fig. 3a).
@@ -1176,35 +1229,40 @@ impl IterationSpec {
                     self.mode == GradOffloadMode::NaiveActive || stage == Stage::Optimizer;
                 // Beside a host-resident master the read moves the
                 // moments only, which nothing in the step writes before
-                // it: during backward it reads ahead, after only the
-                // previous iteration's write-back of the same states, and
-                // the gradient edge moves to the CPU step that reads the
-                // G16 (`StepDag::lower`'s `opt_gates` pace how far ahead).
+                // it: during backward it reads ahead, after only the last
+                // write-back of the same states (the previous iteration's,
+                // or the head write), and the gradient edge moves to the
+                // CPU step that reads the G16 (`StepDag::lower`'s
+                // `opt_gates` pace how far ahead).
                 // Under the paper's placement the link also carries the
                 // P16 reads the GPU chain waits on, and the separate stage
                 // is a barrier by definition: both keep the trigger.
-                let read_ahead = self.layers[li].master_in_host() && stage == Stage::Backward;
+                let read_ahead = layer.master_in_host() && stage == Stage::Backward;
                 let read_meta = TaskMeta::new(OpClass::SsdRead, iter)
                     .read(an.cur(master_key))
                     .write(an.bump(sopt_key))
                     .alloc(MemTier::Host, sopt_key, read_bytes);
-                let cpu_meta = TaskMeta::new(OpClass::CpuCompute, iter)
+                let mut cpu_meta = TaskMeta::new(OpClass::CpuCompute, iter)
                     .read(an.cur(sopt_key))
                     .write(an.bump(sopt_key));
+                if head_write.is_some() {
+                    // The next fetch rounds the master this step updates.
+                    cpu_meta = cpu_meta.write(an.bump(p16_key));
+                }
                 let mut read_deps: Vec<TaskId> = Vec::new();
                 let mut cpu_deps: Vec<TaskId> = Vec::new();
                 let (read_meta, cpu_meta) = if read_ahead {
-                    read_deps.extend(updated);
+                    read_deps.extend(head_write.or(updated));
                     cpu_deps.extend_from_slice(inputs);
                     (read_meta, self.handler_grad_meta(cpu_meta, li, an))
                 } else {
+                    read_deps.extend(head_write);
                     read_deps.extend_from_slice(inputs);
                     (self.handler_grad_meta(read_meta, li, an), cpu_meta)
                 };
                 if serialize {
                     read_deps.extend(prev_write);
                 }
-                let eff = r.state_io_efficiency;
                 let read = em.task(
                     TaskIdentity::shared(TaskKind::OptRead, li),
                     ssd,
@@ -1222,6 +1280,9 @@ impl IterationSpec {
                     &cpu_deps,
                     self.host_grad_consumed(cpu_meta, li, false),
                 );
+                if head_write.is_some() {
+                    return (Some(read), Some(compute));
+                }
                 // Main->SSD: optimized mode issues it after the *previous*
                 // handler's SSD->Main (Fig. 3b), which lets the FIFO SSD
                 // overlap it with this handler's CPU compute.
@@ -1232,7 +1293,7 @@ impl IterationSpec {
                 let write = em.task(
                     TaskIdentity::shared(TaskKind::OptWrite, li),
                     ssd,
-                    write_bytes / (eff * r.ssd_write),
+                    write_seconds,
                     stage,
                     &write_deps,
                     // The states leave host memory with the fresh P16,
@@ -1917,6 +1978,35 @@ mod emitter_tests {
         let peak = report.peak(MemTier::Host);
         assert_eq!(peak.outliving, 4.0 * p);
         assert_eq!(peak.total, (4.0 + 8.0 + 2.0 + 2.0) * p);
+    }
+
+    #[test]
+    fn a_rotated_handler_s_next_iteration_waits_for_its_cpu_step() {
+        // The engine's uncapped plan over two iterations: the moments
+        // iteration 0 steps in host memory are what iteration 1 writes
+        // out first, and its fetches round the master iteration 0 stepped.
+        let spec = movement_spec_for(&EngineConfig::tiny(), Placement::HostMaster);
+        let (graph, _, _) = spec.build_iterations(2);
+        let find = |label: String| {
+            let t = graph.task_ids().find(|t| graph.label(*t) == Some(&label));
+            t.unwrap_or_else(|| panic!("no task `{label}`"))
+        };
+        let reach = ratel_verify::Reachability::new(&graph);
+        let rotated: Vec<usize> = (0..spec.layers.len())
+            .filter(|&li| spec.layers[li].moments_in_host())
+            .collect();
+        assert_eq!(rotated.len(), 2);
+        for li in rotated {
+            let cpu = find(format!("i0 opt-cpu L{li}"));
+            let write = find(format!("i1 opt-write L{li}"));
+            assert!(graph.deps(write).contains(&cpu), "i1 opt-write L{li}");
+            for kind in ["fwd-fetch", "bwd-fetch"] {
+                let fetch = find(format!("i1 {kind} L{li}"));
+                assert!(reach.reaches(cpu, fetch), "i1 {kind} L{li}");
+            }
+        }
+        let report = ratel_verify::verify(&graph, &ratel_verify::Limits::none());
+        assert!(report.is_clean(), "{}", report.render());
     }
 
     #[test]

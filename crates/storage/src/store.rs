@@ -969,6 +969,52 @@ impl TieredStore {
         self.write_blob(inner, key, None, bytes)
     }
 
+    /// Gives SSD-resident `from`'s blob the key `to`, metadata only: its
+    /// file is renamed (under the retry policy, consulted as a write of
+    /// `to`) and nothing is read, written or metered — how a blob staged
+    /// under a shadow key replaces the one it shadows without crossing
+    /// the disk twice. Whatever `to` named on the SSD tier is released:
+    /// its own file replaced by the rename, its share of a segment gone
+    /// dead. A blob `put_batch` left in a segment moves with no rename
+    /// at all. A failed rename leaves both keys as they were.
+    ///
+    /// # Errors
+    /// [`StorageError::NotFound`] when `from` is not on the SSD tier,
+    /// [`StorageError::AlreadyExists`] when a memory tier holds `to` (a
+    /// rename does not cross tiers), a fault that outlasted its retries.
+    pub fn rename(&self, from: &str, to: &str) -> Result<(), StorageError> {
+        let inner = self.lock_keys(&[from, to]);
+        let loc = inner.ssd_loc(from)?;
+        if from == to {
+            return Ok(());
+        }
+        if inner.mem.contains_key(to) {
+            return Err(StorageError::AlreadyExists(to.to_string()));
+        }
+        let old = inner.ssd.get(to).copied();
+        let (mut inner, res) = self.with_pending(inner, &[from, to], || match (loc, old) {
+            (SsdLoc::File { .. }, _) => self.ssd_io(FaultOp::Write, to, || {
+                fs::rename(self.blob_path(from), self.blob_path(to))
+            }),
+            // Nothing to rename: `to`'s own file, if any, is stale.
+            (SsdLoc::Segment { .. }, Some(old)) => self.unlink_blob(to, old),
+            (SsdLoc::Segment { .. }, None) => Ok(()),
+        });
+        res?;
+        inner.ssd.remove(from);
+        inner.ssd.insert(to.to_string(), loc);
+        let dead_seg = old.and_then(|old| {
+            inner.add_used(Tier::Ssd, -(old.len() as i64));
+            match old {
+                SsdLoc::Segment { seg, .. } => inner.release_segment(seg),
+                SsdLoc::File { .. } => None,
+            }
+        });
+        drop(inner);
+        self.unlink_segment(dead_seg);
+        Ok(())
+    }
+
     /// Hands `f` the blobs' bytes to update where they lie — what the
     /// optimizer does to the states it staged into host memory, without
     /// a `read` copy out and an `overwrite` back in. A memory-resident
@@ -1500,6 +1546,58 @@ mod segment_tests {
         store.set_fault_plan(None);
         store.put_batch(Tier::Ssd, batch(2, 8)).unwrap();
     }
+
+    #[test]
+    fn rename_commits_a_shadow_without_moving_a_byte() {
+        let config = TierConfig::unbounded_temp();
+        let dir = config.ssd_dir.clone();
+        let store = TieredStore::new(config).unwrap();
+        let files = || fs::read_dir(&dir).unwrap().count();
+        store.put_batch(Tier::Ssd, batch(2, 16)).unwrap();
+        // Over a segment-resident blob: the segment lives on for k1.
+        store.put("seg/k0#new", Tier::Ssd, vec![7u8; 24]).unwrap();
+        store.rename("seg/k0#new", "seg/k0").unwrap();
+        assert_eq!(store.read("seg/k0").unwrap(), vec![7u8; 24]);
+        assert!(!store.contains("seg/k0#new"));
+        assert_eq!(store.used(Tier::Ssd), 24 + 16);
+        assert_eq!(files(), 2);
+        // Over the segment's last blob: the segment goes.
+        store.put("seg/k1#new", Tier::Ssd, vec![8u8; 8]).unwrap();
+        store.rename("seg/k1#new", "seg/k1").unwrap();
+        assert_eq!(store.read("seg/k1").unwrap(), vec![8u8; 8]);
+        assert_eq!(store.used(Tier::Ssd), 24 + 8);
+        assert_eq!(files(), 2);
+        // Over a blob in its own file, and onto a new key.
+        store.put("k#new", Tier::Ssd, vec![9u8; 4]).unwrap();
+        store.rename("k#new", "seg/k0").unwrap();
+        store.rename("seg/k1", "moved").unwrap();
+        assert_eq!(store.read("seg/k0").unwrap(), vec![9u8; 4]);
+        assert_eq!(store.read("moved").unwrap(), vec![8u8; 8]);
+        assert!(!store.contains("seg/k1"));
+        assert_eq!(store.used(Tier::Ssd), 4 + 8);
+        assert_eq!(files(), 2);
+        // A segment-resident blob is re-pointed; the file it replaces goes.
+        store
+            .put_batch(Tier::Ssd, vec![("s".to_string(), vec![5u8; 32])])
+            .unwrap();
+        store.rename("s", "seg/k0").unwrap();
+        assert_eq!(store.read("seg/k0").unwrap(), vec![5u8; 32]);
+        assert_eq!(store.used(Tier::Ssd), 32 + 8);
+        assert_eq!(files(), 2);
+        // Onto itself: nothing to do.
+        store.rename("moved", "moved").unwrap();
+        assert_eq!(store.read("moved").unwrap(), vec![8u8; 8]);
+        assert_eq!(store.used(Tier::Ssd), 32 + 8);
+        // Metadata only: nothing crossed a link.
+        assert!(Route::ALL.iter().all(|&r| store.traffic().bytes(r) == 0));
+        // No rename across tiers, or of a blob that is not there.
+        store.put("host", Tier::Host, vec![1u8; 4]).unwrap();
+        let into_memory = store.rename("moved", "host").unwrap_err();
+        assert!(matches!(into_memory, StorageError::AlreadyExists(_)));
+        let missing = store.rename("host", "moved").unwrap_err();
+        assert!(matches!(missing, StorageError::NotFound(_)));
+        assert_eq!(store.read("moved").unwrap(), vec![8u8; 8]);
+    }
 }
 
 #[cfg(test)]
@@ -1601,6 +1699,35 @@ mod fault_tests {
         store.move_to("k", Tier::Host).unwrap();
         assert_eq!((store.used(Tier::Host), store.used(Tier::Ssd)), (16, 0));
         assert_eq!(store.peak_used(Tier::Host), 16);
+    }
+
+    #[test]
+    fn a_rename_is_a_write_of_its_target_to_the_fault_plane() {
+        let store = TieredStore::new(TierConfig::unbounded_temp()).unwrap();
+        store.set_retry_policy(fast_retry());
+        store.put("k", Tier::Ssd, vec![1u8; 8]).unwrap();
+        store.put("k#new", Tier::Ssd, vec![2u8; 12]).unwrap();
+        // Given up: both keys as they were, neither left pending.
+        let dead = Arc::new(FaultPlan::new());
+        dead.fault_on_key_op("k", FaultOp::Write, FaultKind::Permanent);
+        store.set_fault_plan(Some(dead));
+        let err = store.rename("k#new", "k").unwrap_err();
+        assert!(
+            matches!(&err, StorageError::Faulted { op: FaultOp::Write, key, attempts: 4 } if key == "k"),
+            "{err}"
+        );
+        assert_eq!(store.read("k").unwrap(), vec![1u8; 8]);
+        assert_eq!(store.read("k#new").unwrap(), vec![2u8; 12]);
+        assert_eq!(store.used(Tier::Ssd), 8 + 12);
+        // Retried: the rename lands as if nothing happened.
+        let flaky = Arc::new(FaultPlan::new());
+        flaky.fault_on_key_op("k", FaultOp::Write, FaultKind::Transient);
+        store.set_fault_plan(Some(flaky.clone()));
+        store.rename("k#new", "k").unwrap();
+        assert_eq!(flaky.injected_count(), 1);
+        assert_eq!(store.read("k").unwrap(), vec![2u8; 12]);
+        assert!(!store.contains("k#new"));
+        assert_eq!(store.used(Tier::Ssd), 12);
     }
 
     #[test]

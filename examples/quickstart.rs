@@ -3,7 +3,8 @@
 //! Model states live in the tiered store — the Adam moments as files in
 //! the SSD tier, and with them the fp32 masters and fp16 copies when the
 //! host pool is capped (uncapped, as here, the masters stay resident in
-//! host memory); the "GPU" arena only ever holds one layer's working
+//! host memory, and so do the moments of the two layers whose gradients
+//! arrive last); the "GPU" arena only ever holds one layer's working
 //! set; activations are swapped or recomputed; and a concurrent CPU
 //! optimizer consumes gradients the moment backward produces them —
 //! while every number stays bit-identical to ordinary in-memory training.
@@ -64,7 +65,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     engine.enable_telemetry();
     println!(
         "model: {} parameters across {} movable layers; {} bytes of model states on the SSD \
-         tier, {} (the f32 masters) resident in host memory",
+         tier, {} (the f32 masters, and the moments of the last two handlers) resident in \
+         host memory",
         engine.total_params(),
         engine.layer_count(),
         engine.ssd_state_bytes(),

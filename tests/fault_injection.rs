@@ -171,15 +171,21 @@ fn permanent_fault_surfaces_and_checkpoint_resume_recovers() {
 }
 
 /// A layer whose master is host-resident writes back its moments only.
-/// A transient fault on that write is retried and invisible; a permanent
+/// Where its handler does not rotate, that write follows the layer's CPU
+/// step: a transient fault on it is retried and invisible; a permanent
 /// one fails the step with the typed error after the master was stepped
 /// where it lies — and `load_checkpoint` puts master and moments back, so
-/// the trainer goes on bitwise like a run that never faulted. The write
-/// is layer 0's, the last task of the step, so nothing else is in flight
-/// when it gives up.
+/// the trainer goes on bitwise like a run that never faulted. Layer 2's
+/// handler is the last that does not rotate: its write is the step's
+/// last SSD write.
+///
+/// The two rotated handlers' writes (layers 1 and 0) are the step's
+/// first: a permanent fault on one fails the step before any master
+/// moves, the moments are back in host memory, and a retry of the same
+/// step is bitwise the straight run.
 #[test]
 fn a_moments_write_beside_a_resident_master_is_retried_or_fails_and_restores() {
-    use ratel_repro::storage::FaultOp;
+    use ratel_repro::storage::{FaultOp, Route};
     let model = tiny_config();
     let dir = temp_dir("moments");
     let step = |trainer: &mut RatelTrainer, step: u64| {
@@ -187,8 +193,22 @@ fn a_moments_write_beside_a_resident_master_is_retried_or_fails_and_restores() {
         trainer.step(Batch::new(&model, &tokens, &targets).unwrap())
     };
     let bits = |l: &[f32]| l.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let masters = |trainer: &mut RatelTrainer| {
+        (0..model.layers + 2)
+            .map(|layer| trainer.engine().master_params(layer).unwrap())
+            .collect::<Vec<_>>()
+    };
+    let given_up = |err: &RatelError| {
+        matches!(
+            err,
+            RatelError::Storage(StorageError::Faulted {
+                op: FaultOp::Write,
+                ..
+            })
+        )
+    };
     let mut straight = build(model, None);
-    let straight_losses = train_steps(&mut straight, &model, 4);
+    let straight_losses = train_steps(&mut straight, &model, 5);
 
     let mut trainer = build(model, None);
     assert_eq!(trainer.engine().placement(), Placement::HostMaster);
@@ -197,46 +217,54 @@ fn a_moments_write_beside_a_resident_master_is_retried_or_fails_and_restores() {
 
     // Retried: the step succeeds and nothing shows but the counter.
     let flaky = Arc::new(FaultPlan::new());
-    flaky.fault_on_key_op("layer0/moments", FaultOp::Write, FaultKind::Transient);
+    flaky.fault_on_key_op("layer2/moments", FaultOp::Write, FaultKind::Transient);
     trainer.engine().store().set_fault_plan(Some(flaky));
     let stats = step(&mut trainer, 2).unwrap();
     assert_eq!(stats.fault_stats.retries, 1);
     assert_eq!(stats.fault_stats.give_ups, 0);
     losses.push(stats.loss);
 
-    // Given up: the typed error names the write.
-    let dead = Arc::new(FaultPlan::new());
-    dead.fault_on_key_op("layer0/moments", FaultOp::Write, FaultKind::Permanent);
-    trainer.engine().store().set_fault_plan(Some(dead));
-    let before = trainer.engine().master_params(0).unwrap();
+    // A head write given up: nothing was stepped yet — the fetches are
+    // slowed so that no backward, let alone a CPU step, starts before it
+    // gives up — and the rotated moments are back in host memory.
+    let dead_head = Arc::new(FaultPlan::new());
+    dead_head.fault_on_key_op("layer0/moments", FaultOp::Write, FaultKind::Permanent);
+    trainer.engine().store().set_fault_plan(Some(dead_head));
+    trainer
+        .engine()
+        .set_route_throttle(Route::HostToGpu, Some(1e6));
+    let before = masters(&mut trainer);
     let err = step(&mut trainer, 3).unwrap_err();
-    assert!(
-        matches!(
-            err,
-            RatelError::Storage(StorageError::Faulted {
-                op: FaultOp::Write,
-                ..
-            })
-        ),
-        "{err}"
-    );
+    assert!(given_up(&err), "{err}");
+    assert_eq!(masters(&mut trainer), before);
+    let engine = trainer.engine();
+    for key in ["layer0/moments", "layer1/moments"] {
+        assert_eq!(engine.store().tier_of(key).unwrap(), Tier::Host, "{key}");
+    }
+    assert_eq!(engine.store().used(Tier::Host), engine.host_state_bytes());
+    engine.store().set_fault_plan(None);
+    engine.set_route_throttle(Route::HostToGpu, None);
+    losses.push(step(&mut trainer, 3).unwrap().loss);
+    assert_eq!(bits(&losses), bits(&straight_losses[..4]));
+
+    // Given up behind the CPU step: the typed error names the write.
+    let dead = Arc::new(FaultPlan::new());
+    dead.fault_on_key_op("layer2/moments", FaultOp::Write, FaultKind::Permanent);
+    trainer.engine().store().set_fault_plan(Some(dead));
+    let before = trainer.engine().master_params(2).unwrap();
+    let err = step(&mut trainer, 4).unwrap_err();
+    assert!(given_up(&err), "{err}");
     // The master moved before the write failed; the checkpoint restores
-    // it, and the two steps since replay bitwise.
-    assert!(trainer.engine().master_params(0).unwrap() != before);
+    // it, and the three steps since replay bitwise.
+    assert!(trainer.engine().master_params(2).unwrap() != before);
     trainer.engine().store().set_fault_plan(None);
     trainer.load_checkpoint(&dir).unwrap();
     losses.truncate(2);
-    for s in 2..4 {
+    for s in 2..5 {
         losses.push(step(&mut trainer, s).unwrap().loss);
     }
     assert_eq!(bits(&losses), bits(&straight_losses));
-    for layer in 0..model.layers + 2 {
-        assert_eq!(
-            straight.engine().master_params(layer).unwrap(),
-            trainer.engine().master_params(layer).unwrap(),
-            "layer {layer} master params diverged after the restore"
-        );
-    }
+    assert_eq!(masters(&mut trainer), masters(&mut straight));
     assert_eq!(
         trainer.engine().store().used(Tier::Host),
         trainer.engine().host_state_bytes()
@@ -269,10 +297,12 @@ fn a_truncated_blob_file_is_a_typed_error_and_a_checkpoint_restores_it() {
     trainer.save_checkpoint(&dir).unwrap();
     let store = trainer.engine().store();
     store.set_retry_policy(RetryPolicy::none());
-    let key = "layer0/moments";
-    let file = store.ssd_dir().join("layer0_moments");
+    // A block whose moments rest on the SSD tier (its handler does not
+    // rotate).
+    let key = "layer2/moments";
+    let file = store.ssd_dir().join("layer2_moments");
     let written = std::fs::metadata(&file).unwrap().len();
-    assert_eq!(written, 8 * model.layer_params(0) as u64);
+    assert_eq!(written, 8 * model.layer_params(2) as u64);
     std::fs::OpenOptions::new()
         .write(true)
         .open(&file)

@@ -113,16 +113,14 @@ fn byte_mismatch_is_flagged_per_route() {
 fn stage_inversion_is_flagged() {
     let (clean, monitor) = instrumented_step(ConformanceConfig::default());
     let mut mutated = clean.clone();
-    let fwd: Vec<usize> = mutated
-        .spans
-        .iter()
-        .enumerate()
-        .filter(|(_, s)| s.kind == SpanKind::Forward)
-        .map(|(i, _)| i)
-        .take(2)
-        .collect();
-    assert_eq!(fwd.len(), 2, "expected at least two forward spans");
-    let (a, b) = (fwd[0], fwd[1]);
+    // Found by layer: spans are recorded as tasks complete, and a worker
+    // may record the next layer's before its own.
+    let fwd = |layer: usize| {
+        let span = (clean.spans.iter())
+            .position(|s| s.kind == SpanKind::Forward && s.task.is_some_and(|t| t.layer == layer));
+        span.unwrap_or_else(|| panic!("no forward span of layer {layer}"))
+    };
+    let (a, b) = (fwd(0), fwd(1));
     let (sa, sb) = (mutated.spans[a].start, mutated.spans[b].start);
     mutated.spans[a].start = sb;
     mutated.spans[b].start = sa;

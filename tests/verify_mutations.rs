@@ -4,9 +4,10 @@
 //! class maps to one invariant family: dropped domination edges →
 //! staleness / use-before-fetch, swapped producer versions → staleness,
 //! inflated residency → capacity, rebinding onto the wrong resource →
-//! legality. Two more are seeded into the paced DAG the engine
+//! legality. Three more are seeded into the paced DAG the engine
 //! dispatches: a dropped pacing edge → capacity, a dropped free →
-//! residency bookkeeping.
+//! residency bookkeeping, a rotated handler's read cut from its head
+//! write → staleness.
 
 use proptest::prelude::*;
 
@@ -349,6 +350,36 @@ fn dropped_pacing_edge_is_caught() {
             .findings
             .iter()
             .any(|f| f.rule == Rule::CapacityExceeded),
+        "mutant not caught:\n{}",
+        report.render()
+    );
+}
+
+/// A rotated handler's `opt-read` brings back the moments its head write
+/// carried out under forward. Without the edge between them it may read
+/// the file before the write lands: a staleness finding on the layer's
+/// SSD-side states blob — beside a host-resident master, its moments.
+#[test]
+fn dropped_head_write_edge_is_caught() {
+    let model = GptConfig {
+        vocab: 64,
+        seq: 8,
+        hidden: 16,
+        heads: 2,
+        layers: 2,
+        batch: 2,
+    };
+    let plan = Ratel::init(model).plan().unwrap();
+    let mut g = plan.graph().clone();
+    assert!(verify(&g, &Limits::none()).is_clean());
+    let (write, read) = (labelled(&g, "opt-write L0"), labelled(&g, "opt-read L0"));
+    assert!(g.deps(read).contains(&write));
+    g.remove_dep(read, write);
+    let report = verify(&g, &Limits::none());
+    assert!(
+        report.findings.iter().any(|f| f.rule == Rule::Staleness
+            && f.task == read
+            && f.blob.as_deref() == Some("master[L0]@v1")),
         "mutant not caught:\n{}",
         report.render()
     );
