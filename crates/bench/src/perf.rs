@@ -30,7 +30,8 @@ use std::time::Instant;
 
 use ratel_storage::{Tier, TierConfig, TieredStore};
 use ratel_tensor::dtype::{
-    decode_f16, decode_f32, encode_f16, encode_f32, round_to_f16, round_to_f16_in_place,
+    decode_f16, decode_f32, encode_f16, encode_f32, f32_to_f16_bits, f32_to_f16_bits_slice,
+    round_to_f16, round_to_f16_in_place,
 };
 use ratel_tensor::{adam, num_threads, ops, set_num_threads, Adam, AdamParams, BlockSaved, Tensor};
 
@@ -313,7 +314,7 @@ fn run_kernels(smoke: bool, ladder: &[usize]) -> Vec<PerfEntry> {
         "round_to_f16_in_place_allocs_per_call",
         min_allocs_per_call(10, || round_to_f16_in_place(&mut sliced)),
     ));
-    // ... and is faster: twelve runs on the bench box read 1.66-1.83.
+    // ... and is faster: fifteen runs on the bench box read 3.83-4.52.
     let in_place = time_min_for(0.3, || {
         round_to_f16_in_place(std::hint::black_box(&mut sliced));
     });
@@ -326,6 +327,45 @@ fn run_kernels(smoke: bool, ladder: &[usize]) -> Vec<PerfEntry> {
         format!("round_to_f16_in_place_over_scalar_map_{n}"),
         mapped / in_place,
         Some(1.3),
+    ));
+
+    // Encoding a saved set through the slice encode against the
+    // per-element scalar map, its oracle and non-AVX2 path: fifteen runs
+    // on the bench box read 2.89-3.29, and the scalar path reads ~1.
+    let values = fill(n, 14);
+    let mut bits = vec![0u16; n];
+    let lane = time_min_for(0.3, || {
+        f32_to_f16_bits_slice(std::hint::black_box(&values), &mut bits);
+    });
+    let scalar = time_min_for(0.3, || {
+        for (b, &v) in bits.iter_mut().zip(std::hint::black_box(&values)) {
+            *b = f32_to_f16_bits(v);
+        }
+    });
+    entries.push(PerfEntry::ratio(
+        format!("encode_f16_over_scalar_map_{n}"),
+        scalar / lane,
+        Some(2.2),
+    ));
+
+    // GELU forward + backward over one `[512, 768]` MLP pre-activation
+    // against the libm formula: fifteen runs on the bench box read
+    // 5.88-6.66, and libm's `tanhf` in the kernel reads ~1.
+    let shape = [512, 768];
+    let pre = Tensor::from_vec(&shape, fill(512 * 768, 15)).scale(3.0);
+    let dy = Tensor::from_vec(&shape, fill(512 * 768, 16));
+    let kernel = time_min_for(0.3, || {
+        std::hint::black_box(ops::gelu(&pre));
+        std::hint::black_box(ops::gelu_backward(&pre, &dy));
+    });
+    let formula = time_min_for(0.3, || {
+        std::hint::black_box(ops::naive::gelu(&pre));
+        std::hint::black_box(ops::naive::gelu_backward(&pre, &dy));
+    });
+    entries.push(PerfEntry::ratio(
+        format!("gelu_over_libm_formula_{}", pre.len()),
+        formula / kernel,
+        Some(4.5),
     ));
     entries
 }

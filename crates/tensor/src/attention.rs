@@ -32,14 +32,15 @@
 //! exact `0.0` probability before the tile-level `P~ @ V` GEMM — the same
 //! zero the oracle's `exp(-inf)` mask produces, so IEEE poisoning
 //! (`0 * inf = 0 * NaN = NaN`) behaves identically in both kernels.
-//! All-finite rows take a vectorized polynomial exp ([`exp_nonpos`],
-//! AVX2+FMA when available); any row holding a non-finite score falls
-//! back to libm `exp` so NaN propagation and `exp(-inf) = 0` stay exact.
+//! All-finite rows take the crate's polynomial exp (`ops::exp_nonpos`,
+//! in an AVX2+FMA lane when available); any row holding a non-finite
+//! score falls back to libm `exp` so NaN propagation and `exp(-inf) = 0`
+//! stay exact.
 
 use crate::gemm::{
     gemm_serial, gemm_serial_packed, pack_b_full, packed_b_len, LayoutA, LayoutB, NR,
 };
-use crate::ops::{matmul, matmul_at, matmul_bt, softmax_backward_into};
+use crate::ops::{exp_nonpos, matmul, matmul_at, matmul_bt, softmax_backward_into};
 use crate::parallel::{num_threads, par_rows};
 use crate::scratch::scratch_f32;
 use crate::tensor::Tensor;
@@ -48,39 +49,6 @@ use crate::tensor::Tensor;
 pub const ATTN_TM: usize = 64;
 /// K/V columns per streaming tile.
 pub const ATTN_TC: usize = 256;
-
-/// Branch-free polynomial `exp` for non-positive finite arguments.
-///
-/// Arguments below -87 flush to `exp(-87)` (~1.6e-38) instead of underflowing
-/// — harmless wherever the result meets a sum whose leading term is
-/// `exp(0) = 1` or scales a finite value. Max relative error is ~3e-7
-/// against `f32::exp` (Cephes minimax coefficients). Because the body has
-/// no branches or calls, LLVM vectorizes loops over it; that is the whole
-/// point — the scalar libm `exp` is the forward pass's largest non-GEMM
-/// cost. Callers must route rows containing non-finite scores to the
-/// exact `f32::exp` path instead: this helper flushes `NaN`/`-inf` and
-/// would otherwise break the IEEE-poisoning contract the oracle
-/// equivalence tests pin down.
-#[inline(always)]
-fn exp_nonpos(x: f32) -> f32 {
-    // Round-to-nearest integer via the 1.5 * 2^23 shift (|z| < 2^22 here).
-    const RND: f32 = 12_582_912.0;
-    // Cody-Waite split of ln(2): computing the residual in the original
-    // domain keeps full precision where `z - round(z)` would not.
-    const LN2_HI: f32 = 0.693_359_4;
-    const LN2_LO: f32 = -2.121_944_4e-4;
-    let x = x.max(-87.0);
-    let n = (x * std::f32::consts::LOG2_E + RND) - RND;
-    let r = (x - n * LN2_HI) - n * LN2_LO;
-    let mut p = 1.987_569_1e-4f32;
-    p = p * r + 1.398_199_9e-3;
-    p = p * r + 8.333_452e-3;
-    p = p * r + 4.166_579_6e-2;
-    p = p * r + 1.666_666_6e-1;
-    p = p * r + 5e-1;
-    let poly = p * r * r + r + 1.0;
-    f32::from_bits(((n as i32 + 127) << 23) as u32) * poly
-}
 
 /// In-place `row[i] = exp(row[i] - m)` over finite scores with max `m`,
 /// returning the row sum. Eight independent accumulator lanes keep the
@@ -876,33 +844,5 @@ pub fn apply_causal_mask(scores: &mut Tensor, seq: usize) {
         for u in (t + 1)..seq {
             data[t * seq + u] = f32::NEG_INFINITY;
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::exp_nonpos;
-
-    #[test]
-    fn exp_nonpos_tracks_libm_exp_on_the_softmax_range() {
-        // Dense grid over the arguments the streaming kernels feed it:
-        // non-positive, down past the -87 flush threshold.
-        let mut worst = 0.0f64;
-        let mut x = -90.0f32;
-        while x <= 0.0 {
-            let got = exp_nonpos(x) as f64;
-            let want = (x as f64).exp();
-            if x >= -87.0 {
-                let rel = ((got - want) / want).abs();
-                worst = worst.max(rel);
-            } else {
-                // Flushed region: tiny, never negative, never large.
-                assert!((0.0..=1.7e-38).contains(&got), "exp_nonpos({x}) = {got}");
-            }
-            x += 1e-3;
-        }
-        assert!(worst < 1e-6, "max relative error {worst:e}");
-        assert_eq!(exp_nonpos(0.0), 1.0);
-        assert_eq!(exp_nonpos(f32::NEG_INFINITY), exp_nonpos(-104.0));
     }
 }

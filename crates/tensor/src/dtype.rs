@@ -55,8 +55,10 @@ pub fn f32_to_f16_bits(value: f32) -> u16 {
         }
         return sign | out as u16;
     }
-    if unbiased >= -24 {
+    if unbiased >= -25 {
         // Subnormal half: shift in the implicit leading 1, then round.
+        // The bottom binade, (2^-25, 2^-24), rounds up to the smallest
+        // subnormal; 2^-25 itself ties to even, zero.
         let full = mant | 0x0080_0000;
         let shift = (-14 - unbiased) as u32 + 13;
         let mant16 = full >> shift;
@@ -128,13 +130,32 @@ pub fn f16_bits_to_f32_slice(bits: &[u16], out: &mut [f32]) {
 }
 
 /// Converts a slice of `f32` to binary16 bit patterns, bitwise identical to
-/// mapping [`f32_to_f16_bits`] element by element. Chunked so the compiler
-/// can keep the rounding data flow in registers across iterations.
+/// mapping [`f32_to_f16_bits`] element by element.
+///
+/// Every encode of the engine comes through here (saved sets, G16s, P16
+/// publishes, checkpoints, [`round_to_f16_in_place`]). On x86-64 with AVX2
+/// it runs a branchless 8-lane integer encode; [`f32_to_f16_bits`] is the
+/// path elsewhere and the oracle the lane is tested against on all 2^32
+/// inputs.
 ///
 /// # Panics
 /// If `out.len() != values.len()`.
 pub fn f32_to_f16_bits_slice(values: &[f32], out: &mut [u16]) {
     assert_eq!(values.len(), out.len(), "f16 encode length mismatch");
+    #[cfg(target_arch = "x86_64")]
+    if crate::gemm::avx2_available() {
+        // SAFETY: AVX2 support was just checked at runtime, and the
+        // lengths are equal (asserted above).
+        unsafe { encode_f16_avx2(values, out) };
+        return;
+    }
+    encode_f16_scalar(values, out);
+}
+
+/// The scalar encode: [`f32_to_f16_bits`] per element, chunked so the
+/// compiler can keep the rounding data flow in registers across
+/// iterations.
+fn encode_f16_scalar(values: &[f32], out: &mut [u16]) {
     const CHUNK: usize = 16;
     let mut vi = values.chunks_exact(CHUNK);
     let mut oi = out.chunks_exact_mut(CHUNK);
@@ -207,6 +228,79 @@ unsafe fn decode_f16_avx2(bits: &[u16], out: &mut [f32]) {
         }
     }
     decode_f16_scalar(&bits[i..], &mut out[i..]);
+}
+
+/// Branchless 8-lane f32 → binary16 encode, bitwise [`f32_to_f16_bits`].
+///
+/// Per lane, with `abs` the f32 bits without the sign and `lsb` the bit
+/// that becomes the half's last mantissa bit:
+/// - normals round in the integer domain, `(abs - (112 << 23) + 0xfff +
+///   lsb) >> 13`: the subtraction re-biases the exponent and the carry out
+///   of the dropped 13 bits is round-to-nearest-even (a carry into the
+///   exponent is the next binade, up to `0x7c00`, which is how 65520
+///   overflows); an unsigned min with `0x7c00` sends overflow and Inf to
+///   Inf, and NaN (`abs > 0x7f80_0000`) is blended to `0x7e00`;
+/// - below `113 << 23` the implicit 1 is shifted in and each lane rounds
+///   by its own `srlv` of `126 - exp`, `(full + half - 1 + lsb) >> shift`;
+///   exponents under 102 shift every bit out, to zero.
+///
+/// The sign is OR'd back in and the 32-bit lanes are packed to 16.
+///
+/// # Safety
+/// The CPU must support AVX2, and `out.len()` must equal `values.len()`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn encode_f16_avx2(values: &[f32], out: &mut [u16]) {
+    use std::arch::x86_64::*;
+    let n = values.len();
+    let mut i = 0;
+    // SAFETY: the caller guarantees AVX2 and equal lengths; each load
+    // reads `values[i..i + 8]` and each store writes `out[i..i + 8]` with
+    // `i + 8 <= n`, unaligned accesses inside both slices.
+    unsafe {
+        let abs_mask = _mm256_set1_epi32(0x7fff_ffff);
+        let sign_bit = _mm256_set1_epi32(0x8000);
+        let f32_inf = _mm256_set1_epi32(0x7f80_0000);
+        let normal_min = _mm256_set1_epi32(113 << 23);
+        let rebias = _mm256_set1_epi32(112 << 23);
+        let below_half = _mm256_set1_epi32(0xfff);
+        let one = _mm256_set1_epi32(1);
+        let f16_inf = _mm256_set1_epi32(0x7c00);
+        let f16_nan = _mm256_set1_epi32(0x7e00);
+        let mant_mask = _mm256_set1_epi32(0x007f_ffff);
+        let implicit = _mm256_set1_epi32(0x0080_0000);
+        let sub_base = _mm256_set1_epi32(126);
+        while i + 8 <= n {
+            let bits = _mm256_loadu_si256(values.as_ptr().add(i) as *const _);
+            let abs = _mm256_and_si256(bits, abs_mask);
+            let sign = _mm256_and_si256(_mm256_srli_epi32::<16>(bits), sign_bit);
+
+            let lsb = _mm256_and_si256(_mm256_srli_epi32::<13>(abs), one);
+            let normal = _mm256_add_epi32(
+                _mm256_sub_epi32(abs, rebias),
+                _mm256_add_epi32(below_half, lsb),
+            );
+            let normal = _mm256_min_epu32(_mm256_srli_epi32::<13>(normal), f16_inf);
+
+            let shift = _mm256_sub_epi32(sub_base, _mm256_srli_epi32::<23>(abs));
+            let full = _mm256_or_si256(_mm256_and_si256(abs, mant_mask), implicit);
+            let sub_lsb = _mm256_and_si256(_mm256_srlv_epi32(full, shift), one);
+            let half = _mm256_sllv_epi32(one, _mm256_sub_epi32(shift, one));
+            let sub = _mm256_add_epi32(full, _mm256_sub_epi32(half, one));
+            let sub = _mm256_srlv_epi32(_mm256_add_epi32(sub, sub_lsb), shift);
+
+            let body = _mm256_blendv_epi8(normal, sub, _mm256_cmpgt_epi32(normal_min, abs));
+            let body = _mm256_blendv_epi8(body, f16_nan, _mm256_cmpgt_epi32(abs, f32_inf));
+            let res = _mm256_or_si256(body, sign);
+            let packed = _mm_packus_epi32(
+                _mm256_castsi256_si128(res),
+                _mm256_extracti128_si256::<1>(res),
+            );
+            _mm_storeu_si128(out.as_mut_ptr().add(i) as *mut _, packed);
+            i += 8;
+        }
+    }
+    encode_f16_scalar(&values[i..], &mut out[i..]);
 }
 
 /// Elements the byte codecs move through a stack scratch at a time: the
@@ -421,6 +515,9 @@ mod tests {
         assert_eq!(round_to_f16(big_sub), big_sub);
         // Below half the smallest subnormal: flush to zero.
         assert_eq!(round_to_f16(2.0f32.powi(-26)), 0.0);
+        // Above half of it, nearest is the smallest subnormal itself.
+        assert_eq!(round_to_f16(1.5 * 2.0f32.powi(-25)), tiny);
+        assert_eq!(f32_to_f16_bits(f32::from_bits(0x3300_0001)), 0x0001);
     }
 
     #[test]
@@ -501,14 +598,57 @@ mod tests {
         ]
     }
 
+    /// Every class the encoder treats apart, both signs: at each exponent
+    /// the dropped 13 bits at `0, 0xfff, 0x1000, 0x1001, 0x1fff` under a
+    /// kept mantissa that is even, odd, or all ones (which carries into
+    /// the exponent); the band (2^-25, 2^-24) that rounds up to the
+    /// smallest subnormal; 65504/65520; zeros, infinities, NaN payloads.
+    fn encode_classes() -> Vec<f32> {
+        let mut bits = Vec::new();
+        for sign in [0, 0x8000_0000u32] {
+            for exp in 0..=255u32 {
+                for kept in [0, 0x2000, 0x7f_e000] {
+                    for dropped in [0, 0xfff, 0x1000, 0x1001, 0x1fff] {
+                        bits.push(sign | exp << 23 | kept | dropped);
+                    }
+                }
+            }
+            for b in [
+                0x3300_0001,
+                0x337f_ffff,
+                0x7fc0_0000,
+                0x7f80_0001,
+                0x7fbf_ffff,
+            ] {
+                bits.push(sign | b);
+            }
+        }
+        bits.into_iter().map(f32::from_bits).collect()
+    }
+
+    /// The encode lane against the scalar at every length through one
+    /// lane and its tail (0..=17), cut into slices that start at every
+    /// alignment, so each class meets both the lane body and the tail.
     #[test]
     fn slice_encode_matches_scalar() {
         let mut vals: Vec<f32> = (0..2000).map(|i| (i as f32 - 1000.0) * 1.37e-2).collect();
         vals.extend(boundary_values());
-        let mut bits = vec![0u16; vals.len()];
-        f32_to_f16_bits_slice(&vals, &mut bits);
-        for (&v, &b) in vals.iter().zip(&bits) {
-            assert_eq!(b, f32_to_f16_bits(v), "value {v}");
+        vals.extend(encode_classes());
+        let want: Vec<u16> = vals.iter().map(|&v| f32_to_f16_bits(v)).collect();
+        f32_to_f16_bits_slice(&[], &mut []);
+        let mut got = [0u16; 17];
+        for start in [0, 3] {
+            for len in 1..=17 {
+                for (v, w) in vals[start..].chunks(len).zip(want[start..].chunks(len)) {
+                    f32_to_f16_bits_slice(v, &mut got[..v.len()]);
+                    assert_eq!(
+                        &got[..v.len()],
+                        w,
+                        "start {start}, len {len}, f32 bits {:08x?}",
+                        v.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
+                    );
+                }
+            }
         }
     }
 

@@ -72,13 +72,28 @@ pub fn matmul_bt(a: &Tensor, b: &Tensor) -> Tensor {
     Tensor::from_vec(&[m, n], out)
 }
 
-/// Naive reference matmuls — the oracle the tiled kernels are verified
-/// against (see `tests/kernel_equivalence.rs`). Single-threaded,
-/// unblocked, and free of shortcuts, so their IEEE behaviour is the
-/// plain textbook reduction.
+/// Naive references — the oracles the tuned kernels are verified
+/// against (see `tests/kernel_equivalence.rs`). The matmuls are
+/// single-threaded, unblocked, and free of shortcuts, so their IEEE
+/// behaviour is the plain textbook reduction; GELU is its formula on
+/// libm's `tanhf`.
 pub mod naive {
-    use super::{dims2, LayoutA, LayoutB, Tensor};
+    use super::{dims2, gelu_grad_scalar, gelu_scalar, LayoutA, LayoutB, Tensor};
     use crate::gemm::gemm_reference;
+
+    /// Reference GELU, single-threaded.
+    pub fn gelu(x: &Tensor) -> Tensor {
+        let out = x.data().iter().map(|&v| gelu_scalar(v, f32::tanh));
+        Tensor::from_vec(x.shape(), out.collect())
+    }
+
+    /// Reference GELU backward, single-threaded.
+    pub fn gelu_backward(x: &Tensor, dy: &Tensor) -> Tensor {
+        assert_eq!(x.shape(), dy.shape(), "gelu_backward shapes");
+        let out = x.data().iter().zip(dy.data());
+        let out = out.map(|(&v, &g)| gelu_grad_scalar(v, f32::tanh) * g);
+        Tensor::from_vec(x.shape(), out.collect())
+    }
 
     /// Reference `a[m,k] @ b[k,n]`.
     pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
@@ -159,29 +174,40 @@ pub fn bias_grad(dy: &Tensor) -> Tensor {
     Tensor::from_vec(&[c], out)
 }
 
-/// GELU activation (tanh approximation, as used by GPT-2/3).
-/// Elementwise, so the parallel split cannot change results.
+/// GELU activation (tanh approximation, as used by GPT-2/3), on
+/// [`tanh_exp`] rather than libm's `tanhf`: within 2.5e-7 · max(1, |x|)
+/// of [`naive::gelu`], and NaN/±Inf/overflowing inputs give that
+/// formula's results. The per-element body is branch-free and fuses no
+/// multiply-add, so the vectorized loop and its scalar tail compute the
+/// same bits and the parallel split cannot change results.
 pub fn gelu(x: &Tensor) -> Tensor {
     let xd = x.data();
     let mut out = vec![0.0f32; xd.len()];
     parallel::par_blocks(&mut out, |off, block| {
         let src = &xd[off..off + block.len()];
         for (o, &v) in block.iter_mut().zip(src) {
-            *o = gelu_scalar(v);
+            *o = gelu_scalar(v, tanh_exp);
         }
     });
     Tensor::from_vec(x.shape(), out)
 }
 
-/// Backward of [`gelu`]: needs the forward *input*.
+/// Backward of [`gelu`]: needs the forward *input*. Same tanh, same
+/// bitwise invariance; within 2e-6 of [`naive::gelu_backward`]'s
+/// derivative.
 pub fn gelu_backward(x: &Tensor, dy: &Tensor) -> Tensor {
     assert_eq!(x.shape(), dy.shape(), "gelu_backward shapes");
     let xd = x.data();
     let dyd = dy.data();
     let mut out = vec![0.0f32; xd.len()];
     parallel::par_blocks(&mut out, |off, block| {
-        for (i, o) in block.iter_mut().enumerate() {
-            *o = gelu_grad_scalar(xd[off + i]) * dyd[off + i];
+        let n = block.len();
+        for ((o, &v), &g) in block
+            .iter_mut()
+            .zip(&xd[off..off + n])
+            .zip(&dyd[off..off + n])
+        {
+            *o = gelu_grad_scalar(v, tanh_exp) * g;
         }
     });
     Tensor::from_vec(x.shape(), out)
@@ -190,15 +216,66 @@ pub fn gelu_backward(x: &Tensor, dy: &Tensor) -> Tensor {
 const GELU_C: f32 = 0.797_884_6; // sqrt(2/pi)
 const GELU_A: f32 = 0.044_715;
 
-fn gelu_scalar(x: f32) -> f32 {
-    0.5 * x * (1.0 + (GELU_C * (x + GELU_A * x * x * x)).tanh())
+/// The GELU formula over a given `tanh`: [`tanh_exp`] in the kernel,
+/// libm's in the oracle.
+#[inline(always)]
+fn gelu_scalar(x: f32, tanh: impl Fn(f32) -> f32) -> f32 {
+    0.5 * x * (1.0 + tanh(GELU_C * (x + GELU_A * x * x * x)))
 }
 
-fn gelu_grad_scalar(x: f32) -> f32 {
+/// GELU's derivative over a given `tanh`, as [`gelu_scalar`].
+#[inline(always)]
+fn gelu_grad_scalar(x: f32, tanh: impl Fn(f32) -> f32) -> f32 {
     let u = GELU_C * (x + GELU_A * x * x * x);
-    let t = u.tanh();
+    let t = tanh(u);
     let du = GELU_C * (1.0 + 3.0 * GELU_A * x * x);
     0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du
+}
+
+/// `tanh(u)` without libm: `copysign((1 - e) / (1 + e), u)` with
+/// `e = exp(-2|u|)` from [`exp_nonpos`]. Branch-free, so loops over it
+/// vectorize. The `1 - e` cancellation near 0 costs relative accuracy
+/// but not absolute (~2e-7), which is all GELU sees, since it adds
+/// `tanh` to 1. `|u|` past ~43.5 gives exactly ±1, and so does NaN:
+/// GELU carries a NaN input through its other factor, `x`.
+#[inline(always)]
+fn tanh_exp(u: f32) -> f32 {
+    let e = exp_nonpos(-2.0 * u.abs());
+    ((1.0 - e) / (1.0 + e)).copysign(u)
+}
+
+/// Branch-free polynomial `exp` for non-positive finite arguments: the
+/// crate's one polynomial exp, behind attention's softmax (the streaming
+/// kernels' probabilities) and GELU's tanh ([`tanh_exp`]).
+///
+/// Arguments below -87 flush to `exp(-87)` (~1.6e-38) instead of underflowing
+/// — harmless wherever the result meets a sum whose leading term is
+/// `exp(0) = 1` or scales a finite value. Max relative error is ~3e-7
+/// against `f32::exp` (Cephes minimax coefficients). Because the body has
+/// no branches or calls, LLVM vectorizes loops over it; that is the whole
+/// point — per element, a libm call in attention's softmax or GELU's tanh
+/// would be a block's largest non-GEMM cost. `NaN` and `-inf` flush too: a caller
+/// that must propagate them IEEE-exactly (attention's poisoned rows) routes
+/// them to `f32::exp` instead.
+#[inline(always)]
+pub(crate) fn exp_nonpos(x: f32) -> f32 {
+    // Round-to-nearest integer via the 1.5 * 2^23 shift (|z| < 2^22 here).
+    const RND: f32 = 12_582_912.0;
+    // Cody-Waite split of ln(2): computing the residual in the original
+    // domain keeps full precision where `z - round(z)` would not.
+    const LN2_HI: f32 = 0.693_359_4;
+    const LN2_LO: f32 = -2.121_944_4e-4;
+    let x = x.max(-87.0);
+    let n = (x * std::f32::consts::LOG2_E + RND) - RND;
+    let r = (x - n * LN2_HI) - n * LN2_LO;
+    let mut p = 1.987_569_1e-4f32;
+    p = p * r + 1.398_199_9e-3;
+    p = p * r + 8.333_452e-3;
+    p = p * r + 4.166_579_6e-2;
+    p = p * r + 1.666_666_6e-1;
+    p = p * r + 5e-1;
+    let poly = p * r * r + r + 1.0;
+    f32::from_bits(((n as i32 + 127) << 23) as u32) * poly
 }
 
 /// Row-wise numerically stable softmax of a `[rows, cols]` buffer, in
@@ -658,6 +735,81 @@ mod tests {
         let probe = Tensor::randn(&[2, 5], 1.0, 10);
         let analytic = gelu_backward(&x, &probe);
         grad_check(&x, &analytic, |xx| probe_loss(&gelu(xx), &probe), 2e-2);
+    }
+
+    /// GELU and its derivative against the libm formula, on a dense grid
+    /// over [-12, 12] (every f32 there is the ignored sweep in
+    /// `tests/exhaustive.rs`), and bitwise on the inputs whose result
+    /// class the formula fixes: NaN -> NaN, +Inf -> +Inf, -Inf -> NaN,
+    /// 1e20 -> 1e20, -1e20 -> -0.
+    #[test]
+    fn gelu_tracks_the_libm_formula() {
+        let mut xs: Vec<f32> = (-120_000..=120_000).map(|i| i as f32 * 1e-4).collect();
+        let classes = [
+            f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            1e20,
+            -1e20,
+            -0.0,
+            1e-30,
+            -40.0,
+            40.0,
+        ];
+        xs.extend(classes);
+        let x = Tensor::from_vec(&[xs.len()], xs.clone());
+        let dy = Tensor::full(&[xs.len()], 1.0);
+        let (fwd, fwd_want) = (gelu(&x), naive::gelu(&x));
+        let (bwd, bwd_want) = (gelu_backward(&x, &dy), naive::gelu_backward(&x, &dy));
+        let pairs = xs.iter().zip(fwd.data().iter().zip(fwd_want.data()));
+        for ((&v, (&got, &want)), (&dgot, &dwant)) in
+            pairs.zip(bwd.data().iter().zip(bwd_want.data()))
+        {
+            if v.abs() <= 12.0 && v != 0.0 {
+                let bound = 2.5e-7 * v.abs().max(1.0);
+                assert!(
+                    (got - want).abs() <= bound,
+                    "gelu({v:e}) {got:e} vs {want:e}"
+                );
+                assert!(
+                    (dgot - dwant).abs() <= 2e-6,
+                    "gelu'({v:e}) {dgot:e} vs {dwant:e}"
+                );
+            } else {
+                let same = |a: f32, b: f32| a.to_bits() == b.to_bits() || a.is_nan() && b.is_nan();
+                assert!(same(got, want), "gelu({v:e}) {got:e} vs {want:e}");
+                assert!(same(dgot, dwant), "gelu'({v:e}) {dgot:e} vs {dwant:e}");
+            }
+        }
+        let at = |v: f32| fwd.data()[xs.iter().position(|x| x.to_bits() == v.to_bits()).unwrap()];
+        assert!(at(f32::NAN).is_nan() && at(f32::NEG_INFINITY).is_nan());
+        assert_eq!(at(f32::INFINITY), f32::INFINITY);
+        assert_eq!(at(1e20), 1e20);
+        assert_eq!(at(-1e20).to_bits(), (-0.0f32).to_bits());
+    }
+
+    #[test]
+    fn exp_nonpos_tracks_libm_exp_on_the_softmax_range() {
+        // Dense grid over the arguments its callers feed it: non-positive
+        // (softmax shifts by the row max, GELU's tanh takes -2|u|), down
+        // past the -87 flush threshold.
+        let mut worst = 0.0f64;
+        let mut x = -90.0f32;
+        while x <= 0.0 {
+            let got = exp_nonpos(x) as f64;
+            let want = (x as f64).exp();
+            if x >= -87.0 {
+                let rel = ((got - want) / want).abs();
+                worst = worst.max(rel);
+            } else {
+                // Flushed region: tiny, never negative, never large.
+                assert!((0.0..=1.7e-38).contains(&got), "exp_nonpos({x}) = {got}");
+            }
+            x += 1e-3;
+        }
+        assert!(worst < 1e-6, "max relative error {worst:e}");
+        assert_eq!(exp_nonpos(0.0), 1.0);
+        assert_eq!(exp_nonpos(f32::NEG_INFINITY), exp_nonpos(-104.0));
     }
 
     #[test]

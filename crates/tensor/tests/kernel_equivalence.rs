@@ -229,17 +229,24 @@ fn elementwise_kernels_bitwise_stable_across_threads() {
                 .map(|i| ((i * 29) % 97) as f32 * 0.07 - 3.0)
                 .collect(),
         );
-        set_num_threads(1);
-        let g1 = ops::gelu(&x);
-        set_num_threads(4);
-        let g4 = ops::gelu(&x);
-        set_num_threads(1);
-        assert!(
-            g1.data()
-                .iter()
-                .zip(g4.data())
-                .all(|(a, b)| a.to_bits() == b.to_bits()),
-            "gelu at len {len} not thread-invariant"
-        );
+        let dy = x.scale(-0.5);
+        let kernels: [(&str, &dyn Fn() -> Tensor); 2] = [
+            ("gelu", &|| ops::gelu(&x)),
+            ("gelu_backward", &|| ops::gelu_backward(&x, &dy)),
+        ];
+        for (name, kernel) in kernels {
+            set_num_threads(1);
+            let g1 = kernel();
+            set_num_threads(4);
+            let g4 = kernel();
+            set_num_threads(1);
+            assert!(
+                g1.data()
+                    .iter()
+                    .zip(g4.data())
+                    .all(|(a, b)| a.to_bits() == b.to_bits()),
+                "{name} at len {len} not thread-invariant"
+            );
+        }
     }
 }
