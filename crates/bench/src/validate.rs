@@ -19,18 +19,19 @@
 //!   host-resident master; 2P stages and gradients) and activation
 //!   shapes, so any drift is a modelling bug.
 //! * **times — within tolerance.** Transfer times follow bytes/rate
-//!   under throttling, but the sim serializes SSD reads and writes on
-//!   one resource while the store throttles each route independently,
-//!   and thread scheduling adds noise — so stage timings are compared
-//!   loosely.
+//!   under throttling, and the simulation dispatches the paced DAG the
+//!   way the executor does — the same dispatcher, at the engine's
+//!   `workers_per_pool` tasks per resource at once, so two SSD tasks
+//!   overlap in both, each at its route's full rate. What is left is
+//!   glue the calibration does not see and thread scheduling noise.
 
 use ratel::engine::data::random_batch;
 use ratel::engine::telemetry::StepTelemetry;
-use ratel::engine::{ActDecision, RatelEngine};
+use ratel::engine::{ActDecision, ExecutionOptions, RatelEngine};
 use ratel::schedule::{IterationSpec, LinkRates, OptimizerKind, Placement};
 use ratel::{Ratel, TrainingPlan};
 use ratel_hw::ServerConfig;
-use ratel_sim::{simulate, MemTier, SimReport, SpanKind, TaskId, TaskKind, Timeline};
+use ratel_sim::{simulate_width, MemTier, SimReport, SpanKind, TaskId, TaskKind, Timeline};
 use ratel_storage::{Route, Tier, TrafficSnapshot};
 use ratel_tensor::GptConfig;
 
@@ -342,6 +343,7 @@ pub fn run(cfg: &ValidateConfig) -> Result<ValidateReport, String> {
         .plan()
         .map_err(|e| format!("engine: {e}"))?;
     let pacing = pacing_edges(&plan);
+    let ExecutionOptions::Executor(executor) = plan.config().execution;
     let mut engine = (plan.build())
         .map_err(|e| format!("engine: {e}"))?
         .into_engine();
@@ -454,12 +456,11 @@ pub fn run(cfg: &ValidateConfig) -> Result<ValidateReport, String> {
     for &(task, gate) in &pacing {
         graph.add_dep(task, gate);
     }
-    let sim = simulate(&graph);
+    let sim = simulate_width(&graph, executor.workers_per_pool);
 
     // Up to the last forward kernel's end, as measured: not the sim's
     // forward stage window, which also spans the offloads that drain
-    // after it (and wait behind other SSD traffic on the sim's one
-    // queue).
+    // after it.
     let sim_fwd = (graph.task_ids())
         .filter(|&t| {
             (graph.meta(t).and_then(|m| m.identity)).is_some_and(|id| id.kind == TaskKind::Fwd)

@@ -1,6 +1,6 @@
 //! Sim-vs-real validation: the engine's measured traffic and timing must
 //! agree with the schedule the simulator predicts for the same
-//! configuration (bytes exactly, times loosely — see
+//! configuration (bytes exactly, times within a tolerance — see
 //! `ratel_bench::validate`).
 
 use ratel::schedule::Placement;
@@ -41,7 +41,7 @@ fn agrees_with_the_simulated_schedule(shape: EngineShape) -> ValidateReport {
         // ~4-6 MB/s route caps: slow enough that transfer time dominates
         // scheduling noise, fast enough for a quick test.
         throttle: 2e-4,
-        tolerance: 1.5,
+        tolerance: 1.0,
         out: None,
         shape,
     };
@@ -57,10 +57,12 @@ fn agrees_with_the_simulated_schedule(shape: EngineShape) -> ValidateReport {
         assert!(*bytes > 0, "route {i} moved no bytes");
     }
 
-    // Times: throttled transfers dominate, so the simulated schedule
-    // must land in the same ballpark. The tolerance is loose because the
-    // sim serializes SSD reads+writes on one resource while the store
-    // throttles each route independently.
+    // Times: throttled transfers dominate, and the sim dispatches the
+    // paced DAG at the engine's width, so the two agree within a few
+    // percent in release builds. This is a debug build running its three
+    // tests at once, where glue and contention for the cores put the
+    // worst stage 10-59 % off (42 runs, median about 20 %) on a 2-core
+    // machine.
     for stage in &report.stages {
         assert!(
             stage.relative_error() <= cfg.tolerance,

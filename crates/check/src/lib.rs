@@ -26,10 +26,10 @@
 //!   deadlock); blocking operations (SSD I/O, sleeps, condvar waits
 //!   with a foreign lock held) fail when executed under a tracked lock.
 //!
-//! The [`models`] module holds small, faithful models of the three core
-//! protocols (seqlock ring, pending-key/condvar, dependency-counted
-//! executor) plus seeded-bug mutants; `tests/check_mutations.rs` proves
-//! the explorer catches every mutant and passes every pristine model.
+//! The [`models`] module holds small, faithful models of the seqlock
+//! ring, the pending-key/condvar handshake and a two-lock order, plus
+//! seeded-bug mutants; `tests/check_mutations.rs` proves the explorer
+//! catches every mutant and passes every pristine model.
 
 pub mod explore;
 pub mod lockorder;

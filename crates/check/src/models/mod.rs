@@ -1,5 +1,5 @@
-//! Small, faithful models of the three core Ratel sync protocols, plus
-//! seeded-bug mutants.
+//! Small, faithful models of two Ratel sync protocols and of a lock
+//! order, plus seeded-bug mutants.
 //!
 //! Each module models one protocol with [`crate::sync`] primitives so it
 //! runs under the [`crate::explore::Explorer`]:
@@ -10,18 +10,16 @@
 //! * [`pending`] — the `TieredStore` pending-key condvar protocol
 //!   (`crates/storage/src/store.rs`): I/O marked pending outside the
 //!   lock, waiters blocked on a condvar until the key clears.
-//! * [`exec`] — the dependency-counted ready queues of the executor
-//!   (`crates/core/src/engine/executor.rs`): upstream completions
-//!   decrement a dependency counter; the final decrement enqueues.
 //! * [`locks`] — a two-lock ordering model for the lock-order tracker
 //!   and explorer deadlock detection.
 //!
 //! Every module has a `Pristine` variant (must pass full bounded
 //! exploration) and at least one seeded-bug mutant (must be caught with
 //! an interleaving witness); `tests/check_mutations.rs` at the workspace
-//! root enforces both directions.
+//! root enforces both directions. The executor has no model: its
+//! dispatch is one state machine under one lock (`ratel_sim::Dispatcher`),
+//! whose every completion order `ratel-sim`'s own tests enumerate.
 
-pub mod exec;
 pub mod locks;
 pub mod pending;
 pub mod seqlock;

@@ -274,12 +274,6 @@ impl AtomicUsize {
         self.point("fetch_add");
         self.inner.fetch_add(value, order)
     }
-
-    /// Atomic subtract returning the previous value.
-    pub fn fetch_sub(&self, value: usize, order: std_sync::atomic::Ordering) -> usize {
-        self.point("fetch_sub");
-        self.inner.fetch_sub(value, order)
-    }
 }
 
 /// Explorer-aware threads for models.

@@ -1,29 +1,30 @@
 //! The resource-pool executor: runs a verified task graph for real.
 //!
 //! The simulator's [`TaskGraph`] is not only a prediction — it is what
-//! the engine runs: one worker pool per [`ResourceClass`] (GPU kernels,
-//! CPU optimizer math, each PCIe direction, the SSD array) pulls *ready*
-//! tasks — dependency count zero — from the graph, runs them through a
-//! [`TaskAction`], and decrements its dependents' counters, unlocking
-//! downstream work the moment its last input lands. Ordering is exactly the verified DAG's:
-//! the executor adds no scheduling policy of its own beyond FIFO within
-//! a pool, so whatever `ratel-verify` proved about the plan (no
-//! read-before-write, no overwrite-under-reader, residency within
-//! capacity) holds for the execution too.
+//! the engine runs: one worker pool per graph resource (in an engine
+//! DAG, one per [`ResourceClass`]: GPU kernels, CPU optimizer math, each
+//! PCIe direction, the SSD array) takes *ready* tasks — every dependency
+//! completed — runs them through a [`TaskAction`], and reports each
+//! completion, which readies downstream work the moment its last input
+//! lands. Which ready task a pool runs next is decided by the
+//! simulator's own [`Dispatcher`] — (ready time, id) order, at most
+//! `workers_per_pool` in flight — under one lock, so the executor has no
+//! scheduling policy the simulator does not, and whatever `ratel-verify`
+//! proved about the plan (no read-before-write, no
+//! overwrite-under-reader, residency within capacity) holds for the
+//! execution too.
 //!
 //! The executor is deliberately generic: it knows nothing about
 //! training. The engine supplies the graph (its movement plan) and an
 //! action that maps each task id onto tensor kernels and tiered-store
 //! transfers; tests supply toy graphs and counters.
 
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::time::Instant;
 
 use ratel_check::sync::{Condvar, Mutex};
 
 use ratel_sim::meta::ResourceClass;
-use ratel_sim::{TaskGraph, TaskId};
+use ratel_sim::{Dispatcher, ResourceId, TaskGraph, TaskId};
 
 use crate::error::RatelError;
 
@@ -150,133 +151,79 @@ fn pool_index(class: ResourceClass) -> usize {
     }
 }
 
-/// One pool's ready queue. Workers block on the condvar; every terminal
-/// event (abort, last task done) wakes *all* pools so no worker is left
-/// parked.
-struct Pool {
-    queue: Mutex<VecDeque<usize>>,
-    ready: Condvar,
+/// What the workers of one run share under one lock: the dispatcher
+/// and the run's outcome.
+struct RunState {
+    dispatch: Dispatcher,
+    /// Measured seconds per completed task.
+    seconds: Vec<f64>,
+    /// The first action error; stops dispatch everywhere.
+    error: Option<RatelError>,
 }
 
-/// Static lock/condvar names per pool index, for the `ratel-check`
-/// lock-order tracker and exploration witnesses.
-const POOL_LOCK_NAMES: [(&str, &str); 5] = [
-    ("exec.queue.gpu", "exec.ready.gpu"),
-    ("exec.queue.cpu", "exec.ready.cpu"),
-    ("exec.queue.pcie_g2m", "exec.ready.pcie_g2m"),
-    ("exec.queue.pcie_m2g", "exec.ready.pcie_m2g"),
-    ("exec.queue.ssd", "exec.ready.ssd"),
-];
-
-impl Pool {
-    fn new(idx: usize) -> Self {
-        let (queue_name, ready_name) = POOL_LOCK_NAMES[idx];
-        Pool {
-            queue: Mutex::named(queue_name, VecDeque::new()),
-            ready: Condvar::named(ready_name),
-        }
-    }
-}
-
-/// State shared by every worker of one run.
 struct Shared {
-    pools: Vec<Pool>,
-    /// Outstanding dependency count per task; a task becomes ready when
-    /// its counter hits zero.
-    remaining: Vec<AtomicUsize>,
-    /// Forward adjacency: tasks waiting on each task.
-    dependents: Vec<Vec<usize>>,
-    /// Pool index per task.
-    pool_of: Vec<usize>,
-    /// Measured seconds per completed task (f64 bits).
-    durations: Vec<AtomicU64>,
-    /// Completed task count; `done == total` ends the run.
-    done: AtomicUsize,
-    total: usize,
-    /// Set on the first action error; stops dispatch everywhere.
-    abort: AtomicBool,
-    error: Mutex<Option<RatelError>>,
+    state: Mutex<RunState>,
+    /// Per pool (graph resource), where its idle workers park.
+    ready: Vec<Condvar>,
+    /// Ready times are seconds since this instant.
+    start: Instant,
 }
 
 impl Shared {
-    /// Wakes every parked worker. Taking each queue lock first closes
-    /// the race with a worker that checked the exit conditions and is
-    /// about to wait.
+    /// Wakes every parked worker. Called once the run stopped, a fact set
+    /// under the state lock that each worker checks before it waits.
     fn wake_all(&self) {
-        for pool in &self.pools {
-            drop(pool.queue.lock());
-            pool.ready.notify_all();
-        }
-    }
-
-    fn enqueue(&self, task: usize) {
-        let pool = &self.pools[self.pool_of[task]];
-        pool.queue.lock().push_back(task);
-        pool.ready.notify_one();
-    }
-
-    /// Records a successful task: stores its duration, unlocks
-    /// dependents whose last input this was, and ends the run if it was
-    /// the final task.
-    fn complete(&self, task: usize, seconds: f64) {
-        self.durations[task].store(seconds.to_bits(), Ordering::Relaxed);
-        for &d in &self.dependents[task] {
-            if self.remaining[d].fetch_sub(1, Ordering::AcqRel) == 1 {
-                self.enqueue(d);
-            }
-        }
-        if self.done.fetch_add(1, Ordering::AcqRel) + 1 == self.total {
-            self.wake_all();
+        for ready in &self.ready {
+            ready.notify_all();
         }
     }
 
     fn fail(&self, error: RatelError) {
-        let mut slot = self.error.lock();
-        if slot.is_none() {
-            *slot = Some(error);
-        }
-        drop(slot);
-        self.abort.store(true, Ordering::Release);
+        self.state.lock().error.get_or_insert(error);
         self.wake_all();
     }
-
-    fn finished(&self) -> bool {
-        self.abort.load(Ordering::Acquire) || self.done.load(Ordering::Acquire) == self.total
-    }
 }
 
-fn worker(shared: &Shared, pool_idx: usize, action: &dyn TaskAction) {
-    let pool = &shared.pools[pool_idx];
+fn worker(shared: &Shared, pool: ResourceId, action: &dyn TaskAction) {
+    let mut state = shared.state.lock();
     loop {
-        let task = {
-            let mut queue = pool.queue.lock();
-            loop {
-                if shared.finished() {
-                    return;
-                }
-                if let Some(task) = queue.pop_front() {
-                    break task;
-                }
-                pool.ready.wait(&mut queue);
-            }
-        };
-        let start = Instant::now();
-        match action.run(TaskId(task)) {
-            Ok(()) => {
-                let end = Instant::now();
-                shared.complete(task, (end - start).as_secs_f64());
-                action.completed(TaskId(task), start, end);
-            }
-            Err(e) => {
-                shared.fail(e);
+        let task = loop {
+            if state.error.is_some() || state.dispatch.finished() {
                 return;
             }
+            if let Some(task) = state.dispatch.next(pool) {
+                break task;
+            }
+            shared.ready[pool.0].wait(&mut state);
+        };
+        drop(state);
+        let start = Instant::now();
+        let outcome = action.run(task);
+        let end = Instant::now();
+        if let Err(e) = outcome {
+            shared.fail(e);
+            return;
         }
+        state = shared.state.lock();
+        state.seconds[task.0] = (end - start).as_secs_f64();
+        let at = (end - shared.start).as_secs_f64();
+        state
+            .dispatch
+            .complete(task, at, |r| shared.ready[r.0].notify_one());
+        if state.dispatch.finished() {
+            shared.wake_all();
+        }
+        // Told after the dependents are released and outside the lock,
+        // so recording the task's span delays no other task.
+        drop(state);
+        action.completed(task, start, end);
+        state = shared.state.lock();
     }
 }
 
-/// A dependency-counted executor over [`TaskGraph`]s: one FIFO worker
-/// pool per [`ResourceClass`], `workers_per_pool` threads each.
+/// A dependency-counted executor over [`TaskGraph`]s: one worker pool
+/// per graph resource, `workers_per_pool` threads each, picking ready
+/// tasks by the simulator's [`Dispatcher`].
 #[derive(Debug, Clone, Copy)]
 pub struct Executor {
     workers_per_pool: usize,
@@ -314,63 +261,62 @@ impl Executor {
             return Ok(TaskBreakdown::default());
         }
 
-        let mut pool_of = Vec::with_capacity(total);
-        let mut dependents: Vec<Vec<usize>> = vec![Vec::new(); total];
-        let mut remaining = Vec::with_capacity(total);
+        // Per resource: its tasks, the threads of its pool — the worker
+        // budget, or its task count if fewer — and the class it counts to.
+        let resources = graph.resource_ids().count();
+        let mut tasks = vec![0usize; resources];
         for t in graph.task_ids() {
-            let class = graph.resource_class(graph.resource(t)).unwrap_or_else(|| {
+            tasks[graph.resource(t).0] += 1;
+        }
+        let mut stats: Vec<PoolStats> = (POOL_CLASSES.iter())
+            .map(|&class| PoolStats {
+                class,
+                workers: 0,
+                tasks: 0,
+                busy_seconds: 0.0,
+            })
+            .collect();
+        let (mut workers, mut stat_of) = (vec![0usize; resources], vec![0usize; resources]);
+        for r in graph.resource_ids().filter(|r| tasks[r.0] > 0) {
+            let class = graph.resource_class(r).unwrap_or_else(|| {
                 panic!(
-                    "task {:?} ({:?}) is bound to unclassified resource {:?}",
-                    t,
-                    graph.label(t),
-                    graph.resource_name(graph.resource(t))
+                    "{} task(s) are bound to unclassified resource {:?}",
+                    tasks[r.0],
+                    graph.resource_name(r)
                 )
             });
-            pool_of.push(pool_index(class));
-            let deps = graph.deps(t);
-            remaining.push(AtomicUsize::new(deps.len()));
-            for d in deps {
-                dependents[d.0].push(t.0);
-            }
+            stat_of[r.0] = pool_index(class);
+            workers[r.0] = tasks[r.0].min(self.workers_per_pool);
+            stats[stat_of[r.0]].workers += workers[r.0];
+            stats[stat_of[r.0]].tasks += tasks[r.0] as u64;
         }
 
         let shared = Shared {
-            pools: (0..POOL_CLASSES.len()).map(Pool::new).collect(),
-            remaining,
-            dependents,
-            pool_of,
-            durations: (0..total).map(|_| AtomicU64::new(0)).collect(),
-            done: AtomicUsize::new(0),
-            total,
-            abort: AtomicBool::new(false),
-            error: Mutex::named("exec.error", None),
+            state: Mutex::named(
+                "exec.state",
+                RunState {
+                    dispatch: Dispatcher::new(graph, self.workers_per_pool),
+                    seconds: vec![0.0; total],
+                    error: None,
+                },
+            ),
+            ready: graph
+                .resource_ids()
+                .map(|_| Condvar::named("exec.ready"))
+                .collect(),
+            start: Instant::now(),
         };
-
-        // Seed the ready queues with the graph's sources before any
-        // worker exists, in task order.
-        let mut pool_tasks = [0u64; POOL_CLASSES.len()];
-        for t in 0..total {
-            pool_tasks[shared.pool_of[t]] += 1;
-            if shared.remaining[t].load(Ordering::Relaxed) == 0 {
-                shared.pools[shared.pool_of[t]].queue.lock().push_back(t);
-            }
-        }
-
-        let wall_start = Instant::now();
         std::thread::scope(|scope| {
-            for (idx, class) in POOL_CLASSES.iter().enumerate() {
-                // A pool with no tasks bound to it needs no threads; one
-                // with fewer tasks than the worker budget needs fewer.
-                let workers = (pool_tasks[idx] as usize).min(self.workers_per_pool);
-                for w in 0..workers {
+            for r in graph.resource_ids() {
+                let class = stats[stat_of[r.0]].class;
+                for w in 0..workers[r.0] {
                     let shared = &shared;
                     let spawned = std::thread::Builder::new()
                         .name(format!("ratel-exec-{}-{w}", class.name()))
-                        .spawn_scoped(scope, move || worker(shared, idx, action));
+                        .spawn_scoped(scope, move || worker(shared, r, action));
                     if let Err(e) = spawned {
                         // Abort the whole run: already-spawned workers
-                        // drain out via the abort flag and the error
-                        // surfaces below.
+                        // drain out and the error surfaces below.
                         shared.fail(RatelError::Runtime(format!(
                             "spawn executor worker {w} for {}: {e}",
                             class.name()
@@ -380,48 +326,31 @@ impl Executor {
                 }
             }
         });
-        let wall_seconds = wall_start.elapsed().as_secs_f64();
+        let wall_seconds = shared.start.elapsed().as_secs_f64();
 
-        if let Some(error) = shared.error.lock().take() {
+        let RunState {
+            dispatch,
+            seconds,
+            error,
+        } = shared.state.into_inner();
+        if let Some(error) = error {
             return Err(error);
         }
-        let done = shared.done.load(Ordering::Acquire);
-        assert_eq!(
-            done, total,
-            "executor stalled: {done}/{total} tasks completed with no error — \
-             the graph reached the executor unverified"
+        assert!(
+            dispatch.finished(),
+            "executor stalled: {}/{total} tasks completed with no error — \
+             the graph reached the executor unverified",
+            dispatch.completed()
         );
 
-        // Post-hoc breakdown: per-pool busy time and the measured
-        // critical path (finish[t] = max over deps of finish + duration).
-        let mut pools: Vec<PoolStats> = POOL_CLASSES
-            .iter()
-            .enumerate()
-            .map(|(idx, &class)| PoolStats {
-                class,
-                workers: (pool_tasks[idx] as usize).min(self.workers_per_pool),
-                tasks: pool_tasks[idx],
-                busy_seconds: 0.0,
-            })
-            .collect();
-        let mut finish = vec![0.0f64; total];
-        let mut critical = 0.0f64;
         for t in graph.task_ids() {
-            let seconds = f64::from_bits(shared.durations[t.0].load(Ordering::Relaxed));
-            pools[shared.pool_of[t.0]].busy_seconds += seconds;
-            let ready = graph
-                .deps(t)
-                .iter()
-                .map(|d| finish[d.0])
-                .fold(0.0f64, f64::max);
-            finish[t.0] = ready + seconds;
-            critical = critical.max(finish[t.0]);
+            stats[stat_of[graph.resource(t).0]].busy_seconds += seconds[t.0];
         }
-        pools.retain(|p| p.tasks > 0);
+        stats.retain(|p| p.tasks > 0);
 
         Ok(TaskBreakdown {
-            pools,
-            critical_path_seconds: critical,
+            pools: stats,
+            critical_path_seconds: graph.critical_path_by(|t| seconds[t.0]),
             wall_seconds,
             tasks_total: total as u64,
         })
@@ -431,7 +360,7 @@ impl Executor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU32;
+    use std::sync::atomic::{AtomicU32, Ordering};
 
     /// A diamond across three pools: gpu -> {g2m, m2g} -> cpu.
     fn diamond() -> TaskGraph {
@@ -539,6 +468,38 @@ mod tests {
         let breakdown = Executor::new(3).run(&g, &|_| Ok(())).unwrap();
         assert_eq!(breakdown.tasks_total, 0);
         assert!(breakdown.pools.is_empty());
+    }
+
+    #[test]
+    fn one_worker_starts_tasks_in_the_simulated_order() {
+        use rand::{Rng, SeedableRng};
+        for seed in 0..8 {
+            // Forty tasks on one resource, each depending on a few random
+            // earlier ones: at width 1 the pick order alone sets the
+            // start order.
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let mut g = TaskGraph::new();
+            let cpu = g.add_resource("cpu");
+            g.set_resource_class(cpu, ResourceClass::CpuCompute);
+            for t in 0..40 {
+                let deps: Vec<TaskId> = (0..t).filter(|_| rng.gen_bool(0.08)).map(TaskId).collect();
+                g.add_task(cpu, 1.0, ratel_sim::Stage::Forward, &deps);
+            }
+            let report = ratel_sim::simulate(&g);
+            let mut simulated: Vec<usize> = (0..g.len()).collect();
+            simulated.sort_by(|&a, &b| {
+                let start = |t| report.task_start(TaskId(t));
+                start(a).total_cmp(&start(b))
+            });
+            let executed = Mutex::new(Vec::new());
+            Executor::new(1)
+                .run(&g, &|t: TaskId| {
+                    executed.lock().push(t.0);
+                    Ok(())
+                })
+                .unwrap();
+            assert_eq!(executed.into_inner(), simulated, "seed {seed}");
+        }
     }
 
     #[test]

@@ -3,32 +3,9 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
+use crate::dispatch::Dispatcher;
 use crate::graph::{TaskGraph, TaskId};
 use crate::report::SimReport;
-
-/// A ready task waiting in a resource's queue, ordered by (ready time, id)
-/// so execution is deterministic.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct Waiting {
-    ready: f64,
-    id: TaskId,
-}
-
-impl Eq for Waiting {}
-
-impl Ord for Waiting {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.ready
-            .total_cmp(&other.ready)
-            .then(self.id.cmp(&other.id))
-    }
-}
-
-impl PartialOrd for Waiting {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
 
 /// A completion event in the global event heap.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -53,114 +30,48 @@ impl PartialOrd for Completion {
 
 /// Executes `graph` to completion and returns timing and utilization data.
 ///
-/// Each resource serves its ready queue one task at a time in
-/// (ready-time, insertion) order — a FIFO DMA/stream model. The simulation
-/// is deterministic for a given graph.
+/// Each resource serves its ready tasks one at a time in (ready time, id)
+/// order — a FIFO DMA/stream model. The simulation is deterministic for
+/// a given graph.
 pub fn simulate(graph: &TaskGraph) -> SimReport {
-    let n = graph.tasks.len();
-    let mut indegree: Vec<usize> = graph.tasks.iter().map(|t| t.deps.len()).collect();
-    let mut successors: Vec<Vec<TaskId>> = vec![Vec::new(); n];
-    for (i, t) in graph.tasks.iter().enumerate() {
-        for d in &t.deps {
-            successors[d.0].push(TaskId(i));
-        }
-    }
+    simulate_width(graph, 1)
+}
 
-    let mut queues: Vec<BinaryHeap<Reverse<Waiting>>> = (0..graph.resources.len())
-        .map(|_| BinaryHeap::new())
-        .collect();
-    let mut resource_free = vec![0.0_f64; graph.resources.len()];
-    let mut resource_busy = vec![false; graph.resources.len()];
-
+/// [`simulate`] with `width` tasks of each resource in service at once:
+/// the [`Dispatcher`] the engine's executor runs `width` workers per
+/// pool over, driven by the event clock.
+///
+/// # Panics
+/// If `width` is zero.
+pub fn simulate_width(graph: &TaskGraph, width: usize) -> SimReport {
+    let n = graph.len();
+    let mut dispatch = Dispatcher::new(graph, width);
     let mut start = vec![f64::NAN; n];
     let mut finish = vec![f64::NAN; n];
     let mut events: BinaryHeap<Reverse<Completion>> = BinaryHeap::new();
-
-    let try_start = |r: usize,
-                     now: f64,
-                     queues: &mut Vec<BinaryHeap<Reverse<Waiting>>>,
-                     resource_free: &mut Vec<f64>,
-                     resource_busy: &mut Vec<bool>,
-                     start: &mut Vec<f64>,
-                     finish: &mut Vec<f64>,
-                     events: &mut BinaryHeap<Reverse<Completion>>| {
-        if resource_busy[r] {
-            return;
-        }
-        if let Some(Reverse(w)) = queues[r].pop() {
-            let begin = now.max(resource_free[r]).max(w.ready);
-            let end = begin + graph.tasks[w.id.0].service;
-            start[w.id.0] = begin;
-            finish[w.id.0] = end;
-            resource_busy[r] = true;
-            resource_free[r] = end;
-            events.push(Reverse(Completion { at: end, id: w.id }));
-        }
-    };
-
-    // Seed: tasks with no dependencies are ready at t=0.
-    for (i, t) in graph.tasks.iter().enumerate() {
-        if t.deps.is_empty() {
-            queues[t.resource.0].push(Reverse(Waiting {
-                ready: 0.0,
-                id: TaskId(i),
-            }));
-        }
-    }
-    for r in 0..graph.resources.len() {
-        try_start(
-            r,
-            0.0,
-            &mut queues,
-            &mut resource_free,
-            &mut resource_busy,
-            &mut start,
-            &mut finish,
-            &mut events,
-        );
-    }
-
-    let mut completed = 0usize;
-    while let Some(Reverse(Completion { at, id })) = events.pop() {
-        completed += 1;
-        let r = graph.tasks[id.0].resource.0;
-        resource_busy[r] = false;
-        for &succ in &successors[id.0] {
-            indegree[succ.0] -= 1;
-            if indegree[succ.0] == 0 {
-                let sr = graph.tasks[succ.0].resource.0;
-                queues[sr].push(Reverse(Waiting {
-                    ready: at,
-                    id: succ,
+    let mut now = 0.0;
+    loop {
+        for r in graph.resource_ids() {
+            while let Some(id) = dispatch.next(r) {
+                start[id.0] = now;
+                finish[id.0] = now + graph.service(id);
+                events.push(Reverse(Completion {
+                    at: finish[id.0],
+                    id,
                 }));
-                try_start(
-                    sr,
-                    at,
-                    &mut queues,
-                    &mut resource_free,
-                    &mut resource_busy,
-                    &mut start,
-                    &mut finish,
-                    &mut events,
-                );
             }
         }
-        try_start(
-            r,
-            at,
-            &mut queues,
-            &mut resource_free,
-            &mut resource_busy,
-            &mut start,
-            &mut finish,
-            &mut events,
-        );
+        let Some(Reverse(Completion { at, id })) = events.pop() else {
+            break;
+        };
+        now = at;
+        dispatch.complete(id, at, |_| {});
     }
 
-    assert_eq!(
-        completed, n,
+    assert!(
+        dispatch.finished(),
         "deadlock: {} of {n} tasks completed (cycle or orphaned dependency)",
-        completed
+        dispatch.completed()
     );
 
     SimReport::build(graph, &start, &finish)
@@ -205,7 +116,15 @@ mod tests {
         g.add_task(pcie, 2.0, Stage::Forward, &[]);
         g.add_task(pcie, 2.0, Stage::Forward, &[]);
         g.add_task(pcie, 2.0, Stage::Forward, &[]);
-        assert_eq!(simulate(&g).makespan, 6.0);
+        // One slot serves the three in turn; each slot more serves one
+        // more of them at once.
+        for (width, makespan) in [(1, 6.0), (2, 4.0), (3, 2.0)] {
+            assert_eq!(
+                simulate_width(&g, width).makespan,
+                makespan,
+                "width {width}"
+            );
+        }
     }
 
     #[test]

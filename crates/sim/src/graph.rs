@@ -249,10 +249,17 @@ impl TaskGraph {
     /// Length of the longest dependency chain (sum of service times) — a
     /// lower bound on the makespan.
     pub fn critical_path(&self) -> f64 {
+        self.critical_path_by(|t| self.service(t))
+    }
+
+    /// [`critical_path`](Self::critical_path) with each task taking
+    /// `seconds(task)` instead of its service time — e.g. the durations
+    /// an execution measured.
+    pub fn critical_path_by(&self, seconds: impl Fn(TaskId) -> f64) -> f64 {
         let mut finish = vec![0.0_f64; self.tasks.len()];
         for (i, t) in self.tasks.iter().enumerate() {
             let ready = t.deps.iter().map(|d| finish[d.0]).fold(0.0_f64, f64::max);
-            finish[i] = ready + t.service;
+            finish[i] = ready + seconds(TaskId(i));
         }
         finish.into_iter().fold(0.0, f64::max)
     }
@@ -283,6 +290,8 @@ mod tests {
         let b = g.add_task(r2, 5.0, Stage::Forward, &[]);
         let _c = g.add_task(r1, 1.0, Stage::Backward, &[a, b]);
         assert_eq!(g.critical_path(), 6.0);
+        // Measured durations can move the path to the other branch.
+        assert_eq!(g.critical_path_by(|t| [7.0, 1.0, 1.0][t.0]), 8.0);
     }
 
     #[test]

@@ -8,7 +8,10 @@
 //! ready-order (FIFO); a task becomes ready when all its dependencies have
 //! finished. This mirrors how CUDA streams, DMA engines, and an io_uring
 //! SSD queue behave at the granularity the paper reasons about: fully
-//! pipelinable, bandwidth-bound, no preemption.
+//! pipelinable, bandwidth-bound, no preemption. That policy is one state
+//! machine, the [`Dispatcher`], which the engine's executor drives with
+//! worker threads too; [`simulate_width`] gives each resource the
+//! executor's `width` slots.
 //!
 //! The engine reports the makespan, per-resource busy time, and per-stage
 //! windows/utilizations — exactly the quantities in the paper's Fig. 1
@@ -17,13 +20,15 @@
 //! feeds the [`trace`] module: Chrome trace-event JSON export, ASCII
 //! timelines, and an idle-gap ("bubble") analyzer.
 
+pub mod dispatch;
 pub mod engine;
 pub mod graph;
 pub mod meta;
 pub mod report;
 pub mod trace;
 
-pub use engine::simulate;
+pub use dispatch::Dispatcher;
+pub use engine::{simulate, simulate_width};
 pub use graph::{ResourceId, Stage, TaskGraph, TaskId};
 pub use meta::{
     BlobKey, BlobKind, Edge, MemTier, OpClass, ResidencyAlloc, ResourceClass, TaskIdentity,

@@ -1,16 +1,18 @@
-//! Seeded-bug mutant suite for `ratel-check` (ISSUE 10 acceptance).
+//! Seeded-bug mutant suite for `ratel-check`.
 //!
-//! Each of the three core sync protocols is modeled twice: the pristine
+//! Each modeled protocol — the flight-recorder seqlock, the store's
+//! pending-key handshake, a two-lock order — runs twice: the pristine
 //! protocol must pass full bounded exploration, and a seeded-bug mutant
-//! — lost-notify condvar, lock-order-inverted two-lock, torn-read
-//! seqlock — must be caught with a finding that names the lock/atomic
+//! — torn-read seqlock, lost-notify condvar, lock-order-inverted
+//! two-lock — must be caught with a finding that names the lock/atomic
 //! and carries an interleaving witness. The pending-key handshake is
 //! also explored on the real `TieredStore`, not only on its model — the
-//! in-place `modify` included.
+//! in-place `modify` included. (The executor's dispatch has no model:
+//! `ratel-sim`'s dispatcher tests enumerate its completion orders.)
 
 use std::sync::Arc;
 
-use ratel_check::models::{exec, locks, pending, seqlock};
+use ratel_check::models::{locks, pending, seqlock};
 use ratel_check::sync::thread::spawn_named;
 use ratel_check::{lockorder, CheckFailure, Explorer, FailureKind, Report};
 use ratel_storage::{StorageError, Tier, TierConfig, TieredStore};
@@ -176,34 +178,6 @@ fn real_store_modify_against_reader_and_mover() {
     .unwrap_or_else(|f| panic!("modify vs. reader and mover on the real store failed:\n{f}"));
     assert!(report.complete, "schedule tree not fully enumerated");
     assert!(report.schedules > 1);
-}
-
-// ---- dependency-counted ready queues (core::engine::executor) ----
-
-#[test]
-fn pristine_executor_passes_bounded_exploration() {
-    let report = explore_model(|| exec::run(exec::Variant::Pristine))
-        .unwrap_or_else(|f| panic!("pristine executor failed:\n{f}"));
-    assert!(report.complete, "schedule tree not fully enumerated");
-    assert!(report.schedules > 1);
-}
-
-#[test]
-fn lost_decrement_mutant_is_caught() {
-    let failure = explore_model(|| exec::run(exec::Variant::LostDecrement))
-        .expect_err("lost-decrement mutant must be caught");
-    assert_eq!(failure.kind, FailureKind::Deadlock);
-    assert!(
-        failure.message.contains("exec.ready") || failure.message.contains("exec.queue"),
-        "finding must name the queue/condvar:\n{failure}"
-    );
-    assert!(
-        failure
-            .witness
-            .iter()
-            .any(|line| line.contains("exec.deps")),
-        "witness must show the lost decrement:\n{failure}"
-    );
 }
 
 // ---- two-lock ordering ----
