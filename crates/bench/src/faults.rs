@@ -19,6 +19,7 @@ use std::sync::Arc;
 use ratel::api::Ratel;
 use ratel::engine::data::learnable_batch;
 use ratel::{Batch, RatelTrainer};
+use ratel_sim::BlobKey;
 use ratel_storage::fault::FaultPlan;
 use ratel_storage::telemetry::FaultStats;
 use ratel_tensor::GptConfig;
@@ -143,7 +144,7 @@ pub fn faults_model(name: &str) -> Option<GptConfig> {
 }
 
 /// Builds one trainer with `plan` installed, identical otherwise.
-fn build_trainer(model: GptConfig, plan: Arc<FaultPlan>) -> Result<RatelTrainer, String> {
+fn build_trainer(model: GptConfig, plan: Arc<FaultPlan<BlobKey>>) -> Result<RatelTrainer, String> {
     Ratel::init(model)
         .seed(42)
         .learning_rate(1e-3)

@@ -12,7 +12,8 @@
 //!
 //! * `allocs` — heap allocations per steady-state call of a hot path,
 //!   counted by the global allocator below (which is why this is a
-//!   binary and not a test): must be 0;
+//!   binary and not a test): must be 0 (a `count` beside one is the same
+//!   call done another way, printed for contrast);
 //! * `ratio` with a floor — two wall-clocks taken back to back in this
 //!   process, tuned path over its oracle, so machine speed cancels. The
 //!   claim is "the path we ship is not slower than the path it
@@ -28,6 +29,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
+use ratel_sim::{BlobKey, BlobKind};
 use ratel_storage::{Tier, TierConfig, TieredStore};
 use ratel_tensor::dtype::{
     decode_f16, decode_f32, encode_f16, encode_f32, f32_to_f16_bits, f32_to_f16_bits_slice,
@@ -84,8 +86,9 @@ pub fn allocation_count() -> u64 {
 pub struct PerfEntry {
     /// Unique name within the suite (encodes variant + problem size).
     pub name: String,
-    /// One of `gflops`, `elems_per_s`, `gbps` (printed, never compared),
-    /// `ratio` (compared against `floor`) or `allocs` (must be 0).
+    /// One of `gflops`, `elems_per_s`, `gbps`, `count` (printed, never
+    /// compared), `ratio` (compared against `floor`) or `allocs` (must be
+    /// 0).
     pub metric: &'static str,
     /// The measured value.
     pub value: f64,
@@ -733,7 +736,48 @@ fn run_ssd(smoke: bool) -> Result<Vec<PerfEntry>, String> {
             None,
         ));
     }
+
+    // What a store call costs in allocations for its key: nothing with
+    // the engine's `Copy` keys; with `String` keys, printed for contrast,
+    // each call owns a copy of its key.
+    let typed = key_allocs([BlobKind::Master, BlobKind::Moments].map(|k| BlobKey::shared(k, 0)))?;
+    let named = key_allocs(["layer0/master", "layer0/moments"].map(String::from))?;
+    for (call, (typed, named)) in ["modify_two_host_blobs", "move_host_gpu_host"]
+        .into_iter()
+        .zip(typed.into_iter().zip(named))
+    {
+        entries.push(PerfEntry::allocs(
+            &format!("store_{call}_allocs_per_call"),
+            typed,
+        ));
+        let name = format!("store_{call}_string_keys_allocs_per_call");
+        entries.push(PerfEntry::report(name, "count", named));
+    }
     Ok(entries)
+}
+
+/// Allocations per call, on a store keyed by `keys`' type, of `modify` over
+/// two host-resident blobs and of an in-memory `move_to` round trip
+/// Host → Gpu → Host.
+fn key_allocs<K: Clone + Eq + std::hash::Hash + std::fmt::Display>(
+    [a, b]: [K; 2],
+) -> Result<[f64; 2], String> {
+    let store = TieredStore::new(TierConfig::unbounded_temp()).map_err(|e| e.to_string())?;
+    for key in [&a, &b] {
+        (store.put(key, Tier::Host, vec![0u8; 4096])).map_err(|e| e.to_string())?;
+    }
+    let modify = min_allocs_per_call(10, || {
+        let flip = |[x, y]: [&mut [u8]; 2]| {
+            x[0] ^= 1;
+            y[0] ^= 1;
+        };
+        std::hint::black_box(store.modify([&a, &b], flip)).ok();
+    });
+    let round_trip = min_allocs_per_call(10, || {
+        std::hint::black_box(store.move_to(&a, Tier::Gpu)).ok();
+        std::hint::black_box(store.move_to(&a, Tier::Host)).ok();
+    });
+    Ok([modify, round_trip])
 }
 
 // ---------------------------------------------------------------------

@@ -133,7 +133,8 @@ impl From<Stage> for SpanKind {
     }
 }
 
-/// The kind of logical blob a task touches.
+/// The kind of logical blob a task touches, or the engine's tiered store
+/// holds.
 ///
 /// *Persistent* kinds ([`BlobKind::is_persistent`]) survive across
 /// iterations in exactly one storage location, so writing version `v+1`
@@ -141,6 +142,25 @@ impl From<Stage> for SpanKind {
 /// verifier enforces write-after-read ordering for them. The remaining
 /// kinds are transient, double-buffered staging or per-iteration data,
 /// where only read-after-write (producer dominates consumer) applies.
+///
+/// Which kinds the schedule emitter annotates on its tasks and which the
+/// engine's store holds as blobs (keyed by engine layer id, whole or by
+/// chunk):
+///
+/// | kind | emitter | store |
+/// |---|---|---|
+/// | `Param16` | yes | P16 at rest (all-SSD placement) |
+/// | `Master` | yes (P32 + OS32) | P32 only |
+/// | `Grad` | yes | G16 landed in host memory |
+/// | `GradReduced` | yes | an accumulated step's f32 sum |
+/// | `Act` | yes (checkpoint included) | saved activations, per chunk |
+/// | `Flow`, `FlowGrad`, `Stage`, `ParamGpu`, `StageOpt` | yes | — |
+/// | `Moments` | — (inside `Master`) | OS32 |
+/// | `P16Fwd`, `P16Bwd` | — (`Stage`, `ParamGpu`) | a pass's staged P16 |
+/// | `Ckpt` | — (inside `Act`) | a block's checkpoint |
+/// | `GradMicro` | — | a non-final micro-batch's G16 |
+/// | `P16Pinned`, `Kv` | — | a decode call's pins and KV caches |
+/// | `MasterLoading`, `MomentsLoading`, `P16Loading` | — | checkpoint-load shadows |
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum BlobKind {
     /// The fp16 parameter copy wherever it persists between iterations
@@ -169,6 +189,30 @@ pub enum BlobKind {
     ParamGpu,
     /// Staging/working buffers of an optimizer handler.
     StageOpt,
+    /// A layer's OS32 Adam moments, which the engine keeps apart from its
+    /// P32 master. Persistent.
+    Moments,
+    /// A layer's P16 staged for one forward pass (of a step, an eval or a
+    /// decode position) on its way to the arena.
+    P16Fwd,
+    /// A layer's P16 staged for its backward pass.
+    P16Bwd,
+    /// A layer's P16 held in host memory for one decode call.
+    P16Pinned,
+    /// A block's checkpoint: its input A16, offloaded by forward and
+    /// fetched back for backward.
+    Ckpt,
+    /// A non-final micro-batch's G16 on its way into the accumulator.
+    GradMicro,
+    /// A block's KV cache between decode passes.
+    Kv,
+    /// A verified checkpoint master waiting on the SSD tier beside the
+    /// one it replaces.
+    MasterLoading,
+    /// Checkpoint moments waiting like [`BlobKind::MasterLoading`].
+    MomentsLoading,
+    /// A re-derived P16 waiting like [`BlobKind::MasterLoading`].
+    P16Loading,
 }
 
 impl BlobKind {
@@ -176,7 +220,7 @@ impl BlobKind {
     /// type-level docs): write-after-read hazards are checked only for
     /// persistent kinds.
     pub fn is_persistent(self) -> bool {
-        matches!(self, BlobKind::Param16 | BlobKind::Master)
+        matches!(self, Self::Param16 | Self::Master | Self::Moments)
     }
 
     /// Short display name.
@@ -192,6 +236,16 @@ impl BlobKind {
             BlobKind::Stage => "stage",
             BlobKind::ParamGpu => "param-gpu",
             BlobKind::StageOpt => "stage-opt",
+            BlobKind::Moments => "moments",
+            BlobKind::P16Fwd => "p16-fwd",
+            BlobKind::P16Bwd => "p16-bwd",
+            BlobKind::P16Pinned => "p16-pinned",
+            BlobKind::Ckpt => "ckpt",
+            BlobKind::GradMicro => "grad-micro",
+            BlobKind::Kv => "kv",
+            BlobKind::MasterLoading => "master-loading",
+            BlobKind::MomentsLoading => "moments-loading",
+            BlobKind::P16Loading => "p16-loading",
         }
     }
 }
@@ -660,7 +714,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn persistent_kinds_are_exactly_params_and_master() {
+    fn persistent_kinds_are_exactly_params_master_and_moments() {
         for kind in [
             BlobKind::Param16,
             BlobKind::Master,
@@ -672,10 +726,23 @@ mod tests {
             BlobKind::Stage,
             BlobKind::ParamGpu,
             BlobKind::StageOpt,
+            BlobKind::Moments,
+            BlobKind::P16Fwd,
+            BlobKind::P16Bwd,
+            BlobKind::P16Pinned,
+            BlobKind::Ckpt,
+            BlobKind::GradMicro,
+            BlobKind::Kv,
+            BlobKind::MasterLoading,
+            BlobKind::MomentsLoading,
+            BlobKind::P16Loading,
         ] {
             assert_eq!(
                 kind.is_persistent(),
-                matches!(kind, BlobKind::Param16 | BlobKind::Master),
+                matches!(
+                    kind,
+                    BlobKind::Param16 | BlobKind::Master | BlobKind::Moments
+                ),
                 "{}",
                 kind.name()
             );

@@ -47,7 +47,7 @@
 
 use std::sync::Arc;
 
-use ratel_sim::MemTier;
+use ratel_sim::{BlobKey, MemTier};
 use ratel_storage::{FaultPlan, RetryPolicy, Route, TierConfig, TieredStore};
 use ratel_tensor::{AdamParams, GptConfig};
 
@@ -78,7 +78,7 @@ pub struct Ratel {
     act_override: Option<Vec<ActDecision>>,
     execution: ExecutionOptions,
     probe_bytes: usize,
-    fault_plan: Option<Arc<FaultPlan>>,
+    fault_plan: Option<Arc<FaultPlan<BlobKey>>>,
     retry_policy: Option<RetryPolicy>,
     spill_on_host_pressure: bool,
     resume_from: Option<std::path::PathBuf>,
@@ -205,7 +205,7 @@ impl Ratel {
     /// Installs a deterministic SSD fault-injection plan on the trainer's
     /// store (see [`FaultPlan`]). Injection starts *after* engine
     /// initialization, so op indices count training-time SSD operations.
-    pub fn fault_plan(mut self, plan: Arc<FaultPlan>) -> Self {
+    pub fn fault_plan(mut self, plan: Arc<FaultPlan<BlobKey>>) -> Self {
         self.fault_plan = Some(plan);
         self
     }

@@ -1,6 +1,7 @@
 //! Blob keys and accessors: where each layer's states live in the tiered
 //! store, and the helpers that move them in and out of it.
 
+use ratel_sim::{BlobKey, BlobKind};
 use ratel_storage::{StorageError, Tier, TieredStore};
 use ratel_tensor::dtype::{decode_f16, decode_f32, f32_le_to_f16_le};
 use ratel_tensor::{CrossEntropy, Embedding, GptConfig, GptModel, ParamLayer, TransformerBlock};
@@ -9,42 +10,12 @@ use super::RatelEngine;
 use crate::error::RatelError;
 use crate::schedule::{LayerTask, Placement};
 
-/// Storage keys for a layer's blobs. Layer ids: 0 = embedding, 1..=L =
-/// blocks, L+1 = head.
-pub(super) fn master_key(layer: usize) -> String {
-    format!("layer{layer}/master")
-}
-pub(super) fn moments_key(layer: usize) -> String {
-    format!("layer{layer}/moments")
-}
-pub(super) fn p16_key(layer: usize) -> String {
-    format!("layer{layer}/p16")
-}
-/// A layer's P16 held in the host tier for one decode call (see
-/// `generate.rs`).
-pub(super) fn pinned_key(layer: usize) -> String {
-    format!("layer{layer}/p16#pinned")
-}
-pub(super) fn grad_key(layer: usize) -> String {
-    format!("layer{layer}/grad")
-}
-/// A non-final micro-batch's G16, on its way into the accumulator.
-pub(super) fn micro_grad_key(layer: usize) -> String {
-    format!("layer{layer}/grad-micro")
-}
-/// A block's saved activations: the whole blob, or — for a blob that
-/// moves in chunks — chunk `c` of it (`block{b}/acts#c`).
-pub(super) fn act_key(block: usize, chunk: Option<usize>) -> String {
-    match chunk {
-        Some(c) => format!("block{block}/acts#{c}"),
-        None => format!("block{block}/acts"),
-    }
-}
-pub(super) fn ckpt_key(layer: usize) -> String {
-    format!("layer{layer}/ckpt")
-}
-pub(super) fn accum_key(layer: usize) -> String {
-    format!("layer{layer}/grad-accum")
+/// The store's name of layer `layer`'s blob of kind `kind` — the only
+/// name a blob has while the engine runs. Layer ids: 0 = embedding,
+/// 1..=L = blocks, L+1 = head. A blob that moves in chunks adds the
+/// chunk ([`BlobKey::chunk`]).
+pub(super) fn key(kind: BlobKind, layer: usize) -> BlobKey {
+    BlobKey::shared(kind, layer)
 }
 
 /// The tier a layer's moments rest in between steps: host memory where
@@ -106,12 +77,12 @@ fn initial_master(config: GptConfig, seed: u64, layer: usize) -> Vec<u8> {
 /// straight into layer `layer`'s scratch slot — the one way parameters
 /// reach the compute kernels, in a step and in eval/decode alike.
 pub(super) fn load_staged_params(
-    store: &TieredStore,
+    store: &TieredStore<BlobKey>,
     scratch: &mut LayerScratch,
     layer: usize,
-    staged: &str,
+    staged: BlobKey,
 ) -> Result<(), StorageError> {
-    let p16 = store.take(staged)?;
+    let p16 = store.take(&staged)?;
     scratch.slot_mut(layer).set_params_f16_le(&p16);
     Ok(())
 }
@@ -122,33 +93,36 @@ pub(super) fn load_staged_params(
 /// how an SSD-placed layer's handler publishes its fresh P16. The bits
 /// are the same either way, so a step does not depend on the placement.
 pub(super) fn publish_p16(
-    store: &TieredStore,
+    store: &TieredStore<BlobKey>,
     layer: usize,
-    key: &str,
+    p16: BlobKey,
     tier: Tier,
 ) -> Result<(), StorageError> {
-    let p16 = store.modify([&master_key(layer)], |[master]| f32_le_to_f16_le(master))?;
-    store.put(key, Tier::Host, p16)?;
-    store.move_to(key, tier)
+    let master = key(BlobKind::Master, layer);
+    let bytes = store.modify([&master], |[master]| f32_le_to_f16_le(master))?;
+    store.put(&p16, Tier::Host, bytes)?;
+    store.move_to(&p16, tier)
 }
 
 /// Stores an f16 blob in the GPU tier and swaps it to `target`.
 pub(super) fn offload_f16(
-    store: &TieredStore,
-    key: &str,
+    store: &TieredStore<BlobKey>,
+    key: BlobKey,
     bytes: Vec<u8>,
     target: Tier,
 ) -> Result<(), StorageError> {
-    store.put(key, Tier::Gpu, bytes)?;
-    store.move_to(key, target)?;
-    Ok(())
+    store.put(&key, Tier::Gpu, bytes)?;
+    store.move_to(&key, target)
 }
 
 /// Fetches an f16 blob back to the GPU tier and takes it out of the
 /// store, returning the bytes.
-pub(super) fn fetch_f16(store: &TieredStore, key: &str) -> Result<Vec<u8>, StorageError> {
-    store.move_to(key, Tier::Gpu)?;
-    store.take(key)
+pub(super) fn fetch_f16(
+    store: &TieredStore<BlobKey>,
+    key: BlobKey,
+) -> Result<Vec<u8>, StorageError> {
+    store.move_to(&key, Tier::Gpu)?;
+    store.take(&key)
 }
 
 impl RatelEngine {
@@ -173,16 +147,16 @@ impl RatelEngine {
                     self.store.put_batch(
                         Tier::Ssd,
                         vec![
-                            (master_key(layer), master),
-                            (moments_key(layer), moments),
-                            (p16_key(layer), p16),
+                            (key(BlobKind::Master, layer), master),
+                            (key(BlobKind::Moments, layer), moments),
+                            (key(BlobKind::Param16, layer), p16),
                         ],
                     )?;
                 }
                 Placement::HostMaster => {
-                    self.store.put(&master_key(layer), Tier::Host, master)?;
-                    self.store
-                        .put(&moments_key(layer), moments_tier(task), moments)?;
+                    let tier = moments_tier(task);
+                    (self.store).put(&key(BlobKind::Master, layer), Tier::Host, master)?;
+                    (self.store).put(&key(BlobKind::Moments, layer), tier, moments)?;
                 }
             }
         }
@@ -195,23 +169,25 @@ impl RatelEngine {
     /// from where the plan placed them — rounded from the host-resident
     /// master, or copied from the SSD tier.
     pub(super) fn stage_params(&mut self, layer: usize) -> Result<(), StorageError> {
-        let staged = format!("{}#staged", p16_key(layer));
-        let pinned = pinned_key(layer);
+        let staged = key(BlobKind::P16Fwd, layer);
+        let pinned = key(BlobKind::P16Pinned, layer);
         if self.store.contains(&pinned) {
             self.store.copy_to(&pinned, &staged, Tier::Gpu)?;
         } else {
             match self.plan.placement {
-                Placement::HostMaster => publish_p16(&self.store, layer, &staged, Tier::Gpu)?,
-                Placement::Ssd => self.store.copy_to(&p16_key(layer), &staged, Tier::Gpu)?,
+                Placement::HostMaster => publish_p16(&self.store, layer, staged, Tier::Gpu)?,
+                Placement::Ssd => {
+                    (self.store).copy_to(&key(BlobKind::Param16, layer), &staged, Tier::Gpu)?
+                }
             }
         }
-        load_staged_params(&self.store, &mut self.scratch, layer, &staged)
+        load_staged_params(&self.store, &mut self.scratch, layer, staged)
     }
 
     /// Reads the current master (f32) parameters of a layer — for tests
     /// and checkpoint export.
     pub fn master_params(&self, layer: usize) -> Result<Vec<f32>, RatelError> {
-        Ok(decode_f32(&self.store.read(&master_key(layer))?))
+        Ok(decode_f32(&self.store.read(&key(BlobKind::Master, layer))?))
     }
 
     /// The current P16 compute copy of a layer (decoded to f32): the
@@ -219,8 +195,10 @@ impl RatelEngine {
     /// host-resident master.
     pub fn p16_params(&self, layer: usize) -> Result<Vec<f32>, RatelError> {
         let p16 = match self.plan.placement {
-            Placement::Ssd => self.store.read(&p16_key(layer))?,
-            Placement::HostMaster => f32_le_to_f16_le(&self.store.read(&master_key(layer))?),
+            Placement::Ssd => self.store.read(&key(BlobKind::Param16, layer))?,
+            Placement::HostMaster => {
+                f32_le_to_f16_le(&self.store.read(&key(BlobKind::Master, layer))?)
+            }
         };
         Ok(decode_f16(&p16))
     }

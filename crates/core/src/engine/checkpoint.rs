@@ -23,10 +23,10 @@
 //! walks backward through generations until one passes — torn or
 //! bit-flipped checkpoints are *detected*, never silently restored.
 //! While a generation is verified, each blob whose key rests on the SSD
-//! tier waits there under a shadow key, so the loader holds only the
-//! blobs bound for host memory; once all pass, each shadow is renamed
-//! over its key ([`TieredStore::rename`], no byte moved) and the rest
-//! are overwritten in place. After a successful save the directory is
+//! tier waits there under a shadow key (a `…Loading` kind), so the loader
+//! holds only the blobs bound for host memory; once all pass, each shadow
+//! is renamed over its key ([`TieredStore::rename`], an index change
+//! alone) and the rest are overwritten in place. After a successful save the directory is
 //! pruned to the two newest generations.
 //!
 //! Manifest format (text, one record per line):
@@ -47,13 +47,14 @@ use std::fs;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
+use ratel_sim::{BlobKey, BlobKind};
 use ratel_storage::{StorageError, Tier, TieredStore};
 use ratel_tensor::dtype::f32_le_to_f16_le;
 
 use crate::error::RatelError;
 use crate::schedule::Placement;
 
-use super::blobs::{master_key, moments_key, p16_key};
+use super::blobs::key;
 use super::RatelEngine;
 
 /// FNV-1a 64-bit — tiny, dependency-free, and plenty to catch torn
@@ -120,51 +121,57 @@ struct Manifest {
 
 /// A verified blob on its way into the engine under `key`: its bytes
 /// when the key rests in host memory, `None` once they wait on the SSD
-/// tier under the key's [`shadow_key`].
+/// tier under `shadow`.
 struct Staged {
-    key: String,
+    key: BlobKey,
+    shadow: BlobKey,
     bytes: Option<Vec<u8>>,
 }
 
-/// Where a blob bound for an SSD-resident key waits while the rest of
-/// its generation is verified.
-fn shadow_key(key: &str) -> String {
-    format!("{key}#loading")
-}
-
 impl Staged {
-    /// Stages `bytes` for `key`: held in memory when `key` rests in host
-    /// memory, written beside it under its shadow when it rests on the
-    /// SSD tier (an unmetered put — the loader holds no SSD-bound blob).
-    fn new(store: &TieredStore, key: String, bytes: Vec<u8>) -> Result<Staged, StorageError> {
-        if store.tier_of(&key).ok() != Some(Tier::Ssd) {
-            return Ok(Staged {
-                key,
-                bytes: Some(bytes),
-            });
-        }
-        store.put(&shadow_key(&key), Tier::Ssd, bytes)?;
-        Ok(Staged { key, bytes: None })
+    /// Stages `bytes` for layer `layer`'s blob of kind `kind`: held in
+    /// memory when it rests in host memory, written beside it under its
+    /// shadow — the same layer's blob of kind `shadow` — when it rests on
+    /// the SSD tier (an unmetered put: the loader holds no SSD-bound
+    /// blob).
+    fn new(
+        store: &TieredStore<BlobKey>,
+        (kind, shadow): (BlobKind, BlobKind),
+        layer: usize,
+        bytes: Vec<u8>,
+    ) -> Result<Staged, StorageError> {
+        let (key, shadow) = (key(kind, layer), key(shadow, layer));
+        let bytes = if store.tier_of(&key).ok() == Some(Tier::Ssd) {
+            store.put(&shadow, Tier::Ssd, bytes)?;
+            None
+        } else {
+            Some(bytes)
+        };
+        Ok(Staged { key, shadow, bytes })
     }
 
     /// Replaces `key`'s blob where it rests: overwritten in host memory,
     /// or by its shadow, renamed over it on the SSD tier (a shadow that
     /// could not be is removed).
-    fn commit(self, store: &TieredStore) -> Result<(), StorageError> {
+    fn commit(self, store: &TieredStore<BlobKey>) -> Result<(), StorageError> {
         let Some(bytes) = self.bytes else {
-            let shadow = shadow_key(&self.key);
-            return store.rename(&shadow, &self.key).inspect_err(|_| {
-                let _ = store.remove(&shadow);
+            return store.rename(&self.shadow, &self.key).inspect_err(|_| {
+                let _ = store.remove(&self.shadow);
             });
         };
         store.overwrite(&self.key, bytes)
     }
 }
 
+/// What a checkpoint restores and the shadow each waits under.
+const MASTER: (BlobKind, BlobKind) = (BlobKind::Master, BlobKind::MasterLoading);
+const MOMENTS: (BlobKind, BlobKind) = (BlobKind::Moments, BlobKind::MomentsLoading);
+const P16: (BlobKind, BlobKind) = (BlobKind::Param16, BlobKind::P16Loading);
+
 /// Removes the shadows of `staged`, best-effort.
-fn discard(store: &TieredStore, staged: &[Staged]) {
+fn discard(store: &TieredStore<BlobKey>, staged: &[Staged]) {
     for blob in staged.iter().filter(|b| b.bytes.is_none()) {
-        let _ = store.remove(&shadow_key(&blob.key));
+        let _ = store.remove(&blob.shadow);
     }
 }
 
@@ -182,8 +189,8 @@ pub(crate) fn save(engine: &RatelEngine, dir: &Path) -> Result<(), RatelError> {
     body.push_str(&format!("generation {generation}\n"));
     body.push_str(&format!("step {}\n", engine.step));
     for layer in 0..engine.layer_count() {
-        let master = engine.store.read(&master_key(layer))?;
-        let moments = engine.store.read(&moments_key(layer))?;
+        let master = engine.store.read(&key(BlobKind::Master, layer))?;
+        let moments = engine.store.read(&key(BlobKind::Moments, layer))?;
         let mpath = blob_path(dir, generation, layer, "master");
         let opath = blob_path(dir, generation, layer, "moments");
         write_atomic(&mpath, &master).map_err(|e| io_err("master blob", e))?;
@@ -388,12 +395,12 @@ fn stage_blobs(
     for (layer, &(_, [master, moments])) in manifest.layers.iter().enumerate() {
         let bytes = read(layer, "master", master)?;
         let p16 = (engine.plan.placement == Placement::Ssd).then(|| f32_le_to_f16_le(&bytes));
-        staged.push(Staged::new(store, master_key(layer), bytes)?);
+        staged.push(Staged::new(store, MASTER, layer, bytes)?);
         if let Some(p16) = p16 {
-            staged.push(Staged::new(store, p16_key(layer), p16)?);
+            staged.push(Staged::new(store, P16, layer, p16)?);
         }
         let bytes = read(layer, "moments", moments)?;
-        staged.push(Staged::new(store, moments_key(layer), bytes)?);
+        staged.push(Staged::new(store, MOMENTS, layer, bytes)?);
     }
     Ok(())
 }
@@ -582,10 +589,14 @@ mod engine_tests {
         saved.train_step(&t, &y).unwrap();
         saved.save_checkpoint(&dir).unwrap();
 
-        // The write that re-publishes layer 1's P16 gives up.
+        // The write that stages layer 1's re-derived P16 gives up.
         let mut engine = mk();
         let plan = FaultPlan::new();
-        plan.fault_on_key_op(&p16_key(1), FaultOp::Write, FaultKind::Permanent);
+        plan.fault_on_key_op(
+            &key(BlobKind::P16Loading, 1),
+            FaultOp::Write,
+            FaultKind::Permanent,
+        );
         engine.store.set_fault_plan(Some(std::sync::Arc::new(plan)));
         let err = engine.load_checkpoint(&dir).unwrap_err();
         assert!(
@@ -598,7 +609,7 @@ mod engine_tests {
         for l in 0..engine.layer_count() {
             engine.master_params(l).unwrap();
             engine.p16_params(l).unwrap();
-            assert!(engine.store.contains(&moments_key(l)));
+            assert!(engine.store.contains(&key(BlobKind::Moments, l)));
         }
         engine.load_checkpoint(&dir).unwrap();
         for l in 0..engine.layer_count() {
@@ -634,9 +645,10 @@ mod engine_tests {
             let err = engine.load_checkpoint(&dir).unwrap_err();
             assert!(matches!(err, RatelError::CheckpointCorrupt(_)), "{err}");
             assert_eq!(tiers.map(|tier| engine.store.used(tier)), used);
-            let files = fs::read_dir(engine.store.ssd_dir()).unwrap().flatten();
-            let shadows: Vec<_> = files
-                .filter(|f| f.file_name().to_string_lossy().ends_with("#loading"))
+            let loading = [MASTER, MOMENTS, P16].map(|(_, shadow)| shadow);
+            let shadows: Vec<BlobKey> = (0..engine.layer_count())
+                .flat_map(|layer| loading.map(|kind| key(kind, layer)))
+                .filter(|shadow| engine.store.contains(shadow))
                 .collect();
             assert!(shadows.is_empty(), "{shadows:?}");
             let _ = fs::remove_dir_all(&dir);

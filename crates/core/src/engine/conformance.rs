@@ -8,8 +8,6 @@
 //! instrumented step's drained telemetry against the DAGs the engine
 //! dispatched and emitting structured [`Finding`]s for every divergence:
 //!
-//! * **unplanned transfers** — a blob key outside the engine's
-//!   `layer{N}/…` / `block{N}/…` inventory crossed a tier link;
 //! * **byte mismatches** — a route's measured step traffic differs from
 //!   the planned total (exact, same contract as `ratel-bench validate`;
 //!   an accumulated step of *k* micro-batches plans *k − 1* runs of the
@@ -29,7 +27,7 @@ use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
-use ratel_sim::{SpanKind, TaskId};
+use ratel_sim::TaskId;
 use ratel_storage::telemetry::SpanRecord;
 use ratel_storage::Route;
 
@@ -39,11 +37,11 @@ use super::StepPlan;
 
 /// Drift classes the monitor can report. The discriminants mirror the
 /// flight recorder's drift code table (`ratel_obs::EventKind::Drift`
-/// payload codes), so a dumped event decodes to the same name.
+/// payload codes), so a dumped event decodes to the same name. Every
+/// blob the engine moves is named by a typed key, so a transfer the plan
+/// does not account for shows as a [`DriftKind::ByteMismatch`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DriftKind {
-    /// A transfer moved a blob the plan knows nothing about.
-    UnplannedTransfer,
     /// A route's measured bytes differ from the planned total.
     ByteMismatch,
     /// A task's span started before a plan dependency's span ended.
@@ -56,17 +54,15 @@ impl DriftKind {
     /// Stable code matching `ratel_obs`'s drift-name table.
     pub fn index(self) -> usize {
         match self {
-            DriftKind::UnplannedTransfer => 0,
-            DriftKind::ByteMismatch => 1,
-            DriftKind::StageInversion => 2,
-            DriftKind::Stall => 3,
+            DriftKind::ByteMismatch => 0,
+            DriftKind::StageInversion => 1,
+            DriftKind::Stall => 2,
         }
     }
 
     /// Short stable name (matches the flight recorder's decoding).
     pub fn name(self) -> &'static str {
         match self {
-            DriftKind::UnplannedTransfer => "unplanned_transfer",
             DriftKind::ByteMismatch => "byte_mismatch",
             DriftKind::StageInversion => "stage_inversion",
             DriftKind::Stall => "stall",
@@ -81,7 +77,7 @@ pub struct Finding {
     pub kind: DriftKind,
     /// The route involved, when the finding is route-scoped.
     pub route: Option<Route>,
-    /// Human-readable specifics (blob key, span labels, bandwidths).
+    /// Human-readable specifics (span labels, bandwidths).
     pub detail: String,
     /// Planned quantity (bytes or bytes/s), when applicable.
     pub planned: Option<u64>,
@@ -103,8 +99,8 @@ impl fmt::Display for Finding {
     }
 }
 
-/// Monitor configuration. The default checks bytes, transfer inventory,
-/// and dependency order; bandwidth stall detection stays off until a route
+/// Monitor configuration. The default checks bytes and dependency
+/// order; bandwidth stall detection stays off until a route
 /// target is set (an unthrottled in-memory run has no meaningful
 /// bandwidth floor).
 #[derive(Debug, Clone)]
@@ -139,22 +135,6 @@ pub struct ConformanceMonitor {
     config: ConformanceConfig,
 }
 
-/// Whether a transfer's blob key belongs to the engine's planned
-/// inventory: `layer{N}/<blob>` (parameters, masters, moments,
-/// gradients, checkpoints — `#staged`/`#pf` suffixes included) or
-/// `block{N}/<blob>` (saved activations).
-fn planned_key(key: &str) -> bool {
-    for family in ["layer", "block"] {
-        if let Some(rest) = key.strip_prefix(family) {
-            let digits = rest.chars().take_while(|c| c.is_ascii_digit()).count();
-            if digits > 0 && rest[digits..].starts_with('/') {
-                return true;
-            }
-        }
-    }
-    false
-}
-
 impl ConformanceMonitor {
     pub(super) fn new(plan: Arc<StepPlan>, config: ConformanceConfig) -> Self {
         ConformanceMonitor { plan, config }
@@ -182,31 +162,10 @@ impl ConformanceMonitor {
     /// divergence found; an empty vector means the step conformed.
     pub fn check(&self, step: &StepTelemetry) -> Vec<Finding> {
         let mut findings = Vec::new();
-        self.check_transfers(step, &mut findings);
         self.check_bytes(step, &mut findings);
         self.check_dependencies(step, &mut findings);
         self.check_stalls(step, &mut findings);
         findings
-    }
-
-    /// Every transfer span's blob key must belong to a planned family.
-    fn check_transfers(&self, step: &StepTelemetry, findings: &mut Vec<Finding>) {
-        let mut flagged: Vec<&str> = Vec::new();
-        for s in &step.spans {
-            if s.kind != SpanKind::Transfer {
-                continue;
-            }
-            if !planned_key(&s.label) && !flagged.contains(&s.label.as_str()) {
-                flagged.push(&s.label);
-                findings.push(Finding {
-                    kind: DriftKind::UnplannedTransfer,
-                    route: s.route,
-                    detail: format!("blob {:?} is outside the planned inventory", s.label),
-                    planned: None,
-                    measured: s.bytes,
-                });
-            }
-        }
     }
 
     /// Measured route traffic must equal, to the byte, the ledgers of
@@ -301,25 +260,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn planned_key_accepts_inventory_and_rejects_aliens() {
-        for ok in [
-            "layer0/p16",
-            "layer12/p16#staged",
-            "layer3/p16#pf7",
-            "layer4/moments",
-            "block2/acts",
-        ] {
-            assert!(planned_key(ok), "{ok} should be planned");
-        }
-        for bad in ["rogue/blob", "layer/p16", "blockx/acts", "layers0/p16", ""] {
-            assert!(!planned_key(bad), "{bad} should be unplanned");
-        }
-    }
-
-    #[test]
     fn drift_codes_match_the_flight_recorder_table() {
         for kind in [
-            DriftKind::UnplannedTransfer,
             DriftKind::ByteMismatch,
             DriftKind::StageInversion,
             DriftKind::Stall,

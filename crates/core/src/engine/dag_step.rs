@@ -19,7 +19,7 @@ use std::time::Instant;
 
 use ratel_check::sync::Mutex;
 
-use ratel_sim::{MemTier, TaskGraph, TaskId, TaskIdentity, TaskKind, TaskRef};
+use ratel_sim::{BlobKey, BlobKind, MemTier, TaskGraph, TaskId, TaskIdentity, TaskKind, TaskRef};
 use ratel_storage::{StorageError, Tier, TieredStore};
 use ratel_tensor::dtype::{
     add_f16_le_to_f32_le, decode_f16, encode_f16, encode_f32, f32_le_to_f16_le,
@@ -27,10 +27,7 @@ use ratel_tensor::dtype::{
 };
 use ratel_tensor::{adam, block_dropout_spec, AdamParams, BlockSaved, HeadSaved, Tensor};
 
-use super::blobs::{
-    accum_key, act_key, ckpt_key, grad_key, load_staged_params, master_key, micro_grad_key,
-    moments_key, moments_tier, offload_f16, p16_key, publish_p16, LayerScratch,
-};
+use super::blobs::{key, load_staged_params, moments_tier, offload_f16, publish_p16, LayerScratch};
 use super::executor::TaskAction;
 use super::EngineConfig;
 use crate::error::RatelError;
@@ -247,27 +244,26 @@ impl StepDag {
     /// states its handlers staged go back where they rest. The tiers then
     /// hold what they held before the step, so a retry or a
     /// `load_checkpoint` starts from the states alone.
-    pub(super) fn release_failed_run(&self, store: &TieredStore) {
+    pub(super) fn release_failed_run(&self, store: &TieredStore<BlobKey>) {
         for (layer, task) in self.spec.layers.iter().enumerate() {
-            let mut staged = vec![
-                staged_key(layer, 'f'),
-                staged_key(layer, 'b'),
-                grad_key(layer),
-                micro_grad_key(layer),
-                accum_key(layer),
+            // A kind a layer never stages is simply not found.
+            let staged = [
+                BlobKind::P16Fwd,
+                BlobKind::P16Bwd,
+                BlobKind::Grad,
+                BlobKind::GradMicro,
+                BlobKind::GradReduced,
+                BlobKind::Ckpt,
             ];
-            if (1..self.spec.layers.len() - 1).contains(&layer) {
-                staged.push(ckpt_key(layer));
-                let chunks = saved_act_chunks(task).into_iter();
-                staged.extend(chunks.map(|chunk| act_key(layer - 1, chunk)));
-            }
-            for key in staged {
-                let _ = store.remove(&key);
+            let acts = saved_act_chunks(task).into_iter();
+            let acts = acts.map(|chunk| key(BlobKind::Act, layer).chunk(chunk));
+            for blob in staged.map(|kind| key(kind, layer)).into_iter().chain(acts) {
+                let _ = store.remove(&blob);
             }
             if let OptimizerKind::CpuOutOfCore { .. } = task.optimizer {
-                let _ = store.move_to(&moments_key(layer), moments_tier(task));
+                let _ = store.move_to(&key(BlobKind::Moments, layer), moments_tier(task));
                 if !task.master_in_host() {
-                    let _ = store.move_to(&master_key(layer), Tier::Ssd);
+                    let _ = store.move_to(&key(BlobKind::Master, layer), Tier::Ssd);
                 }
             }
         }
@@ -327,12 +323,6 @@ fn slot_violation(what: &str) -> StorageError {
     )))
 }
 
-/// The staged-copy key a layer's P16 uses for one pass. Forward and
-/// backward stage separately (the head is staged once, in forward).
-fn staged_key(layer: usize, pass: char) -> String {
-    format!("{}#stage-{pass}", p16_key(layer))
-}
-
 /// Shared state of one executing step: the [`TaskAction`] behind
 /// [`super::RatelEngine::train_step`].
 ///
@@ -343,7 +333,7 @@ fn staged_key(layer: usize, pass: char) -> String {
 /// scratch's lock — the graph already orders them into a chain, so the
 /// lock is never contended, it just satisfies the borrow checker.
 pub(super) struct StepCtx<'a> {
-    store: &'a Arc<TieredStore>,
+    store: &'a Arc<TieredStore<BlobKey>>,
     config: &'a EngineConfig,
     dag: &'a StepDag,
     /// Which DAG run of the step this is (micro-batch number).
@@ -384,7 +374,7 @@ impl<'a> StepCtx<'a> {
     /// Builds the shared context of one step.
     #[allow(clippy::too_many_arguments)]
     pub(super) fn new(
-        store: &'a Arc<TieredStore>,
+        store: &'a Arc<TieredStore<BlobKey>>,
         config: &'a EngineConfig,
         dag: &'a StepDag,
         run: usize,
@@ -448,19 +438,20 @@ impl<'a> StepCtx<'a> {
             .map(|p| block_dropout_spec(p, self.step_seed, block))
     }
 
-    /// Stage a layer's P16 from SSD into host memory (`pass` selects the
-    /// forward or backward staged copy).
-    fn param_read(&self, layer: usize, pass: char) -> Result<(), StorageError> {
-        self.store
-            .copy_to(&p16_key(layer), &staged_key(layer, pass), Tier::Host)
+    /// Stage a layer's P16 from SSD into host memory as the copy `pass`
+    /// (`P16Fwd` or `P16Bwd`: forward and backward stage separately, the
+    /// head once, in forward).
+    fn param_read(&self, layer: usize, pass: BlobKind) -> Result<(), StorageError> {
+        let p16 = key(BlobKind::Param16, layer);
+        self.store.copy_to(&p16, &key(pass, layer), Tier::Host)
     }
 
     /// Bring a layer's P16 into the GPU arena: the copy its read staged,
     /// or one rounded from the resident master.
-    fn param_fetch(&self, layer: usize, pass: char) -> Result<(), StorageError> {
-        let staged = staged_key(layer, pass);
+    fn param_fetch(&self, layer: usize, pass: BlobKind) -> Result<(), StorageError> {
+        let staged = key(pass, layer);
         if self.dag.spec.layers[layer].master_in_host() {
-            publish_p16(self.store, layer, &staged, Tier::Gpu)
+            publish_p16(self.store, layer, staged, Tier::Gpu)
         } else {
             self.store.move_to(&staged, Tier::Gpu)
         }
@@ -472,9 +463,9 @@ impl<'a> StepCtx<'a> {
         &self,
         scratch: &mut LayerScratch,
         layer: usize,
-        pass: char,
+        pass: BlobKind,
     ) -> Result<(), StorageError> {
-        load_staged_params(self.store, scratch, layer, &staged_key(layer, pass))
+        load_staged_params(self.store, scratch, layer, key(pass, layer))
     }
 
     /// The layer's forward kernels, after decoding its staged P16.
@@ -482,7 +473,7 @@ impl<'a> StepCtx<'a> {
         let c = self.config.model;
         let l = c.layers;
         let mut scratch = self.scratch.lock();
-        self.load_params(&mut scratch, layer, 'f')?;
+        self.load_params(&mut scratch, layer, BlobKind::P16Fwd)?;
         if layer == 0 {
             let mut x = scratch.embedding.forward(self.tokens, c.batch, c.seq);
             round_to_f16_in_place(x.data_mut());
@@ -540,14 +531,15 @@ impl<'a> StepCtx<'a> {
                 .lock()
                 .take()
                 .ok_or_else(|| slot_violation("checkpoint pending after block forward"))?;
-            offload_f16(self.store, &ckpt_key(layer), ckpt, Tier::Host)?;
+            offload_f16(self.store, key(BlobKind::Ckpt, layer), ckpt, Tier::Host)?;
         }
         if let Some(slot) = self.pending_act[b].get(c) {
             let act = slot
                 .lock()
                 .take()
                 .ok_or_else(|| slot_violation("activations pending after block forward"))?;
-            offload_f16(self.store, &act_key(b, chunk), act, Tier::Host)?;
+            let acts = key(BlobKind::Act, layer).chunk(chunk);
+            offload_f16(self.store, acts, act, Tier::Host)?;
         }
         Ok(())
     }
@@ -556,12 +548,12 @@ impl<'a> StepCtx<'a> {
     /// (or only) chunk, its checkpoint — back into the GPU arena, where
     /// backward takes them.
     fn act_up(&self, layer: usize, chunk: Option<usize>) -> Result<(), StorageError> {
-        let b = layer - 1;
         if chunk.unwrap_or(0) == 0 {
-            self.store.move_to(&ckpt_key(layer), Tier::Gpu)?;
+            self.store.move_to(&key(BlobKind::Ckpt, layer), Tier::Gpu)?;
         }
-        if !self.act_chunks[b].is_empty() {
-            self.store.move_to(&act_key(b, chunk), Tier::Gpu)?;
+        if !self.act_chunks[layer - 1].is_empty() {
+            let acts = key(BlobKind::Act, layer).chunk(chunk);
+            self.store.move_to(&acts, Tier::Gpu)?;
         }
         Ok(())
     }
@@ -591,14 +583,14 @@ impl<'a> StepCtx<'a> {
             self.park_gradient(layer, frozen, &head_grads);
         } else if layer >= 1 {
             let b = layer - 1;
-            self.load_params(&mut scratch, layer, 'b')?;
+            self.load_params(&mut scratch, layer, BlobKind::P16Bwd)?;
             let rows = c.batch * c.seq;
-            let input =
-                Tensor::from_f16_bytes(&[rows, c.hidden], &self.store.take(&ckpt_key(layer))?);
+            let ckpt = self.store.take(&key(BlobKind::Ckpt, layer))?;
+            let input = Tensor::from_f16_bytes(&[rows, c.hidden], &ckpt);
             let spec = self.dropout_spec(b);
             let chunks = &self.act_chunks[b];
             let fetched = (chunks.iter())
-                .map(|&chunk| self.store.take(&act_key(b, chunk)))
+                .map(|&chunk| self.store.take(&key(BlobKind::Act, layer).chunk(chunk)))
                 .collect::<Result<Vec<_>, _>>()?;
             let dx = self
                 .dflow
@@ -620,7 +612,7 @@ impl<'a> StepCtx<'a> {
             *self.dflow.lock() = Some(dprev);
             self.park_gradient(layer, frozen, &grads);
         } else {
-            self.load_params(&mut scratch, 0, 'b')?;
+            self.load_params(&mut scratch, 0, BlobKind::P16Bwd)?;
             let dx = self
                 .dflow
                 .lock()
@@ -654,7 +646,7 @@ impl<'a> StepCtx<'a> {
             GradSink::MergeAccumulated { inv_n } => {
                 // The accumulator ends here, where it lay: this
                 // micro-batch's G16 summed in, averaged, rounded again.
-                let mut acc = self.store.take(&accum_key(layer))?;
+                let mut acc = self.store.take(&key(BlobKind::GradReduced, layer))?;
                 add_f16_le_to_f32_le(&mut acc, &g16);
                 for a in acc.chunks_exact_mut(4) {
                     let mean = f32::from_le_bytes([a[0], a[1], a[2], a[3]]) * inv_n;
@@ -663,23 +655,23 @@ impl<'a> StepCtx<'a> {
                 f32_le_to_f16_le(&acc)
             }
         };
-        offload_f16(self.store, &grad_key(layer), g16, Tier::Host)
+        offload_f16(self.store, key(BlobKind::Grad, layer), g16, Tier::Host)
     }
 
     /// Sums a micro-batch's G16 into the layer's host f32 accumulator
     /// (creating it on first use). The blob still crosses the GPU->host
     /// link like any G16 offload.
     fn accumulate(&self, layer: usize, g16: Vec<u8>) -> Result<(), StorageError> {
-        let gkey = micro_grad_key(layer);
-        offload_f16(self.store, &gkey, g16, Tier::Host)?;
-        let g16 = self.store.take(&gkey)?;
-        let akey = accum_key(layer);
-        if self.store.contains(&akey) {
+        let micro = key(BlobKind::GradMicro, layer);
+        offload_f16(self.store, micro, g16, Tier::Host)?;
+        let g16 = self.store.take(&micro)?;
+        let acc = key(BlobKind::GradReduced, layer);
+        if self.store.contains(&acc) {
             self.store
-                .modify([&akey], |[acc]| add_f16_le_to_f32_le(acc, &g16))?;
+                .modify([&acc], |[acc]| add_f16_le_to_f32_le(acc, &g16))?;
         } else {
             self.store
-                .put(&akey, Tier::Host, encode_f32(&decode_f16(&g16)))?;
+                .put(&acc, Tier::Host, encode_f32(&decode_f16(&g16)))?;
         }
         Ok(())
     }
@@ -689,20 +681,25 @@ impl<'a> StepCtx<'a> {
     /// the handler's SSD->Main leg.
     fn opt_read(&self, layer: usize) -> Result<(), StorageError> {
         if !self.dag.spec.layers[layer].master_in_host() {
-            self.store.move_to(&master_key(layer), Tier::Host)?;
+            self.store
+                .move_to(&key(BlobKind::Master, layer), Tier::Host)?;
         }
-        self.store.move_to(&moments_key(layer), Tier::Host)
+        self.store
+            .move_to(&key(BlobKind::Moments, layer), Tier::Host)
     }
 
     /// Run the f32 Adam step over the states where the store holds them,
     /// reading the G16 gradient as the bytes it arrived in: one pass for
     /// the overflow check and the clip norm, one for the update.
     fn opt_cpu(&self, layer: usize) -> Result<(), StorageError> {
-        let g16 = self.store.take(&grad_key(layer))?;
+        let g16 = self.store.take(&key(BlobKind::Grad, layer))?;
         let factors = adam::GradFactors::measure(&g16, self.scale, self.config.grad_clip);
         if let Some(factors) = factors {
             self.store.modify(
-                [&master_key(layer), &moments_key(layer)],
+                [
+                    &key(BlobKind::Master, layer),
+                    &key(BlobKind::Moments, layer),
+                ],
                 |[master, moments]| {
                     adam::step_le_bytes(
                         master,
@@ -738,13 +735,15 @@ impl<'a> StepCtx<'a> {
                 .take()
                 .ok_or_else(|| slot_violation("opt-cpu parked this layer's update"))?;
             if update.applied {
-                let p16 = p16_key(layer);
+                let p16 = key(BlobKind::Param16, layer);
                 self.store.remove(&p16)?;
-                publish_p16(self.store, layer, &p16, Tier::Ssd)?;
+                publish_p16(self.store, layer, p16, Tier::Ssd)?;
             }
-            self.store.move_to(&master_key(layer), Tier::Ssd)?;
+            self.store
+                .move_to(&key(BlobKind::Master, layer), Tier::Ssd)?;
         }
-        self.store.move_to(&moments_key(layer), Tier::Ssd)
+        self.store
+            .move_to(&key(BlobKind::Moments, layer), Tier::Ssd)
     }
 }
 
@@ -756,15 +755,16 @@ impl TaskAction for StepCtx<'_> {
             chunk,
             ..
         } = self.dag.actions[task.0];
+        let acts = key(BlobKind::Act, li).chunk(chunk);
         let result = match kind {
-            TaskKind::FwdRead => self.param_read(li, 'f'),
-            TaskKind::FwdFetch => self.param_fetch(li, 'f'),
+            TaskKind::FwdRead => self.param_read(li, BlobKind::P16Fwd),
+            TaskKind::FwdFetch => self.param_fetch(li, BlobKind::P16Fwd),
             TaskKind::Fwd => self.forward(li),
             TaskKind::ActOff => self.act_off(li, chunk),
-            TaskKind::ActSpill => self.store.move_to(&act_key(li - 1, chunk), Tier::Ssd),
-            TaskKind::BwdRead => self.param_read(li, 'b'),
-            TaskKind::BwdFetch => self.param_fetch(li, 'b'),
-            TaskKind::ActLoad => self.store.move_to(&act_key(li - 1, chunk), Tier::Host),
+            TaskKind::ActSpill => self.store.move_to(&acts, Tier::Ssd),
+            TaskKind::BwdRead => self.param_read(li, BlobKind::P16Bwd),
+            TaskKind::BwdFetch => self.param_fetch(li, BlobKind::P16Bwd),
+            TaskKind::ActLoad => self.store.move_to(&acts, Tier::Host),
             TaskKind::ActUp => self.act_up(li, chunk),
             TaskKind::Bwd => self.backward(li),
             TaskKind::GradOff => self.grad_off(li),

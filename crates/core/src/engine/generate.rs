@@ -10,10 +10,11 @@
 
 use std::sync::Arc;
 
+use ratel_sim::{BlobKey, BlobKind};
 use ratel_storage::{StorageError, Tier, TieredStore};
 use ratel_tensor::{GptConfig, KvCache};
 
-use super::blobs::{fetch_f16, offload_f16, p16_key, pinned_key, publish_p16};
+use super::blobs::{fetch_f16, key, offload_f16, publish_p16};
 use super::RatelEngine;
 use crate::error::RatelError;
 use crate::schedule::{LayerBlobs, Placement};
@@ -62,11 +63,6 @@ fn sample_from_logits(
         .unwrap_or_else(|| argmax(logits))
 }
 
-/// Key of block `b`'s offloaded KV cache.
-fn kv_key(block: usize) -> String {
-    format!("block{block}/kv")
-}
-
 /// Bytes of the blocks' KV caches when each holds `positions` tokens:
 /// per block and token, `hidden` f16 keys and as many values.
 fn kv_bytes(model: &GptConfig, positions: usize) -> u64 {
@@ -100,19 +96,18 @@ fn pinned_layers(host_free: Option<u64>, p16_bytes: &[u64], kv_reserve: u64) -> 
 /// ends, on its error paths too. (A staged copy never outlives
 /// `stage_params`: nothing can fail between its `copy_to` and `take`.)
 struct DecodeState {
-    store: Arc<TieredStore>,
+    store: Arc<TieredStore<BlobKey>>,
     layers: usize,
 }
 
 impl Drop for DecodeState {
     fn drop(&mut self) {
-        // Most of these keys are absent on any one exit; `NotFound` is
-        // the expected answer and nothing here may panic.
+        // Most of these keys are absent on any one exit (the embedding
+        // and the head hold no cache); `NotFound` is the expected answer
+        // and nothing here may panic.
         for layer in 0..self.layers + 2 {
-            let _ = self.store.remove(&pinned_key(layer));
-        }
-        for block in 0..self.layers {
-            let _ = self.store.remove(&kv_key(block));
+            let _ = self.store.remove(&key(BlobKind::P16Pinned, layer));
+            let _ = self.store.remove(&key(BlobKind::Kv, layer));
         }
     }
 }
@@ -144,10 +139,12 @@ impl RatelEngine {
             .map(|cap| cap.saturating_sub(self.store.used(Tier::Host)));
         let kv_reserve = kv_bytes(&c, context);
         for layer in 0..pinned_layers(host_free, &p16_bytes, kv_reserve) {
-            let pinned = pinned_key(layer);
+            let pinned = key(BlobKind::P16Pinned, layer);
             match self.plan.placement {
-                Placement::HostMaster => publish_p16(&self.store, layer, &pinned, Tier::Host)?,
-                Placement::Ssd => self.store.copy_to(&p16_key(layer), &pinned, Tier::Host)?,
+                Placement::HostMaster => publish_p16(&self.store, layer, pinned, Tier::Host)?,
+                Placement::Ssd => {
+                    (self.store).copy_to(&key(BlobKind::Param16, layer), &pinned, Tier::Host)?
+                }
             }
         }
         Ok(state)
@@ -299,12 +296,13 @@ impl RatelEngine {
                         .quantize_f16()
                 })
                 .collect();
-            for b in 0..c.layers {
-                self.stage_params(b + 1)?;
+            for layer in 1..=c.layers {
+                self.stage_params(layer)?;
+                let kv = key(BlobKind::Kv, layer);
                 let mut cache = if cached == 0 {
                     KvCache::new(c.heads, d)
                 } else {
-                    let bytes = fetch_f16(&self.store, &kv_key(b))?;
+                    let bytes = fetch_f16(&self.store, kv)?;
                     KvCache::from_f16_bytes(&bytes, c.heads, d, cached)
                 };
                 for (i, x_t) in xs.iter_mut().enumerate() {
@@ -320,7 +318,7 @@ impl RatelEngine {
                         .forward_cached(x_t, &mut cache)
                         .quantize_f16();
                 }
-                offload_f16(&self.store, &kv_key(b), cache.to_f16_bytes(), Tier::Host)?;
+                offload_f16(&self.store, kv, cache.to_f16_bytes(), Tier::Host)?;
             }
             cached += pending.len();
             self.stage_params(c.layers + 1)?;
@@ -418,7 +416,7 @@ mod decode_tests {
     ) -> Vec<usize> {
         let c = engine.config.model;
         let d = c.hidden / c.heads;
-        let kv_key = |b: usize| format!("block{b}/kv");
+        let kv_key = |b: usize| key(BlobKind::Kv, b + 1);
 
         let mut out = Vec::with_capacity(max_new_tokens);
         let mut next_token: Option<usize> = None;
@@ -438,11 +436,11 @@ mod decode_tests {
                 let mut cache = if pos == 0 {
                     KvCache::new(c.heads, d)
                 } else {
-                    let bytes = fetch_f16(&engine.store, &kv_key(b)).unwrap();
+                    let bytes = fetch_f16(&engine.store, kv_key(b)).unwrap();
                     KvCache::from_f16_bytes(&bytes, c.heads, d, pos)
                 };
                 let y = engine.scratch.block.forward_cached(&x_t, &mut cache);
-                offload_f16(&engine.store, &kv_key(b), cache.to_f16_bytes(), Tier::Host).unwrap();
+                offload_f16(&engine.store, kv_key(b), cache.to_f16_bytes(), Tier::Host).unwrap();
                 x_t = y.quantize_f16();
             }
             if pos + 1 >= prompt.len() && out.len() < max_new_tokens {
@@ -635,7 +633,8 @@ mod decode_tests {
         );
         // Someone else holds one byte of the pool: fewer layers fit, the
         // rest stream, and nothing spills.
-        e.store.put("squatter", Tier::Host, vec![0u8]).unwrap();
+        let squatter = key(BlobKind::Grad, 0);
+        e.store.put(&squatter, Tier::Host, vec![0u8]).unwrap();
         let pinned = pinned_layers(Some(cap - 1), &p16_bytes(&model), kv_bytes(&model, p + n));
         assert!(pinned < layers);
         let before = e.store.traffic();

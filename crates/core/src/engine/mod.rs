@@ -47,6 +47,7 @@ pub mod telemetry;
 
 use std::sync::Arc;
 
+use ratel_sim::BlobKey;
 use ratel_storage::{Route, Tier, TierConfig, TieredStore};
 use ratel_tensor::GptConfig;
 
@@ -62,7 +63,8 @@ pub use step::StepStats;
 /// The out-of-core engine.
 pub struct RatelEngine {
     config: EngineConfig,
-    store: Arc<TieredStore>,
+    /// Every blob the engine holds, named by its typed [`BlobKey`].
+    store: Arc<TieredStore<BlobKey>>,
     /// The f32 tensors kernels compute on — one block's, the
     /// embedding's and the head's — loaded per use from the layer's P16.
     scratch: blobs::LayerScratch,
@@ -180,7 +182,7 @@ impl RatelEngine {
     }
 
     /// The tiered store (for inspection in tests/examples).
-    pub fn store(&self) -> &TieredStore {
+    pub fn store(&self) -> &TieredStore<BlobKey> {
         &self.store
     }
 

@@ -179,7 +179,7 @@ impl RatelEngine {
     /// the failing transfer and its retries), pass-through otherwise.
     fn seal_step(&self, result: Result<StepStats, RatelError>) -> Result<StepStats, RatelError> {
         if let Err(e) = &result {
-            ratel_obs::flight().record(EventKind::Error, 0, &e.to_string(), 0, self.step);
+            ratel_obs::flight().record(EventKind::Error, 0, e, 0, self.step);
             ratel_obs::dump_postmortem("train step failed");
         }
         result

@@ -17,8 +17,10 @@
 //! transfers, fault op for retries, span kind for spans), `bytes` the
 //! payload size, `aux` a kind-specific value (attempt number, step
 //! number, checkpoint generation, span duration in µs), and `label` the
-//! first 24 bytes of the blob key or span label.
+//! first 24 bytes of the blob key or span label as `Display` writes it.
 
+use std::fmt::Display;
+use std::io::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::OnceLock;
 use std::time::Instant;
@@ -110,13 +112,8 @@ impl EventKind {
     /// documented contract — this crate sits below storage).
     pub fn code_name(self, code: u8) -> Option<&'static str> {
         const ROUTES: [&str; 4] = ["gpu->host", "host->gpu", "host->ssd", "ssd->host"];
-        const FAULT_OPS: [&str; 3] = ["read", "write", "remove"];
-        const DRIFT: [&str; 4] = [
-            "unplanned_transfer",
-            "byte_mismatch",
-            "stage_inversion",
-            "stall",
-        ];
+        const FAULT_OPS: [&str; 2] = ["read", "write"];
+        const DRIFT: [&str; 3] = ["byte_mismatch", "stage_inversion", "stall"];
         let table: &[&str] = match self {
             EventKind::Transfer | EventKind::Spill => &ROUTES,
             EventKind::Retry | EventKind::GiveUp => &FAULT_OPS,
@@ -199,9 +196,10 @@ impl FlightRecorder {
     }
 
     /// Records one event: one `fetch_add` to claim a slot, relaxed
-    /// payload stores, one release store to publish.
+    /// payload stores, one release store to publish. The label is
+    /// formatted straight into the slot's 24 bytes, with no allocation.
     #[inline]
-    pub fn record(&self, kind: EventKind, code: u8, label: &str, bytes: u64, aux: u64) {
+    pub fn record(&self, kind: EventKind, code: u8, label: impl Display, bytes: u64, aux: u64) {
         if !self.enabled() {
             return;
         }
@@ -215,9 +213,8 @@ impl FlightRecorder {
         slot[2].store(bytes, Ordering::Relaxed);
         slot[3].store(aux, Ordering::Relaxed);
         let mut packed = [0u8; LABEL_BYTES];
-        let raw = label.as_bytes();
-        let n = raw.len().min(LABEL_BYTES);
-        packed[..n].copy_from_slice(&raw[..n]);
+        // Writing into the slice stops, with an error, where it is full.
+        let _ = write!(&mut packed[..], "{label}");
         for (w, chunk) in packed.chunks_exact(8).enumerate() {
             let mut word = [0u8; 8];
             word.copy_from_slice(chunk);
@@ -372,9 +369,13 @@ mod tests {
         rec.record(EventKind::Spill, 2, long, 7, 0);
         let e = &rec.events()[0];
         assert_eq!(e.label, &long[..LABEL_BYTES]);
+        // A `Display` label is truncated as it is written, across pieces.
+        let (head, tail) = long.split_at(20);
+        rec.record(EventKind::Spill, 2, format_args!("{head}{tail}"), 7, 0);
+        assert_eq!(rec.events()[1].label, &long[..LABEL_BYTES]);
         rec.set_enabled(false);
         rec.record(EventKind::Spill, 2, "x", 0, 0);
-        assert_eq!(rec.recorded(), 1);
+        assert_eq!(rec.recorded(), 2);
     }
 
     #[test]

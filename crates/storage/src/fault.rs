@@ -24,17 +24,18 @@
 //!   injected sleep: SSD garbage-collection pauses and thermal
 //!   throttling. Numerics are untouched; only wall-clock suffers.
 
+use std::borrow::Borrow;
+
 use ratel_check::sync::Mutex;
 
 /// Which SSD-tier file operation a fault applies to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FaultOp {
-    /// Reading a blob file (`SSD -> Main` data path).
+    /// Reading a blob's bytes from its file (`SSD -> Main` data path).
     Read,
-    /// Writing or overwriting a blob file (`Main -> SSD` data path).
+    /// Writing a file of one blob, or of a batch (`Main -> SSD` data
+    /// path).
     Write,
-    /// Unlinking a blob file.
-    Remove,
 }
 
 impl FaultOp {
@@ -43,7 +44,6 @@ impl FaultOp {
         match self {
             FaultOp::Read => "read",
             FaultOp::Write => "write",
-            FaultOp::Remove => "remove",
         }
     }
 
@@ -53,7 +53,6 @@ impl FaultOp {
         match self {
             FaultOp::Read => 0,
             FaultOp::Write => 1,
-            FaultOp::Remove => 2,
         }
     }
 }
@@ -71,20 +70,20 @@ pub enum FaultKind {
 
 /// One injected fault, recorded for post-run inspection.
 #[derive(Debug, Clone)]
-pub struct FaultEvent {
+pub struct FaultEvent<K = String> {
     /// Global SSD op index at which the fault fired.
     pub op_index: u64,
     /// The operation that was hit.
     pub op: FaultOp,
     /// Blob key the operation targeted.
-    pub key: String,
+    pub key: K,
     /// The injected failure.
     pub kind: FaultKind,
 }
 
 /// One scripted fault in a plan.
 #[derive(Debug, Clone)]
-enum Rule {
+enum Rule<K> {
     /// Fires by global op index.
     AtIndex {
         /// Restrict to one op type (`None` matches any).
@@ -102,35 +101,40 @@ enum Rule {
     OnKey {
         /// Restrict to one op type (`None` matches any).
         op: Option<FaultOp>,
-        key: String,
+        key: K,
         kind: FaultKind,
         fired: bool,
     },
 }
 
-#[derive(Debug, Default)]
-struct Inner {
-    rules: Vec<Rule>,
+#[derive(Debug)]
+struct Inner<K> {
+    rules: Vec<Rule<K>>,
     next_op: u64,
-    injected: Vec<FaultEvent>,
+    injected: Vec<FaultEvent<K>>,
 }
 
 /// A deterministic schedule of SSD faults, shared with a
-/// [`crate::TieredStore`] via `Arc`.
+/// [`crate::TieredStore`] via `Arc` and keyed like it.
 ///
 /// The plan is consulted *before* each SSD file operation; the op counter
 /// advances on every consultation (including retries, which is what makes
 /// a [`FaultKind::Transient`] fault recoverable: the retry presents a new
 /// index that no longer matches the rule).
 #[derive(Debug)]
-pub struct FaultPlan {
-    inner: Mutex<Inner>,
+pub struct FaultPlan<K = String> {
+    inner: Mutex<Inner<K>>,
 }
 
-impl Default for FaultPlan {
+impl<K> Default for FaultPlan<K> {
     fn default() -> Self {
+        let inner = Inner {
+            rules: Vec::new(),
+            next_op: 0,
+            injected: Vec::new(),
+        };
         FaultPlan {
-            inner: Mutex::named("storage.fault_plan", Inner::default()),
+            inner: Mutex::named("storage.fault_plan", inner),
         }
     }
 }
@@ -145,7 +149,7 @@ fn splitmix64(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
-impl FaultPlan {
+impl<K: Clone + Eq> FaultPlan<K> {
     /// An empty plan: no faults, but the op counter still runs, so the
     /// plan doubles as an SSD-op profiler (see [`FaultPlan::ops_seen`]).
     pub fn new() -> Self {
@@ -203,20 +207,22 @@ impl FaultPlan {
     /// even when concurrent threads race for op indices.
     /// `Transient`/`LatencySpike` fire on the first op touching `key`;
     /// `Permanent` fires on all of them.
-    pub fn fault_on_key(&self, key: &str, kind: FaultKind) {
-        self.inner.lock().rules.push(Rule::OnKey {
-            op: None,
-            key: key.to_string(),
-            kind,
-            fired: false,
-        });
+    pub fn fault_on_key<Q: ?Sized + ToOwned<Owned = K>>(&self, key: &Q, kind: FaultKind) {
+        self.push_key_rule(key.to_owned(), None, kind);
     }
 
     /// Like [`FaultPlan::fault_on_key`], restricted to one op type.
-    pub fn fault_on_key_op(&self, key: &str, op: FaultOp, kind: FaultKind) {
+    pub fn fault_on_key_op<Q>(&self, key: &Q, op: FaultOp, kind: FaultKind)
+    where
+        Q: ?Sized + ToOwned<Owned = K>,
+    {
+        self.push_key_rule(key.to_owned(), Some(op), kind);
+    }
+
+    fn push_key_rule(&self, key: K, op: Option<FaultOp>, kind: FaultKind) {
         self.inner.lock().rules.push(Rule::OnKey {
-            op: Some(op),
-            key: key.to_string(),
+            op,
+            key,
             kind,
             fired: false,
         });
@@ -225,7 +231,11 @@ impl FaultPlan {
     /// Consults the plan for the next SSD operation. Advances the op
     /// counter and returns the fault to inject, if any. Called by the
     /// store; not normally called by users.
-    pub fn before_op(&self, op: FaultOp, key: &str) -> Option<FaultKind> {
+    pub fn before_op<Q>(&self, op: FaultOp, key: &Q) -> Option<FaultKind>
+    where
+        K: Borrow<Q>,
+        Q: ?Sized + Eq + ToOwned<Owned = K>,
+    {
         let mut inner = self.inner.lock();
         let idx = inner.next_op;
         inner.next_op += 1;
@@ -250,7 +260,7 @@ impl FaultPlan {
             } => {
                 let op_matches = rop.is_none() || *rop == Some(op);
                 let once_ok = matches!(kind, FaultKind::Permanent) || !*fired;
-                if op_matches && rkey == key && once_ok {
+                if op_matches && (*rkey).borrow() == key && once_ok {
                     *fired = true;
                     Some(*kind)
                 } else {
@@ -261,7 +271,7 @@ impl FaultPlan {
         inner.injected.push(FaultEvent {
             op_index: idx,
             op,
-            key: key.to_string(),
+            key: key.to_owned(),
             kind,
         });
         Some(kind)
@@ -273,7 +283,7 @@ impl FaultPlan {
     }
 
     /// Every fault injected so far, in firing order.
-    pub fn injected(&self) -> Vec<FaultEvent> {
+    pub fn injected(&self) -> Vec<FaultEvent<K>> {
         self.inner.lock().injected.clone()
     }
 
@@ -366,9 +376,9 @@ mod tests {
     #[test]
     fn op_restricted_rules_skip_other_ops() {
         let plan = FaultPlan::new();
-        plan.fault_at_op(0, FaultOp::Remove, FaultKind::Transient);
+        plan.fault_at_op(0, FaultOp::Write, FaultKind::Transient);
         assert_eq!(plan.before_op(FaultOp::Read, "k"), None); // op 0, wrong type
-        assert_eq!(plan.before_op(FaultOp::Remove, "k"), None); // op 1, right type, wrong index
+        assert_eq!(plan.before_op(FaultOp::Write, "k"), None); // op 1, right type, wrong index
     }
 
     #[test]

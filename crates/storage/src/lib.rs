@@ -9,8 +9,10 @@
 //! * the GPU and host tiers have hard byte capacities — exceeding one is an
 //!   out-of-memory error, which is how the maximum-trainable-size
 //!   experiments fail honestly;
-//! * the SSD tier stores each blob as a file on disk, so offloaded model
-//!   states and activations really leave memory;
+//! * blobs are named by a key type of the caller's choosing (the engine's
+//!   typed `BlobKey`, or `String`); the SSD tier keeps their bytes in
+//!   files it names itself, so offloaded model states and activations
+//!   really leave memory and no key can collide with another's file;
 //! * consumer GPUs have no GPUDirect (§III-C), so a GPU→SSD move is
 //!   forcibly two hops (GPU→Host, Host→SSD) and both hops are metered;
 //! * all inter-tier traffic is counted per route, letting tests assert the

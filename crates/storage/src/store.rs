@@ -1,7 +1,9 @@
 //! The tiered store itself.
 
 use std::collections::{HashMap, HashSet};
+use std::fmt;
 use std::fs;
+use std::hash::Hash;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
@@ -82,51 +84,33 @@ fn unique_temp_dir() -> PathBuf {
     dir
 }
 
-/// Where an SSD-tier blob's bytes live on disk.
+/// Where an SSD-tier blob's bytes live: `len` bytes at `offset` in the
+/// store's file number `file`. A lone write is a file of one blob,
+/// [`TieredStore::put_batch`] a file of many.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum SsdLoc {
-    /// Its own file (`blob_path(key)`).
-    File {
-        /// Blob size in bytes.
-        len: u64,
-    },
-    /// A byte range inside a shared segment file written by
-    /// [`TieredStore::put_batch`].
-    Segment {
-        /// Segment id (`seg-{id}` file).
-        seg: u64,
-        /// Byte offset of this blob within the segment.
-        offset: u64,
-        /// Blob size in bytes.
-        len: u64,
-    },
-}
-
-impl SsdLoc {
-    fn len(self) -> u64 {
-        match self {
-            SsdLoc::File { len } | SsdLoc::Segment { len, .. } => len,
-        }
-    }
+struct SsdLoc {
+    file: u64,
+    offset: u64,
+    len: u64,
 }
 
 #[derive(Debug)]
-struct Inner {
+struct Inner<K> {
     /// In-memory blobs (GPU and host tiers).
-    mem: HashMap<String, (Tier, Vec<u8>)>,
+    mem: HashMap<K, (Tier, Vec<u8>)>,
     /// SSD-tier blob locations (contents live in files).
-    ssd: HashMap<String, SsdLoc>,
-    /// Live-blob count per segment file; a segment is unlinked when its
-    /// count reaches zero. Blobs removed earlier leave dead bytes in the
-    /// file until then (accounted per blob, so the SSD tier's `used` can
-    /// undercount disk footprint while a segment is partially dead).
-    segments: HashMap<u64, u32>,
+    ssd: HashMap<K, SsdLoc>,
+    /// Live-blob count per SSD file; a file is unlinked when its count
+    /// reaches zero. Blobs that left it earlier leave dead bytes in it
+    /// until then (accounted per blob, so the SSD tier's `used` can
+    /// undercount disk footprint while a file is partially dead).
+    files: HashMap<u64, u32>,
     /// Keys with SSD file I/O in flight *outside* the lock. Any operation
     /// touching one of these keys waits on the store's condvar, which
     /// preserves per-key atomicity while letting unrelated keys' I/O —
     /// and its injected latency spikes and retry backoff — overlap.
     /// Written only by [`TieredStore::with_pending`].
-    pending: HashSet<String>,
+    pending: HashSet<K>,
     /// Bytes resident per tier, indexed by `Tier as usize`.
     used: [u64; 3],
     /// High-water marks of `used` since the last
@@ -134,20 +118,20 @@ struct Inner {
     peak_used: [u64; 3],
 }
 
-impl Inner {
-    fn exists(&self, key: &str) -> bool {
+impl<K: Eq + Hash + fmt::Display> Inner<K> {
+    fn exists(&self, key: &K) -> bool {
         self.mem.contains_key(key) || self.ssd.contains_key(key)
     }
 
     /// The tier holding `key` and the blob's length.
-    fn locate(&self, key: &str) -> Result<(Tier, u64), StorageError> {
+    fn locate(&self, key: &K) -> Result<(Tier, u64), StorageError> {
         match self.mem.get(key) {
             Some((tier, data)) => Ok((*tier, data.len() as u64)),
-            None => self.ssd_loc(key).map(|loc| (Tier::Ssd, loc.len())),
+            None => self.ssd_loc(key).map(|loc| (Tier::Ssd, loc.len)),
         }
     }
 
-    fn ssd_loc(&self, key: &str) -> Result<SsdLoc, StorageError> {
+    fn ssd_loc(&self, key: &K) -> Result<SsdLoc, StorageError> {
         let loc = self.ssd.get(key).copied();
         loc.ok_or_else(|| StorageError::NotFound(key.to_string()))
     }
@@ -159,49 +143,44 @@ impl Inner {
         *peak = (*peak).max(*slot);
     }
 
-    /// Drops SSD-resident `key` from the index. Returns the segment file
-    /// to unlink if this was its last live blob; the caller unlinks
-    /// best-effort *after* releasing the lock.
-    fn forget_ssd(&mut self, key: &str, loc: SsdLoc) -> Option<u64> {
+    /// Points SSD-resident `key` at `loc`, counting it in `loc`'s file,
+    /// and releases the location it had. Returns the file to unlink if
+    /// that was its last blob; the caller unlinks it *after* releasing
+    /// the lock ([`TieredStore::unlink`]).
+    fn claim(&mut self, key: K, loc: SsdLoc) -> Option<u64> {
+        *self.files.entry(loc.file).or_insert(0) += 1;
+        let old = self.ssd.insert(key, loc)?;
+        self.release(old)
+    }
+
+    /// Drops SSD-resident `key` from the index; returns the file to
+    /// unlink as [`Inner::claim`] does.
+    fn forget_ssd(&mut self, key: &K, loc: SsdLoc) -> Option<u64> {
         self.ssd.remove(key);
-        self.add_used(Tier::Ssd, -(loc.len() as i64));
-        match loc {
-            SsdLoc::File { .. } => None,
-            SsdLoc::Segment { seg, .. } => self.release_segment(seg),
-        }
+        self.add_used(Tier::Ssd, -(loc.len as i64));
+        self.release(loc)
     }
 
-    /// Points SSD-resident `key` at its own, freshly written file of
-    /// `len` bytes. A blob that lived in a segment leaves it; returns
-    /// the segment to unlink as [`Inner::forget_ssd`] does.
-    fn register_file(&mut self, key: &str, len: u64) -> Option<u64> {
-        match self.ssd.insert(key.to_string(), SsdLoc::File { len }) {
-            Some(SsdLoc::Segment { seg, .. }) => self.release_segment(seg),
-            _ => None,
-        }
-    }
-
-    /// Drops one reference to a segment (a blob left it); `Some(seg)`
-    /// when that was the last one.
-    fn release_segment(&mut self, seg: u64) -> Option<u64> {
-        // A missing refcount would mean the index already forgot this
-        // segment; nothing to release, and unlinking now could race a
-        // concurrent reuse — leave the file for store-drop cleanup.
-        let live = self.segments.get_mut(&seg)?;
+    /// The one refcount rule: a blob left `loc`'s file; `Some(file)` when
+    /// it was the last one.
+    fn release(&mut self, loc: SsdLoc) -> Option<u64> {
+        let live = self.files.get_mut(&loc.file)?;
         *live -= 1;
-        if *live == 0 {
-            self.segments.remove(&seg);
-            Some(seg)
-        } else {
-            None
+        if *live > 0 {
+            return None;
         }
+        self.files.remove(&loc.file);
+        Some(loc.file)
     }
 }
 
 /// A thread-safe three-tier blob store with traffic metering.
 ///
-/// Blobs are identified by string keys (e.g. `"block3/p16"`); each key
-/// lives in exactly one tier. Dropping the store removes its SSD directory.
+/// Blobs are identified by keys of type `K` (the engine's store uses the
+/// plan's typed `BlobKey`; `String` is the default); each key lives in
+/// exactly one tier. The SSD tier names its files itself, by a number it
+/// assigns, so no two keys can share a file by accident. Dropping the
+/// store removes its SSD directory.
 ///
 /// Every operation is a composition of four private pieces, each the
 /// only place its decision is made: `Route::hops` (which hops a
@@ -210,13 +189,14 @@ impl Inner {
 /// commit or roll back) and `meter` (bytes, flight event, throttle,
 /// span).
 #[derive(Debug)]
-pub struct TieredStore {
+pub struct TieredStore<K = String> {
     config: TierConfig,
-    inner: Mutex<Inner>,
+    inner: Mutex<Inner<K>>,
     /// Signalled whenever a key's in-flight SSD I/O completes.
     pending_cv: Condvar,
-    /// Id of the next segment file [`TieredStore::put_batch`] writes.
-    next_seg: AtomicU64,
+    /// Number of the next SSD file the store writes. Never reused, so a
+    /// dead file can be unlinked without holding the lock.
+    next_file: AtomicU64,
     traffic: TrafficCounters,
     /// Optional per-route bandwidth caps (bytes/second). A transfer over a
     /// throttled route sleeps for `bytes / rate` *outside* the store lock,
@@ -229,7 +209,7 @@ pub struct TieredStore {
     telemetry: Arc<TelemetryRecorder>,
     /// Scripted SSD failures (None = healthy drives). Every SSD file op
     /// consults the plan; see [`FaultPlan`].
-    fault: Mutex<Option<Arc<FaultPlan>>>,
+    fault: Mutex<Option<Arc<FaultPlan<K>>>>,
     /// Bounded retry-with-backoff applied to failing SSD file ops.
     retry: Mutex<RetryPolicy>,
     /// When set, blobs headed for a full host pool spill to the SSD tier
@@ -237,7 +217,7 @@ pub struct TieredStore {
     host_spill: AtomicBool,
 }
 
-impl TieredStore {
+impl<K: Clone + Eq + Hash + fmt::Display> TieredStore<K> {
     /// Opens a store with the given tier configuration.
     pub fn new(config: TierConfig) -> Result<Self, StorageError> {
         fs::create_dir_all(&config.ssd_dir)?;
@@ -248,14 +228,14 @@ impl TieredStore {
                 Inner {
                     mem: HashMap::new(),
                     ssd: HashMap::new(),
-                    segments: HashMap::new(),
+                    files: HashMap::new(),
                     pending: HashSet::new(),
                     used: [0; 3],
                     peak_used: [0; 3],
                 },
             ),
             pending_cv: Condvar::named("store.pending_cv"),
-            next_seg: AtomicU64::new(0),
+            next_file: AtomicU64::new(0),
             traffic: TrafficCounters::default(),
             throttle: Mutex::named("store.throttle", [None; 4]),
             telemetry: Arc::new(TelemetryRecorder::new()),
@@ -270,14 +250,28 @@ impl TieredStore {
         &self.config.ssd_dir
     }
 
+    /// The file holding SSD-resident `key`'s bytes and the offset they
+    /// start at — for inspecting the tier on disk.
+    ///
+    /// # Errors
+    /// [`StorageError::NotFound`] when `key` is not on the SSD tier.
+    pub fn ssd_file<Q: ?Sized + ToOwned<Owned = K>>(
+        &self,
+        key: &Q,
+    ) -> Result<(PathBuf, u64), StorageError> {
+        let key = &key.to_owned();
+        let loc = self.lock_keys(&[key]).ssd_loc(key)?;
+        Ok((self.file_path(loc.file), loc.offset))
+    }
+
     /// Installs (or clears) a fault-injection plan. All subsequent SSD
     /// file operations consult the plan before touching disk.
-    pub fn set_fault_plan(&self, plan: Option<Arc<FaultPlan>>) {
+    pub fn set_fault_plan(&self, plan: Option<Arc<FaultPlan<K>>>) {
         *self.fault.lock() = plan;
     }
 
     /// The installed fault plan, if any.
-    pub fn fault_plan(&self) -> Option<Arc<FaultPlan>> {
+    pub fn fault_plan(&self) -> Option<Arc<FaultPlan<K>>> {
         self.fault.lock().clone()
     }
 
@@ -309,7 +303,7 @@ impl TieredStore {
 
     /// Counts one host-pressure spill of `key` (`len` bytes headed for
     /// the host pool land on, or stay on, the SSD tier instead).
-    fn note_spill(&self, key: &str, len: u64) {
+    fn note_spill(&self, key: &(impl fmt::Display + ?Sized), len: u64) {
         self.telemetry.count_host_spill();
         ratel_obs::flight().record(
             ratel_obs::EventKind::Spill,
@@ -335,7 +329,7 @@ impl TieredStore {
     fn ssd_io<T>(
         &self,
         op: FaultOp,
-        key: &str,
+        key: &K,
         mut io: impl FnMut() -> std::io::Result<T>,
     ) -> Result<T, StorageError> {
         let policy = *self.retry.lock();
@@ -410,18 +404,14 @@ impl TieredStore {
 
     /// Locks the store and blocks until none of `keys` has SSD I/O in
     /// flight. Every operation that examines or mutates a key's state
-    /// enters through this (or [`TieredStore::lock_key`]) so it never
-    /// observes the transient mid-I/O state.
-    fn lock_keys(&self, keys: &[&str]) -> MutexGuard<'_, Inner> {
+    /// enters through this so it never observes the transient mid-I/O
+    /// state.
+    fn lock_keys(&self, keys: &[&K]) -> MutexGuard<'_, Inner<K>> {
         let mut inner = self.inner.lock();
         while keys.iter().any(|k| inner.pending.contains(*k)) {
             self.pending_cv.wait(&mut inner);
         }
         inner
-    }
-
-    fn lock_key(&self, key: &str) -> MutexGuard<'_, Inner> {
-        self.lock_keys(&[key])
     }
 
     /// The pending-key handshake: marks `keys` in flight, releases the
@@ -432,12 +422,12 @@ impl TieredStore {
     /// no call site has an error path on which they could stay pending.
     fn with_pending<'a, T>(
         &'a self,
-        mut inner: MutexGuard<'a, Inner>,
-        keys: &[&str],
+        mut inner: MutexGuard<'a, Inner<K>>,
+        keys: &[&K],
         slow: impl FnOnce() -> T,
-    ) -> (MutexGuard<'a, Inner>, T) {
+    ) -> (MutexGuard<'a, Inner<K>>, T) {
         for k in keys {
-            inner.pending.insert(k.to_string());
+            inner.pending.insert((*k).clone());
         }
         drop(inner);
         lockorder::assert_blocking_ok("with_pending slow path");
@@ -457,11 +447,11 @@ impl TieredStore {
     /// the returned guard.
     fn ssd_write<'a, T>(
         &'a self,
-        mut inner: MutexGuard<'a, Inner>,
-        keys: &[&str],
+        mut inner: MutexGuard<'a, Inner<K>>,
+        keys: &[&K],
         reserve: u64,
         write: impl FnOnce() -> Result<T, StorageError>,
-    ) -> (MutexGuard<'a, Inner>, Result<T, StorageError>) {
+    ) -> (MutexGuard<'a, Inner<K>>, Result<T, StorageError>) {
         if let Err(e) = self.check_fits(&inner, Tier::Ssd, reserve) {
             return (inner, Err(e));
         }
@@ -473,109 +463,102 @@ impl TieredStore {
         (inner, res)
     }
 
-    /// [`TieredStore::ssd_write`] of one blob into its own file: a new
-    /// key, a blob leaving memory tier `from` (the caller has taken
+    /// [`TieredStore::ssd_write`] of one blob into a file of its own: a
+    /// new key, a blob leaving memory tier `from` (the caller has taken
     /// `bytes` out of `mem`; they go back if the write fails, so the
     /// transaction owns the buffer while the key is pending and nothing
     /// is cloned), or new contents for an SSD-resident key, whose growth
-    /// is reserved up front and shrinkage credited after success. A
-    /// segment-resident blob migrates out of its segment.
+    /// is reserved up front and shrinkage credited after success; its
+    /// old file loses the blob.
     fn write_blob(
         &self,
-        inner: MutexGuard<'_, Inner>,
-        key: &str,
+        inner: MutexGuard<'_, Inner<K>>,
+        key: &K,
         from: Option<Tier>,
         bytes: Vec<u8>,
     ) -> Result<(), StorageError> {
-        let len = bytes.len() as u64;
-        let old_len = inner.ssd.get(key).map_or(0, |loc| loc.len());
+        let (offset, len) = (0, bytes.len() as u64);
+        let old_len = inner.ssd.get(key).map_or(0, |loc| loc.len);
         let (mut inner, res) = self.ssd_write(inner, &[key], len.saturating_sub(old_len), || {
-            self.write_file(key, &bytes)
+            self.write_file(key, &[bytes.as_slice()])
         });
-        if let Err(e) = res {
-            if let Some(tier) = from {
-                inner.mem.insert(key.to_string(), (tier, bytes));
+        let file = match res {
+            Ok(file) => file,
+            Err(e) => {
+                if let Some(tier) = from {
+                    inner.mem.insert(key.clone(), (tier, bytes));
+                }
+                return Err(e);
             }
-            return Err(e);
-        }
+        };
         inner.add_used(Tier::Ssd, -(old_len.saturating_sub(len) as i64));
         if let Some(tier) = from {
             inner.add_used(tier, -(len as i64));
         }
-        let dead_seg = inner.register_file(key, len);
+        let dead = inner.claim(key.clone(), SsdLoc { file, offset, len });
         drop(inner);
-        self.unlink_segment(dead_seg);
+        self.unlink(dead);
         Ok(())
     }
 
-    /// The store's one `fs::write`: `bytes` into `key`'s own file, under
-    /// the retry policy. No lock held.
-    fn write_file(&self, key: &str, bytes: &[u8]) -> Result<(), StorageError> {
-        self.ssd_io(FaultOp::Write, key, || {
-            fs::write(self.blob_path(key), bytes)
-        })
+    /// The store's one file write: `parts` back to back into a new file,
+    /// under the retry policy, consulted as a write of `key`. Returns the
+    /// file's number. No lock held. A write that gives up leaves no file
+    /// behind.
+    fn write_file(&self, key: &K, parts: &[&[u8]]) -> Result<u64, StorageError> {
+        use std::io::Write;
+        let file = self.next_file.fetch_add(1, Ordering::Relaxed);
+        let path = self.file_path(file);
+        // `File::create` truncates, so a retried attempt starts over.
+        let written = self.ssd_io(FaultOp::Write, key, || {
+            let mut f = fs::File::create(&path)?;
+            parts.iter().try_for_each(|part| f.write_all(part))
+        });
+        if written.is_err() {
+            let _ = fs::remove_file(&path);
+        }
+        written.map(|()| file)
     }
 
     /// Reads an SSD blob's bytes given its location. No lock held. A
-    /// blob's own file that does not hold the bytes written to it is an
-    /// `InvalidData` I/O error, retried like any other.
-    fn read_ssd_blob(&self, key: &str, loc: SsdLoc) -> Result<Vec<u8>, StorageError> {
-        match loc {
-            SsdLoc::File { len } => self.ssd_io(FaultOp::Read, key, || {
-                let bytes = fs::read(self.blob_path(key))?;
-                if bytes.len() as u64 != len {
-                    return Err(std::io::Error::new(
+    /// file too short to hold them is an `InvalidData` I/O error naming
+    /// the key and both lengths, retried like any other.
+    fn read_ssd_blob(&self, key: &K, loc: SsdLoc) -> Result<Vec<u8>, StorageError> {
+        use std::io::{Read, Seek, SeekFrom};
+        let path = self.file_path(loc.file);
+        self.ssd_io(FaultOp::Read, key, || {
+            let mut f = fs::File::open(&path)?;
+            f.seek(SeekFrom::Start(loc.offset))?;
+            let mut buf = vec![0u8; loc.len as usize];
+            match f.read_exact(&mut buf) {
+                Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => {
+                    Err(std::io::Error::new(
                         std::io::ErrorKind::InvalidData,
                         format!(
-                            "{key}: its file holds {} B, {len} B were written",
-                            bytes.len()
+                            "{key}: its file holds {} B, {} B were written at {}",
+                            f.metadata()?.len(),
+                            loc.len,
+                            loc.offset
                         ),
-                    ));
+                    ))
                 }
-                Ok(bytes)
-            }),
-            SsdLoc::Segment { seg, offset, len } => {
-                let path = self.segment_path(seg);
-                self.ssd_io(FaultOp::Read, key, || {
-                    use std::io::{Read, Seek, SeekFrom};
-                    let mut f = fs::File::open(&path)?;
-                    f.seek(SeekFrom::Start(offset))?;
-                    let mut buf = vec![0u8; len as usize];
-                    f.read_exact(&mut buf)?;
-                    Ok(buf)
-                })
+                res => res.map(|()| buf),
             }
+        })
+    }
+
+    /// Best-effort unlink of a file no blob lives in any more. The blobs
+    /// are already gone from the index and file numbers are never reused,
+    /// so no lock is needed; a failure only orphans bytes in the SSD dir
+    /// (cleaned up on store drop) and is not surfaced.
+    fn unlink(&self, file: Option<u64>) {
+        if let Some(file) = file {
+            let _ = fs::remove_file(self.file_path(file));
         }
     }
 
-    /// Unlinks an SSD blob's own file. No lock held. A segment-resident
-    /// blob has no per-blob file op: its bytes just go dead inside the
-    /// segment, which is unlinked when its last live blob leaves.
-    fn unlink_blob(&self, key: &str, loc: SsdLoc) -> Result<(), StorageError> {
-        match loc {
-            SsdLoc::File { .. } => self.ssd_io(FaultOp::Remove, key, || {
-                fs::remove_file(self.blob_path(key))
-            }),
-            SsdLoc::Segment { .. } => Ok(()),
-        }
-    }
-
-    /// Best-effort unlink of a dead segment file. The blobs are already
-    /// gone from the index, so a failure only orphans bytes in the SSD
-    /// dir (cleaned up on store drop); it is not surfaced.
-    fn unlink_segment(&self, seg: Option<u64>) {
-        if let Some(seg) = seg {
-            let _ = fs::remove_file(self.segment_path(seg));
-        }
-    }
-
-    fn segment_path(&self, seg: u64) -> PathBuf {
-        self.config.ssd_dir.join(format!("seg-{seg}"))
-    }
-
-    fn blob_path(&self, key: &str) -> PathBuf {
-        // Keys may contain '/', which we flatten to keep one flat dir.
-        self.config.ssd_dir.join(key.replace('/', "_"))
+    fn file_path(&self, file: u64) -> PathBuf {
+        self.config.ssd_dir.join(format!("{file}.blob"))
     }
 
     /// The store's telemetry recorder (disabled until
@@ -616,7 +599,13 @@ impl TieredStore {
     /// the route's throttle (no store lock held) and records the span.
     /// The first hop's span starts at `t0` ([`TieredStore::span_start`]),
     /// each later hop's where the one before it ended.
-    fn meter(&self, hops: &[Route], key: &str, len: u64, mut t0: Option<f64>) {
+    fn meter(
+        &self,
+        hops: &[Route],
+        key: &(impl fmt::Display + ?Sized),
+        len: u64,
+        mut t0: Option<f64>,
+    ) {
         for &route in hops {
             self.traffic.record(route, len);
             ratel_obs::flight().record(
@@ -629,7 +618,9 @@ impl TieredStore {
             self.apply_throttle(route, len);
             if let Some(start) = t0 {
                 let end = self.telemetry.now();
-                self.telemetry.record_transfer(route, key, len, start, end);
+                let label = key.to_string();
+                self.telemetry
+                    .record_transfer(route, label, len, start, end);
                 t0 = Some(end);
             }
         }
@@ -643,7 +634,7 @@ impl TieredStore {
         }
     }
 
-    fn check_fits(&self, inner: &Inner, tier: Tier, bytes: u64) -> Result<(), StorageError> {
+    fn check_fits(&self, inner: &Inner<K>, tier: Tier, bytes: u64) -> Result<(), StorageError> {
         if let Some(cap) = self.capacity(tier) {
             let used = inner.used[tier as usize];
             if used + bytes > cap {
@@ -666,14 +657,20 @@ impl TieredStore {
     /// # Errors
     /// [`StorageError::AlreadyExists`] on duplicate keys,
     /// [`StorageError::OutOfMemory`] if the tier is full.
-    pub fn put(&self, key: &str, tier: Tier, bytes: Vec<u8>) -> Result<(), StorageError> {
-        self.put_locked(self.lock_key(key), key, tier, bytes)
+    pub fn put<Q: ?Sized + ToOwned<Owned = K>>(
+        &self,
+        key: &Q,
+        tier: Tier,
+        bytes: Vec<u8>,
+    ) -> Result<(), StorageError> {
+        let key = &key.to_owned();
+        self.put_locked(self.lock_keys(&[key]), key, tier, bytes)
     }
 
     fn put_locked(
         &self,
-        mut inner: MutexGuard<'_, Inner>,
-        key: &str,
+        mut inner: MutexGuard<'_, Inner<K>>,
+        key: &K,
         mut tier: Tier,
         bytes: Vec<u8>,
     ) -> Result<(), StorageError> {
@@ -694,28 +691,24 @@ impl TieredStore {
         if tier == Tier::Ssd {
             return self.write_blob(inner, key, None, bytes);
         }
-        inner.mem.insert(key.to_string(), (tier, bytes));
+        inner.mem.insert(key.clone(), (tier, bytes));
         inner.add_used(tier, len as i64);
         Ok(())
     }
 
     /// Stores many new blobs at once. For the SSD tier the blobs are
-    /// coalesced into **one** sequential segment file written with a
-    /// single I/O — the batched write path that turns per-blob random
-    /// writes into the sequential streams SSDs like. Memory tiers fall
-    /// back to per-blob puts.
+    /// coalesced into **one** sequential file written with a single I/O —
+    /// the batched write path that turns per-blob random writes into the
+    /// sequential streams SSDs like — which the fault plane sees as a
+    /// write of the first blob. Memory tiers fall back to per-blob puts.
     ///
     /// All-or-nothing on SSD: capacity for the whole batch is checked up
-    /// front, and a failed segment write registers none of the keys.
+    /// front, and a failed write registers none of the keys.
     ///
     /// # Errors
     /// Same as [`TieredStore::put`]; the first duplicate key aborts the
     /// whole batch before anything is written.
-    pub fn put_batch(
-        &self,
-        tier: Tier,
-        entries: Vec<(String, Vec<u8>)>,
-    ) -> Result<(), StorageError> {
+    pub fn put_batch(&self, tier: Tier, entries: Vec<(K, Vec<u8>)>) -> Result<(), StorageError> {
         if entries.is_empty() {
             return Ok(());
         }
@@ -725,60 +718,47 @@ impl TieredStore {
             }
             return Ok(());
         }
-        let keys: Vec<&str> = entries.iter().map(|(k, _)| k.as_str()).collect();
-        let total: u64 = entries.iter().map(|(_, b)| b.len() as u64).sum();
+        let keys: Vec<&K> = entries.iter().map(|(k, _)| k).collect();
+        let parts: Vec<&[u8]> = entries.iter().map(|(_, b)| b.as_slice()).collect();
+        let total: u64 = parts.iter().map(|b| b.len() as u64).sum();
         let inner = self.lock_keys(&keys);
-        if let Some(key) = keys.iter().find(|k| inner.exists(k)) {
+        if let Some(key) = keys.iter().find(|k| inner.exists(**k)) {
             return Err(StorageError::AlreadyExists(key.to_string()));
         }
-        let (mut inner, res) = self.ssd_write(inner, &keys, total, || {
-            let seg = self.next_seg.fetch_add(1, Ordering::Relaxed);
-            let path = self.segment_path(seg);
-            // One sequential stream into the segment file — no staging
-            // copy. `File::create` truncates, so a retried attempt
-            // restarts the segment from scratch.
-            self.ssd_io(FaultOp::Write, &format!("seg-{seg}"), || {
-                use std::io::Write;
-                let mut f = fs::File::create(&path)?;
-                for (_, bytes) in &entries {
-                    f.write_all(bytes)?;
-                }
-                Ok(())
-            })?;
-            Ok(seg)
-        });
-        let seg = res?;
+        let (mut inner, res) =
+            self.ssd_write(inner, &keys, total, || self.write_file(keys[0], &parts));
+        let file = res?;
         let mut offset = 0u64;
-        for (key, bytes) in &entries {
+        for (key, bytes) in entries {
             let len = bytes.len() as u64;
-            inner
-                .ssd
-                .insert(key.clone(), SsdLoc::Segment { seg, offset, len });
+            inner.claim(key, SsdLoc { file, offset, len });
             offset += len;
         }
-        inner.segments.insert(seg, entries.len() as u32);
         Ok(())
     }
 
     /// Which tier currently holds `key`.
-    pub fn tier_of(&self, key: &str) -> Result<Tier, StorageError> {
-        self.lock_key(key).locate(key).map(|(tier, _)| tier)
+    pub fn tier_of<Q: ?Sized + ToOwned<Owned = K>>(&self, key: &Q) -> Result<Tier, StorageError> {
+        let key = &key.to_owned();
+        self.lock_keys(&[key]).locate(key).map(|(tier, _)| tier)
     }
 
     /// Whether `key` exists in any tier.
-    pub fn contains(&self, key: &str) -> bool {
-        self.lock_key(key).exists(key)
+    pub fn contains<Q: ?Sized + ToOwned<Owned = K>>(&self, key: &Q) -> bool {
+        let key = &key.to_owned();
+        self.lock_keys(&[key]).exists(key)
     }
 
     /// Reads a copy of the blob without moving it.
-    pub fn read(&self, key: &str) -> Result<Vec<u8>, StorageError> {
+    pub fn read<Q: ?Sized + ToOwned<Owned = K>>(&self, key: &Q) -> Result<Vec<u8>, StorageError> {
+        let key = &key.to_owned();
         self.fetch(key).map(|(_, bytes)| bytes)
     }
 
     /// A copy of the blob and the tier it was found in, from one lock
     /// acquisition.
-    fn fetch(&self, key: &str) -> Result<(Tier, Vec<u8>), StorageError> {
-        let inner = self.lock_key(key);
+    fn fetch(&self, key: &K) -> Result<(Tier, Vec<u8>), StorageError> {
+        let inner = self.lock_keys(&[key]);
         if let Some((tier, data)) = inner.mem.get(key) {
             return Ok((*tier, data.clone()));
         }
@@ -790,37 +770,36 @@ impl TieredStore {
     /// Removes a blob and returns its bytes: [`TieredStore::read`] then
     /// [`TieredStore::remove`], but a memory-resident blob is handed
     /// over, not copied.
-    pub fn take(&self, key: &str) -> Result<Vec<u8>, StorageError> {
-        self.detach(key, |loc| self.read_ssd_blob(key, loc))
+    pub fn take<Q: ?Sized + ToOwned<Owned = K>>(&self, key: &Q) -> Result<Vec<u8>, StorageError> {
+        let key = &key.to_owned();
+        self.detach(key, true)
     }
 
     /// Removes a blob, freeing its tier space.
-    pub fn remove(&self, key: &str) -> Result<(), StorageError> {
-        self.detach(key, |_| Ok(Vec::new())).map(drop)
+    pub fn remove<Q: ?Sized + ToOwned<Owned = K>>(&self, key: &Q) -> Result<(), StorageError> {
+        let key = &key.to_owned();
+        self.detach(key, false).map(drop)
     }
 
     /// Unregisters `key` and hands its buffer over. An SSD-resident blob
-    /// is `read` and then unlinked in one pending window, and stays
-    /// registered if either fails.
-    fn detach(
-        &self,
-        key: &str,
-        read: impl FnOnce(SsdLoc) -> Result<Vec<u8>, StorageError>,
-    ) -> Result<Vec<u8>, StorageError> {
-        let mut inner = self.lock_key(key);
+    /// is read first when `read` says so, and stays registered if the
+    /// read fails.
+    fn detach(&self, key: &K, read: bool) -> Result<Vec<u8>, StorageError> {
+        let mut inner = self.lock_keys(&[key]);
         if let Some((tier, data)) = inner.mem.remove(key) {
             inner.add_used(tier, -(data.len() as i64));
             return Ok(data);
         }
         let loc = inner.ssd_loc(key)?;
-        let (mut inner, res) = self.with_pending(inner, &[key], || {
-            let bytes = read(loc)?;
-            self.unlink_blob(key, loc).map(|()| bytes)
-        });
-        let bytes = res?;
-        let dead_seg = inner.forget_ssd(key, loc);
+        let (mut inner, bytes) = if read {
+            let (inner, res) = self.with_pending(inner, &[key], || self.read_ssd_blob(key, loc));
+            (inner, res?)
+        } else {
+            (inner, Vec::new())
+        };
+        let dead = inner.forget_ssd(key, loc);
         drop(inner);
-        self.unlink_segment(dead_seg);
+        self.unlink(dead);
         Ok(bytes)
     }
 
@@ -834,13 +813,18 @@ impl TieredStore {
     /// blob streams straight through to SSD (both hops metered, no host
     /// residency). Transit host space for GPU↔SSD moves is still required
     /// — only the destination degrades, not the data path.
-    pub fn move_to(&self, key: &str, target: Tier) -> Result<(), StorageError> {
+    pub fn move_to<Q: ?Sized + ToOwned<Owned = K>>(
+        &self,
+        key: &Q,
+        target: Tier,
+    ) -> Result<(), StorageError> {
+        let key = &key.to_owned();
         // One hop per turn, re-planned from wherever the key is found
         // under the lock that then moves it: a concurrent mover can only
         // shorten the way left, never invalidate it.
         loop {
             let t0 = self.span_start();
-            let inner = self.lock_key(key);
+            let inner = self.lock_keys(&[key]);
             let (current, len) = inner.locate(key)?;
             let plan = Route::hops(current, target);
             let Some(first) = plan.first() else {
@@ -877,8 +861,8 @@ impl TieredStore {
     /// file — never lose the blob.
     fn hop(
         &self,
-        mut inner: MutexGuard<'_, Inner>,
-        key: &str,
+        mut inner: MutexGuard<'_, Inner<K>>,
+        key: &K,
         from: Tier,
         to: Tier,
         len: u64,
@@ -906,14 +890,7 @@ impl TieredStore {
         // Reserved before the lock is released for the read, so two
         // arrivals can't both pass the capacity check above.
         inner.add_used(to, len as i64);
-        let (mut inner, res) = self.with_pending(inner, &[key], || {
-            let bytes = self.read_ssd_blob(key, loc)?;
-            // Drop the stale on-disk copy, best-effort (the blob is safe
-            // in memory), in the same pending window so a concurrent
-            // re-put can't race with the unlink.
-            let _ = self.unlink_blob(key, loc);
-            Ok::<_, StorageError>(bytes)
-        });
+        let (mut inner, res) = self.with_pending(inner, &[key], || self.read_ssd_blob(key, loc));
         let bytes = match res {
             Ok(bytes) => bytes,
             Err(e) => {
@@ -921,10 +898,10 @@ impl TieredStore {
                 return Err(e);
             }
         };
-        inner.mem.insert(key.to_string(), (to, bytes));
-        let dead_seg = inner.forget_ssd(key, loc);
+        inner.mem.insert(key.clone(), (to, bytes));
+        let dead = inner.forget_ssd(key, loc);
         drop(inner);
-        self.unlink_segment(dead_seg);
+        self.unlink(dead);
         Ok(())
     }
 
@@ -935,12 +912,18 @@ impl TieredStore {
     /// is discarded (via [`TieredStore::remove`]) after use. Like
     /// [`TieredStore::move_to`], a GPU<->SSD copy needs transient host
     /// space for the blob and is refused when the host pool has none.
-    pub fn copy_to(&self, key: &str, new_key: &str, tier: Tier) -> Result<(), StorageError> {
+    pub fn copy_to<Q: ?Sized + ToOwned<Owned = K>>(
+        &self,
+        key: &Q,
+        new_key: &Q,
+        tier: Tier,
+    ) -> Result<(), StorageError> {
+        let (key, new_key) = (&key.to_owned(), &new_key.to_owned());
         let t0 = self.span_start();
         let (src_tier, bytes) = self.fetch(key)?;
         let len = bytes.len() as u64;
         let hops = Route::hops(src_tier, tier);
-        let inner = self.lock_key(new_key);
+        let inner = self.lock_keys(&[new_key]);
         if hops.len() == 2 {
             self.check_fits(&inner, Tier::Host, len)?;
         }
@@ -950,18 +933,24 @@ impl TieredStore {
     }
 
     /// Overwrites an existing blob in place (same tier). Used by the
-    /// optimizer to write back updated master states. A segment-resident
-    /// SSD blob migrates to its own file (its segment bytes go dead).
-    pub fn overwrite(&self, key: &str, bytes: Vec<u8>) -> Result<(), StorageError> {
+    /// optimizer to write back updated master states. An SSD-resident
+    /// blob gets a file of its own.
+    pub fn overwrite<Q: ?Sized + ToOwned<Owned = K>>(
+        &self,
+        key: &Q,
+        bytes: Vec<u8>,
+    ) -> Result<(), StorageError> {
+        let key = &key.to_owned();
         let new_len = bytes.len() as u64;
-        let mut inner = self.lock_key(key);
+        let mut inner = self.lock_keys(&[key]);
         if let Some((tier, data)) = inner.mem.get(key) {
-            let tier = *tier;
-            let old_len = data.len() as u64;
+            let (tier, old_len) = (*tier, data.len() as u64);
             if new_len > old_len {
                 self.check_fits(&inner, tier, new_len - old_len)?;
             }
-            inner.mem.insert(key.to_string(), (tier, bytes));
+            if let Some(entry) = inner.mem.get_mut(key) {
+                entry.1 = bytes;
+            }
             inner.add_used(tier, new_len as i64 - old_len as i64);
             return Ok(());
         }
@@ -969,21 +958,23 @@ impl TieredStore {
         self.write_blob(inner, key, None, bytes)
     }
 
-    /// Gives SSD-resident `from`'s blob the key `to`, metadata only: its
-    /// file is renamed (under the retry policy, consulted as a write of
-    /// `to`) and nothing is read, written or metered — how a blob staged
-    /// under a shadow key replaces the one it shadows without crossing
-    /// the disk twice. Whatever `to` named on the SSD tier is released:
-    /// its own file replaced by the rename, its share of a segment gone
-    /// dead. A blob `put_batch` left in a segment moves with no rename
-    /// at all. A failed rename leaves both keys as they were.
+    /// Gives SSD-resident `from`'s blob the key `to`: a change to the
+    /// index alone — nothing is read, written, renamed on disk or metered
+    /// — which is how a blob staged under a shadow key replaces the one
+    /// it shadows without crossing the disk twice. Whatever `to` named
+    /// on the SSD tier is released.
     ///
     /// # Errors
     /// [`StorageError::NotFound`] when `from` is not on the SSD tier,
     /// [`StorageError::AlreadyExists`] when a memory tier holds `to` (a
-    /// rename does not cross tiers), a fault that outlasted its retries.
-    pub fn rename(&self, from: &str, to: &str) -> Result<(), StorageError> {
-        let inner = self.lock_keys(&[from, to]);
+    /// rename does not cross tiers).
+    pub fn rename<Q: ?Sized + ToOwned<Owned = K>>(
+        &self,
+        from: &Q,
+        to: &Q,
+    ) -> Result<(), StorageError> {
+        let (from, to) = (&from.to_owned(), &to.to_owned());
+        let mut inner = self.lock_keys(&[from, to]);
         let loc = inner.ssd_loc(from)?;
         if from == to {
             return Ok(());
@@ -991,27 +982,13 @@ impl TieredStore {
         if inner.mem.contains_key(to) {
             return Err(StorageError::AlreadyExists(to.to_string()));
         }
-        let old = inner.ssd.get(to).copied();
-        let (mut inner, res) = self.with_pending(inner, &[from, to], || match (loc, old) {
-            (SsdLoc::File { .. }, _) => self.ssd_io(FaultOp::Write, to, || {
-                fs::rename(self.blob_path(from), self.blob_path(to))
-            }),
-            // Nothing to rename: `to`'s own file, if any, is stale.
-            (SsdLoc::Segment { .. }, Some(old)) => self.unlink_blob(to, old),
-            (SsdLoc::Segment { .. }, None) => Ok(()),
-        });
-        res?;
         inner.ssd.remove(from);
-        inner.ssd.insert(to.to_string(), loc);
-        let dead_seg = old.and_then(|old| {
-            inner.add_used(Tier::Ssd, -(old.len() as i64));
-            match old {
-                SsdLoc::Segment { seg, .. } => inner.release_segment(seg),
-                SsdLoc::File { .. } => None,
-            }
+        let dead = inner.ssd.insert(to.clone(), loc).and_then(|old| {
+            inner.add_used(Tier::Ssd, -(old.len as i64));
+            inner.release(old)
         });
         drop(inner);
-        self.unlink_segment(dead_seg);
+        self.unlink(dead);
         Ok(())
     }
 
@@ -1024,8 +1001,8 @@ impl TieredStore {
     /// blobs to be whole again. Like `read` and `overwrite`, it finds a
     /// blob in whatever tier holds it: one on the SSD tier (where a
     /// host-pressure spill leaves a blob its handler meant to stage) is
-    /// read into a buffer, handed to `f` and written back to its own
-    /// file inside the same window. A blob keeps its tier and, being a
+    /// read into a buffer, handed to `f` and written back to a file of
+    /// its own inside the same window. A blob keeps its tier and, being a
     /// slice, its length, so nothing is metered and `used`/`peak_used`
     /// do not move. `f` must not panic: its buffers would be lost with it.
     ///
@@ -1034,13 +1011,15 @@ impl TieredStore {
     /// [`StorageError::DuplicateKey`] for one named twice, an SSD read
     /// fault that outlasted its retries: the store is untouched and `f`
     /// has not run. An SSD write fault after `f` ran: every blob is
-    /// whole and the memory-resident ones carry `f`'s update; which of
-    /// the SSD-resident ones do is unspecified.
-    pub fn modify<const N: usize, T>(
+    /// whole, the memory-resident ones carry `f`'s update and the
+    /// SSD-resident ones do not.
+    pub fn modify<const N: usize, Q: ?Sized + ToOwned<Owned = K>, T>(
         &self,
-        keys: [&str; N],
+        keys: [&Q; N],
         f: impl FnOnce([&mut [u8]; N]) -> T,
     ) -> Result<T, StorageError> {
+        let owned = keys.map(ToOwned::to_owned);
+        let keys = owned.each_ref();
         let mut inner = self.lock_keys(&keys);
         let mut on_ssd = [None; N];
         for (i, key) in keys.iter().enumerate() {
@@ -1048,36 +1027,41 @@ impl TieredStore {
                 return Err(StorageError::DuplicateKey(key.to_string()));
             }
             if !inner.mem.contains_key(*key) {
-                on_ssd[i] = Some(inner.ssd_loc(key)?);
+                on_ssd[i] = Some(inner.ssd_loc(*key)?);
             }
         }
         let mut blobs = keys.map(|key| inner.mem.remove(key).unwrap_or((Tier::Ssd, Vec::new())));
+        let mut files = [None; N];
         let (mut inner, res) = self.with_pending(inner, &keys, || {
             for ((key, loc), (_, bytes)) in keys.iter().zip(on_ssd).zip(&mut blobs) {
                 if let Some(loc) = loc {
-                    *bytes = self.read_ssd_blob(key, loc)?;
+                    *bytes = self.read_ssd_blob(*key, loc)?;
                 }
             }
             let out = f(blobs.each_mut().map(|(_, bytes)| bytes.as_mut_slice()));
-            for ((key, loc), (_, bytes)) in keys.iter().zip(on_ssd).zip(&blobs) {
-                if loc.is_some() {
-                    self.write_file(key, bytes)?;
+            for ((key, (tier, bytes)), file) in keys.iter().zip(&blobs).zip(&mut files) {
+                if *tier == Tier::Ssd {
+                    *file = Some(self.write_file(*key, &[bytes.as_slice()])?);
                 }
             }
             Ok(out)
         });
-        let mut dead_segs = [None; N];
-        for ((key, (tier, bytes)), dead) in keys.iter().zip(blobs).zip(&mut dead_segs) {
+        let mut dead = [None; N];
+        let back = owned.into_iter().zip(blobs).zip(files).zip(&mut dead);
+        for (((key, (tier, bytes)), file), dead) in back {
+            let (offset, len) = (0, bytes.len() as u64);
             if tier != Tier::Ssd {
-                inner.mem.insert(key.to_string(), (tier, bytes));
-            } else if res.is_ok() {
-                *dead = inner.register_file(key, bytes.len() as u64);
+                inner.mem.insert(key, (tier, bytes));
+            } else if let Some(file) = file {
+                // Written, but unregistered if a later write failed.
+                *dead = match res {
+                    Ok(_) => inner.claim(key, SsdLoc { file, offset, len }),
+                    Err(_) => Some(file),
+                };
             }
         }
         drop(inner);
-        dead_segs
-            .into_iter()
-            .for_each(|seg| self.unlink_segment(seg));
+        dead.into_iter().for_each(|file| self.unlink(file));
         res
     }
 
@@ -1106,7 +1090,7 @@ impl TieredStore {
     }
 }
 
-impl Drop for TieredStore {
+impl<K> Drop for TieredStore<K> {
     fn drop(&mut self) {
         let _ = fs::remove_dir_all(&self.config.ssd_dir);
     }
@@ -1535,7 +1519,8 @@ mod segment_tests {
         let store = TieredStore::new(TierConfig::unbounded_temp()).unwrap();
         store.set_retry_policy(RetryPolicy::none());
         let plan = Arc::new(crate::fault::FaultPlan::new());
-        plan.fault_on_key("seg-0", crate::fault::FaultKind::Permanent);
+        // The fault plane sees the batch's one write as its first blob's.
+        plan.fault_on_key("seg/k0", crate::fault::FaultKind::Permanent);
         store.set_fault_plan(Some(plan));
         let err = store.put_batch(Tier::Ssd, batch(2, 8)).unwrap_err();
         assert!(matches!(err, StorageError::Faulted { .. }));
@@ -1545,6 +1530,31 @@ mod segment_tests {
         // The keys are not left pending: later puts proceed normally.
         store.set_fault_plan(None);
         store.put_batch(Tier::Ssd, batch(2, 8)).unwrap();
+    }
+
+    #[test]
+    fn keys_that_flatten_alike_keep_their_own_files() {
+        let store = TieredStore::new(TierConfig::unbounded_temp()).unwrap();
+        store.put("a/b", Tier::Ssd, vec![1u8; 8]).unwrap();
+        store.put("a_b", Tier::Ssd, vec![2u8; 8]).unwrap();
+        assert_eq!(store.read("a/b").unwrap(), vec![1u8; 8]);
+        assert_eq!(store.read("a_b").unwrap(), vec![2u8; 8]);
+        store.remove("a_b").unwrap();
+        assert_eq!(store.read("a/b").unwrap(), vec![1u8; 8]);
+    }
+
+    #[test]
+    fn a_key_named_like_a_store_file_leaves_a_batch_alone() {
+        let store = TieredStore::new(TierConfig::unbounded_temp()).unwrap();
+        store.put_batch(Tier::Ssd, batch(2, 16)).unwrap();
+        store.put("seg-0", Tier::Ssd, vec![9u8; 4]).unwrap();
+        let (file, _) = store.ssd_file("seg-0").unwrap();
+        store
+            .put(&file.display().to_string(), Tier::Ssd, vec![8u8; 4])
+            .unwrap();
+        assert_eq!(store.read("seg/k0").unwrap(), vec![1u8; 16]);
+        assert_eq!(store.read("seg/k1").unwrap(), vec![2u8; 16]);
+        assert_eq!(store.read("seg-0").unwrap(), vec![9u8; 4]);
     }
 
     #[test]
@@ -1702,32 +1712,23 @@ mod fault_tests {
     }
 
     #[test]
-    fn a_rename_is_a_write_of_its_target_to_the_fault_plane() {
+    fn a_rename_touches_no_file_and_no_fault_plan() {
         let store = TieredStore::new(TierConfig::unbounded_temp()).unwrap();
         store.set_retry_policy(fast_retry());
         store.put("k", Tier::Ssd, vec![1u8; 8]).unwrap();
         store.put("k#new", Tier::Ssd, vec![2u8; 12]).unwrap();
-        // Given up: both keys as they were, neither left pending.
+        let (file, _) = store.ssd_file("k#new").unwrap();
+        // A dead drive does not stop it: there is no file op to fail.
         let dead = Arc::new(FaultPlan::new());
-        dead.fault_on_key_op("k", FaultOp::Write, FaultKind::Permanent);
-        store.set_fault_plan(Some(dead));
-        let err = store.rename("k#new", "k").unwrap_err();
-        assert!(
-            matches!(&err, StorageError::Faulted { op: FaultOp::Write, key, attempts: 4 } if key == "k"),
-            "{err}"
-        );
-        assert_eq!(store.read("k").unwrap(), vec![1u8; 8]);
-        assert_eq!(store.read("k#new").unwrap(), vec![2u8; 12]);
-        assert_eq!(store.used(Tier::Ssd), 8 + 12);
-        // Retried: the rename lands as if nothing happened.
-        let flaky = Arc::new(FaultPlan::new());
-        flaky.fault_on_key_op("k", FaultOp::Write, FaultKind::Transient);
-        store.set_fault_plan(Some(flaky.clone()));
+        dead.fault_at(0, FaultKind::Permanent);
+        store.set_fault_plan(Some(dead.clone()));
         store.rename("k#new", "k").unwrap();
-        assert_eq!(flaky.injected_count(), 1);
-        assert_eq!(store.read("k").unwrap(), vec![2u8; 12]);
+        assert_eq!(dead.ops_seen(), 0);
+        assert_eq!(store.ssd_file("k").unwrap(), (file, 0));
         assert!(!store.contains("k#new"));
         assert_eq!(store.used(Tier::Ssd), 12);
+        store.set_fault_plan(None);
+        assert_eq!(store.read("k").unwrap(), vec![2u8; 12]);
     }
 
     #[test]
@@ -2033,9 +2034,9 @@ mod fault_tests {
             .collect();
         assert_eq!(
             ops.join(", "),
-            "write s, write seg-0, write h, read h, read h, remove h, write g, read g, \
-             remove g, read s, write g2s, read b1, write s, write b0, read g2s, remove g2s, \
-             read b1, remove s, write big, write g, read g"
+            "write s, write b0, write h, read h, read h, write g, read g, read s, \
+             write g2s, read b1, write s, write b0, read g2s, read b1, write big, write g, \
+             read g"
         );
     }
 }

@@ -369,9 +369,10 @@ impl TelemetryRecorder {
         );
     }
 
-    /// Records a transfer span (route track, `Transfer` kind) and
-    /// folds it into the route's metrics. No-op while disabled.
-    pub fn record_transfer(&self, route: Route, key: &str, bytes: u64, start: f64, end: f64) {
+    /// Records a transfer span (route track, `Transfer` kind, a blob key
+    /// as its label) and folds it into the route's metrics. No-op while
+    /// disabled.
+    pub fn record_transfer(&self, route: Route, label: String, bytes: u64, start: f64, end: f64) {
         if !self.enabled() {
             return;
         }
@@ -388,7 +389,7 @@ impl TelemetryRecorder {
                 track: route.name().to_string(),
                 kind: SpanKind::Transfer,
                 task: None,
-                label: key.to_string(),
+                label,
                 start,
                 end,
                 bytes: Some(bytes),
@@ -455,7 +456,7 @@ mod tests {
     fn disabled_recorder_records_nothing() {
         let rec = TelemetryRecorder::new();
         rec.record_span("gpu0", SpanKind::Forward, None, "fwd L0", 0.0, 1.0);
-        rec.record_transfer(Route::SsdToHost, "k", 100, 0.0, 0.5);
+        rec.record_transfer(Route::SsdToHost, "k".into(), 100, 0.0, 0.5);
         assert!(rec.drain_spans().is_empty());
         assert_eq!(rec.route_metrics()[Route::SsdToHost.index()].ops, 0);
     }
@@ -465,8 +466,8 @@ mod tests {
         let rec = TelemetryRecorder::new();
         rec.set_enabled(true);
         rec.record_span("gpu0", SpanKind::Forward, None, "fwd L0", 0.0, 1.0);
-        rec.record_transfer(Route::SsdToHost, "blob", 1000, 1.0, 1.5);
-        rec.record_transfer(Route::SsdToHost, "blob2", 500, 1.5, 2.0);
+        rec.record_transfer(Route::SsdToHost, "blob".into(), 1000, 1.0, 1.5);
+        rec.record_transfer(Route::SsdToHost, "blob2".into(), 500, 1.5, 2.0);
         let spans = rec.drain_spans();
         assert_eq!(spans.len(), 3);
         assert_eq!(spans[1].bytes, Some(1000));
@@ -507,9 +508,9 @@ mod tests {
     fn route_metrics_since_subtracts_the_snapshot() {
         let rec = TelemetryRecorder::new();
         rec.set_enabled(true);
-        rec.record_transfer(Route::SsdToHost, "warmup", 1000, 0.0, 0.001);
+        rec.record_transfer(Route::SsdToHost, "warmup".into(), 1000, 0.0, 0.001);
         let before = rec.route_metrics();
-        rec.record_transfer(Route::SsdToHost, "step", 500, 1.0, 2.0);
+        rec.record_transfer(Route::SsdToHost, "step".into(), 500, 1.0, 2.0);
         let m =
             rec.route_metrics()[Route::SsdToHost.index()].since(&before[Route::SsdToHost.index()]);
         assert_eq!(m.ops, 1);
@@ -565,13 +566,13 @@ mod tests {
         assert_eq!(spans[7].label, "fwd L19");
         // Transfers share the same bounded store.
         for _ in 0..10 {
-            rec.record_transfer(Route::SsdToHost, "k", 1, 0.0, 0.1);
+            rec.record_transfer(Route::SsdToHost, "k".into(), 1, 0.0, 0.1);
         }
         assert_eq!(rec.drain_spans().len(), 8);
         assert_eq!(rec.dropped_spans(), 14);
         // Shrinking the cap evicts immediately.
         for _ in 0..8 {
-            rec.record_transfer(Route::SsdToHost, "k", 1, 0.0, 0.1);
+            rec.record_transfer(Route::SsdToHost, "k".into(), 1, 0.0, 0.1);
         }
         rec.set_span_capacity(2);
         assert_eq!(rec.drain_spans().len(), 2);
@@ -608,7 +609,7 @@ mod tests {
     fn reset_clears_everything() {
         let rec = TelemetryRecorder::new();
         rec.set_enabled(true);
-        rec.record_transfer(Route::HostToGpu, "k", 10, 0.0, 0.1);
+        rec.record_transfer(Route::HostToGpu, "k".into(), 10, 0.0, 0.1);
         rec.reset();
         assert!(rec.drain_spans().is_empty());
         assert_eq!(rec.route_metrics()[Route::HostToGpu.index()].ops, 0);

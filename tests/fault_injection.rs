@@ -10,7 +10,7 @@ use std::sync::Arc;
 use ratel_repro::core::api::Ratel;
 use ratel_repro::core::{Batch, RatelError, RatelTrainer};
 use ratel_repro::prelude::*;
-use ratel_repro::sim::MemTier;
+use ratel_repro::sim::{BlobKey, BlobKind, MemTier};
 use ratel_repro::storage::{FaultKind, FaultPlan, StorageError, Tier};
 
 fn tiny_config() -> GptConfig {
@@ -24,7 +24,12 @@ fn tiny_config() -> GptConfig {
     }
 }
 
-fn build(model: GptConfig, plan: Option<Arc<FaultPlan>>) -> RatelTrainer {
+/// The store's name of layer `layer`'s Adam moments.
+fn moments(layer: usize) -> BlobKey {
+    BlobKey::shared(BlobKind::Moments, layer)
+}
+
+fn build(model: GptConfig, plan: Option<Arc<FaultPlan<BlobKey>>>) -> RatelTrainer {
     let mut b = Ratel::init(model).seed(17).learning_rate(1e-3);
     if let Some(plan) = plan {
         b = b.fault_plan(plan);
@@ -62,7 +67,8 @@ fn transient_ssd_faults_are_invisible_to_training() {
     let mut baseline = build(model, Some(Arc::clone(&counter)));
     let baseline_losses = train_steps(&mut baseline, &model, 10);
     let window = counter.ops_seen();
-    assert!(window > 100, "expected plenty of SSD ops, saw {window}");
+    // Ten a step: every handler's moments read and written once.
+    assert!(window >= 100, "expected plenty of SSD ops, saw {window}");
 
     // Chaos run: seeded transient faults across that op window.
     let plan = Arc::new(FaultPlan::seeded_transient(0xC0FFEE, 5, window));
@@ -217,7 +223,7 @@ fn a_moments_write_beside_a_resident_master_is_retried_or_fails_and_restores() {
 
     // Retried: the step succeeds and nothing shows but the counter.
     let flaky = Arc::new(FaultPlan::new());
-    flaky.fault_on_key_op("layer2/moments", FaultOp::Write, FaultKind::Transient);
+    flaky.fault_on_key_op(&moments(2), FaultOp::Write, FaultKind::Transient);
     trainer.engine().store().set_fault_plan(Some(flaky));
     let stats = step(&mut trainer, 2).unwrap();
     assert_eq!(stats.fault_stats.retries, 1);
@@ -228,7 +234,7 @@ fn a_moments_write_beside_a_resident_master_is_retried_or_fails_and_restores() {
     // slowed so that no backward, let alone a CPU step, starts before it
     // gives up — and the rotated moments are back in host memory.
     let dead_head = Arc::new(FaultPlan::new());
-    dead_head.fault_on_key_op("layer0/moments", FaultOp::Write, FaultKind::Permanent);
+    dead_head.fault_on_key_op(&moments(0), FaultOp::Write, FaultKind::Permanent);
     trainer.engine().store().set_fault_plan(Some(dead_head));
     trainer
         .engine()
@@ -238,8 +244,8 @@ fn a_moments_write_beside_a_resident_master_is_retried_or_fails_and_restores() {
     assert!(given_up(&err), "{err}");
     assert_eq!(masters(&mut trainer), before);
     let engine = trainer.engine();
-    for key in ["layer0/moments", "layer1/moments"] {
-        assert_eq!(engine.store().tier_of(key).unwrap(), Tier::Host, "{key}");
+    for key in [moments(0), moments(1)] {
+        assert_eq!(engine.store().tier_of(&key).unwrap(), Tier::Host, "{key}");
     }
     assert_eq!(engine.store().used(Tier::Host), engine.host_state_bytes());
     engine.store().set_fault_plan(None);
@@ -249,7 +255,7 @@ fn a_moments_write_beside_a_resident_master_is_retried_or_fails_and_restores() {
 
     // Given up behind the CPU step: the typed error names the write.
     let dead = Arc::new(FaultPlan::new());
-    dead.fault_on_key_op("layer2/moments", FaultOp::Write, FaultKind::Permanent);
+    dead.fault_on_key_op(&moments(2), FaultOp::Write, FaultKind::Permanent);
     trainer.engine().store().set_fault_plan(Some(dead));
     let before = trainer.engine().master_params(2).unwrap();
     let err = step(&mut trainer, 4).unwrap_err();
@@ -299,8 +305,9 @@ fn a_truncated_blob_file_is_a_typed_error_and_a_checkpoint_restores_it() {
     store.set_retry_policy(RetryPolicy::none());
     // A block whose moments rest on the SSD tier (its handler does not
     // rotate).
-    let key = "layer2/moments";
-    let file = store.ssd_dir().join("layer2_moments");
+    let key = moments(2);
+    let (file, offset) = store.ssd_file(&key).unwrap();
+    assert_eq!(offset, 0, "a lone write is a file of its own");
     let written = std::fs::metadata(&file).unwrap().len();
     assert_eq!(written, 8 * model.layer_params(2) as u64);
     std::fs::OpenOptions::new()
@@ -311,14 +318,14 @@ fn a_truncated_blob_file_is_a_typed_error_and_a_checkpoint_restores_it() {
         .unwrap();
 
     let host = store.used(Tier::Host);
-    let err = store.move_to(key, Tier::Host).unwrap_err();
+    let err = store.move_to(&key, Tier::Host).unwrap_err();
     let names_both = |e: &StorageError| {
         matches!(e, StorageError::Io(io) if io.kind() == std::io::ErrorKind::InvalidData
             && io.to_string().contains(&format!("{key}: its file holds 100 B, {written} B")))
     };
     assert!(names_both(&err), "{err}");
     assert_eq!(store.used(Tier::Host), host);
-    assert_eq!(store.tier_of(key).unwrap(), Tier::Ssd);
+    assert_eq!(store.tier_of(&key).unwrap(), Tier::Ssd);
 
     // What the rest of the step had staged by the time the read failed
     // is released with it.
@@ -327,7 +334,7 @@ fn a_truncated_blob_file_is_a_typed_error_and_a_checkpoint_restores_it() {
         other => panic!("expected the typed read error, got {other}"),
     }
     let store = trainer.engine().store();
-    assert_eq!(store.tier_of(key).unwrap(), Tier::Ssd);
+    assert_eq!(store.tier_of(&key).unwrap(), Tier::Ssd);
     assert_eq!(store.used(Tier::Host), host);
     assert_eq!(host, trainer.engine().host_state_bytes());
 
@@ -343,6 +350,44 @@ fn a_truncated_blob_file_is_a_typed_error_and_a_checkpoint_restores_it() {
             "layer {layer} master params diverged after the restore"
         );
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A fault aimed at a blob hits that blob and not the shadow a
+/// checkpoint load stages it under: the load goes through, and the step
+/// that reads the blob back fails on it, by its name.
+#[test]
+fn a_fault_on_a_blob_spares_its_loader_shadow() {
+    let model = tiny_config();
+    let dir = temp_dir("shadow");
+    let mut trainer = build(model, None);
+    train_steps(&mut trainer, &model, 1);
+    trainer.save_checkpoint(&dir).unwrap();
+    // Layer 2's moments rest on the SSD tier, so the load stages them
+    // there under their shadow.
+    let dead = Arc::new(FaultPlan::new());
+    dead.fault_on_key(&moments(2), FaultKind::Permanent);
+    trainer
+        .engine()
+        .store()
+        .set_fault_plan(Some(Arc::clone(&dead)));
+    trainer.load_checkpoint(&dir).unwrap();
+    assert_eq!(dead.injected_count(), 0, "{:?}", dead.injected());
+    assert_eq!(
+        trainer.engine().store().tier_of(&moments(2)).unwrap(),
+        Tier::Ssd
+    );
+
+    let (tokens, targets) = learnable_batch(&model, 1);
+    let err = trainer
+        .step(Batch::new(&model, &tokens, &targets).unwrap())
+        .unwrap_err();
+    assert!(
+        matches!(&err, RatelError::Storage(StorageError::Faulted { key, .. })
+            if *key == moments(2).to_string()),
+        "{err}"
+    );
+    assert!(dead.injected().iter().all(|e| e.key == moments(2)));
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -377,13 +422,13 @@ fn host_pressure_spills_to_ssd_instead_of_erroring() {
         "builder flag did not reach the store"
     );
 
-    // A blob that cannot fit the host pool degrades to the SSD tier.
+    // A blob that cannot fit the host pool degrades to the SSD tier. The
+    // probe is named by a kind the engine never stores.
+    let probe = BlobKey::shared(BlobKind::Stage, 0);
     let payload: Vec<u8> = (0..floor as usize + 1).map(|i| i as u8).collect();
-    store
-        .put("pressure-probe", Tier::Host, payload.clone())
-        .unwrap();
-    assert_eq!(store.tier_of("pressure-probe").unwrap(), Tier::Ssd);
-    assert_eq!(store.read("pressure-probe").unwrap(), payload);
+    store.put(&probe, Tier::Host, payload.clone()).unwrap();
+    assert_eq!(store.tier_of(&probe).unwrap(), Tier::Ssd);
+    assert_eq!(store.read(&probe).unwrap(), payload);
     let stats = store.telemetry().fault_stats();
     assert!(
         stats.host_spills >= 1,
@@ -395,7 +440,7 @@ fn host_pressure_spills_to_ssd_instead_of_erroring() {
     let err = strict
         .engine()
         .store()
-        .put("pressure-probe", Tier::Host, payload)
+        .put(&probe, Tier::Host, payload)
         .unwrap_err();
     assert!(matches!(
         err,

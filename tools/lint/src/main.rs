@@ -19,6 +19,10 @@
 //! * **`no-wall-clock-in-sim`** — bare `Instant::now()` inside
 //!   `crates/sim`: the simulator must read its virtual clock so runs stay
 //!   deterministic and replayable.
+//! * **`doc-refs`** — a backticked `.rs` path in README.md or DESIGN.md
+//!   that names no workspace file, whole or by the tail of its path
+//!   (`engine/plan.rs`). ROADMAP.md is exempt: it names deleted files as
+//!   history.
 //!
 //! Findings are suppressed by `ratel-lint.allow` at the workspace root.
 //! Each non-comment line is `<rule> <path>` and waives that rule for that
@@ -44,6 +48,7 @@ enum Rule {
     NoSleepUnderLock,
     NoStaticMut,
     NoWallClockInSim,
+    DocRefs,
 }
 
 impl Rule {
@@ -53,6 +58,7 @@ impl Rule {
             Rule::NoSleepUnderLock => "no-sleep-under-lock",
             Rule::NoStaticMut => "no-static-mut",
             Rule::NoWallClockInSim => "no-wall-clock-in-sim",
+            Rule::DocRefs => "doc-refs",
         }
     }
 
@@ -62,6 +68,7 @@ impl Rule {
             "no-sleep-under-lock" => Some(Rule::NoSleepUnderLock),
             "no-static-mut" => Some(Rule::NoStaticMut),
             "no-wall-clock-in-sim" => Some(Rule::NoWallClockInSim),
+            "doc-refs" => Some(Rule::DocRefs),
             _ => None,
         }
     }
@@ -450,6 +457,53 @@ fn collect(dir: &Path, out: &mut Vec<PathBuf>) {
 /// Workspace roots to scan, relative to the workspace root.
 const SCAN_ROOTS: &[&str] = &["crates", "src", "tools"];
 
+/// The docs whose backticked `.rs` paths must resolve.
+const DOC_FILES: &[&str] = &["README.md", "DESIGN.md"];
+
+/// Every `.rs` file of the workspace (tests and examples included), as
+/// `/`-separated paths relative to `root`; build output, vendored crates
+/// and hidden directories are not the workspace's.
+fn workspace_sources(root: &Path, dir: &Path, out: &mut Vec<String>) {
+    let Ok(entries) = fs::read_dir(dir) else {
+        return;
+    };
+    for path in entries.flatten().map(|e| e.path()) {
+        let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
+        if path.is_dir() {
+            if !matches!(name, "target" | "vendor") && !name.starts_with('.') {
+                workspace_sources(root, &path, out);
+            }
+        } else if name.ends_with(".rs") {
+            let rel = path.strip_prefix(root).unwrap_or(&path);
+            out.push(rel.to_string_lossy().replace('\\', "/"));
+        }
+    }
+}
+
+/// `doc-refs` over one markdown file: every code span that is a path
+/// ending in `.rs` must name one of `sources`, whole or by its tail.
+fn scan_doc_refs(doc: &Path, rel: &Path, sources: &[String], findings: &mut Vec<Finding>) {
+    let Ok(text) = fs::read_to_string(doc) else {
+        return;
+    };
+    for (idx, line) in text.lines().enumerate() {
+        // Odd `split` pieces are the inside of `code spans`.
+        for span in line.split('`').skip(1).step_by(2) {
+            let stem = span.rsplit('/').next().and_then(|f| f.strip_suffix(".rs"));
+            let is_path = stem.is_some_and(|s| !s.is_empty()) && !span.contains([' ', '*']);
+            let resolves = |f: &String| f == span || f.ends_with(&format!("/{span}"));
+            if is_path && !sources.iter().any(resolves) {
+                findings.push(Finding {
+                    rule: Rule::DocRefs,
+                    path: rel.to_path_buf(),
+                    line: idx + 1,
+                    text: format!("`{span}` names no workspace file"),
+                });
+            }
+        }
+    }
+}
+
 fn run(root: &Path, allow_path: &Path) -> ExitCode {
     // Allowlist: `<rule> <path>` per line; `#` starts a comment.
     let mut allow: Vec<(Rule, String, bool)> = Vec::new();
@@ -489,6 +543,11 @@ fn run(root: &Path, allow_path: &Path) -> ExitCode {
     for path in &files {
         let rel = path.strip_prefix(root).unwrap_or(path);
         scan_file(path, rel, &mut findings);
+    }
+    let mut sources = Vec::new();
+    workspace_sources(root, root, &mut sources);
+    for doc in DOC_FILES {
+        scan_doc_refs(&root.join(doc), Path::new(doc), &sources, &mut findings);
     }
 
     let mut shown = 0usize;
@@ -542,7 +601,8 @@ fn main() -> ExitCode {
             "--help" | "-h" => {
                 println!(
                     "usage: ratel-lint [--root <workspace-root>] [--allow <allowlist>]\n\
-                     Scans crates/, src/, and tools/ for banned patterns; exits 1 on findings."
+                     Scans crates/, src/, and tools/ for banned patterns and README.md and\n\
+                     DESIGN.md for `.rs` paths that name no file; exits 1 on findings."
                 );
                 return ExitCode::SUCCESS;
             }
@@ -662,6 +722,25 @@ mod tests {
     fn guard_scope_ends_with_block() {
         let src = "fn f() {\n    {\n        let g = m.lock();\n    }\n    thread::sleep(d);\n}\n";
         assert!(scan_src(src, "crates/x/src/lib.rs").is_empty());
+    }
+
+    #[test]
+    fn doc_refs_resolve_whole_or_by_tail() {
+        let dir = std::env::temp_dir().join(format!("ratel-lint-docs-{}", std::process::id()));
+        fs::create_dir_all(dir.join("crates/x/src")).unwrap();
+        fs::write(dir.join("crates/x/src/plan.rs"), "").unwrap();
+        let doc = dir.join("DESIGN.md");
+        let text = "`crates/x/src/plan.rs`, `x/src/plan.rs` and `plan.rs`\n\
+                    ```text\n`benches/gone.rs` but not `tests/*.rs`, `a b.rs` or `.rs`\n";
+        fs::write(&doc, text).unwrap();
+        let mut sources = Vec::new();
+        workspace_sources(&dir, &dir, &mut sources);
+        let mut findings = Vec::new();
+        scan_doc_refs(&doc, Path::new("DESIGN.md"), &sources, &mut findings);
+        let _ = fs::remove_dir_all(&dir);
+        let hits: Vec<_> = findings.iter().map(|f| (f.rule, f.line)).collect();
+        assert_eq!(hits, vec![(Rule::DocRefs, 3)]);
+        assert!(findings[0].text.contains("benches/gone.rs"));
     }
 
     #[test]
