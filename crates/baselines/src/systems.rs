@@ -302,6 +302,7 @@ fn ds_spec(
         rates: LinkRates::from_profile(hw),
         gpus,
         items_per_iteration: items(profile, gpus),
+        micro_batches: 1,
         per_layer_overhead_seconds: DS_LAYER_OVERHEAD_SEC
             + staging_bytes_per_layer / DS_STAGING_BYTES_PER_SEC,
     }
@@ -346,6 +347,7 @@ fn colossal_spec(hw: &HardwareProfile, profile: &ModelProfile, gpus: usize) -> I
         rates: LinkRates::from_profile(hw),
         gpus,
         items_per_iteration: items(profile, gpus),
+        micro_batches: 1,
         per_layer_overhead_seconds: COLOSSAL_LAYER_OVERHEAD_SEC,
     }
 }
@@ -386,6 +388,7 @@ fn flashneuron_spec(hw: &HardwareProfile, profile: &ModelProfile) -> IterationSp
         rates: LinkRates::from_profile(hw),
         gpus: 1,
         items_per_iteration: items(profile, 1),
+        micro_batches: 1,
         per_layer_overhead_seconds: 0.0,
     }
 }
@@ -429,6 +432,7 @@ fn g10_spec(hw: &HardwareProfile, profile: &ModelProfile) -> IterationSpec {
         rates: LinkRates::from_profile(hw),
         gpus: 1,
         items_per_iteration: items(profile, 1),
+        micro_batches: 1,
         per_layer_overhead_seconds: 0.0,
     }
 }

@@ -154,9 +154,9 @@ impl From<Stage> for SpanKind {
 /// | `Grad` | yes | G16 landed in host memory |
 /// | `GradReduced` | yes | an accumulated step's f32 sum |
 /// | `Act` | yes (checkpoint included) | saved activations, per chunk |
-/// | `Flow`, `FlowGrad`, `Stage`, `ParamGpu`, `StageOpt` | yes | — |
+/// | `Flow`, `FlowGrad`, `Stage`, `StageOpt` | yes | — |
 /// | `Moments` | — (inside `Master`) | OS32 |
-/// | `P16Fwd`, `P16Bwd` | — (`Stage`, `ParamGpu`) | a pass's staged P16 |
+/// | `P16Fwd`, `P16Bwd` | yes (shared: host staging; per GPU: the arena copy) | a pass's staged P16 |
 /// | `Ckpt` | — (inside `Act`) | a block's checkpoint |
 /// | `GradMicro` | — | a non-final micro-batch's G16 |
 /// | `P16Pinned`, `Kv` | — | a decode call's pins and KV caches |
@@ -182,20 +182,18 @@ pub enum BlobKind {
     Flow,
     /// Backward hidden-state gradient at a layer boundary (per GPU).
     FlowGrad,
-    /// Host staging buffer of an SSD hop: a parameter fetch on its way
-    /// up, an SSD-bound activation chunk on its way down or back.
+    /// Host staging buffer of an SSD-bound activation chunk on its way
+    /// down or back.
     Stage,
-    /// The GPU-resident copy of a layer's fetched fp16 parameters.
-    ParamGpu,
     /// Staging/working buffers of an optimizer handler.
     StageOpt,
     /// A layer's OS32 Adam moments, which the engine keeps apart from its
     /// P32 master. Persistent.
     Moments,
     /// A layer's P16 staged for one forward pass (of a step, an eval or a
-    /// decode position) on its way to the arena.
+    /// decode position) on its way to the arena, and its arena copy.
     P16Fwd,
-    /// A layer's P16 staged for its backward pass.
+    /// A layer's P16 staged for its backward pass, and its arena copy.
     P16Bwd,
     /// A layer's P16 held in host memory for one decode call.
     P16Pinned,
@@ -234,7 +232,6 @@ impl BlobKind {
             BlobKind::Flow => "flow",
             BlobKind::FlowGrad => "flow-grad",
             BlobKind::Stage => "stage",
-            BlobKind::ParamGpu => "param-gpu",
             BlobKind::StageOpt => "stage-opt",
             BlobKind::Moments => "moments",
             BlobKind::P16Fwd => "p16-fwd",
@@ -486,13 +483,15 @@ impl TaskKind {
     }
 }
 
-/// A task's typed identity: its kind, the layer it serves, — for tasks
-/// replicated per data-parallel GPU — which replica, and — for a
-/// transfer of one chunk of a blob — which chunk.
+/// A task's typed identity: its kind, the micro-batch and layer it
+/// serves, — for tasks replicated per data-parallel GPU — which replica,
+/// and — for a transfer of one chunk of a blob — which chunk.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TaskIdentity {
     /// What the task does.
     pub kind: TaskKind,
+    /// The micro-batch of its iteration it serves (0 in a step of one).
+    pub micro: usize,
     /// The schedule layer it serves.
     pub layer: usize,
     /// GPU replica for per-GPU tasks; `None` for tasks shared by all
@@ -508,6 +507,7 @@ impl TaskIdentity {
     pub fn shared(kind: TaskKind, layer: usize) -> Self {
         TaskIdentity {
             kind,
+            micro: 0,
             layer,
             gpu: None,
             chunk: None,
@@ -518,6 +518,7 @@ impl TaskIdentity {
     pub fn on_gpu(kind: TaskKind, layer: usize, gpu: usize) -> Self {
         TaskIdentity {
             kind,
+            micro: 0,
             layer,
             gpu: Some(gpu),
             chunk: None,
@@ -531,16 +532,11 @@ impl TaskIdentity {
     }
 }
 
-/// Which executed task a measured span belongs to: the task's id and
-/// typed identity, plus which DAG run of the step executed it. Task ids
-/// are unique within a run only — the accumulation DAG of a non-final
-/// micro-batch numbers its tasks independently of the step DAG.
+/// Which executed task a measured span belongs to: the task's id in the
+/// one graph its step ran, and what the task does.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TaskRef {
-    /// DAG run within the step: 0 for a plain step, the micro-batch
-    /// number for an accumulated one.
-    pub run: usize,
-    /// The task's id in the graph that run executed.
+    /// The task's id in the graph the step executed.
     pub task: TaskId,
     /// What the task does.
     pub kind: TaskKind,
@@ -724,7 +720,6 @@ mod tests {
             BlobKind::Flow,
             BlobKind::FlowGrad,
             BlobKind::Stage,
-            BlobKind::ParamGpu,
             BlobKind::StageOpt,
             BlobKind::Moments,
             BlobKind::P16Fwd,

@@ -9,13 +9,12 @@
 //! dispatched and emitting structured [`Finding`]s for every divergence:
 //!
 //! * **byte mismatches** — a route's measured step traffic differs from
-//!   the planned total (exact, same contract as `ratel-bench validate`;
-//!   an accumulated step of *k* micro-batches plans *k − 1* runs of the
-//!   accumulation plan plus one of the step plan);
-//! * **stage inversions** — within one DAG run, a task's span started
-//!   before the span of one of its dependencies in the dispatched DAG
-//!   ended — the spec's dataflow edges and the pacing edges the lowering
-//!   added to bound tier residency alike;
+//!   the planned total of the step's DAG (exact, same contract as
+//!   `ratel-bench validate`);
+//! * **stage inversions** — a task's span started before the span of one
+//!   of its dependencies in the dispatched DAG ended — the spec's
+//!   dataflow edges, the edges between micro-batches and the pacing
+//!   edges the lowering added to bound tier residency alike;
 //! * **stalls** — a route with a configured bandwidth target achieved
 //!   less than the configured fraction of it.
 //!
@@ -125,10 +124,9 @@ impl Default for ConformanceConfig {
 /// Checks instrumented steps against the engine's plan.
 ///
 /// Built by [`super::RatelEngine::conformance_monitor`] over the plan
-/// the engine holds — the step DAG and the accumulation DAG non-final
-/// micro-batches run, each with its per-route byte ledger — and applied
-/// to every [`StepTelemetry`] the engine collects. Each check sees one
-/// step.
+/// the engine holds — the DAG of each micro-batch count, with its
+/// per-route byte ledger — and applied to every [`StepTelemetry`] the
+/// engine collects. Each check sees one step.
 #[derive(Debug, Clone)]
 pub struct ConformanceMonitor {
     plan: Arc<StepPlan>,
@@ -138,18 +136,6 @@ pub struct ConformanceMonitor {
 impl ConformanceMonitor {
     pub(super) fn new(plan: Arc<StepPlan>, config: ConformanceConfig) -> Self {
         ConformanceMonitor { plan, config }
-    }
-
-    /// The DAG run `run` of `step` executed (which runs accumulate is
-    /// [`StepTelemetry::accumulates`]'s call). `None` only if the
-    /// accumulation DAG cannot be lowered, which the engine would have
-    /// refused to run: such a run then plans no bytes and no order.
-    fn dag_of(&self, step: &StepTelemetry, run: usize) -> Option<&StepDag> {
-        if step.accumulates(run) {
-            self.plan.accumulation().ok()
-        } else {
-            Some(&self.plan.step)
-        }
     }
 
     /// The plan's per-route byte totals for a plain step, indexed like
@@ -162,21 +148,20 @@ impl ConformanceMonitor {
     /// divergence found; an empty vector means the step conformed.
     pub fn check(&self, step: &StepTelemetry) -> Vec<Finding> {
         let mut findings = Vec::new();
-        self.check_bytes(step, &mut findings);
-        self.check_dependencies(step, &mut findings);
+        // A micro-batch count the plan cannot lower is one the engine
+        // refused to run: it plans no bytes and no order.
+        if let Ok(dag) = self.plan.dag(step.micro_batches.max(1)) {
+            Self::check_bytes(&dag, step, &mut findings);
+            Self::check_dependencies(&dag, step, &mut findings);
+        }
         self.check_stalls(step, &mut findings);
         findings
     }
 
-    /// Measured route traffic must equal, to the byte, the ledgers of
-    /// the plans the step's runs executed.
-    fn check_bytes(&self, step: &StepTelemetry, findings: &mut Vec<Finding>) {
-        let mut ledger = [0u64; 4];
-        for dag in (0..step.runs.max(1)).filter_map(|run| self.dag_of(step, run)) {
-            for (total, bytes) in ledger.iter_mut().zip(dag.spec.planned_route_bytes()) {
-                *total += bytes;
-            }
-        }
+    /// Measured route traffic must equal, to the byte, the ledger of the
+    /// DAG the step ran.
+    fn check_bytes(dag: &StepDag, step: &StepTelemetry, findings: &mut Vec<Finding>) {
+        let ledger = dag.spec.planned_route_bytes();
         for (route, planned) in Route::ALL.into_iter().zip(ledger) {
             let measured = step.traffic.bytes(route);
             if measured != planned {
@@ -191,26 +176,21 @@ impl ConformanceMonitor {
         }
     }
 
-    /// Within one DAG run, no task's span may start before the span of
-    /// any of its dependencies in that run's graph ended — the graph
-    /// that was dispatched, pacing edges included. Task ids mean
-    /// something only inside their run, so spans are matched per run.
-    fn check_dependencies(&self, step: &StepTelemetry, findings: &mut Vec<Finding>) {
-        let by_task: HashMap<(usize, TaskId), &SpanRecord> = step
-            .spans
-            .iter()
-            .filter_map(|s| s.task.map(|t| ((t.run, t.task), s)))
+    /// No task's span may start before the span of any of its
+    /// dependencies ended — in the graph that was dispatched, pacing
+    /// edges included.
+    fn check_dependencies(dag: &StepDag, step: &StepTelemetry, findings: &mut Vec<Finding>) {
+        let graph = &dag.graph;
+        let by_task: HashMap<TaskId, &SpanRecord> = (step.spans.iter())
+            .filter_map(|s| s.task.map(|t| (t.task, s)))
             .collect();
         for s in &step.spans {
             let Some(t) = s.task else { continue };
-            let Some(graph) = self.dag_of(step, t.run).map(|dag| &dag.graph) else {
-                continue;
-            };
             if t.task.0 >= graph.len() {
                 continue; // not a task of this plan
             }
             for dep in graph.deps(t.task) {
-                let Some(d) = by_task.get(&(t.run, *dep)) else {
+                let Some(d) = by_task.get(dep) else {
                     continue;
                 };
                 if s.start < d.end {
@@ -218,8 +198,8 @@ impl ConformanceMonitor {
                         kind: DriftKind::StageInversion,
                         route: None,
                         detail: format!(
-                            "{:?} started before its dependency {:?} ended (run {})",
-                            s.label, d.label, t.run
+                            "{:?} started before its dependency {:?} ended",
+                            s.label, d.label
                         ),
                         planned: None,
                         measured: None,

@@ -44,9 +44,10 @@ pub(crate) struct StepDag {
     pub(crate) spec: IterationSpec,
     /// The executable task graph, pacing edges included.
     pub(crate) graph: TaskGraph,
-    /// `actions[t]` is task `t`'s typed identity: its kind, engine layer
-    /// id (0 = embedding, 1..=L = blocks, L+1 = head) and, for a chunked
-    /// activation transfer, the chunk it moves.
+    /// `actions[t]` is task `t`'s typed identity: its kind, the
+    /// micro-batch it serves, engine layer id (0 = embedding, 1..=L =
+    /// blocks, L+1 = head) and, for a chunked activation transfer, the
+    /// chunk it moves.
     pub(super) actions: Vec<TaskIdentity>,
     /// What the static passes say of `graph` against the tiers it was
     /// paced for: its per-tier residency peaks and any finding.
@@ -129,16 +130,19 @@ impl StepDag {
             return Err(RatelError::InvalidConfig(bad));
         }
 
-        // GPU compute order: fwd L0..L{n-1} then bwd L{n-1}..L0. A
-        // staging task serves the kernel at the position `serves` names.
+        // GPU compute order: per micro-batch, fwd L0..L{n-1} then bwd
+        // L{n-1}..L0. A staging task serves the kernel at the position
+        // `serves` names.
         let n = spec.layers.len();
-        let bwd_pos = |li: usize| n + (n - 1 - li);
-        let serves = |id: &TaskIdentity| match id.kind {
-            TaskKind::FwdRead | TaskKind::FwdFetch => Some(id.layer),
-            TaskKind::BwdRead | TaskKind::BwdFetch | TaskKind::ActLoad | TaskKind::ActUp => {
-                Some(bwd_pos(id.layer))
-            }
-            _ => None,
+        let serves = |id: &TaskIdentity| {
+            let pos = match id.kind {
+                TaskKind::FwdRead | TaskKind::FwdFetch => id.layer,
+                TaskKind::BwdRead | TaskKind::BwdFetch | TaskKind::ActLoad | TaskKind::ActUp => {
+                    2 * n - 1 - id.layer
+                }
+                _ => return None,
+            };
+            Some(2 * n * id.micro + pos)
         };
         // Bytes a task's own annotations bring into `tier`: what pacing
         // counts is what the verifier charges.
@@ -153,9 +157,9 @@ impl StepDag {
         // (the SSD hop of the P16 and of SSD-spilled activations). Per
         // optimizer handler, in gradient-arrival order: the states its
         // read stages into host memory.
-        let mut gpu_seq: Vec<TaskId> = Vec::with_capacity(2 * n);
-        let mut to_gpu = vec![0.0f64; 2 * n];
-        let mut to_host = vec![0.0f64; 2 * n];
+        let mut gpu_seq: Vec<TaskId> = Vec::with_capacity(2 * n * spec.micro_batches);
+        let mut to_gpu = vec![0.0f64; 2 * n * spec.micro_batches];
+        let mut to_host = to_gpu.clone();
         let mut opt_reads = Vec::new();
         let mut opt_bytes = Vec::new();
         let mut opt_cpu_of = vec![None; n];
@@ -280,26 +284,6 @@ struct OptUpdate {
     applied: bool,
 }
 
-/// What `grad-off` does with a layer's gradient once backward produced
-/// it. Gradient accumulation is the same step DAG run per micro-batch
-/// with a different sink.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(super) enum GradSink {
-    /// A plain step: the G16 lands in host memory for its optimizer
-    /// handler.
-    Optimizer,
-    /// A non-final micro-batch: the G16 crosses to host memory and is
-    /// summed into the layer's host f32 accumulator; no handler runs.
-    Accumulate,
-    /// The final of `1 / inv_n` micro-batches: merge the accumulator,
-    /// average, and hand `f16(mean_i(f16(g_i)))` to the optimizer
-    /// handler.
-    MergeAccumulated {
-        /// Reciprocal of the micro-batch count.
-        inv_n: f32,
-    },
-}
-
 /// The chunks a block's *saved activations* move in, as the plan's tasks
 /// name them: the layer's [`LayerTask::act_chunks`] when it swaps more
 /// than its checkpoint, none when the checkpoint is all it moves — the
@@ -336,16 +320,13 @@ pub(super) struct StepCtx<'a> {
     store: &'a Arc<TieredStore<BlobKey>>,
     config: &'a EngineConfig,
     dag: &'a StepDag,
-    /// Which DAG run of the step this is (micro-batch number).
-    run: usize,
     scratch: Mutex<&'a mut LayerScratch>,
-    tokens: &'a [usize],
-    targets: &'a [usize],
+    /// `(tokens, targets)` of each micro-batch, in the order they run.
+    batches: &'a [(&'a [usize], &'a [usize])],
     scale: f32,
     step_seed: u64,
     adam: AdamParams,
     layer_steps: &'a [u64],
-    grad_sink: GradSink,
     /// The activation flowing forward between layers.
     flow: Mutex<Option<Tensor>>,
     /// The gradient flowing backward between layers.
@@ -367,7 +348,8 @@ pub(super) struct StepCtx<'a> {
     updates: Vec<Mutex<Option<OptUpdate>>>,
     /// Layers whose update was skipped on gradient overflow.
     skipped: Mutex<Vec<usize>>,
-    loss: Mutex<f32>,
+    /// Per micro-batch: its loss.
+    losses: Mutex<Vec<f32>>,
 }
 
 impl<'a> StepCtx<'a> {
@@ -377,15 +359,12 @@ impl<'a> StepCtx<'a> {
         store: &'a Arc<TieredStore<BlobKey>>,
         config: &'a EngineConfig,
         dag: &'a StepDag,
-        run: usize,
         scratch: &'a mut LayerScratch,
-        tokens: &'a [usize],
-        targets: &'a [usize],
+        batches: &'a [(&'a [usize], &'a [usize])],
         scale: f32,
         step_seed: u64,
         adam: AdamParams,
         layer_steps: &'a [u64],
-        grad_sink: GradSink,
     ) -> Self {
         let blocks = config.model.layers;
         let layers = blocks + 2;
@@ -399,15 +378,12 @@ impl<'a> StepCtx<'a> {
             store,
             config,
             dag,
-            run,
             scratch: Mutex::new(scratch),
-            tokens,
-            targets,
+            batches,
             scale,
             step_seed,
             adam,
             layer_steps,
-            grad_sink,
             flow: Mutex::new(None),
             dflow: Mutex::new(None),
             head: Mutex::new(None),
@@ -417,16 +393,18 @@ impl<'a> StepCtx<'a> {
             grads: slots(layers),
             updates: slots(layers),
             skipped: Mutex::new(Vec::new()),
-            loss: Mutex::new(0.0),
+            losses: Mutex::new(vec![0.0; batches.len()]),
         }
     }
 
-    /// Consumes the context after a successful run, returning the loss
-    /// and the overflow-skipped layers (sorted).
+    /// Consumes the context after a successful run, returning the mean
+    /// micro-batch loss (summed in micro-batch order) and the
+    /// overflow-skipped layers (sorted).
     pub(super) fn into_outcome(self) -> (f32, Vec<usize>) {
         debug_assert!(self.flow.lock().is_none(), "forward flow drained");
         debug_assert!(self.dflow.lock().is_none(), "backward flow drained");
-        let loss = *self.loss.lock();
+        let losses = self.losses.lock();
+        let loss = losses.iter().fold(0.0, |sum, l| sum + l) * (1.0 / losses.len() as f32);
         let mut skipped = self.skipped.lock().clone();
         skipped.sort_unstable();
         (loss, skipped)
@@ -468,14 +446,16 @@ impl<'a> StepCtx<'a> {
         load_staged_params(self.store, scratch, layer, key(pass, layer))
     }
 
-    /// The layer's forward kernels, after decoding its staged P16.
-    fn forward(&self, layer: usize) -> Result<(), StorageError> {
+    /// The layer's forward kernels over micro-batch `micro`, after
+    /// decoding its staged P16.
+    fn forward(&self, layer: usize, micro: usize) -> Result<(), StorageError> {
         let c = self.config.model;
         let l = c.layers;
+        let (tokens, targets) = self.batches[micro];
         let mut scratch = self.scratch.lock();
         self.load_params(&mut scratch, layer, BlobKind::P16Fwd)?;
         if layer == 0 {
-            let mut x = scratch.embedding.forward(self.tokens, c.batch, c.seq);
+            let mut x = scratch.embedding.forward(tokens, c.batch, c.seq);
             round_to_f16_in_place(x.data_mut());
             *self.flow.lock() = Some(x);
         } else if layer <= l {
@@ -512,8 +492,8 @@ impl<'a> StepCtx<'a> {
                 .lock()
                 .take()
                 .ok_or_else(|| slot_violation("forward flow reaches the head"))?;
-            let (loss, head_saved) = scratch.head.forward(&x, self.targets);
-            *self.loss.lock() = loss;
+            let (loss, head_saved) = scratch.head.forward(&x, targets);
+            self.losses.lock()[micro] = loss;
             *self.head.lock() = Some((x, head_saved));
         }
         Ok(())
@@ -558,12 +538,13 @@ impl<'a> StepCtx<'a> {
         Ok(())
     }
 
-    /// The layer's backward kernels. Recompute decisions rerun the
-    /// block's forward inside this task (same step-seeded dropout
-    /// masks).
-    fn backward(&self, layer: usize) -> Result<(), StorageError> {
+    /// The layer's backward kernels over micro-batch `micro`. Recompute
+    /// decisions rerun the block's forward inside this task (same
+    /// step-seeded dropout masks).
+    fn backward(&self, layer: usize, micro: usize) -> Result<(), StorageError> {
         let c = self.config.model;
         let l = c.layers;
+        let (tokens, targets) = self.batches[micro];
         // A layer the plan moves no gradient for is frozen.
         let frozen = self.dag.spec.layers[layer].grad_bytes == 0.0;
         let mut scratch = self.scratch.lock();
@@ -578,7 +559,7 @@ impl<'a> StepCtx<'a> {
             let (dx, head_grads) =
                 scratch
                     .head
-                    .backward_scaled(&x, &head_saved, self.targets, self.scale);
+                    .backward_scaled(&x, &head_saved, targets, self.scale);
             *self.dflow.lock() = Some(dx);
             self.park_gradient(layer, frozen, &head_grads);
         } else if layer >= 1 {
@@ -618,7 +599,7 @@ impl<'a> StepCtx<'a> {
                 .lock()
                 .take()
                 .ok_or_else(|| slot_violation("backward flow reaches the embedding"))?;
-            let emb_grads = scratch.embedding.backward(self.tokens, c.batch, c.seq, &dx);
+            let emb_grads = scratch.embedding.backward(tokens, c.batch, c.seq, &dx);
             self.park_gradient(0, frozen, &emb_grads);
         }
         Ok(())
@@ -633,47 +614,41 @@ impl<'a> StepCtx<'a> {
         }
     }
 
-    /// Land the layer's G16 in host memory — the active offload's
-    /// GPU->host leg — routed per [`GradSink`].
-    fn grad_off(&self, layer: usize) -> Result<(), StorageError> {
+    /// Land the layer's G16 of micro-batch `micro` in host memory — the
+    /// active offload's GPU->host leg. Of a step's several micro-batches
+    /// the first sums it into a new host f32 accumulator, the middle ones
+    /// add into that, and the last merges it, averages and rounds once
+    /// more: the handler reads `f16(mean_i(f16(g_i)))`.
+    fn grad_off(&self, layer: usize, micro: usize) -> Result<(), StorageError> {
         let g16 = self.grads[layer]
             .lock()
             .take()
             .ok_or_else(|| slot_violation("backward produced this layer's gradient"))?;
-        let g16 = match self.grad_sink {
-            GradSink::Accumulate => return self.accumulate(layer, g16),
-            GradSink::Optimizer => g16,
-            GradSink::MergeAccumulated { inv_n } => {
-                // The accumulator ends here, where it lay: this
-                // micro-batch's G16 summed in, averaged, rounded again.
-                let mut acc = self.store.take(&key(BlobKind::GradReduced, layer))?;
-                add_f16_le_to_f32_le(&mut acc, &g16);
-                for a in acc.chunks_exact_mut(4) {
-                    let mean = f32::from_le_bytes([a[0], a[1], a[2], a[3]]) * inv_n;
-                    a.copy_from_slice(&mean.to_le_bytes());
-                }
-                f32_le_to_f16_le(&acc)
+        let n = self.batches.len();
+        let acc = key(BlobKind::GradReduced, layer);
+        if micro + 1 < n {
+            let landed = key(BlobKind::GradMicro, layer);
+            offload_f16(self.store, landed, g16, Tier::Host)?;
+            let g16 = self.store.take(&landed)?;
+            return if micro == 0 {
+                (self.store).put(&acc, Tier::Host, encode_f32(&decode_f16(&g16)))
+            } else {
+                (self.store).modify([&acc], |[acc]| add_f16_le_to_f32_le(acc, &g16))
+            };
+        }
+        let g16 = if micro == 0 {
+            g16
+        } else {
+            let mut acc = self.store.take(&acc)?;
+            add_f16_le_to_f32_le(&mut acc, &g16);
+            let inv_n = 1.0 / n as f32;
+            for a in acc.chunks_exact_mut(4) {
+                let mean = f32::from_le_bytes([a[0], a[1], a[2], a[3]]) * inv_n;
+                a.copy_from_slice(&mean.to_le_bytes());
             }
+            f32_le_to_f16_le(&acc)
         };
         offload_f16(self.store, key(BlobKind::Grad, layer), g16, Tier::Host)
-    }
-
-    /// Sums a micro-batch's G16 into the layer's host f32 accumulator
-    /// (creating it on first use). The blob still crosses the GPU->host
-    /// link like any G16 offload.
-    fn accumulate(&self, layer: usize, g16: Vec<u8>) -> Result<(), StorageError> {
-        let micro = key(BlobKind::GradMicro, layer);
-        offload_f16(self.store, micro, g16, Tier::Host)?;
-        let g16 = self.store.take(&micro)?;
-        let acc = key(BlobKind::GradReduced, layer);
-        if self.store.contains(&acc) {
-            self.store
-                .modify([&acc], |[acc]| add_f16_le_to_f32_le(acc, &g16))?;
-        } else {
-            self.store
-                .put(&acc, Tier::Host, encode_f32(&decode_f16(&g16)))?;
-        }
-        Ok(())
     }
 
     /// Stage the layer's SSD-resident optimizer states — the moments,
@@ -751,6 +726,7 @@ impl TaskAction for StepCtx<'_> {
     fn run(&self, task: TaskId) -> Result<(), RatelError> {
         let TaskIdentity {
             kind,
+            micro,
             layer: li,
             chunk,
             ..
@@ -759,15 +735,15 @@ impl TaskAction for StepCtx<'_> {
         let result = match kind {
             TaskKind::FwdRead => self.param_read(li, BlobKind::P16Fwd),
             TaskKind::FwdFetch => self.param_fetch(li, BlobKind::P16Fwd),
-            TaskKind::Fwd => self.forward(li),
+            TaskKind::Fwd => self.forward(li, micro),
             TaskKind::ActOff => self.act_off(li, chunk),
             TaskKind::ActSpill => self.store.move_to(&acts, Tier::Ssd),
             TaskKind::BwdRead => self.param_read(li, BlobKind::P16Bwd),
             TaskKind::BwdFetch => self.param_fetch(li, BlobKind::P16Bwd),
             TaskKind::ActLoad => self.store.move_to(&acts, Tier::Host),
             TaskKind::ActUp => self.act_up(li, chunk),
-            TaskKind::Bwd => self.backward(li),
-            TaskKind::GradOff => self.grad_off(li),
+            TaskKind::Bwd => self.backward(li, micro),
+            TaskKind::GradOff => self.grad_off(li, micro),
             TaskKind::OptRead => self.opt_read(li),
             TaskKind::OptCpu => self.opt_cpu(li),
             TaskKind::OptWrite => self.opt_write(li),
@@ -802,12 +778,7 @@ impl TaskAction for StepCtx<'_> {
         }
         let TaskIdentity { kind, layer, .. } = self.dag.actions[task.0];
         let graph = &self.dag.graph;
-        let task_ref = TaskRef {
-            run: self.run,
-            task,
-            kind,
-            layer,
-        };
+        let task_ref = TaskRef { task, kind, layer };
         rec.record_span(
             graph.resource_name(graph.resource(task)),
             kind.span_kind(),
@@ -883,6 +854,7 @@ mod tests {
             rates: LinkRates::UNIT,
             gpus: 1,
             items_per_iteration: 1.0,
+            micro_batches: 1,
             per_layer_overhead_seconds: 0.0,
         }
     }
@@ -1234,7 +1206,7 @@ mod tests {
     }
 
     /// The DAG `config` steps dispatch, as lowered by the engine.
-    fn engine_dag(config: &EngineConfig) -> StepDag {
+    fn engine_dag(config: &EngineConfig) -> Arc<StepDag> {
         crate::engine::StepPlan::lower(config).unwrap().step
     }
 

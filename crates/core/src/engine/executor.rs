@@ -104,30 +104,6 @@ impl TaskBreakdown {
     pub fn busy_seconds_total(&self) -> f64 {
         self.pools.iter().map(|p| p.busy_seconds).sum()
     }
-
-    /// Folds in the breakdown of another DAG run of the same step (its
-    /// micro-batches run back to back): task counts, busy time, critical
-    /// path and wall time add up.
-    pub(crate) fn absorb(&mut self, other: TaskBreakdown) {
-        if self.tasks_total == 0 {
-            *self = other;
-            return;
-        }
-        for p in other.pools {
-            match self.pools.iter_mut().find(|q| q.class == p.class) {
-                Some(q) => {
-                    q.workers = q.workers.max(p.workers);
-                    q.tasks += p.tasks;
-                    q.busy_seconds += p.busy_seconds;
-                }
-                None => self.pools.push(p),
-            }
-        }
-        self.pools.sort_by_key(|p| pool_index(p.class));
-        self.critical_path_seconds += other.critical_path_seconds;
-        self.wall_seconds += other.wall_seconds;
-        self.tasks_total += other.tasks_total;
-    }
 }
 
 /// The resource classes that get a worker pool, in display order.

@@ -9,7 +9,8 @@
 //! plan before an engine exists and hands it over; the engine runs it;
 //! the conformance monitor checks each step's telemetry against it.
 
-use std::sync::OnceLock;
+use std::collections::HashMap;
+use std::sync::{Arc, Mutex, PoisonError};
 
 use ratel_sim::MemTier;
 
@@ -100,6 +101,7 @@ pub fn movement_spec_for(config: &EngineConfig, placement: Placement) -> Iterati
         rates: LinkRates::UNIT,
         gpus: 1,
         items_per_iteration: model.batch as f64,
+        micro_batches: 1,
         per_layer_overhead_seconds: 0.0,
     }
 }
@@ -110,17 +112,14 @@ pub fn movement_spec_for(config: &EngineConfig, placement: Placement) -> Iterati
 /// against it, so all three hold the same graphs and specs.
 #[derive(Debug)]
 pub(crate) struct StepPlan {
-    /// The DAG a plain step — and the final micro-batch of an
-    /// accumulated one — runs.
-    pub(crate) step: StepDag,
+    /// The DAG a plain step runs: one micro-batch.
+    pub(crate) step: Arc<StepDag>,
     /// Where every layer's states rest between steps: what `step.spec`
     /// was lowered under.
     pub(crate) placement: Placement,
-    /// The DAG a non-final micro-batch runs; see [`StepPlan::accumulation`].
-    accumulation: OnceLock<StepDag>,
-    /// That DAG's static peak per memory tier ([`MemTier::ALL`] order):
-    /// all of it a plan that may never accumulate keeps.
-    accumulation_peaks: [ratel_verify::TierPeak; 3],
+    /// The DAGs of accumulated steps, by micro-batch count, each lowered
+    /// on first use; see [`StepPlan::dag`].
+    accumulated: Mutex<HashMap<usize, Arc<StepDag>>>,
     /// The configured tier capacities and executor width the DAGs are
     /// paced and verified against.
     tiers: ratel_verify::Limits,
@@ -147,43 +146,125 @@ impl StepPlan {
             ..ratel_verify::Limits::none()
         };
         let spec = movement_spec_for(config, placement);
-        // What fits must cover an accumulated step too, so its DAG is
-        // lowered here for its peaks alone, and dropped before the step
-        // DAG exists beside it.
-        let accumulation_peaks = StepDag::lower(&spec.accumulation_spec(), &tiers)?
-            .report
-            .peaks;
         Ok(StepPlan {
-            step: StepDag::lower(&spec, &tiers)?,
+            step: Arc::new(StepDag::lower(&spec, &tiers)?),
             placement,
-            accumulation: OnceLock::new(),
-            accumulation_peaks,
+            accumulated: Mutex::new(HashMap::new()),
             tiers,
         })
     }
 
-    /// The DAG a non-final micro-batch runs (the movement plan's
-    /// [`accumulation_spec`](IterationSpec::accumulation_spec)), lowered
-    /// on first use.
-    pub(crate) fn accumulation(&self) -> Result<&StepDag, RatelError> {
-        if let Some(dag) = self.accumulation.get() {
-            return Ok(dag);
+    /// The DAG a step of `micro_batches` micro-batches runs: the plain
+    /// step's for one, otherwise the movement plan over that many,
+    /// lowered on first use.
+    pub(crate) fn dag(&self, micro_batches: usize) -> Result<Arc<StepDag>, RatelError> {
+        if micro_batches == 1 {
+            return Ok(Arc::clone(&self.step));
         }
-        let dag = StepDag::lower(&self.step.spec.accumulation_spec(), &self.tiers)?;
-        Ok(self.accumulation.get_or_init(|| dag))
+        let mut lowered = self
+            .accumulated
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        if let Some(dag) = lowered.get(&micro_batches) {
+            return Ok(Arc::clone(dag));
+        }
+        let spec = IterationSpec {
+            micro_batches,
+            ..self.step.spec.clone()
+        };
+        let dag = Arc::new(StepDag::lower(&spec, &self.tiers)?);
+        lowered.insert(micro_batches, Arc::clone(&dag));
+        Ok(dag)
     }
 
     /// The most bytes a step of this plan — plain or accumulated over
     /// any number of micro-batches — can hold in `tier` at once, under
     /// any interleaving the executor may produce: the residency pass's
-    /// static peak over the DAGs as dispatched. An accumulated step's
-    /// runs all start with what the accumulation DAG leaves behind and a
-    /// plain step does not (the f32 accumulators; resident masters
-    /// outlive both and are in both totals) already there.
+    /// static peak over the DAGs as dispatched. A step of three
+    /// micro-batches — a first, a middle and a last — peaks as high as
+    /// any longer one (each middle one refills what the one before
+    /// drained) and no lower than one of two, so it stands for them all.
     pub(crate) fn static_peak(&self, tier: MemTier) -> u64 {
-        let step = self.step.report.peak(tier);
-        let accumulation = self.accumulation_peaks[tier as usize];
-        let carried = accumulation.outliving - step.outliving;
-        (carried + step.total.max(accumulation.total)).ceil() as u64
+        let step = self.step.report.peak(tier).total;
+        // The step of one lowered, so every longer one lowers too.
+        let accumulated = (self.dag(3)).map_or(f64::INFINITY, |dag| dag.report.peak(tier).total);
+        step.max(accumulated).ceil() as u64
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::api::Ratel;
+    use crate::engine::{ExecutionOptions, ExecutorOptions};
+    use ratel_tensor::GptConfig;
+
+    /// What [`StepPlan::static_peak`] stands on: in every tier, steps of
+    /// three, four and five micro-batches peak alike and one of two no
+    /// higher, so lowering the step of three answers for them all. (Two
+    /// has no middle micro-batch: on the single-block shape at its
+    /// smallest host pool its bound is lower.) Over the
+    /// integration suites' model zoo
+    /// (`tests/common`) plus the tiny shape, under both placements — the
+    /// host pool unbounded, roomy and the smallest the plan accepts — at
+    /// 1, 2 and 4 workers per pool.
+    #[test]
+    fn a_step_of_three_micro_batches_peaks_as_high_as_any_longer_one() {
+        use ActDecision::{Recompute, SwapToHost as Host, SwapToSsd as Ssd};
+        let shape = |vocab, seq, hidden, heads, layers, batch| GptConfig {
+            vocab,
+            seq,
+            hidden,
+            heads,
+            layers,
+            batch,
+        };
+        for (model, decisions, gpu_capacity) in [
+            (GptConfig::tiny(), [Ssd, Host, Recompute], None),
+            (shape(96, 12, 32, 4, 2, 2), [Host, Ssd, Recompute], None),
+            (shape(64, 8, 16, 2, 4, 2), [Host, Ssd, Recompute], None),
+            (shape(48, 8, 16, 2, 1, 1), [Host, Ssd, Recompute], None),
+            (
+                shape(64, 8, 16, 2, 6, 2),
+                [Ssd, Host, Recompute],
+                Some(64 << 10),
+            ),
+        ] {
+            let act_decisions: Vec<_> = decisions.into_iter().cycle().take(model.layers).collect();
+            for workers_per_pool in [1, 2, 4] {
+                let execution = ExecutionOptions::Executor(ExecutorOptions {
+                    workers_per_pool,
+                    ..ExecutorOptions::default()
+                });
+                let mut builder = Ratel::init(model)
+                    .activation_decisions(act_decisions.clone())
+                    .execution(execution);
+                if let Some(bytes) = gpu_capacity {
+                    builder = builder.gpu_capacity(bytes);
+                }
+                let least = builder.min_host_capacity().unwrap();
+                for host_capacity in [None, Some(1 << 30), Some(least)] {
+                    let config = EngineConfig {
+                        model,
+                        act_decisions: act_decisions.clone(),
+                        gpu_capacity,
+                        host_capacity,
+                        execution,
+                        ..EngineConfig::tiny()
+                    };
+                    let plan = StepPlan::lower(&config).unwrap();
+                    let peaks = |n| {
+                        let dag = plan.dag(n).unwrap();
+                        MemTier::ALL.map(|tier| dag.report.peak(tier).total)
+                    };
+                    let what = format!("{model:?}, {workers_per_pool} workers, {host_capacity:?}");
+                    let three = peaks(3);
+                    assert_eq!(peaks(4), three, "{what}");
+                    assert_eq!(peaks(5), three, "{what}");
+                    let two = peaks(2);
+                    assert!(two.iter().zip(three).all(|(a, b)| *a <= b), "{what}");
+                }
+            }
+        }
     }
 }

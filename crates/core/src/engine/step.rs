@@ -1,16 +1,15 @@
-//! The step itself: one synchronous training step is the plan's DAG
-//! (after its accumulation DAG, once per earlier micro-batch) dispatched
-//! on the executor, then sealed — scaler and per-layer clocks advanced,
-//! telemetry collected and held against the plan.
+//! The step itself: one synchronous training step — over one
+//! micro-batch or several — is the plan's DAG for that many micro-batches
+//! dispatched once on the executor, then sealed — scaler and per-layer
+//! clocks advanced, telemetry collected and held against the plan.
 
 use std::sync::Arc;
 
 use ratel_obs::EventKind;
 use ratel_sim::SpanKind;
 use ratel_storage::telemetry::{FaultStats, TelemetryRecorder};
-use ratel_storage::TrafficSnapshot;
 
-use super::dag_step::{GradSink, StepCtx, StepDag};
+use super::dag_step::StepCtx;
 use super::telemetry::StepTelemetry;
 use super::{conformance, executor, RatelEngine};
 use crate::error::RatelError;
@@ -32,10 +31,9 @@ pub struct StepStats {
     /// Robustness-counter deltas for the step (SSD retries/give-ups and
     /// host-pressure spills) — always collected, telemetry on or off.
     pub fault_stats: FaultStats,
-    /// Per-task execution breakdown — tasks and busy time per resource
-    /// pool plus the measured critical path, summed over the micro-batch
-    /// DAG runs of an accumulated step. Always `Some`; the `Option` is
-    /// kept for source compatibility.
+    /// Per-task execution breakdown of the step's one DAG run — tasks
+    /// and busy time per resource pool plus the measured critical path.
+    /// Always `Some`; the `Option` is kept for source compatibility.
     pub tasks: Option<executor::TaskBreakdown>,
 }
 
@@ -49,15 +47,16 @@ impl RatelEngine {
         tokens: &[usize],
         targets: &[usize],
     ) -> Result<StepStats, RatelError> {
-        let result = self.run_step(&[], (tokens, targets));
+        let result = self.run_step(&[(tokens, targets)]);
         self.seal_step(result)
     }
 
     /// Runs one training step over several micro-batches with gradient
-    /// accumulation: each micro-batch's G16 gradients land in host memory
-    /// and are summed into f32 accumulators there; only after the final
-    /// micro-batch does the (averaged, re-rounded) gradient reach the
-    /// optimizer, whose handlers then overlap the final backward's tail.
+    /// accumulation, as one DAG: each micro-batch's G16 gradients land in
+    /// host memory and are summed into f32 accumulators there; only after
+    /// the final micro-batch does the (averaged, re-rounded) gradient
+    /// reach the optimizer, whose handlers then overlap the final
+    /// backward's tail. One micro-batch is a plain step.
     ///
     /// Semantics (mirrored exactly by
     /// [`ReferenceTrainer::train_step_accumulated`][reference]): per-layer
@@ -72,24 +71,22 @@ impl RatelEngine {
         &mut self,
         micro_batches: &[(Vec<usize>, Vec<usize>)],
     ) -> Result<StepStats, RatelError> {
-        let Some(((tokens, targets), accumulated)) = micro_batches.split_last() else {
+        if micro_batches.is_empty() {
             return Err(RatelError::InvalidBatch(
                 "need at least one micro-batch".into(),
             ));
-        };
-        let result = self.run_step(accumulated, (tokens, targets));
+        }
+        let batches: Vec<(&[usize], &[usize])> = (micro_batches.iter())
+            .map(|(tokens, targets)| (&tokens[..], &targets[..]))
+            .collect();
+        let result = self.run_step(&batches);
         self.seal_step(result)
     }
 
-    /// One synchronous step: every micro-batch in `accumulated` runs the
-    /// accumulation DAG, then `last` runs the step DAG, whose optimizer
-    /// handlers consume the merged gradient. A plain step is the case
-    /// `accumulated == []`.
-    fn run_step(
-        &mut self,
-        accumulated: &[(Vec<usize>, Vec<usize>)],
-        last: (&[usize], &[usize]),
-    ) -> Result<StepStats, RatelError> {
+    /// One synchronous step over `batches`, one `(tokens, targets)` per
+    /// micro-batch: the plan's DAG for that many dispatched once. A run
+    /// that fails leaves the tiers as they were before it.
+    fn run_step(&mut self, batches: &[(&[usize], &[usize])]) -> Result<StepStats, RatelError> {
         let t0 = std::time::Instant::now();
         let traffic_before = self.store.traffic();
         let faults_before = self.store.telemetry().fault_stats();
@@ -97,53 +94,7 @@ impl RatelEngine {
         self.step += 1;
         ratel_obs::flight().record(EventKind::StepBegin, 0, "step", 0, self.step);
         let scale = self.scaler.current();
-        let inv_n = 1.0 / (accumulated.len() + 1) as f32;
-
-        let plan = Arc::clone(&self.plan);
-        let mut loss_sum = 0.0f32;
-        let mut tasks = executor::TaskBreakdown::default();
-        if !accumulated.is_empty() {
-            let dag = plan.accumulation()?;
-            for (run, (tokens, targets)) in accumulated.iter().enumerate() {
-                let (loss, _, breakdown) =
-                    self.run_dag(dag, run, tokens, targets, scale, GradSink::Accumulate)?;
-                loss_sum += loss;
-                tasks.absorb(breakdown);
-            }
-        }
-        let sink = if accumulated.is_empty() {
-            GradSink::Optimizer
-        } else {
-            GradSink::MergeAccumulated { inv_n }
-        };
-        let (loss, skipped, breakdown) =
-            self.run_dag(&plan.step, accumulated.len(), last.0, last.1, scale, sink)?;
-        tasks.absorb(breakdown);
-        self.finish_step(
-            skipped,
-            tasks,
-            accumulated.len() + 1,
-            t0,
-            (loss_sum + loss) * inv_n,
-            scale,
-            traffic_before,
-            faults_before,
-            step_start,
-        )
-    }
-
-    /// Dispatches one lowered DAG over the engine's state as DAG run
-    /// `run` of the current step. Returns `(loss, overflow-skipped
-    /// layers, task breakdown)`.
-    fn run_dag(
-        &mut self,
-        dag: &StepDag,
-        run: usize,
-        tokens: &[usize],
-        targets: &[usize],
-        scale: f32,
-        grad_sink: GradSink,
-    ) -> Result<(f32, Vec<usize>, executor::TaskBreakdown), RatelError> {
+        let dag = self.plan.dag(batches.len())?;
         let step_seed = self.dropout_step_seed();
         // The LR schedule runs on the wall-step clock (0-based).
         let mut adam = self.config.adam;
@@ -151,71 +102,25 @@ impl RatelEngine {
         let ctx = StepCtx::new(
             &self.store,
             &self.config,
-            dag,
-            run,
+            &dag,
             &mut self.scratch,
-            tokens,
-            targets,
+            batches,
             scale,
             step_seed,
             adam,
             &self.layer_steps,
-            grad_sink,
         );
         let workers = self.config.execution.executor().workers_per_pool;
-        let breakdown = match executor::Executor::new(workers).run(&dag.graph, &ctx) {
-            Ok(breakdown) => breakdown,
+        let tasks = match executor::Executor::new(workers).run(&dag.graph, &ctx) {
+            Ok(tasks) => tasks,
             Err(e) => {
                 dag.release_failed_run(&self.store);
                 return Err(e);
             }
         };
         let (loss, skipped) = ctx.into_outcome();
-        Ok((loss, skipped, breakdown))
-    }
 
-    /// Flight-records the step outcome: an `Error` event plus a
-    /// postmortem dump when the step failed (the ring's tail then holds
-    /// the failing transfer and its retries), pass-through otherwise.
-    fn seal_step(&self, result: Result<StepStats, RatelError>) -> Result<StepStats, RatelError> {
-        if let Err(e) = &result {
-            ratel_obs::flight().record(EventKind::Error, 0, e, 0, self.step);
-            ratel_obs::dump_postmortem("train step failed");
-        }
-        result
-    }
-
-    /// Marks the start of an instrumented step: discards spans left over
-    /// from inter-step activity (eval, generation) so the step's record
-    /// holds only its own spans. Returns the step's recorder-clock start
-    /// and a route-metrics snapshot to delta against, or `None` when
-    /// telemetry is off.
-    fn begin_step_telemetry(&self) -> Option<(f64, [ratel_storage::RouteMetrics; 4])> {
-        let rec = self.store.telemetry();
-        rec.enabled().then(|| {
-            rec.drain_spans();
-            (rec.now(), rec.route_metrics())
-        })
-    }
-
-    /// Seals one step after every layer's update has been written back:
-    /// advances the scaler and per-layer clocks, records the scaler
-    /// span, collects telemetry/conformance, and assembles the stats.
-    /// `skipped` is the optimizer's overflow-skip list; `tasks` the
-    /// executor breakdown summed over the step's `runs` DAG runs.
-    #[allow(clippy::too_many_arguments)]
-    fn finish_step(
-        &mut self,
-        skipped: Vec<usize>,
-        tasks: executor::TaskBreakdown,
-        runs: usize,
-        t0: std::time::Instant,
-        loss: f32,
-        scale: f32,
-        traffic_before: TrafficSnapshot,
-        faults_before: FaultStats,
-        step_start: Option<(f64, [ratel_storage::RouteMetrics; 4])>,
-    ) -> Result<StepStats, RatelError> {
+        // Seal the step: every layer's update has been written back.
         let rec = Arc::clone(self.store.telemetry());
         let t_scaler = rec.enabled().then(|| rec.now());
         self.scaler.update(!skipped.is_empty());
@@ -241,7 +146,7 @@ impl RatelEngine {
             StepTelemetry::collect(
                 &rec,
                 traffic,
-                runs,
+                batches.len(),
                 step_start,
                 wall_seconds,
                 &metrics_before,
@@ -279,6 +184,30 @@ impl RatelEngine {
             skipped_layers: skipped.len(),
             fault_stats,
             tasks: Some(tasks),
+        })
+    }
+
+    /// Flight-records the step outcome: an `Error` event plus a
+    /// postmortem dump when the step failed (the ring's tail then holds
+    /// the failing transfer and its retries), pass-through otherwise.
+    fn seal_step(&self, result: Result<StepStats, RatelError>) -> Result<StepStats, RatelError> {
+        if let Err(e) = &result {
+            ratel_obs::flight().record(EventKind::Error, 0, e, 0, self.step);
+            ratel_obs::dump_postmortem("train step failed");
+        }
+        result
+    }
+
+    /// Marks the start of an instrumented step: discards spans left over
+    /// from inter-step activity (eval, generation) so the step's record
+    /// holds only its own spans. Returns the step's recorder-clock start
+    /// and a route-metrics snapshot to delta against, or `None` when
+    /// telemetry is off.
+    fn begin_step_telemetry(&self) -> Option<(f64, [ratel_storage::RouteMetrics; 4])> {
+        let rec = self.store.telemetry();
+        rec.enabled().then(|| {
+            rec.drain_spans();
+            (rec.now(), rec.route_metrics())
         })
     }
 
@@ -468,11 +397,10 @@ mod tests {
             .tasks
             .as_ref()
             .expect("accumulated steps report tasks");
-        let accum_tasks = engine.plan.accumulation().unwrap().graph.len() as u64;
-        assert_eq!(
-            tasks.tasks_total,
-            2 * accum_tasks + engine.plan.step.graph.len() as u64
-        );
+        // One run of the one graph of three micro-batches.
+        let dag = engine.plan.dag(3).unwrap();
+        assert_eq!(tasks.tasks_total, dag.graph.len() as u64);
+        assert!(tasks.critical_path_seconds <= tasks.wall_seconds);
         assert_eq!(engine.store().used(Tier::Gpu), 0);
         assert_eq!(engine.store().used(Tier::Host), engine.host_state_bytes());
     }

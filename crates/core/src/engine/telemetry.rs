@@ -56,9 +56,9 @@ pub struct StepTelemetry {
     pub spans: Vec<SpanRecord>,
     /// Per-route byte deltas for the step.
     pub traffic: TrafficSnapshot,
-    /// DAG runs the step executed: 1 for a plain step, the micro-batch
-    /// count for an accumulated one (task spans carry their run index).
-    pub runs: usize,
+    /// Micro-batches the step ran (1 for a plain step): which of the
+    /// plan's DAGs its task spans belong to.
+    pub micro_batches: usize,
     /// Recorder-clock time at which the step began.
     pub step_start: f64,
     /// Wall-clock duration of the step.
@@ -107,12 +107,6 @@ fn intersection_seconds(a: &[(f64, f64)], b: &[(f64, f64)]) -> f64 {
 }
 
 impl StepTelemetry {
-    /// Whether DAG run `run` of this step ran the accumulation plan
-    /// rather than the step plan: every run but the last does.
-    pub fn accumulates(&self, run: usize) -> bool {
-        run + 1 < self.runs
-    }
-
     /// Sums span durations per kind.
     pub fn stage_breakdown(&self) -> StageBreakdown {
         let mut b = StageBreakdown::default();
@@ -197,10 +191,11 @@ impl StepTelemetry {
     }
 
     /// One arrow per parameter fetch: the `fwd-fetch`/`bwd-fetch` span
-    /// of layer *l* in run *r* feeds the `fwd`/`bwd` span of the same
-    /// *l* and *r*. `tl.spans` is index-aligned with `self.spans`. Arrow
-    /// endpoints sit at span midpoints so Perfetto binds each to its
-    /// enclosing slice.
+    /// of layer *l* feeds the first `fwd`/`bwd` span of the same *l* to
+    /// start once it ended — its own micro-batch's, since a later
+    /// micro-batch stages the layer again only after that consumer ran.
+    /// `tl.spans` is index-aligned with `self.spans`. Arrow endpoints sit
+    /// at span midpoints so Perfetto binds each to its enclosing slice.
     fn prefetch_flows(&self, tl: &Timeline) -> Vec<FlowEvent> {
         let mid = |i: usize| 0.5 * (tl.spans[i].start + tl.spans[i].end);
         let mut flows = Vec::new();
@@ -211,11 +206,14 @@ impl StepTelemetry {
                 TaskKind::BwdFetch => TaskKind::Bwd,
                 _ => continue,
             };
-            let consumer = self.spans.iter().position(|s| {
-                s.task.is_some_and(|c| {
-                    c.kind == consumer_kind && c.layer == f.layer && c.run == f.run
+            let consumer = (self.spans.iter().enumerate())
+                .filter(|(_, s)| {
+                    s.start >= fetch.end
+                        && s.task
+                            .is_some_and(|c| c.kind == consumer_kind && c.layer == f.layer)
                 })
-            });
+                .min_by(|(_, a), (_, b)| a.start.total_cmp(&b.start))
+                .map(|(c, _)| c);
             if let Some(c) = consumer {
                 flows.push(FlowEvent {
                     name: fetch.label.clone(),
@@ -236,7 +234,7 @@ impl StepTelemetry {
     pub(crate) fn collect(
         recorder: &TelemetryRecorder,
         traffic: TrafficSnapshot,
-        runs: usize,
+        micro_batches: usize,
         step_start: f64,
         wall_seconds: f64,
         metrics_before: &[RouteMetrics; 4],
@@ -252,7 +250,7 @@ impl StepTelemetry {
         StepTelemetry {
             spans: recorder.drain_spans(),
             traffic,
-            runs,
+            micro_batches,
             step_start,
             wall_seconds,
             route_metrics,
@@ -266,16 +264,9 @@ mod tests {
     use super::*;
     use ratel_sim::{TaskId, TaskRef};
 
-    /// The span of task `id` (`kind`, `layer`) of DAG run `run`, shaped
-    /// like the engine's one recording site emits it.
-    fn task_span(
-        run: usize,
-        id: usize,
-        kind: TaskKind,
-        layer: usize,
-        start: f64,
-        end: f64,
-    ) -> SpanRecord {
+    /// The span of task `id` (`kind`, `layer`), shaped like the engine's
+    /// one recording site emits it.
+    fn task_span(id: usize, kind: TaskKind, layer: usize, start: f64, end: f64) -> SpanRecord {
         SpanRecord {
             track: if matches!(kind, TaskKind::Fwd | TaskKind::Bwd) {
                 "gpu0".into()
@@ -284,7 +275,6 @@ mod tests {
             },
             kind: kind.span_kind(),
             task: Some(TaskRef {
-                run,
                 task: TaskId(id),
                 kind,
                 layer,
@@ -301,7 +291,7 @@ mod tests {
         StepTelemetry {
             spans,
             traffic: TrafficSnapshot::default(),
-            runs: 1,
+            micro_batches: 1,
             step_start: 0.0,
             wall_seconds: 1.0,
             route_metrics: Default::default(),
@@ -321,9 +311,9 @@ mod tests {
     #[test]
     fn overlap_ratio_counts_optimizer_time_under_backward() {
         let t = telemetry(vec![
-            task_span(0, 0, TaskKind::Bwd, 2, 0.0, 4.0),
-            task_span(0, 1, TaskKind::OptCpu, 2, 1.0, 3.0), // fully inside
-            task_span(0, 2, TaskKind::OptWrite, 2, 4.0, 6.0), // fully outside
+            task_span(0, TaskKind::Bwd, 2, 0.0, 4.0),
+            task_span(1, TaskKind::OptCpu, 2, 1.0, 3.0), // fully inside
+            task_span(2, TaskKind::OptWrite, 2, 4.0, 6.0), // fully outside
         ]);
         // 2s of 4s optimizer time overlapped.
         assert!((t.optimizer_overlap_ratio() - 0.5).abs() < 1e-12);
@@ -331,7 +321,7 @@ mod tests {
 
     #[test]
     fn overlap_ratio_is_zero_without_optimizer_spans() {
-        let t = telemetry(vec![task_span(0, 0, TaskKind::Bwd, 0, 0.0, 1.0)]);
+        let t = telemetry(vec![task_span(0, TaskKind::Bwd, 0, 0.0, 1.0)]);
         assert_eq!(t.optimizer_overlap_ratio(), 0.0);
     }
 
@@ -348,10 +338,10 @@ mod tests {
             route: Some(Route::SsdToHost),
         };
         let t = telemetry(vec![
-            task_span(0, 0, TaskKind::Fwd, 0, 0.0, 1.0),
-            task_span(0, 1, TaskKind::Fwd, 1, 1.0, 1.5),
-            task_span(0, 2, TaskKind::Bwd, 1, 2.0, 3.0),
-            task_span(0, 3, TaskKind::OptRead, 1, 2.0, 2.5),
+            task_span(0, TaskKind::Fwd, 0, 0.0, 1.0),
+            task_span(1, TaskKind::Fwd, 1, 1.0, 1.5),
+            task_span(2, TaskKind::Bwd, 1, 2.0, 3.0),
+            task_span(3, TaskKind::OptRead, 1, 2.0, 2.5),
             transfer,
         ]);
         let b = t.stage_breakdown();
@@ -365,25 +355,25 @@ mod tests {
     #[test]
     fn prefetch_flows_link_each_fetch_to_its_own_consumer() {
         // Layer 1 is fetched once for forward and once for backward, in
-        // both runs of an accumulated step. The spans arrive backward
-        // first and later run first: links follow (kind, layer, run),
-        // not recording or start order.
+        // both micro-batches of an accumulated step. The spans arrive
+        // backward first and the later micro-batch first: each fetch
+        // links to the first consumer to start once it ended.
         let t = telemetry(vec![
-            task_span(1, 7, TaskKind::BwdFetch, 1, 12.0, 12.5),
-            task_span(1, 8, TaskKind::Bwd, 1, 13.0, 14.0),
-            task_span(1, 2, TaskKind::FwdFetch, 1, 10.0, 10.5),
-            task_span(1, 3, TaskKind::Fwd, 1, 11.0, 12.0),
-            task_span(0, 7, TaskKind::BwdFetch, 1, 2.0, 2.5),
-            task_span(0, 8, TaskKind::Bwd, 1, 3.0, 4.0),
-            task_span(0, 2, TaskKind::FwdFetch, 1, 0.0, 0.5),
-            task_span(0, 3, TaskKind::Fwd, 1, 1.0, 2.0),
+            task_span(17, TaskKind::BwdFetch, 1, 12.0, 12.5),
+            task_span(18, TaskKind::Bwd, 1, 13.0, 14.0),
+            task_span(12, TaskKind::FwdFetch, 1, 10.0, 10.5),
+            task_span(13, TaskKind::Fwd, 1, 11.0, 12.0),
+            task_span(7, TaskKind::BwdFetch, 1, 2.0, 2.5),
+            task_span(8, TaskKind::Bwd, 1, 3.0, 4.0),
+            task_span(2, TaskKind::FwdFetch, 1, 0.0, 0.5),
+            task_span(3, TaskKind::Fwd, 1, 1.0, 2.0),
             // Another layer's compute never attracts layer 1's arrows.
-            task_span(0, 4, TaskKind::Fwd, 2, 0.0, 0.1),
+            task_span(4, TaskKind::Fwd, 2, 0.6, 0.7),
         ]);
         let tl = t.timeline("measured");
         let mut ends: Vec<(f64, f64)> = tl.flows.iter().map(|f| (f.from_ts, f.to_ts)).collect();
         ends.sort_by(|a, b| a.0.total_cmp(&b.0));
-        // Midpoints: fwd-fetch -> fwd, bwd-fetch -> bwd, per run.
+        // Midpoints: fwd-fetch -> fwd, bwd-fetch -> bwd, per micro-batch.
         assert_eq!(
             ends,
             vec![(0.25, 1.5), (2.25, 3.5), (10.25, 11.5), (12.25, 13.5)]
@@ -395,7 +385,7 @@ mod tests {
 
     #[test]
     fn timeline_rebases_to_step_start_and_keeps_task_ids() {
-        let mut t = telemetry(vec![task_span(0, 5, TaskKind::Fwd, 0, 10.0, 11.0)]);
+        let mut t = telemetry(vec![task_span(5, TaskKind::Fwd, 0, 10.0, 11.0)]);
         t.step_start = 10.0;
         let tl = t.timeline("measured");
         assert_eq!(tl.name, "measured");

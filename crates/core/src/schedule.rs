@@ -47,17 +47,20 @@ impl Annot {
     }
 }
 
-/// The one place a task enters the graph. The display label is derived
-/// here from the task's typed identity — `fwd L12`, `opt-read L7`,
-/// `act-spill L4#2` for a chunk, … with an `iN ` prefix when the DAG
-/// spans several iterations and a ` gN` suffix on per-GPU tasks when it
-/// spans several GPUs — so
-/// consumers dispatch on [`TaskMeta::identity`] and the label stays
-/// display-only.
+/// The one place a task enters the graph. It stamps the micro-batch
+/// being emitted on the task's identity and derives the display label
+/// from it — `fwd L12`, `opt-read L7`, `act-spill L4#2` for a chunk, …
+/// with an `iN ` prefix when the DAG spans several iterations, an `mN `
+/// prefix when an iteration spans several micro-batches and a ` gN`
+/// suffix on per-GPU tasks when it spans several GPUs — so consumers
+/// dispatch on [`TaskMeta::identity`] and the label stays display-only.
 struct Emitter {
     g: TaskGraph,
     multi_iteration: bool,
+    multi_micro: bool,
     multi_gpu: bool,
+    /// The micro-batch the tasks emitted now serve.
+    micro: usize,
 }
 
 impl Emitter {
@@ -70,11 +73,18 @@ impl Emitter {
         deps: &[TaskId],
         mut meta: TaskMeta,
     ) -> TaskId {
-        let iter = if self.multi_iteration {
+        let id = TaskIdentity {
+            micro: self.micro,
+            ..id
+        };
+        let mut iter = if self.multi_iteration {
             format!("i{} ", meta.iteration)
         } else {
             String::new()
         };
+        if self.multi_micro {
+            iter += &format!("m{} ", id.micro);
+        }
         let gpu = match id.gpu {
             Some(gi) if self.multi_gpu => format!(" g{gi}"),
             _ => String::new(),
@@ -432,6 +442,22 @@ pub struct IterationSpec {
     /// which is what stretches ZeRO-Infinity's 13B forward stage to ~14 s
     /// in Fig. 1a despite only ~6 s of kernel time.
     pub per_layer_overhead_seconds: f64,
+    /// Micro-batches per iteration (at least 1). Each runs forward and
+    /// backward in turn; its gradients are summed into a per-layer
+    /// accumulator, and the optimizer handlers run after the last one.
+    pub micro_batches: usize,
+}
+
+/// The tasks one micro-batch ran: the next micro-batch refills the slots
+/// they drained.
+struct MicroTasks {
+    /// `fwd[gpu][layer]`: the forward kernels.
+    fwd: Vec<Vec<TaskId>>,
+    /// `bwd[gpu][layer]`: the backward kernels.
+    bwd: Vec<Vec<TaskId>>,
+    /// Its last tasks on every GPU: the gradient offloads, and the last
+    /// backward kernel when the first layer has none.
+    drained: Vec<TaskId>,
 }
 
 /// Resource handles of a built iteration graph.
@@ -454,11 +480,12 @@ impl IterationSpec {
     /// `ratel_storage::Route::ALL` (GPU→host, host→GPU, host→SSD,
     /// SSD→host).
     ///
-    /// Fp16 parameters stage SSD→host→GPU (one count on each hop, twice
-    /// for refetched layers; host-sourced ones skip the SSD hop,
-    /// GPU-resident ones both); activations round-trip GPU→host→GPU (plus
-    /// the SSD spill when planned); gradients land GPU→host; out-of-core
-    /// optimizer state I/O is SSD-only. This is the byte ledger both
+    /// Per micro-batch, fp16 parameters stage SSD→host→GPU (one count on
+    /// each hop, twice for refetched layers; host-sourced ones skip the
+    /// SSD hop, GPU-resident ones both), activations round-trip
+    /// GPU→host→GPU (plus the SSD spill when planned) and gradients land
+    /// GPU→host; once per iteration, out-of-core optimizer state I/O is
+    /// SSD-only. This is the byte ledger both
     /// `ratel-bench validate` and the plan-conformance monitor hold the
     /// engine's measured traffic against — *exactly*, since plan and
     /// engine derive from the same blob inventory.
@@ -467,8 +494,9 @@ impl IterationSpec {
         let mut h2g = 0.0;
         let mut h2s = 0.0;
         let mut s2h = 0.0;
+        let micro = self.micro_batches as f64;
         for layer in &self.layers {
-            let stages = if layer.refetch_in_backward { 2.0 } else { 1.0 };
+            let stages = micro * if layer.refetch_in_backward { 2.0 } else { 1.0 };
             match layer.param_source {
                 ParamSource::Ssd => {
                     s2h += layer.p16_bytes * stages;
@@ -477,11 +505,11 @@ impl IterationSpec {
                 ParamSource::Host => h2g += layer.p16_bytes * stages,
                 ParamSource::Gpu => {}
             }
-            let act = layer.act_to_host_bytes + layer.act_to_ssd_bytes;
-            g2h += act + layer.grad_bytes;
+            let act = micro * (layer.act_to_host_bytes + layer.act_to_ssd_bytes);
+            g2h += act + micro * layer.grad_bytes;
             h2g += act;
-            h2s += layer.act_to_ssd_bytes;
-            s2h += layer.act_to_ssd_bytes;
+            h2s += micro * layer.act_to_ssd_bytes;
+            s2h += micro * layer.act_to_ssd_bytes;
             if let OptimizerKind::CpuOutOfCore {
                 read_bytes,
                 write_bytes,
@@ -504,18 +532,6 @@ impl IterationSpec {
             .sum()
     }
 
-    /// The plan a non-final micro-batch of an accumulated step runs:
-    /// this spec with every optimizer handler off, so gradients stop in
-    /// host memory. The engine lowers it and the conformance monitor
-    /// checks against it.
-    pub fn accumulation_spec(&self) -> IterationSpec {
-        let mut spec = self.clone();
-        for layer in &mut spec.layers {
-            layer.optimizer = OptimizerKind::None;
-        }
-        spec
-    }
-
     /// Builds the task DAG for one iteration. Returns the graph, its
     /// resources, and the total GPU FLOPs scheduled (for TFLOPS
     /// reporting).
@@ -530,9 +546,19 @@ impl IterationSpec {
     /// pipelining (activation tails and prefetches of adjacent
     /// iterations overlap) while keeping the paper's no-staleness
     /// semantics.
+    ///
+    /// Within an iteration the micro-batches run in turn (forward, then
+    /// backward) on one compute stream, and each refills the slots the
+    /// previous one drained only after it drained them: a pass's staged
+    /// P16, a layer's gradient slot. A trained layer's `grad-off` creates
+    /// its f32 accumulator in the first micro-batch, adds into it in the
+    /// middle ones and, in the last, merges and averages it into the G16
+    /// its handler reads — one chain in micro-batch order, so the sum is
+    /// `f16(mean_i(f16(g_i)))` bit for bit.
     pub fn build_iterations(&self, iterations: usize) -> (TaskGraph, ScheduleResources, f64) {
         assert!(self.gpus >= 1, "need at least one GPU");
         assert!(iterations >= 1, "need at least one iteration");
+        assert!(self.micro_batches >= 1, "need at least one micro-batch");
         let r = &self.rates;
         let mut g = TaskGraph::new();
         let gpu: Vec<ResourceId> = (0..self.gpus)
@@ -569,7 +595,9 @@ impl IterationSpec {
         let mut em = Emitter {
             g,
             multi_iteration: iterations > 1,
+            multi_micro: self.micro_batches > 1,
             multi_gpu: self.gpus > 1,
+            micro: 0,
         };
         // Blob/version annotations for the static analyzer.
         let mut an = Annot::default();
@@ -580,8 +608,21 @@ impl IterationSpec {
         // cross-iteration synchronization point).
         let mut prev_updates: Vec<Option<TaskId>> = vec![None; n];
 
-        for iter in 0..iterations {
-            let mut this_updates: Vec<Option<TaskId>> = vec![None; n];
+        let mut this_updates: Vec<Option<TaskId>> = vec![None; n];
+        // The iteration's first forward kernel: where handlers whose
+        // moments rest in host memory write them back.
+        let mut iteration_head: Option<TaskId> = None;
+        // What the previous micro-batch of this iteration ran, per GPU
+        // and layer: the slots it drained are the ones this one fills.
+        let mut prev: Option<MicroTasks> = None;
+
+        let micro_batches = self.micro_batches;
+        for (iter, micro) in (0..iterations).flat_map(|i| (0..micro_batches).map(move |m| (i, m))) {
+            em.micro = micro;
+            let last = micro + 1 == micro_batches;
+            if micro == 0 {
+                (iteration_head, prev) = (None, None);
+            }
             // ----- Forward -----
             // fwd[gpu][layer]
             let mut fwd: Vec<Vec<TaskId>> = vec![Vec::with_capacity(n); self.gpus];
@@ -591,15 +632,34 @@ impl IterationSpec {
             let mut act_offloaded: Vec<Vec<Vec<TaskId>>> = vec![vec![Vec::new(); n]; self.gpus];
             let mut act_spilled: Vec<Vec<Vec<TaskId>>> = vec![vec![Vec::new(); n]; self.gpus];
             for (li, layer) in self.layers.iter().enumerate() {
-                // Parameter fetch: one SSD read staged to host, then a per-GPU
-                // host->GPU copy.
+                // Parameter fetch: one SSD read staged to host, then a
+                // per-GPU host->GPU copy — after the previous
+                // micro-batch consumed the copy it staged. One compute
+                // stream: a micro-batch starts, first layer first, once
+                // the previous one drained (its gradients left the arena
+                // and the slots this one's backward fills).
                 let updated: Vec<TaskId> = prev_updates[li].into_iter().collect();
+                let mut refill = updated.clone();
+                match &prev {
+                    Some(p) if li == 0 => refill.extend(&p.drained),
+                    Some(p) => {
+                        let consumers = if layer.refetch_in_backward {
+                            &p.fwd
+                        } else {
+                            &p.bwd
+                        };
+                        refill.extend(consumers.iter().map(|c| c[li]));
+                    }
+                    None => {}
+                }
                 let p16_key = BlobKey::shared(BlobKind::Param16, li);
                 let host_ready =
-                    self.stage_read(&mut em, &mut an, ssd, Stage::Forward, li, iter, &updated);
+                    self.stage_read(&mut em, &mut an, ssd, Stage::Forward, li, iter, &refill);
+                // A staged read already waits for the refill.
+                let fetch_after = host_ready.map_or(&refill, |_| &updated);
                 for gi in 0..self.gpus {
-                    let param_gpu_key = BlobKey::on_gpu(BlobKind::ParamGpu, li, gi);
-                    let staged = (Stage::Forward, host_ready, &updated[..]);
+                    let param_gpu_key = BlobKey::on_gpu(BlobKind::P16Fwd, li, gi);
+                    let staged = (Stage::Forward, host_ready, &fetch_after[..]);
                     let fetch = self.stage_fetch(&mut em, &mut an, m2g[gi], staged, li, gi, iter);
                     let mut deps: Vec<TaskId> = fetch.into_iter().collect();
                     if fetch.is_none() {
@@ -609,6 +669,8 @@ impl IterationSpec {
                     }
                     if li > 0 {
                         deps.push(fwd[gi][li - 1]);
+                    } else if let (None, Some(p)) = (fetch, &prev) {
+                        deps.extend(&p.drained);
                     }
                     let deps = if self.per_layer_overhead_seconds > 0.0 {
                         vec![em.task(
@@ -644,7 +706,7 @@ impl IterationSpec {
                     if act_bytes > 0.0 {
                         meta = meta.write(an.bump(act_key));
                     }
-                    if (iter, li, gi) == (0, 0, 0) {
+                    if (iter, micro, li, gi) == (0, 0, 0, 0) {
                         // Host-resident masters are there before the
                         // first kernel and after the last: charged on
                         // the head of the compute chain, never freed.
@@ -717,10 +779,14 @@ impl IterationSpec {
                 }
             }
 
-            // ----- Backward (+ optimizer handlers) -----
+            let head = *iteration_head.get_or_insert(fwd[0][0]);
+
+            // ----- Backward (+ optimizer handlers after the last micro-batch) -----
             // Backward starts at the loss: it depends on the last forward task.
             let mut prev_bwd: Vec<Option<TaskId>> =
                 (0..self.gpus).map(|gi| fwd[gi].last().copied()).collect();
+            let mut bwd: Vec<Vec<TaskId>> = vec![vec![TaskId(0); n]; self.gpus];
+            let mut drained: Vec<TaskId> = Vec::new();
             let mut last_grad_landed: Vec<TaskId> = Vec::new();
             // Handler chaining state for the §IV-C modes.
             let mut prev_handler_write: Option<TaskId> = None; // naive: full serialization
@@ -735,18 +801,29 @@ impl IterationSpec {
                 // host memory and every GPU copies from that staging buffer —
                 // the SSD traffic must not scale with the GPU count. The
                 // refetch reads what the *previous* iteration's handler wrote
-                // back, so it also waits on that write (no staleness).
+                // back, so it also waits on that write (no staleness), and
+                // after the previous micro-batch's backward took its copy.
                 let updated: Vec<TaskId> = prev_updates[li].into_iter().collect();
+                let mut refill = updated.clone();
+                if let Some(p) = &prev {
+                    refill.extend(p.bwd.iter().map(|b| b[li]));
+                }
                 let p16_key = BlobKey::shared(BlobKind::Param16, li);
                 let refetch = layer.refetch_in_backward;
                 let host_ready = refetch
                     .then(|| {
-                        self.stage_read(&mut em, &mut an, ssd, Stage::Backward, li, iter, &updated)
+                        self.stage_read(&mut em, &mut an, ssd, Stage::Backward, li, iter, &refill)
                     })
                     .flatten();
+                // A staged read already waits for the refill.
+                let fetch_after = host_ready.map_or(&refill, |_| &updated);
                 for gi in 0..self.gpus {
-                    let param_gpu_key = BlobKey::on_gpu(BlobKind::ParamGpu, li, gi);
-                    let staged = (Stage::Backward, host_ready, &updated[..]);
+                    let param_gpu_key = if refetch {
+                        BlobKey::on_gpu(BlobKind::P16Bwd, li, gi)
+                    } else {
+                        BlobKey::on_gpu(BlobKind::P16Fwd, li, gi)
+                    };
+                    let staged = (Stage::Backward, host_ready, &fetch_after[..]);
                     let fetch_p = refetch
                         .then(|| self.stage_fetch(&mut em, &mut an, m2g[gi], staged, li, gi, iter))
                         .flatten();
@@ -856,34 +933,48 @@ impl IterationSpec {
                     );
                     total_gpu_flops += layer.bwd_flops;
                     prev_bwd[gi] = Some(b);
+                    bwd[gi][li] = b;
 
-                    // Gradient offload GPU->host.
+                    // Gradient offload GPU->host, along the accumulator
+                    // chain when several micro-batches sum into it.
                     if layer.grad_bytes > 0.0 {
                         let grad_key = BlobKey::on_gpu(BlobKind::Grad, li, gi);
-                        let meta = TaskMeta::new(OpClass::TransferG2M, iter)
+                        let sum = BlobKey::on_gpu(BlobKind::GradReduced, li, gi);
+                        let mut meta = TaskMeta::new(OpClass::TransferG2M, iter)
                             .read(an.cur(grad_key))
-                            .write(an.bump(grad_key))
                             .transit(MemTier::Gpu, grad_key, layer.grad_bytes);
-                        let accumulates =
-                            layer.optimizer == OptimizerKind::None && !layer.grad_spill_to_ssd;
+                        if micro > 0 {
+                            meta = meta.read(an.cur(sum));
+                        }
+                        if last {
+                            if micro > 0 {
+                                meta = meta.free(MemTier::Host, sum);
+                            }
+                            meta = (meta.write(an.bump(grad_key))).alloc(
+                                MemTier::Host,
+                                grad_key,
+                                layer.grad_bytes,
+                            );
+                        } else {
+                            meta = (meta.write(an.bump(sum))).transit(
+                                MemTier::Host,
+                                grad_key,
+                                layer.grad_bytes,
+                            );
+                            if micro == 0 {
+                                meta = meta.alloc(MemTier::Host, sum, 2.0 * layer.grad_bytes);
+                            }
+                        }
                         let go = em.task(
                             TaskIdentity::on_gpu(TaskKind::GradOff, li, gi),
                             g2m[gi],
                             layer.grad_bytes / r.bw_g2m,
                             Stage::Backward,
                             &[b],
-                            if accumulates {
-                                // No handler consumes the G16: it is summed
-                                // into the host f32 accumulator (twice its
-                                // size), which outlives the graph.
-                                let sum = BlobKey::on_gpu(BlobKind::GradReduced, li, gi);
-                                meta.transit(MemTier::Host, grad_key, layer.grad_bytes)
-                                    .alloc(MemTier::Host, sum, 2.0 * layer.grad_bytes)
-                            } else {
-                                meta.alloc(MemTier::Host, grad_key, layer.grad_bytes)
-                            },
+                            meta,
                         );
-                        let landed = if layer.grad_spill_to_ssd {
+                        drained.push(go);
+                        let landed = if layer.grad_spill_to_ssd && last {
                             em.task(
                                 TaskIdentity::on_gpu(TaskKind::GradSpill, li, gi),
                                 ssd,
@@ -905,6 +996,9 @@ impl IterationSpec {
                         grad_ready_all.push(b);
                         last_grad_landed.push(b);
                     }
+                }
+                if !last {
+                    continue;
                 }
 
                 // Multi-GPU gradient reduction on the CPU before the handler.
@@ -940,7 +1034,7 @@ impl IterationSpec {
                             gpu[0],
                             &g2m[0],
                             &m2g[0],
-                            fwd[0][0],
+                            head,
                             li,
                             &handler_input,
                             prev_updates[li],
@@ -958,7 +1052,7 @@ impl IterationSpec {
             }
 
             // ----- Separate optimizer stage (barrier after backward) -----
-            if self.mode == GradOffloadMode::SeparateStage {
+            if self.mode == GradOffloadMode::SeparateStage && last {
                 let barrier = last_grad_landed;
                 let mut prev_write: Option<TaskId> = None;
                 let mut prev_read: Option<TaskId> = None;
@@ -971,7 +1065,7 @@ impl IterationSpec {
                         gpu[0],
                         &g2m[0],
                         &m2g[0],
-                        fwd[0][0],
+                        head,
                         li,
                         &inputs,
                         prev_updates[li],
@@ -989,9 +1083,14 @@ impl IterationSpec {
                     this_updates[li] = write;
                 }
             }
-
-            prev_updates = this_updates;
-        } // per-iteration loop
+            if self.layers[0].grad_bytes == 0.0 {
+                drained.extend(bwd.iter().map(|b| b[0]));
+            }
+            prev = Some(MicroTasks { fwd, bwd, drained });
+            if last {
+                prev_updates = std::mem::replace(&mut this_updates, vec![None; n]);
+            }
+        } // per-micro-batch loop
         let _ = prev_updates;
         let g = em.g;
 
@@ -1050,10 +1149,9 @@ impl IterationSpec {
         updated: &[TaskId],
     ) -> Option<TaskId> {
         let layer = &self.layers[li];
-        let stage_key = BlobKey::shared(BlobKind::Stage, li);
-        let kind = match pass {
-            Stage::Forward => TaskKind::FwdRead,
-            _ => TaskKind::BwdRead,
+        let (kind, stage_key) = match pass {
+            Stage::Forward => (TaskKind::FwdRead, BlobKey::shared(BlobKind::P16Fwd, li)),
+            _ => (TaskKind::BwdRead, BlobKey::shared(BlobKind::P16Bwd, li)),
         };
         (layer.param_source == ParamSource::Ssd && layer.p16_bytes > 0.0).then(|| {
             em.task(
@@ -1091,8 +1189,12 @@ impl IterationSpec {
         if layer.param_source == ParamSource::Gpu || layer.p16_bytes <= 0.0 {
             return None;
         }
-        let stage_key = BlobKey::shared(BlobKind::Stage, li);
-        let param_gpu_key = BlobKey::on_gpu(BlobKind::ParamGpu, li, gi);
+        let (kind, staged) = match pass {
+            Stage::Forward => (TaskKind::FwdFetch, BlobKind::P16Fwd),
+            _ => (TaskKind::BwdFetch, BlobKind::P16Bwd),
+        };
+        let stage_key = BlobKey::shared(staged, li);
+        let param_gpu_key = BlobKey::on_gpu(staged, li, gi);
         let src = match layer.param_source {
             ParamSource::Ssd => an.cur(stage_key),
             _ => an.cur(BlobKey::shared(BlobKind::Param16, li)),
@@ -1109,10 +1211,6 @@ impl IterationSpec {
             // buffer that this copy carries into the arena.
             meta = meta.transit(MemTier::Host, stage_key, layer.p16_bytes);
         }
-        let kind = match pass {
-            Stage::Forward => TaskKind::FwdFetch,
-            _ => TaskKind::BwdFetch,
-        };
         let deps: Vec<TaskId> = host_ready
             .into_iter()
             .chain(updated.iter().copied())
@@ -1525,6 +1623,7 @@ impl<'a> RatelSchedule<'a> {
             rates: LinkRates::from_profile(self.profile),
             gpus: self.gpus,
             items_per_iteration: items,
+            micro_batches: 1,
             per_layer_overhead_seconds: 0.0,
         }
     }
@@ -1799,6 +1898,7 @@ mod scheduling_correctness_tests {
             rates: LinkRates::UNIT,
             gpus,
             items_per_iteration: 1.0,
+            micro_batches: 1,
             per_layer_overhead_seconds: 0.0,
         }
     }
@@ -1946,6 +2046,7 @@ mod emitter_tests {
             rates: LinkRates::UNIT,
             gpus: 1,
             items_per_iteration: 1.0,
+            micro_batches: 1,
             per_layer_overhead_seconds: 0.0,
         }
     }

@@ -7,7 +7,10 @@
 //! For persistent blobs (fp16 parameters on their home tier, P32+OS32
 //! master state) the pass additionally checks the write-after-read
 //! hazard: producing version `v+1` physically overwrites version `v`, so
-//! every reader of `v` must be ordered before the `v+1` writer.
+//! every reader of `v` must be ordered before the `v+1` writer. A
+//! transient blob is double-buffered within a micro-batch, but a later
+//! micro-batch of the same iteration refills the one slot an earlier one
+//! drained: there the hazard is checked for every kind.
 //!
 //! This is the static form of the paper's §IV-C claim: active gradient
 //! offloading introduces *no parameter staleness* because the backward
@@ -19,6 +22,7 @@ use std::collections::HashMap;
 use ratel_sim::{BlobKind, TaskGraph, TaskId, VersionedBlob};
 
 use crate::finding::{task_label, Finding, Rule};
+use crate::legality::micro_batch;
 use crate::reach::{witness_path, Reachability};
 
 /// Maps a read-after-write violation to the paper invariant it breaks:
@@ -110,19 +114,18 @@ pub fn check(graph: &TaskGraph, reach: &Reachability) -> (Vec<Finding>, usize) {
         }
     }
 
-    // Write-after-read on persistent blobs: version v+1 clobbers v in
-    // place, so each reader of v must complete before the v+1 write.
+    // Write-after-read: version v+1 clobbers v in place — always for
+    // persistent blobs, across micro-batches for transient ones — so
+    // each such reader of v must complete before the v+1 write.
     let mut readers: HashMap<VersionedBlob, Vec<TaskId>> = HashMap::new();
     for t in graph.task_ids() {
         let Some(meta) = graph.meta(t) else { continue };
         for r in &meta.reads {
-            if r.key.kind.is_persistent() {
-                readers.entry(*r).or_default().push(t);
-            }
+            readers.entry(*r).or_default().push(t);
         }
     }
     for (&wv, &w) in producers.iter() {
-        if !wv.key.kind.is_persistent() || wv.version == 0 {
+        if wv.version == 0 {
             continue;
         }
         let prev = VersionedBlob {
@@ -133,6 +136,11 @@ pub fn check(graph: &TaskGraph, reach: &Reachability) -> (Vec<Finding>, usize) {
             // A read-modify-write task (e.g. an in-place optimizer step
             // reading master@v and writing master@v+1) is trivially safe.
             if r == w {
+                continue;
+            }
+            let ((ri, rm), (wi, wm)) = (micro_batch(graph, r), micro_batch(graph, w));
+            let refilled = ri == wi && rm < wm;
+            if !wv.key.kind.is_persistent() && !refilled {
                 continue;
             }
             if !reach.reaches(r, w) {

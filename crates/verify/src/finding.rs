@@ -34,8 +34,8 @@ pub enum Rule {
     /// G2M and M2G must be independent lanes.
     DuplexViolation,
     /// A dependency edge runs backwards in time: against `Stage::ALL`
-    /// order within an iteration, or from a later iteration to an
-    /// earlier one.
+    /// order within a micro-batch, or from a later micro-batch or
+    /// iteration to an earlier one.
     StageOrder,
 }
 

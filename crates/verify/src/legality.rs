@@ -7,11 +7,12 @@
 //! directions stay on disjoint lanes (the link is duplex; merging them
 //! would serialize traffic that real hardware overlaps), and every
 //! dependency edge runs forward in time — non-decreasing `Stage::ALL`
-//! index within an iteration, non-decreasing iteration across them.
+//! index within a micro-batch, non-decreasing micro-batch within an
+//! iteration, non-decreasing iteration across them.
 
 use std::collections::HashMap;
 
-use ratel_sim::{OpClass, ResourceClass, ResourceId, Stage, TaskGraph};
+use ratel_sim::{OpClass, ResourceClass, ResourceId, Stage, TaskGraph, TaskId};
 
 use crate::finding::{task_label, Finding, Rule};
 
@@ -29,6 +30,15 @@ fn required_class(op: OpClass) -> ResourceClass {
 
 fn stage_index(s: Stage) -> usize {
     s.index()
+}
+
+/// A task's place in time above the stage: its `(iteration,
+/// micro-batch)`; a task with no metadata or identity counts as the first
+/// micro-batch of iteration 0.
+pub(crate) fn micro_batch(graph: &TaskGraph, t: TaskId) -> (usize, usize) {
+    graph.meta(t).map_or((0, 0), |m| {
+        (m.iteration, m.identity.map_or(0, |id| id.micro))
+    })
 }
 
 /// Runs the legality pass.
@@ -73,7 +83,7 @@ pub fn check(graph: &TaskGraph) -> Vec<Finding> {
             .collect();
         findings.push(Finding {
             rule: Rule::SimplexViolation,
-            task: ratel_sim::TaskId(0),
+            task: TaskId(0),
             label: "graph".into(),
             blob: None,
             detail: format!(
@@ -120,7 +130,7 @@ pub fn check(graph: &TaskGraph) -> Vec<Finding> {
     }
 
     // Duplex PCIe: no resource serves both transfer directions.
-    let mut directions: HashMap<ResourceId, (OpClass, ratel_sim::TaskId)> = HashMap::new();
+    let mut directions: HashMap<ResourceId, (OpClass, TaskId)> = HashMap::new();
     for t in graph.task_ids() {
         let Some(meta) = graph.meta(t) else { continue };
         if !matches!(meta.op, OpClass::TransferG2M | OpClass::TransferM2G) {
@@ -175,7 +185,20 @@ pub fn check(graph: &TaskGraph) -> Vec<Finding> {
                 witness: vec![task_label(graph, e.from), task_label(graph, e.to)],
                 suggestion: "re-derive the dependency from the producing iteration".into(),
             });
-        } else if mu.iteration == mw.iteration {
+        } else if micro_batch(graph, e.from) > micro_batch(graph, e.to) {
+            findings.push(Finding {
+                rule: Rule::StageOrder,
+                task: e.to,
+                label: task_label(graph, e.to),
+                blob: None,
+                detail: format!(
+                    "depends on `{}` of a later micro-batch of its iteration",
+                    task_label(graph, e.from),
+                ),
+                witness: vec![task_label(graph, e.from), task_label(graph, e.to)],
+                suggestion: "order micro-batches front to back".into(),
+            });
+        } else if micro_batch(graph, e.from) == micro_batch(graph, e.to) {
             let (su, sw) = (graph.stage(e.from), graph.stage(e.to));
             if stage_index(su) > stage_index(sw) {
                 findings.push(Finding {
@@ -185,7 +208,7 @@ pub fn check(graph: &TaskGraph) -> Vec<Finding> {
                     blob: None,
                     detail: format!(
                         "{} task depends on same-iteration {} task `{}`: edges must \
-                         follow Stage::ALL order within an iteration",
+                         follow Stage::ALL order within a micro-batch",
                         sw.name(),
                         su.name(),
                         task_label(graph, e.from)

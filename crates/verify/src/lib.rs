@@ -68,8 +68,8 @@ pub fn verify(graph: &TaskGraph, limits: &Limits) -> VerifyReport {
 mod tests {
     use super::*;
     use ratel_sim::{
-        BlobKey, BlobKind, MemTier, OpClass, ResourceClass, Stage, TaskGraph, TaskMeta,
-        VersionedBlob,
+        BlobKey, BlobKind, MemTier, OpClass, ResourceClass, Stage, TaskGraph, TaskIdentity,
+        TaskKind, TaskMeta, VersionedBlob,
     };
 
     fn v(kind: BlobKind, layer: usize, version: u64) -> VersionedBlob {
@@ -175,21 +175,45 @@ mod tests {
         assert!(verify(&g2, &Limits::none()).is_clean());
     }
 
-    #[test]
-    fn transient_blobs_are_exempt_from_write_after_read() {
-        // Double-buffered staging: the backward prefetch may legally
-        // overlap the forward copy's use.
+    /// A write of version 2 of a transient blob, ordered after its
+    /// version-1 producer only, in micro-batch `micro` of iteration 0;
+    /// the version-1 reader is in micro-batch 0.
+    fn refill(micro: usize) -> TaskGraph {
         let mut g = TaskGraph::new();
         let m2g = g.add_resource("m2g");
-        let b0 = v(BlobKind::ParamGpu, 0, 1);
-        let b1 = v(BlobKind::ParamGpu, 0, 2);
+        let b0 = v(BlobKind::Grad, 0, 1);
+        let b1 = v(BlobKind::Grad, 0, 2);
+        let meta = |micro| {
+            let id = TaskIdentity {
+                micro,
+                ..TaskIdentity::shared(TaskKind::GradOff, 0)
+            };
+            TaskMeta {
+                identity: Some(id),
+                ..TaskMeta::new(OpClass::TransferM2G, 0)
+            }
+        };
         let f = g.add_task(m2g, 1.0, Stage::Forward, &[]);
-        g.set_meta(f, TaskMeta::new(OpClass::TransferM2G, 0).write(b0));
+        g.set_meta(f, meta(0).write(b0));
         let use0 = g.add_task(m2g, 1.0, Stage::Forward, &[f]);
-        g.set_meta(use0, TaskMeta::new(OpClass::TransferM2G, 0).read(b0));
-        let prefetch = g.add_task(m2g, 1.0, Stage::Backward, &[f]);
-        g.set_meta(prefetch, TaskMeta::new(OpClass::TransferM2G, 0).write(b1));
-        assert!(verify(&g, &Limits::none()).is_clean());
+        g.set_meta(use0, meta(0).read(b0));
+        let refill = g.add_task(m2g, 1.0, Stage::Backward, &[f]);
+        g.set_meta(refill, meta(micro).write(b1));
+        g
+    }
+
+    #[test]
+    fn transient_blobs_are_exempt_from_write_after_read_within_a_micro_batch() {
+        // Double-buffered staging: the backward prefetch may legally
+        // overlap the forward copy's use.
+        assert!(verify(&refill(0), &Limits::none()).is_clean());
+    }
+
+    #[test]
+    fn a_later_micro_batch_refills_a_slot_only_after_its_readers() {
+        let report = verify(&refill(1), &Limits::none());
+        let rules: Vec<Rule> = report.findings.iter().map(|f| f.rule).collect();
+        assert_eq!(rules, [Rule::WriteAfterRead], "{}", report.render());
     }
 
     #[test]
@@ -375,7 +399,7 @@ mod tests {
             let gpu = g.add_resource("gpu");
             let m2g = g.add_resource("m2g");
             let g2m = g.add_resource("g2m");
-            let held = BlobKey::shared(BlobKind::ParamGpu, 0);
+            let held = BlobKey::on_gpu(BlobKind::P16Fwd, 0, 0);
             let fetch = g.add_task(m2g, 1.0, Stage::Forward, &[]);
             g.set_meta(
                 fetch,

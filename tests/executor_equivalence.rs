@@ -14,12 +14,16 @@
 mod common;
 
 use common::{config_with, min_host_capacity, zoo};
+use ratel_repro::core::schedule::IterationSpec;
 use ratel_repro::prelude::*;
 use ratel_repro::storage::{Route, Tier};
 
-/// The micro-batches of the accumulated step every run ends with.
-fn micro_batches(model: &GptConfig) -> Vec<(Vec<usize>, Vec<usize>)> {
-    (0..3).map(|s| random_batch(model, 20 + s)).collect()
+/// Micro-batch counts of the accumulated steps every run ends with.
+const MICRO_BATCHES: [usize; 3] = [1, 2, 4];
+
+/// The micro-batches of the accumulated step of `n` of them.
+fn micro_batches(model: &GptConfig, n: usize) -> Vec<(Vec<usize>, Vec<usize>)> {
+    (0..n as u64).map(|s| random_batch(model, 20 + s)).collect()
 }
 
 /// Every run trains with block 0 frozen under a loss scale that
@@ -33,9 +37,10 @@ const SCALE: ScalePolicy = ScalePolicy::Dynamic {
     growth_interval: 50,
 };
 
-/// Run three plain training steps and a three-micro-batch accumulated
-/// one, returning the losses and final masters. Every step must move
-/// exactly the plan's bytes and stay inside the arena and the host pool.
+/// Run three plain training steps and one accumulated step of each of
+/// [`MICRO_BATCHES`], returning the losses and final masters. Every step
+/// must move exactly the bytes of the DAG it ran and stay inside the
+/// arena and the host pool.
 fn run(config: EngineConfig) -> (Vec<f32>, Vec<Vec<f32>>) {
     let model = config.model;
     let capacities = [
@@ -43,9 +48,14 @@ fn run(config: EngineConfig) -> (Vec<f32>, Vec<Vec<f32>>) {
         (Tier::Host, config.host_capacity),
     ];
     let mut engine = RatelEngine::new(config).unwrap();
-    let spec = engine.movement_spec();
-    let step_bytes = spec.planned_route_bytes();
-    let accumulation_bytes = spec.accumulation_spec().planned_route_bytes();
+    let spec = engine.movement_spec().clone();
+    let planned = |micro_batches| {
+        let spec = IterationSpec {
+            micro_batches,
+            ..spec.clone()
+        };
+        spec.planned_route_bytes()
+    };
     let mut losses = Vec::new();
     for s in 0..3 {
         let (t, y) = random_batch(&model, 7 + s);
@@ -54,18 +64,19 @@ fn run(config: EngineConfig) -> (Vec<f32>, Vec<Vec<f32>>) {
         assert_eq!(stats.skipped_layers, if s == 0 { trained } else { 0 });
         // (A skipped update publishes no fresh P16 to the SSD tier.)
         if stats.skipped_layers == 0 {
-            assert_eq!(Route::ALL.map(|r| stats.traffic.bytes(r)), step_bytes);
+            assert_eq!(Route::ALL.map(|r| stats.traffic.bytes(r)), planned(1));
         }
         losses.push(stats.loss);
     }
-    let stats = engine
-        .train_step_accumulated(&micro_batches(&model))
-        .unwrap();
-    for (i, route) in Route::ALL.into_iter().enumerate() {
-        let planned = 2 * accumulation_bytes[i] + step_bytes[i];
-        assert_eq!(stats.traffic.bytes(route), planned, "{route:?}");
+    for n in MICRO_BATCHES {
+        let stats = engine
+            .train_step_accumulated(&micro_batches(&model, n))
+            .unwrap();
+        assert_eq!(stats.skipped_layers, 0);
+        let moved = Route::ALL.map(|r| stats.traffic.bytes(r));
+        assert_eq!(moved, planned(n), "{n} micro-batches");
+        losses.push(stats.loss);
     }
-    losses.push(stats.loss);
     for (tier, capacity) in capacities {
         if let Some(capacity) = capacity {
             let peak = engine.store().peak_used(tier);
@@ -88,7 +99,8 @@ fn placements(config: &EngineConfig) -> [Option<u64>; 2] {
 /// Pool-parallel DAG execution is bitwise-equal to the in-memory
 /// reference, for 1/2/4 workers per pool, both offload schedules and
 /// both placements, across the model zoo: with a frozen layer, through
-/// an overflow-skipped update, plain steps and an accumulated one.
+/// an overflow-skipped update, plain steps and accumulated ones of 1, 2
+/// and 4 micro-batches.
 #[test]
 fn executor_matches_the_reference_across_the_zoo() {
     for shape in zoo() {
@@ -103,7 +115,9 @@ fn executor_matches_the_reference_across_the_zoo() {
                 reference.train_step(&t, &y)
             })
             .collect();
-        ref_losses.push(reference.train_step_accumulated(&micro_batches(&model)));
+        for n in MICRO_BATCHES {
+            ref_losses.push(reference.train_step_accumulated(&micro_batches(&model, n)));
+        }
         let ref_masters: Vec<Vec<f32>> = (0..model.layers + 2)
             .map(|l| reference.master_params(l).to_vec())
             .collect();
@@ -228,4 +242,65 @@ fn dropped_dependency_edges_are_caught_before_dispatch() {
         caught * 2 >= tried,
         "verifier caught only {caught}/{tried} random edge drops"
     );
+}
+
+/// In a step of two micro-batches every edge from the first to the second
+/// is load-bearing, and each placement's verifier proves it: the compute
+/// stream and the accumulator chain (each `grad-off` → the next
+/// micro-batch's first staging task) and each reused staging key (a
+/// pass's P16, refilled only after the earlier micro-batch consumed it).
+#[test]
+fn dropped_edges_between_micro_batches_are_caught() {
+    use ratel_repro::core::verify::{verify, Limits};
+    use ratel_repro::sim::{TaskGraph, TaskId, TaskKind};
+
+    let shape = &zoo()[0];
+    let config = EngineConfig {
+        frozen_layers: vec![FROZEN],
+        ..config_with(shape, ExecutionOptions::default())
+    };
+    for host_capacity in placements(&config) {
+        let engine = RatelEngine::new(EngineConfig {
+            host_capacity,
+            ..config.clone()
+        })
+        .unwrap();
+        let spec = IterationSpec {
+            micro_batches: 2,
+            ..engine.movement_spec().clone()
+        };
+        let (mut graph, _, _) = spec.build();
+        let base = verify(&graph, &Limits::none());
+        assert!(base.is_clean(), "{}", base.render());
+        let identity = |g: &TaskGraph, t: TaskId| g.meta(t).and_then(|m| m.identity).unwrap();
+        let between: Vec<(TaskId, TaskId)> = (graph.edges())
+            .filter(|e| identity(&graph, e.from).micro < identity(&graph, e.to).micro)
+            .map(|e| (e.from, e.to))
+            .collect();
+        let kinds: Vec<_> = (between.iter())
+            .map(|&(d, t)| (identity(&graph, d).kind, identity(&graph, t).kind))
+            .collect();
+        // The first staging task of a pass: a read from the SSD tier, or
+        // a fetch rounded from a resident master.
+        let [forward, backward] = match host_capacity {
+            None => [TaskKind::FwdFetch, TaskKind::BwdFetch],
+            Some(_) => [TaskKind::FwdRead, TaskKind::BwdRead],
+        };
+        for pair in [(TaskKind::GradOff, forward), (TaskKind::Bwd, backward)] {
+            assert!(kinds.contains(&pair), "{host_capacity:?}: no {pair:?} edge");
+        }
+        for &(dep, task) in &between {
+            let what = format!(
+                "{host_capacity:?}: `{}` -> `{}`",
+                graph.label(dep).unwrap(),
+                graph.label(task).unwrap()
+            );
+            assert!(graph.remove_dep(task, dep), "{what}");
+            assert!(
+                !verify(&graph, &Limits::none()).is_clean(),
+                "{what} went unnoticed"
+            );
+            graph.add_dep(task, dep);
+        }
+    }
 }

@@ -278,6 +278,61 @@ fn a_moments_write_beside_a_resident_master_is_retried_or_fails_and_restores() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A step of three micro-batches that the SSD tier fails for good — from
+/// an op in the middle of the second micro-batch on, or in the middle of
+/// the last one's forward, before any handler could commit — returns the
+/// typed fault and leaves nothing behind: the host tier holds what it
+/// held before the step, and no accumulator remains. A retry of the same
+/// step is bitwise the uninterrupted run.
+#[test]
+fn a_failed_accumulated_step_leaves_nothing_behind() {
+    let model = tiny_config();
+    // The paper's placement with every block recomputing: per micro-batch
+    // the SSD tier serves one P16 read per layer and pass — the head is
+    // staged once — and nothing else until the handlers.
+    let config = EngineConfig {
+        model,
+        act_decisions: vec![ActDecision::Recompute; model.layers],
+        host_capacity: Some(1 << 30),
+        ..EngineConfig::tiny()
+    };
+    let per_micro = 2 * (model.layers as u64 + 2) - 1;
+    let micro: Vec<_> = (0..3).map(|s| learnable_batch(&model, s)).collect();
+    let bits = |l: &[f32]| l.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let masters = |engine: &RatelEngine| {
+        (0..model.layers + 2)
+            .map(|layer| engine.master_params(layer).unwrap())
+            .collect::<Vec<_>>()
+    };
+    let mut straight = RatelEngine::new(config.clone()).unwrap();
+    let straight_losses: Vec<f32> = (0..2)
+        .map(|_| straight.train_step_accumulated(&micro).unwrap().loss)
+        .collect();
+
+    for dead_from in [per_micro + per_micro / 2, 2 * per_micro + per_micro / 2] {
+        let mut engine = RatelEngine::new(config.clone()).unwrap();
+        let mut losses = vec![engine.train_step_accumulated(&micro).unwrap().loss];
+        let host = engine.store().used(Tier::Host);
+        let dead = Arc::new(FaultPlan::new());
+        dead.fault_at(dead_from, FaultKind::Permanent);
+        engine.store().set_fault_plan(Some(dead));
+        let err = engine.train_step_accumulated(&micro).unwrap_err();
+        assert!(
+            matches!(err, RatelError::Storage(StorageError::Faulted { .. })),
+            "op {dead_from}: {err}"
+        );
+        assert_eq!(engine.store().used(Tier::Host), host, "op {dead_from}");
+        for layer in 0..model.layers + 2 {
+            let sum = BlobKey::shared(BlobKind::GradReduced, layer);
+            assert!(!engine.store().contains(&sum), "op {dead_from}: {sum}");
+        }
+        engine.store().set_fault_plan(None);
+        losses.push(engine.train_step_accumulated(&micro).unwrap().loss);
+        assert_eq!(bits(&losses), bits(&straight_losses), "op {dead_from}");
+        assert_eq!(masters(&engine), masters(&straight), "op {dead_from}");
+    }
+}
+
 /// A blob file that no longer holds what was written to it reads as a
 /// typed error, not as bytes of the wrong length for a decoder to panic
 /// on. Truncated on disk, a layer's moments do not reach host memory —

@@ -2,7 +2,7 @@
 //! ([`TrainingPlan::static_peak`]) against what the engine's tiers
 //! actually hold, over the shared zoo plus the tiny shape × three
 //! activation mixes × 1/2/4 workers per pool. Every case runs a plain
-//! step and a three-micro-batch accumulated one, unthrottled and with
+//! step and a four-micro-batch accumulated one, unthrottled and with
 //! each of the four routes throttled to 2 MB/s in turn — a slow link
 //! is what makes blobs queue in the tier before it.
 //!
@@ -90,14 +90,14 @@ fn cases() -> Vec<Case> {
     cases
 }
 
-/// Runs a plain step and a three-micro-batch accumulated one unthrottled,
+/// Runs a plain step and a four-micro-batch accumulated one unthrottled,
 /// then with each route throttled in turn, holding the tiers' high-water
 /// marks after each to `limits` (`[gpu, host]`).
 fn run_under_every_throttle(plan: TrainingPlan, limits: [u64; 2], what: &str) {
     let model = plan.config().model;
     let mut trainer = plan.build().unwrap();
     let (tokens, targets) = random_batch(&model, 7);
-    let micro: Vec<_> = (0..3).map(|s| random_batch(&model, 20 + s)).collect();
+    let micro: Vec<_> = (0..4).map(|s| random_batch(&model, 20 + s)).collect();
     for throttled in std::iter::once(None).chain(Route::ALL.map(Some)) {
         let engine = trainer.engine();
         for route in Route::ALL {

@@ -5,7 +5,9 @@
 //! and a permanent SSD fault must leave a flight-recorder postmortem
 //! whose tail names the failing transfer and its retries.
 
-use ratel_repro::core::engine::conformance::{ConformanceConfig, ConformanceMonitor, DriftKind};
+use ratel_repro::core::engine::conformance::{
+    ConformanceConfig, ConformanceMonitor, DriftKind, Finding,
+};
 use ratel_repro::core::engine::telemetry::StepTelemetry;
 use ratel_repro::prelude::*;
 use ratel_repro::sim::{BlobKey, BlobKind, SpanKind};
@@ -35,7 +37,7 @@ fn instrumented_step(config: ConformanceConfig) -> (StepTelemetry, ConformanceMo
     (telemetry, monitor)
 }
 
-fn kinds(findings: &[ratel_repro::core::engine::conformance::Finding]) -> Vec<DriftKind> {
+fn kinds(findings: &[Finding]) -> Vec<DriftKind> {
     let mut out: Vec<DriftKind> = findings.iter().map(|f| f.kind).collect();
     out.dedup();
     out
@@ -195,12 +197,15 @@ fn a_transfer_that_jumps_its_pacing_gate_is_flagged() {
     );
 }
 
-/// An accumulated step conforms: its k − 1 accumulation runs and final
-/// step run are held against their own plans (a frozen layer makes the
-/// two DAGs differ in more than the optimizer handlers), and task ids
-/// are matched within a run only.
+/// An accumulated step conforms to its one DAG (a frozen layer has no
+/// gradient to accumulate), and that DAG orders its micro-batches: micro
+/// batch 1's first task, the embedding's P16 fetch, started before micro
+/// batch 0's last backward kernel ended — so before that kernel's
+/// gradient left the arena — is an inversion the monitor names. A
+/// checker matching spans within one run of a DAG per micro-batch could
+/// not see it.
 #[test]
-fn accumulated_steps_conform_and_runs_do_not_collide() {
+fn a_stage_inversion_across_micro_batches_is_flagged() {
     let model = GptConfig::tiny();
     let mut engine = build(vec![1]);
     engine.enable_conformance(ConformanceConfig::default());
@@ -212,20 +217,27 @@ fn accumulated_steps_conform_and_runs_do_not_collide() {
         engine.conformance_findings()
     );
     let clean = engine.last_step_telemetry().unwrap().clone();
-    assert_eq!(clean.runs, 3);
+    assert_eq!(clean.micro_batches, 3);
 
-    // Seed a cross-run id collision: run 0 replayed after everything
-    // else. Its task ids recur in runs 1 and 2 with earlier timestamps;
-    // only a checker matching ids across runs would see inversions.
     let monitor = engine.conformance_monitor(ConformanceConfig::default());
+    let span = |label: &str| {
+        let found = (clean.spans.iter()).position(|s| s.task.is_some() && s.label == label);
+        found.unwrap_or_else(|| panic!("no task span {label:?}"))
+    };
+    let (first, last) = (span("m1 fwd-fetch L0"), span("m0 bwd L0"));
     let mut mutated = clean.clone();
-    for s in &mut mutated.spans {
-        if s.task.is_some_and(|t| t.run == 0) {
-            s.start += clean.wall_seconds;
-            s.end += clean.wall_seconds;
-        }
-    }
-    assert!(monitor.check(&mutated).is_empty());
+    mutated.spans[first].start = clean.spans[last].end - 1e-9;
+    let findings = monitor.check(&mutated);
+    assert_eq!(kinds(&findings), vec![DriftKind::StageInversion]);
+    // Its dependencies are micro-batch 0's gradient offloads, which the
+    // last backward kernel precedes.
+    let named = |f: &Finding| {
+        f.detail.contains("\"m1 fwd-fetch L0\"") && f.detail.contains("\"m0 grad-off L0\"")
+    };
+    assert!(
+        findings.iter().any(named),
+        "no finding names the fetch and micro-batch 0's last offload: {findings:?}"
+    );
 }
 
 /// Conformance checks what a step recorded, nothing older: with

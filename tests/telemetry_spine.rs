@@ -2,10 +2,10 @@
 //! one site. Across the model zoo, 1/2/4 workers per pool and both
 //! offload schedules, for a plain and an accumulated step:
 //!
-//! * every executed task has exactly one span, keyed `(run, task)`;
-//! * the span's kind and layer are the task's identity in the graph of
-//!   its run, its track that graph's resource name, its label the
-//!   graph's label;
+//! * every executed task of the step's one graph has exactly one span,
+//!   keyed by its task id;
+//! * the span's kind and layer are the task's identity in that graph,
+//!   its track the graph's resource name, its label the graph's label;
 //! * per pool, the spans add up to the executor's own `busy_seconds` —
 //!   both are cut from the same two instants per task;
 //! * the live conformance monitor (dependency rule included) is silent.
@@ -17,19 +17,13 @@ use std::collections::HashSet;
 use common::{config_with, zoo};
 use ratel_repro::core::engine::conformance::ConformanceConfig;
 use ratel_repro::core::engine::executor::POOL_CLASSES;
+use ratel_repro::core::schedule::IterationSpec;
 use ratel_repro::prelude::*;
-use ratel_repro::sim::TaskGraph;
 
-/// Holds the step the engine just ran against the spine's contract. A
-/// DAG run executed `accumulation_graph` if the telemetry says it
-/// accumulated, `step_graph` otherwise.
-fn check_step(
-    engine: &RatelEngine,
-    stats: &StepStats,
-    step_graph: &TaskGraph,
-    accumulation_graph: &TaskGraph,
-    what: &str,
-) {
+/// Holds the step the engine just ran against the spine's contract: its
+/// spans are those of the movement plan `spec` over as many micro-batches
+/// as the telemetry says the step ran.
+fn check_step(engine: &RatelEngine, stats: &StepStats, spec: &IterationSpec, what: &str) {
     assert!(
         engine.conformance_findings().is_empty(),
         "{what}: {:?}",
@@ -37,17 +31,17 @@ fn check_step(
     );
     let telemetry = engine.last_step_telemetry().expect("telemetry is on");
     let tasks = stats.tasks.as_ref().expect("steps report tasks");
+    let spec = IterationSpec {
+        micro_batches: telemetry.micro_batches,
+        ..spec.clone()
+    };
+    let graph = spec.build().0;
 
     let mut seen = HashSet::new();
     let mut pool_seconds = [0.0f64; POOL_CLASSES.len()];
     for span in &telemetry.spans {
         let Some(t) = span.task else { continue };
-        assert!(seen.insert((t.run, t.task)), "{what}: {t:?} spanned twice");
-        let graph = if telemetry.accumulates(t.run) {
-            accumulation_graph
-        } else {
-            step_graph
-        };
+        assert!(seen.insert(t.task), "{what}: {t:?} spanned twice");
         let identity = graph
             .meta(t.task)
             .and_then(|m| m.identity)
@@ -66,8 +60,8 @@ fn check_step(
         tasks.tasks_total,
         "{what}: one span per task"
     );
-    let planned = (telemetry.runs - 1) * accumulation_graph.len() + step_graph.len();
-    assert_eq!(seen.len(), planned, "{what}: every planned task ran");
+    assert_eq!(seen.len(), graph.len(), "{what}: every planned task ran");
+    assert!(tasks.critical_path_seconds <= tasks.wall_seconds, "{what}");
 
     for (class, spanned) in POOL_CLASSES.iter().zip(pool_seconds) {
         let busy = tasks.pool(*class).map_or(0.0, |p| p.busy_seconds);
@@ -96,25 +90,23 @@ fn every_executed_task_has_one_typed_span_that_agrees_with_the_executor() {
                         offload,
                     }),
                 );
-                // A frozen block: the accumulation DAG then differs from
-                // the step DAG in more than its optimizer handlers.
+                // A frozen block: a layer with no gradient to accumulate.
                 config.frozen_layers = vec![1];
                 let gpu_capacity = config.gpu_capacity;
                 let mut engine = RatelEngine::new(config).unwrap();
                 engine.enable_conformance(ConformanceConfig::default());
-                let spec = engine.movement_spec();
-                let step_graph = spec.build().0;
-                let accumulation_graph = spec.accumulation_spec().build().0;
+                let spec = engine.movement_spec().clone();
 
                 let (tokens, targets) = random_batch(&model, 7);
                 let stats = engine.train_step(&tokens, &targets).unwrap();
-                check_step(&engine, &stats, &step_graph, &accumulation_graph, &what);
+                check_step(&engine, &stats, &spec, &what);
 
                 let micro: Vec<_> = (0..3).map(|s| random_batch(&model, 20 + s)).collect();
                 let stats = engine.train_step_accumulated(&micro).unwrap();
-                assert_eq!(engine.last_step_telemetry().unwrap().runs, 3, "{what}");
+                let micro_batches = engine.last_step_telemetry().unwrap().micro_batches;
+                assert_eq!(micro_batches, 3, "{what}");
                 let what = format!("{what}, accumulated");
-                check_step(&engine, &stats, &step_graph, &accumulation_graph, &what);
+                check_step(&engine, &stats, &spec, &what);
                 assert_eq!(engine.total_findings(), 0, "{what}");
                 if let Some(capacity) = gpu_capacity {
                     let peak = engine.store().peak_used(ratel_repro::storage::Tier::Gpu);

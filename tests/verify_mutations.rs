@@ -6,8 +6,8 @@
 //! inflated residency → capacity, rebinding onto the wrong resource →
 //! legality. Three more are seeded into the paced DAG the engine
 //! dispatches: a dropped pacing edge → capacity, a dropped free →
-//! residency bookkeeping, a rotated handler's read cut from its head
-//! write → staleness.
+//! capacity (and, across micro-batches, residency bookkeeping), a rotated
+//! handler's read cut from its head write → staleness.
 
 use proptest::prelude::*;
 
@@ -52,6 +52,7 @@ fn spec(mode: GradOffloadMode) -> IterationSpec {
         rates: rates(),
         gpus: 1,
         items_per_iteration: 1.0,
+        micro_batches: 1,
         per_layer_overhead_seconds: 0.01,
     }
 }
@@ -385,8 +386,10 @@ fn dropped_head_write_edge_is_caught() {
     );
 }
 
-/// A staged P16 the forward kernel never releases is still in the arena
-/// when backward stages the layer again.
+/// A staged P16 the forward kernel never releases stays in the arena: the
+/// paced DAG no longer fits the arena it exactly fitted, and in a step of
+/// two micro-batches the next forward stages the layer again while the
+/// copy is still open.
 #[test]
 fn dropped_free_is_caught() {
     let (plan, limits) = paced_engine_plan();
@@ -400,7 +403,24 @@ fn dropped_free_is_caught() {
         report
             .findings
             .iter()
-            .any(|f| f.rule == Rule::ResidencyBookkeeping),
+            .any(|f| f.rule == Rule::CapacityExceeded),
+        "mutant not caught:\n{}",
+        report.render()
+    );
+
+    let spec = IterationSpec {
+        micro_batches: 2,
+        ..plan.spec().clone()
+    };
+    let (mut g, _, _) = spec.build();
+    let kernel = labelled(&g, "m0 fwd L1");
+    g.meta_mut(kernel).unwrap().frees.clear();
+    let report = verify(&g, &Limits::none());
+    assert!(
+        report
+            .findings
+            .iter()
+            .any(|f| f.rule == Rule::ResidencyBookkeeping && f.label == "m1 fwd-fetch L1"),
         "mutant not caught:\n{}",
         report.render()
     );

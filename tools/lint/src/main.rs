@@ -21,8 +21,10 @@
 //!   deterministic and replayable.
 //! * **`doc-refs`** — a backticked `.rs` path in README.md or DESIGN.md
 //!   that names no workspace file, whole or by the tail of its path
-//!   (`engine/plan.rs`). ROADMAP.md is exempt: it names deleted files as
-//!   history.
+//!   (`engine/plan.rs`), or a backticked `Type::name` whose `Type` the
+//!   workspace declares but whose `name` no `fn`, field, variant or
+//!   constant of it does. ROADMAP.md is exempt: it names deleted files
+//!   and methods as history.
 //!
 //! Findings are suppressed by `ratel-lint.allow` at the workspace root.
 //! Each non-comment line is `<rule> <path>` and waives that rule for that
@@ -33,7 +35,7 @@
 //! Vendored dependency shims under `vendor/` are third-party API surface
 //! and are not scanned.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashSet};
 use std::fmt;
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -480,25 +482,121 @@ fn workspace_sources(root: &Path, dir: &Path, out: &mut Vec<String>) {
     }
 }
 
+fn is_ident(s: &str) -> bool {
+    !s.is_empty() && s.chars().all(|c| c.is_alphanumeric() || c == '_')
+}
+
+/// The names the workspace's `.rs` files declare, outside comments and
+/// strings. `types` are what follows `struct`, `enum`, `trait` or
+/// `type`; `members` what follows `fn`, `const` or `static`, plus every
+/// name that opens a line and that `:`, `,`, `(`, `{`, `=` or the line's
+/// end follows — fields and variants as rustfmt lays them out. That
+/// over-approximates, so a stale reference may pass but never a live
+/// one fail.
+#[derive(Default)]
+struct Declared {
+    types: HashSet<String>,
+    members: HashSet<String>,
+}
+
+impl Declared {
+    fn scan(root: &Path, sources: &[String]) -> Declared {
+        let mut declared = Declared::default();
+        for line in (sources.iter())
+            .filter_map(|rel| fs::read_to_string(root.join(rel)).ok())
+            .flat_map(|src| sanitize(&src))
+        {
+            let words: Vec<&str> = line
+                .split(|c: char| !(c.is_alphanumeric() || c == '_'))
+                .filter(|w| !w.is_empty())
+                .collect();
+            for pair in words.windows(2) {
+                let set = match pair[0] {
+                    "struct" | "enum" | "trait" | "type" => &mut declared.types,
+                    "fn" | "const" | "static" => &mut declared.members,
+                    _ => continue,
+                };
+                set.insert(pair[1].to_string());
+            }
+            let mut rest = line.trim_start();
+            for vis in ["pub(crate) ", "pub(super) ", "pub "] {
+                rest = rest.strip_prefix(vis).unwrap_or(rest);
+            }
+            let end = rest
+                .find(|c: char| !(c.is_alphanumeric() || c == '_'))
+                .unwrap_or(rest.len());
+            let after = rest[end..].trim_start();
+            let opens = after.is_empty()
+                || after.starts_with([',', '(', '{', '='])
+                || (after.starts_with(':') && !after.starts_with("::"));
+            if end > 0 && opens {
+                declared.members.insert(rest[..end].to_string());
+            }
+        }
+        declared
+    }
+}
+
+/// The `(Type, name)` pairs a code span refers to — `Type::name`,
+/// `Type::name(args)`, `path::Type::name` or `Type::{a, b}` — where
+/// `Type` is CamelCase.
+fn member_refs(span: &str) -> Vec<(&str, &str)> {
+    let path = span.split('(').next().unwrap_or(span);
+    let (owner, names): (&str, Vec<&str>) = match path.split_once("::{") {
+        Some((owner, group)) => match group.strip_suffix('}') {
+            Some(group) => (owner, group.split(',').map(str::trim).collect()),
+            None => return Vec::new(),
+        },
+        None => match path.rsplit_once("::") {
+            Some((owner, name)) => (owner, vec![name]),
+            None => return Vec::new(),
+        },
+    };
+    let ty = owner.rsplit("::").next().unwrap_or(owner);
+    if !ty.starts_with(|c: char| c.is_ascii_uppercase()) || !owner.split("::").all(is_ident) {
+        return Vec::new();
+    }
+    (names.into_iter().filter(|n| is_ident(n)))
+        .map(|name| (ty, name))
+        .collect()
+}
+
 /// `doc-refs` over one markdown file: every code span that is a path
-/// ending in `.rs` must name one of `sources`, whole or by its tail.
-fn scan_doc_refs(doc: &Path, rel: &Path, sources: &[String], findings: &mut Vec<Finding>) {
+/// ending in `.rs` must name one of `sources`, whole or by its tail, and
+/// every `Type::name` of a declared type a declared member.
+fn scan_doc_refs(
+    doc: &Path,
+    rel: &Path,
+    sources: &[String],
+    declared: &Declared,
+    findings: &mut Vec<Finding>,
+) {
     let Ok(text) = fs::read_to_string(doc) else {
         return;
     };
     for (idx, line) in text.lines().enumerate() {
+        let mut report = |text: String| {
+            findings.push(Finding {
+                rule: Rule::DocRefs,
+                path: rel.to_path_buf(),
+                line: idx + 1,
+                text,
+            })
+        };
         // Odd `split` pieces are the inside of `code spans`.
         for span in line.split('`').skip(1).step_by(2) {
             let stem = span.rsplit('/').next().and_then(|f| f.strip_suffix(".rs"));
             let is_path = stem.is_some_and(|s| !s.is_empty()) && !span.contains([' ', '*']);
             let resolves = |f: &String| f == span || f.ends_with(&format!("/{span}"));
             if is_path && !sources.iter().any(resolves) {
-                findings.push(Finding {
-                    rule: Rule::DocRefs,
-                    path: rel.to_path_buf(),
-                    line: idx + 1,
-                    text: format!("`{span}` names no workspace file"),
-                });
+                report(format!("`{span}` names no workspace file"));
+            }
+            for (ty, name) in member_refs(span) {
+                if declared.types.contains(ty) && !declared.members.contains(name) {
+                    report(format!(
+                        "`{ty}::{name}` names nothing the workspace declares"
+                    ));
+                }
             }
         }
     }
@@ -546,8 +644,10 @@ fn run(root: &Path, allow_path: &Path) -> ExitCode {
     }
     let mut sources = Vec::new();
     workspace_sources(root, root, &mut sources);
+    let declared = Declared::scan(root, &sources);
     for doc in DOC_FILES {
-        scan_doc_refs(&root.join(doc), Path::new(doc), &sources, &mut findings);
+        let rel = Path::new(doc);
+        scan_doc_refs(&root.join(doc), rel, &sources, &declared, &mut findings);
     }
 
     let mut shown = 0usize;
@@ -602,7 +702,8 @@ fn main() -> ExitCode {
                 println!(
                     "usage: ratel-lint [--root <workspace-root>] [--allow <allowlist>]\n\
                      Scans crates/, src/, and tools/ for banned patterns and README.md and\n\
-                     DESIGN.md for `.rs` paths that name no file; exits 1 on findings."
+                     DESIGN.md for `.rs` paths that name no file and `Type::name`s that\n\
+                     name nothing declared; exits 1 on findings."
                 );
                 return ExitCode::SUCCESS;
             }
@@ -735,12 +836,54 @@ mod tests {
         fs::write(&doc, text).unwrap();
         let mut sources = Vec::new();
         workspace_sources(&dir, &dir, &mut sources);
+        let declared = Declared::default();
         let mut findings = Vec::new();
-        scan_doc_refs(&doc, Path::new("DESIGN.md"), &sources, &mut findings);
+        scan_doc_refs(
+            &doc,
+            Path::new("DESIGN.md"),
+            &sources,
+            &declared,
+            &mut findings,
+        );
         let _ = fs::remove_dir_all(&dir);
         let hits: Vec<_> = findings.iter().map(|f| (f.rule, f.line)).collect();
         assert_eq!(hits, vec![(Rule::DocRefs, 3)]);
         assert!(findings[0].text.contains("benches/gone.rs"));
+    }
+
+    #[test]
+    fn doc_refs_name_declared_members_of_declared_types() {
+        let dir = std::env::temp_dir().join(format!("ratel-lint-members-{}", std::process::id()));
+        fs::create_dir_all(dir.join("crates/x/src")).unwrap();
+        let src = "pub struct Plan {\n    pub(crate) step: u8,\n}\n\
+                   impl Plan {\n    pub fn lower() {}\n    // fn fold_in() {}\n}\n\
+                   pub enum Tier {\n    Gpu,\n    Host(u8),\n}\n";
+        fs::write(dir.join("crates/x/src/lib.rs"), src).unwrap();
+        let doc = dir.join("DESIGN.md");
+        let text = "`Plan::lower()`, `Plan::step`, `Tier::{Gpu, Host}` and `x::Plan`\n\
+                    `Plan::fold_in(other)` and `Tier::{Gpu, Ssd}`\n\
+                    `Vec::fold_in`, `x::fold_in` and `Plan::<u8>::fold_in` are not checked\n";
+        fs::write(&doc, text).unwrap();
+        let mut sources = Vec::new();
+        workspace_sources(&dir, &dir, &mut sources);
+        let declared = Declared::scan(&dir, &sources);
+        let mut findings = Vec::new();
+        scan_doc_refs(
+            &doc,
+            Path::new("DESIGN.md"),
+            &sources,
+            &declared,
+            &mut findings,
+        );
+        let _ = fs::remove_dir_all(&dir);
+        let hits: Vec<_> = findings.iter().map(|f| (f.line, f.text.as_str())).collect();
+        assert_eq!(
+            hits,
+            vec![
+                (2, "`Plan::fold_in` names nothing the workspace declares"),
+                (2, "`Tier::Ssd` names nothing the workspace declares"),
+            ]
+        );
     }
 
     #[test]
