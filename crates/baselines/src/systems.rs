@@ -15,7 +15,7 @@ use ratel::planner::ActivationPlanner;
 use ratel::profile::HardwareProfile;
 use ratel::report::IterationReport;
 use ratel::schedule::{
-    IterationSpec, LayerTask, LinkRates, OptimizerKind, ParamSource, RatelSchedule,
+    IterationSpec, LayerTask, LinkRates, OptimizerKind, ParamSource, Pass, RatelSchedule,
 };
 use ratel::RatelMemoryModel;
 use ratel_hw::ServerConfig;
@@ -303,6 +303,7 @@ fn ds_spec(
         gpus,
         items_per_iteration: items(profile, gpus),
         micro_batches: 1,
+        pass: Pass::Step,
         per_layer_overhead_seconds: DS_LAYER_OVERHEAD_SEC
             + staging_bytes_per_layer / DS_STAGING_BYTES_PER_SEC,
     }
@@ -348,6 +349,7 @@ fn colossal_spec(hw: &HardwareProfile, profile: &ModelProfile, gpus: usize) -> I
         gpus,
         items_per_iteration: items(profile, gpus),
         micro_batches: 1,
+        pass: Pass::Step,
         per_layer_overhead_seconds: COLOSSAL_LAYER_OVERHEAD_SEC,
     }
 }
@@ -389,6 +391,7 @@ fn flashneuron_spec(hw: &HardwareProfile, profile: &ModelProfile) -> IterationSp
         gpus: 1,
         items_per_iteration: items(profile, 1),
         micro_batches: 1,
+        pass: Pass::Step,
         per_layer_overhead_seconds: 0.0,
     }
 }
@@ -433,6 +436,7 @@ fn g10_spec(hw: &HardwareProfile, profile: &ModelProfile) -> IterationSpec {
         gpus: 1,
         items_per_iteration: items(profile, 1),
         micro_batches: 1,
+        pass: Pass::Step,
         per_layer_overhead_seconds: 0.0,
     }
 }

@@ -1,7 +1,9 @@
 //! `ratel-bench obs`: end-to-end smoke of the observability plane.
 //!
 //! Runs an instrumented engine with the live plan-conformance monitor
-//! enabled, then exercises every export path the plane offers: the
+//! enabled — its steps, then one eval and one cached generation, each
+//! held against the DAG it ran — then exercises every export path the
+//! plane offers: the
 //! Prometheus text exposition (self-checked with
 //! [`ratel_obs::metrics::validate_prometheus`]), the JSONL dump, the
 //! Chrome trace with prefetch→consumer flow arrows, and the flight
@@ -74,7 +76,10 @@ pub struct ObsStep {
 pub struct ObsReport {
     /// Per-step observations, in order.
     pub steps: Vec<ObsStep>,
-    /// Conformance findings across all steps (rendered).
+    /// The calls run after the steps (`eval`, `generate_cached`) and the
+    /// conformance findings of each (rendered).
+    pub calls: Vec<(&'static str, Vec<String>)>,
+    /// Conformance findings across all steps and calls (rendered).
     pub findings: Vec<String>,
     /// Samples counted by the Prometheus exposition self-check.
     pub samples: usize,
@@ -140,6 +145,19 @@ pub fn run(cfg: &ObsConfig) -> Result<ObsReport, String> {
             findings: step_findings,
         });
     }
+    let findings_of = |engine: &ratel::engine::RatelEngine| -> Vec<String> {
+        (engine.conformance_findings().iter())
+            .map(|f| f.to_string())
+            .collect()
+    };
+    engine
+        .eval_loss(&tokens, &targets)
+        .map_err(|e| format!("eval: {e}"))?;
+    let mut calls = vec![("eval", findings_of(&engine))];
+    (engine.generate_cached(&tokens[..model.seq / 4], model.seq / 2))
+        .map_err(|e| format!("generate_cached: {e}"))?;
+    calls.push(("generate_cached", findings_of(&engine)));
+    findings.extend(calls.iter().flat_map(|(_, f)| f.iter().cloned()));
 
     // One registry snapshot covers every subsystem; the exposition
     // self-check proves the export is well-formed without a Prometheus.
@@ -168,6 +186,7 @@ pub fn run(cfg: &ObsConfig) -> Result<ObsReport, String> {
     let flight = ratel_obs::flight();
     Ok(ObsReport {
         steps,
+        calls,
         findings,
         samples,
         metrics_text,
@@ -223,6 +242,16 @@ pub fn render(cfg: &ObsConfig, report: &ObsReport) -> String {
             out.push_str(&format!("    drift: {f}\n"));
         }
     }
+    for (call, findings) in &report.calls {
+        let verdict = match findings.len() {
+            0 => "conforms".to_string(),
+            n => format!("{n} finding(s)"),
+        };
+        out.push_str(&format!("  {call}: {verdict}\n"));
+        for f in findings {
+            out.push_str(&format!("    drift: {f}\n"));
+        }
+    }
     out.push_str(&format!(
         "\nmetrics: {} samples pass the Prometheus exposition self-check\n",
         report.samples
@@ -232,7 +261,7 @@ pub fn render(cfg: &ObsConfig, report: &ObsReport) -> String {
         report.flight_events, report.flight_capacity
     ));
     if report.findings.is_empty() {
-        out.push_str("conformance: clean — every step matched the verified plan\n");
+        out.push_str("conformance: clean — every step and call matched the verified plan\n");
     } else {
         out.push_str(&format!(
             "conformance: {} finding(s) — see drift lines above\n",
@@ -259,6 +288,7 @@ mod tests {
             report.findings
         );
         assert_eq!(report.steps.len(), 2);
+        assert_eq!(report.calls.len(), 2);
         assert!(report.samples > 10, "thin metric surface");
         assert!(report.metrics_text.contains("ratel_route_bytes_total"));
         assert!(report.metrics_jsonl.contains("\"name\""));

@@ -146,10 +146,11 @@ fn verify_within(spec: &IterationSpec, iterations: usize, host_act: f64, ssd: f6
 const ENGINE_MODELS: [&str; 2] = ["tiny", "small"];
 
 /// The engine's own plans for `name`'s executable shape — the paced
-/// DAGs it dispatches, mixed activation decisions — under both state
-/// placements: every master host-resident (an unbounded host pool) and
-/// the paper's, at the smallest pool [`ratel::Ratel::plan`] accepts.
-/// Each is verified against the capacities it was planned for.
+/// DAGs a step, an eval and the runs of a KV-cached decode call of half
+/// the context after a quarter of it dispatch, mixed activation decisions — under
+/// both state placements: every master host-resident (an unbounded host
+/// pool) and the paper's, at the smallest pool [`ratel::Ratel::plan`]
+/// accepts. Each is verified against the capacities it was planned for.
 fn engine_checks(name: &str) -> Result<Vec<PlanCheck>, String> {
     let model = crate::validate::validate_model(name)
         .ok_or_else(|| format!("unknown engine model {name:?}"))?;
@@ -163,13 +164,24 @@ fn engine_checks(name: &str) -> Result<Vec<PlanCheck>, String> {
         let plan = crate::validate::validate_builder(model, &shape)
             .plan()
             .map_err(|e| e.to_string())?;
-        checks.push(PlanCheck {
-            system: format!("engine, states {:?}", plan.placement()),
-            model: name.to_string(),
-            batch: model.batch,
-            iterations: 1,
-            report: plan.verify_report().clone(),
-        });
+        let (prompt, new_tokens) = (model.seq / 4, model.seq / 2);
+        let (eval, decode) =
+            (plan.forward_reports(prompt, new_tokens)).map_err(|e| e.to_string())?;
+        let runs = (decode.into_iter().enumerate())
+            .map(|(run, report)| (format!(" decode {prompt}+{new_tokens} run {run}"), report));
+        let dags = [
+            (String::new(), plan.verify_report().clone()),
+            (" eval".into(), eval),
+        ];
+        for (dag, report) in dags.into_iter().chain(runs) {
+            checks.push(PlanCheck {
+                system: format!("engine{dag}, states {:?}", plan.placement()),
+                model: name.to_string(),
+                batch: model.batch,
+                iterations: 1,
+                report,
+            });
+        }
     }
     Ok(checks)
 }

@@ -159,7 +159,7 @@ impl From<Stage> for SpanKind {
 /// | `P16Fwd`, `P16Bwd` | yes (shared: host staging; per GPU: the arena copy) | a pass's staged P16 |
 /// | `Ckpt` | — (inside `Act`) | a block's checkpoint |
 /// | `GradMicro` | — | a non-final micro-batch's G16 |
-/// | `P16Pinned`, `Kv` | — | a decode call's pins and KV caches |
+/// | `P16Pinned`, `Kv` | yes (decode passes) | a decode call's pins and KV caches |
 /// | `MasterLoading`, `MomentsLoading`, `P16Loading` | — | checkpoint-load shadows |
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum BlobKind {
@@ -191,7 +191,7 @@ pub enum BlobKind {
     /// P32 master. Persistent.
     Moments,
     /// A layer's P16 staged for one forward pass (of a step, an eval or a
-    /// decode position) on its way to the arena, and its arena copy.
+    /// decode pass) on its way to the arena, and its arena copy.
     P16Fwd,
     /// A layer's P16 staged for its backward pass, and its arena copy.
     P16Bwd,
@@ -360,9 +360,11 @@ impl OpClass {
 /// display label of a task is derived from this (`fwd-read L3`); nothing
 /// reads the label back.
 ///
-/// The first fourteen kinds are the ones a real engine step is made of
-/// ([`TaskKind::is_executable`]); the rest model baseline systems and
-/// multi-GPU servers in the simulator only.
+/// The first fourteen kinds are the ones a real engine step is made of;
+/// the next four only the forward passes of an eval or a decode call add.
+/// Those eighteen are what the engine runs ([`TaskKind::is_executable`]);
+/// the rest model baseline systems and multi-GPU servers in the
+/// simulator only.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TaskKind {
     /// Stage a layer's P16 from SSD into host memory for forward.
@@ -393,6 +395,14 @@ pub enum TaskKind {
     OptCpu,
     /// Write the updated P32/OS32/P16 back to the SSD tier.
     OptWrite,
+    /// Hold a layer's P16 in host memory for a whole decode call.
+    Pin,
+    /// Fetch a block's KV cache from host memory back to the GPU.
+    KvUp,
+    /// Offload a block's KV cache to host memory after its kernel.
+    KvOff,
+    /// Choose a decode pass's token from the head's logits.
+    Pick,
     /// Framework hook stall before a forward kernel (simulation only).
     FwdHook,
     /// Framework hook stall before a backward kernel (simulation only).
@@ -428,6 +438,10 @@ impl TaskKind {
             TaskKind::OptRead => "opt-read",
             TaskKind::OptCpu => "opt-cpu",
             TaskKind::OptWrite => "opt-write",
+            TaskKind::Pin => "pin",
+            TaskKind::KvUp => "kv-up",
+            TaskKind::KvOff => "kv-off",
+            TaskKind::Pick => "pick",
             TaskKind::FwdHook => "fwd-hook",
             TaskKind::BwdHook => "bwd-hook",
             TaskKind::Reduce => "reduce",
@@ -471,8 +485,12 @@ impl TaskKind {
             | TaskKind::ActLoad
             | TaskKind::ActUp
             | TaskKind::OptRead
-            | TaskKind::OptUp => SpanKind::Prefetch,
+            | TaskKind::OptUp
+            | TaskKind::Pin
+            | TaskKind::KvUp => SpanKind::Prefetch,
             TaskKind::ActOff
+            | TaskKind::KvOff
+            | TaskKind::Pick
             | TaskKind::ActSpill
             | TaskKind::GradOff
             | TaskKind::GradSpill

@@ -513,6 +513,30 @@ impl TrainingPlan {
         &self.plan.step.report
     }
 
+    /// What the static passes say of the paced DAGs an eval and a
+    /// KV-cached decode call of `new_tokens` after `prompt` tokens
+    /// dispatch: the eval's, and each of the call's runs' in turn, with
+    /// the pins the host pool admits when the call finds it at rest.
+    ///
+    /// # Errors
+    /// [`RatelError::InvalidConfig`] if a DAG does not lower.
+    pub fn forward_reports(
+        &self,
+        prompt: usize,
+        new_tokens: usize,
+    ) -> Result<(ratel_verify::VerifyReport, Vec<ratel_verify::VerifyReport>), RatelError> {
+        let plan = &self.plan;
+        let at_rest = plan.step.spec.resident_host_bytes() as u64;
+        let free = (self.config.host_capacity).map(|cap| cap.saturating_sub(at_rest));
+        let pinned = plan.decode_pins(prompt, new_tokens, true, free)?;
+        let runs = plan.decode_runs(prompt, new_tokens, true, pinned);
+        let decode = runs.map(|run| Ok(plan.decode(run)?.report.clone()));
+        Ok((
+            plan.eval()?.report.clone(),
+            decode.collect::<Result<_, RatelError>>()?,
+        ))
+    }
+
     /// The paced task DAG a plain step dispatches, for the mutation
     /// tests that seed defects into it.
     #[doc(hidden)]

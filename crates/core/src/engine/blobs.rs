@@ -31,7 +31,7 @@ pub(super) fn moments_tier(task: &LayerTask) -> Tier {
 /// The f32 tensors the kernels compute on: an embedding, **one** block
 /// and a head, whatever the model's depth. They hold no state between
 /// uses — [`load_staged_params`] decodes a layer's P16 into its slot
-/// before every kernel, eval pass and decode position.
+/// before every forward and backward kernel.
 pub(super) struct LayerScratch {
     /// Blocks of the model the scratch serves (its layers `1..=blocks`).
     blocks: usize,
@@ -75,7 +75,7 @@ fn initial_master(config: GptConfig, seed: u64, layer: usize) -> Vec<u8> {
 
 /// Takes the staged P16 copy `staged` out of the store and decodes it
 /// straight into layer `layer`'s scratch slot — the one way parameters
-/// reach the compute kernels, in a step and in eval/decode alike.
+/// reach the compute kernels, in every DAG the engine runs.
 pub(super) fn load_staged_params(
     store: &TieredStore<BlobKey>,
     scratch: &mut LayerScratch,
@@ -115,16 +115,6 @@ pub(super) fn offload_f16(
     store.move_to(&key, target)
 }
 
-/// Fetches an f16 blob back to the GPU tier and takes it out of the
-/// store, returning the bytes.
-pub(super) fn fetch_f16(
-    store: &TieredStore<BlobKey>,
-    key: BlobKey,
-) -> Result<Vec<u8>, StorageError> {
-    store.move_to(&key, Tier::Gpu)?;
-    store.take(&key)
-}
-
 impl RatelEngine {
     /// Places every layer's states where the plan says they rest, one
     /// layer at a time, each built alone from its own seed: the build
@@ -161,27 +151,6 @@ impl RatelEngine {
             }
         }
         Ok(())
-    }
-
-    /// Brings a layer's P16 into the GPU arena and loads it into its
-    /// scratch slot (read-only streaming). The bytes come from the
-    /// layer's pinned host copy while a decode call holds one; otherwise
-    /// from where the plan placed them — rounded from the host-resident
-    /// master, or copied from the SSD tier.
-    pub(super) fn stage_params(&mut self, layer: usize) -> Result<(), StorageError> {
-        let staged = key(BlobKind::P16Fwd, layer);
-        let pinned = key(BlobKind::P16Pinned, layer);
-        if self.store.contains(&pinned) {
-            self.store.copy_to(&pinned, &staged, Tier::Gpu)?;
-        } else {
-            match self.plan.placement {
-                Placement::HostMaster => publish_p16(&self.store, layer, staged, Tier::Gpu)?,
-                Placement::Ssd => {
-                    (self.store).copy_to(&key(BlobKind::Param16, layer), &staged, Tier::Gpu)?
-                }
-            }
-        }
-        load_staged_params(&self.store, &mut self.scratch, layer, staged)
     }
 
     /// Reads the current master (f32) parameters of a layer — for tests

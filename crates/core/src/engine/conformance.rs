@@ -147,14 +147,21 @@ impl ConformanceMonitor {
     /// Matches one step's telemetry against the plan. Returns every
     /// divergence found; an empty vector means the step conformed.
     pub fn check(&self, step: &StepTelemetry) -> Vec<Finding> {
-        let mut findings = Vec::new();
         // A micro-batch count the plan cannot lower is one the engine
         // refused to run: it plans no bytes and no order.
-        if let Ok(dag) = self.plan.dag(step.micro_batches.max(1)) {
-            Self::check_bytes(&dag, step, &mut findings);
-            Self::check_dependencies(&dag, step, &mut findings);
+        let dag = self.plan.dag(step.micro_batches.max(1)).ok();
+        self.check_dag(dag.as_deref(), step)
+    }
+
+    /// Matches the telemetry of one run of `dag` — a step's, an eval's
+    /// or a decode call's — against it.
+    pub(super) fn check_dag(&self, dag: Option<&StepDag>, run: &StepTelemetry) -> Vec<Finding> {
+        let mut findings = Vec::new();
+        if let Some(dag) = dag {
+            Self::check_bytes(dag, run, &mut findings);
+            Self::check_dependencies(dag, run, &mut findings);
         }
-        self.check_stalls(step, &mut findings);
+        self.check_stalls(run, &mut findings);
         findings
     }
 

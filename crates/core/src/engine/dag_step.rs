@@ -25,17 +25,19 @@ use ratel_tensor::dtype::{
     add_f16_le_to_f32_le, decode_f16, encode_f16, encode_f32, f32_le_to_f16_le,
     round_to_f16_in_place,
 };
-use ratel_tensor::{adam, block_dropout_spec, AdamParams, BlockSaved, HeadSaved, Tensor};
+use ratel_tensor::{
+    adam, block_dropout_spec, AdamParams, BlockSaved, DropoutSpec, HeadSaved, KvCache, Tensor,
+};
 
 use super::blobs::{key, load_staged_params, moments_tier, offload_f16, publish_p16, LayerScratch};
-use super::executor::TaskAction;
+use super::executor::{Executor, TaskAction, TaskBreakdown};
 use super::EngineConfig;
 use crate::error::RatelError;
-use crate::schedule::{IterationSpec, LayerTask, OptimizerKind};
+use crate::schedule::{Decode, IterationSpec, LayerTask, OptimizerKind, Pass};
 
-/// A lowered, verified, paced step graph plus what each task does
-/// (indexed by `TaskId.0`) and the spec it was lowered from. Built once
-/// per plan (it depends only on the config) and reused every step.
+/// A lowered, verified, paced graph of one [`Pass`] plus what each task
+/// does (indexed by `TaskId.0`) and the spec it was lowered from. Built
+/// once per shape (it depends only on the config) and reused every run.
 #[derive(Debug)]
 pub(crate) struct StepDag {
     /// The movement plan this DAG executes: what the handlers read, and
@@ -130,19 +132,31 @@ impl StepDag {
             return Err(RatelError::InvalidConfig(bad));
         }
 
-        // GPU compute order: per micro-batch, fwd L0..L{n-1} then bwd
-        // L{n-1}..L0. A staging task serves the kernel at the position
+        // The kernels in the GPU's compute order — the plan emits them in
+        // it — each at its position by (micro-batch or pass, layer, is
+        // backward). A staging task serves the kernel at the position
         // `serves` names.
         let n = spec.layers.len();
+        let gpu_seq: Vec<TaskId> = (tasks.iter().zip(&actions))
+            .filter(|(_, id)| matches!(id.kind, TaskKind::Fwd | TaskKind::Bwd))
+            .map(|(&t, _)| t)
+            .collect();
+        let slot = |micro: usize, layer: usize, bwd: bool| 2 * (micro * n + layer) + bwd as usize;
+        let rounds = actions.iter().map(|a| a.micro + 1).max().unwrap_or(1);
+        let mut position = vec![None; slot(rounds, 0, false)];
+        for (pos, t) in gpu_seq.iter().enumerate() {
+            let id = actions[t.0];
+            position[slot(id.micro, id.layer, id.kind == TaskKind::Bwd)] = Some(pos);
+        }
         let serves = |id: &TaskIdentity| {
-            let pos = match id.kind {
-                TaskKind::FwdRead | TaskKind::FwdFetch => id.layer,
+            let bwd = match id.kind {
+                TaskKind::FwdRead | TaskKind::FwdFetch | TaskKind::KvUp => false,
                 TaskKind::BwdRead | TaskKind::BwdFetch | TaskKind::ActLoad | TaskKind::ActUp => {
-                    2 * n - 1 - id.layer
+                    true
                 }
                 _ => return None,
             };
-            Some(2 * n * id.micro + pos)
+            position[slot(id.micro, id.layer, bwd)]
         };
         // Bytes a task's own annotations bring into `tier`: what pacing
         // counts is what the verifier charges.
@@ -157,16 +171,13 @@ impl StepDag {
         // (the SSD hop of the P16 and of SSD-spilled activations). Per
         // optimizer handler, in gradient-arrival order: the states its
         // read stages into host memory.
-        let mut gpu_seq: Vec<TaskId> = Vec::with_capacity(2 * n * spec.micro_batches);
-        let mut to_gpu = vec![0.0f64; 2 * n * spec.micro_batches];
+        let mut to_gpu = vec![0.0f64; gpu_seq.len()];
         let mut to_host = to_gpu.clone();
         let mut opt_reads = Vec::new();
         let mut opt_bytes = Vec::new();
         let mut opt_cpu_of = vec![None; n];
         for (&t, id) in tasks.iter().zip(&actions) {
             match id.kind {
-                // The plan emits its kernels in the GPU's compute order.
-                TaskKind::Fwd | TaskKind::Bwd => gpu_seq.push(t),
                 TaskKind::OptRead => {
                     opt_reads.push((t, id.layer));
                     opt_bytes.push(staged(t, MemTier::Host));
@@ -199,12 +210,15 @@ impl StepDag {
             let Some(pos) = serves(id) else { continue };
             let gate = match id.kind {
                 TaskKind::FwdRead | TaskKind::BwdRead | TaskKind::ActLoad => host_gates[pos],
-                TaskKind::ActUp => gpu_gates[pos],
+                TaskKind::ActUp | TaskKind::KvUp => gpu_gates[pos],
                 // At the unbudgeted depth a fetch just follows its read,
                 // which is gated; under an arena budget, or with no read
-                // to follow (a host-resident master), it is admitted
-                // like every other transfer into the arena.
-                _ if tiers.gpu.is_some() || spec.layers[id.layer].master_in_host() => {
+                // to follow (a host-resident master, a pin), it is
+                // admitted like every other transfer into the arena.
+                _ if tiers.gpu.is_some()
+                    || spec.layers[id.layer].master_in_host()
+                    || spec.pass.pins(id.layer) =>
+                {
                     gpu_gates[pos]
                 }
                 _ => None,
@@ -233,6 +247,7 @@ impl StepDag {
             "paced step DAG fails static verification:\n{}",
             report.render()
         );
+        graph.shrink_to_fit();
 
         Ok(StepDag {
             spec: spec.clone(),
@@ -242,18 +257,32 @@ impl StepDag {
         })
     }
 
+    /// Dispatches the DAG once, `workers` threads a pool, each task
+    /// doing what `ctx` says. A run that fails is released
+    /// ([`StepDag::release_failed_run`]).
+    pub(super) fn run(&self, ctx: &StepCtx, workers: usize) -> Result<TaskBreakdown, RatelError> {
+        let run = Executor::new(workers).run(&self.graph, ctx);
+        if run.is_err() {
+            self.release_failed_run(ctx.store);
+        }
+        run
+    }
+
     /// Undoes what a run that failed left in the store, best-effort:
     /// every blob a run stages for itself is removed (an accumulated
-    /// step's f32 accumulators with them — the step is lost) and the
-    /// states its handlers staged go back where they rest. The tiers then
-    /// hold what they held before the step, so a retry or a
-    /// `load_checkpoint` starts from the states alone.
+    /// step's f32 accumulators with them — the step is lost — and a
+    /// decode call's pins and caches) and the states a step's handlers
+    /// staged go back where they rest. The tiers then hold what they held
+    /// before the run, so a retry or a `load_checkpoint` starts from the
+    /// states alone.
     pub(super) fn release_failed_run(&self, store: &TieredStore<BlobKey>) {
         for (layer, task) in self.spec.layers.iter().enumerate() {
             // A kind a layer never stages is simply not found.
             let staged = [
                 BlobKind::P16Fwd,
                 BlobKind::P16Bwd,
+                BlobKind::P16Pinned,
+                BlobKind::Kv,
                 BlobKind::Grad,
                 BlobKind::GradMicro,
                 BlobKind::GradReduced,
@@ -307,8 +336,16 @@ fn slot_violation(what: &str) -> StorageError {
     )))
 }
 
-/// Shared state of one executing step: the [`TaskAction`] behind
-/// [`super::RatelEngine::train_step`].
+/// Rows of one width, stacked into one tensor.
+fn stack(rows: Vec<Tensor>) -> Tensor {
+    let width = rows[0].shape()[1];
+    let data: Vec<f32> = rows.iter().flat_map(|r| r.data().iter().copied()).collect();
+    Tensor::from_vec(&[rows.len(), width], data)
+}
+
+/// Shared state of one executing DAG: the [`TaskAction`] behind
+/// [`super::RatelEngine::train_step`], `eval_loss` and the `generate`
+/// calls.
 ///
 /// Worker threads of different pools run disjoint actions concurrently;
 /// every hand-off slot (activation bytes, gradients, Adam updates) is a
@@ -323,10 +360,8 @@ pub(super) struct StepCtx<'a> {
     scratch: Mutex<&'a mut LayerScratch>,
     /// `(tokens, targets)` of each micro-batch, in the order they run.
     batches: &'a [(&'a [usize], &'a [usize])],
-    scale: f32,
-    step_seed: u64,
-    adam: AdamParams,
-    layer_steps: &'a [u64],
+    /// What a step's handlers read; `None` in an eval or a decode call.
+    training: Option<Training<'a>>,
     /// The activation flowing forward between layers.
     flow: Mutex<Option<Tensor>>,
     /// The gradient flowing backward between layers.
@@ -334,8 +369,10 @@ pub(super) struct StepCtx<'a> {
     /// The head's forward input and saved state, parked between the
     /// adjacent head forward and backward (the head stages once).
     head: Mutex<Option<(Tensor, HeadSaved)>>,
-    /// Per block: checkpoint bytes between forward and act-off.
-    pending_ckpt: Vec<Mutex<Option<Vec<u8>>>>,
+    /// Per block: what its forward leaves for its offload — the
+    /// checkpoint bytes for act-off in a step, the KV cache for kv-off
+    /// in a decode pass.
+    pending_off: Vec<Mutex<Option<Vec<u8>>>>,
     /// Per block: its [`saved_act_chunks`].
     act_chunks: Vec<Vec<Option<usize>>>,
     /// Per block: saved-activation bytes between forward and act-off, one
@@ -350,21 +387,41 @@ pub(super) struct StepCtx<'a> {
     skipped: Mutex<Vec<usize>>,
     /// Per micro-batch: its loss.
     losses: Mutex<Vec<f32>>,
+    /// A decode call's prompt, then every token picked so far.
+    tokens: Mutex<Vec<usize>>,
+    /// A decode call's picking rule.
+    pick: Option<Mutex<Pick<'a>>>,
+}
+
+/// A decode call's rule picking each token from the head's logits.
+pub(super) type Pick<'a> = &'a mut (dyn FnMut(&[f32]) -> usize + Send);
+
+/// What a training step's handlers read besides the store and the batch.
+pub(super) struct Training<'a> {
+    /// The loss scale of the backward pass.
+    pub(super) scale: f32,
+    /// The dropout seed of the step.
+    pub(super) step_seed: u64,
+    /// Adam's hyperparameters, the learning rate scheduled.
+    pub(super) adam: AdamParams,
+    /// Per layer: its Adam clock.
+    pub(super) layer_steps: &'a [u64],
 }
 
 impl<'a> StepCtx<'a> {
-    /// Builds the shared context of one step.
-    #[allow(clippy::too_many_arguments)]
+    /// Builds the shared context of one run of `dag` over `batches`, one
+    /// `(tokens, targets)` per micro-batch (none for a decode call): a
+    /// step's, with its `training`, an eval's, or a decode call's, which
+    /// continues `decode`'s tokens so far, each new one chosen by its
+    /// pick.
     pub(super) fn new(
         store: &'a Arc<TieredStore<BlobKey>>,
         config: &'a EngineConfig,
         dag: &'a StepDag,
         scratch: &'a mut LayerScratch,
         batches: &'a [(&'a [usize], &'a [usize])],
-        scale: f32,
-        step_seed: u64,
-        adam: AdamParams,
-        layer_steps: &'a [u64],
+        training: Option<Training<'a>>,
+        decode: Option<(Vec<usize>, Pick<'a>)>,
     ) -> Self {
         let blocks = config.model.layers;
         let layers = blocks + 2;
@@ -380,40 +437,43 @@ impl<'a> StepCtx<'a> {
             dag,
             scratch: Mutex::new(scratch),
             batches,
-            scale,
-            step_seed,
-            adam,
-            layer_steps,
+            training,
             flow: Mutex::new(None),
             dflow: Mutex::new(None),
             head: Mutex::new(None),
-            pending_ckpt: slots(blocks),
+            pending_off: slots(blocks),
             pending_act: act_chunks.iter().map(|c| slots(c.len())).collect(),
             act_chunks,
             grads: slots(layers),
             updates: slots(layers),
             skipped: Mutex::new(Vec::new()),
             losses: Mutex::new(vec![0.0; batches.len()]),
+            tokens: Mutex::new(decode.as_ref().map_or(Vec::new(), |d| d.0.clone())),
+            pick: decode.map(|d| Mutex::new(d.1)),
         }
     }
 
+    /// What the step's handlers read: only a step trains.
+    fn training(&self) -> Result<&Training<'a>, StorageError> {
+        (self.training.as_ref()).ok_or_else(|| slot_violation("a step's training inputs"))
+    }
+
     /// Consumes the context after a successful run, returning the mean
-    /// micro-batch loss (summed in micro-batch order) and the
-    /// overflow-skipped layers (sorted).
-    pub(super) fn into_outcome(self) -> (f32, Vec<usize>) {
+    /// micro-batch loss (summed in micro-batch order), the
+    /// overflow-skipped layers (sorted) and a decode call's tokens.
+    pub(super) fn into_outcome(self) -> (f32, Vec<usize>, Vec<usize>) {
         debug_assert!(self.flow.lock().is_none(), "forward flow drained");
         debug_assert!(self.dflow.lock().is_none(), "backward flow drained");
         let losses = self.losses.lock();
         let loss = losses.iter().fold(0.0, |sum, l| sum + l) * (1.0 / losses.len() as f32);
         let mut skipped = self.skipped.lock().clone();
         skipped.sort_unstable();
-        (loss, skipped)
+        (loss, skipped, self.tokens.into_inner())
     }
 
-    fn dropout_spec(&self, block: usize) -> Option<ratel_tensor::DropoutSpec> {
-        self.config
-            .dropout
-            .map(|p| block_dropout_spec(p, self.step_seed, block))
+    fn dropout_spec(&self, block: usize) -> Result<Option<DropoutSpec>, StorageError> {
+        let seed = self.training()?.step_seed;
+        Ok((self.config.dropout).map(|p| block_dropout_spec(p, seed, block)))
     }
 
     /// Stage a layer's P16 from SSD into host memory as the copy `pass`
@@ -424,14 +484,28 @@ impl<'a> StepCtx<'a> {
         self.store.copy_to(&p16, &key(pass, layer), Tier::Host)
     }
 
-    /// Bring a layer's P16 into the GPU arena: the copy its read staged,
-    /// or one rounded from the resident master.
+    /// Bring a layer's P16 into the GPU arena: a copy of its pin, the
+    /// copy its read staged, or one rounded from the resident master.
     fn param_fetch(&self, layer: usize, pass: BlobKind) -> Result<(), StorageError> {
         let staged = key(pass, layer);
-        if self.dag.spec.layers[layer].master_in_host() {
+        if self.dag.spec.pass.pins(layer) {
+            let pinned = key(BlobKind::P16Pinned, layer);
+            self.store.copy_to(&pinned, &staged, Tier::Gpu)
+        } else if self.dag.spec.layers[layer].master_in_host() {
             publish_p16(self.store, layer, staged, Tier::Gpu)
         } else {
             self.store.move_to(&staged, Tier::Gpu)
+        }
+    }
+
+    /// Hold a layer's P16 in host memory for the call: copied from the
+    /// SSD tier, or rounded from the resident master.
+    fn pin(&self, layer: usize) -> Result<(), StorageError> {
+        let pinned = key(BlobKind::P16Pinned, layer);
+        if self.dag.spec.layers[layer].master_in_host() {
+            publish_p16(self.store, layer, pinned, Tier::Host)
+        } else {
+            (self.store).copy_to(&key(BlobKind::Param16, layer), &pinned, Tier::Host)
         }
     }
 
@@ -446,14 +520,19 @@ impl<'a> StepCtx<'a> {
         load_staged_params(self.store, scratch, layer, key(pass, layer))
     }
 
-    /// The layer's forward kernels over micro-batch `micro`, after
-    /// decoding its staged P16.
+    /// The layer's forward kernels over micro-batch `micro` (or decode
+    /// pass `micro`), after decoding its staged P16. A step's blocks save
+    /// what backward needs; an eval saves nothing.
     fn forward(&self, layer: usize, micro: usize) -> Result<(), StorageError> {
         let c = self.config.model;
         let l = c.layers;
-        let (tokens, targets) = self.batches[micro];
         let mut scratch = self.scratch.lock();
         self.load_params(&mut scratch, layer, BlobKind::P16Fwd)?;
+        if let Pass::Decode(d) = self.dag.spec.pass {
+            return self.decode_forward(&mut scratch, layer, micro, d);
+        }
+        let saves = self.dag.spec.pass == Pass::Step;
+        let (tokens, targets) = self.batches[micro];
         if layer == 0 {
             let mut x = scratch.embedding.forward(tokens, c.batch, c.seq);
             round_to_f16_in_place(x.data_mut());
@@ -465,10 +544,14 @@ impl<'a> StepCtx<'a> {
                 .lock()
                 .take()
                 .ok_or_else(|| slot_violation("forward flow produced by the previous layer"))?;
+            if !saves {
+                *self.flow.lock() = Some(scratch.block.forward(&x).0.quantize_f16());
+                return Ok(());
+            }
             // The block's input is its checkpoint (the inter-block A16);
             // the act-off task offloads these bytes after this kernel.
-            *self.pending_ckpt[b].lock() = Some(x.to_f16_bytes());
-            let spec = self.dropout_spec(b);
+            *self.pending_off[b].lock() = Some(x.to_f16_bytes());
+            let spec = self.dropout_spec(b)?;
             let (mut y, saved) = scratch.block.forward_with(&x, spec);
             // The saved set crosses to f16 once, in its encode; a block
             // that recomputes drops it unencoded. The act-off task of
@@ -494,7 +577,115 @@ impl<'a> StepCtx<'a> {
                 .ok_or_else(|| slot_violation("forward flow reaches the head"))?;
             let (loss, head_saved) = scratch.head.forward(&x, targets);
             self.losses.lock()[micro] = loss;
-            *self.head.lock() = Some((x, head_saved));
+            if saves {
+                *self.head.lock() = Some((x, head_saved));
+            }
+        }
+        Ok(())
+    }
+
+    /// Decode pass `pass`'s kernels of `layer`: the embedding of the
+    /// tokens no block has seen (cached) or of the window (uncached), a
+    /// block over them — through its KV cache, one position at a time,
+    /// when cached — or the head's logits of the last position, which
+    /// the flow carries to the pick.
+    fn decode_forward(
+        &self,
+        scratch: &mut LayerScratch,
+        layer: usize,
+        pass: usize,
+        d: Decode,
+    ) -> Result<(), StorageError> {
+        let c = self.config.model;
+        let (h, tokens) = (c.hidden, self.tokens.lock().clone());
+        let row = |x: &Tensor, i: usize| Tensor::from_vec(&[1, h], x.data()[i * h..][..h].to_vec());
+        // The positions every block's cache held before this pass.
+        let pass = d.start + pass;
+        let seen = if pass == 0 { 0 } else { d.prompt + pass - 1 };
+        let y = if layer == 0 && d.cached {
+            let rows =
+                (seen..tokens.len()).map(|pos| scratch.embedding.forward_at(tokens[pos], pos));
+            stack(rows.map(Tensor::quantize_f16).collect())
+        } else if layer == 0 {
+            // The window of the last `seq` tokens, zero-padded at the
+            // tail; the model runs at its configured micro-batch, so the
+            // window is replicated and row 0 read.
+            let window = &tokens[tokens.len().saturating_sub(c.seq)..];
+            let mut ids = vec![0usize; c.seq];
+            ids[..window.len()].copy_from_slice(window);
+            let ids: Vec<usize> = (0..c.batch).flat_map(|_| ids.iter().copied()).collect();
+            scratch
+                .embedding
+                .forward(&ids, c.batch, c.seq)
+                .quantize_f16()
+        } else {
+            let x = (self.flow.lock().take())
+                .ok_or_else(|| slot_violation("forward flow produced by the previous layer"))?;
+            if layer > c.layers && d.cached {
+                scratch.head.logits(&row(&x, x.shape()[0] - 1))
+            } else if layer > c.layers {
+                let last = tokens.len().min(c.seq) - 1;
+                let logits = scratch.head.logits(&x);
+                Tensor::from_vec(
+                    &[1, c.vocab],
+                    logits.data()[last * c.vocab..][..c.vocab].to_vec(),
+                )
+            } else if !d.cached {
+                scratch.block.forward(&x).0.quantize_f16()
+            } else {
+                let head_dim = h / c.heads;
+                let mut cache = match pass {
+                    0 => KvCache::new(c.heads, head_dim),
+                    _ => {
+                        let bytes = self.store.take(&key(BlobKind::Kv, layer))?;
+                        KvCache::from_f16_bytes(&bytes, c.heads, head_dim, seen)
+                    }
+                };
+                let rows = (0..x.shape()[0]).map(|i| {
+                    // A position attends to its own K/V in f32 and to
+                    // earlier ones as the store returns them, in f16:
+                    // round what the previous position of this pass left.
+                    if i > 0 {
+                        cache.round_to_f16();
+                    }
+                    let y = scratch.block.forward_cached(&row(&x, i), &mut cache);
+                    y.quantize_f16()
+                });
+                let y = stack(rows.collect());
+                *self.pending_off[layer - 1].lock() = Some(cache.to_f16_bytes());
+                y
+            }
+        };
+        *self.flow.lock() = Some(y);
+        Ok(())
+    }
+
+    /// Offload a block's KV cache, as its kernel left it, to host memory.
+    fn kv_off(&self, layer: usize) -> Result<(), StorageError> {
+        let cache = self.pending_off[layer - 1]
+            .lock()
+            .take()
+            .ok_or_else(|| slot_violation("KV cache pending after block forward"))?;
+        offload_f16(self.store, key(BlobKind::Kv, layer), cache, Tier::Host)
+    }
+
+    /// Choose pass `pass`'s token from the head's logits; the call's last
+    /// pass releases its pins and caches.
+    fn pick(&self, pass: usize) -> Result<(), StorageError> {
+        let (Pass::Decode(d), Some(pick)) = (self.dag.spec.pass, &self.pick) else {
+            return Err(slot_violation("a decode call"));
+        };
+        let logits =
+            (self.flow.lock().take()).ok_or_else(|| slot_violation("the head's logits"))?;
+        let token = (pick.lock())(logits.data());
+        self.tokens.lock().push(token);
+        if d.last && pass + 1 == d.passes {
+            for layer in 0..d.pinned {
+                self.store.remove(&key(BlobKind::P16Pinned, layer))?;
+            }
+            for layer in (1..=self.config.model.layers).filter(|_| d.cached) {
+                self.store.remove(&key(BlobKind::Kv, layer))?;
+            }
         }
         Ok(())
     }
@@ -507,7 +698,7 @@ impl<'a> StepCtx<'a> {
         let b = layer - 1;
         let c = chunk.unwrap_or(0);
         if c == 0 {
-            let ckpt = self.pending_ckpt[b]
+            let ckpt = self.pending_off[b]
                 .lock()
                 .take()
                 .ok_or_else(|| slot_violation("checkpoint pending after block forward"))?;
@@ -559,7 +750,7 @@ impl<'a> StepCtx<'a> {
             let (dx, head_grads) =
                 scratch
                     .head
-                    .backward_scaled(&x, &head_saved, targets, self.scale);
+                    .backward_scaled(&x, &head_saved, targets, self.training()?.scale);
             *self.dflow.lock() = Some(dx);
             self.park_gradient(layer, frozen, &head_grads);
         } else if layer >= 1 {
@@ -568,7 +759,7 @@ impl<'a> StepCtx<'a> {
             let rows = c.batch * c.seq;
             let ckpt = self.store.take(&key(BlobKind::Ckpt, layer))?;
             let input = Tensor::from_f16_bytes(&[rows, c.hidden], &ckpt);
-            let spec = self.dropout_spec(b);
+            let spec = self.dropout_spec(b)?;
             let chunks = &self.act_chunks[b];
             let fetched = (chunks.iter())
                 .map(|&chunk| self.store.take(&key(BlobKind::Act, layer).chunk(chunk)))
@@ -668,7 +859,8 @@ impl<'a> StepCtx<'a> {
     /// the overflow check and the clip norm, one for the update.
     fn opt_cpu(&self, layer: usize) -> Result<(), StorageError> {
         let g16 = self.store.take(&key(BlobKind::Grad, layer))?;
-        let factors = adam::GradFactors::measure(&g16, self.scale, self.config.grad_clip);
+        let step = self.training()?;
+        let factors = adam::GradFactors::measure(&g16, step.scale, self.config.grad_clip);
         if let Some(factors) = factors {
             self.store.modify(
                 [
@@ -681,8 +873,8 @@ impl<'a> StepCtx<'a> {
                         moments,
                         &g16,
                         factors,
-                        self.layer_steps[layer],
-                        &self.adam,
+                        step.layer_steps[layer],
+                        &step.adam,
                     )
                 },
             )?;
@@ -747,6 +939,10 @@ impl TaskAction for StepCtx<'_> {
             TaskKind::OptRead => self.opt_read(li),
             TaskKind::OptCpu => self.opt_cpu(li),
             TaskKind::OptWrite => self.opt_write(li),
+            TaskKind::Pin => self.pin(li),
+            TaskKind::KvUp => self.store.move_to(&key(BlobKind::Kv, li), Tier::Gpu),
+            TaskKind::KvOff => self.kv_off(li),
+            TaskKind::Pick => self.pick(micro),
             TaskKind::FwdHook
             | TaskKind::BwdHook
             | TaskKind::Reduce
@@ -855,6 +1051,7 @@ mod tests {
             gpus: 1,
             items_per_iteration: 1.0,
             micro_batches: 1,
+            pass: Pass::Step,
             per_layer_overhead_seconds: 0.0,
         }
     }

@@ -2,22 +2,23 @@
 //! greedy decoding, and KV-cached decoding (greedy or sampled) whose
 //! per-block caches are offloaded to the host tier between tokens.
 //!
-//! A call reads parameters it never writes, so it treats the host tier
-//! as a budgeted cache of P16: as many layers' as fit are pinned there
-//! once, for the duration of the call — copied from the SSD tier, or
-//! rounded from a host-resident master with no SSD hop — and every pass
-//! stages them from there. See [`pinned_layers`] for the budget.
+//! A call runs decode DAGs ([`crate::schedule::Decode`]) on the
+//! executor in turn, each over up to eight passes and lowered once per
+//! shape. Per new token a DAG runs a pass of `fetch L -> fwd L` over the
+//! layers — each block's cache brought up before its kernel and
+//! offloaded after it, when cached — ending in the `pick` of the token
+//! the next pass embeds. The call reads parameters it never writes, so
+//! it pins the P16 of as many layers as the residency pass admits in the
+//! host bytes it finds free, for the whole call, and streams the rest
+//! each pass.
 
 use std::sync::Arc;
 
-use ratel_sim::{BlobKey, BlobKind};
-use ratel_storage::{StorageError, Tier, TieredStore};
-use ratel_tensor::{GptConfig, KvCache};
+use ratel_storage::Tier;
 
-use super::blobs::{fetch_f16, key, offload_f16, publish_p16};
+use super::dag_step::Pick;
 use super::RatelEngine;
 use crate::error::RatelError;
-use crate::schedule::{LayerBlobs, Placement};
 
 /// Index of the largest logit.
 fn argmax(logits: &[f32]) -> usize {
@@ -30,8 +31,9 @@ fn argmax(logits: &[f32]) -> usize {
 }
 
 /// Picks a token from `logits` with temperature + top-k filtering;
-/// greedy when `temperature <= 0` or `top_k <= 1`.
-fn sample_from_logits(
+/// greedy when `temperature <= 0` or `top_k <= 1` — the rule
+/// [`RatelEngine::generate_sampled`] picks each token by.
+pub fn sample_from_logits(
     logits: &[f32],
     temperature: f32,
     top_k: usize,
@@ -63,101 +65,14 @@ fn sample_from_logits(
         .unwrap_or_else(|| argmax(logits))
 }
 
-/// Bytes of the blocks' KV caches when each holds `positions` tokens:
-/// per block and token, `hidden` f16 keys and as many values.
-fn kv_bytes(model: &GptConfig, positions: usize) -> u64 {
-    (model.layers * 2 * 2 * model.hidden * positions) as u64
-}
-
-/// How many layers, in id order, a decode call pins in the host tier:
-/// all of them when the pool is unbounded (`host_free == None`),
-/// otherwise the longest prefix of `p16_bytes` (each layer's P16 size)
-/// that fits in `host_free` beside `kv_reserve` — the call's KV caches
-/// at full context — and one transit copy of the largest layer left
-/// streaming. Holding to that budget is what keeps a pinned copy from
-/// ever pushing a KV offload or a streamed layer out of the pool.
-fn pinned_layers(host_free: Option<u64>, p16_bytes: &[u64], kv_reserve: u64) -> usize {
-    let Some(free) = host_free else {
-        return p16_bytes.len();
-    };
-    let mut pinned = 0u64;
-    for (layer, &bytes) in p16_bytes.iter().enumerate() {
-        let transit = p16_bytes[layer + 1..].iter().copied().max().unwrap_or(0);
-        if pinned + bytes + transit + kv_reserve > free {
-            return layer;
-        }
-        pinned += bytes;
-    }
-    p16_bytes.len()
-}
-
-/// What one decode call keeps in the store between its store calls —
-/// pinned P16 copies and the blocks' KV caches — removed when the call
-/// ends, on its error paths too. (A staged copy never outlives
-/// `stage_params`: nothing can fail between its `copy_to` and `take`.)
-struct DecodeState {
-    store: Arc<TieredStore<BlobKey>>,
-    layers: usize,
-}
-
-impl Drop for DecodeState {
-    fn drop(&mut self) {
-        // Most of these keys are absent on any one exit (the embedding
-        // and the head hold no cache); `NotFound` is the expected answer
-        // and nothing here may panic.
-        for layer in 0..self.layers + 2 {
-            let _ = self.store.remove(&key(BlobKind::P16Pinned, layer));
-            let _ = self.store.remove(&key(BlobKind::Kv, layer));
-        }
-    }
-}
-
 impl RatelEngine {
-    /// Starts a decode call whose KV caches grow to `context` positions
-    /// (0 for the uncached path): pins the P16 of as many layers as
-    /// [`pinned_layers`] allows in the host tier — one metered
-    /// `SSD -> Main` hop for a layer placed there, one rounding of the
-    /// master for a host-resident one — where
-    /// [`RatelEngine::stage_params`] finds them for the rest of the
-    /// call. The returned guard releases them.
-    ///
-    /// The copies live only as long as the call: P16 changes on every
-    /// step and checkpoint load, so a cache that outlived it would need
-    /// an invalidation protocol that a read-only call does not.
-    fn begin_decode(&self, context: usize) -> Result<DecodeState, StorageError> {
-        let c = self.config.model;
-        let state = DecodeState {
-            store: Arc::clone(&self.store),
-            layers: c.layers,
-        };
-        let p16_bytes: Vec<u64> = (0..self.layer_count())
-            .map(|layer| LayerBlobs::of(&c, layer).p16)
-            .collect();
-        let host_free = self
-            .config
-            .host_capacity
-            .map(|cap| cap.saturating_sub(self.store.used(Tier::Host)));
-        let kv_reserve = kv_bytes(&c, context);
-        for layer in 0..pinned_layers(host_free, &p16_bytes, kv_reserve) {
-            let pinned = key(BlobKind::P16Pinned, layer);
-            match self.plan.placement {
-                Placement::HostMaster => publish_p16(&self.store, layer, pinned, Tier::Host)?,
-                Placement::Ssd => {
-                    (self.store).copy_to(&key(BlobKind::Param16, layer), &pinned, Tier::Host)?
-                }
-            }
-        }
-        Ok(state)
-    }
-
     /// Greedy autoregressive generation through the tiered engine: the
     /// prompt is extended one token at a time, each token a full forward
     /// over the window. Parameters reach the GPU arena one layer at a
-    /// time as in training, but cross the SSD link at most once per call,
-    /// not once per token: the call holds the P16 of every layer the host
-    /// budget admits in the host tier (see `pinned_layers`) and streams
-    /// only the rest — from the SSDs, or rounded from a resident master —
-    /// on each pass.
+    /// time as in training, but cross the SSD link at most once per call
+    /// for every layer the call pins in host memory; only the rest
+    /// stream — from the SSDs, or rounded from a resident master — on
+    /// each pass.
     ///
     /// The model has a fixed context of `seq` tokens; the window holds
     /// the most recent `seq` tokens (causal attention makes trailing
@@ -177,41 +92,7 @@ impl RatelEngine {
             prompt.iter().all(|&t| t < c.vocab),
             "prompt token out of vocabulary"
         );
-        if max_new_tokens == 0 {
-            return Ok(Vec::new());
-        }
-        let _state = self.begin_decode(0)?;
-        let mut context: Vec<usize> = prompt.to_vec();
-        let mut out = Vec::with_capacity(max_new_tokens);
-        for _ in 0..max_new_tokens {
-            // Window of the last `seq` tokens, zero-padded at the tail.
-            let start = context.len().saturating_sub(c.seq);
-            let window = &context[start..];
-            let last_pos = window.len() - 1;
-            let mut ids = vec![0usize; c.seq];
-            ids[..window.len()].copy_from_slice(window);
-            // The model runs at its configured micro-batch; replicate the
-            // window and read row 0.
-            let batch_ids: Vec<usize> = (0..c.batch).flat_map(|_| ids.iter().copied()).collect();
-
-            self.stage_params(0)?;
-            let mut x = self
-                .scratch
-                .embedding
-                .forward(&batch_ids, c.batch, c.seq)
-                .quantize_f16();
-            for b in 0..c.layers {
-                self.stage_params(b + 1)?;
-                let (y, _) = self.scratch.block.forward(&x);
-                x = y.quantize_f16();
-            }
-            self.stage_params(c.layers + 1)?;
-            let logits = self.scratch.head.logits(&x);
-            let next = argmax(&logits.data()[last_pos * c.vocab..(last_pos + 1) * c.vocab]);
-            context.push(next);
-            out.push(next);
-        }
-        Ok(out)
+        self.decode(prompt, max_new_tokens, false, &mut argmax)
     }
 
     /// KV-cached greedy generation: like [`RatelEngine::generate`], but
@@ -219,10 +100,8 @@ impl RatelEngine {
     /// tier between tokens* and fetched back per layer — the
     /// inference-side analogue of activation swapping, with every byte
     /// metered. Each new token costs one pass over the parameters (the
-    /// prompt is prefilled layer by layer inside the first), and the
-    /// parameters are held in the host tier for the call as far as its
-    /// budget admits, beside the caches. The total context (prompt +
-    /// generated) must fit the model's `seq` positions.
+    /// prompt is prefilled layer by layer inside the first). The total
+    /// context (prompt + generated) must fit the model's `seq` positions.
     ///
     /// # Panics
     /// If the prompt is empty, contains out-of-vocabulary ids, or the
@@ -256,16 +135,13 @@ impl RatelEngine {
         })
     }
 
-    /// The KV-cached decode loop: one pass over the layers per new
-    /// token, `pick` choosing it from the head's logits. A pass runs the
-    /// tokens no block has seen yet — the whole prompt in the first, the
-    /// previous pick afterwards — through one layer at a time, so each
-    /// layer is staged and each cache offloaded once per pass.
+    /// A KV-cached decode call, `pick` choosing each token from the
+    /// head's logits.
     fn decode_cached(
         &mut self,
         prompt: &[usize],
         max_new_tokens: usize,
-        mut pick: impl FnMut(&[f32]) -> usize,
+        mut pick: impl FnMut(&[f32]) -> usize + Send,
     ) -> Result<Vec<usize>, RatelError> {
         assert!(!prompt.is_empty(), "prompt must not be empty");
         let c = self.config.model;
@@ -275,59 +151,34 @@ impl RatelEngine {
             prompt.len() + max_new_tokens,
             c.seq
         );
-        if max_new_tokens == 0 {
-            return Ok(Vec::new());
-        }
-        let d = c.hidden / c.heads;
-        let _state = self.begin_decode(prompt.len() + max_new_tokens)?;
+        self.decode(prompt, max_new_tokens, true, &mut pick)
+    }
 
-        let mut out = Vec::with_capacity(max_new_tokens);
-        let mut pending: Vec<usize> = prompt.to_vec();
-        let mut cached = 0;
-        while out.len() < max_new_tokens {
-            self.stage_params(0)?;
-            let mut xs: Vec<_> = pending
-                .iter()
-                .enumerate()
-                .map(|(i, &token)| {
-                    self.scratch
-                        .embedding
-                        .forward_at(token, cached + i)
-                        .quantize_f16()
-                })
-                .collect();
-            for layer in 1..=c.layers {
-                self.stage_params(layer)?;
-                let kv = key(BlobKind::Kv, layer);
-                let mut cache = if cached == 0 {
-                    KvCache::new(c.heads, d)
-                } else {
-                    let bytes = fetch_f16(&self.store, kv)?;
-                    KvCache::from_f16_bytes(&bytes, c.heads, d, cached)
-                };
-                for (i, x_t) in xs.iter_mut().enumerate() {
-                    // A position attends to its own K/V in f32 and to
-                    // earlier ones as the store returns them, in f16:
-                    // round what the previous position of this pass left.
-                    if i > 0 {
-                        cache.round_to_f16();
-                    }
-                    *x_t = self
-                        .scratch
-                        .block
-                        .forward_cached(x_t, &mut cache)
-                        .quantize_f16();
-                }
-                offload_f16(&self.store, kv, cache.to_f16_bytes(), Tier::Host)?;
-            }
-            cached += pending.len();
-            self.stage_params(c.layers + 1)?;
-            // `pending` is never empty, so neither is `xs`.
-            let next = pick(self.scratch.head.logits(&xs[xs.len() - 1]).data());
-            out.push(next);
-            pending = vec![next];
+    /// Runs the decode call of `new_tokens` after `prompt`: each of its
+    /// runs' DAGs once, in turn, with the pins the host bytes free now
+    /// admit. A call that fails leaves the tiers as they were.
+    fn decode(
+        &mut self,
+        prompt: &[usize],
+        new_tokens: usize,
+        cached: bool,
+        pick: Pick<'_>,
+    ) -> Result<Vec<usize>, RatelError> {
+        self.last_findings.clear();
+        let used = self.store.used(Tier::Host);
+        let free = (self.config.host_capacity).map(|cap| cap.saturating_sub(used));
+        let pinned = (self.plan).decode_pins(prompt.len(), new_tokens, cached, free)?;
+        let mut tokens = prompt.to_vec();
+        let plan = Arc::clone(&self.plan);
+        for run in plan.decode_runs(prompt.len(), new_tokens, cached, pinned) {
+            // A later run lowers as the first did; should it not, the
+            // first run's pins go.
+            let dag = plan.decode(run).inspect_err(|_| {
+                plan.step.release_failed_run(&self.store);
+            })?;
+            tokens = self.run_forward(&dag, &[], Some((tokens, &mut *pick)))?.1;
         }
-        Ok(out)
+        Ok(tokens.split_off(prompt.len()))
     }
 }
 
@@ -398,64 +249,18 @@ mod sampling_tests {
 
 #[cfg(test)]
 mod decode_tests {
-    use super::super::EngineConfig;
+    use std::sync::Arc;
+
+    use super::super::dag_step::StepDag;
+    use super::super::reference::ReferenceTrainer;
+    use super::super::{ActDecision, EngineConfig};
     use super::*;
+    use crate::schedule::{LayerBlobs, Pass};
     use rand::SeedableRng;
+    use ratel_sim::{BlobKey, BlobKind, MemTier};
     use ratel_storage::fault::{FaultKind, FaultOp, FaultPlan};
-    use ratel_storage::Route;
-
-    /// The decode loop this module replaced, kept verbatim as the
-    /// arithmetic reference: position-major, every layer staged for
-    /// every position, each block's cache through the store between
-    /// positions, and a trailing pass whose output nothing reads.
-    fn reference_decode(
-        engine: &mut RatelEngine,
-        prompt: &[usize],
-        max_new_tokens: usize,
-        mut pick: impl FnMut(&[f32]) -> usize,
-    ) -> Vec<usize> {
-        let c = engine.config.model;
-        let d = c.hidden / c.heads;
-        let kv_key = |b: usize| key(BlobKind::Kv, b + 1);
-
-        let mut out = Vec::with_capacity(max_new_tokens);
-        let mut next_token: Option<usize> = None;
-        for pos in 0..prompt.len() + max_new_tokens {
-            let token = match next_token {
-                Some(t) => t,
-                None => prompt[pos],
-            };
-            engine.stage_params(0).unwrap();
-            let mut x_t = engine
-                .scratch
-                .embedding
-                .forward_at(token, pos)
-                .quantize_f16();
-            for b in 0..c.layers {
-                engine.stage_params(b + 1).unwrap();
-                let mut cache = if pos == 0 {
-                    KvCache::new(c.heads, d)
-                } else {
-                    let bytes = fetch_f16(&engine.store, kv_key(b)).unwrap();
-                    KvCache::from_f16_bytes(&bytes, c.heads, d, pos)
-                };
-                let y = engine.scratch.block.forward_cached(&x_t, &mut cache);
-                offload_f16(&engine.store, kv_key(b), cache.to_f16_bytes(), Tier::Host).unwrap();
-                x_t = y.quantize_f16();
-            }
-            if pos + 1 >= prompt.len() && out.len() < max_new_tokens {
-                engine.stage_params(c.layers + 1).unwrap();
-                let logits = engine.scratch.head.logits(&x_t);
-                let next = pick(logits.data());
-                out.push(next);
-                next_token = Some(next);
-            }
-        }
-        for b in 0..c.layers {
-            engine.store.remove(&kv_key(b)).unwrap();
-        }
-        out
-    }
+    use ratel_storage::{Route, StorageError, Tier};
+    use ratel_tensor::GptConfig;
 
     const SHAPES: [GptConfig; 3] = [
         GptConfig {
@@ -483,20 +288,30 @@ mod decode_tests {
             batch: 1,
         },
     ];
-    /// `(prompt length, new tokens)`.
-    const CALLS: [(usize, usize); 4] = [(1, 6), (5, 1), (4, 0), (3, 7)];
+    /// `(prompt length, new tokens)`; the last runs as two DAGs.
+    const CALLS: [(usize, usize); 5] = [(1, 6), (5, 1), (4, 0), (3, 7), (1, 9)];
 
-    /// An engine over `model`: every master host-resident when
-    /// `host_capacity` is `None`, the paper's placement under a capacity.
+    /// The configuration of an engine over `model`: every master
+    /// host-resident when `host_capacity` is `None`, the paper's
+    /// placement under a capacity.
+    fn config(model: GptConfig, host_capacity: Option<u64>) -> EngineConfig {
+        EngineConfig {
+            model,
+            act_decisions: vec![ActDecision::SwapToHost; model.layers],
+            seed: 5 + model.hidden as u64,
+            host_capacity,
+            ..EngineConfig::tiny()
+        }
+    }
+
     fn engine(model: GptConfig, host_capacity: Option<u64>) -> RatelEngine {
-        let mut config = EngineConfig::tiny();
-        config.model = model;
-        config.act_decisions = vec![super::super::ActDecision::SwapToHost; model.layers];
-        config.seed = 5 + model.hidden as u64;
-        config.host_capacity = host_capacity;
-        let engine = RatelEngine::new(config).unwrap();
-        engine.store.set_spill_on_host_pressure(true);
-        engine
+        RatelEngine::new(config(model, host_capacity)).unwrap()
+    }
+
+    /// The in-memory trainer whose parameters [`engine`]'s start from.
+    fn reference(model: GptConfig) -> ReferenceTrainer {
+        let config = config(model, None);
+        ReferenceTrainer::new(model, config.seed, config.adam)
     }
 
     /// A host pool that bounds nothing a call holds, yet is one: the
@@ -513,67 +328,83 @@ mod decode_tests {
         (0..len).map(|i| (7 * i + 3) % model.vocab).collect()
     }
 
-    /// The host capacity at which a `(p, n)` cached call pins exactly
-    /// `pinned` layers: those, the call's caches, one transit copy.
-    fn capacity_pinning(model: &GptConfig, pinned: usize, p: usize, n: usize) -> u64 {
-        let bytes = p16_bytes(model);
-        let kv_reserve = kv_bytes(model, p + n);
-        let cap = bytes[..pinned].iter().sum::<u64>()
-            + bytes[pinned..].iter().copied().max().unwrap_or(0)
-            + kv_reserve;
-        assert_eq!(pinned_layers(Some(cap), &bytes, kv_reserve), pinned);
-        cap
+    /// The DAGs a call of the shape would run on `engine` now: its runs',
+    /// pinning what the host bytes free now admit.
+    fn runs(engine: &RatelEngine, p: usize, n: usize, cached: bool) -> Vec<Arc<StepDag>> {
+        let used = engine.store.used(Tier::Host);
+        let free = (engine.config.host_capacity).map(|cap| cap - used);
+        let plan = &engine.plan;
+        let pinned = plan.decode_pins(p, n, cached, free).unwrap();
+        (plan.decode_runs(p, n, cached, pinned))
+            .map(|run| plan.decode(run).unwrap())
+            .collect()
     }
 
-    /// The capacity cases of a `(p, n)` call: `(host capacity, layers it
-    /// pins)` — every master resident and everything pinned (the
-    /// uncapped default), then the paper's placement pinning everything,
-    /// half the layers, nothing.
-    fn capacity_cases(model: &GptConfig, p: usize, n: usize) -> [(Option<u64>, usize); 4] {
-        let layers = model.layers + 2;
-        [
-            (None, layers),
-            (ROOMY, layers),
-            (Some(capacity_pinning(model, layers / 2, p, n)), layers / 2),
-            (Some(capacity_pinning(model, 0, p, n)), 0),
-        ]
+    /// The host bytes a call's runs may hold at once.
+    fn host_peak(runs: &[Arc<StepDag>]) -> f64 {
+        let peaks = runs.iter().map(|dag| dag.report.peak(MemTier::Host).total);
+        peaks.fold(0.0, f64::max)
     }
 
-    /// Bytes a cached `(p, n)` call moves per route, in `Route::ALL`'s
-    /// terms: every layer crosses `Main -> GPU` once per new token; under
-    /// a host capacity — P16 at rest on the SSD tier — the pinned ones
-    /// cross `SSD -> Main` once, the rest once per token (a host-resident
-    /// master never does); each block's cache is offloaded after every
-    /// pass and fetched before every pass but the first; nothing is
-    /// written to the SSDs.
-    fn expected_traffic(
-        model: &GptConfig,
-        (host_capacity, pinned): (Option<u64>, usize),
-        p: usize,
-        n: usize,
-    ) -> [(Route, u64); 4] {
-        let bytes = p16_bytes(model);
-        let n64 = n as u64;
+    /// What a call's runs move, per route.
+    fn planned(runs: &[Arc<StepDag>]) -> [u64; 4] {
+        let mut bytes = [0; 4];
+        for dag in runs {
+            let run = dag.spec.planned_route_bytes();
+            (0..4).for_each(|route| bytes[route] += run[route]);
+        }
+        bytes
+    }
+
+    /// The layers a call of the shape pins.
+    fn pinned(engine: &RatelEngine, p: usize, n: usize, cached: bool) -> usize {
+        match runs(engine, p, n, cached)[0].spec.pass {
+            Pass::Decode(d) => d.pinned,
+            pass => panic!("{pass:?} is no decode"),
+        }
+    }
+
+    /// The host capacities a cached `(p, n)` call runs under: none (every
+    /// master resident, everything pinned), then the paper's placement —
+    /// roomy, exactly what pinning everything needs, and the smallest
+    /// pool whose plan the residency pass admits.
+    fn capacity_cases(model: GptConfig, p: usize, n: usize) -> [Option<u64>; 4] {
+        let all = host_peak(&runs(&engine(model, ROOMY), p, n, true)).ceil() as u64;
+        let admits = |cap: u64| {
+            let e = engine(model, Some(cap));
+            host_peak(&runs(&e, p, n, true)) <= cap as f64
+        };
+        let (mut lo, mut hi) = (0, all);
+        while lo + 1 < hi {
+            let mid = (lo + hi) / 2;
+            if admits(mid) {
+                hi = mid;
+            } else {
+                lo = mid;
+            }
+        }
+        [None, ROOMY, Some(all), Some(hi)]
+    }
+
+    /// KV-cache bytes of the blocks when each holds `positions` tokens:
+    /// per block and token, `hidden` f16 keys and as many values.
+    fn kv_bytes(model: &GptConfig, positions: usize) -> u64 {
+        (model.layers * 2 * 2 * model.hidden * positions) as u64
+    }
+
+    /// Bytes a cached `(p, n)` call that pins every layer moves, in
+    /// `Route::ALL`'s order: every layer crosses `Main -> GPU` once per
+    /// new token and, under a host capacity — P16 at rest on the SSD tier
+    /// — `SSD -> Main` once (a host-resident master never does); each
+    /// block's cache is offloaded after every pass and fetched before
+    /// every pass but the first; nothing is written to the SSDs.
+    fn pinning_all(model: &GptConfig, host_capacity: Option<u64>, p: usize, n: usize) -> [u64; 4] {
+        let all: u64 = p16_bytes(model).iter().sum();
         let kv = |positions: std::ops::Range<usize>| -> u64 {
             positions.map(|t| kv_bytes(model, t)).sum()
         };
-        let (s2h, h2g, g2h) = if n == 0 {
-            (0, 0, 0)
-        } else {
-            let streamed =
-                bytes[..pinned].iter().sum::<u64>() + n64 * bytes[pinned..].iter().sum::<u64>();
-            (
-                host_capacity.map_or(0, |_| streamed),
-                n64 * bytes.iter().sum::<u64>() + kv(p..p + n - 1),
-                kv(p..p + n),
-            )
-        };
-        [
-            (Route::SsdToHost, s2h),
-            (Route::HostToGpu, h2g),
-            (Route::GpuToHost, g2h),
-            (Route::HostToSsd, 0),
-        ]
+        let (g2h, h2g) = (kv(p..p + n), n as u64 * all + kv(p..p + n - 1));
+        [g2h, h2g, 0, host_capacity.map_or(0, |_| all)]
     }
 
     /// At rest the host tier holds the resident masters and nothing
@@ -584,83 +415,36 @@ mod decode_tests {
         assert_eq!(engine.store.used(Tier::Gpu), 0, "{what}: gpu tier");
     }
 
-    #[test]
-    fn the_pin_budget_is_a_prefix_that_leaves_room_for_caches_and_transit() {
-        let bytes = [40u64, 10, 10, 30];
-        // Unbounded pool: everything.
-        assert_eq!(pinned_layers(None, &bytes, 1 << 40), 4);
-        // All four beside the caches, exactly; nothing streams, so no
-        // transit copy is reserved.
-        assert_eq!(pinned_layers(Some(90 + 7), &bytes, 7), 4);
-        // One byte short: the last layer streams, and its transit copy
-        // takes the room its pin would have — pinning the last layer
-        // never costs more than streaming it — so layer 2 goes as well.
-        assert_eq!(pinned_layers(Some(90 + 7 - 1), &bytes, 7), 2);
-        // Layers 0..2 need 50 + a 30 B transit; layers 0..1 need 40 + 30.
-        assert_eq!(pinned_layers(Some(80), &bytes, 0), 2);
-        assert_eq!(pinned_layers(Some(79), &bytes, 0), 1);
-        assert_eq!(pinned_layers(Some(70), &bytes, 0), 1);
-        // Nothing fits: layer 0 and the largest other layer's transit
-        // exceed the pool; so does streaming alone — pin nothing and let
-        // the store report what the call cannot hold.
-        assert_eq!(pinned_layers(Some(69), &bytes, 0), 0);
-        assert_eq!(pinned_layers(Some(10), &bytes, 0), 0);
-        assert_eq!(pinned_layers(Some(0), &bytes, 0), 0);
-        assert_eq!(pinned_layers(Some(1000), &bytes, 1000), 0);
-        // The caller passes what is *free*: a pool already partly used
-        // pins less.
-        let free = |capacity: u64, used: u64| Some(capacity.saturating_sub(used));
-        assert_eq!(pinned_layers(free(97, 0), &bytes, 7), 4);
-        assert_eq!(pinned_layers(free(97, 10), &bytes, 7), 2);
-        assert_eq!(pinned_layers(free(97, 200), &bytes, 7), 0);
-        assert_eq!(pinned_layers(Some(5), &[], 0), 0);
+    fn moved(engine: &RatelEngine, before: &ratel_storage::TrafficSnapshot) -> [u64; 4] {
+        Route::ALL.map(|route| engine.store.traffic().since(before).bytes(route))
     }
 
     #[test]
-    fn a_host_pool_already_in_use_shrinks_the_pin_set() {
-        let model = SHAPES[0];
-        let (p, n) = (3, 4);
-        let layers = model.layers + 2;
-        let cap = capacity_pinning(&model, layers, p, n);
-        let mut e = engine(model, Some(cap));
-        let prompt = prompt_of(&model, p);
-        let before = e.store.traffic();
-        let tokens = e.generate_cached(&prompt, n).unwrap();
-        let s2h = |pinned| expected_traffic(&model, (Some(cap), pinned), p, n)[0].1;
-        assert_eq!(
-            e.store.traffic().since(&before).bytes(Route::SsdToHost),
-            s2h(layers)
-        );
-        // Someone else holds one byte of the pool: fewer layers fit, the
-        // rest stream, and nothing spills.
-        let squatter = key(BlobKind::Grad, 0);
-        e.store.put(&squatter, Tier::Host, vec![0u8]).unwrap();
-        let pinned = pinned_layers(Some(cap - 1), &p16_bytes(&model), kv_bytes(&model, p + n));
-        assert!(pinned < layers);
-        let before = e.store.traffic();
-        assert_eq!(e.generate_cached(&prompt, n).unwrap(), tokens);
-        assert_eq!(
-            e.store.traffic().since(&before).bytes(Route::SsdToHost),
-            s2h(pinned)
-        );
-        assert_eq!(e.store.telemetry().fault_stats().host_spills, 0);
-        assert_eq!(e.store.used(Tier::Host), 1);
-    }
+    fn a_call_fits_its_plan_and_matches_the_position_major_oracle() {
+        // The benchmark's `ckpt-gen` call (6 blocks, hidden 96, 8 + 24
+        // tokens) offloads 6 * 384 * (8 + ... + 31) bytes of KV cache.
+        let ckpt_gen = GptConfig {
+            vocab: 512,
+            seq: 64,
+            hidden: 96,
+            heads: 4,
+            layers: 6,
+            batch: 2,
+        };
+        assert_eq!(pinning_all(&ckpt_gen, None, 8, 24)[0], 1_078_272);
 
-    #[test]
-    fn cached_and_sampled_decoding_match_the_position_major_reference() {
         for model in SHAPES {
-            let mut reference = engine(model, None);
-            for (p, n) in CALLS {
+            let oracle = reference(model);
+            let layers = model.layers + 2;
+            for (p, n) in CALLS.into_iter().filter(|&(_, n)| n > 0) {
                 let prompt = prompt_of(&model, p);
                 // Tokens can survive a rounding slip; the logits behind
                 // them, compared bit for bit, cannot.
                 let mut logits_seen: Vec<Vec<u32>> = Vec::new();
-                let greedy = reference_decode(&mut reference, &prompt, n, |logits| {
+                let greedy = oracle.decode(&prompt, n, |logits| {
                     logits_seen.push(logits.iter().map(|v| v.to_bits()).collect());
                     argmax(logits)
                 });
-                assert_eq!(greedy.len(), n);
                 let samplings = [
                     (0.7f32, 5usize, 1u64),
                     (0.7, 5, 2),
@@ -671,15 +455,30 @@ mod decode_tests {
                     .iter()
                     .map(|&(temperature, top_k, seed)| {
                         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-                        reference_decode(&mut reference, &prompt, n, |logits| {
+                        oracle.decode(&prompt, n, |logits| {
                             sample_from_logits(logits, temperature, top_k, &mut rng)
                         })
                     })
                     .collect();
-                for case in capacity_cases(&model, p, n) {
-                    let what = format!("{model:?} P={p} N={n} {case:?}");
-                    let mut e = engine(model, case.0);
+                let cases = capacity_cases(model, p, n);
+                let [_, _, all, least] = cases;
+                for host_capacity in cases {
+                    let what = format!("{model:?} P={p} N={n} host {host_capacity:?}");
+                    let mut e = engine(model, host_capacity);
+                    let dags = runs(&e, p, n, true);
+                    assert_eq!(dags.len(), n.div_ceil(8), "{what}");
+                    let before = e.store.traffic();
                     assert_eq!(e.generate_cached(&prompt, n).unwrap(), greedy, "{what}");
+                    let bytes = moved(&e, &before);
+                    assert_eq!(bytes, planned(&dags), "{what}");
+                    if host_capacity.is_none() || host_capacity == ROOMY {
+                        assert_eq!(pinned(&e, p, n, true), layers, "{what}");
+                        assert_eq!(bytes, pinning_all(&model, host_capacity, p, n), "{what}");
+                    }
+                    if host_capacity.is_some() {
+                        let peak = e.store.peak_used(Tier::Host) as f64;
+                        assert!(peak <= host_peak(&dags), "{what}");
+                    }
                     assert_drained(&e, &what);
                     let mut logits_got: Vec<Vec<u32>> = Vec::new();
                     e.decode_cached(&prompt, n, |logits| {
@@ -697,42 +496,10 @@ mod decode_tests {
                     }
                     assert_eq!(e.store.telemetry().fault_stats().host_spills, 0);
                 }
-            }
-        }
-    }
-
-    #[test]
-    fn a_call_moves_exactly_the_bytes_its_closed_form_says() {
-        // The benchmark's `ckpt-gen` call (6 blocks, hidden 96, 8 + 24
-        // tokens) offloads 6 * 384 * (8 + ... + 31) bytes of KV cache.
-        let ckpt_gen = GptConfig {
-            vocab: 512,
-            seq: 64,
-            hidden: 96,
-            heads: 4,
-            layers: 6,
-            batch: 2,
-        };
-        let uncapped = capacity_cases(&ckpt_gen, 8, 24)[0];
-        assert_eq!(expected_traffic(&ckpt_gen, uncapped, 8, 24)[2].1, 1_078_272);
-
-        for model in SHAPES {
-            for (p, n) in CALLS {
-                for case in capacity_cases(&model, p, n) {
-                    let what = format!("{model:?} P={p} N={n} {case:?}");
-                    let mut e = engine(model, case.0);
-                    let before = e.store.traffic();
-                    e.generate_cached(&prompt_of(&model, p), n).unwrap();
-                    let moved = e.store.traffic().since(&before);
-                    for (route, bytes) in expected_traffic(&model, case, p, n) {
-                        assert_eq!(moved.bytes(route), bytes, "{what}: {route:?}");
-                    }
-                    assert_eq!(e.store.telemetry().fault_stats().host_spills, 0);
-                    if let Some(cap) = case.0 {
-                        assert!(e.store.peak_used(Tier::Host) <= cap, "{what}");
-                    }
-                    assert_drained(&e, &what);
-                }
+                // The tightest pool the plan admits pins fewer layers than
+                // one that holds them all.
+                let pins = |cap| pinned(&engine(model, cap), p, n, true);
+                assert!(pins(least) < pins(all), "{model:?} P={p} N={n}");
             }
         }
     }
@@ -758,9 +525,11 @@ mod decode_tests {
         assert_eq!(moved.bytes(Route::SsdToHost), 0);
         assert_eq!(moved.bytes(Route::HostToGpu), 5 * all);
         assert_drained(&resident, "resident");
-        // No room to pin: the same tokens, every pass from the SSDs.
+        // Room for one layer's P16 at a time: nothing pinned, the same
+        // tokens, every pass from the SSDs.
         let floor = *p16_bytes(&model).iter().max().unwrap();
         let mut streaming = engine(model, Some(floor));
+        assert_eq!(pinned(&streaming, 4, 5, false), 0);
         let before = streaming.store.traffic();
         assert_eq!(streaming.generate(&prompt, 5).unwrap(), tokens);
         let moved = streaming.store.traffic().since(&before);
@@ -770,45 +539,108 @@ mod decode_tests {
     }
 
     #[test]
+    fn a_host_pool_already_in_use_shrinks_the_pin_set() {
+        let model = SHAPES[0];
+        let (p, n) = (3, 4);
+        let layers = model.layers + 2;
+        let cap = capacity_cases(model, p, n)[2].unwrap();
+        let mut e = engine(model, Some(cap));
+        assert_eq!(pinned(&e, p, n, true), layers);
+        let prompt = prompt_of(&model, p);
+        let tokens = e.generate_cached(&prompt, n).unwrap();
+        // Someone else holds one byte of the pool: fewer layers fit, the
+        // rest stream, and nothing spills.
+        let squatter = BlobKey::shared(BlobKind::Grad, 0);
+        e.store.put(&squatter, Tier::Host, vec![0u8]).unwrap();
+        let dags = runs(&e, p, n, true);
+        assert!(pinned(&e, p, n, true) < layers);
+        let before = e.store.traffic();
+        assert_eq!(e.generate_cached(&prompt, n).unwrap(), tokens);
+        assert_eq!(moved(&e, &before), planned(&dags));
+        assert_eq!(e.store.telemetry().fault_stats().host_spills, 0);
+        assert_eq!(e.store.used(Tier::Host), 1);
+    }
+
+    #[test]
+    fn a_long_call_runs_as_bounded_dags_and_continues_like_a_second_call() {
+        let model = SHAPES[0];
+        let prompt = prompt_of(&model, 5);
+        let n = 5 * model.seq + 3;
+        for host_capacity in [None, capacity_cases(model, 1, 9)[3]] {
+            let what = format!("host {host_capacity:?}");
+            let mut e = engine(model, host_capacity);
+            let dags = runs(&e, prompt.len(), n, false);
+            assert_eq!(dags.len(), n.div_ceil(8), "{what}");
+            // First, middle, last: every middle run is one DAG.
+            let distinct = dags.iter().filter(|d| !Arc::ptr_eq(d, &dags[1])).count();
+            assert_eq!(distinct, 2, "{what}");
+            let before = e.store.traffic();
+            let tokens = e.generate(&prompt, n).unwrap();
+            assert_eq!(moved(&e, &before), planned(&dags), "{what}");
+            assert_drained(&e, &what);
+            // The window slides: the last `seq` tokens are all a call sees.
+            let split = 2 * model.seq + 1;
+            let head = e.generate(&prompt, split).unwrap();
+            let context = [prompt.clone(), head.clone()].concat();
+            let tail = e.generate(&context, n - split).unwrap();
+            assert_eq!([head, tail].concat(), tokens, "{what}");
+            assert_eq!(e.store.telemetry().fault_stats().host_spills, 0);
+        }
+    }
+
+    /// A plan whose reads of `blob` give up from the `nth` on.
+    fn dead_from(blob: BlobKey, nth: u64) -> Arc<FaultPlan<BlobKey>> {
+        let plan = FaultPlan::new();
+        plan.fault_on_nth_key_op(&blob, FaultOp::Read, nth, FaultKind::Permanent);
+        Arc::new(plan)
+    }
+
+    fn assert_gave_up(e: &RatelEngine, err: RatelError, what: &str) {
+        assert!(
+            matches!(
+                err,
+                RatelError::Storage(StorageError::Faulted {
+                    op: FaultOp::Read,
+                    ..
+                })
+            ),
+            "{what}: {err}"
+        );
+        assert_eq!(e.store.telemetry().fault_stats().give_ups, 1, "{what}");
+        assert_drained(e, what);
+        e.store.set_fault_plan(None);
+    }
+
+    #[test]
     fn a_failed_call_leaves_nothing_behind_and_the_next_call_is_unaffected() {
         let model = SHAPES[0];
         let (p, n) = (4, 6);
         let prompt = prompt_of(&model, p);
         let expected = engine(model, None).generate_cached(&prompt, n).unwrap();
-        let reads_per_pass = model.layers as u64 + 2;
-        // Room to pin: the read that gives up is the third pin, with two
-        // pins already in the host tier. Streaming: a block's read in
-        // the fourth pass, with every block's cache in the host tier.
-        let cases = [
-            (ROOMY, 2),
-            (
-                Some(capacity_pinning(&model, 0, p, n)),
-                3 * reads_per_pass + 2,
-            ),
-        ];
-        for (host_capacity, at_op) in cases {
+        let block = BlobKey::shared(BlobKind::Param16, 2);
+        let least = capacity_cases(model, p, n)[3];
+        // Room to pin: block 1's pin gives up, beside the pins already
+        // taken. Streaming: block 1's read in the fourth pass, with
+        // every block's cache in the store.
+        for (host_capacity, nth) in [(ROOMY, 0), (least, 3)] {
+            let what = format!("host {host_capacity:?}");
             let mut e = engine(model, host_capacity);
-            let retries = e.store.retry_policy().max_retries as u64;
-            let plan = FaultPlan::new();
-            for attempt in 0..=retries {
-                plan.fault_at_op(at_op + attempt, FaultOp::Read, FaultKind::Transient);
-            }
-            e.store.set_fault_plan(Some(Arc::new(plan)));
+            assert_eq!(pinned(&e, p, n, true) == 0, nth > 0, "{what}");
+            e.store.set_fault_plan(Some(dead_from(block, nth)));
             let err = e.generate_cached(&prompt, n).unwrap_err();
-            assert!(
-                matches!(
-                    err,
-                    RatelError::Storage(StorageError::Faulted {
-                        op: FaultOp::Read,
-                        ..
-                    })
-                ),
-                "{err}"
-            );
-            assert_eq!(e.store.telemetry().fault_stats().give_ups, 1);
-            assert_drained(&e, "after the failed call");
-            assert_eq!(e.generate_cached(&prompt, n).unwrap(), expected);
-            assert_drained(&e, "after the next call");
+            assert_gave_up(&e, err, &what);
+            assert_eq!(e.generate_cached(&prompt, n).unwrap(), expected, "{what}");
+            assert_drained(&e, &what);
         }
+        // An eval under the paper's placement, its read of block 1 gone.
+        let (tokens, targets) = super::super::data::random_batch(&model, 3);
+        let mut e = engine(model, ROOMY);
+        let loss = e.eval_loss(&tokens, &targets).unwrap();
+        e.store.set_fault_plan(Some(dead_from(block, 0)));
+        let err = e.eval_loss(&tokens, &targets).unwrap_err();
+        assert_gave_up(&e, err, "eval");
+        let again = e.eval_loss(&tokens, &targets).unwrap();
+        assert_eq!(again.to_bits(), loss.to_bits());
+        assert_drained(&e, "the next eval");
     }
 }

@@ -15,8 +15,9 @@
 //! A step runs exactly one way: the engine's movement plan
 //! ([`movement_spec_for`]) is lowered once into a verified task DAG
 //! (`plan`, `dag_step`) and dispatched on one worker pool per resource
-//! class ([`executor`]). Gradient accumulation and the separate-stage
-//! ablation are other DAGs over the same executor, not other code paths.
+//! class ([`executor`]). Gradient accumulation, the separate-stage
+//! ablation, an eval and a decode call are other DAGs over the same
+//! executor, not other code paths.
 //!
 //! Mixed precision is emulated faithfully: the master parameters and Adam
 //! moments are f32 blobs (P32/OS32), the compute copies, activations, and
@@ -56,6 +57,7 @@ use scaler::LossScaler;
 use telemetry::StepTelemetry;
 
 pub use config::{ActDecision, EngineConfig, ExecutionOptions, ExecutorOptions};
+pub use generate::sample_from_logits;
 pub use plan::movement_spec_for;
 pub(crate) use plan::StepPlan;
 pub use step::StepStats;
@@ -186,23 +188,13 @@ impl RatelEngine {
         &self.store
     }
 
-    /// Evaluates the loss on a batch without training (no state change).
+    /// Evaluates the loss on a batch without training (no state change):
+    /// the plan's eval DAG — every layer's fetch and forward, the head
+    /// computing the loss — run once.
     pub fn eval_loss(&mut self, tokens: &[usize], targets: &[usize]) -> Result<f32, RatelError> {
-        let c = self.config.model;
-        self.stage_params(0)?;
-        let mut x = self
-            .scratch
-            .embedding
-            .forward(tokens, c.batch, c.seq)
-            .quantize_f16();
-        for b in 0..c.layers {
-            self.stage_params(b + 1)?;
-            let (y, _) = self.scratch.block.forward(&x);
-            x = y.quantize_f16();
-        }
-        self.stage_params(c.layers + 1)?;
-        let (loss, _) = self.scratch.head.forward(&x, targets);
-        Ok(loss)
+        self.last_findings.clear();
+        let dag = self.plan.eval()?;
+        Ok(self.run_forward(&dag, &[(tokens, targets)], None)?.0)
     }
 
     /// Total SSD-tier bytes currently holding model states.

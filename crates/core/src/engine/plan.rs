@@ -1,10 +1,10 @@
-//! The plan of one engine step: built once per configuration, held by
-//! whoever needs it, and the only thing a step reads.
+//! The plan of one engine configuration: built once, held by whoever
+//! needs it, and the only thing a step, an eval or a decode call reads.
 //!
 //! [`movement_spec_for`] maps an [`EngineConfig`] and a [`Placement`]
 //! onto Ratel's movement table ([`LayerTask::ratel`]);
 //! [`StepPlan::lower`] picks the placement from the host capacity and
-//! lowers that spec into the paced, verified DAG the executor
+//! lowers that spec into the paced, verified DAGs the executor
 //! dispatches. A [`crate::api::TrainingPlan`] inspects and verifies the
 //! plan before an engine exists and hands it over; the engine runs it;
 //! the conformance monitor checks each step's telemetry against it.
@@ -18,7 +18,9 @@ use super::dag_step::{StepDag, UNBUDGETED_DEPTH};
 use super::{ActDecision, EngineConfig};
 use crate::error::RatelError;
 use crate::offload::GradOffloadMode;
-use crate::schedule::{IterationSpec, LayerBlobs, LayerTask, LinkRates, OptimizerKind, Placement};
+use crate::schedule::{
+    Decode, IterationSpec, LayerBlobs, LayerTask, LinkRates, OptimizerKind, Pass, Placement,
+};
 
 /// Lowers one engine step of `config`, every layer's states placed as
 /// `placement` says, into its schedule twin: an
@@ -103,13 +105,22 @@ pub fn movement_spec_for(config: &EngineConfig, placement: Placement) -> Iterati
         items_per_iteration: model.batch as f64,
         micro_batches: 1,
         per_layer_overhead_seconds: 0.0,
+        pass: Pass::Step,
     }
 }
 
-/// Everything one configuration's steps execute, lowered once. Shared
-/// (`Arc`) between the [`crate::api::TrainingPlan`] that inspects it, the
-/// engine that dispatches it and the conformance monitor that checks
-/// against it, so all three hold the same graphs and specs.
+/// Passes one decode DAG runs at most: a longer call runs as several
+/// DAGs in turn, so what a call lowers and holds does not grow with the
+/// tokens it asks for.
+pub(crate) const DECODE_PASSES: usize = 8;
+
+/// Decode DAGs a plan keeps lowered at most.
+const LOWERED_DECODE: usize = 16;
+
+/// Everything one configuration executes, lowered once. Shared (`Arc`)
+/// between the [`crate::api::TrainingPlan`] that inspects it, the engine
+/// that dispatches it and the conformance monitor that checks against
+/// it, so all three hold the same graphs and specs.
 #[derive(Debug)]
 pub(crate) struct StepPlan {
     /// The DAG a plain step runs: one micro-batch.
@@ -117,9 +128,13 @@ pub(crate) struct StepPlan {
     /// Where every layer's states rest between steps: what `step.spec`
     /// was lowered under.
     pub(crate) placement: Placement,
-    /// The DAGs of accumulated steps, by micro-batch count, each lowered
-    /// on first use; see [`StepPlan::dag`].
-    accumulated: Mutex<HashMap<usize, Arc<StepDag>>>,
+    /// The other DAGs — accumulated steps, the eval, decode runs — by
+    /// the micro-batch count and pass asked for, each lowered on first
+    /// use ([`StepPlan::lower_once`]).
+    lowered: Mutex<HashMap<(usize, Pass), Arc<StepDag>>>,
+    /// KV-cache bytes a block holds per position: `hidden` f16 keys and
+    /// as many values.
+    kv_bytes: u64,
     /// The configured tier capacities and executor width the DAGs are
     /// paced and verified against.
     tiers: ratel_verify::Limits,
@@ -149,7 +164,8 @@ impl StepPlan {
         Ok(StepPlan {
             step: Arc::new(StepDag::lower(&spec, &tiers)?),
             placement,
-            accumulated: Mutex::new(HashMap::new()),
+            lowered: Mutex::new(HashMap::new()),
+            kv_bytes: 4 * config.model.hidden as u64,
             tiers,
         })
     }
@@ -161,34 +177,132 @@ impl StepPlan {
         if micro_batches == 1 {
             return Ok(Arc::clone(&self.step));
         }
-        let mut lowered = self
-            .accumulated
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        if let Some(dag) = lowered.get(&micro_batches) {
+        self.lower_once(micro_batches, Pass::Step)
+    }
+
+    /// The DAG an eval runs: the step's forward half, saving nothing.
+    pub(crate) fn eval(&self) -> Result<Arc<StepDag>, RatelError> {
+        self.lower_once(1, Pass::Eval)
+    }
+
+    /// The runs of a decode call of `new_tokens` after `prompt` tokens,
+    /// KV-cached or not, that pins `pinned` layers: [`DECODE_PASSES`]
+    /// passes each, the last the rest, in the order they run. Runs that
+    /// differ only in where they sit in a call — the middle runs of an
+    /// uncached call, cached runs of two calls that start at one position
+    /// — come out equal, and share one DAG.
+    pub(crate) fn decode_runs(
+        &self,
+        prompt: usize,
+        new_tokens: usize,
+        cached: bool,
+        pinned: usize,
+    ) -> impl Iterator<Item = Decode> {
+        let kv_bytes = if cached { self.kv_bytes } else { 0 };
+        (0..new_tokens).step_by(DECODE_PASSES).map(move |start| {
+            let passes = DECODE_PASSES.min(new_tokens - start);
+            let last = start + passes == new_tokens;
+            let (prompt, start) = match (cached, start) {
+                (false, _) => (0, start.min(1)),
+                (true, 0) => (prompt, 0),
+                // Its first pass sees `prompt + start - 1` positions.
+                (true, _) => (prompt + start - 1, 1),
+            };
+            Decode {
+                prompt,
+                start,
+                passes,
+                last,
+                cached,
+                kv_bytes,
+                pinned,
+            }
+        })
+    }
+
+    /// The DAG of one run of a decode call.
+    pub(crate) fn decode(&self, run: Decode) -> Result<Arc<StepDag>, RatelError> {
+        self.lower_once(1, Pass::Decode(run))
+    }
+
+    /// How many layers, in id order from 0, a decode call pins: all of
+    /// them when the host pool is unbounded (`free` is `None`); under a
+    /// capacity, the most whose runs' DAGs the residency pass admits in
+    /// the `free` bytes the call finds in the pool — none when not even
+    /// streaming every layer fits, and the call then fails with a typed
+    /// out-of-memory error. Bisected: the host peak rises with the pins.
+    pub(crate) fn decode_pins(
+        &self,
+        prompt: usize,
+        new_tokens: usize,
+        cached: bool,
+        free: Option<u64>,
+    ) -> Result<usize, RatelError> {
+        let layers = self.step.spec.layers.len();
+        let Some(free) = free else {
+            return Ok(layers);
+        };
+        let fits = |pinned| -> Result<bool, RatelError> {
+            let mut previous = None;
+            for run in self.decode_runs(prompt, new_tokens, cached, pinned) {
+                if previous.replace(run) != Some(run)
+                    && self.decode(run)?.report.peak(MemTier::Host).total > free as f64
+                {
+                    return Ok(false);
+                }
+            }
+            Ok(true)
+        };
+        if fits(layers)? {
+            return Ok(layers);
+        }
+        let (mut fit, mut over) = (0, layers);
+        while fit + 1 < over {
+            let mid = (fit + over) / 2;
+            *(if fits(mid)? { &mut fit } else { &mut over }) = mid;
+        }
+        Ok(fit)
+    }
+
+    /// `pass` over the movement plan with `micro_batches`, lowered the
+    /// first time it is asked for. Past [`LOWERED_DECODE`] decode DAGs
+    /// the plan forgets them all, so calls of ever new shapes hold no
+    /// more.
+    fn lower_once(&self, micro_batches: usize, pass: Pass) -> Result<Arc<StepDag>, RatelError> {
+        let mut lowered = self.lowered.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(dag) = lowered.get(&(micro_batches, pass)) {
             return Ok(Arc::clone(dag));
         }
         let spec = IterationSpec {
             micro_batches,
+            pass,
             ..self.step.spec.clone()
         };
         let dag = Arc::new(StepDag::lower(&spec, &self.tiers)?);
-        lowered.insert(micro_batches, Arc::clone(&dag));
+        let decoding = |p: &Pass| matches!(p, Pass::Decode(_));
+        if decoding(&pass) && lowered.keys().filter(|(_, p)| decoding(p)).count() >= LOWERED_DECODE
+        {
+            lowered.retain(|(_, p), _| !decoding(p));
+        }
+        lowered.insert((micro_batches, pass), Arc::clone(&dag));
         Ok(dag)
     }
 
     /// The most bytes a step of this plan — plain or accumulated over
-    /// any number of micro-batches — can hold in `tier` at once, under
-    /// any interleaving the executor may produce: the residency pass's
-    /// static peak over the DAGs as dispatched. A step of three
-    /// micro-batches — a first, a middle and a last — peaks as high as
-    /// any longer one (each middle one refills what the one before
-    /// drained) and no lower than one of two, so it stands for them all.
+    /// any number of micro-batches — or an eval can hold in `tier` at
+    /// once, under any interleaving the executor may produce: the
+    /// residency pass's static peak over the DAGs as dispatched. A step
+    /// of three micro-batches — a first, a middle and a last — peaks as
+    /// high as any longer one (each middle one refills what the one
+    /// before drained) and no lower than one of two, so it stands for
+    /// them all. (A decode call fits its pins to the host bytes it finds
+    /// free: [`StepPlan::decode_pins`].)
     pub(crate) fn static_peak(&self, tier: MemTier) -> u64 {
+        // The step of one lowered, so the others lower too.
+        let peak =
+            |dag: Result<Arc<StepDag>, _>| dag.map_or(f64::INFINITY, |d| d.report.peak(tier).total);
         let step = self.step.report.peak(tier).total;
-        // The step of one lowered, so every longer one lowers too.
-        let accumulated = (self.dag(3)).map_or(f64::INFINITY, |dag| dag.report.peak(tier).total);
-        step.max(accumulated).ceil() as u64
+        step.max(peak(self.eval())).max(peak(self.dag(3))).ceil() as u64
     }
 }
 

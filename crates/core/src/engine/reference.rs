@@ -7,7 +7,7 @@
 //! gradient offloading "keeps synchronous model updating" (§IV-C).
 
 use ratel_tensor::dtype::round_to_f16;
-use ratel_tensor::{Adam, AdamParams, GptConfig, GptModel, ParamLayer};
+use ratel_tensor::{Adam, AdamParams, GptConfig, GptModel, KvCache, ParamLayer};
 
 use super::lr::LrSchedule;
 use super::scaler::{prepare_gradient, LossScaler, ScalePolicy};
@@ -205,6 +205,49 @@ impl ReferenceTrainer {
     pub fn eval_loss(&self, tokens: &[usize], targets: &[usize]) -> f32 {
         let (loss, _) = self.model.train_step_reference(tokens, targets, true);
         loss
+    }
+
+    /// The decode oracle, position-major: every position runs through
+    /// every layer in turn, each block's KV cache crossing to f16 bytes
+    /// and back between positions — the round trip through a host tier —
+    /// and a trailing pass runs whose output nothing reads. `pick`
+    /// chooses each of the `max_new_tokens` tokens from the head's
+    /// logits of the position before it.
+    pub fn decode(
+        &self,
+        prompt: &[usize],
+        max_new_tokens: usize,
+        mut pick: impl FnMut(&[f32]) -> usize,
+    ) -> Vec<usize> {
+        let c = self.model.config;
+        let d = c.hidden / c.heads;
+        let mut caches: Vec<Vec<u8>> = vec![Vec::new(); c.layers];
+        let mut out = Vec::with_capacity(max_new_tokens);
+        let mut next_token: Option<usize> = None;
+        for pos in 0..prompt.len() + max_new_tokens {
+            let token = match next_token {
+                Some(t) => t,
+                None => prompt[pos],
+            };
+            let mut x_t = self.model.embedding.forward_at(token, pos).quantize_f16();
+            for (b, block) in self.model.blocks.iter().enumerate() {
+                let mut cache = if pos == 0 {
+                    KvCache::new(c.heads, d)
+                } else {
+                    KvCache::from_f16_bytes(&caches[b], c.heads, d, pos)
+                };
+                let y = block.forward_cached(&x_t, &mut cache);
+                caches[b] = cache.to_f16_bytes();
+                x_t = y.quantize_f16();
+            }
+            if pos + 1 >= prompt.len() && out.len() < max_new_tokens {
+                let logits = self.model.head.logits(&x_t);
+                let next = pick(logits.data());
+                out.push(next);
+                next_token = Some(next);
+            }
+        }
+        out
     }
 
     /// The f32 master parameters of `layer`.

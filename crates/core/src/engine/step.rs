@@ -1,18 +1,29 @@
 //! The step itself: one synchronous training step — over one
 //! micro-batch or several — is the plan's DAG for that many micro-batches
 //! dispatched once on the executor, then sealed — scaler and per-layer
-//! clocks advanced, telemetry collected and held against the plan.
+//! clocks advanced, telemetry collected and held against the plan. An
+//! eval or a decode call is its own DAG, dispatched once the same way
+//! ([`RatelEngine::run_forward`]).
 
 use std::sync::Arc;
 
 use ratel_obs::EventKind;
 use ratel_sim::SpanKind;
 use ratel_storage::telemetry::{FaultStats, TelemetryRecorder};
+use ratel_storage::TrafficSnapshot;
 
-use super::dag_step::StepCtx;
+use super::dag_step::{Pick, StepCtx, StepDag, Training};
 use super::telemetry::StepTelemetry;
 use super::{conformance, executor, RatelEngine};
 use crate::error::RatelError;
+
+/// Where a run's measurements start: [`RatelEngine::begin_run`].
+struct RunStart {
+    t0: std::time::Instant,
+    traffic: TrafficSnapshot,
+    faults: FaultStats,
+    telemetry: Option<(f64, [ratel_storage::RouteMetrics; 4])>,
+}
 
 /// Statistics of one engine training step.
 #[derive(Debug, Clone)]
@@ -87,38 +98,31 @@ impl RatelEngine {
     /// micro-batch: the plan's DAG for that many dispatched once. A run
     /// that fails leaves the tiers as they were before it.
     fn run_step(&mut self, batches: &[(&[usize], &[usize])]) -> Result<StepStats, RatelError> {
-        let t0 = std::time::Instant::now();
-        let traffic_before = self.store.traffic();
-        let faults_before = self.store.telemetry().fault_stats();
-        let step_start = self.begin_step_telemetry();
+        let run = self.begin_run(true);
         self.step += 1;
         ratel_obs::flight().record(EventKind::StepBegin, 0, "step", 0, self.step);
         let scale = self.scaler.current();
         let dag = self.plan.dag(batches.len())?;
-        let step_seed = self.dropout_step_seed();
         // The LR schedule runs on the wall-step clock (0-based).
         let mut adam = self.config.adam;
         adam.lr *= self.config.lr_schedule.factor(self.step - 1);
+        let training = Training {
+            scale,
+            step_seed: self.dropout_step_seed(),
+            adam,
+            layer_steps: &self.layer_steps,
+        };
         let ctx = StepCtx::new(
             &self.store,
             &self.config,
             &dag,
             &mut self.scratch,
             batches,
-            scale,
-            step_seed,
-            adam,
-            &self.layer_steps,
+            Some(training),
+            None,
         );
-        let workers = self.config.execution.executor().workers_per_pool;
-        let tasks = match executor::Executor::new(workers).run(&dag.graph, &ctx) {
-            Ok(tasks) => tasks,
-            Err(e) => {
-                dag.release_failed_run(&self.store);
-                return Err(e);
-            }
-        };
-        let (loss, skipped) = ctx.into_outcome();
+        let tasks = dag.run(&ctx, self.config.execution.executor().workers_per_pool)?;
+        let (loss, skipped, _) = ctx.into_outcome();
 
         // Seal the step: every layer's update has been written back.
         let rec = Arc::clone(self.store.telemetry());
@@ -139,39 +143,8 @@ impl RatelEngine {
             };
             rec.record_span("engine", SpanKind::Other, None, label, t, rec.now());
         }
-        let traffic = self.store.traffic().since(&traffic_before);
-        let fault_stats = rec.fault_stats().since(&faults_before);
-        let wall_seconds = t0.elapsed().as_secs_f64();
-        let collected = step_start.map(|(step_start, metrics_before)| {
-            StepTelemetry::collect(
-                &rec,
-                traffic,
-                batches.len(),
-                step_start,
-                wall_seconds,
-                &metrics_before,
-                fault_stats,
-            )
-        });
-        // Conformance: hold what *this* step recorded against the
-        // movement plan; every divergence becomes a structured finding
-        // plus a flight-recorder Drift event. A step that recorded
-        // nothing is not checked.
         self.last_findings.clear();
-        if let (Some(monitor), Some(t)) = (&self.conformance, &collected) {
-            let findings = monitor.check(t);
-            for f in &findings {
-                ratel_obs::flight().record(
-                    EventKind::Drift,
-                    f.kind.index() as u8,
-                    &f.detail,
-                    f.measured.unwrap_or(0),
-                    self.step,
-                );
-            }
-            self.total_findings += findings.len() as u64;
-            self.last_findings = findings;
-        }
+        let (traffic, fault_stats, wall_seconds, collected) = self.end_run(run, &dag);
         if collected.is_some() {
             self.last_telemetry = collected;
         }
@@ -187,6 +160,81 @@ impl RatelEngine {
         })
     }
 
+    /// Runs an eval over `batches`, or one run of a decode call that
+    /// continues `decode`'s tokens, as `dag`, dispatched once like a
+    /// step. With conformance on, what the run recorded is held against
+    /// `dag`. Returns the loss, and a decode call's tokens.
+    pub(super) fn run_forward(
+        &mut self,
+        dag: &StepDag,
+        batches: &[(&[usize], &[usize])],
+        decode: Option<(Vec<usize>, Pick<'_>)>,
+    ) -> Result<(f32, Vec<usize>), RatelError> {
+        let run = self.begin_run(self.conformance.is_some());
+        // The pick is held no longer than the run.
+        let decode = decode.map(|(tokens, pick)| (tokens, pick as Pick));
+        let ctx = StepCtx::new(
+            &self.store,
+            &self.config,
+            dag,
+            &mut self.scratch,
+            batches,
+            None,
+            decode,
+        );
+        dag.run(&ctx, self.config.execution.executor().workers_per_pool)?;
+        let (loss, _, tokens) = ctx.into_outcome();
+        self.end_run(run, dag);
+        Ok((loss, tokens))
+    }
+
+    /// What a run is measured from: its clock, the traffic and fault
+    /// counters and — when `recorded` and telemetry is on, its spans
+    /// drained — where its telemetry starts.
+    fn begin_run(&self, recorded: bool) -> RunStart {
+        let rec = self.store.telemetry();
+        RunStart {
+            t0: std::time::Instant::now(),
+            traffic: self.store.traffic(),
+            faults: rec.fault_stats(),
+            telemetry: (recorded && rec.enabled()).then(|| {
+                rec.drain_spans();
+                (rec.now(), rec.route_metrics())
+            }),
+        }
+    }
+
+    /// Ends a run of `dag` begun at `start`: its traffic, fault counters
+    /// and wall seconds, and what it recorded, held against `dag` when
+    /// conformance is on — each finding counted, added to
+    /// [`RatelEngine::conformance_findings`] and flight-recorded as a
+    /// `Drift` event. A run that recorded nothing is not checked.
+    fn end_run(
+        &mut self,
+        start: RunStart,
+        dag: &StepDag,
+    ) -> (TrafficSnapshot, FaultStats, f64, Option<StepTelemetry>) {
+        let rec = self.store.telemetry();
+        let traffic = self.store.traffic().since(&start.traffic);
+        let faults = rec.fault_stats().since(&start.faults);
+        let wall_seconds = start.t0.elapsed().as_secs_f64();
+        let collected = start.telemetry.map(|(at, metrics)| {
+            let n = dag.spec.micro_batches;
+            StepTelemetry::collect(rec, traffic, n, at, wall_seconds, &metrics, faults)
+        });
+        if let (Some(monitor), Some(t)) = (&self.conformance, &collected) {
+            let findings = monitor.check_dag(Some(dag), t);
+            for f in &findings {
+                let code = f.kind.index() as u8;
+                let measured = f.measured.unwrap_or(0);
+                ratel_obs::flight().record(EventKind::Drift, code, &f.detail, measured, self.step);
+            }
+            self.total_findings += findings.len() as u64;
+            self.last_findings.extend(findings);
+        }
+        (traffic, faults, wall_seconds, collected)
+    }
+
     /// Flight-records the step outcome: an `Error` event plus a
     /// postmortem dump when the step failed (the ring's tail then holds
     /// the failing transfer and its retries), pass-through otherwise.
@@ -196,19 +244,6 @@ impl RatelEngine {
             ratel_obs::dump_postmortem("train step failed");
         }
         result
-    }
-
-    /// Marks the start of an instrumented step: discards spans left over
-    /// from inter-step activity (eval, generation) so the step's record
-    /// holds only its own spans. Returns the step's recorder-clock start
-    /// and a route-metrics snapshot to delta against, or `None` when
-    /// telemetry is off.
-    fn begin_step_telemetry(&self) -> Option<(f64, [ratel_storage::RouteMetrics; 4])> {
-        let rec = self.store.telemetry();
-        rec.enabled().then(|| {
-            rec.drain_spans();
-            (rec.now(), rec.route_metrics())
-        })
     }
 
     /// The dropout step-seed for the current (1-based) wall step.
@@ -237,10 +272,10 @@ impl RatelEngine {
     }
 
     /// Turns live plan-conformance monitoring on (enabling telemetry,
-    /// which it needs): after every subsequent step the drained spans and
-    /// traffic are held against the engine's movement plan, and any
-    /// divergence lands in [`RatelEngine::conformance_findings`], the
-    /// flight recorder (as `Drift` events), and the cumulative
+    /// which it needs): after every subsequent step, eval and decode call
+    /// the drained spans and traffic are held against the DAG it ran,
+    /// and any divergence lands in [`RatelEngine::conformance_findings`],
+    /// the flight recorder (as `Drift` events), and the cumulative
     /// [`RatelEngine::total_findings`] count.
     pub fn enable_conformance(&mut self, config: conformance::ConformanceConfig) {
         self.enable_telemetry();
@@ -257,13 +292,14 @@ impl RatelEngine {
         conformance::ConformanceMonitor::new(Arc::clone(&self.plan), config)
     }
 
-    /// Findings of the most recent step (empty when it conformed, when
-    /// it recorded no telemetry to check, or monitoring is off).
+    /// Findings of the most recent step, eval or decode call (empty when
+    /// it conformed, when it recorded no telemetry to check, or
+    /// monitoring is off).
     pub fn conformance_findings(&self) -> &[conformance::Finding] {
         &self.last_findings
     }
 
-    /// Cumulative conformance findings across all checked steps.
+    /// Cumulative conformance findings across all checked runs.
     pub fn total_findings(&self) -> u64 {
         self.total_findings
     }

@@ -446,6 +446,66 @@ pub struct IterationSpec {
     /// backward in turn; its gradients are summed into a per-layer
     /// accumulator, and the optimizer handlers run after the last one.
     pub micro_batches: usize,
+    /// What the iteration runs over the layers: a training step, or
+    /// forward passes only.
+    pub pass: Pass,
+}
+
+/// What an [`IterationSpec`] runs over its layers.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Pass {
+    /// Training: forward, backward and the optimizer handlers.
+    Step,
+    /// One forward pass to the head's loss, saving nothing.
+    Eval,
+    /// A run of an autoregressive decode call.
+    Decode(Decode),
+}
+
+impl Pass {
+    /// Whether the pass fetches layer `layer`'s P16 from a pin.
+    pub fn pins(&self, layer: usize) -> bool {
+        matches!(self, Pass::Decode(d) if layer < d.pinned)
+    }
+}
+
+/// A run of a decode call's passes — one forward pass over the layers
+/// per new token, each ending in the `pick` of its token, which the next
+/// pass embeds. A call runs as one or more of these in turn, so no DAG
+/// grows with the tokens a call asks for.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct Decode {
+    /// Prompt tokens of the call.
+    pub prompt: usize,
+    /// Passes of the call that ran before this run's first. The first
+    /// run's `pin` tasks take the call's pins; a later run finds them, and
+    /// the caches, held from its first kernel on.
+    pub start: usize,
+    /// Passes this run runs.
+    pub passes: usize,
+    /// Whether this run ends the call: its last `pick` frees the pins and
+    /// the caches.
+    pub last: bool,
+    /// Whether each block keeps a KV cache in host memory between passes
+    /// (a pass then runs only the tokens no block has seen: the prompt,
+    /// then each pick), or every pass runs the whole window.
+    pub cached: bool,
+    /// KV-cache bytes one block holds per position.
+    pub kv_bytes: u64,
+    /// Layers, in id order from 0, whose P16 the call holds in host
+    /// memory from its first `pin` to its last `pick`.
+    pub pinned: usize,
+}
+
+impl Decode {
+    /// Bytes one block's KV cache holds after the call's first `passes`
+    /// passes.
+    fn kv_held(&self, passes: usize) -> f64 {
+        match passes {
+            0 => 0.0,
+            _ => (self.kv_bytes * (self.prompt + passes - 1) as u64) as f64,
+        }
+    }
 }
 
 /// The tasks one micro-batch ran: the next micro-batch refills the slots
@@ -480,30 +540,42 @@ impl IterationSpec {
     /// `ratel_storage::Route::ALL` (GPU→host, host→GPU, host→SSD,
     /// SSD→host).
     ///
-    /// Per micro-batch, fp16 parameters stage SSD→host→GPU (one count on
-    /// each hop, twice for refetched layers; host-sourced ones skip the
-    /// SSD hop, GPU-resident ones both), activations round-trip
-    /// GPU→host→GPU (plus the SSD spill when planned) and gradients land
-    /// GPU→host; once per iteration, out-of-core optimizer state I/O is
-    /// SSD-only. This is the byte ledger both
-    /// `ratel-bench validate` and the plan-conformance monitor hold the
-    /// engine's measured traffic against — *exactly*, since plan and
-    /// engine derive from the same blob inventory.
+    /// Per micro-batch (or pass), fp16 parameters stage SSD→host→GPU
+    /// (one count on each hop, twice for refetched layers of a step;
+    /// host-sourced ones skip the SSD hop, GPU-resident ones both, a
+    /// pinned one crosses the SSD link in a call's first run only), a
+    /// step's activations round-trip GPU→host→GPU (plus the SSD spill
+    /// when planned) and its gradients land GPU→host, and a cached
+    /// decode's KV caches leave the arena after every pass and come back
+    /// before every pass but the call's first; once per step,
+    /// out-of-core optimizer state I/O is SSD-only. This is the byte
+    /// ledger both `ratel-bench validate` and the plan-conformance
+    /// monitor hold the engine's measured traffic against — *exactly*,
+    /// since plan and engine derive from the same blob inventory.
     pub fn planned_route_bytes(&self) -> [u64; 4] {
         let mut g2h = 0.0;
         let mut h2g = 0.0;
         let mut h2s = 0.0;
         let mut s2h = 0.0;
-        let micro = self.micro_batches as f64;
-        for layer in &self.layers {
-            let stages = micro * if layer.refetch_in_backward { 2.0 } else { 1.0 };
+        let training = self.pass == Pass::Step;
+        let micro = self.rounds() as f64;
+        for (li, layer) in self.layers.iter().enumerate() {
+            let refetched = layer.refetch_in_backward && training;
+            let stages = micro * if refetched { 2.0 } else { 1.0 };
+            let reads = match self.pass {
+                Pass::Decode(d) if self.pass.pins(li) => (d.start == 0) as u8 as f64,
+                _ => stages,
+            };
             match layer.param_source {
                 ParamSource::Ssd => {
-                    s2h += layer.p16_bytes * stages;
+                    s2h += layer.p16_bytes * reads;
                     h2g += layer.p16_bytes * stages;
                 }
                 ParamSource::Host => h2g += layer.p16_bytes * stages,
                 ParamSource::Gpu => {}
+            }
+            if !training {
+                continue;
             }
             let act = micro * (layer.act_to_host_bytes + layer.act_to_ssd_bytes);
             g2h += act + micro * layer.grad_bytes;
@@ -520,7 +592,23 @@ impl IterationSpec {
                 h2s += write_bytes;
             }
         }
+        if let Pass::Decode(d @ Decode { cached: true, .. }) = self.pass {
+            let blocks = (self.layers.len() - 2) as f64;
+            for t in d.start..d.start + d.passes {
+                g2h += blocks * d.kv_held(t + 1);
+                h2g += blocks * d.kv_held(t);
+            }
+        }
         [g2h as u64, h2g as u64, h2s as u64, s2h as u64]
+    }
+
+    /// Rounds of forward (and backward) an iteration runs in turn: its
+    /// micro-batches, or a decode run's passes.
+    fn rounds(&self) -> usize {
+        match self.pass {
+            Pass::Decode(d) => d.passes,
+            _ => self.micro_batches,
+        }
     }
 
     /// Host bytes the plan keeps resident from before the step until
@@ -555,10 +643,21 @@ impl IterationSpec {
     /// middle ones and, in the last, merges and averages it into the G16
     /// its handler reads — one chain in micro-batch order, so the sum is
     /// `f16(mean_i(f16(g_i)))` bit for bit.
+    ///
+    /// A forward [`Pass`] runs the same forward half, saving nothing,
+    /// once (an eval, whose head computes the loss) or once per new token
+    /// (a decode run): a cached decode brings each block's KV cache up
+    /// before its kernel and offloads it after, and each pass ends in the
+    /// `pick` the next pass's first kernel waits for. A call's pins are
+    /// its first run's sources; a later run charges them, and the caches,
+    /// on its first kernel; the call's last `pick` is the sink that frees
+    /// them.
     pub fn build_iterations(&self, iterations: usize) -> (TaskGraph, ScheduleResources, f64) {
         assert!(self.gpus >= 1, "need at least one GPU");
         assert!(iterations >= 1, "need at least one iteration");
         assert!(self.micro_batches >= 1, "need at least one micro-batch");
+        let training = self.pass == Pass::Step;
+        assert!(training || (iterations, self.gpus) == (1, 1));
         let r = &self.rates;
         let mut g = TaskGraph::new();
         let gpu: Vec<ResourceId> = (0..self.gpus)
@@ -595,7 +694,7 @@ impl IterationSpec {
         let mut em = Emitter {
             g,
             multi_iteration: iterations > 1,
-            multi_micro: self.micro_batches > 1,
+            multi_micro: self.rounds() > 1,
             multi_gpu: self.gpus > 1,
             micro: 0,
         };
@@ -603,6 +702,36 @@ impl IterationSpec {
         let mut an = Annot::default();
 
         let n = self.layers.len();
+        let decode = match self.pass {
+            Pass::Decode(d) => Some(d),
+            _ => None,
+        };
+        let pin_key = |li| BlobKey::shared(BlobKind::P16Pinned, li);
+        let taken = decode.filter(|d| d.start == 0).map_or(0, |d| d.pinned);
+        let pins: Vec<TaskId> = (0..taken)
+            .map(|li| {
+                // Copied from the SSDs, or rounded from a resident master.
+                let p16 = self.layers[li].p16_bytes;
+                let (resource, op, seconds, src) = match self.layers[li].param_source {
+                    ParamSource::Ssd => {
+                        (ssd, OpClass::SsdRead, p16 / r.ssd_read, BlobKind::Param16)
+                    }
+                    _ => (
+                        cpu,
+                        OpClass::CpuCompute,
+                        p16 / 2.0 / r.cpu_params_per_sec,
+                        BlobKind::Master,
+                    ),
+                };
+                let meta = TaskMeta::new(op, 0)
+                    .read(an.cur(BlobKey::shared(src, li)))
+                    .write(an.bump(pin_key(li)))
+                    .alloc(MemTier::Host, pin_key(li), p16);
+                let id = TaskIdentity::shared(TaskKind::Pin, li);
+                em.task(id, resource, seconds, Stage::Forward, &[], meta)
+            })
+            .collect();
+        let mut kv_offs: Vec<Option<TaskId>> = vec![None; n];
         let mut total_gpu_flops = 0.0;
         // Per-layer optimizer write-back of the previous iteration (the
         // cross-iteration synchronization point).
@@ -616,7 +745,7 @@ impl IterationSpec {
         // and layer: the slots it drained are the ones this one fills.
         let mut prev: Option<MicroTasks> = None;
 
-        let micro_batches = self.micro_batches;
+        let micro_batches = self.rounds();
         for (iter, micro) in (0..iterations).flat_map(|i| (0..micro_batches).map(move |m| (i, m))) {
             em.micro = micro;
             let last = micro + 1 == micro_batches;
@@ -641,9 +770,9 @@ impl IterationSpec {
                 let updated: Vec<TaskId> = prev_updates[li].into_iter().collect();
                 let mut refill = updated.clone();
                 match &prev {
-                    Some(p) if li == 0 => refill.extend(&p.drained),
+                    Some(p) if li == 0 && training => refill.extend(&p.drained),
                     Some(p) => {
-                        let consumers = if layer.refetch_in_backward {
+                        let consumers = if layer.refetch_in_backward || !training {
                             &p.fwd
                         } else {
                             &p.bwd
@@ -657,11 +786,33 @@ impl IterationSpec {
                     self.stage_read(&mut em, &mut an, ssd, Stage::Forward, li, iter, &refill);
                 // A staged read already waits for the refill.
                 let fetch_after = host_ready.map_or(&refill, |_| &updated);
+                // A cached decode's block brings its KV cache up first.
+                let kv_key = BlobKey::shared(BlobKind::Kv, li);
+                let cache = decode.filter(|d| d.cached && (1..n - 1).contains(&li));
                 for gi in 0..self.gpus {
                     let param_gpu_key = BlobKey::on_gpu(BlobKind::P16Fwd, li, gi);
-                    let staged = (Stage::Forward, host_ready, &fetch_after[..]);
+                    let source = host_ready.or(pins.get(li).copied());
+                    let staged = (Stage::Forward, source, &fetch_after[..]);
                     let fetch = self.stage_fetch(&mut em, &mut an, m2g[gi], staged, li, gi, iter);
-                    let mut deps: Vec<TaskId> = fetch.into_iter().collect();
+                    let kv_up = cache.filter(|d| d.start + micro > 0).map(|d| {
+                        let held = d.kv_held(d.start + micro);
+                        // After the offload that left the cache, or the
+                        // first kernel, where a later run charges it.
+                        let after = kv_offs[li].unwrap_or(fwd[gi][0]);
+                        em.task(
+                            TaskIdentity::on_gpu(TaskKind::KvUp, li, gi),
+                            m2g[gi],
+                            held / r.bw_m2g,
+                            Stage::Forward,
+                            &[after],
+                            TaskMeta::new(OpClass::TransferM2G, iter)
+                                .read(an.cur(kv_key))
+                                .write(an.bump(kv_key))
+                                .free(MemTier::Host, kv_key)
+                                .alloc(MemTier::Gpu, kv_key, held),
+                        )
+                    });
+                    let mut deps: Vec<TaskId> = fetch.into_iter().chain(kv_up).collect();
                     if fetch.is_none() {
                         // GPU-resident parameters: compute still waits for the
                         // previous iteration's in-place update.
@@ -669,7 +820,8 @@ impl IterationSpec {
                     }
                     if li > 0 {
                         deps.push(fwd[gi][li - 1]);
-                    } else if let (None, Some(p)) = (fetch, &prev) {
+                    } else if let Some(p) = prev.as_ref().filter(|_| fetch.is_none() || !training) {
+                        // A decode pass embeds the token the last one picked.
                         deps.extend(&p.drained);
                     }
                     let deps = if self.per_layer_overhead_seconds > 0.0 {
@@ -703,8 +855,14 @@ impl IterationSpec {
                         meta = meta.read(an.cur(BlobKey::on_gpu(BlobKind::Flow, li - 1, gi)));
                     }
                     meta = meta.write(an.bump(BlobKey::on_gpu(BlobKind::Flow, li, gi)));
-                    if act_bytes > 0.0 {
+                    if act_bytes > 0.0 && training {
                         meta = meta.write(an.bump(act_key));
+                    }
+                    if kv_up.is_some() {
+                        meta = meta.read(an.cur(kv_key)).free(MemTier::Gpu, kv_key);
+                    }
+                    if cache.is_some() {
+                        meta = meta.write(an.bump(kv_key));
                     }
                     if (iter, micro, li, gi) == (0, 0, 0, 0) {
                         // Host-resident masters are there before the
@@ -719,6 +877,17 @@ impl IterationSpec {
                                 .alloc(MemTier::Host, master, layer.master_host_bytes)
                                 .alloc(MemTier::Host, moments, layer.moments_host_bytes);
                         }
+                        // So are the pins and caches a decode call's
+                        // earlier runs left.
+                        if let Some(d) = decode.filter(|d| d.start > 0) {
+                            for (held, layer) in self.layers.iter().enumerate().take(d.pinned) {
+                                meta = meta.alloc(MemTier::Host, pin_key(held), layer.p16_bytes);
+                            }
+                            for block in (1..n - 1).filter(|_| d.cached) {
+                                let kv = BlobKey::shared(BlobKind::Kv, block);
+                                meta = meta.alloc(MemTier::Host, kv, d.kv_held(d.start));
+                            }
+                        }
                     }
                     let f = em.task(
                         TaskIdentity::on_gpu(TaskKind::Fwd, li, gi),
@@ -730,13 +899,30 @@ impl IterationSpec {
                     );
                     total_gpu_flops += layer.fwd_flops;
                     fwd[gi].push(f);
+                    if let Some(d) = cache {
+                        let held = d.kv_held(d.start + micro + 1);
+                        kv_offs[li] = Some(
+                            em.task(
+                                TaskIdentity::on_gpu(TaskKind::KvOff, li, gi),
+                                g2m[gi],
+                                held / r.bw_g2m,
+                                Stage::Forward,
+                                &[f],
+                                TaskMeta::new(OpClass::TransferG2M, iter)
+                                    .read(an.cur(kv_key))
+                                    .write(an.bump(kv_key))
+                                    .transit(MemTier::Gpu, kv_key, held)
+                                    .alloc(MemTier::Host, kv_key, held),
+                            ),
+                        );
+                    }
 
                     // Activation offload (host-resident + SSD-spilled share the
                     // same G2M hop; the spill continues to the SSDs), one
                     // independent chain per chunk: a chunk's spill waits
                     // for that chunk's offload only.
                     let produced = an.cur(act_key);
-                    for chunk in layer.act_chunks() {
+                    for chunk in layer.act_chunks().into_iter().filter(|_| training) {
                         let key = act_key.chunk(chunk);
                         // The chunk passes through the arena on its way
                         // down; its SSD-bound share waits in host memory
@@ -779,6 +965,31 @@ impl IterationSpec {
                 }
             }
 
+            if !training {
+                // Decode passes end in the pick of their token, on the
+                // device that holds the logits.
+                let drained: Vec<TaskId> = (decode.iter())
+                    .map(|d| {
+                        let mut deps = vec![fwd[0][n - 1]];
+                        let head = BlobKey::on_gpu(BlobKind::Flow, n - 1, 0);
+                        let mut meta = TaskMeta::new(OpClass::GpuCompute, 0).read(an.cur(head));
+                        if last && d.last {
+                            deps.extend(kv_offs.iter().flatten());
+                            for li in 0..d.pinned {
+                                meta = meta.free(MemTier::Host, pin_key(li));
+                            }
+                            for li in (0..n).filter(|&li| kv_offs[li].is_some()) {
+                                meta = meta.free(MemTier::Host, BlobKey::shared(BlobKind::Kv, li));
+                            }
+                        }
+                        let id = TaskIdentity::shared(TaskKind::Pick, n - 1);
+                        em.task(id, gpu[0], 0.0, Stage::Forward, &deps, meta)
+                    })
+                    .collect();
+                let bwd = Vec::new();
+                prev = Some(MicroTasks { fwd, bwd, drained });
+                continue;
+            }
             let head = *iteration_head.get_or_insert(fwd[0][0]);
 
             // ----- Backward (+ optimizer handlers after the last micro-batch) -----
@@ -1153,7 +1364,8 @@ impl IterationSpec {
             Stage::Forward => (TaskKind::FwdRead, BlobKey::shared(BlobKind::P16Fwd, li)),
             _ => (TaskKind::BwdRead, BlobKey::shared(BlobKind::P16Bwd, li)),
         };
-        (layer.param_source == ParamSource::Ssd && layer.p16_bytes > 0.0).then(|| {
+        let staged = layer.param_source == ParamSource::Ssd && !self.pass.pins(li);
+        (staged && layer.p16_bytes > 0.0).then(|| {
             em.task(
                 TaskIdentity::shared(kind, li),
                 ssd,
@@ -1169,11 +1381,12 @@ impl IterationSpec {
     }
 
     /// One GPU's copy of layer `li`'s P16 into its arena for the pass
-    /// `staged` names, after that pass's staging read (if any) and the
-    /// previous iteration's update. SSD-sourced fetches copy from the
-    /// staging buffer the shared read filled — released with the last
-    /// GPU's copy; host-sourced fetches read the persistent host copy
-    /// (a resident f32 master through a P16-sized host buffer).
+    /// `staged` names, after that pass's staging read or pin (if any)
+    /// and the previous iteration's update. A pinned layer's fetch copies
+    /// its pin; SSD-sourced fetches copy from the staging buffer the
+    /// shared read filled — released with the last GPU's copy;
+    /// host-sourced fetches read the persistent host copy (a resident
+    /// f32 master through a P16-sized host buffer).
     #[allow(clippy::too_many_arguments)]
     fn stage_fetch(
         &self,
@@ -1195,7 +1408,9 @@ impl IterationSpec {
         };
         let stage_key = BlobKey::shared(staged, li);
         let param_gpu_key = BlobKey::on_gpu(staged, li, gi);
+        let pinned = self.pass.pins(li);
         let src = match layer.param_source {
+            _ if pinned => an.cur(BlobKey::shared(BlobKind::P16Pinned, li)),
             ParamSource::Ssd => an.cur(stage_key),
             _ => an.cur(BlobKey::shared(BlobKind::Param16, li)),
         };
@@ -1203,10 +1418,10 @@ impl IterationSpec {
             .read(src)
             .write(an.bump(param_gpu_key))
             .alloc(MemTier::Gpu, param_gpu_key, layer.p16_bytes);
-        if host_ready.is_some() && gi + 1 == self.gpus {
+        if host_ready.is_some() && gi + 1 == self.gpus && !pinned {
             meta = meta.free(MemTier::Host, stage_key);
         }
-        if layer.master_in_host() {
+        if layer.master_in_host() && !pinned {
             // The P16 is rounded from the resident master into a host
             // buffer that this copy carries into the arena.
             meta = meta.transit(MemTier::Host, stage_key, layer.p16_bytes);
@@ -1624,6 +1839,7 @@ impl<'a> RatelSchedule<'a> {
             gpus: self.gpus,
             items_per_iteration: items,
             micro_batches: 1,
+            pass: Pass::Step,
             per_layer_overhead_seconds: 0.0,
         }
     }
@@ -1899,6 +2115,7 @@ mod scheduling_correctness_tests {
             gpus,
             items_per_iteration: 1.0,
             micro_batches: 1,
+            pass: Pass::Step,
             per_layer_overhead_seconds: 0.0,
         }
     }
@@ -2047,6 +2264,7 @@ mod emitter_tests {
             gpus: 1,
             items_per_iteration: 1.0,
             micro_batches: 1,
+            pass: Pass::Step,
             per_layer_overhead_seconds: 0.0,
         }
     }

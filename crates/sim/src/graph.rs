@@ -133,6 +133,23 @@ impl TaskGraph {
         self.tasks[task.0].meta = Some(meta);
     }
 
+    /// Gives back the capacity the graph's growth left unused — in its
+    /// task list and each task's dependencies and metadata — for a graph
+    /// held while it runs rather than built and dropped.
+    pub fn shrink_to_fit(&mut self) {
+        self.tasks.shrink_to_fit();
+        for task in &mut self.tasks {
+            task.deps.shrink_to_fit();
+            if let Some(meta) = &mut task.meta {
+                meta.reads.shrink_to_fit();
+                meta.writes.shrink_to_fit();
+                meta.allocs.shrink_to_fit();
+                meta.transits.shrink_to_fit();
+                meta.frees.shrink_to_fit();
+            }
+        }
+    }
+
     /// The metadata of a task, if any.
     pub fn meta(&self, task: TaskId) -> Option<&TaskMeta> {
         self.tasks[task.0].meta.as_ref()

@@ -104,6 +104,8 @@ enum Rule<K> {
         key: K,
         kind: FaultKind,
         fired: bool,
+        /// Matching ops still to let through before the rule applies.
+        skip: u64,
     },
 }
 
@@ -219,12 +221,28 @@ impl<K: Clone + Eq> FaultPlan<K> {
         self.push_key_rule(key.to_owned(), Some(op), kind);
     }
 
+    /// Like [`FaultPlan::fault_on_key_op`], from the `nth` (0-based) op
+    /// of type `op` touching `key` on: the first `nth` pass. A blob read
+    /// once per pass of a run is faulted in pass `nth` this way, however
+    /// its reads interleave with other blobs'.
+    pub fn fault_on_nth_key_op<Q>(&self, key: &Q, op: FaultOp, nth: u64, kind: FaultKind)
+    where
+        Q: ?Sized + ToOwned<Owned = K>,
+    {
+        self.push_rule(key.to_owned(), Some(op), kind, nth);
+    }
+
     fn push_key_rule(&self, key: K, op: Option<FaultOp>, kind: FaultKind) {
+        self.push_rule(key, op, kind, 0);
+    }
+
+    fn push_rule(&self, key: K, op: Option<FaultOp>, kind: FaultKind, skip: u64) {
         self.inner.lock().rules.push(Rule::OnKey {
             op,
             key,
             kind,
             fired: false,
+            skip,
         });
     }
 
@@ -257,10 +275,14 @@ impl<K: Clone + Eq> FaultPlan<K> {
                 key: rkey,
                 kind,
                 fired,
+                skip,
             } => {
                 let op_matches = rop.is_none() || *rop == Some(op);
                 let once_ok = matches!(kind, FaultKind::Permanent) || !*fired;
-                if op_matches && (*rkey).borrow() == key && once_ok {
+                if op_matches && (*rkey).borrow() == key && *skip > 0 {
+                    *skip -= 1;
+                    None
+                } else if op_matches && (*rkey).borrow() == key && once_ok {
                     *fired = true;
                     Some(*kind)
                 } else {

@@ -1,11 +1,12 @@
 //! The schedule-driven executor's two contracts, end to end:
 //!
 //! 1. **Numerics are schedule- and placement-independent.** Executing
-//!    the verified DAG on resource pools — at any worker count per pool,
+//!    the verified DAGs on resource pools — at any worker count per pool,
 //!    under either offload schedule, wherever the host capacity has the
 //!    f32 masters rest — produces bitwise-identical losses and master
-//!    weights to plain in-memory training, across a small zoo of model
-//!    shapes.
+//!    weights to plain in-memory training, and then eval losses and
+//!    generated tokens to its forward passes, across a small zoo of
+//!    model shapes.
 //! 2. **The static verifier guards dispatch.** Mutating the lowered
 //!    plan by dropping a dependency edge is caught by the same
 //!    `ratel-verify` pass that debug builds run before the executor
@@ -14,6 +15,7 @@
 mod common;
 
 use common::{config_with, min_host_capacity, zoo};
+use ratel_repro::core::engine::sample_from_logits;
 use ratel_repro::core::schedule::IterationSpec;
 use ratel_repro::prelude::*;
 use ratel_repro::storage::{Route, Tier};
@@ -37,11 +39,55 @@ const SCALE: ScalePolicy = ScalePolicy::Dynamic {
     growth_interval: 50,
 };
 
+/// What the trained model's forward passes give: the bits of the eval
+/// loss on one batch, then the tokens greedy decoding picks after a
+/// prompt, and those one seeded sampler picks.
+type Forward = (u32, [Vec<usize>; 2]);
+
+/// The prompt the forward passes continue, and how many tokens.
+const PROMPT: [usize; 3] = [5, 1, 7];
+const NEW_TOKENS: usize = 4;
+
+/// The seeded sampling rule of the forward passes.
+fn sampler(seed: u64) -> impl FnMut(&[f32]) -> usize {
+    use rand::SeedableRng;
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    move |logits| sample_from_logits(logits, 0.9, 8, &mut rng)
+}
+
+/// The in-memory reference's forward passes: its eval loss and its
+/// position-major decode.
+fn reference_forward(reference: &ReferenceTrainer, model: &GptConfig) -> Forward {
+    let (t, y) = random_batch(model, 40);
+    let greedy = reference.decode(&PROMPT, NEW_TOKENS, |logits| {
+        (0..logits.len())
+            .max_by(|&a, &b| logits[a].total_cmp(&logits[b]))
+            .unwrap()
+    });
+    let sampled = reference.decode(&PROMPT, NEW_TOKENS, sampler(3));
+    (reference.eval_loss(&t, &y).to_bits(), [greedy, sampled])
+}
+
+/// The engine's: `eval_loss`, then `generate` and `generate_cached`
+/// (both greedy, which must agree) and `generate_sampled`.
+fn engine_forward(engine: &mut RatelEngine, model: &GptConfig) -> Forward {
+    let (t, y) = random_batch(model, 40);
+    let loss = engine.eval_loss(&t, &y).unwrap();
+    let greedy = engine.generate(&PROMPT, NEW_TOKENS).unwrap();
+    let cached = engine.generate_cached(&PROMPT, NEW_TOKENS).unwrap();
+    assert_eq!(greedy, cached, "generate and generate_cached");
+    let sampled = engine
+        .generate_sampled(&PROMPT, NEW_TOKENS, 0.9, 8, 3)
+        .unwrap();
+    (loss.to_bits(), [cached, sampled])
+}
+
 /// Run three plain training steps and one accumulated step of each of
-/// [`MICRO_BATCHES`], returning the losses and final masters. Every step
-/// must move exactly the bytes of the DAG it ran and stay inside the
-/// arena and the host pool.
-fn run(config: EngineConfig) -> (Vec<f32>, Vec<Vec<f32>>) {
+/// [`MICRO_BATCHES`], then the forward passes, returning the losses,
+/// final masters and [`Forward`]. Every step must move exactly the
+/// bytes of the DAG it ran, and every run stay inside the arena and the
+/// host pool.
+fn run(config: EngineConfig) -> (Vec<f32>, Vec<Vec<f32>>, Forward) {
     let model = config.model;
     let capacities = [
         (Tier::Gpu, config.gpu_capacity),
@@ -77,6 +123,9 @@ fn run(config: EngineConfig) -> (Vec<f32>, Vec<Vec<f32>>) {
         assert_eq!(moved, planned(n), "{n} micro-batches");
         losses.push(stats.loss);
     }
+    let forward = engine_forward(&mut engine, &model);
+    assert_eq!(engine.store().used(Tier::Gpu), 0);
+    assert_eq!(engine.store().used(Tier::Host), engine.host_state_bytes());
     for (tier, capacity) in capacities {
         if let Some(capacity) = capacity {
             let peak = engine.store().peak_used(tier);
@@ -86,7 +135,7 @@ fn run(config: EngineConfig) -> (Vec<f32>, Vec<Vec<f32>>) {
     let masters = (0..engine.layer_count())
         .map(|l| engine.master_params(l).unwrap())
         .collect();
-    (losses, masters)
+    (losses, masters, forward)
 }
 
 /// The host capacities that give `config` each placement: none (every
@@ -100,7 +149,8 @@ fn placements(config: &EngineConfig) -> [Option<u64>; 2] {
 /// reference, for 1/2/4 workers per pool, both offload schedules and
 /// both placements, across the model zoo: with a frozen layer, through
 /// an overflow-skipped update, plain steps and accumulated ones of 1, 2
-/// and 4 micro-batches.
+/// and 4 micro-batches, then an eval and greedy, cached and sampled
+/// decoding of the trained model.
 #[test]
 fn executor_matches_the_reference_across_the_zoo() {
     for shape in zoo() {
@@ -121,6 +171,7 @@ fn executor_matches_the_reference_across_the_zoo() {
         let ref_masters: Vec<Vec<f32>> = (0..model.layers + 2)
             .map(|l| reference.master_params(l).to_vec())
             .collect();
+        let ref_forward = reference_forward(&reference, &model);
         let bits = |losses: &[f32]| losses.iter().map(|l| l.to_bits()).collect::<Vec<_>>();
 
         for workers in [1usize, 2, 4] {
@@ -141,12 +192,13 @@ fn executor_matches_the_reference_across_the_zoo() {
                     let what = format!(
                         "{model:?} with {workers} workers, {offload:?}, host {host_capacity:?}"
                     );
-                    let (losses, masters) = run(EngineConfig {
+                    let (losses, masters, forward) = run(EngineConfig {
                         host_capacity,
                         ..config.clone()
                     });
                     assert_eq!(bits(&losses), bits(&ref_losses), "{what}");
                     assert_eq!(masters, ref_masters, "{what}");
+                    assert_eq!(forward, ref_forward, "{what}");
                 }
             }
         }

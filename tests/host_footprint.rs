@@ -5,7 +5,8 @@
 //! resident, one layer's worth of f32 kernel scratch (an embedding, one
 //! block, a head — whatever the depth) and, while building, one layer's
 //! states in flight. Under both placements: every master host-resident,
-//! and all states on the SSD tier. Its own test binary, because the
+//! and all states on the SSD tier. A decode call holds no more for
+//! asking for more tokens. Its own test binary, because the
 //! count is a `#[global_allocator]`; one `#[test]`, because the count is
 //! process-wide.
 
@@ -94,6 +95,11 @@ const STEP_SLACK: usize = 512 << 10;
 /// What a build may hold beside the kernel scratch and the layer in
 /// flight: the plan, its DAG and the verifier's working set.
 const BUILD_SLACK: usize = 128 << 10;
+
+/// What a long decode call may hold beyond a short one: the tokens it
+/// has picked, copied into each run. A call that lowered all its passes
+/// into one DAG would hold megabytes more.
+const DECODE_SLACK: usize = 32 << 10;
 
 /// The zoo's blocks (3-13 K parameters) hide in [`STEP_SLACK`]; this
 /// shape's (112 K parameters, 1.3 MB of optimizer state) do not. One
@@ -191,4 +197,35 @@ fn a_build_and_a_step_hold_one_copy_of_each_model_state() {
             }
         }
     }
+    a_long_generation_holds_what_a_short_one_does();
+}
+
+/// What a decode call lowers and holds does not grow with the tokens it
+/// asks for: on an engine under the smallest host pool its plan admits,
+/// a call of forty context windows peaks no higher than one of four.
+fn a_long_generation_holds_what_a_short_one_does() {
+    let shape = wide();
+    // One worker a pool: one thread runs a run's kernels and keeps the
+    // kernel scratch.
+    let one = ExecutorOptions {
+        workers_per_pool: 1,
+        ..ExecutorOptions::default()
+    };
+    let mut config = config_with(&shape, ExecutionOptions::Executor(one));
+    config.host_capacity = Some(min_host_capacity(&config));
+    let prompt = [1, 2, 3];
+    let peak = |tokens| {
+        let mut engine = RatelEngine::new(config.clone()).unwrap();
+        let base = restart_peak();
+        engine.generate(&prompt, tokens).unwrap();
+        peak_over(base)
+    };
+    let seq = shape.model.seq;
+    let (short, long) = (peak(4 * seq), peak(40 * seq));
+    assert!(
+        long <= short + DECODE_SLACK,
+        "{} tokens peaked at {long} B, {} at {short} B",
+        40 * seq,
+        4 * seq
+    );
 }

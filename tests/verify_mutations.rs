@@ -11,7 +11,7 @@
 
 use proptest::prelude::*;
 
-use ratel_repro::core::schedule::{IterationSpec, LayerTask, LinkRates, Placement};
+use ratel_repro::core::schedule::{IterationSpec, LayerTask, LinkRates, Pass, Placement};
 use ratel_repro::core::verify::{verify, Limits, Reachability, Rule};
 use ratel_repro::core::GradOffloadMode;
 use ratel_repro::prelude::{ActDecision, GptConfig, Ratel, TrainingPlan};
@@ -53,6 +53,7 @@ fn spec(mode: GradOffloadMode) -> IterationSpec {
         gpus: 1,
         items_per_iteration: 1.0,
         micro_batches: 1,
+        pass: Pass::Step,
         per_layer_overhead_seconds: 0.01,
     }
 }

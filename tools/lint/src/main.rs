@@ -21,10 +21,12 @@
 //!   deterministic and replayable.
 //! * **`doc-refs`** — a backticked `.rs` path in README.md or DESIGN.md
 //!   that names no workspace file, whole or by the tail of its path
-//!   (`engine/plan.rs`), or a backticked `Type::name` whose `Type` the
+//!   (`engine/plan.rs`), a backticked `Type::name` whose `Type` the
 //!   workspace declares but whose `name` no `fn`, field, variant or
-//!   constant of it does. ROADMAP.md is exempt: it names deleted files
-//!   and methods as history.
+//!   constant of it does, or a backticked bare `fn_name` (or
+//!   `fn_name(..)`) the workspace declares no `fn` — nor field or
+//!   constant — by. ROADMAP.md is exempt: it names deleted files and
+//!   methods as history.
 //!
 //! Findings are suppressed by `ratel-lint.allow` at the workspace root.
 //! Each non-comment line is `<rule> <path>` and waives that rule for that
@@ -561,9 +563,23 @@ fn member_refs(span: &str) -> Vec<(&str, &str)> {
         .collect()
 }
 
+/// The function a code span names, when it looks like one: a snake_case
+/// identifier with an underscore and no digit (bench entries carry
+/// sizes), bare or called — `fetch_params`, `fetch_params(layer)`.
+fn fn_ref(span: &str) -> Option<&str> {
+    let name = match span.split_once('(') {
+        Some((name, args)) if args.ends_with(')') => name,
+        Some(_) => return None,
+        None => span,
+    };
+    let snake = name.chars().all(|c| c.is_ascii_lowercase() || c == '_');
+    (snake && name.trim_matches('_').contains('_')).then_some(name)
+}
+
 /// `doc-refs` over one markdown file: every code span that is a path
-/// ending in `.rs` must name one of `sources`, whole or by its tail, and
-/// every `Type::name` of a declared type a declared member.
+/// ending in `.rs` must name one of `sources`, whole or by its tail,
+/// every `Type::name` of a declared type a declared member, and every
+/// bare function name a declared member.
 fn scan_doc_refs(
     doc: &Path,
     rel: &Path,
@@ -597,6 +613,9 @@ fn scan_doc_refs(
                         "`{ty}::{name}` names nothing the workspace declares"
                     ));
                 }
+            }
+            if let Some(name) = fn_ref(span).filter(|n| !declared.members.contains(*n)) {
+                report(format!("`{name}` names no `fn` the workspace declares"));
             }
         }
     }
@@ -884,6 +903,36 @@ mod tests {
                 (2, "`Tier::Ssd` names nothing the workspace declares"),
             ]
         );
+    }
+
+    #[test]
+    fn doc_refs_resolve_a_bare_fn_name() {
+        let dir = std::env::temp_dir().join(format!("ratel-lint-fns-{}", std::process::id()));
+        fs::create_dir_all(dir.join("crates/x/src")).unwrap();
+        let src = "pub struct Plan {\n    host_pool: u8,\n}\n\
+                   pub(crate) fn lower_plan() {}\n// fn stale_helper() {}\n\
+                   const MAX_DEPTH: usize = 2;\n";
+        fs::write(dir.join("crates/x/src/lib.rs"), src).unwrap();
+        let doc = dir.join("DESIGN.md");
+        let text = "`lower_plan`, `lower_plan(spec)` and the `host_pool` field\n\
+                    `stale_helper` and `stale_helper(layer)`\n\
+                    `plan`, `tier_peak_mb_99`, `lower_plan(` and `MAX_DEPTH` are not checked\n";
+        fs::write(&doc, text).unwrap();
+        let mut sources = Vec::new();
+        workspace_sources(&dir, &dir, &mut sources);
+        let declared = Declared::scan(&dir, &sources);
+        let mut findings = Vec::new();
+        scan_doc_refs(
+            &doc,
+            Path::new("DESIGN.md"),
+            &sources,
+            &declared,
+            &mut findings,
+        );
+        let _ = fs::remove_dir_all(&dir);
+        let hits: Vec<_> = findings.iter().map(|f| (f.line, f.text.as_str())).collect();
+        let stale = "`stale_helper` names no `fn` the workspace declares";
+        assert_eq!(hits, vec![(2, stale), (2, stale)]);
     }
 
     #[test]
