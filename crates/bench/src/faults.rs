@@ -70,7 +70,7 @@ pub struct FaultsReport {
     pub chaos: JobOutcome,
     /// Faults actually injected (ops may repeat an index post-retry).
     pub injected: usize,
-    /// The chaos store's retry/give-up/spill counters.
+    /// The chaos store's retry and give-up counters.
     pub stats: FaultStats,
 }
 

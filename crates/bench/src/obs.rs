@@ -228,8 +228,8 @@ pub fn render(cfg: &ObsConfig, report: &ObsReport) -> String {
             String::new()
         } else {
             format!(
-                ", faults: {} retries / {} give-ups / {} spills",
-                s.fault_stats.retries, s.fault_stats.give_ups, s.fault_stats.host_spills
+                ", faults: {} retries / {} give-ups",
+                s.fault_stats.retries, s.fault_stats.give_ups
             )
         };
         out.push_str(&format!(

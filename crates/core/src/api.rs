@@ -80,7 +80,6 @@ pub struct Ratel {
     probe_bytes: usize,
     fault_plan: Option<Arc<FaultPlan<BlobKey>>>,
     retry_policy: Option<RetryPolicy>,
-    spill_on_host_pressure: bool,
     resume_from: Option<std::path::PathBuf>,
 }
 
@@ -104,7 +103,6 @@ impl Ratel {
             probe_bytes: 1 << 20,
             fault_plan: None,
             retry_policy: None,
-            spill_on_host_pressure: false,
             resume_from: None,
         }
     }
@@ -217,16 +215,6 @@ impl Ratel {
         self
     }
 
-    /// Enables graceful degradation under host-pool pressure: blobs
-    /// headed for a full host pool land on the SSD tier (each spill is
-    /// counted in the store's fault stats) instead of failing the step.
-    /// [`Ratel::plan`] then accepts a host pool under the plan's
-    /// [`TrainingPlan::static_peak`] and only reports the need.
-    pub fn spill_on_host_pressure(mut self) -> Self {
-        self.spill_on_host_pressure = true;
-        self
-    }
-
     /// Restores the newest good checkpoint generation from `dir` right
     /// after the trainer is built — the resume path after a crash.
     pub fn resume_from(mut self, dir: impl Into<std::path::PathBuf>) -> Self {
@@ -278,7 +266,7 @@ impl Ratel {
             host_capacity: Some(0),
             ..self.provisional()?
         };
-        let (_, fitting) = lower_fitting(&starved, true)?;
+        let (_, fitting) = lower_fitting(&starved)?;
         Ok(fitting.host_capacity.unwrap_or_default())
     }
 
@@ -289,8 +277,9 @@ impl Ratel {
     ///
     /// # Errors
     /// [`RatelError::InvalidConfig`] listing *every* configuration
-    /// violation found; [`RatelError::Storage`] if the profiling
-    /// substrate fails.
+    /// violation found — a GPU or host capacity under the plan's
+    /// [`TrainingPlan::static_peak`] there names the bytes it needs;
+    /// [`RatelError::Storage`] if the profiling substrate fails.
     pub fn plan(self) -> Result<TrainingPlan, RatelError> {
         let provisional = self.provisional()?;
 
@@ -325,10 +314,7 @@ impl Ratel {
             act_decisions: decisions,
             ..provisional
         };
-        // A pool that spills under pressure is not held to what a step
-        // may keep in it: the plan reports that need, and runs over less.
-        let hold_host = !self.spill_on_host_pressure;
-        let mut lowered = fit(&config, hold_host);
+        let mut lowered = fit(&config);
         // The planner budgets the host bytes of the blobs it swaps, not
         // the arena they come back through or the chunks an SSD-bound
         // one stages on its way: where its choice does not fit, swap
@@ -339,7 +325,7 @@ impl Ratel {
                 break;
             };
             config.act_decisions[last] = ActDecision::Recompute;
-            lowered = fit(&config, hold_host);
+            lowered = fit(&config);
         }
         Ok(TrainingPlan {
             plan: lowered?,
@@ -361,14 +347,14 @@ impl Ratel {
     }
 }
 
-/// Lowers `config` and holds its arena — and with `hold_host` its host
-/// pool — to the plan's static peak there.
+/// Lowers `config` and holds its arena and its host pool to the plan's
+/// static peak there.
 ///
 /// # Errors
 /// One [`RatelError::InvalidConfig`] naming every tier too small and the
 /// bytes it needs.
-fn fit(config: &EngineConfig, hold_host: bool) -> Result<Arc<StepPlan>, RatelError> {
-    let (plan, roomy) = lower_fitting(config, hold_host)?;
+fn fit(config: &EngineConfig) -> Result<Arc<StepPlan>, RatelError> {
+    let (plan, roomy) = lower_fitting(config)?;
     let workers = config.execution.executor().workers_per_pool;
     let tiers = [
         ("gpu", config.gpu_capacity, roomy.gpu_capacity),
@@ -398,14 +384,11 @@ fn fit(config: &EngineConfig, hold_host: bool) -> Result<Arc<StepPlan>, RatelErr
 /// Pacing reads ahead as far as a tier has room, so a roomier tier is
 /// asked to hold more: the bytes a tier needs are the capacity whose own
 /// pacing fits it.
-fn lower_fitting(
-    config: &EngineConfig,
-    hold_host: bool,
-) -> Result<(StepPlan, EngineConfig), RatelError> {
+fn lower_fitting(config: &EngineConfig) -> Result<(StepPlan, EngineConfig), RatelError> {
     let plan = StepPlan::lower(config)?;
     let mut roomy = config.clone();
     let mut repaced = None;
-    while raise_short_capacities(&mut roomy, repaced.as_ref().unwrap_or(&plan), hold_host) {
+    while raise_short_capacities(&mut roomy, repaced.as_ref().unwrap_or(&plan)) {
         repaced = Some(StepPlan::lower(&roomy)?);
     }
     Ok((plan, roomy))
@@ -413,14 +396,14 @@ fn lower_fitting(
 
 /// Raises each held capacity of `config` that is under `plan`'s static
 /// peak for its tier to that peak; whether any was.
-fn raise_short_capacities(config: &mut EngineConfig, plan: &StepPlan, hold_host: bool) -> bool {
+fn raise_short_capacities(config: &mut EngineConfig, plan: &StepPlan) -> bool {
     let mut raised = false;
-    for (tier, capacity, held) in [
-        (MemTier::Gpu, &mut config.gpu_capacity, true),
-        (MemTier::Host, &mut config.host_capacity, hold_host),
+    for (tier, capacity) in [
+        (MemTier::Gpu, &mut config.gpu_capacity),
+        (MemTier::Host, &mut config.host_capacity),
     ] {
         let need = plan.static_peak(tier);
-        if held && capacity.is_some_and(|c| c < need) {
+        if capacity.is_some_and(|c| c < need) {
             *capacity = Some(need);
             raised = true;
         }
@@ -494,9 +477,7 @@ impl TrainingPlan {
     ///
     /// # Errors
     /// [`RatelError::InvalidConfig`] carrying the rendered report when
-    /// any pass fails — which is where a host pool accepted only
-    /// because it may spill ([`Ratel::spill_on_host_pressure`]) has its
-    /// need reported.
+    /// any pass fails.
     pub fn verify(&self) -> Result<(), RatelError> {
         let report = self.verify_report();
         if report.is_clean() {
@@ -593,9 +574,6 @@ impl TrainingPlan {
         // initial state placement, so fault op indices are training ops.
         if let Some(policy) = builder.retry_policy {
             engine.store().set_retry_policy(policy);
-        }
-        if builder.spill_on_host_pressure {
-            engine.store().set_spill_on_host_pressure(true);
         }
         if let Some(plan) = builder.fault_plan {
             engine.store().set_fault_plan(Some(plan));

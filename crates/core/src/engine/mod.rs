@@ -105,7 +105,9 @@ impl RatelEngine {
     /// depth, an out-of-range frozen layer, a degenerate model. Tiers
     /// smaller than the plan's [`RatelEngine::static_peak`] are
     /// [`crate::Ratel::build`]'s to refuse: such a config builds, and a
-    /// step fails with a typed out-of-memory error.
+    /// step that does not fit fails with a typed out-of-memory error —
+    /// nothing moves a blob the plan did not schedule — and is released,
+    /// leaving the tiers holding the states at rest.
     pub fn new(config: EngineConfig) -> Result<Self, RatelError> {
         let violations = config.validate();
         if !violations.is_empty() {

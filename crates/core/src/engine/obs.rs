@@ -90,12 +90,6 @@ pub fn publish_engine_metrics(engine: &RatelEngine, registry: &Registry) {
         .set_total(faults.give_ups);
     registry
         .counter(
-            "ratel_host_spills_total",
-            "Host-pressure spills to the SSD tier",
-        )
-        .set_total(faults.host_spills);
-    registry
-        .counter(
             "ratel_dropped_spans_total",
             "Telemetry spans evicted by the bounded span ring",
         )

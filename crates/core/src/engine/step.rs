@@ -39,8 +39,8 @@ pub struct StepStats {
     /// Layers whose update was skipped because their (unscaled) gradient
     /// overflowed the f16 range.
     pub skipped_layers: usize,
-    /// Robustness-counter deltas for the step (SSD retries/give-ups and
-    /// host-pressure spills) — always collected, telemetry on or off.
+    /// Robustness-counter deltas for the step (SSD retries and
+    /// give-ups) — always collected, telemetry on or off.
     pub fault_stats: FaultStats,
     /// Per-task execution breakdown of the step's one DAG run — tasks
     /// and busy time per resource pool plus the measured critical path.

@@ -68,8 +68,8 @@ pub struct StepTelemetry {
     /// indexed like [`ratel_storage::Route::ALL`].
     pub route_metrics: [RouteMetrics; 4],
     /// Robustness-counter deltas for this step: SSD retries and
-    /// give-ups, host-pressure spills. Always collected (the underlying
-    /// counters run even with tracing off).
+    /// give-ups. Always collected (the underlying counters run even with
+    /// tracing off).
     pub fault_stats: FaultStats,
 }
 

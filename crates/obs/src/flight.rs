@@ -53,8 +53,6 @@ pub enum EventKind {
     /// An SSD operation exhausted its retry budget (`code` = fault op,
     /// `aux` = attempts).
     GiveUp = 4,
-    /// A host-pressure spill degraded a blob to the SSD tier.
-    Spill = 5,
     /// A checkpoint generation committed (`aux` = generation).
     CheckpointCommit = 6,
     /// A checkpoint generation failed verification and the loader fell
@@ -79,7 +77,6 @@ impl EventKind {
             EventKind::Transfer => "transfer",
             EventKind::Retry => "retry",
             EventKind::GiveUp => "give_up",
-            EventKind::Spill => "spill",
             EventKind::CheckpointCommit => "ckpt_commit",
             EventKind::CheckpointFallback => "ckpt_fallback",
             EventKind::Error => "error",
@@ -95,7 +92,6 @@ impl EventKind {
             2 => EventKind::Transfer,
             3 => EventKind::Retry,
             4 => EventKind::GiveUp,
-            5 => EventKind::Spill,
             6 => EventKind::CheckpointCommit,
             7 => EventKind::CheckpointFallback,
             8 => EventKind::Error,
@@ -115,7 +111,7 @@ impl EventKind {
         const FAULT_OPS: [&str; 2] = ["read", "write"];
         const DRIFT: [&str; 3] = ["byte_mismatch", "stage_inversion", "stall"];
         let table: &[&str] = match self {
-            EventKind::Transfer | EventKind::Spill => &ROUTES,
+            EventKind::Transfer => &ROUTES,
             EventKind::Retry | EventKind::GiveUp => &FAULT_OPS,
             EventKind::Span => return SpanKind::ALL.get(code as usize).map(|k| k.name()),
             EventKind::Drift => &DRIFT,
@@ -366,15 +362,15 @@ mod tests {
     fn long_labels_truncate_and_disabled_records_nothing() {
         let rec = FlightRecorder::new(16);
         let long = "layer12/optimizer-moments-staged-very-long";
-        rec.record(EventKind::Spill, 2, long, 7, 0);
+        rec.record(EventKind::Transfer, 2, long, 7, 0);
         let e = &rec.events()[0];
         assert_eq!(e.label, &long[..LABEL_BYTES]);
         // A `Display` label is truncated as it is written, across pieces.
         let (head, tail) = long.split_at(20);
-        rec.record(EventKind::Spill, 2, format_args!("{head}{tail}"), 7, 0);
+        rec.record(EventKind::Transfer, 2, format_args!("{head}{tail}"), 7, 0);
         assert_eq!(rec.events()[1].label, &long[..LABEL_BYTES]);
         rec.set_enabled(false);
-        rec.record(EventKind::Spill, 2, "x", 0, 0);
+        rec.record(EventKind::Transfer, 2, "x", 0, 0);
         assert_eq!(rec.recorded(), 2);
     }
 

@@ -13,7 +13,7 @@
 //!   well-formed without a real Prometheus.
 //! * **Flight recorder** ([`FlightRecorder`], [`flight`]) — an always-on,
 //!   fixed-capacity, lock-free ring of compact events (transfers,
-//!   retries, spills, checkpoint commits, spans, step markers). Recording
+//!   retries, checkpoint commits, spans, step markers). Recording
 //!   an event costs one `fetch_add` plus a handful of relaxed stores, so
 //!   it stays on even when full span telemetry is disabled: a black box
 //!   for crash forensics.

@@ -25,6 +25,9 @@ pub enum StorageError {
     /// The key was named twice in one [`crate::TieredStore::modify`],
     /// which hands out each blob's bytes exclusively.
     DuplicateKey(String),
+    /// [`crate::TieredStore::modify`] named a key on the SSD tier: it
+    /// updates blobs where a memory tier holds them, and only there.
+    NotInMemory(String),
     /// Underlying filesystem failure in the SSD tier.
     Io(std::io::Error),
     /// An SSD-tier fault (injected by a [`crate::FaultPlan`], or a real
@@ -54,6 +57,9 @@ impl fmt::Display for StorageError {
             StorageError::AlreadyExists(k) => write!(f, "blob {k:?} already exists"),
             StorageError::DuplicateKey(k) => {
                 write!(f, "blob {k:?} named twice in one in-place modify")
+            }
+            StorageError::NotInMemory(k) => {
+                write!(f, "blob {k:?} is on the ssd tier, out of modify's reach")
             }
             StorageError::Io(e) => write!(f, "ssd tier I/O error: {e}"),
             StorageError::Faulted { op, key, attempts } => write!(

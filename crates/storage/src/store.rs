@@ -5,7 +5,7 @@ use std::fmt;
 use std::fs;
 use std::hash::Hash;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use ratel_check::lockorder;
 use ratel_check::sync::{Condvar, Mutex, MutexGuard};
@@ -212,9 +212,6 @@ pub struct TieredStore<K = String> {
     fault: Mutex<Option<Arc<FaultPlan<K>>>>,
     /// Bounded retry-with-backoff applied to failing SSD file ops.
     retry: Mutex<RetryPolicy>,
-    /// When set, blobs headed for a full host pool spill to the SSD tier
-    /// (counted as a degradation event) instead of erroring the caller.
-    host_spill: AtomicBool,
 }
 
 impl<K: Clone + Eq + Hash + fmt::Display> TieredStore<K> {
@@ -241,7 +238,6 @@ impl<K: Clone + Eq + Hash + fmt::Display> TieredStore<K> {
             telemetry: Arc::new(TelemetryRecorder::new()),
             fault: Mutex::named("store.fault", None),
             retry: Mutex::named("store.retry", RetryPolicy::default()),
-            host_spill: AtomicBool::new(false),
         })
     }
 
@@ -284,34 +280,6 @@ impl<K: Clone + Eq + Hash + fmt::Display> TieredStore<K> {
     /// The SSD retry policy in effect.
     pub fn retry_policy(&self) -> RetryPolicy {
         *self.retry.lock()
-    }
-
-    /// Enables graceful degradation: an operation whose *final target* is
-    /// the host pool and which would fail with a host OOM instead lands
-    /// the blob on the SSD tier. Each spill bumps
-    /// [`crate::telemetry::FaultStats::host_spills`]. Reads stay
-    /// transparent — the blob is simply found on the SSD tier later.
-    /// Off by default (capacity errors stay honest for sizing tests).
-    pub fn set_spill_on_host_pressure(&self, on: bool) {
-        self.host_spill.store(on, Ordering::Relaxed);
-    }
-
-    /// Whether host-pressure spilling is enabled.
-    pub fn spill_on_host_pressure(&self) -> bool {
-        self.host_spill.load(Ordering::Relaxed)
-    }
-
-    /// Counts one host-pressure spill of `key` (`len` bytes headed for
-    /// the host pool land on, or stay on, the SSD tier instead).
-    fn note_spill(&self, key: &(impl fmt::Display + ?Sized), len: u64) {
-        self.telemetry.count_host_spill();
-        ratel_obs::flight().record(
-            ratel_obs::EventKind::Spill,
-            Route::HostToSsd.index() as u8,
-            key,
-            len,
-            0,
-        );
     }
 
     /// Runs one SSD file operation under the fault plan and retry policy:
@@ -650,10 +618,6 @@ impl<K: Clone + Eq + Hash + fmt::Display> TieredStore<K> {
 
     /// Stores a new blob in `tier`.
     ///
-    /// With [`TieredStore::set_spill_on_host_pressure`] enabled, a put
-    /// into a full host pool degrades to an SSD put (counted as a spill)
-    /// instead of erroring.
-    ///
     /// # Errors
     /// [`StorageError::AlreadyExists`] on duplicate keys,
     /// [`StorageError::OutOfMemory`] if the tier is full.
@@ -671,23 +635,14 @@ impl<K: Clone + Eq + Hash + fmt::Display> TieredStore<K> {
         &self,
         mut inner: MutexGuard<'_, Inner<K>>,
         key: &K,
-        mut tier: Tier,
+        tier: Tier,
         bytes: Vec<u8>,
     ) -> Result<(), StorageError> {
         let len = bytes.len() as u64;
         if inner.exists(key) {
             return Err(StorageError::AlreadyExists(key.to_string()));
         }
-        if let Err(e) = self.check_fits(&inner, tier, len) {
-            if tier != Tier::Host || !self.spill_on_host_pressure() {
-                return Err(e);
-            }
-            // Degrade: the blob lands on the SSD tier instead — unless
-            // that is full too, which is an honest error and no spill.
-            self.check_fits(&inner, Tier::Ssd, len)?;
-            self.note_spill(key, len);
-            tier = Tier::Ssd;
-        }
+        self.check_fits(&inner, tier, len)?;
         if tier == Tier::Ssd {
             return self.write_blob(inner, key, None, bytes);
         }
@@ -806,13 +761,6 @@ impl<K: Clone + Eq + Hash + fmt::Display> TieredStore<K> {
     /// Moves a blob to `target`, metering every hop. GPU↔SSD moves are
     /// forced through the host tier (no GPUDirect on consumer GPUs,
     /// §III-C), so they record two hops *and* require transient host space.
-    ///
-    /// With [`TieredStore::set_spill_on_host_pressure`] enabled, a move
-    /// whose *final target* is a full host pool degrades instead of
-    /// erroring: an SSD-resident blob simply stays on SSD, a GPU-resident
-    /// blob streams straight through to SSD (both hops metered, no host
-    /// residency). Transit host space for GPU↔SSD moves is still required
-    /// — only the destination degrades, not the data path.
     pub fn move_to<Q: ?Sized + ToOwned<Owned = K>>(
         &self,
         key: &Q,
@@ -830,25 +778,9 @@ impl<K: Clone + Eq + Hash + fmt::Display> TieredStore<K> {
             let Some(first) = plan.first() else {
                 return Ok(());
             };
-            let spill = target == Tier::Host
-                && self.spill_on_host_pressure()
-                && self.check_fits(&inner, Tier::Host, len).is_err();
-            let (to, hops) = if spill {
-                self.note_spill(key, len);
-                if current == Tier::Ssd {
-                    // Already on the slow tier: degrading means staying put.
-                    return Ok(());
-                }
-                // One write straight to an SSD file, metered as the two
-                // logical hops it stands for (a bounce buffer too small
-                // to count as host residency).
-                (Tier::Ssd, Route::hops(current, Tier::Ssd))
-            } else {
-                (first.dest(), &plan[..1])
-            };
-            self.hop(inner, key, current, to, len)?;
-            self.meter(hops, key, len, t0);
-            if spill || plan.len() == 1 {
+            self.hop(inner, key, current, first.dest(), len)?;
+            self.meter(&plan[..1], key, len, t0);
+            if plan.len() == 1 {
                 return Ok(());
             }
         }
@@ -994,25 +926,20 @@ impl<K: Clone + Eq + Hash + fmt::Display> TieredStore<K> {
 
     /// Hands `f` the blobs' bytes to update where they lie — what the
     /// optimizer does to the states it staged into host memory, without
-    /// a `read` copy out and an `overwrite` back in. A memory-resident
-    /// blob's own buffer leaves the index for the duration of
+    /// a `read` copy out and an `overwrite` back in. Each blob's own
+    /// buffer leaves the index for the duration of
     /// [`TieredStore::with_pending`]'s handshake: `f` runs with no store
     /// lock held, and another operation on one of the keys waits for the
-    /// blobs to be whole again. Like `read` and `overwrite`, it finds a
-    /// blob in whatever tier holds it: one on the SSD tier (where a
-    /// host-pressure spill leaves a blob its handler meant to stage) is
-    /// read into a buffer, handed to `f` and written back to a file of
-    /// its own inside the same window. A blob keeps its tier and, being a
-    /// slice, its length, so nothing is metered and `used`/`peak_used`
-    /// do not move. `f` must not panic: its buffers would be lost with it.
+    /// blobs to be whole again. Only a memory tier is reached: a blob
+    /// keeps its tier and, being a slice, its length, so nothing is
+    /// metered, no file is touched and `used`/`peak_used` do not move.
+    /// `f` must not panic: its buffers would be lost with it.
     ///
     /// # Errors
     /// [`StorageError::NotFound`] for a key in no tier,
-    /// [`StorageError::DuplicateKey`] for one named twice, an SSD read
-    /// fault that outlasted its retries: the store is untouched and `f`
-    /// has not run. An SSD write fault after `f` ran: every blob is
-    /// whole, the memory-resident ones carry `f`'s update and the
-    /// SSD-resident ones do not.
+    /// [`StorageError::NotInMemory`] for one on the SSD tier,
+    /// [`StorageError::DuplicateKey`] for one named twice: each refused
+    /// before `f` ran, with the store untouched.
     pub fn modify<const N: usize, Q: ?Sized + ToOwned<Owned = K>, T>(
         &self,
         keys: [&Q; N],
@@ -1021,48 +948,23 @@ impl<K: Clone + Eq + Hash + fmt::Display> TieredStore<K> {
         let owned = keys.map(ToOwned::to_owned);
         let keys = owned.each_ref();
         let mut inner = self.lock_keys(&keys);
-        let mut on_ssd = [None; N];
         for (i, key) in keys.iter().enumerate() {
             if keys[..i].contains(key) {
                 return Err(StorageError::DuplicateKey(key.to_string()));
             }
-            if !inner.mem.contains_key(*key) {
-                on_ssd[i] = Some(inner.ssd_loc(*key)?);
+            if inner.locate(key)?.0 == Tier::Ssd {
+                return Err(StorageError::NotInMemory(key.to_string()));
             }
         }
-        let mut blobs = keys.map(|key| inner.mem.remove(key).unwrap_or((Tier::Ssd, Vec::new())));
-        let mut files = [None; N];
-        let (mut inner, res) = self.with_pending(inner, &keys, || {
-            for ((key, loc), (_, bytes)) in keys.iter().zip(on_ssd).zip(&mut blobs) {
-                if let Some(loc) = loc {
-                    *bytes = self.read_ssd_blob(*key, loc)?;
-                }
-            }
-            let out = f(blobs.each_mut().map(|(_, bytes)| bytes.as_mut_slice()));
-            for ((key, (tier, bytes)), file) in keys.iter().zip(&blobs).zip(&mut files) {
-                if *tier == Tier::Ssd {
-                    *file = Some(self.write_file(*key, &[bytes.as_slice()])?);
-                }
-            }
-            Ok(out)
+        // Every key is memory-resident, so each takes its own buffer.
+        let mut blobs = keys.map(|key| inner.mem.remove(key).unwrap_or((Tier::Host, Vec::new())));
+        let (mut inner, out) = self.with_pending(inner, &keys, || {
+            f(blobs.each_mut().map(|(_, bytes)| bytes.as_mut_slice()))
         });
-        let mut dead = [None; N];
-        let back = owned.into_iter().zip(blobs).zip(files).zip(&mut dead);
-        for (((key, (tier, bytes)), file), dead) in back {
-            let (offset, len) = (0, bytes.len() as u64);
-            if tier != Tier::Ssd {
-                inner.mem.insert(key, (tier, bytes));
-            } else if let Some(file) = file {
-                // Written, but unregistered if a later write failed.
-                *dead = match res {
-                    Ok(_) => inner.claim(key, SsdLoc { file, offset, len }),
-                    Err(_) => Some(file),
-                };
-            }
+        for (key, blob) in owned.into_iter().zip(blobs) {
+            inner.mem.insert(key, blob);
         }
-        drop(inner);
-        dead.into_iter().for_each(|file| self.unlink(file));
-        res
+        Ok(out)
     }
 
     /// Bytes currently resident in `tier`.
@@ -1192,10 +1094,8 @@ mod tests {
         assert_eq!(store.take("staged").unwrap(), vec![3u8; 100]);
         assert_eq!(store.traffic().bytes(Route::SsdToHost), 100);
         assert_eq!(store.traffic().bytes(Route::HostToGpu), 100);
-        // One byte more held and it is refused, as `move_to` would be —
-        // spilling degrades a destination, never the data path.
+        // One byte more held and it is refused, as `move_to` would be.
         store.put("one", Tier::Host, vec![0u8; 1]).unwrap();
-        store.set_spill_on_host_pressure(true);
         let before = store.traffic();
         let err = store.copy_to("p16", "staged", Tier::Gpu).unwrap_err();
         assert!(matches!(
@@ -1318,38 +1218,41 @@ mod tests {
     }
 
     #[test]
-    fn modify_finds_a_blob_on_the_ssd_tier() {
-        // Where a host-pressure spill leaves a state its handler meant
-        // to stage: `modify` works on it like `read` + `overwrite` did.
+    fn modify_refuses_an_ssd_key_before_f_runs() {
         let store = TieredStore::new(TierConfig::unbounded_temp()).unwrap();
         store.put("h", Tier::Host, vec![1u8; 4]).unwrap();
         store.put("file", Tier::Ssd, vec![2u8; 6]).unwrap();
         let batch = ["seg-a", "seg-b"].map(|k| (k.to_string(), vec![3u8; 5]));
         store.put_batch(Tier::Ssd, batch.to_vec()).unwrap();
+        // A fault on the first SSD op would fail any read or write-back.
+        let plan = Arc::new(FaultPlan::new());
+        plan.fault_at(0, FaultKind::Permanent);
+        store.set_fault_plan(Some(plan.clone()));
         store.reset_traffic();
-        store
-            .modify(["file", "h", "seg-a"], |[file, h, seg]| {
-                assert_eq!((file.len(), h.len(), seg.len()), (6, 4, 5));
-                file[0] = 7;
-                h[0] = 8;
-                seg[0] = 9;
-            })
-            .unwrap();
-        assert_eq!(store.read("file").unwrap(), [7, 2, 2, 2, 2, 2]);
-        assert_eq!(store.read("h").unwrap(), [8, 1, 1, 1]);
-        assert_eq!(store.read("seg-a").unwrap(), [9, 3, 3, 3, 3]);
+        let files = || fs::read_dir(&store.config.ssd_dir).unwrap().count();
+        let on_disk = files();
+        for ssd_key in ["file", "seg-a"] {
+            assert!(matches!(
+                store.modify(["h", ssd_key], |_: [&mut [u8]; 2]| panic!("f ran")),
+                Err(StorageError::NotInMemory(k)) if k == ssd_key
+            ));
+        }
+        assert_eq!(plan.ops_seen(), 0, "an SSD file was consulted");
+        assert_eq!(files(), on_disk);
+        assert_eq!(store.traffic().total(), 0);
+        assert_eq!((store.used(Tier::Ssd), store.used(Tier::Host)), (16, 4));
+        store.set_fault_plan(None);
+        // Every blob is whole where it was, and no key is left pending
+        // (a `read` would block on one that was).
+        assert_eq!(store.read("h").unwrap(), vec![1u8; 4]);
+        assert_eq!(store.read("file").unwrap(), vec![2u8; 6]);
+        assert_eq!(store.read("seg-a").unwrap(), vec![3u8; 5]);
         assert_eq!(store.read("seg-b").unwrap(), vec![3u8; 5]);
         for key in ["file", "seg-a", "seg-b"] {
             assert_eq!(store.tier_of(key).unwrap(), Tier::Ssd);
         }
-        assert_eq!(store.traffic().total(), 0, "nothing is metered");
-        assert_eq!((store.used(Tier::Ssd), store.used(Tier::Host)), (16, 4));
-        // The segment lives on for its other blob and goes with it.
-        store.remove("seg-b").unwrap();
-        store.remove("seg-a").unwrap();
-        store.remove("file").unwrap();
-        assert_eq!(store.used(Tier::Ssd), 0);
-        assert_eq!(fs::read_dir(&store.config.ssd_dir).unwrap().count(), 0);
+        store.modify(["h"], |[h]| h[0] = 8).unwrap();
+        assert_eq!(store.read("h").unwrap(), [8, 1, 1, 1]);
     }
 
     #[test]
@@ -1732,95 +1635,29 @@ mod fault_tests {
     }
 
     #[test]
-    fn faulted_modify_keeps_every_blob_whole_and_none_pending() {
-        let store = TieredStore::new(TierConfig::unbounded_temp()).unwrap();
-        store.set_retry_policy(RetryPolicy::none());
-        store.put("h", Tier::Host, vec![1u8; 4]).unwrap();
-        store.put("s", Tier::Ssd, vec![2u8; 4]).unwrap();
-        let bump = |[h, s]: [&mut [u8]; 2]| {
-            h[0] += 1;
-            s[0] += 1;
-        };
-        // A dead read: `f` never runs.
-        let plan = Arc::new(FaultPlan::new());
-        plan.fault_at_op(0, FaultOp::Read, FaultKind::Permanent);
-        store.set_fault_plan(Some(plan));
-        let err = store.modify(["h", "s"], bump).unwrap_err();
-        assert!(matches!(
-            err,
-            StorageError::Faulted {
-                op: FaultOp::Read,
-                ..
-            }
-        ));
-        store.set_fault_plan(None);
-        assert_eq!(store.read("h").unwrap(), vec![1u8; 4]);
-        assert_eq!(store.read("s").unwrap(), vec![2u8; 4]);
-        // A dead write-back: the host blob carries the update, the SSD
-        // blob is whole, and neither key is left pending (a `read`
-        // would block on one that was).
-        let plan = Arc::new(FaultPlan::new());
-        plan.fault_at_op(0, FaultOp::Write, FaultKind::Permanent);
-        store.set_fault_plan(Some(plan));
-        let err = store.modify(["h", "s"], bump).unwrap_err();
-        assert!(matches!(
-            err,
-            StorageError::Faulted {
-                op: FaultOp::Write,
-                ..
-            }
-        ));
-        store.set_fault_plan(None);
-        assert_eq!(store.read("h").unwrap(), [2, 1, 1, 1]);
-        assert_eq!(store.read("s").unwrap(), vec![2u8; 4]);
-        assert_eq!((store.used(Tier::Host), store.used(Tier::Ssd)), (4, 4));
-        store.modify(["h", "s"], bump).unwrap();
-        assert_eq!(store.read("s").unwrap(), [3, 2, 2, 2]);
-    }
-
-    #[test]
-    fn host_pressure_put_spills_to_ssd_when_enabled() {
+    fn host_pressure_is_an_honest_oom_for_put_and_move() {
         let store = TieredStore::new(TierConfig::bounded_temp(1000, 10)).unwrap();
-        // Without the knob the OOM is honest.
-        assert!(matches!(
-            store.put("big", Tier::Host, vec![0u8; 64]),
-            Err(StorageError::OutOfMemory {
-                tier: Tier::Host,
-                ..
-            })
-        ));
-        store.set_spill_on_host_pressure(true);
-        store.put("big", Tier::Host, vec![5u8; 64]).unwrap();
-        assert_eq!(store.tier_of("big").unwrap(), Tier::Ssd);
-        assert_eq!(store.read("big").unwrap(), vec![5u8; 64]);
-        assert_eq!(store.used(Tier::Host), 0);
-        assert_eq!(store.telemetry().fault_stats().host_spills, 1);
-    }
-
-    #[test]
-    fn host_pressure_move_spills_gpu_blob_to_ssd() {
-        let store = TieredStore::new(TierConfig::bounded_temp(1000, 10)).unwrap();
-        store.set_spill_on_host_pressure(true);
         store.put("g", Tier::Gpu, vec![2u8; 64]).unwrap();
-        store.move_to("g", Tier::Host).unwrap();
-        assert_eq!(store.tier_of("g").unwrap(), Tier::Ssd);
-        // Both logical hops of the degraded path are metered.
-        let s = store.traffic();
-        assert_eq!(s.bytes(Route::GpuToHost), 64);
-        assert_eq!(s.bytes(Route::HostToSsd), 64);
-        assert_eq!(store.used(Tier::Gpu), 0);
-        assert_eq!(store.telemetry().fault_stats().host_spills, 1);
-    }
-
-    #[test]
-    fn host_pressure_move_keeps_ssd_blob_on_ssd() {
-        let store = TieredStore::new(TierConfig::bounded_temp(1000, 10)).unwrap();
-        store.set_spill_on_host_pressure(true);
         store.put("s", Tier::Ssd, vec![4u8; 64]).unwrap();
-        store.move_to("s", Tier::Host).unwrap();
+        for refused in [
+            store.put("big", Tier::Host, vec![0u8; 64]),
+            store.move_to("g", Tier::Host),
+            store.move_to("s", Tier::Host),
+        ] {
+            assert!(matches!(
+                refused,
+                Err(StorageError::OutOfMemory {
+                    tier: Tier::Host,
+                    requested: 64,
+                    available: 10,
+                })
+            ));
+        }
+        assert!(!store.contains("big"));
+        assert_eq!(store.tier_of("g").unwrap(), Tier::Gpu);
         assert_eq!(store.tier_of("s").unwrap(), Tier::Ssd);
-        assert_eq!(store.telemetry().fault_stats().host_spills, 1);
-        // No phantom traffic for a move that never happened.
+        assert_eq!(store.used(Tier::Host), 0);
+        // No phantom traffic for moves that never happened.
         assert_eq!(store.traffic().total(), 0);
     }
 
@@ -1934,33 +1771,10 @@ mod fault_tests {
         assert!(m.histogram.max_seconds() >= 0.05);
     }
 
-    #[test]
-    fn spill_event_carries_the_blob_length_from_put_and_move() {
-        let store = TieredStore::new(TierConfig::bounded_temp(1000, 10)).unwrap();
-        store.set_spill_on_host_pressure(true);
-        store
-            .put("spill-len/put", Tier::Host, vec![0u8; 48])
-            .unwrap();
-        store
-            .put("spill-len/move", Tier::Gpu, vec![0u8; 72])
-            .unwrap();
-        store.move_to("spill-len/move", Tier::Host).unwrap();
-        // The ring is process-global: look the two events up by label.
-        let events = ratel_obs::flight().events();
-        for (label, len) in [("spill-len/put", 48), ("spill-len/move", 72)] {
-            let spill = events
-                .iter()
-                .find(|e| e.kind == ratel_obs::EventKind::Spill && e.label == label)
-                .unwrap_or_else(|| panic!("no Spill event for {label}"));
-            assert_eq!(spill.bytes, len, "{label}");
-        }
-    }
-
     /// What must not move when the store's internals do: one script over
     /// all six tier pairs and every operation, with its ledger — traffic,
     /// residency, fault counters and the SSD op sequence the seeded fault
-    /// suites index into — recorded from the code before the operations
-    /// were rewritten as compositions (PR 20).
+    /// suites index into — pinned.
     #[test]
     fn scripted_ledger_over_all_six_tier_pairs_is_pinned() {
         let store = TieredStore::new(TierConfig::bounded_temp(4096, 300)).unwrap();
@@ -2004,24 +1818,38 @@ mod fault_tests {
         assert_eq!(store.take("b1").unwrap(), vec![5; 24]);
         store.remove("h2g").unwrap();
         store.remove("s").unwrap();
-        // Host pressure: a put, a GPU blob and an SSD blob all degrade.
-        store.set_spill_on_host_pressure(true);
+        // Host pressure: a put, a GPU blob and an SSD blob are all
+        // refused, typed, and leave the store as it was.
         store.put("fill", Tier::Host, vec![9; 200]).unwrap();
-        store.put("big", Tier::Host, vec![10; 250]).unwrap();
-        store.move_to("g", Tier::Host).unwrap();
-        store.move_to("big", Tier::Host).unwrap();
-        assert_eq!(store.tier_of("g").unwrap(), Tier::Ssd);
+        store.put("big", Tier::Ssd, vec![10; 250]).unwrap();
+        for refused in [
+            store.put("late", Tier::Host, vec![11; 250]),
+            store.move_to("g", Tier::Host),
+            store.move_to("big", Tier::Host),
+        ] {
+            assert!(matches!(
+                refused,
+                Err(StorageError::OutOfMemory {
+                    tier: Tier::Host,
+                    available: 26,
+                    ..
+                })
+            ));
+        }
+        assert!(!store.contains("late"));
+        assert_eq!(store.tier_of("g").unwrap(), Tier::Gpu);
+        assert_eq!(store.tier_of("big").unwrap(), Tier::Ssd);
         assert_eq!(store.read("g").unwrap(), vec![1; 100]);
 
         let traffic = store.traffic();
-        assert_eq!(Route::ALL.map(|r| traffic.bytes(r)), [400, 300, 360, 224]);
+        assert_eq!(Route::ALL.map(|r| traffic.bytes(r)), [300, 300, 260, 224]);
         let tiers = [Tier::Gpu, Tier::Host, Tier::Ssd];
-        assert_eq!(tiers.map(|t| store.used(t)), [0, 274, 358]);
-        assert_eq!(tiers.map(|t| store.peak_used(t)), [200, 274, 358]);
+        assert_eq!(tiers.map(|t| store.used(t)), [100, 274, 258]);
+        assert_eq!(tiers.map(|t| store.peak_used(t)), [200, 274, 258]);
         let stats = store.telemetry().fault_stats();
         assert_eq!(
             (stats.retries, stats.give_ups, stats.host_spills),
-            (1, 0, 3)
+            (1, 0, 0)
         );
         // Every op fired a rule, so `injected()` is the whole sequence:
         // index 3 is the transient fault, index 4 its retry.
@@ -2035,8 +1863,7 @@ mod fault_tests {
         assert_eq!(
             ops.join(", "),
             "write s, write b0, write h, read h, read h, write g, read g, read s, \
-             write g2s, read b1, write s, write b0, read g2s, read b1, write big, write g, \
-             read g"
+             write g2s, read b1, write s, write b0, read g2s, read b1, write big"
         );
     }
 }

@@ -205,7 +205,7 @@ struct Shared {
     routes: [RouteMetrics; 4],
 }
 
-/// Robustness counters: SSD retries, give-ups, and host-pressure spills.
+/// Robustness counters: SSD retries and give-ups.
 ///
 /// Unlike spans and route metrics these are **always on** — they count
 /// error-path events, which are rare and must never be silently dropped
@@ -217,8 +217,9 @@ pub struct FaultStats {
     pub retries: u64,
     /// SSD operations that kept failing until the retry budget ran out.
     pub give_ups: u64,
-    /// Blobs headed for the host pool that spilled to the SSD tier under
-    /// memory pressure (graceful degradation events).
+    /// Always 0: the store places a blob only where its caller says, so
+    /// nothing spills from the host pool to the SSD tier. Kept for the
+    /// readers that report it.
     pub host_spills: u64,
 }
 
@@ -255,7 +256,6 @@ pub struct TelemetryRecorder {
     dropped_spans: AtomicU64,
     retries: AtomicU64,
     give_ups: AtomicU64,
-    host_spills: AtomicU64,
 }
 
 impl Default for TelemetryRecorder {
@@ -275,7 +275,6 @@ impl TelemetryRecorder {
             dropped_spans: AtomicU64::new(0),
             retries: AtomicU64::new(0),
             give_ups: AtomicU64::new(0),
-            host_spills: AtomicU64::new(0),
         }
     }
 
@@ -419,7 +418,6 @@ impl TelemetryRecorder {
         self.dropped_spans.store(0, Ordering::Relaxed);
         self.retries.store(0, Ordering::Relaxed);
         self.give_ups.store(0, Ordering::Relaxed);
-        self.host_spills.store(0, Ordering::Relaxed);
     }
 
     /// Counts one SSD retry (always on; see [`FaultStats`]).
@@ -432,18 +430,12 @@ impl TelemetryRecorder {
         self.give_ups.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Counts one host-pressure spill to SSD (always on; see
-    /// [`FaultStats`]).
-    pub fn count_host_spill(&self) {
-        self.host_spills.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Snapshot of the robustness counters.
     pub fn fault_stats(&self) -> FaultStats {
         FaultStats {
             retries: self.retries.load(Ordering::Relaxed),
             give_ups: self.give_ups.load(Ordering::Relaxed),
-            host_spills: self.host_spills.load(Ordering::Relaxed),
+            host_spills: 0,
         }
     }
 }
@@ -531,11 +523,10 @@ mod tests {
         rec.count_retry();
         rec.count_retry();
         rec.count_give_up();
-        rec.count_host_spill();
         let s = rec.fault_stats();
         assert_eq!(s.retries, 2);
         assert_eq!(s.give_ups, 1);
-        assert_eq!(s.host_spills, 1);
+        assert_eq!(s.host_spills, 0);
         rec.reset();
         assert_eq!(rec.fault_stats(), FaultStats::default());
     }

@@ -91,10 +91,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 String::new()
             } else {
                 format!(
-                    ", faults: {} retries / {} give-ups / {} spills",
-                    stats.fault_stats.retries,
-                    stats.fault_stats.give_ups,
-                    stats.fault_stats.host_spills,
+                    ", faults: {} retries / {} give-ups",
+                    stats.fault_stats.retries, stats.fault_stats.give_ups,
                 )
             };
             println!(

@@ -1,7 +1,8 @@
 //! The small model zoo and engine configuration shared by the suites
 //! that sweep worker counts and offload schedules
-//! (`executor_equivalence.rs`, `telemetry_spine.rs`) or hold the tiers
-//! to the plan's residency bound (`fits.rs`). Each suite uses part of it.
+//! (`executor_equivalence.rs`, `telemetry_spine.rs`), hold the tiers
+//! to the plan's residency bound (`fits.rs`) or train at the plan's host
+//! floor (`fault_injection.rs`). Each suite uses part of it.
 #![allow(dead_code)]
 
 use ratel_repro::prelude::*;

@@ -2,8 +2,10 @@
 //! through the public trainer API: injected transient SSD faults must be
 //! invisible to training (retries absorb them bitwise), permanent faults
 //! must surface as typed errors that a checkpoint resume recovers from,
-//! and host-memory pressure must degrade to SSD spills instead of
-//! failing the job.
+//! and host-memory pressure is a typed out-of-memory error that moves
+//! nothing: the plan's floor is the smallest host pool a job runs in.
+
+mod common;
 
 use std::sync::Arc;
 
@@ -11,7 +13,7 @@ use ratel_repro::core::api::Ratel;
 use ratel_repro::core::{Batch, RatelError, RatelTrainer};
 use ratel_repro::prelude::*;
 use ratel_repro::sim::{BlobKey, BlobKind, MemTier};
-use ratel_repro::storage::{FaultKind, FaultPlan, StorageError, Tier};
+use ratel_repro::storage::{FaultKind, FaultPlan, Route, StorageError, Tier};
 
 fn tiny_config() -> GptConfig {
     GptConfig {
@@ -191,7 +193,7 @@ fn permanent_fault_surfaces_and_checkpoint_resume_recovers() {
 /// step is bitwise the straight run.
 #[test]
 fn a_moments_write_beside_a_resident_master_is_retried_or_fails_and_restores() {
-    use ratel_repro::storage::{FaultOp, Route};
+    use ratel_repro::storage::FaultOp;
     let model = tiny_config();
     let dir = temp_dir("moments");
     let step = |trainer: &mut RatelTrainer, step: u64| {
@@ -446,154 +448,170 @@ fn a_fault_on_a_blob_spares_its_loader_shadow() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Host-pool pressure with graceful degradation enabled lands the blob
-/// on the SSD tier (recorded as a spill) instead of erroring, and reads
-/// stay transparent.
+/// Host-pool pressure is a typed error that moves nothing: at the
+/// floor `Ratel::plan` accepts, a probe `put` larger than the whole pool
+/// is refused with a host out-of-memory error, and the next step is
+/// bitwise the step of an untouched twin.
 #[test]
-fn host_pressure_spills_to_ssd_instead_of_erroring() {
+fn a_probe_over_the_host_floor_is_refused_and_moves_nothing() {
     let model = tiny_config();
     let builder = || {
         Ratel::init(model)
             .seed(17)
             .activation_decisions(vec![ActDecision::Recompute; model.layers])
     };
-    // A host pool the builder accepts: the bytes its plan reports it
-    // needs when offered a single one.
-    let floor: u64 = match builder().host_capacity(1).plan() {
-        Err(RatelError::InvalidConfig(v)) => {
-            let need = v[0].rsplit("needs ").next().unwrap();
-            need.strip_suffix(" B").unwrap().parse().unwrap()
-        }
-        other => panic!("a one-byte host pool was not refused: {other:?}"),
-    };
-    let mut trainer = builder()
-        .host_capacity(floor)
-        .spill_on_host_pressure()
-        .build()
-        .unwrap();
-    let store = trainer.engine().store();
-    assert!(
-        store.spill_on_host_pressure(),
-        "builder flag did not reach the store"
-    );
+    let floor = builder().min_host_capacity().unwrap();
+    let mut probed = builder().host_capacity(floor).build().unwrap();
+    let mut twin = builder().host_capacity(floor).build().unwrap();
 
-    // A blob that cannot fit the host pool degrades to the SSD tier. The
-    // probe is named by a kind the engine never stores.
+    // The probe is named by a kind the engine never stores.
     let probe = BlobKey::shared(BlobKind::Stage, 0);
-    let payload: Vec<u8> = (0..floor as usize + 1).map(|i| i as u8).collect();
-    store.put(&probe, Tier::Host, payload.clone()).unwrap();
-    assert_eq!(store.tier_of(&probe).unwrap(), Tier::Ssd);
-    assert_eq!(store.read(&probe).unwrap(), payload);
-    let stats = store.telemetry().fault_stats();
-    assert!(
-        stats.host_spills >= 1,
-        "degradation not recorded: {stats:?}"
-    );
-
-    // Without the flag, the same pressure is a hard (typed) error.
-    let mut strict = builder().host_capacity(floor).build().unwrap();
-    let err = strict
-        .engine()
-        .store()
-        .put(&probe, Tier::Host, payload)
+    let store = probed.engine().store();
+    let (before, held) = (store.traffic(), store.used(Tier::Host));
+    let err = store
+        .put(&probe, Tier::Host, vec![7u8; floor as usize + 1])
         .unwrap_err();
-    assert!(matches!(
-        err,
-        StorageError::OutOfMemory {
-            tier: Tier::Host,
-            ..
-        }
-    ));
+    assert!(
+        matches!(
+            err,
+            StorageError::OutOfMemory {
+                tier: Tier::Host,
+                requested,
+                ..
+            } if requested == floor + 1
+        ),
+        "{err}"
+    );
+    assert!(!store.contains(&probe));
+    assert_eq!(store.traffic().since(&before).total(), 0);
+    assert_eq!(store.used(Tier::Host), held);
+
+    let bits = |l: Vec<f32>| l.into_iter().map(f32::to_bits).collect::<Vec<_>>();
+    assert_eq!(
+        bits(train_steps(&mut probed, &model, 1)),
+        bits(train_steps(&mut twin, &model, 1))
+    );
+    for layer in 0..model.layers + 2 {
+        assert_eq!(
+            probed.engine().master_params(layer).unwrap(),
+            twin.engine().master_params(layer).unwrap(),
+            "layer {layer}"
+        );
+    }
 }
 
-/// The builder's route to that degradation: a host pool under what a
-/// step may keep there is refused up front — unless the builder was told
-/// to spill, when the plan reports the need and the trainer steps over
-/// less, bitwise the unbounded run. The pool is the one the pre-residency
-/// floor accepted and then ran out of mid-step.
+/// The builder holds a host pool to what a step may keep there: one
+/// under the plan's static peak is refused with the bytes it needs, and
+/// at exactly those bytes the plan verifies clean and the trainer steps
+/// bitwise the unbounded run, within the peak and moving exactly the
+/// planned bytes. The refused pool is the one the pre-residency floor
+/// accepted and then ran out of mid-step.
 #[test]
-fn a_built_trainer_steps_under_host_pressure_when_told_to_spill() {
+fn a_built_trainer_steps_at_the_host_floor_bitwise_the_unbounded_run() {
     let model = tiny_config();
     let builder = || {
         Ratel::init(model)
             .seed(17)
             .activation_decisions(vec![ActDecision::SwapToHost; model.layers])
     };
+    let floor = builder().min_host_capacity().unwrap();
     let tight = 14 * model.max_layer_params() as u64;
+    assert!(tight < floor);
     match builder().host_capacity(tight).plan() {
-        Err(RatelError::InvalidConfig(v)) => assert!(v[0].starts_with("host capacity"), "{v:?}"),
+        Err(RatelError::InvalidConfig(v)) => {
+            assert!(v[0].starts_with("host capacity"), "{v:?}");
+            assert!(v[0].ends_with(&format!("needs {floor} B")), "{v:?}");
+        }
         other => panic!("a {tight} B host pool was not refused: {other:?}"),
     }
 
-    let plan = builder()
-        .host_capacity(tight)
-        .spill_on_host_pressure()
-        .plan()
-        .unwrap();
-    assert!(plan.static_peak(MemTier::Host) > tight);
-    let report = plan.verify().unwrap_err().to_string();
-    assert!(report.contains("capacity-exceeded"), "{report}");
-    let mut spilling = plan.build().unwrap();
+    let plan = builder().host_capacity(floor).plan().unwrap();
+    plan.verify().unwrap();
+    let static_peak = plan.static_peak(MemTier::Host);
+    let planned = plan.planned_route_bytes();
+    let mut capped = plan.build().unwrap();
     let mut free = builder().build().unwrap();
+    let before = capped.engine().store().traffic();
     let bits = |l: Vec<f32>| l.into_iter().map(f32::to_bits).collect::<Vec<_>>();
+    let steps = 3;
     assert_eq!(
-        bits(train_steps(&mut spilling, &model, 3)),
-        bits(train_steps(&mut free, &model, 3))
+        bits(train_steps(&mut capped, &model, steps)),
+        bits(train_steps(&mut free, &model, steps))
     );
-    let store = spilling.engine().store();
-    assert!(store.peak_used(Tier::Host) <= tight);
-    let stats = store.telemetry().fault_stats();
-    assert!(stats.host_spills >= 1, "no pressure reached: {stats:?}");
+    let store = capped.engine().store();
+    assert!(store.peak_used(Tier::Host) <= static_peak);
+    let moved = store.traffic().since(&before);
+    assert_eq!(
+        Route::ALL.map(|r| moved.bytes(r)),
+        planned.map(|b| b * steps as u64)
+    );
 }
 
-/// Training itself degrades, not just a probe `put`: with a host pool
-/// too small for a layer's master, moments or f32 accumulator, the
-/// optimizer and accumulation handlers find those states on the SSD tier
-/// (where `opt-read`'s spilled move and the accumulator's spilled put
-/// left them), update them there, and the run is bitwise the unbounded
-/// one. Only the embedding — the largest layer of this shape — trains
-/// and the activations recompute, so the pool holds one blob at a time
-/// and what spills does not depend on worker timing.
+/// Training itself at the floor, not just a probe `put`: only the
+/// embedding — the largest layer of this shape — trains, the activations
+/// recompute, and three micro-batches then an accumulated step of them
+/// lose and update bitwise like the unbounded run. Below the floor,
+/// where the pool holds the embedding's P16 or G16 (2 B/param) but not
+/// its master or accumulator (4) or moments (8), `RatelEngine::new`
+/// still builds, its step fails with a typed host out-of-memory error,
+/// and the failed run's release leaves the tiers at rest with every
+/// master as it was.
 #[test]
-fn training_under_host_pressure_matches_the_unbounded_run() {
+fn training_at_the_host_floor_matches_the_unbounded_run() {
     let model = GptConfig {
         vocab: 1024,
         layers: 2,
         ..tiny_config()
     };
+    let config = |host_capacity: Option<u64>| EngineConfig {
+        model,
+        act_decisions: vec![ActDecision::Recompute; model.layers],
+        frozen_layers: (1..model.layers + 2).collect(),
+        host_capacity,
+        ..EngineConfig::tiny()
+    };
     let micro: Vec<_> = (0..3).map(|s| learnable_batch(&model, s)).collect();
     let run = |host_capacity: Option<u64>| {
-        let mut engine = RatelEngine::new(EngineConfig {
-            model,
-            act_decisions: vec![ActDecision::Recompute; model.layers],
-            frozen_layers: (1..model.layers + 2).collect(),
-            host_capacity,
-            ..EngineConfig::tiny()
-        })
-        .unwrap();
-        engine.store().set_spill_on_host_pressure(true);
+        let mut engine = RatelEngine::new(config(host_capacity)).unwrap();
         let mut losses = Vec::new();
         for (tokens, targets) in &micro {
             losses.push(engine.train_step(tokens, targets).unwrap().loss);
         }
         losses.push(engine.train_step_accumulated(&micro).unwrap().loss);
-        let spills = engine.store().telemetry().fault_stats().host_spills;
-        (losses, engine.master_params(0).unwrap(), spills)
+        (losses, engine.master_params(0).unwrap())
     };
-    // Room for the embedding's P16 in transit or its G16 (2 B/param),
-    // not for its master or accumulator (4) or moments (8): far under
-    // the plan's static host peak, so `Ratel::plan` would refuse the
-    // pool — `RatelEngine::new` builds over it, and what a handler
-    // cannot stage spills.
+    let floor = common::min_host_capacity(&config(None));
+    let (free_losses, free_master) = run(None);
+    let (floor_losses, floor_master) = run(Some(floor));
+    let bits = |l: &[f32]| l.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(&free_losses), bits(&floor_losses));
+    assert_eq!(free_master, floor_master);
+
     let embedding = model.vocab * model.hidden + model.seq * model.hidden;
     assert_eq!(embedding, model.max_layer_params());
-    let (free_losses, free_master, free_spills) = run(None);
-    let (tight_losses, tight_master, tight_spills) = run(Some(3 * embedding as u64));
-    assert_eq!(free_spills, 0);
-    // Per update the master and the moments; in the accumulated step,
-    // the accumulator the first micro-batch creates.
-    assert_eq!(tight_spills, 4 * 2 + 1);
-    let bits = |l: &[f32]| l.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-    assert_eq!(bits(&free_losses), bits(&tight_losses));
-    assert_eq!(free_master, tight_master);
+    let short = 3 * embedding as u64;
+    assert!(short < floor);
+    let mut engine = RatelEngine::new(config(Some(short))).unwrap();
+    let layers = 0..model.layers + 2;
+    let masters = |engine: &RatelEngine| {
+        let read = |layer| engine.master_params(layer).unwrap();
+        layers.clone().map(read).collect::<Vec<_>>()
+    };
+    let at_rest = masters(&engine);
+    let (tokens, targets) = &micro[0];
+    let err = engine.train_step(tokens, targets).unwrap_err();
+    assert!(
+        matches!(
+            err,
+            RatelError::Storage(StorageError::OutOfMemory {
+                tier: Tier::Host,
+                ..
+            })
+        ),
+        "{err}"
+    );
+    let store = engine.store();
+    assert_eq!(store.used(Tier::Gpu), 0);
+    assert_eq!(store.used(Tier::Host), engine.host_state_bytes());
+    assert_eq!(masters(&engine), at_rest);
 }

@@ -30,14 +30,14 @@
 //!
 //! Findings are suppressed by `ratel-lint.allow` at the workspace root.
 //! Each non-comment line is `<rule> <path>` and waives that rule for that
-//! file; entries that match nothing are reported as stale (non-fatal).
-//! Exit status is non-zero iff any unsuppressed finding remains, so CI
-//! can use the binary as a hard gate.
+//! file; an entry that waives nothing is stale and is itself a finding,
+//! at its line of the allowlist. Exit status is non-zero iff any
+//! unsuppressed finding remains, so CI can use the binary as a hard gate.
 //!
 //! Vendored dependency shims under `vendor/` are third-party API surface
 //! and are not scanned.
 
-use std::collections::{BTreeSet, HashSet};
+use std::collections::HashSet;
 use std::fmt;
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -621,9 +621,46 @@ fn scan_doc_refs(
     }
 }
 
+/// The findings the allowlist leaves standing, and how many it waived.
+/// Each `(rule, path, line)` entry waives its rule's findings in that
+/// file; an entry that waives none is stale and stands as a finding of
+/// its own at its `line` of `allow_path`, so the list cannot outlive
+/// the code it excused.
+fn waive(
+    findings: Vec<Finding>,
+    allow: &[(Rule, String, usize)],
+    allow_path: &Path,
+) -> (Vec<Finding>, usize) {
+    let mut used = vec![false; allow.len()];
+    let mut shown = Vec::new();
+    let mut suppressed = 0;
+    for f in findings {
+        let rel = f.path.to_string_lossy();
+        let entry = allow
+            .iter()
+            .position(|(rule, path, _)| *rule == f.rule && rel == path.as_str());
+        match entry {
+            Some(i) => {
+                used[i] = true;
+                suppressed += 1;
+            }
+            None => shown.push(f),
+        }
+    }
+    for ((rule, path, line), _) in allow.iter().zip(used).filter(|(_, used)| !used) {
+        shown.push(Finding {
+            rule: *rule,
+            path: allow_path.to_path_buf(),
+            line: *line,
+            text: format!("stale allowlist entry, waives nothing: {path}"),
+        });
+    }
+    (shown, suppressed)
+}
+
 fn run(root: &Path, allow_path: &Path) -> ExitCode {
     // Allowlist: `<rule> <path>` per line; `#` starts a comment.
-    let mut allow: Vec<(Rule, String, bool)> = Vec::new();
+    let mut allow: Vec<(Rule, String, usize)> = Vec::new();
     if let Ok(body) = fs::read_to_string(allow_path) {
         for (n, raw) in body.lines().enumerate() {
             let line = raw.split('#').next().unwrap_or("").trim();
@@ -647,7 +684,7 @@ fn run(root: &Path, allow_path: &Path) -> ExitCode {
                 );
                 return ExitCode::from(2);
             };
-            allow.push((rule, path.to_string(), false));
+            allow.push((rule, path.to_string(), n + 1));
         }
     }
 
@@ -669,40 +706,17 @@ fn run(root: &Path, allow_path: &Path) -> ExitCode {
         scan_doc_refs(&root.join(doc), rel, &sources, &declared, &mut findings);
     }
 
-    let mut shown = 0usize;
-    let mut suppressed = 0usize;
-    for f in &findings {
-        let rel = f.path.to_string_lossy();
-        let waived = allow.iter_mut().any(|(rule, path, used)| {
-            if *rule == f.rule && rel.as_ref() == path.as_str() {
-                *used = true;
-                true
-            } else {
-                false
-            }
-        });
-        if waived {
-            suppressed += 1;
-        } else {
-            println!("{f}");
-            shown += 1;
-        }
-    }
-    let stale: BTreeSet<String> = allow
-        .iter()
-        .filter(|(_, _, used)| !used)
-        .map(|(rule, path, _)| format!("{} {}", rule.name(), path))
-        .collect();
-    for entry in &stale {
-        eprintln!("ratel-lint: stale allowlist entry (matched nothing): {entry}");
+    let (shown, suppressed) = waive(findings, &allow, allow_path);
+    for f in &shown {
+        println!("{f}");
     }
     eprintln!(
         "ratel-lint: {} file(s), {} finding(s) ({} allowlisted)",
         files.len(),
-        shown,
+        shown.len(),
         suppressed
     );
-    if shown == 0 {
+    if shown.is_empty() {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
@@ -933,6 +947,38 @@ mod tests {
         let hits: Vec<_> = findings.iter().map(|f| (f.line, f.text.as_str())).collect();
         let stale = "`stale_helper` names no `fn` the workspace declares";
         assert_eq!(hits, vec![(2, stale), (2, stale)]);
+    }
+
+    #[test]
+    fn a_stale_allowlist_entry_is_a_finding() {
+        let hit = |rule, path: &str, line| Finding {
+            rule,
+            path: PathBuf::from(path),
+            line,
+            text: String::new(),
+        };
+        let findings = vec![
+            hit(Rule::NoUnwrap, "crates/x/src/a.rs", 3),
+            hit(Rule::NoUnwrap, "crates/x/src/a.rs", 9),
+            hit(Rule::NoStaticMut, "crates/x/src/b.rs", 1),
+        ];
+        let allow = [
+            (Rule::NoUnwrap, "crates/x/src/a.rs".to_string(), 4),
+            (Rule::NoUnwrap, "crates/x/src/gone.rs".to_string(), 5),
+        ];
+        let (shown, suppressed) = waive(findings, &allow, Path::new("ratel-lint.allow"));
+        assert_eq!(suppressed, 2);
+        let shown: Vec<_> = shown
+            .iter()
+            .map(|f| (f.rule, f.path.to_string_lossy().into_owned(), f.line))
+            .collect();
+        assert_eq!(
+            shown,
+            vec![
+                (Rule::NoStaticMut, "crates/x/src/b.rs".to_string(), 1),
+                (Rule::NoUnwrap, "ratel-lint.allow".to_string(), 5),
+            ]
+        );
     }
 
     #[test]
