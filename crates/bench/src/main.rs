@@ -188,7 +188,7 @@ fn bench_cmd(args: &[String]) -> Result<(), String> {
         ));
     }
     if check {
-        println!("perf check ok: hot paths allocate nothing, every gated ratio is over its floor");
+        println!("perf check ok: every allocs entry reads its expected count, every gated ratio is over its floor");
     }
     Ok(())
 }

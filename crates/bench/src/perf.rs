@@ -12,8 +12,9 @@
 //!
 //! * `allocs` — heap allocations per steady-state call of a hot path,
 //!   counted by the global allocator below (which is why this is a
-//!   binary and not a test): must be 0 (a `count` beside one is the same
-//!   call done another way, printed for contrast);
+//!   binary and not a test): must be 0, or the buffers the call returns
+//!   where it returns some (a `count` beside one is the same call done
+//!   another way, printed for contrast);
 //! * `ratio` with a floor — two wall-clocks taken back to back in this
 //!   process, tuned path over its oracle, so machine speed cancels. The
 //!   claim is "the path we ship is not slower than the path it
@@ -29,6 +30,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
+use ratel::schedule::ACT_CHUNKS;
 use ratel_sim::{BlobKey, BlobKind};
 use ratel_storage::{Tier, TierConfig, TieredStore};
 use ratel_tensor::dtype::{
@@ -87,14 +89,13 @@ pub struct PerfEntry {
     /// Unique name within the suite (encodes variant + problem size).
     pub name: String,
     /// One of `gflops`, `elems_per_s`, `gbps`, `count` (printed, never
-    /// compared), `ratio` (compared against `floor`) or `allocs` (must be
-    /// 0).
+    /// compared), `ratio` or `allocs` (both compared against `gate`).
     pub metric: &'static str,
     /// The measured value.
     pub value: f64,
-    /// The least a `ratio` may read before `--check` fails; `None` is
-    /// report-only.
-    pub floor: Option<f64>,
+    /// What `--check` holds the value to: the least a `ratio` may read,
+    /// the count an `allocs` entry must read. `None` is report-only.
+    pub gate: Option<f64>,
 }
 
 impl PerfEntry {
@@ -104,7 +105,7 @@ impl PerfEntry {
             name,
             metric,
             value,
-            floor: None,
+            gate: None,
         }
     }
 
@@ -115,13 +116,24 @@ impl PerfEntry {
             name,
             metric: "ratio",
             value,
-            floor,
+            gate: floor,
         }
     }
 
     /// Heap allocations per steady-state call; the gate requires 0.
     fn allocs(name: &str, value: f64) -> Self {
-        Self::report(name.into(), "allocs", value)
+        Self::allocs_exactly(name, value, 0)
+    }
+
+    /// Heap allocations per steady-state call of a path that returns
+    /// `expected` buffers; the gate requires exactly those.
+    fn allocs_exactly(name: &str, value: f64, expected: usize) -> Self {
+        Self {
+            name: name.into(),
+            metric: "allocs",
+            value,
+            gate: Some(expected as f64),
+        }
     }
 }
 
@@ -349,6 +361,28 @@ fn run_kernels(smoke: bool, ladder: &[usize]) -> Vec<PerfEntry> {
         format!("encode_f16_over_scalar_map_{n}"),
         scalar / lane,
         Some(2.2),
+    ));
+
+    // A block's forward encodes its saved set straight into the chunks
+    // its offloads move: one buffer per chunk, nothing copied. (A small
+    // shape: the count does not depend on it, and each call consumes a
+    // set made before the count starts.)
+    let (batch, seq, h, heads) = (1, 16, 32, 4);
+    let bytes = vec![0u8; 2 * BlockSaved::element_count_for(batch, seq, h, heads)];
+    let mut sets: Vec<BlockSaved> = (0..11)
+        .map(|_| BlockSaved::from_f16_bytes([&bytes], batch, seq, h, heads))
+        .collect();
+    entries.push(PerfEntry::allocs_exactly(
+        "block_saved_into_f16_chunks_allocs_per_call",
+        min_allocs_per_call(10, || {
+            // One set per call: a call without one counts 0 and fails.
+            if let Some(saved) = sets.pop() {
+                for chunk in saved.into_f16_chunks(ACT_CHUNKS) {
+                    std::hint::black_box(chunk);
+                }
+            }
+        }),
+        ACT_CHUNKS,
     ));
 
     // GELU forward + backward over one `[512, 768]` MLP pre-activation
@@ -785,14 +819,17 @@ fn key_allocs<K: Clone + Eq + std::hash::Hash + std::fmt::Display>(
 // ---------------------------------------------------------------------
 
 /// The gate over one run: `(entry name, message)` for every `allocs`
-/// entry that is not 0 and every `ratio` under its floor. Absolute
-/// throughputs and ratios without a floor never fail.
+/// entry off its expected count and every `ratio` under its floor.
+/// Absolute throughputs and ratios without a floor never fail.
 pub fn check(suite: &PerfSuite) -> Vec<(String, String)> {
     let mut failures = Vec::new();
     for e in &suite.entries {
-        let message = match (e.metric, e.floor) {
-            ("allocs", _) if e.value != 0.0 => {
-                format!("{}: {} allocation(s) per call, expected 0", e.name, e.value)
+        let message = match (e.metric, e.gate) {
+            ("allocs", Some(expected)) if e.value != expected => {
+                format!(
+                    "{}: {} allocation(s) per call, expected {expected}",
+                    e.name, e.value
+                )
             }
             ("ratio", Some(floor)) if e.value < floor => {
                 format!(
@@ -837,8 +874,10 @@ pub fn render(suite: &PerfSuite) -> String {
             "  {:width$}  {:>14.3} {}",
             e.name, e.value, e.metric
         ));
-        if let Some(floor) = e.floor {
-            s.push_str(&format!(" (floor {floor})"));
+        match (e.metric, e.gate) {
+            ("allocs", Some(expected)) => s.push_str(&format!(" (expected {expected})")),
+            (_, Some(floor)) => s.push_str(&format!(" (floor {floor})")),
+            _ => {}
         }
         s.push('\n');
     }
@@ -882,6 +921,15 @@ mod tests {
         );
         assert!(failures[0].1.contains("1.3"), "{}", failures[0].1);
         assert!(failures[1].1.contains("expected 0"), "{}", failures[1].1);
+    }
+
+    #[test]
+    fn an_allocs_entry_fails_off_its_expected_count_either_way() {
+        let entry = |value| PerfEntry::allocs_exactly("into_chunks", value, 4);
+        let suite = suite_of(vec![entry(3.0), entry(4.0), entry(5.0)]);
+        let failures = check(&suite);
+        assert_eq!(failures.len(), 2);
+        assert!(failures.iter().all(|(_, m)| m.contains("expected 4")));
     }
 
     #[test]

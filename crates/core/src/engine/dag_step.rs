@@ -240,14 +240,16 @@ impl StepDag {
         // no added edge can smuggle in a defect. Whether the paced DAG
         // fits `tiers` is the report's to say, not a reason to refuse
         // the lowering: a step over it then fails with a typed
-        // out-of-memory error.
+        // out-of-memory error. (The graph is held from here on: its
+        // spare capacity goes first, so the verifier's working set does
+        // not sit beside it.)
+        graph.shrink_to_fit();
         let report = ratel_verify::verify(&graph, tiers);
         debug_assert!(
             (report.findings.iter()).all(|f| f.rule == ratel_verify::Rule::CapacityExceeded),
             "paced step DAG fails static verification:\n{}",
             report.render()
         );
-        graph.shrink_to_fit();
 
         Ok(StepDag {
             spec: spec.clone(),
@@ -314,15 +316,13 @@ struct OptUpdate {
 }
 
 /// The chunks a block's *saved activations* move in, as the plan's tasks
-/// name them: the layer's [`LayerTask::act_chunks`] when it swaps more
-/// than its checkpoint, none when the checkpoint is all it moves — the
-/// block then recomputes.
+/// name them: the layer's [`LayerTask::act_chunks`], none when the
+/// checkpoint moves alone (`None`) — the block then recomputes.
 fn saved_act_chunks(task: &LayerTask) -> Vec<Option<usize>> {
-    if task.act_to_host_bytes + task.act_to_ssd_bytes > task.act_ckpt_bytes {
-        task.act_chunks()
-    } else {
-        Vec::new()
-    }
+    task.act_chunks()
+        .into_iter()
+        .filter(Option::is_some)
+        .collect()
 }
 
 /// A step-DAG slot protocol violation: a task ran before the dependency
@@ -553,19 +553,14 @@ impl<'a> StepCtx<'a> {
             *self.pending_off[b].lock() = Some(x.to_f16_bytes());
             let spec = self.dropout_spec(b)?;
             let (mut y, saved) = scratch.block.forward_with(&x, spec);
-            // The saved set crosses to f16 once, in its encode; a block
-            // that recomputes drops it unencoded. The act-off task of
-            // each chunk offloads its share of the blob: split it here,
-            // back to front, so no byte is copied more than once.
+            // The saved set crosses to f16 once, encoded straight into
+            // the chunks the act-off tasks offload; a block that
+            // recomputes drops it unencoded.
             let slots = &self.pending_act[b];
             if !slots.is_empty() {
-                let mut bytes = saved.into_f16_bytes();
-                let elems = bytes.len() / 2;
-                for (i, slot) in slots.iter().enumerate().skip(1).rev() {
-                    *slot.lock() = Some(bytes.split_off(2 * (elems * i / slots.len())));
+                for (slot, chunk) in slots.iter().zip(saved.into_f16_chunks(slots.len())) {
+                    *slot.lock() = Some(chunk);
                 }
-                bytes.shrink_to_fit();
-                *slots[0].lock() = Some(bytes);
             }
             round_to_f16_in_place(y.data_mut());
             *self.flow.lock() = Some(y);
@@ -993,7 +988,7 @@ mod tests {
     use super::*;
     use crate::engine::{movement_spec_for, ActDecision, ExecutionOptions, ExecutorOptions};
     use crate::offload::GradOffloadMode;
-    use crate::schedule::{LinkRates, Placement, ACT_SPILL_CHUNKS};
+    use crate::schedule::{LinkRates, Placement, ACT_CHUNKS};
     use ratel_verify::Limits;
 
     /// The tiny engine's movement plan (3 blocks) under the paper's
@@ -1031,6 +1026,7 @@ mod tests {
             fwd_flops: FWD,
             bwd_flops: 1.0,
             act_to_host_bytes: to_host,
+            act_ckpt_bytes: CKPT.min(to_host),
             act_to_ssd_bytes: to_ssd,
             refetch_in_backward: id != 7,
             ..LayerTask::ratel(label, P16 / 2.0, P16 / 2.0, placement)
@@ -1140,25 +1136,25 @@ mod tests {
                 dag.graph.deps(read2).contains(&fwd0),
                 "fwd-read L2 is paced behind fwd L0"
             );
-            // The spilled block round-trips through act-spill/act-load,
-            // chunk by chunk; the others move whole.
-            for kind in [
-                TaskKind::ActOff,
-                TaskKind::ActSpill,
-                TaskKind::ActLoad,
-                TaskKind::ActUp,
-            ] {
+            // Every swapped block moves chunk by chunk; the spilled one
+            // round-trips through act-spill/act-load too.
+            let hops = [TaskKind::ActOff, TaskKind::ActUp];
+            let spill = [TaskKind::ActSpill, TaskKind::ActLoad];
+            for (kind, layer) in (hops.into_iter().chain(spill))
+                .flat_map(|kind| (1..=3).map(move |layer| (kind, layer)))
+                .filter(|&(kind, layer)| layer == 1 || hops.contains(&kind))
+            {
                 let chunks: Vec<Option<usize>> = dag
                     .actions
                     .iter()
-                    .filter(|a| (a.kind, a.layer) == (kind, 1))
+                    .filter(|a| (a.kind, a.layer) == (kind, layer))
                     .map(|a| a.chunk)
                     .collect();
-                let expected: Vec<_> = (0..ACT_SPILL_CHUNKS).map(Some).collect();
-                assert_eq!(chunks, expected, "{}", kind.name());
+                let expected: Vec<_> = (0..ACT_CHUNKS).map(Some).collect();
+                assert_eq!(chunks, expected, "{} L{layer}", kind.name());
             }
-            assert_eq!(count(TaskKind::ActSpill), ACT_SPILL_CHUNKS);
-            assert_eq!(count(TaskKind::ActUp), ACT_SPILL_CHUNKS + 2);
+            assert_eq!(count(TaskKind::ActSpill), ACT_CHUNKS);
+            assert_eq!(count(TaskKind::ActUp), 3 * ACT_CHUNKS);
         }
     }
 
@@ -1174,7 +1170,10 @@ mod tests {
             ("bwd-read L6", "fwd L7"),
             ("act-up L6", "fwd L7"),
             ("bwd-read L5", "bwd L7"),
-            ("act-up L5", "bwd L7"),
+            ("act-up L5#0", "bwd L7"),
+            ("act-up L5#1", "bwd L7"),
+            ("act-up L5#2", "bwd L7"),
+            ("act-up L5#3", "bwd L7"),
             ("bwd-read L4", "bwd L6"),
             ("act-load L4#0", "bwd L6"),
             ("act-load L4#1", "bwd L6"),
@@ -1187,7 +1186,10 @@ mod tests {
             ("bwd-read L3", "bwd L5"),
             ("act-up L3", "bwd L5"),
             ("bwd-read L2", "bwd L4"),
-            ("act-up L2", "bwd L4"),
+            ("act-up L2#0", "bwd L4"),
+            ("act-up L2#1", "bwd L4"),
+            ("act-up L2#2", "bwd L4"),
+            ("act-up L2#3", "bwd L4"),
             ("bwd-read L1", "bwd L3"),
             ("act-load L1#0", "bwd L3"),
             ("act-load L1#1", "bwd L3"),
@@ -1271,7 +1273,10 @@ mod tests {
         };
         let expected = edges(&[
             ("bwd-fetch L2", "bwd L5"),
-            ("act-up L2", "bwd L5"),
+            ("act-up L2#0", "bwd L5"),
+            ("act-up L2#1", "bwd L5"),
+            ("act-up L2#2", "bwd L5"),
+            ("act-up L2#3", "bwd L5"),
             ("bwd-fetch L1", "bwd L4"),
             ("act-up L1#0", "bwd L4"),
             ("act-up L1#1", "bwd L4"),
@@ -1319,8 +1324,9 @@ mod tests {
                 .map(|d| label(graph, *d))
                 .collect()
         };
-        for c in 0..ACT_SPILL_CHUNKS {
-            let only = |dep: String| BTreeSet::from([dep]);
+        let only = |dep: String| BTreeSet::from([dep]);
+        for c in 0..ACT_CHUNKS {
+            // Block 3 spills to the SSDs: four hops a chunk.
             assert_eq!(deps(&format!("act-off L4#{c}")), only("fwd L4".into()));
             assert_eq!(
                 deps(&format!("act-spill L4#{c}")),
@@ -1335,22 +1341,33 @@ mod tests {
                 BTreeSet::from([format!("act-off L4#{c}"), format!("act-load L4#{c}")])
             );
             assert!(deps("bwd L4").contains(&format!("act-up L4#{c}")));
+            // Block 4 stops in host memory: two hops a chunk.
+            assert_eq!(deps(&format!("act-off L5#{c}")), only("fwd L5".into()));
+            assert_eq!(
+                deps(&format!("act-up L5#{c}")),
+                only(format!("act-off L5#{c}"))
+            );
+            assert!(deps("bwd L5").contains(&format!("act-up L5#{c}")));
         }
 
         // Cut-through: the last chunk is back in the arena well under the
-        // 3.8 blob times the four hops take store-and-forward
-        // (2 x 44 B over PCIe + 2 x 40 B over the SSD, for a 44 B blob).
+        // blob times the hops take store-and-forward — 3.8 for block 3
+        // (2 x 44 B over PCIe + 2 x 40 B over the SSD, for a 44 B blob),
+        // 2 for block 4 (2 x 44 B over PCIe).
         let sim = ratel_sim::simulate(graph);
-        let produced = sim.task_finish(task("fwd L4"));
-        let back = (0..ACT_SPILL_CHUNKS)
-            .map(|c| sim.task_finish(task(&format!("act-up L4#{c}"))))
-            .fold(0.0, f64::max);
         let blob_time = CKPT + ACTS;
-        assert!(
-            back - produced < 2.5 * blob_time,
-            "block 3's swap took {:.2} blob times",
-            (back - produced) / blob_time
-        );
+        for (layer, bound) in [(4, 2.5), (5, 1.5)] {
+            let produced = sim.task_finish(task(&format!("fwd L{layer}")));
+            let back = (0..ACT_CHUNKS)
+                .map(|c| sim.task_finish(task(&format!("act-up L{layer}#{c}"))))
+                .fold(0.0, f64::max);
+            assert!(
+                back - produced < bound * blob_time,
+                "block {}'s swap took {:.2} blob times",
+                layer - 1,
+                (back - produced) / blob_time
+            );
+        }
     }
 
     #[test]
@@ -1477,14 +1494,14 @@ mod tests {
             ..EngineConfig::tiny()
         };
         for (config, hash) in [
-            (capped, 2_734_876_050_559_202_072),
+            (capped, 9_706_240_009_583_241_651),
             (
                 ablation(GradOffloadMode::SeparateStage),
-                15_476_443_927_575_757_672,
+                8_811_511_856_979_176_121,
             ),
             (
                 ablation(GradOffloadMode::NaiveActive),
-                9_900_543_148_539_599_945,
+                7_782_165_973_886_478_722,
             ),
         ] {
             let dag = engine_dag(&config);

@@ -19,6 +19,7 @@
 //! action that maps each task id onto tensor kernels and tiered-store
 //! transfers; tests supply toy graphs and counters.
 
+use std::panic::{self, AssertUnwindSafe};
 use std::time::Instant;
 
 use ratel_check::sync::{Condvar, Mutex};
@@ -160,7 +161,26 @@ impl Shared {
     }
 }
 
-fn worker(shared: &Shared, pool: ResourceId, action: &dyn TaskAction) {
+/// Runs one task, a panic in its action failing it like an error would:
+/// the run stops and returns a [`RatelError::Runtime`] naming the task,
+/// where an unwinding worker would leave the task never completed and
+/// every other worker waiting for it. The action's state is not looked
+/// at again — a failed run is released by its caller.
+fn run_guarded(graph: &TaskGraph, action: &dyn TaskAction, task: TaskId) -> Result<(), RatelError> {
+    panic::catch_unwind(AssertUnwindSafe(|| action.run(task))).unwrap_or_else(|payload| {
+        let what = (payload.downcast_ref::<&str>().copied())
+            .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+            .unwrap_or("a non-string payload");
+        let name = graph
+            .label(task)
+            .map_or_else(|| format!("{task:?}"), String::from);
+        Err(RatelError::Runtime(format!(
+            "task `{name}` panicked: {what}"
+        )))
+    })
+}
+
+fn worker(shared: &Shared, graph: &TaskGraph, pool: ResourceId, action: &dyn TaskAction) {
     let mut state = shared.state.lock();
     loop {
         let task = loop {
@@ -174,7 +194,7 @@ fn worker(shared: &Shared, pool: ResourceId, action: &dyn TaskAction) {
         };
         drop(state);
         let start = Instant::now();
-        let outcome = action.run(task);
+        let outcome = run_guarded(graph, action, task);
         let end = Instant::now();
         if let Err(e) = outcome {
             shared.fail(e);
@@ -219,7 +239,9 @@ impl Executor {
     /// graph's dependency edges, and reports the per-pool breakdown.
     ///
     /// On the first action error, dispatch stops everywhere (tasks
-    /// already running finish) and that error is returned.
+    /// already running finish) and that error is returned. An action
+    /// that panics fails its task the same way, with a
+    /// [`RatelError::Runtime`] naming it.
     ///
     /// # Panics
     /// If a task is bound to a resource with no declared
@@ -289,7 +311,7 @@ impl Executor {
                     let shared = &shared;
                     let spawned = std::thread::Builder::new()
                         .name(format!("ratel-exec-{}-{w}", class.name()))
-                        .spawn_scoped(scope, move || worker(shared, r, action));
+                        .spawn_scoped(scope, move || worker(shared, graph, r, action));
                     if let Err(e) = spawned {
                         // Abort the whole run: already-spawned workers
                         // drain out and the error surfaces below.
@@ -422,6 +444,30 @@ mod tests {
             ran.load(Ordering::Relaxed) < 64,
             "abort stopped dispatch before the chain finished"
         );
+    }
+
+    #[test]
+    fn a_panicking_task_fails_the_run_instead_of_hanging_it() {
+        let mut g = diamond();
+        let g2m = TaskId(1);
+        g.set_label(g2m, "act-off L1");
+        for workers in [1, 2] {
+            let ran = AtomicU32::new(0);
+            let err = Executor::new(workers)
+                .run(&g, &|t: TaskId| {
+                    ran.fetch_add(1, Ordering::Relaxed);
+                    assert_ne!(t, g2m, "injected");
+                    Ok(())
+                })
+                .unwrap_err();
+            let RatelError::Runtime(message) = &err else {
+                panic!("{err}");
+            };
+            assert!(message.contains("`act-off L1` panicked"), "{message}");
+            assert!(message.contains("injected"), "{message}");
+            // The sink waits for the panicked task: it never runs.
+            assert!(ran.load(Ordering::Relaxed) <= 3, "workers {workers}");
+        }
     }
 
     #[test]

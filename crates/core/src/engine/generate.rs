@@ -79,19 +79,14 @@ impl RatelEngine {
     /// padding harmless for the positions before it). Returns the
     /// `max_new_tokens` generated ids.
     ///
-    /// # Panics
-    /// If the prompt is empty or contains out-of-vocabulary ids.
+    /// # Errors
+    /// [`RatelError::InvalidBatch`] if the prompt is empty or holds an
+    /// out-of-vocabulary id, before anything runs.
     pub fn generate(
         &mut self,
         prompt: &[usize],
         max_new_tokens: usize,
     ) -> Result<Vec<usize>, RatelError> {
-        assert!(!prompt.is_empty(), "prompt must not be empty");
-        let c = self.config.model;
-        assert!(
-            prompt.iter().all(|&t| t < c.vocab),
-            "prompt token out of vocabulary"
-        );
         self.decode(prompt, max_new_tokens, false, &mut argmax)
     }
 
@@ -103,23 +98,24 @@ impl RatelEngine {
     /// prompt is prefilled layer by layer inside the first). The total
     /// context (prompt + generated) must fit the model's `seq` positions.
     ///
-    /// # Panics
-    /// If the prompt is empty, contains out-of-vocabulary ids, or the
-    /// total context would exceed `seq`.
+    /// # Errors
+    /// [`RatelError::InvalidBatch`] if the prompt is empty, holds an
+    /// out-of-vocabulary id, or the total context would exceed `seq`,
+    /// before anything runs.
     pub fn generate_cached(
         &mut self,
         prompt: &[usize],
         max_new_tokens: usize,
     ) -> Result<Vec<usize>, RatelError> {
-        self.decode_cached(prompt, max_new_tokens, argmax)
+        self.decode(prompt, max_new_tokens, true, &mut argmax)
     }
 
     /// Samples a continuation with temperature and top-k filtering
     /// (KV-cached path). `temperature <= 0` or `top_k == 1` degenerate to
     /// greedy decoding; sampling is deterministic in `sample_seed`.
     ///
-    /// # Panics
-    /// Same conditions as [`RatelEngine::generate_cached`].
+    /// # Errors
+    /// As [`RatelEngine::generate_cached`].
     pub fn generate_sampled(
         &mut self,
         prompt: &[usize],
@@ -130,28 +126,38 @@ impl RatelEngine {
     ) -> Result<Vec<usize>, RatelError> {
         use rand::SeedableRng;
         let mut rng = rand::rngs::StdRng::seed_from_u64(sample_seed);
-        self.decode_cached(prompt, max_new_tokens, |logits| {
+        self.decode(prompt, max_new_tokens, true, &mut |logits| {
             sample_from_logits(logits, temperature, top_k, &mut rng)
         })
     }
 
-    /// A KV-cached decode call, `pick` choosing each token from the
-    /// head's logits.
-    fn decode_cached(
-        &mut self,
+    /// Whether a decode call of `new_tokens` after `prompt` can run: a
+    /// prompt of in-vocabulary ids, and — cached — a context that fits
+    /// the model's `seq` positions (uncached, the window slides).
+    fn check_prompt(
+        &self,
         prompt: &[usize],
-        max_new_tokens: usize,
-        mut pick: impl FnMut(&[f32]) -> usize + Send,
-    ) -> Result<Vec<usize>, RatelError> {
-        assert!(!prompt.is_empty(), "prompt must not be empty");
+        new_tokens: usize,
+        cached: bool,
+    ) -> Result<(), RatelError> {
         let c = self.config.model;
-        assert!(
-            prompt.len() + max_new_tokens <= c.seq,
-            "context {} exceeds the model's {} positions",
-            prompt.len() + max_new_tokens,
-            c.seq
-        );
-        self.decode(prompt, max_new_tokens, true, &mut pick)
+        if prompt.is_empty() {
+            return Err(RatelError::InvalidBatch("the prompt is empty".into()));
+        }
+        if let Some((i, &id)) = prompt.iter().enumerate().find(|(_, &id)| id >= c.vocab) {
+            return Err(RatelError::InvalidBatch(format!(
+                "prompt id {id} at position {i} is outside the vocabulary (size {})",
+                c.vocab
+            )));
+        }
+        if cached && prompt.len() + new_tokens > c.seq {
+            return Err(RatelError::InvalidBatch(format!(
+                "a cached context of {} + {new_tokens} tokens exceeds the model's {} positions",
+                prompt.len(),
+                c.seq
+            )));
+        }
+        Ok(())
     }
 
     /// Runs the decode call of `new_tokens` after `prompt`: each of its
@@ -164,6 +170,7 @@ impl RatelEngine {
         cached: bool,
         pick: Pick<'_>,
     ) -> Result<Vec<usize>, RatelError> {
+        self.check_prompt(prompt, new_tokens, cached)?;
         self.last_findings.clear();
         let used = self.store.used(Tier::Host);
         let free = (self.config.host_capacity).map(|cap| cap.saturating_sub(used));
@@ -244,6 +251,46 @@ mod sampling_tests {
         let greedy_like = engine.generate_sampled(prompt, 5, 0.0, 8, 1).unwrap();
         let cached = engine.generate_cached(prompt, 5).unwrap();
         assert_eq!(greedy_like, cached);
+    }
+
+    #[test]
+    fn a_bad_prompt_is_refused_up_front_by_every_entry_point() {
+        let mut engine = RatelEngine::new(EngineConfig::tiny()).unwrap();
+        let c = GptConfig::tiny();
+        let (tokens, targets) = random_batch(&c, 1);
+        engine.train_step(&tokens, &targets).unwrap();
+        let prompt = &tokens[..3];
+        let greedy = engine.generate_cached(prompt, 3).unwrap();
+        let long = vec![1; c.seq];
+        let cases: [(&str, &[usize], usize); 3] = [
+            ("empty", &[], 3),
+            ("out of vocabulary", &[1, 2, c.vocab], 3),
+            ("past seq", &long, 1),
+        ];
+        type Entry = fn(&mut RatelEngine, &[usize], usize) -> Result<Vec<usize>, RatelError>;
+        let entries: [(&str, Entry); 3] = [
+            ("generate", |e, p, n| e.generate(p, n)),
+            ("generate_cached", |e, p, n| e.generate_cached(p, n)),
+            ("generate_sampled", |e, p, n| {
+                e.generate_sampled(p, n, 0.9, 8, 1)
+            }),
+        ];
+        for (entry, call) in entries {
+            for (case, prompt, n) in cases {
+                let got = call(&mut engine, prompt, n);
+                if (entry, case) == ("generate", "past seq") {
+                    // Uncached, the window slides past `seq`.
+                    assert_eq!(got.unwrap().len(), n);
+                } else {
+                    let err = got.unwrap_err();
+                    assert!(
+                        matches!(err, RatelError::InvalidBatch(_)),
+                        "{entry} {case}: {err}"
+                    );
+                }
+            }
+        }
+        assert_eq!(engine.generate_cached(prompt, 3).unwrap(), greedy);
     }
 }
 
@@ -481,7 +528,7 @@ mod decode_tests {
                     }
                     assert_drained(&e, &what);
                     let mut logits_got: Vec<Vec<u32>> = Vec::new();
-                    e.decode_cached(&prompt, n, |logits| {
+                    e.decode(&prompt, n, true, &mut |logits| {
                         logits_got.push(logits.iter().map(|v| v.to_bits()).collect());
                         argmax(logits)
                     })

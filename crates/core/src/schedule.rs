@@ -100,15 +100,14 @@ impl Emitter {
     }
 }
 
-/// Equal chunks an SSD-bound activation blob moves in. Its swap is two
-/// hops each way (GPU→host→SSD, then back); moved whole, each hop waits
-/// for the previous one to finish the blob (store-and-forward, four blob
-/// times from forward to backward). In chunks, hop *n+1* moves chunk *c*
-/// while hop *n* moves chunk *c+1* (cut-through), and the chain fills in
-/// `(hops − 1) / chunks` of a blob time — past four chunks the gain is
-/// smaller than the per-task cost. Host-bound blobs make one hop each way
-/// and move whole.
-pub const ACT_SPILL_CHUNKS: usize = 4;
+/// Equal chunks a swapped activation blob moves in, host-bound or
+/// SSD-bound. Moved whole, each hop waits for the previous one to finish
+/// the blob (store-and-forward: two blob times from forward to backward
+/// for a host-bound blob, four for an SSD-bound one). In chunks, hop
+/// *n+1* moves chunk *c* while hop *n* moves chunk *c+1* (cut-through),
+/// and the chain fills in `(hops − 1) / chunks` of a blob time — past
+/// four chunks the gain is smaller than the per-task cost.
+pub const ACT_CHUNKS: usize = 4;
 
 /// Where Ratel keeps a layer's model states between steps.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -298,11 +297,12 @@ impl LayerTask {
     }
 
     /// The chunks this layer's swapped activations move in, one task per
-    /// chunk and hop: [`ACT_SPILL_CHUNKS`] of them when SSD-bound, the
-    /// whole blob (`None`) when host-bound, none when nothing is swapped.
+    /// chunk and hop: [`ACT_CHUNKS`] of them when it swaps more than its
+    /// checkpoint, the checkpoint alone (`None`) when that is all it
+    /// swaps, none when nothing is swapped.
     pub fn act_chunks(&self) -> Vec<Option<usize>> {
-        if self.act_to_ssd_bytes > 0.0 {
-            (0..ACT_SPILL_CHUNKS).map(Some).collect()
+        if self.act_to_host_bytes + self.act_to_ssd_bytes > self.act_ckpt_bytes {
+            (0..ACT_CHUNKS).map(Some).collect()
         } else if self.act_to_host_bytes > 0.0 {
             vec![None]
         } else {
@@ -310,29 +310,45 @@ impl LayerTask {
         }
     }
 
-    /// Bytes chunk `chunk` leaves in host memory: the host-resident
-    /// bytes ride with the first (or only) chunk.
+    /// The checkpoint's share of the host-resident bytes.
+    fn act_ckpt_host_bytes(&self) -> f64 {
+        self.act_ckpt_bytes.min(self.act_to_host_bytes)
+    }
+
+    /// Bytes of one chunk of the host-resident share past the checkpoint.
+    fn act_chunk_saved_host_bytes(&self) -> f64 {
+        (self.act_to_host_bytes - self.act_ckpt_host_bytes()) / ACT_CHUNKS as f64
+    }
+
+    /// Bytes chunk `chunk` leaves in host memory: an equal share of the
+    /// host-resident bytes past the checkpoint, which rides with the
+    /// first (or only) chunk.
     fn act_chunk_host_bytes(&self, chunk: Option<usize>) -> f64 {
-        if chunk.unwrap_or(0) == 0 {
-            self.act_to_host_bytes
-        } else {
-            0.0
+        match chunk {
+            None => self.act_to_host_bytes,
+            Some(0) => self.act_ckpt_host_bytes() + self.act_chunk_saved_host_bytes(),
+            Some(_) => self.act_chunk_saved_host_bytes(),
         }
     }
 
     /// Bytes of one chunk on the SSD hops: an equal share of the
     /// SSD-bound bytes.
     fn act_chunk_ssd_bytes(&self) -> f64 {
-        self.act_to_ssd_bytes / ACT_SPILL_CHUNKS as f64
+        self.act_to_ssd_bytes / ACT_CHUNKS as f64
     }
 
     /// The largest blob chunk `chunk` passes through the arena on its way
-    /// down: the checkpoint, the rest of the host-resident share and the
-    /// SSD-bound share are offloaded one after the other.
+    /// down: the checkpoint (with the first chunk), the chunk's
+    /// host-resident share and its SSD-bound share are offloaded one
+    /// after the other.
     fn act_chunk_arena_transit(&self, chunk: Option<usize>) -> f64 {
-        let to_host = self.act_chunk_host_bytes(chunk);
-        let ckpt = self.act_ckpt_bytes.min(to_host);
-        ckpt.max(to_host - ckpt).max(self.act_chunk_ssd_bytes())
+        let ckpt = if chunk.unwrap_or(0) == 0 {
+            self.act_ckpt_host_bytes()
+        } else {
+            0.0
+        };
+        let saved = self.act_chunk_host_bytes(chunk) - ckpt;
+        ckpt.max(saved).max(self.act_chunk_ssd_bytes())
     }
 
     /// Bytes of chunk `chunk` on the PCIe hops.
@@ -1303,7 +1319,11 @@ impl IterationSpec {
             }
         } // per-micro-batch loop
         let _ = prev_updates;
-        let g = em.g;
+        // Built: its growth's spare capacity goes before anything else
+        // (the self-check below, a caller's pacing and verification)
+        // allocates beside it.
+        let mut g = em.g;
+        g.shrink_to_fit();
 
         // Debug builds statically verify every schedule they emit: any
         // staleness, use-before-fetch, WAR, residency-bookkeeping, or

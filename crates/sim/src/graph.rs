@@ -15,7 +15,10 @@ pub(crate) struct Task {
     pub(crate) stage: Stage,
     pub(crate) deps: Vec<TaskId>,
     pub(crate) label: Option<String>,
-    pub(crate) meta: Option<TaskMeta>,
+    /// Boxed, so that the task list a plan grows holds a pointer per task,
+    /// not the metadata: its spare capacity — up to the whole list when
+    /// it doubles — then costs a few words a task.
+    pub(crate) meta: Option<Box<TaskMeta>>,
 }
 
 /// A DAG of tasks over named resources.
@@ -130,7 +133,7 @@ impl TaskGraph {
 
     /// Attaches semantic metadata to a task for static verification.
     pub fn set_meta(&mut self, task: TaskId, meta: TaskMeta) {
-        self.tasks[task.0].meta = Some(meta);
+        self.tasks[task.0].meta = Some(Box::new(meta));
     }
 
     /// Gives back the capacity the graph's growth left unused — in its
@@ -152,13 +155,13 @@ impl TaskGraph {
 
     /// The metadata of a task, if any.
     pub fn meta(&self, task: TaskId) -> Option<&TaskMeta> {
-        self.tasks[task.0].meta.as_ref()
+        self.tasks[task.0].meta.as_deref()
     }
 
     /// Mutable access to a task's metadata, if any. Intended for test
     /// harnesses that perturb annotations (e.g. the mutation suite).
     pub fn meta_mut(&mut self, task: TaskId) -> Option<&mut TaskMeta> {
-        self.tasks[task.0].meta.as_mut()
+        self.tasks[task.0].meta.as_deref_mut()
     }
 
     /// The dependencies of a task.

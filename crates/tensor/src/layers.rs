@@ -602,7 +602,7 @@ impl ParamLayer for TransformerBlock {
 
 impl BlockSaved {
     /// Stored activation elements for a block of the given shape — the
-    /// exact count [`BlockSaved::into_f16_bytes`] serializes (the A16 blob
+    /// exact count [`BlockSaved::into_f16_chunks`] serializes (the A16 blob
     /// is twice this many bytes), computable without running a forward.
     pub fn element_count_for(batch: usize, seq: usize, h: usize, heads: usize) -> usize {
         let rows = batch * seq;
@@ -620,23 +620,44 @@ impl BlockSaved {
     }
 
     /// Serializes all saved activations as half-precision bytes — the A16
-    /// offload format — consuming the set: each f32 field is freed as soon
-    /// as its bytes are written. Encoding rounds, so the set needs no
-    /// [`BlockSaved::quantize_f16`] first: the encode of a rounded value
-    /// is the encode of the value.
-    pub fn into_f16_bytes(self) -> Vec<u8> {
-        let mut out = vec![0u8; 2 * self.element_count()];
-        let mut at = 0;
-        for field in self.into_fields() {
-            let end = at + 2 * field.len();
-            encode_f16_into(&field, &mut out[at..end]);
-            at = end;
-        }
-        out
+    /// offload format — in `n` chunks, consuming the set. Chunk `i` holds
+    /// elements `elems·i/n .. elems·(i+1)/n` of the blob, wherever fields
+    /// fall: each field is encoded straight into the chunks it spans, so
+    /// the chunks are the only buffers and no byte is copied twice, and
+    /// each f32 field is freed once a later chunk needs the next one.
+    /// Chunks are encoded as the iterator reaches them. Encoding rounds,
+    /// so the set needs no [`BlockSaved::quantize_f16`] first: the encode
+    /// of a rounded value is the encode of the value.
+    ///
+    /// # Panics
+    /// If `n` is zero.
+    pub fn into_f16_chunks(self, n: usize) -> impl Iterator<Item = Vec<u8>> {
+        assert!(n > 0, "a saved set moves in at least one chunk");
+        let elems = self.element_count();
+        let mut fields = self.into_fields().into_iter();
+        // The field being encoded, and how many of its elements are done.
+        let (mut field, mut at) = (Vec::new(), 0);
+        (0..n).map(move |i| {
+            let len = elems * (i + 1) / n - elems * i / n;
+            let mut out = vec![0u8; 2 * len];
+            let mut filled = 0;
+            while filled < len {
+                if at == field.len() {
+                    // The element count covers every field.
+                    let Some(next) = fields.next() else { break };
+                    (field, at) = (next, 0);
+                    continue;
+                }
+                let k = (len - filled).min(field.len() - at);
+                encode_f16_into(&field[at..at + k], &mut out[2 * filled..2 * (filled + k)]);
+                (filled, at) = (filled + k, at + k);
+            }
+            out
+        })
     }
 
     /// Reconstructs saved activations from the A16 blob
-    /// [`BlockSaved::into_f16_bytes`] wrote, given whole or as the chunks
+    /// [`BlockSaved::into_f16_chunks`] wrote, given whole or as the chunks
     /// it was split into (at element boundaries): each field is decoded
     /// straight from its byte range, and nothing is concatenated first.
     ///
@@ -1376,8 +1397,9 @@ mod tests {
             BlockSaved::element_count_for(batch, seq, h, heads)
         );
         // The encode needs no rounding first.
-        let bytes = saved.into_f16_bytes();
-        assert_eq!(bytes, rounded.clone().into_f16_bytes());
+        let bytes: Vec<u8> = saved.clone().into_f16_chunks(1).flatten().collect();
+        let whole: Vec<Vec<u8>> = rounded.clone().into_f16_chunks(1).collect();
+        assert_eq!(whole, std::slice::from_ref(&bytes));
         assert_eq!(bytes.len(), rounded.element_count() * 2);
         let restored = BlockSaved::from_f16_bytes([&bytes], batch, seq, h, heads);
         assert_eq!(restored, rounded);
@@ -1386,6 +1408,31 @@ mod tests {
         let (mid, tail) = tail.split_at((tail.len() / 2) & !1);
         let chunked = BlockSaved::from_f16_bytes([head, mid, tail], batch, seq, h, heads);
         assert_eq!(chunked, rounded);
+        // Encoded in n chunks, cut at `elems·i/n` — mid-field for every n
+        // here but 1 — the set is the whole blob, cut there.
+        let elems = rounded.element_count();
+        let starts = |n: usize| (0..n).map(move |i| elems * i / n);
+        let field_starts: Vec<usize> = (rounded.tensors().iter())
+            .scan(0, |at, t| Some(std::mem::replace(at, *at + t.len())))
+            .collect();
+        for n in [1, 2, 3, 4, 7] {
+            let cuts: Vec<usize> = starts(n).skip(1).collect();
+            assert!(cuts.iter().all(|c| !field_starts.contains(c)), "n = {n}");
+            let chunks: Vec<Vec<u8>> = saved.clone().into_f16_chunks(n).collect();
+            let lens: Vec<usize> = chunks.iter().map(|c| c.len() / 2).collect();
+            let want: Vec<usize> = (starts(n).zip(starts(n).skip(1).chain([elems])))
+                .map(|(a, b)| b - a)
+                .collect();
+            assert_eq!(lens, want, "n = {n}");
+            assert_eq!(chunks.concat(), bytes, "n = {n}");
+            let decoded = BlockSaved::from_f16_bytes(&chunks, batch, seq, h, heads);
+            let bits = |s: &BlockSaved| -> Vec<u32> {
+                (s.tensors().iter())
+                    .flat_map(|t| t.iter().map(|v| v.to_bits()))
+                    .collect()
+            };
+            assert_eq!(bits(&decoded), bits(&rounded), "n = {n}");
+        }
     }
 
     #[test]

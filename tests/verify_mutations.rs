@@ -11,7 +11,9 @@
 
 use proptest::prelude::*;
 
-use ratel_repro::core::schedule::{IterationSpec, LayerTask, LinkRates, Pass, Placement};
+use ratel_repro::core::schedule::{
+    IterationSpec, LayerTask, LinkRates, Pass, Placement, ACT_CHUNKS,
+};
 use ratel_repro::core::verify::{verify, Limits, Reachability, Rule};
 use ratel_repro::core::GradOffloadMode;
 use ratel_repro::prelude::{ActDecision, GptConfig, Ratel, TrainingPlan};
@@ -331,21 +333,24 @@ fn labelled(g: &TaskGraph, label: &str) -> TaskId {
         .unwrap_or_else(|| panic!("no task `{label}`"))
 }
 
-/// Pacing is what keeps read-ahead inside the arena: without the edge
-/// that holds block 2's swapped activations back until `bwd L4` is
-/// done, they may land beside those of the blocks above.
+/// Pacing is what keeps read-ahead inside the arena: without the edges
+/// that hold block 2's swapped activations — each of their chunks — back
+/// until `bwd L4` is done, they may land beside those of the blocks
+/// above.
 #[test]
 fn dropped_pacing_edge_is_caught() {
     let (plan, limits) = paced_engine_plan();
     let mut g = plan.graph().clone();
     assert!(verify(&g, &limits).is_clean());
     let (unpaced, _, _) = plan.spec().build();
-    let held_back = labelled(&g, "act-up L2");
-    let pacing: Vec<TaskId> = (g.deps(held_back).iter().copied())
-        .filter(|d| !unpaced.deps(held_back).contains(d))
-        .collect();
-    assert_eq!(pacing, [labelled(&g, "bwd L4")]);
-    g.remove_dep(held_back, pacing[0]);
+    for c in 0..ACT_CHUNKS {
+        let held_back = labelled(&g, &format!("act-up L2#{c}"));
+        let pacing: Vec<TaskId> = (g.deps(held_back).iter().copied())
+            .filter(|d| !unpaced.deps(held_back).contains(d))
+            .collect();
+        assert_eq!(pacing, [labelled(&g, "bwd L4")]);
+        g.remove_dep(held_back, pacing[0]);
+    }
     let report = verify(&g, &limits);
     assert!(
         report
