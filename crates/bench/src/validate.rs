@@ -7,8 +7,9 @@
 //! [`ServerConfig`] (scaled down so a test-sized model produces
 //! measurable transfers), takes the engine's own movement plan,
 //! simulates it with the same link rates plus compute rates calibrated
-//! from a warm-up step and the pacing edges the engine dispatches it
-//! under, and reports per-stage predicted-vs-measured deltas.
+//! from a warm-up step and the pacing edges and issue ranks the engine
+//! dispatches it under, and reports per-stage predicted-vs-measured
+//! deltas and the kernels the GPU idled longest before.
 //!
 //! Two classes of agreement are checked:
 //!
@@ -26,12 +27,14 @@
 //!   glue the calibration does not see and thread scheduling noise.
 
 use ratel::engine::data::random_batch;
-use ratel::engine::telemetry::StepTelemetry;
+use ratel::engine::telemetry::{kernel_waits_by, StepTelemetry};
 use ratel::engine::{ActDecision, ExecutionOptions, RatelEngine};
 use ratel::schedule::{IterationSpec, LinkRates, OptimizerKind, Placement};
 use ratel::{Ratel, TrainingPlan};
 use ratel_hw::ServerConfig;
-use ratel_sim::{simulate_width, MemTier, SimReport, SpanKind, TaskId, TaskKind, Timeline};
+use ratel_sim::{
+    simulate_width, MemTier, SimReport, SpanKind, TaskGraph, TaskId, TaskKind, Timeline,
+};
 use ratel_storage::{Route, Tier, TrafficSnapshot};
 use ratel_tensor::GptConfig;
 
@@ -165,6 +168,22 @@ impl StageDelta {
     }
 }
 
+/// One kernel the GPU idled before: the gap measured and simulated.
+#[derive(Debug, Clone)]
+pub struct KernelGap {
+    /// The kernel's label.
+    pub kernel: String,
+    /// Measured idle seconds before it, in the last measured step.
+    pub measured: f64,
+    /// Simulated idle seconds before it.
+    pub simulated: f64,
+    /// The label of the task it waited on, as measured.
+    pub waited_on: String,
+}
+
+/// How many of the longest measured gaps the report keeps.
+const KERNEL_GAPS: usize = 3;
+
 /// Everything one validation run produced.
 pub struct ValidateReport {
     /// Spec-planned bytes per route, indexed like [`Route::ALL`].
@@ -178,6 +197,9 @@ pub struct ValidateReport {
     pub tier_peaks: [(MemTier, u64, u64); 2],
     /// Per-stage predicted-vs-measured wall times.
     pub stages: Vec<StageDelta>,
+    /// The kernels the GPU idled longest before in the last measured
+    /// step, longest first, beside their simulated gaps.
+    pub kernel_gaps: Vec<KernelGap>,
     /// Measured optimizer-overlap ratio (§IV-C), mean over steps: the
     /// share of optimizer span time inside the backward stage window.
     pub overlap_ratio: f64,
@@ -276,22 +298,44 @@ pub fn validate_engine(model: GptConfig, shape: &EngineShape) -> Result<RatelEng
     Ok(trainer.into_engine())
 }
 
-/// The edges lowering added to the plan's own graph: the pacing the
-/// engine dispatches under. The simulation carries them too, so it times
-/// the DAG that runs — without them every read the plan lets start early
-/// would start at once.
-fn pacing_edges(plan: &TrainingPlan) -> Vec<(TaskId, TaskId)> {
-    let (unpaced, _, _) = plan.spec().build();
-    let paced = plan.graph();
-    (paced.task_ids())
-        .flat_map(|t| {
-            let own = unpaced.deps(t);
-            (paced.deps(t).iter())
-                .filter(|d| !own.contains(d))
-                .map(move |&d| (t, d))
-                .collect::<Vec<_>>()
-        })
-        .collect()
+/// What lowering added to the plan's own graph: the pacing edges and the
+/// issue ranks the engine dispatches under. The simulation carries them
+/// too, so it times the DAG that runs, in the order it runs — without
+/// them every read the plan lets start early would start at once, and
+/// each link would serve its tasks in arrival order.
+struct Lowering {
+    /// `(task, gate)`: the edges the plan's own graph lacks.
+    pacing: Vec<(TaskId, TaskId)>,
+    /// Every task's rank, by id.
+    ranks: Vec<u32>,
+}
+
+impl Lowering {
+    fn of(plan: &TrainingPlan) -> Self {
+        let (unpaced, _, _) = plan.spec().build();
+        let paced = plan.graph();
+        let pacing = (paced.task_ids())
+            .flat_map(|t| {
+                let own = unpaced.deps(t);
+                (paced.deps(t).iter())
+                    .filter(|d| !own.contains(d))
+                    .map(move |&d| (t, d))
+                    .collect::<Vec<_>>()
+            })
+            .collect();
+        let ranks = paced.task_ids().map(|t| paced.rank(t)).collect();
+        Lowering { pacing, ranks }
+    }
+
+    /// Adds the same to `graph`, a rebuild of the plan's own.
+    fn apply(&self, graph: &mut TaskGraph) {
+        for &(task, gate) in &self.pacing {
+            graph.add_dep(task, gate);
+        }
+        for (t, &rank) in self.ranks.iter().enumerate() {
+            graph.set_rank(TaskId(t), rank);
+        }
+    }
 }
 
 /// Calibrated compute rates from a warm-up step's telemetry: per-layer
@@ -342,7 +386,7 @@ pub fn run(cfg: &ValidateConfig) -> Result<ValidateReport, String> {
     let plan = validate_builder(model, &cfg.shape)
         .plan()
         .map_err(|e| format!("engine: {e}"))?;
-    let pacing = pacing_edges(&plan);
+    let lowering = Lowering::of(&plan);
     let ExecutionOptions::Executor(executor) = plan.config().execution;
     let mut engine = (plan.build())
         .map_err(|e| format!("engine: {e}"))?
@@ -453,9 +497,7 @@ pub fn run(cfg: &ValidateConfig) -> Result<ValidateReport, String> {
     calibrate(&mut spec, &warmup);
     let planned = spec.planned_route_bytes();
     let (mut graph, _, _) = spec.build();
-    for &(task, gate) in &pacing {
-        graph.add_dep(task, gate);
-    }
+    lowering.apply(&mut graph);
     let sim = simulate_width(&graph, executor.workers_per_pool);
 
     // Up to the last forward kernel's end, as measured: not the sim's
@@ -484,6 +526,21 @@ pub fn run(cfg: &ValidateConfig) -> Result<ValidateReport, String> {
             measured: wall / n,
         },
     ];
+
+    let label = |t: TaskId| graph.label(t).unwrap_or_default().to_string();
+    let simulated = kernel_waits_by(&graph, |t| Some((sim.task_start(t), sim.task_finish(t))));
+    let mut measured = telemetry.kernel_waits(&graph);
+    measured.sort_by(|a, b| b.gap.total_cmp(&a.gap));
+    let kernel_gaps = (measured.iter().take(KERNEL_GAPS))
+        .map(|w| KernelGap {
+            kernel: label(w.kernel),
+            measured: w.gap,
+            simulated: (simulated.iter())
+                .find(|s| s.kernel == w.kernel)
+                .map_or(f64::NAN, |s| s.gap),
+            waited_on: w.waited_on.map_or_else(|| "-".into(), label),
+        })
+        .collect();
 
     let bandwidth = Route::ALL
         .iter()
@@ -520,6 +577,7 @@ pub fn run(cfg: &ValidateConfig) -> Result<ValidateReport, String> {
         planned_bytes: planned,
         measured_bytes: Route::ALL.map(|r| measured_traffic.bytes(r)),
         stages,
+        kernel_gaps,
         overlap_ratio: overlap / n,
         bandwidth,
         sim_timeline,
@@ -585,6 +643,16 @@ pub fn render(cfg: &ValidateConfig, report: &ValidateReport) -> String {
             s.measured,
             100.0 * s.relative_error(),
             verdict
+        ));
+    }
+    out.push_str("\nlongest GPU idle before a kernel (measured vs simulated):\n");
+    for g in &report.kernel_gaps {
+        out.push_str(&format!(
+            "  {:<20} measured {:>8.1}ms simulated {:>8.1}ms  waited on {}\n",
+            g.kernel,
+            1e3 * g.measured,
+            1e3 * g.simulated,
+            g.waited_on
         ));
     }
     out.push_str(&format!(

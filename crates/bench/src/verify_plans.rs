@@ -5,8 +5,9 @@
 //! each state placement — using
 //! the `ratel-verify` passes, without running the simulator. Exits
 //! non-zero if any plan violates a dataflow, residency, or resource
-//! invariant, which makes it a cheap CI gate for planner and schedule
-//! changes.
+//! invariant — for the engine's DAGs, also if a dependency ranks after
+//! its dependent in the issue order their lowering set (`rank-order`) —
+//! which makes it a cheap CI gate for planner and schedule changes.
 
 use ratel::offload::GradOffloadMode;
 use ratel::planner::ActivationPlanner;

@@ -183,6 +183,7 @@ impl Ratel {
 
     /// Emulates a link speed (bytes/s) on an inter-tier route; profiling
     /// measures the throttled rate and the planner adapts to it.
+    /// [`Ratel::plan`] refuses a rate that is not finite and positive.
     pub fn throttle(mut self, route: Route, bytes_per_sec: f64) -> Self {
         self.throttles.push((route, bytes_per_sec));
         self
@@ -244,7 +245,15 @@ impl Ratel {
             execution: self.execution,
             frozen_layers: self.frozen_layers.clone(),
         };
-        let violations = provisional.validate();
+        let mut violations = provisional.validate();
+        for &(route, rate) in &self.throttles {
+            if !(rate.is_finite() && rate > 0.0) {
+                violations.push(format!(
+                    "throttle on {} is {rate} bytes/s: a link rate must be finite and positive",
+                    route.name()
+                ));
+            }
+        }
         if violations.is_empty() {
             Ok(provisional)
         } else {
@@ -810,6 +819,29 @@ mod tests {
             "{:?}",
             trainer.decisions()
         );
+    }
+
+    #[test]
+    fn a_throttle_rate_must_be_finite_and_positive() {
+        let model = GptConfig::tiny();
+        let with = |rate: f64| {
+            Ratel::init(model)
+                .activation_decisions(vec![ActDecision::Recompute; model.layers])
+                .throttle(Route::HostToSsd, rate)
+                .plan()
+        };
+        for rate in [f64::NAN, 0.0, -1.0, f64::INFINITY] {
+            match with(rate) {
+                Err(RatelError::InvalidConfig(v)) => assert!(
+                    v.iter().any(|m| m.contains(Route::HostToSsd.name())
+                        && m.contains(&format!("{rate} bytes/s"))),
+                    "{rate}: {v:?}"
+                ),
+                Err(other) => panic!("{rate}: expected InvalidConfig, got {other}"),
+                Ok(_) => panic!("{rate}: a plan under a throttle of {rate} bytes/s"),
+            }
+        }
+        assert!(with(1e9).is_ok());
     }
 
     #[test]

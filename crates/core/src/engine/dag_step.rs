@@ -6,7 +6,9 @@
 //! its metadata, and adds *pacing* edges that hold each staging task
 //! back until the bytes staged ahead of compute fit its destination
 //! tier's budget ([`staging_gates`]), so read-ahead runs as far ahead as
-//! the tiers have room for and no further.
+//! the tiers have room for and no further. Every task then ranks by the
+//! first kernel that waits on it ([`issue_ranks`]): of its ready tasks,
+//! a link serves the one the GPU needs soonest.
 //!
 //! [`StepCtx`] then maps each task onto tiered-store transfers and
 //! tensor kernels, as the lowered plan's own [`LayerTask`]s say. f16
@@ -93,11 +95,34 @@ fn staging_gates(staged: &[f64], budget: Option<f64>) -> Vec<Option<usize>> {
         .collect()
 }
 
+/// The issue rule, beside the pacing rule: each task of `graph` ranks at
+/// the position in the GPU's compute order `gpu_seq` of the first kernel
+/// that transitively waits on it — a kernel at its own — and a task no
+/// kernel waits on (an optimizer handler's, a gradient's way out) past
+/// every kernel. A pool then serves, of its ready tasks, the one the GPU
+/// needs soonest. One sweep over the tasks in reverse topological order,
+/// so a dependency never ranks after its dependent.
+fn issue_ranks(graph: &mut TaskGraph, gpu_seq: &[TaskId]) {
+    let mut rank = vec![gpu_seq.len() as u32; graph.len()];
+    for (pos, t) in gpu_seq.iter().enumerate() {
+        rank[t.0] = pos as u32;
+    }
+    for t in (0..graph.len()).rev().map(TaskId) {
+        for d in graph.deps(t) {
+            rank[d.0] = rank[d.0].min(rank[t.0]);
+        }
+    }
+    for (t, rank) in rank.into_iter().enumerate() {
+        graph.set_rank(TaskId(t), rank);
+    }
+}
+
 impl StepDag {
     /// Lowers a movement plan into an executable DAG: builds the spec's
-    /// (self-verified) graph, reads every task's typed identity, and
-    /// adds pacing edges, against the configured capacities and executor
-    /// width in `tiers`. The paced graph is verified against the same
+    /// (self-verified) graph, reads every task's typed identity, adds
+    /// pacing edges, against the configured capacities and executor
+    /// width in `tiers`, and ranks every task by the kernel that waits on
+    /// it ([`issue_ranks`]). The paced graph is verified against the same
     /// `tiers` and the report kept.
     ///
     /// # Errors
@@ -235,6 +260,7 @@ impl StepDag {
                 graph.add_dep(read, cpu);
             }
         }
+        issue_ranks(&mut graph, &gpu_seq);
 
         // The builder self-verified the plan; re-verify after pacing so
         // no added edge can smuggle in a defect. Whether the paced DAG
@@ -989,6 +1015,7 @@ mod tests {
     use crate::engine::{movement_spec_for, ActDecision, ExecutionOptions, ExecutorOptions};
     use crate::offload::GradOffloadMode;
     use crate::schedule::{LinkRates, Placement, ACT_CHUNKS};
+    use ratel_tensor::GptConfig;
     use ratel_verify::Limits;
 
     /// The tiny engine's movement plan (3 blocks) under the paper's
@@ -1401,6 +1428,155 @@ mod tests {
         // following their reads.
         assert!(paced.contains(&("act-up L4#0".to_string(), "bwd L6".to_string())));
         assert!(!paced.iter().any(|(t, _)| t.contains("fetch")));
+    }
+
+    #[test]
+    fn every_task_ranks_by_the_first_kernel_that_waits_on_it() {
+        let decode = Decode {
+            prompt: 2,
+            start: 0,
+            passes: 3,
+            last: true,
+            cached: true,
+            kv_bytes: 1,
+            pinned: 2,
+        };
+        for (placement, host) in [(Placement::Ssd, Some(400.0)), (Placement::HostMaster, None)] {
+            let tiers = Limits {
+                gpu: Some(240.0),
+                host,
+                ..Limits::none()
+            };
+            for pass in [Pass::Step, Pass::Eval, Pass::Decode(decode)] {
+                let spec = IterationSpec {
+                    pass,
+                    ..miniature_placed(placement)
+                };
+                let dag = StepDag::lower(&spec, &tiers).unwrap();
+                let graph = &dag.graph;
+                let what = format!("{placement:?} {pass:?}");
+                for e in graph.edges() {
+                    assert!(
+                        graph.rank(e.from) <= graph.rank(e.to),
+                        "{what}: `{}` ranks after `{}`",
+                        label(graph, e.from),
+                        label(graph, e.to)
+                    );
+                }
+                // A kernel ranks at its own position in the GPU order.
+                let kernels: Vec<TaskId> = (graph.task_ids())
+                    .filter(|t| matches!(dag.actions[t.0].kind, TaskKind::Fwd | TaskKind::Bwd))
+                    .collect();
+                for (pos, &k) in kernels.iter().enumerate() {
+                    assert_eq!(graph.rank(k), pos as u32, "{what}: {}", label(graph, k));
+                }
+                let last = kernels.len() as u32;
+                for t in graph.task_ids() {
+                    let id = dag.actions[t.0];
+                    let served = match id.kind {
+                        TaskKind::FwdRead | TaskKind::FwdFetch | TaskKind::KvUp => TaskKind::Fwd,
+                        TaskKind::BwdRead
+                        | TaskKind::BwdFetch
+                        | TaskKind::ActLoad
+                        | TaskKind::ActUp => TaskKind::Bwd,
+                        // The handlers' tasks: past the last kernel.
+                        TaskKind::OptRead | TaskKind::OptCpu | TaskKind::OptWrite => {
+                            assert_eq!(graph.rank(t), last, "{what}: {}", label(graph, t));
+                            continue;
+                        }
+                        _ => continue,
+                    };
+                    // A staging task ranks at the kernel it serves.
+                    let kernel = (kernels.iter()).find(|k| {
+                        let k = dag.actions[k.0];
+                        (k.kind, k.micro, k.layer) == (served, id.micro, id.layer)
+                    });
+                    let kernel = *kernel.unwrap_or_else(|| panic!("{what}: {}", label(graph, t)));
+                    assert_eq!(
+                        graph.rank(t),
+                        graph.rank(kernel),
+                        "{what}: {}",
+                        label(graph, t)
+                    );
+                }
+                if pass != Pass::Step {
+                    continue;
+                }
+                // The last block's checkpoint, needed first in backward,
+                // goes out ahead of every earlier block's activations.
+                let actions = &dag.actions;
+                let act_offs = |layer: usize| {
+                    (graph.task_ids())
+                        .filter(move |t| {
+                            let id = actions[t.0];
+                            (id.kind, id.layer) == (TaskKind::ActOff, layer)
+                        })
+                        .map(|t| graph.rank(t))
+                };
+                let first = act_offs(6).max().unwrap();
+                for layer in 1..6 {
+                    assert!(act_offs(layer).all(|r| r > first), "{what}: L{layer}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_issue_order_shortens_the_simulated_actswap_step() {
+        // The benchmark's `train-actswap` shape: 40 MB/s on every route,
+        // a 12 MB arena, blocks swapping to the SSDs, to host memory and
+        // recomputing in turn; kernels timed about as a 2-core box runs
+        // them.
+        let config = EngineConfig {
+            model: GptConfig {
+                vocab: 256,
+                seq: 64,
+                hidden: 64,
+                heads: 4,
+                layers: 6,
+                batch: 16,
+            },
+            act_decisions: [
+                ActDecision::SwapToSsd,
+                ActDecision::SwapToHost,
+                ActDecision::Recompute,
+            ]
+            .repeat(2),
+            gpu_capacity: Some(12_000_000),
+            ..EngineConfig::tiny()
+        };
+        let mut spec = movement_spec_for(&config, Placement::HostMaster);
+        spec.rates = LinkRates {
+            bw_g2m: 40e6,
+            bw_m2g: 40e6,
+            ssd_read: 40e6,
+            ssd_write: 40e6,
+            cpu_params_per_sec: 50e6,
+            ..LinkRates::UNIT
+        };
+        for layer in &mut spec.layers {
+            (layer.fwd_flops, layer.bwd_flops) = (0.008, 0.016);
+        }
+        let tiers = Limits {
+            gpu: Some(12e6),
+            width: Some(2),
+            ..Limits::none()
+        };
+        let ranked = StepDag::lower(&spec, &tiers).unwrap().graph;
+        let mut fifo = ranked.clone();
+        for t in 0..fifo.len() {
+            fifo.set_rank(TaskId(t), 0);
+        }
+        for width in [1, 2] {
+            let (by_need, by_arrival) = (
+                ratel_sim::simulate_width(&ranked, width).makespan,
+                ratel_sim::simulate_width(&fifo, width).makespan,
+            );
+            assert!(
+                by_need < by_arrival,
+                "width {width}: {by_need:.4} s ranked vs {by_arrival:.4} s in ready order"
+            );
+        }
     }
 
     #[test]

@@ -7,11 +7,12 @@
 //! completed — runs them through a [`TaskAction`], and reports each
 //! completion, which readies downstream work the moment its last input
 //! lands. Which ready task a pool runs next is decided by the
-//! simulator's own [`Dispatcher`] — (ready time, id) order, at most
-//! `workers_per_pool` in flight — under one lock, so the executor has no
-//! scheduling policy the simulator does not, and whatever `ratel-verify`
-//! proved about the plan (no read-before-write, no
-//! overwrite-under-reader, residency within capacity) holds for the
+//! simulator's own [`Dispatcher`] — (rank, ready time, id) order, the
+//! rank the plan's lowering set (all 0, ready order, in a graph that sets
+//! none), at most `workers_per_pool` in flight — under one lock, so the
+//! executor has no scheduling policy the simulator does not, and
+//! whatever `ratel-verify` proved about the plan (no read-before-write,
+//! no overwrite-under-reader, residency within capacity) holds for the
 //! execution too.
 //!
 //! The executor is deliberately generic: it knows nothing about

@@ -9,7 +9,7 @@
 //! [`ratel_sim::Timeline`] so a *measured* step renders through the same
 //! Chrome-trace/ASCII writers as a simulated one.
 
-use ratel_sim::{FlowEvent, SpanKind, TaskKind, Timeline, TimelineSpan};
+use ratel_sim::{FlowEvent, SpanKind, TaskGraph, TaskId, TaskKind, Timeline, TimelineSpan};
 use ratel_storage::telemetry::{FaultStats, RouteMetrics, SpanRecord, TelemetryRecorder};
 use ratel_storage::{Route, TrafficSnapshot};
 
@@ -45,6 +45,55 @@ pub struct RouteBandwidth {
     pub achieved: Option<f64>,
     /// The profiling stage's figure for the same link, bytes/second.
     pub profiled: f64,
+}
+
+/// How long the GPU sat idle before one kernel, and on what.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct KernelWait {
+    /// The `fwd`/`bwd` task.
+    pub kernel: TaskId,
+    /// Seconds from the end of the last kernel that ended before it
+    /// started (or from the step's start) to its start.
+    pub gap: f64,
+    /// The dependency whose span ended last: the task the kernel waited
+    /// on. `None` for a kernel with no dependency that ran.
+    pub waited_on: Option<TaskId>,
+}
+
+/// [`KernelWait`]s of every kernel of `graph` that ran, in start order,
+/// each task's `(start, end)` in seconds from the step's start given by
+/// `interval` (`None`: it did not run). One rule for a measured step
+/// ([`StepTelemetry::kernel_waits`]) and a simulated one.
+pub fn kernel_waits_by(
+    graph: &TaskGraph,
+    interval: impl Fn(TaskId) -> Option<(f64, f64)>,
+) -> Vec<KernelWait> {
+    let is_kernel = |t: TaskId| {
+        (graph.meta(t).and_then(|m| m.identity))
+            .is_some_and(|id| matches!(id.kind, TaskKind::Fwd | TaskKind::Bwd))
+    };
+    let mut kernels: Vec<(TaskId, f64, f64)> = (graph.task_ids())
+        .filter(|&t| is_kernel(t))
+        .filter_map(|t| interval(t).map(|(start, end)| (t, start, end)))
+        .collect();
+    kernels.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
+    (kernels.iter())
+        .map(|&(kernel, start, _)| {
+            let idle_from = (kernels.iter())
+                .filter(|&&(k, _, end)| k != kernel && end <= start)
+                .map(|&(_, _, end)| end)
+                .fold(0.0, f64::max);
+            let waited_on = (graph.deps(kernel).iter())
+                .filter_map(|&d| interval(d).map(|(_, end)| (d, end)))
+                .max_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)))
+                .map(|(d, _)| d);
+            KernelWait {
+                kernel,
+                gap: (start - idle_from).max(0.0),
+                waited_on,
+            }
+        })
+        .collect()
 }
 
 /// Everything the recorder captured for one `train_step`.
@@ -149,6 +198,20 @@ impl StepTelemetry {
             return 0.0;
         }
         intersection_seconds(&opt, &bwd) / opt_total
+    }
+
+    /// The GPU's idle gap before each `fwd`/`bwd` span of the step, and
+    /// the task each kernel waited on ([`kernel_waits_by`]), in start
+    /// order. `graph` is the DAG the step ran — for an accumulated step,
+    /// the one of its [`micro_batches`](Self::micro_batches).
+    pub fn kernel_waits(&self, graph: &TaskGraph) -> Vec<KernelWait> {
+        let mut interval = vec![None; graph.len()];
+        for s in &self.spans {
+            if let Some(t) = s.task.filter(|t| t.task.0 < graph.len()) {
+                interval[t.task.0] = Some((s.start - self.step_start, s.end - self.step_start));
+            }
+        }
+        kernel_waits_by(graph, |t| interval[t.0])
     }
 
     /// Achieved bandwidth per route (from this step's cumulative metrics)
@@ -297,6 +360,65 @@ mod tests {
             route_metrics: Default::default(),
             fault_stats: FaultStats::default(),
         }
+    }
+
+    #[test]
+    fn a_kernel_names_the_gap_before_it_and_what_it_waited_on() {
+        use ratel_sim::{OpClass, Stage, TaskIdentity, TaskMeta};
+        // fwd L0 -> act-off L0 -> act-up L0 -> bwd L0, and fwd L1 ->
+        // bwd L1 -> bwd L0; a transfer span with no task besides.
+        let mut g = TaskGraph::new();
+        let gpu = g.add_resource("gpu0");
+        let pcie = g.add_resource("pcie");
+        let mut add = |resource, kind: TaskKind, layer, deps: &[TaskId]| {
+            let t = g.add_task(resource, 1.0, Stage::Forward, deps);
+            let meta = TaskMeta {
+                identity: Some(TaskIdentity::shared(kind, layer)),
+                ..TaskMeta::new(OpClass::GpuCompute, 0)
+            };
+            g.set_meta(t, meta);
+            t
+        };
+        let fwd0 = add(gpu, TaskKind::Fwd, 0, &[]);
+        let off = add(pcie, TaskKind::ActOff, 0, &[fwd0]);
+        let fwd1 = add(gpu, TaskKind::Fwd, 1, &[fwd0]);
+        let bwd1 = add(gpu, TaskKind::Bwd, 1, &[fwd1]);
+        let up = add(pcie, TaskKind::ActUp, 0, &[off]);
+        let bwd0 = add(gpu, TaskKind::Bwd, 0, &[bwd1, up]);
+        let mut t = telemetry(vec![
+            task_span(fwd0.0, TaskKind::Fwd, 0, 10.5, 11.0),
+            task_span(off.0, TaskKind::ActOff, 0, 11.0, 14.0),
+            task_span(fwd1.0, TaskKind::Fwd, 1, 11.0, 12.0),
+            task_span(bwd1.0, TaskKind::Bwd, 1, 12.0, 13.0),
+            task_span(up.0, TaskKind::ActUp, 0, 14.0, 16.0),
+            task_span(bwd0.0, TaskKind::Bwd, 0, 16.5, 17.0),
+        ]);
+        t.spans.push(SpanRecord {
+            task: None,
+            kind: SpanKind::Transfer,
+            ..task_span(0, TaskKind::ActOff, 0, 11.0, 14.0)
+        });
+        t.step_start = 10.0;
+        let waits = t.kernel_waits(&g);
+        let got: Vec<(TaskId, f64, Option<TaskId>)> = waits
+            .iter()
+            .map(|w| (w.kernel, w.gap, w.waited_on))
+            .collect();
+        assert_eq!(
+            got,
+            [
+                (fwd0, 0.5, None),
+                (fwd1, 0.0, Some(fwd0)),
+                (bwd1, 0.0, Some(fwd1)),
+                // Idle from `bwd L1`'s end until `act-up L0` landed, and
+                // half a second more.
+                (bwd0, 3.5, Some(up)),
+            ]
+        );
+        // A simulated step of the same graph goes through the same rule.
+        let ends = [1.0, 2.0, 2.0, 3.0, 4.0, 5.0];
+        let sim = kernel_waits_by(&g, |t| Some((ends[t.0] - 1.0, ends[t.0])));
+        assert_eq!(sim[3].gap, 1.0);
     }
 
     #[test]

@@ -10,9 +10,10 @@ use std::collections::BinaryHeap;
 
 use crate::graph::{ResourceId, TaskGraph, TaskId};
 
-/// A ready task, ordered by (ready time, id).
+/// A ready task, ordered by (rank, ready time, id).
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct Ready {
+    rank: u32,
     at: f64,
     id: TaskId,
 }
@@ -21,7 +22,9 @@ impl Eq for Ready {}
 
 impl Ord for Ready {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.at.total_cmp(&other.at).then(self.id.cmp(&other.id))
+        (self.rank.cmp(&other.rank))
+            .then(self.at.total_cmp(&other.at))
+            .then(self.id.cmp(&other.id))
     }
 }
 
@@ -37,13 +40,16 @@ impl PartialOrd for Ready {
 /// A task's pool is its graph resource. A task is ready once its last
 /// dependency completed, at that completion's time (sources at 0). Each
 /// pool has `width` slots: [`next`](Self::next) hands out the pool's
-/// ready task of least (ready time, id) while a slot is free, and
+/// ready task of least (rank, ready time, id) while a slot is free, and
 /// [`complete`](Self::complete) frees the slot and readies the task's
-/// dependents. At width 1 every resource serves its ready tasks one at
-/// a time in ready order — a FIFO stream or DMA queue.
+/// dependents. A task's rank is the issue order its plan set
+/// ([`TaskGraph::set_rank`]); where every rank is 0 — the figures'
+/// schedules and the baselines — a resource at width 1 serves its ready
+/// tasks one at a time in ready order, a FIFO stream or DMA queue.
 #[derive(Debug, Clone)]
 pub struct Dispatcher {
     pool_of: Vec<ResourceId>,
+    rank: Vec<u32>,
     /// Tasks waiting on each task.
     dependents: Vec<Vec<TaskId>>,
     /// Dependencies each task still waits for.
@@ -70,11 +76,16 @@ impl Dispatcher {
                 dependents[d.0].push(t);
             }
             if graph.deps(t).is_empty() {
-                ready[graph.resource(t).0].push(Reverse(Ready { at: 0.0, id: t }));
+                ready[graph.resource(t).0].push(Reverse(Ready {
+                    rank: graph.rank(t),
+                    at: 0.0,
+                    id: t,
+                }));
             }
         }
         Dispatcher {
             pool_of: graph.task_ids().map(|t| graph.resource(t)).collect(),
+            rank: graph.task_ids().map(|t| graph.rank(t)).collect(),
             dependents,
             waiting_on: graph.task_ids().map(|t| graph.deps(t).len()).collect(),
             in_flight: vec![0; ready.len()],
@@ -106,7 +117,11 @@ impl Dispatcher {
             self.waiting_on[d.0] -= 1;
             if self.waiting_on[d.0] == 0 {
                 let pool = self.pool_of[d.0];
-                self.ready[pool.0].push(Reverse(Ready { at, id: d }));
+                self.ready[pool.0].push(Reverse(Ready {
+                    rank: self.rank[d.0],
+                    at,
+                    id: d,
+                }));
                 readied(pool);
             }
         }
@@ -188,16 +203,57 @@ mod tests {
 
     #[test]
     fn every_completion_order_honours_edges_and_slots() {
-        let g = diamond_and_fan_in();
+        let mut g = diamond_and_fan_in();
         let n = g.len();
-        let counts: Vec<usize> = (1..=3)
-            .map(|width| {
-                let d = Dispatcher::new(&g, width);
-                explore(&g, width, d, vec![false; n], vec![false; n], Vec::new())
-            })
-            .collect();
+        let counts = |g: &TaskGraph| -> Vec<usize> {
+            (1..=3)
+                .map(|width| {
+                    let d = Dispatcher::new(g, width);
+                    explore(g, width, d, vec![false; n], vec![false; n], Vec::new())
+                })
+                .collect()
+        };
         // Wider pools put more tasks in flight at once, so more orders.
-        assert!(counts[0] > 1 && counts[0] < counts[1] && counts[1] < counts[2]);
+        let fifo = counts(&g);
+        assert!(fifo[0] > 1 && fifo[0] < fifo[1] && fifo[1] < fifo[2]);
+        // An issue order changes who goes first, never what may: the
+        // fan-in's sources rank in reverse, and the diamond's side on `b`
+        // ahead of them all.
+        for (t, rank) in [(2, 0), (4, 3), (5, 2), (6, 1)] {
+            g.set_rank(TaskId(t), rank);
+        }
+        let ranked = counts(&g);
+        assert!(ranked[0] > 1 && ranked[0] < ranked[1] && ranked[1] < ranked[2]);
+    }
+
+    #[test]
+    fn a_pool_picks_by_rank_then_ready_time_then_id() {
+        let mut g = TaskGraph::new();
+        let a = g.add_resource("a");
+        let b = g.add_resource("b");
+        let first = g.add_task(a, 1.0, Stage::Forward, &[]);
+        let early = g.add_task(b, 1.0, Stage::Forward, &[]);
+        let late = g.add_task(b, 1.0, Stage::Forward, &[first]);
+        let tie_late = g.add_task(b, 1.0, Stage::Forward, &[first]);
+        let tie_early = g.add_task(b, 1.0, Stage::Forward, &[]);
+        let tie_low = g.add_task(b, 1.0, Stage::Forward, &[]);
+        g.set_rank(early, 2);
+        g.set_rank(late, 1);
+        for t in [tie_late, tie_early, tie_low] {
+            g.set_rank(t, 3);
+        }
+        let mut d = Dispatcher::new(&g, 1);
+        assert_eq!(d.next(a), Some(first));
+        d.complete(first, 1.0, |_| {});
+        // `late` became ready after `early`, but ranks lower.
+        let mut order = Vec::new();
+        while let Some(t) = d.next(b) {
+            order.push(t);
+            d.complete(t, 2.0 + order.len() as f64, |_| {});
+        }
+        // Among equal ranks: ready at 0 before ready at 1, then by id.
+        assert_eq!(order, [late, early, tie_early, tie_low, tie_late]);
+        assert!(d.finished());
     }
 
     #[test]

@@ -30,9 +30,10 @@ impl PartialOrd for Completion {
 
 /// Executes `graph` to completion and returns timing and utilization data.
 ///
-/// Each resource serves its ready tasks one at a time in (ready time, id)
-/// order — a FIFO DMA/stream model. The simulation is deterministic for
-/// a given graph.
+/// Each resource serves its ready tasks one at a time in (rank, ready
+/// time, id) order. Where every rank is 0 — the figures' schedules and
+/// the baselines — that is ready order, a FIFO DMA/stream model. The
+/// simulation is deterministic for a given graph.
 pub fn simulate(graph: &TaskGraph) -> SimReport {
     simulate_width(graph, 1)
 }

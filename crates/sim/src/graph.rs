@@ -15,6 +15,8 @@ pub(crate) struct Task {
     pub(crate) stage: Stage,
     pub(crate) deps: Vec<TaskId>,
     pub(crate) label: Option<String>,
+    /// Issue rank: a pool serves its ready tasks of least rank first.
+    pub(crate) rank: u32,
     /// Boxed, so that the task list a plan grows holds a pointer per task,
     /// not the metadata: its spare capacity — up to the whole list when
     /// it doubles — then costs a few words a task.
@@ -102,6 +104,7 @@ impl TaskGraph {
             stage,
             deps: deps.to_vec(),
             label: None,
+            rank: 0,
             meta: None,
         });
         id
@@ -129,6 +132,19 @@ impl TaskGraph {
     /// The label of a task, if any.
     pub fn label(&self, task: TaskId) -> Option<&str> {
         self.tasks[task.0].label.as_deref()
+    }
+
+    /// Sets a task's issue rank: among the ready tasks of its resource,
+    /// those of least rank are served first, then by ready time and id
+    /// ([`crate::Dispatcher`]). Every task starts at rank 0, so a graph
+    /// that sets none is served in ready order — a FIFO DMA model.
+    pub fn set_rank(&mut self, task: TaskId, rank: u32) {
+        self.tasks[task.0].rank = rank;
+    }
+
+    /// A task's issue rank (see [`set_rank`](Self::set_rank)).
+    pub fn rank(&self, task: TaskId) -> u32 {
+        self.tasks[task.0].rank
     }
 
     /// Attaches semantic metadata to a task for static verification.

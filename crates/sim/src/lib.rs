@@ -4,11 +4,15 @@
 //!
 //! Training-iteration schedules are expressed as a DAG of *tasks*, each
 //! bound to one *resource* (GPU compute, each PCIe direction, the SSD
-//! array, CPU compute). A resource serves one task at a time in
-//! ready-order (FIFO); a task becomes ready when all its dependencies have
-//! finished. This mirrors how CUDA streams, DMA engines, and an io_uring
-//! SSD queue behave at the granularity the paper reasons about: fully
-//! pipelinable, bandwidth-bound, no preemption. That policy is one state
+//! array, CPU compute). A resource serves one task at a time in (rank,
+//! ready time, id) order; a task becomes ready when all its dependencies
+//! have finished. With every rank 0 — the figures' schedules and the
+//! baselines — that is ready order (FIFO), which mirrors how CUDA
+//! streams, DMA engines, and an io_uring SSD queue behave at the
+//! granularity the paper reasons about: fully pipelinable,
+//! bandwidth-bound, no preemption; a plan that knows which task its
+//! consumer needs soonest sets ranks ([`TaskGraph::set_rank`]) to issue
+//! it first. That policy is one state
 //! machine, the [`Dispatcher`], which the engine's executor drives with
 //! worker threads too; [`simulate_width`] gives each resource the
 //! executor's `width` slots.

@@ -37,6 +37,10 @@ pub enum Rule {
     /// order within a micro-batch, or from a later micro-batch or
     /// iteration to an earlier one.
     StageOrder,
+    /// A dependency ranks after its dependent: the plan's issue order
+    /// ([`ratel_sim::TaskGraph::set_rank`]) would have a link favour a
+    /// task over the one it waits on.
+    RankOrder,
 }
 
 impl Rule {
@@ -53,6 +57,7 @@ impl Rule {
             Rule::SimplexViolation => "simplex-violation",
             Rule::DuplexViolation => "duplex-violation",
             Rule::StageOrder => "stage-order",
+            Rule::RankOrder => "rank-order",
         }
     }
 }

@@ -8,7 +8,8 @@
 //! would serialize traffic that real hardware overlaps), and every
 //! dependency edge runs forward in time — non-decreasing `Stage::ALL`
 //! index within a micro-batch, non-decreasing micro-batch within an
-//! iteration, non-decreasing iteration across them.
+//! iteration, non-decreasing iteration across them — and in issue order:
+//! no dependency ranks after its dependent.
 
 use std::collections::HashMap;
 
@@ -164,8 +165,24 @@ pub fn check(graph: &TaskGraph) -> Vec<Finding> {
         }
     }
 
-    // Edges run forward in time.
+    // Edges run forward in time and in issue order.
     for e in graph.edges() {
+        let (ru, rw) = (graph.rank(e.from), graph.rank(e.to));
+        if ru > rw {
+            findings.push(Finding {
+                rule: Rule::RankOrder,
+                task: e.to,
+                label: task_label(graph, e.to),
+                blob: None,
+                detail: format!(
+                    "ranks {rw} but depends on `{}`, which ranks {ru}: a dependency \
+                     must not rank after its dependent",
+                    task_label(graph, e.from),
+                ),
+                witness: vec![task_label(graph, e.from), task_label(graph, e.to)],
+                suggestion: "rank the dependency at most at its dependent's rank".into(),
+            });
+        }
         let (Some(mu), Some(mw)) = (graph.meta(e.from), graph.meta(e.to)) else {
             continue;
         };

@@ -21,7 +21,8 @@
 //!    resources that can physically serve them, the SSD array stays
 //!    simplex (one FIFO for reads and writes), PCIe stays duplex
 //!    (directions on disjoint lanes), and every edge runs forward in
-//!    `Stage::ALL`/iteration order.
+//!    `Stage::ALL`/iteration order and in issue order (no dependency
+//!    ranks after its dependent).
 //!
 //! Tasks without [`TaskMeta`] annotations are invisible to the passes,
 //! so foreign or hand-built graphs verify clean by default; annotated
@@ -555,6 +556,23 @@ mod tests {
         let report = verify(&g2, &Limits::none());
         assert_eq!(report.findings.len(), 1);
         assert_eq!(report.findings[0].rule, Rule::StageOrder);
+    }
+
+    #[test]
+    fn a_dependency_must_not_rank_after_its_dependent() {
+        let mut g = TaskGraph::new();
+        let r = g.add_resource("r");
+        let a = g.add_task_labeled(r, 1.0, Stage::Forward, &[], "a");
+        let b = g.add_task_labeled(r, 1.0, Stage::Forward, &[a], "b");
+        g.set_rank(a, 1);
+        g.set_rank(b, 1);
+        assert!(verify(&g, &Limits::none()).is_clean());
+        g.set_rank(a, 2);
+        let report = verify(&g, &Limits::none());
+        assert_eq!(report.findings.len(), 1);
+        let f = &report.findings[0];
+        assert_eq!((f.rule, f.task), (Rule::RankOrder, b));
+        assert_eq!(f.witness, ["a", "b"]);
     }
 
     #[test]
