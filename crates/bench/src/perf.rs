@@ -318,7 +318,14 @@ fn run_kernels(smoke: bool, ladder: &[usize]) -> Vec<PerfEntry> {
             flops / secs / 1e9,
         ));
     }
+    entries.extend(run_elementwise());
+    entries
+}
 
+/// The element-wise kernels beside the GEMMs, at one thread: the f16
+/// codecs over a block's saved set, its chunked encode, and GELU.
+fn run_elementwise() -> Vec<PerfEntry> {
+    let mut entries = Vec::new();
     // Rounding one block's saved set (at `train-compute`'s shape) through
     // f16 in place, against the scalar map it replaced. It allocates
     // nothing ...
@@ -547,10 +554,18 @@ fn run_attention(smoke: bool, ladder: &[usize]) -> Vec<PerfEntry> {
         ));
     }
 
-    // Steady-state allocation counts: both streaming kernels run
-    // entirely out of the scratch pool once warmed, at any thread count
-    // — asserted here at the serial setting the counter can attribute.
-    let s = 128;
+    entries.extend(attention_allocs(batch, heads, d));
+    entries
+}
+
+/// Steady-state allocation counts: both streaming kernels run entirely
+/// out of the scratch pool once warmed, at any thread count — asserted
+/// here at the serial setting the counter can attribute.
+fn attention_allocs(batch: usize, heads: usize, d: usize) -> Vec<PerfEntry> {
+    use ratel_tensor::{attn_backward_into, attn_forward_into};
+
+    let (h, s) = (heads * d, 128);
+    let mut entries = Vec::new();
     let qkv = fill(batch * s * 3 * h, 23);
     let dctx = fill(batch * s * h, 24);
     let mut ctx = vec![0.0f32; batch * s * h];

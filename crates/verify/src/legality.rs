@@ -45,8 +45,16 @@ pub(crate) fn micro_batch(graph: &TaskGraph, t: TaskId) -> (usize, usize) {
 /// Runs the legality pass.
 pub fn check(graph: &TaskGraph) -> Vec<Finding> {
     let mut findings = Vec::new();
+    resource_classes(graph, &mut findings);
+    simplex_ssd(graph, &mut findings);
+    duplex_pcie(graph, &mut findings);
+    edge_order(graph, &mut findings);
+    findings.sort_by_key(|f| f.task);
+    findings
+}
 
-    // Op class vs declared resource class.
+/// Op class vs declared resource class.
+fn resource_classes(graph: &TaskGraph, findings: &mut Vec<Finding>) {
     for t in graph.task_ids() {
         let Some(meta) = graph.meta(t) else { continue };
         let res = graph.resource(t);
@@ -70,9 +78,11 @@ pub fn check(graph: &TaskGraph) -> Vec<Finding> {
             }
         }
     }
+}
 
-    // Simplex SSD: at most one SsdArray-classed resource, and all SSD ops
-    // on one resource.
+/// Simplex SSD: at most one SsdArray-classed resource, and all SSD ops on
+/// one resource.
+fn simplex_ssd(graph: &TaskGraph, findings: &mut Vec<Finding>) {
     let ssd_resources: Vec<ResourceId> = graph
         .resource_ids()
         .filter(|r| graph.resource_class(*r) == Some(ResourceClass::SsdArray))
@@ -129,8 +139,10 @@ pub fn check(graph: &TaskGraph) -> Vec<Finding> {
             Some(_) => {}
         }
     }
+}
 
-    // Duplex PCIe: no resource serves both transfer directions.
+/// Duplex PCIe: no resource serves both transfer directions.
+fn duplex_pcie(graph: &TaskGraph, findings: &mut Vec<Finding>) {
     let mut directions: HashMap<ResourceId, (OpClass, TaskId)> = HashMap::new();
     for t in graph.task_ids() {
         let Some(meta) = graph.meta(t) else { continue };
@@ -164,8 +176,10 @@ pub fn check(graph: &TaskGraph) -> Vec<Finding> {
             Some(_) => {}
         }
     }
+}
 
-    // Edges run forward in time and in issue order.
+/// Edges run forward in time and in issue order.
+fn edge_order(graph: &TaskGraph, findings: &mut Vec<Finding>) {
     for e in graph.edges() {
         let (ru, rw) = (graph.rank(e.from), graph.rank(e.to));
         if ru > rw {
@@ -238,7 +252,4 @@ pub fn check(graph: &TaskGraph) -> Vec<Finding> {
             }
         }
     }
-
-    findings.sort_by_key(|f| f.task);
-    findings
 }

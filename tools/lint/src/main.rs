@@ -27,6 +27,10 @@
 //!   `fn_name(..)`) the workspace declares no `fn` — nor field or
 //!   constant — by. ROADMAP.md is exempt: it names deleted files and
 //!   methods as history.
+//! * **`long-fn`** — a non-test `fn` longer than 150 lines, from its
+//!   `fn` line to its closing brace. A function that long is several
+//!   steps, each with its own state; split it into the steps so a new
+//!   branch lands in one of them, not in the whole.
 //!
 //! Findings are suppressed by `ratel-lint.allow` at the workspace root.
 //! Each non-comment line is `<rule> <path>` and waives that rule for that
@@ -53,6 +57,7 @@ enum Rule {
     NoStaticMut,
     NoWallClockInSim,
     DocRefs,
+    LongFn,
 }
 
 impl Rule {
@@ -63,6 +68,7 @@ impl Rule {
             Rule::NoStaticMut => "no-static-mut",
             Rule::NoWallClockInSim => "no-wall-clock-in-sim",
             Rule::DocRefs => "doc-refs",
+            Rule::LongFn => "long-fn",
         }
     }
 
@@ -73,6 +79,7 @@ impl Rule {
             "no-static-mut" => Some(Rule::NoStaticMut),
             "no-wall-clock-in-sim" => Some(Rule::NoWallClockInSim),
             "doc-refs" => Some(Rule::DocRefs),
+            "long-fn" => Some(Rule::LongFn),
             _ => None,
         }
     }
@@ -321,6 +328,57 @@ fn test_mask(lines: &[String]) -> Vec<bool> {
     mask
 }
 
+/// The most lines a non-test `fn` may span, `fn` line to closing brace.
+const MAX_FN_LINES: usize = 150;
+
+/// Where a (sanitized) line declares a `fn`: the byte offset of a `fn`
+/// keyword that a name follows — not `fn(` pointer types, not `fn_x`.
+fn fn_keyword(line: &str) -> Option<usize> {
+    line.match_indices("fn ").map(|(i, _)| i).find(|&i| {
+        let before = line[..i].chars().next_back();
+        let name = line[i + 3..].trim_start().chars().next();
+        !before.is_some_and(|c| c.is_alphanumeric() || c == '_')
+            && name.is_some_and(|c| c.is_alphabetic() || c == '_')
+    })
+}
+
+/// The non-test `fn`s of a sanitized file longer than [`MAX_FN_LINES`],
+/// as (0-based first line, length in lines). Each signature is followed
+/// to its body's `{` (a `;` outside parentheses and brackets first means
+/// a declaration without a body) and the body by brace depth to its `}`.
+fn long_fns(lines: &[String], in_test: &[bool]) -> Vec<(usize, usize)> {
+    let mut long = Vec::new();
+    for (start, line) in lines.iter().enumerate().filter(|&(i, _)| !in_test[i]) {
+        let Some(at) = fn_keyword(line) else {
+            continue;
+        };
+        let (mut nest, mut depth) = (0i64, 0i64);
+        let tail =
+            std::iter::once(&line[at..]).chain(lines[start + 1..].iter().map(String::as_str));
+        'body: for (offset, text) in tail.enumerate() {
+            for c in text.chars() {
+                match c {
+                    '(' | '[' => nest += 1,
+                    ')' | ']' => nest -= 1,
+                    ';' if depth == 0 && nest == 0 => break 'body,
+                    '{' => depth += 1,
+                    '}' => {
+                        depth -= 1;
+                        if depth == 0 {
+                            if offset + 1 > MAX_FN_LINES {
+                                long.push((start, offset + 1));
+                            }
+                            break 'body;
+                        }
+                    }
+                    _ => {}
+                }
+            }
+        }
+    }
+    long
+}
+
 /// Scans one file and appends findings.
 fn scan_file(path: &Path, rel: &Path, findings: &mut Vec<Finding>) {
     let Ok(src) = fs::read_to_string(path) else {
@@ -390,6 +448,15 @@ fn scan_file(path: &Path, rel: &Path, findings: &mut Vec<Finding>) {
                 _ => {}
             }
         }
+    }
+    for (start, len) in long_fns(&lines, &in_test) {
+        let orig = src.lines().nth(start).unwrap_or("").trim();
+        findings.push(Finding {
+            rule: Rule::LongFn,
+            path: rel.to_path_buf(),
+            line: start + 1,
+            text: format!("{len} lines (at most {MAX_FN_LINES}): {orig}"),
+        });
     }
 }
 
@@ -979,6 +1046,25 @@ mod tests {
                 (Rule::NoUnwrap, "ratel-lint.allow".to_string(), 5),
             ]
         );
+    }
+
+    #[test]
+    fn flags_a_long_fn_but_not_a_long_test_or_a_declaration() {
+        let body = |n: usize| "    let x = [0u8; 4];\n".repeat(n);
+        let src = format!(
+            "trait T {{\n    fn declared(&self, x: [u8; 2]);\n}}\n\
+             fn fits() {{\n{}}}\n\
+             pub(crate) fn too_long(\n    a: u8,\n) -> u8 {{\n{}}}\n\
+             #[cfg(test)]\nmod tests {{\n    fn long_test() {{\n{}    }}\n}}\n",
+            body(MAX_FN_LINES - 2),
+            body(MAX_FN_LINES - 3),
+            body(2 * MAX_FN_LINES),
+        );
+        let hits = scan_src(&src, "crates/x/src/lib.rs");
+        let too_long = 4 + MAX_FN_LINES;
+        assert_eq!(hits, vec![(Rule::LongFn, too_long)]);
+        assert_eq!(fn_keyword("let f: fn(u8) = g; let fn_x = 1;"), None);
+        assert_eq!(fn_keyword("    pub fn name<T>("), Some(8));
     }
 
     #[test]
