@@ -11,6 +11,7 @@
 //! and the byte kernel's oracle.
 
 use crate::dtype::{decode_f16_into, decode_f32_into, encode_f32_into, CODEC_CHUNK};
+use crate::parallel::{self, par_bands, MIN_BLOCK};
 
 /// Adam hyperparameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -74,19 +75,13 @@ impl Adam {
         self.t += 1;
         let (bc1, bc2) = bias_corrections(self.t, hp);
         let per = band_len(params.len());
-        if per >= params.len() {
-            step_band(params, grads, &mut self.m, &mut self.v, hp, bc1, bc2);
-            return;
-        }
-        std::thread::scope(|s| {
-            let bands = params
-                .chunks_mut(per)
-                .zip(grads.chunks(per))
-                .zip(self.m.chunks_mut(per))
-                .zip(self.v.chunks_mut(per));
-            for (((pb, gb), mb), vb) in bands {
-                s.spawn(move || step_band(pb, gb, mb, vb, hp, bc1, bc2));
-            }
+        let bands = params
+            .chunks_mut(per)
+            .zip(grads.chunks(per))
+            .zip(self.m.chunks_mut(per))
+            .zip(self.v.chunks_mut(per));
+        par_bands(bands, |_, (((pb, gb), mb), vb)| {
+            step_band(pb, gb, mb, vb, hp, bc1, bc2)
         });
     }
 }
@@ -171,19 +166,13 @@ pub fn step_le_bytes(
     let (bc1, bc2) = bias_corrections(t + 1, hp);
     let (m, v) = moments.split_at_mut(4 * n);
     let per = band_len(n);
-    if per >= n {
-        step_band_le(master, g16, factors, m, v, hp, bc1, bc2);
-        return;
-    }
-    std::thread::scope(|s| {
-        let bands = master
-            .chunks_mut(4 * per)
-            .zip(g16.chunks(2 * per))
-            .zip(m.chunks_mut(4 * per))
-            .zip(v.chunks_mut(4 * per));
-        for (((pb, gb), mb), vb) in bands {
-            s.spawn(move || step_band_le(pb, gb, factors, mb, vb, hp, bc1, bc2));
-        }
+    let bands = master
+        .chunks_mut(4 * per)
+        .zip(g16.chunks(2 * per))
+        .zip(m.chunks_mut(4 * per))
+        .zip(v.chunks_mut(4 * per));
+    par_bands(bands, |_, (((pb, gb), mb), vb)| {
+        step_band_le(pb, gb, factors, mb, vb, hp, bc1, bc2)
     });
 }
 
@@ -196,12 +185,7 @@ fn bias_corrections(t: u64, hp: &AdamParams) -> (f32, f32) {
 /// Elements per band of an `n`-element update: all of them below the
 /// parallel threshold, one contiguous band per worker thread above it.
 fn band_len(n: usize) -> usize {
-    let threads = crate::parallel::num_threads();
-    if threads <= 1 || n < 2 * crate::parallel::MIN_BLOCK {
-        n
-    } else {
-        n.div_ceil(threads)
-    }
+    parallel::band_len(n, if n < 2 * MIN_BLOCK { 1 } else { n })
 }
 
 /// [`step_band`] over one band of little-endian blobs.

@@ -41,7 +41,7 @@ use crate::gemm::{
     gemm_serial, gemm_serial_packed, pack_b_full, packed_b_len, LayoutA, LayoutB, NR,
 };
 use crate::ops::{exp_nonpos, matmul, matmul_at, matmul_bt, softmax_backward_into};
-use crate::parallel::{num_threads, par_rows};
+use crate::parallel::{band_len, par_bands, par_rows};
 use crate::scratch::scratch_f32;
 use crate::tensor::Tensor;
 
@@ -176,64 +176,24 @@ pub fn attn_forward_into(
     let units = batch * heads;
     let scale = 1.0 / (d as f32).sqrt();
     let mut ctx_units = scratch_f32(units * seq * d);
-    {
-        let threads = num_threads().min(units);
-        if threads <= 1 {
-            for u in 0..units {
-                unit_forward(
-                    qkv,
-                    u / heads,
-                    u % heads,
-                    seq,
-                    h,
-                    d,
-                    scale,
-                    &mut ctx_units[u * seq * d..(u + 1) * seq * d],
-                    &mut row_max[u * seq..(u + 1) * seq],
-                    &mut row_lse[u * seq..(u + 1) * seq],
-                );
-            }
-        } else {
-            // Bands of whole units: each unit's outputs are computed by
-            // exactly one worker with unit-local loop order, so any split
-            // is bitwise equivalent.
-            let per = units.div_ceil(threads);
-            std::thread::scope(|s| {
-                let mut cu = &mut ctx_units[..];
-                let mut mu = &mut row_max[..];
-                let mut lu = &mut row_lse[..];
-                let mut u0 = 0usize;
-                while !cu.is_empty() {
-                    let take = per.min(cu.len() / (seq * d));
-                    let (cb, ct) = cu.split_at_mut(take * seq * d);
-                    cu = ct;
-                    let (mb, mt) = mu.split_at_mut(take * seq);
-                    mu = mt;
-                    let (lb, lt) = lu.split_at_mut(take * seq);
-                    lu = lt;
-                    let start = u0;
-                    s.spawn(move || {
-                        for i in 0..take {
-                            let u = start + i;
-                            unit_forward(
-                                qkv,
-                                u / heads,
-                                u % heads,
-                                seq,
-                                h,
-                                d,
-                                scale,
-                                &mut cb[i * seq * d..(i + 1) * seq * d],
-                                &mut mb[i * seq..(i + 1) * seq],
-                                &mut lb[i * seq..(i + 1) * seq],
-                            );
-                        }
-                    });
-                    u0 += take;
-                }
-            });
+    // Bands of whole units: each unit's outputs are computed by exactly
+    // one worker with unit-local loop order, so any split is bitwise
+    // equivalent. (`max(1)`: an empty problem has no band.)
+    let per = band_len(units, units);
+    let bands = ctx_units
+        .chunks_mut((per * seq * d).max(1))
+        .zip(row_max.chunks_mut((per * seq).max(1)))
+        .zip(row_lse.chunks_mut((per * seq).max(1)));
+    par_bands(bands, |i, ((cb, mb), lb)| {
+        let unit_bands = cb
+            .chunks_exact_mut(seq * d)
+            .zip(mb.chunks_exact_mut(seq))
+            .zip(lb.chunks_exact_mut(seq));
+        for (j, ((c, m), l)) in unit_bands.enumerate() {
+            let u = i * per + j;
+            unit_forward(qkv, u / heads, u % heads, seq, h, d, scale, c, m, l);
         }
-    }
+    });
     // Interleave the unit-major context back into [b*s, h] rows.
     let cu = &ctx_units[..];
     par_rows(ctx, h, |row0, band| {
@@ -423,59 +383,21 @@ pub fn attn_backward_into(
     let scale = 1.0 / (d as f32).sqrt();
     // Per-unit [dq | dk | dv] accumulators, unit-major like the forward.
     let mut dunits = scratch_f32(units * 3 * seq * d);
-    {
-        let threads = num_threads().min(units);
-        if threads <= 1 {
-            for u in 0..units {
-                unit_backward(
-                    qkv,
-                    ctx,
-                    dctx,
-                    &row_max[u * seq..(u + 1) * seq],
-                    &row_lse[u * seq..(u + 1) * seq],
-                    u / heads,
-                    u % heads,
-                    seq,
-                    h,
-                    d,
-                    scale,
-                    &mut dunits[u * 3 * seq * d..(u + 1) * 3 * seq * d],
-                );
-            }
-        } else {
-            let per = units.div_ceil(threads);
-            std::thread::scope(|s| {
-                let mut du = &mut dunits[..];
-                let mut u0 = 0usize;
-                while !du.is_empty() {
-                    let take = per.min(du.len() / (3 * seq * d));
-                    let (band, tail) = du.split_at_mut(take * 3 * seq * d);
-                    du = tail;
-                    let start = u0;
-                    s.spawn(move || {
-                        for (i, chunk) in band.chunks_exact_mut(3 * seq * d).enumerate() {
-                            let u = start + i;
-                            unit_backward(
-                                qkv,
-                                ctx,
-                                dctx,
-                                &row_max[u * seq..(u + 1) * seq],
-                                &row_lse[u * seq..(u + 1) * seq],
-                                u / heads,
-                                u % heads,
-                                seq,
-                                h,
-                                d,
-                                scale,
-                                chunk,
-                            );
-                        }
-                    });
-                    u0 += take;
-                }
-            });
+    let per = band_len(units, units);
+    let bands = dunits
+        .chunks_mut((per * 3 * seq * d).max(1))
+        .zip(row_max.chunks((per * seq).max(1)))
+        .zip(row_lse.chunks((per * seq).max(1)));
+    par_bands(bands, |i, ((db, mb), lb)| {
+        let unit_bands = db
+            .chunks_exact_mut(3 * seq * d)
+            .zip(mb.chunks_exact(seq))
+            .zip(lb.chunks_exact(seq));
+        for (j, ((dout, m), lse)) in unit_bands.enumerate() {
+            let (bi, hd) = ((i * per + j) / heads, (i * per + j) % heads);
+            unit_backward(qkv, ctx, dctx, m, lse, bi, hd, seq, h, d, scale, dout);
         }
-    }
+    });
     // Interleave [unit][dq|dk|dv] back into [b*s, 3h] rows.
     let du = &dunits[..];
     par_rows(dqkv, 3 * h, |row0, band| {

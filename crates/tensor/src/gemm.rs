@@ -27,7 +27,7 @@
 //! threads own disjoint bands of MR-row panels, packing their own A
 //! strips into thread-local scratch ([`crate::scratch`]).
 
-use crate::parallel::num_threads;
+use crate::parallel::{band_len, par_bands};
 use crate::scratch::scratch_f32;
 
 /// Rows per microkernel tile.
@@ -177,11 +177,8 @@ pub(crate) fn gemm_serial(
         out.iter_mut().for_each(|o| *o = 0.0);
         return;
     }
-    let nstrips = n.div_ceil(NR);
-    let mut bpack = scratch_f32(nstrips * k * NR);
-    for (s, strip) in bpack.chunks_exact_mut(k * NR).enumerate() {
-        pack_b(k, n, b, lb, s * NR, strip);
-    }
+    let mut bpack = scratch_f32(packed_b_len(k, n));
+    pack_b_full(k, n, b, lb, &mut bpack);
     run_band(0, m, k, n, a, la, &bpack, out);
 }
 
@@ -191,8 +188,9 @@ pub(crate) fn packed_b_len(k: usize, n: usize) -> usize {
     n.div_ceil(NR) * k * NR
 }
 
-/// Packs all of B once into `NR`-column strips for repeated
-/// [`gemm_serial_packed`] calls over column sub-ranges. The strip for
+/// Packs all of B once into `NR`-column strips: the pack every tiled
+/// GEMM runs, and the operand of repeated [`gemm_serial_packed`] calls
+/// over column sub-ranges. The strip for
 /// columns `[s*NR, (s+1)*NR)` lives at `out[s*k*NR..(s+1)*k*NR]`.
 pub(crate) fn pack_b_full(k: usize, n: usize, b: &[f32], lb: LayoutB, out: &mut [f32]) {
     assert_eq!(b.len(), k * n, "gemm rhs size");
@@ -253,33 +251,15 @@ pub fn gemm_tiled(
         out.iter_mut().for_each(|o| *o = 0.0);
         return;
     }
-    let nstrips = n.div_ceil(NR);
-    let mut bpack = scratch_f32(nstrips * k * NR);
-    for (s, strip) in bpack.chunks_exact_mut(k * NR).enumerate() {
-        pack_b(k, n, b, lb, s * NR, strip);
-    }
+    let mut bpack = scratch_f32(packed_b_len(k, n));
+    pack_b_full(k, n, b, lb, &mut bpack);
     let bpack = &bpack[..];
-
-    let panels = m.div_ceil(MR);
-    let threads = num_threads().min(panels);
-    if threads <= 1 {
-        run_band(0, m, k, n, a, la, bpack, out);
-        return;
-    }
     // Bands are whole MR-row panels; per-element reduction order is
     // unaffected by the banding, so any split is bitwise equivalent.
-    let band_rows = panels.div_ceil(threads) * MR;
-    std::thread::scope(|s| {
-        let mut rest = out;
-        let mut i0 = 0usize;
-        while !rest.is_empty() {
-            let rows = band_rows.min(rest.len() / n);
-            let (band, tail) = rest.split_at_mut(rows * n);
-            rest = tail;
-            let start = i0;
-            s.spawn(move || run_band(start, rows, k, n, a, la, bpack, band));
-            i0 += rows;
-        }
+    let panels = m.div_ceil(MR);
+    let band_rows = band_len(panels, panels) * MR;
+    par_bands(out.chunks_mut(band_rows * n), |i, band| {
+        run_band(i * band_rows, band.len() / n, k, n, a, la, bpack, band)
     });
 }
 

@@ -183,8 +183,9 @@ pub fn bias_grad(dy: &Tensor) -> Tensor {
 pub fn gelu(x: &Tensor) -> Tensor {
     let xd = x.data();
     let mut out = vec![0.0f32; xd.len()];
-    parallel::par_blocks(&mut out, |off, block| {
-        let src = &xd[off..off + block.len()];
+    let per = elementwise_band_len(out.len());
+    parallel::par_bands(out.chunks_mut(per), |i, block| {
+        let src = &xd[i * per..i * per + block.len()];
         for (o, &v) in block.iter_mut().zip(src) {
             *o = gelu_scalar(v, tanh_exp);
         }
@@ -200,8 +201,9 @@ pub fn gelu_backward(x: &Tensor, dy: &Tensor) -> Tensor {
     let xd = x.data();
     let dyd = dy.data();
     let mut out = vec![0.0f32; xd.len()];
-    parallel::par_blocks(&mut out, |off, block| {
-        let n = block.len();
+    let per = elementwise_band_len(out.len());
+    parallel::par_bands(out.chunks_mut(per), |i, block| {
+        let (off, n) = (i * per, block.len());
         for ((o, &v), &g) in block
             .iter_mut()
             .zip(&xd[off..off + n])
@@ -211,6 +213,12 @@ pub fn gelu_backward(x: &Tensor, dy: &Tensor) -> Tensor {
         }
     });
     Tensor::from_vec(x.shape(), out)
+}
+
+/// Elements per band of an elementwise kernel over `len` elements: at
+/// most one band per [`parallel::MIN_BLOCK`] elements.
+fn elementwise_band_len(len: usize) -> usize {
+    parallel::band_len(len, len.div_ceil(parallel::MIN_BLOCK))
 }
 
 const GELU_C: f32 = 0.797_884_6; // sqrt(2/pi)
@@ -313,10 +321,9 @@ pub fn softmax_rows(x: &Tensor) -> Tensor {
     Tensor::from_vec(x.shape(), out)
 }
 
-/// Backward of a row softmax given the forward *output* `probs`:
+/// Backward of [`softmax_rows`] given the forward *output* `probs`:
 /// `dx = p * (dy - sum(dy * p))` per row, written into `out`.
-/// Slice-level core of [`softmax_backward`], allocation-free so hot paths
-/// can run it on scratch-pool buffers.
+/// Allocation-free, so hot paths can run it on scratch-pool buffers.
 ///
 /// # Panics
 /// If lengths mismatch or are not a multiple of `cols`.
@@ -339,16 +346,6 @@ pub fn softmax_backward_into(probs: &[f32], dy: &[f32], cols: usize, out: &mut [
             *o = p * (g - dot);
         }
     }
-}
-
-/// Backward of [`softmax_rows`] given the forward *output* `probs`:
-/// `dx = p * (dy - sum(dy * p))` per row.
-pub fn softmax_backward(probs: &Tensor, dy: &Tensor) -> Tensor {
-    assert_eq!(probs.shape(), dy.shape(), "softmax_backward shapes");
-    let (_, c) = dims2(probs, "softmax_backward");
-    let mut out = vec![0.0f32; probs.len()];
-    softmax_backward_into(probs.data(), dy.data(), c, &mut out);
-    Tensor::from_vec(probs.shape(), out)
 }
 
 /// Saved statistics of a layer-norm forward, needed by its backward.
@@ -393,13 +390,26 @@ fn layernorm_rows(
     rstd: &mut [f32],
 ) {
     let rows = mean.len();
-    let serial = |row0: usize, out: &mut [f32], mean: &mut [f32], rstd: &mut [f32]| {
+    let per = parallel::band_len(
+        rows,
+        if out.len() < parallel::MIN_BLOCK {
+            1
+        } else {
+            rows
+        },
+    );
+    let bands = out
+        .chunks_mut(per * h)
+        .zip(mean.chunks_mut(per))
+        .zip(rstd.chunks_mut(per));
+    parallel::par_bands(bands, |i, ((out, mean), rstd)| {
         for (r, (orow, (mo, ro))) in out
             .chunks_exact_mut(h)
             .zip(mean.iter_mut().zip(rstd.iter_mut()))
             .enumerate()
         {
-            let xrow = &xd[(row0 + r) * h..(row0 + r + 1) * h];
+            let row = i * per + r;
+            let xrow = &xd[row * h..(row + 1) * h];
             let m = xrow.iter().sum::<f32>() / h as f32;
             let var = xrow.iter().map(|&v| (v - m) * (v - m)).sum::<f32>() / h as f32;
             let rs = 1.0 / (var + eps).sqrt();
@@ -408,31 +418,6 @@ fn layernorm_rows(
             for (j, (o, &xv)) in orow.iter_mut().zip(xrow).enumerate() {
                 *o = (xv - m) * rs * g[j] + b[j];
             }
-        }
-    };
-    let threads = parallel::num_threads().min(rows.max(1));
-    if threads <= 1 || rows <= 1 || out.len() < parallel::MIN_BLOCK {
-        serial(0, out, mean, rstd);
-        return;
-    }
-    let per = rows.div_ceil(threads);
-    std::thread::scope(|s| {
-        let mut out_rest = out;
-        let mut mean_rest = mean;
-        let mut rstd_rest = rstd;
-        let mut row0 = 0usize;
-        let serial = &serial;
-        while !out_rest.is_empty() {
-            let take = per.min(mean_rest.len());
-            let (oband, otail) = out_rest.split_at_mut(take * h);
-            let (mband, mtail) = mean_rest.split_at_mut(take);
-            let (rband, rtail) = rstd_rest.split_at_mut(take);
-            out_rest = otail;
-            mean_rest = mtail;
-            rstd_rest = rtail;
-            let start = row0;
-            s.spawn(move || serial(start, oband, mband, rband));
-            row0 += take;
         }
     });
 }
@@ -827,7 +812,9 @@ mod tests {
         let x = Tensor::randn(&[3, 4], 1.0, 12);
         let probe = Tensor::randn(&[3, 4], 1.0, 13);
         let p = softmax_rows(&x);
-        let analytic = softmax_backward(&p, &probe);
+        let mut analytic = vec![0.0f32; p.len()];
+        softmax_backward_into(p.data(), probe.data(), 4, &mut analytic);
+        let analytic = Tensor::from_vec(p.shape(), analytic);
         grad_check(
             &x,
             &analytic,

@@ -3,25 +3,34 @@
 //! The thread count is a process-wide setting (`RATEL_THREADS` env var,
 //! overridable at runtime with [`set_num_threads`]) rather than a
 //! per-call argument, so kernels deep inside layer code pick it up
-//! without threading a config through every signature. Parallel results
-//! are **bitwise deterministic across thread counts**: work is split
-//! into fixed-size bands whose per-element reduction order never depends
-//! on how bands map to threads.
+//! without threading a config through every signature.
+//!
+//! Every kernel fans out through one primitive, `par_bands`: the caller
+//! cuts its outputs into bands (with `chunks_mut` zips, sized by
+//! `band_len`), and each band runs on its own scoped thread. It is the
+//! crate's only `thread::scope`, so [`parallel_stats`] counts every
+//! kernel fan-out. Parallel results are **bitwise deterministic across
+//! thread counts**: a band's size depends only on the problem and the
+//! thread count, and each band owns whole units of work (rows, panels,
+//! `(batch, head)` units, elements) whose per-element reduction order
+//! never depends on how bands map to threads.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 /// 0 = "unset, consult the environment".
 static NUM_THREADS: AtomicUsize = AtomicUsize::new(0);
 
-/// Kernel dispatches that fanned out to scoped worker threads.
+/// Kernel fan-outs that spawned scoped worker threads.
 static SPAWNED_DISPATCHES: AtomicU64 = AtomicU64::new(0);
-/// Kernel dispatches that ran inline (single worker or tiny buffer).
+/// Kernel fan-outs that ran inline (a single band).
 static INLINE_DISPATCHES: AtomicU64 = AtomicU64::new(0);
 
-/// Cumulative `(spawned, inline)` kernel-dispatch counts since process
-/// start — how often `par_rows`/`par_blocks`/`par_chunks` fanned out to
-/// worker threads versus running the closure inline. Cheap relaxed
-/// counters, always on; the observability plane exports them as gauges.
+/// Cumulative `(spawned, inline)` kernel fan-out counts since process
+/// start: how often a kernel's parallel loop ran its bands on worker
+/// threads versus as one band inline. Every kernel fan-out (GEMM,
+/// attention, layernorm, GELU, Adam and the row interleaves) is counted
+/// once per call. Cheap relaxed counters, always on; the observability
+/// plane exports them as gauges.
 pub fn parallel_stats() -> (u64, u64) {
     (
         SPAWNED_DISPATCHES.load(Ordering::Relaxed),
@@ -61,14 +70,50 @@ pub fn set_num_threads(n: usize) {
     NUM_THREADS.store(n, Ordering::Relaxed);
 }
 
-/// Splits `out` into contiguous chunks of whole `row_len`-sized rows and
-/// runs `f(first_row_index, chunk)` for each chunk, one chunk per worker.
-///
-/// The chunk boundaries depend only on `(rows, threads)` — never on
-/// scheduling — and each output row is written by exactly one worker, so
-/// results are bitwise deterministic. With one thread (or one row-band)
-/// the closure runs inline with no thread spawn.
-pub fn par_rows<F>(out: &mut [f32], row_len: usize, f: F)
+/// Minimum elements a row- or element-parallel kernel needs before it
+/// fans out: below this, spawn overhead beats the parallel win.
+pub(crate) const MIN_BLOCK: usize = 4096;
+
+/// Units per band when `units` units of work are split over the
+/// configured threads into at most `max_bands` bands; at least 1, so it
+/// is always a valid chunk length.
+pub(crate) fn band_len(units: usize, max_bands: usize) -> usize {
+    units.div_ceil(num_threads().min(max_bands).max(1)).max(1)
+}
+
+/// Runs `f(band_index, band)` for every band, one scoped thread per band,
+/// and returns when all have finished. A lone band runs inline on the
+/// caller's thread; with no band, `f` is not called and nothing is
+/// counted. This is the crate's one fan-out and the only place the
+/// dispatch counters move.
+pub(crate) fn par_bands<I, F>(bands: I, f: F)
+where
+    I: IntoIterator,
+    I::Item: Send,
+    F: Fn(usize, I::Item) + Sync,
+{
+    let mut bands = bands.into_iter().peekable();
+    let Some(first) = bands.next() else {
+        return;
+    };
+    if bands.peek().is_none() {
+        INLINE_DISPATCHES.fetch_add(1, Ordering::Relaxed);
+        f(0, first);
+        return;
+    }
+    SPAWNED_DISPATCHES.fetch_add(1, Ordering::Relaxed);
+    std::thread::scope(|s| {
+        let f = &f;
+        for (i, band) in std::iter::once(first).chain(bands).enumerate() {
+            s.spawn(move || f(i, band));
+        }
+    });
+}
+
+/// Splits `out` into bands of whole `row_len`-sized rows, one per worker,
+/// and runs `f(first_row_index, band)` for each; inline below
+/// [`MIN_BLOCK`] elements.
+pub(crate) fn par_rows<F>(out: &mut [f32], row_len: usize, f: F)
 where
     F: Fn(usize, &mut [f32]) + Sync,
 {
@@ -79,96 +124,8 @@ where
         out.len()
     );
     let rows = out.len() / row_len;
-    let threads = num_threads().min(rows.max(1));
-    if threads <= 1 || rows <= 1 || out.len() < MIN_BLOCK {
-        INLINE_DISPATCHES.fetch_add(1, Ordering::Relaxed);
-        f(0, out);
-        return;
-    }
-    SPAWNED_DISPATCHES.fetch_add(1, Ordering::Relaxed);
-    let per = rows.div_ceil(threads);
-    std::thread::scope(|s| {
-        let mut rest = out;
-        let mut row0 = 0usize;
-        let f = &f;
-        while !rest.is_empty() {
-            let take = per.min(rest.len() / row_len);
-            let (band, tail) = rest.split_at_mut(take * row_len);
-            rest = tail;
-            let start = row0;
-            s.spawn(move || f(start, band));
-            row0 += take;
-        }
-    });
-}
-
-/// Minimum elements per worker before an elementwise op bothers
-/// spawning: below this, spawn overhead beats the parallel win.
-pub const MIN_BLOCK: usize = 4096;
-
-/// Splits a flat buffer into one near-equal contiguous block per worker
-/// and runs `f(start_offset, block)` for each. Meant for elementwise
-/// kernels, whose per-element results don't depend on the split at all.
-/// Runs inline when a single worker (or a small buffer) makes spawning
-/// pointless.
-pub fn par_blocks<F>(out: &mut [f32], f: F)
-where
-    F: Fn(usize, &mut [f32]) + Sync,
-{
-    let len = out.len();
-    let threads = num_threads().min(len.div_ceil(MIN_BLOCK).max(1));
-    if threads <= 1 {
-        INLINE_DISPATCHES.fetch_add(1, Ordering::Relaxed);
-        f(0, out);
-        return;
-    }
-    SPAWNED_DISPATCHES.fetch_add(1, Ordering::Relaxed);
-    let per = len.div_ceil(threads);
-    std::thread::scope(|s| {
-        let mut rest = out;
-        let mut off = 0usize;
-        let f = &f;
-        while !rest.is_empty() {
-            let take = per.min(rest.len());
-            let (block, tail) = rest.split_at_mut(take);
-            rest = tail;
-            let start = off;
-            s.spawn(move || f(start, block));
-            off += take;
-        }
-    });
-}
-
-/// Runs `f(chunk_index)` for `chunks` independent chunks, spread over the
-/// configured workers. Used when the work units are not slices of one
-/// output buffer (e.g. pre-packing panels into separate scratch buffers).
-pub fn par_chunks<F>(chunks: usize, f: F)
-where
-    F: Fn(usize) + Sync,
-{
-    let threads = num_threads().min(chunks.max(1));
-    if threads <= 1 || chunks <= 1 {
-        INLINE_DISPATCHES.fetch_add(1, Ordering::Relaxed);
-        for c in 0..chunks {
-            f(c);
-        }
-        return;
-    }
-    SPAWNED_DISPATCHES.fetch_add(1, Ordering::Relaxed);
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|s| {
-        let f = &f;
-        let next = &next;
-        for _ in 0..threads {
-            s.spawn(move || loop {
-                let c = next.fetch_add(1, Ordering::Relaxed);
-                if c >= chunks {
-                    break;
-                }
-                f(c);
-            });
-        }
-    });
+    let per = band_len(rows, if out.len() < MIN_BLOCK { 1 } else { rows });
+    par_bands(out.chunks_mut(per * row_len), |i, band| f(i * per, band));
 }
 
 #[cfg(test)]
@@ -178,16 +135,18 @@ mod tests {
     #[test]
     fn par_rows_covers_every_row_once() {
         set_num_threads(4);
-        let mut out = vec![0.0f32; 7 * 3];
-        par_rows(&mut out, 3, |row0, band| {
-            for (r, row) in band.chunks_exact_mut(3).enumerate() {
+        // Above MIN_BLOCK elements, so the rows are banded.
+        let row_len = MIN_BLOCK / 4;
+        let mut out = vec![0.0f32; 7 * row_len];
+        par_rows(&mut out, row_len, |row0, band| {
+            for (r, row) in band.chunks_exact_mut(row_len).enumerate() {
                 for v in row {
                     *v += (row0 + r) as f32 + 1.0;
                 }
             }
         });
-        for (r, row) in out.chunks_exact(3).enumerate() {
-            assert!(row.iter().all(|&v| v == (r + 1) as f32), "row {r}: {row:?}");
+        for (r, row) in out.chunks_exact(row_len).enumerate() {
+            assert!(row.iter().all(|&v| v == (r + 1) as f32), "row {r}");
         }
         set_num_threads(1);
     }
@@ -205,29 +164,34 @@ mod tests {
     }
 
     #[test]
-    fn par_chunks_visits_each_index() {
-        set_num_threads(3);
-        let hits: Vec<AtomicUsize> = (0..10).map(|_| AtomicUsize::new(0)).collect();
-        par_chunks(10, |c| {
-            hits[c].fetch_add(1, Ordering::SeqCst);
-        });
-        for (c, h) in hits.iter().enumerate() {
-            assert_eq!(h.load(Ordering::SeqCst), 1, "chunk {c}");
-        }
-        set_num_threads(1);
+    fn par_bands_runs_each_band_once_with_its_index() {
+        let mut out = vec![0usize; 10];
+        par_bands(out.chunks_mut(3), |i, band| band.fill(i + 1));
+        assert_eq!(out, [1, 1, 1, 2, 2, 2, 3, 3, 3, 4]);
+    }
+
+    #[test]
+    fn band_len_caps_the_band_count_and_is_a_valid_chunk_length() {
+        // Thread-count independent: other tests move the setting.
+        assert_eq!(band_len(10, 1), 10);
+        assert!(band_len(10, 3) >= 4, "at most 3 bands of 10 units");
+        assert_eq!(band_len(0, 0), 1);
     }
 
     #[test]
     fn dispatch_counters_track_spawned_and_inline() {
-        let (s0, i0) = parallel_stats();
-        set_num_threads(1);
-        par_chunks(4, |_| {}); // single worker -> inline
-        set_num_threads(2);
-        par_chunks(4, |_| {}); // multi-worker -> spawned
+        let (_, i0) = parallel_stats();
+        par_bands(std::iter::once(()), |_, ()| {}); // lone band -> inline
         let (s1, i1) = parallel_stats();
-        assert!(s1 > s0, "spawned counter should advance");
         assert!(i1 > i0, "inline counter should advance");
-        set_num_threads(1);
+        par_bands([(), ()], |_, ()| {}); // two bands -> spawned
+        let (s2, _) = parallel_stats();
+        assert!(s2 > s1, "spawned counter should advance");
+        let calls = AtomicUsize::new(0);
+        par_bands(std::iter::empty::<()>(), |_, ()| {
+            calls.fetch_add(1, Ordering::Relaxed);
+        });
+        assert_eq!(calls.load(Ordering::Relaxed), 0, "no band, no call");
     }
 
     #[test]

@@ -93,14 +93,6 @@ impl Tensor {
         self.data
     }
 
-    /// Returns a reshaped copy sharing no storage.
-    ///
-    /// # Panics
-    /// If the volumes differ.
-    pub fn reshape(&self, shape: &[usize]) -> Tensor {
-        Tensor::from_vec(shape, self.data.clone())
-    }
-
     /// Elementwise `self + other`.
     ///
     /// # Panics
@@ -228,13 +220,5 @@ mod tests {
         let a = Tensor::zeros(&[2]);
         let b = Tensor::zeros(&[3]);
         let _ = a.add(&b);
-    }
-
-    #[test]
-    fn reshape_preserves_data() {
-        let a = Tensor::from_vec(&[2, 3], (0..6).map(|v| v as f32).collect());
-        let b = a.reshape(&[3, 2]);
-        assert_eq!(b.shape(), &[3, 2]);
-        assert_eq!(b.data(), a.data());
     }
 }

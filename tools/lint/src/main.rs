@@ -31,6 +31,12 @@
 //!   `fn` line to its closing brace. A function that long is several
 //!   steps, each with its own state; split it into the steps so a new
 //!   branch lands in one of them, not in the whole.
+//! * **`thread-spawn`** — a non-test `thread::scope`, `thread::spawn`,
+//!   `thread::Builder` / `Builder::spawn` or `spawn_scoped` outside
+//!   `crates/tensor/src/parallel.rs`. The kernels fan out through that
+//!   file's `par_bands` alone, so its counters see every fan-out and one
+//!   process-wide pool can replace one body; any other spawner is
+//!   allowlisted with the reason it is not a kernel fan-out.
 //!
 //! Findings are suppressed by `ratel-lint.allow` at the workspace root.
 //! Each non-comment line is `<rule> <path>` and waives that rule for that
@@ -58,6 +64,7 @@ enum Rule {
     NoWallClockInSim,
     DocRefs,
     LongFn,
+    ThreadSpawn,
 }
 
 impl Rule {
@@ -69,6 +76,7 @@ impl Rule {
             Rule::NoWallClockInSim => "no-wall-clock-in-sim",
             Rule::DocRefs => "doc-refs",
             Rule::LongFn => "long-fn",
+            Rule::ThreadSpawn => "thread-spawn",
         }
     }
 
@@ -80,6 +88,7 @@ impl Rule {
             "no-wall-clock-in-sim" => Some(Rule::NoWallClockInSim),
             "doc-refs" => Some(Rule::DocRefs),
             "long-fn" => Some(Rule::LongFn),
+            "thread-spawn" => Some(Rule::ThreadSpawn),
             _ => None,
         }
     }
@@ -379,6 +388,19 @@ fn long_fns(lines: &[String], in_test: &[bool]) -> Vec<(usize, usize)> {
     long
 }
 
+/// The one file that may start threads for the kernels (`par_bands`).
+const FAN_OUT_FILE: &str = "crates/tensor/src/parallel.rs";
+
+/// What starts an OS thread: a scope, a bare spawn, a `thread::Builder`
+/// (whose `spawn`/`spawn_scoped` sits on a later line of its chain).
+const SPAWNS: &[&str] = &[
+    "thread::scope(",
+    "thread::spawn(",
+    "thread::Builder",
+    "Builder::spawn",
+    "spawn_scoped(",
+];
+
 /// Scans one file and appends findings.
 fn scan_file(path: &Path, rel: &Path, findings: &mut Vec<Finding>) {
     let Ok(src) = fs::read_to_string(path) else {
@@ -387,6 +409,7 @@ fn scan_file(path: &Path, rel: &Path, findings: &mut Vec<Finding>) {
     let lines = sanitize(&src);
     let in_test = test_mask(&lines);
     let in_sim = rel.starts_with("crates/sim");
+    let is_fan_out = rel == Path::new(FAN_OUT_FILE);
 
     // Live lock-guard scopes: (binding name, brace depth at binding).
     let mut guards: Vec<(String, i64)> = Vec::new();
@@ -417,6 +440,9 @@ fn scan_file(path: &Path, rel: &Path, findings: &mut Vec<Finding>) {
         // quotes, so the literal is still visible here.
         if !in_test[idx] && (line.contains(".unwrap()") || line.contains(".expect(\"")) {
             report(Rule::NoUnwrap);
+        }
+        if !in_test[idx] && !is_fan_out && SPAWNS.iter().any(|p| line.contains(p)) {
+            report(Rule::ThreadSpawn);
         }
 
         // Guard-scope tracking for no-sleep-under-lock. A binding like
@@ -1065,6 +1091,17 @@ mod tests {
         assert_eq!(hits, vec![(Rule::LongFn, too_long)]);
         assert_eq!(fn_keyword("let f: fn(u8) = g; let fn_x = 1;"), None);
         assert_eq!(fn_keyword("    pub fn name<T>("), Some(8));
+    }
+
+    #[test]
+    fn flags_a_thread_spawn_outside_the_kernel_fan_out() {
+        let src = "fn f() {\n    std::thread::scope(|s| {\n        s.spawn(|| {});\n    });\n    \
+                   let h = thread::Builder::new()\n        .spawn(g);\n    \
+                   thread::spawn_named(\"w\", g);\n}\n\
+                   #[cfg(test)]\nmod tests {\n    fn t() { std::thread::spawn(g); }\n}\n";
+        let hits = scan_src(src, "crates/x/src/lib.rs");
+        assert_eq!(hits, vec![(Rule::ThreadSpawn, 2), (Rule::ThreadSpawn, 5)]);
+        assert!(scan_src(src, FAN_OUT_FILE).is_empty());
     }
 
     #[test]
