@@ -37,7 +37,7 @@ use ratel_tensor::dtype::{
     decode_f16, decode_f32, encode_f16, encode_f32, f32_to_f16_bits, f32_to_f16_bits_slice,
     round_to_f16, round_to_f16_in_place,
 };
-use ratel_tensor::{adam, num_threads, ops, set_num_threads, Adam, AdamParams, BlockSaved, Tensor};
+use ratel_tensor::{adam, num_threads, ops, with_width, Adam, AdamParams, BlockSaved, Tensor};
 
 /// The suite names, in emission order.
 pub const SUITES: [&str; 4] = ["attention", "kernels", "adam", "ssd"];
@@ -184,24 +184,6 @@ fn time_min_for(budget: f64, mut f: impl FnMut()) -> f64 {
     best
 }
 
-/// Sets the kernel thread count and restores the previous one on drop
-/// (panic included), so a suite never leaks its setting into the caller.
-struct ThreadsGuard(usize);
-
-impl ThreadsGuard {
-    fn set(threads: usize) -> Self {
-        let previous = num_threads();
-        set_num_threads(threads);
-        Self(previous)
-    }
-}
-
-impl Drop for ThreadsGuard {
-    fn drop(&mut self) {
-        set_num_threads(self.0);
-    }
-}
-
 /// The thread counts a ladder measures: 1 and, when it differs, the
 /// count the engine actually runs with — never more than the cores this
 /// box has, where a wider entry would only measure oversubscription.
@@ -234,17 +216,16 @@ fn fill(n: usize, seed: u64) -> Vec<f32> {
 
 /// Runs one suite by name. `smoke` restricts to the reduced sizes CI can
 /// afford. Everything off a thread ladder is measured with the kernels
-/// serial; the caller's thread count is back in place on return.
+/// serial, each rung at its own width.
 pub fn run_suite(suite: &str, smoke: bool) -> Result<PerfSuite, String> {
     let ladder = thread_ladder();
-    let _serial = ThreadsGuard::set(1);
-    let entries = match suite {
-        "kernels" => run_kernels(smoke, &ladder),
-        "attention" => run_attention(smoke, &ladder),
-        "adam" => run_adam(smoke, &ladder),
-        "ssd" => run_ssd(smoke)?,
-        other => return Err(format!("unknown suite {other:?} ({})", SUITES.join("|"))),
-    };
+    let entries = with_width(1, || match suite {
+        "kernels" => Ok(run_kernels(smoke, &ladder)),
+        "attention" => Ok(run_attention(smoke, &ladder)),
+        "adam" => Ok(run_adam(smoke, &ladder)),
+        "ssd" => run_ssd(smoke),
+        other => Err(format!("unknown suite {other:?} ({})", SUITES.join("|"))),
+    })?;
     Ok(PerfSuite {
         suite: suite.into(),
         entries,
@@ -278,9 +259,10 @@ fn run_kernels(smoke: bool, ladder: &[usize]) -> Vec<PerfEntry> {
         // spawns; tiny sizes measure scheduler noise, not the kernel.
         let rungs = if s >= 384 { ladder } else { &ladder[..1] };
         for &threads in rungs {
-            let _rung = ThreadsGuard::set(threads);
-            let tiled_s = time_min_for(0.3, || {
-                std::hint::black_box(ops::matmul(&a, &b));
+            let tiled_s = with_width(threads, || {
+                time_min_for(0.3, || {
+                    std::hint::black_box(ops::matmul(&a, &b));
+                })
             });
             entries.push(PerfEntry::report(
                 format!("matmul_tiled_t{threads}_{s}"),
@@ -449,19 +431,20 @@ fn run_attention(smoke: bool, ladder: &[usize]) -> Vec<PerfEntry> {
 
         let mut fwd_streaming_t1 = f64::INFINITY;
         for &threads in ladder {
-            let _rung = ThreadsGuard::set(threads);
-            let secs = time_min_for(budget, || {
-                attn_forward_into(
-                    &qkv,
-                    batch,
-                    s,
-                    h,
-                    heads,
-                    &mut ctx,
-                    &mut row_max,
-                    &mut row_lse,
-                );
-                std::hint::black_box(&mut ctx);
+            let secs = with_width(threads, || {
+                time_min_for(budget, || {
+                    attn_forward_into(
+                        &qkv,
+                        batch,
+                        s,
+                        h,
+                        heads,
+                        &mut ctx,
+                        &mut row_max,
+                        &mut row_lse,
+                    );
+                    std::hint::black_box(&mut ctx);
+                })
             });
             if threads == 1 {
                 fwd_streaming_t1 = secs;
@@ -510,12 +493,13 @@ fn run_attention(smoke: bool, ladder: &[usize]) -> Vec<PerfEntry> {
         );
         let mut bwd_streaming_t1 = f64::INFINITY;
         for &threads in ladder {
-            let _rung = ThreadsGuard::set(threads);
-            let secs = time_min_for(budget, || {
-                attn_backward_into(
-                    &qkv, &ctx, &row_max, &row_lse, &dctx, batch, s, h, heads, &mut dqkv,
-                );
-                std::hint::black_box(&mut dqkv);
+            let secs = with_width(threads, || {
+                time_min_for(budget, || {
+                    attn_backward_into(
+                        &qkv, &ctx, &row_max, &row_lse, &dctx, batch, s, h, heads, &mut dqkv,
+                    );
+                    std::hint::black_box(&mut dqkv);
+                })
             });
             if threads == 1 {
                 bwd_streaming_t1 = secs;
@@ -611,9 +595,10 @@ fn run_adam(smoke: bool, ladder: &[usize]) -> Vec<PerfEntry> {
         for &threads in ladder {
             let mut adam = Adam::new(n);
             let mut params = fill(n, 6);
-            let _rung = ThreadsGuard::set(threads);
-            let secs = time_min_for(0.3, || {
-                adam.step(&mut params, &grads, &hp);
+            let secs = with_width(threads, || {
+                time_min_for(0.3, || {
+                    adam.step(&mut params, &grads, &hp);
+                })
             });
             entries.push(PerfEntry::report(
                 format!("adam_step_t{threads}_{n}"),
@@ -626,7 +611,7 @@ fn run_adam(smoke: bool, ladder: &[usize]) -> Vec<PerfEntry> {
     // Steady-state allocation counts: the bugfix contract is that these
     // hot paths allocate nothing per call once warmed up. The Adam size
     // sits below the parallel threshold so the step is serial (no scoped
-    // spawns) whatever the global thread count is.
+    // spawns) at any width.
     let m = 4096;
     let mut adam = Adam::new(m);
     let mut params = fill(m, 7);
@@ -904,8 +889,9 @@ mod tests {
     use super::*;
     use std::sync::Mutex;
 
-    /// `run_suite` sets the process-wide kernel thread count, so the
-    /// tests that call it take turns.
+    /// The allocation counter is process-wide: a suite running beside
+    /// the allocation-count test would allocate into every call it
+    /// counts, so the tests that call `run_suite` take turns.
     static RUN_SUITE: Mutex<()> = Mutex::new(());
 
     fn suite_of(entries: Vec<PerfEntry>) -> PerfSuite {
@@ -989,12 +975,10 @@ mod tests {
     }
 
     #[test]
-    fn every_suite_runs_and_leaves_the_thread_count_as_it_found_it() {
+    fn every_suite_runs_and_names_each_entry_once() {
         let _turn = RUN_SUITE.lock().unwrap_or_else(|e| e.into_inner());
         for suite in SUITES {
-            let before = num_threads();
             let result = run_suite(suite, true).unwrap();
-            assert_eq!(num_threads(), before, "{suite} leaked its thread count");
             assert_eq!(result.suite, suite);
             assert!(!result.entries.is_empty());
             for (i, e) in result.entries.iter().enumerate() {
@@ -1006,14 +990,6 @@ mod tests {
                 );
             }
         }
-        // A panic inside a rung restores it too.
-        let before = num_threads();
-        let panicked = std::panic::catch_unwind(|| {
-            let _rung = ThreadsGuard::set(before + 1);
-            panic!("kernel panicked mid-rung");
-        });
-        assert!(panicked.is_err());
-        assert_eq!(num_threads(), before);
     }
 
     #[test]

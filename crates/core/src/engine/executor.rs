@@ -238,6 +238,8 @@ impl Executor {
 
     /// Runs every task of `graph` through `action`, respecting the
     /// graph's dependency edges, and reports the per-pool breakdown.
+    /// Each worker runs its kernels at the caller's
+    /// [`ratel_tensor::num_threads`] width.
     ///
     /// On the first action error, dispatch stops everywhere (tasks
     /// already running finish) and that error is returned. An action
@@ -305,6 +307,7 @@ impl Executor {
                 .collect(),
             start: Instant::now(),
         };
+        let width = ratel_tensor::num_threads();
         std::thread::scope(|scope| {
             for r in graph.resource_ids() {
                 let class = stats[stat_of[r.0]].class;
@@ -312,7 +315,9 @@ impl Executor {
                     let shared = &shared;
                     let spawned = std::thread::Builder::new()
                         .name(format!("ratel-exec-{}-{w}", class.name()))
-                        .spawn_scoped(scope, move || worker(shared, graph, r, action));
+                        .spawn_scoped(scope, move || {
+                            ratel_tensor::with_width(width, || worker(shared, graph, r, action))
+                        });
                     if let Err(e) = spawned {
                         // Abort the whole run: already-spawned workers
                         // drain out and the error surfaces below.
@@ -483,6 +488,20 @@ mod tests {
             breakdown.pool(ResourceClass::Overhead).unwrap().class,
             ResourceClass::CpuCompute
         );
+    }
+
+    #[test]
+    fn workers_run_kernels_at_the_callers_width() {
+        let g = diamond();
+        let at = |width: usize| {
+            move |_: TaskId| {
+                assert_eq!(ratel_tensor::num_threads(), width);
+                Ok(())
+            }
+        };
+        ratel_tensor::with_width(3, || Executor::new(2).run(&g, &at(3))).unwrap();
+        let default = ratel_tensor::num_threads();
+        Executor::new(2).run(&g, &at(default)).unwrap();
     }
 
     #[test]

@@ -311,14 +311,15 @@ mod tests {
             .map(|i| ((i * 37) % 101) as f32 * 0.01 - 0.5)
             .collect();
         let run = |threads: usize| {
-            crate::parallel::set_num_threads(threads);
-            let mut adam = Adam::new(n);
-            let mut p = vec![0.25f32; n];
-            for _ in 0..3 {
-                adam.step(&mut p, &g, &AdamParams::default());
-            }
-            crate::parallel::set_num_threads(1);
-            (p, adam)
+            crate::parallel::with_width(threads, || {
+                assert_eq!(crate::parallel::num_threads(), threads);
+                let mut adam = Adam::new(n);
+                let mut p = vec![0.25f32; n];
+                for _ in 0..3 {
+                    adam.step(&mut p, &g, &AdamParams::default());
+                }
+                (p, adam)
+            })
         };
         let (p1, a1) = run(1);
         let (p4, a4) = run(4);
@@ -365,11 +366,12 @@ mod tests {
                         let mut master = encode_f32(&params);
                         let mut moments = encode_f32(&[&adam.m[..], &adam.v[..]].concat());
 
-                        crate::parallel::set_num_threads(threads);
-                        adam.step(&mut params, &grads, &hp);
-                        let as_stored = GradFactors::default();
-                        step_le_bytes(&mut master, &mut moments, &g16, as_stored, t, &hp);
-                        crate::parallel::set_num_threads(1);
+                        crate::parallel::with_width(threads, || {
+                            assert_eq!(crate::parallel::num_threads(), threads);
+                            adam.step(&mut params, &grads, &hp);
+                            let as_stored = GradFactors::default();
+                            step_le_bytes(&mut master, &mut moments, &g16, as_stored, t, &hp);
+                        });
 
                         let what = format!("n {n}, {threads} threads, wd {weight_decay}, t {t}");
                         assert_eq!(master, encode_f32(&params), "master: {what}");

@@ -170,13 +170,6 @@ pub(crate) fn gemm_serial(
     out: &mut [f32],
 ) {
     check_dims(m, k, n, a, b, out);
-    if m == 0 || n == 0 {
-        return;
-    }
-    if k == 0 {
-        out.iter_mut().for_each(|o| *o = 0.0);
-        return;
-    }
     let mut bpack = scratch_f32(packed_b_len(k, n));
     pack_b_full(k, n, b, lb, &mut bpack);
     run_band(0, m, k, n, a, la, &bpack, out);
@@ -195,8 +188,8 @@ pub(crate) fn packed_b_len(k: usize, n: usize) -> usize {
 pub(crate) fn pack_b_full(k: usize, n: usize, b: &[f32], lb: LayoutB, out: &mut [f32]) {
     assert_eq!(b.len(), k * n, "gemm rhs size");
     assert_eq!(out.len(), packed_b_len(k, n), "packed rhs size");
-    for (s, strip) in out.chunks_exact_mut(k * NR).enumerate() {
-        pack_b(k, n, b, lb, s * NR, strip);
+    for s in 0..n.div_ceil(NR) {
+        pack_b(k, n, b, lb, s * NR, &mut out[s * k * NR..(s + 1) * k * NR]);
     }
 }
 
@@ -220,13 +213,6 @@ pub(crate) fn gemm_serial_packed(
     assert_eq!(a.len(), m * k, "gemm lhs size");
     assert_eq!(bpack.len(), packed_b_len(k, n), "packed rhs size");
     assert_eq!(out.len(), m * n, "gemm out size");
-    if m == 0 || n == 0 {
-        return;
-    }
-    if k == 0 {
-        out.iter_mut().for_each(|o| *o = 0.0);
-        return;
-    }
     run_band(0, m, k, n, a, la, bpack, out);
 }
 
@@ -244,13 +230,6 @@ pub fn gemm_tiled(
     out: &mut [f32],
 ) {
     check_dims(m, k, n, a, b, out);
-    if m == 0 || n == 0 {
-        return;
-    }
-    if k == 0 {
-        out.iter_mut().for_each(|o| *o = 0.0);
-        return;
-    }
     let mut bpack = scratch_f32(packed_b_len(k, n));
     pack_b_full(k, n, b, lb, &mut bpack);
     let bpack = &bpack[..];
@@ -258,13 +237,16 @@ pub fn gemm_tiled(
     // unaffected by the banding, so any split is bitwise equivalent.
     let panels = m.div_ceil(MR);
     let band_rows = band_len(panels, panels) * MR;
-    par_bands(out.chunks_mut(band_rows * n), |i, band| {
+    // `max(1)`: with `n == 0` the output is empty and yields no band.
+    par_bands(out.chunks_mut((band_rows * n).max(1)), |i, band| {
         run_band(i * band_rows, band.len() / n, k, n, a, la, bpack, band)
     });
 }
 
 /// Computes `rows` output rows starting at global row `i0` into `band`
-/// (a `[rows, n]` slice of the output).
+/// (a `[rows, n]` slice of the output). Every tiled entry ends here, and
+/// so does the one degenerate-shape exit: with no rows or columns the
+/// loops below run zero times, and an empty reduction (`k == 0`) is 0.
 #[allow(clippy::too_many_arguments)]
 fn run_band(
     i0: usize,
@@ -276,6 +258,10 @@ fn run_band(
     bpack: &[f32],
     band: &mut [f32],
 ) {
+    if k == 0 {
+        band.fill(0.0);
+        return;
+    }
     let use_fma = fma_available();
     let nstrips = n.div_ceil(NR);
     let mut apack = scratch_f32(k * MR);
@@ -446,6 +432,7 @@ fn check_dims(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::parallel::{num_threads, with_width};
 
     fn fill(n: usize, seed: u64) -> Vec<f32> {
         let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).max(1);
@@ -520,17 +507,20 @@ mod tests {
         let a = fill(m * k, 7);
         let b = fill(k * n, 8);
         let mut base = vec![0.0f32; m * n];
-        crate::parallel::set_num_threads(1);
-        gemm_tiled(m, k, n, &a, LayoutA::Normal, &b, LayoutB::Normal, &mut base);
+        with_width(1, || {
+            assert_eq!(num_threads(), 1);
+            gemm_tiled(m, k, n, &a, LayoutA::Normal, &b, LayoutB::Normal, &mut base)
+        });
         for t in [2usize, 3, 4] {
-            crate::parallel::set_num_threads(t);
             let mut out = vec![0.0f32; m * n];
-            gemm_tiled(m, k, n, &a, LayoutA::Normal, &b, LayoutB::Normal, &mut out);
+            with_width(t, || {
+                assert_eq!(num_threads(), t);
+                gemm_tiled(m, k, n, &a, LayoutA::Normal, &b, LayoutB::Normal, &mut out)
+            });
             for (i, (x, y)) in base.iter().zip(&out).enumerate() {
                 assert_eq!(x.to_bits(), y.to_bits(), "threads={t} elem {i}");
             }
         }
-        crate::parallel::set_num_threads(1);
     }
 
     #[test]
@@ -541,9 +531,10 @@ mod tests {
                 let b = fill(k * n, 13 + n as u64);
                 let mut want = vec![0.0f32; m * n];
                 let mut got = vec![0.0f32; m * n];
-                crate::parallel::set_num_threads(4);
-                gemm_tiled(m, k, n, &a, la, &b, lb, &mut want);
-                crate::parallel::set_num_threads(1);
+                with_width(4, || {
+                    assert_eq!(num_threads(), 4);
+                    gemm_tiled(m, k, n, &a, la, &b, lb, &mut want)
+                });
                 gemm_serial(m, k, n, &a, la, &b, lb, &mut got);
                 for (i, (w, g)) in want.iter().zip(&got).enumerate() {
                     assert_eq!(w.to_bits(), g.to_bits(), "({m},{k},{n}) elem {i}");
@@ -553,18 +544,29 @@ mod tests {
     }
 
     #[test]
-    fn k_zero_writes_zeros() {
-        let mut out = vec![1.0f32; 6];
-        gemm_tiled(
-            2,
-            0,
-            3,
-            &[],
-            LayoutA::Normal,
-            &[],
-            LayoutB::Normal,
-            &mut out,
-        );
-        assert!(out.iter().all(|&v| v == 0.0));
+    fn every_entry_matches_the_reference_on_degenerate_shapes() {
+        use crate::{ops, Tensor};
+        for (m, k, n) in [(0, 5, 7), (7, 0, 5), (5, 7, 0), (0, 0, 3), (0, 0, 0)] {
+            for (la, lb) in layouts() {
+                let a = fill(a_len(la, m, k), 17);
+                let b = fill(k * n, 19);
+                let mut want = vec![1.0f32; m * n];
+                gemm_reference(m, k, n, &a, la, &b, lb, &mut want);
+                let mut bpack = vec![0.0f32; packed_b_len(k, n)];
+                pack_b_full(k, n, &b, lb, &mut bpack);
+                let mut got = [vec![1.0f32; m * n], vec![1.0; m * n], vec![1.0; m * n]];
+                gemm_serial(m, k, n, &a, la, &b, lb, &mut got[0]);
+                gemm_tiled(m, k, n, &a, la, &b, lb, &mut got[1]);
+                gemm_serial_packed(m, k, n, &a, la, &bpack, &mut got[2]);
+                for (entry, got) in got.iter().enumerate() {
+                    assert_eq!(got, &want, "entry {entry}, ({m},{k},{n}) {la:?}/{lb:?}");
+                }
+            }
+            let t = |r, c, seed| Tensor::from_vec(&[r, c], fill(r * c, seed));
+            let (a, at, b, bt) = (t(m, k, 23), t(k, m, 29), t(k, n, 31), t(n, k, 37));
+            assert_eq!(ops::matmul(&a, &b), ops::naive::matmul(&a, &b));
+            assert_eq!(ops::matmul_at(&at, &b), ops::naive::matmul_at(&at, &b));
+            assert_eq!(ops::matmul_bt(&a, &bt), ops::naive::matmul_bt(&a, &bt));
+        }
     }
 }

@@ -41,6 +41,6 @@ pub use layers::{
     TransformerBlock,
 };
 pub use ops::DropoutSpec;
-pub use parallel::{num_threads, parallel_stats, set_num_threads};
+pub use parallel::{num_threads, parallel_stats, with_width};
 pub use scratch::{scratch_f32, scratch_stats, ScratchVec};
 pub use tensor::Tensor;

@@ -1,9 +1,11 @@
 //! Scoped-thread work partitioning for the hot kernels.
 //!
-//! The thread count is a process-wide setting (`RATEL_THREADS` env var,
-//! overridable at runtime with [`set_num_threads`]) rather than a
-//! per-call argument, so kernels deep inside layer code pick it up
-//! without threading a config through every signature.
+//! A kernel's width (the threads it fans out to) belongs to its call:
+//! [`with_width`] sets it for one closure on the calling thread, and the
+//! threads started under it inherit it (`par_bands`' bands, the
+//! executor's workers), so two calls at different widths never see each
+//! other's. Elsewhere [`num_threads`] reads the process default. Kernels
+//! deep inside layer code pick the width up without a config argument.
 //!
 //! Every kernel fans out through one primitive, `par_bands`: the caller
 //! cuts its outputs into bands (with `chunks_mut` zips, sized by
@@ -15,10 +17,15 @@
 //! `(batch, head)` units, elements) whose per-element reduction order
 //! never depends on how bands map to threads.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
 
-/// 0 = "unset, consult the environment".
-static NUM_THREADS: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    /// The width a [`with_width`] on this thread set; 0 = none, so
+    /// [`num_threads`] reads the process default.
+    static WIDTH: Cell<usize> = const { Cell::new(0) };
+}
 
 /// Kernel fan-outs that spawned scoped worker threads.
 static SPAWNED_DISPATCHES: AtomicU64 = AtomicU64::new(0);
@@ -38,36 +45,43 @@ pub fn parallel_stats() -> (u64, u64) {
     )
 }
 
-/// Returns the configured worker-thread count (≥ 1).
-///
-/// Resolution order: [`set_num_threads`] value if set, else the
-/// `RATEL_THREADS` environment variable, else the machine's available
-/// parallelism. The resolved value is cached.
+/// The width (≥ 1) a kernel called on this thread fans out to: the
+/// innermost [`with_width`] here or inherited, else the process default
+/// (`RATEL_THREADS`, else the available parallelism, read once).
 pub fn num_threads() -> usize {
-    let cached = NUM_THREADS.load(Ordering::Relaxed);
-    if cached != 0 {
-        return cached;
+    static DEFAULT: OnceLock<usize> = OnceLock::new();
+    match WIDTH.get() {
+        0 => *DEFAULT.get_or_init(|| {
+            let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+            threads_from(std::env::var("RATEL_THREADS").ok().as_deref(), cores)
+        }),
+        n => n,
     }
-    let n = std::env::var("RATEL_THREADS")
-        .ok()
-        .and_then(|s| s.trim().parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        });
-    NUM_THREADS.store(n, Ordering::Relaxed);
-    n
 }
 
-/// Overrides the worker-thread count for subsequent kernel calls.
+/// The default width: `RATEL_THREADS` (`var`) when it parses, trimmed,
+/// as a positive integer, else the `cores`.
+fn threads_from(var: Option<&str>, cores: usize) -> usize {
+    (var.and_then(|s| s.trim().parse::<usize>().ok()))
+        .filter(|&n| n > 0)
+        .unwrap_or(cores)
+}
+
+/// Runs `f` with the kernels it calls fanning out to `n` threads, and
+/// restores this thread's width on return or unwind.
 ///
 /// # Panics
 /// If `n == 0`.
-pub fn set_num_threads(n: usize) {
+pub fn with_width<R>(n: usize, f: impl FnOnce() -> R) -> R {
     assert!(n > 0, "thread count must be >= 1");
-    NUM_THREADS.store(n, Ordering::Relaxed);
+    struct Restore(usize);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            WIDTH.set(self.0);
+        }
+    }
+    let _restore = Restore(WIDTH.replace(n));
+    f()
 }
 
 /// Minimum elements a row- or element-parallel kernel needs before it
@@ -75,17 +89,17 @@ pub fn set_num_threads(n: usize) {
 pub(crate) const MIN_BLOCK: usize = 4096;
 
 /// Units per band when `units` units of work are split over the
-/// configured threads into at most `max_bands` bands; at least 1, so it
+/// caller's width into at most `max_bands` bands; at least 1, so it
 /// is always a valid chunk length.
 pub(crate) fn band_len(units: usize, max_bands: usize) -> usize {
     units.div_ceil(num_threads().min(max_bands).max(1)).max(1)
 }
 
-/// Runs `f(band_index, band)` for every band, one scoped thread per band,
-/// and returns when all have finished. A lone band runs inline on the
-/// caller's thread; with no band, `f` is not called and nothing is
-/// counted. This is the crate's one fan-out and the only place the
-/// dispatch counters move.
+/// Runs `f(band_index, band)` for every band, one scoped thread per band
+/// at the caller's width, and returns when all have finished. A lone
+/// band runs inline on the caller's thread; with no band, `f` is not
+/// called and nothing is counted. This is the crate's one fan-out and
+/// the only place the dispatch counters move.
 pub(crate) fn par_bands<I, F>(bands: I, f: F)
 where
     I: IntoIterator,
@@ -102,10 +116,11 @@ where
         return;
     }
     SPAWNED_DISPATCHES.fetch_add(1, Ordering::Relaxed);
+    let width = num_threads();
     std::thread::scope(|s| {
         let f = &f;
         for (i, band) in std::iter::once(first).chain(bands).enumerate() {
-            s.spawn(move || f(i, band));
+            s.spawn(move || with_width(width, || f(i, band)));
         }
     });
 }
@@ -131,36 +146,38 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicUsize;
 
     #[test]
     fn par_rows_covers_every_row_once() {
-        set_num_threads(4);
         // Above MIN_BLOCK elements, so the rows are banded.
         let row_len = MIN_BLOCK / 4;
         let mut out = vec![0.0f32; 7 * row_len];
-        par_rows(&mut out, row_len, |row0, band| {
-            for (r, row) in band.chunks_exact_mut(row_len).enumerate() {
-                for v in row {
-                    *v += (row0 + r) as f32 + 1.0;
+        with_width(4, || {
+            par_rows(&mut out, row_len, |row0, band| {
+                assert_eq!(num_threads(), 4);
+                for (r, row) in band.chunks_exact_mut(row_len).enumerate() {
+                    for v in row {
+                        *v += (row0 + r) as f32 + 1.0;
+                    }
                 }
-            }
+            })
         });
         for (r, row) in out.chunks_exact(row_len).enumerate() {
             assert!(row.iter().all(|&v| v == (r + 1) as f32), "row {r}");
         }
-        set_num_threads(1);
     }
 
     #[test]
     fn par_rows_single_row_runs_inline() {
-        set_num_threads(8);
         let mut out = vec![0.0f32; 5];
-        par_rows(&mut out, 5, |row0, band| {
-            assert_eq!(row0, 0);
-            band.fill(2.0);
+        with_width(8, || {
+            par_rows(&mut out, 5, |row0, band| {
+                assert_eq!(row0, 0);
+                band.fill(2.0);
+            })
         });
         assert!(out.iter().all(|&v| v == 2.0));
-        set_num_threads(1);
     }
 
     #[test]
@@ -172,9 +189,9 @@ mod tests {
 
     #[test]
     fn band_len_caps_the_band_count_and_is_a_valid_chunk_length() {
-        // Thread-count independent: other tests move the setting.
         assert_eq!(band_len(10, 1), 10);
-        assert!(band_len(10, 3) >= 4, "at most 3 bands of 10 units");
+        assert_eq!(with_width(3, || band_len(10, 3)), 4);
+        assert_eq!(with_width(8, || band_len(10, 3)), 4, "at most 3 bands");
         assert_eq!(band_len(0, 0), 1);
     }
 
@@ -195,12 +212,52 @@ mod tests {
     }
 
     #[test]
-    fn env_parsing_ignores_garbage() {
-        // Can't safely mutate the environment in-process; just exercise
-        // the setter/getter contract.
-        set_num_threads(2);
-        assert_eq!(num_threads(), 2);
-        set_num_threads(1);
-        assert_eq!(num_threads(), 1);
+    fn the_default_parses_a_positive_count_or_falls_back_to_the_cores() {
+        assert_eq!(threads_from(None, 6), 6);
+        for garbage in ["", "0", "-1", "abc"] {
+            assert_eq!(threads_from(Some(garbage), 6), 6, "{garbage:?}");
+        }
+        assert_eq!(threads_from(Some(" 3 "), 6), 3);
+    }
+
+    #[test]
+    fn a_width_is_scoped_to_its_closure_and_nests() {
+        let outside = num_threads();
+        with_width(3, || {
+            assert_eq!(num_threads(), 3);
+            with_width(5, || assert_eq!(num_threads(), 5));
+            assert_eq!(num_threads(), 3);
+        });
+        assert_eq!(num_threads(), outside);
+        // An unwinding closure restores it too.
+        let unwound = std::panic::catch_unwind(|| with_width(7, || panic!("mid-call")));
+        assert!(unwound.is_err());
+        assert_eq!(num_threads(), outside);
+    }
+
+    #[test]
+    fn concurrent_callers_each_see_their_own_width_in_every_band() {
+        // Two threads fan out side by side at different widths, each
+        // round started together: every band must run at its own
+        // caller's width, whatever the other thread set.
+        let round = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            for width in [1, 4] {
+                let round = &round;
+                s.spawn(move || {
+                    for _ in 0..1000 {
+                        round.wait();
+                        with_width(width, || {
+                            let mut out = [0usize; 4];
+                            par_bands(out.chunks_mut(band_len(4, 4)), |_, band| {
+                                assert_eq!(num_threads(), width);
+                                band.fill(1);
+                            });
+                            assert_eq!(out, [1; 4]);
+                        });
+                    }
+                });
+            }
+        });
     }
 }

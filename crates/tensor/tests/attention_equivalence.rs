@@ -25,7 +25,7 @@
 use proptest::prelude::*;
 use ratel_tensor::{
     attn_backward_into, attn_backward_naive_into, attn_forward_into, attn_forward_naive_into,
-    set_num_threads,
+    num_threads, with_width,
 };
 
 /// Runs one forward, returning `(ctx, row_max, row_lse)`.
@@ -85,9 +85,10 @@ proptest! {
         let d = 1usize << d_pow;
         let h = heads * d;
         let qkv = expand(&seed, b * s * 3 * h, 7, 1);
-        set_num_threads(threads);
-        let (ctx, row_max, row_lse) = forward(true, &qkv, b, s, h, heads);
-        set_num_threads(1);
+        let (ctx, row_max, row_lse) = with_width(threads, || {
+            assert_eq!(num_threads(), threads);
+            forward(true, &qkv, b, s, h, heads)
+        });
         let (ctx_o, max_o, lse_o) = forward(false, &qkv, b, s, h, heads);
         for (i, (&g, &w)) in ctx.iter().zip(&ctx_o).enumerate() {
             prop_assert!(close(g, w, 5e-4), "ctx[{}]: got {}, want {}", i, g, w);
@@ -115,13 +116,15 @@ proptest! {
         let dctx = expand(&seed, b * s * h, 11, 3);
         // Each backend consumes its own forward's saved set, exactly as
         // the layer does at train time.
-        set_num_threads(threads);
-        let (ctx, row_max, row_lse) = forward(true, &qkv, b, s, h, heads);
-        let mut dqkv = vec![0.0f32; qkv.len()];
-        attn_backward_into(
-            &qkv, &ctx, &row_max, &row_lse, &dctx, b, s, h, heads, &mut dqkv,
-        );
-        set_num_threads(1);
+        let dqkv = with_width(threads, || {
+            assert_eq!(num_threads(), threads);
+            let (ctx, row_max, row_lse) = forward(true, &qkv, b, s, h, heads);
+            let mut dqkv = vec![0.0f32; qkv.len()];
+            attn_backward_into(
+                &qkv, &ctx, &row_max, &row_lse, &dctx, b, s, h, heads, &mut dqkv,
+            );
+            dqkv
+        });
         let (ctx_o, max_o, lse_o) = forward(false, &qkv, b, s, h, heads);
         let mut dqkv_o = vec![0.0f32; qkv.len()];
         attn_backward_naive_into(
@@ -145,9 +148,10 @@ proptest! {
         let h = heads * d;
         let mut qkv = expand(&seed, b * s * 3 * h, 7, 1);
         lace(&mut qkv, &spots);
-        set_num_threads(threads);
-        let (ctx, row_max, row_lse) = forward(true, &qkv, b, s, h, heads);
-        set_num_threads(1);
+        let (ctx, row_max, row_lse) = with_width(threads, || {
+            assert_eq!(num_threads(), threads);
+            forward(true, &qkv, b, s, h, heads)
+        });
         let (ctx_o, max_o, lse_o) = forward(false, &qkv, b, s, h, heads);
         for bi in 0..b {
             for hd in 0..heads {
@@ -200,13 +204,15 @@ proptest! {
         let dctx = expand(&seed, b * s * h, 13, 4);
         let mut reference: Option<Vec<u32>> = None;
         for threads in 1..=4 {
-            set_num_threads(threads);
-            let (ctx, row_max, row_lse) = forward(true, &qkv, b, s, h, heads);
-            let mut dqkv = vec![0.0f32; qkv.len()];
-            attn_backward_into(
-                &qkv, &ctx, &row_max, &row_lse, &dctx, b, s, h, heads, &mut dqkv,
-            );
-            set_num_threads(1);
+            let (ctx, row_max, row_lse, dqkv) = with_width(threads, || {
+                assert_eq!(num_threads(), threads);
+                let (ctx, row_max, row_lse) = forward(true, &qkv, b, s, h, heads);
+                let mut dqkv = vec![0.0f32; qkv.len()];
+                attn_backward_into(
+                    &qkv, &ctx, &row_max, &row_lse, &dctx, b, s, h, heads, &mut dqkv,
+                );
+                (ctx, row_max, row_lse, dqkv)
+            });
             let bits: Vec<u32> = ctx
                 .iter()
                 .chain(&row_max)

@@ -13,16 +13,22 @@ use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
 use ratel_tensor::dtype::{f32_to_f16_bits, f32_to_f16_bits_slice};
 use ratel_tensor::ops::{self, naive};
-use ratel_tensor::{set_num_threads, Tensor};
+use ratel_tensor::{num_threads, with_width, Tensor};
 
 /// Runs `check(block)` for every block index in `blocks`, spread over the
-/// cores. A block is the 2^16 bit patterns `block << 16 | 0..=0xffff`.
+/// cores, with the kernels inside serial: the sweep is the fan-out. A
+/// block is the 2^16 bit patterns `block << 16 | 0..=0xffff`.
 fn for_each_block(blocks: std::ops::Range<u32>, check: impl Fn(u32) + Sync) {
     let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
     std::thread::scope(|s| {
         for w in 0..workers {
             let (check, blocks) = (&check, blocks.clone());
-            s.spawn(move || blocks.skip(w).step_by(workers).for_each(check));
+            s.spawn(move || {
+                with_width(1, || {
+                    assert_eq!(num_threads(), 1);
+                    blocks.skip(w).step_by(workers).for_each(check)
+                })
+            });
         }
     });
 }
@@ -89,8 +95,6 @@ unsafe fn f16c_encode(values: &[f32]) -> [u16; 8] {
 #[test]
 #[ignore = "exhaustive: every f32 in [-12, 12], minutes in release"]
 fn gelu_is_within_its_bounds_of_the_libm_formula_on_every_f32_to_12() {
-    // The sweep spreads over the cores itself.
-    set_num_threads(1);
     let twelve = 12.0f32.to_bits() >> 16;
     let (exact, total) = (AtomicU64::new(0), AtomicU64::new(0));
     // Worst errors as f32 bits: non-negative floats order as integers.

@@ -2,13 +2,13 @@
 //! above its parallel threshold, must advance `parallel_stats()` by
 //! exactly its number of fan-outs: spawned at two threads, inline at one.
 //! One `#[test]` in its own binary, so no concurrent test moves the
-//! process-wide counters or the thread setting between two readings.
+//! process-wide counters between two readings.
 
 use ratel_tensor::adam::{step_le_bytes, GradFactors};
 use ratel_tensor::ops::{gelu, layernorm, matmul};
 use ratel_tensor::{
-    attn_backward_into, attn_forward_into, f32_to_f16_bits, parallel_stats, set_num_threads, Adam,
-    AdamParams, Tensor,
+    attn_backward_into, attn_forward_into, f32_to_f16_bits, num_threads, parallel_stats,
+    with_width, Adam, AdamParams, Tensor,
 };
 
 /// Attention shape: two `(batch, head)` units, and a `[64, 64]` context
@@ -56,27 +56,29 @@ fn every_kernel_fan_out_is_counted_once() {
     let qkv = Tensor::randn(&[B * S, 3 * H], 1.0, 4).into_vec();
     let (ctx, m, lse) = attn_forward(&qkv);
     for threads in [2, 1] {
-        set_num_threads(threads);
-        let want = |fan_outs| match threads {
-            1 => (0, fan_outs),
-            _ => (fan_outs, 0),
-        };
-        let at = format!("at {threads} threads: (spawned, inline)");
-        assert_eq!(counted(|| drop(matmul(&a, &a))), want(1), "matmul {at}");
-        assert_eq!(counted(|| drop(gelu(&x))), want(1), "gelu {at}");
-        let ln = || drop(layernorm(&x, &gamma, &beta, 1e-5));
-        assert_eq!(counted(ln), want(1), "layernorm {at}");
-        let mut params = vec![0.5f32; N];
-        let step = || Adam::new(N).step(&mut params, &grads, &hp);
-        assert_eq!(counted(step), want(1), "Adam::step {at}");
-        let (mut master, mut moments) = (vec![0u8; 4 * N], vec![0u8; 8 * N]);
-        let factors = GradFactors::default();
-        let step = || step_le_bytes(&mut master, &mut moments, &g16, factors, 0, &hp);
-        assert_eq!(counted(step), want(1), "step_le_bytes {at}");
-        let fwd = || drop(attn_forward(&qkv));
-        assert_eq!(counted(fwd), want(2), "attn_forward_into {at}");
-        let mut dqkv = vec![0.0; qkv.len()];
-        let bwd = || attn_backward_into(&qkv, &ctx, &m, &lse, &ctx, B, S, H, HEADS, &mut dqkv);
-        assert_eq!(counted(bwd), want(2), "attn_backward_into {at}");
+        with_width(threads, || {
+            assert_eq!(num_threads(), threads);
+            let want = |fan_outs| match threads {
+                1 => (0, fan_outs),
+                _ => (fan_outs, 0),
+            };
+            let at = format!("at {threads} threads: (spawned, inline)");
+            assert_eq!(counted(|| drop(matmul(&a, &a))), want(1), "matmul {at}");
+            assert_eq!(counted(|| drop(gelu(&x))), want(1), "gelu {at}");
+            let ln = || drop(layernorm(&x, &gamma, &beta, 1e-5));
+            assert_eq!(counted(ln), want(1), "layernorm {at}");
+            let mut params = vec![0.5f32; N];
+            let step = || Adam::new(N).step(&mut params, &grads, &hp);
+            assert_eq!(counted(step), want(1), "Adam::step {at}");
+            let (mut master, mut moments) = (vec![0u8; 4 * N], vec![0u8; 8 * N]);
+            let factors = GradFactors::default();
+            let step = || step_le_bytes(&mut master, &mut moments, &g16, factors, 0, &hp);
+            assert_eq!(counted(step), want(1), "step_le_bytes {at}");
+            let fwd = || drop(attn_forward(&qkv));
+            assert_eq!(counted(fwd), want(2), "attn_forward_into {at}");
+            let mut dqkv = vec![0.0; qkv.len()];
+            let bwd = || attn_backward_into(&qkv, &ctx, &m, &lse, &ctx, B, S, H, HEADS, &mut dqkv);
+            assert_eq!(counted(bwd), want(2), "attn_backward_into {at}");
+        });
     }
 }

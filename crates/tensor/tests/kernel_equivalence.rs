@@ -11,7 +11,7 @@
 
 use proptest::prelude::*;
 use ratel_tensor::ops::{self, naive};
-use ratel_tensor::{set_num_threads, Tensor};
+use ratel_tensor::{num_threads, with_width, Tensor};
 
 /// |tiled - reference| bound for one output element with accumulator
 /// magnitude `mag` over a length-`k` reduction.
@@ -115,9 +115,10 @@ proptest! {
         let bv: Vec<f32> = (0..k * n).map(|i| seed_b[i % seed_b.len()]).collect();
         let a = Tensor::from_vec(&[m, k], av);
         let b = Tensor::from_vec(&[k, n], bv);
-        set_num_threads(threads);
-        let got = ops::matmul(&a, &b);
-        set_num_threads(1);
+        let got = with_width(threads, || {
+            assert_eq!(num_threads(), threads);
+            ops::matmul(&a, &b)
+        });
         let want = naive::matmul(&a, &b);
         assert_matches_oracle(&got, &want, &a, &b, (m, k, n))?;
     }
@@ -136,9 +137,10 @@ proptest! {
         let b = Tensor::from_vec(&[k, n], bv);
         // matmul_at takes A already transposed: at is k x m.
         let at = transpose(&a, m, k);
-        set_num_threads(threads);
-        let got = ops::matmul_at(&at, &b);
-        set_num_threads(1);
+        let got = with_width(threads, || {
+            assert_eq!(num_threads(), threads);
+            ops::matmul_at(&at, &b)
+        });
         let want = naive::matmul_at(&at, &b);
         assert_matches_oracle(&got, &want, &a, &b, (m, k, n))?;
     }
@@ -157,9 +159,10 @@ proptest! {
         let b = Tensor::from_vec(&[k, n], bv);
         // matmul_bt takes B already transposed: bt is n x k.
         let bt = transpose(&b, k, n);
-        set_num_threads(threads);
-        let got = ops::matmul_bt(&a, &bt);
-        set_num_threads(1);
+        let got = with_width(threads, || {
+            assert_eq!(num_threads(), threads);
+            ops::matmul_bt(&a, &bt)
+        });
         let want = naive::matmul_bt(&a, &bt);
         assert_matches_oracle(&got, &want, &a, &b, (m, k, n))?;
     }
@@ -183,9 +186,10 @@ proptest! {
         lace(&mut bv, &b_spots);
         let a = Tensor::from_vec(&[m, k], av);
         let b = Tensor::from_vec(&[k, n], bv);
-        set_num_threads(threads);
-        let got = ops::matmul(&a, &b);
-        set_num_threads(1);
+        let got = with_width(threads, || {
+            assert_eq!(num_threads(), threads);
+            ops::matmul(&a, &b)
+        });
         let want = naive::matmul(&a, &b);
         assert_matches_oracle(&got, &want, &a, &b, (m, k, n))?;
     }
@@ -203,9 +207,10 @@ proptest! {
         let b = Tensor::from_vec(&[k, n], bv);
         let mut reference: Option<Vec<u32>> = None;
         for threads in 1..=4 {
-            set_num_threads(threads);
-            let out = ops::matmul(&a, &b);
-            set_num_threads(1);
+            let out = with_width(threads, || {
+                assert_eq!(num_threads(), threads);
+                ops::matmul(&a, &b)
+            });
             let bits: Vec<u32> = out.data().iter().map(|v| v.to_bits()).collect();
             match &reference {
                 None => reference = Some(bits),
@@ -235,11 +240,14 @@ fn elementwise_kernels_bitwise_stable_across_threads() {
             ("gelu_backward", &|| ops::gelu_backward(&x, &dy)),
         ];
         for (name, kernel) in kernels {
-            set_num_threads(1);
-            let g1 = kernel();
-            set_num_threads(4);
-            let g4 = kernel();
-            set_num_threads(1);
+            let g1 = with_width(1, || {
+                assert_eq!(num_threads(), 1);
+                kernel()
+            });
+            let g4 = with_width(4, || {
+                assert_eq!(num_threads(), 4);
+                kernel()
+            });
             assert!(
                 g1.data()
                     .iter()

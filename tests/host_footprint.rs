@@ -125,7 +125,11 @@ fn wide() -> common::Shape {
 
 #[test]
 fn a_build_and_a_step_hold_one_copy_of_each_model_state() {
-    ratel_repro::tensor::set_num_threads(TENSOR_THREADS);
+    // The executor's workers inherit the width, so it covers the steps.
+    ratel_repro::tensor::with_width(TENSOR_THREADS, one_copy_of_each_model_state);
+}
+
+fn one_copy_of_each_model_state() {
     for (s, shape) in zoo().into_iter().chain([wide()]).enumerate() {
         let model = shape.model;
         let layer_params: Vec<usize> = (0..model.layers + 2)
