@@ -13,8 +13,9 @@
 //! * `allocs` — heap allocations per steady-state call of a hot path,
 //!   counted by the global allocator below (which is why this is a
 //!   binary and not a test): must be 0, or the buffers the call returns
-//!   where it returns some (a `count` beside one is the same call done
-//!   another way, printed for contrast);
+//!   where it returns some, or a staging buffer over the scratch pool's
+//!   bound where the call needs one (a `count` beside one is the same
+//!   call done another way, printed for contrast);
 //! * `ratio` with a floor — two wall-clocks taken back to back in this
 //!   process, tuned path over its oracle, so machine speed cancels. The
 //!   claim is "the path we ship is not slower than the path it
@@ -37,7 +38,9 @@ use ratel_tensor::dtype::{
     decode_f16, decode_f32, encode_f16, encode_f32, f32_to_f16_bits, f32_to_f16_bits_slice,
     round_to_f16, round_to_f16_in_place,
 };
-use ratel_tensor::{adam, num_threads, ops, with_width, Adam, AdamParams, BlockSaved, Tensor};
+use ratel_tensor::{
+    adam, num_threads, ops, with_width, Adam, AdamParams, BlockSaved, Tensor, SCRATCH_BLOCK,
+};
 
 /// The suite names, in emission order.
 pub const SUITES: [&str; 4] = ["attention", "kernels", "adam", "ssd"];
@@ -300,6 +303,22 @@ fn run_kernels(smoke: bool, ladder: &[usize]) -> Vec<PerfEntry> {
             flops / secs / 1e9,
         ));
     }
+    // At steady state each route allocates its output tensor (its data
+    // and its shape) and nothing else: every packed block comes from the
+    // scratch pool, and none is over the bound the pool keeps.
+    for (name, f) in [
+        ("matmul", ops::matmul as fn(&Tensor, &Tensor) -> Tensor),
+        ("matmul_at", ops::matmul_at),
+        ("matmul_bt", ops::matmul_bt),
+    ] {
+        entries.push(PerfEntry::allocs_exactly(
+            &format!("{name}_allocs_per_call_{s}"),
+            min_allocs_per_call(10, || {
+                std::hint::black_box(f(&a, &b));
+            }),
+            2,
+        ));
+    }
     entries.extend(run_elementwise());
     entries
 }
@@ -542,9 +561,12 @@ fn run_attention(smoke: bool, ladder: &[usize]) -> Vec<PerfEntry> {
     entries
 }
 
-/// Steady-state allocation counts: both streaming kernels run entirely
-/// out of the scratch pool once warmed, at any thread count — asserted
-/// here at the serial setting the counter can attribute.
+/// Steady-state allocation counts: both streaming kernels run out of the
+/// scratch pool once warmed, at any thread count — asserted here at the
+/// serial setting the counter can attribute — except for a unit-major
+/// staging buffer over the pool's bound, which each call allocates and
+/// frees. At this shape the forward's (`b·s·h` floats, 256 KiB) is at the
+/// bound and kept; the backward's (three times that) is over it.
 fn attention_allocs(batch: usize, heads: usize, d: usize) -> Vec<PerfEntry> {
     use ratel_tensor::{attn_backward_into, attn_forward_into};
 
@@ -571,13 +593,15 @@ fn attention_allocs(batch: usize, heads: usize, d: usize) -> Vec<PerfEntry> {
             )
         }),
     ));
-    entries.push(PerfEntry::allocs(
+    assert!(batch * s * h <= SCRATCH_BLOCK && 3 * batch * s * h > SCRATCH_BLOCK);
+    entries.push(PerfEntry::allocs_exactly(
         "attn_bwd_streaming_allocs_per_call",
         min_allocs_per_call(10, || {
             attn_backward_into(
                 &qkv, &ctx, &row_max, &row_lse, &dctx, batch, s, h, heads, &mut dqkv,
             )
         }),
+        1,
     ));
     entries
 }
@@ -1011,18 +1035,19 @@ mod tests {
             assert_eq!(e.value, 0.0, "{name} allocates at steady state");
         }
         // The streaming attention kernels run out of the scratch pool
-        // once warmed: a full forward + backward step allocates nothing.
+        // once warmed: the forward allocates nothing, the backward only
+        // its staging buffer, which is over the bound the pool keeps.
         let attn_suite = run_suite("attention", true).unwrap();
-        for name in [
-            "attn_fwd_streaming_allocs_per_call",
-            "attn_bwd_streaming_allocs_per_call",
+        for (name, allocs) in [
+            ("attn_fwd_streaming_allocs_per_call", 0.0),
+            ("attn_bwd_streaming_allocs_per_call", 1.0),
         ] {
             let e = attn_suite
                 .entries
                 .iter()
                 .find(|e| e.name == name)
                 .expect(name);
-            assert_eq!(e.value, 0.0, "{name} allocates at steady state");
+            assert_eq!(e.value, allocs, "{name} at steady state");
         }
     }
 }

@@ -781,12 +781,11 @@ impl<'a> StepCtx<'a> {
                 .lock()
                 .take()
                 .ok_or_else(|| slot_violation("head forward parked its input"))?;
-            let (dx, head_grads) =
-                scratch
-                    .head
-                    .backward_scaled(&x, &head_saved, targets, self.training()?.scale);
+            let scale = self.training()?.scale;
+            let mut grads = self.grad_slot(layer);
+            let dx = (scratch.head).backward_scaled(&x, &head_saved, targets, scale, &mut grads);
             *self.dflow.lock() = Some(dx);
-            self.park_gradient(layer, frozen, &head_grads);
+            self.park_gradient(layer, frozen, grads);
         } else if layer >= 1 {
             let b = layer - 1;
             self.load_params(&mut scratch, layer, BlobKind::P16Bwd)?;
@@ -814,9 +813,10 @@ impl<'a> StepCtx<'a> {
                 // Each field decodes straight from the chunks it spans.
                 BlockSaved::from_f16_bytes(fetched, c.batch, c.seq, c.hidden, c.heads)
             };
-            let (dprev, grads) = scratch.block.backward_with(&input, &saved, &dx, spec);
+            let mut grads = self.grad_slot(layer);
+            let dprev = (scratch.block).backward_with(&input, &saved, &dx, spec, &mut grads);
             *self.dflow.lock() = Some(dprev);
-            self.park_gradient(layer, frozen, &grads);
+            self.park_gradient(layer, frozen, grads);
         } else {
             self.load_params(&mut scratch, 0, BlobKind::P16Bwd)?;
             let dx = self
@@ -824,18 +824,25 @@ impl<'a> StepCtx<'a> {
                 .lock()
                 .take()
                 .ok_or_else(|| slot_violation("backward flow reaches the embedding"))?;
-            let emb_grads = scratch.embedding.backward(tokens, c.batch, c.seq, &dx);
-            self.park_gradient(0, frozen, &emb_grads);
+            let mut grads = self.grad_slot(0);
+            (scratch.embedding).backward(tokens, c.batch, c.seq, &dx, &mut grads);
+            self.park_gradient(0, frozen, grads);
         }
         Ok(())
     }
 
-    /// Parks a trained layer's gradient for its `grad-off` as the G16 the
-    /// GPU's mixed-precision backward emits: the f32 vector ends with the
-    /// backward task that produced it.
-    fn park_gradient(&self, layer: usize, frozen: bool, grads: &[f32]) {
+    /// The flat f32 gradient `layer`'s backward writes its weight
+    /// gradients into, one slice per parameter tensor.
+    fn grad_slot(&self, layer: usize) -> Vec<f32> {
+        vec![0.0; self.config.model.layer_params(layer)]
+    }
+
+    /// Parks a trained layer's gradient slot for its `grad-off` as the
+    /// G16 the GPU's mixed-precision backward emits: the f32 slot ends
+    /// with the backward task that filled it.
+    fn park_gradient(&self, layer: usize, frozen: bool, grads: Vec<f32>) {
         if !frozen {
-            *self.grads[layer].lock() = Some(encode_f16(grads));
+            *self.grads[layer].lock() = Some(encode_f16(&grads));
         }
     }
 

@@ -97,19 +97,19 @@ pub fn publish_engine_metrics(engine: &RatelEngine, registry: &Registry) {
 
     // Tensor-kernel substrate: scratch-arena reuse (this thread's pool)
     // and thread-pool dispatch fan-out.
-    let (checkouts, misses) = ratel_tensor::scratch_stats();
+    let scratch = ratel_tensor::scratch_stats();
     registry
         .gauge(
             "ratel_scratch_checkouts",
             "Scratch-arena buffer checkouts on the publishing thread",
         )
-        .set(checkouts as f64);
+        .set(scratch.checkouts as f64);
     registry
         .gauge(
             "ratel_scratch_misses",
             "Scratch checkouts that had to allocate (steady state: flat)",
         )
-        .set(misses as f64);
+        .set(scratch.misses as f64);
     let (spawned, inline) = ratel_tensor::parallel_stats();
     registry
         .counter_with(

@@ -1,19 +1,20 @@
 //! Transformer layers with explicit forward/backward and flat parameter
 //! access.
 //!
-//! Every layer exposes its parameters in one flat order (and accepts
-//! gradients in the same order), because a layer's flat parameters are
-//! the unit the out-of-core engine moves between tiers, as P32 and P16
-//! byte blobs, and the unit the CPU Adam updates. Saved
+//! Every layer exposes its parameters in one flat order, and its backward
+//! writes its gradients in the same order into a flat slot the caller
+//! owns, because a layer's flat parameters are the unit the out-of-core
+//! engine moves between tiers, as P32 and P16 byte blobs, and the unit
+//! the CPU Adam updates. Saved
 //! activations are separate structs with half-precision (de)serialization
 //! so they can be offloaded byte-for-byte like the paper's A16 tensors.
 
 use crate::attention::{attn_backward_into, attn_forward_into};
 use crate::dtype::{decode_f16_into, encode_f16_into, encode_f32_into, round_to_f16_in_place};
 use crate::ops::{
-    add_bias, apply_mask, bias_grad, cross_entropy, cross_entropy_backward, dropout_mask,
-    embedding_gather, embedding_scatter_add, gelu, gelu_backward, layernorm, layernorm_backward,
-    matmul, matmul_at, matmul_bt, DropoutSpec, LayerNormStats,
+    add_bias, apply_mask, bias_grad_into, cross_entropy, cross_entropy_backward, dropout_mask,
+    embedding_gather, embedding_scatter_add_into, gelu, gelu_backward, layernorm,
+    layernorm_backward, matmul, matmul_at_into, matmul_bt, DropoutSpec, LayerNormStats,
 };
 use crate::scratch::scratch_f32;
 use crate::tensor::Tensor;
@@ -90,6 +91,11 @@ fn push_tensor(out: &mut Vec<f32>, t: &Tensor) {
     out.extend_from_slice(t.data());
 }
 
+/// Splits a layer's gradient slot after `first`'s share of it.
+fn split_slot<'g>(grads: &'g mut [f32], first: &dyn ParamLayer) -> (&'g mut [f32], &'g mut [f32]) {
+    grads.split_at_mut(first.param_count())
+}
+
 // ---------------------------------------------------------------------------
 // Linear
 // ---------------------------------------------------------------------------
@@ -101,15 +107,6 @@ pub struct Linear {
     pub w: Tensor,
     /// Bias `[out]`.
     pub b: Tensor,
-}
-
-/// Gradients of a [`Linear`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct LinearGrads {
-    /// `dL/dw`.
-    pub dw: Tensor,
-    /// `dL/db`.
-    pub db: Tensor,
 }
 
 impl Linear {
@@ -128,12 +125,13 @@ impl Linear {
         y
     }
 
-    /// Returns `(dx, grads)` given the forward input `x`.
-    pub fn backward(&self, x: &Tensor, dy: &Tensor) -> (Tensor, LinearGrads) {
-        let dx = matmul_bt(dy, &self.w);
-        let dw = matmul_at(x, dy);
-        let db = bias_grad(dy);
-        (dx, LinearGrads { dw, db })
+    /// Returns `dx` given the forward input `x`, and writes `[dw | db]`
+    /// into `grads`.
+    pub fn backward(&self, x: &Tensor, dy: &Tensor, grads: &mut [f32]) -> Tensor {
+        let (dw, db) = grads.split_at_mut(self.w.len());
+        matmul_at_into(x, dy, dw);
+        bias_grad_into(dy, db);
+        matmul_bt(dy, &self.w)
     }
 }
 
@@ -178,14 +176,19 @@ impl LayerNorm {
         layernorm(x, &self.gamma, &self.beta, self.eps)
     }
 
-    /// Returns `(dx, dgamma, dbeta)`.
+    /// Returns `dx`, and writes `[dgamma | dbeta]` into `grads`.
     pub fn backward(
         &self,
         x: &Tensor,
         stats: &LayerNormStats,
         dy: &Tensor,
-    ) -> (Tensor, Tensor, Tensor) {
-        layernorm_backward(x, &self.gamma, stats, dy)
+        grads: &mut [f32],
+    ) -> Tensor {
+        let (dx, dgamma, dbeta) = layernorm_backward(x, &self.gamma, stats, dy);
+        let (dg, db) = grads.split_at_mut(dgamma.len());
+        dg.copy_from_slice(dgamma.data());
+        db.copy_from_slice(dbeta.data());
+        dx
     }
 }
 
@@ -287,9 +290,10 @@ impl MultiHeadAttention {
         )
     }
 
-    /// Backward; returns `(dx, d_wqkv, d_wo)` given the forward input `x`.
-    /// Attention probabilities are recomputed from `saved.qkv` and the
-    /// saved row statistics — nothing `O(s²)` is read back.
+    /// Backward; returns `dx` given the forward input `x`, and writes
+    /// `[d_wqkv | d_wo]` into `grads`. Attention probabilities are
+    /// recomputed from `saved.qkv` and the saved row statistics — nothing
+    /// `O(s²)` is read back.
     pub fn backward(
         &self,
         x: &Tensor,
@@ -297,10 +301,12 @@ impl MultiHeadAttention {
         dy: &Tensor,
         batch: usize,
         seq: usize,
-    ) -> (Tensor, LinearGrads, LinearGrads) {
+        grads: &mut [f32],
+    ) -> Tensor {
         let (h, _d) = self.dims(x, batch, seq);
+        let (dwqkv, dwo) = split_slot(grads, &self.wqkv);
 
-        let (dctx, dwo) = self.wo.backward(&saved.ctx, dy);
+        let dctx = self.wo.backward(&saved.ctx, dy, dwo);
 
         let mut dqkv = vec![0.0f32; batch * seq * 3 * h];
         attn_backward_into(
@@ -317,8 +323,7 @@ impl MultiHeadAttention {
         );
 
         let dqkv = Tensor::from_vec(&[batch * seq, 3 * h], dqkv);
-        let (dx, dwqkv) = self.wqkv.backward(x, &dqkv);
-        (dx, dwqkv, dwo)
+        self.wqkv.backward(x, &dqkv, dwqkv)
     }
 }
 
@@ -373,19 +378,15 @@ impl Mlp {
         (y, MlpSaved { pre, act })
     }
 
-    /// Backward; returns `(dx, d_fc1, d_fc2)` given the forward input `x`.
-    pub fn backward(
-        &self,
-        x: &Tensor,
-        saved: &MlpSaved,
-        dy: &Tensor,
-    ) -> (Tensor, LinearGrads, LinearGrads) {
-        let (dact, dfc2) = self.fc2.backward(&saved.act, dy);
+    /// Backward; returns `dx` given the forward input `x`, and writes
+    /// `[d_fc1 | d_fc2]` into `grads`.
+    pub fn backward(&self, x: &Tensor, saved: &MlpSaved, dy: &Tensor, grads: &mut [f32]) -> Tensor {
+        let (dfc1, dfc2) = split_slot(grads, &self.fc1);
+        let dact = self.fc2.backward(&saved.act, dy, dfc2);
         let dpre = gelu_backward(&saved.pre, &dact);
         // Dead once the GELU consumed it: fc1's backward runs without it.
         drop(dact);
-        let (dx, dfc1) = self.fc1.backward(x, &dpre);
-        (dx, dfc1, dfc2)
+        self.fc1.backward(x, &dpre, dfc1)
     }
 }
 
@@ -441,9 +442,6 @@ pub struct BlockSaved {
     /// MLP intermediates.
     pub mlp: MlpSaved,
 }
-
-/// Gradients of one transformer block in flat-parameter order.
-pub type BlockGrads = Vec<f32>;
 
 /// Derives block `block`'s dropout spec for a given training step: the
 /// same `(p, step_seed, block)` triple always produces the same masks, so
@@ -519,69 +517,70 @@ impl TransformerBlock {
     }
 
     /// Backward pass. Needs the forward input `x` plus the saved
-    /// activations; returns `(dx, flat_grads)` with gradients laid out in
-    /// [`ParamLayer::params_flat`] order.
-    pub fn backward(&self, x: &Tensor, saved: &BlockSaved, dy: &Tensor) -> (Tensor, BlockGrads) {
-        self.backward_with(x, saved, dy, None)
+    /// activations; returns `dx` and writes the block's gradients into
+    /// `grads` in [`ParamLayer::params_flat`] order.
+    pub fn backward(
+        &self,
+        x: &Tensor,
+        saved: &BlockSaved,
+        dy: &Tensor,
+        grads: &mut [f32],
+    ) -> Tensor {
+        self.backward_with(x, saved, dy, None, grads)
     }
 
     /// Backward matching [`TransformerBlock::forward_with`]: the dropout
     /// masks are regenerated from the same spec and applied to the
-    /// sublayer gradients.
+    /// sublayer gradients. `grads` is the block's flat gradient, fully
+    /// overwritten: each weight gradient's GEMM writes into its own slice
+    /// of it, so the block holds no gradient outside the slot.
+    ///
+    /// # Panics
+    /// If `grads` is not [`ParamLayer::param_count`] long.
     pub fn backward_with(
         &self,
         x: &Tensor,
         saved: &BlockSaved,
         dy: &Tensor,
         dropout: Option<DropoutSpec>,
-    ) -> (Tensor, BlockGrads) {
-        // Each intermediate gradient is dropped once the next sublayer has
-        // consumed it, so the flat gradients below are assembled beside
-        // the saved set and the weight gradients only.
+        grads: &mut [f32],
+    ) -> Tensor {
+        assert_eq!(grads.len(), self.param_count(), "block gradient slot");
+        // Slot order is params_flat order: ln1, attn(wqkv, wo), ln2, mlp.
+        let (g_ln1, rest) = split_slot(grads, &self.ln1);
+        let (g_attn, rest) = split_slot(rest, &self.attn);
+        let (g_ln2, g_mlp) = split_slot(rest, &self.ln2);
+        // Besides the saved set and the slot, the block holds only the
+        // running activation gradients, each dropped once the next
+        // sublayer has consumed it.
         let masked = |g: &Tensor, spec: DropoutSpec| apply_mask(g, &dropout_mask(g.len(), spec));
         // y = x2 + drop(mlp(ln2(x2)))
         let dm = dropout.map(|spec| {
             let seed = spec.seed ^ 0x9e37_79b9;
             masked(dy, DropoutSpec { p: spec.p, seed })
         });
-        let (dx3, dfc1, dfc2) =
-            (self.mlp).backward(&saved.x3, &saved.mlp, dm.as_ref().unwrap_or(dy));
+        let dx3 = (self.mlp).backward(&saved.x3, &saved.mlp, dm.as_ref().unwrap_or(dy), g_mlp);
         drop(dm);
-        let (dx2_ln, dg2, db2) = self.ln2.backward(&saved.x2, &saved.ln2_stats, &dx3);
+        let dx2_ln = self.ln2.backward(&saved.x2, &saved.ln2_stats, &dx3, g_ln2);
         drop(dx3);
         let mut dx = dy.clone();
         dx.add_assign(&dx2_ln);
         drop(dx2_ln);
         // x2 = x + drop(attn(ln1(x)))
         let da = dropout.map(|spec| masked(&dx, spec));
-        let (dx1, dwqkv, dwo) = self.attn.backward(
+        let dx1 = self.attn.backward(
             &saved.x1,
             &saved.attn,
             da.as_ref().unwrap_or(&dx),
             self.batch,
             self.seq,
+            g_attn,
         );
         drop(da);
-        let (dx_ln, dg1, db1) = self.ln1.backward(x, &saved.ln1_stats, &dx1);
+        let dx_ln = self.ln1.backward(x, &saved.ln1_stats, &dx1, g_ln1);
         drop(dx1);
         dx.add_assign(&dx_ln);
-        drop(dx_ln);
-
-        // Flat grads in params_flat order: ln1, attn(wqkv, wo), ln2, mlp.
-        let mut grads = Vec::with_capacity(self.param_count());
-        push_tensor(&mut grads, &dg1);
-        push_tensor(&mut grads, &db1);
-        push_tensor(&mut grads, &dwqkv.dw);
-        push_tensor(&mut grads, &dwqkv.db);
-        push_tensor(&mut grads, &dwo.dw);
-        push_tensor(&mut grads, &dwo.db);
-        push_tensor(&mut grads, &dg2);
-        push_tensor(&mut grads, &db2);
-        push_tensor(&mut grads, &dfc1.dw);
-        push_tensor(&mut grads, &dfc1.db);
-        push_tensor(&mut grads, &dfc2.dw);
-        push_tensor(&mut grads, &dfc2.db);
-        (dx, grads)
+        dx
     }
 }
 
@@ -875,11 +874,24 @@ impl Embedding {
         Tensor::from_vec(&[1, h], data)
     }
 
-    /// Backward: returns flat gradients (tokens then positions).
-    pub fn backward(&self, ids: &[usize], batch: usize, seq: usize, dy: &Tensor) -> Vec<f32> {
+    /// Backward: writes the flat gradients (tokens then positions) into
+    /// `grads`, fully overwritten.
+    ///
+    /// # Panics
+    /// If `grads` is not [`ParamLayer::param_count`] long.
+    pub fn backward(
+        &self,
+        ids: &[usize],
+        batch: usize,
+        seq: usize,
+        dy: &Tensor,
+        grads: &mut [f32],
+    ) {
+        assert_eq!(grads.len(), self.param_count(), "embedding gradient slot");
         let h = self.tokens.shape()[1];
-        let dtok = embedding_scatter_add(self.tokens.shape(), ids, dy);
-        let mut dpos = vec![0.0f32; seq * h];
+        let (dtok, dpos) = grads.split_at_mut(self.tokens.len());
+        embedding_scatter_add_into(ids, dy, dtok);
+        dpos.fill(0.0);
         for bi in 0..batch {
             for t in 0..seq {
                 let row = (bi * seq + t) * h;
@@ -888,10 +900,6 @@ impl Embedding {
                 }
             }
         }
-        let mut out = Vec::with_capacity(self.param_count());
-        push_tensor(&mut out, &dtok);
-        out.extend_from_slice(&dpos);
-        out
     }
 }
 
@@ -959,33 +967,31 @@ impl CrossEntropy {
         )
     }
 
-    /// Backward; returns `(dx, flat_grads)` given the forward input `x`.
-    pub fn backward(&self, x: &Tensor, saved: &HeadSaved, targets: &[usize]) -> (Tensor, Vec<f32>) {
-        self.backward_scaled(x, saved, targets, 1.0)
-    }
-
-    /// Backward with *loss scaling*: the loss gradient is multiplied by
-    /// `scale` before propagating, so small gradients survive the f16
-    /// G16 format; the optimizer divides by the same factor.
+    /// Backward with *loss scaling*, given the forward input `x`: the
+    /// loss gradient is multiplied by `scale` before propagating, so small
+    /// gradients survive the f16 G16 format (the optimizer divides by the
+    /// same factor). Returns `dx` and writes the flat gradients into
+    /// `grads`, fully overwritten.
+    ///
+    /// # Panics
+    /// If `grads` is not [`ParamLayer::param_count`] long.
     pub fn backward_scaled(
         &self,
         x: &Tensor,
         saved: &HeadSaved,
         targets: &[usize],
         scale: f32,
-    ) -> (Tensor, Vec<f32>) {
+        grads: &mut [f32],
+    ) -> Tensor {
+        assert_eq!(grads.len(), self.param_count(), "head gradient slot");
+        let (g_ln, dw) = split_slot(grads, &self.ln_f);
         let mut dlogits = cross_entropy_backward(&saved.probs, targets);
         if scale != 1.0 {
             dlogits = dlogits.scale(scale);
         }
-        let dw = matmul_at(&saved.xf, &dlogits);
+        matmul_at_into(&saved.xf, &dlogits, dw);
         let dxf = matmul_bt(&dlogits, &self.w_out);
-        let (dx, dgamma, dbeta) = self.ln_f.backward(x, &saved.ln_stats, &dxf);
-        let mut grads = Vec::with_capacity(self.param_count());
-        push_tensor(&mut grads, &dgamma);
-        push_tensor(&mut grads, &dbeta);
-        push_tensor(&mut grads, &dw);
-        (dx, grads)
+        self.ln_f.backward(x, &saved.ln_stats, &dxf, g_ln)
     }
 }
 
@@ -1199,23 +1205,17 @@ impl GptModel {
             x = y;
         }
         let (loss, head_saved) = self.head.forward(&x, targets);
-        let (mut dx, head_grads) = self.head.backward_scaled(&x, &head_saved, targets, scale);
-
-        let mut block_grads: Vec<Vec<f32>> = Vec::with_capacity(c.layers);
+        // One gradient slot per layer, each written by its backward.
+        let mut all: Vec<Vec<f32>> = (0..c.layers + 2)
+            .map(|layer| vec![0.0; c.layer_params(layer)])
+            .collect();
+        let head_grads = &mut all[c.layers + 1];
+        let mut dx = (self.head).backward_scaled(&x, &head_saved, targets, scale, head_grads);
         for i in (0..c.layers).rev() {
             let spec = dropout.map(|(p, seed)| block_dropout_spec(p, seed, i));
-            let (dprev, grads) = self.blocks[i].backward_with(&inputs[i], &saves[i], &dx, spec);
-            block_grads.push(grads);
-            dx = dprev;
+            dx = self.blocks[i].backward_with(&inputs[i], &saves[i], &dx, spec, &mut all[i + 1]);
         }
-        block_grads.reverse();
-
-        let embed_grads = self.embedding.backward(tokens, c.batch, c.seq, &dx);
-
-        let mut all = Vec::with_capacity(c.layers + 2);
-        all.push(embed_grads);
-        all.extend(block_grads);
-        all.push(head_grads);
+        (self.embedding).backward(tokens, c.batch, c.seq, &dx, &mut all[0]);
         (loss, all)
     }
 }
@@ -1248,7 +1248,8 @@ mod tests {
         let lin = Linear::new(4, 3, 21);
         let x = Tensor::randn(&[5, 4], 1.0, 22);
         let probe = Tensor::randn(&[5, 3], 1.0, 23);
-        let (dx, grads) = lin.backward(&x, &probe);
+        let mut grads = vec![f32::NAN; lin.param_count()];
+        let dx = lin.backward(&x, &probe, &mut grads);
         let loss = |xx: &Tensor| -> f64 {
             lin.forward(xx)
                 .data()
@@ -1267,7 +1268,7 @@ mod tests {
             let ana = dx.data()[i];
             assert!((num - ana).abs() < 2e-2, "{num} vs {ana}");
         }
-        assert!(finite(grads.dw.data()) && finite(grads.db.data()));
+        assert!(finite(&grads));
     }
 
     #[test]
@@ -1277,7 +1278,9 @@ mod tests {
         let x = Tensor::randn(&[batch * seq, h], 0.5, 32);
         let probe = Tensor::randn(&[batch * seq, h], 1.0, 33);
         let (_, saved) = attn.forward(&x, batch, seq);
-        let (dx, _, _) = attn.backward(&x, &saved, &probe, batch, seq);
+        let mut grads = vec![f32::NAN; attn.param_count()];
+        let dx = attn.backward(&x, &saved, &probe, batch, seq, &mut grads);
+        assert!(finite(&grads));
         let loss = |xx: &Tensor| -> f64 {
             attn.forward(xx, batch, seq)
                 .0
@@ -1335,9 +1338,9 @@ mod tests {
         let x = Tensor::randn(&[batch * seq, h], 0.5, 52);
         let probe = Tensor::randn(&[batch * seq, h], 1.0, 53);
         let (_, saved) = block.forward(&x);
-        let (dx, grads) = block.backward(&x, &saved, &probe);
-        assert_eq!(grads.len(), block.param_count());
-        assert!(finite(&grads));
+        let mut grads = vec![f32::NAN; block.param_count()];
+        let dx = block.backward(&x, &saved, &probe, &mut grads);
+        assert!(finite(&grads), "every slot element is written");
         let loss = |xx: &Tensor| -> f64 {
             block
                 .forward(xx)
@@ -1447,8 +1450,12 @@ mod tests {
         let (_, saved) = block.forward(&x);
         let (_, recomputed) = block.forward(&x);
         assert_eq!(saved, recomputed);
-        let (dx1, g1) = block.backward(&x, &saved, &probe);
-        let (dx2, g2) = block.backward(&x, &recomputed, &probe);
+        let (mut g1, mut g2) = (
+            vec![0.0; block.param_count()],
+            vec![1.0; block.param_count()],
+        );
+        let dx1 = block.backward(&x, &saved, &probe, &mut g1);
+        let dx2 = block.backward(&x, &recomputed, &probe, &mut g2);
         assert_eq!(dx1, dx2);
         assert_eq!(g1, g2);
     }
@@ -1460,8 +1467,9 @@ mod tests {
         let x = emb.forward(&ids, 2, 4);
         assert_eq!(x.shape(), &[8, 8]);
         let dy = Tensor::full(&[8, 8], 1.0);
-        let g = emb.backward(&ids, 2, 4, &dy);
-        assert_eq!(g.len(), emb.param_count());
+        let mut g = vec![f32::NAN; emb.param_count()];
+        emb.backward(&ids, 2, 4, &dy, &mut g);
+        assert!(finite(&g), "every slot element is written");
     }
 
     #[test]

@@ -42,5 +42,5 @@ pub use layers::{
 };
 pub use ops::DropoutSpec;
 pub use parallel::{num_threads, parallel_stats, with_width};
-pub use scratch::{scratch_f32, scratch_stats, ScratchVec};
+pub use scratch::{scratch_f32, scratch_stats, ScratchStats, ScratchVec, SCRATCH_BLOCK};
 pub use tensor::Tensor;

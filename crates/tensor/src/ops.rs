@@ -36,10 +36,19 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
 
 /// `c[m,n] = a[k,m]^T @ b[k,n]` — the `dw = x^T @ dy` shape.
 pub fn matmul_at(a: &Tensor, b: &Tensor) -> Tensor {
+    let (m, n) = (dims2(a, "matmul_at lhs").1, dims2(b, "matmul_at rhs").1);
+    let mut out = vec![0.0f32; m * n];
+    matmul_at_into(a, b, &mut out);
+    Tensor::from_vec(&[m, n], out)
+}
+
+/// [`matmul_at`] into `out` (`[m, n]` row-major, fully overwritten): a
+/// weight gradient written straight into its slot of a layer's flat
+/// gradient.
+pub fn matmul_at_into(a: &Tensor, b: &Tensor, out: &mut [f32]) {
     let (k, m) = dims2(a, "matmul_at lhs");
     let (k2, n) = dims2(b, "matmul_at rhs");
     assert_eq!(k, k2, "matmul_at inner dims: {k} vs {k2}");
-    let mut out = vec![0.0f32; m * n];
     gemm::gemm(
         m,
         k,
@@ -48,9 +57,8 @@ pub fn matmul_at(a: &Tensor, b: &Tensor) -> Tensor {
         LayoutA::Transposed,
         b.data(),
         LayoutB::Normal,
-        &mut out,
+        out,
     );
-    Tensor::from_vec(&[m, n], out)
 }
 
 /// `c[m,n] = a[m,k] @ b[n,k]^T` — the `dx = dy @ w^T` shape.
@@ -162,16 +170,17 @@ pub fn add_bias(x: &mut Tensor, bias: &Tensor) {
     }
 }
 
-/// Sums gradient rows into a `[cols]` bias gradient.
-pub fn bias_grad(dy: &Tensor) -> Tensor {
+/// Sums gradient rows into a `[cols]` bias gradient in `out` (fully
+/// overwritten).
+pub fn bias_grad_into(dy: &Tensor, out: &mut [f32]) {
     let (_, c) = dims2(dy, "bias_grad input");
-    let mut out = vec![0.0f32; c];
+    assert_eq!(out.len(), c, "bias_grad out");
+    out.fill(0.0);
     for row in dy.data().chunks_exact(c) {
         for (o, &v) in out.iter_mut().zip(row) {
             *o += v;
         }
     }
-    Tensor::from_vec(&[c], out)
 }
 
 /// GELU activation (tanh approximation, as used by GPT-2/3), on
@@ -480,20 +489,18 @@ pub fn embedding_gather(table: &Tensor, ids: &[usize]) -> Tensor {
     Tensor::from_vec(&[ids.len(), h], out)
 }
 
-/// Backward of [`embedding_gather`]: scatter-adds `dy` rows into a
-/// zero-initialized table gradient.
-pub fn embedding_scatter_add(table_shape: &[usize], ids: &[usize], dy: &Tensor) -> Tensor {
-    let v = table_shape[0];
-    let h = table_shape[1];
+/// Backward of [`embedding_gather`]: scatter-adds `dy` rows into the
+/// table gradient `grad` (`[vocab, h]` row-major), zeroed first.
+pub fn embedding_scatter_add_into(ids: &[usize], dy: &Tensor, grad: &mut [f32]) {
+    let h = dims2(dy, "embedding grad").1;
     assert_eq!(dy.shape(), &[ids.len(), h], "embedding grad shape");
-    let mut grad = vec![0.0f32; v * h];
+    grad.fill(0.0);
     for (dyrow, &id) in dy.data().chunks_exact(h).zip(ids) {
         let grow = &mut grad[id * h..(id + 1) * h];
         for (g, &d) in grow.iter_mut().zip(dyrow) {
             *g += d;
         }
     }
-    Tensor::from_vec(table_shape, grad)
 }
 
 /// Mean cross-entropy over rows of `logits[n, v]` against `targets[n]`.
@@ -710,8 +717,9 @@ mod tests {
         let b = Tensor::from_vec(&[3], vec![1., 2., 3.]);
         add_bias(&mut x, &b);
         assert_eq!(x.data(), &[1., 2., 3., 1., 2., 3.]);
-        let g = bias_grad(&x);
-        assert_eq!(g.data(), &[2., 4., 6.]);
+        let mut g = [f32::NAN; 3];
+        bias_grad_into(&x, &mut g);
+        assert_eq!(g, [2., 4., 6.]);
     }
 
     #[test]
@@ -873,11 +881,12 @@ mod tests {
         assert_eq!(out.shape(), &[3, 4]);
         assert_eq!(&out.data()[0..4], &table.data()[12..16]);
         let dy = Tensor::full(&[3, 4], 1.0);
-        let g = embedding_scatter_add(&[10, 4], &ids, &dy);
+        let mut g = vec![f32::NAN; 10 * 4];
+        embedding_scatter_add_into(&ids, &dy, &mut g);
         // id 3 appears twice -> gradient 2.0, id 7 once -> 1.0.
-        assert_eq!(g.data()[3 * 4], 2.0);
-        assert_eq!(g.data()[7 * 4], 1.0);
-        assert_eq!(g.data()[0], 0.0);
+        assert_eq!(g[3 * 4], 2.0);
+        assert_eq!(g[7 * 4], 1.0);
+        assert_eq!(g[0], 0.0);
     }
 
     #[test]

@@ -78,18 +78,24 @@ const TENSOR_THREADS: usize = 2;
 
 /// What a step holds of gradients outside the tiers, per parameter of
 /// the largest layer: one backward's G16, parked for its `grad-off`
-/// (2 B), beside the next backward's f32 output (4 B) and the G16 that
-/// backward encodes it into (2 B). The f32 vector ends with the task
-/// that produced it, and the optimizer reads the G16 where the store
-/// holds it, so no other task holds a decoded one.
+/// (2 B), beside the next backward's gradient slot (4 B) and the G16 it
+/// is encoded into (2 B). The slot is the layer's only f32 gradient: each
+/// weight-gradient GEMM writes straight into its slice, so no per-weight
+/// tensor sits beside it. It ends with the task that filled it, and the
+/// optimizer reads the G16 where the store holds it, so no other task
+/// holds a decoded one.
 const GRADIENT_HANDED_OVER: usize = 2 + 4 + 2;
 
 /// What else a step may hold outside the tiers: the running block's
-/// activations and kernel scratch in f32 (score tiles, packed GEMM
-/// panels), blobs between their encoding and their `put`, worker threads
-/// and task bookkeeping. Fixed, not scaled by the model, so the step
-/// bound says something only where a second copy of a layer's 8 B/param
-/// of moments does not fit in it — which is where it is asserted.
+/// activations in f32 (a few rows at these shapes), kernel scratch,
+/// blobs between their encoding and their `put`, worker threads and task
+/// bookkeeping. The kernel scratch is fixed, not scaled by the model:
+/// every temporary a kernel checks out — a band's packed `KC×NC` GEMM
+/// block (128 KiB), an attention unit's panels and score tiles — is
+/// bounded by a block per thread, and the pools keep nothing larger than
+/// `SCRATCH_BLOCK`. So the step bound says something only where a second
+/// copy of a layer's 8 B/param of moments, or one operand-sized pack of
+/// a weight, does not fit in it — which is where it is asserted.
 const STEP_SLACK: usize = 512 << 10;
 
 /// What a build may hold beside the kernel scratch and the layer in
@@ -123,6 +129,23 @@ fn wide() -> common::Shape {
     }
 }
 
+/// Hidden 256: an MLP weight is 256 × 1024 floats, so one pack of a
+/// whole GEMM operand (1 MiB), or one weight's gradient held beside the
+/// layer's slot, does not hide in [`STEP_SLACK`] either.
+fn wider() -> common::Shape {
+    common::Shape {
+        model: GptConfig {
+            vocab: 64,
+            seq: 8,
+            hidden: 256,
+            heads: 4,
+            layers: 2,
+            batch: 1,
+        },
+        ..wide()
+    }
+}
+
 #[test]
 fn a_build_and_a_step_hold_one_copy_of_each_model_state() {
     // The executor's workers inherit the width, so it covers the steps.
@@ -130,7 +153,7 @@ fn a_build_and_a_step_hold_one_copy_of_each_model_state() {
 }
 
 fn one_copy_of_each_model_state() {
-    for (s, shape) in zoo().into_iter().chain([wide()]).enumerate() {
+    for (s, shape) in zoo().into_iter().chain([wide(), wider()]).enumerate() {
         let model = shape.model;
         let layer_params: Vec<usize> = (0..model.layers + 2)
             .map(|layer| model.layer_params(layer))
