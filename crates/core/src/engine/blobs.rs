@@ -119,10 +119,10 @@ impl RatelEngine {
     /// Places every layer's states where the plan says they rest, one
     /// layer at a time, each built alone from its own seed: the build
     /// holds one layer's 14 B/param in flight, never the whole model's.
-    /// An SSD-placed layer's three blobs stream out as one sequential
-    /// segment write; a host-master layer's master stays in host memory
-    /// and its moments go to the SSD tier — or stay in host memory too,
-    /// where its handler rotates.
+    /// An SSD-placed layer's master, moments and P16 are put on the SSD
+    /// tier one at a time, each into a file of its own; a host-master
+    /// layer's master stays in host memory and its moments go to the SSD
+    /// tier — or stay in host memory too, where its handler rotates.
     pub(super) fn init_states(&self) -> Result<(), StorageError> {
         for (layer, task) in self.plan.step.spec.layers.iter().enumerate() {
             let master = initial_master(self.config.model, self.config.seed, layer);
@@ -134,14 +134,9 @@ impl RatelEngine {
                     // of the master, exactly what the optimizer will emit
                     // after steps.
                     let p16 = f32_le_to_f16_le(&master);
-                    self.store.put_batch(
-                        Tier::Ssd,
-                        vec![
-                            (key(BlobKind::Master, layer), master),
-                            (key(BlobKind::Moments, layer), moments),
-                            (key(BlobKind::Param16, layer), p16),
-                        ],
-                    )?;
+                    (self.store).put(&key(BlobKind::Master, layer), Tier::Ssd, master)?;
+                    (self.store).put(&key(BlobKind::Moments, layer), Tier::Ssd, moments)?;
+                    (self.store).put(&key(BlobKind::Param16, layer), Tier::Ssd, p16)?;
                 }
                 Placement::HostMaster => {
                     let tier = moments_tier(task);

@@ -33,8 +33,8 @@ use ratel_check::sync::Mutex;
 pub enum FaultOp {
     /// Reading a blob's bytes from its file (`SSD -> Main` data path).
     Read,
-    /// Writing a file of one blob, or of a batch (`Main -> SSD` data
-    /// path).
+    /// Writing a blob's bytes to a new file of its own (`Main -> SSD`
+    /// data path).
     Write,
 }
 

@@ -10,9 +10,10 @@
 //!   out-of-memory error, which is how the maximum-trainable-size
 //!   experiments fail honestly;
 //! * blobs are named by a key type of the caller's choosing (the engine's
-//!   typed `BlobKey`, or `String`); the SSD tier keeps their bytes in
-//!   files it names itself, so offloaded model states and activations
-//!   really leave memory and no key can collide with another's file;
+//!   typed `BlobKey`, or `String`); the SSD tier keeps each blob's bytes
+//!   in a file of its own that it names itself, so offloaded model states
+//!   and activations really leave memory, no key can collide with
+//!   another's file, and the tier's `used` is the bytes on disk;
 //! * consumer GPUs have no GPUDirect (§III-C), so a GPU→SSD move is
 //!   forcibly two hops (GPU→Host, Host→SSD) and both hops are metered;
 //! * all inter-tier traffic is counted per route, letting tests assert the

@@ -363,8 +363,7 @@ fn a_truncated_blob_file_is_a_typed_error_and_a_checkpoint_restores_it() {
     // A block whose moments rest on the SSD tier (its handler does not
     // rotate).
     let key = moments(2);
-    let (file, offset) = store.ssd_file(&key).unwrap();
-    assert_eq!(offset, 0, "a lone write is a file of its own");
+    let file = store.ssd_file(&key).unwrap();
     let written = std::fs::metadata(&file).unwrap().len();
     assert_eq!(written, 8 * model.layer_params(2) as u64);
     std::fs::OpenOptions::new()

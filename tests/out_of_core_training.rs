@@ -528,3 +528,57 @@ fn streaming_attention_shrinks_saved_activation_blob() {
         "engine stores {per_token_channel:.3} B/token-channel, planner assumes {ACT_INTRA_BYTES_PER_TOKEN_CHANNEL}"
     );
 }
+
+/// Under the paper's all-SSD placement each model state at rest — every
+/// layer's master, moments and P16, a frozen layer's too — has a file of
+/// its own on the SSD tier, and the tier holds nothing else: after the
+/// build, after two steps, and after a checkpoint is saved and loaded
+/// back, the files named for those keys are all the SSD directory holds
+/// and their sizes sum to `used(Ssd)`.
+#[test]
+fn all_ssd_states_rest_in_one_file_each() {
+    use ratel_repro::sim::{BlobKey, BlobKind};
+    use ratel_repro::storage::TieredStore;
+    use std::collections::HashSet;
+
+    let model = GptConfig::tiny();
+    let builder = Ratel::init(model).seed(3).freeze_layers(vec![1]);
+    let min = builder.min_host_capacity().unwrap();
+    let mut trainer = builder.host_capacity(min).build().unwrap();
+    let layers = model.layers + 2;
+    let check = |store: &TieredStore<BlobKey>, when: &str| {
+        let mut files = HashSet::new();
+        for layer in 0..layers {
+            for kind in [BlobKind::Master, BlobKind::Moments, BlobKind::Param16] {
+                let key = BlobKey::shared(kind, layer);
+                let file = store.ssd_file(&key).unwrap();
+                assert!(files.insert(file), "{when}: {key} shares a file");
+            }
+        }
+        let on_disk: HashSet<_> = std::fs::read_dir(store.ssd_dir())
+            .unwrap()
+            .map(|entry| entry.unwrap().path())
+            .collect();
+        assert_eq!(on_disk, files, "{when}");
+        let bytes: u64 = files
+            .iter()
+            .map(|file| std::fs::metadata(file).unwrap().len())
+            .sum();
+        assert_eq!(bytes, store.used(Tier::Ssd), "{when}");
+    };
+
+    check(trainer.engine().store(), "after the build");
+    for step in 0..2 {
+        let (tokens, targets) = learnable_batch(&model, step);
+        trainer
+            .step(Batch::new(&model, &tokens, &targets).unwrap())
+            .unwrap();
+    }
+    check(trainer.engine().store(), "after two steps");
+    let dir = std::env::temp_dir().join(format!("ratel-one-file-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    trainer.save_checkpoint(&dir).unwrap();
+    trainer.load_checkpoint(&dir).unwrap();
+    check(trainer.engine().store(), "after a checkpoint round trip");
+    let _ = std::fs::remove_dir_all(&dir);
+}

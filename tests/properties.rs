@@ -2,13 +2,15 @@
 //! spanning crates: f16 codec, Adam, the simulator, the planner's
 //! convexity/optimality, and the tiered store.
 
+use std::sync::Arc;
+
 use proptest::prelude::*;
 
 use ratel_repro::core::planner::ActivationPlanner;
 use ratel_repro::core::profile::HardwareProfile;
 use ratel_repro::model::{ModelConfig, ModelProfile};
 use ratel_repro::sim::{simulate, Stage, TaskGraph};
-use ratel_repro::storage::{Tier, TierConfig, TieredStore};
+use ratel_repro::storage::{FaultKind, FaultPlan, RetryPolicy, Tier, TierConfig, TieredStore};
 use ratel_repro::tensor::adam::{step_le_bytes, GradFactors};
 use ratel_repro::tensor::dtype::{decode_f16, encode_f16, encode_f32, round_to_f16};
 use ratel_repro::tensor::{Adam, AdamParams};
@@ -199,6 +201,64 @@ proptest! {
                     .sum();
                 prop_assert_eq!(store.used(tier), expected);
             }
+        }
+    }
+
+    /// Tiered store: after every operation of a random sequence over a
+    /// few keys and all three tiers — under permanent SSD read and write
+    /// faults, without retries, in some runs — whether it succeeded or
+    /// failed, the SSD directory holds exactly one file per SSD-resident
+    /// key, and their sizes sum to `used(Ssd)`.
+    #[test]
+    fn ssd_directory_holds_one_file_per_resident_key(
+        ops in proptest::collection::vec(
+            (0usize..9, 0usize..3, 0usize..3, 0usize..4, 1usize..512),
+            1..40,
+        ),
+        faults in proptest::option::of(proptest::collection::vec(0u64..40, 1..10)),
+    ) {
+        let mut config = TierConfig::unbounded_temp();
+        config.host_capacity = Some(1536);
+        config.ssd_capacity = Some(1024);
+        let store = TieredStore::new(config).unwrap();
+        if let Some(faults) = faults {
+            let plan = FaultPlan::new();
+            for at_op in faults {
+                plan.fault_at(at_op, FaultKind::Permanent);
+            }
+            store.set_fault_plan(Some(Arc::new(plan)));
+            store.set_retry_policy(RetryPolicy::none());
+        }
+        let keys = ["k0", "k1", "k2"];
+        // The SSD tier is drawn half the time, so renames find a blob.
+        let tiers = [Tier::Gpu, Tier::Host, Tier::Ssd, Tier::Ssd];
+        for (i, &(op, a, b, tier, size)) in ops.iter().enumerate() {
+            let (a, b, tier, bytes) = (keys[a], keys[b], tiers[tier], vec![i as u8; size]);
+            let _ = match op {
+                0..=2 => store.put(a, tier, bytes),
+                3 => store.move_to(a, tier),
+                4 => store.copy_to(a, b, tier),
+                5 => store.overwrite(a, bytes),
+                6 => store.rename(a, b),
+                7 => store.take(a).map(drop),
+                _ => store.remove(a),
+            };
+            let mut resident = std::collections::HashSet::new();
+            for key in keys {
+                if store.tier_of(key).ok() == Some(Tier::Ssd) {
+                    let file = store.ssd_file(key).unwrap();
+                    prop_assert!(resident.insert(file), "{key} shares a file");
+                }
+            }
+            let mut on_disk = std::collections::HashSet::new();
+            let mut bytes_on_disk = 0;
+            for entry in std::fs::read_dir(store.ssd_dir()).unwrap() {
+                let entry = entry.unwrap();
+                bytes_on_disk += entry.metadata().unwrap().len();
+                on_disk.insert(entry.path());
+            }
+            prop_assert_eq!(&on_disk, &resident);
+            prop_assert_eq!(bytes_on_disk, store.used(Tier::Ssd));
         }
     }
 }
