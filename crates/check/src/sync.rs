@@ -340,13 +340,22 @@ pub mod thread {
         F: FnOnce() -> T + Send + 'static,
         T: Send + 'static,
     {
+        try_spawn_named(name, f).unwrap_or_else(|e| panic!("spawn {name}: {e}"))
+    }
+
+    /// [`spawn_named`], returning the OS's refusal to start a thread
+    /// instead of panicking on it (outside an exploration; a model
+    /// thread that cannot start still panics).
+    pub fn try_spawn_named<F, T>(name: &str, f: F) -> std::io::Result<JoinHandle<T>>
+    where
+        F: FnOnce() -> T + Send + 'static,
+        T: Send + 'static,
+    {
         match explore::current() {
-            None => JoinHandle(Imp::Std(
-                std::thread::Builder::new()
-                    .name(name.to_string())
-                    .spawn(f)
-                    .unwrap_or_else(|e| panic!("spawn {name}: {e}")),
-            )),
+            None => std::thread::Builder::new()
+                .name(name.to_string())
+                .spawn(f)
+                .map(|h| JoinHandle(Imp::Std(h))),
             Some((ctx, tid)) => {
                 let child = ctx.register_thread(name.to_string());
                 ctx.add_real_thread();
@@ -364,12 +373,12 @@ pub mod thread {
                     .unwrap_or_else(|e| panic!("spawn model thread {name}: {e}"));
                 // Schedule point: the child may be scheduled immediately.
                 ctx.point(tid, format!("spawn t{child}({name})"));
-                JoinHandle(Imp::Sched {
+                Ok(JoinHandle(Imp::Sched {
                     ctx,
                     child,
                     real,
                     result,
-                })
+                }))
             }
         }
     }

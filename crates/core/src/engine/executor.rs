@@ -219,7 +219,7 @@ fn worker(shared: &Shared, graph: &TaskGraph, pool: ResourceId, action: &dyn Tas
 }
 
 /// A dependency-counted executor over [`TaskGraph`]s: one worker pool
-/// per graph resource, `workers_per_pool` threads each, picking ready
+/// per graph resource, `workers_per_pool` workers each, picking ready
 /// tasks by the simulator's [`Dispatcher`].
 #[derive(Debug, Clone, Copy)]
 pub struct Executor {
@@ -238,7 +238,9 @@ impl Executor {
 
     /// Runs every task of `graph` through `action`, respecting the
     /// graph's dependency edges, and reports the per-pool breakdown.
-    /// Each worker runs its kernels at the caller's
+    /// The workers are parked threads of the process's pool
+    /// ([`ratel_tensor::run_workers`]), handed this run and parked again
+    /// at its end; each runs its kernels at the caller's
     /// [`ratel_tensor::num_threads`] width.
     ///
     /// On the first action error, dispatch stops everywhere (tasks
@@ -307,29 +309,18 @@ impl Executor {
                 .collect(),
             start: Instant::now(),
         };
-        let width = ratel_tensor::num_threads();
-        std::thread::scope(|scope| {
-            for r in graph.resource_ids() {
-                let class = stats[stat_of[r.0]].class;
-                for w in 0..workers[r.0] {
-                    let shared = &shared;
-                    let spawned = std::thread::Builder::new()
-                        .name(format!("ratel-exec-{}-{w}", class.name()))
-                        .spawn_scoped(scope, move || {
-                            ratel_tensor::with_width(width, || worker(shared, graph, r, action))
-                        });
-                    if let Err(e) = spawned {
-                        // Abort the whole run: already-spawned workers
-                        // drain out and the error surfaces below.
-                        shared.fail(RatelError::Runtime(format!(
-                            "spawn executor worker {w} for {}: {e}",
-                            class.name()
-                        )));
-                        return;
-                    }
-                }
-            }
-        });
+        // One job per worker, in resource order; each runs on a parked
+        // pool thread at this caller's width.
+        let pools: Vec<ResourceId> = (graph.resource_ids())
+            .flat_map(|r| std::iter::repeat_n(r, workers[r.0]))
+            .collect();
+        let job = |i: usize| worker(&shared, graph, pools[i], action);
+        if let Err(e) = ratel_tensor::run_workers(pools.len(), &job) {
+            return Err(RatelError::Runtime(format!(
+                "start {} executor workers: {e}",
+                pools.len()
+            )));
+        }
         let wall_seconds = shared.start.elapsed().as_secs_f64();
 
         let RunState {

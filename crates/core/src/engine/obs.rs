@@ -95,8 +95,7 @@ pub fn publish_engine_metrics(engine: &RatelEngine, registry: &Registry) {
         )
         .set_total(rec.dropped_spans());
 
-    // Tensor-kernel substrate: scratch-arena reuse (this thread's pool)
-    // and thread-pool dispatch fan-out.
+    // Tensor kernels: scratch reuse, fan-outs, pool threads started.
     let scratch = ratel_tensor::scratch_stats();
     registry
         .gauge(
@@ -110,21 +109,22 @@ pub fn publish_engine_metrics(engine: &RatelEngine, registry: &Registry) {
             "Scratch checkouts that had to allocate (steady state: flat)",
         )
         .set(scratch.misses as f64);
-    let (spawned, inline) = ratel_tensor::parallel_stats();
+    let (pooled, inline) = ratel_tensor::parallel_stats();
+    for (mode, total) in [("pooled", pooled), ("inline", inline)] {
+        registry
+            .counter_with(
+                "ratel_kernel_dispatches_total",
+                "Parallel kernel dispatches by execution mode",
+                &[("mode", mode)],
+            )
+            .set_total(total);
+    }
     registry
-        .counter_with(
-            "ratel_kernel_dispatches_total",
-            "Parallel kernel dispatches by execution mode",
-            &[("mode", "spawned")],
+        .gauge(
+            "ratel_pool_threads_started",
+            "OS threads the process's pool has started (steady state: flat)",
         )
-        .set_total(spawned);
-    registry
-        .counter_with(
-            "ratel_kernel_dispatches_total",
-            "Parallel kernel dispatches by execution mode",
-            &[("mode", "inline")],
-        )
-        .set_total(inline);
+        .set(ratel_tensor::pool_stats().threads_started as f64);
 
     // Flight recorder occupancy.
     let flight = ratel_obs::flight();

@@ -29,8 +29,8 @@ pub enum RatelError {
     /// A checkpoint on disk is missing, torn, or fails its checksums —
     /// and no earlier good generation could be loaded either.
     CheckpointCorrupt(String),
-    /// The runtime itself failed: a worker/service thread could not be
-    /// spawned or died with a panic. Distinct from task errors — the
+    /// The runtime itself failed: a pool thread could not be started or
+    /// a task panicked. Distinct from task errors — the
     /// work may have been fine, the machinery running it was not.
     Runtime(String),
 }

@@ -110,6 +110,9 @@ struct Inner<K> {
     /// High-water marks of `used` since the last
     /// [`TieredStore::reset_traffic`], indexed the same way.
     peak_used: [u64; 3],
+    /// High-water mark of host + GPU `used` at the same time, over the
+    /// same span.
+    peak_in_memory: u64,
 }
 
 impl<K: Eq + Hash + fmt::Display> Inner<K> {
@@ -135,6 +138,13 @@ impl<K: Eq + Hash + fmt::Display> Inner<K> {
         *slot = (*slot as i64 + bytes).max(0) as u64;
         let peak = &mut self.peak_used[tier as usize];
         *peak = (*peak).max(*slot);
+        let in_memory = self.in_memory();
+        self.peak_in_memory = self.peak_in_memory.max(in_memory);
+    }
+
+    /// Bytes the host and GPU tiers hold together.
+    fn in_memory(&self) -> u64 {
+        self.used[Tier::Host as usize] + self.used[Tier::Gpu as usize]
     }
 
     /// Drops `key` from the SSD tier's index and its bytes from `used`.
@@ -202,6 +212,7 @@ impl<K: Clone + Eq + Hash + fmt::Display> TieredStore<K> {
                     pending: HashSet::new(),
                     used: [0; 3],
                     peak_used: [0; 3],
+                    peak_in_memory: 0,
                 },
             ),
             pending_cv: Condvar::named("store.pending_cv"),
@@ -724,8 +735,9 @@ impl<K: Clone + Eq + Hash + fmt::Display> TieredStore<K> {
             if let Some(entry) = inner.mem.get_mut(key) {
                 entry.0 = to;
             }
-            inner.add_used(to, len as i64);
+            // Source first: one buffer, never counted in both tiers.
             inner.add_used(from, -(len as i64));
+            inner.add_used(to, len as i64);
             return Ok(());
         }
         let loc = inner.ssd_loc(key)?;
@@ -886,6 +898,14 @@ impl<K: Clone + Eq + Hash + fmt::Display> TieredStore<K> {
         self.inner.lock().peak_used[tier as usize]
     }
 
+    /// The most bytes the host and GPU tiers held *at the same time*
+    /// since the store was opened or [`TieredStore::reset_traffic`] was
+    /// last called: at most the sum of their [`TieredStore::peak_used`],
+    /// which may come from different moments.
+    pub fn peak_used_in_memory(&self) -> u64 {
+        self.inner.lock().peak_in_memory
+    }
+
     /// Current traffic counters.
     pub fn traffic(&self) -> TrafficSnapshot {
         self.traffic.snapshot()
@@ -897,6 +917,7 @@ impl<K: Clone + Eq + Hash + fmt::Display> TieredStore<K> {
         self.traffic.reset();
         let mut inner = self.inner.lock();
         inner.peak_used = inner.used;
+        inner.peak_in_memory = inner.in_memory();
     }
 }
 
@@ -1073,6 +1094,35 @@ mod tests {
         assert_eq!(store.take("s").unwrap(), vec![3u8; 16]);
         assert_eq!(store.used(Tier::Ssd), 0);
         assert!(matches!(store.take("s"), Err(StorageError::NotFound(_))));
+    }
+
+    #[test]
+    fn the_in_memory_peak_is_what_host_and_gpu_held_at_once() {
+        let store = TieredStore::new(TierConfig::unbounded_temp()).unwrap();
+        store.put("g", Tier::Gpu, vec![0u8; 100]).unwrap();
+        store.remove("g").unwrap();
+        store.put("h", Tier::Host, vec![0u8; 60]).unwrap();
+        // Each tier's own peak, 100 and 60, came at a different moment.
+        assert_eq!(
+            store.peak_used(Tier::Gpu) + store.peak_used(Tier::Host),
+            160
+        );
+        assert_eq!(store.peak_used_in_memory(), 100);
+        // A hop between them retags one buffer: it is not counted twice.
+        store.move_to("h", Tier::Gpu).unwrap();
+        assert_eq!(store.peak_used_in_memory(), 100);
+        store.put("s", Tier::Ssd, vec![0u8; 50]).unwrap();
+        store.move_to("s", Tier::Host).unwrap();
+        assert_eq!(store.peak_used_in_memory(), 110, "SSD bytes read in count");
+        store.reset_traffic();
+        assert_eq!(
+            store.peak_used_in_memory(),
+            110,
+            "restarts from what is held"
+        );
+        store.remove("s").unwrap();
+        store.reset_traffic();
+        assert_eq!(store.peak_used_in_memory(), 60);
     }
 
     #[test]

@@ -240,9 +240,12 @@ fn unit_forward(
     // transposed layout) would otherwise dominate the score GEMMs.
     let mut kpack = scratch_f32(packed_b_len(d, seq));
     pack_b_full(d, seq, &kb, LayoutB::Transposed, &mut kpack);
-    let mut sc = scratch_f32(ATTN_TM * ATTN_TC);
-    let mut acc = scratch_f32(ATTN_TM * d);
-    let mut pv = scratch_f32(ATTN_TM * d);
+    // Tiles no larger than the sequence: a short one checks out, and a
+    // pool thread keeps, only what its blocks can fill.
+    let (tm_max, tc_max) = (ATTN_TM.min(seq), ATTN_TC.min(seq));
+    let mut sc = scratch_f32(tm_max * tc_max);
+    let mut acc = scratch_f32(tm_max * d);
+    let mut pv = scratch_f32(tm_max * d);
     let mut mvec = [f32::NEG_INFINITY; ATTN_TM];
     let mut lvec = [0.0f32; ATTN_TM];
     let mut fvec = [1.0f32; ATTN_TM];
@@ -466,10 +469,11 @@ fn unit_backward(
     let mut vpack = scratch_f32(packed_b_len(d, seq));
     pack_b_full(d, seq, &vb, LayoutB::Transposed, &mut vpack);
 
-    let mut p = scratch_f32(ATTN_TM * ATTN_TC);
-    let mut dp = scratch_f32(ATTN_TM * ATTN_TC);
-    let mut ds = scratch_f32(ATTN_TM * ATTN_TC);
-    let mut tmp = scratch_f32(ATTN_TM.max(ATTN_TC) * d);
+    let (tm_max, tc_max) = (ATTN_TM.min(seq), ATTN_TC.min(seq));
+    let mut p = scratch_f32(tm_max * tc_max);
+    let mut dp = scratch_f32(tm_max * tc_max);
+    let mut ds = scratch_f32(tm_max * tc_max);
+    let mut tmp = scratch_f32(tm_max.max(tc_max) * d);
 
     let mut t0 = 0usize;
     while t0 < seq {

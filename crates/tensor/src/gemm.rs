@@ -41,11 +41,10 @@
 //! rounding; the choice is per-machine, not per-run).
 //!
 //! Parallelism: a call fans out once, over bands of MR-row panels. Each
-//! band runs the loop nest above on its own thread, packing its B blocks
-//! into its own block-sized slice of one checkout the calling thread
-//! makes (whose pool keeps it for the next call) and its A strips into
-//! its thread's scratch ([`crate::scratch`]), so no temporary grows with
-//! the operands.
+//! band runs the loop nest above on the thread that claimed it, packing
+//! its B blocks and A strips into that thread's scratch
+//! ([`crate::scratch`]), so no temporary grows with the operands or with
+//! the width.
 
 use crate::parallel::{band_len, par_bands};
 use crate::scratch::{scratch_f32, SCRATCH_BLOCK};
@@ -195,8 +194,7 @@ pub(crate) fn gemm_serial(
     out: &mut [f32],
 ) {
     check_dims(m, k, n, a, b, out);
-    let mut bpack = scratch_f32(block_len(k, n));
-    run_band(0, m, k, n, a, la, b, lb, &mut bpack, out);
+    run_band(0, m, k, n, a, la, b, lb, out);
 }
 
 /// Floats one packed B block of a `[k, n]` operand occupies: at most
@@ -267,35 +265,19 @@ pub fn gemm_tiled(
     // unaffected by the banding, so any split is bitwise equivalent.
     let panels = m.div_ceil(MR);
     let band_rows = band_len(panels, panels) * MR;
-    // Each band packs into its own block of one checkout on this thread,
-    // whose pool outlives the bands' threads and keeps it for the next
-    // call (two blocks fit the pool's bound).
-    let block = block_len(k, n);
-    let mut bpacks = scratch_f32(m.div_ceil(band_rows) * block);
     // `max(1)`: with `n == 0` the output is empty and yields no band.
     let bands = out.chunks_mut((band_rows * n).max(1));
-    par_bands(bands.zip(bpacks.chunks_mut(block)), |i, (band, bpack)| {
-        run_band(
-            i * band_rows,
-            band.len() / n,
-            k,
-            n,
-            a,
-            la,
-            b,
-            lb,
-            bpack,
-            band,
-        )
+    par_bands(bands, |i, band| {
+        run_band(i * band_rows, band.len() / n, k, n, a, la, b, lb, band)
     });
 }
 
 /// Computes `rows` output rows starting at global row `i0` into `band`
 /// (a `[rows, n]` slice of the output), packing B one `KC×NC` block at a
-/// time into `bpack` ([`block_len`] floats). Every tiled entry but
-/// [`gemm_serial_packed`] ends here, and so does the one degenerate-shape
-/// exit: with no rows or columns the loops below run zero times, and an
-/// empty reduction (`k == 0`) is 0.
+/// time into a [`block_len`] checkout of the running thread's scratch.
+/// Every tiled entry but [`gemm_serial_packed`] ends here, and so does
+/// the one degenerate-shape exit: with no rows or columns the loops below
+/// run zero times, and an empty reduction (`k == 0`) is 0.
 #[allow(clippy::too_many_arguments)]
 fn run_band(
     i0: usize,
@@ -306,13 +288,13 @@ fn run_band(
     la: LayoutA,
     b: &[f32],
     lb: LayoutB,
-    bpack: &mut [f32],
     band: &mut [f32],
 ) {
     if k == 0 {
         band.fill(0.0);
         return;
     }
+    let mut bpack = scratch_f32(block_len(k, n));
     let mut apack = scratch_f32(k.min(KC) * MR);
     for j0 in (0..n).step_by(NC) {
         let cols = (j0, NC.min(n - j0));

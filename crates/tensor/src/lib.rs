@@ -41,6 +41,6 @@ pub use layers::{
     TransformerBlock,
 };
 pub use ops::DropoutSpec;
-pub use parallel::{num_threads, parallel_stats, with_width};
+pub use parallel::{num_threads, parallel_stats, pool_stats, run_workers, with_width, PoolStats};
 pub use scratch::{scratch_f32, scratch_stats, ScratchStats, ScratchVec, SCRATCH_BLOCK};
 pub use tensor::Tensor;

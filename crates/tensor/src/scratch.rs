@@ -8,9 +8,12 @@
 //! cache), else grows the largest, and the RAII guard returns it on drop.
 //!
 //! Ownership rules (see DESIGN.md "Scratch arena"):
-//! - Buffers never cross threads: the pool is `thread_local!`, so a
-//!   worker spawned by [`crate::parallel`] checks out from its *own*
-//!   pool. A guard must therefore not be sent into a spawned closure.
+//! - Buffers never cross threads: the pool is `thread_local!`, so a band
+//!   that [`crate::parallel`] runs on a pool thread checks out from that
+//!   thread's *own* pool. A guard must therefore not be sent into a band.
+//! - Who keeps what: the pool's band threads live as long as the process
+//!   and keep their buffers from band to band; executor workers free
+//!   theirs ([`release`]) when they park at the end of a run.
 //! - A checked-out buffer is exclusively owned until the guard drops;
 //!   recursive kernel calls simply check out further buffers.
 //! - Contents are uninitialized from the caller's perspective: the guard
@@ -18,10 +21,10 @@
 //!   must not rely on data surviving between checkouts.
 //! - The pool keeps no buffer of more than [`SCRATCH_BLOCK`] floats: a
 //!   larger one (attention's operand-sized unit-major staging) is freed
-//!   when its guard drops. A GEMM call's B blocks fit the bound up to
-//!   two bands, so at up to two tensor threads the GEMMs stay
-//!   allocation-free once warm, and a thread that lives as long as the
-//!   process holds at most a few blocks, whatever the model's size.
+//!   when its guard drops. A GEMM band checks its one B block out on the
+//!   thread that runs it, so the GEMMs stay allocation-free once warm at
+//!   any width, and a thread that lives as long as the process holds at
+//!   most a few blocks, whatever the model's size.
 
 use std::cell::RefCell;
 
@@ -46,13 +49,14 @@ impl Pool {
                 checkouts: 0,
                 misses: 0,
                 largest: 0,
+                kept: 0,
             },
         }
     }
 }
 
 /// One thread's pool counters since the thread started.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ScratchStats {
     /// Buffers checked out.
     pub checkouts: u64,
@@ -61,6 +65,8 @@ pub struct ScratchStats {
     pub misses: u64,
     /// The longest checkout, in floats.
     pub largest: usize,
+    /// Floats the pool keeps now, in the buffers no guard holds.
+    pub kept: usize,
 }
 
 /// RAII handle to a pooled `Vec<f32>`; derefs to `[f32]` of the requested
@@ -122,7 +128,18 @@ impl Drop for ScratchVec {
 
 /// This thread's pool counters.
 pub fn scratch_stats() -> ScratchStats {
-    POOL.with(|p| p.borrow().stats)
+    POOL.with(|p| {
+        let p = p.borrow();
+        let kept = p.free.iter().map(Vec::capacity).sum();
+        ScratchStats { kept, ..p.stats }
+    })
+}
+
+/// Frees every buffer this thread's pool keeps, as the thread's exit
+/// would: a pool thread that served an executor run calls it before it
+/// parks, so what a run checked out does not outlive the run.
+pub(crate) fn release() {
+    POOL.with(|p| p.borrow_mut().free = Vec::new());
 }
 
 #[cfg(test)]

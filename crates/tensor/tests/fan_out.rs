@@ -1,6 +1,6 @@
 //! Every kernel fan-out is counted. Each entry point below, on a shape
 //! above its parallel threshold, must advance `parallel_stats()` by
-//! exactly its number of fan-outs: spawned at two threads, inline at one.
+//! exactly its number of fan-outs: pooled at two threads, inline at one.
 //! One `#[test]` in its own binary, so no concurrent test moves the
 //! process-wide counters between two readings.
 
@@ -33,7 +33,7 @@ fn attn_forward(qkv: &[f32]) -> (Vec<f32>, Vec<f32>, Vec<f32>) {
     (ctx, m, lse)
 }
 
-/// `(spawned, inline)` fan-outs of one call of `f`.
+/// `(pooled, inline)` fan-outs of one call of `f`.
 fn counted(f: impl FnOnce()) -> (u64, u64) {
     let (s0, i0) = parallel_stats();
     f();
@@ -62,7 +62,7 @@ fn every_kernel_fan_out_is_counted_once() {
                 1 => (0, fan_outs),
                 _ => (fan_outs, 0),
             };
-            let at = format!("at {threads} threads: (spawned, inline)");
+            let at = format!("at {threads} threads: (pooled, inline)");
             assert_eq!(counted(|| drop(matmul(&a, &a))), want(1), "matmul {at}");
             assert_eq!(counted(|| drop(gelu(&x))), want(1), "gelu {at}");
             let ln = || drop(layernorm(&x, &gamma, &beta, 1e-5));

@@ -18,6 +18,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use common::{config_with, min_host_capacity, zoo};
 use ratel_repro::prelude::*;
 use ratel_repro::storage::Tier;
+use ratel_repro::tensor::pool_stats;
 
 /// Live heap bytes and their high-water mark since [`restart_peak`].
 struct Counting;
@@ -71,9 +72,15 @@ fn peak_over(base: usize) -> usize {
     PEAK.load(Ordering::Relaxed).saturating_sub(base)
 }
 
+/// Bytes of scratch the tensor pool's band threads keep between bands.
+fn band_threads_keep() -> usize {
+    4 * pool_stats().band_scratch_kept()
+}
+
 /// Tensor threads the bounds are stated for: every attention call hands
-/// each of its threads a 64 KiB score tile, so the kernel scratch below
-/// scales with this, not with the machine.
+/// each of its threads score tiles (up to 64 KiB each, smaller for a
+/// short sequence), so the kernel scratch below scales with this, not
+/// with the machine.
 const TENSOR_THREADS: usize = 2;
 
 /// What a step holds of gradients outside the tiers, per parameter of
@@ -87,8 +94,8 @@ const TENSOR_THREADS: usize = 2;
 const GRADIENT_HANDED_OVER: usize = 2 + 4 + 2;
 
 /// What else a step may hold outside the tiers: the running block's
-/// activations in f32 (a few rows at these shapes), kernel scratch,
-/// blobs between their encoding and their `put`, worker threads and task
+/// activations in f32 (a few rows at these shapes), the workers' kernel
+/// scratch, blobs between their encoding and their `put`, and task
 /// bookkeeping. The kernel scratch is fixed, not scaled by the model:
 /// every temporary a kernel checks out — a band's packed `KC×NC` GEMM
 /// block (128 KiB), an attention unit's panels and score tiles — is
@@ -97,6 +104,14 @@ const GRADIENT_HANDED_OVER: usize = 2 + 4 + 2;
 /// copy of a layer's 8 B/param of moments, or one operand-sized pack of
 /// a weight, does not fit in it — which is where it is asserted.
 const STEP_SLACK: usize = 512 << 10;
+
+/// What each of the tensor pool's band threads may keep between bands.
+/// They live as long as the process and keep the scratch buffers their
+/// bands give back — each at most a `SCRATCH_BLOCK` (256 KiB), a few of
+/// them at any model size — where the executor's workers free theirs when
+/// a run ends. What they keep is a term of its own in the step bound
+/// (what they grew by in the step) and is held to this.
+const BAND_THREAD_KEEPS: usize = 1 << 20;
 
 /// What a build may hold beside the kernel scratch and the layer in
 /// flight: the plan, its DAG and the verifier's working set.
@@ -207,19 +222,26 @@ fn one_copy_of_each_model_state() {
             for step in 0..2 {
                 let (tokens, targets) = random_batch(&model, 40 + step);
                 engine.store().reset_traffic();
+                let kept_before = band_threads_keep();
                 let base = restart_peak();
                 engine.train_step(&tokens, &targets).unwrap();
                 let step_peak = peak_over(base);
-                // What the tiers held at most, less what they hold at
-                // rest — that was on the heap before the step.
-                let tiers = (engine.store().peak_used(Tier::Host)
-                    + engine.store().peak_used(Tier::Gpu)) as usize
-                    - at_rest;
-                let step_bound = tiers + GRADIENT_HANDED_OVER * largest + STEP_SLACK;
+                // What the host and GPU tiers held at once at most, less
+                // what they hold at rest — that was on the heap before
+                // the step.
+                let tiers = engine.store().peak_used_in_memory() as usize - at_rest;
+                let (band_threads, kept) = (pool_stats().band_threads(), band_threads_keep());
+                assert!(
+                    kept <= band_threads * BAND_THREAD_KEEPS,
+                    "{what}: {band_threads} band thread(s) keep {kept} B of scratch"
+                );
+                let band_scratch = kept.saturating_sub(kept_before);
+                let step_bound = tiers + GRADIENT_HANDED_OVER * largest + band_scratch + STEP_SLACK;
                 assert!(
                     step == 0 || step_peak <= step_bound,
                     "{what}: the step peaked at {step_peak} B over a bound of {step_bound} B \
-                     (tiers {tiers} B over {at_rest} B at rest, largest layer {largest} params)"
+                     (tiers {tiers} B over {at_rest} B at rest, band threads' scratch grew \
+                     {band_scratch} B, largest layer {largest} params)"
                 );
             }
         }
