@@ -30,13 +30,15 @@
 //!
 //! A job that panics is re-raised in the caller that posted it, once
 //! every thread is done with that caller's borrows; a panic never kills
-//! a pool thread.
+//! a pool thread. A caller that unwinds out of its own wait (a debug
+//! lock-order check, an explorer's abort) first closes what it lent the
+//! pool ([`Lent`]), so no pool thread touches its borrows after it.
 
 use std::any::Any;
 use std::cell::Cell;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, OnceLock, PoisonError, RwLock};
 
 use ratel_check::sync::thread::{try_spawn_named, JoinHandle};
 use ratel_check::sync::{Condvar, Mutex};
@@ -193,29 +195,59 @@ fn pool() -> &'static Pool {
 /// What a panicking job unwound with.
 type Payload = Box<dyn Any + Send>;
 
-/// A job borrowed from a caller that waits for it, its lifetime erased
-/// so a pool thread can hold it.
+/// A job borrowed from a caller, its lifetime erased so a pool thread
+/// can hold it; only a [`Lent`] holds one.
 #[derive(Clone, Copy)]
 struct Job(&'static (dyn Fn(usize) + Sync));
 
-impl Job {
+/// A caller's job as the pool's threads see it: they call it only
+/// through [`Lent::call`], under the read side of its lock, and the
+/// caller [`Lent::close`]s it on every way out of its call, return or
+/// unwind. Closing waits out every running call and turns every later
+/// one into a no-op, so no thread touches the caller's borrows after it.
+/// A plain `std` lock, not a checked shim: closing runs while the caller
+/// unwinds, where a shim may panic again (its lock-order check, an
+/// explorer's abort) and so abort the process. An unwound caller leaves
+/// its fan-out's or run's record with the pool, which runs what is left
+/// of it as no-ops.
+struct Lent(RwLock<Option<Job>>);
+
+impl Lent {
     /// # Safety
-    /// The caller must not return or unwind before no pool thread runs
-    /// `f` or can still start it: until every claim of `f` it handed out
-    /// has been reported finished under the pool's lock.
-    unsafe fn erase<'a>(f: &'a (dyn Fn(usize) + Sync + 'a)) -> Job {
-        // SAFETY: only the lifetime changes; the caller keeps `f` alive
-        // for as long as any thread may call it.
-        Job(unsafe {
+    /// The caller must [`close`](Lent::close) the result before `f`'s
+    /// borrows end, on return and on unwind alike ([`Closing`]).
+    unsafe fn new<'a>(f: &'a (dyn Fn(usize) + Sync + 'a)) -> Arc<Lent> {
+        // SAFETY: only the lifetime changes; `f` is called only through
+        // the lock the caller closes before `f` goes away.
+        let job = Job(unsafe {
             std::mem::transmute::<&'a (dyn Fn(usize) + Sync + 'a), &'static (dyn Fn(usize) + Sync)>(
                 f,
             )
-        })
+        });
+        Arc::new(Lent(RwLock::new(Some(job))))
     }
 
-    /// Runs the job at `width`, catching its panic.
-    fn run(self, width: usize, arg: usize) -> Result<(), Payload> {
-        panic::catch_unwind(AssertUnwindSafe(|| with_width(width, || (self.0)(arg))))
+    /// Calls the job at `width`, catching its panic; nothing once closed.
+    fn call(&self, width: usize, arg: usize) -> Result<(), Payload> {
+        let job = self.0.read().unwrap_or_else(PoisonError::into_inner);
+        match *job {
+            Some(Job(f)) => panic::catch_unwind(AssertUnwindSafe(|| with_width(width, || f(arg)))),
+            None => Ok(()),
+        }
+    }
+
+    /// Waits for every running call to return and bars any later one.
+    fn close(&self) {
+        *self.0.write().unwrap_or_else(PoisonError::into_inner) = None;
+    }
+}
+
+/// Closes a [`Lent`] when its caller leaves, by return or by unwind.
+struct Closing<'a>(&'a Lent);
+
+impl Drop for Closing<'_> {
+    fn drop(&mut self) {
+        self.0.close();
     }
 }
 
@@ -223,7 +255,7 @@ impl Job {
 struct Fanout {
     id: u64,
     /// Takes the next unstarted band and runs it.
-    job: Job,
+    job: Arc<Lent>,
     width: usize,
     /// Bands no thread has claimed yet.
     unclaimed: usize,
@@ -241,10 +273,9 @@ struct Run {
 }
 
 /// A job handed to a parked worker.
-#[derive(Clone, Copy)]
 struct Handoff {
     run: u64,
-    job: Job,
+    job: Arc<Lent>,
     index: usize,
     width: usize,
 }
@@ -277,11 +308,11 @@ impl State {
     }
 
     /// Claims one unstarted band of fan-out `id`, if it has one.
-    fn claim(&mut self, id: u64) -> Option<(Job, usize)> {
+    fn claim(&mut self, id: u64) -> Option<(Arc<Lent>, usize)> {
         let f = self.fanouts.iter_mut().find(|f| f.id == id)?;
         f.unclaimed = f.unclaimed.checked_sub(1)?;
         f.running += 1;
-        Some((f.job, f.width))
+        Some((Arc::clone(&f.job), f.width))
     }
 
     /// Reports a claimed band of fan-out `id` finished; true if it was
@@ -370,14 +401,17 @@ impl Pool {
     fn fan_out(&self, bands: usize, run_next: &(dyn Fn(usize) + Sync)) {
         let inner = &self.0;
         let width = num_threads();
-        // SAFETY: this returns, or unwinds, only from below the loop,
-        // once the fan-out has no band unclaimed or running.
-        let job = unsafe { Job::erase(run_next) };
+        // SAFETY: `_closing` closes `job` on every way out of this call,
+        // while `run_next` still lives. It is declared before the state
+        // guards, so they are dropped first and a band it waits for can
+        // still lock the state.
+        let job = unsafe { Lent::new(run_next) };
+        let _closing = Closing(&job);
         let mut st = inner.state.lock();
         let id = st.fresh_id();
         st.fanouts.push(Fanout {
             id,
-            job,
+            job: Arc::clone(&job),
             width,
             unclaimed: bands,
             running: 0,
@@ -391,9 +425,9 @@ impl Pool {
         }
         let mut st = inner.state.lock();
         loop {
-            if let Some((job, _)) = st.claim(id) {
+            if st.claim(id).is_some() {
                 drop(st);
-                let outcome = job.run(width, 0);
+                let outcome = job.call(width, 0);
                 st = inner.state.lock();
                 st.finish(id, outcome);
             } else if st.fanouts.iter().any(|f| f.id == id && f.running > 0) {
@@ -432,6 +466,11 @@ impl Pool {
     ) -> std::io::Result<()> {
         let inner = &self.0;
         let width = num_threads();
+        // SAFETY: `_closing` closes `lent` on every way out of this
+        // call, while `job` still lives. It is dropped after the state
+        // guard, so a worker it waits for can still lock the state.
+        let lent = unsafe { Lent::new(job) };
+        let _closing = Closing(&lent);
         let mut st = inner.state.lock();
         while st.parked.len() < n {
             let worker = st.handoffs.len();
@@ -449,14 +488,11 @@ impl Pool {
             running: n,
             panic: None,
         });
-        // SAFETY: this returns, or unwinds, only from below the wait,
-        // once every job it hands off has returned.
-        let job = unsafe { Job::erase(job) };
         for index in 0..n {
             if let Some(worker) = st.parked.pop() {
                 st.handoffs[worker] = Some(Handoff {
                     run,
-                    job,
+                    job: Arc::clone(&lent),
                     index,
                     width,
                 });
@@ -500,7 +536,8 @@ impl Inner {
                 continue;
             };
             drop(st);
-            let outcome = job.run(width, 0);
+            let outcome = job.call(width, 0);
+            drop(job);
             let scratch = scratch::scratch_stats();
             st = self.state.lock();
             st.band_scratch[index] = scratch;
@@ -524,7 +561,8 @@ impl Inner {
                 continue;
             };
             drop(st);
-            let outcome = h.job.run(h.width, h.index);
+            let outcome = h.job.call(h.width, h.index);
+            drop(h.job);
             scratch::release();
             st = self.state.lock();
             if let Some(run) = st.runs.iter_mut().find(|r| r.id == h.run) {
@@ -750,6 +788,85 @@ mod tests {
             (3, 3),
             "reused, not respawned"
         );
+    }
+
+    /// Runs `call` holding a named lock of its own, so the pool wait it
+    /// reaches panics (debug builds' lock-order check), and returns
+    /// whether a pool thread had run `job`: the caller may unwind past
+    /// `job`'s borrows only once no pool thread is inside it, and no pool
+    /// thread may start it later.
+    fn unwind_from_the_wait(call: impl FnOnce(&(dyn Fn(usize) + Sync))) -> bool {
+        let caller = std::thread::current().id();
+        let started = std::sync::atomic::AtomicBool::new(false);
+        let done = std::sync::atomic::AtomicBool::new(false);
+        let job = |_: usize| {
+            if std::thread::current().id() == caller {
+                // Leave the caller a pool thread to wait for.
+                while !started.load(Ordering::SeqCst) {
+                    std::thread::yield_now();
+                }
+            } else {
+                started.store(true, Ordering::SeqCst);
+                std::thread::sleep(std::time::Duration::from_millis(50));
+                done.store(true, Ordering::SeqCst);
+            }
+        };
+        let foreign = Mutex::named("parallel-test.foreign", ());
+        let raised = panic_of(|| {
+            let _held = foreign.lock();
+            call(&job);
+        });
+        assert!(
+            raised.is_some_and(|m| m.contains("parallel-test.foreign")),
+            "the wait must fail the lock-order check"
+        );
+        let ran = started.load(Ordering::SeqCst);
+        assert_eq!(
+            done.load(Ordering::SeqCst),
+            ran,
+            "the caller unwound while a pool thread ran its job"
+        );
+        std::thread::sleep(std::time::Duration::from_millis(100));
+        assert_eq!(
+            started.load(Ordering::SeqCst),
+            ran,
+            "a pool thread started the job after its caller left"
+        );
+        ran
+    }
+
+    #[test]
+    fn a_caller_unwinding_from_its_band_wait_outlasts_its_bands() {
+        if !cfg!(debug_assertions) {
+            return; // no lock-order check to panic
+        }
+        let pool = Pool::new(1);
+        let ran = unwind_from_the_wait(|job| {
+            with_width(2, || pool.par_bands([(), ()], |i, ()| job(i)));
+        });
+        assert!(ran, "the caller waits for the band thread to start");
+        // The pool still serves.
+        let mut out = [0usize; 2];
+        with_width(2, || pool.par_bands(out.chunks_mut(1), |i, b| b[0] = i + 1));
+        assert_eq!(out, [1, 2]);
+    }
+
+    #[test]
+    fn a_caller_unwinding_from_its_run_wait_outlasts_its_workers() {
+        if !cfg!(debug_assertions) {
+            return; // no lock-order check to panic
+        }
+        let pool = Pool::new(0);
+        // The worker may or may not have taken its hand-off by then.
+        unwind_from_the_wait(|job| {
+            let _ = pool.run_workers(1, job);
+        });
+        let ran = AtomicUsize::new(0);
+        pool.run_workers(2, &|_| {
+            ran.fetch_add(1, Ordering::Relaxed);
+        })
+        .expect("start the workers");
+        assert_eq!(ran.load(Ordering::Relaxed), 2);
     }
 
     #[test]

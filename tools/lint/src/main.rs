@@ -33,10 +33,13 @@
 //!   branch lands in one of them, not in the whole.
 //! * **`thread-spawn`** — a non-test `thread::scope`, `thread::spawn`,
 //!   `thread::Builder` / `Builder::spawn` or `spawn_scoped` outside
-//!   `crates/tensor/src/parallel.rs`. The kernels fan out through that
-//!   file's `par_bands` alone, so its counters see every fan-out and one
-//!   process-wide pool can replace one body; any other spawner is
-//!   allowlisted with the reason it is not a kernel fan-out.
+//!   `crates/tensor/src/parallel.rs`, or a call of `ratel-check`'s
+//!   `spawn_named` / `try_spawn_named` outside that file and
+//!   `crates/check/` (where the model checker starts its models'
+//!   threads). Every thread the engine and kernels use comes from that
+//!   file's one pool, so its counters see every fan-out and no thread
+//!   starts at steady state; any other spawner is allowlisted with the
+//!   reason it is not one of them.
 //!
 //! Findings are suppressed by `ratel-lint.allow` at the workspace root.
 //! Each non-comment line is `<rule> <path>` and waives that rule for that
@@ -401,6 +404,13 @@ const SPAWNS: &[&str] = &[
     "spawn_scoped(",
 ];
 
+/// `ratel-check`'s spawners (`try_spawn_named` contains the other), which
+/// start a real thread outside an explorer run.
+const CHECK_SPAWNS: &[&str] = &["spawn_named("];
+
+/// Where `CHECK_SPAWNS` may be called: the model checker's own crate.
+const CHECKER_DIR: &str = "crates/check";
+
 /// Scans one file and appends findings.
 fn scan_file(path: &Path, rel: &Path, findings: &mut Vec<Finding>) {
     let Ok(src) = fs::read_to_string(path) else {
@@ -410,6 +420,7 @@ fn scan_file(path: &Path, rel: &Path, findings: &mut Vec<Finding>) {
     let in_test = test_mask(&lines);
     let in_sim = rel.starts_with("crates/sim");
     let is_fan_out = rel == Path::new(FAN_OUT_FILE);
+    let in_checker = rel.starts_with(CHECKER_DIR);
 
     // Live lock-guard scopes: (binding name, brace depth at binding).
     let mut guards: Vec<(String, i64)> = Vec::new();
@@ -441,7 +452,9 @@ fn scan_file(path: &Path, rel: &Path, findings: &mut Vec<Finding>) {
         if !in_test[idx] && (line.contains(".unwrap()") || line.contains(".expect(\"")) {
             report(Rule::NoUnwrap);
         }
-        if !in_test[idx] && !is_fan_out && SPAWNS.iter().any(|p| line.contains(p)) {
+        let spawns = SPAWNS.iter().any(|p| line.contains(p))
+            || (!in_checker && CHECK_SPAWNS.iter().any(|p| line.contains(p)));
+        if !in_test[idx] && !is_fan_out && spawns {
             report(Rule::ThreadSpawn);
         }
 
@@ -1100,8 +1113,17 @@ mod tests {
                    thread::spawn_named(\"w\", g);\n}\n\
                    #[cfg(test)]\nmod tests {\n    fn t() { std::thread::spawn(g); }\n}\n";
         let hits = scan_src(src, "crates/x/src/lib.rs");
-        assert_eq!(hits, vec![(Rule::ThreadSpawn, 2), (Rule::ThreadSpawn, 5)]);
+        let all = [2, 5, 7].map(|line| (Rule::ThreadSpawn, line));
+        assert_eq!(hits, all);
         assert!(scan_src(src, FAN_OUT_FILE).is_empty());
+        // The checker starts its models' threads with its own spawner.
+        let hits = scan_src(src, "crates/check/src/models/m.rs");
+        assert_eq!(hits, all[..2]);
+        let src = "fn f() {\n    let h = try_spawn_named(\"w\", g)?;\n}\n";
+        assert_eq!(
+            scan_src(src, "crates/x/src/lib.rs"),
+            [(Rule::ThreadSpawn, 2)]
+        );
     }
 
     #[test]
