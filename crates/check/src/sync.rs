@@ -19,7 +19,6 @@
 //! lock-order tracker and exploration witnesses can report `storage.inner`
 //! rather than an address.
 
-use std::mem::ManuallyDrop;
 use std::ops::{Deref, DerefMut};
 use std::sync::{self as std_sync, Arc};
 
@@ -77,7 +76,7 @@ impl<T: ?Sized> Mutex<T> {
         let real = self.inner.lock().unwrap_or_else(|e| e.into_inner());
         MutexGuard {
             mutex: self,
-            real: ManuallyDrop::new(real),
+            real: Some(real),
             held,
             sched,
         }
@@ -95,7 +94,9 @@ impl<T: ?Sized> Mutex<T> {
 /// RAII guard returned by [`Mutex::lock`].
 pub struct MutexGuard<'a, T: ?Sized> {
     mutex: &'a Mutex<T>,
-    real: ManuallyDrop<std_sync::MutexGuard<'a, T>>,
+    /// The `std` guard; empty only while [`Condvar::wait`] has released
+    /// it, so a wait that unwinds leaves nothing to release twice.
+    real: Option<std_sync::MutexGuard<'a, T>>,
     held: Option<lockorder::Held>,
     sched: Option<(Arc<RunCtx>, usize)>,
 }
@@ -103,23 +104,30 @@ pub struct MutexGuard<'a, T: ?Sized> {
 impl<T: ?Sized> Deref for MutexGuard<'_, T> {
     type Target = T;
     fn deref(&self) -> &T {
-        &self.real
+        let Some(real) = &self.real else {
+            unreachable!("a guard is empty only inside a wait")
+        };
+        real
     }
 }
 
 impl<T: ?Sized> DerefMut for MutexGuard<'_, T> {
     fn deref_mut(&mut self) -> &mut T {
-        &mut self.real
+        let Some(real) = &mut self.real else {
+            unreachable!("a guard is empty only inside a wait")
+        };
+        real
     }
 }
 
 impl<T: ?Sized> Drop for MutexGuard<'_, T> {
     fn drop(&mut self) {
         // Order matters: the real lock is released before the model-level
-        // release hands the token to a thread that may acquire it.
-        unsafe { ManuallyDrop::drop(&mut self.real) };
+        // release hands the token to a thread that may acquire it. An
+        // empty guard is a wait that unwound, holding neither.
+        let held = self.real.take().is_some();
         self.held.take();
-        if let Some((ctx, tid)) = self.sched.take() {
+        if let (true, Some((ctx, tid))) = (held, self.sched.take()) {
             ctx.release(tid, obj_id(self.mutex), !std::thread::panicking());
         }
     }
@@ -165,18 +173,22 @@ impl Condvar {
                 let lock_id = obj_id(guard.mutex);
                 ctx.register_name(cv_id, self.name);
                 // Really unlock before parking: the next lock holder
-                // takes the real mutex for real.
-                unsafe { ManuallyDrop::drop(&mut guard.real) };
+                // takes the real mutex for real. If the run fails while
+                // this thread waits, `ctx.wait` unwinds with the guard
+                // empty, and its drop releases nothing.
+                guard.real = None;
                 ctx.wait(tid, cv_id, lock_id);
                 // Granted again with model ownership of the mutex.
                 let real = guard.mutex.inner.lock().unwrap_or_else(|e| e.into_inner());
-                guard.real = ManuallyDrop::new(real);
+                guard.real = Some(real);
             }
-            None => unsafe {
-                let real = ManuallyDrop::take(&mut guard.real);
-                let real = self.inner.wait(real).unwrap_or_else(|e| e.into_inner());
-                guard.real = ManuallyDrop::new(real);
-            },
+            // A guard is empty only inside a wait, so this always waits.
+            None => {
+                if let Some(real) = guard.real.take() {
+                    let real = self.inner.wait(real).unwrap_or_else(|e| e.into_inner());
+                    guard.real = Some(real);
+                }
+            }
         }
         if was_tracked {
             guard.held = lockorder::on_lock(guard.mutex.name);
@@ -388,5 +400,38 @@ pub mod thread {
         if let Some((ctx, tid)) = explore::current() {
             ctx.point(tid, "yield".to_string());
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{Explorer, FailureKind};
+
+    #[test]
+    fn an_aborted_wait_releases_nothing_and_its_mutex_serves_a_later_run() {
+        static COUNT: Mutex<u32> = Mutex::named("sync_test.count", 0);
+        static NEVER: Condvar = Condvar::named("sync_test.never");
+        // Nobody notifies: the run deadlocks, and the explorer's abort
+        // unwinds the waiter out of its wait.
+        let failure = Explorer::default()
+            .explore(|| {
+                let mut count = COUNT.lock();
+                *count += 1;
+                NEVER.wait(&mut count);
+            })
+            .unwrap_err();
+        assert_eq!(failure.kind, FailureKind::Deadlock, "{failure}");
+        assert!(failure.message.contains("sync_test.never"), "{failure}");
+        // The unwinding waiter released no lock it no longer held.
+        let released = |line: &String| line.contains("release [sync_test.count]");
+        assert!(!failure.witness.iter().any(released), "{failure}");
+        // The waiter held no `std` guard while it unwound. One dropped a
+        // second time would have marked the mutex poisoned on the way
+        // out, and unlocked it under whoever held it then.
+        assert!(!COUNT.inner.is_poisoned());
+        let report = Explorer::default().explore(|| *COUNT.lock() += 1).unwrap();
+        assert!(report.complete);
+        assert_eq!(*COUNT.lock(), 2);
     }
 }

@@ -18,8 +18,8 @@
 //! states on the SSD tier, and the reverse.
 //!
 //! The manifest carries the engine's step clock, per-layer update
-//! counts, and an FNV-1a 64 checksum + byte length for every blob, plus
-//! a self-checksum over its own body. Loading verifies all of them and
+//! counts, and a [`checksum`] + byte length for every blob, plus a
+//! self-checksum over its own body. Loading verifies all of them and
 //! walks backward through generations until one passes — torn or
 //! bit-flipped checkpoints are *detected*, never silently restored.
 //! While a generation is verified, each blob whose key rests on the SSD
@@ -32,7 +32,7 @@
 //! Manifest format (text, one record per line):
 //!
 //! ```text
-//! ratel-checkpoint v1
+//! ratel-checkpoint v2
 //! generation 3
 //! step 40
 //! layer 0 38 51200 a1b2c3d4e5f60718 102400 18f6e5d4c3b2a190
@@ -41,7 +41,25 @@
 //! ```
 //!
 //! The `layer` fields are: id, applied-update count, master byte length,
-//! master FNV-1a 64, moments byte length, moments FNV-1a 64.
+//! master checksum, moments byte length, moments checksum. A manifest of
+//! any other version is refused by name (`v1` summed with byte-serial
+//! FNV-1a): the format has one reader.
+//!
+//! The checksum reads its bytes as little-endian `u64` words dealt
+//! round-robin to four lanes, so four independent chains share the core
+//! and it runs at memory speed, not one multiply a byte. A lane steps
+//! `y = (h ^ w) · 0x9E3779B97F4A7C15; h = y ^ (y >> 32)`: an xor, a
+//! multiply by an odd constant and a xorshift, each invertible mod 2^64,
+//! so a step is a bijection of the word for a fixed lane state and of
+//! the state for a fixed word. A change confined to one 8-byte word
+//! thus changes its lane's state at that word and at every later one;
+//! the fold chains the four lanes, the zero-padded tail bytes and the
+//! length through the same step, a bijection of each, so the checksum
+//! changes: any one-word (and so any one-byte) corruption is always
+//! caught. The xorshift keeps two-bit flips apart: with the multiply
+//! alone, bit 63 flipped in two words of one lane cancels, since
+//! 2^63 · odd ≡ 2^63 (mod 2^64). This is corruption *detection*, not
+//! security.
 
 use std::fs;
 use std::io::Write;
@@ -57,10 +75,49 @@ use crate::schedule::Placement;
 use super::blobs::key;
 use super::RatelEngine;
 
-/// FNV-1a 64-bit — tiny, dependency-free, and plenty to catch torn
-/// writes and bit rot (this is corruption *detection*, not security).
+/// The manifest's first line, naming its format.
+const HEADER: &str = "ratel-checkpoint v2";
+
+/// The lanes' starting state, each XOR its lane index: FNV's 64-bit
+/// offset basis.
+const BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// One step of a lane, a bijection of `h` for a fixed `w` and of `w` for
+/// a fixed `h` (see the module docs).
+#[inline(always)]
+fn mix(h: u64, w: u64) -> u64 {
+    let y = (h ^ w).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    y ^ (y >> 32)
+}
+
+/// The checksum of every blob and of the manifest body: 64 bits over
+/// `bytes` read as little-endian `u64` words in four lanes, word `i` in
+/// lane `i % 4`, then the lanes, the zero-padded tail and the length
+/// folded together. Any change confined to one 8-byte word changes it
+/// (module docs). Its value is part of the `v2` format.
+pub fn checksum(bytes: &[u8]) -> u64 {
+    let (words, tail) = bytes.as_chunks::<8>();
+    let mut lanes = [0, 1, 2, 3].map(|i| BASIS ^ i);
+    let mut blocks = words.chunks_exact(4);
+    for block in &mut blocks {
+        for (lane, &w) in lanes.iter_mut().zip(block) {
+            *lane = mix(*lane, u64::from_le_bytes(w));
+        }
+    }
+    for (lane, &w) in lanes.iter_mut().zip(blocks.remainder()) {
+        *lane = mix(*lane, u64::from_le_bytes(w));
+    }
+    let mut last = [0u8; 8];
+    last[..tail.len()].copy_from_slice(tail);
+    let lanes = lanes.into_iter().fold(BASIS, mix);
+    mix(mix(lanes, u64::from_le_bytes(last)), bytes.len() as u64)
+}
+
+/// FNV-1a 64-bit, byte-serial: the hash of the emitter's golden pins
+/// (`schedule.rs`, `dag_step.rs`) and of `v1` checkpoint manifests.
+#[cfg(test)]
 pub(crate) fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut h = BASIS;
     for &b in bytes {
         h ^= b as u64;
         h = h.wrapping_mul(0x0000_0100_0000_01B3);
@@ -115,7 +172,7 @@ pub(crate) fn generations(dir: &Path) -> Vec<u64> {
 struct Manifest {
     step: u64,
     /// Per layer id: its applied-update count and the `(length,
-    /// FNV-1a 64)` its master and its moments were saved with.
+    /// checksum)` its master and its moments were saved with.
     layers: Vec<(u64, [(usize, u64); 2])>,
 }
 
@@ -185,7 +242,7 @@ pub(crate) fn save(engine: &RatelEngine, dir: &Path) -> Result<(), RatelError> {
         RatelError::CheckpointCorrupt(format!("writing {what}: {e}"))
     };
 
-    let mut body = String::from("ratel-checkpoint v1\n");
+    let mut body = format!("{HEADER}\n");
     body.push_str(&format!("generation {generation}\n"));
     body.push_str(&format!("step {}\n", engine.step));
     for layer in 0..engine.layer_count() {
@@ -199,12 +256,12 @@ pub(crate) fn save(engine: &RatelEngine, dir: &Path) -> Result<(), RatelError> {
             "layer {layer} {} {} {:016x} {} {:016x}\n",
             engine.layer_steps[layer],
             master.len(),
-            fnv64(&master),
+            checksum(&master),
             moments.len(),
-            fnv64(&moments),
+            checksum(&moments),
         ));
     }
-    let manifest = format!("{body}checksum {:016x}\n", fnv64(body.as_bytes()));
+    let manifest = format!("{body}checksum {:016x}\n", checksum(body.as_bytes()));
     // The manifest rename is the commit point of the whole generation,
     // durable once the directory that records the renames is.
     write_atomic(&manifest_path(dir, generation), manifest.as_bytes())
@@ -252,8 +309,13 @@ pub(crate) fn save(engine: &RatelEngine, dir: &Path) -> Result<(), RatelError> {
 fn read_manifest(dir: &Path, generation: u64, layer_params: &[usize]) -> Result<Manifest, String> {
     let path = manifest_path(dir, generation);
     let text = fs::read_to_string(&path).map_err(|e| format!("manifest unreadable: {e}"))?;
+    // The header first: another version's checksums are not this one's.
+    let header = text.lines().next().unwrap_or_default();
+    if header != HEADER {
+        return Err(format!("manifest header {header:?} is not {HEADER:?}"));
+    }
 
-    // Split off and verify the self-checksum line first.
+    // Then split off and verify the self-checksum line.
     let trimmed = text.strip_suffix('\n').unwrap_or(&text);
     let (body_end, checksum_line) = match trimmed.rfind('\n') {
         Some(i) => (i + 1, &trimmed[i + 1..]),
@@ -264,14 +326,11 @@ fn read_manifest(dir: &Path, generation: u64, layer_params: &[usize]) -> Result<
         .strip_prefix("checksum ")
         .ok_or("manifest missing checksum line")?;
     let declared = u64::from_str_radix(declared, 16).map_err(|e| format!("bad checksum: {e}"))?;
-    if declared != fnv64(body.as_bytes()) {
+    if declared != checksum(body.as_bytes()) {
         return Err("manifest self-checksum mismatch".into());
     }
 
-    let mut lines = body.lines();
-    if lines.next() != Some("ratel-checkpoint v1") {
-        return Err("unrecognized manifest header".into());
-    }
+    let mut lines = body.lines().skip(1);
     let gen_line = lines.next().ok_or("manifest missing generation line")?;
     let declared_gen: u64 = gen_line
         .strip_prefix("generation ")
@@ -332,7 +391,7 @@ fn read_manifest(dir: &Path, generation: u64, layer_params: &[usize]) -> Result<
 }
 
 /// Reads layer `layer`'s `kind` blob of `generation` and verifies it
-/// against the `(length, FNV-1a 64)` its manifest declares.
+/// against the `(length, checksum)` its manifest declares.
 fn read_blob(
     dir: &Path,
     generation: u64,
@@ -348,7 +407,7 @@ fn read_blob(
             bytes.len()
         ));
     }
-    if fnv64(&bytes) != sum {
+    if checksum(&bytes) != sum {
         return Err(format!("layer {layer} {kind} checksum mismatch"));
     }
     Ok(bytes)
@@ -486,6 +545,70 @@ mod tests {
         let mut flipped = b"ratel".to_vec();
         flipped[0] ^= 1;
         assert_ne!(a, fnv64(&flipped));
+    }
+
+    /// `len` seeded pseudo-random bytes.
+    fn seeded(len: usize, seed: u64) -> Vec<u8> {
+        let mut x = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        (0..len)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                (x >> 56) as u8
+            })
+            .collect()
+    }
+
+    #[test]
+    fn checksum_is_pinned() {
+        // Part of the `v2` format: a change here is a format change.
+        assert_eq!(checksum(b""), 0x2065_6390_22cb_e46e);
+        assert_eq!(checksum(b"ratel-checkpoint v2\n"), 0x8365_00e6_78f2_f060);
+    }
+
+    #[test]
+    fn checksum_catches_every_two_bit_flip() {
+        // 71 B leaves seven tail bytes after eight words.
+        for (len, seed) in [(64, 1), (71, 2), (256, 3)] {
+            let mut bytes = seeded(len, seed);
+            let clean = checksum(&bytes);
+            let bits = 8 * len;
+            for a in 0..bits {
+                bytes[a / 8] ^= 1 << (a % 8);
+                for b in a + 1..bits {
+                    bytes[b / 8] ^= 1 << (b % 8);
+                    assert_ne!(checksum(&bytes), clean, "{len} B, bits {a} and {b}");
+                    bytes[b / 8] ^= 1 << (b % 8);
+                }
+                bytes[a / 8] ^= 1 << (a % 8);
+            }
+        }
+    }
+
+    #[test]
+    fn checksum_catches_every_byte_value_at_every_offset() {
+        // Four whole lanes' words, one more word and a three-byte tail.
+        let mut bytes = seeded(43, 4);
+        let clean = checksum(&bytes);
+        for at in 0..bytes.len() {
+            let was = bytes[at];
+            for value in (0..=u8::MAX).filter(|&v| v != was) {
+                bytes[at] = value;
+                assert_ne!(checksum(&bytes), clean, "byte {at} = {value}");
+            }
+            bytes[at] = was;
+        }
+    }
+
+    #[test]
+    fn checksum_counts_a_trailing_zero_byte() {
+        for len in [0, 5, 8, 31, 32, 64] {
+            let bytes = seeded(len, 5);
+            let mut longer = bytes.clone();
+            longer.push(0);
+            assert_ne!(checksum(&bytes), checksum(&longer), "{len} B");
+        }
     }
 
     #[test]
@@ -746,6 +869,63 @@ mod engine_tests {
         let err = fresh.load_checkpoint(&dir).unwrap_err();
         assert!(matches!(err, RatelError::CheckpointCorrupt(_)), "{err}");
         assert!(err.to_string().contains("generation 2"), "{err}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Rewrites `generation`'s manifest as the `v1` format wrote it: the
+    /// same records, each blob and the body summed with FNV-1a.
+    fn downgrade_to_v1(dir: &Path, generation: u64) {
+        let path = manifest_path(dir, generation);
+        let text = fs::read_to_string(&path).unwrap();
+        let mut body = String::from("ratel-checkpoint v1\n");
+        for line in text.lines().skip(1) {
+            let mut fields: Vec<String> = line.split(' ').map(String::from).collect();
+            match fields[0].as_str() {
+                "checksum" => break,
+                "layer" => {
+                    let layer: usize = fields[1].parse().unwrap();
+                    for (at, kind) in [(4, "master"), (6, "moments")] {
+                        let bytes = fs::read(blob_path(dir, generation, layer, kind)).unwrap();
+                        fields[at] = format!("{:016x}", fnv64(&bytes));
+                    }
+                }
+                _ => {}
+            }
+            body += &(fields.join(" ") + "\n");
+        }
+        fs::write(
+            &path,
+            format!("{body}checksum {:016x}\n", fnv64(body.as_bytes())),
+        )
+        .unwrap();
+    }
+
+    #[test]
+    fn a_v1_manifest_is_refused_by_name() {
+        let model = GptConfig::tiny();
+        let mk = || RatelEngine::new(EngineConfig::tiny()).unwrap();
+        let dir = temp_dir("v1");
+        let mut engine = mk();
+        let (t, y) = random_batch(&model, 901);
+        engine.train_step(&t, &y).unwrap();
+        engine.save_checkpoint(&dir).unwrap(); // generation 1
+        engine.train_step(&t, &y).unwrap();
+        engine.save_checkpoint(&dir).unwrap(); // generation 2
+
+        // The newest generation is v1: the load falls back to the v2 one.
+        downgrade_to_v1(&dir, 2);
+        let mut resumed = mk();
+        resumed.load_checkpoint(&dir).unwrap();
+        assert_eq!(resumed.step, 1, "fell back to the step-1 generation");
+
+        // Only v1 left: refused, by version.
+        downgrade_to_v1(&dir, 1);
+        match mk().load_checkpoint(&dir) {
+            Err(RatelError::CheckpointCorrupt(why)) => {
+                assert!(why.contains("\"ratel-checkpoint v1\""), "{why}")
+            }
+            other => panic!("expected CheckpointCorrupt, got {other:?}"),
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -2,9 +2,12 @@
 //! truncate or bit-flip *any* byte of *any* file in a two-generation
 //! checkpoint directory and loading must either fall back to the other
 //! intact generation or report corruption — never hand back a silently
-//! wrong model. FNV-1a's per-byte mix `(h ^ b) * prime` is injective in
-//! the byte, so any single-byte change is guaranteed to shift a blob or
-//! manifest checksum, making every verdict below deterministic.
+//! wrong model. The checkpoint checksum steps each of its four lanes
+//! with a bijection of the little-endian word it reads and folds the
+//! lanes, tail and length in by bijections too, so any change confined
+//! to one 8-byte word — any single-byte change — is guaranteed to shift
+//! a blob or manifest checksum (or, in the manifest's header line, to
+//! fail its version check), making every verdict below deterministic.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
